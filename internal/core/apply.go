@@ -30,21 +30,30 @@ func (n *Network) beginBatch() {
 	}
 }
 
-// applyAdamBatch performs the per-batch Adam step over exactly the
-// weights that accumulated gradient: touched neurons' rows restricted to
-// touched input columns (§3.1: "the fraction of weights that needs to be
-// updated is s² only"). Since the sparse-gradient pipeline refactor it is
-// extract-then-apply: the batch gradient is first drained into an
-// explicit SparseDelta (the §6 distributed-exchange payload, reused
-// scratch) and the Adam step then runs over exactly the delta's cells.
-// The two halves are bit-for-bit the old fused path split in two —
-// applyAdamFused below is kept as the equivalence-test reference — and
-// the split is what lets data-parallel replicas exchange the delta
-// between extract and apply (TrainConfig.Exchanger).
+// applyAdamBatch performs a local (no exchange) batch's Adam step over
+// exactly the weights that accumulated gradient: touched neurons' rows
+// restricted to touched input columns (§3.1: "the fraction of weights that
+// needs to be updated is s² only"). On the sharded path each layer's
+// gradient is folded once per touched row and stepped straight from the
+// folded row (stepFold); nothing is materialized in between. A run with a
+// DeltaExchanger needs the batch gradient as an explicit SparseDelta to
+// ship, so it goes ExtractDelta (the same fold, compacted) → exchange →
+// ApplyDelta instead (exchangeAndApply); both step rows through stepRow and
+// are bit-for-bit interchangeable. The legacy shared-gW path keeps
+// extract-then-apply here.
 //
-// The delta's cell count accumulates into n.touchedWeights, surfaced as
+// The stepped-cell count accumulates into n.touchedWeights, surfaced as
 // TrainResult.TouchedPerIter and measured by the dist-comm experiment.
 func (n *Network) applyAdamBatch(alpha, invB float32, workers int) {
+	if n.kern.Fused() && n.layerShards != nil {
+		for li, l := range n.layers {
+			if l.beginFold(n.layerShards[li], workers) {
+				n.touchedWeights += l.stepFold(n.adam, alpha, invB, workers)
+				l.endFold()
+			}
+		}
+		return
+	}
 	d := n.ExtractDelta(n.deltaScratch, workers)
 	n.deltaScratch = d
 	n.touchedWeights += d.Cells()
@@ -53,11 +62,10 @@ func (n *Network) applyAdamBatch(alpha, invB float32, workers int) {
 	}
 }
 
-// applyAdamFused is the pre-SparseDelta fused accumulate-and-step path.
-// It is no longer used by training — applyAdamBatch goes through
-// ExtractDelta/ApplyDelta — but is kept as the bit-for-bit reference the
-// extract/apply equivalence test (TestExtractApplyMatchesFusedAdam)
-// compares against.
+// applyAdamFused is the pre-SparseDelta fused accumulate-and-step path
+// over the shared gW buffers. Training never runs it; it is kept as the
+// bit-for-bit reference the extract/apply equivalence test
+// (TestExtractApplyMatchesFusedAdam) compares against.
 func (n *Network) applyAdamFused(alpha, invB float32, workers int) {
 	for _, l := range n.layers {
 		n.touchedWeights += l.applyAdamFused(n, alpha, invB, workers)
@@ -126,6 +134,6 @@ func (l *Layer) touchedColumns(workers int) []int32 {
 	if l.colStamp == nil {
 		return nil
 	}
-	l.colList = scanStamps(l.colStamp, l.batchEpoch, workers, l.colList)
+	l.colList = l.scanStamps(l.colStamp, l.batchEpoch, workers, l.colList)
 	return l.colList
 }

@@ -303,7 +303,7 @@ func (n *Network) accumulateBatchSync(records []*elemRecord, workers int) {
 		workers = 1
 	}
 	if n.kern.Fused() {
-		parallelRange(workers, workers, func(lo, hi int) {
+		parallelIndexed(workers, workers, func(_, lo, hi int) {
 			for shard := lo; shard < hi; shard++ {
 				set := n.backShardSet(shard)
 				for _, rec := range records {
@@ -318,7 +318,7 @@ func (n *Network) accumulateBatchSync(records []*elemRecord, workers int) {
 		})
 		return
 	}
-	parallelRange(workers, workers, func(lo, hi int) {
+	parallelIndexed(workers, workers, func(_, lo, hi int) {
 		for shard := lo; shard < hi; shard++ {
 			for _, rec := range records {
 				if rec == nil || rec.used == 0 {

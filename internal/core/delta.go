@@ -238,7 +238,7 @@ func (l *Layer) ExtractDelta(dst *LayerDelta, workers int) {
 	// Pass 1: count each row's non-zero cells so pass 2 can fill
 	// disjoint spans in parallel.
 	counts := make([]int32, len(rows))
-	parallelRange(workers, len(rows), func(lo, hi int) {
+	parallelIndexed(workers, len(rows), func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			g := l.gW[rows[r]]
 			var c int32
@@ -283,7 +283,7 @@ func (l *Layer) ExtractDelta(dst *LayerDelta, workers int) {
 	dst.Bias = dst.Bias[:len(rows)]
 
 	// Pass 2: fill the spans and zero the buffers as they are consumed.
-	parallelRange(workers, len(rows), func(lo, hi int) {
+	parallelIndexed(workers, len(rows), func(_, lo, hi int) {
 		for r := lo; r < hi; r++ {
 			j := rows[r]
 			g := l.gW[j]
@@ -313,23 +313,35 @@ func (l *Layer) ExtractDelta(dst *LayerDelta, workers int) {
 	})
 }
 
+// scanSpan is the least number of stamps worth a scanStamps worker of its
+// own (a 128 KiB read, tens of microseconds).
+const scanSpan = 1 << 15
+
 // touchedRows rebuilds the ascending list of rows touched this batch from
 // the neuron stamps.
 func (l *Layer) touchedRows(workers int) []int32 {
-	l.rowList = scanStamps(l.touched, l.batchEpoch, workers, l.rowList)
+	l.rowList = l.scanStamps(l.touched, l.batchEpoch, workers, l.rowList)
 	return l.rowList
 }
 
 // scanStamps collects the ascending indices whose stamp equals epoch into
 // dst (reused), parallelized across workers — the shared machinery behind
-// the per-batch touched-row and touched-column lists.
-func scanStamps(stamps []uint32, epoch uint32, workers int, dst []int32) []int32 {
-	if workers < 1 {
-		workers = 1
+// the per-batch touched-row and touched-column lists and the per-rebuild
+// dirty-row list. The per-worker partial lists live on the layer, so a warm
+// scan allocates nothing; like every caller it runs with training quiesced.
+// A worker gets at least scanSpan stamps: below that a goroutine costs more
+// than the scan it takes over.
+func (l *Layer) scanStamps(stamps []uint32, epoch uint32, workers int, dst []int32) []int32 {
+	workers = max(min(workers, len(stamps)/scanSpan), 1)
+	if len(l.scanParts) < workers {
+		l.scanParts = append(l.scanParts, make([][]int32, workers-len(l.scanParts))...)
 	}
-	parts := make([][]int32, workers)
+	parts := l.scanParts[:workers]
+	for w := range parts {
+		parts[w] = parts[w][:0]
+	}
 	parallelIndexed(workers, len(stamps), func(w, lo, hi int) {
-		var local []int32
+		local := parts[w]
 		for i := lo; i < hi; i++ {
 			if stamps[i] == epoch {
 				local = append(local, int32(i))
@@ -346,44 +358,71 @@ func scanStamps(stamps []uint32, epoch uint32, workers int, dst []int32) []int32
 
 // ApplyDelta runs one Adam step over exactly the delta's cells (gradient
 // Vals*invB) and non-zero biases, returning the number of cells stepped.
-// Work parallelizes over rows; each row has a single writer. Cell for
-// cell this is the identical arithmetic to the fused applyAdamFused path.
-// Layers carrying a column-major kernel mirror dual-write each stepped
-// cell into it, keeping the scatter-form forward operand coherent for one
-// extra store per touched weight.
+// It steps rows through stepRow, the same row kernel the local training
+// path's stepFold uses, so the two cannot drift apart numerically.
 func (l *Layer) ApplyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32, workers int) int64 {
-	counts := make([]int64, max(workers, 1))
-	parallelIndexed(workers, len(ld.Rows), func(wk, lo, hi int) {
+	return l.stepRows(workers, len(ld.Rows), func(r, _ int) int64 {
+		a, b := ld.RowOff[r], ld.RowOff[r+1]
+		return l.stepRow(adam, ld.Rows[r], ld.Cols[a:b], ld.Vals[a:b], ld.Bias[r], alpha, invB, false)
+	})
+}
+
+// stepRows calls step(r, worker) for every r in [0, n), contiguous spans in
+// parallel across workers, and returns the total of the counts step
+// returns. Each row has a single writer.
+func (l *Layer) stepRows(workers, n int, step func(r, wk int) int64) int64 {
+	f := &l.fold
+	f.applied = growTo(f.applied, max(workers, 1))
+	clear(f.applied)
+	parallelIndexed(workers, n, func(wk, lo, hi int) {
 		var applied int64
 		for r := lo; r < hi; r++ {
-			j := ld.Rows[r]
-			w, m, v := l.w[j], l.mW[j], l.vW[j]
-			for k := ld.RowOff[r]; k < ld.RowOff[r+1]; k++ {
-				i := ld.Cols[k]
-				adam.Step1(&w[i], &m[i], &v[i], ld.Vals[k]*invB, alpha)
-				if l.mirror != nil {
-					l.mirror.Set(j, i, w[i])
-				}
-				applied++
-			}
-			// The row's weight vector moved, so its memoized hash codes
-			// are stale (bias-only rows don't drift: codes hash weights
-			// only). Each row has a single writer here.
-			if l.dirty != nil && ld.RowOff[r+1] > ld.RowOff[r] {
-				l.dirty[j] = l.hashEpoch
-			}
-			if gb := ld.Bias[r]; gb != 0 {
-				adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)
-				applied++
-			}
+			applied += step(r, wk)
 		}
-		counts[wk] = applied
+		f.applied[wk] = applied
 	})
 	var total int64
-	for _, c := range counts {
+	for _, c := range f.applied {
 		total += c
 	}
 	return total
+}
+
+// stepRow is the one Adam row step of the update phase: row j's cells
+// cols[k] (column k when cols is nil) with raw gradient sums g[k], then its
+// bias with raw sum gb, all averaged by invB. skipZero leaves cells whose
+// sum is exactly zero unstepped (a folded row carries them; a delta does
+// not). The per-row decisions are hoisted out of the cell loop: a layer
+// carrying a column-major kernel mirror dual-writes the stepped cells into
+// it, keeping the scatter-form forward operand coherent for one extra store
+// per touched weight, and a row whose weight vector moved is stamped dirty —
+// its memoized hash codes are stale (bias-only rows don't drift: codes hash
+// weights only). Returns the number of cells stepped, bias included.
+func (l *Layer) stepRow(adam optim.Adam, j int32, cols []int32, g []float32, gb, alpha, invB float32, skipZero bool) int64 {
+	w := l.w[j]
+	stepped := adam.StepCells(w, l.mW[j], l.vW[j], cols, g, invB, alpha, skipZero)
+	if stepped > 0 {
+		if l.mirror != nil {
+			for k, gk := range g {
+				if gk == 0 && skipZero {
+					continue
+				}
+				i := int32(k)
+				if cols != nil {
+					i = cols[k]
+				}
+				l.mirror.Set(j, i, w[i])
+			}
+		}
+		if l.dirty != nil {
+			l.dirty[j] = l.hashEpoch
+		}
+	}
+	if gb != 0 {
+		adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)
+		stepped++
+	}
+	return int64(stepped)
 }
 
 // MergeDeltas sums parts cell-wise into dst (reused when non-nil) and

@@ -418,7 +418,10 @@ func TestApplyDeltaValidatesShape(t *testing.T) {
 
 // TestLoopbackExchangerMatchesLocal: a single-shard exchanger that echoes
 // the local delta back (the dist measurement tap) must leave training
-// bit-identical to the plain single-process path.
+// bit-identical to the plain single-process path. The plain run steps
+// straight from the folded rows (stepFold) while the tapped run compacts
+// them into a SparseDelta and applies it (compactFold + ApplyDelta), so
+// this compares the fold's two consumers through real training.
 func TestLoopbackExchangerMatchesLocal(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)

@@ -112,7 +112,7 @@ func (l *Layer) insertFromMemo(dst *hashtable.Table, workers int) {
 	codes := l.codesScratch(nf)
 	for base := 0; base < l.out; base += rebuildChunk {
 		nRows := min(rebuildChunk, l.out-base)
-		parallelRange(workers, nRows, func(lo, hi int) {
+		parallelIndexed(workers, nRows, func(_, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				j := base + r
 				memo.sh.CodesFromProjections(memo.proj[j*nf:(j+1)*nf], codes[r*nf:(r+1)*nf])

@@ -8,12 +8,19 @@ import (
 )
 
 // TestIncrementalRebuildMatchesFullEveryGeneration is the dirty-row
-// path's equivalence proof through real training: after each training
-// segment, an incremental sync rebuild (re-hash only drifted rows,
-// re-insert the rest from the code memo) must produce tables
-// bucket-for-bucket equal to a full from-scratch hash of the live
-// weights at the same generation — at every generation, for every
-// family that backs a sampled layer.
+// path's equivalence proof: after each round of weight drift, an
+// incremental sync rebuild (re-hash only drifted rows, re-insert the rest
+// from the code memo) must produce tables bucket-for-bucket equal to a
+// full from-scratch hash of the live weights at the same generation — at
+// every generation, for every family that backs a sampled layer.
+//
+// Drift arrives three ways. Real training exercises the path end to end
+// but may touch every row between rebuilds (at this size it does, at any
+// thread count), so reuse is proven on constructed drift: a synthetic
+// SparseDelta through the public ApplyDelta (as the tables experiment
+// does) and a synthetic gradient through the shards and applyAdamBatch —
+// the local training path's stepFold — each moving a known subset of rows
+// and leaving exactly that subset dirty.
 func TestIncrementalRebuildMatchesFullEveryGeneration(t *testing.T) {
 	classes := 256
 	ds := tinyDataset(t, classes)
@@ -28,12 +35,12 @@ func TestIncrementalRebuildMatchesFullEveryGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 			l := n.layers[1]
-			for g := 0; g < 5; g++ {
-				if _, err := n.Train(ds.Train, ds.Test, TrainConfig{
-					Iterations: 6, BatchSize: 32, Seed: uint64(g + 1), EvalEvery: 0,
-				}); err != nil {
-					t.Fatal(err)
-				}
+			// rebuildAndCompare runs one incremental rebuild, checks it
+			// against a from-scratch build, and returns the rows it
+			// re-hashed and reused.
+			rebuildAndCompare := func() (rehashed, reused int64) {
+				t.Helper()
+				h0, u0 := n.RebuildRowCounts()
 				n.RebuildTables(2) // incremental: dirty rows only
 				incr := l.Tables()
 				full := incr.Shadow(n.rebuildGen)
@@ -41,10 +48,61 @@ func TestIncrementalRebuildMatchesFullEveryGeneration(t *testing.T) {
 				if !incr.Equal(full) {
 					t.Fatalf("generation %d: incremental rebuild diverged from full from-scratch build", n.rebuildGen)
 				}
+				h1, u1 := n.RebuildRowCounts()
+				return h1 - h0, u1 - u0
 			}
-			rehashed, reused := n.RebuildRowCounts()
-			if reused == 0 {
-				t.Fatalf("incremental path never reused a memoized row (rehashed=%d)", rehashed)
+			requireDrift := func(via string, drifted int) {
+				t.Helper()
+				rehashed, reused := rebuildAndCompare()
+				if rehashed != int64(drifted) || reused != int64(classes-drifted) {
+					t.Fatalf("drift via %s moved %d of %d rows, but the rebuild re-hashed %d and reused %d",
+						via, drifted, classes, rehashed, reused)
+				}
+			}
+
+			for g := 0; g < 3; g++ {
+				if _, err := n.Train(ds.Train, ds.Test, TrainConfig{
+					Iterations: 6, BatchSize: 32, Seed: uint64(g + 1), EvalEvery: 0,
+				}); err != nil {
+					t.Fatal(err)
+				}
+				rebuildAndCompare()
+
+				// Every 5th row (offset by generation) through ApplyDelta.
+				d := &SparseDelta{Layers: make([]LayerDelta, len(n.layers))}
+				d.Layers[0].RowOff = []int32{0}
+				out := &d.Layers[1]
+				out.RowOff = []int32{0}
+				for j := g; j < classes; j += 5 {
+					out.Rows = append(out.Rows, int32(j))
+					out.Cols = append(out.Cols, int32(j%l.in))
+					out.Vals = append(out.Vals, 0.5)
+					out.Bias = append(out.Bias, 0)
+					out.RowOff = append(out.RowOff, int32(len(out.Cols)))
+				}
+				if _, err := n.ApplyDelta(d, 0.05, 1, 2); err != nil {
+					t.Fatal(err)
+				}
+				requireDrift("ApplyDelta", len(out.Rows))
+
+				// Every 7th row through two shards and stepFold; row g+1
+				// only collects a bias gradient, which must not dirty it.
+				n.beginBatch()
+				var rows []int32
+				for j := g; j < classes; j += 7 {
+					rows = append(rows, int32(j))
+				}
+				delta := make([]float32, len(rows))
+				for a := range delta {
+					delta[a] = 0.5
+				}
+				injectFoldElems(n, 1, []foldElem{
+					{w: 0, rows: rows[:len(rows)/2], delta: delta[:len(rows)/2], inIds: []int32{3, 9}, inVals: []float32{1, -1}},
+					{w: 1, rows: rows[len(rows)/2:], delta: delta[len(rows)/2:], inIds: []int32{5}, inVals: []float32{2}},
+					{w: 1, rows: []int32{int32(g + 1)}, delta: []float32{0.5}, inIds: []int32{5}, inVals: []float32{0}},
+				})
+				n.applyAdamBatch(0.05, 1, 2)
+				requireDrift("stepFold", len(rows))
 			}
 		})
 	}

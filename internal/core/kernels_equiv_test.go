@@ -306,7 +306,9 @@ func TestKernelFormCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 10, Seed: 5, EvalEvery: 0, EvalSamples: 64})
+		// One thread: the legacy run's shared-gW HOGWILD backward races by
+		// design, and the form counters don't depend on the thread count.
+		res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 10, Threads: 1, Seed: 5, EvalEvery: 0, EvalSamples: 64})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/arena"
@@ -39,13 +38,21 @@ type Layer struct {
 
 	// touched[j] == batchEpoch marks neuron j as having accumulated
 	// gradient this batch; colStamp (nil for small fan-in layers) marks
-	// touched input columns the same way. Both receive racy same-value
-	// stores from worker threads, which is benign.
+	// touched input columns the same way. On the sharded (fused-kernel)
+	// path workers never write them: beginFold stamps both from the shard
+	// lists at the quiesced batch boundary, single-threaded. Only the
+	// KernelLegacy shared-gW backward stores them from worker threads
+	// (racy same-value stores, which is benign).
 	touched    []uint32
 	colStamp   []uint32
-	colList    []int32 // scratch for the per-batch touched-column list
-	rowList    []int32 // scratch for the per-batch touched-row list
+	colList    []int32   // scratch for the per-batch touched-column list
+	rowList    []int32   // scratch for the per-batch touched-row list
+	scanParts  [][]int32 // scanStamps' per-worker partial lists
 	batchEpoch uint32
+
+	// fold is the update phase's per-batch scratch: the live shards, the
+	// row/column union and the folded-row buffers (see gradFold).
+	fold gradFold
 
 	// fam and tables implement the adaptive sampling; nil for dense
 	// layers. tables is a swappable handle: rebuilds construct a detached
@@ -297,7 +304,7 @@ func (l *Layer) prepareRebuild(workers int, copySnap bool) rebuildPrep {
 			l.dirtySnap = make([]float32, need)
 		}
 		snap := l.dirtySnap[:need]
-		parallelRange(workers, len(dirty), func(lo, hi int) {
+		parallelIndexed(workers, len(dirty), func(_, lo, hi int) {
 			for k := lo; k < hi; k++ {
 				copy(snap[k*l.in:(k+1)*l.in], l.w[dirty[k]])
 			}
@@ -317,7 +324,7 @@ func (l *Layer) prepareRebuild(workers int, copySnap bool) rebuildPrep {
 // stale values can never collide with re-issued epochs (the beginBatch
 // pattern).
 func (l *Layer) collectDirtyRows(workers int) []int32 {
-	l.dirtyList = scanStamps(l.dirty, l.hashEpoch, workers, l.dirtyList)
+	l.dirtyList = l.scanStamps(l.dirty, l.hashEpoch, workers, l.dirtyList)
 	l.hashEpoch++
 	if l.hashEpoch == 0 {
 		clear(l.dirty)
@@ -350,7 +357,7 @@ func (l *Layer) snapshotRows(workers int) []float32 {
 		l.snapBuf = make([]float32, l.out*l.in)
 	}
 	snap := l.snapBuf
-	parallelRange(workers, l.out, func(lo, hi int) {
+	parallelIndexed(workers, l.out, func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			copy(snap[j*l.in:(j+1)*l.in], l.w[j])
 		}
@@ -401,7 +408,7 @@ func (l *Layer) rehashDirty(prep rebuildPrep, workers int) {
 	for base := 0; base < len(prep.dirty); base += rebuildChunk {
 		n := min(rebuildChunk, len(prep.dirty)-base)
 		block := prep.dirtySnap[base*l.in:]
-		parallelRange(workers, n, func(lo, hi int) {
+		parallelIndexed(workers, n, func(_, lo, hi int) {
 			l.fam.HashDenseRows(block[lo*l.in:hi*l.in], hi-lo, codes[lo*nf:hi*nf])
 			for k := lo; k < hi; k++ {
 				j := int(prep.dirty[base+k])
@@ -419,7 +426,7 @@ func (l *Layer) rehashDirty(prep rebuildPrep, workers int) {
 func (l *Layer) insertFromCodes(dst *hashtable.Table, workers int) {
 	nf := l.fam.NumFuncs()
 	memo := l.codeMemo
-	parallelRange(min(workers, dst.L()), dst.L(), func(lo, hi int) {
+	parallelIndexed(min(workers, dst.L()), dst.L(), func(_, lo, hi int) {
 		for ti := lo; ti < hi; ti++ {
 			for j := 0; j < l.out; j++ {
 				dst.InsertInto(ti, uint32(j), memo[j*nf:(j+1)*nf])
@@ -449,7 +456,7 @@ func (l *Layer) insertAll(dst *hashtable.Table, row func(j int) []float32, worke
 	codes := l.codesScratch(nf)
 	for base := 0; base < l.out; base += rebuildChunk {
 		n := min(rebuildChunk, l.out-base)
-		parallelRange(workers, n, func(lo, hi int) {
+		parallelIndexed(workers, n, func(_, lo, hi int) {
 			for r := lo; r < hi; r++ {
 				l.fam.HashDense(row(base+r), codes[r*nf:(r+1)*nf])
 			}
@@ -469,7 +476,7 @@ func (l *Layer) insertAllBlock(dst *hashtable.Table, block []float32, workers in
 	for base := 0; base < l.out; base += rebuildChunk {
 		n := min(rebuildChunk, l.out-base)
 		sub := block[base*l.in:]
-		parallelRange(workers, n, func(lo, hi int) {
+		parallelIndexed(workers, n, func(_, lo, hi int) {
 			l.fam.HashDenseRows(sub[lo*l.in:hi*l.in], hi-lo, codes[lo*nf:hi*nf])
 		})
 		insertChunk(dst, uint32(base), n, nf, codes, workers)
@@ -479,36 +486,11 @@ func (l *Layer) insertAllBlock(dst *hashtable.Table, block []float32, workers in
 // insertChunk inserts one hashed chunk of n rows (ids base..base+n-1,
 // codes row-major in codes) into every table, parallel over tables.
 func insertChunk(dst *hashtable.Table, base uint32, n, nf int, codes []uint32, workers int) {
-	parallelRange(min(workers, dst.L()), dst.L(), func(lo, hi int) {
+	parallelIndexed(min(workers, dst.L()), dst.L(), func(_, lo, hi int) {
 		for ti := lo; ti < hi; ti++ {
 			for r := 0; r < n; r++ {
 				dst.InsertInto(ti, base+uint32(r), codes[r*nf:(r+1)*nf])
 			}
 		}
 	})
-}
-
-// parallelRange splits [0, n) into contiguous spans across workers
-// goroutines and calls f(lo, hi) for each.
-func parallelRange(workers, n int, f func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		f(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

@@ -61,18 +61,18 @@ type Network struct {
 	// shardMu guards the backward gradient shard registry below. Shard
 	// sets are created lazily (first fused backward pass of a worker) and
 	// reused across Train calls; workerShards is keyed [worker][layer],
-	// layerShards is the transpose [layer][worker] that ExtractDelta folds.
+	// layerShards is the transpose [layer][worker] that the update phase folds.
 	shardMu      sync.Mutex
 	workerShards [][]*backShard
 	layerShards  [][]*backShard
 
-	// touchedWeights counts gradient cells extracted across all batches —
-	// the sparse-gradient communication payload of a distributed
-	// replica (§6 future work).
+	// touchedWeights counts gradient cells stepped or extracted across all
+	// batches — the sparse-gradient communication payload of a
+	// distributed replica (§6 future work).
 	touchedWeights int64
-	// deltaScratch is the reusable SparseDelta the training loop drains
-	// each batch's gradient into (extract-then-apply, and the exchange
-	// payload for sharded runs).
+	// deltaScratch is the reusable SparseDelta a run with an exchanger (or
+	// on the legacy kernel path) drains each batch's gradient into; a
+	// local run on the sharded path steps from the fold and never fills it.
 	deltaScratch *SparseDelta
 
 	// Error-feedback state for CompressTopK: efRes accumulates the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/arena"
+	"repro/internal/optim"
 	"repro/internal/vecmath"
 )
 
@@ -326,168 +327,217 @@ func replayRecordShard(l *Layer, sh *backShard, lr *layerRecord, shard, shards i
 	}
 }
 
-// extractSharded drains the layer's shards into dst — the sharded
-// counterpart of Layer.ExtractDelta, same CSR contract (rows ascending,
-// columns ascending within rows, zero cells skipped). Per cell it sums the
-// live shards' contributions in shard-index order, then marks the shards
-// consumed, so a second extract in the same batch is empty, matching the
-// legacy path's zero-as-you-go semantics.
-func (l *Layer) extractSharded(dst *LayerDelta, shards []*backShard, workers int) {
-	dst.reset()
+// gradFold is one layer's view of a batch's gradient at the quiesced
+// boundary: the shards that hold it, the ascending row/column union, and
+// the scratch to sum each touched row's shard buffers exactly once, in
+// shard-index order — the one place cross-shard nondeterminism could
+// enter, pinned by the fixed order. Two consumers read the folded rows:
+// stepFold runs the Adam step straight from them (the local training path)
+// and compactFold writes them out as a CSR LayerDelta (Network.ExtractDelta:
+// the exchange payload, top-k compression, the public API).
+//
+// All of it is layer-owned and reused across batches under the
+// batch-boundary single-writer rule: only the training loop's goroutine
+// (or the caller of ExtractDelta/ApplyDelta) opens a fold.
+type gradFold struct {
+	live  []*backShard // shards holding this batch's gradient, in shard-index order
+	dense bool         // the live shards' storage mode (static per layer)
+	rows  []int32      // touched rows, ascending (aliases Layer.rowList)
+	// Sparse mode: cols is the touched-column union, ascending (aliases
+	// Layer.colList), and perm[k][p] the position in cols of live[k]'s
+	// interned column p, built once per batch through colPos (column →
+	// position in cols). Nil/unused in dense mode, where a folded row is
+	// indexed by column directly.
+	cols   []int32
+	perm   [][]int32
+	colPos []int32
+	// rowBuf[wk] is worker wk's folded-row scratch in sparse mode, aligned
+	// to cols. Dense rows fold in place into their first owner's buffer.
+	rowBuf [][]float32
+	// applied[wk] is worker wk's stepped-cell count (stepRows); chunks[wk-1]
+	// is worker wk's CSR output before concatenation (compactFold; worker 0
+	// writes the destination directly).
+	applied []int64
+	chunks  []LayerDelta
+}
+
+// beginFold opens the batch's fold over shards: it collects the live
+// shards, derives the row/column union — the sharded backward makes no
+// shared writes, so the union is stamped from the shard lists here and
+// collected by the ascending scanStamps machinery — and sizes the
+// per-worker scratch. It reports false when no shard holds gradient.
+func (l *Layer) beginFold(shards []*backShard, workers int) bool {
+	f := &l.fold
 	epoch := l.batchEpoch
-	var live []*backShard
-	dense := true
+	f.live = f.live[:0]
 	for _, sh := range shards {
 		if sh != nil && sh.epoch == epoch && len(sh.rows) > 0 {
-			live = append(live, sh)
-			dense = sh.dense
+			f.live = append(f.live, sh)
 		}
 	}
-	if len(live) == 0 {
-		dst.RowOff = append(dst.RowOff, 0)
-		return
+	if len(f.live) == 0 {
+		return false
 	}
-	// The sharded backward makes no shared writes, so the batch's
-	// row/column union is derived here, at the quiesced boundary, by
-	// stamping the shard lists into the layer's epoch stamps and reusing
-	// the ascending scanStamps machinery — the same lists, in the same
-	// order, the legacy path accumulates during the batch.
-	for _, sh := range live {
+	for _, sh := range f.live {
 		for _, j := range sh.rows {
 			l.touched[j] = epoch
 		}
 	}
-	rows := l.touchedRows(workers)
-	if len(rows) == 0 {
+	f.rows = l.touchedRows(workers)
+	f.dense = f.live[0].dense
+	f.cols = nil
+	if f.dense {
+		return true
+	}
+	for _, sh := range f.live {
+		for _, i := range sh.cols {
+			l.colStamp[i] = epoch
+		}
+	}
+	f.cols = l.touchedColumns(workers)
+	f.colPos = growTo(f.colPos, l.in)
+	for u, i := range f.cols {
+		f.colPos[i] = int32(u)
+	}
+	f.perm = growTo(f.perm, len(f.live))
+	for k, sh := range f.live {
+		perm := growTo(f.perm[k], len(sh.cols))
+		for p, i := range sh.cols {
+			perm[p] = f.colPos[i]
+		}
+		f.perm[k] = perm
+	}
+	f.rowBuf = growTo(f.rowBuf, workers)
+	for wk := range f.rowBuf {
+		f.rowBuf[wk] = growTo(f.rowBuf[wk], len(f.cols))
+	}
+	return true
+}
+
+// growTo returns s resized to n elements, reallocating only when the
+// capacity is short. Contents are unspecified.
+func growTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// foldRow sums touched row r's live shard buffers once, in shard-index
+// order, and returns the folded gradient — indexed by column in dense mode
+// (the first owner's buffer, summed into in place), aligned to f.cols in
+// sparse mode (worker wk's scratch) — and the folded bias gradient. Each
+// row is folded by exactly one worker, so the in-place sum has a single
+// writer.
+func (l *Layer) foldRow(r, wk int) (g []float32, gb float32) {
+	f := &l.fold
+	j := f.rows[r]
+	epoch := l.batchEpoch
+	if !f.dense {
+		g = f.rowBuf[wk]
+		clear(g)
+	}
+	for k, sh := range f.live {
+		if sh.rowStamp[j] != epoch {
+			continue
+		}
+		p := sh.rowPos[j]
+		buf := sh.rowBuf[p]
+		gb += sh.bias[p]
+		switch {
+		case !f.dense:
+			// A row's buffer is zero-extended lazily, so it may be shorter
+			// than the shard's column list; the missing tail is zeros.
+			vecmath.IndexedAxpy(1, f.perm[k][:len(buf)], buf, g)
+		case g == nil:
+			g = buf
+		default:
+			vecmath.Axpy(1, buf, g)
+		}
+	}
+	return g, gb
+}
+
+// endFold marks the live shards consumed: the batch's gradient has been
+// stepped or now lives in the compacted delta alone, so a second extract
+// in the same batch is empty — the legacy path's zero-as-you-go semantics.
+func (l *Layer) endFold() {
+	for _, sh := range l.fold.live {
+		sh.epoch = 0
+	}
+}
+
+// stepFold is the fold's local-training consumer: it folds each touched
+// row and runs the Adam step straight from the folded row, skipping cells
+// whose sum is exactly zero — cell for cell what compactFold followed by
+// ApplyDelta does, without materializing the delta in between. Returns the
+// number of cells stepped.
+func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int64 {
+	f := &l.fold
+	return l.stepRows(workers, len(f.rows), func(r, wk int) int64 {
+		g, gb := l.foldRow(r, wk)
+		return l.stepRow(adam, f.rows[r], f.cols, g, gb, alpha, invB, true)
+	})
+}
+
+// compactFold is the fold's delta consumer: the CSR contract of
+// Layer.ExtractDelta (rows ascending, columns ascending within rows, zero
+// cells skipped) appended to a reset dst. Workers compact contiguous row
+// spans — worker 0, whose span comes first, straight into dst, the others
+// into private chunks concatenated behind it in worker order — so each row
+// is folded once and no counting pass is needed.
+func (l *Layer) compactFold(dst *LayerDelta, workers int) {
+	f := &l.fold
+	if len(f.chunks) < workers-1 {
+		f.chunks = append(f.chunks, make([]LayerDelta, workers-1-len(f.chunks))...)
+	}
+	for wk := range f.chunks {
+		f.chunks[wk].reset()
+	}
+	dst.Rows = append(dst.Rows, f.rows...)
+	dst.RowOff = append(dst.RowOff, 0)
+	parallelIndexed(workers, len(f.rows), func(wk, lo, hi int) {
+		c := dst
+		if wk > 0 {
+			c = &f.chunks[wk-1]
+		}
+		for r := lo; r < hi; r++ {
+			g, gb := l.foldRow(r, wk)
+			for u, s := range g {
+				if s == 0 {
+					continue
+				}
+				i := int32(u)
+				if f.cols != nil {
+					i = f.cols[u]
+				}
+				c.Cols = append(c.Cols, i)
+				c.Vals = append(c.Vals, s)
+			}
+			c.Bias = append(c.Bias, gb)
+			c.RowOff = append(c.RowOff, int32(len(c.Cols)))
+		}
+	})
+	for wk := range f.chunks {
+		c := &f.chunks[wk]
+		base := int32(len(dst.Cols))
+		for _, off := range c.RowOff {
+			dst.RowOff = append(dst.RowOff, base+off)
+		}
+		dst.Cols = append(dst.Cols, c.Cols...)
+		dst.Vals = append(dst.Vals, c.Vals...)
+		dst.Bias = append(dst.Bias, c.Bias...)
+	}
+}
+
+// extractSharded drains the layer's shards into dst — the sharded
+// counterpart of Layer.ExtractDelta — and marks them consumed.
+func (l *Layer) extractSharded(dst *LayerDelta, shards []*backShard, workers int) {
+	dst.reset()
+	if !l.beginFold(shards, workers) {
 		dst.RowOff = append(dst.RowOff, 0)
 		return
 	}
-	var cols []int32
-	if !dense {
-		for _, sh := range live {
-			for _, i := range sh.cols {
-				l.colStamp[i] = epoch
-			}
-		}
-		cols = l.touchedColumns(workers)
-	}
-
-	// rowValues collects the live shards that claimed row j, appending
-	// their (shard, values) pairs to the caller's reused scratch.
-	rowValues := func(j int32, owners []*backShard, vals [][]float32) ([]*backShard, [][]float32) {
-		for _, sh := range live {
-			if sh.rowStamp[j] == epoch {
-				owners = append(owners, sh)
-				vals = append(vals, sh.rowBuf[sh.rowPos[j]])
-			}
-		}
-		return owners, vals
-	}
-	// cellSum sums column i across the row's contributing shards in
-	// shard-index order — the one place cross-shard nondeterminism could
-	// enter, pinned by the fixed order.
-	cellSum := func(i int32, owners []*backShard, vals [][]float32) float32 {
-		var s float32
-		if dense {
-			for _, g := range vals {
-				s += g[i]
-			}
-			return s
-		}
-		for k, sh := range owners {
-			if sh.colStamp[i] == epoch {
-				if p := int(sh.colPos[i]); p < len(vals[k]) {
-					s += vals[k][p]
-				}
-			}
-		}
-		return s
-	}
-
-	// Pass 1: count each row's non-zero cells so pass 2 can fill disjoint
-	// spans in parallel.
-	counts := make([]int32, len(rows))
-	parallelRange(workers, len(rows), func(lo, hi int) {
-		owners := make([]*backShard, 0, len(live))
-		vals := make([][]float32, 0, len(live))
-		for r := lo; r < hi; r++ {
-			owners, vals = rowValues(rows[r], owners[:0], vals[:0])
-			var c int32
-			if dense {
-				for i := 0; i < l.in; i++ {
-					if cellSum(int32(i), owners, vals) != 0 {
-						c++
-					}
-				}
-			} else {
-				for _, i := range cols {
-					if cellSum(i, owners, vals) != 0 {
-						c++
-					}
-				}
-			}
-			counts[r] = c
-		}
-	})
-
-	dst.Rows = append(dst.Rows, rows...)
-	if cap(dst.RowOff) < len(rows)+1 {
-		dst.RowOff = make([]int32, 0, len(rows)+1)
-	}
-	dst.RowOff = dst.RowOff[:len(rows)+1]
-	dst.RowOff[0] = 0
-	for r, c := range counts {
-		dst.RowOff[r+1] = dst.RowOff[r] + c
-	}
-	nnz := int(dst.RowOff[len(rows)])
-	if cap(dst.Cols) < nnz {
-		dst.Cols = make([]int32, nnz)
-	}
-	if cap(dst.Vals) < nnz {
-		dst.Vals = make([]float32, nnz)
-	}
-	dst.Cols = dst.Cols[:nnz]
-	dst.Vals = dst.Vals[:nnz]
-	if cap(dst.Bias) < len(rows) {
-		dst.Bias = make([]float32, len(rows))
-	}
-	dst.Bias = dst.Bias[:len(rows)]
-
-	// Pass 2: fill the spans.
-	parallelRange(workers, len(rows), func(lo, hi int) {
-		owners := make([]*backShard, 0, len(live))
-		vals := make([][]float32, 0, len(live))
-		for r := lo; r < hi; r++ {
-			j := rows[r]
-			owners, vals = rowValues(j, owners[:0], vals[:0])
-			at := dst.RowOff[r]
-			if dense {
-				for i := 0; i < l.in; i++ {
-					if s := cellSum(int32(i), owners, vals); s != 0 {
-						dst.Cols[at] = int32(i)
-						dst.Vals[at] = s
-						at++
-					}
-				}
-			} else {
-				for _, i := range cols {
-					if s := cellSum(i, owners, vals); s != 0 {
-						dst.Cols[at] = i
-						dst.Vals[at] = s
-						at++
-					}
-				}
-			}
-			var gb float32
-			for _, sh := range owners {
-				gb += sh.bias[sh.rowPos[j]]
-			}
-			dst.Bias[r] = gb
-		}
-	})
-
-	// Consume: the batch's gradient now lives in dst alone.
-	for _, sh := range live {
-		sh.epoch = 0
-	}
+	l.compactFold(dst, workers)
+	l.endFold()
 }

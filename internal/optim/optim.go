@@ -124,6 +124,40 @@ func (a Adam) StepRow(w, m, v, g []float32, alpha float32) {
 	}
 }
 
+// StepCells applies Adam to the cells of one weight row that a sparse
+// gradient names: cell k is column cols[k] (column k when cols is nil) with
+// gradient g[k]*scale. It is the span form of Step1 — the same expressions
+// in the same order, so stepping a span is bit-identical to calling Step1
+// per cell. With skipZero, cells whose g[k] is exactly zero are left alone
+// (stepping them would decay their moments); without it every cell steps.
+// Returns the number of cells stepped. Plain writes; the caller guarantees
+// exclusive access to the row.
+func (a Adam) StepCells(w, m, v []float32, cols []int32, g []float32, scale, alpha float32, skipZero bool) int {
+	if cols != nil && len(cols) != len(g) {
+		panic("optim: StepCells column/gradient length mismatch")
+	}
+	m, v = m[:len(w)], v[:len(w)]
+	b1, b2, eps := a.Beta1, a.Beta2, a.Eps
+	stepped := 0
+	for k, gk := range g {
+		if gk == 0 && skipZero {
+			continue
+		}
+		i := k
+		if cols != nil {
+			i = int(cols[k])
+		}
+		gi := gk * scale
+		nm := b1*m[i] + (1-b1)*gi
+		nv := b2*v[i] + (1-b2)*gi*gi
+		m[i] = nm
+		v[i] = nv
+		w[i] -= alpha * nm / (sqrt32(nv) + eps)
+		stepped++
+	}
+	return stepped
+}
+
 // SGD is plain stochastic gradient descent, provided for ablations.
 type SGD struct {
 	LR float32

@@ -2,6 +2,8 @@ package optim
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -77,6 +79,64 @@ func TestStepRowMatchesStep1(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStepCellsMatchesStep1: the span kernel is Step1 per named cell, bit
+// for bit, for indexed and identity columns, with and without the zero
+// skip — the property that lets the trainer's two update-phase consumers
+// share it.
+func TestStepCellsMatchesStep1(t *testing.T) {
+	a := NewAdam(0.01)
+	const width = 16
+	for _, skipZero := range []bool{false, true} {
+		for _, indexed := range []bool{false, true} {
+			r := rand.New(rand.NewSource(5))
+			w1 := make([]float32, width)
+			m1 := make([]float32, width)
+			v1 := make([]float32, width)
+			for i := range w1 {
+				w1[i], m1[i], v1[i] = r.Float32()-0.5, r.Float32()-0.5, r.Float32()
+			}
+			w2, m2, v2 := slices.Clone(w1), slices.Clone(m1), slices.Clone(v1)
+
+			var cols []int32
+			g := make([]float32, width)
+			if indexed {
+				cols = []int32{1, 4, 5, 9, 15}
+				g = g[:len(cols)]
+			}
+			for k := range g {
+				if k%3 != 1 { // leave exact zeros for the skip to find
+					g[k] = r.Float32() - 0.5
+				}
+			}
+			const scale = float32(1.0 / 32)
+			alpha := a.Alpha(7)
+			want := 0
+			for k, gk := range g {
+				if gk == 0 && skipZero {
+					continue
+				}
+				i := k
+				if indexed {
+					i = int(cols[k])
+				}
+				a.Step1(&w2[i], &m2[i], &v2[i], gk*scale, alpha)
+				want++
+			}
+			got := a.StepCells(w1, m1, v1, cols, g, scale, alpha, skipZero)
+			if got != want {
+				t.Fatalf("skipZero=%v indexed=%v: stepped %d cells, want %d", skipZero, indexed, got, want)
+			}
+			for i := range w1 {
+				if math.Float32bits(w1[i]) != math.Float32bits(w2[i]) ||
+					math.Float32bits(m1[i]) != math.Float32bits(m2[i]) ||
+					math.Float32bits(v1[i]) != math.Float32bits(v2[i]) {
+					t.Fatalf("skipZero=%v indexed=%v: cell %d diverged from Step1", skipZero, indexed, i)
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -29,8 +30,17 @@ func TestCalibratePeakPositiveAndScales(t *testing.T) {
 		t.Fatalf("peak = %v", p1)
 	}
 	p2 := CalibratePeak(2, 30*time.Millisecond)
+	if p2 <= 0 {
+		t.Fatalf("2-thread peak = %v", p2)
+	}
 	// Two threads should achieve clearly more than one (compute-bound
-	// loop, no shared data).
+	// loop, no shared data) — where two cores are the test's to use. On a
+	// 2-core box the test binary's other goroutines and the box's
+	// neighbours take one of them often enough that the ratio is a coin
+	// toss, so it is only asserted with cores to spare.
+	if runtime.NumCPU() < 4 {
+		t.Skipf("%d CPUs: scaling ratio not asserted (1 thread %v, 2 threads %v)", runtime.NumCPU(), p1, p2)
+	}
 	if p2 < 1.3*p1 {
 		t.Fatalf("peak did not scale: 1 thread %v, 2 threads %v", p1, p2)
 	}
