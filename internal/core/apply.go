@@ -84,7 +84,6 @@ func (l *Layer) applyAdamFused(n *Network, alpha, invB float32, workers int) int
 				continue
 			}
 			w, m, v, g := l.w[j], l.mW[j], l.vW[j], l.gW[j]
-			rowStart := applied
 			if cols == nil {
 				for i := range g {
 					if gi := g[i]; gi != 0 {
@@ -107,11 +106,6 @@ func (l *Layer) applyAdamFused(n *Network, alpha, invB float32, workers int) int
 						applied++
 					}
 				}
-			}
-			// Weight cells stepped → memoized hash codes stale (bias
-			// steps below don't drift codes).
-			if l.dirty != nil && applied > rowStart {
-				l.dirty[j] = l.hashEpoch
 			}
 			if gb := l.gB[j]; gb != 0 {
 				adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)

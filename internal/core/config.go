@@ -215,22 +215,11 @@ type Config struct {
 	// default is the paper's HOGWILD asynchronous updates.
 	UpdateMode optim.UpdateMode
 
-	// FullRebuild forces every scheduled table rebuild to re-hash all
-	// neuron rows from scratch, disabling the dirty-row incremental path
-	// (§4.2 "Updating Overhead"). The default — incremental — re-hashes
-	// only rows whose weights changed since their codes were last
-	// memoized and re-inserts the rest from the per-row code memo; the
-	// resulting tables are bit-identical to a full rebuild at every
-	// generation, so this switch only trades rebuild time (kept for A/B
-	// measurement and as the equivalence reference). Serialized with the
-	// model config; files written before the field existed load as
-	// incremental.
-	FullRebuild bool
-
 	// RebuildN0 is the initial hash-table rebuild period in iterations
 	// and RebuildLambda the exponential decay constant (§4.2): the t-th
 	// rebuild happens after a gap of N0*exp(Lambda*(t-1)) iterations.
 	// Zero values select N0=50 (the paper's setting) and Lambda=0.1.
+	// Every rebuild re-hashes every row of every sampled layer.
 	RebuildN0     int
 	RebuildLambda float64
 

@@ -326,9 +326,9 @@ func (l *Layer) touchedRows(workers int) []int32 {
 
 // scanStamps collects the ascending indices whose stamp equals epoch into
 // dst (reused), parallelized across workers — the shared machinery behind
-// the per-batch touched-row and touched-column lists and the per-rebuild
-// dirty-row list. The per-worker partial lists live on the layer, so a warm
-// scan allocates nothing; like every caller it runs with training quiesced.
+// the per-batch touched-row and touched-column lists. The per-worker
+// partial lists live on the layer, so a warm scan allocates nothing; like
+// every caller it runs with training quiesced.
 // A worker gets at least scanSpan stamps: below that a goroutine costs more
 // than the scan it takes over.
 func (l *Layer) scanStamps(stamps []uint32, epoch uint32, workers int, dst []int32) []int32 {
@@ -392,30 +392,23 @@ func (l *Layer) stepRows(workers, n int, step func(r, wk int) int64) int64 {
 // cols[k] (column k when cols is nil) with raw gradient sums g[k], then its
 // bias with raw sum gb, all averaged by invB. skipZero leaves cells whose
 // sum is exactly zero unstepped (a folded row carries them; a delta does
-// not). The per-row decisions are hoisted out of the cell loop: a layer
+// not). The per-row decision is hoisted out of the cell loop: a layer
 // carrying a column-major kernel mirror dual-writes the stepped cells into
 // it, keeping the scatter-form forward operand coherent for one extra store
-// per touched weight, and a row whose weight vector moved is stamped dirty —
-// its memoized hash codes are stale (bias-only rows don't drift: codes hash
-// weights only). Returns the number of cells stepped, bias included.
+// per touched weight. Returns the number of cells stepped, bias included.
 func (l *Layer) stepRow(adam optim.Adam, j int32, cols []int32, g []float32, gb, alpha, invB float32, skipZero bool) int64 {
 	w := l.w[j]
 	stepped := adam.StepCells(w, l.mW[j], l.vW[j], cols, g, invB, alpha, skipZero)
-	if stepped > 0 {
-		if l.mirror != nil {
-			for k, gk := range g {
-				if gk == 0 && skipZero {
-					continue
-				}
-				i := int32(k)
-				if cols != nil {
-					i = cols[k]
-				}
-				l.mirror.Set(j, i, w[i])
+	if stepped > 0 && l.mirror != nil {
+		for k, gk := range g {
+			if gk == 0 && skipZero {
+				continue
 			}
-		}
-		if l.dirty != nil {
-			l.dirty[j] = l.hashEpoch
+			i := int32(k)
+			if cols != nil {
+				i = cols[k]
+			}
+			l.mirror.Set(j, i, w[i])
 		}
 	}
 	if gb != 0 {

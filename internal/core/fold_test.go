@@ -113,15 +113,12 @@ func foldTestElems(seed int64, in, out, shards int, denseRows bool) []foldElem {
 }
 
 // requireUpdateStateIdentical compares everything an update phase writes:
-// parameters and moments, the kernel mirror, the dirty stamps.
+// parameters and moments, and the kernel mirror.
 func requireUpdateStateIdentical(t *testing.T, a, b *Network, context string) {
 	t.Helper()
 	requireNetsBitIdentical(t, a, b, context)
 	for li := range a.layers {
 		la, lb := a.layers[li], b.layers[li]
-		if !slices.Equal(la.dirty, lb.dirty) {
-			t.Fatalf("%s: layer %d dirty stamps differ", context, li)
-		}
 		if la.mirror == nil {
 			continue
 		}
@@ -141,10 +138,9 @@ func requireUpdateStateIdentical(t *testing.T, a, b *Network, context string) {
 // TestStepFoldMatchesCompactApply is the seam's equivalence proof: stepping
 // straight from the folded rows (applyAdamBatch → stepFold) and compacting
 // them into a SparseDelta that ApplyDelta then steps must leave weights,
-// moments, biases, mirror, dirty stamps and the applied-cell count
-// bit-identical — for 1, 2 and 3 live shards, for dense-row and sparse-row
-// layers with and without mirror / dirty tracking, at several worker
-// counts.
+// moments, biases, mirror and the applied-cell count bit-identical — for
+// 1, 2 and 3 live shards, for dense-row and sparse-row layers with and
+// without a mirror, at several worker counts.
 func TestStepFoldMatchesCompactApply(t *testing.T) {
 	const classes = 96
 	sampledOut := LayerConfig{
@@ -154,11 +150,11 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 	}
 	wide := colTrackThreshold + 100
 	configs := map[string]Config{
-		// Layer 0: sparse rows + mirror. Layer 1: dense rows + dirty.
+		// Layer 0: sparse rows + mirror. Layer 1: dense rows, sampled.
 		"hidden-wide": {InputDim: wide, Seed: 11, Layers: []LayerConfig{{Size: 64, Activation: ActReLU}, sampledOut}},
 		// Layer 0: dense rows + mirror.
 		"hidden-narrow": {InputDim: 200, Seed: 11, Layers: []LayerConfig{{Size: 64, Activation: ActReLU}, sampledOut}},
-		// Layer 0: sparse rows + dirty.
+		// Layer 0: sparse rows, sampled.
 		"flat-wide": {InputDim: wide, Seed: 11, Layers: []LayerConfig{sampledOut}},
 	}
 	for name, cfg := range configs {
@@ -221,28 +217,6 @@ func requireConstructedCases(t *testing.T, ld *LayerDelta, shards int) {
 	}
 	if cells, bias := span(2); cells != 0 || bias != 0.75 {
 		t.Fatalf("bias-only row 2 carries %d cells and bias %g, want 0 cells and 0.75", cells, bias)
-	}
-}
-
-// TestStepFoldLeavesBiasOnlyRowsClean: a row whose weight cells all fold to
-// zero must not be stamped dirty by either consumer — its hash codes did
-// not drift.
-func TestStepFoldLeavesBiasOnlyRowsClean(t *testing.T) {
-	cfg := deltaTestConfig(96, optim.ModeHogwild)
-	n := mustNet(t, cfg)
-	n.RebuildTables(1) // consume the construction-time all-dirty state
-	l := n.layers[1]
-	n.beginBatch()
-	injectFoldElems(n, 1, []foldElem{
-		{w: 0, rows: []int32{7}, delta: []float32{0.5}, inIds: []int32{3}, inVals: []float32{0}},
-		{w: 0, rows: []int32{9}, delta: []float32{0.5}, inIds: []int32{3}, inVals: []float32{1}},
-	})
-	n.applyAdamBatch(n.adam.Alpha(1), 1, 2)
-	if l.dirty[7] == l.hashEpoch {
-		t.Fatal("bias-only row 7 was stamped dirty")
-	}
-	if l.dirty[9] != l.hashEpoch {
-		t.Fatal("row 9 moved a weight and was not stamped dirty")
 	}
 }
 

@@ -120,7 +120,6 @@ func LoadModel(r io.Reader) (*Network, error) {
 		return nil, err
 	}
 	n.RebuildTables(0)
-	n.rebuilds = 0
 	return n, nil
 }
 
@@ -164,10 +163,8 @@ func (n *Network) readWeights(br *bufio.Reader) error {
 		}
 		// The column-major kernel mirror is derived from the rows just
 		// overwritten; re-derive it so the scatter forward form serves
-		// the restored weights. The memoized hash codes are equally
-		// stale, so the next rebuild must re-hash the whole layer.
+		// the restored weights.
 		l.refreshMirror()
-		l.markAllRowsDirty()
 	}
 	return nil
 }

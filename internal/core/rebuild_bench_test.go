@@ -1,67 +1,33 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/lsh"
 	"repro/internal/sampling"
 )
 
-// benchRebuildNet builds a network with one wide sampled output layer —
-// the shape whose rebuild cost the §4.2 schedule exists to amortize.
-func benchRebuildNet(b *testing.B, classes int, full bool) *Network {
-	b.Helper()
-	cfg := Config{
+// BenchmarkRebuild measures an inline rebuild of one wide sampled output
+// layer — the shape whose cost the §4.2 schedule exists to amortize:
+// every row staged, block-hashed and inserted, every generation.
+func BenchmarkRebuild(b *testing.B) {
+	n, err := NewNetwork(Config{
 		InputDim: 128,
 		Seed:     17,
 		Layers: []LayerConfig{
 			{Size: 128, Activation: ActReLU},
 			{
-				Size: classes, Activation: ActSoftmax,
+				Size: 16384, Activation: ActSoftmax,
 				Sampled: true, Hash: lsh.KindSimhash, K: 6, L: 16,
 				Strategy: sampling.KindVanilla, Beta: 128,
 			},
 		},
-		FullRebuild: full,
-	}
-	n, err := NewNetwork(cfg)
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return n
-}
-
-// BenchmarkRebuildFull measures a from-scratch rebuild of the wide
-// sampled layer: every row hashed every generation.
-func BenchmarkRebuildFull(b *testing.B) {
-	n := benchRebuildNet(b, 16384, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.RebuildTables(0)
-	}
-}
-
-// BenchmarkRebuildIncremental measures the dirty-row rebuild at fixed
-// drift fractions: before each rebuild the stated fraction of rows is
-// stamped dirty (what a training segment would have done), so only those
-// are re-hashed while the rest re-insert from the code memo. The
-// drift=1.0 case bounds the path's overhead vs BenchmarkRebuildFull.
-func BenchmarkRebuildIncremental(b *testing.B) {
-	for _, drift := range []float64{0.05, 0.2, 1.0} {
-		b.Run(fmt.Sprintf("drift=%g", drift), func(b *testing.B) {
-			n := benchRebuildNet(b, 16384, false)
-			l := n.layers[1]
-			nd := int(drift * float64(l.out))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				for j := 0; j < nd; j++ {
-					l.dirty[j] = l.hashEpoch
-				}
-				b.StartTimer()
-				n.RebuildTables(0)
-			}
-		})
 	}
 }

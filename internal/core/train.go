@@ -47,12 +47,13 @@ type TrainResult struct {
 	// RebuildBuildNS is the nanoseconds background shadow builds spent
 	// overlapped with training batches (zero with SyncRebuild).
 	RebuildBuildNS int64
-	// RowsRehashed / RowsReused count, over this run's rebuilds, the
-	// neuron rows freshly hashed vs re-inserted from the per-row code
-	// memo — the measured dirty fraction of the incremental rebuild path
-	// (RowsReused is 0 with Config.FullRebuild).
+	// RowsRehashed counts the neuron rows this run's rebuilds hashed:
+	// sampled rows × rebuilds.
 	RowsRehashed int64
-	RowsReused   int64
+	// RowsReused is always 0: no rebuild reuses a row's codes. It exists
+	// for benchmark/train.go and goes when a benchmark PR drops
+	// core.rows_reused.
+	RowsReused int64
 	// TouchedPerIter is the mean number of weight cells that received a
 	// gradient per iteration — the sparse payload a distributed replica
 	// would communicate, vs NumParams for a dense synchronization (§6).
@@ -206,7 +207,7 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	touchedStart := n.touchedWeights
 	rebuildsStart := n.rebuilds
 	stallStart, buildStart := n.rebuildStallNS, n.rebuildBuildNS
-	rehashStart, reuseStart := n.RebuildRowCounts()
+	rowsHashedStart := n.rowsHashed()
 
 	res := &TrainResult{Curve: metrics.Curve{Name: "p@1"}}
 	var trainNS int64
@@ -444,9 +445,7 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	res.Rebuilds = n.rebuilds - rebuildsStart
 	res.RebuildStallNS = n.rebuildStallNS - stallStart
 	res.RebuildBuildNS = n.rebuildBuildNS - buildStart
-	rehashEnd, reuseEnd := n.RebuildRowCounts()
-	res.RowsRehashed = rehashEnd - rehashStart
-	res.RowsReused = reuseEnd - reuseStart
+	res.RowsRehashed = n.rowsHashed() - rowsHashedStart
 	if res.Iterations > 0 {
 		res.TouchedPerIter = float64(n.touchedWeights-touchedStart) / float64(res.Iterations)
 	}

@@ -95,7 +95,7 @@ func runDistComm(opts Options) (*Report, error) {
 		}
 	}
 	rep.Tables = append(rep.Tables, tab)
-	rep.AddNote("batch-synchronous exchange ships the union of the batch's touched cells, which saturates for wide batches (the varint codec beating the 8 B/cell estimate notwithstanding); small per-shard batches or the paper's per-element pushes (last two columns) keep the payload at activeNeurons x fanIn cells — the regime behind the §6 claim, measured end to end by dist-train")
+	rep.AddNote("batch-synchronous exchange ships the union of the batch's touched cells, which saturates for wide batches (the varint codec beating the 8 B/cell estimate notwithstanding); small per-shard batches or the paper's per-element pushes (last two columns) keep the payload at activeNeurons x fanIn cells — the regime behind the §6 claim, measured end to end by the benchmark's train_2shard workload")
 	return rep, nil
 }
 

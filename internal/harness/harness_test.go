@@ -44,8 +44,8 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 func TestExperimentRegistry(t *testing.T) {
 	exps := Experiments()
 	want := []string{"abl-hash", "abl-rebuild", "abl-strategy", "abl-update", "dist-comm",
-		"dist-train", "fig10", "fig11", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"kernels", "multicore", "rebuild", "serving", "table1", "table2", "table3", "table4", "tables"}
+		"fig10", "fig11", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+		"kernels", "multicore", "rebuild", "serving", "table1", "table2", "table3", "table4"}
 	if len(exps) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(exps), len(want))
 	}

@@ -176,6 +176,22 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+
+	// InsertRows over two consecutive row ranges is the same build as
+	// BuildParallel over the whole, down to the reservoir decisions of
+	// overflowing buckets — what lets a rebuild insert chunk by chunk.
+	rcfg := Config{K: k, L: l, CodeBits: bits, BucketSize: 4, Policy: PolicyReservoir, Seed: 5}
+	whole, split := mkTable(t, rcfg), mkTable(t, rcfg)
+	whole.BuildParallel(n, codes, k*l, 4)
+	const cut = 200
+	split.InsertRows(0, cut, codes, k*l, 2)
+	split.InsertRows(cut, n-cut, codes[cut*k*l:], k*l, 3)
+	if !whole.Equal(split) {
+		t.Fatal("InsertRows over two ranges diverged from BuildParallel over the whole")
+	}
+	if st := whole.Stats(); st.TotalSeen != n*l || st.TotalStored == st.TotalSeen {
+		t.Fatalf("reservoir build saw %d insertions and stored %d; want %d seen with overflow", st.TotalSeen, st.TotalStored, n*l)
+	}
 }
 
 func TestConfigValidation(t *testing.T) {

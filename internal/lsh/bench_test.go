@@ -59,8 +59,8 @@ func BenchmarkHashDense(b *testing.B) {
 
 // BenchmarkHashDenseRows measures the batched rebuild-side entry point
 // over a full row block (benchRows rows per op) — the flat-slab,
-// function-major kernel the incremental rebuild feeds its dirty chunks
-// to. Compare per-row throughput against BenchmarkHashDense.
+// function-major kernel every table rebuild feeds its row chunks to.
+// Compare per-row throughput against BenchmarkHashDense.
 func BenchmarkHashDenseRows(b *testing.B) {
 	block := benchBlock(benchRows)
 	for _, kind := range allKinds() {

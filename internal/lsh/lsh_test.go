@@ -278,41 +278,6 @@ func TestDOPHJaccardSensitivity(t *testing.T) {
 	}
 }
 
-// TestSimhashProjectDelta: the §4.2 incremental re-hash must match a full
-// re-projection after a sparse weight update.
-func TestSimhashProjectDelta(t *testing.T) {
-	fam := mkFamily(t, KindSimhash, 64, 4, 8, 19).(*simhash)
-	r := rng.New(6)
-	x := randDense(r, 64, 1)
-	proj := make([]float32, fam.NumFuncs())
-	fam.ProjectAll(x, proj)
-
-	// Sparse delta on 5 coordinates.
-	deltaIdx := []int32{3, 10, 20, 40, 63}
-	deltaVal := []float32{0.5, -1, 2, 0.1, -0.7}
-	fam.ProjectDelta(proj, deltaIdx, deltaVal)
-	for j, i := range deltaIdx {
-		x[i] += deltaVal[j]
-	}
-	full := make([]float32, fam.NumFuncs())
-	fam.ProjectAll(x, full)
-	for f := range full {
-		if math.Abs(float64(full[f]-proj[f])) > 1e-4 {
-			t.Fatalf("func %d: incremental %.6f != full %.6f", f, proj[f], full[f])
-		}
-	}
-	// And the derived codes must agree with HashDense.
-	a := make([]uint32, fam.NumFuncs())
-	b := make([]uint32, fam.NumFuncs())
-	fam.CodesFromProjections(proj, a)
-	fam.HashDense(x, b)
-	for f := range a {
-		if a[f] != b[f] {
-			t.Fatalf("func %d: code from projections %d != direct %d", f, a[f], b[f])
-		}
-	}
-}
-
 // TestDWTASparseSemantics: swapping the values of two coordinates that
 // share a WTA bin must flip that bin's argmax code. With dim=16 and the
 // default bin size 8, two fixed coordinates share a bin in roughly half

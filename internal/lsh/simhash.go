@@ -107,12 +107,6 @@ func newSimhash(p Params) (*simhash, error) {
 	return s, nil
 }
 
-// IncrementalSimhash exposes the Simhash implementation's memoized
-// projection API (§4.2 incremental re-hash): ProjectAll, ProjectDelta and
-// CodesFromProjections. Obtain one by type-asserting a Family built with
-// KindSimhash.
-type IncrementalSimhash = simhash
-
 func (s *simhash) Name() string  { return "simhash" }
 func (s *simhash) NumFuncs() int { return s.numFuncs }
 func (s *simhash) CodeBits() int { return 1 }
@@ -194,45 +188,4 @@ func (s *simhash) project(x []float32, f int) float32 {
 		acc += math.Float32frombits(math.Float32bits(x[i]) ^ neg)
 	}
 	return acc
-}
-
-// Project returns the raw projection value of dense vector x under hash
-// function f. It exposes the quantity the incremental re-hash trick (§4.2
-// item 3) memoizes: when x changes in d' of d coordinates the new
-// projection is recoverable with O(d') additions via ProjectDelta.
-func (s *simhash) Project(x []float32, f int) float32 {
-	return s.project(x, f)
-}
-
-// ProjectAll writes the raw projection values of dense vector x under all
-// hash functions into proj (len >= NumFuncs). Codes are signBit(proj[f]).
-func (s *simhash) ProjectAll(x []float32, proj []float32) {
-	for f := 0; f < s.numFuncs; f++ {
-		proj[f] = s.project(x, f)
-	}
-}
-
-// ProjectDelta updates memoized projection values in place after the input
-// changed by the given sparse delta: proj[f] += <proj-vector_f, delta> for
-// every function. This is the §4.2 incremental re-hash trick: with d'
-// changed coordinates it costs O(d' * NumFuncs * density) additions instead
-// of a full O(Dim * NumFuncs * density) re-projection.
-func (s *simhash) ProjectDelta(proj []float32, deltaIdx []int32, deltaVal []float32) {
-	for j, i := range deltaIdx {
-		v := deltaVal[j]
-		for _, e := range s.coordFn[s.coordOff[i]:s.coordOff[i+1]] {
-			if e&1 != 0 {
-				proj[e>>1] -= v
-			} else {
-				proj[e>>1] += v
-			}
-		}
-	}
-}
-
-// CodesFromProjections converts memoized projection values to hash codes.
-func (s *simhash) CodesFromProjections(proj []float32, out []uint32) {
-	for f := 0; f < s.numFuncs; f++ {
-		out[f] = signBit(proj[f])
-	}
 }
