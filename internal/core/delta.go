@@ -400,16 +400,7 @@ func (l *Layer) stepRow(adam optim.Adam, j int32, cols []int32, g []float32, gb,
 	w := l.w[j]
 	stepped := adam.StepCells(w, l.mW[j], l.vW[j], cols, g, invB, alpha, skipZero)
 	if stepped > 0 && l.mirror != nil {
-		for k, gk := range g {
-			if gk == 0 && skipZero {
-				continue
-			}
-			i := int32(k)
-			if cols != nil {
-				i = cols[k]
-			}
-			l.mirror.Set(j, i, w[i])
-		}
+		l.mirror.SetRow(j, cols, g, w, skipZero)
 	}
 	if gb != 0 {
 		adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)

@@ -164,8 +164,10 @@ func (l *layer) forwardSparse(idx []int32, val []float32, out []float32) {
 
 // forwardDense computes activations for a dense input.
 func (l *layer) forwardDense(in []float32, out []float32) {
-	for j := 0; j < l.out; j++ {
-		out[j] = l.b[j] + vecmath.Dot(l.w[j], in)
+	out = out[:l.out]
+	vecmath.DotRows(out, l.w, nil, in)
+	for j := range out {
+		out[j] = l.b[j] + out[j]
 	}
 	if l.relu {
 		vecmath.ReLU(out)

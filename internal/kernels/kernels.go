@@ -255,15 +255,61 @@ func (m *Mirror) Set(j, i int32, v float32) {
 	case MirrorBF16:
 		m.t16[int(i)*m.out+int(j)] = vecmath.BF16FromF32(v)
 	case MirrorInt8:
-		q := v * m.inv[i]
-		switch {
-		case q > 127:
-			q = 127
-		case q < -127:
-			q = -127
-		}
-		m.t8[int(i)*m.out+int(j)] = int8(roundHalfAway(q))
+		m.t8[int(i)*m.out+int(j)] = m.quantInt8(int(i), v)
 	}
+}
+
+// SetRow is Set over the cells of neuron j's row that an optimizer step
+// just wrote, with the format switch outside the cell loop: cell k of the
+// gradient g names input cols[k] (input k when cols is nil), a cell whose
+// g[k] is exactly zero under skipZero was not stepped (optim.StepCells'
+// selection) and is not stored, and w is the row's new weights.
+func (m *Mirror) SetRow(j int32, cols []int32, g, w []float32, skipZero bool) {
+	col := func(k int) int {
+		if cols != nil {
+			return int(cols[k])
+		}
+		return k
+	}
+	switch m.format {
+	case MirrorFP32:
+		for k, gk := range g {
+			if gk == 0 && skipZero {
+				continue
+			}
+			i := col(k)
+			m.t[i*m.out+int(j)] = w[i]
+		}
+	case MirrorBF16:
+		for k, gk := range g {
+			if gk == 0 && skipZero {
+				continue
+			}
+			i := col(k)
+			m.t16[i*m.out+int(j)] = vecmath.BF16FromF32(w[i])
+		}
+	case MirrorInt8:
+		for k, gk := range g {
+			if gk == 0 && skipZero {
+				continue
+			}
+			i := col(k)
+			m.t8[i*m.out+int(j)] = m.quantInt8(i, w[i])
+		}
+	}
+}
+
+// quantInt8 encodes v for input column i: scaled, saturated, rounded half
+// away from zero.
+func (m *Mirror) quantInt8(i int, v float32) int8 {
+	q := v * m.inv[i]
+	switch {
+	case q > 127:
+		q = 127
+	case q < -127:
+		q = -127
+	}
+	return int8(roundHalfAway(q))
 }
 
 // At decodes neuron j's stored weight for input i — the format-agnostic
@@ -355,30 +401,38 @@ func (w *Workspace) EnsureAcc(n int) []float32 {
 // wanting row locality sort ids first; per-row results are bitwise
 // independent of row order.
 func GatherForward(dst []float32, ids []int32, w [][]float32, b []float32, inIds []int32, inVals []float32, inFull, relu bool) {
-	if ids == nil {
-		if inFull {
-			for j := range dst {
-				dst[j] = rowDot(b[j], w[j], inIds, inVals, true, relu)
-			}
-			return
+	if inFull {
+		// Dense input: all rows' dots in one multi-row kernel call, then
+		// bias and clamp — per row the same b + Dot(w, x) as DotBiasReLU.
+		if ids != nil {
+			dst = dst[:len(ids)]
 		}
+		vecmath.DotRows(dst, w, ids, inVals)
+		for a := range dst {
+			j := a
+			if ids != nil {
+				j = int(ids[a])
+			}
+			s := b[j] + dst[a]
+			if relu && s < 0 {
+				s = 0
+			}
+			dst[a] = s
+		}
+		return
+	}
+	if ids == nil {
 		for j := range dst {
-			dst[j] = rowDot(b[j], w[j], inIds, inVals, false, relu)
+			dst[j] = rowDotSparse(b[j], w[j], inIds, inVals, relu)
 		}
 		return
 	}
 	for a, j := range ids {
-		dst[a] = rowDot(b[j], w[j], inIds, inVals, inFull, relu)
+		dst[a] = rowDotSparse(b[j], w[j], inIds, inVals, relu)
 	}
 }
 
-func rowDot(b float32, w []float32, inIds []int32, inVals []float32, inFull, relu bool) float32 {
-	if inFull {
-		if relu {
-			return vecmath.DotBiasReLU(b, w[:len(inVals)], inVals)
-		}
-		return b + vecmath.Dot(w[:len(inVals)], inVals)
-	}
+func rowDotSparse(b float32, w []float32, inIds []int32, inVals []float32, relu bool) float32 {
 	if relu {
 		return vecmath.SparseDotBiasReLU(b, inIds, inVals, w)
 	}

@@ -206,6 +206,69 @@ func TestMirrorSetTracksRows(t *testing.T) {
 	}
 }
 
+// TestMirrorSetRowMatchesSet: the row-span writer stores exactly what one
+// Set per stepped cell stores, in every format, for indexed and identity
+// columns, and leaves the cells the zero skip passes over alone.
+func TestMirrorSetRowMatchesSet(t *testing.T) {
+	r := rng.New(4)
+	const in, out = 41, 13
+	rows := make([][]float32, out)
+	for j := range rows {
+		rows[j] = make([]float32, in)
+		for i := range rows[j] {
+			rows[j][i] = r.NormFloat32()
+		}
+	}
+	for _, format := range []MirrorFormat{MirrorFP32, MirrorBF16, MirrorInt8} {
+		for _, indexed := range []bool{false, true} {
+			for _, skipZero := range []bool{false, true} {
+				span, cell := NewMirrorFormat(in, out, format, nil), NewMirrorFormat(in, out, format, nil)
+				span.Rebuild(rows)
+				cell.Rebuild(rows)
+				for j := int32(0); j < out; j++ {
+					var cols []int32
+					g := make([]float32, in)
+					if indexed {
+						for i := int32(0); i < in; i++ {
+							if r.Intn(3) == 0 {
+								cols = append(cols, i)
+							}
+						}
+						g = g[:len(cols)]
+					}
+					w := make([]float32, in)
+					for i := range w {
+						w[i] = 3 * r.NormFloat32() // past int8's headroom now and then
+					}
+					for k := range g {
+						if r.Intn(10) >= 3 {
+							g[k] = r.NormFloat32()
+						}
+					}
+					span.SetRow(j, cols, g, w, skipZero)
+					for k, gk := range g {
+						if gk == 0 && skipZero {
+							continue
+						}
+						i := int32(k)
+						if indexed {
+							i = cols[k]
+						}
+						cell.Set(j, i, w[i])
+					}
+				}
+				for j := int32(0); j < out; j++ {
+					for i := int32(0); i < in; i++ {
+						if got, want := span.At(j, i), cell.At(j, i); got != want {
+							t.Fatalf("%v indexed=%v skipZero=%v: mirror[%d][%d] = %v after SetRow, %v after Set", format, indexed, skipZero, i, j, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestForwardFormPlan pins the plan's decision table: forced forms are
 // honored (scatter degrades to gather without a mirror or on dense
 // input), and the auto plan switches on the measured density crossover.

@@ -21,6 +21,8 @@ import (
 	"math"
 	"sync/atomic"
 	"unsafe"
+
+	"repro/internal/vecmath"
 )
 
 // UpdateMode selects the gradient write discipline.
@@ -114,14 +116,7 @@ func (a Adam) StepRow(w, m, v, g []float32, alpha float32) {
 	if len(w) != len(g) || len(m) != len(g) || len(v) != len(g) {
 		panic("optim: StepRow length mismatch")
 	}
-	b1, b2, eps := a.Beta1, a.Beta2, a.Eps
-	for i, gi := range g {
-		nm := b1*m[i] + (1-b1)*gi
-		nv := b2*v[i] + (1-b2)*gi*gi
-		m[i] = nm
-		v[i] = nv
-		w[i] -= alpha * nm / (sqrt32(nv) + eps)
-	}
+	vecmath.AdamStep(w, m, v, g, 1, a.Beta1, a.Beta2, a.Eps, alpha, false)
 }
 
 // StepCells applies Adam to the cells of one weight row that a sparse
@@ -131,9 +126,13 @@ func (a Adam) StepRow(w, m, v, g []float32, alpha float32) {
 // per cell. With skipZero, cells whose g[k] is exactly zero are left alone
 // (stepping them would decay their moments); without it every cell steps.
 // Returns the number of cells stepped. Plain writes; the caller guarantees
-// exclusive access to the row.
+// exclusive access to the row. A contiguous span (cols nil) is the vector
+// kernel's shape; scattered columns step one cell at a time here.
 func (a Adam) StepCells(w, m, v []float32, cols []int32, g []float32, scale, alpha float32, skipZero bool) int {
-	if cols != nil && len(cols) != len(g) {
+	if cols == nil {
+		return vecmath.AdamStep(w, m, v, g, scale, a.Beta1, a.Beta2, a.Eps, alpha, skipZero)
+	}
+	if len(cols) != len(g) {
 		panic("optim: StepCells column/gradient length mismatch")
 	}
 	m, v = m[:len(w)], v[:len(w)]
@@ -143,10 +142,7 @@ func (a Adam) StepCells(w, m, v []float32, cols []int32, g []float32, scale, alp
 		if gk == 0 && skipZero {
 			continue
 		}
-		i := k
-		if cols != nil {
-			i = int(cols[k])
-		}
+		i := cols[k]
 		gi := gk * scale
 		nm := b1*m[i] + (1-b1)*gi
 		nv := b2*v[i] + (1-b2)*gi*gi

@@ -16,6 +16,18 @@ import (
 // queue grows without bound, and the only way to keep the tail of the
 // admitted requests inside the budget is to refuse the requests that
 // would have formed the tail.
+//
+// Two rules keep the controller from mistaking a stall for overload. A
+// backlog over the budget is a *burst* until it has stood for a grace
+// period: a process that was descheduled for S ms resumes to S ms worth of
+// arrivals at once and one S-ms service sample, and at moderate load that
+// backlog drains by itself faster than refusing it would help — so it is
+// admitted, and only a backlog that outlives the grace (or returns within a
+// grace of the last refusal) is overload and is shed as described above.
+// And concurrency never falls below one: an idle server admits a single
+// request whatever the estimates say, because a controller that refuses
+// with nothing in flight gets no completions to correct its estimates with
+// and stays shut for good.
 type admission struct {
 	// budget is the configured latency budget; 0 disables shedding.
 	budget time.Duration
@@ -51,6 +63,33 @@ type admission struct {
 	// that has barely drained — and the admitted tail oscillates around
 	// twice the budget instead of under it.
 	shedding bool
+	// overSince is when the expected wait first exceeded the threshold
+	// and has not since fallen back to it (zero: not over); lastShed is
+	// the most recent refusal. Together they tell a burst from overload:
+	// see admit.
+	overSince time.Time
+	lastShed  time.Time
+
+	// now is the clock; nil means time.Now. Tests substitute a fake.
+	now func() time.Time
+}
+
+// graceBudgets is the grace period in budgets: how long a backlog over
+// the budget is admitted as a burst before it counts as overload. A stall
+// of S ms at load factor ρ leaves a backlog that clears in about
+// ρ/(1−ρ)·S, and the sojourn envelope needs a few budgets more to decay.
+// TestAdmissionAbsorbsStall's script (1.2 ms/element, 0.42 load, 25 ms
+// budget) refuses nothing after a 300 ms stall from nine budgets up (72 /
+// 42 / 9 requests at four / six / eight), so ten leaves one budget of
+// margin. The price is paid at the onset of a real overload, whose first
+// grace is served late rather than refused. Not a knob.
+const graceBudgets = 10
+
+func (a *admission) clock() time.Time {
+	if a.now != nil {
+		return a.now()
+	}
+	return time.Now()
 }
 
 // svcAlpha is the service-time EWMA smoothing factor: enough memory to
@@ -95,7 +134,7 @@ func (a *admission) observeSojourn(dur time.Duration) {
 // starves the server of completions, nothing would ever feed a lower
 // value, and without decay the controller would latch shut.
 func (a *admission) decaySojournLocked() {
-	now := time.Now()
+	now := a.clock()
 	if a.budget > 0 && !a.lastSojourn.IsZero() {
 		if idle := now.Sub(a.lastSojourn); idle > 0 {
 			a.sojournNS *= math.Pow(0.5, float64(idle)/float64(a.budget))
@@ -141,11 +180,20 @@ func (a *admission) expectedWait(n int64) time.Duration {
 	return max(wait, a.sojourn())
 }
 
-// admit decides whether n new elements fit inside the budget, with
-// hysteresis: shedding starts when the expected wait exceeds the budget
-// and stops only once it has fallen to half the budget, so the queue
-// genuinely drains before traffic is re-admitted. It returns the
-// expected wait so a shed response can carry an honest Retry-After.
+// admit decides whether n new elements fit inside the budget. It returns
+// the expected wait so a shed response can carry an honest Retry-After.
+//
+//   - At or under the threshold: admit. The threshold is the budget, or
+//     half of it while the shedding latch is set (hysteresis: having shed,
+//     the controller re-opens only once the queue has genuinely drained).
+//   - A single element arriving at an idle server: admit, and clear the
+//     latch — minimum concurrency one.
+//   - Over the threshold: a burst while the condition is younger than the
+//     grace and nothing was shed within the last grace — admit; otherwise
+//     overload — set the latch and refuse. Sustained overload sheds
+//     continuously, so the grace is paid once at its onset and does not
+//     re-arm until the controller has gone a whole grace without shedding.
+//
 // The check is advisory (admit/start are not one atomic step); the
 // estimate only needs to be right in aggregate for the tail to stay
 // bounded.
@@ -154,18 +202,32 @@ func (a *admission) admit(n int64) (time.Duration, bool) {
 		return 0, true
 	}
 	wait := a.expectedWait(n)
+	now := a.clock()
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	threshold := a.budget
 	if a.shedding {
 		threshold = a.budget / 2
 	}
-	if wait > threshold {
-		a.shedding = true
-		return wait, false
+	if wait <= threshold {
+		a.shedding = false
+		a.overSince = time.Time{}
+		return wait, true
 	}
-	a.shedding = false
-	return wait, true
+	if n == 1 && a.inflight.Load() == 0 {
+		a.shedding = false
+		return wait, true
+	}
+	if a.overSince.IsZero() {
+		a.overSince = now
+	}
+	grace := graceBudgets * a.budget
+	if now.Sub(a.overSince) < grace && (a.lastShed.IsZero() || now.Sub(a.lastShed) >= grace) {
+		return wait, true
+	}
+	a.shedding = true
+	a.lastShed = now
+	return wait, false
 }
 
 // start and done bracket admitted work.

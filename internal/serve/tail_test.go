@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,6 +56,9 @@ func TestAdmissionControlSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(s.Close)
+	// The controller's clock, which the test moves forward by hand.
+	var skew atomic.Int64
+	s.adm.now = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 
@@ -70,8 +74,16 @@ func TestAdmissionControlSheds(t *testing.T) {
 
 	// Simulate a queue deep enough that expected wait >> budget. The
 	// inflight counter is the controller's only queue signal, so bumping
-	// it is exactly the state a real backlog would produce.
+	// it is exactly the state a real backlog would produce. A backlog is
+	// a burst until it has stood for the grace period, so the first
+	// request over the budget is still answered; past the grace (on a
+	// clock the test advances by hand) it is overload.
 	s.adm.start(1_000_000)
+	code, _, _ = postRaw(t, ts.URL, `{"indices":[1,7],"values":[1,1],"k":3}`)
+	if code != http.StatusOK {
+		t.Fatalf("first request over the budget: status %d, want 200 (burst grace)", code)
+	}
+	skew.Add(int64(graceBudgets * s.opts.LatencyBudget))
 	code, hdr, body := postRaw(t, ts.URL, `{"indices":[1,7],"values":[1,1],"k":3}`)
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("overloaded request: status %d (body %s), want 429", code, body)
@@ -109,7 +121,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 	// Drain the virtual queue and let the sojourn envelope decay past the
 	// hysteresis threshold (half the budget): traffic is admitted again.
 	s.adm.done(1_000_000)
-	time.Sleep(5 * s.opts.LatencyBudget)
+	skew.Add(int64(5 * s.opts.LatencyBudget))
 	code, _, _ = postRaw(t, ts.URL, `{"indices":[1,7],"values":[1,1],"k":3}`)
 	if code != http.StatusOK {
 		t.Fatalf("post-drain request: status %d, want 200", code)
@@ -120,8 +132,9 @@ func TestAdmissionControlSheds(t *testing.T) {
 // priming and convergence, expected wait scaling with inflight work, and
 // budget=0 disabling shedding entirely.
 func TestAdmissionEstimator(t *testing.T) {
-	var a admission
-	a.budget = time.Millisecond
+	clk := newFakeClock()
+	a := admission{budget: time.Millisecond, now: clk.now}
+	grace := graceBudgets * a.budget
 
 	// Unprimed: everything admitted, wait reads 0.
 	if wait, ok := a.admit(1); !ok || wait != 0 {
@@ -138,17 +151,24 @@ func TestAdmissionEstimator(t *testing.T) {
 	if got := a.expectedWait(1); got != 5*time.Millisecond {
 		t.Fatalf("expectedWait(1) with 4 inflight = %v, want 5ms", got)
 	}
-	// 5ms expected wait > 1ms budget: shed, and the returned wait is the
-	// estimate the Retry-After is derived from.
+	// 5ms expected wait > 1ms budget: a burst while the backlog is
+	// younger than the grace, overload — shed — once it has stood that
+	// long, and the returned wait is the estimate the Retry-After is
+	// derived from.
+	if wait, ok := a.admit(1); !ok || wait != 5*time.Millisecond {
+		t.Fatalf("admit over budget inside the grace = (%v, %v), want (5ms, true)", wait, ok)
+	}
+	clk.advance(grace)
 	if wait, ok := a.admit(1); ok || wait != 5*time.Millisecond {
-		t.Fatalf("admit over budget = (%v, %v), want (5ms, false)", wait, ok)
+		t.Fatalf("admit over budget past the grace = (%v, %v), want (5ms, false)", wait, ok)
 	}
 	// Hysteresis: having shed, the controller stays shut while the
-	// expected wait (1×1ms after the drain) still exceeds half the
-	// budget — dipping just under the budget is not drained enough.
-	a.done(4)
+	// expected wait (2×1ms with one element left in flight) still
+	// exceeds half the budget — dipping under the budget is not drained
+	// enough — and the grace does not re-arm.
+	a.done(3)
 	if _, ok := a.admit(1); ok {
-		t.Fatal("admit right at budget re-opened despite hysteresis")
+		t.Fatal("admit behind in-flight work re-opened despite hysteresis")
 	}
 
 	// The EWMA tracks a faster regime, and once the expected wait falls
@@ -162,6 +182,10 @@ func TestAdmissionEstimator(t *testing.T) {
 	if _, ok := a.admit(1); !ok {
 		t.Fatal("admit after drain + regime change refused")
 	}
+	if a.shedding || !a.overSince.IsZero() {
+		t.Fatalf("latch %v / overSince %v not cleared by an admission under the threshold", a.shedding, a.overSince)
+	}
+	a.done(1)
 
 	// Zero budget disables shedding no matter the queue.
 	var off admission
@@ -171,22 +195,25 @@ func TestAdmissionEstimator(t *testing.T) {
 		t.Fatal("budget=0 controller shed a request")
 	}
 
-	// The measured sojourn backstops the queue model: even with an empty
-	// queue, when completed requests took longer than the budget the
-	// overheads the model cannot see are eating it, and new arrivals are
-	// shed.
-	var sj admission
-	sj.budget = 50 * time.Millisecond
+	// The measured sojourn backstops the queue model: even with almost
+	// nothing queued, when completed requests took longer than the budget
+	// (and have for a grace) the overheads the model cannot see are
+	// eating it, and arrivals behind in-flight work are shed.
+	sj := admission{budget: 50 * time.Millisecond, now: clk.now}
 	sj.observe(time.Millisecond, 1)
 	sj.observeSojourn(200 * time.Millisecond)
+	sj.start(1)
+	if _, ok := sj.admit(1); !ok {
+		t.Fatal("sojourn over budget refused inside the grace")
+	}
+	clk.advance(graceBudgets * sj.budget)
+	sj.observeSojourn(200 * time.Millisecond)
 	if wait, ok := sj.admit(1); ok || wait < sj.budget {
-		t.Fatalf("sojourn over budget admitted: (%v, %v)", wait, ok)
+		t.Fatalf("sojourn over budget for a whole grace admitted: (%v, %v)", wait, ok)
 	}
 	// ...and silence decays the estimate (half per budget of idle time)
 	// so shed traffic probes its way back in instead of latching out.
-	sj.mu.Lock()
-	sj.lastSojourn = time.Now().Add(-10 * sj.budget)
-	sj.mu.Unlock()
+	clk.advance(10 * sj.budget)
 	if _, ok := sj.admit(1); !ok {
 		t.Fatal("stale sojourn estimate latched the controller shut")
 	}

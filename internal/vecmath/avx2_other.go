@@ -1,0 +1,17 @@
+//go:build !amd64
+
+package vecmath
+
+// No vector kernels off amd64: the Go kernels are the only path, and the
+// stubs below exist only so the dispatching wrappers compile.
+var hasAVX2 = false
+
+func axpyAVX2(alpha float32, x, y *float32, blocks int) { panic("vecmath: no AVX2") }
+
+func outerAccAVX2(d float32, x, w, grad, acc *float32, blocks int) { panic("vecmath: no AVX2") }
+
+func dot4AVX2(x, r0, r1, r2, r3 *float32, blocks int, out *[4]float32) { panic("vecmath: no AVX2") }
+
+func adamAVX2(w, m, v, grad *float32, blocks int, p *adamParams, skipZero bool) (skipped int) {
+	panic("vecmath: no AVX2")
+}

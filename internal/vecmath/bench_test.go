@@ -114,3 +114,66 @@ func BenchmarkSoftmax1024(b *testing.B) {
 	}
 	benchSink += buf[0]
 }
+
+// The Go → AVX2 table in README "Hot path": each exported entry point at
+// the network's hot shape (128-wide rows), once on the unrolled Go kernels
+// and once on the assembly.
+
+func benchTiers(b *testing.B, op func()) {
+	avx2 := hasAVX2
+	defer func() { hasAVX2 = avx2 }()
+	for _, tier := range []string{"go", "avx2"} {
+		b.Run(tier, func(b *testing.B) {
+			hasAVX2 = tier == "avx2"
+			if hasAVX2 && !avx2 {
+				b.Skip("no AVX2 on this machine")
+			}
+			for i := 0; i < b.N; i++ {
+				op()
+			}
+		})
+	}
+}
+
+func BenchmarkDot(b *testing.B) {
+	x, y := benchVecs(128)
+	benchTiers(b, func() { benchSink += Dot(x, y) })
+}
+
+// BenchmarkDotRows is one 320-row gather over a 6K-row layer
+// (train_converge's mean active set): ns/op ÷ 320 is ns per row.
+func BenchmarkDotRows(b *testing.B) {
+	const rows, active = 6144, 320
+	r := rng.New(3)
+	w := make([][]float32, rows)
+	for j := range w {
+		w[j] = randVec(r, 128)
+	}
+	ids := make([]int32, active)
+	for k := range ids {
+		ids[k] = int32(r.Intn(rows))
+	}
+	x, dst := randVec(r, 128), make([]float32, active)
+	benchTiers(b, func() { DotRows(dst, w, ids, x) })
+}
+
+func BenchmarkAxpy(b *testing.B) {
+	x, y := benchVecs(128)
+	benchTiers(b, func() { Axpy(1e-9, x, y) })
+}
+
+func BenchmarkOuterAcc(b *testing.B) {
+	x, w := benchVecs(128)
+	g, acc := benchVecs(128)
+	benchTiers(b, func() { OuterAcc(1e-9, x, w, g, acc) })
+}
+
+func BenchmarkAdamStep(b *testing.B) {
+	w, g := benchVecs(128)
+	m, v := make([]float32, 128), make([]float32, 128)
+	for _, skipZero := range []bool{false, true} {
+		b.Run(map[bool]string{false: "all", true: "skipZero"}[skipZero], func(b *testing.B) {
+			benchTiers(b, func() { AdamStep(w, m, v, g, 1, 0.9, 0.999, 1e-8, 1e-4, skipZero) })
+		})
+	}
+}

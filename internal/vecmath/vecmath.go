@@ -1,20 +1,64 @@
 // Package vecmath provides the float32 vector kernels used by both the
-// SLIDE network and the dense baseline.
+// SLIDE network and the dense baseline — the paper's hand-vectorized inner
+// loops (§5.4 / App. D, "Intel AVX SIMD").
 //
-// Each kernel has two implementations: an 8-way manually unrolled variant
-// with independent accumulators (the Go analogue of the paper's Intel AVX
-// SIMD kernels, §5.4/App. D) and a plain scalar variant. The package-level
-// functions dispatch on the Unrolled flag so that the Fig. 10
-// optimized-vs-plain ablation can flip the whole repository's kernel style
-// at one switch. Benchmarks address the variants directly.
+// # Tiers
+//
+// A kernel has up to three implementations, chosen in one place — this
+// package's exported entry points — and nowhere else:
+//
+//   - plain scalar Go, when Unrolled is false (the Fig. 10 ablation);
+//   - 8-way unrolled Go with independent accumulators (dotUnrolled,
+//     axpyUnrolled, outerAccUnrolled, adamStepGo): the only path on
+//     non-amd64 and pre-AVX2 machines, and the reference;
+//   - AVX2 assembly (avx2_amd64.s) for the four loops that are most of a
+//     training batch — Dot/DotRows, Axpy, OuterAcc, AdamStep — when the CPU
+//     and OS support it (hasAVX2, probed once at init by hand-rolled
+//     CPUID/XGETBV). There is one vector tier: no AVX-512, no option.
+//
+// # Same bits
+//
+// The unrolled Go kernels define the result; the assembly reproduces it bit
+// for bit, so training goldens do not depend on the machine's tier. It can
+// because it performs the same float32 operations per cell in the same
+// order: separate multiply and add with one rounding each — never FMA,
+// which rounds once where Go rounds twice — and, for the dot product, the
+// same summation order: eight running sums (lane k sums cells ≡ k mod 8,
+// one YMM accumulator per row) reduced left to right as
+// (((s0+s1)+(s2+s3))+(s4+s5))+(s6+s7), then the n mod 8 tail cells added
+// in order. Axpy, OuterAcc and AdamStep are element-wise, so lane order is
+// irrelevant. Two caveats. The equality is with Go compiled at the default
+// GOAMD64=v1: at GOAMD64=v3 the Go compiler may itself fuse x*y+z, the Go
+// kernels then differ from the v1 build (and from the assembly) in the last
+// bit, and goldens recorded at v1 do not hold. And which NaN comes out of
+// an operation on two NaNs is promised by neither side: a NaN result is a
+// NaN result, payloads may differ.
+//
+// # Safety and preemption
+//
+// The assembly checks nothing and takes whole 8-cell blocks; the exported
+// wrappers make every length and bounds check the Go code makes before
+// calling it, and run the n mod 8 tail through the Go kernel. Assembly is
+// not asynchronously preemptible, so every call is bounded: at most
+// maxCells cells for the element-wise kernels (longer slices are fed in
+// pieces) and four rows of at most maxCells cells for the dot (longer
+// vectors take the Go kernel) — a 20K-row exact prediction is thousands of
+// short calls, not one long section in front of a stop-the-world. Loads
+// are unaligned; there is no padding or layout requirement. Slices passed
+// to one call must not partially overlap.
 package vecmath
 
 import "math"
 
-// Unrolled selects the 8-way unrolled kernels when true (the default).
-// It exists for the Fig. 10 optimization ablation; flip it only in
+// Unrolled selects the optimized kernels when true (the default): AVX2
+// where available, 8-way unrolled Go otherwise. False selects plain scalar
+// Go. It exists for the Fig. 10 optimization ablation; flip it only in
 // single-threaded setup code, never mid-training.
 var Unrolled = true
+
+// maxCells bounds the cells per row one assembly call covers (~1 µs of
+// non-preemptible work in cache).
+const maxCells = 4096
 
 // Dot returns the inner product of a and b. The slices must have equal
 // length.
@@ -22,10 +66,64 @@ func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("vecmath: Dot length mismatch")
 	}
-	if Unrolled {
-		return dotUnrolled(a, b)
+	if !Unrolled {
+		return dotScalar(a, b)
 	}
-	return dotScalar(a, b)
+	if n := len(a); hasAVX2 && n >= 8 && n <= maxCells {
+		var out [4]float32
+		r := &a[0]
+		dot4AVX2(&b[0], r, r, r, r, n/8, &out)
+		return dotTail(out[0], a, b)
+	}
+	return dotUnrolled(a, b)
+}
+
+// dotTail adds the n mod 8 tail products to s, the reduced sum of the
+// whole blocks, in dotUnrolled's order.
+func dotTail(s float32, a, b []float32) float32 {
+	for i := len(a) &^ 7; i < len(a); i++ {
+		s += a[i] * b[i]
+	}
+	return s
+}
+
+// DotRows sets dst[k] = Dot(rows[j][:len(x)], x) for j = ids[k], or j = k
+// when ids is nil (every row 0..len(dst)) — the gather form's dense-input
+// kernel. Rows may be longer than x; it panics on an id outside rows or a
+// row shorter than x. Each dst[k] is bitwise the single-row Dot; the vector
+// path takes four rows against one load of x per pass.
+func DotRows(dst []float32, rows [][]float32, ids []int32, x []float32) {
+	if ids != nil && len(ids) != len(dst) {
+		panic("vecmath: DotRows id/output length mismatch")
+	}
+	n := len(x)
+	row := func(k int) []float32 {
+		if ids != nil {
+			return rows[ids[k]][:n]
+		}
+		return rows[k][:n]
+	}
+	if !Unrolled || !hasAVX2 || n < 8 || n > maxCells {
+		for k := range dst {
+			dst[k] = Dot(row(k), x)
+		}
+		return
+	}
+	k := 0
+	for ; k+4 <= len(dst); k += 4 {
+		r0, r1, r2, r3 := row(k), row(k+1), row(k+2), row(k+3)
+		out := (*[4]float32)(dst[k:])
+		dot4AVX2(&x[0], &r0[0], &r1[0], &r2[0], &r3[0], n/8, out)
+		if n&7 != 0 {
+			out[0] = dotTail(out[0], r0, x)
+			out[1] = dotTail(out[1], r1, x)
+			out[2] = dotTail(out[2], r2, x)
+			out[3] = dotTail(out[3], r3, x)
+		}
+	}
+	for ; k < len(dst); k++ {
+		dst[k] = Dot(row(k), x)
+	}
 }
 
 func dotScalar(a, b []float32) float32 {
@@ -51,11 +149,7 @@ func dotUnrolled(a, b []float32) float32 {
 		s6 += aa[6] * bb[6]
 		s7 += aa[7] * bb[7]
 	}
-	s := (s0 + s1) + (s2 + s3) + (s4 + s5) + (s6 + s7)
-	for i := n; i < len(a); i++ {
-		s += a[i] * b[i]
-	}
-	return s
+	return dotTail((s0+s1)+(s2+s3)+(s4+s5)+(s6+s7), a, b)
 }
 
 // SparseDot returns the inner product of a sparse vector (idx, val pairs)
@@ -129,11 +223,19 @@ func OuterAcc(d float32, x, w, g, acc []float32) {
 	if len(x) != len(w) || len(x) != len(g) || len(x) != len(acc) {
 		panic("vecmath: OuterAcc length mismatch")
 	}
-	if Unrolled {
-		outerAccUnrolled(d, x, w, g, acc)
+	if !Unrolled {
+		outerAccScalar(d, x, w, g, acc)
 		return
 	}
-	outerAccScalar(d, x, w, g, acc)
+	done := 0
+	if hasAVX2 {
+		for n8 := len(x) &^ 7; done < n8; {
+			c := min(n8-done, maxCells)
+			outerAccAVX2(d, &x[done], &w[done], &g[done], &acc[done], c/8)
+			done += c
+		}
+	}
+	outerAccUnrolled(d, x[done:], w[done:], g[done:], acc[done:])
 }
 
 func outerAccScalar(d float32, x, w, g, acc []float32) {
@@ -218,11 +320,19 @@ func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("vecmath: Axpy length mismatch")
 	}
-	if Unrolled {
-		axpyUnrolled(alpha, x, y)
+	if !Unrolled {
+		axpyScalar(alpha, x, y)
 		return
 	}
-	axpyScalar(alpha, x, y)
+	done := 0
+	if hasAVX2 {
+		for n8 := len(x) &^ 7; done < n8; {
+			c := min(n8-done, maxCells)
+			axpyAVX2(alpha, &x[done], &y[done], c/8)
+			done += c
+		}
+	}
+	axpyUnrolled(alpha, x[done:], y[done:])
 }
 
 func axpyScalar(alpha float32, x, y []float32) {
