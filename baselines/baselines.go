@@ -1,9 +1,9 @@
 // Package baselines is the public surface of the comparison systems the
 // paper measures SLIDE against: the dense full-softmax CPU trainer (the
-// TF-CPU analog), the simulated V100 GPU timeline, and TensorFlow-style
-// static sampled softmax (§5.1 / Fig. 7).
+// TF-CPU analog) and TensorFlow-style static sampled softmax (§5.1 /
+// Fig. 7).
 //
-// It re-exports repro/internal/{dense,gpusim,samsoftmax} so examples,
+// It re-exports repro/internal/{dense,samsoftmax} so examples,
 // binaries and external consumers never import internal packages
 // directly.
 package baselines
@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/dense"
-	"repro/internal/gpusim"
 	"repro/internal/samsoftmax"
 )
 
@@ -30,13 +29,6 @@ type DenseTrainResult = dense.TrainResult
 
 // NewDense constructs an initialized dense full-softmax network.
 func NewDense(cfg DenseConfig) (*DenseNetwork, error) { return dense.New(cfg) }
-
-// GPUModel is a simulated accelerator roofline used to retime dense
-// training curves onto GPU wall-clock (the paper's V100 comparisons).
-type GPUModel = gpusim.Model
-
-// V100 returns the simulated NVIDIA V100 model.
-func V100() GPUModel { return gpusim.V100() }
 
 // SampledSoftmaxConfig configures the static uniform sampled-softmax
 // baseline.

@@ -1,20 +1,17 @@
-// Benchmarks regenerating the paper's tables and figures at reduced
-// scale, one (or more) per artifact. The full sweeps live in
-// cmd/slide-bench (-exp fig5 etc.); these testing.B entry points exercise
-// the same code paths with tight budgets so `go test -bench=.` doubles as
-// a regression harness for every experiment. See DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured results.
+// Benchmarks for the paper's tables and figures at reduced scale, one (or
+// more) per artifact, with tight budgets so `go test -bench=.` exercises
+// every one. End-to-end measurements (time to accuracy, throughput,
+// serving tails) live in benchmark/; README "Reproducing the paper" maps
+// each artifact to what reproduces it.
 package slide_test
 
 import (
-	"io"
 	"strconv"
 	"testing"
 
 	"repro"
 	"repro/internal/dataset"
 	"repro/internal/dense"
-	"repro/internal/harness"
 	"repro/internal/hashtable"
 	"repro/internal/lsh"
 	"repro/internal/optim"
@@ -127,8 +124,7 @@ func BenchmarkFig5SlideIteration(b *testing.B) {
 }
 
 // BenchmarkFig5DenseIteration measures the dense baseline's cost per
-// iteration — the TF-CPU curves of Fig. 5 (and, re-timed by gpusim, the
-// TF-GPU curves).
+// iteration — the TF-CPU curves of Fig. 5.
 func BenchmarkFig5DenseIteration(b *testing.B) {
 	ds := getBenchDS(b)
 	net, err := dense.New(dense.Config{
@@ -214,38 +210,6 @@ func BenchmarkFig9Scalability(b *testing.B) {
 			b.ResetTimer()
 			if _, err := net.Train(ds.Train, ds.Test, slide.TrainConfig{
 				Iterations: int64(b.N), Threads: threads, Seed: 3,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkFig10Optimized compares the optimized memory layout against
-// the plain per-neuron layout (Fig. 10 / Table 4's analog): same work,
-// different locality.
-func BenchmarkFig10Optimized(b *testing.B) {
-	ds := getBenchDS(b)
-	plainCfg := benchSlideConfig(ds)
-	plainCfg.Layout = slide.LayoutPerNeuron
-	optCfg := benchSlideConfig(ds)
-	optCfg.Layout = slide.LayoutContiguous
-	optCfg.PadRows = true
-	for _, variant := range []struct {
-		name   string
-		layout slide.Config
-	}{
-		{"plain", plainCfg},
-		{"optimized", optCfg},
-	} {
-		b.Run(variant.name, func(b *testing.B) {
-			net, err := slide.New(variant.layout)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			if _, err := net.Train(ds.Train, ds.Test, slide.TrainConfig{
-				Iterations: int64(b.N), Seed: 3,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -344,25 +308,11 @@ func BenchmarkRebuildStall(b *testing.B) {
 	}
 }
 
-// BenchmarkTable4Arena measures the hugepage-analog ablation through the
-// harness's Table 4 experiment end to end at tiny scale.
-func BenchmarkTable4Arena(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := runExperiment("table4")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Tables) == 0 {
-			b.Fatal("table4 produced no tables")
-		}
-	}
-}
-
-// BenchmarkAblUpdateModes compares the three gradient write disciplines
+// BenchmarkAblUpdateModes compares the two gradient write disciplines
 // (§3.1 design-choice ablation).
 func BenchmarkAblUpdateModes(b *testing.B) {
 	ds := getBenchDS(b)
-	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeAtomic, optim.ModeBatchSync} {
+	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeBatchSync} {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := benchSlideConfig(ds)
 			cfg.UpdateMode = mode
@@ -378,28 +328,6 @@ func BenchmarkAblUpdateModes(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkFig6MemoryBound runs the Fig. 6 proxy pipeline (calibration +
-// short training) once per op at tiny scale.
-func BenchmarkFig6MemoryBound(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := runExperiment("fig6")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rep.Series) == 0 {
-			b.Fatal("fig6 produced no series")
-		}
-	}
-}
-
-func runExperiment(id string) (*harness.Report, error) {
-	e, ok := harness.Get(id)
-	if !ok {
-		panic("unknown experiment " + id)
-	}
-	return e.Run(harness.Options{Scale: "tiny", Seed: 17, Log: io.Discard, ThreadSweep: []int{2, 4}})
 }
 
 func byteSizeName(n int) string { return strconv.Itoa(n) }

@@ -50,7 +50,7 @@ func main() {
 		beta      = flag.Int("beta", 0, "target active neurons (0 = classes/20)")
 		strategy  = flag.String("strategy", "vanilla", "sampling: vanilla|topk|hard-threshold")
 		policy    = flag.String("policy", "reservoir", "bucket policy: reservoir|fifo")
-		update    = flag.String("update", "hogwild", "update mode: hogwild|atomic|batch-sync")
+		update    = flag.String("update", "hogwild", "update mode: hogwild|batch-sync")
 		lr        = flag.Float64("lr", 0.001, "Adam learning rate")
 		batch     = flag.Int("batch", 128, "batch size (per shard)")
 		epochs    = flag.Int("epochs", 3, "training epochs")

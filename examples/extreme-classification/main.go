@@ -1,7 +1,7 @@
 // Extreme classification: the paper's head-to-head comparison on one
 // workload — SLIDE's adaptive LSH sampling vs the dense full-softmax
-// baseline (the TF-CPU analog) vs the simulated V100 timeline — printed
-// as an accuracy-vs-time race.
+// baseline (the TF-CPU analog) — printed as an accuracy-vs-time race
+// (Fig. 5's CPU curves).
 //
 // Run with:
 //
@@ -79,14 +79,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	model := baselines.V100()
-	gpu := model.Retime(&dres.Curve, dres.FLOPsPerIter)
-
 	fmt.Println()
 	fmt.Printf("SLIDE:      P@1=%.3f in %6.1fs (%.1f%% neurons active)\n",
 		sres.FinalAcc, sres.Seconds, 100*sres.MeanActive[1]/float64(ds.NumClasses))
 	fmt.Printf("dense CPU:  P@1=%.3f in %6.1fs (full softmax)\n", dres.FinalAcc, dres.Seconds)
-	fmt.Printf("V100 (sim): P@1=%.3f in %6.1fs (%s)\n", dres.FinalAcc, gpu.Last().Seconds, model)
 	target := 0.9 * min(sres.Curve.Best(), dres.Curve.Best())
 	ts, okS := sres.Curve.TimeToValue(target)
 	tc, okC := dres.Curve.TimeToValue(target)

@@ -4,9 +4,7 @@
 // optimization (§5.4, App. D, Table 4): instead of one small heap object
 // per neuron (many pages, many pointer targets, TLB/GC pressure), an Arena
 // packs a whole layer's weights and optimizer moments into a handful of
-// large contiguous slabs and hands out cache-line-aligned row views. The
-// Fig. 10 "optimized vs plain SLIDE" ablation flips between arena-backed
-// and per-neuron allocation.
+// large contiguous slabs and hands out row views over them.
 package arena
 
 import (
@@ -16,9 +14,9 @@ import (
 	"unsafe"
 )
 
-// CacheLineBytes is the alignment granule; rows are padded so that no two
-// rows share a cache line, removing the false-sharing opportunity App. D
-// describes for concurrent HOGWILD writers.
+// CacheLineBytes is the alignment granule of AllocAligned and the typed
+// allocations, so buffers owned by different writers never share a cache
+// line (the false-sharing opportunity App. D describes).
 const CacheLineBytes = 64
 
 const floatsPerLine = CacheLineBytes / 4
@@ -221,32 +219,27 @@ func (a *Arena) AllocAligned(n int) []float32 {
 	return a.Alloc(n)
 }
 
-// AllocRows returns rows of rowLen float32s each, either densely packed
-// back to back (padded=false) or padded to cache-line multiples
-// (padded=true) so concurrent writers to adjacent rows never share a line.
-func (a *Arena) AllocRows(rows, rowLen int, padded bool) [][]float32 {
+// AllocRows returns rows of rowLen float32s each, densely packed back to
+// back in cache-line-aligned chunks.
+func (a *Arena) AllocRows(rows, rowLen int) [][]float32 {
 	if rows < 0 || rowLen < 0 {
 		panic("arena: negative AllocRows shape")
-	}
-	stride := rowLen
-	if padded {
-		stride = (rowLen + floatsPerLine - 1) / floatsPerLine * floatsPerLine
 	}
 	out := make([][]float32, rows)
 	if rows == 0 {
 		return out
 	}
 	// Allocate in chunks so one giant layer still lands in few slabs
-	// without forcing a single slab of rows*stride floats.
-	rowsPerChunk := a.slabSize / max(stride, 1)
+	// without forcing a single slab of rows*rowLen floats.
+	rowsPerChunk := a.slabSize / max(rowLen, 1)
 	if rowsPerChunk < 1 {
 		rowsPerChunk = 1
 	}
 	for base := 0; base < rows; base += rowsPerChunk {
 		n := min(rowsPerChunk, rows-base)
-		chunk := a.AllocAligned(n * stride)
+		chunk := a.AllocAligned(n * rowLen)
 		for r := 0; r < n; r++ {
-			out[base+r] = chunk[r*stride : r*stride+rowLen : r*stride+rowLen]
+			out[base+r] = chunk[r*rowLen : (r+1)*rowLen : (r+1)*rowLen]
 		}
 	}
 	return out
@@ -334,15 +327,4 @@ func (a *Arena) Floats() int {
 		n += len(s)
 	}
 	return n
-}
-
-// AllocRowsPerNeuron is the "plain" counterpart used by the Fig. 10 /
-// Table 4 ablation: one independent heap allocation per row, the layout
-// the paper's unoptimized baseline suffers from.
-func AllocRowsPerNeuron(rows, rowLen int) [][]float32 {
-	out := make([][]float32, rows)
-	for i := range out {
-		out[i] = make([]float32, rowLen)
-	}
-	return out
 }

@@ -74,28 +74,26 @@ func TestAllocAlignedStartsOnCacheLine(t *testing.T) {
 
 func TestAllocRowsShapeAndIsolation(t *testing.T) {
 	a := New(1 << 16)
-	for _, padded := range []bool{false, true} {
-		rows := a.AllocRows(10, 33, padded)
-		if len(rows) != 10 {
-			t.Fatalf("rows = %d", len(rows))
+	rows := a.AllocRows(10, 33)
+	if len(rows) != 10 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	for _, r := range rows {
+		if len(r) != 33 {
+			t.Fatalf("row len = %d", len(r))
 		}
-		for _, r := range rows {
-			if len(r) != 33 {
-				t.Fatalf("row len = %d", len(r))
-			}
+	}
+	// Writing one full row must not disturb any other.
+	for i := range rows[4] {
+		rows[4][i] = 7
+	}
+	for j, r := range rows {
+		if j == 4 {
+			continue
 		}
-		// Writing one full row must not disturb any other.
-		for i := range rows[4] {
-			rows[4][i] = 7
-		}
-		for j, r := range rows {
-			if j == 4 {
-				continue
-			}
-			for i, v := range r {
-				if v != 0 {
-					t.Fatalf("padded=%v: row %d slot %d dirtied: %v", padded, j, i, v)
-				}
+		for i, v := range r {
+			if v != 0 {
+				t.Fatalf("row %d slot %d dirtied: %v", j, i, v)
 			}
 		}
 	}
@@ -103,7 +101,7 @@ func TestAllocRowsShapeAndIsolation(t *testing.T) {
 
 func TestAllocRowsChunksLargeLayers(t *testing.T) {
 	a := New(1 << 16) // 64K floats per slab
-	rows := a.AllocRows(100, 2048, false)
+	rows := a.AllocRows(100, 2048)
 	if len(rows) != 100 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -113,17 +111,6 @@ func TestAllocRowsChunksLargeLayers(t *testing.T) {
 	}
 	if a.Slabs() < 3 {
 		t.Fatalf("expected multiple slabs for 200K floats in 64K slabs, got %d", a.Slabs())
-	}
-}
-
-func TestAllocRowsPerNeuron(t *testing.T) {
-	rows := AllocRowsPerNeuron(5, 7)
-	if len(rows) != 5 || len(rows[0]) != 7 {
-		t.Fatalf("shape %dx%d", len(rows), len(rows[0]))
-	}
-	rows[0][6] = 1
-	if rows[1][0] != 0 {
-		t.Fatal("per-neuron rows alias")
 	}
 }
 

@@ -22,7 +22,7 @@ func carve(a *Arena) []uint32 {
 	}
 	touch(a.Alloc(100))
 	touch(a.AllocAligned(33))
-	for _, row := range a.AllocRows(17, 129, true) {
+	for _, row := range a.AllocRows(17, 129) {
 		touch(row)
 	}
 	touch(a.Alloc(a.slabSize + 1)) // oversize: dedicated slab

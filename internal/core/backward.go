@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/optim"
 	"repro/internal/sparse"
-	"repro/internal/vecmath"
 )
 
 // backwardElem runs sparse message-passing backpropagation for one batch
@@ -16,14 +15,13 @@ import (
 // With the fused kernel engine (every mode but KernelLegacy), gradient
 // contributions land in the worker's private per-layer backShards (see
 // shard.go): no cross-thread gradient writes exist at all, and the batch
-// boundary folds the shards into the SparseDelta. ModeHogwild and
-// ModeAtomic become the same code on this path — there is nothing left to
-// race on or to CAS. KernelLegacy keeps the original shared-buffer
-// disciplines as the equivalence reference: HOGWILD racy stores
-// (ModeHogwild), CAS adds (ModeAtomic), marking the touched neurons and
-// input columns. The Adam step then runs once per batch over exactly the
-// touched weights (applyAdamBatch), so the per-parameter optimizer cost is
-// amortized across the batch just like the sparse gradient work.
+// boundary folds the shards into the SparseDelta — there is nothing left
+// for HOGWILD to race on. KernelLegacy keeps the original shared-buffer
+// discipline as the equivalence reference: HOGWILD racy stores, marking
+// the touched neurons and input columns. The Adam step then runs once per
+// batch over exactly the touched weights (applyAdamBatch), so the
+// per-parameter optimizer cost is amortized across the batch just like the
+// sparse gradient work.
 //
 // In ModeBatchSync the element's active sets and deltas are captured into
 // rec instead and accumulated deterministically after the batch.
@@ -76,10 +74,8 @@ func (n *Network) backwardFrom(st *elemState, layers []layerState, x sparse.Vect
 			rec.capture(li, ls, inIds, inVals, inFull, li == 0)
 		case fused:
 			l.accumulateSharded(st.shards[li], ls, inIds, inVals, inFull, acc)
-		case n.cfg.UpdateMode == optim.ModeAtomic:
-			l.accumulate(ls, inIds, inVals, inFull, acc, true, false)
 		default:
-			l.accumulate(ls, inIds, inVals, inFull, acc, false, false)
+			l.accumulate(ls, inIds, inVals, inFull, acc)
 		}
 
 		if li > 0 {
@@ -98,18 +94,14 @@ func (n *Network) backwardFrom(st *elemState, layers []layerState, x sparse.Vect
 	return loss
 }
 
-// accumulate fuses gradient accumulation toward the previous layer with
-// pushing this element's weight/bias gradient contributions into the
-// shared buffers. Weight values feed the accumulator before anything is
-// written, preserving classical backprop semantics within the element.
-// The inner loops are specialized per (input density, atomicity) because
-// they execute once per active weight — the hottest code in training.
-// With fused set (every kernel mode but legacy) the non-atomic rows run
-// the vecmath outer-product kernels; the scalar reference loops survive
-// in accRowLegacy for the equivalence tests. Rows are visited in whatever
-// order ls.ids carries — ascending after a gather-form forward pass,
-// which walks the weight and gradient slabs monotonically.
-func (l *Layer) accumulate(ls *layerState, inIds []int32, inVals []float32, inFull bool, acc []float32, atomic, fused bool) {
+// accumulate is the KernelLegacy backward: it fuses gradient accumulation
+// toward the previous layer with pushing this element's weight/bias
+// gradient contributions into the shared buffers (HOGWILD racy stores).
+// Weight values feed the accumulator before anything is written,
+// preserving classical backprop semantics within the element. The scalar
+// row loops are the pre-engine reference the fused kernels are tested
+// against bit for bit. Rows are visited in whatever order ls.ids carries.
+func (l *Layer) accumulate(ls *layerState, inIds []int32, inVals []float32, inFull bool, acc []float32) {
 	epoch := l.batchEpoch
 	if l.colStamp != nil && !inFull {
 		// Mark touched input columns once per element (racy same-value
@@ -120,46 +112,23 @@ func (l *Layer) accumulate(ls *layerState, inIds []int32, inVals []float32, inFu
 	}
 	if ls.full {
 		for j := range ls.vals {
-			l.accRow(int32(j), ls.delta[j], epoch, inIds, inVals, inFull, acc, atomic, fused)
+			l.accRow(int32(j), ls.delta[j], epoch, inIds, inVals, inFull, acc)
 		}
 		return
 	}
 	for a, j := range ls.ids {
-		l.accRow(j, ls.delta[a], epoch, inIds, inVals, inFull, acc, atomic, fused)
+		l.accRow(j, ls.delta[a], epoch, inIds, inVals, inFull, acc)
 	}
 }
 
-func (l *Layer) accRow(j int32, dj float32, epoch uint32, inIds []int32, inVals []float32, inFull bool, acc []float32, atomic, fused bool) {
+// accRow is one active row of accumulate, specialized per input density
+// because it executes once per active weight.
+func (l *Layer) accRow(j int32, dj float32, epoch uint32, inIds []int32, inVals []float32, inFull bool, acc []float32) {
 	if dj == 0 {
 		return
 	}
 	l.touched[j] = epoch
 	w, g := l.w[j], l.gW[j]
-	if atomic {
-		l.accRowAtomic(j, dj, w, g, inIds, inVals, inFull, acc)
-		return
-	}
-	if !fused {
-		l.accRowLegacy(j, dj, w, g, inIds, inVals, inFull, acc)
-		return
-	}
-	switch {
-	case inFull && acc != nil:
-		n := len(inVals)
-		vecmath.OuterAcc(dj, inVals, w[:n], g[:n], acc[:n])
-	case inFull:
-		vecmath.Axpy(dj, inVals, g[:len(inVals)])
-	case acc != nil:
-		vecmath.SparseOuterAcc(dj, inIds, inVals, w, g, acc[:len(inIds)])
-	default:
-		vecmath.SparseAxpy(dj, inIds, inVals, g)
-	}
-	l.gB[j] += dj
-}
-
-// accRowLegacy is the pre-engine scalar row update, kept bit-for-bit as
-// the reference the fused kernels are tested against.
-func (l *Layer) accRowLegacy(j int32, dj float32, w, g []float32, inIds []int32, inVals []float32, inFull bool, acc []float32) {
 	switch {
 	case inFull && acc != nil:
 		n := len(inVals)
@@ -184,32 +153,6 @@ func (l *Layer) accRowLegacy(j int32, dj float32, w, g []float32, inIds []int32,
 		}
 	}
 	l.gB[j] += dj
-}
-
-// accRowAtomic is the ModeAtomic variant: CAS adds into the shared
-// buffers; the element-private accumulator needs no atomicity.
-func (l *Layer) accRowAtomic(j int32, dj float32, w, g []float32, inIds []int32, inVals []float32, inFull bool, acc []float32) {
-	switch {
-	case inFull && acc != nil:
-		for i, x := range inVals {
-			acc[i] += dj * w[i]
-			optim.AtomicAdd(&g[i], dj*x)
-		}
-	case inFull:
-		for i, x := range inVals {
-			optim.AtomicAdd(&g[i], dj*x)
-		}
-	case acc != nil:
-		for t, i := range inIds {
-			acc[t] += dj * w[i]
-			optim.AtomicAdd(&g[i], dj*inVals[t])
-		}
-	default:
-		for t, i := range inIds {
-			optim.AtomicAdd(&g[i], dj*inVals[t])
-		}
-	}
-	optim.AtomicAdd(&l.gB[j], dj)
 }
 
 // backLayerAccOnly computes the previous layer's gradient accumulation

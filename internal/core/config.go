@@ -26,8 +26,7 @@ import (
 
 // KernelMode selects the forward/backward kernel engine
 // (internal/kernels). The zero value is the density-adaptive engine; the
-// other modes pin one form, for equivalence tests, benchmarks and the
-// kernels experiment's ablation.
+// other modes pin one form, for equivalence tests and benchmarks.
 type KernelMode int
 
 const (
@@ -77,43 +76,6 @@ func (k KernelMode) kernelConfig() kernels.Config {
 	return c.WithDefaults()
 }
 
-// MirrorFormat selects the numeric storage of the scatter-form weight
-// mirrors (internal/kernels). The zero value is exact fp32.
-type MirrorFormat int
-
-const (
-	// MirrorFP32 keeps mirrors in exact float32 — bit-identical to the
-	// row-major weights, the default.
-	MirrorFP32 MirrorFormat = iota
-	// MirrorBF16 stores mirrors in bfloat16, halving the bytes the
-	// scatter forward streams; forward results drift by at most the bf16
-	// rounding of each weight (relative ≤ 2⁻⁸ per cell).
-	MirrorBF16
-)
-
-// String returns the configuration name of the mirror format.
-func (m MirrorFormat) String() string {
-	switch m {
-	case MirrorFP32:
-		return "fp32"
-	case MirrorBF16:
-		return "bf16"
-	default:
-		return fmt.Sprintf("MirrorFormat(%d)", int(m))
-	}
-}
-
-// kernelFormat maps the core enum to the kernels-layer format. The int8
-// stretch format exists only at the kernels layer (per-column scales need
-// a rebuild policy training doesn't provide yet) and is deliberately not
-// exposed here.
-func (m MirrorFormat) kernelFormat() kernels.MirrorFormat {
-	if m == MirrorBF16 {
-		return kernels.MirrorBF16
-	}
-	return kernels.MirrorFP32
-}
-
 // Activation selects a layer non-linearity.
 type Activation int
 
@@ -138,31 +100,6 @@ func (a Activation) String() string {
 		return "linear"
 	default:
 		return fmt.Sprintf("Activation(%d)", int(a))
-	}
-}
-
-// Layout selects parameter memory placement (the Fig. 10 / Table 4
-// optimization ablation).
-type Layout int
-
-const (
-	// LayoutContiguous packs each layer's weights and Adam moments into
-	// few large arena slabs (the hugepage-analog optimized layout).
-	LayoutContiguous Layout = iota
-	// LayoutPerNeuron allocates every neuron's rows separately (the
-	// plain, unoptimized layout).
-	LayoutPerNeuron
-)
-
-// String returns the configuration name of the layout.
-func (l Layout) String() string {
-	switch l {
-	case LayoutContiguous:
-		return "contiguous"
-	case LayoutPerNeuron:
-		return "per-neuron"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
 	}
 }
 
@@ -211,8 +148,9 @@ type Config struct {
 	// Adam holds optimizer hyperparameters; a zero LR selects
 	// optim.NewAdam(0.001).
 	Adam optim.Adam
-	// UpdateMode selects the gradient write discipline (§3.1); the
-	// default is the paper's HOGWILD asynchronous updates.
+	// UpdateMode selects the gradient write discipline (§3.1): the
+	// paper's HOGWILD asynchronous updates (the default) or deterministic
+	// batch-synchronous accumulation.
 	UpdateMode optim.UpdateMode
 
 	// RebuildN0 is the initial hash-table rebuild period in iterations
@@ -223,41 +161,20 @@ type Config struct {
 	RebuildN0     int
 	RebuildLambda float64
 
-	// Layout and PadRows select the memory optimizations (Fig. 10):
-	// contiguous arena slabs and cache-line row padding.
-	Layout  Layout
-	PadRows bool
-
 	// Kernels selects the forward/backward kernel engine form. The
 	// default (KernelAuto) picks gather or scatter per pass from the
 	// measured input density; KernelLegacy restores the per-neuron
 	// reference path. Serialized with the model config; files written
 	// before the field existed load as KernelAuto.
 	Kernels KernelMode
-
-	// ScatterCrossover pins the gather/scatter density crossover the
-	// KernelAuto planner uses, in (0, 1). Zero — the default — measures
-	// it once per process at startup (kernels.CalibratedCrossover), so
-	// the plan adapts to the machine; pin it for runs whose kernel-form
-	// decisions must be reproducible across machines.
-	ScatterCrossover float64
-
-	// MirrorFormat selects the numeric storage of the scatter-form
-	// weight mirrors: exact fp32 (default) or bf16, which halves the
-	// mirror bytes the forward streams at a bounded accuracy cost (the
-	// row-major weights, gradients and optimizer state stay fp32).
-	MirrorFormat MirrorFormat
 }
 
 // kernelsConfig resolves the network's kernel-planning policy: the mode's
-// base config, with the gather/scatter crossover pinned by
-// ScatterCrossover or — for the adaptive planner — measured once per
-// process on this machine.
+// base config, with the adaptive planner's gather/scatter crossover
+// measured once per process on this machine.
 func (c Config) kernelsConfig() kernels.Config {
 	kc := c.Kernels.kernelConfig()
-	if c.ScatterCrossover > 0 {
-		kc.ScatterMaxDensity = c.ScatterCrossover
-	} else if c.Kernels == KernelAuto {
+	if c.Kernels == KernelAuto {
 		kc.ScatterMaxDensity = kernels.CalibratedCrossover()
 	}
 	return kc
@@ -286,15 +203,15 @@ func (c Config) validate() error {
 	if c.Kernels < KernelAuto || c.Kernels > KernelScatter {
 		return fmt.Errorf("core: unknown kernel mode %d", int(c.Kernels))
 	}
-	if c.ScatterCrossover < 0 || c.ScatterCrossover >= 1 {
-		return fmt.Errorf("core: ScatterCrossover must be in [0, 1), got %g", c.ScatterCrossover)
-	}
-	if c.MirrorFormat < MirrorFP32 || c.MirrorFormat > MirrorBF16 {
-		return fmt.Errorf("core: unknown mirror format %d", int(c.MirrorFormat))
+	if c.UpdateMode != optim.ModeHogwild && c.UpdateMode != optim.ModeBatchSync {
+		return fmt.Errorf("core: unknown update mode %d", int(c.UpdateMode))
 	}
 	for i, lc := range c.Layers {
 		if lc.Size <= 0 {
 			return fmt.Errorf("core: layer %d size must be positive, got %d", i, lc.Size)
+		}
+		if lc.Activation < ActReLU || lc.Activation > ActLinear {
+			return fmt.Errorf("core: layer %d has unknown activation %d", i, int(lc.Activation))
 		}
 		if lc.Sampled {
 			if lc.K <= 0 || lc.L <= 0 {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/optim"
 )
 
 // Model serialization: a small custom binary format (the module builds
@@ -21,7 +23,7 @@ import (
 //
 // v2 (SaveModel/LoadModel) is self-describing — it embeds the network's
 // full Config as JSON so a serving process can reconstruct the network
-// (hash families, K/L, sampling strategy, layout) from the file alone:
+// (hash families, K/L, sampling strategy) from the file alone:
 //
 //	magic "SLIDEv2\n"
 //	uint32 len(configJSON), configJSON
@@ -105,9 +107,15 @@ func LoadModel(r io.Reader) (*Network, error) {
 	if _, err := io.ReadFull(br, cfgJSON); err != nil {
 		return nil, fmt.Errorf("core: reading model config: %w", err)
 	}
+	// Keys of retired Config fields are ignored by the decoder.
 	var cfg Config
 	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
 		return nil, fmt.Errorf("core: decoding model config: %w", err)
+	}
+	// UpdateMode 1 was a retired compare-and-swap mode that ran
+	// ModeHogwild's code on every non-legacy path; load it as that.
+	if cfg.UpdateMode == 1 {
+		cfg.UpdateMode = optim.ModeHogwild
 	}
 	// Defer the table build until the real weights are in place — the
 	// tables are a pure function of the weights, so hashing the random

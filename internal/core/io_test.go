@@ -2,8 +2,62 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"testing"
+
+	"repro/internal/optim"
 )
+
+// v2File assembles a v2 model file from hand-written config JSON and
+// all-zero weights for the given layer shapes (in, out, activation).
+func v2File(cfgJSON string, layers [][3]uint32) []byte {
+	b := append([]byte(nil), modelMagicV2[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(cfgJSON)))
+	b = append(b, cfgJSON...)
+	for _, l := range layers {
+		for _, v := range l {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		b = append(b, make([]byte, 4*(l[0]+1)*l[1])...)
+	}
+	return b
+}
+
+// TestLoadModelValidatesConfig: a model file's config JSON is input like
+// any other. The retired update mode 1 loads as ModeHogwild, whose code it
+// ran; any other unknown update mode or activation is an error rather
+// than a network that silently trains as hogwild or applies no
+// non-linearity.
+func TestLoadModelValidatesConfig(t *testing.T) {
+	file := func(act, mode int) []byte {
+		cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":4,"Activation":%d},{"Size":3,"Activation":1}],"UpdateMode":%d}`, act, mode)
+		return v2File(cfg, [][3]uint32{{8, 4, uint32(act)}, {4, 3, uint32(ActSoftmax)}})
+	}
+	t.Run("retired update mode 1", func(t *testing.T) {
+		n, err := LoadModel(bytes.NewReader(file(int(ActReLU), 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Config().UpdateMode; got != optim.ModeHogwild {
+			t.Fatalf("loaded as %v, want %v", got, optim.ModeHogwild)
+		}
+	})
+	for _, bad := range []struct {
+		name      string
+		act, mode int
+	}{
+		{"update mode 7", int(ActReLU), 7},
+		{"update mode -1", int(ActReLU), -1},
+		{"activation 9", 9, int(optim.ModeHogwild)},
+	} {
+		t.Run(bad.name, func(t *testing.T) {
+			if _, err := LoadModel(bytes.NewReader(file(bad.act, bad.mode))); err == nil {
+				t.Error("LoadModel accepted the file")
+			}
+		})
+	}
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	classes := 128

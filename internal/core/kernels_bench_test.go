@@ -12,8 +12,7 @@ import (
 // Hot-path benchmarks for the kernel engine: one element's forward and
 // backward pass at a serving-shaped operating point (sparse features into
 // a mirrored 128-wide hidden layer, ~2% active output layer), per kernel
-// mode. CI runs these at -benchtime=1x as a smoke check; the kernels
-// harness experiment measures the same comparison end to end.
+// mode. CI runs these at -benchtime=1x as a smoke check.
 
 // benchKernelNet builds the paper-shaped network at a benchable scale.
 func benchKernelNet(b *testing.B, km KernelMode) (*Network, *elemState, []dataset.Example) {

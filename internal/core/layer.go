@@ -23,9 +23,8 @@ type Layer struct {
 
 	// w[j] is neuron j's weight row (length in); mW/vW are the aligned
 	// Adam moments and gW the shared batch-gradient buffer that worker
-	// threads accumulate into (§3.1 HOGWILD accumulation). Depending on
-	// Config.Layout the rows live in shared arena slabs or in one
-	// allocation per neuron.
+	// threads accumulate into (§3.1 HOGWILD accumulation). The rows are
+	// views into the network arena's contiguous slabs.
 	w  [][]float32
 	mW [][]float32
 	vW [][]float32
@@ -95,29 +94,17 @@ type Layer struct {
 
 // newLayer builds an initialized layer. Weight initialization is He-style
 // for ReLU layers and Xavier-style otherwise, from the network seed.
-func newLayer(idx, in int, cfg LayerConfig, netCfg Config, ar *arena.Arena, seed uint64) (*Layer, error) {
-	l := &Layer{idx: idx, in: in, out: cfg.Size, cfg: cfg}
-	switch netCfg.Layout {
-	case LayoutContiguous:
-		l.w = ar.AllocRows(cfg.Size, in, netCfg.PadRows)
-		l.mW = ar.AllocRows(cfg.Size, in, netCfg.PadRows)
-		l.vW = ar.AllocRows(cfg.Size, in, netCfg.PadRows)
-		l.gW = ar.AllocRows(cfg.Size, in, netCfg.PadRows)
-		l.b = ar.AllocAligned(cfg.Size)
-		l.mB = ar.AllocAligned(cfg.Size)
-		l.vB = ar.AllocAligned(cfg.Size)
-		l.gB = ar.AllocAligned(cfg.Size)
-	case LayoutPerNeuron:
-		l.w = arena.AllocRowsPerNeuron(cfg.Size, in)
-		l.mW = arena.AllocRowsPerNeuron(cfg.Size, in)
-		l.vW = arena.AllocRowsPerNeuron(cfg.Size, in)
-		l.gW = arena.AllocRowsPerNeuron(cfg.Size, in)
-		l.b = make([]float32, cfg.Size)
-		l.mB = make([]float32, cfg.Size)
-		l.vB = make([]float32, cfg.Size)
-		l.gB = make([]float32, cfg.Size)
-	default:
-		return nil, fmt.Errorf("core: unknown layout %v", netCfg.Layout)
+func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Layer, error) {
+	l := &Layer{
+		idx: idx, in: in, out: cfg.Size, cfg: cfg,
+		w:  ar.AllocRows(cfg.Size, in),
+		mW: ar.AllocRows(cfg.Size, in),
+		vW: ar.AllocRows(cfg.Size, in),
+		gW: ar.AllocRows(cfg.Size, in),
+		b:  ar.AllocAligned(cfg.Size),
+		mB: ar.AllocAligned(cfg.Size),
+		vB: ar.AllocAligned(cfg.Size),
+		gB: ar.AllocAligned(cfg.Size),
 	}
 	l.touched = make([]uint32, cfg.Size)
 	if in > colTrackThreshold {
@@ -179,13 +166,13 @@ const mirrorMaxOut = 4096
 // pass (not sampled), is narrow enough for the doubled weight memory, and
 // sparseIn reports that its input can arrive sparse (the first layer's
 // example features, or a preceding sampled layer's active set). The
-// mirror's cells are stored in format (fp32 exact or bf16 quantized) and
-// its slab comes from the network arena, cache-line aligned.
-func (l *Layer) initMirror(sparseIn bool, format kernels.MirrorFormat, ar *arena.Arena) {
+// mirror holds exact fp32 cells and its slab comes from the network arena,
+// cache-line aligned.
+func (l *Layer) initMirror(sparseIn bool, ar *arena.Arena) {
 	if l.Sampled() || !sparseIn || l.out > mirrorMaxOut {
 		return
 	}
-	l.mirror = kernels.NewMirrorFormat(l.in, l.out, format, ar)
+	l.mirror = kernels.NewArenaMirror(l.in, l.out, ar)
 	l.mirror.Rebuild(l.w)
 }
 

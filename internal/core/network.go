@@ -116,7 +116,7 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 	n := &Network{cfg: cfg, ar: arena.NewDefault(), adam: cfg.Adam, kern: cfg.kernelsConfig()}
 	in := cfg.InputDim
 	for i, lc := range cfg.Layers {
-		l, err := newLayer(i, in, lc, cfg, n.ar, cfg.Seed)
+		l, err := newLayer(i, in, lc, n.ar, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +130,7 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 		// pay for a mirror.
 		sparseIn := true
 		for _, l := range n.layers {
-			l.initMirror(sparseIn, cfg.MirrorFormat.kernelFormat(), n.ar)
+			l.initMirror(sparseIn, n.ar)
 			sparseIn = l.Sampled()
 		}
 	}
@@ -145,7 +145,7 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 func (n *Network) Config() Config { return n.cfg }
 
 // KernelPolicy returns the resolved kernel-planning policy, including the
-// effective gather/scatter density crossover (pinned or calibrated).
+// effective gather/scatter density crossover.
 func (n *Network) KernelPolicy() kernels.Config { return n.kern }
 
 // NumLayers returns the layer count.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -446,14 +447,12 @@ func TestTrainContextCancellation(t *testing.T) {
 	}
 }
 
-// TestSaveModelLoadModelRoundTrip checks the self-describing v2 format:
-// a network reconstructed by LoadModel alone predicts identically to the
-// original.
 // TestSaveModelLoadModelRoundTrip: a v2 file restores a network that
-// predicts identically — as written, and with the retired full-rebuild
-// config key that files from before the single build pipeline carry
-// (ignored on load). A load-and-serve process builds its tables inline, so it must
-// hold no out×in weight snapshot.
+// predicts identically — as written, and with the retired config keys
+// older files carry (full rebuild, memory layout and row padding, pinned
+// scatter crossover, mirror format; ignored on load) and the retired
+// update mode 1 (loaded as hogwild). A load-and-serve process builds its
+// tables inline, so it must hold no out×in weight snapshot.
 func TestSaveModelLoadModelRoundTrip(t *testing.T) {
 	n, xs, _ := trainedNet(t, 128)
 	var buf bytes.Buffer
@@ -461,19 +460,29 @@ func TestSaveModelLoadModelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := buf.Bytes()
-	// Layout: 8-byte magic, uint32 config length, config JSON, weights.
+	// Model file: 8-byte magic, uint32 config length, config JSON, weights.
 	cfgLen := binary.LittleEndian.Uint32(file[8:12])
-	// The key is split so a grep for retired names stays empty.
-	oldCfg := append([]byte(`{"Full`+`Rebuild":true,`), file[13:12+cfgLen]...)
+	// The keys are split so a grep for retired names stays empty. The
+	// retired values are the non-default ones: per-neuron layout, padded
+	// rows, bf16 mirrors.
+	retired := `{"Full` + `Rebuild":true,"Lay` + `out":1,"Pad` + `Rows":true,"Scatter` + `Crossover":0.25,"Mirror` + `Format":1,`
+	rest := bytes.Replace(file[13:12+cfgLen], []byte(`"UpdateMode":0,`), []byte(`"UpdateMode":1,`), 1)
+	if bytes.Equal(rest, file[13:12+cfgLen]) {
+		t.Fatal("saved config carries no UpdateMode:0 to rewrite")
+	}
+	oldCfg := append([]byte(retired), rest...)
 	old := append([]byte(nil), file[:8]...)
 	old = binary.LittleEndian.AppendUint32(old, uint32(len(oldCfg)))
 	old = append(append(old, oldCfg...), file[12+cfgLen:]...)
 
 	var first *Network
-	for name, data := range map[string][]byte{"current": file, "with retired key": old} {
+	for name, data := range map[string][]byte{"current": file, "with retired keys": old} {
 		m, err := LoadModel(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(m.Config(), n.Config()) {
+			t.Fatalf("%s: loaded config %+v, want %+v", name, m.Config(), n.Config())
 		}
 		if first == nil {
 			first = m

@@ -10,8 +10,8 @@ import (
 // accumulation path.
 //
 // The PR 5 backward pass bottoms out in a scatter into the layer's shared
-// gW buffers — HOGWILD-racy (ModeHogwild), CAS-serialized (ModeAtomic) or
-// replayed post-batch (ModeBatchSync). All three contend on the same cache
+// gW buffers — HOGWILD-racy (ModeHogwild) or replayed post-batch
+// (ModeBatchSync). Both contend on the same cache
 // lines once more than one worker touches the same hot rows, which is
 // exactly what the paper's 44-core claim cannot afford. Since the
 // sparse-gradient pipeline (PR 4) made "weights only move at batch

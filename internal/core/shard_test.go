@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -18,57 +17,56 @@ func flipForm(n *Network, f kernels.Form) (restore func()) {
 	return func() { n.kern.Force = old }
 }
 
-// TestShardedBackwardMatchesLegacyBitwise is the tentpole's anchor: for
-// ModeHogwild and ModeAtomic, a single-worker run whose gradients land in
-// per-worker shards must leave weights, biases and Adam moments
-// bit-for-bit identical to the same run accumulating into the shared gW
-// buffers. Both networks use the gather forward form, so the only
-// difference is where backward's floats land; layer 0 exercises the
-// sparse-column shard storage (wide fan-in, sparse input) and layer 1 the
-// dense arena rows (narrow fan-in, dense input).
+// TestShardedBackwardMatchesLegacyBitwise is the tentpole's anchor: in
+// ModeHogwild, a single-worker run whose gradients land in per-worker
+// shards must leave weights, biases and Adam moments bit-for-bit identical
+// to the same run accumulating into the shared gW buffers. Both networks
+// use the gather forward form, so the only difference is where backward's
+// floats land; layer 0 exercises the sparse-column shard storage (wide
+// fan-in, sparse input) and layer 1 the dense arena rows (narrow fan-in,
+// dense input).
 func TestShardedBackwardMatchesLegacyBitwise(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
-	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeAtomic} {
-		t.Run(mode.String(), func(t *testing.T) {
-			cfg := deltaTestConfig(classes, mode)
-			cfg.Kernels = KernelGather
-			sharded := mustNet(t, cfg)
-			legacy := mustNet(t, cfg)
-			stS := mustState(t, sharded, 99)
-			stL := mustState(t, legacy, 99)
+	mode := optim.ModeHogwild
+	t.Run(mode.String(), func(t *testing.T) {
+		cfg := deltaTestConfig(classes, mode)
+		cfg.Kernels = KernelGather
+		sharded := mustNet(t, cfg)
+		legacy := mustNet(t, cfg)
+		stS := mustState(t, sharded, 99)
+		stL := mustState(t, legacy, 99)
 
-			const batchSize = 32
-			for b := 0; b < 4; b++ {
-				batch := ds.Train[b*batchSize : (b+1)*batchSize]
-				alpha := sharded.adam.Alpha(int64(b) + 1)
-				invB := float32(1.0 / batchSize)
-				runManualBatch(t, sharded, stS, batch, nil)
+		const batchSize = 32
+		for b := 0; b < 4; b++ {
+			batch := ds.Train[b*batchSize : (b+1)*batchSize]
+			alpha := sharded.adam.Alpha(int64(b) + 1)
+			invB := float32(1.0 / batchSize)
+			runManualBatch(t, sharded, stS, batch, nil)
 
-				// Reference run: identical gather forward, legacy
-				// shared-buffer backward + extraction.
-				legacy.beginBatch()
-				for i := range batch {
-					legacy.forwardElem(stL, batch[i].Features, batch[i].Labels, modeTrain)
-					restore := flipForm(legacy, kernels.FormLegacy)
-					legacy.backwardElem(stL, batch[i].Features, batch[i].Labels, nil)
-					restore()
-				}
-
-				sharded.applyAdamBatch(alpha, invB, 3)
+			// Reference run: identical gather forward, legacy
+			// shared-buffer backward + extraction.
+			legacy.beginBatch()
+			for i := range batch {
+				legacy.forwardElem(stL, batch[i].Features, batch[i].Labels, modeTrain)
 				restore := flipForm(legacy, kernels.FormLegacy)
-				legacy.applyAdamBatch(alpha, invB, 3)
+				legacy.backwardElem(stL, batch[i].Features, batch[i].Labels, nil)
 				restore()
 			}
-			requireNetsBitIdentical(t, sharded, legacy, "sharded vs legacy backward")
-			if sharded.touchedWeights != legacy.touchedWeights {
-				t.Fatalf("touchedWeights: sharded %d != legacy %d", sharded.touchedWeights, legacy.touchedWeights)
-			}
-			if sharded.touchedWeights == 0 {
-				t.Fatal("no gradient cells were applied; test is vacuous")
-			}
-		})
-	}
+
+			sharded.applyAdamBatch(alpha, invB, 3)
+			restore := flipForm(legacy, kernels.FormLegacy)
+			legacy.applyAdamBatch(alpha, invB, 3)
+			restore()
+		}
+		requireNetsBitIdentical(t, sharded, legacy, "sharded vs legacy backward")
+		if sharded.touchedWeights != legacy.touchedWeights {
+			t.Fatalf("touchedWeights: sharded %d != legacy %d", sharded.touchedWeights, legacy.touchedWeights)
+		}
+		if sharded.touchedWeights == 0 {
+			t.Fatal("no gradient cells were applied; test is vacuous")
+		}
+	})
 }
 
 // TestBatchSyncShardedMatchesLegacyReplay: the id-sharded BatchSync replay
@@ -204,40 +202,6 @@ func TestShardSetReuseAcrossTrainCalls(t *testing.T) {
 	for li := range n.layerShards {
 		if len(n.layerShards[li]) != 3 {
 			t.Fatalf("layer %d has %d registered shards, want 3", li, len(n.layerShards[li]))
-		}
-	}
-}
-
-// TestBF16MirrorForwardTolerance: a bf16-mirror network's scatter forward
-// must agree with the fp32 network within bf16 rounding — each streamed
-// weight carries at most 2⁻⁸ relative error, so activations built from
-// them stay within a small multiple of that.
-func TestBF16MirrorForwardTolerance(t *testing.T) {
-	const classes = 64
-	ds := deltaTestDataset(t, classes)
-	cfg := deltaTestConfig(classes, optim.ModeHogwild)
-	cfg.Kernels = KernelScatter
-	f32 := mustNet(t, cfg)
-	cfgB := cfg
-	cfgB.MirrorFormat = MirrorBF16
-	b16 := mustNet(t, cfgB)
-
-	stF := mustState(t, f32, 7)
-	stB := mustState(t, b16, 7)
-	for i := 0; i < 32; i++ {
-		ex := &ds.Train[i]
-		f32.forwardElem(stF, ex.Features, ex.Labels, modeTrain)
-		b16.forwardElem(stB, ex.Features, ex.Labels, modeTrain)
-		a, b := stF.layers[0].vals, stB.layers[0].vals
-		if len(a) != len(b) {
-			t.Fatalf("example %d: hidden widths differ: %d vs %d", i, len(a), len(b))
-		}
-		for j := range a {
-			diff := math.Abs(float64(a[j] - b[j]))
-			scale := math.Max(1, math.Abs(float64(a[j])))
-			if diff > 1e-2*scale {
-				t.Fatalf("example %d neuron %d: fp32 %g vs bf16-mirror %g", i, j, a[j], b[j])
-			}
 		}
 	}
 }

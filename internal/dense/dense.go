@@ -5,9 +5,9 @@
 // updating every parameter each iteration — the full softmax over all
 // classes that SLIDE's adaptive sampling avoids.
 //
-// The per-iteration math is exactly what a dense framework executes, so a
-// run's accuracy-vs-iteration curve doubles as the TF-GPU curve once the
-// gpusim package re-times it (the GPU changes the clock, not the math).
+// The per-iteration math is exactly what a dense framework executes; the
+// end-to-end benchmark (benchmark/) times it on the same data and threads
+// as SLIDE.
 package dense
 
 import (
@@ -91,9 +91,9 @@ func New(cfg Config) (*Network, error) {
 		l := &layer{
 			in: in, out: out,
 			relu: li < len(sizes)-1,
-			w:    ar.AllocRows(out, in, false),
-			mW:   ar.AllocRows(out, in, false),
-			vW:   ar.AllocRows(out, in, false),
+			w:    ar.AllocRows(out, in),
+			mW:   ar.AllocRows(out, in),
+			vW:   ar.AllocRows(out, in),
 			b:    ar.AllocAligned(out),
 			mB:   ar.AllocAligned(out),
 			vB:   ar.AllocAligned(out),
@@ -127,27 +127,6 @@ func (n *Network) NumParams() int64 {
 		p += int64(l.out)*int64(l.in) + int64(l.out)
 	}
 	return p
-}
-
-// FLOPsPerIteration estimates the multiply-accumulate work of one training
-// iteration at the given batch size and mean input non-zeros: forward,
-// input-gradient and weight-gradient GEMMs (3 passes over each dense
-// weight matrix per element) plus the full-parameter Adam update. Used by
-// the gpusim cost model.
-func (n *Network) FLOPsPerIteration(batch int, avgNNZ float64) float64 {
-	var macs float64
-	in := avgNNZ // the first layer consumes the sparse input
-	for li, l := range n.layers {
-		perElem := in * float64(l.out)
-		passes := 3.0
-		if li == 0 {
-			passes = 2 // no input gradient is propagated to the features
-		}
-		macs += passes * float64(batch) * perElem
-		in = float64(l.out)
-	}
-	adamOps := 6 * float64(n.NumParams()) // m, v updates + step, per parameter
-	return 2*macs + adamOps
 }
 
 func defaultThreads() int { return runtime.GOMAXPROCS(0) }

@@ -37,9 +37,6 @@ func TestDenseLearns(t *testing.T) {
 	if res.Utilization <= 0 || res.Utilization > 1 {
 		t.Fatalf("utilization out of range: %v", res.Utilization)
 	}
-	if res.FLOPsPerIter <= 0 || res.AvgNNZ <= 0 {
-		t.Fatalf("FLOP accounting missing: %+v", res)
-	}
 }
 
 func TestDenseDeterministicAcrossThreads(t *testing.T) {
@@ -98,17 +95,10 @@ func TestPredictAndEvaluate(t *testing.T) {
 	}
 }
 
-func TestFLOPsPerIterationModel(t *testing.T) {
+func TestNumParams(t *testing.T) {
 	n, err := New(Config{InputDim: 1000, Hidden: []int{128}, Classes: 5000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	got := n.FLOPsPerIteration(128, 50)
-	// Dominant term: 3 passes over the 128x5000 output layer per
-	// element, 2 FLOPs per MAC.
-	dominant := 2.0 * 3 * 128 * 128 * 5000
-	if got < dominant || got > 3*dominant {
-		t.Fatalf("FLOPs model = %g, dominant term %g", got, dominant)
 	}
 	if n.NumParams() != 1000*128+128+128*5000+5000 {
 		t.Fatalf("NumParams = %d", n.NumParams())

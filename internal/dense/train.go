@@ -52,10 +52,6 @@ type TrainResult struct {
 	Seconds     float64
 	FinalAcc    float64
 	Utilization float64
-	// AvgNNZ is the measured mean input non-zeros, for the FLOP model.
-	AvgNNZ float64
-	// FLOPsPerIter is the modelled work per iteration at this batch size.
-	FLOPsPerIter float64
 }
 
 // trainBuffers holds the batch-level activation and delta matrices.
@@ -102,8 +98,6 @@ func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainRe
 
 	res := &TrainResult{Curve: metrics.Curve{Name: "p@1"}}
 	var trainNS, busyNS int64
-	var nnzSum int64
-	var nnzCount int64
 	pos := 0
 
 	evalNow := func() float64 {
@@ -125,10 +119,6 @@ func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainRe
 		}
 		batch := order[pos : pos+tc.BatchSize]
 		pos += tc.BatchSize
-		for _, bi := range batch {
-			nnzSum += int64(train[bi].Features.NNZ())
-		}
-		nnzCount += int64(len(batch))
 
 		t0 := time.Now()
 		busyNS += n.trainBatch(train, batch, tb, threads)
@@ -155,10 +145,6 @@ func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainRe
 	if trainNS > 0 {
 		res.Utilization = minF(1, float64(busyNS)/(float64(trainNS)*float64(threads)))
 	}
-	if nnzCount > 0 {
-		res.AvgNNZ = float64(nnzSum) / float64(nnzCount)
-	}
-	res.FLOPsPerIter = n.FLOPsPerIteration(tc.BatchSize, res.AvgNNZ)
 	return res, nil
 }
 

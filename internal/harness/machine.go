@@ -1,3 +1,6 @@
+// Package harness fingerprints the machine a benchmark result was recorded
+// on. The end-to-end benchmark (benchmark/) stamps every result file with
+// it.
 package harness
 
 import (
@@ -6,11 +9,11 @@ import (
 	"strings"
 )
 
-// MachineInfo identifies the hardware and toolchain a benchmark JSON was
-// recorded on. Committed trajectories (BENCH_*.json) are only comparable
-// point-to-point when this block matches; the paper's numbers come from a
-// 44-core Xeon E5-2699A, and scaling results especially are meaningless
-// without the core count attached.
+// MachineInfo identifies the hardware and toolchain a benchmark result was
+// recorded on. Results are only comparable point-to-point when this block
+// matches; the paper's numbers come from a 44-core Xeon E5-2699A, and
+// scaling results especially are meaningless without the core count
+// attached.
 type MachineInfo struct {
 	CPUModel   string
 	Cores      int

@@ -201,6 +201,12 @@ func NewMirror(in, out int) *Mirror {
 	return NewMirrorFormat(in, out, MirrorFP32, nil)
 }
 
+// NewArenaMirror is NewMirror with the backing slab carved from ar, cache
+// line aligned — the form a network's mirrored layers use.
+func NewArenaMirror(in, out int, ar *arena.Arena) *Mirror {
+	return NewMirrorFormat(in, out, MirrorFP32, ar)
+}
+
 // NewMirrorFormat allocates an unfilled in×out mirror in the given
 // format. When ar is non-nil the backing slab comes from it as one
 // cache-line-aligned arena allocation; otherwise from the heap.

@@ -5,7 +5,7 @@
 // offered rate, independent of how fast the server answers — the regime
 // real traffic lives in, and the one that exposes queueing collapse.
 // (A closed loop of N workers waiting on responses self-throttles
-// exactly when the server saturates, hiding the tail the harness is
+// exactly when the server saturates, hiding the tail a load test is
 // trying to measure.)
 //
 // A run drives a configurable mix of exact, unseeded-sampled,

@@ -337,6 +337,29 @@ func TestParseKindRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFamilyDescribesItself: a constructed family reports the
+// configuration name of its kind and the shape it was built for — the
+// table layer sizes its code buffers and bucket addresses from these.
+func TestFamilyDescribesItself(t *testing.T) {
+	for _, kind := range allKinds() {
+		t.Run(kind.String(), func(t *testing.T) {
+			fam := mkFamily(t, kind, 48, 3, 7, 2)
+			if fam.Name() != kind.String() {
+				t.Errorf("Name() = %q, want %q", fam.Name(), kind.String())
+			}
+			if fam.Dim() != 48 {
+				t.Errorf("Dim() = %d, want 48", fam.Dim())
+			}
+			if fam.NumFuncs() != 3*7 {
+				t.Errorf("NumFuncs() = %d, want K*L = 21", fam.NumFuncs())
+			}
+			if b := fam.CodeBits(); b <= 0 || b > 32 {
+				t.Errorf("CodeBits() = %d, want 1..32", b)
+			}
+		})
+	}
+}
+
 // TestConcurrentHashing: families share pooled scratch; concurrent use
 // must stay correct.
 func TestConcurrentHashing(t *testing.T) {

@@ -3,14 +3,11 @@
 // SLIDE trains with Adam (§5, "we also use the same optimizer, Adam")
 // applied lazily: only the weights touched by an active neuron's sparse
 // gradient receive a step, with first/second moments stored per weight.
-// Three write disciplines support the paper's asynchronous design (§3.1)
-// and its ablation:
+// Two write disciplines support the paper's asynchronous design (§3.1):
 //
 //   - ModeHogwild: plain unsynchronized read-modify-write, the paper's
 //     HOGWILD choice (Recht et al. 2011). Races are deliberate; sparse
 //     updates rarely collide and the occasional lost update is tolerated.
-//   - ModeAtomic: compare-and-swap loops per scalar. No lost updates, no
-//     locks; slightly slower. Safe under the Go race detector.
 //   - ModeBatchSync: gradients are accumulated per batch and applied by
 //     non-overlapping shards, giving deterministic single-threaded-
 //     equivalent results.
@@ -19,22 +16,19 @@ package optim
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
-	"unsafe"
 
 	"repro/internal/vecmath"
 )
 
-// UpdateMode selects the gradient write discipline.
+// UpdateMode selects the gradient write discipline. The values are
+// persisted in model files; 1 belonged to a retired compare-and-swap mode.
 type UpdateMode int
 
 const (
 	// ModeHogwild pushes unsynchronized updates (the paper default).
-	ModeHogwild UpdateMode = iota
-	// ModeAtomic pushes CAS-based lock-free updates.
-	ModeAtomic
+	ModeHogwild UpdateMode = 0
 	// ModeBatchSync accumulates per batch and applies synchronously.
-	ModeBatchSync
+	ModeBatchSync UpdateMode = 2
 )
 
 // String returns the configuration name of the mode.
@@ -42,8 +36,6 @@ func (m UpdateMode) String() string {
 	switch m {
 	case ModeHogwild:
 		return "hogwild"
-	case ModeAtomic:
-		return "atomic"
 	case ModeBatchSync:
 		return "batch-sync"
 	default:
@@ -56,8 +48,6 @@ func ParseUpdateMode(s string) (UpdateMode, error) {
 	switch s {
 	case "hogwild":
 		return ModeHogwild, nil
-	case "atomic":
-		return ModeAtomic, nil
 	case "batch-sync":
 		return ModeBatchSync, nil
 	}
@@ -99,15 +89,6 @@ func (a Adam) Step1(w, m, v *float32, g, alpha float32) {
 	*m = nm
 	*v = nv
 	*w -= alpha * nm / (sqrt32(nv) + a.Eps)
-}
-
-// Step1Atomic applies one Adam step to a single weight using CAS loops
-// (ModeAtomic). Each scalar is updated atomically; the triplet is not a
-// transaction, matching lock-free sparse-Adam practice.
-func (a Adam) Step1Atomic(w, m, v *float32, g, alpha float32) {
-	nm := atomicRMW(m, func(old float32) float32 { return a.Beta1*old + (1-a.Beta1)*g })
-	nv := atomicRMW(v, func(old float32) float32 { return a.Beta2*old + (1-a.Beta2)*g*g })
-	atomicRMW(w, func(old float32) float32 { return old - alpha*nm/(sqrt32(nv)+a.Eps) })
 }
 
 // StepRow applies Adam to a full row with dense gradient g (the dense
@@ -152,36 +133,6 @@ func (a Adam) StepCells(w, m, v []float32, cols []int32, g []float32, scale, alp
 		stepped++
 	}
 	return stepped
-}
-
-// SGD is plain stochastic gradient descent, provided for ablations.
-type SGD struct {
-	LR float32
-}
-
-// Step1 applies w -= lr*g with plain writes.
-func (s SGD) Step1(w *float32, g float32) { *w -= s.LR * g }
-
-// Step1Atomic applies w -= lr*g with a CAS loop.
-func (s SGD) Step1Atomic(w *float32, g float32) {
-	atomicRMW(w, func(old float32) float32 { return old - s.LR*g })
-}
-
-// atomicRMW atomically applies f to *p and returns the new value.
-func atomicRMW(p *float32, f func(float32) float32) float32 {
-	addr := (*uint32)(unsafe.Pointer(p))
-	for {
-		oldBits := atomic.LoadUint32(addr)
-		newVal := f(math.Float32frombits(oldBits))
-		if atomic.CompareAndSwapUint32(addr, oldBits, math.Float32bits(newVal)) {
-			return newVal
-		}
-	}
-}
-
-// AtomicAdd adds delta to *p with a CAS loop and returns the new value.
-func AtomicAdd(p *float32, delta float32) float32 {
-	return atomicRMW(p, func(old float32) float32 { return old + delta })
 }
 
 func sqrt32(x float32) float32 {

@@ -3,9 +3,9 @@
 // SIGHUP), per-request deadlines, admission control with a latency
 // budget, and a generation-keyed response cache.
 //
-// cmd/slide-serve wraps it in a configured http.Server; the experiment
-// harness and the load-generator tests embed it directly so a real
-// serving stack can be driven in-process.
+// cmd/slide-serve wraps it in a configured http.Server; the
+// load-generator tests embed it directly so a real serving stack can be
+// driven in-process.
 package serve
 
 import (
@@ -74,10 +74,9 @@ type Options struct {
 	MaxBodyBytes int64
 	// NoPooling disables the per-request workspace pool: every request
 	// allocates its decode scratch, vector components, result slices and
-	// response buffer fresh. It exists for measurement — the serving
-	// harness drives the same operating points with pooling on and off
-	// to record the GC-pause trajectory this PR buys — not for
-	// production use.
+	// response buffer fresh. It exists for measurement — the same
+	// operating points with pooling on and off show the GC-pause cost the
+	// pool removes — not for production use.
 	NoPooling bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// server's own mux (nothing is registered globally), for heap and

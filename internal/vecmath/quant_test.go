@@ -160,7 +160,7 @@ func TestQuantAxpyLengthMismatchPanics(t *testing.T) {
 
 // Quantized-mirror column shapes: the scatter form Axpys one out-length
 // column slice per input nonzero. The bf16 kernel reads half the bytes of
-// the fp32 one — the per-kernel half of the BENCH_scaling mirror ablation.
+// the fp32 one.
 
 func benchBF16Col(n int) ([]uint16, []float32) {
 	r := rng.New(4)

@@ -5,8 +5,8 @@
 //
 // It re-exports repro/internal/serve so binaries and external consumers
 // never import internal packages directly. cmd/slide-serve wraps it in a
-// configured http.Server; tests and the experiment harness embed the
-// Handler directly via net/http/httptest.
+// configured http.Server; tests embed the Handler directly via
+// net/http/httptest.
 package serve
 
 import (

@@ -31,8 +31,8 @@
 //	fmt.Printf("P@1 = %.3f in %.1fs\n", res.FinalAcc, res.Seconds)
 //
 // The subpackages under internal implement the substrates (LSH families,
-// hash tables, sampling strategies, optimizers, baselines, datasets,
-// experiment harness); this package re-exports the stable public surface.
+// hash tables, sampling strategies, optimizers, baselines, datasets); this
+// package re-exports the stable public surface.
 package slide
 
 import (
@@ -174,14 +174,7 @@ const (
 // Gradient update modes for Config.UpdateMode (§3.1).
 const (
 	UpdateHogwild   = optim.ModeHogwild
-	UpdateAtomic    = optim.ModeAtomic
 	UpdateBatchSync = optim.ModeBatchSync
-)
-
-// Memory layouts for Config.Layout (§5.4 optimization ablation).
-const (
-	LayoutContiguous = core.LayoutContiguous
-	LayoutPerNeuron  = core.LayoutPerNeuron
 )
 
 // KernelMode is the configuration enum behind the Kernel* constants.
@@ -233,7 +226,7 @@ func ParseStrategy(s string) (StrategyKind, error) { return sampling.ParseKind(s
 func ParsePolicy(s string) (Policy, error) { return hashtable.ParsePolicy(s) }
 
 // ParseUpdateMode parses a gradient update mode name ("hogwild",
-// "atomic", "batch-sync").
+// "batch-sync").
 func ParseUpdateMode(s string) (UpdateMode, error) { return optim.ParseUpdateMode(s) }
 
 // ParseCompression parses a delta compression spec ("fp32", "bf16",

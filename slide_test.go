@@ -1,6 +1,8 @@
 package slide_test
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"repro"
@@ -54,9 +56,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestUpdateModeConstants pins the exported constants to distinct values.
+// TestExportedConstantsDistinct pins the exported constants to distinct
+// values.
 func TestExportedConstantsDistinct(t *testing.T) {
-	if slide.UpdateHogwild == slide.UpdateAtomic || slide.UpdateAtomic == slide.UpdateBatchSync {
+	if slide.UpdateHogwild == slide.UpdateBatchSync {
 		t.Fatal("update mode constants collide")
 	}
 	if slide.HashSimhash == slide.HashDWTA {
@@ -65,7 +68,121 @@ func TestExportedConstantsDistinct(t *testing.T) {
 	if slide.StrategyVanilla == slide.StrategyTopK {
 		t.Fatal("strategy constants collide")
 	}
-	if slide.LayoutContiguous == slide.LayoutPerNeuron {
-		t.Fatal("layout constants collide")
+}
+
+// parsed adapts a typed facade parser to the table in
+// TestParseNamesMapToConstants.
+func parsed[T any](parse func(string) (T, error)) func(string) (any, error) {
+	return func(s string) (any, error) { return parse(s) }
+}
+
+// TestParseNamesMapToConstants: every configuration name the binaries
+// accept on their flags parses through the facade to the exported
+// constant of that name, and a misspelling is an error.
+func TestParseNamesMapToConstants(t *testing.T) {
+	parseCompress := func(s string) (any, error) {
+		c, frac, err := slide.ParseCompression(s)
+		if c == slide.CompressTopK && frac != 0.25 {
+			t.Errorf("ParseCompression(%q) fraction = %v, want 0.25", s, frac)
+		}
+		return c, err
+	}
+	for _, tc := range []struct {
+		kind, name string
+		parse      func(string) (any, error)
+		want       any
+	}{
+		{"hash", "simhash", parsed(slide.ParseHash), slide.HashSimhash},
+		{"hash", "wta", parsed(slide.ParseHash), slide.HashWTA},
+		{"hash", "dwta", parsed(slide.ParseHash), slide.HashDWTA},
+		{"hash", "doph", parsed(slide.ParseHash), slide.HashDOPH},
+		{"strategy", "vanilla", parsed(slide.ParseStrategy), slide.StrategyVanilla},
+		{"strategy", "topk", parsed(slide.ParseStrategy), slide.StrategyTopK},
+		{"strategy", "hard-threshold", parsed(slide.ParseStrategy), slide.StrategyHardThreshold},
+		{"strategy", "random", parsed(slide.ParseStrategy), slide.StrategyRandom},
+		{"policy", "reservoir", parsed(slide.ParsePolicy), slide.PolicyReservoir},
+		{"policy", "fifo", parsed(slide.ParsePolicy), slide.PolicyFIFO},
+		{"update", "hogwild", parsed(slide.ParseUpdateMode), slide.UpdateHogwild},
+		{"update", "batch-sync", parsed(slide.ParseUpdateMode), slide.UpdateBatchSync},
+		{"compress", "fp32", parseCompress, slide.CompressFP32},
+		{"compress", "bf16", parseCompress, slide.CompressBF16},
+		{"compress", "topk:0.25", parseCompress, slide.CompressTopK},
+	} {
+		t.Run(tc.kind+"/"+tc.name, func(t *testing.T) {
+			got, err := tc.parse(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("parsed %q as %v, want %v", tc.name, got, tc.want)
+			}
+			if _, err := tc.parse(tc.name + "x"); err == nil {
+				t.Fatalf("%qx accepted", tc.name)
+			}
+		})
+	}
+	if _, err := slide.ParseUpdateMode("atomic"); err == nil {
+		t.Error("retired update mode name accepted")
+	}
+}
+
+// TestNewVectorNormalizes: NewVector sorts indices and sums duplicates,
+// VectorFromDense keeps exactly the non-zero entries, and the two agree on
+// the same vector.
+func TestNewVectorNormalizes(t *testing.T) {
+	v, err := slide.NewVector(8, []int32{5, 1, 5, 3}, []float32{1, 2, 0.5, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slide.VectorFromDense([]float32{0, 2, 0, 4, 0, 1.5, 0, 0})
+	if !reflect.DeepEqual(v, want) {
+		t.Fatalf("NewVector = %+v, VectorFromDense = %+v", v, want)
+	}
+	if _, err := slide.NewVector(8, []int32{8}, []float32{1}); err == nil {
+		t.Fatal("out-of-range index accepted")
+	}
+	if _, err := slide.NewVector(8, []int32{1, 2}, []float32{1}); err == nil {
+		t.Fatal("mismatched lengths accepted")
+	}
+}
+
+// TestLoadModelRestoresNetwork: a model saved by Network.SaveModel and
+// read back through the facade's LoadModel carries the same configuration
+// and predicts the same classes with the same scores.
+func TestLoadModelRestoresNetwork(t *testing.T) {
+	net, err := slide.New(slide.Config{
+		InputDim: 32,
+		Seed:     9,
+		Layers: []slide.LayerConfig{
+			{Size: 16, Activation: slide.ActReLU},
+			{Size: 64, Activation: slide.ActSoftmax, Sampled: true, Hash: slide.HashDWTA, K: 3, L: 8, Beta: 16},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := net.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := slide.LoadModel(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(loaded.Config(), net.Config()) {
+		t.Fatalf("loaded config %+v, want %+v", loaded.Config(), net.Config())
+	}
+	x := slide.VectorFromDense([]float32{0, 1, 0, 0.5, 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0,
+		0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	ids, scores, err := net.Predict(x, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotIDs, gotScores, err := loaded.Predict(x, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotIDs, ids) || !reflect.DeepEqual(gotScores, scores) {
+		t.Fatalf("loaded model predicts %v %v, original %v %v", gotIDs, gotScores, ids, scores)
 	}
 }
