@@ -60,7 +60,7 @@ func SetBackend(b Backend) Backend {
 func DefaultBackend() Backend { return Backend(defaultBackend.Load()) }
 
 // Arena allocates float32 slices out of large slabs. A second byte-slab
-// class backs the quantized (uint16/int8) allocations, carved with the
+// class backs the integer (uint32/int32) allocations, carved with the
 // same cache-line alignment.
 type Arena struct {
 	slabSize int
@@ -274,26 +274,6 @@ func (a *Arena) allocBytes(n int) []byte {
 	s := a.bcur[a.boff : a.boff+n : a.boff+n]
 	a.boff += n
 	return s
-}
-
-// AllocUint16 returns a zeroed cache-line-aligned []uint16 of length n —
-// the backing store for BF16 weight mirrors.
-func (a *Arena) AllocUint16(n int) []uint16 {
-	b := a.allocBytes(n * 2)
-	if b == nil {
-		return nil
-	}
-	return unsafe.Slice((*uint16)(unsafe.Pointer(&b[0])), n)
-}
-
-// AllocInt8 returns a zeroed cache-line-aligned []int8 of length n — the
-// backing store for int8 weight mirrors.
-func (a *Arena) AllocInt8(n int) []int8 {
-	b := a.allocBytes(n)
-	if b == nil {
-		return nil
-	}
-	return unsafe.Slice((*int8)(unsafe.Pointer(&b[0])), n)
 }
 
 // AllocUint32 returns a zeroed cache-line-aligned []uint32 of length n —

@@ -131,10 +131,10 @@ func TestNegativeAllocPanics(t *testing.T) {
 	New(0).Alloc(-1)
 }
 
-func TestAllocUint16ZeroedAligned(t *testing.T) {
+func TestAllocUint32ZeroedAligned(t *testing.T) {
 	a := New(1 << 16)
-	a.AllocInt8(3) // misalign the byte cursor
-	s := a.AllocUint16(100)
+	a.AllocInt32(3) // misalign the byte cursor
+	s := a.AllocUint32(100)
 	if len(s) != 100 {
 		t.Fatalf("len = %d", len(s))
 	}
@@ -144,45 +144,45 @@ func TestAllocUint16ZeroedAligned(t *testing.T) {
 		}
 	}
 	if addr := uintptr(unsafe.Pointer(&s[0])); addr%CacheLineBytes != 0 {
-		t.Fatalf("uint16 allocation not cache-line aligned: %#x", addr)
+		t.Fatalf("uint32 allocation not cache-line aligned: %#x", addr)
 	}
-	if got := a.AllocUint16(0); got != nil {
-		t.Fatalf("AllocUint16(0) = %v", got)
+	if got := a.AllocUint32(0); got != nil {
+		t.Fatalf("AllocUint32(0) = %v", got)
 	}
 }
 
-func TestAllocInt8NoAliasing(t *testing.T) {
+func TestAllocInt32NoAliasing(t *testing.T) {
 	a := New(1 << 16)
-	x := a.AllocInt8(64)
-	y := a.AllocInt8(64)
+	x := a.AllocInt32(64)
+	y := a.AllocInt32(64)
 	for i := range x {
 		x[i] = 1
 	}
 	for i, v := range y {
 		if v != 0 {
-			t.Fatalf("int8 allocation aliasing at %d: %v", i, v)
+			t.Fatalf("int32 allocation aliasing at %d: %v", i, v)
 		}
 	}
 	if addr := uintptr(unsafe.Pointer(&y[0])); addr%CacheLineBytes != 0 {
-		t.Fatalf("int8 allocation not cache-line aligned: %#x", addr)
+		t.Fatalf("int32 allocation not cache-line aligned: %#x", addr)
 	}
 }
 
 func TestByteSlabsCountedInSlabs(t *testing.T) {
 	a := New(1 << 16)
 	before := a.Slabs()
-	a.AllocUint16(10)
+	a.AllocUint32(10)
 	if a.Slabs() != before+1 {
 		t.Fatalf("byte slab not counted: %d -> %d", before, a.Slabs())
 	}
-	// A huge quantized allocation takes a dedicated byte slab.
+	// An allocation past the byte-slab size takes a dedicated byte slab.
 	mid := a.Slabs()
-	s := a.AllocInt8(1 << 20)
-	if len(s) != 1<<20 {
-		t.Fatalf("large int8 alloc len %d", len(s))
+	s := a.AllocInt32(1 << 18)
+	if len(s) != 1<<18 {
+		t.Fatalf("large int32 alloc len %d", len(s))
 	}
 	if a.Slabs() != mid+1 {
-		t.Fatal("large int8 alloc did not take a dedicated slab")
+		t.Fatal("large int32 alloc did not take a dedicated slab")
 	}
 	// Float accounting is unaffected by byte slabs.
 	if a.Floats() != 0 {

@@ -33,93 +33,27 @@ func (n *Network) beginBatch() {
 // applyAdamBatch performs a local (no exchange) batch's Adam step over
 // exactly the weights that accumulated gradient: touched neurons' rows
 // restricted to touched input columns (§3.1: "the fraction of weights that
-// needs to be updated is s² only"). On the sharded path each layer's
-// gradient is folded once per touched row and stepped straight from the
-// folded row (stepFold); nothing is materialized in between. A run with a
-// DeltaExchanger needs the batch gradient as an explicit SparseDelta to
-// ship, so it goes ExtractDelta (the same fold, compacted) → exchange →
-// ApplyDelta instead (exchangeAndApply); both step rows through stepRow and
-// are bit-for-bit interchangeable. The legacy shared-gW path keeps
-// extract-then-apply here.
+// needs to be updated is s² only"). Each layer's gradient is folded once
+// per touched row and stepped straight from the folded row (stepFold);
+// nothing is materialized in between. A run with a DeltaExchanger needs the
+// batch gradient as an explicit SparseDelta to ship, so it goes
+// ExtractDelta (the same fold, compacted) → exchange → ApplyDelta instead
+// (exchangeAndApply); both step rows through stepRow and are bit-for-bit
+// interchangeable. A network that never ran a backward pass has no shards
+// and steps nothing.
 //
 // The stepped-cell count accumulates into n.touchedWeights, surfaced as
-// TrainResult.TouchedPerIter and measured by the dist-comm experiment.
+// TrainResult.TouchedPerIter.
 func (n *Network) applyAdamBatch(alpha, invB float32, workers int) {
-	if n.kern.Fused() && n.layerShards != nil {
-		for li, l := range n.layers {
-			if l.beginFold(n.layerShards[li], workers) {
-				n.touchedWeights += l.stepFold(n.adam, alpha, invB, workers)
-				l.endFold()
-			}
-		}
+	if n.layerShards == nil {
 		return
 	}
-	d := n.ExtractDelta(n.deltaScratch, workers)
-	n.deltaScratch = d
-	n.touchedWeights += d.Cells()
 	for li, l := range n.layers {
-		l.ApplyDelta(n.adam, &d.Layers[li], alpha, invB, workers)
-	}
-}
-
-// applyAdamFused is the pre-SparseDelta fused accumulate-and-step path
-// over the shared gW buffers. Training never runs it; it is kept as the
-// bit-for-bit reference the extract/apply equivalence test
-// (TestExtractApplyMatchesFusedAdam) compares against.
-func (n *Network) applyAdamFused(alpha, invB float32, workers int) {
-	for _, l := range n.layers {
-		n.touchedWeights += l.applyAdamFused(n, alpha, invB, workers)
-	}
-}
-
-func (l *Layer) applyAdamFused(n *Network, alpha, invB float32, workers int) int64 {
-	epoch := l.batchEpoch
-	cols := l.touchedColumns(workers)
-	adam := n.adam
-	counts := make([]int64, workers)
-	parallelIndexed(workers, l.out, func(wk, lo, hi int) {
-		var applied int64
-		for j := lo; j < hi; j++ {
-			if l.touched[j] != epoch {
-				continue
-			}
-			w, m, v, g := l.w[j], l.mW[j], l.vW[j], l.gW[j]
-			if cols == nil {
-				for i := range g {
-					if gi := g[i]; gi != 0 {
-						adam.Step1(&w[i], &m[i], &v[i], gi*invB, alpha)
-						if l.mirror != nil {
-							l.mirror.Set(int32(j), int32(i), w[i])
-						}
-						g[i] = 0
-						applied++
-					}
-				}
-			} else {
-				for _, i := range cols {
-					if gi := g[i]; gi != 0 {
-						adam.Step1(&w[i], &m[i], &v[i], gi*invB, alpha)
-						if l.mirror != nil {
-							l.mirror.Set(int32(j), i, w[i])
-						}
-						g[i] = 0
-						applied++
-					}
-				}
-			}
-			if gb := l.gB[j]; gb != 0 {
-				adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)
-				l.gB[j] = 0
-				applied++
-			}
+		if l.beginFold(n.layerShards[li], workers) {
+			n.touchedWeights += l.stepFold(n.adam, alpha, invB, workers)
+			l.endFold()
 		}
-		counts[wk] = applied
-	})
-	var total int64
-	for _, c := range counts {
-		total += c
 	}
-	return total
 }
 
 // touchedColumns rebuilds the per-batch touched-column list from the

@@ -12,16 +12,12 @@ import (
 // only those weights (an s² fraction when both layers are s-sparse)
 // accumulate gradient.
 //
-// With the fused kernel engine (every mode but KernelLegacy), gradient
-// contributions land in the worker's private per-layer backShards (see
-// shard.go): no cross-thread gradient writes exist at all, and the batch
-// boundary folds the shards into the SparseDelta — there is nothing left
-// for HOGWILD to race on. KernelLegacy keeps the original shared-buffer
-// discipline as the equivalence reference: HOGWILD racy stores, marking
-// the touched neurons and input columns. The Adam step then runs once per
-// batch over exactly the touched weights (applyAdamBatch), so the
-// per-parameter optimizer cost is amortized across the batch just like the
-// sparse gradient work.
+// Gradient contributions land in the worker's private per-layer
+// backShards (see shard.go): no cross-thread gradient writes exist at all,
+// and the batch boundary folds the shards — there is nothing left for
+// HOGWILD to race on. The Adam step then runs once per batch over exactly
+// the touched weights (applyAdamBatch), so the per-parameter optimizer
+// cost is amortized across the batch just like the sparse gradient work.
 //
 // In ModeBatchSync the element's active sets and deltas are captured into
 // rec instead and accumulated deterministically after the batch.
@@ -40,8 +36,7 @@ func (n *Network) backwardFrom(st *elemState, layers []layerState, x sparse.Vect
 	if rec != nil {
 		rec.reset(len(n.layers))
 	}
-	fused := n.kern.Fused()
-	if fused && rec == nil && st.shards == nil {
+	if rec == nil && st.shards == nil {
 		st.shards = n.backShardSet(st.wk)
 	}
 	for li := last; li >= 0; li-- {
@@ -68,14 +63,11 @@ func (n *Network) backwardFrom(st *elemState, layers []layerState, x sparse.Vect
 			}
 		}
 
-		switch {
-		case n.cfg.UpdateMode == optim.ModeBatchSync:
+		if n.cfg.UpdateMode == optim.ModeBatchSync {
 			backLayerAccOnly(l, ls, inIds, inVals, inFull, acc)
 			rec.capture(li, ls, inIds, inVals, inFull, li == 0)
-		case fused:
+		} else {
 			l.accumulateSharded(st.shards[li], ls, inIds, inVals, inFull, acc)
-		default:
-			l.accumulate(ls, inIds, inVals, inFull, acc)
 		}
 
 		if li > 0 {
@@ -92,67 +84,6 @@ func (n *Network) backwardFrom(st *elemState, layers []layerState, x sparse.Vect
 		}
 	}
 	return loss
-}
-
-// accumulate is the KernelLegacy backward: it fuses gradient accumulation
-// toward the previous layer with pushing this element's weight/bias
-// gradient contributions into the shared buffers (HOGWILD racy stores).
-// Weight values feed the accumulator before anything is written,
-// preserving classical backprop semantics within the element. The scalar
-// row loops are the pre-engine reference the fused kernels are tested
-// against bit for bit. Rows are visited in whatever order ls.ids carries.
-func (l *Layer) accumulate(ls *layerState, inIds []int32, inVals []float32, inFull bool, acc []float32) {
-	epoch := l.batchEpoch
-	if l.colStamp != nil && !inFull {
-		// Mark touched input columns once per element (racy same-value
-		// stores; benign).
-		for _, i := range inIds {
-			l.colStamp[i] = epoch
-		}
-	}
-	if ls.full {
-		for j := range ls.vals {
-			l.accRow(int32(j), ls.delta[j], epoch, inIds, inVals, inFull, acc)
-		}
-		return
-	}
-	for a, j := range ls.ids {
-		l.accRow(j, ls.delta[a], epoch, inIds, inVals, inFull, acc)
-	}
-}
-
-// accRow is one active row of accumulate, specialized per input density
-// because it executes once per active weight.
-func (l *Layer) accRow(j int32, dj float32, epoch uint32, inIds []int32, inVals []float32, inFull bool, acc []float32) {
-	if dj == 0 {
-		return
-	}
-	l.touched[j] = epoch
-	w, g := l.w[j], l.gW[j]
-	switch {
-	case inFull && acc != nil:
-		n := len(inVals)
-		wn, gn, an := w[:n], g[:n], acc[:n]
-		for i, x := range inVals {
-			an[i] += dj * wn[i]
-			gn[i] += dj * x
-		}
-	case inFull:
-		gn := g[:len(inVals)]
-		for i, x := range inVals {
-			gn[i] += dj * x
-		}
-	case acc != nil:
-		for t, i := range inIds {
-			acc[t] += dj * w[i]
-			g[i] += dj * inVals[t]
-		}
-	default:
-		for t, i := range inIds {
-			g[i] += dj * inVals[t]
-		}
-	}
-	l.gB[j] += dj
 }
 
 // backLayerAccOnly computes the previous layer's gradient accumulation
@@ -237,80 +168,23 @@ func (r *elemRecord) capture(li int, ls *layerState, inIds []int32, inVals []flo
 
 // accumulateBatchSync folds all captured records into gradient state,
 // sharding neurons across workers by id so every cell has exactly one
-// writer and the sums are independent of thread count. On the fused path
-// each worker-shard replays into its own backShard (no shared gradient
-// memory at all); KernelLegacy keeps the direct shared-buffer replay as
-// the equivalence reference.
+// writer and the sums are independent of thread count: each worker-shard
+// replays into its own backShard, with no shared gradient memory at all.
 func (n *Network) accumulateBatchSync(records []*elemRecord, workers int) {
 	if workers < 1 {
 		workers = 1
 	}
-	if n.kern.Fused() {
-		parallelIndexed(workers, workers, func(_, lo, hi int) {
-			for shard := lo; shard < hi; shard++ {
-				set := n.backShardSet(shard)
-				for _, rec := range records {
-					if rec == nil || rec.used == 0 {
-						continue
-					}
-					for li := range rec.layers {
-						replayRecordShard(n.layers[li], set[li], &rec.layers[li], shard, workers)
-					}
-				}
-			}
-		})
-		return
-	}
 	parallelIndexed(workers, workers, func(_, lo, hi int) {
 		for shard := lo; shard < hi; shard++ {
+			set := n.backShardSet(shard)
 			for _, rec := range records {
 				if rec == nil || rec.used == 0 {
 					continue
 				}
 				for li := range rec.layers {
-					accumulateRecordShard(n.layers[li], &rec.layers[li], shard, workers)
+					replayRecordShard(n.layers[li], set[li], &rec.layers[li], shard, workers)
 				}
 			}
 		}
 	})
-}
-
-func accumulateRecordShard(l *Layer, lr *layerRecord, shard, shards int) {
-	epoch := l.batchEpoch
-	trackCols := l.colStamp != nil && shard == 0
-	if trackCols && !lr.inFull {
-		for _, i := range lr.inIds {
-			l.colStamp[i] = epoch
-		}
-	}
-	apply := func(a int, j int32) {
-		if int(j)%shards != shard {
-			return
-		}
-		dj := lr.delta[a]
-		if dj == 0 {
-			return
-		}
-		l.touched[j] = epoch
-		g := l.gW[j]
-		if lr.inFull {
-			for i := range lr.inVals {
-				g[i] += dj * lr.inVals[i]
-			}
-		} else {
-			for t, i := range lr.inIds {
-				g[i] += dj * lr.inVals[t]
-			}
-		}
-		l.gB[j] += dj
-	}
-	if lr.full {
-		for j := range lr.delta {
-			apply(j, int32(j))
-		}
-		return
-	}
-	for a, j := range lr.ids {
-		apply(a, j)
-	}
 }

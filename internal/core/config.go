@@ -15,66 +15,14 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"repro/internal/hashtable"
-	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/optim"
 	"repro/internal/sampling"
 )
-
-// KernelMode selects the forward/backward kernel engine
-// (internal/kernels). The zero value is the density-adaptive engine; the
-// other modes pin one form, for equivalence tests and benchmarks.
-type KernelMode int
-
-const (
-	// KernelAuto plans each pass from the measured input density:
-	// gather for sampled/dense-input layers, scatter for mirrored dense
-	// layers on sparse inputs below the density crossover.
-	KernelAuto KernelMode = iota
-	// KernelLegacy runs the pre-engine per-neuron reference path —
-	// unsorted active ids, unfused scalar row loops. Kept alive as the
-	// equivalence-test baseline, the same role applyAdamFused plays for
-	// the optimizer.
-	KernelLegacy
-	// KernelGather forces the gather form everywhere.
-	KernelGather
-	// KernelScatter forces the scatter form wherever a mirror exists
-	// (elsewhere it degrades to gather — the form is incomputable).
-	KernelScatter
-)
-
-// String returns the configuration name of the kernel mode.
-func (k KernelMode) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelLegacy:
-		return "legacy"
-	case KernelGather:
-		return "gather"
-	case KernelScatter:
-		return "scatter"
-	default:
-		return fmt.Sprintf("KernelMode(%d)", int(k))
-	}
-}
-
-// kernelConfig maps the mode to the engine's planning policy.
-func (k KernelMode) kernelConfig() kernels.Config {
-	var c kernels.Config
-	switch k {
-	case KernelLegacy:
-		c.Force = kernels.FormLegacy
-	case KernelGather:
-		c.Force = kernels.FormGather
-	case KernelScatter:
-		c.Force = kernels.FormScatter
-	}
-	return c.WithDefaults()
-}
 
 // Activation selects a layer non-linearity.
 type Activation int
@@ -160,24 +108,6 @@ type Config struct {
 	// Every rebuild re-hashes every row of every sampled layer.
 	RebuildN0     int
 	RebuildLambda float64
-
-	// Kernels selects the forward/backward kernel engine form. The
-	// default (KernelAuto) picks gather or scatter per pass from the
-	// measured input density; KernelLegacy restores the per-neuron
-	// reference path. Serialized with the model config; files written
-	// before the field existed load as KernelAuto.
-	Kernels KernelMode
-}
-
-// kernelsConfig resolves the network's kernel-planning policy: the mode's
-// base config, with the adaptive planner's gather/scatter crossover
-// measured once per process on this machine.
-func (c Config) kernelsConfig() kernels.Config {
-	kc := c.Kernels.kernelConfig()
-	if c.Kernels == KernelAuto {
-		kc.ScatterMaxDensity = kernels.CalibratedCrossover()
-	}
-	return kc
 }
 
 func (c Config) withDefaults() Config {
@@ -193,22 +123,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// maxShape bounds InputDim, every layer's Size and every layer's in×out
+// weight count: neuron ids and a LayerDelta's columns and row offsets are
+// int32, so nothing larger is addressable. Checking it here also stops a
+// hostile model header before it sizes any allocation.
+const maxShape = math.MaxInt32
+
 func (c Config) validate() error {
-	if c.InputDim <= 0 {
-		return fmt.Errorf("core: InputDim must be positive, got %d", c.InputDim)
+	if c.InputDim <= 0 || c.InputDim > maxShape {
+		return fmt.Errorf("core: InputDim must be in [1, 2^31), got %d", c.InputDim)
 	}
 	if len(c.Layers) == 0 {
 		return fmt.Errorf("core: at least one layer required")
 	}
-	if c.Kernels < KernelAuto || c.Kernels > KernelScatter {
-		return fmt.Errorf("core: unknown kernel mode %d", int(c.Kernels))
-	}
 	if c.UpdateMode != optim.ModeHogwild && c.UpdateMode != optim.ModeBatchSync {
 		return fmt.Errorf("core: unknown update mode %d", int(c.UpdateMode))
 	}
+	in := c.InputDim
 	for i, lc := range c.Layers {
 		if lc.Size <= 0 {
 			return fmt.Errorf("core: layer %d size must be positive, got %d", i, lc.Size)
+		}
+		if lc.Size > maxShape || int64(in)*int64(lc.Size) > maxShape {
+			return fmt.Errorf("core: layer %d is %d×%d weights, beyond the 2^31 that int32 indices address", i, lc.Size, in)
 		}
 		if lc.Activation < ActReLU || lc.Activation > ActLinear {
 			return fmt.Errorf("core: layer %d has unknown activation %d", i, int(lc.Activation))
@@ -221,6 +158,7 @@ func (c Config) validate() error {
 				return fmt.Errorf("core: sampled layer %d needs positive Beta for strategy %v", i, lc.Strategy)
 			}
 		}
+		in = lc.Size
 	}
 	return nil
 }
@@ -290,7 +228,8 @@ type TrainConfig struct {
 	// forward pass (the §6 communication made invisible): each batch
 	// extracts its delta and launches the exchange on a background
 	// goroutine, the next batch's forward runs concurrently — it reads
-	// weights and tables but never gW, and no weights step mid-flight —
+	// weights and tables but no gradient state, and no weights step
+	// mid-flight —
 	// and the merged delta is applied at a barrier before that batch's
 	// backward pass. Forward passes therefore see weights one merged
 	// step stale (the classic one-batch pipeline delay); the exchange

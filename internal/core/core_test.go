@@ -28,19 +28,19 @@ func denseNetConfig(in, hidden, classes int, mode optim.UpdateMode) Config {
 
 // TestGradientCheck verifies the sparse message-passing backprop against
 // numerical differentiation of the cross-entropy loss on a tiny dense
-// network: the accumulated gradient gW must equal dLoss/dw to first
+// network: the gradient the training path extracts (ExtractDelta's raw
+// sums over one element, so no averaging) must equal dLoss/dw to first
 // order. This pins the core algorithmic claim that the sparse update
 // computes true gradients.
 func TestGradientCheck(t *testing.T) {
 	const in, hidden, classes = 12, 6, 8
-	// Pin the legacy kernel path: the check reads the shared gW/gB
-	// buffers directly, which the sharded (fused) backward never writes.
-	cfg := denseNetConfig(in, hidden, classes, optim.ModeHogwild)
-	cfg.Kernels = KernelLegacy
-	n, err := NewNetwork(cfg)
+	n, err := NewNetwork(denseNetConfig(in, hidden, classes, optim.ModeHogwild))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Gather only: the probes below perturb weight rows directly, which
+	// the scatter form's column-major mirror would not see.
+	n.crossover = 0
 	st, err := newElemState(n, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -60,19 +60,18 @@ func TestGradientCheck(t *testing.T) {
 		return loss
 	}
 
-	// Accumulate the analytic gradient once.
+	// Extract the analytic gradient of one element once.
 	n.beginBatch()
 	n.forwardElem(st, x, labels, modeTrain)
 	n.backwardElem(st, x, labels, nil)
+	d := n.ExtractDelta(nil, 1)
+	grad := deltaAsMap(d)
 
 	check := func(layer, j, i int) {
 		l := n.layers[layer]
-		var analytic float64
-		if i < 0 {
-			analytic = float64(l.gB[j])
-		} else {
-			analytic = float64(l.gW[j][i])
-		}
+		// Cells the delta does not carry (and biases, keyed at column -1)
+		// have a zero gradient.
+		analytic := grad[[3]int32{int32(layer), int32(j), int32(i)}]
 		const h = 1e-3
 		var p *float32
 		if i < 0 {
@@ -397,6 +396,38 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{{Size: 4, Activation: 3}}}); err == nil {
 		t.Error("unknown activation accepted")
+	}
+}
+
+// TestConfigValidateShapeBound: InputDim, every layer size and every
+// layer's in×out weight count must stay below 2^31, the reach of the int32
+// neuron ids and delta offsets — checked before anything is allocated, so
+// these cases only run validate.
+func TestConfigValidateShapeBound(t *testing.T) {
+	layers := func(sizes ...int) []LayerConfig {
+		var ls []LayerConfig
+		for _, s := range sizes {
+			ls = append(ls, LayerConfig{Size: s})
+		}
+		return ls
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		wantOK bool
+	}{
+		{"input dim 2^31-1", Config{InputDim: math.MaxInt32, Layers: layers(1)}, true},
+		{"input dim 2^31", Config{InputDim: 1 << 31, Layers: layers(1)}, false},
+		{"layer size 2^31", Config{InputDim: 1, Layers: layers(1 << 31)}, false},
+		{"in×out just below 2^31", Config{InputDim: 1 << 16, Layers: layers(1<<15 - 1)}, true},
+		{"in×out 2^31", Config{InputDim: 1 << 16, Layers: layers(1 << 15)}, false},
+		{"second layer in×out 2^31", Config{InputDim: 4, Layers: layers(1<<16, 1<<15)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.cfg.validate(); (err == nil) != tc.wantOK {
+				t.Fatalf("validate = %v, want ok=%v", err, tc.wantOK)
+			}
+		})
 	}
 }
 

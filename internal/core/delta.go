@@ -11,8 +11,8 @@ import (
 // each row, the raw accumulated gradient sums, and the bias gradients.
 // This is exactly the s²-sparse payload §3.1 argues a batch produces and
 // §6 proposes shipping between data-parallel replicas ("communication
-// costs are minimal due to sparse gradients"): Layer.ExtractDelta drains
-// the gradient buffers into this form at a batch boundary, replicas
+// costs are minimal due to sparse gradients"): Network.ExtractDelta folds
+// the gradient shards into this form at a batch boundary, replicas
 // exchange and merge deltas (internal/dist), and Layer.ApplyDelta performs
 // the Adam step over exactly the delta's cells.
 //
@@ -40,7 +40,7 @@ type LayerDelta struct {
 	Vals []float32
 	// Bias holds the raw bias gradient aligned with Rows; 0 means the
 	// row's bias accumulated no gradient and receives no step, matching
-	// the fused path's skip.
+	// stepFold's skip.
 	Bias []float32
 }
 
@@ -127,14 +127,12 @@ type ShardCounter interface {
 }
 
 // ExtractDelta drains the gradient accumulated since beginBatch into dst
-// (reused when non-nil) and returns it. On the fused kernel path the
-// gradient lives in per-worker backShards, folded here in fixed shard
-// order and consumed; on the legacy path the shared buffers are zeroed as
-// they are consumed and the touched stamps stay valid. Either way,
-// extract-then-ApplyDelta is bit-for-bit the fused applyAdamFused path
-// split in two whenever the accumulation itself was deterministic. Must
-// run at a batch boundary (no concurrent accumulate). workers <= 0
-// selects GOMAXPROCS.
+// (reused when non-nil) and returns it: each layer's per-worker backShards
+// are folded in fixed shard order (compactFold) and consumed, so a second
+// extraction in the same batch is empty, and extract-then-ApplyDelta is
+// bit-for-bit the local stepFold path split in two. A network that never
+// ran a backward pass extracts an empty delta. Must run at a batch
+// boundary (no concurrent backward). workers <= 0 selects GOMAXPROCS.
 func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 	if workers <= 0 {
 		workers = defaultThreads()
@@ -143,13 +141,12 @@ func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 		dst = &SparseDelta{}
 	}
 	dst.reset(len(n.layers))
-	sharded := n.kern.Fused() && n.layerShards != nil
 	for li, l := range n.layers {
-		if sharded {
-			l.extractSharded(&dst.Layers[li], n.layerShards[li], workers)
-		} else {
-			l.ExtractDelta(&dst.Layers[li], workers)
+		var shards []*backShard
+		if n.layerShards != nil {
+			shards = n.layerShards[li]
 		}
+		l.extractSharded(&dst.Layers[li], shards, workers)
 	}
 	return dst
 }
@@ -219,98 +216,6 @@ func (l *Layer) checkDelta(ld *LayerDelta) error {
 		}
 	}
 	return nil
-}
-
-// ExtractDelta drains this layer's accumulated gradient into dst: touched
-// rows ascending, each row's non-zero gradient cells restricted to the
-// batch's touched columns (or the full row for small fan-in layers),
-// columns ascending. Consumed gW/gB cells are zeroed, exactly as the
-// fused path zeroes them.
-func (l *Layer) ExtractDelta(dst *LayerDelta, workers int) {
-	dst.reset()
-	rows := l.touchedRows(workers)
-	if len(rows) == 0 {
-		dst.RowOff = append(dst.RowOff, 0)
-		return
-	}
-	cols := l.touchedColumns(workers)
-
-	// Pass 1: count each row's non-zero cells so pass 2 can fill
-	// disjoint spans in parallel.
-	counts := make([]int32, len(rows))
-	parallelIndexed(workers, len(rows), func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			g := l.gW[rows[r]]
-			var c int32
-			if cols == nil {
-				for _, gi := range g {
-					if gi != 0 {
-						c++
-					}
-				}
-			} else {
-				for _, i := range cols {
-					if g[i] != 0 {
-						c++
-					}
-				}
-			}
-			counts[r] = c
-		}
-	})
-
-	dst.Rows = append(dst.Rows, rows...)
-	if cap(dst.RowOff) < len(rows)+1 {
-		dst.RowOff = make([]int32, 0, len(rows)+1)
-	}
-	dst.RowOff = dst.RowOff[:len(rows)+1]
-	dst.RowOff[0] = 0
-	for r, c := range counts {
-		dst.RowOff[r+1] = dst.RowOff[r] + c
-	}
-	nnz := int(dst.RowOff[len(rows)])
-	if cap(dst.Cols) < nnz {
-		dst.Cols = make([]int32, nnz)
-	}
-	if cap(dst.Vals) < nnz {
-		dst.Vals = make([]float32, nnz)
-	}
-	dst.Cols = dst.Cols[:nnz]
-	dst.Vals = dst.Vals[:nnz]
-	if cap(dst.Bias) < len(rows) {
-		dst.Bias = make([]float32, len(rows))
-	}
-	dst.Bias = dst.Bias[:len(rows)]
-
-	// Pass 2: fill the spans and zero the buffers as they are consumed.
-	parallelIndexed(workers, len(rows), func(_, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			j := rows[r]
-			g := l.gW[j]
-			at := dst.RowOff[r]
-			if cols == nil {
-				for i, gi := range g {
-					if gi != 0 {
-						dst.Cols[at] = int32(i)
-						dst.Vals[at] = gi
-						g[i] = 0
-						at++
-					}
-				}
-			} else {
-				for _, i := range cols {
-					if gi := g[i]; gi != 0 {
-						dst.Cols[at] = i
-						dst.Vals[at] = gi
-						g[i] = 0
-						at++
-					}
-				}
-			}
-			dst.Bias[r] = l.gB[j]
-			l.gB[j] = 0
-		}
-	})
 }
 
 // scanSpan is the least number of stamps worth a scanStamps worker of its

@@ -113,7 +113,7 @@ func LoadModel(r io.Reader) (*Network, error) {
 		return nil, fmt.Errorf("core: decoding model config: %w", err)
 	}
 	// UpdateMode 1 was a retired compare-and-swap mode that ran
-	// ModeHogwild's code on every non-legacy path; load it as that.
+	// ModeHogwild's code; load it as that.
 	if cfg.UpdateMode == 1 {
 		cfg.UpdateMode = optim.ModeHogwild
 	}

@@ -28,7 +28,8 @@ func v2File(cfgJSON string, layers [][3]uint32) []byte {
 // any other. The retired update mode 1 loads as ModeHogwild, whose code it
 // ran; any other unknown update mode or activation is an error rather
 // than a network that silently trains as hogwild or applies no
-// non-linearity.
+// non-linearity, and a shape int32 indices cannot address is an error
+// before any weight memory is sized for it.
 func TestLoadModelValidatesConfig(t *testing.T) {
 	file := func(act, mode int) []byte {
 		cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":4,"Activation":%d},{"Size":3,"Activation":1}],"UpdateMode":%d}`, act, mode)
@@ -44,15 +45,19 @@ func TestLoadModelValidatesConfig(t *testing.T) {
 		}
 	})
 	for _, bad := range []struct {
-		name      string
-		act, mode int
+		name string
+		data []byte
 	}{
-		{"update mode 7", int(ActReLU), 7},
-		{"update mode -1", int(ActReLU), -1},
-		{"activation 9", 9, int(optim.ModeHogwild)},
+		{"update mode 7", file(int(ActReLU), 7)},
+		{"update mode -1", file(int(ActReLU), -1)},
+		{"activation 9", file(9, int(optim.ModeHogwild))},
+		// Headers only: loading must fail before it reads any weights.
+		{"layer size 2^50", v2File(`{"InputDim":4,"Layers":[{"Size":1125899906842624,"Activation":1}]}`, nil)},
+		{"layer 70000x70000", v2File(`{"InputDim":70000,"Layers":[{"Size":70000,"Activation":1}]}`, nil)},
+		{"input dim 2^31", v2File(`{"InputDim":2147483648,"Layers":[{"Size":1,"Activation":1}]}`, nil)},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
-			if _, err := LoadModel(bytes.NewReader(file(bad.act, bad.mode))); err == nil {
+			if _, err := LoadModel(bytes.NewReader(bad.data)); err == nil {
 				t.Error("LoadModel accepted the file")
 			}
 		})

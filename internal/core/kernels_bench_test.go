@@ -11,11 +11,11 @@ import (
 
 // Hot-path benchmarks for the kernel engine: one element's forward and
 // backward pass at a serving-shaped operating point (sparse features into
-// a mirrored 128-wide hidden layer, ~2% active output layer), per kernel
-// mode. CI runs these at -benchtime=1x as a smoke check.
+// a mirrored 128-wide hidden layer, ~2% active output layer). CI runs
+// these at -benchtime=1x as a smoke check.
 
 // benchKernelNet builds the paper-shaped network at a benchable scale.
-func benchKernelNet(b *testing.B, km KernelMode) (*Network, *elemState, []dataset.Example) {
+func benchKernelNet(b *testing.B) (*Network, *elemState, []dataset.Example) {
 	b.Helper()
 	ds, err := dataset.Generate(dataset.Profile{
 		Name:        "kernel-bench",
@@ -36,7 +36,6 @@ func benchKernelNet(b *testing.B, km KernelMode) (*Network, *elemState, []datase
 	n, err := NewNetwork(Config{
 		InputDim: ds.InputDim,
 		Seed:     23,
-		Kernels:  km,
 		Layers: []LayerConfig{
 			{Size: 128, Activation: ActReLU},
 			{
@@ -56,8 +55,8 @@ func benchKernelNet(b *testing.B, km KernelMode) (*Network, *elemState, []datase
 	return n, st, ds.Train
 }
 
-func benchForwardElem(b *testing.B, km KernelMode, mode forwardMode) {
-	n, st, train := benchKernelNet(b, km)
+func benchForwardElem(b *testing.B, mode forwardMode) {
+	n, st, train := benchKernelNet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex := &train[i%len(train)]
@@ -66,19 +65,19 @@ func benchForwardElem(b *testing.B, km KernelMode, mode forwardMode) {
 }
 
 // Training-shaped forward (sampled output active set).
-func BenchmarkForwardTrainKernel(b *testing.B) { benchForwardElem(b, KernelAuto, modeTrain) }
-func BenchmarkForwardTrainLegacy(b *testing.B) { benchForwardElem(b, KernelLegacy, modeTrain) }
+func BenchmarkForwardTrainKernel(b *testing.B) { benchForwardElem(b, modeTrain) }
 
 // Exact-inference forward (full output layer).
-func BenchmarkForwardFullKernel(b *testing.B) { benchForwardElem(b, KernelAuto, modeEvalFull) }
-func BenchmarkForwardFullLegacy(b *testing.B) { benchForwardElem(b, KernelLegacy, modeEvalFull) }
+func BenchmarkForwardFullKernel(b *testing.B) { benchForwardElem(b, modeEvalFull) }
 
 // BenchmarkForwardLayer0* isolate the mirrored input layer — the kernel
 // the gather→scatter rewrite targets: 64 sparse features into 128 dense
 // neurons, gather issuing 128 scattered sparse dots vs scatter streaming
-// 64 contiguous column slices.
-func benchForwardLayer0(b *testing.B, km KernelMode) {
-	n, st, train := benchKernelNet(b, km)
+// 64 contiguous column slices. The form is pinned through the crossover:
+// 0 always gathers, above 1 always scatters.
+func benchForwardLayer0(b *testing.B, crossover float64) {
+	n, st, train := benchKernelNet(b)
+	n.crossover = crossover
 	l := n.layers[0]
 	ls := &st.layers[0]
 	ls.reset(true, l.out)
@@ -90,12 +89,11 @@ func benchForwardLayer0(b *testing.B, km KernelMode) {
 	}
 }
 
-func BenchmarkForwardLayer0Scatter(b *testing.B) { benchForwardLayer0(b, KernelScatter) }
-func BenchmarkForwardLayer0Gather(b *testing.B)  { benchForwardLayer0(b, KernelGather) }
-func BenchmarkForwardLayer0Legacy(b *testing.B)  { benchForwardLayer0(b, KernelLegacy) }
+func BenchmarkForwardLayer0Scatter(b *testing.B) { benchForwardLayer0(b, 2) }
+func BenchmarkForwardLayer0Gather(b *testing.B)  { benchForwardLayer0(b, 0) }
 
-func benchBackwardElem(b *testing.B, km KernelMode) {
-	n, st, train := benchKernelNet(b, km)
+func BenchmarkBackwardElemKernel(b *testing.B) {
+	n, st, train := benchKernelNet(b)
 	n.beginBatch()
 	ex := &train[0]
 	n.forwardElem(st, ex.Features, ex.Labels, modeTrain)
@@ -105,13 +103,10 @@ func benchBackwardElem(b *testing.B, km KernelMode) {
 	}
 }
 
-func BenchmarkBackwardElemKernel(b *testing.B) { benchBackwardElem(b, KernelAuto) }
-func BenchmarkBackwardElemLegacy(b *testing.B) { benchBackwardElem(b, KernelLegacy) }
-
-// BenchmarkPredictKernelVsLegacy measures the end-to-end serving path
-// (pooled Predictor, exact top-k) under both engines at the bench shape.
-func benchPredictEngine(b *testing.B, km KernelMode) {
-	n, _, train := benchKernelNet(b, km)
+// BenchmarkPredictEngineKernel measures the end-to-end serving path
+// (pooled Predictor, exact top-k) at the bench shape.
+func BenchmarkPredictEngineKernel(b *testing.B) {
+	n, _, train := benchKernelNet(b)
 	pred, err := n.NewPredictor()
 	if err != nil {
 		b.Fatal(err)
@@ -127,6 +122,3 @@ func benchPredictEngine(b *testing.B, km KernelMode) {
 		}
 	}
 }
-
-func BenchmarkPredictEngineKernel(b *testing.B) { benchPredictEngine(b, KernelAuto) }
-func BenchmarkPredictEngineLegacy(b *testing.B) { benchPredictEngine(b, KernelLegacy) }

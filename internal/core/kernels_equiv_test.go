@@ -4,21 +4,25 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
 )
 
 // Kernel-equivalence property tests: the density-adaptive engine's gather
-// and scatter forms must agree with the legacy per-neuron reference path
+// and scatter forms, and the form the plan picks, must agree with a
+// test-side per-active-neuron reference (b + Σ w·x, then the activation)
 // across architectures, active fractions, full/dense modes and all three
-// activations. Per-row summation order is preserved by the gather form
-// (bitwise agreement modulo position permutation); the scatter form and
-// softmax normalization reassociate sums and are held to a 1e-5 relative
-// bound. The internal/kernels and internal/vecmath tests pin the bitwise
-// halves at the kernel level; these tests pin the network-level routing.
+// activations, within a 1e-5 relative bound (the forms and softmax
+// normalization reassociate sums). The backward pass must equal a dense
+// replay of the same contributions bit for bit. The internal/kernels and
+// internal/vecmath tests pin the kernels themselves; these tests pin the
+// network-level routing.
 
 // equivArchs lists network shapes covering every routing case: mirrored
 // first layers (scatter-eligible), sampled layers (gather over sparse
@@ -80,69 +84,107 @@ func equivInputs(dim int) []sparse.Vector {
 	return xs
 }
 
-// outMap flattens the output layer's active state to id → activation.
-func outMap(st *elemState) map[int32]float32 {
-	out := &st.layers[len(st.layers)-1]
-	m := make(map[int32]float32, len(out.vals))
-	if out.full {
-		for j, v := range out.vals {
-			m[int32(j)] = v
-		}
-		return m
-	}
-	for a, j := range out.ids {
-		m[j] = out.vals[a]
-	}
-	return m
-}
-
 func relDiff(a, b float32) float64 {
 	fa, fb := float64(a), float64(b)
 	scale := math.Max(1, math.Max(math.Abs(fa), math.Abs(fb)))
 	return math.Abs(fa-fb) / scale
 }
 
-// TestKernelForwardEquivalence runs identical inputs through networks
-// that differ only in kernel mode and requires the active sets to match
-// exactly and the activations to agree within 1e-5.
+// refActivations is the reference forward for one layer: per active
+// neuron, b + Σ w·x in float64 over the layer input, then the layer's
+// activation (softmax over the active set).
+func refActivations(l *Layer, ls *layerState, inIds []int32, inVals []float32, inFull bool) []float64 {
+	out := make([]float64, len(ls.vals))
+	for a := range out {
+		j := a
+		if !ls.full {
+			j = int(ls.ids[a])
+		}
+		s := float64(l.b[j])
+		if inFull {
+			for i, x := range inVals {
+				s += float64(l.w[j][i]) * float64(x)
+			}
+		} else {
+			for t, i := range inIds {
+				s += float64(l.w[j][i]) * float64(inVals[t])
+			}
+		}
+		out[a] = s
+	}
+	switch l.cfg.Activation {
+	case ActReLU:
+		for a := range out {
+			out[a] = math.Max(out[a], 0)
+		}
+	case ActSoftmax:
+		peak, sum := math.Inf(-1), 0.0
+		for _, v := range out {
+			peak = math.Max(peak, v)
+		}
+		for a := range out {
+			out[a] = math.Exp(out[a] - peak)
+			sum += out[a]
+		}
+		for a := range out {
+			out[a] /= sum
+		}
+	}
+	return out
+}
+
+// activeIds returns a layer's active set in ascending order.
+func activeIds(ls *layerState) []int32 {
+	if ls.full {
+		ids := make([]int32, len(ls.vals))
+		for j := range ids {
+			ids[j] = int32(j)
+		}
+		return ids
+	}
+	return slices.Sorted(slices.Values(ls.ids))
+}
+
+// TestKernelForwardEquivalence runs identical inputs through the network
+// with the form pinned to gather (crossover 0), pinned to scatter
+// (crossover 2) and planned (the calibrated crossover). Every layer's
+// activations must match the reference computed from that run's own layer
+// input within 1e-5, and the three runs must select identical active sets.
 func TestKernelForwardEquivalence(t *testing.T) {
+	forms := []struct {
+		name      string
+		crossover float64
+	}{{"gather", 0}, {"scatter", 2}, {"planned", kernels.CalibratedCrossover()}}
 	for name, cfg := range equivArchs() {
 		for _, mode := range []forwardMode{modeTrain, modeEvalSampled, modeEvalFull} {
 			t.Run(fmt.Sprintf("%s/mode%d", name, mode), func(t *testing.T) {
-				nets := map[KernelMode]*Network{}
-				states := map[KernelMode]*elemState{}
-				for _, km := range []KernelMode{KernelLegacy, KernelAuto, KernelGather, KernelScatter} {
-					c := cfg
-					c.Kernels = km
-					n, err := NewNetwork(c)
-					if err != nil {
-						t.Fatal(err)
-					}
-					st, err := newElemState(n, 77, 0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					nets[km], states[km] = n, st
-				}
 				labels := []int32{1, 5}
 				for xi, x := range equivInputs(cfg.InputDim) {
-					ref := nets[KernelLegacy]
-					ref.forwardElem(states[KernelLegacy], x, labels, mode)
-					want := outMap(states[KernelLegacy])
-					for _, km := range []KernelMode{KernelAuto, KernelGather, KernelScatter} {
-						nets[km].forwardElem(states[km], x, labels, mode)
-						got := outMap(states[km])
-						if len(got) != len(want) {
-							t.Fatalf("input %d, %v: active set size %d, legacy %d", xi, km, len(got), len(want))
+					var firstActive [][]int32
+					for _, f := range forms {
+						n := mustNet(t, cfg)
+						n.crossover = f.crossover
+						st := mustState(t, n, 77)
+						n.forwardElem(st, x, labels, mode)
+						inIds, inVals, inFull := x.Idx, x.Val, false
+						for li, l := range n.layers {
+							ls := &st.layers[li]
+							want := refActivations(l, ls, inIds, inVals, inFull)
+							for a, wv := range want {
+								if d := relDiff(ls.vals[a], float32(wv)); d > 1e-5 {
+									t.Fatalf("input %d, %s: layer %d position %d = %v, reference %v (rel %.2g)", xi, f.name, li, a, ls.vals[a], wv, d)
+								}
+							}
+							inIds, inVals, inFull = ls.ids, ls.vals, ls.full
 						}
-						for j, wv := range want {
-							gv, ok := got[j]
-							if !ok {
-								t.Fatalf("input %d, %v: neuron %d active under legacy only", xi, km, j)
-							}
-							if d := relDiff(gv, wv); d > 1e-5 {
-								t.Fatalf("input %d, %v: neuron %d = %v, legacy %v (rel %.2g)", xi, km, j, gv, wv, d)
-							}
+						var active [][]int32
+						for li := range st.layers {
+							active = append(active, activeIds(&st.layers[li]))
+						}
+						if firstActive == nil {
+							firstActive = active
+						} else if !reflect.DeepEqual(active, firstActive) {
+							t.Fatalf("input %d: %s selected different active sets than %s", xi, f.name, forms[0].name)
 						}
 					}
 				}
@@ -151,66 +193,28 @@ func TestKernelForwardEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelBackwardEquivalence runs one element's forward+backward under
-// each kernel mode and compares the extracted gradient deltas: identical
-// touched cells, values within 1e-5.
+// TestKernelBackwardEquivalence runs one element's forward+backward per
+// input and requires the extracted delta to equal the dense reference
+// replay of that element bit for bit, on every architecture — dense and
+// sparse shard rows, full and sampled active sets, dense and sparse layer
+// inputs.
 func TestKernelBackwardEquivalence(t *testing.T) {
 	for name, cfg := range equivArchs() {
 		t.Run(name, func(t *testing.T) {
-			type run struct {
-				n  *Network
-				st *elemState
-			}
-			runs := map[KernelMode]run{}
-			for _, km := range []KernelMode{KernelLegacy, KernelAuto} {
-				c := cfg
-				c.Kernels = km
-				n, err := NewNetwork(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st, err := newElemState(n, 31, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				runs[km] = run{n, st}
-			}
+			n := mustNet(t, cfg)
+			st := mustState(t, n, 31)
+			ref := newDenseGrad(n)
 			labels := []int32{2, 9}
 			for xi, x := range equivInputs(cfg.InputDim) {
-				var deltas map[KernelMode]*SparseDelta
-				deltas = map[KernelMode]*SparseDelta{}
-				for km, r := range runs {
-					r.n.beginBatch()
-					r.n.forwardElem(r.st, x, labels, modeTrain)
-					r.n.backwardElem(r.st, x, labels, nil)
-					deltas[km] = r.n.ExtractDelta(nil, 1)
+				n.beginBatch()
+				n.forwardElem(st, x, labels, modeTrain)
+				n.backwardElem(st, x, labels, nil)
+				ref.addElem(st, x)
+				got := n.ExtractDelta(nil, 1)
+				if got.Cells() == 0 {
+					t.Fatalf("input %d: empty delta", xi)
 				}
-				want, got := deltas[KernelLegacy], deltas[KernelAuto]
-				for li := range want.Layers {
-					wl, gl := &want.Layers[li], &got.Layers[li]
-					if len(wl.Rows) != len(gl.Rows) {
-						t.Fatalf("input %d layer %d: %d touched rows, legacy %d", xi, li, len(gl.Rows), len(wl.Rows))
-					}
-					for r := range wl.Rows {
-						if wl.Rows[r] != gl.Rows[r] {
-							t.Fatalf("input %d layer %d: row set diverged at %d", xi, li, r)
-						}
-						if d := relDiff(gl.Bias[r], wl.Bias[r]); d > 1e-5 {
-							t.Fatalf("input %d layer %d row %d: bias grad %v vs %v", xi, li, wl.Rows[r], gl.Bias[r], wl.Bias[r])
-						}
-					}
-					if len(wl.Cols) != len(gl.Cols) {
-						t.Fatalf("input %d layer %d: %d touched cells, legacy %d", xi, li, len(gl.Cols), len(wl.Cols))
-					}
-					for k := range wl.Cols {
-						if wl.Cols[k] != gl.Cols[k] {
-							t.Fatalf("input %d layer %d: cell set diverged at %d", xi, li, k)
-						}
-						if d := relDiff(gl.Vals[k], wl.Vals[k]); d > 1e-5 {
-							t.Fatalf("input %d layer %d cell %d: grad %v vs %v (rel %.2g)", xi, li, k, gl.Vals[k], wl.Vals[k], d)
-						}
-					}
-				}
+				requireDeltasBitIdentical(t, got, ref.delta(), fmt.Sprintf("input %d", xi))
 			}
 		})
 	}
@@ -285,43 +289,54 @@ func TestMirrorCoherence(t *testing.T) {
 	}
 }
 
-// TestKernelFormCounters: an auto run on the paper architecture must
-// exercise both forms (scatter on the mirrored input layer, gather on the
-// sampled output layer) and never the legacy path; a legacy run must be
-// legacy-only.
+// TestKernelFormCounters: a run on the paper architecture must exercise
+// both forms — scatter on the mirrored input layer, gather on the sampled
+// output layer — at the default thread count.
 func TestKernelFormCounters(t *testing.T) {
 	classes := 128
 	ds := tinyDataset(t, classes)
+	n, err := NewNetwork(tinyConfig(classes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 10, Seed: 5, EvalEvery: 0, EvalSamples: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"gather", "scatter"} {
+		if res.KernelForwards[f] == 0 {
+			t.Fatalf("no %s forwards recorded: %v", f, res.KernelForwards)
+		}
+	}
+}
+
+// TestCrossoverPinsForm: the network's crossover is the one lever that
+// pins a form. At 0 every pass gathers; above 1 every pass over the
+// mirrored input layer scatters while the sampled output layer, which has
+// no mirror, still gathers — one of each per forward, training and
+// evaluation alike.
+func TestCrossoverPinsForm(t *testing.T) {
+	classes := 128
+	ds := tinyDataset(t, classes)
 	for _, tc := range []struct {
-		mode        KernelMode
-		wantNonZero []string
-		wantZero    []string
-	}{
-		{KernelAuto, []string{"gather", "scatter"}, []string{"legacy"}},
-		{KernelLegacy, []string{"legacy"}, []string{"gather", "scatter"}},
-	} {
-		cfg := tinyConfig(classes)
-		cfg.Kernels = tc.mode
-		n, err := NewNetwork(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// One thread: the legacy run's shared-gW HOGWILD backward races by
-		// design, and the form counters don't depend on the thread count.
-		res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 10, Threads: 1, Seed: 5, EvalEvery: 0, EvalSamples: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range tc.wantNonZero {
-			if res.KernelForwards[f] == 0 {
-				t.Fatalf("%v run: no %s forwards recorded: %v", tc.mode, f, res.KernelForwards)
+		name      string
+		crossover float64
+	}{{"gather", 0}, {"scatter", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			n := mustNet(t, tinyConfig(classes))
+			n.crossover = tc.crossover
+			res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 4, Seed: 5, EvalSamples: 16})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, f := range tc.wantZero {
-			if res.KernelForwards[f] != 0 {
-				t.Fatalf("%v run: unexpected %s forwards: %v", tc.mode, f, res.KernelForwards)
+			gather, scatter := res.KernelForwards["gather"], res.KernelForwards["scatter"]
+			if gather == 0 {
+				t.Fatalf("no gather forwards recorded: %v", res.KernelForwards)
 			}
-		}
+			if tc.crossover == 0 && scatter != 0 || tc.crossover > 1 && scatter != gather {
+				t.Fatalf("crossover %v: %v", tc.crossover, res.KernelForwards)
+			}
+		})
 	}
 }
 

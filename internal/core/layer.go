@@ -22,26 +22,22 @@ type Layer struct {
 	cfg LayerConfig
 
 	// w[j] is neuron j's weight row (length in); mW/vW are the aligned
-	// Adam moments and gW the shared batch-gradient buffer that worker
-	// threads accumulate into (§3.1 HOGWILD accumulation). The rows are
-	// views into the network arena's contiguous slabs.
+	// Adam moments. The rows are views into the network arena's
+	// contiguous slabs. A batch's gradient lives in the workers' backShards
+	// (shard.go), not here.
 	w  [][]float32
 	mW [][]float32
 	vW [][]float32
-	gW [][]float32
-	// b, mB, vB, gB are biases, their moments and gradient.
+	// b, mB, vB are biases and their moments.
 	b  []float32
 	mB []float32
 	vB []float32
-	gB []float32
 
 	// touched[j] == batchEpoch marks neuron j as having accumulated
 	// gradient this batch; colStamp (nil for small fan-in layers) marks
-	// touched input columns the same way. On the sharded (fused-kernel)
-	// path workers never write them: beginFold stamps both from the shard
-	// lists at the quiesced batch boundary, single-threaded. Only the
-	// KernelLegacy shared-gW backward stores them from worker threads
-	// (racy same-value stores, which is benign).
+	// touched input columns the same way. Workers never write them:
+	// beginFold stamps both from the shard lists at the quiesced batch
+	// boundary, single-threaded.
 	touched    []uint32
 	colStamp   []uint32
 	colList    []int32   // scratch for the per-batch touched-column list
@@ -63,9 +59,9 @@ type Layer struct {
 
 	// mirror is the column-major weight mirror the scatter-form forward
 	// kernel streams (nil when the layer never scatters: sampled layers,
-	// layers whose input is always dense, and KernelLegacy networks).
-	// Derived state: ApplyDelta/applyAdamFused dual-write stepped cells
-	// and bulk weight restores call refreshMirror. The same one-resident-
+	// layers whose input is always dense, and layers wider than
+	// mirrorMaxOut). Derived state: stepRow dual-writes stepped cells and
+	// bulk weight restores call refreshMirror. The same one-resident-
 	// copy trade snapBuf makes, spent on forward speed instead of rebuild
 	// stall.
 	mirror *kernels.Mirror
@@ -100,11 +96,9 @@ func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Laye
 		w:  ar.AllocRows(cfg.Size, in),
 		mW: ar.AllocRows(cfg.Size, in),
 		vW: ar.AllocRows(cfg.Size, in),
-		gW: ar.AllocRows(cfg.Size, in),
 		b:  ar.AllocAligned(cfg.Size),
 		mB: ar.AllocAligned(cfg.Size),
 		vB: ar.AllocAligned(cfg.Size),
-		gB: ar.AllocAligned(cfg.Size),
 	}
 	l.touched = make([]uint32, cfg.Size)
 	if in > colTrackThreshold {

@@ -31,10 +31,12 @@ type Network struct {
 	layers []*Layer
 	ar     *arena.Arena
 	adam   optim.Adam
-	// kern is the resolved kernel-planning policy (Config.Kernels): every
-	// forward pass asks it for a gather/scatter/legacy form, every
-	// backward pass for fused vs reference row loops.
-	kern kernels.Config
+	// crossover is the gather/scatter input-density crossover every
+	// forward pass plans its kernel form with (kernels.ForwardForm),
+	// measured once per process by kernels.CalibratedCrossover. Tests pin
+	// a form by setting it: 0 always gathers, above 1 scatters wherever a
+	// mirror exists.
+	crossover float64
 
 	step     int64 // completed training iterations (batches)
 	rebuilds int   // completed scheduled table rebuilds: the §4.2 schedule's exponent
@@ -59,7 +61,7 @@ type Network struct {
 	rebuildBuildNS int64
 
 	// shardMu guards the backward gradient shard registry below. Shard
-	// sets are created lazily (first fused backward pass of a worker) and
+	// sets are created lazily (first backward pass of a worker) and
 	// reused across Train calls; workerShards is keyed [worker][layer],
 	// layerShards is the transpose [layer][worker] that the update phase folds.
 	shardMu      sync.Mutex
@@ -70,9 +72,9 @@ type Network struct {
 	// batches — the sparse-gradient communication payload of a
 	// distributed replica (§6 future work).
 	touchedWeights int64
-	// deltaScratch is the reusable SparseDelta a run with an exchanger (or
-	// on the legacy kernel path) drains each batch's gradient into; a
-	// local run on the sharded path steps from the fold and never fills it.
+	// deltaScratch is the reusable SparseDelta a run with an exchanger
+	// drains each batch's gradient into; a local run steps from the fold
+	// and never fills it.
 	deltaScratch *SparseDelta
 
 	// Error-feedback state for CompressTopK: efRes accumulates the
@@ -113,7 +115,7 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 			return nil, fmt.Errorf("core: softmax activation only supported on the output layer (layer %d)", i)
 		}
 	}
-	n := &Network{cfg: cfg, ar: arena.NewDefault(), adam: cfg.Adam, kern: cfg.kernelsConfig()}
+	n := &Network{cfg: cfg, ar: arena.NewDefault(), adam: cfg.Adam, crossover: kernels.CalibratedCrossover()}
 	in := cfg.InputDim
 	for i, lc := range cfg.Layers {
 		l, err := newLayer(i, in, lc, n.ar, cfg.Seed)
@@ -123,16 +125,14 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 		n.layers = append(n.layers, l)
 		in = lc.Size
 	}
-	if cfg.Kernels != KernelLegacy {
-		// A layer's input arrives sparse when it is first (the example's
-		// feature vector) or follows a sampled layer (an active-id set);
-		// only those layers can ever run the scatter form, so only they
-		// pay for a mirror.
-		sparseIn := true
-		for _, l := range n.layers {
-			l.initMirror(sparseIn, n.ar)
-			sparseIn = l.Sampled()
-		}
+	// A layer's input arrives sparse when it is first (the example's
+	// feature vector) or follows a sampled layer (an active-id set); only
+	// those layers can ever run the scatter form, so only they pay for a
+	// mirror.
+	sparseIn := true
+	for _, l := range n.layers {
+		l.initMirror(sparseIn, n.ar)
+		sparseIn = l.Sampled()
 	}
 	if buildTables {
 		n.RebuildTables(0)
@@ -143,10 +143,6 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 
 // Config returns the network's (defaulted) configuration.
 func (n *Network) Config() Config { return n.cfg }
-
-// KernelPolicy returns the resolved kernel-planning policy, including the
-// effective gather/scatter density crossover.
-func (n *Network) KernelPolicy() kernels.Config { return n.kern }
 
 // NumLayers returns the layer count.
 func (n *Network) NumLayers() int { return len(n.layers) }

@@ -6,22 +6,16 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Sharded backward scatter: the multicore refactor of the gradient
-// accumulation path.
+// Sharded backward scatter: the one gradient store.
 //
-// The PR 5 backward pass bottoms out in a scatter into the layer's shared
-// gW buffers — HOGWILD-racy (ModeHogwild) or replayed post-batch
-// (ModeBatchSync). Both contend on the same cache
-// lines once more than one worker touches the same hot rows, which is
-// exactly what the paper's 44-core claim cannot afford. Since the
-// sparse-gradient pipeline (PR 4) made "weights only move at batch
-// boundaries" an explicit invariant, the whole batch's gradient work is
-// free to land in per-worker private buffers instead: each worker owns one
-// backShard per layer, writes it with no interference of any kind, and
-// ExtractDelta folds the shards at the batch boundary — summing per cell
-// in fixed shard order, so the result is deterministic given the
-// element-to-worker assignment, and bit-identical to the shared-buffer
-// path whenever that assignment is (one thread, or id-sharded BatchSync).
+// A batch's gradient never lands in memory two workers share. Weights only
+// move at batch boundaries, so each worker owns one backShard per layer,
+// writes it with no interference of any kind, and the batch boundary folds
+// the shards — summing per cell in fixed shard order, so the result is
+// deterministic given the element-to-worker assignment. With one worker, or
+// with id-sharded BatchSync at any worker count, it equals a dense
+// [out][in] accumulator that replays the contributions in element (record)
+// order, bit for bit; the tests pin that against such a reference.
 //
 // Storage adapts to the layer's input shape, decided once per network
 // (the input of a layer is statically sparse or dense in training):
@@ -218,14 +212,13 @@ func (n *Network) resetShardStamps() {
 	}
 }
 
-// accumulateSharded is the fused modes' backward scatter: the same row
-// kernels as the shared-buffer path, aimed at the worker's private shard.
-// Unlike the legacy path it performs no shared writes at all — not even
-// the benign same-value touched/colStamp stores; extraction derives the
-// batch's row/column union from the shard lists at the boundary. With
-// weights only moving at batch boundaries, that makes the whole fused
-// backward race-free by construction (the race detector agrees), while
-// keeping HOGWILD's zero-coordination hot loop.
+// accumulateSharded is the backward scatter, aimed at the worker's
+// private shard. It performs no shared writes at all — not even stamps of
+// the touched rows and columns; the fold derives the batch's row/column
+// union from the shard lists at the boundary. With weights only moving at
+// batch boundaries, that makes the whole backward race-free by
+// construction (the race detector agrees), while keeping HOGWILD's
+// zero-coordination hot loop.
 func (l *Layer) accumulateSharded(sh *backShard, ls *layerState, inIds []int32, inVals []float32, inFull bool, acc []float32) {
 	epoch := l.batchEpoch
 	sh.sync(epoch)
@@ -274,12 +267,12 @@ func (l *Layer) accRowSharded(sh *backShard, j int32, dj float32, epoch uint32, 
 	sh.bias[r] += dj
 }
 
-// replayRecordShard is accumulateRecordShard's sharded counterpart for
-// ModeBatchSync: worker-shard `shard` replays every record's rows with
-// id ∈ shard (mod shards) into its own backShard. Each neuron row lives in
-// exactly one shard, so the per-cell addition sequence is the record order
-// — independent of the thread count, which keeps BatchSync's determinism
-// guarantee, now without any shared gradient writes at all.
+// replayRecordShard is ModeBatchSync's accumulation: worker-shard `shard`
+// replays every record's rows with id ∈ shard (mod shards) into its own
+// backShard. Each neuron row lives in exactly one shard, so the per-cell
+// addition sequence is the record order — independent of the thread
+// count, which is BatchSync's determinism guarantee, without any shared
+// gradient writes.
 func replayRecordShard(l *Layer, sh *backShard, lr *layerRecord, shard, shards int) {
 	epoch := l.batchEpoch
 	sh.sync(epoch)
@@ -460,7 +453,7 @@ func (l *Layer) foldRow(r, wk int) (g []float32, gb float32) {
 
 // endFold marks the live shards consumed: the batch's gradient has been
 // stepped or now lives in the compacted delta alone, so a second extract
-// in the same batch is empty — the legacy path's zero-as-you-go semantics.
+// in the same batch is empty.
 func (l *Layer) endFold() {
 	for _, sh := range l.fold.live {
 		sh.epoch = 0
@@ -481,8 +474,8 @@ func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int6
 }
 
 // compactFold is the fold's delta consumer: the CSR contract of
-// Layer.ExtractDelta (rows ascending, columns ascending within rows, zero
-// cells skipped) appended to a reset dst. Workers compact contiguous row
+// LayerDelta (rows ascending, columns ascending within rows, zero cells
+// skipped) appended to a reset dst. Workers compact contiguous row
 // spans — worker 0, whose span comes first, straight into dst, the others
 // into private chunks concatenated behind it in worker order — so each row
 // is folded once and no counting pass is needed.
@@ -530,8 +523,8 @@ func (l *Layer) compactFold(dst *LayerDelta, workers int) {
 	}
 }
 
-// extractSharded drains the layer's shards into dst — the sharded
-// counterpart of Layer.ExtractDelta — and marks them consumed.
+// extractSharded drains the layer's shards into dst (an empty delta when
+// none holds gradient) and marks them consumed.
 func (l *Layer) extractSharded(dst *LayerDelta, shards []*backShard, workers int) {
 	dst.reset()
 	if !l.beginFold(shards, workers) {

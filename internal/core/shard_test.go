@@ -1,151 +1,209 @@
 package core
 
 import (
-	"reflect"
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
-	"repro/internal/kernels"
 	"repro/internal/optim"
+	"repro/internal/sparse"
 )
 
-// flipForm temporarily pins the network's kernel form — the lever the
-// equivalence tests below use to run the same captured state through the
-// sharded and the legacy accumulation paths.
-func flipForm(n *Network, f kernels.Form) (restore func()) {
-	old := n.kern.Force
-	n.kern.Force = f
-	return func() { n.kern.Force = old }
+// denseGrad is the test-side reference for the sharded gradient store: a
+// dense [out][in] accumulator plus bias per layer that replays every
+// contribution in the order it is handed over — g[j][i] += δ_j·x_i, the
+// same cell update in the same order a single shard (or an id-shard's
+// record replay) performs.
+type denseGrad struct {
+	w [][][]float32 // [layer][row][col]
+	b [][]float32
+	// touched marks rows that received any non-zero δ — the rows the
+	// sharded path claims.
+	touched [][]bool
 }
 
-// TestShardedBackwardMatchesLegacyBitwise is the tentpole's anchor: in
-// ModeHogwild, a single-worker run whose gradients land in per-worker
-// shards must leave weights, biases and Adam moments bit-for-bit identical
-// to the same run accumulating into the shared gW buffers. Both networks
-// use the gather forward form, so the only difference is where backward's
-// floats land; layer 0 exercises the sparse-column shard storage (wide
-// fan-in, sparse input) and layer 1 the dense arena rows (narrow fan-in,
-// dense input).
-func TestShardedBackwardMatchesLegacyBitwise(t *testing.T) {
+func newDenseGrad(n *Network) *denseGrad {
+	g := &denseGrad{}
+	for _, l := range n.layers {
+		rows := make([][]float32, l.out)
+		for j := range rows {
+			rows[j] = make([]float32, l.in)
+		}
+		g.w = append(g.w, rows)
+		g.b = append(g.b, make([]float32, l.out))
+		g.touched = append(g.touched, make([]bool, l.out))
+	}
+	return g
+}
+
+// add replays one layer contribution: δ over the active rows (every row
+// when full, else ids aligned with delta) against the layer input.
+func (g *denseGrad) add(li int, full bool, ids []int32, delta []float32, inIds []int32, inVals []float32, inFull bool) {
+	for a, dj := range delta {
+		j := int32(a)
+		if !full {
+			j = ids[a]
+		}
+		if dj == 0 {
+			continue
+		}
+		g.touched[li][j] = true
+		row := g.w[li][j]
+		if inFull {
+			for i, x := range inVals {
+				row[i] += dj * x
+			}
+		} else {
+			for t, i := range inIds {
+				row[i] += dj * inVals[t]
+			}
+		}
+		g.b[li][j] += dj
+	}
+}
+
+// addElem replays one element's backward pass from its worker state: each
+// layer's active rows and δ against the previous layer's activations (the
+// example's features for layer 0).
+func (g *denseGrad) addElem(st *elemState, x sparse.Vector) {
+	inIds, inVals, inFull := x.Idx, x.Val, false
+	for li := range st.layers {
+		ls := &st.layers[li]
+		g.add(li, ls.full, ls.ids, ls.delta[:len(ls.vals)], inIds, inVals, inFull)
+		inIds, inVals, inFull = ls.ids, ls.vals, ls.full
+	}
+}
+
+// addRecord replays one BatchSync record.
+func (g *denseGrad) addRecord(rec *elemRecord) {
+	for li := range rec.layers {
+		lr := &rec.layers[li]
+		g.add(li, lr.full, lr.ids, lr.delta, lr.inIds, lr.inVals, lr.inFull)
+	}
+}
+
+// delta compacts the accumulator to ExtractDelta's contract — touched rows
+// ascending, each row's non-zero cells by ascending column, every touched
+// row's bias — and resets it for the next batch.
+func (g *denseGrad) delta() *SparseDelta {
+	d := &SparseDelta{Layers: make([]LayerDelta, len(g.w))}
+	for li, rows := range g.w {
+		ld := &d.Layers[li]
+		ld.RowOff = []int32{0}
+		for j, row := range rows {
+			if !g.touched[li][j] {
+				continue
+			}
+			for i, v := range row {
+				if v != 0 {
+					ld.Cols = append(ld.Cols, int32(i))
+					ld.Vals = append(ld.Vals, v)
+				}
+			}
+			ld.Rows = append(ld.Rows, int32(j))
+			ld.RowOff = append(ld.RowOff, int32(len(ld.Cols)))
+			ld.Bias = append(ld.Bias, g.b[li][j])
+			clear(row)
+			g.b[li][j] = 0
+			g.touched[li][j] = false
+		}
+	}
+	return d
+}
+
+// requireDeltasBitIdentical compares two deltas' structure and every value
+// bit for bit.
+func requireDeltasBitIdentical(t *testing.T, got, want *SparseDelta, context string) {
+	t.Helper()
+	if len(got.Layers) != len(want.Layers) {
+		t.Fatalf("%s: %d layers, want %d", context, len(got.Layers), len(want.Layers))
+	}
+	bits := func(v []float32) []uint32 {
+		out := make([]uint32, len(v))
+		for i, f := range v {
+			out[i] = math.Float32bits(f)
+		}
+		return out
+	}
+	for li := range want.Layers {
+		g, w := &got.Layers[li], &want.Layers[li]
+		switch {
+		case !slices.Equal(g.Rows, w.Rows):
+			t.Fatalf("%s: layer %d rows %v, want %v", context, li, g.Rows, w.Rows)
+		case !slices.Equal(g.RowOff, w.RowOff) || !slices.Equal(g.Cols, w.Cols):
+			t.Fatalf("%s: layer %d cell structure differs", context, li)
+		case !slices.Equal(bits(g.Vals), bits(w.Vals)):
+			t.Fatalf("%s: layer %d gradient values differ", context, li)
+		case !slices.Equal(bits(g.Bias), bits(w.Bias)):
+			t.Fatalf("%s: layer %d bias gradients differ", context, li)
+		}
+	}
+}
+
+// TestShardedBackwardMatchesReference: in ModeHogwild at one worker, the
+// delta folded from the per-worker shards must equal the dense reference
+// replaying each element's (active rows, δ, layer input) in element order,
+// bit for bit, batch after batch as the weights move. Layer 0 exercises the
+// sparse-column shard storage (wide fan-in, sparse input), layer 1 the
+// dense arena rows (narrow fan-in, dense input).
+func TestShardedBackwardMatchesReference(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
-	mode := optim.ModeHogwild
-	t.Run(mode.String(), func(t *testing.T) {
-		cfg := deltaTestConfig(classes, mode)
-		cfg.Kernels = KernelGather
-		sharded := mustNet(t, cfg)
-		legacy := mustNet(t, cfg)
-		stS := mustState(t, sharded, 99)
-		stL := mustState(t, legacy, 99)
+	n := mustNet(t, deltaTestConfig(classes, optim.ModeHogwild))
+	st := mustState(t, n, 99)
+	ref := newDenseGrad(n)
 
-		const batchSize = 32
-		for b := 0; b < 4; b++ {
-			batch := ds.Train[b*batchSize : (b+1)*batchSize]
-			alpha := sharded.adam.Alpha(int64(b) + 1)
-			invB := float32(1.0 / batchSize)
-			runManualBatch(t, sharded, stS, batch, nil)
-
-			// Reference run: identical gather forward, legacy
-			// shared-buffer backward + extraction.
-			legacy.beginBatch()
-			for i := range batch {
-				legacy.forwardElem(stL, batch[i].Features, batch[i].Labels, modeTrain)
-				restore := flipForm(legacy, kernels.FormLegacy)
-				legacy.backwardElem(stL, batch[i].Features, batch[i].Labels, nil)
-				restore()
-			}
-
-			sharded.applyAdamBatch(alpha, invB, 3)
-			restore := flipForm(legacy, kernels.FormLegacy)
-			legacy.applyAdamBatch(alpha, invB, 3)
-			restore()
-		}
-		requireNetsBitIdentical(t, sharded, legacy, "sharded vs legacy backward")
-		if sharded.touchedWeights != legacy.touchedWeights {
-			t.Fatalf("touchedWeights: sharded %d != legacy %d", sharded.touchedWeights, legacy.touchedWeights)
-		}
-		if sharded.touchedWeights == 0 {
-			t.Fatal("no gradient cells were applied; test is vacuous")
-		}
-	})
-}
-
-// TestBatchSyncShardedMatchesLegacyReplay: the id-sharded BatchSync replay
-// into backShards must extract the bit-identical SparseDelta to the legacy
-// shared-buffer replay of the same captured records.
-func TestBatchSyncShardedMatchesLegacyReplay(t *testing.T) {
-	const classes = 96
-	ds := deltaTestDataset(t, classes)
-	cfg := deltaTestConfig(classes, optim.ModeBatchSync)
-	cfg.Kernels = KernelGather
-	n := mustNet(t, cfg)
-	st := mustState(t, n, 42)
-
-	const batchSize = 24
-	batch := ds.Train[:batchSize]
-	records := make([]*elemRecord, batchSize)
-	for i := range records {
-		records[i] = &elemRecord{}
-	}
-	n.beginBatch()
-	for i := range batch {
-		n.forwardElem(st, batch[i].Features, batch[i].Labels, modeTrain)
-		n.backwardElem(st, batch[i].Features, batch[i].Labels, records[i])
-	}
-
-	n.accumulateBatchSync(records, 3)
-	fromShards := n.ExtractDelta(nil, 2).Clone()
-
-	// Replay the same records through the legacy path. The shards were
-	// consumed by the extraction above, and the legacy replay writes gW,
-	// so the second extraction reads exclusively legacy state.
-	restore := flipForm(n, kernels.FormLegacy)
-	n.accumulateBatchSync(records, 3)
-	fromBuffers := n.ExtractDelta(nil, 2).Clone()
-	restore()
-
-	if !reflect.DeepEqual(fromShards, fromBuffers) {
-		t.Fatal("sharded BatchSync replay extracted a different delta than the legacy replay")
-	}
-	if fromShards.Cells() == 0 {
-		t.Fatal("empty delta; test is vacuous")
-	}
-}
-
-// TestBatchSyncShardedThreadCountInvariant: with id-sharded replay each
-// neuron row lives in exactly one shard and sees the records in record
-// order, so the extracted delta must be bit-identical for any worker
-// count.
-func TestBatchSyncShardedThreadCountInvariant(t *testing.T) {
-	const classes = 96
-	ds := deltaTestDataset(t, classes)
-	baseCfg := deltaTestConfig(classes, optim.ModeBatchSync)
-
-	extractWith := func(workers int) *SparseDelta {
-		n := mustNet(t, baseCfg)
-		st := mustState(t, n, 42)
-		const batchSize = 24
-		batch := ds.Train[:batchSize]
-		records := make([]*elemRecord, batchSize)
-		for i := range records {
-			records[i] = &elemRecord{}
-		}
+	const batchSize = 32
+	for b := 0; b < 4; b++ {
+		batch := ds.Train[b*batchSize : (b+1)*batchSize]
 		n.beginBatch()
 		for i := range batch {
 			n.forwardElem(st, batch[i].Features, batch[i].Labels, modeTrain)
-			n.backwardElem(st, batch[i].Features, batch[i].Labels, records[i])
+			n.backwardElem(st, batch[i].Features, batch[i].Labels, nil)
+			ref.addElem(st, batch[i].Features)
 		}
-		n.accumulateBatchSync(records, workers)
-		return n.ExtractDelta(nil, 2).Clone()
+		got := n.ExtractDelta(nil, 3)
+		if got.Cells() == 0 {
+			t.Fatal("empty delta; test is vacuous")
+		}
+		requireDeltasBitIdentical(t, got, ref.delta(), fmt.Sprintf("batch %d", b))
+		if _, err := n.ApplyDelta(got, n.adam.Alpha(int64(b)+1), 1.0/batchSize, 3); err != nil {
+			t.Fatal(err)
+		}
 	}
+}
 
-	ref := extractWith(1)
-	if ref.Cells() == 0 {
-		t.Fatal("empty delta; test is vacuous")
-	}
-	for _, workers := range []int{2, 3, 7} {
-		if got := extractWith(workers); !reflect.DeepEqual(ref, got) {
-			t.Fatalf("BatchSync delta with %d workers differs from 1 worker", workers)
-		}
+// TestBatchSyncShardedMatchesReference: the id-sharded BatchSync replay
+// must extract the dense reference's delta — the captured records replayed
+// in record order — bit for bit at any worker count.
+func TestBatchSyncShardedMatchesReference(t *testing.T) {
+	const classes = 96
+	ds := deltaTestDataset(t, classes)
+	const batchSize = 24
+	batch := ds.Train[:batchSize]
+	for _, workers := range []int{1, 2, 3, 7} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			n := mustNet(t, deltaTestConfig(classes, optim.ModeBatchSync))
+			st := mustState(t, n, 42)
+			records := make([]*elemRecord, batchSize)
+			for i := range records {
+				records[i] = &elemRecord{}
+			}
+			n.beginBatch()
+			ref := newDenseGrad(n)
+			for i := range batch {
+				n.forwardElem(st, batch[i].Features, batch[i].Labels, modeTrain)
+				n.backwardElem(st, batch[i].Features, batch[i].Labels, records[i])
+				ref.addRecord(records[i])
+			}
+			n.accumulateBatchSync(records, workers)
+			got := n.ExtractDelta(nil, 2)
+			if got.Cells() == 0 {
+				t.Fatal("empty delta; test is vacuous")
+			}
+			requireDeltasBitIdentical(t, got, ref.delta(), "BatchSync replay")
+		})
 	}
 }
 

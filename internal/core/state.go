@@ -91,7 +91,7 @@ type elemState struct {
 	// network's backward gradient shard set (shard.go).
 	wk int
 	// shards is the worker's per-layer backward gradient shards, attached
-	// lazily on the first fused backward pass and reused across batches
+	// lazily on the first backward pass and reused across batches
 	// and Train calls.
 	shards []*backShard
 

@@ -7,14 +7,12 @@ import (
 
 // Startup auto-tuning of the gather/scatter density crossover.
 //
-// DefaultScatterMaxDensity (25%) was measured on one development machine;
-// the real crossover moves with cache sizes and memory bandwidth. The
-// calibration below times both forms on a fixed synthetic layer shape at a
-// grid of input densities and places the crossover between the last
-// density where scatter won and the first where gather won. It runs once
-// per process (sync.Once), costs a few milliseconds, and is bypassed
-// entirely when the caller pins Config.ScatterMaxDensity — the override
-// seeded determinism tests use.
+// The crossover moves with cache sizes and memory bandwidth, so it is
+// measured rather than fixed. The calibration below times both forms on a
+// fixed synthetic layer shape at a grid of input densities and places the
+// crossover between the last density where scatter won and the first
+// where gather won. It runs once per process (sync.Once) and costs a few
+// milliseconds; a network resolves it once at construction.
 
 const (
 	calibIn  = 1024 // calibration fan-in

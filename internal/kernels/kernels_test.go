@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/rng"
 )
 
@@ -177,7 +178,7 @@ func withinTol(a, b, tol float64) bool {
 }
 
 // TestMirrorSetTracksRows: dual-writing single cells keeps the mirror
-// coherent with the rows it shadows.
+// coherent with the rows it shadows, heap- or arena-backed.
 func TestMirrorSetTracksRows(t *testing.T) {
 	r := rng.New(3)
 	const in, out = 37, 19
@@ -188,27 +189,28 @@ func TestMirrorSetTracksRows(t *testing.T) {
 			rows[j][i] = r.NormFloat32()
 		}
 	}
-	m := NewMirror(in, out)
-	m.Rebuild(rows)
-	for step := 0; step < 500; step++ {
-		j, i := int32(r.Intn(out)), int32(r.Intn(in))
-		v := r.NormFloat32()
-		rows[j][i] = v
-		m.Set(j, i, v)
-	}
-	for i := int32(0); int(i) < in; i++ {
-		col := m.Col(i)
-		for j := range col {
-			if col[j] != rows[j][i] {
-				t.Fatalf("mirror[%d][%d] = %v, rows = %v", i, j, col[j], rows[j][i])
+	for _, m := range []*Mirror{NewMirror(in, out), NewArenaMirror(in, out, arena.New(0))} {
+		m.Rebuild(rows)
+		for step := 0; step < 500; step++ {
+			j, i := int32(r.Intn(out)), int32(r.Intn(in))
+			v := r.NormFloat32()
+			rows[j][i] = v
+			m.Set(j, i, v)
+		}
+		for i := int32(0); int(i) < in; i++ {
+			col := m.Col(i)
+			for j := range col {
+				if col[j] != rows[j][i] || m.At(int32(j), i) != rows[j][i] {
+					t.Fatalf("mirror[%d][%d] = %v, rows = %v", i, j, col[j], rows[j][i])
+				}
 			}
 		}
 	}
 }
 
 // TestMirrorSetRowMatchesSet: the row-span writer stores exactly what one
-// Set per stepped cell stores, in every format, for indexed and identity
-// columns, and leaves the cells the zero skip passes over alone.
+// Set per stepped cell stores, for indexed and identity columns, and
+// leaves the cells the zero skip passes over alone.
 func TestMirrorSetRowMatchesSet(t *testing.T) {
 	r := rng.New(4)
 	const in, out = 41, 13
@@ -219,49 +221,47 @@ func TestMirrorSetRowMatchesSet(t *testing.T) {
 			rows[j][i] = r.NormFloat32()
 		}
 	}
-	for _, format := range []MirrorFormat{MirrorFP32, MirrorBF16, MirrorInt8} {
-		for _, indexed := range []bool{false, true} {
-			for _, skipZero := range []bool{false, true} {
-				span, cell := NewMirrorFormat(in, out, format, nil), NewMirrorFormat(in, out, format, nil)
-				span.Rebuild(rows)
-				cell.Rebuild(rows)
-				for j := int32(0); j < out; j++ {
-					var cols []int32
-					g := make([]float32, in)
-					if indexed {
-						for i := int32(0); i < in; i++ {
-							if r.Intn(3) == 0 {
-								cols = append(cols, i)
-							}
-						}
-						g = g[:len(cols)]
-					}
-					w := make([]float32, in)
-					for i := range w {
-						w[i] = 3 * r.NormFloat32() // past int8's headroom now and then
-					}
-					for k := range g {
-						if r.Intn(10) >= 3 {
-							g[k] = r.NormFloat32()
+	for _, indexed := range []bool{false, true} {
+		for _, skipZero := range []bool{false, true} {
+			span, cell := NewMirror(in, out), NewMirror(in, out)
+			span.Rebuild(rows)
+			cell.Rebuild(rows)
+			for j := int32(0); j < out; j++ {
+				var cols []int32
+				g := make([]float32, in)
+				if indexed {
+					for i := int32(0); i < in; i++ {
+						if r.Intn(3) == 0 {
+							cols = append(cols, i)
 						}
 					}
-					span.SetRow(j, cols, g, w, skipZero)
-					for k, gk := range g {
-						if gk == 0 && skipZero {
-							continue
-						}
-						i := int32(k)
-						if indexed {
-							i = cols[k]
-						}
-						cell.Set(j, i, w[i])
+					g = g[:len(cols)]
+				}
+				w := make([]float32, in)
+				for i := range w {
+					w[i] = r.NormFloat32()
+				}
+				for k := range g {
+					if r.Intn(10) >= 3 {
+						g[k] = r.NormFloat32()
 					}
 				}
-				for j := int32(0); j < out; j++ {
-					for i := int32(0); i < in; i++ {
-						if got, want := span.At(j, i), cell.At(j, i); got != want {
-							t.Fatalf("%v indexed=%v skipZero=%v: mirror[%d][%d] = %v after SetRow, %v after Set", format, indexed, skipZero, i, j, got, want)
-						}
+				span.SetRow(j, cols, g, w, skipZero)
+				for k, gk := range g {
+					if gk == 0 && skipZero {
+						continue
+					}
+					i := int32(k)
+					if indexed {
+						i = cols[k]
+					}
+					cell.Set(j, i, w[i])
+				}
+			}
+			for j := int32(0); j < out; j++ {
+				for i := int32(0); i < in; i++ {
+					if got, want := span.At(j, i), cell.At(j, i); got != want {
+						t.Fatalf("indexed=%v skipZero=%v: mirror[%d][%d] = %v after SetRow, %v after Set", indexed, skipZero, i, j, got, want)
 					}
 				}
 			}
@@ -269,32 +269,34 @@ func TestMirrorSetRowMatchesSet(t *testing.T) {
 	}
 }
 
-// TestForwardFormPlan pins the plan's decision table: forced forms are
-// honored (scatter degrades to gather without a mirror or on dense
-// input), and the auto plan switches on the measured density crossover.
+// TestForwardFormPlan pins the plan's decision table: gather without a
+// mirror or on dense input, otherwise a switch on the density crossover —
+// 0 always gathers, above 1 always scatters.
 func TestForwardFormPlan(t *testing.T) {
-	auto := Config{}.WithDefaults()
 	cases := []struct {
 		name              string
-		cfg               Config
 		nnz, in           int
 		inFull, hasMirror bool
+		crossover         float64
 		want              Form
 	}{
-		{"legacy forced", Config{Force: FormLegacy}, 10, 1000, false, true, FormLegacy},
-		{"gather forced", Config{Force: FormGather}, 10, 1000, false, true, FormGather},
-		{"scatter forced", Config{Force: FormScatter}, 10, 1000, false, true, FormScatter},
-		{"scatter forced, no mirror", Config{Force: FormScatter}, 10, 1000, false, false, FormGather},
-		{"scatter forced, dense input", Config{Force: FormScatter}, 0, 1000, true, true, FormGather},
-		{"auto sparse input + mirror", auto, 10, 1000, false, true, FormScatter},
-		{"auto at crossover", auto, int(DefaultScatterMaxDensity * 1000), 1000, false, true, FormGather},
-		{"auto dense input", auto, 0, 1000, true, true, FormGather},
-		{"auto no mirror", auto, 10, 1000, false, false, FormGather},
+		{"sparse input + mirror", 10, 1000, false, true, 0.25, FormScatter},
+		{"at crossover", 250, 1000, false, true, 0.25, FormGather},
+		{"above crossover", 400, 1000, false, true, 0.25, FormGather},
+		{"dense input", 0, 1000, true, true, 0.25, FormGather},
+		{"no mirror", 10, 1000, false, false, 0.25, FormGather},
+		{"zero fan-in", 0, 0, false, true, 0.25, FormGather},
+		{"crossover 0", 1, 1000, false, true, 0, FormGather},
+		{"crossover above 1", 1000, 1000, false, true, 2, FormScatter},
+		{"crossover above 1, no mirror", 10, 1000, false, false, 2, FormGather},
+		{"crossover above 1, dense input", 0, 1000, true, true, 2, FormGather},
 	}
 	for _, tc := range cases {
-		if got := tc.cfg.ForwardForm(tc.nnz, tc.in, tc.inFull, tc.hasMirror); got != tc.want {
-			t.Errorf("%s: ForwardForm = %v, want %v", tc.name, got, tc.want)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if got := ForwardForm(tc.nnz, tc.in, tc.inFull, tc.hasMirror, tc.crossover); got != tc.want {
+				t.Errorf("ForwardForm = %v, want %v", got, tc.want)
+			}
+		})
 	}
 }
 
@@ -318,9 +320,21 @@ func TestWorkspaceEnsureAccReuses(t *testing.T) {
 }
 
 func TestFormString(t *testing.T) {
-	for f, want := range map[Form]string{FormAuto: "auto", FormLegacy: "legacy", FormGather: "gather", FormScatter: "scatter"} {
+	for f, want := range map[Form]string{FormGather: "gather", FormScatter: "scatter", NumForms: "Form(2)"} {
 		if f.String() != want {
 			t.Errorf("Form(%d).String() = %q, want %q", f, f.String(), want)
 		}
+	}
+}
+
+// TestCalibratedCrossoverBounds: the measured crossover must land inside
+// the clamp window and be cached across calls.
+func TestCalibratedCrossoverBounds(t *testing.T) {
+	c := CalibratedCrossover()
+	if c < calibMin || c > calibMax {
+		t.Fatalf("calibrated crossover %v outside [%v, %v]", c, calibMin, calibMax)
+	}
+	if again := CalibratedCrossover(); again != c {
+		t.Fatalf("second call returned %v, first %v", again, c)
 	}
 }

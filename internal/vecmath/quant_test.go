@@ -70,140 +70,8 @@ func TestBF16RelativeErrorBound(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		v := r.NormFloat32() * float32(math.Pow(2, float64(r.Intn(21)-10)))
 		back := F32FromBF16(BF16FromF32(v))
-		if err := math.Abs(float64(back-v)); err > math.Abs(float64(v))/256+1e-30 {
+		if err := math.Abs(float64(back - v)); err > math.Abs(float64(v))/256+1e-30 {
 			t.Fatalf("bf16(%v) = %v, relative error %v", v, back, err/math.Abs(float64(v)))
 		}
 	}
-}
-
-func TestEncodeBF16(t *testing.T) {
-	src := []float32{1, -2.5, 0, 3e4}
-	dst := make([]uint16, len(src))
-	EncodeBF16(dst, src)
-	for i, v := range src {
-		if dst[i] != BF16FromF32(v) {
-			t.Fatalf("EncodeBF16[%d] = %#04x, want %#04x", i, dst[i], BF16FromF32(v))
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch did not panic")
-		}
-	}()
-	EncodeBF16(dst[:2], src)
-}
-
-// TestAxpyBF16VariantsAgree: the 8-way unrolled kernel and the scalar loop
-// decode identical values and must produce bit-identical results (both are
-// one FMA per element in the same order).
-func TestAxpyBF16VariantsAgree(t *testing.T) {
-	r := rng.New(9)
-	for _, n := range []int{0, 1, 7, 8, 9, 64, 100} {
-		x := make([]uint16, n)
-		y1 := make([]float32, n)
-		for i := range x {
-			x[i] = BF16FromF32(r.NormFloat32())
-			y1[i] = r.NormFloat32()
-		}
-		y2 := append([]float32(nil), y1...)
-		want := append([]float32(nil), y1...)
-		const alpha = 0.75
-		for i := range want {
-			want[i] += alpha * F32FromBF16(x[i])
-		}
-		defer func(prev bool) { Unrolled = prev }(Unrolled)
-		Unrolled = false
-		AxpyBF16(alpha, x, y1)
-		Unrolled = true
-		AxpyBF16(alpha, x, y2)
-		for i := range want {
-			if y1[i] != want[i] || y2[i] != want[i] {
-				t.Fatalf("n=%d i=%d: scalar %v unrolled %v want %v", n, i, y1[i], y2[i], want[i])
-			}
-		}
-	}
-}
-
-// TestAxpyInt8MatchesReference: alpha carries the dequantization scale, so
-// the kernel is y[i] += alpha*x[i] over int8 cells.
-func TestAxpyInt8MatchesReference(t *testing.T) {
-	r := rng.New(13)
-	for _, n := range []int{0, 1, 3, 4, 5, 100} {
-		x := make([]int8, n)
-		y := make([]float32, n)
-		for i := range x {
-			x[i] = int8(r.Intn(255) - 127)
-			y[i] = r.NormFloat32()
-		}
-		want := append([]float32(nil), y...)
-		const alpha = 0.031
-		for i := range want {
-			want[i] += alpha * float32(x[i])
-		}
-		AxpyInt8(alpha, x, y)
-		for i := range want {
-			if y[i] != want[i] {
-				t.Fatalf("n=%d i=%d: got %v want %v", n, i, y[i], want[i])
-			}
-		}
-	}
-}
-
-func TestQuantAxpyLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AxpyBF16 length mismatch did not panic")
-		}
-	}()
-	AxpyBF16(1, make([]uint16, 3), make([]float32, 4))
-}
-
-// Quantized-mirror column shapes: the scatter form Axpys one out-length
-// column slice per input nonzero. The bf16 kernel reads half the bytes of
-// the fp32 one.
-
-func benchBF16Col(n int) ([]uint16, []float32) {
-	r := rng.New(4)
-	x := make([]uint16, n)
-	y := make([]float32, n)
-	for i := range x {
-		x[i] = BF16FromF32(r.NormFloat32())
-		y[i] = r.NormFloat32()
-	}
-	return x, y
-}
-
-func BenchmarkAxpyF32Col4096(b *testing.B) {
-	x, y := benchVecs(4096)
-	b.SetBytes(4096 * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Axpy(0.5, x, y)
-	}
-	benchSink += y[0]
-}
-
-func BenchmarkAxpyBF16Col4096(b *testing.B) {
-	x, y := benchBF16Col(4096)
-	b.SetBytes(4096 * 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AxpyBF16(0.5, x, y)
-	}
-	benchSink += y[0]
-}
-
-func BenchmarkAxpyInt8Col4096(b *testing.B) {
-	r := rng.New(6)
-	x := make([]int8, 4096)
-	y := make([]float32, 4096)
-	for i := range x {
-		x[i] = int8(r.Intn(255) - 127)
-	}
-	b.SetBytes(4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AxpyInt8(0.01, x, y)
-	}
-	benchSink += y[0]
 }

@@ -286,9 +286,8 @@ func SparseOuterAcc(d float32, idx []int32, val, w, g, acc []float32) {
 // SparseAxpy with the write positions decoupled from the read ids. It is
 // the sharded backward scatter's row kernel: pos maps the element's input
 // columns into a worker-private compact gradient row, so the loop body is
-// the same arithmetic as the shared-buffer scatter in the same order,
-// just aimed at memory no other thread writes. pos and val must have
-// equal length.
+// SparseAxpy's arithmetic in the same order, just aimed at memory no other
+// thread writes. pos and val must have equal length.
 func IndexedAxpy(d float32, pos []int32, val []float32, g []float32) {
 	if len(pos) != len(val) {
 		panic("vecmath: IndexedAxpy position/value length mismatch")
@@ -302,8 +301,7 @@ func IndexedAxpy(d float32, pos []int32, val []float32, g []float32) {
 // for each nonzero t, acc[t] += d*w[idx[t]] and g[pos[t]] += d*val[t].
 // It is SparseOuterAcc with the gradient writes redirected through pos
 // into a worker-private compact row; the per-element arithmetic and order
-// are identical, so extraction sums match the shared-buffer path bit for
-// bit. idx, pos, val and acc must have equal length.
+// are identical. idx, pos, val and acc must have equal length.
 func IndexedOuterAcc(d float32, idx, pos []int32, val, w, g, acc []float32) {
 	if len(idx) != len(val) || len(idx) != len(pos) || len(idx) != len(acc) {
 		panic("vecmath: IndexedOuterAcc length mismatch")

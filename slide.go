@@ -177,19 +177,6 @@ const (
 	UpdateBatchSync = optim.ModeBatchSync
 )
 
-// KernelMode is the configuration enum behind the Kernel* constants.
-type KernelMode = core.KernelMode
-
-// Kernel engine modes for Config.Kernels: the density-adaptive
-// gather/scatter engine (default), the per-neuron reference path, or one
-// form pinned for ablation.
-const (
-	KernelAuto    = core.KernelAuto
-	KernelLegacy  = core.KernelLegacy
-	KernelGather  = core.KernelGather
-	KernelScatter = core.KernelScatter
-)
-
 // New constructs an initialized SLIDE network: random weights, K×L hash
 // functions per sampled layer, and hash tables populated from the initial
 // weight vectors (Algorithm 1, lines 3-6).
