@@ -40,6 +40,18 @@
 //	GET  /stats          request counts, micro-batch sizes, p50/p90/p99/p999,
 //	                     shed / deadline-exceeded / cache counters
 //
+// Bodies are read and written with encoding/json and its rules: unknown
+// fields are ignored, keys match case-insensitively, null leaves a field
+// unset, and a fractional or out-of-range integer is a 400. A response
+// encoding/json cannot render (a non-finite score) is a 500.
+//
+// The runtime's own environment variables bound memory, and take effect
+// before the model loads: GOMEMLIMIT=512MiB slide-serve -model ... sets
+// a soft heap limit, GOGC the GC target. Without GOGC the server sets a
+// 25% target once the model is loaded, so request garbage grows the
+// heap by a quarter of the model between collections, not by a whole
+// model.
+//
 // The process shuts down gracefully: SIGINT/SIGTERM stops accepting new
 // connections, drains in-flight requests (bounded by -drain), then stops
 // the micro-batcher.
@@ -76,28 +88,11 @@ func main() {
 		cacheSize   = flag.Int("cache-size", 0, "response-cache capacity in entries for deterministic (exact and seeded-sampled) requests (0 disables the cache)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests on SIGINT/SIGTERM")
 		maxBody     = flag.Int64("max-body", 0, "request body cap in bytes for /predict; /predict/batch allows 16x, /reload a quarter (0 keeps the 4 MiB default)")
-		memLimit    = flag.Int64("gomemlimit", 0, "soft heap limit in bytes passed to the runtime (debug.SetMemoryLimit); 0 leaves the runtime default")
-		gcPercent   = flag.Int("gogc", 0, "GC target percentage (debug.SetGCPercent); 0 leaves the runtime default")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serving mux for live heap and allocation profiling")
-		noPooling   = flag.Bool("no-pooling", false, "disable per-request workspace pooling (measurement ablation: reproduces the allocate-per-request regime)")
 	)
 	flag.Parse()
 	if *modelPath == "" {
 		log.Fatal("-model is required (train one with: slide-train -save model.slide)")
-	}
-
-	// Runtime memory knobs first, so even model loading runs under them.
-	// -gomemlimit bounds the heap's steady-state size (the GC runs more
-	// often rather than letting the heap balloon between cycles);
-	// -gogc trades heap headroom for GC frequency. With the request path
-	// allocation-free, both mostly govern the training/reload side.
-	if *memLimit > 0 {
-		debug.SetMemoryLimit(*memLimit)
-		log.Printf("memory limit %d bytes", *memLimit)
-	}
-	if *gcPercent > 0 {
-		debug.SetGCPercent(*gcPercent)
-		log.Printf("GC percent %d", *gcPercent)
 	}
 
 	f, err := os.Open(*modelPath)
@@ -112,6 +107,8 @@ func main() {
 	log.Printf("loaded model %s: input dim %d, %d layers, %d classes, %d parameters",
 		*modelPath, net.Config().InputDim, net.NumLayers(), net.OutputDim(), net.NumParams())
 
+	setGCTarget()
+
 	srv, err := serve.New(net, serve.Options{
 		DefaultK:       *defaultK,
 		MaxK:           *maxK,
@@ -122,7 +119,6 @@ func main() {
 		LatencyBudget:  *budget,
 		CacheSize:      *cacheSize,
 		MaxBodyBytes:   *maxBody,
-		NoPooling:      *noPooling,
 		EnablePprof:    *pprofOn,
 	})
 	if err != nil {
@@ -164,9 +160,6 @@ func main() {
 	if *pprofOn {
 		log.Printf("pprof mounted at /debug/pprof/")
 	}
-	if *noPooling {
-		log.Printf("workspace pooling DISABLED (-no-pooling measurement ablation)")
-	}
 	log.Printf("serving on %s (micro-batch window %s, max %d%s; SIGHUP reloads %s)",
 		*addr, window, *batchMax, extras, *modelPath)
 
@@ -191,4 +184,17 @@ func main() {
 	// own queue before exiting).
 	srv.Close()
 	log.Printf("bye")
+}
+
+// setGCTarget runs once the model is loaded, when the live heap is
+// almost all model: long-lived and pointer-free. At the runtime's
+// default GOGC=100 the heap grows by a whole model's worth of request
+// garbage before the next collection, so the resident set heads for
+// twice the model. A 25% target caps that growth at a quarter of it, and
+// marking pointer-free weights is cheap. A GOGC set in the environment
+// still wins.
+func setGCTarget() {
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(25)
+	}
 }

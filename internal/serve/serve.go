@@ -20,6 +20,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -72,12 +73,6 @@ type Options struct {
 	// a quarter (its body is one path). 0 keeps the 4 MiB default, which
 	// preserves the previous hard-coded 4/64/1 MiB caps.
 	MaxBodyBytes int64
-	// NoPooling disables the per-request workspace pool: every request
-	// allocates its decode scratch, vector components, result slices and
-	// response buffer fresh. It exists for measurement — the same
-	// operating points with pooling on and off show the GC-pause cost the
-	// pool removes — not for production use.
-	NoPooling bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// server's own mux (nothing is registered globally), for heap and
 	// allocation profiling against a live server.
@@ -153,16 +148,12 @@ type Server struct {
 	// a blended estimate that overstates both.
 	arrivals [2]arrivalEstimator
 
-	// wsPool recycles per-request workspaces (see workspace.go); it is
-	// per-server so Options.NoPooling stays a per-server decision.
-	wsPool sync.Pool
-
 	// Batcher-owned scratch, touched only from the batchLoop goroutine
 	// (runBatch callers): the gather slice, the reused gather timer, the
 	// per-batch (engine, mode) group partition, the seeded side list,
 	// the group input vectors, and the predictor's reusable batch result
-	// storage. Reusing them makes a steady-state micro-batch cycle
-	// allocation-free.
+	// storage. Reusing them keeps the batcher's per-batch bookkeeping
+	// off the heap.
 	gather      []*pendingReq
 	gatherTimer *time.Timer
 	groups      []reqGroup
@@ -204,14 +195,9 @@ type pendingReq struct {
 	// instead of computing them, and derives the batch context from the
 	// group's deadlines so PredictBatch cancels doomed fan-outs.
 	deadline time.Time
-	reply    chan batchReply
-	// ids/scores are the request's result buffers, owned by its
-	// workspace and reused across requests: runOne predicts straight
-	// into them, and the batcher copies its group's shared results into
-	// them before replying, so the reply never aliases scratch another
-	// request might reuse.
-	ids    []int32
-	scores []float32
+	// reply has room for the one answer, so the batcher never blocks on
+	// a handler that abandoned the request.
+	reply chan batchReply
 }
 
 type batchReply struct {
@@ -280,24 +266,36 @@ func (s *Server) Handler() http.Handler {
 const deadlineHeader = "X-Slide-Deadline-Ms"
 
 // requestDeadline resolves a request's deadline budget from body field
-// and header; 0 means none. A malformed header is an error the client
-// should hear about, not a silently unbounded request.
+// and header; 0 means none. A malformed, non-finite or negative value is
+// an error the client should hear about, naming its source, not a
+// silently unbounded request. A finite value too large for a
+// time.Duration sets no deadline from its source, so the other source,
+// if present, still wins as the tighter one.
 func requestDeadline(bodyMs float64, h http.Header) (time.Duration, error) {
-	d := time.Duration(bodyMs * float64(time.Millisecond))
+	if bodyMs < 0 {
+		return 0, fmt.Errorf("negative deadline_ms")
+	}
+	d := msDuration(bodyMs)
 	if v := h.Get(deadlineHeader); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
+		if err != nil || ms < 0 || math.IsNaN(ms) || math.IsInf(ms, 0) {
 			return 0, fmt.Errorf("bad %s header %q", deadlineHeader, v)
 		}
-		hd := time.Duration(ms * float64(time.Millisecond))
-		if d == 0 || (hd > 0 && hd < d) {
+		if hd := msDuration(ms); d == 0 || (hd > 0 && hd < d) {
 			d = hd
 		}
 	}
-	if d < 0 {
-		return 0, fmt.Errorf("negative deadline_ms")
-	}
 	return d, nil
+}
+
+// msDuration converts a finite, non-negative millisecond count to a
+// Duration, or to 0 (no deadline) when it overflows one.
+func msDuration(ms float64) time.Duration {
+	ns := ms * float64(time.Millisecond)
+	if ns >= math.MaxInt64 {
+		return 0
+	}
+	return time.Duration(ns)
 }
 
 // predictRequest is the POST /predict body: a sparse feature vector as
@@ -310,10 +308,9 @@ func requestDeadline(bodyMs float64, h http.Header) (time.Duration, error) {
 // deadline_ms bounds how long the caller will wait: work that cannot
 // finish inside it is cancelled (504) instead of computed.
 //
-// The handler no longer decodes into this struct — decodePredict
-// (json.go) parses the same schema into pooled workspace buffers — but
-// it remains the authoritative wire-format declaration, and the codec
-// tests cross-check the hand-rolled parser against it.
+// encoding/json decodes each body into a fresh value, so the request
+// owns its component slices for as long as anything (the micro-batcher,
+// the cache key) still reads them.
 type predictRequest struct {
 	Indices    []int32   `json:"indices"`
 	Values     []float32 `json:"values"`
@@ -331,70 +328,50 @@ type predictResponse struct {
 	Millis    float64   `json:"ms"`
 }
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	ws := s.getWorkspace()
-	if s.processPredict(w, r, ws) {
-		s.putWorkspace(ws)
+// topK resolves a request's k: the default when it names none, capped
+// at MaxK.
+func (o Options) topK(k int) int {
+	if k <= 0 {
+		k = o.DefaultK
 	}
+	return min(k, o.MaxK)
 }
 
-// processPredict serves one /predict on a checked-out workspace. It is
-// the whole request path below the net/http connection layer — body
-// read, decode, validation, cache, admission, dispatch, encode, write —
-// and on the steady-state cache-miss path it performs zero heap
-// allocations (the regression test pins exactly this seam). The return
-// value reports whether ws is safe to pool again: false exactly when
-// the request was abandoned after joining the micro-batch queue, so the
-// batcher may still write into ws's buffers and send on its reply
-// channel.
-func (s *Server) processPredict(w http.ResponseWriter, r *http.Request, ws *reqWorkspace) bool {
+func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	var err error
-	ws.body, err = readBody(r.Body, ws.body, s.opts.MaxBodyBytes)
-	if err != nil {
+	var req predictRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return true
+		return
 	}
-	ws.idx, ws.val, err = decodePredict(ws.body, ws.idx, ws.val, &ws.params)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return true
+	if len(req.Indices) != len(req.Values) {
+		httpError(w, http.StatusBadRequest, "%d indices but %d values", len(req.Indices), len(req.Values))
+		return
 	}
-	if len(ws.idx) != len(ws.val) {
-		httpError(w, http.StatusBadRequest, "%d indices but %d values", len(ws.idx), len(ws.val))
-		return true
-	}
-	if len(ws.idx) == 0 {
+	if len(req.Indices) == 0 {
 		httpError(w, http.StatusBadRequest, "empty feature vector")
-		return true
+		return
 	}
-	k := ws.params.k
-	if k <= 0 {
-		k = s.opts.DefaultK
-	}
-	if k > s.opts.MaxK {
-		k = s.opts.MaxK
-	}
-	budget, err := requestDeadline(ws.params.deadlineMs, r.Header)
+	k := s.opts.topK(req.K)
+	budget, err := requestDeadline(req.DeadlineMs, r.Header)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return true
+		return
 	}
 	eng := s.eng.Load()
 	// View, not New: well-formed component lists become a zero-copy
-	// vector over the workspace's buffers (ill-formed ones fall back to
-	// the copying, validating constructor).
-	x, err := sparse.View(eng.net.Config().InputDim, ws.idx, ws.val)
+	// vector over the decoded slices (ill-formed ones fall back to the
+	// copying, validating constructor).
+	x, err := sparse.View(eng.net.Config().InputDim, req.Indices, req.Values)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad feature vector: %v", err)
-		return true
+		return
 	}
 
-	p := &ws.pr
-	p.eng, p.x, p.k, p.sampled = eng, x, k, ws.params.sampled
-	p.seeded = ws.params.sampled && ws.params.seeded
-	p.seed = ws.params.seed
-	p.deadline = time.Time{}
+	p := &pendingReq{eng: eng, x: x, k: k, sampled: req.Sampled, reply: make(chan batchReply, 1)}
+	if req.Sampled && req.Seed != nil {
+		p.seeded, p.seed = true, *req.Seed
+	}
 	ctx := r.Context()
 	if budget > 0 {
 		p.deadline = t0.Add(budget)
@@ -417,7 +394,7 @@ func (s *Server) processPredict(w http.ResponseWriter, r *http.Request, ws *reqW
 			s.stats.record(float64(time.Since(t0).Microseconds())/1000, 1)
 			w.Header().Set("X-Cache", "hit")
 			writeRawJSON(w, http.StatusOK, body)
-			return true
+			return
 		}
 		s.stats.cacheMisses.Add(1)
 		w.Header().Set("X-Cache", "miss")
@@ -433,13 +410,13 @@ func (s *Server) processPredict(w http.ResponseWriter, r *http.Request, ws *reqW
 		httpError(w, http.StatusTooManyRequests,
 			"shed: expected wait %.1fms exceeds latency budget %.1fms",
 			float64(wait.Microseconds())/1000, float64(s.opts.LatencyBudget.Microseconds())/1000)
-		return true
+		return
 	}
 	s.adm.start(1)
 	defer s.adm.done(1)
 
 	var rep batchReply
-	if p.sampled && p.seeded {
+	if p.seeded {
 		// Seeded requests gain nothing from gathering — they always run
 		// as individual seeded predictions — so skip the micro-batch
 		// queue: no window wait, and a slow seeded pass never
@@ -458,28 +435,25 @@ func (s *Server) processPredict(w http.ResponseWriter, r *http.Request, ws *reqW
 		case s.reqCh <- p:
 		case <-s.done:
 			httpError(w, http.StatusServiceUnavailable, "server shutting down")
-			return true
+			return
 		case <-ctx.Done():
 			s.replyCancelled(w, ctx, "cancelled while queued")
-			return true
+			return
 		}
 		select {
 		case rep = <-p.reply:
 		case <-s.done:
 			// Shutdown raced our enqueue past the batcher's final
 			// drain; answer rather than wait on a reply that may
-			// never come. The workspace stays out of the pool: the
-			// batcher may still reply into it.
+			// never come.
 			httpError(w, http.StatusServiceUnavailable, "server shutting down")
-			return false
+			return
 		case <-ctx.Done():
 			// The batcher will still complete (or prune) the work and
 			// drop the buffered reply; the client has gone away or run
-			// out of deadline. The workspace is leaked to the garbage
-			// collector rather than pooled — the batcher may still
-			// write into its buffers.
+			// out of deadline.
 			s.replyCancelled(w, ctx, "cancelled")
-			return false
+			return
 		}
 	} else {
 		rep = s.runOne(ctx, p)
@@ -488,14 +462,14 @@ func (s *Server) processPredict(w http.ResponseWriter, r *http.Request, ws *reqW
 		if errors.Is(rep.err, context.DeadlineExceeded) {
 			s.stats.deadlineExceeded.Add(1)
 			httpError(w, http.StatusGatewayTimeout, "deadline exceeded: %v", rep.err)
-			return true
+			return
 		}
 		if errors.Is(rep.err, context.Canceled) {
 			httpError(w, http.StatusServiceUnavailable, "cancelled: %v", rep.err)
-			return true
+			return
 		}
 		httpError(w, http.StatusInternalServerError, "predict: %v", rep.err)
-		return true
+		return
 	}
 
 	mode := "exact"
@@ -505,14 +479,17 @@ func (s *Server) processPredict(w http.ResponseWriter, r *http.Request, ws *reqW
 	s.adm.observeSojourn(time.Since(t0))
 	ms := float64(time.Since(t0).Microseconds()) / 1000
 	s.stats.record(ms, rep.batchSize)
-	ws.resp = appendPredictResponse(ws.resp[:0], rep.ids, rep.scores, mode, rep.batchSize, ms)
-	if cacheable {
-		// The cache owns its copy: ws.resp is workspace scratch and will
-		// be overwritten by the next request this workspace serves.
-		s.cache.put(key, append([]byte(nil), ws.resp...))
+	// A body encoding/json refuses (a non-finite score from a poisoned
+	// model) is a server error, and is never cached.
+	body, err := encodeJSON(predictResponse{IDs: rep.ids, Scores: rep.scores, Mode: mode, BatchSize: rep.batchSize, Millis: ms})
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
 	}
-	writeRawJSON(w, http.StatusOK, ws.resp)
-	return true
+	if cacheable {
+		s.cache.put(key, body)
+	}
+	writeRawJSON(w, http.StatusOK, body)
 }
 
 // replyCancelled maps a dead request context to the right status: 504
@@ -542,8 +519,7 @@ func retryAfterSeconds(wait time.Duration) string {
 // PredictBatch fan-out directly — no micro-batch gathering window, no
 // per-vector HTTP overhead. With a seed, element i is seeded
 // deterministically from seed and i exactly as PredictBatchSampled
-// documents. Decoded by decodeBatch (json.go) into pooled workspace
-// buffers; the struct remains the wire-format declaration.
+// documents.
 type batchPredictRequest struct {
 	Batch []struct {
 		Indices []int32   `json:"indices"`
@@ -568,73 +544,43 @@ type predictResult struct {
 }
 
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
-	ws := s.getWorkspace()
-	s.processBatch(w, r, ws)
-	// The bulk path is fully synchronous — nothing escapes the call —
-	// so the workspace is always safe to pool again.
-	s.putWorkspace(ws)
-}
-
-// processBatch serves one /predict/batch on a checked-out workspace:
-// element component lists parse into per-slot buffers, the fan-out
-// writes into the workspace's BatchResults, and the response encodes
-// into the workspace's buffer — allocation-free at steady state for
-// repeat batch shapes (modulo the fan-out goroutines on multi-core).
-func (s *Server) processBatch(w http.ResponseWriter, r *http.Request, ws *reqWorkspace) {
 	t0 := time.Now()
-	var err error
-	ws.body, err = readBody(r.Body, ws.body, 16*s.opts.MaxBodyBytes)
-	if err != nil {
+	var req batchPredictRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16*s.opts.MaxBodyBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	if err := decodeBatch(ws.body, ws); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	if ws.nBatch == 0 {
+	if len(req.Batch) == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if ws.nBatch > s.opts.BatchBodyMax {
-		httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", ws.nBatch, s.opts.BatchBodyMax)
+	if len(req.Batch) > s.opts.BatchBodyMax {
+		httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Batch), s.opts.BatchBodyMax)
 		return
 	}
-	k := ws.params.k
-	if k <= 0 {
-		k = s.opts.DefaultK
-	}
-	if k > s.opts.MaxK {
-		k = s.opts.MaxK
-	}
-	budget, err := requestDeadline(ws.params.deadlineMs, r.Header)
+	k := s.opts.topK(req.K)
+	budget, err := requestDeadline(req.DeadlineMs, r.Header)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	eng := s.eng.Load()
 	dim := eng.net.Config().InputDim
-	if cap(ws.xs) < ws.nBatch {
-		ws.xs = make([]sparse.Vector, 0, ws.nBatch)
-	}
-	ws.xs = ws.xs[:0]
-	for i := 0; i < ws.nBatch; i++ {
-		if len(ws.elemIdx[i]) != len(ws.elemVal[i]) {
-			httpError(w, http.StatusBadRequest, "element %d: %d indices but %d values", i, len(ws.elemIdx[i]), len(ws.elemVal[i]))
+	xs := make([]sparse.Vector, len(req.Batch))
+	for i, el := range req.Batch {
+		if len(el.Indices) != len(el.Values) {
+			httpError(w, http.StatusBadRequest, "element %d: %d indices but %d values", i, len(el.Indices), len(el.Values))
 			return
 		}
-		if len(ws.elemIdx[i]) == 0 {
+		if len(el.Indices) == 0 {
 			httpError(w, http.StatusBadRequest, "element %d: empty feature vector", i)
 			return
 		}
-		x, err := sparse.View(dim, ws.elemIdx[i], ws.elemVal[i])
-		if err != nil {
+		if xs[i], err = sparse.View(dim, el.Indices, el.Values); err != nil {
 			httpError(w, http.StatusBadRequest, "element %d: bad feature vector: %v", i, err)
 			return
 		}
-		ws.xs = append(ws.xs, x)
 	}
-	xs := ws.xs
 
 	// Admission weighs the bulk body by its element count: a 100-vector
 	// batch displaces 100 queued singles' worth of service time.
@@ -657,16 +603,15 @@ func (s *Server) processBatch(w http.ResponseWriter, r *http.Request, ws *reqWor
 	}
 
 	mode := "exact"
-	switch {
-	case ws.params.sampled && ws.params.seeded:
+	var opts []core.PredictOpts
+	if req.Sampled {
 		mode = "sampled"
-		err = eng.pred.PredictBatchInto(ctx, xs, k, true, &ws.res, core.PredictOpts{Seed: ws.params.seed})
-	case ws.params.sampled:
-		mode = "sampled"
-		err = eng.pred.PredictBatchInto(ctx, xs, k, true, &ws.res)
-	default:
-		err = eng.pred.PredictBatchInto(ctx, xs, k, false, &ws.res)
+		if req.Seed != nil {
+			opts = append(opts, core.PredictOpts{Seed: *req.Seed})
+		}
 	}
+	var res core.BatchResults
+	err = eng.pred.PredictBatchInto(ctx, xs, k, req.Sampled, &res, opts...)
 	dur := time.Since(t0)
 	if err == nil {
 		s.adm.observe(dur, len(xs))
@@ -688,8 +633,16 @@ func (s *Server) processBatch(w http.ResponseWriter, r *http.Request, ws *reqWor
 
 	ms := float64(dur.Microseconds()) / 1000
 	s.stats.record(ms, len(xs))
-	ws.resp = appendBatchResponse(ws.resp[:0], ws.res.IDs, ws.res.Scores, mode, ms)
-	writeRawJSON(w, http.StatusOK, ws.resp)
+	results := make([]predictResult, len(xs))
+	for i := range results {
+		results[i] = predictResult{IDs: res.IDs[i], Scores: res.Scores[i]}
+	}
+	body, err := encodeJSON(batchPredictResponse{Results: results, Mode: mode, Count: len(xs), Millis: ms})
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	writeRawJSON(w, http.StatusOK, body)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -871,8 +824,7 @@ func (s *Server) batchLoop() {
 			return
 		}
 		// The gather slice and timer are reused across batches (batchLoop
-		// is the only goroutine touching them), so a steady-state batch
-		// cycle allocates nothing.
+		// is the only goroutine touching them).
 		batch := append(s.gather[:0], first)
 		window := s.opts.BatchWindow
 		if s.opts.AdaptiveWindow {
@@ -925,7 +877,8 @@ func (s *Server) batchLoop() {
 		s.gather = batch
 		s.runBatch(batch)
 		// Drop request pointers so the retired gather slice does not pin
-		// workspaces until the next batch overwrites it.
+		// finished requests (and their engines) until the next batch
+		// overwrites it.
 		clear(batch)
 	}
 }
@@ -1110,13 +1063,11 @@ nextReq:
 			for i := w; i < len(seeded); i += workers {
 				r := seeded[i]
 				t0 := time.Now()
-				var err error
-				r.ids, r.scores, err = r.eng.pred.TopKWithScoresInto(
-					context.Background(), r.x, r.k, true, r.ids, r.scores, core.PredictOpts{Seed: r.seed})
+				ids, scores, err := r.eng.pred.TopKWithScores(r.x, r.k, true, core.PredictOpts{Seed: r.seed})
 				if err == nil {
 					s.adm.observe(time.Since(t0), 1)
 				}
-				r.reply <- batchReply{ids: r.ids, scores: r.scores, batchSize: 1, err: err}
+				r.reply <- batchReply{ids: ids, scores: scores, batchSize: 1, err: err}
 			}
 		}(w)
 	}
@@ -1134,9 +1085,9 @@ nextReq:
 		ctx, cancel := groupContext(group)
 		t0 := time.Now()
 		// The fan-out writes into the batcher's reusable result storage;
-		// each request then copies its trimmed slice into its own
-		// workspace buffers before the reply, so nothing a request holds
-		// aliases scratch the next micro-batch will overwrite.
+		// each request is handed a copy of its trimmed slice, so nothing
+		// a request holds aliases scratch the next micro-batch will
+		// overwrite.
 		err := key.eng.pred.PredictBatchInto(ctx, xs, maxK, key.sampled, &s.batchRes)
 		cancel()
 		if err == nil {
@@ -1148,14 +1099,13 @@ nextReq:
 			rep := batchReply{err: err, batchSize: len(group)}
 			if err == nil {
 				n := min(r.k, len(s.batchRes.IDs[j]))
-				r.ids = append(r.ids[:0], s.batchRes.IDs[j][:n]...)
-				r.scores = append(r.scores[:0], s.batchRes.Scores[j][:n]...)
-				rep.ids, rep.scores = r.ids, r.scores
+				rep.ids = slices.Clone(s.batchRes.IDs[j][:n])
+				rep.scores = slices.Clone(s.batchRes.Scores[j][:n])
 			}
 			r.reply <- rep
 		}
-		// Drop request pointers so retired scratch does not pin
-		// workspaces (and their engines) until the slot is reused.
+		// Drop request pointers so retired scratch does not pin finished
+		// requests (and their engines) until the slot is reused.
 		clear(groups[gi].reqs)
 	}
 	wg.Wait()
@@ -1164,20 +1114,19 @@ nextReq:
 	s.seededReqs = seeded[:0]
 }
 
-// runOne serves a request without micro-batching, on its pinned engine,
-// predicting straight into the request's own result buffers. The
-// request context gates the pass: work whose deadline is already spent
-// is refused before any compute happens.
+// runOne serves a request without micro-batching, on its pinned engine.
+// The request context gates the pass: work whose deadline is already
+// spent is refused before any compute happens.
 func (s *Server) runOne(ctx context.Context, r *pendingReq) batchReply {
 	t0 := time.Now()
-	var err error
+	rep := batchReply{batchSize: 1}
 	if r.sampled && r.seeded {
-		r.ids, r.scores, err = r.eng.pred.TopKWithScoresInto(ctx, r.x, r.k, true, r.ids, r.scores, core.PredictOpts{Seed: r.seed})
+		rep.ids, rep.scores, rep.err = r.eng.pred.TopKWithScoresCtx(ctx, r.x, r.k, true, core.PredictOpts{Seed: r.seed})
 	} else {
-		r.ids, r.scores, err = r.eng.pred.TopKWithScoresInto(ctx, r.x, r.k, r.sampled, r.ids, r.scores)
+		rep.ids, rep.scores, rep.err = r.eng.pred.TopKWithScoresCtx(ctx, r.x, r.k, r.sampled)
 	}
-	if err == nil {
+	if rep.err == nil {
 		s.adm.observe(time.Since(t0), 1)
 	}
-	return batchReply{ids: r.ids, scores: r.scores, batchSize: 1, err: err}
+	return rep
 }

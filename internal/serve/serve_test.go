@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -132,18 +134,74 @@ func TestPredictDirectPathWithoutBatching(t *testing.T) {
 	}
 }
 
+// padBody widens a JSON object body to exactly n bytes with whitespace
+// before its closing brace, so the object only ends at byte n.
+func padBody(body string, n int) string {
+	return body[:len(body)-1] + strings.Repeat(" ", n-len(body)) + "}"
+}
+
+// TestPredictValidation pins the /predict wire contract through the
+// handler: what is rejected with 400, and what encoding/json semantics
+// clients may rely on (unknown fields skipped, null as the zero value,
+// the last duplicate key winning, trailing bytes ignored, the body cap
+// exact to the byte). Every 200 body re-encodes to itself.
 func TestPredictValidation(t *testing.T) {
-	ts := startServer(t, Options{BatchWindow: time.Millisecond})
-	for name, body := range map[string]string{
-		"mismatched":        `{"indices":[1,2],"values":[1.0]}`,
-		"empty":             `{"indices":[],"values":[]}`,
-		"out of range":      `{"indices":[9999],"values":[1.0]}`,
-		"not json":          `nope`,
-		"negative deadline": `{"indices":[1],"values":[1.0],"deadline_ms":-5}`,
+	const maxBody = 256
+	ts := startServer(t, Options{BatchWindow: time.Millisecond, MaxBodyBytes: maxBody, CacheSize: 16})
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		// For 200s: the number of ids, the mode, and X-Cache ("" for an
+		// uncacheable request, i.e. unseeded sampled).
+		ids   int
+		mode  string
+		cache string
+	}{
+		{name: "mismatched", body: `{"indices":[1,2],"values":[1.0]}`, code: 400},
+		{name: "empty", body: `{"indices":[],"values":[]}`, code: 400},
+		{name: "out of range", body: `{"indices":[9999],"values":[1.0]}`, code: 400},
+		{name: "not json", body: `nope`, code: 400},
+		{name: "negative deadline", body: `{"indices":[1],"values":[1.0],"deadline_ms":-5}`, code: 400},
+		{name: "fractional k", body: `{"indices":[1],"values":[1],"k":2.5}`, code: 400},
+		{name: "fractional index", body: `{"indices":[1.5],"values":[1]}`, code: 400},
+		{name: "negative seed", body: `{"indices":[1],"values":[1],"sampled":true,"seed":-1}`, code: 400},
+		{name: "empty body", body: ``, code: 400},
+		{name: "non-object body", body: `[1,2]`, code: 400},
+		{name: "one byte over the cap", body: padBody(`{"indices":[1],"values":[1]}`, maxBody+1), code: 400},
+		{name: "unknown nested field", body: `{"indices":[1],"values":[1],"extra":{"a":[1,{"b":null}],"s":"}"},"k":2}`,
+			code: 200, ids: 2, mode: "exact", cache: "miss"},
+		{name: "null scalars", body: `{"indices":[2],"values":[1],"k":null,"sampled":null,"seed":null,"deadline_ms":null}`,
+			code: 200, ids: 5, mode: "exact", cache: "miss"},
+		{name: "null seed is unseeded", body: `{"indices":[3],"values":[1],"sampled":true,"seed":null}`,
+			code: 200, ids: 5, mode: "sampled"},
+		{name: "duplicate key, last wins", body: `{"indices":[4],"values":[1],"k":2,"k":4}`,
+			code: 200, ids: 4, mode: "exact", cache: "miss"},
+		{name: "trailing bytes", body: `{"indices":[5],"values":[1],"k":3} trailing`,
+			code: 200, ids: 3, mode: "exact", cache: "miss"},
+		{name: "exactly at the cap", body: padBody(`{"indices":[6],"values":[1]}`, maxBody),
+			code: 200, ids: 5, mode: "exact", cache: "miss"},
 	} {
-		code, _ := postPredict(t, ts.URL, body)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, code)
+		code, hdr, raw := postRaw(t, ts.URL, tc.body)
+		if code != tc.code {
+			t.Errorf("%s: status %d (body %s), want %d", tc.name, code, raw, tc.code)
+			continue
+		}
+		if code != http.StatusOK {
+			continue
+		}
+		var pr predictResponse
+		if err := json.Unmarshal(raw, &pr); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if len(pr.IDs) != tc.ids || len(pr.Scores) != tc.ids || pr.Mode != tc.mode {
+			t.Errorf("%s: %d ids, %d scores, mode %q; want %d, %q", tc.name, len(pr.IDs), len(pr.Scores), pr.Mode, tc.ids, tc.mode)
+		}
+		if got := hdr.Get("X-Cache"); got != tc.cache {
+			t.Errorf("%s: X-Cache %q, want %q", tc.name, got, tc.cache)
+		}
+		if again, err := encodeJSON(pr); err != nil || !bytes.Equal(again, raw) {
+			t.Errorf("%s: body does not re-encode to itself (%v):\n%s\n%s", tc.name, err, raw, again)
 		}
 	}
 	// A malformed deadline header is a client error too.
@@ -156,6 +214,34 @@ func TestPredictValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad deadline header: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestNonFiniteScoreIsServerError: a poisoned model whose scores are not
+// finite gets a 500 (encoding/json refuses the body) rather than a 200
+// with invented numbers, and the failure is never cached.
+func TestNonFiniteScoreIsServerError(t *testing.T) {
+	net := testModel(t)
+	// The output layer keeps no column-major mirror, so this one write
+	// reaches every forward form.
+	net.Layer(net.NumLayers() - 1).Weights(0)[0] = float32(math.NaN())
+	s, err := New(net, Options{BatchWindow: 0, CacheSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	const body = `{"indices":[1,7,33],"values":[1.0,0.5,2.0],"k":5}`
+	for i := 0; i < 2; i++ {
+		code, hdr, raw := postRaw(t, ts.URL, body)
+		if code != http.StatusInternalServerError {
+			t.Fatalf("request %d: status %d (body %s), want 500", i, code, raw)
+		}
+		if got := hdr.Get("X-Cache"); got != "miss" {
+			t.Fatalf("request %d: X-Cache %q, want miss", i, got)
+		}
 	}
 }
 
@@ -564,7 +650,8 @@ func TestReloadWithoutModelPath(t *testing.T) {
 // vector, matches the single-request exact path elementwise, and is
 // deterministic under a seed in sampled mode.
 func TestPredictBatchEndpoint(t *testing.T) {
-	ts := startServer(t, Options{BatchWindow: 0})
+	const maxBody = 256 // the batch cap is 16x
+	ts := startServer(t, Options{BatchWindow: 0, MaxBodyBytes: maxBody})
 
 	body := `{"batch":[
 		{"indices":[1,7,33],"values":[1.0,0.5,2.0]},
@@ -613,16 +700,48 @@ func TestPredictBatchEndpoint(t *testing.T) {
 		t.Fatalf("identical seeded batch requests diverged:\n%v\nvs\n%v", repA["results"], repB["results"])
 	}
 
-	// Validation.
-	for name, bad := range map[string]string{
-		"empty batch":     `{"batch":[]}`,
-		"empty vector":    `{"batch":[{"indices":[],"values":[]}]}`,
-		"length mismatch": `{"batch":[{"indices":[1,2],"values":[1.0]}]}`,
-		"out of range":    `{"batch":[{"indices":[9999],"values":[1.0]}]}`,
+	// Validation and the wire contract /predict pins, over the batch body.
+	const one = `{"batch":[{"indices":[1],"values":[1]}]}`
+	for _, tc := range []struct {
+		name, body string
+		code       int
+		ids        int    // 200s: ids in the one result
+		mode       string // 200s
+	}{
+		{name: "empty batch", body: `{"batch":[]}`, code: 400},
+		{name: "empty vector", body: `{"batch":[{"indices":[],"values":[]}]}`, code: 400},
+		{name: "length mismatch", body: `{"batch":[{"indices":[1,2],"values":[1.0]}]}`, code: 400},
+		{name: "out of range", body: `{"batch":[{"indices":[9999],"values":[1.0]}]}`, code: 400},
+		{name: "fractional k", body: `{"batch":[{"indices":[1],"values":[1]}],"k":2.5}`, code: 400},
+		{name: "fractional index", body: `{"batch":[{"indices":[1.5],"values":[1]}]}`, code: 400},
+		{name: "negative seed", body: `{"batch":[{"indices":[1],"values":[1]}],"sampled":true,"seed":-1}`, code: 400},
+		{name: "empty body", body: ``, code: 400},
+		{name: "non-object body", body: `[1,2]`, code: 400},
+		{name: "one byte over the cap", body: padBody(one, 16*maxBody+1), code: 400},
+		{name: "unknown nested field", body: `{"batch":[{"indices":[1],"values":[1],"x":[[{}]]}],"meta":{"a":[1]},"k":2}`,
+			code: 200, ids: 2, mode: "exact"},
+		{name: "null scalars", body: `{"batch":[{"indices":[1],"values":[1]}],"k":null,"sampled":null,"seed":null}`,
+			code: 200, ids: 5, mode: "exact"},
+		{name: "duplicate key, last wins", body: `{"batch":[{"indices":[1],"values":[1]}],"k":2,"k":4}`,
+			code: 200, ids: 4, mode: "exact"},
+		{name: "trailing bytes", body: one + ` trailing`, code: 200, ids: 5, mode: "exact"},
+		{name: "exactly at the cap", body: padBody(one, 16*maxBody), code: 200, ids: 5, mode: "exact"},
 	} {
-		code, _ := postJSON(t, ts.URL+"/predict/batch", bad)
-		if code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", name, code)
+		code, rep := postJSON(t, ts.URL+"/predict/batch", tc.body)
+		if code != tc.code {
+			t.Errorf("%s: status %d (%v), want %d", tc.name, code, rep, tc.code)
+			continue
+		}
+		if code != http.StatusOK {
+			continue
+		}
+		results, _ := rep["results"].([]any)
+		if rep["mode"] != tc.mode || rep["count"] != float64(1) || len(results) != 1 {
+			t.Errorf("%s: response %v, want one %s result", tc.name, rep, tc.mode)
+			continue
+		}
+		if ids, _ := results[0].(map[string]any)["ids"].([]any); len(ids) != tc.ids {
+			t.Errorf("%s: %d ids, want %d", tc.name, len(ids), tc.ids)
 		}
 	}
 }
@@ -887,5 +1006,77 @@ func TestSIGHUPWithoutModelPath(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if s.reloads.Load() != 0 || s.eng.Load() != before {
 		t.Fatal("pathless SIGHUP must be a no-op")
+	}
+}
+
+// TestAbandonedRequestRaceStress hammers the request path from
+// concurrent clients with mixed modes and deadlines short enough to
+// abandon queued work: the handler gives up on a request while the
+// batcher still computes it and replies into its buffered channel. Run
+// under -race it checks that an abandoned request shares nothing the
+// batcher still writes; without it, it is a liveness smoke.
+func TestAbandonedRequestRaceStress(t *testing.T) {
+	ts := startServer(t, Options{
+		BatchWindow: 500 * time.Microsecond,
+		BatchMax:    8,
+		CacheSize:   32,
+	})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				var body string
+				switch i % 4 {
+				case 0:
+					body = fmt.Sprintf(`{"indices":[%d,9],"values":[1,0.5],"k":3}`, i%50)
+				case 1:
+					body = fmt.Sprintf(`{"indices":[%d],"values":[1],"k":3,"sampled":true}`, i%50)
+				case 2:
+					body = fmt.Sprintf(`{"indices":[%d],"values":[1],"k":2,"sampled":true,"seed":%d}`, i%50, g)
+				case 3:
+					// A microsecond-scale deadline: most of these die while
+					// queued, so the batcher answers requests nobody waits for.
+					body = fmt.Sprintf(`{"indices":[%d,3],"values":[1,1],"k":3,"deadline_ms":0.001}`, i%50)
+				}
+				code, _, err := tryPostPredict(ts.URL, body)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				switch code {
+				case http.StatusOK, http.StatusGatewayTimeout, http.StatusServiceUnavailable:
+				default:
+					t.Errorf("unexpected status %d for %s", code, body)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestPprofGatedByOption: the profiling endpoints exist exactly when
+// EnablePprof is set — nothing is registered on the global mux either
+// way, so embedding servers never leak /debug/pprof by accident.
+func TestPprofGatedByOption(t *testing.T) {
+	on := startServer(t, Options{EnablePprof: true})
+	resp, err := http.Get(on.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("pprof index status %d with EnablePprof", resp.StatusCode)
+	}
+	off := startServer(t, Options{})
+	resp, err = http.Get(off.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		t.Fatal("pprof index served without EnablePprof")
 	}
 }

@@ -183,27 +183,16 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	setContentTypeJSON(w)
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(v)
 }
 
-// setContentTypeJSON sets the Content-Type header without allocating
-// when it is already set — http.Header.Set builds a fresh []string per
-// call, which would be the last allocation on the zero-alloc request
-// path whenever the header map is reused (as the regression tests and
-// any buffering middleware do).
-func setContentTypeJSON(w http.ResponseWriter) {
-	h := w.Header()
-	if vs := h["Content-Type"]; len(vs) == 1 && vs[0] == "application/json" {
-		return
-	}
-	h.Set("Content-Type", "application/json")
-}
-
 // encodeJSON renders v exactly as writeJSON would stream it (trailing
 // newline included), so a cached body is byte-identical to the body the
-// filling request received.
+// filling request received. Encoding into memory first lets a value
+// encoding/json refuses become an error response instead of a
+// truncated 200.
 func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(v); err != nil {
@@ -214,7 +203,7 @@ func encodeJSON(v any) ([]byte, error) {
 
 // writeRawJSON writes an already-encoded JSON body.
 func writeRawJSON(w http.ResponseWriter, code int, body []byte) {
-	setContentTypeJSON(w)
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(body)
 }

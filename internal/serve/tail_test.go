@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -283,29 +284,38 @@ func TestRequestDeadlineResolution(t *testing.T) {
 		return hd
 	}
 	for _, tc := range []struct {
-		name    string
-		bodyMs  float64
-		header  string
-		want    time.Duration
-		wantErr bool
+		name   string
+		bodyMs float64
+		header string
+		want   time.Duration
+		// errNames is the source a rejection must name ("" = accepted).
+		errNames string
 	}{
-		{"none", 0, "", 0, false},
-		{"body only", 5, "", 5 * time.Millisecond, false},
-		{"header only", 0, "7", 7 * time.Millisecond, false},
-		{"tighter header wins", 10, "3", 3 * time.Millisecond, false},
-		{"tighter body wins", 2, "50", 2 * time.Millisecond, false},
-		{"fractional header", 0, "0.5", 500 * time.Microsecond, false},
-		{"malformed header", 0, "soon", 0, true},
-		{"negative header", 0, "-1", 0, true},
-		{"negative body", -1, "", 0, true},
+		{"none", 0, "", 0, ""},
+		{"body only", 5, "", 5 * time.Millisecond, ""},
+		{"header only", 0, "7", 7 * time.Millisecond, ""},
+		{"tighter header wins", 10, "3", 3 * time.Millisecond, ""},
+		{"tighter body wins", 2, "50", 2 * time.Millisecond, ""},
+		{"fractional header", 0, "0.5", 500 * time.Microsecond, ""},
+		{"malformed header", 0, "soon", 0, deadlineHeader},
+		{"negative header", 0, "-1", 0, deadlineHeader},
+		{"negative body", -1, "", 0, "deadline_ms"},
+		{"NaN header", 0, "NaN", 0, deadlineHeader},
+		{"Inf header", 0, "Inf", 0, deadlineHeader},
+		{"NaN header beside a body deadline", 5, "NaN", 0, deadlineHeader},
+		{"huge header is no deadline", 0, "1e300", 0, ""},
+		{"huge body is no deadline", 1e20, "", 0, ""},
+		{"huge body, header 5", 1e20, "5", 5 * time.Millisecond, ""},
 	} {
 		got, err := requestDeadline(tc.bodyMs, h(tc.header))
-		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: err = %v, wantErr %v", tc.name, err, tc.wantErr)
+		if tc.errNames != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.errNames) {
+				t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.errNames)
+			}
 			continue
 		}
-		if !tc.wantErr && got != tc.want {
-			t.Errorf("%s: deadline = %v, want %v", tc.name, got, tc.want)
+		if err != nil || got != tc.want {
+			t.Errorf("%s: deadline = %v, %v; want %v", tc.name, got, err, tc.want)
 		}
 	}
 }
