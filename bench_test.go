@@ -14,7 +14,6 @@ import (
 	"repro/internal/dense"
 	"repro/internal/hashtable"
 	"repro/internal/lsh"
-	"repro/internal/optim"
 	"repro/internal/rng"
 	"repro/internal/sampling"
 )
@@ -304,28 +303,6 @@ func BenchmarkRebuildStall(b *testing.B) {
 			}
 			b.ReportMetric(float64(stallNS)/float64(rebuilds), "stall-ns/rebuild")
 			b.ReportMetric(float64(buildNS)/float64(rebuilds), "build-ns/rebuild")
-		})
-	}
-}
-
-// BenchmarkAblUpdateModes compares the two gradient write disciplines
-// (§3.1 design-choice ablation).
-func BenchmarkAblUpdateModes(b *testing.B) {
-	ds := getBenchDS(b)
-	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeBatchSync} {
-		b.Run(mode.String(), func(b *testing.B) {
-			cfg := benchSlideConfig(ds)
-			cfg.UpdateMode = mode
-			net, err := slide.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			if _, err := net.Train(ds.Train, ds.Test, slide.TrainConfig{
-				Iterations: int64(b.N), Seed: 3,
-			}); err != nil {
-				b.Fatal(err)
-			}
 		})
 	}
 }

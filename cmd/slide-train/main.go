@@ -50,7 +50,6 @@ func main() {
 		beta      = flag.Int("beta", 0, "target active neurons (0 = classes/20)")
 		strategy  = flag.String("strategy", "vanilla", "sampling: vanilla|topk|hard-threshold")
 		policy    = flag.String("policy", "reservoir", "bucket policy: reservoir|fifo")
-		update    = flag.String("update", "hogwild", "update mode: hogwild|batch-sync")
 		lr        = flag.Float64("lr", 0.001, "Adam learning rate")
 		batch     = flag.Int("batch", 128, "batch size (per shard)")
 		epochs    = flag.Int("epochs", 3, "training epochs")
@@ -112,19 +111,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		um, err := slide.ParseUpdateMode(*update)
-		if err != nil {
-			log.Fatal(err)
-		}
 		b := *beta
 		if b == 0 {
 			b = ds.NumClasses / 20
 		}
 		cfg := slide.Config{
-			InputDim:   ds.InputDim,
-			Seed:       *seed,
-			Adam:       slide.NewAdam(float32(*lr)),
-			UpdateMode: um,
+			InputDim: ds.InputDim,
+			Seed:     *seed,
+			Adam:     slide.NewAdam(float32(*lr)),
 			Layers: []slide.LayerConfig{
 				{Size: *hidden, Activation: slide.ActReLU},
 				{

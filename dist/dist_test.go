@@ -26,9 +26,8 @@ func testData(t *testing.T) *dataset.Dataset {
 
 func testConfig(classes int) slide.Config {
 	return slide.Config{
-		InputDim:   200,
-		Seed:       5,
-		UpdateMode: slide.UpdateBatchSync,
+		InputDim: 200,
+		Seed:     5,
 		Layers: []slide.LayerConfig{
 			{Size: 32, Activation: slide.ActReLU},
 			{

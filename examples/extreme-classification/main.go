@@ -55,7 +55,7 @@ func main() {
 		}
 	}
 
-	fmt.Println("training SLIDE (DWTA K=6, L=50, HOGWILD updates)...")
+	fmt.Println("training SLIDE (DWTA K=6, L=50)...")
 	sres, err := net.Train(ds.Train, ds.Test, slide.TrainConfig{
 		Epochs: *epochs, BatchSize: 256, EvalEvery: 50, EvalSamples: 1024,
 		OnEval: report("slide"),

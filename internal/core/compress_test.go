@@ -4,8 +4,6 @@ import (
 	"math"
 	"sort"
 	"testing"
-
-	"repro/internal/optim"
 )
 
 func TestParseCompression(t *testing.T) {
@@ -207,13 +205,12 @@ func TestSelectTopKTieBreaking(t *testing.T) {
 }
 
 // trainLoopbackTC trains a fresh network on the delta-test task with the
-// echo exchanger and returns it. Single-threaded batch-sync so runs are
-// bitwise comparable.
+// echo exchanger and returns it. Runs are bitwise comparable.
 func trainLoopbackTC(t *testing.T, mutate func(*TrainConfig)) (*Network, *TrainResult) {
 	t.Helper()
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
-	n := mustNet(t, deltaTestConfig(classes, optim.ModeBatchSync))
+	n := mustNet(t, deltaTestConfig(classes))
 	tc := TrainConfig{
 		BatchSize: 32, Iterations: 24, Threads: 1, EvalEvery: 0, Seed: 9,
 		Shards: 1, Exchanger: loopback{},
@@ -249,12 +246,12 @@ func TestTopKFullFractionMatchesFP32(t *testing.T) {
 func TestTopKResidualConservesGradientMass(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
-	n := mustNet(t, deltaTestConfig(classes, optim.ModeHogwild))
+	n := mustNet(t, deltaTestConfig(classes))
 	st := mustState(t, n, 5)
 
 	var residualSeen bool
 	for b := 0; b < 4; b++ {
-		runManualBatch(t, n, st, ds.Train[b*16:(b+1)*16], nil)
+		runManualBatch(n, st, ds.Train[b*16:(b+1)*16])
 		d := n.ExtractDelta(nil, 2)
 		// The folded gradient the selection splits: batch delta + residual
 		// carried in from previous batches.
@@ -356,7 +353,7 @@ func (c *countingLoopback) Exchange(_ int64, local *SparseDelta, stop bool) (*Sp
 func TestTrainRejectsBadCompression(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
-	n := mustNet(t, deltaTestConfig(classes, optim.ModeBatchSync))
+	n := mustNet(t, deltaTestConfig(classes))
 	tc := TrainConfig{BatchSize: 16, Iterations: 1, Threads: 1, Seed: 1, Compress: DeltaCompression(99)}
 	if _, err := n.Train(ds.Train, nil, tc); err == nil {
 		t.Fatal("trained with an unknown compression mode")

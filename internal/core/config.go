@@ -1,16 +1,18 @@
 // Package core implements the SLIDE network (§3 of the paper): layers of
 // neurons with per-layer LSH hash tables, adaptive active-neuron sampling
 // in the forward pass, sparse message-passing backpropagation touching
-// only active neurons and weights, HOGWILD-style asynchronous gradient
-// updates across a batch, and exponential-decay hash-table rebuilds.
+// only active neurons and weights, and exponential-decay hash-table
+// rebuilds.
 //
 // The reference system is neuron-object-centric (Fig. 2): every neuron
 // owns batch-length activation/gradient/active arrays. This implementation
-// keeps the identical information keyed the other way — each batch element
-// (one goroutine's work item) owns its active-id list, activations and
-// gradients — which preserves the paper's thread independence argument
-// (state is private per element, weight updates are the only shared
-// writes) while being the cache-friendly layout in Go.
+// keeps the identical information keyed the other way — each batch
+// position owns a record of its element's active ids, activations and
+// deltas — which preserves the paper's thread independence argument: batch
+// elements run on parallel workers with no shared writes at all. Weights
+// move only at the batch boundary, where every touched row is replayed from
+// the records by one owner in element order and stepped (fold.go), so the
+// trained bits do not depend on the thread count.
 package core
 
 import (
@@ -96,10 +98,6 @@ type Config struct {
 	// Adam holds optimizer hyperparameters; a zero LR selects
 	// optim.NewAdam(0.001).
 	Adam optim.Adam
-	// UpdateMode selects the gradient write discipline (§3.1): the
-	// paper's HOGWILD asynchronous updates (the default) or deterministic
-	// batch-synchronous accumulation.
-	UpdateMode optim.UpdateMode
 
 	// RebuildN0 is the initial hash-table rebuild period in iterations
 	// and RebuildLambda the exponential decay constant (§4.2): the t-th
@@ -136,9 +134,6 @@ func (c Config) validate() error {
 	if len(c.Layers) == 0 {
 		return fmt.Errorf("core: at least one layer required")
 	}
-	if c.UpdateMode != optim.ModeHogwild && c.UpdateMode != optim.ModeBatchSync {
-		return fmt.Errorf("core: unknown update mode %d", int(c.UpdateMode))
-	}
 	in := c.InputDim
 	for i, lc := range c.Layers {
 		if lc.Size <= 0 {
@@ -173,7 +168,8 @@ type TrainConfig struct {
 	Iterations int64
 	// Epochs is used when Iterations is zero; zero selects 1.
 	Epochs int
-	// Threads is the worker count; zero selects GOMAXPROCS.
+	// Threads is the worker count; zero selects GOMAXPROCS. It changes
+	// only how fast training runs, not what it computes (see Train).
 	Threads int
 
 	// EvalEvery evaluates P@1 on a held-out subset every this many
@@ -254,6 +250,25 @@ type TrainConfig struct {
 	// build a shadow table set on a background goroutine while batches
 	// keep running, and publish it atomically at a later boundary.
 	SyncRebuild bool
+}
+
+// validate rejects negative sizes, which would otherwise panic or train
+// nothing and report success.
+func (tc TrainConfig) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"BatchSize", int64(tc.BatchSize)},
+		{"Iterations", tc.Iterations},
+		{"Epochs", int64(tc.Epochs)},
+		{"Threads", int64(tc.Threads)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: TrainConfig.%s must not be negative, got %d", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 func (tc TrainConfig) withDefaults(trainSize int) TrainConfig {

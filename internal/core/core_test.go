@@ -2,11 +2,10 @@ package core
 
 import (
 	"math"
-	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/lsh"
-	"repro/internal/optim"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
 )
@@ -14,11 +13,10 @@ import (
 // denseNetConfig builds a fully dense (no sampling) two-layer softmax
 // network — the configuration under which SLIDE's sparse machinery must
 // agree exactly with classical dense backprop.
-func denseNetConfig(in, hidden, classes int, mode optim.UpdateMode) Config {
+func denseNetConfig(in, hidden, classes int) Config {
 	return Config{
-		InputDim:   in,
-		Seed:       13,
-		UpdateMode: mode,
+		InputDim: in,
+		Seed:     13,
 		Layers: []LayerConfig{
 			{Size: hidden, Activation: ActReLU},
 			{Size: classes, Activation: ActSoftmax},
@@ -34,7 +32,7 @@ func denseNetConfig(in, hidden, classes int, mode optim.UpdateMode) Config {
 // computes true gradients.
 func TestGradientCheck(t *testing.T) {
 	const in, hidden, classes = 12, 6, 8
-	n, err := NewNetwork(denseNetConfig(in, hidden, classes, optim.ModeHogwild))
+	n, err := NewNetwork(denseNetConfig(in, hidden, classes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +59,7 @@ func TestGradientCheck(t *testing.T) {
 	}
 
 	// Extract the analytic gradient of one element once.
-	n.beginBatch()
-	n.forwardElem(st, x, labels, modeTrain)
-	n.backwardElem(st, x, labels, nil)
+	trainElem(n, st, 0, x, labels)
 	d := n.ExtractDelta(nil, 1)
 	grad := deltaAsMap(d)
 
@@ -103,13 +99,12 @@ func TestGradientCheck(t *testing.T) {
 // TestSparseMatchesDenseWhenAllActive: with every neuron active, a full
 // training iteration through the SLIDE engine must be mathematically
 // identical to classical dense backprop. We verify by running the same
-// batch through two fresh but identically seeded networks with different
-// update modes (HOGWILD on 1 thread vs deterministic BatchSync sharded
-// over 4): weights must match bit-for-bit modulo float addition order.
+// batch through two fresh but identically seeded networks on 1 and on 4
+// threads: weights must match modulo float addition order.
 func TestSparseMatchesDenseWhenAllActive(t *testing.T) {
 	ds := tinyDataset(t, 32)
-	run := func(mode optim.UpdateMode, threads int) *Network {
-		n, err := NewNetwork(denseNetConfig(512, 16, 32, mode))
+	run := func(threads int) *Network {
+		n, err := NewNetwork(denseNetConfig(512, 16, 32))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,8 +116,8 @@ func TestSparseMatchesDenseWhenAllActive(t *testing.T) {
 		}
 		return n
 	}
-	a := run(optim.ModeHogwild, 1)
-	b := run(optim.ModeBatchSync, 4)
+	a := run(1)
+	b := run(4)
 	for li := range a.layers {
 		for j := 0; j < a.layers[li].out; j++ {
 			wa, wb := a.layers[li].w[j], b.layers[li].w[j]
@@ -135,36 +130,28 @@ func TestSparseMatchesDenseWhenAllActive(t *testing.T) {
 	}
 }
 
-// TestBatchSyncDeterministicAcrossThreads: ModeBatchSync must give
-// identical weights regardless of worker count. This holds for the
-// gradient/update path (sharded single-writer accumulation); LSH-sampled
-// layers add worker-level retrieval randomness, so the test pins the
-// dense configuration.
-func TestBatchSyncDeterministicAcrossThreads(t *testing.T) {
+// TestTrainingDeterministicAcrossThreads: training must give identical
+// weights and moments regardless of worker count — on a sampled layer with
+// the randomized vanilla retrieval, whose draws are seeded per batch
+// position, and with table rebuilds published at fixed batches.
+func TestTrainingDeterministicAcrossThreads(t *testing.T) {
 	ds := tinyDataset(t, 64)
 	run := func(threads int) *Network {
-		cfg := denseNetConfig(512, 16, 64, optim.ModeBatchSync)
-		cfg.UpdateMode = optim.ModeBatchSync
+		cfg := tinyConfig(64)
+		cfg.Layers[1].Strategy = sampling.KindVanilla
+		cfg.RebuildN0 = 3
 		n, err := NewNetwork(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := n.Train(ds.Train[:256], ds.Test, TrainConfig{
-			BatchSize: 32, Iterations: 4, Threads: threads, Seed: 7, EvalEvery: 0,
+			BatchSize: 32, Iterations: 8, Threads: threads, Seed: 7, EvalEvery: 0, SyncRebuild: true,
 		}); err != nil {
 			t.Fatal(err)
 		}
 		return n
 	}
-	a := run(1)
-	b := run(8)
-	for li := range a.layers {
-		for j := 0; j < a.layers[li].out; j++ {
-			if !reflect.DeepEqual(a.layers[li].w[j], b.layers[li].w[j]) {
-				t.Fatalf("layer %d neuron %d weights differ across thread counts", li, j)
-			}
-		}
-	}
+	requireNetsBitIdentical(t, run(1), run(8), "1 vs 8 threads")
 }
 
 // TestLabelsForcedActive: during training, every true label must be in
@@ -315,28 +302,6 @@ func TestPredictConsistency(t *testing.T) {
 	}
 }
 
-// TestUpdateModesAllLearn: both write disciplines must converge on the
-// tiny task (the paper's HOGWILD robustness claim).
-func TestUpdateModesAllLearn(t *testing.T) {
-	classes := 128
-	ds := tinyDataset(t, classes)
-	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeBatchSync} {
-		cfg := tinyConfig(classes)
-		cfg.UpdateMode = mode
-		n, err := NewNetwork(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := n.Train(ds.Train, ds.Test, TrainConfig{Epochs: 5, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.FinalAcc < 0.2 {
-			t.Errorf("%v: P@1 = %.3f, expected > 0.2", mode, res.FinalAcc)
-		}
-	}
-}
-
 // TestEvaluatePAtK: P@1 ≥ ... consistency and range checks.
 func TestEvaluatePAtK(t *testing.T) {
 	classes := 128
@@ -390,9 +355,6 @@ func TestConfigValidation(t *testing.T) {
 			Strategy: sampling.KindVanilla, Beta: 0},
 	}}); err == nil {
 		t.Error("vanilla strategy without Beta accepted")
-	}
-	if _, err := NewNetwork(Config{InputDim: 4, UpdateMode: 1, Layers: []LayerConfig{{Size: 4}}}); err == nil {
-		t.Error("unknown update mode accepted")
 	}
 	if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{{Size: 4, Activation: 3}}}); err == nil {
 		t.Error("unknown activation accepted")
@@ -527,9 +489,40 @@ func TestEmptyTrainRejected(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsNegativeSizes: a negative size is an error naming the
+// field — not a panic, and not a run that trains nothing and reports
+// success.
+func TestTrainRejectsNegativeSizes(t *testing.T) {
+	ds := tinyDataset(t, 64)
+	n, err := NewNetwork(tinyConfig(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, field string
+		cfg         TrainConfig
+	}{
+		{"threads -1", "Threads", TrainConfig{Threads: -1, Iterations: 2}},
+		{"batch -1", "BatchSize", TrainConfig{BatchSize: -1, Iterations: 2}},
+		{"batch -4 epochs derived", "BatchSize", TrainConfig{BatchSize: -4}},
+		{"iterations -3", "Iterations", TrainConfig{Iterations: -3}},
+		{"epochs -2", "Epochs", TrainConfig{Epochs: -2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := n.Train(ds.Train, ds.Test, tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("Train(%+v) = %v, want an error naming %s", tc.cfg, err, tc.field)
+			}
+		})
+	}
+	if n.Step() != 0 {
+		t.Fatalf("rejected configs trained %d iterations", n.Step())
+	}
+}
+
 // TestNumParams: parameter accounting.
 func TestNumParams(t *testing.T) {
-	n, err := NewNetwork(denseNetConfig(10, 4, 6, optim.ModeHogwild))
+	n, err := NewNetwork(denseNetConfig(10, 4, 6))
 	if err != nil {
 		t.Fatal(err)
 	}

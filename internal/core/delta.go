@@ -12,7 +12,7 @@ import (
 // This is exactly the s²-sparse payload §3.1 argues a batch produces and
 // §6 proposes shipping between data-parallel replicas ("communication
 // costs are minimal due to sparse gradients"): Network.ExtractDelta folds
-// the gradient shards into this form at a batch boundary, replicas
+// the batch's records into this form at a batch boundary, replicas
 // exchange and merge deltas (internal/dist), and Layer.ApplyDelta performs
 // the Adam step over exactly the delta's cells.
 //
@@ -126,13 +126,14 @@ type ShardCounter interface {
 	Shards() int
 }
 
-// ExtractDelta drains the gradient accumulated since beginBatch into dst
-// (reused when non-nil) and returns it: each layer's per-worker backShards
-// are folded in fixed shard order (compactFold) and consumed, so a second
-// extraction in the same batch is empty, and extract-then-ApplyDelta is
-// bit-for-bit the local stepFold path split in two. A network that never
-// ran a backward pass extracts an empty delta. Must run at a batch
-// boundary (no concurrent backward). workers <= 0 selects GOMAXPROCS.
+// ExtractDelta drains the gradient of the backward passes since the last
+// update into dst (reused when non-nil) and returns it: each layer's
+// touched rows are replayed from the batch's records (compactFold) and the
+// records consumed, so a second extraction in the same batch is empty, and
+// extract-then-ApplyDelta is bit-for-bit the local stepFold path split in
+// two. A network that never ran a backward pass extracts an empty delta.
+// Must run at a batch boundary (no concurrent backward). workers <= 0
+// selects GOMAXPROCS.
 func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 	if workers <= 0 {
 		workers = defaultThreads()
@@ -141,12 +142,9 @@ func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 		dst = &SparseDelta{}
 	}
 	dst.reset(len(n.layers))
+	recs := n.takeRecords()
 	for li, l := range n.layers {
-		var shards []*backShard
-		if n.layerShards != nil {
-			shards = n.layerShards[li]
-		}
-		l.extractSharded(&dst.Layers[li], shards, workers)
+		l.extract(&dst.Layers[li], recs, workers)
 	}
 	return dst
 }

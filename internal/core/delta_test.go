@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/lsh"
-	"repro/internal/optim"
 	"repro/internal/sampling"
+	"repro/internal/sparse"
 )
 
 // deltaTestDataset builds a small task whose feature dimension exceeds
@@ -35,41 +35,41 @@ func deltaTestDataset(t testing.TB, classes int) *dataset.Dataset {
 	return ds
 }
 
-func deltaTestConfig(classes int, mode optim.UpdateMode) Config {
+func deltaTestConfig(classes int) Config {
 	return Config{
-		InputDim:   colTrackThreshold + 100,
-		Seed:       11,
-		UpdateMode: mode,
+		InputDim: colTrackThreshold + 100,
+		Seed:     11,
 		Layers: []LayerConfig{
 			{Size: 64, Activation: ActReLU},
 			{
 				Size: classes, Activation: ActSoftmax,
 				Sampled: true, Hash: lsh.KindSimhash, K: 5, L: 16,
 				// TopK retrieval is deterministic in (input, tables,
-				// weights), which keeps shard runs comparable without
-				// aligning RNG stream positions.
+				// weights), which keeps hand-driven batches comparable
+				// without aligning RNG stream positions.
 				Strategy: sampling.KindTopK, Beta: 48,
 			},
 		},
 	}
 }
 
+// trainElem runs one element's forward and backward pass into batch
+// position k's record, as a training worker does, and returns the record.
+func trainElem(n *Network, st *elemState, k int, x sparse.Vector, labels []int32) *elemRecord {
+	n.ensureRecords(k + 1)
+	rec := n.records[k]
+	rec.x = x
+	n.forward(st, rec.layers, x, labels, modeTrain)
+	n.backwardElem(st, rec, labels)
+	return rec
+}
+
 // runManualBatch drives one batch's forward/backward sequentially on a
 // single element state — a deterministic miniature of the training loop's
-// gradient accumulation phase.
-func runManualBatch(t *testing.T, n *Network, st *elemState, batch []dataset.Example, records []*elemRecord) {
-	t.Helper()
-	n.beginBatch()
+// element phase, leaving the gradient in the records for an update.
+func runManualBatch(n *Network, st *elemState, batch []dataset.Example) {
 	for i := range batch {
-		var rec *elemRecord
-		if records != nil {
-			rec = records[i]
-		}
-		n.forwardElem(st, batch[i].Features, batch[i].Labels, modeTrain)
-		n.backwardElem(st, batch[i].Features, batch[i].Labels, rec)
-	}
-	if records != nil {
-		n.accumulateBatchSync(records[:len(batch)], 3)
+		trainElem(n, st, i, batch[i].Features, batch[i].Labels)
 	}
 }
 
@@ -121,9 +121,9 @@ func requireNetsBitIdentical(t *testing.T, a, b *Network, context string) {
 func TestExtractDeltaDrainsBuffers(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
-	n := mustNet(t, deltaTestConfig(classes, optim.ModeHogwild))
+	n := mustNet(t, deltaTestConfig(classes))
 	st := mustState(t, n, 5)
-	runManualBatch(t, n, st, ds.Train[:16], nil)
+	runManualBatch(n, st, ds.Train[:16])
 
 	d := n.ExtractDelta(nil, 2)
 	if d.Cells() == 0 {
@@ -153,12 +153,11 @@ func TestExtractDeltaDrainsBuffers(t *testing.T) {
 }
 
 // TestExtractDeltaBeforeBackward: a network that never ran a backward
-// pass holds no gradient shards; it must still extract a well-formed empty
-// delta, and a local update phase must step nothing.
+// pass holds no records; it must still extract a well-formed empty delta,
+// and a local update phase must step nothing.
 func TestExtractDeltaBeforeBackward(t *testing.T) {
-	n := mustNet(t, deltaTestConfig(128, optim.ModeHogwild))
+	n := mustNet(t, deltaTestConfig(128))
 	before := stateHash(n)
-	n.beginBatch()
 	d := n.ExtractDelta(nil, 2)
 	if len(d.Layers) != len(n.layers) {
 		t.Fatalf("delta has %d layers, network %d", len(d.Layers), len(n.layers))
@@ -257,23 +256,19 @@ func TestMergeDeltasHandBuilt(t *testing.T) {
 func TestDeltaMergeMatchesCombinedBatch(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
-	cfg := deltaTestConfig(classes, optim.ModeBatchSync)
+	cfg := deltaTestConfig(classes)
 	full := mustNet(t, cfg)
 	shardA := mustNet(t, cfg)
 	shardB := mustNet(t, cfg)
 
 	const batchSize = 16
 	batch := ds.Train[:batchSize]
-	records := make([]*elemRecord, batchSize)
-	for i := range records {
-		records[i] = &elemRecord{}
-	}
 
-	runManualBatch(t, full, mustState(t, full, 3), batch, records)
+	runManualBatch(full, mustState(t, full, 3), batch)
 	dFull := full.ExtractDelta(nil, 3)
-	runManualBatch(t, shardA, mustState(t, shardA, 3), batch[:batchSize/2], records)
+	runManualBatch(shardA, mustState(t, shardA, 3), batch[:batchSize/2])
 	dA := shardA.ExtractDelta(nil, 3).Clone()
-	runManualBatch(t, shardB, mustState(t, shardB, 3), batch[batchSize/2:], records)
+	runManualBatch(shardB, mustState(t, shardB, 3), batch[batchSize/2:])
 	dB := shardB.ExtractDelta(nil, 3)
 
 	merged, err := MergeDeltas(nil, []*SparseDelta{dA, dB})
@@ -330,7 +325,7 @@ func TestDeltaMergeMatchesCombinedBatch(t *testing.T) {
 // instead of corrupting weights or panicking.
 func TestApplyDeltaValidatesShape(t *testing.T) {
 	const classes = 128
-	n := mustNet(t, deltaTestConfig(classes, optim.ModeHogwild))
+	n := mustNet(t, deltaTestConfig(classes))
 
 	if _, err := n.ApplyDelta(&SparseDelta{}, 0.001, 1, 2); err == nil {
 		t.Fatal("layer-count mismatch accepted")
@@ -405,12 +400,12 @@ func TestApplyDeltaValidatesShape(t *testing.T) {
 func TestLoopbackExchangerMatchesLocal(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
-	cfg := deltaTestConfig(classes, optim.ModeBatchSync)
+	cfg := deltaTestConfig(classes)
 	plain := mustNet(t, cfg)
 	tapped := mustNet(t, cfg)
 
-	// Single-threaded batch-sync training is fully deterministic, so the
-	// two runs are comparable bit for bit.
+	// Training is deterministic, so the two runs are comparable bit for
+	// bit.
 	tc := TrainConfig{BatchSize: 32, Iterations: 20, Threads: 1, EvalEvery: 0, Seed: 9}
 	if _, err := plain.Train(ds.Train, ds.Test, tc); err != nil {
 		t.Fatal(err)

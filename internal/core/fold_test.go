@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -12,15 +13,17 @@ import (
 	"repro/internal/lsh"
 	"repro/internal/optim"
 	"repro/internal/sampling"
+	"repro/internal/sparse"
 )
 
-// Tests for the update phase's seam: one fold per touched row (foldRow)
+// Tests for the update phase's seam: one replay per touched row (foldRow)
 // feeding two consumers, stepFold (local training) and compactFold
 // (ExtractDelta, then ApplyDelta).
 
-// foldElem is one synthetic backward contribution: worker w's shard of a
-// layer receives delta[a]·inVals for every row rows[a], exactly as a batch
-// element's backward pass would deliver it.
+// foldElem is one synthetic backward contribution: a layer receives
+// delta[a]·inVals for every row rows[a], exactly as a batch element's
+// record delivers it. w names the worker that ran the element, which the
+// replay must not depend on.
 type foldElem struct {
 	w      int
 	rows   []int32
@@ -30,19 +33,26 @@ type foldElem struct {
 	inFull bool
 }
 
-// injectFoldElems routes elems into layer li's shards through the real
-// accumulate path. The batch must have been opened with beginBatch.
+// injectFoldElems hands elems to the next update as records, in order,
+// each carrying gradient for layer li alone: rows and δ in layer li's
+// state, the input in the example features (layer 0) or in the previous
+// layer's state.
 func injectFoldElems(n *Network, li int, elems []foldElem) {
-	l := n.layers[li]
 	for _, e := range elems {
-		ls := &layerState{ids: e.rows, delta: e.delta}
-		l.accumulateSharded(n.backShardSet(e.w)[li], ls, e.inIds, e.inVals, e.inFull, nil)
+		rec := &elemRecord{layers: make([]layerState, len(n.layers)), used: true}
+		rec.layers[li] = layerState{ids: e.rows, delta: e.delta}
+		if li == 0 {
+			rec.x = sparse.Vector{Dim: n.layers[0].in, Idx: e.inIds, Val: e.inVals}
+		} else {
+			rec.layers[li-1] = layerState{full: e.inFull, ids: e.inIds, vals: e.inVals}
+		}
+		n.records = append(n.records, rec)
 	}
 }
 
 // foldTestElems builds one batch's contributions to a layer of the given
-// shape over `shards` workers: random bulk, plus the constructed cases the
-// fold must get right. Deterministic in (seed, shape).
+// shape, run by `shards` workers: random bulk, plus the constructed cases
+// the fold must get right. Deterministic in (seed, shape).
 func foldTestElems(seed int64, in, out, shards int, denseRows bool) []foldElem {
 	r := rand.New(rand.NewSource(seed))
 	pickCols := func(k int) []int32 {
@@ -73,17 +83,17 @@ func foldTestElems(seed int64, in, out, shards int, denseRows bool) []foldElem {
 	}
 	last := shards - 1
 
-	// Row 0 is claimed by every shard, on overlapping columns.
+	// Row 0 is touched by every worker, on overlapping columns.
 	shared := pickCols(4)
 	for w := 0; w < shards; w++ {
 		elems = append(elems, foldElem{w: w, rows: []int32{0}, delta: randVals(1), inIds: shared, inVals: randVals(4)})
 	}
 
 	// Row 1: two contributions that cancel to exactly zero on column c0
-	// (and on the bias), placed in different shards when there are two,
-	// while column c1 keeps a non-zero sum. With three shards the last
-	// one claims the row too, elsewhere, so the cancelled cell is a sum of
-	// three terms.
+	// (and on the bias), run by different workers when there are two,
+	// while column c1 keeps a non-zero sum. With three workers the last
+	// one touches the row too, elsewhere, so the row is a sum of three
+	// terms.
 	cc := pickCols(3)
 	x := randVals(1)[0]
 	elems = append(elems,
@@ -97,15 +107,15 @@ func foldTestElems(seed int64, in, out, shards int, denseRows bool) []foldElem {
 	// Row 2 is bias-only: a non-zero delta against an all-zero input.
 	elems = append(elems, foldElem{w: last, rows: []int32{2}, delta: []float32{0.75}, inIds: pickCols(2), inVals: []float32{0, 0}})
 
-	// Rows 3 and 4 on shard 0: row 3 is written before the shard interns
-	// row 4's columns, so in sparse mode its buffer stays shorter than the
-	// shard's column list.
+	// Rows 3 and 4 on worker 0: row 4's element brings columns row 3 never
+	// touches, so on a column-union layer most of row 3 stays zero.
 	elems = append(elems,
 		foldElem{w: 0, rows: []int32{3}, delta: randVals(1), inIds: pickCols(2), inVals: randVals(2)},
 		foldElem{w: 0, rows: []int32{4}, delta: randVals(1), inIds: pickCols(7), inVals: randVals(7)},
 	)
 
-	// Row 5 through the dense-input form, where the layer can take it.
+	// Row 5 through the dense-input form, where the layer can take it (a
+	// layer after the first, without a column union).
 	if denseRows {
 		elems = append(elems, foldElem{w: last, rows: []int32{5}, delta: randVals(1), inVals: randVals(in), inFull: true})
 	}
@@ -139,8 +149,8 @@ func requireUpdateStateIdentical(t *testing.T, a, b *Network, context string) {
 // straight from the folded rows (applyAdamBatch → stepFold) and compacting
 // them into a SparseDelta that ApplyDelta then steps must leave weights,
 // moments, biases, mirror and the applied-cell count bit-identical — for
-// 1, 2 and 3 live shards, for dense-row and sparse-row layers with and
-// without a mirror, at several worker counts.
+// elements run by 1, 2 and 3 workers, for full-width and column-union
+// rows with and without a mirror, at several update worker counts.
 func TestStepFoldMatchesCompactApply(t *testing.T) {
 	const classes = 96
 	sampledOut := LayerConfig{
@@ -150,11 +160,12 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 	}
 	wide := colTrackThreshold + 100
 	configs := map[string]Config{
-		// Layer 0: sparse rows + mirror. Layer 1: dense rows, sampled.
+		// Layer 0: column-union rows + mirror. Layer 1: full-width rows,
+		// sampled.
 		"hidden-wide": {InputDim: wide, Seed: 11, Layers: []LayerConfig{{Size: 64, Activation: ActReLU}, sampledOut}},
-		// Layer 0: dense rows + mirror.
+		// Layer 0: full-width rows of a sparse input + mirror.
 		"hidden-narrow": {InputDim: 200, Seed: 11, Layers: []LayerConfig{{Size: 64, Activation: ActReLU}, sampledOut}},
-		// Layer 0: sparse rows, sampled.
+		// Layer 0: column-union rows, sampled.
 		"flat-wide": {InputDim: wide, Seed: 11, Layers: []LayerConfig{sampledOut}},
 	}
 	for name, cfg := range configs {
@@ -164,11 +175,9 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 				for round := 0; round < 3; round++ {
 					alpha := stepNet.adam.Alpha(int64(round) + 1)
 					const invB = float32(1.0 / 8)
-					stepNet.beginBatch()
-					applyNet.beginBatch()
 					for li, l := range stepNet.layers {
-						set := stepNet.backShardSet(0)
-						elems := foldTestElems(int64(100*round+li), l.in, l.out, shards, set[li].dense)
+						denseIn := li > 0 && l.colStamp == nil
+						elems := foldTestElems(int64(100*round+li), l.in, l.out, shards, denseIn)
 						injectFoldElems(stepNet, li, elems)
 						injectFoldElems(applyNet, li, elems)
 					}
@@ -244,41 +253,52 @@ func stateHash(n *Network) uint64 {
 	return h.Sum64()
 }
 
-// TestOneThreadTrainingGoldenHash pins 1-thread training — weights, biases
-// and moments after 40 batches with scheduled rebuilds — to the hash
-// recorded from the commit before the fold/step update phase replaced
-// extract → CSR → apply (c11261e): the update phase may be restructured,
-// its arithmetic may not move. The golden was recorded on amd64; other
-// architectures may fuse multiply-adds and legitimately differ.
-func TestOneThreadTrainingGoldenHash(t *testing.T) {
+// TestTrainingGoldenHash pins training — weights, biases and moments after
+// 40 batches with scheduled rebuilds — to recorded hashes, at 1, 2 and 4
+// threads alike. The TopK hash was recorded at one thread from the commit
+// before the fold/step update phase replaced extract → CSR → apply
+// (c11261e): the update phase may be restructured, its arithmetic may not
+// move, and the thread count may not move it either. The vanilla case adds
+// randomized retrieval, seeded per batch position. The goldens were
+// recorded on amd64; other architectures may fuse multiply-adds and
+// legitimately differ.
+func TestTrainingGoldenHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64, running on %s", runtime.GOARCH)
 	}
-	const (
-		classes     = 128
-		wantHash    = uint64(0x42c7d6d0fe0c4d16)
-		wantTouched = int64(850358)
-	)
+	const classes = 128
 	ds := deltaTestDataset(t, classes)
-	for _, mode := range []optim.UpdateMode{optim.ModeHogwild, optim.ModeBatchSync} {
-		cfg := deltaTestConfig(classes, mode)
-		cfg.RebuildN0 = 10
-		n := mustNet(t, cfg)
-		tc := TrainConfig{BatchSize: 32, Iterations: 40, Threads: 1, Seed: 9, SyncRebuild: true}
-		if _, err := n.Train(ds.Train, ds.Test, tc); err != nil {
-			t.Fatal(err)
-		}
-		if got := stateHash(n); got != wantHash || n.touchedWeights != wantTouched {
-			t.Fatalf("%s: state hash %#x with %d cells stepped, want %#x with %d",
-				mode, got, n.touchedWeights, wantHash, wantTouched)
+	for _, c := range []struct {
+		strategy    sampling.Kind
+		wantHash    uint64
+		wantTouched int64
+	}{
+		{sampling.KindTopK, 0x42c7d6d0fe0c4d16, 850358},
+		{sampling.KindVanilla, 0xb528b0e8cd25c660, 850787},
+	} {
+		for _, threads := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%v/threads=%d", c.strategy, threads), func(t *testing.T) {
+				cfg := deltaTestConfig(classes)
+				cfg.Layers[1].Strategy = c.strategy
+				cfg.RebuildN0 = 10
+				n := mustNet(t, cfg)
+				tc := TrainConfig{BatchSize: 32, Iterations: 40, Threads: threads, Seed: 9, SyncRebuild: true}
+				if _, err := n.Train(ds.Train, ds.Test, tc); err != nil {
+					t.Fatal(err)
+				}
+				if got := stateHash(n); got != c.wantHash || n.touchedWeights != c.wantTouched {
+					t.Fatalf("state hash %#x with %d cells stepped, want %#x with %d",
+						got, n.touchedWeights, c.wantHash, c.wantTouched)
+				}
+			})
 		}
 	}
 }
 
-// twoShardBatches returns a function that runs one batch's forward and
-// backward over two element states (worker shards 0 and 1, elements
-// alternating), leaving the gradient in the shards for an update phase.
-func twoShardBatches(t testing.TB, n *Network, train []dataset.Example, batchSize int) func() {
+// twoWorkerBatches returns a function that runs one batch's forward and
+// backward over two element states (workers 0 and 1, elements
+// alternating), leaving the gradient in the records for an update phase.
+func twoWorkerBatches(t testing.TB, n *Network, train []dataset.Example, batchSize int) func() {
 	t.Helper()
 	var states [2]*elemState
 	for w := range states {
@@ -286,28 +306,25 @@ func twoShardBatches(t testing.TB, n *Network, train []dataset.Example, batchSiz
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.shards = n.backShardSet(w)
 		states[w] = st
 	}
 	next := 0
 	return func() {
-		n.beginBatch()
 		for i := 0; i < batchSize; i++ {
 			ex := &train[next%len(train)]
 			next++
-			st := states[i%2]
-			n.forwardElem(st, ex.Features, ex.Labels, modeTrain)
-			n.backwardElem(st, ex.Features, ex.Labels, nil)
+			trainElem(n, states[i%2], i, ex.Features, ex.Labels)
 		}
 	}
 }
 
 // TestUpdatePhaseSteadyStateAllocs pins the update phase's allocation
 // budget (the CI allocation gate): once the layer-owned scratch is warm —
-// stamp-scan partial lists, the shard→union column permutation, folded-row
-// buffers, applied counters, CSR chunks, the reused SparseDelta — a batch's
-// update allocates only what its handful of parallel sections cost
-// (goroutine closures and wait groups), never per-row or per-cell scratch.
+// stamp-scan partial lists, the row index, the column union and its
+// positions, row buffers, applied counters, CSR chunks, the reused
+// SparseDelta — a batch's update allocates only what its handful of
+// parallel sections cost (goroutine closures and wait groups), never
+// per-row or per-cell scratch.
 func TestUpdatePhaseSteadyStateAllocs(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
@@ -323,8 +340,8 @@ func TestUpdatePhaseSteadyStateAllocs(t *testing.T) {
 		},
 	}
 	for name, update := range consumers {
-		n := mustNet(t, deltaTestConfig(classes, optim.ModeHogwild))
-		runBatch := twoShardBatches(t, n, ds.Train, 32)
+		n := mustNet(t, deltaTestConfig(classes))
+		runBatch := twoWorkerBatches(t, n, ds.Train, 32)
 		const invB = float32(1.0 / 32)
 		// The same 8 batches cycle, so the scratch high-water marks are
 		// reached during warm-up.
@@ -351,10 +368,9 @@ func TestUpdatePhaseSteadyStateAllocs(t *testing.T) {
 
 // BenchmarkUpdatePhase times both consumers of the fold on one captured
 // train_converge-shaped batch (Delicious-200K at 0.03: 23.5K features into
-// 128 hidden units into 6.2K classes, batch 128 over two shards, both
-// layers), reporting ns per stepped cell. The captured shards are re-armed
-// between iterations; dense rows fold in place, so their sums grow from one
-// iteration to the next, which changes no timing.
+// 128 hidden units into 6.2K classes, batch 128 over two workers, both
+// layers), reporting ns per stepped cell. The fold only reads the records,
+// so re-arming them replays the same batch every iteration.
 func BenchmarkUpdatePhase(b *testing.B) {
 	ds, err := dataset.Generate(dataset.Delicious200K(0.03, 1))
 	if err != nil {
@@ -398,7 +414,7 @@ func BenchmarkUpdatePhase(b *testing.B) {
 			}
 			const batchSize = 128
 			const invB = float32(1.0 / batchSize)
-			runBatch := twoShardBatches(b, n, ds.Train, batchSize)
+			runBatch := twoWorkerBatches(b, n, ds.Train, batchSize)
 			// A few real steps first, through the consumer under test: the
 			// moments and the zero pattern of the captured batch are then a
 			// trained network's, and the consumer's scratch is warm.
@@ -407,20 +423,12 @@ func BenchmarkUpdatePhase(b *testing.B) {
 				c.update(n, n.adam.Alpha(s), invB)
 			}
 			runBatch()
-			var live []*backShard
-			for li, l := range n.layers {
-				for _, sh := range n.layerShards[li] {
-					if sh.epoch == l.batchEpoch {
-						live = append(live, sh)
-					}
-				}
-			}
 			alpha := n.adam.Alpha(4)
 			var cells int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, sh := range live {
-					sh.epoch = sh.l.batchEpoch
+				for _, rec := range n.records {
+					rec.used = true
 				}
 				cells += c.update(n, alpha, invB)
 			}

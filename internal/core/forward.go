@@ -33,19 +33,26 @@ const (
 // (internal/kernels): each (layer, active set) pass is planned as a
 // gather or scatter kernel from the measured input density.
 func (n *Network) forwardElem(st *elemState, x sparse.Vector, labels []int32, mode forwardMode) {
+	n.forward(st, st.layers, x, labels, mode)
+}
+
+// forward is forwardElem into explicit layer states: a training pass writes
+// its batch position's record, which the backward pass and the batch fold
+// read later.
+func (n *Network) forward(st *elemState, layers []layerState, x sparse.Vector, labels []int32, mode forwardMode) {
 	st.nextEpoch()
 	inIds := x.Idx
 	inVals := x.Val
 	inFull := false
 	last := len(n.layers) - 1
 	for li, l := range n.layers {
-		ls := &st.layers[li]
+		ls := &layers[li]
 		useAll := !l.Sampled() || mode == modeEvalFull
 		if useAll {
 			ls.reset(true, l.out)
 			ls.sizeVals(l.out)
 		} else {
-			n.selectActive(st, li, inIds, inVals, inFull, labels, mode == modeTrain && li == last)
+			n.selectActive(st, ls, li, inIds, inVals, inFull, labels, mode == modeTrain && li == last)
 			ls.sizeVals(len(ls.ids))
 			st.activeSum[li] += int64(len(ls.ids))
 			st.activeCount[li]++
@@ -57,14 +64,13 @@ func (n *Network) forwardElem(st *elemState, x sparse.Vector, labels []int32, mo
 	}
 }
 
-// selectActive fills st.layers[li].ids by hashing the layer input and
-// querying the tables with the layer's strategy, force-including labels
-// when asked, and falling back to a draw of Beta random neurons if
+// selectActive fills ls.ids, layer li's active set, by hashing the layer
+// input and querying the tables with the layer's strategy, force-including
+// labels when asked, and falling back to a draw of Beta random neurons if
 // retrieval comes back empty (possible right after initialization when
 // buckets are sparse).
-func (n *Network) selectActive(st *elemState, li int, inIds []int32, inVals []float32, inFull bool, labels []int32, forceLabels bool) {
+func (n *Network) selectActive(st *elemState, ls *layerState, li int, inIds []int32, inVals []float32, inFull bool, labels []int32, forceLabels bool) {
 	l := n.layers[li]
-	ls := &st.layers[li]
 	codes := st.codes[li]
 	if inFull {
 		l.fam.HashDense(inVals, codes)
@@ -92,7 +98,7 @@ func (n *Network) selectActive(st *elemState, li int, inIds []int32, inVals []fl
 		}
 	}
 	if len(ls.ids) == 0 {
-		n.fallbackActive(st, li)
+		n.fallbackActive(st, ls, li)
 	}
 }
 
@@ -103,9 +109,8 @@ func (n *Network) selectActive(st *elemState, li int, inIds []int32, inVals []fl
 // fill switches to a deterministic wrap-around run from one random start
 // — a single RNG draw, O(out) work, and still reproducible under a fixed
 // seed.
-func (n *Network) fallbackActive(st *elemState, li int) {
+func (n *Network) fallbackActive(st *elemState, ls *layerState, li int) {
 	l := n.layers[li]
-	ls := &st.layers[li]
 	want := l.cfg.Beta
 	if want <= 0 {
 		want = 32
@@ -174,15 +179,9 @@ func outputDeltaAndLoss(ls *layerState, labels []int32) float64 {
 	}
 	invLab := 1 / float32(len(labels))
 	var loss float64
-	pos := func(a int) int32 {
-		if ls.full {
-			return int32(a)
-		}
-		return ls.ids[a]
-	}
 	for a := range ls.vals {
 		p := ls.vals[a]
-		if containsSortedLabel(labels, pos(a)) {
+		if containsSortedLabel(labels, ls.id(a)) {
 			ls.delta[a] = p - invLab
 			loss -= float64(invLab) * math.Log(float64(max(p, 1e-30)))
 		} else {

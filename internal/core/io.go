@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/optim"
 )
 
 // Model serialization: a small custom binary format (the module builds
@@ -111,11 +109,6 @@ func LoadModel(r io.Reader) (*Network, error) {
 	var cfg Config
 	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
 		return nil, fmt.Errorf("core: decoding model config: %w", err)
-	}
-	// UpdateMode 1 was a retired compare-and-swap mode that ran
-	// ModeHogwild's code; load it as that.
-	if cfg.UpdateMode == 1 {
-		cfg.UpdateMode = optim.ModeHogwild
 	}
 	// Defer the table build until the real weights are in place — the
 	// tables are a pure function of the weights, so hashing the random

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
-
-	"repro/internal/optim"
 )
 
 // v2File assembles a v2 model file from hand-written config JSON and
@@ -25,32 +24,35 @@ func v2File(cfgJSON string, layers [][3]uint32) []byte {
 }
 
 // TestLoadModelValidatesConfig: a model file's config JSON is input like
-// any other. The retired update mode 1 loads as ModeHogwild, whose code it
-// ran; any other unknown update mode or activation is an error rather
-// than a network that silently trains as hogwild or applies no
-// non-linearity, and a shape int32 indices cannot address is an error
-// before any weight memory is sized for it.
+// any other. Files of every retired update mode (0, 1, 2) load, with the
+// key ignored; an unknown activation is an error rather than a network
+// that applies no non-linearity, and a shape int32 indices cannot address
+// is an error before any weight memory is sized for it.
 func TestLoadModelValidatesConfig(t *testing.T) {
-	file := func(act, mode int) []byte {
-		cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":4,"Activation":%d},{"Size":3,"Activation":1}],"UpdateMode":%d}`, act, mode)
+	file := func(act int, extra string) []byte {
+		cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":4,"Activation":%d},{"Size":3,"Activation":1}]%s}`, act, extra)
 		return v2File(cfg, [][3]uint32{{8, 4, uint32(act)}, {4, 3, uint32(ActSoftmax)}})
 	}
-	t.Run("retired update mode 1", func(t *testing.T) {
-		n, err := LoadModel(bytes.NewReader(file(int(ActReLU), 1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := n.Config().UpdateMode; got != optim.ModeHogwild {
-			t.Fatalf("loaded as %v, want %v", got, optim.ModeHogwild)
-		}
-	})
+	want, err := LoadModel(bytes.NewReader(file(int(ActReLU), "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("retired update mode %d", mode), func(t *testing.T) {
+			n, err := LoadModel(bytes.NewReader(file(int(ActReLU), fmt.Sprintf(`,"UpdateMode":%d`, mode))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(n.Config(), want.Config()) {
+				t.Fatalf("loaded config %+v, want %+v", n.Config(), want.Config())
+			}
+		})
+	}
 	for _, bad := range []struct {
 		name string
 		data []byte
 	}{
-		{"update mode 7", file(int(ActReLU), 7)},
-		{"update mode -1", file(int(ActReLU), -1)},
-		{"activation 9", file(9, int(optim.ModeHogwild))},
+		{"activation 9", file(9, "")},
 		// Headers only: loading must fail before it reads any weights.
 		{"layer size 2^50", v2File(`{"InputDim":4,"Layers":[{"Size":1125899906842624,"Activation":1}]}`, nil)},
 		{"layer 70000x70000", v2File(`{"InputDim":70000,"Layers":[{"Size":70000,"Activation":1}]}`, nil)},

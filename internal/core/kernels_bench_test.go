@@ -94,12 +94,11 @@ func BenchmarkForwardLayer0Gather(b *testing.B)  { benchForwardLayer0(b, 0) }
 
 func BenchmarkBackwardElemKernel(b *testing.B) {
 	n, st, train := benchKernelNet(b)
-	n.beginBatch()
 	ex := &train[0]
-	n.forwardElem(st, ex.Features, ex.Labels, modeTrain)
+	rec := trainElem(n, st, 0, ex.Features, ex.Labels)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.backwardElem(st, ex.Features, ex.Labels, nil)
+		n.backwardElem(st, rec, ex.Labels)
 	}
 }
 

@@ -195,9 +195,9 @@ func TestKernelForwardEquivalence(t *testing.T) {
 
 // TestKernelBackwardEquivalence runs one element's forward+backward per
 // input and requires the extracted delta to equal the dense reference
-// replay of that element bit for bit, on every architecture — dense and
-// sparse shard rows, full and sampled active sets, dense and sparse layer
-// inputs.
+// replay of that element bit for bit, on every architecture — full-width
+// and column-union rows, full and sampled active sets, dense and sparse
+// layer inputs.
 func TestKernelBackwardEquivalence(t *testing.T) {
 	for name, cfg := range equivArchs() {
 		t.Run(name, func(t *testing.T) {
@@ -206,10 +206,7 @@ func TestKernelBackwardEquivalence(t *testing.T) {
 			ref := newDenseGrad(n)
 			labels := []int32{2, 9}
 			for xi, x := range equivInputs(cfg.InputDim) {
-				n.beginBatch()
-				n.forwardElem(st, x, labels, modeTrain)
-				n.backwardElem(st, x, labels, nil)
-				ref.addElem(st, x)
+				ref.addRecord(trainElem(n, st, 0, x, labels))
 				got := n.ExtractDelta(nil, 1)
 				if got.Cells() == 0 {
 					t.Fatalf("input %d: empty delta", xi)
@@ -359,7 +356,7 @@ func TestFallbackActiveDenseBeta(t *testing.T) {
 		st.nextEpoch()
 		ls := &st.layers[1]
 		ls.reset(false, 0)
-		n.fallbackActive(st, 1)
+		n.fallbackActive(st, ls, 1)
 		want := min(beta, 128)
 		if len(ls.ids) != want {
 			t.Fatalf("beta %d: fallback drew %d ids, want %d", beta, len(ls.ids), want)
@@ -380,12 +377,12 @@ func TestFallbackActiveDenseBeta(t *testing.T) {
 		st.reseed(42)
 		st.nextEpoch()
 		ls.reset(false, 0)
-		n.fallbackActive(st, 1)
+		n.fallbackActive(st, ls, 1)
 		second := append([]int32(nil), ls.ids...)
 		st.reseed(42)
 		st.nextEpoch()
 		ls.reset(false, 0)
-		n.fallbackActive(st, 1)
+		n.fallbackActive(st, ls, 1)
 		for i := range second {
 			if ls.ids[i] != second[i] {
 				t.Fatalf("beta %d: fallback not reproducible under a fixed seed", beta)

@@ -23,8 +23,8 @@ type Layer struct {
 
 	// w[j] is neuron j's weight row (length in); mW/vW are the aligned
 	// Adam moments. The rows are views into the network arena's
-	// contiguous slabs. A batch's gradient lives in the workers' backShards
-	// (shard.go), not here.
+	// contiguous slabs. A batch's gradient is replayed from the batch
+	// records row by row at the boundary (fold.go), never stored here.
 	w  [][]float32
 	mW [][]float32
 	vW [][]float32
@@ -33,10 +33,10 @@ type Layer struct {
 	mB []float32
 	vB []float32
 
-	// touched[j] == batchEpoch marks neuron j as having accumulated
-	// gradient this batch; colStamp (nil for small fan-in layers) marks
-	// touched input columns the same way. Workers never write them:
-	// beginFold stamps both from the shard lists at the quiesced batch
+	// touched[j] == batchEpoch marks neuron j as having gradient this
+	// batch; colStamp (nil unless the layer replays rows over a column
+	// union) marks touched input columns the same way. Workers never write
+	// them: beginFold stamps both from the records at the quiesced batch
 	// boundary, single-threaded.
 	touched    []uint32
 	colStamp   []uint32
@@ -45,8 +45,8 @@ type Layer struct {
 	scanParts  [][]int32 // scanStamps' per-worker partial lists
 	batchEpoch uint32
 
-	// fold is the update phase's per-batch scratch: the live shards, the
-	// row/column union and the folded-row buffers (see gradFold).
+	// fold is the update phase's per-batch scratch: the row index, the
+	// column union and the row buffers (see gradFold).
 	fold gradFold
 
 	// fam and tables implement the adaptive sampling; nil for dense
@@ -101,9 +101,6 @@ func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Laye
 		vB: ar.AllocAligned(cfg.Size),
 	}
 	l.touched = make([]uint32, cfg.Size)
-	if in > colTrackThreshold {
-		l.colStamp = make([]uint32, in)
-	}
 
 	std := float32(math.Sqrt(2.0 / float64(in))) // He init for ReLU
 	if cfg.Activation != ActReLU {
@@ -223,8 +220,9 @@ const (
 // chunk into a detached generation-seeded shadow set, table-parallel.
 // (3) Publish the shadow with one atomic handle store. Only step (1) has
 // to run while training is quiesced; steps (2)-(3) are safe concurrently
-// with HOGWILD weight writes and with live Predictor traffic, which is
-// what lets Network overlap the expensive build with training batches.
+// with training batches (and their boundary weight steps) and with live
+// Predictor traffic, which is what lets Network overlap the expensive
+// build with training.
 //
 // There is no incremental re-hash (§4.2 trick 3): one batch touches about
 // batch×β output rows and rebuilds are at least RebuildN0 batches apart,
@@ -235,8 +233,8 @@ const (
 // into the layer's flat out*in snapshot buffer, parallelized across
 // workers. It must run at a batch boundary (training workers quiesced):
 // the copy is then the only part of an asynchronous rebuild that reads
-// live weights, which keeps the detached build race-free against HOGWILD
-// writers by construction — and it is the only synchronous cost the async
+// live weights, which keeps the detached build race-free against the
+// weight steps by construction — and it is the only synchronous cost the async
 // lifecycle leaves in the training loop, so it is one parallel pass with a
 // single join and no steady-state allocation.
 func (l *Layer) snapshotRows(workers int) []float32 {

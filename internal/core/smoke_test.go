@@ -49,7 +49,7 @@ func tinyConfig(classes int) Config {
 }
 
 // TestSlideLearnsTinyTask verifies the end-to-end pipeline: a sampled
-// softmax output layer trained with HOGWILD updates must beat random
+// softmax output layer trained end to end must beat random
 // guessing by a wide margin on a planted-structure task.
 func TestSlideLearnsTinyTask(t *testing.T) {
 	classes := 256

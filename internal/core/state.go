@@ -29,6 +29,14 @@ type layerState struct {
 	delta []float32
 }
 
+// id returns the neuron id at active position a.
+func (ls *layerState) id(a int) int32 {
+	if ls.full {
+		return int32(a)
+	}
+	return ls.ids[a]
+}
+
 func (ls *layerState) reset(full bool, n int) {
 	ls.full = full
 	ls.ids = ls.ids[:0]
@@ -53,47 +61,12 @@ func (ls *layerState) sizeVals(n int) {
 	ls.vals = ls.vals[:n]
 }
 
-// fwdCapture retains one batch element's forward activations so its
-// backward pass can run after the capturing worker's layer state was
-// reused by the next batch's forward — the OverlapExchange pipeline,
-// where forward(t+1) executes before backward(t). captureFrom deep-copies
-// each layer's active ids, activations and density flag, and reserves
-// delta capacity for the backward pass to fill in place.
-type fwdCapture struct {
-	layers []layerState
-}
-
-func (c *fwdCapture) captureFrom(src []layerState) {
-	if cap(c.layers) < len(src) {
-		c.layers = make([]layerState, len(src))
-	}
-	c.layers = c.layers[:len(src)]
-	for i := range src {
-		s, d := &src[i], &c.layers[i]
-		d.full = s.full
-		d.ids = append(d.ids[:0], s.ids...)
-		d.vals = append(d.vals[:0], s.vals...)
-		if cap(d.delta) < len(s.vals) {
-			d.delta = make([]float32, 0, len(s.vals))
-		}
-		d.delta = d.delta[:0]
-	}
-}
-
 // elemState is the per-worker compute state reused across batch elements.
-// Nothing in it is shared between workers; the only cross-worker writes
-// during training are the weight updates themselves (§3.1's HOGWILD
-// argument).
+// Nothing in it is shared between workers. Inference passes run on its own
+// layers; a training pass runs on its batch position's record instead
+// (elemRecord), so the state keeps only scratch and sampling streams.
 type elemState struct {
 	layers []layerState
-
-	// wk is the worker index the state was built for; it keys the
-	// network's backward gradient shard set (shard.go).
-	wk int
-	// shards is the worker's per-layer backward gradient shards, attached
-	// lazily on the first backward pass and reused across batches
-	// and Train calls.
-	shards []*backShard
 
 	// codes is per-layer hash-code scratch (K*L entries for sampled
 	// layers).
@@ -136,10 +109,11 @@ type elemState struct {
 }
 
 // Seed-derivation constants shared by construction (newElemState),
-// request reseeding (reseed) and batch element seeding (elemSeed):
-// rngSeedSalt separates the fallback-draw RNG's seed space from the
-// strategies', layerSeedMix (the 64-bit golden ratio) strides per-layer
-// strategy seeds apart, and workerSeedMix strides per-worker ones.
+// request reseeding (reseed) and batch element seeding (elemSeed,
+// trainSeed): rngSeedSalt separates the fallback-draw RNG's seed space
+// from the strategies', layerSeedMix (the 64-bit golden ratio) strides
+// per-layer strategy seeds and batch elements apart, and workerSeedMix
+// strides per-worker ones and training steps.
 const (
 	rngSeedSalt   = 0xe1e3
 	layerSeedMix  = 0x9e3779b97f4a7c15
@@ -151,7 +125,6 @@ const (
 func newElemState(n *Network, seed uint64, w int) (*elemState, error) {
 	st := &elemState{
 		layers:      make([]layerState, len(n.layers)),
-		wk:          w,
 		codes:       make([][]uint32, len(n.layers)),
 		strategies:  make([]sampling.Strategy, len(n.layers)),
 		mark:        make([][]uint32, len(n.layers)),

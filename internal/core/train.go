@@ -11,7 +11,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/kernels"
 	"repro/internal/metrics"
-	"repro/internal/optim"
 	"repro/internal/rng"
 )
 
@@ -77,9 +76,17 @@ type TrainResult struct {
 }
 
 // Train runs minibatch training (Algorithm 1). Batch elements are
-// processed by a persistent worker pool — one goroutine slot per element,
-// with private activation/gradient state (§3.1) — and gradients are
-// written according to Config.UpdateMode.
+// processed by a persistent worker pool (§3.1): each element's forward and
+// backward pass fills the record of its batch position, with sampling
+// streams seeded by (TrainConfig.Seed, Config.Seed, step, position), and at
+// the batch boundary every touched weight row is replayed from the records
+// in element order by one owner and stepped (fold.go).
+//
+// Determinism: the trained bits do not depend on Threads — nor, for a
+// sharded run, on the threads per rank or on OverlapExchange — as long as
+// the hash tables are published at the same batches. That holds with
+// SyncRebuild or when no rebuild is due; the default background rebuild
+// publishes whenever its build finishes, which depends on timing.
 func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainResult, error) {
 	return n.TrainContext(context.Background(), train, test, tc)
 }
@@ -94,6 +101,9 @@ func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainRe
 func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Example, tc TrainConfig) (*TrainResult, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("core: empty training split")
+	}
+	if err := tc.validate(); err != nil {
+		return nil, err
 	}
 	tc = tc.withDefaults(len(train))
 	if tc.BatchSize > len(train) {
@@ -112,46 +122,29 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	overlap := tc.OverlapExchange && ex != nil
 	workers := tc.Threads
 
+	seed := tc.Seed ^ n.cfg.Seed
 	states := make([]*elemState, workers)
 	for w := range states {
-		st, err := newElemState(n, tc.Seed^n.cfg.Seed, w)
+		st, err := newElemState(n, seed, w)
 		if err != nil {
 			return nil, err
 		}
-		// Attach the worker's backward gradient shards up front so the
-		// hot loop never takes the registry lock.
-		st.shards = n.backShardSet(w)
 		states[w] = st
 	}
-
-	var records []*elemRecord
-	if n.cfg.UpdateMode == optim.ModeBatchSync {
-		records = make([]*elemRecord, tc.BatchSize)
-		for i := range records {
-			records[i] = &elemRecord{}
-		}
-	}
-
-	// Overlap mode splits the fused forward+backward element pass in two
-	// phases; captures park each element's forward activations between
-	// them (the capturing worker's layer state is reused by the next
-	// batch's forward before the backward runs).
-	var caps []*fwdCapture
-	if overlap {
-		caps = make([]*fwdCapture, tc.BatchSize)
-		for i := range caps {
-			caps[i] = &fwdCapture{}
-		}
-	}
+	n.ensureRecords(tc.BatchSize)
 
 	// Persistent worker pool: every batch is announced to all workers
-	// (one message per worker), and workers grab batch elements through a
+	// (one message per worker), and workers grab batch positions through a
 	// shared atomic cursor so stragglers self-balance (§3.1: one thread
-	// per batch element, private state, shared weights).
+	// per batch element, private state, shared weights). Position k's
+	// record keeps the element between the phases of a split step, so the
+	// OverlapExchange pipeline's forward and backward may run on different
+	// workers.
 	type batchJob struct {
 		idxs  []int
 		done  *sync.WaitGroup
 		phase trainPhase
+		step  int64
 	}
 	jobs := make(chan batchJob, workers)
 	var cursor atomic.Int64
@@ -168,28 +161,18 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 						break
 					}
 					exm := &train[job.idxs[k]]
-					var rec *elemRecord
-					if records != nil {
-						rec = records[k]
-					}
+					rec := n.records[k]
 					t0 := nowNano()
-					switch job.phase {
-					case phaseForward:
-						n.forwardElem(st, exm.Features, exm.Labels, modeTrain)
-						caps[k].captureFrom(st.layers)
-						st.busyNS += nowNano() - t0
-					case phaseBackward:
-						loss := n.backwardFrom(st, caps[k].layers, exm.Features, exm.Labels, rec)
-						st.busyNS += nowNano() - t0
-						st.lossSum += loss
-						st.lossCount++
-					default: // phaseFused
-						n.forwardElem(st, exm.Features, exm.Labels, modeTrain)
-						loss := n.backwardElem(st, exm.Features, exm.Labels, rec)
-						st.busyNS += nowNano() - t0
-						st.lossSum += loss
+					if job.phase != phaseBackward {
+						st.reseed(trainSeed(seed, job.step, k))
+						rec.x = exm.Features
+						n.forward(st, rec.layers, rec.x, exm.Labels, modeTrain)
+					}
+					if job.phase != phaseForward {
+						st.lossSum += n.backwardElem(st, rec, exm.Labels)
 						st.lossCount++
 					}
+					st.busyNS += nowNano() - t0
 				}
 				job.done.Done()
 			}
@@ -231,7 +214,7 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 		cursor.Store(0)
 		done.Add(workers)
 		for w := 0; w < workers; w++ {
-			jobs <- batchJob{idxs: batch, done: &done, phase: phase}
+			jobs <- batchJob{idxs: batch, done: &done, phase: phase, step: n.step}
 		}
 		done.Wait()
 	}
@@ -332,11 +315,7 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 					break
 				}
 			}
-			n.beginBatch()
 			runPhase(phaseBackward, batch)
-			if records != nil {
-				n.accumulateBatchSync(records, workers)
-			}
 			d := n.ExtractDelta(n.deltaScratch, workers)
 			n.deltaScratch = d
 			if tc.Compress == CompressTopK {
@@ -346,11 +325,7 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 			pend = launch(d, wantStop)
 		} else {
 			alpha := n.adam.Alpha(n.step + 1)
-			n.beginBatch()
 			runPhase(phaseFused, batch)
-			if records != nil {
-				n.accumulateBatchSync(records, workers)
-			}
 			if ex == nil {
 				n.applyAdamBatch(alpha, 1/float32(len(batch)), workers)
 			} else {
@@ -522,6 +497,13 @@ func (n *Network) exchangeAndApply(ex DeltaExchanger, wantStop bool, alpha float
 		return false, err
 	}
 	return stopAll, nil
+}
+
+// trainSeed derives the sampling seed of batch position k at step from
+// the run's seed, so a retrieval draw does not depend on which worker ran
+// the element.
+func trainSeed(seed uint64, step int64, k int) uint64 {
+	return elemSeed(seed^uint64(step)*workerSeedMix, k)
 }
 
 func reshuffle(order []int, seed uint64) {

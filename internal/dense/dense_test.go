@@ -2,6 +2,7 @@ package dense
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -65,6 +66,34 @@ func TestDenseDeterministicAcrossThreads(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTrainRejectsNegativeSizes: a negative size is an error naming the
+// field — not a panic, and not a run that trains nothing and reports
+// success.
+func TestTrainRejectsNegativeSizes(t *testing.T) {
+	ds := tinyDS(t)
+	n, err := New(Config{InputDim: 256, Hidden: []int{16}, Classes: 64, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, field string
+		cfg         TrainConfig
+	}{
+		{"threads -1", "Threads", TrainConfig{Threads: -1, Iterations: 2}},
+		{"batch -1", "BatchSize", TrainConfig{BatchSize: -1, Iterations: 2}},
+		{"batch -4 epochs derived", "BatchSize", TrainConfig{BatchSize: -4}},
+		{"iterations -3", "Iterations", TrainConfig{Iterations: -3}},
+		{"epochs -2", "Epochs", TrainConfig{Epochs: -2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := n.Train(ds.Train, ds.Test, tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("Train(%+v) = %v, want an error naming %s", tc.cfg, err, tc.field)
+			}
+		})
 	}
 }
 

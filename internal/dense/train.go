@@ -27,6 +27,25 @@ type TrainConfig struct {
 	OnEval      func(metrics.Point)
 }
 
+// validate rejects negative sizes, which would otherwise panic or train
+// nothing and report success.
+func (tc TrainConfig) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"BatchSize", int64(tc.BatchSize)},
+		{"Iterations", tc.Iterations},
+		{"Epochs", int64(tc.Epochs)},
+		{"Threads", int64(tc.Threads)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("dense: TrainConfig.%s must not be negative, got %d", f.name, f.v)
+		}
+	}
+	return nil
+}
+
 func (tc TrainConfig) withDefaults(trainSize int) TrainConfig {
 	if tc.BatchSize == 0 {
 		tc.BatchSize = 128
@@ -85,6 +104,9 @@ func newTrainBuffers(n *Network, batch, threads int) *trainBuffers {
 func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainResult, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("dense: empty training split")
+	}
+	if err := tc.validate(); err != nil {
+		return nil, err
 	}
 	tc = tc.withDefaults(len(train))
 	if tc.BatchSize > len(train) {

@@ -14,23 +14,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/lsh"
-	"repro/internal/optim"
 	"repro/internal/sampling"
 )
 
 const testFeatureDim = 600 // above colTrackThreshold: first layer tracks columns
-
-// multiThreadMode returns the update mode for tests that train with
-// multiple worker threads per replica: HOGWILD's races (including the
-// benign touched/colStamp stamps) are deliberate and would trip the race
-// detector, so -race runs use the sharded-writer batch-sync discipline —
-// the same convention internal/core's race-gated tests follow.
-func multiThreadMode() optim.UpdateMode {
-	if raceEnabled {
-		return optim.ModeBatchSync
-	}
-	return optim.ModeHogwild
-}
 
 func distDataset(t testing.TB, classes, trainSize int) *dataset.Dataset {
 	t.Helper()
@@ -53,11 +40,10 @@ func distDataset(t testing.TB, classes, trainSize int) *dataset.Dataset {
 	return ds
 }
 
-func distConfig(classes int, mode optim.UpdateMode) core.Config {
+func distConfig(classes int) core.Config {
 	return core.Config{
-		InputDim:   testFeatureDim,
-		Seed:       11,
-		UpdateMode: mode,
+		InputDim: testFeatureDim,
+		Seed:     11,
 		Layers: []core.LayerConfig{
 			{Size: 64, Activation: core.ActReLU},
 			{
@@ -226,7 +212,7 @@ func TestMeshFailUnblocks(t *testing.T) {
 func TestTrainShardedLoopbackMatchesPlain(t *testing.T) {
 	const classes = 128
 	ds := distDataset(t, classes, 512)
-	cfg := distConfig(classes, optim.ModeBatchSync)
+	cfg := distConfig(classes)
 	tc := core.TrainConfig{BatchSize: 32, Iterations: 15, Threads: 1, EvalEvery: 0, Seed: 9}
 
 	plain, err := core.NewNetwork(cfg)
@@ -262,7 +248,7 @@ func TestTrainShardedLoopbackMatchesPlain(t *testing.T) {
 func TestTrainShardedReplicasInLockstep(t *testing.T) {
 	const classes = 128
 	ds := distDataset(t, classes, 512)
-	cfg := distConfig(classes, multiThreadMode())
+	cfg := distConfig(classes)
 	tc := core.TrainConfig{BatchSize: 16, Iterations: 25, Threads: 2, EvalEvery: 10, Seed: 3}
 
 	res, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 3)
@@ -313,7 +299,7 @@ func TestTrainShardedLockstepCompressed(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			cfg := distConfig(classes, multiThreadMode())
+			cfg := distConfig(classes)
 			tc := core.TrainConfig{BatchSize: 16, Iterations: 20, Threads: 2, EvalEvery: 8, Seed: 3}
 			v.mutate(&tc)
 			res, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 3)
@@ -346,7 +332,7 @@ func TestCompressionShrinksMeasuredBytes(t *testing.T) {
 	const classes = 128
 	ds := distDataset(t, classes, 512)
 	perIter := func(mutate func(*core.TrainConfig)) float64 {
-		cfg := distConfig(classes, optim.ModeBatchSync)
+		cfg := distConfig(classes)
 		tc := core.TrainConfig{BatchSize: 32, Iterations: 12, Threads: 1, EvalEvery: 0, Seed: 9}
 		if mutate != nil {
 			mutate(&tc)
@@ -378,7 +364,7 @@ func TestCompressionShrinksMeasuredBytes(t *testing.T) {
 func TestTrainShardedCoordinatedStop(t *testing.T) {
 	const classes = 128
 	ds := distDataset(t, classes, 512)
-	cfg := distConfig(classes, optim.ModeHogwild)
+	cfg := distConfig(classes)
 	// TargetAcc 0 is "never"; an absurdly low positive target trips at
 	// the first eval on whichever replica evaluates first.
 	tc := core.TrainConfig{
@@ -405,7 +391,7 @@ func TestTrainShardedCoordinatedStop(t *testing.T) {
 func TestTrainShardedCancellation(t *testing.T) {
 	const classes = 128
 	ds := distDataset(t, classes, 512)
-	cfg := distConfig(classes, optim.ModeHogwild)
+	cfg := distConfig(classes)
 	ctx, cancel := context.WithCancel(context.Background())
 	evals := 0
 	tc := core.TrainConfig{
@@ -461,6 +447,8 @@ func trainWithExchanger(t *testing.T, net *core.Network, ex core.DeltaExchanger,
 // quantization must equal the wire's encode/decode rounding exactly — so
 // the final weights agree bit for bit whatever the negotiated compression
 // or overlap setting, and both transports leave all replicas in lockstep.
+// The threads per rank must not matter either: the mesh reference runs
+// 1 thread per rank, a second mesh run and the TCP ranks run 2.
 func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 	const classes = 128
 	const iters = 12
@@ -471,6 +459,7 @@ func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 		mutate func(*core.TrainConfig)
 	}{
 		{"fp32", nil},
+		{"fp32-overlap", func(tc *core.TrainConfig) { tc.OverlapExchange = true }},
 		{"bf16", func(tc *core.TrainConfig) { tc.Compress = core.CompressBF16 }},
 		{"topk", func(tc *core.TrainConfig) {
 			tc.Compress = core.CompressTopK
@@ -483,17 +472,31 @@ func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			cfg := distConfig(classes, optim.ModeHogwild)
+			cfg := distConfig(classes)
 
-			// Mesh reference run, seeds matching trainWithExchanger.
-			tc := core.TrainConfig{BatchSize: 16, Iterations: iters, Threads: 1, EvalEvery: 0, Seed: 3}
-			if v.mutate != nil {
-				v.mutate(&tc)
+			// Mesh reference run, seeds matching trainWithExchanger. A
+			// mesh's Threads is the group's budget (2: one per rank, 4:
+			// two); a TCP rank's is its own.
+			withThreads := func(threads int) func(*core.TrainConfig) {
+				return func(tc *core.TrainConfig) {
+					if v.mutate != nil {
+						v.mutate(tc)
+					}
+					tc.Threads = threads
+				}
 			}
+			tc := core.TrainConfig{BatchSize: 16, Iterations: iters, EvalEvery: 0, Seed: 3}
+			withThreads(2)(&tc)
 			meshRes, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
+			withThreads(4)(&tc)
+			mesh2, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireNetsBitIdentical(t, meshRes.Nets[0], mesh2.Nets[0], "mesh at 1 vs 2 threads per rank")
 
 			// TCP run: rank 0 serves, rank 1 dials, both train concurrently.
 			nets := make([]*core.Network, 2)
@@ -521,7 +524,7 @@ func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 				go func(rank int) {
 					defer wg.Done()
 					trainWithExchanger(t, nets[rank], exs[rank],
-						ShardExamples(ds.Train, rank, 2), ds.Test, rank, 2, iters, v.mutate)
+						ShardExamples(ds.Train, rank, 2), ds.Test, rank, 2, iters, withThreads(2))
 				}(rank)
 			}
 			wg.Wait()
@@ -530,7 +533,7 @@ func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 			}
 
 			requireNetsBitIdentical(t, nets[0], nets[1], "TCP replicas")
-			requireNetsBitIdentical(t, meshRes.Nets[0], nets[0], "mesh vs TCP")
+			requireNetsBitIdentical(t, meshRes.Nets[0], nets[0], "mesh at 1 thread per rank vs TCP at 2")
 
 			sst, cst := srv.Stats(), cli.Stats()
 			if sst.Rounds != iters || cst.Rounds != iters {
@@ -682,7 +685,7 @@ func TestTwoShardConvergesLikeSingle(t *testing.T) {
 	}
 	const classes = 256
 	ds := distDataset(t, classes, 2000)
-	cfg := distConfig(classes, multiThreadMode())
+	cfg := distConfig(classes)
 
 	single, err := core.NewNetwork(cfg)
 	if err != nil {
@@ -718,7 +721,7 @@ func TestTwoShardConvergesLikeSingle(t *testing.T) {
 // it changes only local scheduling, so overlapped and synchronous
 // replicas may legitimately share a group.
 func TestScheduleDigestCoversCompression(t *testing.T) {
-	cfg := distConfig(64, optim.ModeHogwild)
+	cfg := distConfig(64)
 	base := core.TrainConfig{BatchSize: 16, Iterations: 100}
 	d0 := ScheduleDigest(cfg, base, 42)
 
@@ -757,7 +760,7 @@ func TestScheduleDigestCoversCompression(t *testing.T) {
 func TestOverlapRebuildRaceStress(t *testing.T) {
 	const classes = 128
 	ds := distDataset(t, classes, 512)
-	cfg := distConfig(classes, multiThreadMode())
+	cfg := distConfig(classes)
 	cfg.RebuildN0 = 3 // rebuild every few batches, overlapping the exchange
 	tc := core.TrainConfig{
 		BatchSize: 16, Iterations: 30, Threads: 2, EvalEvery: 7, Seed: 3,
@@ -784,13 +787,12 @@ func TestTwoShardTopKConvergesLikeUncompressed(t *testing.T) {
 	}
 	const classes = 256
 	ds := distDataset(t, classes, 2000)
-	cfg := distConfig(classes, optim.ModeHogwild)
+	cfg := distConfig(classes)
 
 	// Both runs are deterministic, so the comparison cannot flake under
-	// load: one thread per replica (Threads is the group's budget) fixes
-	// the gradient sums, and synchronous rebuilds fix the batch at which
-	// each table generation is published — a background build lands later
-	// on a busy machine, and that alone moved the final P@1 by 0.15.
+	// load: synchronous rebuilds fix the batch at which each table
+	// generation is published — a background build lands later on a busy
+	// machine, and that alone moved the final P@1 by 0.15.
 	tc := core.TrainConfig{BatchSize: 32, Epochs: 6, EvalEvery: 40, EvalSamples: 300, Seed: 3, Threads: 2, SyncRebuild: true}
 	plain, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 2)
 	if err != nil {
@@ -909,7 +911,7 @@ func TestMeshDoubleDepositPoisons(t *testing.T) {
 func TestShardsMismatchDetected(t *testing.T) {
 	const classes = 128
 	ds := distDataset(t, classes, 256)
-	net, err := core.NewNetwork(distConfig(classes, optim.ModeBatchSync))
+	net, err := core.NewNetwork(distConfig(classes))
 	if err != nil {
 		t.Fatal(err)
 	}

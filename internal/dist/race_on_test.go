@@ -2,6 +2,6 @@
 
 package dist
 
-// raceEnabled mirrors internal/core's gate: multi-threaded training
-// tests switch HOGWILD's deliberate races to CAS updates under -race.
+// raceEnabled reports whether the race detector is active; its
+// instrumentation allocates, so allocation gates skip under it.
 const raceEnabled = true

@@ -3,56 +3,15 @@
 // SLIDE trains with Adam (§5, "we also use the same optimizer, Adam")
 // applied lazily: only the weights touched by an active neuron's sparse
 // gradient receive a step, with first/second moments stored per weight.
-// Two write disciplines support the paper's asynchronous design (§3.1):
-//
-//   - ModeHogwild: plain unsynchronized read-modify-write, the paper's
-//     HOGWILD choice (Recht et al. 2011). Races are deliberate; sparse
-//     updates rarely collide and the occasional lost update is tolerated.
-//   - ModeBatchSync: gradients are accumulated per batch and applied by
-//     non-overlapping shards, giving deterministic single-threaded-
-//     equivalent results.
+// The steps are plain writes: the trainer runs them once per batch, each
+// weight row stepped by exactly one worker.
 package optim
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/vecmath"
 )
-
-// UpdateMode selects the gradient write discipline. The values are
-// persisted in model files; 1 belonged to a retired compare-and-swap mode.
-type UpdateMode int
-
-const (
-	// ModeHogwild pushes unsynchronized updates (the paper default).
-	ModeHogwild UpdateMode = 0
-	// ModeBatchSync accumulates per batch and applies synchronously.
-	ModeBatchSync UpdateMode = 2
-)
-
-// String returns the configuration name of the mode.
-func (m UpdateMode) String() string {
-	switch m {
-	case ModeHogwild:
-		return "hogwild"
-	case ModeBatchSync:
-		return "batch-sync"
-	default:
-		return fmt.Sprintf("UpdateMode(%d)", int(m))
-	}
-}
-
-// ParseUpdateMode converts a configuration name into an UpdateMode.
-func ParseUpdateMode(s string) (UpdateMode, error) {
-	switch s {
-	case "hogwild":
-		return ModeHogwild, nil
-	case "batch-sync":
-		return ModeBatchSync, nil
-	}
-	return 0, fmt.Errorf("optim: unknown update mode %q", s)
-}
 
 // Adam holds the Adam hyperparameters (Kingma & Ba 2014). The zero value
 // is not useful; construct with NewAdam.
@@ -82,7 +41,7 @@ func (a Adam) Alpha(t int64) float32 {
 }
 
 // Step1 applies one Adam step to a single weight with gradient g using
-// plain writes (ModeHogwild). alpha is Alpha(t).
+// plain writes. alpha is Alpha(t).
 func (a Adam) Step1(w, m, v *float32, g, alpha float32) {
 	nm := a.Beta1**m + (1-a.Beta1)*g
 	nv := a.Beta2**v + (1-a.Beta2)*g*g

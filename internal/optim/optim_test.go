@@ -151,17 +151,3 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		t.Fatalf("Adam did not converge: w = %v, want 3", w)
 	}
 }
-
-func TestParseUpdateModeRoundTrip(t *testing.T) {
-	for _, m := range []UpdateMode{ModeHogwild, ModeBatchSync} {
-		got, err := ParseUpdateMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseUpdateMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	for _, s := range []string{"nope", "atomic"} {
-		if _, err := ParseUpdateMode(s); err == nil {
-			t.Errorf("ParseUpdateMode accepted %q", s)
-		}
-	}
-}

@@ -38,9 +38,6 @@ type Config struct {
 	Seed uint64
 	// Adam holds optimizer hyperparameters; zero LR selects 0.001.
 	Adam optim.Adam
-	// UpdateMode defaults to batch-style HOGWILD like SLIDE so timing
-	// differences come from sampling cost alone.
-	UpdateMode optim.UpdateMode
 }
 
 // New builds the baseline as a core network whose output layer uses the
@@ -67,11 +64,10 @@ func New(cfg Config) (*core.Network, error) {
 		Beta:     cfg.Samples,
 	})
 	return core.NewNetwork(core.Config{
-		InputDim:   cfg.InputDim,
-		Layers:     layers,
-		Seed:       cfg.Seed,
-		Adam:       cfg.Adam,
-		UpdateMode: cfg.UpdateMode,
+		InputDim: cfg.InputDim,
+		Layers:   layers,
+		Seed:     cfg.Seed,
+		Adam:     cfg.Adam,
 		// The tables are never consulted; disable rebuild churn.
 		RebuildN0:     1 << 30,
 		RebuildLambda: 1,

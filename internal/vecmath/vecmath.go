@@ -11,8 +11,8 @@
 //   - 8-way unrolled Go with independent accumulators (dotUnrolled,
 //     axpyUnrolled, outerAccUnrolled, adamStepGo): the only path on
 //     non-amd64 and pre-AVX2 machines, and the reference;
-//   - AVX2 assembly (avx2_amd64.s) for the four loops that are most of a
-//     training batch — Dot/DotRows, Axpy, OuterAcc, AdamStep — when the CPU
+//   - AVX2 assembly (avx2_amd64.s) for four dense row loops — Dot/DotRows,
+//     Axpy, OuterAcc, AdamStep — when the CPU
 //     and OS support it (hasAVX2, probed once at init by hand-rolled
 //     CPUID/XGETBV). There is one vector tier: no AVX-512, no option.
 //
@@ -218,7 +218,9 @@ func SparseDotBiasReLU(b float32, idx []int32, val, w []float32) float32 {
 // the previous layer). Reading w before any write preserves classical
 // backprop semantics within the element; every cell receives exactly one
 // add, so the result is bit-identical to the separate scalar loops. All
-// slices must have equal length.
+// slices must have equal length. The trainer computes the two halves
+// apart (acc per element, g per row at the batch boundary) with Axpy; the
+// benchmark times this fused row as a probe.
 func OuterAcc(d float32, x, w, g, acc []float32) {
 	if len(x) != len(w) || len(x) != len(g) || len(x) != len(acc) {
 		panic("vecmath: OuterAcc length mismatch")
@@ -267,48 +269,18 @@ func outerAccUnrolled(d float32, x, w, g, acc []float32) {
 	}
 }
 
-// SparseOuterAcc is OuterAcc over a sparse input: for each nonzero t,
-// g[idx[t]] += d*val[t] (outer-product accumulate into the touched
-// columns) and acc[t] += d*w[idx[t]] (activation-gradient gather aligned
-// with the sparse input positions). idx, val and acc must have equal
-// length.
-func SparseOuterAcc(d float32, idx []int32, val, w, g, acc []float32) {
-	if len(idx) != len(val) || len(idx) != len(acc) {
-		panic("vecmath: SparseOuterAcc length mismatch")
-	}
-	for t, i := range idx {
-		acc[t] += d * w[i]
-		g[i] += d * val[t]
-	}
-}
-
 // IndexedAxpy scatters g[pos[t]] += d*val[t] for each sparse component —
-// SparseAxpy with the write positions decoupled from the read ids. It is
-// the sharded backward scatter's row kernel: pos maps the element's input
-// columns into a worker-private compact gradient row, so the loop body is
-// SparseAxpy's arithmetic in the same order, just aimed at memory no other
-// thread writes. pos and val must have equal length.
+// SparseAxpy with the write positions decoupled from the input's column
+// ids. It is the gradient replay's kernel for a wide sparse input: pos maps
+// the element's input columns into a compact row over the batch's touched
+// columns, so the loop body is SparseAxpy's arithmetic in the same order.
+// pos and val must have equal length.
 func IndexedAxpy(d float32, pos []int32, val []float32, g []float32) {
 	if len(pos) != len(val) {
 		panic("vecmath: IndexedAxpy position/value length mismatch")
 	}
 	for t, p := range pos {
 		g[p] += d * val[t]
-	}
-}
-
-// IndexedOuterAcc fuses IndexedAxpy with the activation-gradient gather:
-// for each nonzero t, acc[t] += d*w[idx[t]] and g[pos[t]] += d*val[t].
-// It is SparseOuterAcc with the gradient writes redirected through pos
-// into a worker-private compact row; the per-element arithmetic and order
-// are identical. idx, pos, val and acc must have equal length.
-func IndexedOuterAcc(d float32, idx, pos []int32, val, w, g, acc []float32) {
-	if len(idx) != len(val) || len(idx) != len(pos) || len(idx) != len(acc) {
-		panic("vecmath: IndexedOuterAcc length mismatch")
-	}
-	for t, i := range idx {
-		acc[t] += d * w[i]
-		g[pos[t]] += d * val[t]
 	}
 }
 

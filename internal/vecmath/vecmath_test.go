@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -186,28 +187,23 @@ func TestOuterAccMatchesScalarLoops(t *testing.T) {
 	}
 }
 
-// TestSparseOuterAcc checks the sparse fused kernel against its reference
-// loop, including a repeated index (the gradient column must accumulate
-// both contributions and the acc gather must see the weight value both
-// times).
-func TestSparseOuterAcc(t *testing.T) {
-	w := []float32{1, 2, 3, 4}
+// TestSparseAndIndexedAxpy checks the gradient replay's sparse kernels
+// against their reference loop, including a repeated index (the gradient
+// column must accumulate both contributions): SparseAxpy writes column
+// idx[t], IndexedAxpy the compact position pos[t] of the same column.
+func TestSparseAndIndexedAxpy(t *testing.T) {
 	idx := []int32{1, 3, 1}
+	pos := []int32{0, 1, 0} // idx in the compact column list [1, 3]
 	val := []float32{1, 2, 3}
 	g := make([]float32, 4)
-	acc := make([]float32, 3)
-	SparseOuterAcc(2, idx, val, w, g, acc)
-	wantG := []float32{0, 8, 0, 4}
-	wantAcc := []float32{4, 8, 4}
-	for i := range wantG {
-		if g[i] != wantG[i] {
-			t.Fatalf("g = %v, want %v", g, wantG)
-		}
+	SparseAxpy(2, idx, val, g)
+	if want := []float32{0, 8, 0, 4}; !slices.Equal(g, want) {
+		t.Fatalf("SparseAxpy: g = %v, want %v", g, want)
 	}
-	for i := range wantAcc {
-		if acc[i] != wantAcc[i] {
-			t.Fatalf("acc = %v, want %v", acc, wantAcc)
-		}
+	compact := make([]float32, 2)
+	IndexedAxpy(2, pos, val, compact)
+	if want := []float32{8, 4}; !slices.Equal(compact, want) {
+		t.Fatalf("IndexedAxpy: g = %v, want %v", compact, want)
 	}
 }
 

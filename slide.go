@@ -9,8 +9,9 @@
 // layer keeps locality-sensitive hash tables over its neurons' weight
 // vectors, the layer input retrieves a small set of active neurons per
 // example, and only those neurons' activations, gradients and weights are
-// touched. Batch elements run on parallel goroutines with HOGWILD-style
-// asynchronous weight updates.
+// touched. Batch elements run on parallel goroutines with no shared
+// writes; weights are stepped once per batch, so training gives the same
+// bits at any thread count (see Network.Train).
 //
 // # Quick start
 //
@@ -133,13 +134,12 @@ func MergeDeltas(dst *SparseDelta, parts []*SparseDelta) (*SparseDelta, error) {
 	return core.MergeDeltas(dst, parts)
 }
 
-// HashKind, StrategyKind, Policy and UpdateMode are the configuration
-// enum types behind the Hash*/Strategy*/Policy*/Update* constants.
+// HashKind, StrategyKind and Policy are the configuration enum types
+// behind the Hash*/Strategy*/Policy* constants.
 type (
 	HashKind     = lsh.Kind
 	StrategyKind = sampling.Kind
 	Policy       = hashtable.Policy
-	UpdateMode   = optim.UpdateMode
 )
 
 // Activation constants for LayerConfig.Activation.
@@ -169,12 +169,6 @@ const (
 const (
 	PolicyReservoir = hashtable.PolicyReservoir
 	PolicyFIFO      = hashtable.PolicyFIFO
-)
-
-// Gradient update modes for Config.UpdateMode (§3.1).
-const (
-	UpdateHogwild   = optim.ModeHogwild
-	UpdateBatchSync = optim.ModeBatchSync
 )
 
 // New constructs an initialized SLIDE network: random weights, K×L hash
@@ -211,10 +205,6 @@ func ParseStrategy(s string) (StrategyKind, error) { return sampling.ParseKind(s
 // ParsePolicy parses a bucket insertion policy name ("reservoir",
 // "fifo").
 func ParsePolicy(s string) (Policy, error) { return hashtable.ParsePolicy(s) }
-
-// ParseUpdateMode parses a gradient update mode name ("hogwild",
-// "batch-sync").
-func ParseUpdateMode(s string) (UpdateMode, error) { return optim.ParseUpdateMode(s) }
 
 // ParseCompression parses a delta compression spec ("fp32", "bf16",
 // "topk:<frac>"); the fraction accompanies CompressTopK as

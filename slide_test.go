@@ -56,12 +56,55 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTrainingBitsIndependentOfThreads is the public determinism contract:
+// with tables published at the same batches (SyncRebuild), a sampled,
+// vanilla-strategy network trained at 1 and at 4 threads saves the same
+// model file, byte for byte.
+func TestTrainingBitsIndependentOfThreads(t *testing.T) {
+	ds, err := dataset.Generate(dataset.Delicious200K(0.005, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := func(threads int) []byte {
+		net, err := slide.New(slide.Config{
+			InputDim:  ds.InputDim,
+			Seed:      7,
+			RebuildN0: 4,
+			Layers: []slide.LayerConfig{
+				{Size: 32, Activation: slide.ActReLU},
+				{
+					Size: ds.NumClasses, Activation: slide.ActSoftmax,
+					Sampled: true, Hash: slide.HashSimhash, K: 4, L: 8,
+					Strategy: slide.StrategyVanilla, Beta: ds.NumClasses / 16,
+				},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := net.Train(ds.Train, ds.Test, slide.TrainConfig{
+			BatchSize: 32, Iterations: 12, Threads: threads, Seed: 3, SyncRebuild: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rebuilds == 0 {
+			t.Fatal("no table rebuild in the run; the check would not cover one")
+		}
+		var buf bytes.Buffer
+		if err := net.SaveModel(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(model(1), model(4)) {
+		t.Fatal("the model trained at 4 threads differs from the one trained at 1")
+	}
+}
+
 // TestExportedConstantsDistinct pins the exported constants to distinct
 // values.
 func TestExportedConstantsDistinct(t *testing.T) {
-	if slide.UpdateHogwild == slide.UpdateBatchSync {
-		t.Fatal("update mode constants collide")
-	}
 	if slide.HashSimhash == slide.HashDWTA {
 		t.Fatal("hash constants collide")
 	}
@@ -102,8 +145,6 @@ func TestParseNamesMapToConstants(t *testing.T) {
 		{"strategy", "random", parsed(slide.ParseStrategy), slide.StrategyRandom},
 		{"policy", "reservoir", parsed(slide.ParsePolicy), slide.PolicyReservoir},
 		{"policy", "fifo", parsed(slide.ParsePolicy), slide.PolicyFIFO},
-		{"update", "hogwild", parsed(slide.ParseUpdateMode), slide.UpdateHogwild},
-		{"update", "batch-sync", parsed(slide.ParseUpdateMode), slide.UpdateBatchSync},
 		{"compress", "fp32", parseCompress, slide.CompressFP32},
 		{"compress", "bf16", parseCompress, slide.CompressBF16},
 		{"compress", "topk:0.25", parseCompress, slide.CompressTopK},
@@ -120,9 +161,6 @@ func TestParseNamesMapToConstants(t *testing.T) {
 				t.Fatalf("%qx accepted", tc.name)
 			}
 		})
-	}
-	if _, err := slide.ParseUpdateMode("atomic"); err == nil {
-		t.Error("retired update mode name accepted")
 	}
 }
 
