@@ -67,7 +67,7 @@ func (n *Network) backwardElem(st *elemState, rec *elemRecord, labels []int32) f
 	loss := outputDeltaAndLoss(&layers[last], labels)
 	for li := last; li > 0; li-- {
 		ls, prev := &layers[li], &layers[li-1]
-		acc := st.work.EnsureAcc(len(prev.vals))
+		acc := st.acc[:len(prev.vals)]
 		clear(acc)
 		backLayerAcc(n.layers[li], ls, prev, acc)
 		prev.delta = prev.delta[:len(prev.vals)]
@@ -86,7 +86,8 @@ func (n *Network) backwardElem(st *elemState, rec *elemRecord, labels []int32) f
 // backLayerAcc accumulates the previous layer's activation gradient,
 // acc += δ_j·w_j over the active rows j in active-set order, aligned with
 // the input: one vector axpy per row for a dense input, a gather of the
-// active input ids for a sparse one.
+// active input ids for a sparse one. l is never the first layer — nothing
+// below it needs an activation gradient — so its rows are neuron rows.
 func backLayerAcc(l *Layer, ls, in *layerState, acc []float32) {
 	for a, dj := range ls.delta {
 		if dj == 0 {

@@ -152,6 +152,9 @@ func (c Config) validate() error {
 			if lc.Beta <= 0 && lc.Strategy != sampling.KindHardThreshold {
 				return fmt.Errorf("core: sampled layer %d needs positive Beta for strategy %v", i, lc.Strategy)
 			}
+			if min(lc.RangePow, lc.BucketSize, lc.MinCount, lc.BinSize, lc.TopK) < 0 {
+				return fmt.Errorf("core: sampled layer %d: RangePow, BucketSize, MinCount, BinSize and TopK must not be negative", i)
+			}
 		}
 		in = lc.Size
 	}

@@ -36,9 +36,6 @@ func TestGradientCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Gather only: the probes below perturb weight rows directly, which
-	// the scatter form's column-major mirror would not see.
-	n.crossover = 0
 	st, err := newElemState(n, 1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +70,7 @@ func TestGradientCheck(t *testing.T) {
 		if i < 0 {
 			p = &l.b[j]
 		} else {
-			p = &l.w[j][i]
+			p = l.cell(l.w, j, i)
 		}
 		orig := *p
 		*p = orig + h
@@ -120,10 +117,11 @@ func TestSparseMatchesDenseWhenAllActive(t *testing.T) {
 	b := run(4)
 	for li := range a.layers {
 		for j := 0; j < a.layers[li].out; j++ {
-			wa, wb := a.layers[li].w[j], b.layers[li].w[j]
-			for i := range wa {
-				if math.Abs(float64(wa[i]-wb[i])) > 2e-3 {
-					t.Fatalf("layer %d w[%d][%d]: %v vs %v", li, j, i, wa[i], wb[i])
+			la, lb := a.layers[li], b.layers[li]
+			for i := 0; i < la.in; i++ {
+				wa, wb := *la.cell(la.w, j, i), *lb.cell(lb.w, j, i)
+				if math.Abs(float64(wa-wb)) > 2e-3 {
+					t.Fatalf("layer %d w[%d][%d]: %v vs %v", li, j, i, wa, wb)
 				}
 			}
 		}
@@ -358,6 +356,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{{Size: 4, Activation: 3}}}); err == nil {
 		t.Error("unknown activation accepted")
+	}
+	if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{
+		{Size: 8, Sampled: true, Hash: lsh.KindWTA, K: 2, L: 2, Beta: 2, BinSize: -1},
+	}}); err == nil {
+		t.Error("negative BinSize accepted")
 	}
 }
 

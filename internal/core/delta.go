@@ -262,27 +262,38 @@ func (l *Layer) scanStamps(stamps []uint32, epoch uint32, workers int, dst []int
 // ApplyDelta runs one Adam step over exactly the delta's cells (gradient
 // Vals*invB) and non-zero biases, returning the number of cells stepped.
 // It steps rows through stepRow, the same row kernel the local training
-// path's stepFold uses, so the two cannot drift apart numerically.
+// path's stepFold uses, so the two cannot drift apart numerically. The
+// input-major layer first transposes the delta into its storage rows, an
+// input's cells by ascending neuron.
 func (l *Layer) ApplyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32, workers int) int64 {
-	return l.stepRows(workers, len(ld.Rows), func(r, _ int) int64 {
-		a, b := ld.RowOff[r], ld.RowOff[r+1]
-		return l.stepRow(adam, ld.Rows[r], ld.Cols[a:b], ld.Vals[a:b], ld.Bias[r], alpha, invB, false)
+	t := ld
+	if l.inputMajor {
+		t = &l.fold.byInput
+		transposeCSR(t, ld, l.fold.cursor[:l.in], nil)
+	}
+	stepped := l.stepSpans(workers, len(t.Rows), func(_, lo, hi int) int64 {
+		var n int64
+		for r := lo; r < hi; r++ {
+			a, b := t.RowOff[r], t.RowOff[r+1]
+			n += l.stepRow(adam, t.Rows[r], t.Cols[a:b], t.Vals[a:b], alpha, invB, false)
+		}
+		return n
 	})
+	for r, j := range ld.Rows {
+		stepped += l.stepBias(adam, j, ld.Bias[r], alpha, invB)
+	}
+	return stepped
 }
 
-// stepRows calls step(r, worker) for every r in [0, n), contiguous spans in
-// parallel across workers, and returns the total of the counts step
+// stepSpans calls step(wk, lo, hi) for contiguous spans of [0, n) in
+// parallel across workers and returns the total of the counts step
 // returns. Each row has a single writer.
-func (l *Layer) stepRows(workers, n int, step func(r, wk int) int64) int64 {
+func (l *Layer) stepSpans(workers, n int, step func(wk, lo, hi int) int64) int64 {
 	f := &l.fold
 	f.applied = growTo(f.applied, max(workers, 1))
 	clear(f.applied)
 	parallelIndexed(workers, n, func(wk, lo, hi int) {
-		var applied int64
-		for r := lo; r < hi; r++ {
-			applied += step(r, wk)
-		}
-		f.applied[wk] = applied
+		f.applied[wk] = step(wk, lo, hi)
 	})
 	var total int64
 	for _, c := range f.applied {
@@ -291,25 +302,23 @@ func (l *Layer) stepRows(workers, n int, step func(r, wk int) int64) int64 {
 	return total
 }
 
-// stepRow is the one Adam row step of the update phase: row j's cells
-// cols[k] (column k when cols is nil) with raw gradient sums g[k], then its
-// bias with raw sum gb, all averaged by invB. skipZero leaves cells whose
-// sum is exactly zero unstepped (a folded row carries them; a delta does
-// not). The per-row decision is hoisted out of the cell loop: a layer
-// carrying a column-major kernel mirror dual-writes the stepped cells into
-// it, keeping the scatter-form forward operand coherent for one extra store
-// per touched weight. Returns the number of cells stepped, bias included.
-func (l *Layer) stepRow(adam optim.Adam, j int32, cols []int32, g []float32, gb, alpha, invB float32, skipZero bool) int64 {
-	w := l.w[j]
-	stepped := adam.StepCells(w, l.mW[j], l.vW[j], cols, g, invB, alpha, skipZero)
-	if stepped > 0 && l.mirror != nil {
-		l.mirror.SetRow(j, cols, g, w, skipZero)
+// stepRow is the one Adam row step of the update phase: storage row r's
+// cells cols[k] (column k when cols is nil) with raw gradient sums g[k],
+// averaged by invB. skipZero leaves cells whose sum is exactly zero
+// unstepped (a folded row carries them; a delta does not). Returns the
+// number of cells stepped.
+func (l *Layer) stepRow(adam optim.Adam, r int32, cols []int32, g []float32, alpha, invB float32, skipZero bool) int64 {
+	return int64(adam.StepCells(l.w[r], l.mW[r], l.vW[r], cols, g, invB, alpha, skipZero))
+}
+
+// stepBias steps neuron j's bias with raw gradient sum gb averaged by invB,
+// unless gb is zero, and returns the number of cells stepped.
+func (l *Layer) stepBias(adam optim.Adam, j int32, gb, alpha, invB float32) int64 {
+	if gb == 0 {
+		return 0
 	}
-	if gb != 0 {
-		adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)
-		stepped++
-	}
-	return int64(stepped)
+	adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)
+	return 1
 }
 
 // MergeDeltas sums parts cell-wise into dst (reused when non-nil) and

@@ -11,9 +11,9 @@ import (
 	"repro/internal/sparse"
 )
 
-// deltaTestDataset builds a small task whose feature dimension exceeds
-// colTrackThreshold, so the first layer exercises the touched-column
-// tracking path while the output layer exercises the full-row scan.
+// deltaTestDataset builds a small task of wide sparse features: the
+// input-major first layer folds one row per feature present, and the
+// sampled output layer full-width rows of its dense input.
 func deltaTestDataset(t testing.TB, classes int) *dataset.Dataset {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.Profile{
@@ -99,11 +99,11 @@ func requireNetsBitIdentical(t *testing.T, a, b *Network, context string) {
 		la, lb := a.layers[li], b.layers[li]
 		for j := 0; j < la.out; j++ {
 			for i := 0; i < la.in; i++ {
-				if math.Float32bits(la.w[j][i]) != math.Float32bits(lb.w[j][i]) {
-					t.Fatalf("%s: layer %d w[%d][%d]: %g != %g", context, li, j, i, la.w[j][i], lb.w[j][i])
+				if wa, wb := *la.cell(la.w, j, i), *lb.cell(lb.w, j, i); math.Float32bits(wa) != math.Float32bits(wb) {
+					t.Fatalf("%s: layer %d w[%d][%d]: %g != %g", context, li, j, i, wa, wb)
 				}
-				if math.Float32bits(la.mW[j][i]) != math.Float32bits(lb.mW[j][i]) ||
-					math.Float32bits(la.vW[j][i]) != math.Float32bits(lb.vW[j][i]) {
+				if math.Float32bits(*la.cell(la.mW, j, i)) != math.Float32bits(*lb.cell(lb.mW, j, i)) ||
+					math.Float32bits(*la.cell(la.vW, j, i)) != math.Float32bits(*lb.cell(lb.vW, j, i)) {
 					t.Fatalf("%s: layer %d moments[%d][%d] diverged", context, li, j, i)
 				}
 			}
@@ -313,8 +313,9 @@ func TestDeltaMergeMatchesCombinedBatch(t *testing.T) {
 		lf, ls := full.layers[li], shardA.layers[li]
 		for j := 0; j < lf.out; j++ {
 			for i := 0; i < lf.in; i++ {
-				if diff := math.Abs(float64(lf.w[j][i] - ls.w[j][i])); diff > 1e-5 {
-					t.Fatalf("layer %d w[%d][%d]: combined %g vs merged %g", li, j, i, lf.w[j][i], ls.w[j][i])
+				wf, ws := *lf.cell(lf.w, j, i), *ls.cell(ls.w, j, i)
+				if diff := math.Abs(float64(wf - ws)); diff > 1e-5 {
+					t.Fatalf("layer %d w[%d][%d]: combined %g vs merged %g", li, j, i, wf, ws)
 				}
 			}
 		}
@@ -367,11 +368,12 @@ func TestApplyDeltaValidatesShape(t *testing.T) {
 		RowOff: []int32{0, 0},
 		Bias:   []float32{1},
 	}
-	before := n.layers[0].w[5][7]
+	l0 := n.layers[0]
+	before := *l0.cell(l0.w, 5, 7)
 	if _, err := n.ApplyDelta(mixed, 0.001, 1, 2); err == nil {
 		t.Fatal("malformed layer 1 accepted")
 	}
-	if n.layers[0].w[5][7] != before {
+	if *l0.cell(l0.w, 5, 7) != before {
 		t.Fatal("valid layer 0 was applied despite the layer 1 validation error")
 	}
 

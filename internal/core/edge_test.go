@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -35,8 +38,8 @@ func TestDegenerateExamples(t *testing.T) {
 	// Weights must stay finite.
 	for li := range n.layers {
 		l := n.layers[li]
-		for j := 0; j < l.out; j++ {
-			for _, w := range l.w[j] {
+		for _, row := range l.w {
+			for _, w := range row {
 				if math.IsNaN(float64(w)) || math.IsInf(float64(w), 0) {
 					t.Fatalf("layer %d produced non-finite weight", li)
 				}
@@ -132,5 +135,90 @@ func TestMaxSecondsBudget(t *testing.T) {
 	}
 	if res.Seconds > 2 {
 		t.Fatalf("MaxSeconds ignored: ran %.1fs", res.Seconds)
+	}
+}
+
+// TestRejectsOutOfRangeInput: an example or a query the network cannot
+// index is an error naming the example and the value, not a panic in a
+// worker goroutine the caller cannot recover. Each row corrupts one
+// example of a valid split or one query.
+func TestRejectsOutOfRangeInput(t *testing.T) {
+	const classes = 64
+	ds := deltaTestDataset(t, classes)
+	n := mustNet(t, deltaTestConfig(classes))
+	dim := n.Config().InputDim
+	withFeature := func(ex dataset.Example, i int32) dataset.Example {
+		ex.Features = sparse.Vector{Dim: dim, Idx: append(append([]int32(nil), ex.Features.Idx...), i), Val: append(append([]float32(nil), ex.Features.Val...), 1)}
+		return ex
+	}
+	withLabel := func(ex dataset.Example, lab int32) dataset.Example {
+		ex.Labels = append(append([]int32(nil), ex.Labels...), lab)
+		return ex
+	}
+	short := sparse.Vector{Dim: dim, Idx: []int32{1, 2}, Val: []float32{1}}
+	tc := TrainConfig{BatchSize: 8, Iterations: 2, Threads: 2, Seed: 1, EvalEvery: 0}
+	train := func(k int, ex dataset.Example, test bool) error {
+		tr := append([]dataset.Example(nil), ds.Train[:32]...)
+		te := append([]dataset.Example(nil), ds.Test[:8]...)
+		if test {
+			te[k] = ex
+		} else {
+			tr[k] = ex
+		}
+		_, err := n.Train(tr, te, tc)
+		return err
+	}
+	pred, err := n.NewPredictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := withFeature(ds.Train[0], int32(dim)).Features
+	batch := []sparse.Vector{ds.Test[0].Features, ds.Test[1].Features, bad}
+	for _, c := range []struct {
+		name string
+		run  func() error
+		want []string
+	}{
+		{"training feature = InputDim", func() error { return train(5, withFeature(ds.Train[5], int32(dim)), false) },
+			[]string{"training example 5", fmt.Sprint(dim)}},
+		{"training feature -1", func() error { return train(7, withFeature(ds.Train[7], -1), false) },
+			[]string{"training example 7", "-1"}},
+		{"training label = classes", func() error { return train(3, withLabel(ds.Train[3], classes), false) },
+			[]string{"training example 3", "label 64"}},
+		{"training label -1", func() error { return train(0, withLabel(ds.Train[0], -1), false) },
+			[]string{"training example 0", "label -1"}},
+		{"training values short", func() error { return train(2, dataset.Example{Features: short, Labels: []int32{1}}, false) },
+			[]string{"training example 2", "2 feature indices but 1 values"}},
+		{"test feature = InputDim", func() error { return train(4, withFeature(ds.Test[4], int32(dim)), true) },
+			[]string{"test example 4", fmt.Sprint(dim)}},
+		{"Predict", func() error { _, _, err := pred.Predict(bad, 3); return err }, []string{fmt.Sprint(dim)}},
+		{"PredictSampled", func() error { _, _, err := pred.PredictSampled(bad, 3, PredictOpts{Seed: 1}); return err }, []string{fmt.Sprint(dim)}},
+		{"TopKWithScoresInto", func() error {
+			_, _, err := pred.TopKWithScoresInto(context.Background(), bad, 3, true, nil, nil)
+			return err
+		}, []string{fmt.Sprint(dim)}},
+		{"PredictBatch", func() error { _, _, err := pred.PredictBatch(context.Background(), batch, 3); return err }, []string{"input 2", fmt.Sprint(dim)}},
+		{"PredictBatchInto", func() error {
+			return pred.PredictBatchInto(context.Background(), batch, 3, true, &BatchResults{})
+		}, []string{"input 2", fmt.Sprint(dim)}},
+		{"Evaluate", func() error {
+			_, err := n.Evaluate(append([]dataset.Example{withFeature(ds.Test[0], int32(dim))}, ds.Test[1:4]...), 0, 2, 1)
+			return err
+		}, []string{"test example 0", fmt.Sprint(dim)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.run()
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("error %q does not name %q", err, w)
+				}
+			}
+		})
+	}
+	if n.Step() != 0 {
+		t.Fatalf("rejected runs trained %d iterations", n.Step())
 	}
 }

@@ -52,6 +52,9 @@ func parallelIndexed(workers, n int, f func(w, lo, hi int)) {
 // of the network's default predictor pool and returned afterwards, so
 // repeated evaluations do not re-allocate inference state.
 func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...int) (EvalResult, error) {
+	if err := n.checkSplit("test", test); err != nil {
+		return EvalResult{}, err
+	}
 	idx := evalSubset(test, orAll(samples, len(test)), n.cfg.Seed^0x0e7a1)
 	res := EvalResult{N: len(idx), PAtK: make(map[int]float64, len(ks))}
 	if len(idx) == 0 {
@@ -121,9 +124,9 @@ func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...i
 
 // evalP1 is the training loop's periodic evaluation: exact forward P@1
 // over a fixed index subset, reusing the provided per-worker states. The
-// exact pass runs the same kernel plans as training — notably the
-// scatter form on the mirrored input layer — so periodic evaluation
-// shares the hot path's layout wins.
+// exact pass runs the same kernels as training — notably the scatter on
+// the input-major first layer — so periodic evaluation shares the hot
+// path's layout wins.
 func (n *Network) evalP1(test []dataset.Example, idx []int, states []*elemState) float64 {
 	if len(idx) == 0 {
 		return 0

@@ -1,53 +1,65 @@
 package core
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/optim"
 	"repro/internal/vecmath"
 )
 
-// The update phase: every touched row is replayed by one owner, in element
-// order.
+// The update phase: every touched storage row is replayed by one owner, in
+// element order.
 //
 // A batch's weight gradient is never stored whole. At the quiesced batch
 // boundary each layer indexes the batch's records (backward.go) by touched
-// row — a stable counting pass over the records in batch-position order —
-// and stepRows splits the ascending rows into contiguous spans across
-// workers. The owner of a row replays the row's contributions δ_j·input in
-// ascending element order into one worker-owned row scratch and hands the
-// row straight to a consumer: stepFold runs the Adam step from it (local
-// training), compactFold writes it into a CSR LayerDelta
-// (Network.ExtractDelta: the exchange payload, top-k compression, the
-// public API). No gradient row outlives its fold, and no worker writes
-// memory another reads.
+// storage row — a stable counting pass over the records in batch-position
+// order — and stepSpans splits the ascending rows into contiguous spans
+// across workers. The owner of a row replays its contributions, each a
+// coefficient times one element's operand vector, in ascending element
+// order into one worker-owned row scratch and hands the row straight to a
+// consumer: stepFold runs the Adam step from it (local training),
+// compactFold writes it into a CSR LayerDelta (Network.ExtractDelta: the
+// exchange payload, top-k compression, the public API). No gradient row
+// outlives its fold, and no worker writes memory another reads.
+//
+// Rows follow the layer's orientation (see Layer):
+//
+//   - neuron-major: row j sums δ_j·input over the elements with a nonzero
+//     δ_j. The row is full width (l.in floats) for a dense input (Axpy) or
+//     a sparse input of fan-in ≤ colTrackThreshold (SparseAxpy). A sparse
+//     input of wide fan-in (a sampled first layer, on example features)
+//     replays over the batch's touched input columns, ascending, each
+//     record's ids mapped to their union positions once per batch
+//     (IndexedAxpy), so a row costs O(touched columns), not O(fan-in).
+//   - input-major: row i, one per feature present in the batch, sums
+//     x_i·δ over the elements carrying feature i, one out-wide Axpy each.
 //
 // Per cell this is the addition sequence of accumulating the batch's
 // elements one after another on a single thread, whatever the worker
-// count, so training bits do not depend on TrainConfig.Threads.
-//
-// The row scratch follows the layer's input, which is static per network:
-//
-//   - full width (l.in floats): a dense input, one vecmath.Axpy per
-//     contribution, or a sparse input of fan-in ≤ colTrackThreshold,
-//     SparseAxpy;
-//   - column union: a sparse input of wide fan-in (the first layer, on
-//     example features). The row holds the batch's touched input columns,
-//     ascending, and each record's input ids are mapped to their union
-//     positions once per batch (IndexedAxpy), so a row costs O(touched
-//     columns), not O(fan-in).
+// count, so training bits do not depend on TrainConfig.Threads. Both
+// orientations add the same products in the same element order: an
+// input-major row also adds the ±0 products of elements whose δ_j is 0,
+// which leave a nonzero sum unchanged, and a zero sum is never stepped.
+// Biases are per neuron either way: a neuron's bias gradient sums its
+// nonzero δ in element order while the records are indexed.
 
-// colTrackThreshold is the fan-in above which a layer with sparse input
-// replays rows over the batch's touched-column union. Below it (e.g. the
-// 128-wide hidden input of the output layer) full rows are cheaper.
+// colTrackThreshold is the fan-in above which a neuron-major layer with
+// sparse input replays rows over the batch's touched-column union. Below it
+// (e.g. the 128-wide hidden input of the output layer) full rows are
+// cheaper.
 const colTrackThreshold = 512
 
-// contrib is one (row, element) term of the replay: the element at batch
-// position k has delta d on the row.
+// contrib is one (row, element) term of the replay: coef times the
+// operand of the element at batch position k — its δ_j on a neuron-major
+// row, its feature value on an input-major one.
 type contrib struct {
-	k int32
-	d float32
+	k    int32
+	coef float32
 }
 
-// foldInput is one record's input to the folding layer.
+// foldInput is one record's operand vector for the folding layer: its
+// input on a neuron-major layer, its δ on the input-major one.
 type foldInput struct {
 	ids  []int32
 	vals []float32
@@ -62,13 +74,21 @@ type foldInput struct {
 // single-writer rule: only the training loop's goroutine (or the caller of
 // ExtractDelta/ApplyDelta) opens a fold.
 type gradFold struct {
-	in   []foldInput // per batch position
-	rows []int32     // touched rows, ascending (aliases Layer.rowList)
+	in []foldInput // per batch position
+	// rows are the touched storage rows, ascending: neurons on a
+	// neuron-major layer (then rows == neurons), the batch's features on an
+	// input-major one (aliases Layer.colList). neurons are the neurons with
+	// a nonzero δ, ascending (aliases Layer.rowList), and bias[j] sums
+	// neuron j's δ; it is valid at those neurons only.
+	rows    []int32
+	neurons []int32
+	bias    []float32
 	// ent[rowOff[r]:rowOff[r+1]] is row r's contributions, ascending in k.
 	rowOff []int32
 	ent    []contrib
-	// cursor[j] counts neuron j's contributions, then places them, while
-	// the index is built.
+	// cursor counts each row's contributions, then places them, while the
+	// index is built: one slot per neuron, and per input on the input-major
+	// layer, whose transposes (transposeCSR) reuse it.
 	cursor []int32
 	// cols is the column union, ascending (aliases Layer.colList), nil for
 	// full-width rows; colPos[i] is column i's position in it, and posBuf
@@ -78,11 +98,15 @@ type gradFold struct {
 	posBuf []int32
 	// rowBuf[wk] is worker wk's row scratch.
 	rowBuf [][]float32
-	// applied[wk] is worker wk's stepped-cell count (stepRows); chunks[wk-1]
+	// applied[wk] is worker wk's stepped-cell count (stepSpans); chunks[wk-1]
 	// is worker wk's CSR output before concatenation (compactFold; worker 0
 	// writes the destination directly).
 	applied []int64
 	chunks  []LayerDelta
+	// byInput is a delta of the input-major layer in its own orientation —
+	// rows are inputs, columns neurons: compactFold's output before it is
+	// transposed by neuron, ApplyDelta's input after it is transposed back.
+	byInput LayerDelta
 }
 
 // nextEpoch invalidates the touched row and column stamps in O(1),
@@ -97,18 +121,17 @@ func (l *Layer) nextEpoch() {
 	}
 }
 
-// beginFold indexes the batch's records for the layer: each record's
-// input, the touched rows (neurons with a non-zero δ in some record)
-// ascending with their contributions grouped in record order, the column
-// union where the layer keeps one, and the per-worker row scratch. It
-// reports false when no record carries gradient for the layer.
+// beginFold indexes the batch's records for the layer: the touched neurons
+// with their bias gradients, each record's operand, the touched storage
+// rows ascending with their contributions grouped in record order, the
+// column union where the layer keeps one, and the per-worker row scratch.
+// It reports false when no record carries gradient for the layer.
 func (l *Layer) beginFold(recs []*elemRecord, workers int) bool {
 	f := &l.fold
 	l.nextEpoch()
-	epoch := l.batchEpoch
-	if f.cursor == nil {
-		f.cursor = make([]int32, l.out)
-	}
+	epoch, cursor := l.batchEpoch, f.cursor
+	// The per-neuron counts index a neuron-major layer's rows; indexByInput
+	// recounts by input.
 	total := 0
 	for _, rec := range recs {
 		ls := &rec.layers[l.idx]
@@ -119,16 +142,90 @@ func (l *Layer) beginFold(recs []*elemRecord, workers int) bool {
 			j := ls.id(a)
 			if l.touched[j] != epoch {
 				l.touched[j] = epoch
-				f.cursor[j] = 0
+				cursor[j] = 0
+				f.bias[j] = 0
 			}
-			f.cursor[j]++
+			cursor[j]++
+			f.bias[j] += d
 			total++
 		}
 	}
 	if total == 0 {
 		return false
 	}
-	f.rows = l.touchedRows(workers)
+	f.neurons = l.touchedRows(workers)
+	f.in = growTo(f.in, len(recs))
+	f.cols = nil
+	width := l.in
+	if l.inputMajor {
+		l.indexByInput(recs, workers)
+		width = l.out
+	} else {
+		// Rows are the touched neurons, each contribution (k, δ_j), and
+		// record k's operand is its layer input.
+		f.rows = f.neurons
+		f.layout(total)
+		for k, rec := range recs {
+			ls := &rec.layers[l.idx]
+			for a, d := range ls.delta {
+				if d != 0 {
+					j := ls.id(a)
+					f.ent[cursor[j]] = contrib{k: int32(k), coef: d}
+					cursor[j]++
+				}
+			}
+			ids, vals, full := rec.input(l.idx)
+			f.in[k] = foldInput{ids: ids, vals: vals, full: full}
+		}
+		if l.colStamp != nil {
+			f.cols = l.columnUnion(workers)
+			width = len(f.cols)
+		}
+	}
+	f.rowBuf = growTo(f.rowBuf, workers)
+	for wk := range f.rowBuf {
+		f.rowBuf[wk] = growTo(f.rowBuf[wk], width)
+	}
+	return true
+}
+
+// indexByInput indexes the batch for the input-major layer: the rows are
+// the features present in the records, ascending, each with its
+// contributions (k, x_k[i]) in record order, and record k's operand is its
+// δ.
+func (l *Layer) indexByInput(recs []*elemRecord, workers int) {
+	f := &l.fold
+	epoch := l.batchEpoch
+	total := 0
+	for k, rec := range recs {
+		ids, _, _ := rec.input(l.idx)
+		for _, i := range ids {
+			if l.colStamp[i] != epoch {
+				l.colStamp[i] = epoch
+				f.cursor[i] = 0
+			}
+			f.cursor[i]++
+		}
+		total += len(ids)
+		ls := &rec.layers[l.idx]
+		f.in[k] = foldInput{ids: ls.ids, vals: ls.delta, full: ls.full}
+	}
+	l.colList = l.scanStamps(l.colStamp, epoch, workers, l.colList)
+	f.rows = l.colList
+	f.layout(total)
+	for k, rec := range recs {
+		ids, vals, _ := rec.input(l.idx)
+		for t, i := range ids {
+			f.ent[f.cursor[i]] = contrib{k: int32(k), coef: vals[t]}
+			f.cursor[i]++
+		}
+	}
+}
+
+// layout turns the per-row counts in cursor into rowOff over rows and sizes
+// ent for total contributions; afterwards cursor[row] is the row's next
+// free slot.
+func (f *gradFold) layout(total int) {
 	f.rowOff = growTo(f.rowOff, len(f.rows)+1)
 	var off int32
 	for r, j := range f.rows {
@@ -138,34 +235,6 @@ func (l *Layer) beginFold(recs []*elemRecord, workers int) bool {
 	}
 	f.rowOff[len(f.rows)] = off
 	f.ent = growTo(f.ent, total)
-	for k, rec := range recs {
-		ls := &rec.layers[l.idx]
-		for a, d := range ls.delta {
-			if d == 0 {
-				continue
-			}
-			j := ls.id(a)
-			f.ent[f.cursor[j]] = contrib{k: int32(k), d: d}
-			f.cursor[j]++
-		}
-	}
-
-	f.in = growTo(f.in, len(recs))
-	for k, rec := range recs {
-		ids, vals, full := rec.input(l.idx)
-		f.in[k] = foldInput{ids: ids, vals: vals, full: full}
-	}
-	width := l.in
-	f.cols = nil
-	if l.colStamp != nil {
-		f.cols = l.columnUnion(workers)
-		width = len(f.cols)
-	}
-	f.rowBuf = growTo(f.rowBuf, workers)
-	for wk := range f.rowBuf {
-		f.rowBuf[wk] = growTo(f.rowBuf[wk], width)
-	}
-	return true
 }
 
 // columnUnion stamps the batch inputs' columns, collects them ascending
@@ -208,88 +277,149 @@ func growTo[T any](s []T, n int) []T {
 
 // foldRow replays touched row r's contributions, in element order, into
 // worker wk's row scratch and returns the row's gradient — indexed by
-// column, or aligned to f.cols on a column-union layer — and its bias
-// gradient. Each row is folded by exactly one worker.
-func (l *Layer) foldRow(r, wk int) (g []float32, gb float32) {
+// column, or aligned to f.cols on a column-union layer. Each row is folded
+// by exactly one worker.
+func (l *Layer) foldRow(r, wk int) []float32 {
 	f := &l.fold
-	g = f.rowBuf[wk]
+	g := f.rowBuf[wk]
 	clear(g)
 	for _, c := range f.ent[f.rowOff[r]:f.rowOff[r+1]] {
 		in := &f.in[c.k]
 		switch {
 		case f.cols != nil:
-			vecmath.IndexedAxpy(c.d, in.pos, in.vals, g)
+			vecmath.IndexedAxpy(c.coef, in.pos, in.vals, g)
 		case in.full:
-			vecmath.Axpy(c.d, in.vals, g[:len(in.vals)])
+			vecmath.Axpy(c.coef, in.vals, g[:len(in.vals)])
 		default:
-			vecmath.SparseAxpy(c.d, in.ids, in.vals, g)
+			vecmath.SparseAxpy(c.coef, in.ids, in.vals, g)
 		}
-		gb += c.d
 	}
-	return g, gb
+	return g
 }
 
 // stepFold is the fold's local-training consumer: it folds each touched
 // row and runs the Adam step straight from the folded row, skipping cells
-// whose sum is exactly zero — cell for cell what compactFold followed by
-// ApplyDelta does, without materializing the delta in between. Returns the
-// number of cells stepped.
+// whose sum is exactly zero, then steps the touched neurons' biases — cell
+// for cell what compactFold followed by ApplyDelta does, without
+// materializing the delta in between. Returns the number of cells stepped.
 func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int64 {
 	f := &l.fold
-	return l.stepRows(workers, len(f.rows), func(r, wk int) int64 {
-		g, gb := l.foldRow(r, wk)
-		return l.stepRow(adam, f.rows[r], f.cols, g, gb, alpha, invB, true)
+	stepped := l.stepSpans(workers, len(f.rows), func(wk, lo, hi int) int64 {
+		var n int64
+		for r := lo; r < hi; r++ {
+			n += l.stepRow(adam, f.rows[r], f.cols, l.foldRow(r, wk), alpha, invB, true)
+		}
+		return n
 	})
+	for _, j := range f.neurons {
+		stepped += l.stepBias(adam, j, f.bias[j], alpha, invB)
+	}
+	return stepped
 }
 
 // compactFold is the fold's delta consumer: the CSR contract of
 // LayerDelta (rows ascending, columns ascending within rows, zero cells
 // skipped) appended to a reset dst. Workers compact contiguous row
-// spans — worker 0, whose span comes first, straight into dst, the others
-// into private chunks concatenated behind it in worker order — so each row
-// is folded once and no counting pass is needed.
+// spans — worker 0, whose span comes first, straight into the
+// destination, the others into private chunks concatenated behind it in
+// worker order — so each row is folded once and no counting pass is
+// needed. The input-major layer compacts its input rows into byInput and
+// transposes them into dst, whose rows are the touched neurons.
 func (l *Layer) compactFold(dst *LayerDelta, workers int) {
 	f := &l.fold
+	out := dst
+	if l.inputMajor {
+		out = &f.byInput
+		out.reset()
+	}
 	if len(f.chunks) < workers-1 {
 		f.chunks = append(f.chunks, make([]LayerDelta, workers-1-len(f.chunks))...)
 	}
 	for wk := range f.chunks {
 		f.chunks[wk].reset()
 	}
-	dst.Rows = append(dst.Rows, f.rows...)
-	dst.RowOff = append(dst.RowOff, 0)
+	out.Rows = append(out.Rows, f.rows...)
+	out.RowOff = append(out.RowOff, 0)
 	parallelIndexed(workers, len(f.rows), func(wk, lo, hi int) {
-		c := dst
+		c := out
 		if wk > 0 {
 			c = &f.chunks[wk-1]
 		}
+		// Locals rather than c's fields, so the cell loop keeps the slice
+		// headers in registers. Every cell is written and the end advanced
+		// past nonzero ones only: a branch on a sum's zeroness mispredicts
+		// about as often as not.
+		union, cols, vals := f.cols, c.Cols, c.Vals
 		for r := lo; r < hi; r++ {
-			g, gb := l.foldRow(r, wk)
+			g := l.foldRow(r, wk)
+			n := len(cols)
+			cols, vals = slices.Grow(cols, len(g))[:n+len(g)], slices.Grow(vals, len(g))[:n+len(g)]
 			for u, s := range g {
-				if s == 0 {
-					continue
-				}
 				i := int32(u)
-				if f.cols != nil {
-					i = f.cols[u]
+				if union != nil {
+					i = union[u]
 				}
-				c.Cols = append(c.Cols, i)
-				c.Vals = append(c.Vals, s)
+				cols[n], vals[n] = i, s
+				if math.Float32bits(s)<<1 != 0 { // s != 0, ±0 alike
+					n++
+				}
 			}
-			c.Bias = append(c.Bias, gb)
-			c.RowOff = append(c.RowOff, int32(len(c.Cols)))
+			cols, vals = cols[:n], vals[:n]
+			if !l.inputMajor {
+				c.Bias = append(c.Bias, f.bias[f.rows[r]])
+			}
+			c.RowOff = append(c.RowOff, int32(n))
 		}
+		c.Cols, c.Vals = cols, vals
 	})
 	for wk := range f.chunks {
 		c := &f.chunks[wk]
-		base := int32(len(dst.Cols))
+		base := int32(len(out.Cols))
 		for _, off := range c.RowOff {
-			dst.RowOff = append(dst.RowOff, base+off)
+			out.RowOff = append(out.RowOff, base+off)
 		}
-		dst.Cols = append(dst.Cols, c.Cols...)
-		dst.Vals = append(dst.Vals, c.Vals...)
-		dst.Bias = append(dst.Bias, c.Bias...)
+		out.Cols = append(out.Cols, c.Cols...)
+		out.Vals = append(out.Vals, c.Vals...)
+		out.Bias = append(out.Bias, c.Bias...)
 	}
+	if l.inputMajor {
+		transposeCSR(dst, out, f.cursor[:l.out], func(j int32) bool { return l.touched[j] == l.batchEpoch })
+		for _, j := range dst.Rows {
+			dst.Bias = append(dst.Bias, f.bias[j])
+		}
+	}
+}
+
+// transposeCSR resets dst to src transposed: dst's rows are the columns of
+// src that carry a cell or that keep (when non-nil) reports, ascending, and
+// each row's columns ascend because src's rows do. count, one slot per
+// column of src, is scratch; biases are left to the caller.
+func transposeCSR(dst, src *LayerDelta, count []int32, keep func(int32) bool) {
+	dst.reset()
+	clear(count)
+	for _, j := range src.Cols {
+		count[j]++
+	}
+	dst.RowOff = append(dst.RowOff, 0)
+	var off int32
+	for j, n := range count {
+		if n == 0 && (keep == nil || !keep(int32(j))) {
+			continue
+		}
+		dst.Rows = append(dst.Rows, int32(j))
+		count[j], off = off, off+n
+		dst.RowOff = append(dst.RowOff, off)
+	}
+	// Grown like append: the delta's size creeps up over early batches.
+	cols, vals := slices.Grow(dst.Cols, int(off))[:off], slices.Grow(dst.Vals, int(off))[:off]
+	for r, i := range src.Rows {
+		for t := src.RowOff[r]; t < src.RowOff[r+1]; t++ {
+			j := src.Cols[t]
+			cols[count[j]], vals[count[j]] = i, src.Vals[t]
+			count[j]++
+		}
+	}
+	dst.Cols, dst.Vals = cols, vals
 }
 
 // extract folds the records' gradient for the layer into dst, an empty

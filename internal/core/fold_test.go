@@ -122,35 +122,12 @@ func foldTestElems(seed int64, in, out, shards int, denseRows bool) []foldElem {
 	return elems
 }
 
-// requireUpdateStateIdentical compares everything an update phase writes:
-// parameters and moments, and the kernel mirror.
-func requireUpdateStateIdentical(t *testing.T, a, b *Network, context string) {
-	t.Helper()
-	requireNetsBitIdentical(t, a, b, context)
-	for li := range a.layers {
-		la, lb := a.layers[li], b.layers[li]
-		if la.mirror == nil {
-			continue
-		}
-		for j := int32(0); int(j) < la.out; j++ {
-			for i := int32(0); int(i) < la.in; i++ {
-				if math.Float32bits(la.mirror.At(j, i)) != math.Float32bits(lb.mirror.At(j, i)) {
-					t.Fatalf("%s: layer %d mirror[%d][%d] differs", context, li, j, i)
-				}
-				if math.Float32bits(la.mirror.At(j, i)) != math.Float32bits(la.w[j][i]) {
-					t.Fatalf("%s: layer %d mirror[%d][%d] is stale against the weights", context, li, j, i)
-				}
-			}
-		}
-	}
-}
-
 // TestStepFoldMatchesCompactApply is the seam's equivalence proof: stepping
 // straight from the folded rows (applyAdamBatch → stepFold) and compacting
 // them into a SparseDelta that ApplyDelta then steps must leave weights,
-// moments, biases, mirror and the applied-cell count bit-identical — for
-// elements run by 1, 2 and 3 workers, for full-width and column-union
-// rows with and without a mirror, at several update worker counts.
+// moments, biases and the applied-cell count bit-identical — for elements
+// run by 1, 2 and 3 workers, for input-major, full-width and column-union
+// rows, at several update worker counts.
 func TestStepFoldMatchesCompactApply(t *testing.T) {
 	const classes = 96
 	sampledOut := LayerConfig{
@@ -160,10 +137,9 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 	}
 	wide := colTrackThreshold + 100
 	configs := map[string]Config{
-		// Layer 0: column-union rows + mirror. Layer 1: full-width rows,
-		// sampled.
+		// Layer 0: input-major rows. Layer 1: full-width rows, sampled.
 		"hidden-wide": {InputDim: wide, Seed: 11, Layers: []LayerConfig{{Size: 64, Activation: ActReLU}, sampledOut}},
-		// Layer 0: full-width rows of a sparse input + mirror.
+		// Layer 0: input-major rows of a narrow input.
 		"hidden-narrow": {InputDim: 200, Seed: 11, Layers: []LayerConfig{{Size: 64, Activation: ActReLU}, sampledOut}},
 		// Layer 0: column-union rows, sampled.
 		"flat-wide": {InputDim: wide, Seed: 11, Layers: []LayerConfig{sampledOut}},
@@ -199,7 +175,7 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 						requireConstructedCases(t, &d.Layers[li], shards)
 					}
 				}
-				requireUpdateStateIdentical(t, stepNet, applyNet, name)
+				requireNetsBitIdentical(t, stepNet, applyNet, name)
 			}
 		}
 	}
@@ -229,7 +205,8 @@ func requireConstructedCases(t *testing.T, ld *LayerDelta, shards int) {
 	}
 }
 
-// stateHash fingerprints every weight, bias and Adam moment bit.
+// stateHash fingerprints every weight, bias and Adam moment bit, neuron by
+// neuron and input by input whatever the layer's orientation.
 func stateHash(n *Network) uint64 {
 	h := fnv.New64a()
 	var b [4]byte
@@ -241,9 +218,9 @@ func stateHash(n *Network) uint64 {
 	for _, l := range n.layers {
 		for j := 0; j < l.out; j++ {
 			for i := 0; i < l.in; i++ {
-				put(l.w[j][i])
-				put(l.mW[j][i])
-				put(l.vW[j][i])
+				put(*l.cell(l.w, j, i))
+				put(*l.cell(l.mW, j, i))
+				put(*l.cell(l.vW, j, i))
 			}
 			put(l.b[j])
 			put(l.mB[j])

@@ -29,9 +29,8 @@ const (
 // lines 8-13): at each sampled layer the layer input is hashed, active
 // neuron ids are retrieved from the tables (Algorithm 2), and only their
 // activations are computed; all other activations are treated as zero.
-// Activation compute routes through the density-adaptive kernel engine
-// (internal/kernels): each (layer, active set) pass is planned as a
-// gather or scatter kernel from the measured input density.
+// Each layer computes them with the kernel its weight orientation fixes
+// (computeActivations).
 func (n *Network) forwardElem(st *elemState, x sparse.Vector, labels []int32, mode forwardMode) {
 	n.forward(st, st.layers, x, labels, mode)
 }
@@ -41,6 +40,7 @@ func (n *Network) forwardElem(st *elemState, x sparse.Vector, labels []int32, mo
 // read later.
 func (n *Network) forward(st *elemState, layers []layerState, x sparse.Vector, labels []int32, mode forwardMode) {
 	st.nextEpoch()
+	st.passes++
 	inIds := x.Idx
 	inVals := x.Val
 	inFull := false
@@ -57,7 +57,7 @@ func (n *Network) forward(st *elemState, layers []layerState, x sparse.Vector, l
 			st.activeSum[li] += int64(len(ls.ids))
 			st.activeCount[li]++
 		}
-		n.computeActivations(st, l, ls, inIds, inVals, inFull)
+		l.computeActivations(ls, inIds, inVals, inFull)
 		inIds = ls.ids
 		inVals = ls.vals
 		inFull = ls.full
@@ -136,22 +136,21 @@ func (n *Network) fallbackActive(st *elemState, ls *layerState, li int) {
 	}
 }
 
-// computeActivations computes pre-activations for the active set through
-// the planned kernel form and applies the layer non-linearity. Softmax
-// normalizes over the active set only (§3.1).
+// computeActivations computes the active set's activations with the
+// layer's kernel and applies the non-linearity. Softmax normalizes over
+// the active set only (§3.1).
 //
-//   - gather: active ids are sorted (ascending rows — locality for this
-//     pass's weight walk and the backward pass that revisits the same
-//     rows), then each row runs one fused dot+bias(+ReLU).
-//   - scatter: the full dense output accumulates one contiguous
-//     column-Axpy per input nonzero from the layer's column-major
-//     mirror; ls.vals doubles as the active-dense workspace.
-func (n *Network) computeActivations(st *elemState, l *Layer, ls *layerState, inIds []int32, inVals []float32, inFull bool) {
-	form := kernels.ForwardForm(len(inIds), l.in, inFull, l.mirror != nil, n.crossover)
-	st.work.Forms[form]++
+//   - scatter, on the input-major layer: the full dense output
+//     accumulates one contiguous out-wide weight row per input nonzero;
+//     ls.vals doubles as the workspace.
+//   - gather, on every other layer: active ids are sorted (ascending rows —
+//     locality for this pass's weight walk and the backward pass that
+//     revisits the same rows), then each row runs one fused
+//     dot+bias(+ReLU).
+func (l *Layer) computeActivations(ls *layerState, inIds []int32, inVals []float32, inFull bool) {
 	relu := l.cfg.Activation == ActReLU
-	if form == kernels.FormScatter {
-		kernels.ScatterForward(ls.vals, l.mirror, l.b, inIds, inVals, relu)
+	if l.inputMajor {
+		kernels.ScatterForward(ls.vals, l.inputCols, l.b, inIds, inVals, relu)
 	} else {
 		ids := ls.ids
 		if ls.full {

@@ -17,7 +17,7 @@ import (
 //	magic "SLIDEv1\n"
 //	uint32 inputDim, uint32 numLayers
 //	per layer: uint32 in, out, activation
-//	           float32 weights row-major, float32 biases
+//	           float32 weights neuron-major, float32 biases
 //
 // v2 (SaveModel/LoadModel) is self-describing — it embeds the network's
 // full Config as JSON so a serving process can reconstruct the network
@@ -26,7 +26,10 @@ import (
 //	magic "SLIDEv2\n"
 //	uint32 len(configJSON), configJSON
 //	per layer: uint32 in, out, activation
-//	           float32 weights row-major, float32 biases
+//	           float32 weights neuron-major, float32 biases
+//
+// "Neuron-major" is neuron 0's in weights, then neuron 1's, and so on,
+// whichever way the layer stores them in memory (see Layer).
 //
 // Optimizer moments and hash tables are not persisted in either version:
 // tables are reconstructed from the loaded weights (they are a pure
@@ -117,14 +120,15 @@ func LoadModel(r io.Reader) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: reconstructing network from model config: %w", err)
 	}
-	if err := n.readWeights(br); err != nil {
+	if err := n.readWeights(br, (*Layer).setWeights); err != nil {
 		return nil, err
 	}
 	n.RebuildTables(0)
 	return n, nil
 }
 
-// writeWeights streams every layer's shape metadata, weights and biases.
+// writeWeights streams every layer's shape metadata, weights and biases,
+// the weights neuron by neuron whatever the layer's orientation (Weights).
 func (n *Network) writeWeights(bw *bufio.Writer) error {
 	for _, l := range n.layers {
 		meta := []uint32{uint32(l.in), uint32(l.out), uint32(l.cfg.Activation)}
@@ -132,7 +136,7 @@ func (n *Network) writeWeights(bw *bufio.Writer) error {
 			return err
 		}
 		for j := 0; j < l.out; j++ {
-			if err := binary.Write(bw, binary.LittleEndian, l.w[j]); err != nil {
+			if err := binary.Write(bw, binary.LittleEndian, l.Weights(j)); err != nil {
 				return err
 			}
 		}
@@ -143,9 +147,12 @@ func (n *Network) writeWeights(bw *bufio.Writer) error {
 	return nil
 }
 
-// readWeights restores what writeWeights wrote, validating shapes against
-// the receiver's layers.
-func (n *Network) readWeights(br *bufio.Reader) error {
+// readWeights decodes what writeWeights wrote, validating every layer's
+// shape against the receiver, and hands each layer's block — out
+// neuron-major rows of in weights, then out biases — to store. Rows are
+// decoded one at a time: a single binary.Read of the block would stage
+// four bytes per weight on top of it.
+func (n *Network) readWeights(br *bufio.Reader, store func(l *Layer, block []float32)) error {
 	for li, l := range n.layers {
 		var meta [3]uint32
 		if err := binary.Read(br, binary.LittleEndian, &meta); err != nil {
@@ -154,24 +161,24 @@ func (n *Network) readWeights(br *bufio.Reader) error {
 		if int(meta[0]) != l.in || int(meta[1]) != l.out || Activation(meta[2]) != l.cfg.Activation {
 			return fmt.Errorf("core: layer %d shape mismatch", li)
 		}
+		block := make([]float32, l.out*l.in+l.out)
 		for j := 0; j < l.out; j++ {
-			if err := binary.Read(br, binary.LittleEndian, l.w[j]); err != nil {
+			if err := binary.Read(br, binary.LittleEndian, block[j*l.in:(j+1)*l.in]); err != nil {
 				return err
 			}
 		}
-		if err := binary.Read(br, binary.LittleEndian, l.b[:l.out]); err != nil {
+		if err := binary.Read(br, binary.LittleEndian, block[l.out*l.in:]); err != nil {
 			return err
 		}
-		// The column-major kernel mirror is derived from the rows just
-		// overwritten; re-derive it so the scatter forward form serves
-		// the restored weights.
-		l.refreshMirror()
+		store(l, block)
 	}
 	return nil
 }
 
 // Load restores weights saved by Save into an identically shaped network
-// and rebuilds the hash tables from them.
+// and rebuilds the hash tables from them. The whole file is decoded before
+// any of it is stored, so a truncated or corrupt file leaves the receiver
+// as it was.
 func (n *Network) Load(r io.Reader) error {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var magic [8]byte
@@ -189,8 +196,12 @@ func (n *Network) Load(r io.Reader) error {
 		return fmt.Errorf("core: model shape %dx%d layers does not match network %dx%d",
 			hdr[0], hdr[1], n.cfg.InputDim, len(n.layers))
 	}
-	if err := n.readWeights(br); err != nil {
+	blocks := make([][]float32, 0, len(n.layers))
+	if err := n.readWeights(br, func(_ *Layer, block []float32) { blocks = append(blocks, block) }); err != nil {
 		return err
+	}
+	for li, l := range n.layers {
+		l.setWeights(blocks[li])
 	}
 	// Restore to generation 1 exactly like LoadModel, so every restore
 	// path yields identical reservoir streams (replica-to-replica

@@ -11,7 +11,7 @@ import (
 
 // Hot-path benchmarks for the kernel engine: one element's forward and
 // backward pass at a serving-shaped operating point (sparse features into
-// a mirrored 128-wide hidden layer, ~2% active output layer). CI runs
+// an input-major 128-wide hidden layer, ~2% active output layer). CI runs
 // these at -benchtime=1x as a smoke check.
 
 // benchKernelNet builds the paper-shaped network at a benchable scale.
@@ -70,14 +70,11 @@ func BenchmarkForwardTrainKernel(b *testing.B) { benchForwardElem(b, modeTrain) 
 // Exact-inference forward (full output layer).
 func BenchmarkForwardFullKernel(b *testing.B) { benchForwardElem(b, modeEvalFull) }
 
-// BenchmarkForwardLayer0* isolate the mirrored input layer — the kernel
-// the gather→scatter rewrite targets: 64 sparse features into 128 dense
-// neurons, gather issuing 128 scattered sparse dots vs scatter streaming
-// 64 contiguous column slices. The form is pinned through the crossover:
-// 0 always gathers, above 1 always scatters.
-func benchForwardLayer0(b *testing.B, crossover float64) {
+// BenchmarkForwardLayer0 isolates the input-major first layer's scatter
+// forward: 64 sparse features into 128 dense neurons, one contiguous
+// 128-wide weight row streamed per feature.
+func BenchmarkForwardLayer0(b *testing.B) {
 	n, st, train := benchKernelNet(b)
-	n.crossover = crossover
 	l := n.layers[0]
 	ls := &st.layers[0]
 	ls.reset(true, l.out)
@@ -85,12 +82,9 @@ func benchForwardLayer0(b *testing.B, crossover float64) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := train[i%len(train)].Features
-		n.computeActivations(st, l, ls, x.Idx, x.Val, false)
+		l.computeActivations(ls, x.Idx, x.Val, false)
 	}
 }
-
-func BenchmarkForwardLayer0Scatter(b *testing.B) { benchForwardLayer0(b, 2) }
-func BenchmarkForwardLayer0Gather(b *testing.B)  { benchForwardLayer0(b, 0) }
 
 func BenchmarkBackwardElemKernel(b *testing.B) {
 	n, st, train := benchKernelNet(b)

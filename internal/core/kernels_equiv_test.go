@@ -1,33 +1,29 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math"
-	"reflect"
-	"slices"
 	"testing"
 
-	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
 )
 
-// Kernel-equivalence property tests: the density-adaptive engine's gather
-// and scatter forms, and the form the plan picks, must agree with a
-// test-side per-active-neuron reference (b + Σ w·x, then the activation)
-// across architectures, active fractions, full/dense modes and all three
-// activations, within a 1e-5 relative bound (the forms and softmax
-// normalization reassociate sums). The backward pass must equal a dense
-// replay of the same contributions bit for bit. The internal/kernels and
-// internal/vecmath tests pin the kernels themselves; these tests pin the
-// network-level routing.
+// Kernel-equivalence property tests: every layer's kernel — the scatter
+// on the input-major first layer, the gather everywhere else — must agree
+// with a test-side per-active-neuron reference (b + Σ w·x, then the
+// activation) across architectures, active fractions, full/dense modes and
+// all three activations, within a 1e-5 relative bound (the kernels and
+// softmax normalization reassociate sums). The backward pass must equal a
+// dense replay of the same contributions bit for bit. The internal/kernels
+// and internal/vecmath tests pin the kernels themselves; these tests pin
+// the network-level routing.
 
-// equivArchs lists network shapes covering every routing case: mirrored
-// first layers (scatter-eligible), sampled layers (gather over sparse
-// active sets), dense-into-dense (gather over full input), post-sampled
-// mirrored layers, and all three activations.
+// equivArchs lists network shapes covering every routing case: input-major
+// first layers (scatter), sampled layers (gather over sparse active sets),
+// dense-into-dense (gather over full input), a dense layer behind a sampled
+// one (gather over a sparse active-set input), and all three activations.
 func equivArchs() map[string]Config {
 	sampledOut := func(classes int) LayerConfig {
 		return LayerConfig{
@@ -37,7 +33,7 @@ func equivArchs() map[string]Config {
 		}
 	}
 	return map[string]Config{
-		// The paper architecture: mirrored ReLU hidden, sampled softmax.
+		// The paper architecture: input-major ReLU hidden, sampled softmax.
 		"paper": {
 			InputDim: 512, Seed: 5,
 			Layers: []LayerConfig{{Size: 96, Activation: ActReLU}, sampledOut(256)},
@@ -51,9 +47,8 @@ func equivArchs() map[string]Config {
 				{Size: 32, Activation: ActSoftmax},
 			},
 		},
-		// A sampled middle layer feeding a mirrored dense softmax: the
-		// post-sampled layer sees sparse active-set input, so the scatter
-		// form runs on the output layer too.
+		// A sampled middle layer feeding a dense softmax, which gathers over
+		// the sparse active-set input.
 		"sampled-middle": {
 			InputDim: 384, Seed: 13,
 			Layers: []LayerConfig{
@@ -103,11 +98,11 @@ func refActivations(l *Layer, ls *layerState, inIds []int32, inVals []float32, i
 		s := float64(l.b[j])
 		if inFull {
 			for i, x := range inVals {
-				s += float64(l.w[j][i]) * float64(x)
+				s += float64(*l.cell(l.w, j, i)) * float64(x)
 			}
 		} else {
 			for t, i := range inIds {
-				s += float64(l.w[j][i]) * float64(inVals[t])
+				s += float64(*l.cell(l.w, j, int(i))) * float64(inVals[t])
 			}
 		}
 		out[a] = s
@@ -133,59 +128,28 @@ func refActivations(l *Layer, ls *layerState, inIds []int32, inVals []float32, i
 	return out
 }
 
-// activeIds returns a layer's active set in ascending order.
-func activeIds(ls *layerState) []int32 {
-	if ls.full {
-		ids := make([]int32, len(ls.vals))
-		for j := range ids {
-			ids[j] = int32(j)
-		}
-		return ids
-	}
-	return slices.Sorted(slices.Values(ls.ids))
-}
-
-// TestKernelForwardEquivalence runs identical inputs through the network
-// with the form pinned to gather (crossover 0), pinned to scatter
-// (crossover 2) and planned (the calibrated crossover). Every layer's
-// activations must match the reference computed from that run's own layer
-// input within 1e-5, and the three runs must select identical active sets.
+// TestKernelForwardEquivalence runs inputs of several densities through
+// every architecture in every mode: each layer's activations must match
+// the reference computed from that pass's own layer input within 1e-5.
 func TestKernelForwardEquivalence(t *testing.T) {
-	forms := []struct {
-		name      string
-		crossover float64
-	}{{"gather", 0}, {"scatter", 2}, {"planned", kernels.CalibratedCrossover()}}
 	for name, cfg := range equivArchs() {
 		for _, mode := range []forwardMode{modeTrain, modeEvalSampled, modeEvalFull} {
 			t.Run(fmt.Sprintf("%s/mode%d", name, mode), func(t *testing.T) {
 				labels := []int32{1, 5}
+				n := mustNet(t, cfg)
+				st := mustState(t, n, 77)
 				for xi, x := range equivInputs(cfg.InputDim) {
-					var firstActive [][]int32
-					for _, f := range forms {
-						n := mustNet(t, cfg)
-						n.crossover = f.crossover
-						st := mustState(t, n, 77)
-						n.forwardElem(st, x, labels, mode)
-						inIds, inVals, inFull := x.Idx, x.Val, false
-						for li, l := range n.layers {
-							ls := &st.layers[li]
-							want := refActivations(l, ls, inIds, inVals, inFull)
-							for a, wv := range want {
-								if d := relDiff(ls.vals[a], float32(wv)); d > 1e-5 {
-									t.Fatalf("input %d, %s: layer %d position %d = %v, reference %v (rel %.2g)", xi, f.name, li, a, ls.vals[a], wv, d)
-								}
+					n.forwardElem(st, x, labels, mode)
+					inIds, inVals, inFull := x.Idx, x.Val, false
+					for li, l := range n.layers {
+						ls := &st.layers[li]
+						want := refActivations(l, ls, inIds, inVals, inFull)
+						for a, wv := range want {
+							if d := relDiff(ls.vals[a], float32(wv)); d > 1e-5 {
+								t.Fatalf("input %d: layer %d position %d = %v, reference %v (rel %.2g)", xi, li, a, ls.vals[a], wv, d)
 							}
-							inIds, inVals, inFull = ls.ids, ls.vals, ls.full
 						}
-						var active [][]int32
-						for li := range st.layers {
-							active = append(active, activeIds(&st.layers[li]))
-						}
-						if firstActive == nil {
-							firstActive = active
-						} else if !reflect.DeepEqual(active, firstActive) {
-							t.Fatalf("input %d: %s selected different active sets than %s", xi, f.name, forms[0].name)
-						}
+						inIds, inVals, inFull = ls.ids, ls.vals, ls.full
 					}
 				}
 			})
@@ -217,78 +181,9 @@ func TestKernelBackwardEquivalence(t *testing.T) {
 	}
 }
 
-// requireMirrorsCoherent checks every mirrored layer's column-major copy
-// cell-for-cell against the row-major weights.
-func requireMirrorsCoherent(t *testing.T, n *Network, when string) {
-	t.Helper()
-	mirrored := 0
-	for li, l := range n.layers {
-		if l.mirror == nil {
-			continue
-		}
-		mirrored++
-		for i := 0; i < l.in; i++ {
-			col := l.mirror.Col(int32(i))
-			for j := 0; j < l.out; j++ {
-				if col[j] != l.w[j][i] {
-					t.Fatalf("%s: layer %d mirror[%d][%d] = %v, weights = %v", when, li, i, j, col[j], l.w[j][i])
-				}
-			}
-		}
-	}
-	if mirrored == 0 {
-		t.Fatalf("%s: no mirrored layers to check", when)
-	}
-}
-
-// TestMirrorCoherence: training Adam steps dual-write the mirror, and
-// model save/load re-derives it — the scatter form must always stream
-// weights identical to the rows.
-func TestMirrorCoherence(t *testing.T) {
-	classes := 128
-	ds := tinyDataset(t, classes)
-	cfg := tinyConfig(classes)
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireMirrorsCoherent(t, n, "after init")
-	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 30, Seed: 5, EvalEvery: 0}); err != nil {
-		t.Fatal(err)
-	}
-	requireMirrorsCoherent(t, n, "after training")
-
-	var buf bytes.Buffer
-	if err := n.SaveModel(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireMirrorsCoherent(t, loaded, "after load")
-
-	// And the loaded network's exact predictions match the trainer's
-	// (both route layer 0 through the mirror).
-	x := ds.Test[0].Features
-	ids1, sc1, err := n.Predict(x, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids2, sc2, err := loaded.Predict(x, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ids1 {
-		if ids1[i] != ids2[i] || sc1[i] != sc2[i] {
-			t.Fatalf("loaded predictions diverged: %v/%v vs %v/%v", ids1, sc1, ids2, sc2)
-		}
-	}
-}
-
-// TestKernelFormCounters: a run on the paper architecture must exercise
-// both forms — scatter on the mirrored input layer, gather on the sampled
-// output layer — at the default thread count.
+// TestKernelFormCounters: every forward pass of the paper architecture,
+// training and evaluation alike, counts one scatter (the input-major first
+// layer) and one gather (the sampled output layer).
 func TestKernelFormCounters(t *testing.T) {
 	classes := 128
 	ds := tinyDataset(t, classes)
@@ -300,40 +195,8 @@ func TestKernelFormCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{"gather", "scatter"} {
-		if res.KernelForwards[f] == 0 {
-			t.Fatalf("no %s forwards recorded: %v", f, res.KernelForwards)
-		}
-	}
-}
-
-// TestCrossoverPinsForm: the network's crossover is the one lever that
-// pins a form. At 0 every pass gathers; above 1 every pass over the
-// mirrored input layer scatters while the sampled output layer, which has
-// no mirror, still gathers — one of each per forward, training and
-// evaluation alike.
-func TestCrossoverPinsForm(t *testing.T) {
-	classes := 128
-	ds := tinyDataset(t, classes)
-	for _, tc := range []struct {
-		name      string
-		crossover float64
-	}{{"gather", 0}, {"scatter", 2}} {
-		t.Run(tc.name, func(t *testing.T) {
-			n := mustNet(t, tinyConfig(classes))
-			n.crossover = tc.crossover
-			res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 4, Seed: 5, EvalSamples: 16})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gather, scatter := res.KernelForwards["gather"], res.KernelForwards["scatter"]
-			if gather == 0 {
-				t.Fatalf("no gather forwards recorded: %v", res.KernelForwards)
-			}
-			if tc.crossover == 0 && scatter != 0 || tc.crossover > 1 && scatter != gather {
-				t.Fatalf("crossover %v: %v", tc.crossover, res.KernelForwards)
-			}
-		})
+	if gather, scatter := res.KernelForwards["gather"], res.KernelForwards["scatter"]; gather == 0 || scatter != gather {
+		t.Fatalf("want one scatter and one gather per forward pass: %v", res.KernelForwards)
 	}
 }
 

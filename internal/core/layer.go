@@ -12,32 +12,49 @@ import (
 	"repro/internal/rng"
 )
 
-// Layer is one fully connected layer: neuron-major weight rows, biases,
-// Adam moments, and — when sampled — the LSH family plus (K, L) hash
-// tables holding neuron ids keyed by their weight vectors (§3.1, Fig. 2).
+// Layer is one fully connected layer: weights, biases, Adam moments, and —
+// when sampled — the LSH family plus (K, L) hash tables holding neuron ids
+// keyed by their weight vectors (§3.1, Fig. 2).
+//
+// A layer stores its weights in one orientation, fixed at construction:
+//
+//   - neuron-major: w[j] is neuron j's row of in weights. Every layer but
+//     an unsampled first one: the gather forward, the backward pass and
+//     the table builds walk neuron rows.
+//   - input-major (inputMajor): w[i] is input i's row of out weights, one
+//     per neuron. The first layer when it is not sampled: it computes
+//     every neuron from the example's sparse features, so its forward
+//     streams one contiguous out-wide row per feature (the scatter
+//     kernel), a batch's gradient touches one row per feature present, and
+//     nothing below it needs an activation gradient.
 type Layer struct {
 	idx int // position in the network, for diagnostics
 	in  int // fan-in (previous layer size or InputDim)
 	out int // neuron count
 	cfg LayerConfig
 
-	// w[j] is neuron j's weight row (length in); mW/vW are the aligned
-	// Adam moments. The rows are views into the network arena's
-	// contiguous slabs. A batch's gradient is replayed from the batch
-	// records row by row at the boundary (fold.go), never stored here.
+	// w holds the weights in the layer's orientation and mW/vW the aligned
+	// Adam moments, rows viewing the network arena's contiguous slabs. A
+	// batch's gradient is replayed from the batch records row by row at the
+	// boundary (fold.go), never stored here.
 	w  [][]float32
 	mW [][]float32
 	vW [][]float32
+	// inputMajor selects the orientation; inputCols is then the weights as
+	// the scatter kernel's operand (w's rows are its columns), nil
+	// otherwise.
+	inputMajor bool
+	inputCols  *kernels.Mirror
 	// b, mB, vB are biases and their moments.
 	b  []float32
 	mB []float32
 	vB []float32
 
 	// touched[j] == batchEpoch marks neuron j as having gradient this
-	// batch; colStamp (nil unless the layer replays rows over a column
-	// union) marks touched input columns the same way. Workers never write
-	// them: beginFold stamps both from the records at the quiesced batch
-	// boundary, single-threaded.
+	// batch; colStamp (nil unless the layer is input-major or replays rows
+	// over a column union) marks touched input columns the same way.
+	// Workers never write them: the update phase stamps both at the
+	// quiesced batch boundary, single-threaded.
 	touched    []uint32
 	colStamp   []uint32
 	colList    []int32   // scratch for the per-batch touched-column list
@@ -56,15 +73,6 @@ type Layer struct {
 	// loaded.
 	fam    lsh.Family
 	tables *hashtable.Handle
-
-	// mirror is the column-major weight mirror the scatter-form forward
-	// kernel streams (nil when the layer never scatters: sampled layers,
-	// layers whose input is always dense, and layers wider than
-	// mirrorMaxOut). Derived state: stepRow dual-writes stepped cells and
-	// bulk weight restores call refreshMirror. The same one-resident-
-	// copy trade snapBuf makes, spent on forward speed instead of rebuild
-	// stall.
-	mirror *kernels.Mirror
 
 	// snapBuf is the out*in weight snapshot a detached (background)
 	// rebuild hashes from, allocated by the first one and reused: at most
@@ -89,28 +97,38 @@ type Layer struct {
 }
 
 // newLayer builds an initialized layer. Weight initialization is He-style
-// for ReLU layers and Xavier-style otherwise, from the network seed.
+// for ReLU layers and Xavier-style otherwise, from the network seed, drawn
+// neuron by neuron whatever the orientation.
 func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Layer, error) {
-	l := &Layer{
-		idx: idx, in: in, out: cfg.Size, cfg: cfg,
-		w:  ar.AllocRows(cfg.Size, in),
-		mW: ar.AllocRows(cfg.Size, in),
-		vW: ar.AllocRows(cfg.Size, in),
-		b:  ar.AllocAligned(cfg.Size),
-		mB: ar.AllocAligned(cfg.Size),
-		vB: ar.AllocAligned(cfg.Size),
+	l := &Layer{idx: idx, in: in, out: cfg.Size, cfg: cfg, inputMajor: idx == 0 && !cfg.Sampled}
+	rows, rowLen := l.out, l.in
+	if l.inputMajor {
+		rows, rowLen = l.in, l.out
+		l.inputCols = kernels.NewArenaMirror(l.in, l.out, ar)
+		l.w = make([][]float32, l.in)
+		for i := range l.w {
+			l.w[i] = l.inputCols.Col(int32(i))
+		}
+	} else {
+		l.w = ar.AllocRows(rows, rowLen)
 	}
-	l.touched = make([]uint32, cfg.Size)
+	l.mW = ar.AllocRows(rows, rowLen)
+	l.vW = ar.AllocRows(rows, rowLen)
+	l.b = ar.AllocAligned(l.out)
+	l.mB = ar.AllocAligned(l.out)
+	l.vB = ar.AllocAligned(l.out)
+	l.touched = make([]uint32, l.out)
+	l.fold.cursor = make([]int32, max(rows, l.out))
+	l.fold.bias = make([]float32, l.out)
 
 	std := float32(math.Sqrt(2.0 / float64(in))) // He init for ReLU
 	if cfg.Activation != ActReLU {
 		std = float32(math.Sqrt(1.0 / float64(in)))
 	}
 	r := rng.NewStream(seed, uint64(idx)+0x1a7e4)
-	for j := 0; j < cfg.Size; j++ {
-		row := l.w[j]
-		for i := range row {
-			row[i] = std * r.NormFloat32()
+	for j := 0; j < l.out; j++ {
+		for i := 0; i < l.in; i++ {
+			*l.cell(l.w, j, i) = std * r.NormFloat32()
 		}
 	}
 
@@ -145,33 +163,13 @@ func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Laye
 	return l, nil
 }
 
-// mirrorMaxOut caps the width of layers that maintain a column-major
-// weight mirror. The mirror doubles the layer's weight memory, which is
-// cheap for the paper architecture's narrow hidden layers (128 neurons)
-// and prohibitive for the wide sampled output layer — whose ~0.5% active
-// fraction makes the gather form right anyway.
-const mirrorMaxOut = 4096
-
-// initMirror builds the layer's column-major mirror when the scatter form
-// can ever be selected for it: the layer computes its full output every
-// pass (not sampled), is narrow enough for the doubled weight memory, and
-// sparseIn reports that its input can arrive sparse (the first layer's
-// example features, or a preceding sampled layer's active set). The
-// mirror holds exact fp32 cells and its slab comes from the network arena,
-// cache-line aligned.
-func (l *Layer) initMirror(sparseIn bool, ar *arena.Arena) {
-	if l.Sampled() || !sparseIn || l.out > mirrorMaxOut {
-		return
+// cell returns neuron j's cell for input i of m — the weights or one of
+// their Adam moments — in the layer's orientation.
+func (l *Layer) cell(m [][]float32, j, i int) *float32 {
+	if l.inputMajor {
+		return &m[i][j]
 	}
-	l.mirror = kernels.NewArenaMirror(l.in, l.out, ar)
-	l.mirror.Rebuild(l.w)
-}
-
-// refreshMirror re-derives the mirror after a bulk weight restore.
-func (l *Layer) refreshMirror() {
-	if l.mirror != nil {
-		l.mirror.Rebuild(l.w)
-	}
+	return &m[j][i]
 }
 
 // In returns the layer fan-in.
@@ -194,9 +192,36 @@ func (l *Layer) Tables() *hashtable.Table {
 	return l.tables.Load()
 }
 
-// Weights returns neuron j's weight row. The row aliases live training
-// state.
-func (l *Layer) Weights(j int) []float32 { return l.w[j] }
+// Weights returns neuron j's weights, one per input. On a neuron-major
+// layer the slice aliases live training state; on the input-major first
+// layer (see Layer) it is a fresh copy, and writing to it changes nothing.
+func (l *Layer) Weights(j int) []float32 {
+	if !l.inputMajor {
+		return l.w[j]
+	}
+	row := make([]float32, l.in)
+	for i, wi := range l.w {
+		row[i] = wi[j]
+	}
+	return row
+}
+
+// setWeights stores a model file's weight block for the layer: out
+// neuron-major rows of in weights, then out biases. The input-major layer
+// fills one input row at a time, so the out block rows it reads from stay
+// cache-resident.
+func (l *Layer) setWeights(block []float32) {
+	for r, row := range l.w {
+		if !l.inputMajor {
+			copy(row, block[r*l.in:(r+1)*l.in])
+			continue
+		}
+		for j := range row {
+			row[j] = block[j*l.in+r]
+		}
+	}
+	copy(l.b, block[l.out*l.in:])
+}
 
 // Bias returns neuron j's bias.
 func (l *Layer) Bias(j int) float32 { return l.b[j] }

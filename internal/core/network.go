@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/hashtable"
-	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/optim"
 	"repro/internal/sparse"
@@ -31,12 +30,6 @@ type Network struct {
 	layers []*Layer
 	ar     *arena.Arena
 	adam   optim.Adam
-	// crossover is the gather/scatter input-density crossover every
-	// forward pass plans its kernel form with (kernels.ForwardForm),
-	// measured once per process by kernels.CalibratedCrossover. Tests pin
-	// a form by setting it: 0 always gathers, above 1 scatters wherever a
-	// mirror exists.
-	crossover float64
 
 	step     int64 // completed training iterations (batches)
 	rebuilds int   // completed scheduled table rebuilds: the §4.2 schedule's exponent
@@ -114,7 +107,7 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 			return nil, fmt.Errorf("core: softmax activation only supported on the output layer (layer %d)", i)
 		}
 	}
-	n := &Network{cfg: cfg, ar: arena.NewDefault(), adam: cfg.Adam, crossover: kernels.CalibratedCrossover()}
+	n := &Network{cfg: cfg, ar: arena.NewDefault(), adam: cfg.Adam}
 	in := cfg.InputDim
 	for i, lc := range cfg.Layers {
 		l, err := newLayer(i, in, lc, n.ar, cfg.Seed)
@@ -124,15 +117,14 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 		n.layers = append(n.layers, l)
 		in = lc.Size
 	}
-	// A layer's input arrives sparse when it is first (the example's
-	// feature vector) or follows a sampled layer (an active-id set); only
-	// those layers can ever run the scatter form, so only they pay for a
-	// mirror, and only the wide ones replay gradient rows over a column
-	// union.
+	// The update phase stamps the batch's input columns on the input-major
+	// layer, whose rows they are, and on a neuron-major layer whose input
+	// arrives sparse (the example's features, or a preceding sampled
+	// layer's active set) over a wide fan-in, which replays its rows over
+	// their union (fold.go).
 	sparseIn := true
 	for _, l := range n.layers {
-		l.initMirror(sparseIn, n.ar)
-		if sparseIn && l.in > colTrackThreshold {
+		if l.inputMajor || sparseIn && l.in > colTrackThreshold {
 			l.colStamp = make([]uint32, l.in)
 		}
 		sparseIn = l.Sampled()

@@ -27,18 +27,15 @@ const predictSeed = 0x9ed1c7
 // Train reads weights the training loop steps, unsynchronized, at batch
 // boundaries, and inherits the paper's HOGWILD weak-consistency argument:
 // reads may observe partially applied updates
-// but never corrupt state; the column-major kernel mirrors the scatter
-// forward form streams are dual-written by the same Adam step and carry
-// the identical argument. Hash tables are read through each layer's
+// but never corrupt state. Hash tables are read through each layer's
 // atomically swapped handle, so inference stays valid in the middle of a
 // background table rebuild: a query runs coherently on whichever table
 // generation it loaded, and the swap to the next generation is invisible
 // to in-flight passes.
 //
-// Every pass plans its kernels through the network's density-adaptive
-// engine (internal/kernels): exact and sampled inference share the
-// training hot path's gather/scatter forms, so serving inherits each
-// layout win without predictor-specific code.
+// Every pass runs each layer's kernel (internal/kernels) exactly as
+// training does: exact and sampled inference share the training hot path,
+// so serving inherits each layout win without predictor-specific code.
 type Predictor struct {
 	n    *Network
 	pool sync.Pool // stores *elemState; empty Get returns nil
@@ -131,6 +128,9 @@ func (p *Predictor) PredictSampled(x sparse.Vector, k int, opts ...PredictOpts) 
 // scores in a single selection pass, highest score first. At most one
 // PredictOpts may be passed; it seeds the sampled path per PredictOpts.
 func (p *Predictor) TopKWithScores(x sparse.Vector, k int, sampled bool, opts ...PredictOpts) ([]int32, []float32, error) {
+	if err := p.n.checkFeatures(x); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
+	}
 	seeded := sampled && len(opts) > 0
 	st, err := p.getState(seeded)
 	if err != nil {
@@ -174,6 +174,9 @@ func (p *Predictor) TopKWithScoresInto(ctx context.Context, x sparse.Vector, k i
 	if err := ctx.Err(); err != nil {
 		return ids, scores, err
 	}
+	if err := p.n.checkFeatures(x); err != nil {
+		return ids, scores, fmt.Errorf("core: %w", err)
+	}
 	seeded := sampled && len(opts) > 0
 	st, err := p.getState(seeded)
 	if err != nil {
@@ -214,6 +217,9 @@ func (p *Predictor) predictBatch(ctx context.Context, xs []sparse.Vector, k int,
 		return nil, nil, nil
 	}
 	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	if err := p.n.checkInputs(xs); err != nil {
 		return nil, nil, err
 	}
 	seeded := mode == modeEvalSampled && len(opts) > 0
@@ -297,6 +303,9 @@ func (p *Predictor) PredictBatchInto(ctx context.Context, xs []sparse.Vector, k 
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	if err := p.n.checkInputs(xs); err != nil {
+		return err
+	}
 	mode := modeEvalFull
 	if sampled {
 		mode = modeEvalSampled
@@ -348,6 +357,31 @@ func (p *Predictor) PredictBatchInto(ctx context.Context, xs []sparse.Vector, k 
 		}
 	})
 	return ctx.Err()
+}
+
+// checkFeatures reports an input the network cannot run: index and value
+// counts that differ, or a feature index outside [0, InputDim). It costs
+// O(nnz) and allocates nothing on a valid input.
+func (n *Network) checkFeatures(x sparse.Vector) error {
+	if len(x.Idx) != len(x.Val) {
+		return fmt.Errorf("%d feature indices but %d values", len(x.Idx), len(x.Val))
+	}
+	for _, i := range x.Idx {
+		if i < 0 || int(i) >= n.cfg.InputDim {
+			return fmt.Errorf("feature index %d out of range [0,%d)", i, n.cfg.InputDim)
+		}
+	}
+	return nil
+}
+
+// checkInputs is checkFeatures over a batch, naming the first bad input.
+func (n *Network) checkInputs(xs []sparse.Vector) error {
+	for i, x := range xs {
+		if err := n.checkFeatures(x); err != nil {
+			return fmt.Errorf("core: input %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // elemSeed derives batch element i's seed from the request seed. The

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"repro/internal/kernels"
 	"repro/internal/rng"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
@@ -81,11 +80,11 @@ type elemState struct {
 	mark      [][]uint32
 	markEpoch uint32
 
-	// work is the worker's kernel workspace: the backward
-	// activation-gradient accumulator (sized once to the largest fan-in,
-	// so steady-state passes allocate nothing) and the per-form forward
-	// kernel counters the training result aggregates.
-	work kernels.Workspace
+	// acc is the backward activation-gradient accumulator, sized once to
+	// the largest fan-in, so steady-state passes allocate nothing.
+	acc []float32
+	// passes counts forward passes, for TrainResult.KernelForwards.
+	passes int64
 
 	// rng drives the element's fallback sampling decisions.
 	rng *rng.RNG
@@ -154,7 +153,7 @@ func newElemState(n *Network, seed uint64, w int) (*elemState, error) {
 		}
 		st.strategies[li] = strat
 	}
-	st.work.EnsureAcc(maxIn)
+	st.acc = make([]float32, maxIn)
 	return st, nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/kernels"
 	"repro/internal/metrics"
 	"repro/internal/rng"
 )
@@ -68,10 +67,9 @@ type TrainResult struct {
 	// the communication the pipeline made invisible, the RebuildBuildNS
 	// analog for the delta exchange.
 	ExchangeHiddenNS int64
-	// KernelForwards counts forward kernel executions by chosen form
-	// ("gather", "scatter") across the run — the
-	// density-adaptive engine's decision record, one count per (layer,
-	// element) pass.
+	// KernelForwards counts forward kernel executions by form across the
+	// run, one count per (layer, element) pass: "scatter" for the
+	// input-major first layer, "gather" for every other layer.
 	KernelForwards map[string]int64
 }
 
@@ -103,6 +101,12 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 		return nil, fmt.Errorf("core: empty training split")
 	}
 	if err := tc.validate(); err != nil {
+		return nil, err
+	}
+	if err := n.checkSplit("training", train); err != nil {
+		return nil, err
+	}
+	if err := n.checkSplit("test", test); err != nil {
 		return nil, err
 	}
 	tc = tc.withDefaults(len(train))
@@ -424,23 +428,41 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	}
 	res.MeanActive = meanActive(states, len(n.layers))
 	res.Utilization = utilization(states, trainNS, workers)
-	res.KernelForwards = drainKernelForms(states)
+	res.KernelForwards = n.kernelForwards(states)
 	return res, ctxErr
 }
 
-// drainKernelForms aggregates and resets the workers' per-form forward
-// kernel counters.
-func drainKernelForms(states []*elemState) map[string]int64 {
-	out := make(map[string]int64)
-	for _, st := range states {
-		for f := range st.work.Forms {
-			if c := st.work.Forms[f]; c != 0 {
-				out[kernels.Form(f).String()] += c
-				st.work.Forms[f] = 0
+// checkSplit reports the first example of a split the network cannot run:
+// a bad input (checkFeatures) or a label outside [0, OutputDim).
+func (n *Network) checkSplit(name string, split []dataset.Example) error {
+	classes := n.OutputDim()
+	for k := range split {
+		ex := &split[k]
+		if err := n.checkFeatures(ex.Features); err != nil {
+			return fmt.Errorf("core: %s example %d: %w", name, k, err)
+		}
+		for _, lab := range ex.Labels {
+			if lab < 0 || int(lab) >= classes {
+				return fmt.Errorf("core: %s example %d: label %d out of range [0,%d)", name, k, lab, classes)
 			}
 		}
 	}
-	return out
+	return nil
+}
+
+// kernelForwards counts the run's forward kernel executions from the
+// workers' forward passes, resetting them: every pass runs the input-major
+// first layer's scatter, when there is one, and every other layer's
+// gather.
+func (n *Network) kernelForwards(states []*elemState) map[string]int64 {
+	var passes, scatter int64
+	for _, st := range states {
+		passes, st.passes = passes+st.passes, 0
+	}
+	if n.layers[0].inputMajor {
+		scatter = passes
+	}
+	return map[string]int64{"scatter": scatter, "gather": passes*int64(len(n.layers)) - scatter}
 }
 
 // trainPhase selects what a worker does with a dispatched batch: the

@@ -1,33 +1,26 @@
-// Package kernels is the density-adaptive execution layer between the
-// SLIDE network (internal/core) and the raw vector kernels
-// (internal/vecmath). For every (layer, active set) forward step it picks
-// a compute *form*:
+// Package kernels holds the two forward kernels between the SLIDE network
+// (internal/core) and the raw vector kernels (internal/vecmath). Which one
+// a layer runs follows from how the layer stores its weights, which is
+// fixed when the network is built:
 //
-//   - gather: the classical per-active-neuron formulation — one fused
-//     dot+bias(+ReLU) per active row, rows visited in ascending id order
-//     for locality. The right shape when the active output fraction is
-//     small (SLIDE's sampled layers) or the input is dense.
+//   - gather: the classical per-active-neuron formulation over neuron-major
+//     rows — one fused dot+bias(+ReLU) per active row, rows visited in
+//     ascending id order for locality. Every layer but an unsampled first
+//     one runs it: the sampled layers, whose active output fraction is
+//     small, and the layers with a dense input.
 //   - scatter: the input-major formulation — for each input nonzero, one
-//     contiguous Axpy of its column-major weight slice into the dense
-//     output workspace. The right shape when every output neuron is
-//     active and the input is sparse (the paper architecture's first
-//     hidden layer, whose input is the example's sparse feature vector):
-//     a gather there issues out×nnz scattered single-float reads, while
-//     the scatter streams nnz contiguous out-length slices.
-//
-// The crossover is driven by the measured input density of the pass: at
-// and above the machine's crossover (CalibratedCrossover) the input is
-// dense enough that the row-major gather (a plain GEMV) wins again,
-// because the scatter's read-modify-write workspace traffic stops being
-// paid back by better weight locality. The scatter form requires the
-// layer to maintain a column-major Mirror of its weights; layers without
-// one always gather.
+//     contiguous Axpy of that input's out-wide weight slice into the dense
+//     output workspace. The first layer runs it when it is not sampled:
+//     every neuron is active and the input is the example's sparse feature
+//     vector, so a gather would issue out×nnz scattered single-float reads
+//     where the scatter streams nnz contiguous out-length slices. That
+//     layer stores its weights input-major (a Mirror over the network
+//     arena), and no other copy exists.
 //
 // This is the vectorization/memory-layout work the follow-up paper
 // "Accelerating SLIDE Deep Learning on Modern CPUs" (Daghaghi et al.,
-// MLSys 2021) reports as worth 2-7x on exactly these loops, done as a
-// refactor in the BrainSlug style: the network's control flow is
-// unchanged, only the per-step kernel shape is re-planned.
+// MLSys 2021) reports as worth 2-7x on exactly these loops: weights stored
+// in the order the kernel streams them.
 package kernels
 
 import (
@@ -37,57 +30,14 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Form identifies one compute formulation of the forward step.
-type Form uint8
-
-const (
-	// FormGather is the per-active-row fused dot form.
-	FormGather Form = iota
-	// FormScatter is the input-major column-axpy form.
-	FormScatter
-	// NumForms bounds Form values, for counters indexed by form.
-	NumForms
-)
-
-// String returns the reporting name of the form.
-func (f Form) String() string {
-	switch f {
-	case FormGather:
-		return "gather"
-	case FormScatter:
-		return "scatter"
-	default:
-		return fmt.Sprintf("Form(%d)", uint8(f))
-	}
-}
-
-// ForwardForm plans one forward pass over a layer: nnz input nonzeros of
-// a fan-in of in (inFull marks a dense input, where nnz is ignored), with
-// hasMirror reporting whether the layer maintains the column-major mirror
-// the scatter form needs, and crossover the input density at and above
-// which the gather form wins (a network passes CalibratedCrossover). The
-// scatter form additionally requires the full output to be computed —
-// callers only pass hasMirror=true for layers whose every neuron is
-// active (dense layers). A crossover of 0 always gathers; one above 1
-// scatters wherever a mirror exists and the input is sparse.
-func ForwardForm(nnz, in int, inFull, hasMirror bool, crossover float64) Form {
-	if !hasMirror || inFull || float64(nnz) >= crossover*float64(in) {
-		return FormGather
-	}
-	return FormScatter
-}
-
-// Mirror is a column-major copy of a layer's weight matrix: Col(i) is the
-// contiguous slice of every neuron's weight for input i — the operand the
-// scatter form Axpys per input nonzero. It is derived state: the layer
-// rebuilds it after bulk weight restores and dual-writes it on every
-// optimizer step (each Adam step touches exactly the delta's cells, so
-// the mirror update costs one extra store per stepped cell). Concurrent
-// readers during training inherit the row-major weights' HOGWILD
-// weak-consistency argument unchanged.
+// Mirror is an input-major weight matrix: Col(i) is the contiguous slice
+// of every neuron's weight for input i — the operand the scatter form
+// Axpys per input nonzero. A network's scatter layer keeps its weights in
+// one (NewArenaMirror); NewMirror and Rebuild build one from neuron-major
+// rows.
 type Mirror struct {
 	in, out int
-	t       []float32 // t[i*out+j] = w[j][i]
+	t       []float32 // t[i*out+j] = neuron j's weight for input i
 }
 
 // NewMirror allocates an unfilled in×out mirror on the heap; call Rebuild
@@ -97,7 +47,7 @@ func NewMirror(in, out int) *Mirror {
 }
 
 // NewArenaMirror is NewMirror with the backing slab carved from ar, cache
-// line aligned — the form a network's mirrored layers use.
+// line aligned — the storage of a network's scatter layer.
 func NewArenaMirror(in, out int, ar *arena.Arena) *Mirror {
 	return &Mirror{in: in, out: out, t: ar.AllocAligned(in * out)}
 }
@@ -108,37 +58,8 @@ func (m *Mirror) Col(i int32) []float32 {
 	return m.t[off : off+m.out : off+m.out]
 }
 
-// Set stores neuron j's weight for input i.
-func (m *Mirror) Set(j, i int32, v float32) {
-	m.t[int(i)*m.out+int(j)] = v
-}
-
-// SetRow is Set over the cells of neuron j's row that an optimizer step
-// just wrote: cell k of the gradient g names input cols[k] (input k when
-// cols is nil), a cell whose g[k] is exactly zero under skipZero was not
-// stepped (optim.StepCells' selection) and is not stored, and w is the
-// row's new weights.
-func (m *Mirror) SetRow(j int32, cols []int32, g, w []float32, skipZero bool) {
-	for k, gk := range g {
-		if gk == 0 && skipZero {
-			continue
-		}
-		i := k
-		if cols != nil {
-			i = int(cols[k])
-		}
-		m.t[i*m.out+int(j)] = w[i]
-	}
-}
-
-// At reads neuron j's stored weight for input i.
-func (m *Mirror) At(j, i int32) float32 {
-	return m.t[int(i)*m.out+int(j)]
-}
-
 // Rebuild repopulates the mirror from neuron-major rows (len(rows) = out,
-// each of length in). Used at initialization and after bulk weight
-// restores (model loads).
+// each of length in).
 func (m *Mirror) Rebuild(rows [][]float32) {
 	if len(rows) != m.out {
 		panic(fmt.Sprintf("kernels: Rebuild with %d rows, mirror has %d", len(rows), m.out))
@@ -150,30 +71,9 @@ func (m *Mirror) Rebuild(rows [][]float32) {
 	}
 	for j, row := range rows {
 		for i := 0; i < m.in; i++ {
-			m.Set(int32(j), int32(i), row[i])
+			m.t[i*m.out+j] = row[i]
 		}
 	}
-}
-
-// Workspace is one worker's reusable kernel scratch, embedded in the
-// per-worker element state so steady-state passes allocate nothing.
-type Workspace struct {
-	// Acc is the backward activation-gradient accumulator, sized once to
-	// the network's largest fan-in.
-	Acc []float32
-	// Forms counts forward kernel executions by chosen form — the
-	// engine's decision record, aggregated into training results.
-	Forms [NumForms]int64
-}
-
-// EnsureAcc returns the accumulator resized to n, growing the backing
-// array only when the recorded fan-in bound was too small.
-func (w *Workspace) EnsureAcc(n int) []float32 {
-	if cap(w.Acc) < n {
-		w.Acc = make([]float32, n)
-	}
-	w.Acc = w.Acc[:n]
-	return w.Acc
 }
 
 // GatherForward computes dst over the active rows in the gather form: one

@@ -222,8 +222,8 @@ func TestPredictValidation(t *testing.T) {
 // with invented numbers, and the failure is never cached.
 func TestNonFiniteScoreIsServerError(t *testing.T) {
 	net := testModel(t)
-	// The output layer keeps no column-major mirror, so this one write
-	// reaches every forward form.
+	// The output layer is neuron-major, so Weights aliases its live
+	// weights and this one write reaches every forward pass.
 	net.Layer(net.NumLayers() - 1).Weights(0)[0] = float32(math.NaN())
 	s, err := New(net, Options{BatchWindow: 0, CacheSize: 16})
 	if err != nil {
