@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"slices"
 
 	"repro/internal/kernels"
 	"repro/internal/sparse"
@@ -39,7 +38,6 @@ func (n *Network) forwardElem(st *elemState, x sparse.Vector, labels []int32, mo
 // its batch position's record, which the backward pass and the batch fold
 // read later.
 func (n *Network) forward(st *elemState, layers []layerState, x sparse.Vector, labels []int32, mode forwardMode) {
-	st.nextEpoch()
 	st.passes++
 	inIds := x.Idx
 	inVals := x.Val
@@ -64,20 +62,20 @@ func (n *Network) forward(st *elemState, layers []layerState, x sparse.Vector, l
 	}
 }
 
-// selectActive fills ls.ids, layer li's active set, by hashing the layer
-// input and querying the tables with the layer's strategy, force-including
-// labels when asked, and falling back to a draw of Beta random neurons if
-// retrieval comes back empty (possible right after initialization when
-// buckets are sparse).
+// selectActive fills ls.ids, layer li's active set in ascending id order,
+// by hashing the layer input and querying the tables with the layer's
+// strategy, force-including labels when asked, and falling back to a draw
+// of Beta random neurons if retrieval comes back empty (possible right
+// after initialization when buckets are sparse). Ids are deduplicated in
+// the layer's picked bitset, which emits them sorted.
 func (n *Network) selectActive(st *elemState, ls *layerState, li int, inIds []int32, inVals []float32, inFull bool, labels []int32, forceLabels bool) {
 	l := n.layers[li]
 	codes := st.codes[li]
 	if inFull {
 		l.fam.HashDense(inVals, codes)
 	} else {
-		// Hash families are order-insensitive over (index, value) pairs,
-		// so the unsorted active-id list can be viewed as a sparse vector
-		// directly.
+		// The previous layer's active ids are ascending and unique, a
+		// sparse vector as they stand.
 		l.fam.HashSparse(sparse.Vector{Dim: l.in, Idx: inIds, Val: inVals}, codes)
 	}
 	// Load the layer's current table set once per query: a background
@@ -85,30 +83,33 @@ func (n *Network) selectActive(st *elemState, ls *layerState, li int, inIds []in
 	// completes coherently on whichever set it loaded.
 	st.sampleBuf = st.strategies[li].Sample(st.sampleBuf[:0], l.tables.Load(), codes)
 	ls.reset(false, len(st.sampleBuf)+len(labels))
+	picked := 0
 	for _, id := range st.sampleBuf {
-		if !st.markSeen(li, int32(id)) {
-			ls.ids = append(ls.ids, int32(id))
+		if st.pick(li, int32(id)) {
+			picked++
 		}
 	}
 	if forceLabels {
 		for _, lab := range labels {
-			if !st.markSeen(li, lab) {
-				ls.ids = append(ls.ids, lab)
+			if st.pick(li, lab) {
+				picked++
 			}
 		}
 	}
-	if len(ls.ids) == 0 {
+	if picked == 0 {
 		n.fallbackActive(st, ls, li)
+		return
 	}
+	ls.ids = st.emitPicked(li, ls.ids)
 }
 
-// fallbackActive fills an empty retrieval with Beta random neuron ids.
-// Below half the layer it rejection-samples distinct ids; at or above it
-// the rejection loop degenerates into a coupon-collector scan (Beta near
-// l.out needs ~out·ln(out) draws to find the last few free ids), so the
-// fill switches to a deterministic wrap-around run from one random start
-// — a single RNG draw, O(out) work, and still reproducible under a fixed
-// seed.
+// fallbackActive fills an empty retrieval with Beta random neuron ids,
+// emitted in ascending order. Below half the layer it rejection-samples
+// distinct ids; at or above it the rejection loop degenerates into a
+// coupon-collector scan (Beta near l.out needs ~out·ln(out) draws to find
+// the last few free ids), so the fill switches to a deterministic
+// wrap-around run from one random start — a single RNG draw, O(out) work,
+// and still reproducible under a fixed seed.
 func (n *Network) fallbackActive(st *elemState, ls *layerState, li int) {
 	l := n.layers[li]
 	want := l.cfg.Beta
@@ -118,22 +119,22 @@ func (n *Network) fallbackActive(st *elemState, ls *layerState, li int) {
 	if want > l.out {
 		want = l.out
 	}
+	picked := 0
 	if 2*want >= l.out {
 		start := st.rng.Intn(l.out)
-		for off := 0; off < l.out && len(ls.ids) < want; off++ {
-			id := int32((start + off) % l.out)
-			if !st.markSeen(li, id) {
-				ls.ids = append(ls.ids, id)
+		for off := 0; off < l.out && picked < want; off++ {
+			if st.pick(li, int32((start+off)%l.out)) {
+				picked++
 			}
 		}
-		return
-	}
-	for len(ls.ids) < want {
-		id := int32(st.rng.Intn(l.out))
-		if !st.markSeen(li, id) {
-			ls.ids = append(ls.ids, id)
+	} else {
+		for picked < want {
+			if st.pick(li, int32(st.rng.Intn(l.out))) {
+				picked++
+			}
 		}
 	}
+	ls.ids = st.emitPicked(li, ls.ids)
 }
 
 // computeActivations computes the active set's activations with the
@@ -143,9 +144,9 @@ func (n *Network) fallbackActive(st *elemState, ls *layerState, li int) {
 //   - scatter, on the input-major layer: the full dense output
 //     accumulates one contiguous out-wide weight row per input nonzero;
 //     ls.vals doubles as the workspace.
-//   - gather, on every other layer: active ids are sorted (ascending rows —
-//     locality for this pass's weight walk and the backward pass that
-//     revisits the same rows), then each row runs one fused
+//   - gather, on every other layer: active ids arrive ascending from
+//     selectActive (locality for this pass's weight walk and the backward
+//     pass that revisits the same rows), and each row runs one fused
 //     dot+bias(+ReLU).
 func (l *Layer) computeActivations(ls *layerState, inIds []int32, inVals []float32, inFull bool) {
 	relu := l.cfg.Activation == ActReLU
@@ -155,8 +156,6 @@ func (l *Layer) computeActivations(ls *layerState, inIds []int32, inVals []float
 		ids := ls.ids
 		if ls.full {
 			ids = nil
-		} else {
-			slices.Sort(ids)
 		}
 		kernels.GatherForward(ls.vals, ids, l.w, l.b, inIds, inVals, inFull, relu)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/lsh"
@@ -216,13 +217,15 @@ func TestFallbackActiveDenseBeta(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.nextEpoch()
 		ls := &st.layers[1]
 		ls.reset(false, 0)
 		n.fallbackActive(st, ls, 1)
 		want := min(beta, 128)
 		if len(ls.ids) != want {
 			t.Fatalf("beta %d: fallback drew %d ids, want %d", beta, len(ls.ids), want)
+		}
+		if !slices.IsSorted(ls.ids) {
+			t.Fatalf("beta %d: fallback ids not ascending: %v", beta, ls.ids)
 		}
 		seen := make(map[int32]bool, len(ls.ids))
 		for _, id := range ls.ids {
@@ -238,12 +241,10 @@ func TestFallbackActiveDenseBeta(t *testing.T) {
 		// re-draws the identical fallback set.
 		first := append([]int32(nil), ls.ids...)
 		st.reseed(42)
-		st.nextEpoch()
 		ls.reset(false, 0)
 		n.fallbackActive(st, ls, 1)
 		second := append([]int32(nil), ls.ids...)
 		st.reseed(42)
-		st.nextEpoch()
 		ls.reset(false, 0)
 		n.fallbackActive(st, ls, 1)
 		for i := range second {

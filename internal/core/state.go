@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/rng"
@@ -18,7 +19,7 @@ type layerState struct {
 	// full marks every neuron active; ids is nil and vals/delta are
 	// indexed by neuron id.
 	full bool
-	// ids lists active neuron ids when !full (unsorted, unique).
+	// ids lists active neuron ids when !full, ascending and unique.
 	ids []int32
 	// vals holds post-activation values aligned with ids (or dense when
 	// full). For softmax layers vals are the normalized probabilities
@@ -75,10 +76,10 @@ type elemState struct {
 	// sampleBuf receives raw strategy output before id conversion.
 	sampleBuf []uint32
 
-	// mark/markEpoch implement O(1)-reset membership sets per sampled
-	// layer, used to merge forced labels into the active set.
-	mark      [][]uint32
-	markEpoch uint32
+	// picked is one bitset per sampled layer (a bit per neuron) that
+	// dedups the retrieved ids, forced labels and fallback draws of one
+	// active set; emitPicked drains it in ascending id order.
+	picked [][]uint64
 
 	// acc is the backward activation-gradient accumulator, sized once to
 	// the largest fan-in, so steady-state passes allocate nothing.
@@ -126,7 +127,7 @@ func newElemState(n *Network, seed uint64, w int) (*elemState, error) {
 		layers:      make([]layerState, len(n.layers)),
 		codes:       make([][]uint32, len(n.layers)),
 		strategies:  make([]sampling.Strategy, len(n.layers)),
-		mark:        make([][]uint32, len(n.layers)),
+		picked:      make([][]uint64, len(n.layers)),
 		rng:         rng.NewStream(seed^rngSeedSalt, uint64(w)*2+1),
 		activeSum:   make([]int64, len(n.layers)),
 		activeCount: make([]int64, len(n.layers)),
@@ -140,7 +141,7 @@ func newElemState(n *Network, seed uint64, w int) (*elemState, error) {
 			continue
 		}
 		st.codes[li] = make([]uint32, l.fam.NumFuncs())
-		st.mark[li] = make([]uint32, l.out)
+		st.picked[li] = make([]uint64, (l.out+63)/64)
 		strat, err := sampling.New(sampling.Params{
 			Kind:     l.cfg.Strategy,
 			Beta:     l.cfg.Beta,
@@ -178,26 +179,28 @@ func (st *elemState) reseed(seed uint64) {
 	}
 }
 
-// markSeen stamps id in layer li's membership set, reporting whether it
-// was already present this epoch.
-func (st *elemState) markSeen(li int, id int32) bool {
-	m := st.mark[li]
-	if m[id] == st.markEpoch {
-		return true
+// pick adds id to layer li's active set, reporting whether it is new.
+func (st *elemState) pick(li int, id int32) bool {
+	w, bit := &st.picked[li][id>>6], uint64(1)<<(id&63)
+	if *w&bit != 0 {
+		return false
 	}
-	m[id] = st.markEpoch
-	return false
+	*w |= bit
+	return true
 }
 
-// nextEpoch resets all membership sets in O(1).
-func (st *elemState) nextEpoch() {
-	st.markEpoch++
-	if st.markEpoch == 0 {
-		for _, m := range st.mark {
-			for i := range m {
-				m[i] = 0
-			}
+// emitPicked appends layer li's picked ids to ids in ascending order and
+// empties the set, in O(out/64 + picked).
+func (st *elemState) emitPicked(li int, ids []int32) []int32 {
+	set := st.picked[li]
+	for wi, w := range set {
+		if w == 0 {
+			continue
 		}
-		st.markEpoch = 1
+		set[wi] = 0
+		for ; w != 0; w &= w - 1 {
+			ids = append(ids, int32(wi<<6+bits.TrailingZeros64(w)))
+		}
 	}
+	return ids
 }

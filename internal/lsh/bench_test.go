@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 // Benchmark shapes mirror the paper architecture's rebuild-side hashing:
@@ -58,9 +59,9 @@ func BenchmarkHashDense(b *testing.B) {
 }
 
 // BenchmarkHashDenseRows measures the batched rebuild-side entry point
-// over a full row block (benchRows rows per op) — the flat-slab,
-// function-major kernel every table rebuild feeds its row chunks to.
-// Compare per-row throughput against BenchmarkHashDense.
+// over a full row block (benchRows rows per op) — the entry point every
+// table rebuild feeds its row chunks to. Compare per-row throughput against
+// BenchmarkHashDense.
 func BenchmarkHashDenseRows(b *testing.B) {
 	block := benchBlock(benchRows)
 	for _, kind := range allKinds() {
@@ -103,5 +104,49 @@ func BenchmarkHashSparse(b *testing.B) {
 				fam.HashSparse(x, out)
 			}
 		})
+	}
+}
+
+// workloadShapes are the benchmark's two sampled output layers over the
+// 128-wide hidden layer: train_converge (Simhash, K7·L30) and train_xwide
+// (DWTA, K8·L50), at the default density and bin size.
+var workloadShapes = []struct {
+	name string
+	kind Kind
+	k, l int
+}{
+	{"converge-simhash", KindSimhash, 7, 30},
+	{"xwide-dwta", KindDWTA, 8, 50},
+}
+
+// BenchmarkHashWorkloads times one query (HashDense on one row) and one
+// rebuild block (HashDenseRows, ns/op ÷ benchRows per row) at each workload
+// shape, on the Go kernels (vecmath.Unrolled off) and as dispatched — the
+// AVX2 lane kernels where the CPU has them, the Go kernels elsewhere.
+func BenchmarkHashWorkloads(b *testing.B) {
+	block := benchBlock(benchRows)
+	defer func(u bool) { vecmath.Unrolled = u }(vecmath.Unrolled)
+	for _, ws := range workloadShapes {
+		fam, err := New(ws.kind, Params{Dim: benchDim, K: ws.k, L: ws.l, Seed: 0xbe7c})
+		if err != nil {
+			b.Fatal(err)
+		}
+		nf := fam.NumFuncs()
+		out := make([]uint32, benchRows*nf)
+		for _, op := range []string{"query", "rows"} {
+			for _, tier := range []string{"go", "avx2"} {
+				b.Run(ws.name+"/"+op+"/"+tier, func(b *testing.B) {
+					vecmath.Unrolled = tier == "avx2"
+					for i := 0; i < b.N; i++ {
+						if op == "query" {
+							row := (i % benchRows) * benchDim
+							fam.HashDense(block[row:row+benchDim], out[:nf])
+						} else {
+							fam.HashDenseRows(block, benchRows, out)
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -29,9 +29,11 @@ type doph struct {
 // Jaccard similarity J.
 const dophCodeBits = 8
 
+// dophScratch is per-call state, pooled across goroutines: each bin's
+// minimum hash and code (emptyBin while the bin is empty), and the dense
+// path's non-zero gather.
 type dophScratch struct {
 	minVal []uint64
-	filled []bool
 	code   []uint32
 	idx    []int32
 	val    []float32
@@ -48,7 +50,6 @@ func newDOPH(p Params) (*doph, error) {
 	d.scratch.New = func() any {
 		return &dophScratch{
 			minVal: make([]uint64, nf),
-			filled: make([]bool, nf),
 			code:   make([]uint32, nf),
 		}
 	}
@@ -115,24 +116,23 @@ func (d *doph) HashSparse(x sparse.Vector, out []uint32) {
 
 // hashSet computes the DOPH codes of a binary set given by element ids.
 func (d *doph) hashSet(sc *dophScratch, set []int32, out []uint32) {
-	for i := range sc.filled {
-		sc.filled[i] = false
+	for i := range sc.code {
+		sc.code[i] = emptyBin
 	}
 	nf := uint64(d.numFuncs)
 	for _, e := range set {
 		h := mix64(d.seed + uint64(uint32(e))*0x9e3779b97f4a7c15)
 		bin, _ := bits.Mul64(h, nf) // fixed-point h*nf/2^64: uniform bin in [0, nf)
-		if !sc.filled[bin] || h < sc.minVal[bin] {
-			sc.filled[bin] = true
+		if sc.code[bin] == emptyBin || h < sc.minVal[bin] {
 			sc.minVal[bin] = h
 			sc.code[bin] = uint32(mix64(h)) & (1<<dophCodeBits - 1)
 		}
 	}
 	for f := 0; f < d.numFuncs; f++ {
-		if sc.filled[f] {
+		if sc.code[f] != emptyBin {
 			out[f] = sc.code[f]
 			continue
 		}
-		out[f] = densify(d.seed, f, d.numFuncs, sc.filled, sc.code)
+		out[f] = densify(d.seed, f, d.numFuncs, sc.code)
 	}
 }

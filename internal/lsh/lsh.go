@@ -9,6 +9,14 @@
 // table. Families hash both dense vectors (neuron weight rows at table
 // build time) and sparse vectors (layer inputs at query time) and must
 // produce identical codes for equal inputs in either representation.
+//
+// Simhash and DWTA keep their per-function coordinate lists in one
+// function-transposed slab (vecmath.LaneSlab), and their dense paths —
+// every table build and rebuild, and every query on a dense layer input —
+// run vecmath's lane-parallel kernels over it: eight hash functions per
+// vector, each lane walking its function's coordinates in the reference
+// order, so codes are bitwise the Go kernels' on every machine. Their
+// sparse paths walk coordinate-major transposes of the same state.
 package lsh
 
 import (
@@ -34,9 +42,8 @@ type Family interface {
 	// HashDenseRows hashes a block of rows dense vectors stored back to
 	// back in block (row r at block[r*Dim():(r+1)*Dim()]), writing row r's
 	// codes at out[r*NumFuncs():(r+1)*NumFuncs()]. The result is bitwise
-	// identical to calling HashDense once per row; implementations batch
-	// function-major so the flat hash-state slabs stream over the whole
-	// block. This is the rebuild-side entry point.
+	// identical to calling HashDense once per row; implementations hold
+	// one scratch across the block. This is the rebuild-side entry point.
 	HashDenseRows(block []float32, rows int, out []uint32)
 	// HashSparse writes the NumFuncs codes for the sparse vector x into
 	// out. x.Dim must equal Dim and len(out) must be at least NumFuncs.

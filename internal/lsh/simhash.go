@@ -1,11 +1,11 @@
 package lsh
 
 import (
-	"math"
 	"sync"
 
 	"repro/internal/rng"
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 // simhash implements signed random projection (SRP) for cosine similarity
@@ -14,27 +14,23 @@ import (
 // bit of the projection. Using only additions/subtractions (no multiplies)
 // and a sparse support reproduces the paper's two Simhash optimizations.
 //
-// The support/sign state lives in flat slabs rather than per-function
-// slices: every function has the same support length, so function f's
-// coordinates occupy supIdx[f*supLen:(f+1)*supLen] and its signs are
-// bit-packed into word-aligned runs of negW. The dense kernels walk these
-// slabs linearly; the sparse path walks the CSR transpose (coordOff /
-// coordFn) of the same state.
+// Every function has the same support length, so the support/sign state
+// is one function-transposed slab (vecmath.LaneSlab): eight functions share
+// each 8-wide entry, function f's j-th support coordinate in lane f%8 with
+// its sign in the entry's top bit. The dense paths run the lane-parallel
+// signed-sum kernel over it — each lane adds its function's coordinates in
+// ascending support order, so a code does not depend on the machine's
+// vector tier. The sparse path walks the CSR transpose (coordOff/coordFn)
+// of the same state.
 //
 // The collision probability of two vectors x, y under one function is
 // 1 - angle(x,y)/pi, monotone in cosine similarity.
 type simhash struct {
 	dim      int
 	numFuncs int
-	supLen   int
-	// supIdx is the flat support slab: function f's support coordinates,
-	// ascending, at supIdx[f*supLen:(f+1)*supLen].
-	supIdx []int32
-	// negW bit-packs the projection signs, one bit per support entry,
-	// word-aligned per function: bit j of negW[f*signWords:] is set when
-	// entry j subtracts its coordinate (-1 weight), clear when it adds.
-	negW      []uint64
-	signWords int
+	// lanes holds function f's support coordinates, ascending, with the
+	// projection sign of each (set: the entry subtracts its coordinate).
+	lanes *vecmath.LaneSlab
 	// coordOff/coordFn are the CSR transpose used by the sparse path: for
 	// input coordinate i, coordFn[coordOff[i]:coordOff[i+1]] packs
 	// (function<<1)|neg entries in ascending function order. With nnz
@@ -42,8 +38,8 @@ type simhash struct {
 	// matching the paper's cost analysis.
 	coordOff []int32
 	coordFn  []int32
-	// accPool recycles the query-side projection accumulator of
-	// HashSparse so the forward probe allocates nothing.
+	// accPool recycles the projection accumulator of every path (one value
+	// per function) so hashing allocates nothing.
 	accPool sync.Pool
 }
 
@@ -56,30 +52,23 @@ func newSimhash(p Params) (*simhash, error) {
 	if supLen > p.Dim {
 		supLen = p.Dim
 	}
-	s := &simhash{
-		dim:       p.Dim,
-		numFuncs:  nf,
-		supLen:    supLen,
-		supIdx:    make([]int32, nf*supLen),
-		signWords: (supLen + 63) / 64,
-	}
-	s.negW = make([]uint64, nf*s.signWords)
+	s := &simhash{dim: p.Dim, numFuncs: nf}
+	// Function-major draw (support, then its signs), the order every
+	// recorded code depends on.
+	sup := make([]int32, nf*supLen)
+	neg := make([]bool, nf*supLen)
 	r := rng.NewStream(p.Seed, 0x51)
 	for f := 0; f < nf; f++ {
-		idx := r.SampleK(p.Dim, supLen)
-		sup := s.supIdx[f*supLen : (f+1)*supLen]
-		w := s.negW[f*s.signWords:]
-		for j, i := range idx {
-			sup[j] = int32(i)
-			if !r.Bernoulli(0.5) {
-				w[uint(j)>>6] |= 1 << (uint(j) & 63)
-			}
+		for j, i := range r.SampleK(p.Dim, supLen) {
+			sup[f*supLen+j] = int32(i)
+			neg[f*supLen+j] = !r.Bernoulli(0.5)
 		}
 	}
-	// CSR transpose of the slabs, filled in (function, entry) order so the
-	// per-coordinate entry order matches the construction order above.
+	s.lanes = vecmath.NewLaneSlab(p.Dim, supLen, sup, neg)
+	// CSR transpose, filled in (function, entry) order so the
+	// per-coordinate entry order matches the draw order above.
 	s.coordOff = make([]int32, p.Dim+1)
-	for _, i := range s.supIdx {
+	for _, i := range sup {
 		s.coordOff[i+1]++
 	}
 	for i := 0; i < p.Dim; i++ {
@@ -88,17 +77,13 @@ func newSimhash(p Params) (*simhash, error) {
 	s.coordFn = make([]int32, nf*supLen)
 	next := make([]int32, p.Dim)
 	copy(next, s.coordOff[:p.Dim])
-	for f := 0; f < nf; f++ {
-		w := s.negW[f*s.signWords:]
-		for j := 0; j < supLen; j++ {
-			i := s.supIdx[f*supLen+j]
-			e := int32(f) << 1
-			if w[uint(j)>>6]>>(uint(j)&63)&1 != 0 {
-				e |= 1
-			}
-			s.coordFn[next[i]] = e
-			next[i]++
+	for k, i := range sup {
+		e := int32(k/supLen) << 1
+		if neg[k] {
+			e |= 1
 		}
+		s.coordFn[next[i]] = e
+		next[i]++
 	}
 	s.accPool.New = func() any {
 		acc := make([]float32, nf)
@@ -116,31 +101,28 @@ func (s *simhash) HashDense(x []float32, out []uint32) {
 	if len(x) != s.dim {
 		panic("lsh: simhash dense input dimension mismatch")
 	}
-	for f := 0; f < s.numFuncs; f++ {
-		out[f] = signBit(s.project(x, f))
+	ap := s.accPool.Get().(*[]float32)
+	acc := *ap
+	s.lanes.SignedSums(acc, x)
+	for f, a := range acc {
+		out[f] = signBit(a)
 	}
+	s.accPool.Put(ap)
 }
 
-// HashDenseRows batch-hashes rows contiguous dense vectors function-major:
-// each function's support and sign words are loaded once and streamed over
-// the whole row block. Per-row accumulation order matches HashDense, so
-// the codes are bitwise identical to hashing row by row.
+// HashDenseRows hashes rows contiguous dense vectors one row at a time,
+// holding one accumulator across the block; codes match HashDense bitwise.
 func (s *simhash) HashDenseRows(block []float32, rows int, out []uint32) {
 	checkRowsArgs("simhash", s.dim, s.numFuncs, block, rows, out)
-	nf, dim, sl := s.numFuncs, s.dim, s.supLen
-	for f := 0; f < nf; f++ {
-		sup := s.supIdx[f*sl : (f+1)*sl]
-		w := s.negW[f*s.signWords:]
-		for r := 0; r < rows; r++ {
-			x := block[r*dim : (r+1)*dim : (r+1)*dim]
-			var acc float32
-			for j, i := range sup {
-				neg := uint32(w[uint(j)>>6]>>(uint(j)&63)&1) << 31
-				acc += math.Float32frombits(math.Float32bits(x[i]) ^ neg)
-			}
-			out[r*nf+f] = signBit(acc)
+	ap := s.accPool.Get().(*[]float32)
+	acc := *ap
+	for r := 0; r < rows; r++ {
+		s.lanes.SignedSums(acc, block[r*s.dim:(r+1)*s.dim])
+		for f, a := range acc {
+			out[r*s.numFuncs+f] = signBit(a)
 		}
 	}
+	s.accPool.Put(ap)
 }
 
 func (s *simhash) HashSparse(x sparse.Vector, out []uint32) {
@@ -174,18 +156,4 @@ func signBit(a float32) uint32 {
 		return 1
 	}
 	return 0
-}
-
-// project accumulates the signed projection of x under function f, walking
-// the support slab linearly. Subtraction is a sign-bit flip plus add,
-// which the IEEE rules make bit-identical to acc -= x[i].
-func (s *simhash) project(x []float32, f int) float32 {
-	sup := s.supIdx[f*s.supLen : (f+1)*s.supLen]
-	w := s.negW[f*s.signWords:]
-	var acc float32
-	for j, i := range sup {
-		neg := uint32(w[uint(j)>>6]>>(uint(j)&63)&1) << 31
-		acc += math.Float32frombits(math.Float32bits(x[i]) ^ neg)
-	}
-	return acc
 }

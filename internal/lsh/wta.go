@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 // permSet is the shared permutation machinery of WTA and DWTA (App. A).
@@ -15,17 +16,21 @@ import (
 // permutation f/binsPerPerm; its code is the within-bin position (in
 // [0, m)) of the maximum input coordinate mapped into the bin.
 //
-// Both directions are stored as flat slabs (permutation p at
-// [p*dim:(p+1)*dim]) so batched hashing streams one permutation across a
-// whole row block without pointer chasing.
+// The dense paths read each function's bin from a function-transposed slab
+// (vecmath.LaneSlab: function f's j-th bin coordinate in lane f%8 of
+// group f/8), which the DWTA argmax kernel walks eight functions at a time;
+// coordinates in a permutation's unused tail are not stored. The sparse
+// DWTA path maps coordinates to bins through the inverse permutations, one
+// flat slab (permutation p at [p*dim:(p+1)*dim]).
 type permSet struct {
 	dim         int
 	numFuncs    int
 	binSize     int
 	binsPerPerm int
 	numPerms    int
-	// perm[p*dim+pos] is the coordinate at permuted position pos.
-	perm []int32
+	// bins holds function f's bin: its permuted coordinates in position
+	// order.
+	bins *vecmath.LaneSlab
 	// invPerm[p*dim+coord] is the permuted position of coordinate coord.
 	invPerm []int32
 }
@@ -47,12 +52,14 @@ func newPermSet(p Params) *permSet {
 		binSize:     m,
 		binsPerPerm: bpp,
 		numPerms:    numPerms,
-		perm:        make([]int32, numPerms*p.Dim),
 		invPerm:     make([]int32, numPerms*p.Dim),
 	}
+	// Function f's bin is fwd[(f%bpp)*m:][:m] of permutation f/bpp, so the
+	// function-major bin list is each permutation's used prefix in turn.
+	bins := make([]int32, 0, numPerms*bpp*m)
+	fwd := make([]int32, p.Dim)
 	r := rng.NewStream(p.Seed, 0x57a)
 	for pi := 0; pi < numPerms; pi++ {
-		fwd := ps.perm[pi*p.Dim : (pi+1)*p.Dim]
 		inv := ps.invPerm[pi*p.Dim : (pi+1)*p.Dim]
 		for i := range fwd {
 			fwd[i] = int32(i)
@@ -61,15 +68,10 @@ func newPermSet(p Params) *permSet {
 		for pos, coord := range fwd {
 			inv[coord] = int32(pos)
 		}
+		bins = append(bins, fwd[:bpp*m]...)
 	}
+	ps.bins = vecmath.NewLaneSlab(p.Dim, m, bins[:nf*m], nil)
 	return ps
-}
-
-// bin returns the binSize permuted coordinates feeding function f.
-func (ps *permSet) bin(f int) []int32 {
-	p := f / ps.binsPerPerm
-	base := p*ps.dim + (f%ps.binsPerPerm)*ps.binSize
-	return ps.perm[base : base+ps.binSize : base+ps.binSize]
 }
 
 // codeBits returns the bits needed to express codes in [0, binSize).
@@ -110,34 +112,28 @@ func (w *wta) HashDense(x []float32, out []uint32) {
 	if len(x) != w.ps.dim {
 		panic("lsh: wta dense input dimension mismatch")
 	}
-	ps := w.ps
-	for f := 0; f < ps.numFuncs; f++ {
-		out[f] = wtaCode(x, ps.bin(f))
+	for f := 0; f < w.ps.numFuncs; f++ {
+		out[f] = wtaCode(x, w.ps.bins, f)
 	}
 }
 
-// HashDenseRows batch-hashes rows contiguous dense vectors function-major:
-// each bin's permuted coordinates load once and scan the whole row block.
-// The per-row argmax comparisons match HashDense exactly.
+// HashDenseRows hashes rows contiguous dense vectors one row at a time;
+// codes match HashDense bitwise.
 func (w *wta) HashDenseRows(block []float32, rows int, out []uint32) {
 	ps := w.ps
 	checkRowsArgs("wta", ps.dim, ps.numFuncs, block, rows, out)
-	for f := 0; f < ps.numFuncs; f++ {
-		bin := ps.bin(f)
-		for r := 0; r < rows; r++ {
-			x := block[r*ps.dim : (r+1)*ps.dim : (r+1)*ps.dim]
-			out[r*ps.numFuncs+f] = wtaCode(x, bin)
-		}
+	for r := 0; r < rows; r++ {
+		w.HashDense(block[r*ps.dim:(r+1)*ps.dim], out[r*ps.numFuncs:(r+1)*ps.numFuncs])
 	}
 }
 
-// wtaCode is the argmax of x over the bin's coordinates; ties keep the
-// lower position.
-func wtaCode(x []float32, bin []int32) uint32 {
-	best := x[bin[0]]
+// wtaCode is the argmax of x over function f's bin; ties keep the lower
+// position.
+func wtaCode(x []float32, bins *vecmath.LaneSlab, f int) uint32 {
+	best := x[bins.Coord(f, 0)]
 	bestJ := 0
-	for j := 1; j < len(bin); j++ {
-		if v := x[bin[j]]; v > best {
+	for j := 1; j < bins.Steps(); j++ {
+		if v := x[bins.Coord(f, j)]; v > best {
 			best, bestJ = v, j
 		}
 	}
@@ -161,22 +157,26 @@ func (w *wta) HashSparse(x sparse.Vector, out []uint32) {
 }
 
 // dwta is densified winner-take-all hashing (Chen & Shrivastava 2018):
-// WTA evaluated only over the non-zero coordinates of the input, in
-// O(NNZ * K*L*m/dim) comparisons, with empty bins filled by borrowing the
-// code of a pseudo-randomly probed non-empty bin (the densification
-// scheme). Both the dense and sparse paths operate on the non-zero support
-// so they always agree.
+// WTA evaluated only over the non-zero coordinates of the input, with empty
+// bins filled by borrowing the code of a pseudo-randomly probed non-empty
+// bin (the densification scheme). NaN is skipped like zero, so a bin's code
+// is the position of its largest non-zero, non-NaN value (ties to the lower
+// position) whichever order the coordinates are visited in. The dense path
+// runs the lane-parallel argmax kernel over every bin; the sparse path
+// folds each non-zero into its bins in O(NNZ * K*L*m/dim) updates. Both
+// compute the same codes.
 type dwta struct {
 	ps      *permSet
 	seed    uint64
 	scratch sync.Pool
 }
 
-// dwtaScratch holds per-call accumulation state, pooled across goroutines.
+// dwtaScratch holds per-call accumulation state, pooled across goroutines:
+// each function's code (emptyBin while its bin is empty) and, on the
+// sparse path, the bin's running maximum.
 type dwtaScratch struct {
 	maxVal []float32
 	code   []uint32
-	filled []bool
 }
 
 func newDWTA(p Params) (*dwta, error) {
@@ -186,7 +186,6 @@ func newDWTA(p Params) (*dwta, error) {
 		return &dwtaScratch{
 			maxVal: make([]float32, nf),
 			code:   make([]uint32, nf),
-			filled: make([]bool, nf),
 		}
 	}
 	return d, nil
@@ -202,31 +201,23 @@ func (d *dwta) HashDense(x []float32, out []uint32) {
 		panic("lsh: dwta dense input dimension mismatch")
 	}
 	sc := d.scratch.Get().(*dwtaScratch)
-	d.hashDenseInto(sc, x, out)
+	d.ps.bins.NonZeroArgMax(sc.code, x)
+	d.finish(sc, out)
 	d.scratch.Put(sc)
 }
 
-// HashDenseRows batch-hashes rows contiguous dense vectors, holding one
-// scratch across the whole block instead of a pool round trip per row.
-// Rows hash independently, so codes match HashDense bitwise.
+// HashDenseRows hashes rows contiguous dense vectors one row at a time,
+// holding one scratch across the whole block instead of a pool round trip
+// per row. Rows hash independently, so codes match HashDense bitwise.
 func (d *dwta) HashDenseRows(block []float32, rows int, out []uint32) {
 	ps := d.ps
 	checkRowsArgs("dwta", ps.dim, ps.numFuncs, block, rows, out)
 	sc := d.scratch.Get().(*dwtaScratch)
 	for r := 0; r < rows; r++ {
-		d.hashDenseInto(sc, block[r*ps.dim:(r+1)*ps.dim], out[r*ps.numFuncs:(r+1)*ps.numFuncs])
+		ps.bins.NonZeroArgMax(sc.code, block[r*ps.dim:(r+1)*ps.dim])
+		d.finish(sc, out[r*ps.numFuncs:(r+1)*ps.numFuncs])
 	}
 	d.scratch.Put(sc)
-}
-
-func (d *dwta) hashDenseInto(sc *dwtaScratch, x []float32, out []uint32) {
-	d.reset(sc)
-	for i, v := range x {
-		if v != 0 {
-			d.accumulate(sc, int32(i), v)
-		}
-	}
-	d.finish(sc, out)
 }
 
 func (d *dwta) HashSparse(x sparse.Vector, out []uint32) {
@@ -234,26 +225,23 @@ func (d *dwta) HashSparse(x sparse.Vector, out []uint32) {
 		panic("lsh: dwta sparse input dimension mismatch")
 	}
 	sc := d.scratch.Get().(*dwtaScratch)
-	d.reset(sc)
+	for f := range sc.code {
+		sc.code[f] = emptyBin
+	}
 	for j, i := range x.Idx {
-		if x.Val[j] != 0 {
-			d.accumulate(sc, i, x.Val[j])
-		}
+		d.accumulate(sc, i, x.Val[j])
 	}
 	d.finish(sc, out)
 	d.scratch.Put(sc)
 }
 
-func (d *dwta) reset(sc *dwtaScratch) {
-	for i := range sc.filled {
-		sc.filled[i] = false
-	}
-}
-
-// accumulate folds one non-zero coordinate into every permutation's bin.
-// Ties prefer the lower within-bin position, which is deterministic
-// regardless of coordinate visit order.
+// accumulate folds one coordinate into every permutation's bin, skipping
+// zeros and NaN. Ties prefer the lower within-bin position, so the result
+// does not depend on coordinate visit order.
 func (d *dwta) accumulate(sc *dwtaScratch, coord int32, v float32) {
+	if v == 0 || v != v {
+		return
+	}
 	ps := d.ps
 	for p := 0; p < ps.numPerms; p++ {
 		pos := int(ps.invPerm[p*ps.dim+int(coord)])
@@ -266,12 +254,7 @@ func (d *dwta) accumulate(sc *dwtaScratch, coord int32, v float32) {
 			continue
 		}
 		j := uint32(pos % ps.binSize)
-		switch {
-		case !sc.filled[f]:
-			sc.filled[f] = true
-			sc.maxVal[f] = v
-			sc.code[f] = j
-		case v > sc.maxVal[f] || (v == sc.maxVal[f] && j < sc.code[f]):
+		if c := sc.code[f]; c == emptyBin || v > sc.maxVal[f] || (v == sc.maxVal[f] && j < c) {
 			sc.maxVal[f] = v
 			sc.code[f] = j
 		}
@@ -285,21 +268,25 @@ const maxDensifyAttempts = 100
 func (d *dwta) finish(sc *dwtaScratch, out []uint32) {
 	nf := d.ps.numFuncs
 	for f := 0; f < nf; f++ {
-		if sc.filled[f] {
-			out[f] = sc.code[f]
+		if c := sc.code[f]; c != emptyBin {
+			out[f] = c
 			continue
 		}
-		out[f] = densify(d.seed, f, nf, sc.filled, sc.code)
+		out[f] = densify(d.seed, f, nf, sc.code)
 	}
 }
+
+// emptyBin marks a function whose bin received nothing in a DWTA or DOPH
+// scratch code array; it is the DWTA kernel's NoArgMax.
+const emptyBin = vecmath.NoArgMax
 
 // densify walks the deterministic probe sequence for empty function f and
 // returns the code of the first non-empty donor, or 0 if every probe fails
 // (e.g. the all-zero input).
-func densify(seed uint64, f, nf int, filled []bool, code []uint32) uint32 {
+func densify(seed uint64, f, nf int, code []uint32) uint32 {
 	for a := 1; a <= maxDensifyAttempts; a++ {
 		donor := int(mix64(seed^uint64(f)*0x9e3779b97f4a7c15+uint64(a)) % uint64(nf))
-		if filled[donor] {
+		if code[donor] != emptyBin {
 			return code[donor]
 		}
 	}

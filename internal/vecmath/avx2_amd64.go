@@ -42,3 +42,9 @@ func dot4AVX2(x, r0, r1, r2, r3 *float32, blocks int, out *[4]float32)
 
 //go:noescape
 func adamAVX2(w, m, v, grad *float32, blocks int, p *adamParams, skipZero bool) (skipped int)
+
+//go:noescape
+func signedSumsAVX2(x *float32, ent *uint32, steps, groups int, dst *float32)
+
+//go:noescape
+func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32)

@@ -1,8 +1,9 @@
-// AVX2 row kernels. Every kernel works on whole 8-cell blocks with unaligned
-// loads and performs, per lane, exactly the float32 operations of its Go
-// reference in vecmath.go / adam.go in the same order — separate multiply
-// and add, never FMA — so results are bit-identical. The Go wrappers own
-// argument checks, the n mod 8 tail and the per-call size bound.
+// AVX2 kernels. Every kernel works on whole 8-cell blocks (or 8-function
+// lane groups) with unaligned loads and performs, per lane, exactly the
+// float32 operations of its Go reference in vecmath.go / adam.go /
+// lanes.go in the same order — separate multiply and add, never FMA — so
+// results are bit-identical. The Go wrappers own argument checks, the
+// n mod 8 tail and the per-call size bound.
 
 #include "textflag.h"
 
@@ -222,4 +223,95 @@ adam_skip_next:
 adam_done:
 	VZEROUPPER
 	MOVQ R9, skipped+56(FP)
+	RET
+
+// func signedSumsAVX2(x *float32, ent *uint32, steps, groups int, dst *float32)
+// Lane-parallel LaneSlab.SignedSums over groups*8 functions: lane k of a
+// group is one function and walks its steps entries in order, so each lane
+// performs signedSumsGo's adds in signedSumsGo's order — gather, flip the
+// sign bit, add, never FMA. The gather's destination is zeroed first so no
+// gather waits on the previous one.
+TEXT ·signedSumsAVX2(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), SI
+	MOVQ ent+8(FP), DX
+	MOVQ steps+16(FP), BX
+	MOVQ groups+24(FP), CX
+	MOVQ dst+32(FP), DI
+	MOVL $0x80000000, AX
+	VMOVD AX, X15
+	VPBROADCASTD X15, Y15 // negate flag
+
+sums_group:
+	VXORPS Y0, Y0, Y0
+	MOVQ   BX, R8
+
+sums_step:
+	VMOVDQU    (DX), Y1
+	VPAND      Y15, Y1, Y2 // sign mask
+	VPXOR      Y2, Y1, Y1  // coordinate
+	VPCMPEQD   Y4, Y4, Y4  // all lanes; the gather clears its mask
+	VPXOR      Y3, Y3, Y3
+	VGATHERDPS Y4, (SI)(Y1*4), Y3
+	VXORPS     Y2, Y3, Y3
+	VADDPS     Y3, Y0, Y0
+	ADDQ       $32, DX
+	DECQ       R8
+	JNZ        sums_step
+	VMOVUPS    Y0, (DI)
+	ADDQ       $32, DI
+	DECQ       CX
+	JNZ        sums_group
+	VZEROUPPER
+	RET
+
+// func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32)
+// Lane-parallel LaneSlab.NonZeroArgMax over groups*8 functions: per lane,
+// walking positions j in order, a value that is neither ±0 nor NaN
+// (ordered compare-not-equal with zero) replaces the lane's best when the
+// lane is still empty or the value is strictly greater — so ties keep the
+// lower position, as in nonZeroArgMaxGo. Lanes never filled store NoArgMax.
+TEXT ·argMaxAVX2(SB), NOSPLIT, $0-40
+	MOVQ x+0(FP), SI
+	MOVQ ent+8(FP), DX
+	MOVQ steps+16(FP), BX
+	MOVQ groups+24(FP), CX
+	MOVQ dst+32(FP), DI
+	MOVL $0x7fffffff, AX
+	VMOVD AX, X15
+	VPBROADCASTD X15, Y15 // coordinate mask
+	MOVL $1, AX
+	VMOVD AX, X13
+	VPBROADCASTD X13, Y13 // position step
+	VXORPS Y14, Y14, Y14  // zero
+
+argmax_group:
+	VXORPS   Y5, Y5, Y5 // best value
+	VPXOR    Y6, Y6, Y6 // best position
+	VPXOR    Y7, Y7, Y7 // position j
+	VPCMPEQD Y8, Y8, Y8 // empty lanes
+	MOVQ     BX, R8
+
+argmax_step:
+	VMOVDQU    (DX), Y1
+	VPAND      Y15, Y1, Y1
+	VPCMPEQD   Y4, Y4, Y4
+	VPXOR      Y3, Y3, Y3
+	VGATHERDPS Y4, (SI)(Y1*4), Y3
+	VCMPPS     $0x0c, Y14, Y3, Y9 // v != 0, false for NaN (NEQ_OQ)
+	VCMPPS     $0x1e, Y5, Y3, Y10 // v > best (GT_OQ)
+	VORPS      Y8, Y10, Y10
+	VANDPS     Y9, Y10, Y10       // take
+	VBLENDVPS  Y10, Y3, Y5, Y5
+	VBLENDVPS  Y10, Y7, Y6, Y6
+	VANDNPS    Y8, Y9, Y8         // empty &^= valid
+	VPADDD     Y13, Y7, Y7
+	ADDQ       $32, DX
+	DECQ       R8
+	JNZ        argmax_step
+	VORPS      Y8, Y6, Y6         // empty lanes: NoArgMax
+	VMOVDQU    Y6, (DI)
+	ADDQ       $32, DI
+	DECQ       CX
+	JNZ        argmax_group
+	VZEROUPPER
 	RET

@@ -15,3 +15,9 @@ func dot4AVX2(x, r0, r1, r2, r3 *float32, blocks int, out *[4]float32) { panic("
 func adamAVX2(w, m, v, grad *float32, blocks int, p *adamParams, skipZero bool) (skipped int) {
 	panic("vecmath: no AVX2")
 }
+
+func signedSumsAVX2(x *float32, ent *uint32, steps, groups int, dst *float32) {
+	panic("vecmath: no AVX2")
+}
+
+func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32) { panic("vecmath: no AVX2") }

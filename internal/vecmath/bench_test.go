@@ -177,3 +177,21 @@ func BenchmarkAdamStep(b *testing.B) {
 		})
 	}
 }
+
+// The hash kernels at the benchmark workloads' shapes over a 128-wide
+// input: one train_converge Simhash query (K7·L30 = 210 functions of 42
+// coordinates) and one train_xwide DWTA row (K8·L50 = 400 bins of 8).
+
+func BenchmarkSignedSums(b *testing.B) {
+	r := rng.New(4)
+	slab, _, _ := randLaneSlab(r, 128, 210, 42, true)
+	x, dst := randVec(r, 128), make([]float32, 210)
+	benchTiers(b, func() { slab.SignedSums(dst, x) })
+}
+
+func BenchmarkNonZeroArgMax(b *testing.B) {
+	r := rng.New(5)
+	slab, _, _ := randLaneSlab(r, 128, 400, 8, false)
+	x, dst := randVec(r, 128), make([]uint32, 400)
+	benchTiers(b, func() { slab.NonZeroArgMax(dst, x) })
+}

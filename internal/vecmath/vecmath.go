@@ -9,11 +9,13 @@
 //
 //   - plain scalar Go, when Unrolled is false (the Fig. 10 ablation);
 //   - 8-way unrolled Go with independent accumulators (dotUnrolled,
-//     axpyUnrolled, outerAccUnrolled, adamStepGo): the only path on
+//     axpyUnrolled, outerAccUnrolled, adamStepGo), and the hash kernels'
+//     Go loops (signedSumsGo, nonZeroArgMaxGo): the only path on
 //     non-amd64 and pre-AVX2 machines, and the reference;
 //   - AVX2 assembly (avx2_amd64.s) for four dense row loops — Dot/DotRows,
-//     Axpy, OuterAcc, AdamStep — when the CPU
-//     and OS support it (hasAVX2, probed once at init by hand-rolled
+//     Axpy, OuterAcc, AdamStep — and two lane-parallel hash kernels over a
+//     LaneSlab — SignedSums (Simhash) and NonZeroArgMax (DWTA) — when the
+//     CPU and OS support it (hasAVX2, probed once at init by hand-rolled
 //     CPUID/XGETBV). There is one vector tier: no AVX-512, no option.
 //
 // # Same bits
@@ -27,7 +29,13 @@
 // one YMM accumulator per row) reduced left to right as
 // (((s0+s1)+(s2+s3))+(s4+s5))+(s6+s7), then the n mod 8 tail cells added
 // in order. Axpy, OuterAcc and AdamStep are element-wise, so lane order is
-// irrelevant. Two caveats. The equality is with Go compiled at the default
+// irrelevant. The hash kernels put one function in each of the eight lanes
+// and walk that function's coordinates in its Go loop's order: SignedSums
+// gathers, flips the sign bit and adds (a separate add, never FMA) exactly
+// as signedSumsGo does per function, and NonZeroArgMax keeps a value only
+// when it is neither ±0 nor NaN and strictly greater than the lane's best,
+// the same rule nonZeroArgMaxGo's ordered keys encode, so positions and
+// ties agree. Two caveats. The equality is with Go compiled at the default
 // GOAMD64=v1: at GOAMD64=v3 the Go compiler may itself fuse x*y+z, the Go
 // kernels then differ from the v1 build (and from the assembly) in the last
 // bit, and goldens recorded at v1 do not hold. And which NaN comes out of
@@ -41,11 +49,16 @@
 // calling it, and run the n mod 8 tail through the Go kernel. Assembly is
 // not asynchronously preemptible, so every call is bounded: at most
 // maxCells cells for the element-wise kernels (longer slices are fed in
-// pieces) and four rows of at most maxCells cells for the dot (longer
-// vectors take the Go kernel) — a 20K-row exact prediction is thousands of
-// short calls, not one long section in front of a stop-the-world. Loads
-// are unaligned; there is no padding or layout requirement. Slices passed
-// to one call must not partially overlap.
+// pieces), four rows of at most maxCells cells for the dot (longer
+// vectors take the Go kernel), and at most maxCells gathered cells for the
+// hash kernels (a row's function groups are fed in runs; a function longer
+// than maxCells/8 coordinates takes the Go kernel) — a 20K-row exact
+// prediction is thousands of short calls, not one long section in front of
+// a stop-the-world. The hash kernels gather only coordinates a LaneSlab
+// checked against its input length when it was built, so their wrappers
+// check just the input's length and pad a partial last group through a
+// full-width buffer. Loads are unaligned; there is no padding or layout
+// requirement. Slices passed to one call must not partially overlap.
 package vecmath
 
 import "math"
