@@ -3,8 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/vecmath"
 )
 
 // DeltaCompression selects the representation of the SparseDelta a
@@ -66,12 +69,10 @@ func ParseCompression(s string) (DeltaCompression, float64, error) {
 }
 
 // efLayer is one layer's error-feedback residual: the dropped gradient
-// mass per output row, as a dense prevDim-wide accumulator allocated on
-// first touch. Dense rows make the per-batch fold a plain scatter-add
-// over the batch's cells — a CSR residual would force an O(residual)
-// structural merge every batch. The memory ceiling is one extra
-// weight-sized array in the worst case, the same bound a CSR residual
-// converges to.
+// mass per storage row, as a dense row-wide accumulator allocated on first
+// touch. Dense rows make the per-batch fold a plain add over the batch's
+// cells. The memory ceiling is one extra weight-sized array in the worst
+// case.
 type efLayer struct {
 	rows [][]float32
 }
@@ -105,9 +106,9 @@ func (n *Network) compressTopK(d *SparseDelta, frac float64) *SparseDelta {
 	ship := n.efShip
 	ship.reset(len(d.Layers))
 	for li := range d.Layers {
-		k := int(math.Ceil(frac * float64(len(d.Layers[li].Vals))))
-		l := n.layers[li]
-		n.efAbs = topKSelectLayer(&d.Layers[li], &n.efRes[li], l.out, l.in, k, &ship.Layers[li], n.efAbs)
+		k := int(math.Ceil(frac * float64(vecmath.CountNonZero(d.Layers[li].Vals))))
+		rows, width := n.layers[li].StorageShape()
+		n.efAbs = topKSelectLayer(&d.Layers[li], &n.efRes[li], rows, width, k, &ship.Layers[li], n.efAbs)
 	}
 	return ship
 }
@@ -119,36 +120,23 @@ func (n *Network) residualCells() int64 {
 	var total int64
 	for li := range n.efRes {
 		for _, row := range n.efRes[li].rows {
-			for _, v := range row {
-				if v != 0 {
-					total++
-				}
-			}
+			total += int64(vecmath.CountNonZero(row))
 		}
 	}
 	return total
 }
 
-// residualDelta materializes the residual as a SparseDelta (bias
-// gradients never residualize — they always ship). Test/diagnostic use;
-// the hot path never builds this.
+// residualDelta materializes the residual as a SparseDelta of full-width
+// rows (bias gradients never residualize — they always ship).
+// Test/diagnostic use; the hot path never builds this.
 func (n *Network) residualDelta() *SparseDelta {
 	out := &SparseDelta{Layers: make([]LayerDelta, len(n.efRes))}
 	for li := range n.efRes {
 		ld := &out.Layers[li]
-		ld.RowOff = append(ld.RowOff, 0)
 		for r, row := range n.efRes[li].rows {
-			from := len(ld.Cols)
-			for c, v := range row {
-				if v != 0 {
-					ld.Cols = append(ld.Cols, int32(c))
-					ld.Vals = append(ld.Vals, v)
-				}
-			}
-			if len(ld.Cols) > from {
+			if vecmath.CountNonZero(row) > 0 {
 				ld.Rows = append(ld.Rows, int32(r))
-				ld.Bias = append(ld.Bias, 0)
-				ld.RowOff = append(ld.RowOff, int32(len(ld.Cols)))
+				ld.Vals = append(ld.Vals, row...)
 			}
 		}
 	}
@@ -156,34 +144,46 @@ func (n *Network) residualDelta() *SparseDelta {
 }
 
 // topKSelectLayer folds src (one layer's fresh batch delta) into res and
-// emits the k largest accumulated-|v| cells among src's cells into ship
-// in CSR order, zeroing them in the accumulator; biases always ship. The
-// threshold is the k-th largest |v|, an order statistic, so the kept set
-// is deterministic; ties at the threshold are kept in row-major scan
-// order until the quota is exact. Exact-zero cells (cancellation) carry
-// no gradient mass and are never shipped. A row ships if it kept any
-// cell or has a non-zero batch bias. Cost is O(batch cells) — the
-// accumulator is only ever read at the batch's own coordinates.
-func topKSelectLayer(src *LayerDelta, res *efLayer, rows, prevDim, k int, ship *LayerDelta, abs []float32) []float32 {
+// emits the k largest accumulated-|v| cells among src's nonzero cells into
+// ship, over src's rows and column set, zeroing them in the accumulator; a
+// row ships if it kept any cell, with zeros in the cells it did not keep.
+// Biases always ship. The threshold is the k-th largest |v|, an order
+// statistic, so the kept set is deterministic; ties at the threshold are
+// kept in row-major scan order until the quota is exact. Exact-zero
+// accumulated cells (cancellation) carry no gradient mass and are never
+// shipped. rows and width are the layer's storage shape. Cost is O(batch
+// cells) — the accumulator is only ever read at the batch's own
+// coordinates.
+func topKSelectLayer(src *LayerDelta, res *efLayer, rows, width, k int, ship *LayerDelta, abs []float32) []float32 {
 	ship.reset()
-	ship.RowOff = append(ship.RowOff, 0)
 	if res.rows == nil {
 		res.rows = make([][]float32, rows)
 	}
+	w := src.width()
+	col := func(u int) int {
+		if src.Cols != nil {
+			return int(src.Cols[u])
+		}
+		return u
+	}
 	// Fold the batch into the accumulator and gather the |v| of every
-	// touched cell in one pass. A touched cell whose fresh gradient is
-	// zero still competes: that is how parked residual mass gets its
-	// chance to flush.
+	// touched cell in one pass. A touched cell whose accumulated value is
+	// zero does not compete; one whose fresh gradient is zero was not
+	// touched this batch.
 	abs = abs[:0]
 	for ri, r := range src.Rows {
 		row := res.rows[r]
 		if row == nil {
-			row = make([]float32, prevDim)
+			row = make([]float32, width)
 			res.rows[r] = row
 		}
-		for c := src.RowOff[ri]; c < src.RowOff[ri+1]; c++ {
-			row[src.Cols[c]] += src.Vals[c]
-			if v := row[src.Cols[c]]; v != 0 {
+		for u, g := range src.Vals[ri*w : (ri+1)*w] {
+			if g == 0 {
+				continue
+			}
+			c := col(u)
+			row[c] += g
+			if v := row[c]; v != 0 {
 				abs = append(abs, abs32(v))
 			}
 		}
@@ -200,13 +200,24 @@ func topKSelectLayer(src *LayerDelta, res *efLayer, rows, prevDim, k int, ship *
 			}
 		}
 	}
-	// Emit over src's structure — already row-major CSR.
+	if src.Cols != nil {
+		ship.Cols = append(ship.Cols, src.Cols...)
+	} else {
+		ship.Cols = nil
+	}
 	for ri, r := range src.Rows {
 		row := res.rows[r]
-		from := len(ship.Cols)
-		for c := src.RowOff[ri]; c < src.RowOff[ri+1]; c++ {
-			col := src.Cols[c]
-			v := row[col]
+		n := len(ship.Vals)
+		ship.Vals = slices.Grow(ship.Vals, w)[:n+w]
+		out := ship.Vals[n:]
+		clear(out)
+		kept := false
+		for u, g := range src.Vals[ri*w : (ri+1)*w] {
+			if g == 0 {
+				continue
+			}
+			c := col(u)
+			v := row[c]
 			if v == 0 {
 				continue
 			}
@@ -217,17 +228,19 @@ func topKSelectLayer(src *LayerDelta, res *efLayer, rows, prevDim, k int, ship *
 				quota--
 			}
 			if keep {
-				ship.Cols = append(ship.Cols, col)
-				ship.Vals = append(ship.Vals, v)
-				row[col] = 0
+				out[u] = v
+				row[c] = 0
+				kept = true
 			}
 		}
-		if len(ship.Cols) > from || src.Bias[ri] != 0 {
+		if kept {
 			ship.Rows = append(ship.Rows, r)
-			ship.Bias = append(ship.Bias, src.Bias[ri])
-			ship.RowOff = append(ship.RowOff, int32(len(ship.Cols)))
+		} else {
+			ship.Vals = ship.Vals[:n]
 		}
 	}
+	ship.Neurons = append(ship.Neurons, src.Neurons...)
+	ship.Bias = append(ship.Bias, src.Bias...)
 	return abs
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -40,14 +41,18 @@ func TestParseCompression(t *testing.T) {
 	}
 }
 
-// topkTestLayer builds one layer's delta with a known magnitude ranking.
+// topkTestLayer builds one layer's delta of 8-wide rows with a known
+// magnitude ranking.
 func topkTestLayer() LayerDelta {
 	return LayerDelta{
-		Rows:   []int32{2, 5, 9},
-		RowOff: []int32{0, 3, 5, 8},
-		Cols:   []int32{0, 4, 7, 1, 3, 0, 2, 6},
-		Vals:   []float32{-8, 0.5, 2, -2, 0, 7, -0.25, 1},
-		Bias:   []float32{0.125, 0, -1},
+		Rows: []int32{2, 5, 9},
+		Vals: []float32{
+			-8, 0, 0, 0, 0.5, 0, 0, 2,
+			0, -2, 0, 0, 0, 0, 0, 0,
+			7, 0, -0.25, 0, 0, 0, 1, 0,
+		},
+		Neurons: []int32{2, 9},
+		Bias:    []float32{0.125, -1},
 	}
 }
 
@@ -59,8 +64,7 @@ func TestSelectTopKSplitsByMagnitude(t *testing.T) {
 	src := topkTestLayer()
 	var ship LayerDelta
 	var res efLayer
-	// nnz = 8 (one exact zero among them), k = 4. The zero cell carries
-	// no mass, so 4 ship and 3 stay in the residual.
+	// 7 nonzero cells, k = 4: 4 ship and 3 stay in the residual.
 	topKSelectLayer(&src, &res, 10, 8, 4, &ship, nil)
 
 	type cell struct {
@@ -69,9 +73,11 @@ func TestSelectTopKSplitsByMagnitude(t *testing.T) {
 	}
 	collect := func(ld *LayerDelta) []cell {
 		var out []cell
-		for r := range ld.Rows {
-			for c := ld.RowOff[r]; c < ld.RowOff[r+1]; c++ {
-				out = append(out, cell{ld.Rows[r], ld.Cols[c], ld.Vals[c]})
+		for r, row := range ld.Rows {
+			for c, v := range ld.Vals[r*8 : (r+1)*8] {
+				if v != 0 {
+					out = append(out, cell{row, int32(c), v})
+				}
 			}
 		}
 		return out
@@ -115,32 +121,18 @@ func TestSelectTopKSplitsByMagnitude(t *testing.T) {
 		}
 		seen[key] = c.val
 	}
-	for r := range src.Rows {
-		for c := src.RowOff[r]; c < src.RowOff[r+1]; c++ {
-			if src.Vals[c] == 0 {
-				continue
-			}
-			if v, ok := seen[[2]int32{src.Rows[r], src.Cols[c]}]; !ok || v != src.Vals[c] {
-				t.Fatalf("source cell (%d,%d)=%g lost in the split", src.Rows[r], src.Cols[c], src.Vals[c])
-			}
+	for _, c := range collect(&src) {
+		if v, ok := seen[[2]int32{c.row, c.col}]; !ok || v != c.val {
+			t.Fatalf("source cell (%d,%d)=%g lost in the split", c.row, c.col, c.val)
 		}
 	}
-	// Biases: always ship (row 5 has no kept cells but bias 0 → no row;
-	// row 9's bias -1 ships).
-	for r := range ship.Rows {
-		var want float32
-		for sr := range src.Rows {
-			if src.Rows[sr] == ship.Rows[r] {
-				want = src.Bias[sr]
-			}
-		}
-		if ship.Bias[r] != want {
-			t.Fatalf("ship row %d bias %g, want %g", ship.Rows[r], ship.Bias[r], want)
-		}
+	// Biases always ship, whatever the cells did.
+	if !slices.Equal(ship.Neurons, src.Neurons) || !slices.Equal(ship.Bias, src.Bias) {
+		t.Fatalf("shipped biases %v %v, want %v %v", ship.Neurons, ship.Bias, src.Neurons, src.Bias)
 	}
-	// CSR invariants on the shipped delta.
-	if len(ship.RowOff) != len(ship.Rows)+1 || len(ship.Bias) != len(ship.Rows) {
-		t.Fatalf("inconsistent CSR: %d rows, %d offsets, %d biases", len(ship.Rows), len(ship.RowOff), len(ship.Bias))
+	// Row-block invariants on the shipped delta: only rows that kept a cell.
+	if len(ship.Vals) != 8*len(ship.Rows) || ship.Cols != nil {
+		t.Fatalf("inconsistent row block: %d rows, %d values", len(ship.Rows), len(ship.Vals))
 	}
 	for r := 1; r < len(ship.Rows); r++ {
 		if ship.Rows[r] <= ship.Rows[r-1] {
@@ -152,18 +144,14 @@ func TestSelectTopKSplitsByMagnitude(t *testing.T) {
 	// accumulator — 2 fresh cells at k=1 ship exactly 1 cell even though
 	// the residual still holds 3 competing entries.
 	src2 := LayerDelta{
-		Rows:   []int32{5},
-		RowOff: []int32{0, 2},
-		Cols:   []int32{5, 6},
-		Vals:   []float32{9, 0.0625},
-		Bias:   []float32{0.5},
+		Rows:    []int32{5},
+		Vals:    []float32{0, 0, 0, 0, 0, 9, 0.0625, 0},
+		Neurons: []int32{5},
+		Bias:    []float32{0.5},
 	}
 	topKSelectLayer(&src2, &res, 10, 8, 1, &ship, nil)
-	if got := len(ship.Vals); got != 1 {
-		t.Fatalf("second batch shipped %d cells at k=1, want 1", got)
-	}
-	if ship.Vals[0] != 9 {
-		t.Fatalf("second batch shipped %g, want the largest cell 9", ship.Vals[0])
+	if got := collect(&ship); len(got) != 1 || got[0].val != 9 {
+		t.Fatalf("second batch shipped %+v at k=1, want the largest cell 9 alone", got)
 	}
 	if got := len(collectRes(&res)); got != 4 {
 		t.Fatalf("residual holds %d cells after second batch, want 3 carried + 1 new", got)
@@ -175,23 +163,21 @@ func TestSelectTopKSplitsByMagnitude(t *testing.T) {
 // keeping all or none.
 func TestSelectTopKTieBreaking(t *testing.T) {
 	src := LayerDelta{
-		Rows:   []int32{0},
-		RowOff: []int32{0, 10},
-		Cols:   []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9},
-		Vals:   []float32{1, -1, 1, 1, -1, 1, -1, 1, 1, -1},
-		Bias:   []float32{0},
+		Rows: []int32{0},
+		Vals: []float32{1, -1, 1, 1, -1, 1, -1, 1, 1, -1},
 	}
 	var ship LayerDelta
 	var res efLayer
 	topKSelectLayer(&src, &res, 1, 10, 3, &ship, nil)
-	if got := len(ship.Vals); got != 3 {
-		t.Fatalf("shipped %d of 10 tied cells at k=3, want exactly 3", got)
+	var kept []int
+	for c, v := range ship.Vals {
+		if v != 0 {
+			kept = append(kept, c)
+		}
 	}
 	// Scan order: the first three cells win the quota.
-	for i, want := range []int32{0, 1, 2} {
-		if ship.Cols[i] != want {
-			t.Fatalf("ship cols %v, want ties kept in scan order [0 1 2]", ship.Cols[:3])
-		}
+	if !slices.Equal(kept, []int{0, 1, 2}) {
+		t.Fatalf("ship kept cells %v, want ties kept in scan order [0 1 2]", kept)
 	}
 	var left int
 	for _, v := range res.rows[0] {

@@ -58,13 +58,13 @@ func TestGradientCheck(t *testing.T) {
 	// Extract the analytic gradient of one element once.
 	trainElem(n, st, 0, x, labels)
 	d := n.ExtractDelta(nil, 1)
-	grad := deltaAsMap(d)
+	grad := deltaCells(n, d)
 
 	check := func(layer, j, i int) {
 		l := n.layers[layer]
 		// Cells the delta does not carry (and biases, keyed at column -1)
 		// have a zero gradient.
-		analytic := grad[[3]int32{int32(layer), int32(j), int32(i)}]
+		analytic := float64(math.Float32frombits(grad[[3]int32{int32(layer), int32(j), int32(i)}]))
 		const h = 1e-3
 		var p *float32
 		if i < 0 {

@@ -2,46 +2,54 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/optim"
+	"repro/internal/vecmath"
 )
 
 // SparseDelta is one batch's gradient in explicit, first-class form: for
-// every layer, the touched neuron rows, the touched input columns within
-// each row, the raw accumulated gradient sums, and the bias gradients.
-// This is exactly the s²-sparse payload §3.1 argues a batch produces and
-// §6 proposes shipping between data-parallel replicas ("communication
-// costs are minimal due to sparse gradients"): Network.ExtractDelta folds
-// the batch's records into this form at a batch boundary, replicas
-// exchange and merge deltas (internal/dist), and Layer.ApplyDelta performs
-// the Adam step over exactly the delta's cells.
+// every layer, the touched storage rows as a block of dense rows over the
+// layer's columns, and the touched neurons' bias gradients. This is the
+// s²-sparse payload §3.1 argues a batch produces and §6 proposes shipping
+// between data-parallel replicas ("communication costs are minimal due to
+// sparse gradients"): Network.ExtractDelta copies the batch's folded rows
+// into this form at a batch boundary, replicas exchange and merge deltas
+// (internal/dist), and Layer.ApplyDelta performs the Adam step over the
+// delta's nonzero cells.
 //
 // Values are raw sums, not batch averages: the consumer passes 1/B (or
 // 1/(B*shards) after a data-parallel merge) to ApplyDelta, so merging is a
 // plain cell-wise sum and the merged step equals the step a single process
-// would take on the combined batch.
+// would take on the combined batch. Zero means "no gradient" everywhere: a
+// zero cell or bias is never stepped, whether it was never touched or its
+// contributions cancelled, locally or across shards.
 type SparseDelta struct {
 	// Layers holds one LayerDelta per network layer, in layer order.
 	Layers []LayerDelta
 }
 
-// LayerDelta is one layer's slice of a SparseDelta, in compressed
-// sparse-row form over (touched neuron, touched input column).
+// LayerDelta is one layer's slice of a SparseDelta in the layer's storage
+// orientation (see Layer, StorageShape): a block of touched storage rows —
+// inputs on the input-major first layer, neurons on every other layer —
+// each a dense vector over the layer's columns, plus the bias gradients of
+// the touched neurons.
 type LayerDelta struct {
-	// Rows lists the touched neuron ids, strictly ascending.
+	// Rows lists the touched storage rows, strictly ascending.
 	Rows []int32
-	// RowOff has len(Rows)+1 entries; row Rows[r]'s column span is
-	// Cols[RowOff[r]:RowOff[r+1]] (and the matching Vals span).
-	RowOff []int32
-	// Cols lists the touched input columns per row, strictly ascending
-	// within each row's span.
+	// Cols is the layer-wide column set every row is aligned to, strictly
+	// ascending within the storage row width; nil when each row spans the
+	// storage row's full width. A layer that folds rows over the batch's
+	// touched input columns (a sampled first layer) carries that union.
 	Cols []int32
-	// Vals holds the raw accumulated gradient sums aligned with Cols.
+	// Vals holds len(Rows) rows of width values, row-major, where width is
+	// len(Cols), or the storage row width when Cols is nil: row Rows[r] is
+	// Vals[r*width:(r+1)*width]. A zero value carries no gradient.
 	Vals []float32
-	// Bias holds the raw bias gradient aligned with Rows; 0 means the
-	// row's bias accumulated no gradient and receives no step, matching
-	// stepFold's skip.
-	Bias []float32
+	// Neurons lists the touched neurons, strictly ascending, and Bias their
+	// raw bias gradient sums; a zero bias carries no gradient.
+	Neurons []int32
+	Bias    []float32
 }
 
 // reset prepares d for reuse with the given layer count, keeping all
@@ -58,41 +66,50 @@ func (d *SparseDelta) reset(layers int) {
 
 func (ld *LayerDelta) reset() {
 	ld.Rows = ld.Rows[:0]
-	ld.RowOff = ld.RowOff[:0]
 	ld.Cols = ld.Cols[:0]
 	ld.Vals = ld.Vals[:0]
+	ld.Neurons = ld.Neurons[:0]
 	ld.Bias = ld.Bias[:0]
 }
 
-// Cells returns the number of gradient cells the delta carries — weight
-// cells plus non-zero bias entries. This is the TouchedPerIter payload
-// unit and the quantity a distributed replica serializes.
+// width returns the number of values per row, or 0 for a delta without
+// rows. A full-width row block takes its width from Vals.
+func (ld *LayerDelta) width() int {
+	switch {
+	case ld.Cols != nil:
+		return len(ld.Cols)
+	case len(ld.Rows) == 0:
+		return 0
+	default:
+		return len(ld.Vals) / len(ld.Rows)
+	}
+}
+
+// Cells returns the number of gradient cells the delta carries — nonzero
+// weight cells plus nonzero biases, the cells ApplyDelta steps. This is the
+// TouchedPerIter payload unit; the zero slots of a row block are not cells.
 func (d *SparseDelta) Cells() int64 {
 	var total int64
 	for i := range d.Layers {
 		ld := &d.Layers[i]
-		total += int64(len(ld.Vals))
-		for _, b := range ld.Bias {
-			if b != 0 {
-				total++
-			}
-		}
+		total += int64(vecmath.CountNonZero(ld.Vals) + vecmath.CountNonZero(ld.Bias))
 	}
 	return total
 }
 
 // Clone returns a deep copy, for callers that must retain a delta past
-// the producer's next reuse of its scratch buffers.
+// the producer's next reuse of its scratch buffers. A nil column set stays
+// nil.
 func (d *SparseDelta) Clone() *SparseDelta {
 	out := &SparseDelta{Layers: make([]LayerDelta, len(d.Layers))}
 	for i := range d.Layers {
 		ld := &d.Layers[i]
 		out.Layers[i] = LayerDelta{
-			Rows:   append([]int32(nil), ld.Rows...),
-			RowOff: append([]int32(nil), ld.RowOff...),
-			Cols:   append([]int32(nil), ld.Cols...),
-			Vals:   append([]float32(nil), ld.Vals...),
-			Bias:   append([]float32(nil), ld.Bias...),
+			Rows:    slices.Clone(ld.Rows),
+			Cols:    slices.Clone(ld.Cols),
+			Vals:    slices.Clone(ld.Vals),
+			Neurons: slices.Clone(ld.Neurons),
+			Bias:    slices.Clone(ld.Bias),
 		}
 	}
 	return out
@@ -149,13 +166,12 @@ func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 	return dst
 }
 
-// ApplyDelta performs the per-cell Adam step over exactly the delta's
-// cells, averaging raw sums by invB: w -= alpha*m̂/(sqrt(v̂)+eps) with
-// gradient Vals[k]*invB per cell and Bias[r]*invB per non-zero bias. It
-// returns the number of cells applied. The delta must be well-formed
-// (ascending in-range rows and columns, as produced by ExtractDelta,
-// MergeDeltas or the dist codec); shape mismatches are rejected.
-// workers <= 0 selects GOMAXPROCS.
+// ApplyDelta performs the Adam step over the delta's nonzero cells,
+// averaging raw sums by invB: w -= alpha*m̂/(sqrt(v̂)+eps) with gradient
+// v*invB per nonzero cell v of a row and b*invB per nonzero bias b. It
+// returns the number of cells stepped. Shape mismatches — rows, columns or
+// neurons out of range or out of order, a row block of the wrong size —
+// are rejected before any weight moves. workers <= 0 selects GOMAXPROCS.
 func (n *Network) ApplyDelta(d *SparseDelta, alpha, invB float32, workers int) (int64, error) {
 	if workers <= 0 {
 		workers = defaultThreads()
@@ -179,41 +195,53 @@ func (n *Network) ApplyDelta(d *SparseDelta, alpha, invB float32, workers int) (
 	return total, nil
 }
 
-// checkDelta validates a layer delta's shape against the layer: row span
-// bounds and consistency between Rows, RowOff, Cols/Vals and Bias.
-// Ascending order inside spans is the producer's contract (ExtractDelta,
-// MergeDeltas and the dist codec all guarantee it) and is not re-checked
-// on this hot path.
+// StorageShape returns the number of storage rows the layer keeps and
+// their width — the rows and full row width of its LayerDelta. The
+// input-major first layer (see Layer) keeps one row of Out() weights per
+// input; every other layer one row of In() weights per neuron.
+func (l *Layer) StorageShape() (rows, width int) {
+	if l.inputMajor {
+		return l.in, l.out
+	}
+	return l.out, l.in
+}
+
+// checkDelta validates a layer delta against the layer's storage shape:
+// rows, columns and neurons strictly ascending and in range, and a row
+// block of len(Rows) × width values.
 func (l *Layer) checkDelta(ld *LayerDelta) error {
-	nr := len(ld.Rows)
-	if len(ld.RowOff) != nr+1 || len(ld.Bias) != nr {
-		return fmt.Errorf("inconsistent delta: %d rows, %d offsets, %d biases", nr, len(ld.RowOff), len(ld.Bias))
+	rows, width := l.StorageShape()
+	if !ascendingBelow(ld.Rows, rows) {
+		return fmt.Errorf("rows not strictly ascending in [0,%d)", rows)
 	}
-	if nr == 0 {
-		return nil
-	}
-	if ld.Rows[0] < 0 || int(ld.Rows[nr-1]) >= l.out {
-		return fmt.Errorf("row id out of range [0,%d)", l.out)
-	}
-	nnz := int(ld.RowOff[nr])
-	if ld.RowOff[0] != 0 || nnz != len(ld.Cols) || nnz != len(ld.Vals) {
-		return fmt.Errorf("inconsistent delta spans: offsets end %d, %d cols, %d vals", nnz, len(ld.Cols), len(ld.Vals))
-	}
-	// Monotonicity first, for every span: a RowOff that spikes above nnz
-	// and comes back down would otherwise pass the end-sum check and
-	// send the column probe below out of bounds.
-	for r := 0; r < nr; r++ {
-		if ld.RowOff[r] > ld.RowOff[r+1] {
-			return fmt.Errorf("row %d has negative span", ld.Rows[r])
+	if ld.Cols != nil {
+		if !ascendingBelow(ld.Cols, width) {
+			return fmt.Errorf("columns not strictly ascending in [0,%d)", width)
 		}
+		width = len(ld.Cols)
 	}
-	for r := 0; r < nr; r++ {
-		lo, hi := ld.RowOff[r], ld.RowOff[r+1]
-		if lo < hi && (ld.Cols[lo] < 0 || int(ld.Cols[hi-1]) >= l.in) {
-			return fmt.Errorf("row %d column out of range [0,%d)", ld.Rows[r], l.in)
-		}
+	if len(ld.Vals) != len(ld.Rows)*width {
+		return fmt.Errorf("%d values for %d rows of %d", len(ld.Vals), len(ld.Rows), width)
+	}
+	if !ascendingBelow(ld.Neurons, l.out) {
+		return fmt.Errorf("neurons not strictly ascending in [0,%d)", l.out)
+	}
+	if len(ld.Bias) != len(ld.Neurons) {
+		return fmt.Errorf("%d biases for %d neurons", len(ld.Bias), len(ld.Neurons))
 	}
 	return nil
+}
+
+// ascendingBelow reports whether ids is strictly ascending within [0, n).
+func ascendingBelow(ids []int32, n int) bool {
+	prev := int32(-1)
+	for _, id := range ids {
+		if id <= prev {
+			return false
+		}
+		prev = id
+	}
+	return int(prev) < n
 }
 
 // scanSpan is the least number of stamps worth a scanStamps worker of its
@@ -259,28 +287,22 @@ func (l *Layer) scanStamps(stamps []uint32, epoch uint32, workers int, dst []int
 	return dst
 }
 
-// ApplyDelta runs one Adam step over exactly the delta's cells (gradient
-// Vals*invB) and non-zero biases, returning the number of cells stepped.
-// It steps rows through stepRow, the same row kernel the local training
-// path's stepFold uses, so the two cannot drift apart numerically. The
-// input-major layer first transposes the delta into its storage rows, an
-// input's cells by ascending neuron.
+// ApplyDelta runs one Adam step over the delta's nonzero cells (gradient
+// v*invB) and nonzero biases, returning the number of cells stepped. Each
+// row goes through stepRow exactly as stepFold steps a folded row, so the
+// two update paths cannot drift apart numerically, and a full-width row
+// takes the vector row step.
 func (l *Layer) ApplyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32, workers int) int64 {
-	t := ld
-	if l.inputMajor {
-		t = &l.fold.byInput
-		transposeCSR(t, ld, l.fold.cursor[:l.in], nil)
-	}
-	stepped := l.stepSpans(workers, len(t.Rows), func(_, lo, hi int) int64 {
+	w := ld.width()
+	stepped := l.stepSpans(workers, len(ld.Rows), func(_, lo, hi int) int64 {
 		var n int64
 		for r := lo; r < hi; r++ {
-			a, b := t.RowOff[r], t.RowOff[r+1]
-			n += l.stepRow(adam, t.Rows[r], t.Cols[a:b], t.Vals[a:b], alpha, invB, false)
+			n += l.stepRow(adam, ld.Rows[r], ld.Cols, ld.Vals[r*w:(r+1)*w], alpha, invB)
 		}
 		return n
 	})
-	for r, j := range ld.Rows {
-		stepped += l.stepBias(adam, j, ld.Bias[r], alpha, invB)
+	for k, j := range ld.Neurons {
+		stepped += l.stepBias(adam, j, ld.Bias[k], alpha, invB)
 	}
 	return stepped
 }
@@ -304,11 +326,10 @@ func (l *Layer) stepSpans(workers, n int, step func(wk, lo, hi int) int64) int64
 
 // stepRow is the one Adam row step of the update phase: storage row r's
 // cells cols[k] (column k when cols is nil) with raw gradient sums g[k],
-// averaged by invB. skipZero leaves cells whose sum is exactly zero
-// unstepped (a folded row carries them; a delta does not). Returns the
-// number of cells stepped.
-func (l *Layer) stepRow(adam optim.Adam, r int32, cols []int32, g []float32, alpha, invB float32, skipZero bool) int64 {
-	return int64(adam.StepCells(l.w[r], l.mW[r], l.vW[r], cols, g, invB, alpha, skipZero))
+// averaged by invB. Cells whose sum is exactly zero are left unstepped.
+// Returns the number of cells stepped.
+func (l *Layer) stepRow(adam optim.Adam, r int32, cols []int32, g []float32, alpha, invB float32) int64 {
+	return int64(adam.StepCells(l.w[r], l.mW[r], l.vW[r], cols, g, invB, alpha, true))
 }
 
 // stepBias steps neuron j's bias with raw gradient sum gb averaged by invB,
@@ -322,11 +343,13 @@ func (l *Layer) stepBias(adam optim.Adam, j int32, gb, alpha, invB float32) int6
 }
 
 // MergeDeltas sums parts cell-wise into dst (reused when non-nil) and
-// returns it: the union of the parts' rows and columns, with coincident
-// cells and biases summed in part order. Every replica merging the same
-// parts in the same order therefore produces bit-identical results —
-// the invariant that keeps data-parallel replicas' weights in lockstep.
-// A single part is returned as-is without copying.
+// returns it: per layer, the union of the parts' rows, each the sum of the
+// parts' rows in part order, and the union of their neurons with biases
+// summed the same way. Every replica merging the same parts in the same
+// order therefore produces bit-identical results — the invariant that
+// keeps data-parallel replicas' weights in lockstep. Rows over different
+// column sets merge over the union of the sets, or at full width when any
+// part's rows are. A single part is returned as-is without copying.
 func MergeDeltas(dst *SparseDelta, parts []*SparseDelta) (*SparseDelta, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("core: merging zero deltas")
@@ -349,72 +372,178 @@ func MergeDeltas(dst *SparseDelta, parts []*SparseDelta) (*SparseDelta, error) {
 		for k, p := range parts {
 			lds[k] = &p.Layers[li]
 		}
-		mergeLayerDeltas(&dst.Layers[li], lds)
+		if err := mergeLayerDeltas(&dst.Layers[li], lds); err != nil {
+			return nil, fmt.Errorf("core: merging layer %d: %w", li, err)
+		}
 	}
 	return dst, nil
 }
 
-// mergeLayerDeltas is the per-layer k-way merge over (row, col), ascending.
-func mergeLayerDeltas(dst *LayerDelta, parts []*LayerDelta) {
-	cur := make([]int, len(parts)) // row cursor per part
-	// Per-row column-merge cursors, reused across rows: this runs once
-	// per merged row on the exchange hot path (and under the Mesh lock),
-	// so it must not allocate per row.
-	cols := make([]int, 0, len(parts))  // column cursor per participating part
-	owner := make([]int, 0, len(parts)) // part index aligned with cols
-	colHi := make([]int, 0, len(parts)) // span end aligned with cols
-	dst.RowOff = append(dst.RowOff, 0)
-	for {
-		row := int32(-1)
+// mergeSpan is the least number of merged values worth a merge worker of
+// its own.
+const mergeSpan = 1 << 16
+
+// mergeLayerDeltas merges one layer's parts row by row: a row present in
+// one part is copied, and each further part's row is added onto it with
+// Axpy(1, ·), which rounds exactly like +. A part whose column set is not
+// the merged one scatter-adds through its columns' merged positions. The
+// merged rows are listed first and then summed in contiguous spans across
+// workers, each row by one: a replica waits on the merge with its trainer
+// idle.
+func mergeLayerDeltas(dst *LayerDelta, parts []*LayerDelta) error {
+	for _, p := range parts {
+		if len(p.Bias) != len(p.Neurons) {
+			return fmt.Errorf("%d biases for %d neurons", len(p.Bias), len(p.Neurons))
+		}
+	}
+	width, pos, err := mergeColumns(dst, parts)
+	if err != nil {
+		return err
+	}
+	lists := make([][]int32, len(parts))
+	for k, p := range parts {
+		lists[k] = p.Rows
+	}
+	dst.Rows = unionIDs(dst.Rows, lists)
+	n := len(dst.Rows)
+	dst.Vals = slices.Grow(dst.Vals, n*width)[:n*width]
+	workers := max(min(defaultThreads(), n*width/mergeSpan), 1)
+	parallelIndexed(workers, n, func(_, lo, hi int) {
+		cur := make([]int, len(parts))
 		for k, p := range parts {
-			if cur[k] >= len(p.Rows) {
-				continue
-			}
-			if r := p.Rows[cur[k]]; row < 0 || r < row {
-				row = r
-			}
+			cur[k], _ = slices.BinarySearch(p.Rows, dst.Rows[lo])
 		}
-		if row < 0 {
-			return
-		}
-		var bias float32
-		cols, owner, colHi = cols[:0], owner[:0], colHi[:0]
-		for k, p := range parts {
-			if cur[k] >= len(p.Rows) || p.Rows[cur[k]] != row {
-				continue
-			}
-			r := cur[k]
-			bias += p.Bias[r]
-			cols = append(cols, int(p.RowOff[r]))
-			colHi = append(colHi, int(p.RowOff[r+1]))
-			owner = append(owner, k)
-			cur[k]++
-		}
-		for {
-			col := int32(-1)
-			for c := range cols {
-				if cols[c] >= colHi[c] {
+		for r := lo; r < hi; r++ {
+			slot := dst.Vals[r*width : (r+1)*width]
+			first := true
+			for k, p := range parts {
+				i := cur[k]
+				if i >= len(p.Rows) || p.Rows[i] != dst.Rows[r] {
 					continue
 				}
-				if v := parts[owner[c]].Cols[cols[c]]; col < 0 || v < col {
-					col = v
+				cur[k]++
+				pw := p.width()
+				src := p.Vals[i*pw : (i+1)*pw]
+				switch {
+				case pos[k] != nil:
+					if first {
+						clear(slot)
+					}
+					for t, at := range pos[k] {
+						slot[at] += src[t]
+					}
+				case first:
+					copy(slot, src)
+				default:
+					vecmath.Axpy(1, src, slot)
 				}
+				first = false
 			}
-			if col < 0 {
-				break
-			}
-			var sum float32
-			for c := range cols {
-				if cols[c] < colHi[c] && parts[owner[c]].Cols[cols[c]] == col {
-					sum += parts[owner[c]].Vals[cols[c]]
-					cols[c]++
-				}
-			}
-			dst.Cols = append(dst.Cols, col)
-			dst.Vals = append(dst.Vals, sum)
 		}
-		dst.Rows = append(dst.Rows, row)
-		dst.Bias = append(dst.Bias, bias)
-		dst.RowOff = append(dst.RowOff, int32(len(dst.Cols)))
+	})
+	mergeBiases(dst, parts)
+	return nil
+}
+
+// unionIDs appends the union of strictly ascending id lists to dst,
+// ascending.
+func unionIDs(dst []int32, lists [][]int32) []int32 {
+	cur := make([]int, len(lists))
+	for {
+		id := int32(-1)
+		for k, l := range lists {
+			if cur[k] < len(l) && (id < 0 || l[cur[k]] < id) {
+				id = l[cur[k]]
+			}
+		}
+		if id < 0 {
+			return dst
+		}
+		for k, l := range lists {
+			if cur[k] < len(l) && l[cur[k]] == id {
+				cur[k]++
+			}
+		}
+		dst = append(dst, id)
+	}
+}
+
+// mergeColumns sets dst's column set for the merge of parts and returns
+// the merged row width and, per part, where its values land in a merged
+// row: nil when its rows already have the merged layout, else the merged
+// position of each of its columns. Parts without rows do not take part.
+func mergeColumns(dst *LayerDelta, parts []*LayerDelta) (int, [][]int32, error) {
+	width, full := 0, false
+	for _, p := range parts {
+		if len(p.Rows) == 0 {
+			continue
+		}
+		pw := p.width()
+		if len(p.Vals) != len(p.Rows)*pw {
+			return 0, nil, fmt.Errorf("%d values for %d rows of %d", len(p.Vals), len(p.Rows), pw)
+		}
+		if p.Cols != nil {
+			continue
+		}
+		if full && pw != width {
+			return 0, nil, fmt.Errorf("full-width rows of %d and %d values", width, pw)
+		}
+		width, full = pw, true
+	}
+	pos := make([][]int32, len(parts))
+	if full {
+		dst.Cols = nil
+		for k, p := range parts {
+			if len(p.Rows) > 0 && p.Cols != nil {
+				if !ascendingBelow(p.Cols, width) {
+					return 0, nil, fmt.Errorf("columns not strictly ascending in [0,%d)", width)
+				}
+				pos[k] = p.Cols
+			}
+		}
+		return width, pos, nil
+	}
+	dst.Cols = dst.Cols[:0]
+	for _, p := range parts {
+		if len(p.Rows) > 0 {
+			dst.Cols = append(dst.Cols, p.Cols...)
+		}
+	}
+	slices.Sort(dst.Cols)
+	dst.Cols = slices.Compact(dst.Cols)
+	if dst.Cols == nil {
+		dst.Cols = []int32{} // an empty column set, not full width
+	}
+	for k, p := range parts {
+		if len(p.Rows) == 0 || slices.Equal(p.Cols, dst.Cols) {
+			continue
+		}
+		pos[k] = make([]int32, len(p.Cols))
+		for t, c := range p.Cols {
+			at, _ := slices.BinarySearch(dst.Cols, c)
+			pos[k][t] = int32(at)
+		}
+	}
+	return len(dst.Cols), pos, nil
+}
+
+// mergeBiases sets dst's neurons to the union of the parts' and sums each
+// neuron's biases in part order.
+func mergeBiases(dst *LayerDelta, parts []*LayerDelta) {
+	lists := make([][]int32, len(parts))
+	for k, p := range parts {
+		lists[k] = p.Neurons
+	}
+	dst.Neurons = unionIDs(dst.Neurons, lists)
+	dst.Bias = slices.Grow(dst.Bias, len(dst.Neurons))[:len(dst.Neurons)]
+	clear(dst.Bias)
+	for _, p := range parts {
+		j := 0
+		for i, id := range p.Neurons {
+			for dst.Neurons[j] != id {
+				j++
+			}
+			dst.Bias[j] += p.Bias[i]
+		}
 	}
 }

@@ -133,21 +133,16 @@ func TestExtractDeltaDrainsBuffers(t *testing.T) {
 		t.Fatalf("second extract carries %d cells, want 0", again.Cells())
 	}
 
-	// Deltas must have ascending rows and ascending columns per row —
-	// the invariant the codec and merge rely on.
+	// Deltas must have ascending rows, full-width row blocks and ascending
+	// neurons — the invariants the codec and merge rely on.
 	for li := range d.Layers {
 		ld := &d.Layers[li]
-		for r := 1; r < len(ld.Rows); r++ {
-			if ld.Rows[r] <= ld.Rows[r-1] {
-				t.Fatalf("layer %d rows not ascending at %d", li, r)
-			}
+		rows, width := n.layers[li].StorageShape()
+		if !ascendingBelow(ld.Rows, rows) || ld.Cols != nil || len(ld.Vals) != len(ld.Rows)*width {
+			t.Fatalf("layer %d: malformed row block (%d rows, %d values, cols %v)", li, len(ld.Rows), len(ld.Vals), ld.Cols)
 		}
-		for r := 0; r < len(ld.Rows); r++ {
-			for k := ld.RowOff[r] + 1; k < ld.RowOff[r+1]; k++ {
-				if ld.Cols[k] <= ld.Cols[k-1] {
-					t.Fatalf("layer %d row %d cols not ascending", li, ld.Rows[r])
-				}
-			}
+		if !ascendingBelow(ld.Neurons, n.layers[li].out) || len(ld.Bias) != len(ld.Neurons) {
+			t.Fatalf("layer %d: malformed neuron list", li)
 		}
 	}
 }
@@ -164,7 +159,7 @@ func TestExtractDeltaBeforeBackward(t *testing.T) {
 	}
 	for li := range d.Layers {
 		ld := &d.Layers[li]
-		if len(ld.Rows) != 0 || len(ld.Cols) != 0 || len(ld.Bias) != 0 || !slices.Equal(ld.RowOff, []int32{0}) {
+		if len(ld.Rows) != 0 || len(ld.Cols) != 0 || len(ld.Vals) != 0 || len(ld.Neurons) != 0 || len(ld.Bias) != 0 {
 			t.Fatalf("layer %d: not an empty delta: %+v", li, *ld)
 		}
 	}
@@ -177,60 +172,79 @@ func TestExtractDeltaBeforeBackward(t *testing.T) {
 	}
 }
 
-// deltaAsMap flattens a delta into (layer,row,col) -> value, with bias
-// keyed at col = -1.
+// deltaAsMap flattens a delta's nonzero cells into (layer,row,col) ->
+// value, in the layer's storage orientation, with neuron j's nonzero bias
+// keyed at (layer,j,-1).
 func deltaAsMap(d *SparseDelta) map[[3]int32]float64 {
 	out := make(map[[3]int32]float64)
 	for li := range d.Layers {
 		ld := &d.Layers[li]
-		for r := range ld.Rows {
-			for k := ld.RowOff[r]; k < ld.RowOff[r+1]; k++ {
-				out[[3]int32{int32(li), ld.Rows[r], ld.Cols[k]}] = float64(ld.Vals[k])
+		w := ld.width()
+		for r, row := range ld.Rows {
+			for u, v := range ld.Vals[r*w : (r+1)*w] {
+				col := int32(u)
+				if ld.Cols != nil {
+					col = ld.Cols[u]
+				}
+				if v != 0 {
+					out[[3]int32{int32(li), row, col}] = float64(v)
+				}
 			}
-			if ld.Bias[r] != 0 {
-				out[[3]int32{int32(li), ld.Rows[r], -1}] = float64(ld.Bias[r])
+		}
+		for k, j := range ld.Neurons {
+			if ld.Bias[k] != 0 {
+				out[[3]int32{int32(li), j, -1}] = float64(ld.Bias[k])
 			}
 		}
 	}
 	return out
 }
 
-// TestMergeDeltasHandBuilt exercises the k-way merge on a constructed
-// case: disjoint rows, shared rows with disjoint and overlapping columns.
+// TestMergeDeltasHandBuilt exercises the row merge on a constructed case:
+// disjoint rows, a shared row, shared and disjoint neurons, and a
+// column-set layer whose parts carry different sets.
 func TestMergeDeltasHandBuilt(t *testing.T) {
 	a := &SparseDelta{Layers: []LayerDelta{{
-		Rows:   []int32{1, 4},
-		RowOff: []int32{0, 2, 3},
-		Cols:   []int32{0, 3, 2},
-		Vals:   []float32{1, 2, 3},
-		Bias:   []float32{0.5, 0},
+		Rows:    []int32{1, 4},
+		Vals:    []float32{1, 0, 0, 2, 0, 0, 3, 0},
+		Neurons: []int32{1},
+		Bias:    []float32{0.5},
+	}, {
+		Rows:    []int32{0},
+		Cols:    []int32{2, 9},
+		Vals:    []float32{1, 2},
+		Neurons: []int32{0},
+		Bias:    []float32{1},
 	}}}
 	b := &SparseDelta{Layers: []LayerDelta{{
-		Rows:   []int32{2, 4},
-		RowOff: []int32{0, 1, 3},
-		Cols:   []int32{7, 2, 5},
-		Vals:   []float32{10, 20, 30},
-		Bias:   []float32{0, 0.25},
+		Rows:    []int32{2, 4},
+		Vals:    []float32{0, 0, 0, 10, 0, 0, 20, 30},
+		Neurons: []int32{2, 4},
+		Bias:    []float32{0.75, 0.25},
+	}, {
+		Rows:    []int32{0, 3},
+		Cols:    []int32{5, 9},
+		Vals:    []float32{4, 8, 16, 0},
+		Neurons: []int32{0, 3},
+		Bias:    []float32{-1, 2},
 	}}}
 	m, err := MergeDeltas(nil, []*SparseDelta{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld := &m.Layers[0]
-	wantRows := []int32{1, 2, 4}
-	if len(ld.Rows) != len(wantRows) {
-		t.Fatalf("merged rows = %v, want %v", ld.Rows, wantRows)
+	if ld := &m.Layers[0]; !slices.Equal(ld.Rows, []int32{1, 2, 4}) || ld.Cols != nil || !slices.Equal(ld.Neurons, []int32{1, 2, 4}) {
+		t.Fatalf("layer 0 merged rows %v cols %v neurons %v", ld.Rows, ld.Cols, ld.Neurons)
 	}
-	for i, r := range wantRows {
-		if ld.Rows[i] != r {
-			t.Fatalf("merged rows = %v, want %v", ld.Rows, wantRows)
-		}
+	if ld := &m.Layers[1]; !slices.Equal(ld.Rows, []int32{0, 3}) || !slices.Equal(ld.Cols, []int32{2, 5, 9}) {
+		t.Fatalf("layer 1 merged rows %v cols %v, want [0 3] over [2 5 9]", ld.Rows, ld.Cols)
 	}
 	got := deltaAsMap(m)
 	want := map[[3]int32]float64{
 		{0, 1, 0}: 1, {0, 1, 3}: 2, {0, 1, -1}: 0.5,
-		{0, 2, 7}: 10,
-		{0, 4, 2}: 23, {0, 4, 5}: 30, {0, 4, -1}: 0.25,
+		{0, 2, 3}: 10, {0, 2, -1}: 0.75,
+		{0, 4, 2}: 23, {0, 4, 3}: 30, {0, 4, -1}: 0.25,
+		{1, 0, 2}: 1, {1, 0, 5}: 4, {1, 0, 9}: 10,
+		{1, 3, 5}: 16, {1, 3, -1}: 2, // neuron 0's biases cancel: no gradient
 	}
 	if len(got) != len(want) {
 		t.Fatalf("merged cells = %v, want %v", got, want)
@@ -245,6 +259,65 @@ func TestMergeDeltasHandBuilt(t *testing.T) {
 	solo, err := MergeDeltas(nil, []*SparseDelta{a})
 	if err != nil || solo != a {
 		t.Fatalf("single-part merge = %p (%v), want passthrough %p", solo, err, a)
+	}
+}
+
+// TestCellsCountsNonzero: Cells counts nonzero weight cells and nonzero
+// biases; the zero slots of a row block, ±0 alike, are not cells.
+func TestCellsCountsNonzero(t *testing.T) {
+	d := &SparseDelta{Layers: []LayerDelta{{
+		Rows:    []int32{0, 3},
+		Vals:    []float32{1, 0, float32(math.Copysign(0, -1)), -2, 0, 0, 0, 0},
+		Neurons: []int32{0, 1, 3},
+		Bias:    []float32{0, 0.5, 0},
+	}}}
+	if got := d.Cells(); got != 3 {
+		t.Fatalf("Cells() = %d, want 3 (two weight cells, one bias)", got)
+	}
+}
+
+// TestApplyDeltaSkipsZeroSumCells: two parts cancelling exactly on one
+// weight cell and one bias merge to zeros there, and zero means no step:
+// the cell's and the bias's weight and moments stay untouched while their
+// neighbours step.
+func TestApplyDeltaSkipsZeroSumCells(t *testing.T) {
+	n := mustNet(t, deltaTestConfig(128))
+	l := n.layers[1]
+	_, width := l.StorageShape()
+	part := func(sign float32) *SparseDelta {
+		vals := make([]float32, width)
+		vals[3], vals[4] = sign*0.5, 0.25
+		return &SparseDelta{Layers: []LayerDelta{{}, {
+			Rows:    []int32{7},
+			Vals:    vals,
+			Neurons: []int32{7, 8},
+			Bias:    []float32{sign * 2, 1},
+		}}}
+	}
+	// Warm the moments so a spurious zero-gradient step would move them.
+	if _, err := n.ApplyDelta(part(1), n.adam.Alpha(1), 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	merged, err := MergeDeltas(nil, []*SparseDelta{part(1), part(-1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cell struct{ w, m, v float32 }
+	weight := func(i int) cell { return cell{l.w[7][i], l.mW[7][i], l.vW[7][i]} }
+	bias := func(j int) cell { return cell{l.b[j], l.mB[j], l.vB[j]} }
+	w3, w4, b7, b8 := weight(3), weight(4), bias(7), bias(8)
+	stepped, err := n.ApplyDelta(merged, n.adam.Alpha(2), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stepped != 2 || stepped != merged.Cells() {
+		t.Fatalf("stepped %d cells, want 2 (= Cells() %d)", stepped, merged.Cells())
+	}
+	if weight(3) != w3 || bias(7) != b7 {
+		t.Fatalf("zero-sum cells stepped: weight %+v -> %+v, bias %+v -> %+v", w3, weight(3), b7, bias(7))
+	}
+	if weight(4) == w4 || bias(8) == b8 {
+		t.Fatal("nonzero cells did not step")
 	}
 }
 
@@ -331,65 +404,65 @@ func TestApplyDeltaValidatesShape(t *testing.T) {
 	if _, err := n.ApplyDelta(&SparseDelta{}, 0.001, 1, 2); err == nil {
 		t.Fatal("layer-count mismatch accepted")
 	}
+	_, width := n.layers[1].StorageShape()
 	bad := &SparseDelta{Layers: make([]LayerDelta, 2)}
 	bad.Layers[1] = LayerDelta{
-		Rows:   []int32{int32(classes)}, // out of range
-		RowOff: []int32{0, 0},
-		Bias:   []float32{1},
+		Rows: []int32{int32(classes)}, // out of range
+		Vals: make([]float32, width),
 	}
-	bad.Layers[0].RowOff = []int32{0}
 	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
 		t.Fatal("out-of-range row accepted")
 	}
 	bad.Layers[1] = LayerDelta{
-		Rows:   []int32{3},
-		RowOff: []int32{0, 1},
-		Cols:   []int32{int32(n.layers[1].in)}, // out of range
-		Vals:   []float32{1},
-		Bias:   []float32{0},
+		Rows: []int32{3},
+		Cols: []int32{int32(width)}, // out of range
+		Vals: []float32{1},
 	}
 	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
 		t.Fatal("out-of-range column accepted")
+	}
+	bad.Layers[1] = LayerDelta{
+		Rows: []int32{3, 5},
+		Vals: make([]float32, width), // one row's worth for two rows
+	}
+	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
+		t.Fatal("short row block accepted")
+	}
+	bad.Layers[1] = LayerDelta{
+		Rows: []int32{5, 3}, // descending: two writers could share a row
+		Vals: make([]float32, 2*width),
+	}
+	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
+		t.Fatal("descending rows accepted")
+	}
+	bad.Layers[1] = LayerDelta{Neurons: []int32{2}, Bias: []float32{1, 1}}
+	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
+		t.Fatal("bias/neuron count mismatch accepted")
 	}
 
 	// A delta valid in layer 0 but malformed in layer 1 must not touch
 	// layer 0's weights: a caller retrying after the error would
 	// otherwise double-apply the valid prefix.
+	l0 := n.layers[0]
+	_, w0 := l0.StorageShape()
 	mixed := &SparseDelta{Layers: make([]LayerDelta, 2)}
 	mixed.Layers[0] = LayerDelta{
-		Rows:   []int32{5},
-		RowOff: []int32{0, 1},
-		Cols:   []int32{7},
-		Vals:   []float32{3},
-		Bias:   []float32{1},
+		Rows:    []int32{7},
+		Vals:    make([]float32, w0),
+		Neurons: []int32{5},
+		Bias:    []float32{1},
 	}
+	mixed.Layers[0].Vals[5] = 3
 	mixed.Layers[1] = LayerDelta{
-		Rows:   []int32{int32(classes)}, // out of range
-		RowOff: []int32{0, 0},
-		Bias:   []float32{1},
+		Neurons: []int32{int32(classes)}, // out of range
+		Bias:    []float32{1},
 	}
-	l0 := n.layers[0]
 	before := *l0.cell(l0.w, 5, 7)
 	if _, err := n.ApplyDelta(mixed, 0.001, 1, 2); err == nil {
 		t.Fatal("malformed layer 1 accepted")
 	}
 	if *l0.cell(l0.w, 5, 7) != before {
 		t.Fatal("valid layer 0 was applied despite the layer 1 validation error")
-	}
-
-	// A RowOff that spikes above the cell count and comes back down must
-	// be rejected, not chased out of the Cols slice bounds.
-	spiky := &SparseDelta{Layers: make([]LayerDelta, 2)}
-	spiky.Layers[0].RowOff = []int32{0}
-	spiky.Layers[1] = LayerDelta{
-		Rows:   []int32{0, 1},
-		RowOff: []int32{0, 7, 5},
-		Cols:   []int32{0, 1, 2, 3, 4},
-		Vals:   []float32{1, 1, 1, 1, 1},
-		Bias:   []float32{0, 0},
-	}
-	if _, err := n.ApplyDelta(spiky, 0.001, 1, 2); err == nil {
-		t.Fatal("non-monotonic RowOff accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/optim"
@@ -17,11 +16,12 @@ import (
 // order — and stepSpans splits the ascending rows into contiguous spans
 // across workers. The owner of a row replays its contributions, each a
 // coefficient times one element's operand vector, in ascending element
-// order into one worker-owned row scratch and hands the row straight to a
-// consumer: stepFold runs the Adam step from it (local training),
-// compactFold writes it into a CSR LayerDelta (Network.ExtractDelta: the
-// exchange payload, top-k compression, the public API). No gradient row
-// outlives its fold, and no worker writes memory another reads.
+// order into one row and hands it to a consumer: stepFold runs the Adam
+// step from a worker-owned row scratch (local training); compactFold folds
+// each row into its own slot of a LayerDelta's row block
+// (Network.ExtractDelta: the exchange payload, top-k compression, the
+// public API), which ApplyDelta later steps with the same row step. No
+// worker writes memory another reads.
 //
 // Rows follow the layer's orientation (see Layer):
 //
@@ -88,7 +88,7 @@ type gradFold struct {
 	ent    []contrib
 	// cursor counts each row's contributions, then places them, while the
 	// index is built: one slot per neuron, and per input on the input-major
-	// layer, whose transposes (transposeCSR) reuse it.
+	// layer.
 	cursor []int32
 	// cols is the column union, ascending (aliases Layer.colList), nil for
 	// full-width rows; colPos[i] is column i's position in it, and posBuf
@@ -96,17 +96,13 @@ type gradFold struct {
 	cols   []int32
 	colPos []int32
 	posBuf []int32
-	// rowBuf[wk] is worker wk's row scratch.
+	// width is the length of a folded row: len(cols), or the storage row
+	// width.
+	width int
+	// rowBuf[wk] is worker wk's row scratch (stepFold).
 	rowBuf [][]float32
-	// applied[wk] is worker wk's stepped-cell count (stepSpans); chunks[wk-1]
-	// is worker wk's CSR output before concatenation (compactFold; worker 0
-	// writes the destination directly).
+	// applied[wk] is worker wk's stepped-cell count (stepSpans).
 	applied []int64
-	chunks  []LayerDelta
-	// byInput is a delta of the input-major layer in its own orientation —
-	// rows are inputs, columns neurons: compactFold's output before it is
-	// transposed by neuron, ApplyDelta's input after it is transposed back.
-	byInput LayerDelta
 }
 
 // nextEpoch invalidates the touched row and column stamps in O(1),
@@ -156,10 +152,9 @@ func (l *Layer) beginFold(recs []*elemRecord, workers int) bool {
 	f.neurons = l.touchedRows(workers)
 	f.in = growTo(f.in, len(recs))
 	f.cols = nil
-	width := l.in
+	_, f.width = l.StorageShape()
 	if l.inputMajor {
 		l.indexByInput(recs, workers)
-		width = l.out
 	} else {
 		// Rows are the touched neurons, each contribution (k, δ_j), and
 		// record k's operand is its layer input.
@@ -179,12 +174,12 @@ func (l *Layer) beginFold(recs []*elemRecord, workers int) bool {
 		}
 		if l.colStamp != nil {
 			f.cols = l.columnUnion(workers)
-			width = len(f.cols)
+			f.width = len(f.cols)
 		}
 	}
 	f.rowBuf = growTo(f.rowBuf, workers)
 	for wk := range f.rowBuf {
-		f.rowBuf[wk] = growTo(f.rowBuf[wk], width)
+		f.rowBuf[wk] = growTo(f.rowBuf[wk], f.width)
 	}
 	return true
 }
@@ -275,13 +270,12 @@ func growTo[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// foldRow replays touched row r's contributions, in element order, into
-// worker wk's row scratch and returns the row's gradient — indexed by
-// column, or aligned to f.cols on a column-union layer. Each row is folded
-// by exactly one worker.
-func (l *Layer) foldRow(r, wk int) []float32 {
+// foldRow replays touched row r's contributions, in element order, into g
+// (f.width values) and returns it: the row's gradient indexed by column, or
+// aligned to f.cols on a column-union layer. Each row is folded by exactly
+// one worker.
+func (l *Layer) foldRow(r int, g []float32) []float32 {
 	f := &l.fold
-	g := f.rowBuf[wk]
 	clear(g)
 	for _, c := range f.ent[f.rowOff[r]:f.rowOff[r+1]] {
 		in := &f.in[c.k]
@@ -298,16 +292,16 @@ func (l *Layer) foldRow(r, wk int) []float32 {
 }
 
 // stepFold is the fold's local-training consumer: it folds each touched
-// row and runs the Adam step straight from the folded row, skipping cells
-// whose sum is exactly zero, then steps the touched neurons' biases — cell
-// for cell what compactFold followed by ApplyDelta does, without
-// materializing the delta in between. Returns the number of cells stepped.
+// row into its worker's scratch and runs the Adam step straight from it,
+// then steps the touched neurons' biases — cell for cell what compactFold
+// followed by ApplyDelta does, without materializing the delta in between.
+// Returns the number of cells stepped.
 func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int64 {
 	f := &l.fold
 	stepped := l.stepSpans(workers, len(f.rows), func(wk, lo, hi int) int64 {
 		var n int64
 		for r := lo; r < hi; r++ {
-			n += l.stepRow(adam, f.rows[r], f.cols, l.foldRow(r, wk), alpha, invB, true)
+			n += l.stepRow(adam, f.rows[r], f.cols, l.foldRow(r, f.rowBuf[wk]), alpha, invB)
 		}
 		return n
 	})
@@ -317,120 +311,43 @@ func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int6
 	return stepped
 }
 
-// compactFold is the fold's delta consumer: the CSR contract of
-// LayerDelta (rows ascending, columns ascending within rows, zero cells
-// skipped) appended to a reset dst. Workers compact contiguous row
-// spans — worker 0, whose span comes first, straight into the
-// destination, the others into private chunks concatenated behind it in
-// worker order — so each row is folded once and no counting pass is
-// needed. The input-major layer compacts its input rows into byInput and
-// transposes them into dst, whose rows are the touched neurons.
+// compactFold is the fold's delta consumer: it fills a reset dst with the
+// touched storage rows, each folded straight into its own slot of the row
+// block by the worker that owns the row, the column union where the layer
+// keeps one, and the touched neurons with their bias gradients. A
+// column-union layer whose batch touched no column has no cells, and
+// carries its biases only.
 func (l *Layer) compactFold(dst *LayerDelta, workers int) {
 	f := &l.fold
-	out := dst
-	if l.inputMajor {
-		out = &f.byInput
-		out.reset()
+	switch {
+	case f.cols == nil:
+		dst.Cols = nil
+		dst.Rows = append(dst.Rows, f.rows...)
+	case len(f.cols) > 0:
+		dst.Cols = append(dst.Cols, f.cols...)
+		dst.Rows = append(dst.Rows, f.rows...)
 	}
-	if len(f.chunks) < workers-1 {
-		f.chunks = append(f.chunks, make([]LayerDelta, workers-1-len(f.chunks))...)
-	}
-	for wk := range f.chunks {
-		f.chunks[wk].reset()
-	}
-	out.Rows = append(out.Rows, f.rows...)
-	out.RowOff = append(out.RowOff, 0)
-	parallelIndexed(workers, len(f.rows), func(wk, lo, hi int) {
-		c := out
-		if wk > 0 {
-			c = &f.chunks[wk-1]
-		}
-		// Locals rather than c's fields, so the cell loop keeps the slice
-		// headers in registers. Every cell is written and the end advanced
-		// past nonzero ones only: a branch on a sum's zeroness mispredicts
-		// about as often as not.
-		union, cols, vals := f.cols, c.Cols, c.Vals
-		for r := lo; r < hi; r++ {
-			g := l.foldRow(r, wk)
-			n := len(cols)
-			cols, vals = slices.Grow(cols, len(g))[:n+len(g)], slices.Grow(vals, len(g))[:n+len(g)]
-			for u, s := range g {
-				i := int32(u)
-				if union != nil {
-					i = union[u]
-				}
-				cols[n], vals[n] = i, s
-				if math.Float32bits(s)<<1 != 0 { // s != 0, ±0 alike
-					n++
-				}
-			}
-			cols, vals = cols[:n], vals[:n]
-			if !l.inputMajor {
-				c.Bias = append(c.Bias, f.bias[f.rows[r]])
-			}
-			c.RowOff = append(c.RowOff, int32(n))
-		}
-		c.Cols, c.Vals = cols, vals
-	})
-	for wk := range f.chunks {
-		c := &f.chunks[wk]
-		base := int32(len(out.Cols))
-		for _, off := range c.RowOff {
-			out.RowOff = append(out.RowOff, base+off)
-		}
-		out.Cols = append(out.Cols, c.Cols...)
-		out.Vals = append(out.Vals, c.Vals...)
-		out.Bias = append(out.Bias, c.Bias...)
-	}
-	if l.inputMajor {
-		transposeCSR(dst, out, f.cursor[:l.out], func(j int32) bool { return l.touched[j] == l.batchEpoch })
-		for _, j := range dst.Rows {
-			dst.Bias = append(dst.Bias, f.bias[j])
-		}
-	}
-}
-
-// transposeCSR resets dst to src transposed: dst's rows are the columns of
-// src that carry a cell or that keep (when non-nil) reports, ascending, and
-// each row's columns ascend because src's rows do. count, one slot per
-// column of src, is scratch; biases are left to the caller.
-func transposeCSR(dst, src *LayerDelta, count []int32, keep func(int32) bool) {
-	dst.reset()
-	clear(count)
-	for _, j := range src.Cols {
-		count[j]++
-	}
-	dst.RowOff = append(dst.RowOff, 0)
-	var off int32
-	for j, n := range count {
-		if n == 0 && (keep == nil || !keep(int32(j))) {
-			continue
-		}
-		dst.Rows = append(dst.Rows, int32(j))
-		count[j], off = off, off+n
-		dst.RowOff = append(dst.RowOff, off)
-	}
+	w := f.width
 	// Grown like append: the delta's size creeps up over early batches.
-	cols, vals := slices.Grow(dst.Cols, int(off))[:off], slices.Grow(dst.Vals, int(off))[:off]
-	for r, i := range src.Rows {
-		for t := src.RowOff[r]; t < src.RowOff[r+1]; t++ {
-			j := src.Cols[t]
-			cols[count[j]], vals[count[j]] = i, src.Vals[t]
-			count[j]++
+	dst.Vals = slices.Grow(dst.Vals, len(dst.Rows)*w)[:len(dst.Rows)*w]
+	parallelIndexed(workers, len(dst.Rows), func(_, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			l.foldRow(r, dst.Vals[r*w:(r+1)*w])
 		}
+	})
+	dst.Neurons = append(dst.Neurons, f.neurons...)
+	for _, j := range f.neurons {
+		dst.Bias = append(dst.Bias, f.bias[j])
 	}
-	dst.Cols, dst.Vals = cols, vals
 }
 
 // extract folds the records' gradient for the layer into dst, an empty
 // delta when none carries any.
 func (l *Layer) extract(dst *LayerDelta, recs []*elemRecord, workers int) {
 	dst.reset()
-	if !l.beginFold(recs, workers) {
-		dst.RowOff = append(dst.RowOff, 0)
-		return
+	if l.beginFold(recs, workers) {
+		l.compactFold(dst, workers)
 	}
-	l.compactFold(dst, workers)
 }
 
 // applyAdamBatch performs a local (no exchange) batch's Adam step over
@@ -440,9 +357,9 @@ func (l *Layer) extract(dst *LayerDelta, recs []*elemRecord, workers int) {
 // stepped straight from the folded row (stepFold); nothing is materialized
 // in between. A run with a DeltaExchanger needs the batch gradient as an
 // explicit SparseDelta to ship, so it goes ExtractDelta (the same fold,
-// compacted) → exchange → ApplyDelta instead (exchangeAndApply); both step
-// rows through stepRow and are bit-for-bit interchangeable. Without a
-// backward pass since the last fold there is nothing to step.
+// into a row block) → exchange → ApplyDelta instead (exchangeAndApply);
+// both step rows through stepRow and are bit-for-bit interchangeable.
+// Without a backward pass since the last fold there is nothing to step.
 //
 // The stepped-cell count accumulates into n.touchedWeights, surfaced as
 // TrainResult.TouchedPerIter.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/optim"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 // Tests for the update phase's seam: one replay per touched row (foldRow)
@@ -172,7 +173,7 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 							name, shards, workers, round, stepped, applied, d.Cells())
 					}
 					for li := range d.Layers {
-						requireConstructedCases(t, &d.Layers[li], shards)
+						requireConstructedCases(t, applyNet.layers[li], &d.Layers[li], shards)
 					}
 				}
 				requireNetsBitIdentical(t, stepNet, applyNet, name)
@@ -182,26 +183,36 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 }
 
 // requireConstructedCases checks that the compacted delta shows the cases
-// foldTestElems constructs: row 1's cancelled cell is absent (one surviving
-// cell per remaining contribution) and row 2 carries its bias and no cells.
-func requireConstructedCases(t *testing.T, ld *LayerDelta, shards int) {
+// foldTestElems constructs: neuron 1's cancelled cell is zero (one nonzero
+// cell per remaining contribution) and neuron 2 carries its bias and no
+// nonzero cell, whichever orientation the layer stores.
+func requireConstructedCases(t *testing.T, l *Layer, ld *LayerDelta, shards int) {
 	t.Helper()
-	span := func(j int32) (int, float32) {
-		r, ok := slices.BinarySearch(ld.Rows, j)
+	w := ld.width()
+	neuron := func(j int32) (int, float32) {
+		k, ok := slices.BinarySearch(ld.Neurons, j)
 		if !ok {
-			t.Fatalf("row %d missing from the compacted delta", j)
+			t.Fatalf("neuron %d missing from the compacted delta", j)
 		}
-		return int(ld.RowOff[r+1] - ld.RowOff[r]), ld.Bias[r]
+		var cells []float32
+		if l.inputMajor {
+			for r := range ld.Rows {
+				cells = append(cells, ld.Vals[r*w+int(j)])
+			}
+		} else if r, ok := slices.BinarySearch(ld.Rows, j); ok {
+			cells = ld.Vals[r*w : (r+1)*w]
+		}
+		return vecmath.CountNonZero(cells), ld.Bias[k]
 	}
 	wantCells := 1
 	if shards > 2 {
 		wantCells = 2
 	}
-	if cells, _ := span(1); cells != wantCells {
-		t.Fatalf("row 1 carries %d cells, want %d (the cancelled cell must be skipped)", cells, wantCells)
+	if cells, _ := neuron(1); cells != wantCells {
+		t.Fatalf("neuron 1 carries %d cells, want %d (the cancelled cell must be zero)", cells, wantCells)
 	}
-	if cells, bias := span(2); cells != 0 || bias != 0.75 {
-		t.Fatalf("bias-only row 2 carries %d cells and bias %g, want 0 cells and 0.75", cells, bias)
+	if cells, bias := neuron(2); cells != 0 || bias != 0.75 {
+		t.Fatalf("bias-only neuron 2 carries %d cells and bias %g, want 0 cells and 0.75", cells, bias)
 	}
 }
 
@@ -298,10 +309,9 @@ func twoWorkerBatches(t testing.TB, n *Network, train []dataset.Example, batchSi
 // TestUpdatePhaseSteadyStateAllocs pins the update phase's allocation
 // budget (the CI allocation gate): once the layer-owned scratch is warm —
 // stamp-scan partial lists, the row index, the column union and its
-// positions, row buffers, applied counters, CSR chunks, the reused
-// SparseDelta — a batch's update allocates only what its handful of
-// parallel sections cost (goroutine closures and wait groups), never
-// per-row or per-cell scratch.
+// positions, row buffers, applied counters, the reused SparseDelta — a
+// batch's update allocates only what its handful of parallel sections cost
+// (goroutine closures and wait groups), never per-row or per-cell scratch.
 func TestUpdatePhaseSteadyStateAllocs(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)

@@ -176,7 +176,7 @@ func TestKernelBackwardEquivalence(t *testing.T) {
 				if got.Cells() == 0 {
 					t.Fatalf("input %d: empty delta", xi)
 				}
-				requireDeltasBitIdentical(t, got, ref.delta(), fmt.Sprintf("input %d", xi))
+				requireDeltasBitIdentical(t, deltaCells(n, got), ref.cells(), fmt.Sprintf("input %d", xi))
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 )
 
@@ -70,60 +69,69 @@ func (g *denseGrad) addRecord(rec *elemRecord) {
 	}
 }
 
-// delta compacts the accumulator to ExtractDelta's contract — touched rows
-// ascending, each row's non-zero cells by ascending column, every touched
-// row's bias — and resets it for the next batch.
-func (g *denseGrad) delta() *SparseDelta {
-	d := &SparseDelta{Layers: make([]LayerDelta, len(g.w))}
+// cells drains the accumulator into its nonzero cells by (layer, neuron,
+// input) and every touched neuron's bias by (layer, neuron, -1), as float
+// bits, and resets it for the next batch.
+func (g *denseGrad) cells() map[[3]int32]uint32 {
+	out := make(map[[3]int32]uint32)
 	for li, rows := range g.w {
-		ld := &d.Layers[li]
-		ld.RowOff = []int32{0}
 		for j, row := range rows {
 			if !g.touched[li][j] {
 				continue
 			}
 			for i, v := range row {
 				if v != 0 {
-					ld.Cols = append(ld.Cols, int32(i))
-					ld.Vals = append(ld.Vals, v)
+					out[[3]int32{int32(li), int32(j), int32(i)}] = math.Float32bits(v)
 				}
 			}
-			ld.Rows = append(ld.Rows, int32(j))
-			ld.RowOff = append(ld.RowOff, int32(len(ld.Cols)))
-			ld.Bias = append(ld.Bias, g.b[li][j])
+			out[[3]int32{int32(li), int32(j), -1}] = math.Float32bits(g.b[li][j])
 			clear(row)
 			g.b[li][j] = 0
 			g.touched[li][j] = false
 		}
 	}
-	return d
+	return out
 }
 
-// requireDeltasBitIdentical compares two deltas' structure and every value
-// bit for bit.
-func requireDeltasBitIdentical(t *testing.T, got, want *SparseDelta, context string) {
-	t.Helper()
-	if len(got.Layers) != len(want.Layers) {
-		t.Fatalf("%s: %d layers, want %d", context, len(got.Layers), len(want.Layers))
-	}
-	bits := func(v []float32) []uint32 {
-		out := make([]uint32, len(v))
-		for i, f := range v {
-			out[i] = math.Float32bits(f)
+// deltaCells maps an extracted delta to denseGrad.cells' form, whatever
+// orientation each layer stores.
+func deltaCells(n *Network, d *SparseDelta) map[[3]int32]uint32 {
+	out := make(map[[3]int32]uint32)
+	for li := range d.Layers {
+		ld, l := &d.Layers[li], n.layers[li]
+		w := ld.width()
+		for r, row := range ld.Rows {
+			for u, v := range ld.Vals[r*w : (r+1)*w] {
+				col := int32(u)
+				if ld.Cols != nil {
+					col = ld.Cols[u]
+				}
+				j, i := row, col
+				if l.inputMajor {
+					j, i = col, row
+				}
+				if v != 0 {
+					out[[3]int32{int32(li), j, i}] = math.Float32bits(v)
+				}
+			}
 		}
-		return out
+		for k, j := range ld.Neurons {
+			out[[3]int32{int32(li), j, -1}] = math.Float32bits(ld.Bias[k])
+		}
 	}
-	for li := range want.Layers {
-		g, w := &got.Layers[li], &want.Layers[li]
-		switch {
-		case !slices.Equal(g.Rows, w.Rows):
-			t.Fatalf("%s: layer %d rows %v, want %v", context, li, g.Rows, w.Rows)
-		case !slices.Equal(g.RowOff, w.RowOff) || !slices.Equal(g.Cols, w.Cols):
-			t.Fatalf("%s: layer %d cell structure differs", context, li)
-		case !slices.Equal(bits(g.Vals), bits(w.Vals)):
-			t.Fatalf("%s: layer %d gradient values differ", context, li)
-		case !slices.Equal(bits(g.Bias), bits(w.Bias)):
-			t.Fatalf("%s: layer %d bias gradients differ", context, li)
+	return out
+}
+
+// requireDeltasBitIdentical compares a delta's nonzero cells and biases
+// with the reference's, bit for bit.
+func requireDeltasBitIdentical(t *testing.T, got, want map[[3]int32]uint32, context string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d cells and biases, want %d", context, len(got), len(want))
+	}
+	for k, w := range want {
+		if g, ok := got[k]; !ok || g != w {
+			t.Fatalf("%s: (layer, neuron, input) %v = %#x, want %#x", context, k, g, w)
 		}
 	}
 }
@@ -152,7 +160,7 @@ func TestReplayMatchesReference(t *testing.T) {
 				if got.Cells() == 0 {
 					t.Fatal("empty delta; test is vacuous")
 				}
-				requireDeltasBitIdentical(t, got, ref.delta(), fmt.Sprintf("batch %d", b))
+				requireDeltasBitIdentical(t, deltaCells(n, got), ref.cells(), fmt.Sprintf("batch %d", b))
 				if _, err := n.ApplyDelta(got, n.adam.Alpha(int64(b)+1), 1.0/batchSize, workers); err != nil {
 					t.Fatal(err)
 				}

@@ -7,8 +7,9 @@
 //
 // The package provides three layers:
 //
-//   - Codec: a compact binary wire format for core.SparseDelta —
-//     varint-delta row/column ids, fp32 or bf16 gradient values — with
+//   - Codec: a compact binary wire format for core.SparseDelta — per
+//     touched storage row a varint-delta row id, a presence mask over the
+//     row's columns and the present fp32 or bf16 gradient values — with
 //     full validation against the network's layer shapes on decode.
 //   - Exchangers: core.DeltaExchanger implementations. Mesh is the
 //     in-process all-reduce for N replicas in one process (and, with one
@@ -23,14 +24,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/vecmath"
 )
 
 // codecVersion identifies the wire format; bump on incompatible change.
-// v2 added the value-format byte (fp32/bf16/topk) after the magic.
-const codecVersion = 2
+// v2 added the value-format byte (fp32/bf16/topk) after the magic; v3
+// replaced per-cell column ids with mask-coded storage rows.
+const codecVersion = 3
 
 // codecMagic opens every encoded delta ("SDL" + version).
 var codecMagic = [4]byte{'S', 'D', 'L', '0' + codecVersion}
@@ -43,8 +47,7 @@ var codecMagic = [4]byte{'S', 'D', 'L', '0' + codecVersion}
 type ValueFormat uint8
 
 const (
-	// ValueFP32 carries exact little-endian float32 values — v1's
-	// payload, unchanged.
+	// ValueFP32 carries exact little-endian float32 values.
 	ValueFP32 ValueFormat = iota
 	// ValueBF16 carries values and biases as bfloat16 (2 bytes each,
 	// round-to-nearest-even via vecmath.BF16FromF32), halving value
@@ -52,8 +55,9 @@ const (
 	ValueBF16
 	// ValueTopK carries exact float32 values like ValueFP32 but marks
 	// the payload as top-k selected with error feedback: the cells are a
-	// chosen subset, so a replica expecting the full gradient must not
-	// silently accept it.
+	// chosen subset (the parked ones are zero, so the row masks drop
+	// them), and a replica expecting the full gradient must not silently
+	// accept it.
 	ValueTopK
 )
 
@@ -92,9 +96,9 @@ func FormatFor(c core.DeltaCompression) ValueFormat {
 }
 
 // Codec encodes and decodes SparseDeltas for a fixed network shape and a
-// fixed value format. The per-layer (neurons, fan-in) dimensions bound
-// every id on decode, so a malformed or hostile payload is rejected
-// rather than applied.
+// fixed value format. The per-layer storage shapes bound every id on
+// decode, so a malformed or hostile payload is rejected rather than
+// applied.
 //
 // Wire format, all little-endian:
 //
@@ -103,19 +107,31 @@ func FormatFor(c core.DeltaCompression) ValueFormat {
 //	uvarint layerCount
 //	per layer:
 //	  uvarint rowCount
-//	  rowCount uvarints: first row id raw, then (diff-1) to the previous
-//	  rowCount uvarints: per-row cell counts
-//	  rowCount values:   bias gradients (0 = no bias step)
-//	  per row: cell-count uvarints: first column raw, then (diff-1)
-//	  totalCells values: gradient values, row-major
+//	  uvarint colCount+1, or 0 for full-width rows
+//	  colCount uvarints: first column raw, then (diff-1) to the previous
+//	  per row:
+//	    uvarint row id: first raw, then (diff-1) to the previous
+//	    mask[ceil(width/8)]: bit k%8 of byte k/8 set when cell k is nonzero
+//	    one value per set bit, in cell order
+//	  uvarint neuronCount
+//	  neuronCount uvarints: first neuron raw, then (diff-1)
+//	  neuronCount values: bias gradients
 //
-// where a "value" is 4 bytes (fp32/topk) or 2 bytes (bf16). Row and
-// column ids are strictly ascending (ExtractDelta, MergeDeltas and the
-// top-k selection all guarantee it), so the diff-1 encoding is total and
-// most ids fit one or two bytes at SLIDE's s² sparsity.
+// where width is colCount, or the layer's storage row width for full-width
+// rows, and a "value" is 4 bytes (fp32/topk) or 2 bytes (bf16). A cell
+// whose wire value would be zero (±0, or a bf16 that rounds to zero) is
+// left out of the mask: zero carries no gradient. Ids are strictly
+// ascending (ExtractDelta, MergeDeltas and the top-k selection all
+// guarantee it), so the diff-1 encoding is total.
 type Codec struct {
-	dims   [][2]int32 // per layer: {out (rows), in (cols)}
+	shapes []layerShape
 	format ValueFormat
+}
+
+// layerShape is one layer's delta shape: storage rows, their full width,
+// and the neurons that carry biases.
+type layerShape struct {
+	rows, width, neurons int32
 }
 
 // NewCodec builds an exact-fp32 codec for the network's layer shapes.
@@ -126,12 +142,13 @@ func NewCodec(n *core.Network) *Codec {
 // NewCodecFormat builds a codec for the network's layer shapes carrying
 // values in the given wire format.
 func NewCodecFormat(n *core.Network, f ValueFormat) *Codec {
-	dims := make([][2]int32, n.NumLayers())
-	for i := range dims {
+	shapes := make([]layerShape, n.NumLayers())
+	for i := range shapes {
 		l := n.Layer(i)
-		dims[i] = [2]int32{int32(l.Out()), int32(l.In())}
+		rows, width := l.StorageShape()
+		shapes[i] = layerShape{rows: int32(rows), width: int32(width), neurons: int32(l.Out())}
 	}
-	return &Codec{dims: dims, format: f}
+	return &Codec{shapes: shapes, format: f}
 }
 
 // Format returns the codec's negotiated value format.
@@ -159,32 +176,80 @@ func (c *Codec) Quantize(d *core.SparseDelta) {
 	}
 }
 
+// rowWidth returns the row width of ld on layer li: its column count, or
+// the storage row width.
+func (c *Codec) rowWidth(li int, ld *core.LayerDelta) int {
+	if ld.Cols != nil {
+		return len(ld.Cols)
+	}
+	return int(c.shapes[li].width)
+}
+
 // EncodedSize returns the exact number of bytes AppendDelta would emit
 // for d — the measured per-batch communication payload, without
-// allocating the buffer.
+// allocating the buffer. d must be well-formed.
 func (c *Codec) EncodedSize(d *core.SparseDelta) int {
 	vb := c.format.valBytes()
 	size := len(codecMagic) + 1 + uvarintLen(uint64(len(d.Layers)))
 	for li := range d.Layers {
 		ld := &d.Layers[li]
 		size += uvarintLen(uint64(len(ld.Rows)))
-		prev := int32(-1)
-		for r, row := range ld.Rows {
-			size += uvarintLen(uint64(row - prev - 1))
-			size += uvarintLen(uint64(ld.RowOff[r+1] - ld.RowOff[r]))
-			prev = row
+		if ld.Cols == nil {
+			size++
+		} else {
+			size += uvarintLen(uint64(len(ld.Cols))+1) + diffsLen(ld.Cols)
 		}
-		size += vb * len(ld.Bias)
-		for r := range ld.Rows {
-			prevCol := int32(-1)
-			for k := ld.RowOff[r]; k < ld.RowOff[r+1]; k++ {
-				size += uvarintLen(uint64(ld.Cols[k] - prevCol - 1))
-				prevCol = ld.Cols[k]
-			}
-		}
-		size += vb * len(ld.Vals)
+		size += diffsLen(ld.Rows) + len(ld.Rows)*vecmath.MaskLen(c.rowWidth(li, ld)) + vb*c.present(ld.Vals)
+		size += uvarintLen(uint64(len(ld.Neurons))) + diffsLen(ld.Neurons) + vb*len(ld.Bias)
 	}
 	return size
+}
+
+// maxSize bounds the encoded size of d from its lengths alone, for sizing
+// the buffer once: every id at its longest, every value present.
+func (c *Codec) maxSize(d *core.SparseDelta) int {
+	const id = binary.MaxVarintLen32
+	vb := c.format.valBytes()
+	size := len(codecMagic) + 1 + binary.MaxVarintLen64
+	for li := range d.Layers {
+		ld := &d.Layers[li]
+		w := c.rowWidth(li, ld)
+		size += 3*binary.MaxVarintLen64 + id*(len(ld.Cols)+len(ld.Rows)+len(ld.Neurons)) +
+			len(ld.Rows)*(vecmath.MaskLen(w)+vb*w) + vb*len(ld.Bias)
+	}
+	return size
+}
+
+// diffsLen returns the encoded size of a strictly ascending id list's
+// diff-1 uvarints.
+func diffsLen(ids []int32) int {
+	size := 0
+	prev := int32(-1)
+	for _, id := range ids {
+		size += uvarintLen(uint64(id - prev - 1))
+		prev = id
+	}
+	return size
+}
+
+// present counts the values that ride the wire: those whose wire value is
+// nonzero.
+func (c *Codec) present(vals []float32) int {
+	if c.format != ValueBF16 {
+		return vecmath.CountNonZero(vals)
+	}
+	var n uint32
+	for _, v := range vals {
+		n += nonzero16(vecmath.BF16FromF32(v))
+	}
+	return int(n)
+}
+
+// nonzero16 returns 1 when the bf16 bits h are not ±0, else 0, without a
+// branch.
+func nonzero16(h uint16) uint32 {
+	u := uint32(h) << 17
+	return (u | -u) >> 31
 }
 
 // appendVal emits one value in the codec's wire format.
@@ -195,61 +260,114 @@ func (c *Codec) appendVal(buf []byte, v float32) []byte {
 	return binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 }
 
+// appendIDs emits the uvarint tag, then a strictly ascending id list below
+// n as its diff-1 uvarints.
+func appendIDs(buf []byte, tag uint64, ids []int32, n int32) ([]byte, error) {
+	buf = binary.AppendUvarint(buf, tag)
+	prev := int32(-1)
+	for _, id := range ids {
+		if id <= prev || id >= n {
+			return buf, fmt.Errorf("id %d out of order or range [0,%d)", id, n)
+		}
+		buf = binary.AppendUvarint(buf, uint64(id-prev-1))
+		prev = id
+	}
+	return buf, nil
+}
+
 // AppendDelta appends d's encoding to buf and returns the extended
 // buffer. The delta must satisfy the producer invariants (ascending
-// in-range ids, consistent spans); violations are reported rather than
-// silently emitting an undecodable payload.
+// in-range ids, a row block of rows × width values); violations are
+// reported rather than silently emitting an undecodable payload.
 func (c *Codec) AppendDelta(buf []byte, d *core.SparseDelta) ([]byte, error) {
-	if len(d.Layers) != len(c.dims) {
-		return buf, fmt.Errorf("dist: encoding delta with %d layers, codec has %d", len(d.Layers), len(c.dims))
+	if len(d.Layers) != len(c.shapes) {
+		return buf, fmt.Errorf("dist: encoding delta with %d layers, codec has %d", len(d.Layers), len(c.shapes))
 	}
+	buf = slices.Grow(buf, c.maxSize(d))
 	buf = append(buf, codecMagic[:]...)
 	buf = append(buf, byte(c.format))
 	buf = binary.AppendUvarint(buf, uint64(len(d.Layers)))
 	for li := range d.Layers {
-		ld := &d.Layers[li]
-		out, in := c.dims[li][0], c.dims[li][1]
-		nr := len(ld.Rows)
-		if len(ld.RowOff) != nr+1 || len(ld.Bias) != nr {
-			return buf, fmt.Errorf("dist: layer %d: inconsistent delta (%d rows, %d offsets, %d biases)", li, nr, len(ld.RowOff), len(ld.Bias))
-		}
-		buf = binary.AppendUvarint(buf, uint64(nr))
-		prev := int32(-1)
-		for r, row := range ld.Rows {
-			if row <= prev || row >= out {
-				return buf, fmt.Errorf("dist: layer %d: row %d out of order or range [0,%d)", li, row, out)
-			}
-			buf = binary.AppendUvarint(buf, uint64(row-prev-1))
-			buf = binary.AppendUvarint(buf, uint64(ld.RowOff[r+1]-ld.RowOff[r]))
-			prev = row
-		}
-		for _, b := range ld.Bias {
-			buf = c.appendVal(buf, b)
-		}
-		for r := range ld.Rows {
-			prevCol := int32(-1)
-			for k := ld.RowOff[r]; k < ld.RowOff[r+1]; k++ {
-				col := ld.Cols[k]
-				if col <= prevCol || col >= in {
-					return buf, fmt.Errorf("dist: layer %d row %d: column %d out of order or range [0,%d)", li, ld.Rows[r], col, in)
-				}
-				buf = binary.AppendUvarint(buf, uint64(col-prevCol-1))
-				prevCol = col
-			}
-		}
-		for _, v := range ld.Vals {
-			buf = c.appendVal(buf, v)
+		var err error
+		if buf, err = c.appendLayer(buf, li, &d.Layers[li]); err != nil {
+			return buf, fmt.Errorf("dist: layer %d: %w", li, err)
 		}
 	}
 	return buf, nil
 }
 
+func (c *Codec) appendLayer(buf []byte, li int, ld *core.LayerDelta) ([]byte, error) {
+	sh := c.shapes[li]
+	w := c.rowWidth(li, ld)
+	if len(ld.Vals) != len(ld.Rows)*w || len(ld.Bias) != len(ld.Neurons) {
+		return buf, fmt.Errorf("inconsistent delta: %d rows of %d, %d values, %d neurons, %d biases",
+			len(ld.Rows), w, len(ld.Vals), len(ld.Neurons), len(ld.Bias))
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(ld.Rows)))
+	var err error
+	if ld.Cols == nil {
+		buf = append(buf, 0)
+	} else if buf, err = appendIDs(buf, uint64(len(ld.Cols))+1, ld.Cols, sh.width); err != nil {
+		return buf, fmt.Errorf("columns: %w", err)
+	}
+	prev := int32(-1)
+	for r, row := range ld.Rows {
+		if row <= prev || row >= sh.rows {
+			return buf, fmt.Errorf("row %d out of order or range [0,%d)", row, sh.rows)
+		}
+		buf = binary.AppendUvarint(buf, uint64(row-prev-1))
+		prev = row
+		buf = c.appendRow(buf, ld.Vals[r*w:(r+1)*w])
+	}
+	if buf, err = appendIDs(buf, uint64(len(ld.Neurons)), ld.Neurons, sh.neurons); err != nil {
+		return buf, fmt.Errorf("neurons: %w", err)
+	}
+	for _, b := range ld.Bias {
+		buf = c.appendVal(buf, b)
+	}
+	return buf, nil
+}
+
+// appendRow emits one row's presence mask and present values.
+func (c *Codec) appendRow(buf []byte, vals []float32) []byte {
+	mb, vb := vecmath.MaskLen(len(vals)), c.format.valBytes()
+	n := len(buf)
+	buf = slices.Grow(buf, mb+vb*len(vals))[:n+mb+vb*len(vals)]
+	var p int
+	if vb == 2 {
+		p = packBF16(buf[n+mb:], buf[n:n+mb], vals)
+	} else {
+		p = vecmath.PackNonZero(buf[n+mb:], buf[n:n+mb], vals)
+	}
+	return buf[:n+mb+p]
+}
+
+// packBF16 is vecmath.PackNonZero for bf16 values, 2 bytes each; a value
+// that rounds to zero is left out. Every value is written and the end
+// advanced past present ones only: a branch on a cell's zeroness
+// mispredicts often in rows that are mostly, not all, nonzero.
+func packBF16(out, mask []byte, vals []float32) int {
+	p := 0
+	for b := range mask {
+		var m uint32
+		for t, v := range vals[b*8 : min(b*8+8, len(vals))] {
+			h := vecmath.BF16FromF32(v)
+			binary.LittleEndian.PutUint16(out[p:], h)
+			bit := nonzero16(h)
+			m |= bit << t
+			p += int(bit) << 1
+		}
+		mask[b] = byte(m)
+	}
+	return p
+}
+
 // DecodeDelta decodes buf into dst (reused when non-nil) with full
 // validation: magic, value format, layer count, ascending in-range ids,
-// span and length consistency. A frame carrying a different value format
-// than the codec was built for is rejected — compression is negotiated,
-// not sniffed. The returned delta satisfies every ApplyDelta and
-// MergeDeltas precondition.
+// masks within the row width, and a payload that backs every declared row.
+// A frame carrying a different value format than the codec was built for
+// is rejected — compression is negotiated, not sniffed. The returned delta
+// satisfies every ApplyDelta and MergeDeltas precondition.
 func (c *Codec) DecodeDelta(dst *core.SparseDelta, buf []byte) (*core.SparseDelta, error) {
 	if dst == nil {
 		dst = &core.SparseDelta{}
@@ -279,8 +397,8 @@ func (c *Codec) DecodeDelta(dst *core.SparseDelta, buf []byte) (*core.SparseDelt
 	if err != nil {
 		return dst, err
 	}
-	if layers != uint64(len(c.dims)) {
-		return dst, fmt.Errorf("dist: delta has %d layers, codec has %d", layers, len(c.dims))
+	if layers != uint64(len(c.shapes)) {
+		return dst, fmt.Errorf("dist: delta has %d layers, codec has %d", layers, len(c.shapes))
 	}
 	resizeLayers(dst, int(layers))
 	for li := range dst.Layers {
@@ -304,95 +422,163 @@ func (c *Codec) readVal(r *reader) (float32, error) {
 	return math.Float32frombits(bits), err
 }
 
+// readIDs decodes a diff-1 id list of count ids into dst (reused), each
+// below n.
+func readIDs(r *reader, dst []int32, count uint64, n int32) ([]int32, error) {
+	// Every id takes at least one byte: a count the payload cannot back is
+	// rejected before the allocation.
+	if count > uint64(n) || count > uint64(len(r.buf)) {
+		return dst, fmt.Errorf("%d ids exceed range %d or the %d-byte payload", count, n, len(r.buf))
+	}
+	dst = grow(dst, int(count))
+	prev := int64(-1)
+	for i := range dst {
+		id, err := nextID(r, prev, n)
+		if err != nil {
+			return dst, err
+		}
+		dst[i] = int32(id)
+		prev = id
+	}
+	return dst, nil
+}
+
+// nextID reads the diff-1 uvarint of the id after prev and checks that the
+// id is below n.
+func nextID(r *reader, prev int64, n int32) (int64, error) {
+	diff, err := r.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	// Reject the diff before the addition: a diff >= n cannot yield an
+	// in-range id, and an unchecked 64-bit diff would overflow the sum
+	// negative and slip past the range check.
+	if diff >= uint64(n) || prev+1+int64(diff) >= int64(n) {
+		return 0, fmt.Errorf("id diff %d after id %d out of range [0,%d)", diff, prev, n)
+	}
+	return prev + 1 + int64(diff), nil
+}
+
 func (c *Codec) decodeLayer(r *reader, li int, ld *core.LayerDelta) error {
-	out, in := c.dims[li][0], c.dims[li][1]
-	vb := int64(c.format.valBytes())
-	nrU, err := r.uvarint()
+	sh := c.shapes[li]
+	vb := c.format.valBytes()
+	nr, err := r.uvarint()
 	if err != nil {
 		return err
 	}
-	if nrU > uint64(out) {
-		return fmt.Errorf("%d rows exceeds layer size %d", nrU, out)
+	if nr > uint64(sh.rows) {
+		return fmt.Errorf("%d rows exceeds the layer's %d", nr, sh.rows)
 	}
-	nr := int(nrU)
-	ld.Rows = grow(ld.Rows, nr)
-	ld.RowOff = grow(ld.RowOff, nr+1)
-	ld.Bias = grow(ld.Bias, nr)
-	ld.RowOff[0] = 0
-	prev := int32(-1)
-	var total int64
-	for i := 0; i < nr; i++ {
-		diff, err := r.uvarint()
+	colsTag, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	w := int(sh.width)
+	if colsTag == 0 {
+		ld.Cols = nil
+	} else {
+		if ld.Cols, err = readIDs(r, ld.Cols, colsTag-1, sh.width); err != nil {
+			return fmt.Errorf("columns: %w", err)
+		}
+		if ld.Cols == nil {
+			ld.Cols = []int32{} // an empty column set, not full width
+		}
+		w = len(ld.Cols)
+	}
+	// Guard the allocation against a header that declares far more rows
+	// than the payload could possibly back: every row takes at least a
+	// one-byte id and its mask. Without this, a few hostile header bytes
+	// could demand a rows*width-value allocation.
+	mb := vecmath.MaskLen(w)
+	if nr*uint64(1+mb) > uint64(len(r.buf)) {
+		return fmt.Errorf("declared %d rows of %d exceed the %d-byte payload", nr, w, len(r.buf))
+	}
+	ld.Rows = grow(ld.Rows, int(nr))
+	ld.Vals = grow(ld.Vals, int(nr)*w)
+	prev := int64(-1)
+	for i := range ld.Rows {
+		row, err := nextID(r, prev, sh.rows)
 		if err != nil {
-			return err
-		}
-		// Reject the diff before the addition: a diff >= out cannot
-		// yield an in-range id, and an unchecked 64-bit diff would
-		// overflow the sum negative and slip past the range check.
-		if diff >= uint64(out) {
-			return fmt.Errorf("row diff %d out of range [0,%d)", diff, out)
-		}
-		row := int64(prev) + 1 + int64(diff)
-		if row >= int64(out) {
-			return fmt.Errorf("row %d out of range [0,%d)", row, out)
+			return fmt.Errorf("rows: %w", err)
 		}
 		ld.Rows[i] = int32(row)
-		prev = int32(row)
-		cells, err := r.uvarint()
-		if err != nil {
+		prev = row
+		if err := c.readRow(r, ld.Vals[i*w:(i+1)*w], vb); err != nil {
+			return fmt.Errorf("row %d: %w", row, err)
+		}
+	}
+	nn, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if ld.Neurons, err = readIDs(r, ld.Neurons, nn, sh.neurons); err != nil {
+		return fmt.Errorf("neurons: %w", err)
+	}
+	if len(ld.Neurons)*vb > len(r.buf) {
+		return fmt.Errorf("%d biases exceed the %d-byte payload", len(ld.Neurons), len(r.buf))
+	}
+	ld.Bias = grow(ld.Bias, len(ld.Neurons))
+	for i := range ld.Bias {
+		if ld.Bias[i], err = c.readVal(r); err != nil {
 			return err
 		}
-		if cells > uint64(in) {
-			return fmt.Errorf("row %d has %d cells, fan-in is %d", row, cells, in)
-		}
-		total += int64(cells)
-		ld.RowOff[i+1] = int32(total)
-	}
-	// Guard the allocation against a header that declares far more cells
-	// than the payload could possibly back: the remaining buffer must
-	// hold the bias block plus at least (1-byte column varint + one
-	// value) per declared cell. Without this, a few hostile header bytes
-	// could demand an out*in-cell allocation — and on layers wider than
-	// 2^31 cells, wrap the int32 offsets.
-	if total > int64(math.MaxInt32) || vb*int64(nr)+(1+vb)*total > int64(len(r.buf)) {
-		return fmt.Errorf("declared %d cells exceed the %d-byte payload", total, len(r.buf))
-	}
-	for i := 0; i < nr; i++ {
-		b, err := c.readVal(r)
-		if err != nil {
-			return err
-		}
-		ld.Bias[i] = b
-	}
-	nnz := int(total)
-	ld.Cols = grow(ld.Cols, nnz)
-	ld.Vals = grow(ld.Vals, nnz)
-	for i := 0; i < nr; i++ {
-		prevCol := int32(-1)
-		for k := ld.RowOff[i]; k < ld.RowOff[i+1]; k++ {
-			diff, err := r.uvarint()
-			if err != nil {
-				return err
-			}
-			if diff >= uint64(in) { // see the row-diff overflow guard
-				return fmt.Errorf("row %d column diff %d out of range [0,%d)", ld.Rows[i], diff, in)
-			}
-			col := int64(prevCol) + 1 + int64(diff)
-			if col >= int64(in) {
-				return fmt.Errorf("row %d column %d out of range [0,%d)", ld.Rows[i], col, in)
-			}
-			ld.Cols[k] = int32(col)
-			prevCol = int32(col)
-		}
-	}
-	for k := 0; k < nnz; k++ {
-		v, err := c.readVal(r)
-		if err != nil {
-			return err
-		}
-		ld.Vals[k] = v
 	}
 	return nil
+}
+
+// readRow decodes one row's mask and present values into vals, zeroing the
+// absent cells. A mask bit past the row's width is rejected, and the
+// payload must hold a value for every set bit.
+func (c *Codec) readRow(r *reader, vals []float32, vb int) error {
+	mb := vecmath.MaskLen(len(vals))
+	if len(r.buf) < mb {
+		return fmt.Errorf("truncated mask")
+	}
+	mask := r.buf[:mb]
+	if tail := len(vals) % 8; tail != 0 && mask[mb-1]>>tail != 0 {
+		return fmt.Errorf("mask bit set past width %d", len(vals))
+	}
+	src := r.buf[mb:]
+	present := popcount(mask)
+	need := present * vb
+	if len(src) < need {
+		return fmt.Errorf("truncated values: %d present, %d bytes", present, len(src))
+	}
+	r.buf = src[need:]
+	if vb == 2 {
+		unpackBF16(vals, mask, src[:need])
+	} else {
+		vecmath.UnpackNonZero(vals, mask, src)
+	}
+	return nil
+}
+
+// popcount returns the number of set bits in mask.
+func popcount(mask []byte) int {
+	n := 0
+	for ; len(mask) >= 8; mask = mask[8:] {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(mask))
+	}
+	for _, m := range mask {
+		n += bits.OnesCount8(m)
+	}
+	return n
+}
+
+// unpackBF16 is vecmath.UnpackNonZero for bf16 values: vals[k] is the next
+// value of src when mask bit k is set, else zero. Every cell loads the next
+// value while src holds one and keeps it, or zero, by its bit.
+func unpackBF16(vals []float32, mask, src []byte) {
+	p := 0
+	for k := range vals {
+		bit := uint32(mask[k/8]>>(k%8)) & 1
+		var h uint16
+		if p+2 <= len(src) {
+			h = binary.LittleEndian.Uint16(src[p:])
+		}
+		vals[k] = math.Float32frombits(uint32(h) << 16 & -bit)
+		p += int(bit) << 1
+	}
 }
 
 // resizeLayers sets the delta's layer count, reusing backing arrays.

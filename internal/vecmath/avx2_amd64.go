@@ -48,3 +48,12 @@ func signedSumsAVX2(x *float32, ent *uint32, steps, groups int, dst *float32)
 
 //go:noescape
 func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32)
+
+//go:noescape
+func packAVX2(dst, mask *byte, x *float32, blocks int, perm *[256][8]uint32) (n int)
+
+//go:noescape
+func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]uint32) (done, n int)
+
+//go:noescape
+func countAVX2(x *float32, blocks int) (n int)

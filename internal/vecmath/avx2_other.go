@@ -21,3 +21,13 @@ func signedSumsAVX2(x *float32, ent *uint32, steps, groups int, dst *float32) {
 }
 
 func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32) { panic("vecmath: no AVX2") }
+
+func packAVX2(dst, mask *byte, x *float32, blocks int, perm *[256][8]uint32) (n int) {
+	panic("vecmath: no AVX2")
+}
+
+func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]uint32) (done, n int) {
+	panic("vecmath: no AVX2")
+}
+
+func countAVX2(x *float32, blocks int) (n int) { panic("vecmath: no AVX2") }

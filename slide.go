@@ -100,12 +100,16 @@ type (
 // Adam holds the optimizer hyperparameters for Config.Adam.
 type Adam = optim.Adam
 
-// SparseDelta is one batch's gradient in explicit sparse form — per layer
-// the touched neuron rows, touched input columns, raw gradient sums and
-// bias gradients (§3.1's s² fraction, §6's distributed exchange payload).
+// SparseDelta is one batch's gradient in explicit sparse form (§3.1's s²
+// fraction, §6's distributed exchange payload). LayerDelta is one layer's
+// slice of it, in the layer's storage orientation: the touched storage
+// rows — inputs on an unsampled first layer, which stores its weights
+// input-major, neurons elsewhere — each a dense vector of raw gradient sums
+// over the layer's columns, plus the touched neurons' bias gradients. Zero
+// means no gradient: a zero cell or bias is never stepped.
 // Network.ExtractDelta produces it at a batch boundary and
 // Network.ApplyDelta consumes it; repro/dist merges and ships it between
-// data-parallel replicas. LayerDelta is one layer's slice of it.
+// data-parallel replicas.
 type (
 	SparseDelta = core.SparseDelta
 	LayerDelta  = core.LayerDelta
@@ -128,7 +132,7 @@ const (
 	CompressTopK = core.CompressTopK
 )
 
-// MergeDeltas sums deltas cell-wise in part order into dst (reused when
+// MergeDeltas sums deltas row by row in part order into dst (reused when
 // non-nil) — the deterministic merge data-parallel replicas apply.
 func MergeDeltas(dst *SparseDelta, parts []*SparseDelta) (*SparseDelta, error) {
 	return core.MergeDeltas(dst, parts)
