@@ -11,6 +11,7 @@
 // Data-parallel training (§6: sparse-gradient exchange between replicas):
 //
 //	slide-train -profile delicious -shards 4                     # 4 in-process replicas
+//	slide-train -profile delicious -shards 2 -overlap            # exchange hidden behind the next forward
 //	slide-train -shards 2 -dist :7070 -rank 0 &                  # process 0 hosts the exchange
 //	slide-train -shards 2 -dist localhost:7070 -rank 1           # process 1 dials in
 //
@@ -57,10 +58,9 @@ func main() {
 		evalEvery = flag.Int64("eval-every", 50, "evaluate every N iterations")
 		seed      = flag.Uint64("seed", 42, "random seed")
 		savePath  = flag.String("save", "", "write the trained model (self-describing v2 format) to this path")
-		shards    = flag.Int("shards", 1, "data-parallel replicas exchanging sparse gradient deltas per batch")
+		shards    = flag.Int("shards", 1, "data-parallel replicas exchanging sparse gradient deltas (exact fp32) per batch")
 		distAddr  = flag.String("dist", "", "TCP exchange address for multi-process sharding (rank 0 listens, others dial)")
 		rank      = flag.Int("rank", 0, "this process's replica rank when -dist is set")
-		compress  = flag.String("compress", "fp32", "delta compression: fp32|bf16|topk:<frac> (topk keeps the largest-|g| fraction with error feedback)")
 		overlap   = flag.Bool("overlap", false, "hide the delta exchange behind the next batch's forward pass (one-step-stale forwards)")
 	)
 	flag.Parse()
@@ -128,17 +128,13 @@ func main() {
 				},
 			},
 		}
-		cm, frac, err := slide.ParseCompression(*compress)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if (cm != slide.CompressFP32 || *overlap) && *shards <= 1 && *distAddr == "" {
-			log.Fatal("-compress/-overlap need sharded training (-shards > 1 or -dist)")
+		if *overlap && *shards <= 1 && *distAddr == "" {
+			log.Fatal("-overlap needs sharded training (-shards > 1 or -dist)")
 		}
 		tc := slide.TrainConfig{
 			BatchSize: *batch, Epochs: *epochs, Threads: *threads,
 			EvalEvery: *evalEvery, Seed: *seed, OnEval: onEval,
-			Compress: cm, TopKFrac: frac, OverlapExchange: *overlap,
+			OverlapExchange: *overlap,
 		}
 
 		var net *slide.Network
@@ -203,13 +199,12 @@ func trainTCPShard(ds *dataset.Dataset, cfg slide.Config, tc slide.TrainConfig, 
 	if err != nil {
 		log.Fatal(err)
 	}
-	codec := dist.NewCodecFormat(net, dist.FormatFor(tc.Compress))
+	codec := dist.NewCodec(net)
 
 	// The shared schedule derivation keeps every process on the same
 	// batch size and iteration count — ranks on different schedules
 	// would desync the exchange barrier — and the digest lets the
-	// handshake refuse a rank launched with different flags (including a
-	// mismatched -compress) outright.
+	// handshake refuse a rank launched with different flags outright.
 	shard := dist.ShardExamples(ds.Train, rank, shards)
 	baseSeed := tc.Seed
 	tc = dist.ShardTrainConfig(tc, len(ds.Train), rank, shards)

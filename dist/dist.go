@@ -15,7 +15,8 @@ import (
 	"repro/internal/dist"
 )
 
-// Codec encodes SparseDeltas into the compact validated wire format.
+// Codec encodes SparseDeltas into the compact validated wire format:
+// exact float32 values, non-finite ones rejected on decode.
 type Codec = dist.Codec
 
 // Mesh is the in-process all-reduce exchanger for N replicas in one
@@ -36,28 +37,8 @@ type ExchangeStats = dist.ExchangeStats
 // weights on success), per-replica results, per-rank exchange stats.
 type ShardedResult = dist.ShardedResult
 
-// ValueFormat selects the wire encoding of delta values: full fp32,
-// bf16 (2 bytes per value, §5-style bfloat rounding), or fp32 values of
-// a top-k-compressed delta. Every member of an exchange group must run
-// the same format; the codec rejects mismatched frames.
-type ValueFormat = dist.ValueFormat
-
-// Wire value formats for NewCodecFormat.
-const (
-	ValueFP32 = dist.ValueFP32
-	ValueBF16 = dist.ValueBF16
-	ValueTopK = dist.ValueTopK
-)
-
 // NewCodec builds a codec for the network's layer shapes.
 func NewCodec(n *slide.Network) *Codec { return dist.NewCodec(n) }
-
-// NewCodecFormat builds a codec with an explicit wire value format.
-func NewCodecFormat(n *slide.Network, f ValueFormat) *Codec { return dist.NewCodecFormat(n, f) }
-
-// FormatFor maps a TrainConfig.Compress setting to the wire value format
-// the exchange group must negotiate.
-func FormatFor(c slide.DeltaCompression) ValueFormat { return dist.FormatFor(c) }
 
 // NewMesh builds an in-process all-reduce for the given shard count;
 // codec (may be nil) prices exchanged deltas for byte accounting.
@@ -75,11 +56,11 @@ func DialExchanger(addr string, rank, shards int, codec *Codec, digest uint64) (
 }
 
 // ScheduleDigest fingerprints the settings every replica of a group must
-// share (network config, per-shard batch and iterations, base seed, and
-// the delta compression setting); pass it to ListenExchanger/
-// DialExchanger so mismatched launches are refused at join time instead
-// of silently diverging. Derive tc through ShardTrainConfig first so
-// the digested batch/iteration schedule is the group-wide one.
+// share (network config, per-shard batch and iterations, base seed); pass
+// it to ListenExchanger/DialExchanger so mismatched launches are refused
+// at join time instead of silently diverging. Derive tc through
+// ShardTrainConfig first so the digested batch/iteration schedule is the
+// group-wide one.
 func ScheduleDigest(cfg slide.Config, tc slide.TrainConfig, baseSeed uint64) uint64 {
 	return dist.ScheduleDigest(cfg, tc, baseSeed)
 }

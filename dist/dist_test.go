@@ -39,65 +39,84 @@ func testConfig(classes int) slide.Config {
 	}
 }
 
-// TestTrainShardedCompression: for every -compress setting, two
-// in-process replicas exchange the setting's wire format and finish with
-// bit-identical weights.
-func TestTrainShardedCompression(t *testing.T) {
+// TestTrainShardedReplicasAgree: two in-process replicas exchange their
+// deltas every batch through the public API and finish with bit-identical
+// weights and measured exchange bytes.
+func TestTrainShardedReplicasAgree(t *testing.T) {
 	ds := testData(t)
-	for _, spec := range []string{"fp32", "bf16", "topk:0.25"} {
-		t.Run(spec, func(t *testing.T) {
-			c, frac, err := slide.ParseCompression(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := testConfig(ds.NumClasses)
-			tc := slide.TrainConfig{BatchSize: 16, Iterations: 8, Threads: 1, Seed: 2, Compress: c, TopKFrac: frac}
-			res, err := dist.TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := dist.NewCodecFormat(res.Nets[0], dist.FormatFor(c)).Format().String(); got != c.String() {
-				t.Fatalf("wire format %s for compression %s", got, c)
-			}
-			for rank, st := range res.Stats {
-				if st.Rounds != 8 || st.BytesOut == 0 {
-					t.Fatalf("rank %d stats = %+v", rank, st)
+	cfg := testConfig(ds.NumClasses)
+	tc := slide.TrainConfig{BatchSize: 16, Iterations: 8, Threads: 1, Seed: 2}
+	res, err := dist.TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rank, st := range res.Stats {
+		if st.Rounds != 8 || st.BytesOut == 0 {
+			t.Fatalf("rank %d stats = %+v", rank, st)
+		}
+	}
+	a, b := res.Nets[0], res.Nets[1]
+	for li := 0; li < a.NumLayers(); li++ {
+		la, lb := a.Layer(li), b.Layer(li)
+		for j := 0; j < la.Out(); j++ {
+			wa, wb := la.Weights(j), lb.Weights(j)
+			for i := range wa {
+				if math.Float32bits(wa[i]) != math.Float32bits(wb[i]) {
+					t.Fatalf("layer %d w[%d][%d]: replicas differ (%g vs %g)", li, j, i, wa[i], wb[i])
 				}
 			}
-			a, b := res.Nets[0], res.Nets[1]
-			for li := 0; li < a.NumLayers(); li++ {
-				la, lb := a.Layer(li), b.Layer(li)
-				for j := 0; j < la.Out(); j++ {
-					wa, wb := la.Weights(j), lb.Weights(j)
-					for i := range wa {
-						if math.Float32bits(wa[i]) != math.Float32bits(wb[i]) {
-							t.Fatalf("layer %d w[%d][%d]: replicas differ (%g vs %g)", li, j, i, wa[i], wb[i])
-						}
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
 // TestScheduleDigestSeparatesLaunches: replicas launched with the same
-// settings agree on the digest; a different seed or compression setting
-// changes it, so the join handshake refuses the mismatched rank.
+// settings agree on the digest; a different seed, batch size, iteration
+// count or network config changes it, so the join handshake refuses the
+// mismatched rank. OverlapExchange is deliberately not covered — it
+// changes only local scheduling, so overlapped and synchronous replicas
+// may share a group.
 func TestScheduleDigestSeparatesLaunches(t *testing.T) {
 	cfg := testConfig(96)
 	tc := dist.ShardTrainConfig(slide.TrainConfig{BatchSize: 32, Iterations: 10, Seed: 1}, 256, 0, 2)
 	base := dist.ScheduleDigest(cfg, tc, 1)
-	if again := dist.ScheduleDigest(cfg, tc, 1); again != base {
-		t.Fatalf("digest not deterministic: %x vs %x", base, again)
-	}
-	if dist.ScheduleDigest(cfg, tc, 2) == base {
-		t.Error("different base seed, same digest")
-	}
-	bf16 := tc
-	bf16.Compress = slide.CompressBF16
-	if dist.ScheduleDigest(cfg, bf16, 1) == base {
-		t.Error("different compression, same digest")
-	}
+	t.Run("deterministic", func(t *testing.T) {
+		if again := dist.ScheduleDigest(cfg, tc, 1); again != base {
+			t.Fatalf("digest not deterministic: %x vs %x", base, again)
+		}
+	})
+	t.Run("base seed", func(t *testing.T) {
+		if dist.ScheduleDigest(cfg, tc, 2) == base {
+			t.Error("different base seed, same digest")
+		}
+	})
+	t.Run("batch size", func(t *testing.T) {
+		batch := tc
+		batch.BatchSize = 16
+		if dist.ScheduleDigest(cfg, batch, 1) == base {
+			t.Error("different batch size, same digest")
+		}
+	})
+	t.Run("iterations", func(t *testing.T) {
+		longer := tc
+		longer.Iterations++
+		if dist.ScheduleDigest(cfg, longer, 1) == base {
+			t.Error("different iteration count, same digest")
+		}
+	})
+	t.Run("network config", func(t *testing.T) {
+		reseeded := cfg
+		reseeded.Seed++
+		if dist.ScheduleDigest(reseeded, tc, 1) == base {
+			t.Error("different weight-init seed, same digest")
+		}
+	})
+	t.Run("overlap excluded", func(t *testing.T) {
+		overlapped := tc
+		overlapped.OverlapExchange = true
+		if dist.ScheduleDigest(cfg, overlapped, 1) != base {
+			t.Error("digest covers OverlapExchange: mixed overlap groups would be refused")
+		}
+	})
 }
 
 // TestShardExamplesRoundRobin: rank r of n gets examples r, r+n, r+2n, …

@@ -207,21 +207,9 @@ type TrainConfig struct {
 	// All shards must run the same BatchSize and Iterations; early stops
 	// (TargetAcc, MaxSeconds, context cancellation) are coordinated
 	// through the exchange so every replica halts at the same step. See
-	// internal/dist for the in-process and TCP implementations.
+	// internal/dist for the in-process and TCP implementations, which
+	// ship the delta as exact fp32.
 	Exchanger DeltaExchanger
-
-	// Compress selects the wire representation of the exchanged delta
-	// (ignored without an Exchanger): exact fp32 (the default), bf16
-	// values, or top-k selection with error feedback. All shards must
-	// agree — the TCP handshake digest covers it, and the in-process
-	// Mesh applies the same rounding — because a merged delta computed
-	// from mixed representations would diverge the replicas' weights.
-	Compress DeltaCompression
-	// TopKFrac is the fraction of each layer's fresh batch gradient
-	// cells CompressTopK ships, in (0, 1]; the rest feed the
-	// per-replica error-feedback residual, which re-competes whenever
-	// its cells are next touched. Ignored for other compression modes.
-	TopKFrac float64
 
 	// OverlapExchange hides the delta exchange behind the next batch's
 	// forward pass (the §6 communication made invisible): each batch

@@ -19,8 +19,7 @@ import (
 // order into one row and hands it to a consumer: stepFold runs the Adam
 // step from a worker-owned row scratch (local training); compactFold folds
 // each row into its own slot of a LayerDelta's row block
-// (Network.ExtractDelta: the exchange payload, top-k compression, the
-// public API), which ApplyDelta later steps with the same row step. No
+// (Network.ExtractDelta: the exchange payload and the public API), which ApplyDelta later steps with the same row step. No
 // worker writes memory another reads.
 //
 // Rows follow the layer's orientation (see Layer):

@@ -69,16 +69,6 @@ type Network struct {
 	// and never fills it.
 	deltaScratch *SparseDelta
 
-	// Error-feedback state for CompressTopK: efRes accumulates the
-	// gradient cells dropped by top-k selection, per layer, and competes
-	// in every subsequent batch's selection, so dropped mass is delayed,
-	// never lost. efShip is the shipped delta's reusable scratch; efAbs
-	// holds |g| for the threshold order statistic. All owned by the
-	// training loop.
-	efRes  []efLayer
-	efShip *SparseDelta
-	efAbs  []float32
-
 	// pred backs the convenience Predict/PredictSampled/Evaluate
 	// methods: one lazily built shared inference session whose pooled
 	// element states are reused across calls.

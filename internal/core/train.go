@@ -116,12 +116,6 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	if sc, ok := tc.Exchanger.(ShardCounter); ok && sc.Shards() != tc.Shards {
 		return nil, fmt.Errorf("core: TrainConfig.Shards = %d but the exchanger's group has %d: the merged Adam step would be mis-averaged", tc.Shards, sc.Shards())
 	}
-	if tc.Compress < CompressFP32 || tc.Compress > CompressTopK {
-		return nil, fmt.Errorf("core: unknown delta compression %d", int(tc.Compress))
-	}
-	if tc.Compress == CompressTopK && !(tc.TopKFrac > 0 && tc.TopKFrac <= 1) {
-		return nil, fmt.Errorf("core: TopKFrac must be in (0, 1] for topk compression, got %g", tc.TopKFrac)
-	}
 	ex := tc.Exchanger
 	overlap := tc.OverlapExchange && ex != nil
 	workers := tc.Threads
@@ -322,9 +316,6 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 			runPhase(phaseBackward, batch)
 			d := n.ExtractDelta(n.deltaScratch, workers)
 			n.deltaScratch = d
-			if tc.Compress == CompressTopK {
-				d = n.compressTopK(d, tc.TopKFrac)
-			}
 			n.touchedWeights += d.Cells()
 			pend = launch(d, wantStop)
 		} else {
@@ -498,16 +489,12 @@ type exchangeResult struct {
 var testOverlapSyncJoin bool
 
 // exchangeAndApply is one sharded batch's update phase: extract the local
-// SparseDelta, compress it if configured, exchange it for the group's
-// merged delta, and apply the merged step averaged over the global batch
-// (BatchSize*Shards). The returned stopAll reports whether any shard
+// SparseDelta, exchange it for the group's merged delta, and apply the
+// merged step averaged over the global batch (BatchSize*Shards). The returned stopAll reports whether any shard
 // requested a coordinated stop this round.
 func (n *Network) exchangeAndApply(ex DeltaExchanger, wantStop bool, alpha float32, batch int, tc TrainConfig, workers int, res *TrainResult) (bool, error) {
 	d := n.ExtractDelta(n.deltaScratch, workers)
 	n.deltaScratch = d
-	if tc.Compress == CompressTopK {
-		d = n.compressTopK(d, tc.TopKFrac)
-	}
 	n.touchedWeights += d.Cells()
 	x0 := nowNano()
 	merged, stopAll, err := ex.Exchange(n.step, d, wantStop)

@@ -9,8 +9,9 @@
 //
 //   - Codec: a compact binary wire format for core.SparseDelta — per
 //     touched storage row a varint-delta row id, a presence mask over the
-//     row's columns and the present fp32 or bf16 gradient values — with
-//     full validation against the network's layer shapes on decode.
+//     row's columns and the present gradient values as exact fp32 — with
+//     full validation on decode: the network's layer shapes bound every
+//     id, and a NaN or ±Inf value or bias is refused.
 //   - Exchangers: core.DeltaExchanger implementations. Mesh is the
 //     in-process all-reduce for N replicas in one process (and, with one
 //     shard, a loopback measurement tap); TCPServer/TCPClient are the
@@ -32,78 +33,22 @@ import (
 )
 
 // codecVersion identifies the wire format; bump on incompatible change.
-// v2 added the value-format byte (fp32/bf16/topk) after the magic; v3
-// replaced per-cell column ids with mask-coded storage rows.
-const codecVersion = 3
+// Both magics carry it, so a frame or a rank of another version is
+// refused instead of misread.
+const codecVersion = 4
 
 // codecMagic opens every encoded delta ("SDL" + version).
 var codecMagic = [4]byte{'S', 'D', 'L', '0' + codecVersion}
 
-// ValueFormat selects how a codec carries gradient values and biases on
-// the wire. It is negotiated out of band (TrainConfig.Compress, covered
-// by the TCP handshake digest) and stamped into every frame; a decoder
-// built for one format rejects frames carrying another, so replicas with
-// mismatched compression fail loudly instead of merging garbage.
-type ValueFormat uint8
-
-const (
-	// ValueFP32 carries exact little-endian float32 values.
-	ValueFP32 ValueFormat = iota
-	// ValueBF16 carries values and biases as bfloat16 (2 bytes each,
-	// round-to-nearest-even via vecmath.BF16FromF32), halving value
-	// bytes.
-	ValueBF16
-	// ValueTopK carries exact float32 values like ValueFP32 but marks
-	// the payload as top-k selected with error feedback: the cells are a
-	// chosen subset (the parked ones are zero, so the row masks drop
-	// them), and a replica expecting the full gradient must not silently
-	// accept it.
-	ValueTopK
-)
-
-// String returns the flag spelling of the format.
-func (f ValueFormat) String() string {
-	switch f {
-	case ValueFP32:
-		return "fp32"
-	case ValueBF16:
-		return "bf16"
-	case ValueTopK:
-		return "topk"
-	default:
-		return fmt.Sprintf("ValueFormat(%d)", int(f))
-	}
-}
-
-// valBytes returns the wire size of one value or bias.
-func (f ValueFormat) valBytes() int {
-	if f == ValueBF16 {
-		return 2
-	}
-	return 4
-}
-
-// FormatFor maps a training-config compression mode to its wire format.
-func FormatFor(c core.DeltaCompression) ValueFormat {
-	switch c {
-	case core.CompressBF16:
-		return ValueBF16
-	case core.CompressTopK:
-		return ValueTopK
-	default:
-		return ValueFP32
-	}
-}
-
-// Codec encodes and decodes SparseDeltas for a fixed network shape and a
-// fixed value format. The per-layer storage shapes bound every id on
-// decode, so a malformed or hostile payload is rejected rather than
-// applied.
+// Codec encodes and decodes SparseDeltas for a fixed network shape. The
+// per-layer storage shapes bound every id on decode, and every value must
+// be finite, so a malformed or hostile payload — or the delta of a replica
+// whose training diverged — is rejected rather than applied to every
+// replica's weights.
 //
 // Wire format, all little-endian:
 //
 //	magic[4]
-//	format byte (ValueFormat)
 //	uvarint layerCount
 //	per layer:
 //	  uvarint rowCount
@@ -118,14 +63,11 @@ func FormatFor(c core.DeltaCompression) ValueFormat {
 //	  neuronCount values: bias gradients
 //
 // where width is colCount, or the layer's storage row width for full-width
-// rows, and a "value" is 4 bytes (fp32/topk) or 2 bytes (bf16). A cell
-// whose wire value would be zero (±0, or a bf16 that rounds to zero) is
-// left out of the mask: zero carries no gradient. Ids are strictly
-// ascending (ExtractDelta, MergeDeltas and the top-k selection all
-// guarantee it), so the diff-1 encoding is total.
+// rows, and a "value" is a 4-byte float32. A ±0 cell is left out of the
+// mask: zero carries no gradient. Ids are strictly ascending (ExtractDelta
+// and MergeDeltas guarantee it), so the diff-1 encoding is total.
 type Codec struct {
 	shapes []layerShape
-	format ValueFormat
 }
 
 // layerShape is one layer's delta shape: storage rows, their full width,
@@ -134,46 +76,15 @@ type layerShape struct {
 	rows, width, neurons int32
 }
 
-// NewCodec builds an exact-fp32 codec for the network's layer shapes.
+// NewCodec builds a codec for the network's layer shapes.
 func NewCodec(n *core.Network) *Codec {
-	return NewCodecFormat(n, ValueFP32)
-}
-
-// NewCodecFormat builds a codec for the network's layer shapes carrying
-// values in the given wire format.
-func NewCodecFormat(n *core.Network, f ValueFormat) *Codec {
 	shapes := make([]layerShape, n.NumLayers())
 	for i := range shapes {
 		l := n.Layer(i)
 		rows, width := l.StorageShape()
 		shapes[i] = layerShape{rows: int32(rows), width: int32(width), neurons: int32(l.Out())}
 	}
-	return &Codec{shapes: shapes, format: f}
-}
-
-// Format returns the codec's negotiated value format.
-func (c *Codec) Format() ValueFormat { return c.format }
-
-// Quantize rounds d's values and biases through the codec's wire
-// precision in place: for a bf16 codec every float becomes its bf16
-// representable value — exactly the transform an encode/decode round
-// trip applies — so an in-process exchanger (Mesh) produces the same
-// bits a TCP replica reads off the wire. fp32 and topk codecs carry
-// exact values; no-op. Rounding is idempotent, so quantizing an
-// already-quantized delta changes nothing.
-func (c *Codec) Quantize(d *core.SparseDelta) {
-	if c.format != ValueBF16 {
-		return
-	}
-	for li := range d.Layers {
-		ld := &d.Layers[li]
-		for i, v := range ld.Vals {
-			ld.Vals[i] = vecmath.F32FromBF16(vecmath.BF16FromF32(v))
-		}
-		for i, b := range ld.Bias {
-			ld.Bias[i] = vecmath.F32FromBF16(vecmath.BF16FromF32(b))
-		}
-	}
+	return &Codec{shapes: shapes}
 }
 
 // rowWidth returns the row width of ld on layer li: its column count, or
@@ -189,8 +100,7 @@ func (c *Codec) rowWidth(li int, ld *core.LayerDelta) int {
 // for d — the measured per-batch communication payload, without
 // allocating the buffer. d must be well-formed.
 func (c *Codec) EncodedSize(d *core.SparseDelta) int {
-	vb := c.format.valBytes()
-	size := len(codecMagic) + 1 + uvarintLen(uint64(len(d.Layers)))
+	size := len(codecMagic) + uvarintLen(uint64(len(d.Layers)))
 	for li := range d.Layers {
 		ld := &d.Layers[li]
 		size += uvarintLen(uint64(len(ld.Rows)))
@@ -199,8 +109,8 @@ func (c *Codec) EncodedSize(d *core.SparseDelta) int {
 		} else {
 			size += uvarintLen(uint64(len(ld.Cols))+1) + diffsLen(ld.Cols)
 		}
-		size += diffsLen(ld.Rows) + len(ld.Rows)*vecmath.MaskLen(c.rowWidth(li, ld)) + vb*c.present(ld.Vals)
-		size += uvarintLen(uint64(len(ld.Neurons))) + diffsLen(ld.Neurons) + vb*len(ld.Bias)
+		size += diffsLen(ld.Rows) + len(ld.Rows)*vecmath.MaskLen(c.rowWidth(li, ld)) + 4*vecmath.CountNonZero(ld.Vals)
+		size += uvarintLen(uint64(len(ld.Neurons))) + diffsLen(ld.Neurons) + 4*len(ld.Bias)
 	}
 	return size
 }
@@ -209,13 +119,12 @@ func (c *Codec) EncodedSize(d *core.SparseDelta) int {
 // the buffer once: every id at its longest, every value present.
 func (c *Codec) maxSize(d *core.SparseDelta) int {
 	const id = binary.MaxVarintLen32
-	vb := c.format.valBytes()
-	size := len(codecMagic) + 1 + binary.MaxVarintLen64
+	size := len(codecMagic) + binary.MaxVarintLen64
 	for li := range d.Layers {
 		ld := &d.Layers[li]
 		w := c.rowWidth(li, ld)
 		size += 3*binary.MaxVarintLen64 + id*(len(ld.Cols)+len(ld.Rows)+len(ld.Neurons)) +
-			len(ld.Rows)*(vecmath.MaskLen(w)+vb*w) + vb*len(ld.Bias)
+			len(ld.Rows)*(vecmath.MaskLen(w)+4*w) + 4*len(ld.Bias)
 	}
 	return size
 }
@@ -230,34 +139,6 @@ func diffsLen(ids []int32) int {
 		prev = id
 	}
 	return size
-}
-
-// present counts the values that ride the wire: those whose wire value is
-// nonzero.
-func (c *Codec) present(vals []float32) int {
-	if c.format != ValueBF16 {
-		return vecmath.CountNonZero(vals)
-	}
-	var n uint32
-	for _, v := range vals {
-		n += nonzero16(vecmath.BF16FromF32(v))
-	}
-	return int(n)
-}
-
-// nonzero16 returns 1 when the bf16 bits h are not ±0, else 0, without a
-// branch.
-func nonzero16(h uint16) uint32 {
-	u := uint32(h) << 17
-	return (u | -u) >> 31
-}
-
-// appendVal emits one value in the codec's wire format.
-func (c *Codec) appendVal(buf []byte, v float32) []byte {
-	if c.format == ValueBF16 {
-		return binary.LittleEndian.AppendUint16(buf, vecmath.BF16FromF32(v))
-	}
-	return binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 }
 
 // appendIDs emits the uvarint tag, then a strictly ascending id list below
@@ -285,7 +166,6 @@ func (c *Codec) AppendDelta(buf []byte, d *core.SparseDelta) ([]byte, error) {
 	}
 	buf = slices.Grow(buf, c.maxSize(d))
 	buf = append(buf, codecMagic[:]...)
-	buf = append(buf, byte(c.format))
 	buf = binary.AppendUvarint(buf, uint64(len(d.Layers)))
 	for li := range d.Layers {
 		var err error
@@ -317,57 +197,32 @@ func (c *Codec) appendLayer(buf []byte, li int, ld *core.LayerDelta) ([]byte, er
 		}
 		buf = binary.AppendUvarint(buf, uint64(row-prev-1))
 		prev = row
-		buf = c.appendRow(buf, ld.Vals[r*w:(r+1)*w])
+		buf = appendRow(buf, ld.Vals[r*w:(r+1)*w])
 	}
 	if buf, err = appendIDs(buf, uint64(len(ld.Neurons)), ld.Neurons, sh.neurons); err != nil {
 		return buf, fmt.Errorf("neurons: %w", err)
 	}
 	for _, b := range ld.Bias {
-		buf = c.appendVal(buf, b)
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(b))
 	}
 	return buf, nil
 }
 
 // appendRow emits one row's presence mask and present values.
-func (c *Codec) appendRow(buf []byte, vals []float32) []byte {
-	mb, vb := vecmath.MaskLen(len(vals)), c.format.valBytes()
+func appendRow(buf []byte, vals []float32) []byte {
+	mb := vecmath.MaskLen(len(vals))
 	n := len(buf)
-	buf = slices.Grow(buf, mb+vb*len(vals))[:n+mb+vb*len(vals)]
-	var p int
-	if vb == 2 {
-		p = packBF16(buf[n+mb:], buf[n:n+mb], vals)
-	} else {
-		p = vecmath.PackNonZero(buf[n+mb:], buf[n:n+mb], vals)
-	}
+	buf = slices.Grow(buf, mb+4*len(vals))[:n+mb+4*len(vals)]
+	p := vecmath.PackNonZero(buf[n+mb:], buf[n:n+mb], vals)
 	return buf[:n+mb+p]
 }
 
-// packBF16 is vecmath.PackNonZero for bf16 values, 2 bytes each; a value
-// that rounds to zero is left out. Every value is written and the end
-// advanced past present ones only: a branch on a cell's zeroness
-// mispredicts often in rows that are mostly, not all, nonzero.
-func packBF16(out, mask []byte, vals []float32) int {
-	p := 0
-	for b := range mask {
-		var m uint32
-		for t, v := range vals[b*8 : min(b*8+8, len(vals))] {
-			h := vecmath.BF16FromF32(v)
-			binary.LittleEndian.PutUint16(out[p:], h)
-			bit := nonzero16(h)
-			m |= bit << t
-			p += int(bit) << 1
-		}
-		mask[b] = byte(m)
-	}
-	return p
-}
-
 // DecodeDelta decodes buf into dst (reused when non-nil) with full
-// validation: magic, value format, layer count, ascending in-range ids,
-// masks within the row width, and a payload that backs every declared row.
-// A frame carrying a different value format than the codec was built for
-// is rejected — compression is negotiated, not sniffed. The returned delta
-// satisfies every ApplyDelta and MergeDeltas precondition.
+// validation: magic (so a frame of another codec version is refused),
+// layer count, ascending in-range ids, masks within the row width, a
+// payload that backs every declared row, and finite values and biases —
+// the error names the layer and the row or neuron of a NaN or ±Inf. The
+// returned delta satisfies every ApplyDelta and MergeDeltas precondition.
 func (c *Codec) DecodeDelta(dst *core.SparseDelta, buf []byte) (*core.SparseDelta, error) {
 	if dst == nil {
 		dst = &core.SparseDelta{}
@@ -383,16 +238,6 @@ func (c *Codec) DecodeDelta(dst *core.SparseDelta, buf []byte) (*core.SparseDelt
 		return dst, fmt.Errorf("dist: bad delta magic %q", r.buf[:len(codecMagic)])
 	}
 	r.buf = r.buf[len(codecMagic):]
-	var fb [1]byte
-	if err := r.bytes(fb[:]); err != nil {
-		return dst, err
-	}
-	if f := ValueFormat(fb[0]); f != c.format {
-		if f > ValueTopK {
-			return dst, fmt.Errorf("dist: unknown value format %d", fb[0])
-		}
-		return dst, fmt.Errorf("dist: delta is %v but this group negotiated %v", f, c.format)
-	}
 	layers, err := r.uvarint()
 	if err != nil {
 		return dst, err
@@ -410,16 +255,6 @@ func (c *Codec) DecodeDelta(dst *core.SparseDelta, buf []byte) (*core.SparseDelt
 		return dst, fmt.Errorf("dist: %d trailing bytes after delta", len(r.buf))
 	}
 	return dst, nil
-}
-
-// readVal reads one value in the codec's wire format.
-func (c *Codec) readVal(r *reader) (float32, error) {
-	if c.format == ValueBF16 {
-		h, err := r.u16()
-		return vecmath.F32FromBF16(h), err
-	}
-	bits, err := r.u32()
-	return math.Float32frombits(bits), err
 }
 
 // readIDs decodes a diff-1 id list of count ids into dst (reused), each
@@ -461,7 +296,6 @@ func nextID(r *reader, prev int64, n int32) (int64, error) {
 
 func (c *Codec) decodeLayer(r *reader, li int, ld *core.LayerDelta) error {
 	sh := c.shapes[li]
-	vb := c.format.valBytes()
 	nr, err := r.uvarint()
 	if err != nil {
 		return err
@@ -503,7 +337,7 @@ func (c *Codec) decodeLayer(r *reader, li int, ld *core.LayerDelta) error {
 		}
 		ld.Rows[i] = int32(row)
 		prev = row
-		if err := c.readRow(r, ld.Vals[i*w:(i+1)*w], vb); err != nil {
+		if err := readRow(r, ld.Vals[i*w:(i+1)*w]); err != nil {
 			return fmt.Errorf("row %d: %w", row, err)
 		}
 	}
@@ -514,22 +348,25 @@ func (c *Codec) decodeLayer(r *reader, li int, ld *core.LayerDelta) error {
 	if ld.Neurons, err = readIDs(r, ld.Neurons, nn, sh.neurons); err != nil {
 		return fmt.Errorf("neurons: %w", err)
 	}
-	if len(ld.Neurons)*vb > len(r.buf) {
+	if len(ld.Neurons)*4 > len(r.buf) {
 		return fmt.Errorf("%d biases exceed the %d-byte payload", len(ld.Neurons), len(r.buf))
 	}
 	ld.Bias = grow(ld.Bias, len(ld.Neurons))
-	for i := range ld.Bias {
-		if ld.Bias[i], err = c.readVal(r); err != nil {
-			return err
+	for i, j := range ld.Neurons {
+		b := math.Float32frombits(binary.LittleEndian.Uint32(r.buf[4*i:]))
+		if math.IsNaN(float64(b)) || math.IsInf(float64(b), 0) {
+			return fmt.Errorf("neuron %d: non-finite bias", j)
 		}
+		ld.Bias[i] = b
 	}
+	r.buf = r.buf[4*len(ld.Bias):]
 	return nil
 }
 
 // readRow decodes one row's mask and present values into vals, zeroing the
-// absent cells. A mask bit past the row's width is rejected, and the
-// payload must hold a value for every set bit.
-func (c *Codec) readRow(r *reader, vals []float32, vb int) error {
+// absent cells. A mask bit past the row's width is rejected, the payload
+// must hold a value for every set bit, and every value must be finite.
+func readRow(r *reader, vals []float32) error {
 	mb := vecmath.MaskLen(len(vals))
 	if len(r.buf) < mb {
 		return fmt.Errorf("truncated mask")
@@ -540,15 +377,13 @@ func (c *Codec) readRow(r *reader, vals []float32, vb int) error {
 	}
 	src := r.buf[mb:]
 	present := popcount(mask)
-	need := present * vb
+	need := present * 4
 	if len(src) < need {
 		return fmt.Errorf("truncated values: %d present, %d bytes", present, len(src))
 	}
 	r.buf = src[need:]
-	if vb == 2 {
-		unpackBF16(vals, mask, src[:need])
-	} else {
-		vecmath.UnpackNonZero(vals, mask, src)
+	if _, finite := vecmath.UnpackNonZero(vals, mask, src); !finite {
+		return fmt.Errorf("non-finite gradient value")
 	}
 	return nil
 }
@@ -563,22 +398,6 @@ func popcount(mask []byte) int {
 		n += bits.OnesCount8(m)
 	}
 	return n
-}
-
-// unpackBF16 is vecmath.UnpackNonZero for bf16 values: vals[k] is the next
-// value of src when mask bit k is set, else zero. Every cell loads the next
-// value while src holds one and keeps it, or zero, by its bit.
-func unpackBF16(vals []float32, mask, src []byte) {
-	p := 0
-	for k := range vals {
-		bit := uint32(mask[k/8]>>(k%8)) & 1
-		var h uint16
-		if p+2 <= len(src) {
-			h = binary.LittleEndian.Uint16(src[p:])
-		}
-		vals[k] = math.Float32frombits(uint32(h) << 16 & -bit)
-		p += int(bit) << 1
-	}
 }
 
 // resizeLayers sets the delta's layer count, reusing backing arrays.
@@ -600,39 +419,12 @@ func grow[T int32 | float32](s []T, n int) []T {
 // reader is a bounds-checked sequential decoder.
 type reader struct{ buf []byte }
 
-func (r *reader) bytes(dst []byte) error {
-	if len(r.buf) < len(dst) {
-		return fmt.Errorf("dist: truncated delta (want %d bytes, have %d)", len(dst), len(r.buf))
-	}
-	copy(dst, r.buf[:len(dst)])
-	r.buf = r.buf[len(dst):]
-	return nil
-}
-
 func (r *reader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.buf)
 	if n <= 0 {
 		return 0, fmt.Errorf("dist: truncated or overlong varint")
 	}
 	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if len(r.buf) < 4 {
-		return 0, fmt.Errorf("dist: truncated delta (want 4 bytes, have %d)", len(r.buf))
-	}
-	v := binary.LittleEndian.Uint32(r.buf)
-	r.buf = r.buf[4:]
-	return v, nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	if len(r.buf) < 2 {
-		return 0, fmt.Errorf("dist: truncated delta (want 2 bytes, have %d)", len(r.buf))
-	}
-	v := binary.LittleEndian.Uint16(r.buf)
-	r.buf = r.buf[2:]
 	return v, nil
 }
 

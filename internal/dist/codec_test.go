@@ -2,24 +2,20 @@ package dist
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// testCodec builds an fp32 codec for neuron-major layers of the given
+// testCodec builds a codec for neuron-major layers of the given
 // {neurons, fan-in} shapes without a network.
 func testCodec(dims ...[2]int32) *Codec {
-	return testCodecFmt(ValueFP32, dims...)
-}
-
-// testCodecFmt builds a codec for neuron-major layers with an explicit
-// value format.
-func testCodecFmt(f ValueFormat, dims ...[2]int32) *Codec {
-	return &Codec{shapes: neuronMajor(dims), format: f}
+	return &Codec{shapes: neuronMajor(dims)}
 }
 
 // neuronMajor maps {neurons, fan-in} dims to the shapes of neuron-major
@@ -37,9 +33,6 @@ func neuronMajor(dims [][2]int32) []layerShape {
 // width is the neuron count) and full-width neuron rows, with widths that
 // are not multiples of 8.
 var rowKinds = []layerShape{{rows: 64, width: 700, neurons: 64}, {rows: 300, width: 13, neurons: 13}, {rows: 37, width: 69, neurons: 37}}
-
-// allFormats enumerates every negotiated wire format for table tests.
-var allFormats = []ValueFormat{ValueFP32, ValueBF16, ValueTopK}
 
 // randomDelta builds a structurally valid random delta of full-width rows
 // for neuron-major dims.
@@ -125,77 +118,39 @@ func deltasEqual(a, b *core.SparseDelta) bool {
 	return true
 }
 
-// TestCodecRoundTripProperty: for many random deltas of every row kind in
-// every wire format, encode → decode reproduces the quantized delta exactly
-// (zero cells as zeros) and EncodedSize predicts the exact buffer length.
-// For fp32/topk the quantization is the identity; for bf16 it is Quantize —
-// which must be idempotent, so the decoded delta re-encodes to the same
-// bytes.
+// TestCodecRoundTripProperty: for many random deltas of every row kind,
+// encode → decode reproduces the delta exactly (zero cells as zeros),
+// EncodedSize predicts the exact buffer length, and the decoded delta
+// re-encodes to the same bytes.
 func TestCodecRoundTripProperty(t *testing.T) {
-	for _, f := range allFormats {
-		t.Run(f.String(), func(t *testing.T) {
-			c := &Codec{shapes: rowKinds, format: f}
-			r := rand.New(rand.NewSource(41))
-			var buf []byte
-			var scratch *core.SparseDelta
-			for trial := 0; trial < 200; trial++ {
-				d := randomRows(r, rowKinds, map[int]bool{0: true})
-				var err error
-				buf, err = c.AppendDelta(buf[:0], d)
-				if err != nil {
-					t.Fatalf("trial %d: encode: %v", trial, err)
-				}
-				if got := c.EncodedSize(d); got != len(buf) {
-					t.Fatalf("trial %d: EncodedSize %d != encoded length %d", trial, got, len(buf))
-				}
-				scratch, err = c.DecodeDelta(scratch, buf)
-				if err != nil {
-					t.Fatalf("trial %d: decode: %v", trial, err)
-				}
-				want := d.Clone()
-				c.Quantize(want) // identity except bf16
-				if !deltasEqual(want, scratch) {
-					t.Fatalf("trial %d: round-trip mismatch", trial)
-				}
-				// Quantize must be exactly the wire rounding: the decoded
-				// delta re-encodes byte-identically.
-				again, err := c.AppendDelta(nil, scratch)
-				if err != nil {
-					t.Fatalf("trial %d: re-encode: %v", trial, err)
-				}
-				if string(again) != string(buf) {
-					t.Fatalf("trial %d: re-encoding the decoded delta changed bytes", trial)
-				}
-				if got := c.EncodedSize(scratch); got != len(again) {
-					t.Fatalf("trial %d: EncodedSize %d != re-encoded length %d", trial, got, len(again))
-				}
-			}
-		})
-	}
-}
-
-// TestCodecBF16HalvesValueBytes: the bf16 wire format must spend exactly
-// 2 bytes per value/bias where fp32 spends 4 — identical ids and masks,
-// halved value blocks.
-func TestCodecBF16HalvesValueBytes(t *testing.T) {
-	dims := [][2]int32{{64, 700}, {256, 64}}
-	d := randomDelta(rand.New(rand.NewSource(9)), dims)
-	full := testCodec(dims...).EncodedSize(d)
-	half := testCodecFmt(ValueBF16, dims...).EncodedSize(d)
-	values := 0
-	for li := range d.Layers {
-		for _, v := range d.Layers[li].Vals {
-			if v != 0 {
-				values++
-			}
+	c := &Codec{shapes: rowKinds}
+	r := rand.New(rand.NewSource(41))
+	var buf []byte
+	var scratch *core.SparseDelta
+	for trial := 0; trial < 200; trial++ {
+		d := randomRows(r, rowKinds, map[int]bool{0: true})
+		var err error
+		buf, err = c.AppendDelta(buf[:0], d)
+		if err != nil {
+			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		values += len(d.Layers[li].Bias)
-	}
-	if full-half != 2*values {
-		t.Fatalf("bf16 saves %d bytes over fp32, want exactly 2 per value = %d", full-half, 2*values)
-	}
-	if topk := testCodecFmt(ValueTopK, dims...).EncodedSize(d); topk != full {
-		t.Fatalf("topk frame size %d differs from fp32 %d for the same delta", topk, full)
+		if got := c.EncodedSize(d); got != len(buf) {
+			t.Fatalf("trial %d: EncodedSize %d != encoded length %d", trial, got, len(buf))
+		}
+		scratch, err = c.DecodeDelta(scratch, buf)
+		if err != nil {
+			t.Fatalf("trial %d: decode: %v", trial, err)
+		}
+		if !deltasEqual(d, scratch) {
+			t.Fatalf("trial %d: round-trip mismatch", trial)
+		}
+		again, err := c.AppendDelta(nil, scratch)
+		if err != nil {
+			t.Fatalf("trial %d: re-encode: %v", trial, err)
+		}
+		if string(again) != string(buf) {
+			t.Fatalf("trial %d: re-encoding the decoded delta changed bytes", trial)
+		}
 	}
 }
 
@@ -231,137 +186,230 @@ func TestCodecCompactness(t *testing.T) {
 }
 
 // TestCodecRejectsMalformed: truncations, bad magic, wrong shapes and
-// out-of-range ids all error instead of panicking or silently passing —
-// in every wire format.
+// out-of-range ids all error instead of panicking or silently passing.
 func TestCodecRejectsMalformed(t *testing.T) {
 	dims := [][2]int32{{16, 32}}
-	for _, f := range allFormats {
-		t.Run(f.String(), func(t *testing.T) {
-			c := testCodecFmt(f, dims...)
-			d := randomDelta(rand.New(rand.NewSource(3)), dims)
+	c := testCodec(dims...)
+	d := randomDelta(rand.New(rand.NewSource(3)), dims)
+	buf, err := c.AppendDelta(nil, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("empty buffer", func(t *testing.T) {
+		if _, err := c.DecodeDelta(nil, nil); err == nil {
+			t.Fatal("decoded empty buffer")
+		}
+	})
+	t.Run("truncation", func(t *testing.T) {
+		for cut := 1; cut < len(buf); cut++ {
+			if _, err := c.DecodeDelta(nil, buf[:len(buf)-cut]); err == nil {
+				t.Fatalf("decoded %d-byte truncation", cut)
+			}
+		}
+	})
+	t.Run("bad magic", func(t *testing.T) {
+		bad := append([]byte(nil), buf...)
+		bad[0] ^= 0xff
+		if _, err := c.DecodeDelta(nil, bad); err == nil {
+			t.Fatal("decoded bad magic")
+		}
+	})
+	t.Run("trailing garbage", func(t *testing.T) {
+		if _, err := c.DecodeDelta(nil, append(append([]byte(nil), buf...), 0)); err == nil {
+			t.Fatal("decoded trailing garbage")
+		}
+	})
+	t.Run("wrong layer count", func(t *testing.T) {
+		other := testCodec([2]int32{16, 32}, [2]int32{8, 16})
+		if _, err := other.DecodeDelta(nil, buf); err == nil {
+			t.Fatal("decoded delta with wrong layer count")
+		}
+	})
+	// Out-of-range or out-of-order ids and short row blocks on
+	// encode.
+	for name, ld := range map[string]core.LayerDelta{
+		"out-of-range row":         {Rows: []int32{16}, Vals: make([]float32, 32)},
+		"descending rows":          {Rows: []int32{3, 2}, Vals: make([]float32, 64)},
+		"short row block":          {Rows: []int32{1, 2}, Vals: make([]float32, 32)},
+		"out-of-range column":      {Rows: []int32{1}, Cols: []int32{32}, Vals: []float32{1}},
+		"non-ascending column set": {Rows: []int32{1}, Cols: []int32{4, 4}, Vals: []float32{1, 2}},
+		"out-of-range neuron":      {Neurons: []int32{16}, Bias: []float32{1}},
+		"bias count":               {Neurons: []int32{1}, Bias: []float32{1, 2}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			bad := &core.SparseDelta{Layers: []core.LayerDelta{ld}}
+			if _, err := c.AppendDelta(nil, bad); err == nil {
+				t.Fatalf("encoded a delta with %s", name)
+			}
+		})
+	}
+}
+
+// TestCodecRefusesOtherVersions: a frame opened by another codec
+// version's magic — v3's carried a value-format byte, which this decoder
+// would misread as the layer count — is refused before its body is read.
+func TestCodecRefusesOtherVersions(t *testing.T) {
+	dims := [][2]int32{{16, 32}}
+	c := testCodec(dims...)
+	buf, err := c.AppendDelta(nil, randomDelta(rand.New(rand.NewSource(5)), dims))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DecodeDelta(nil, buf); err != nil {
+		t.Fatalf("own frame rejected: %v", err)
+	}
+	v3 := append([]byte{'S', 'D', 'L', '3', 0}, buf[len(codecMagic):]...)
+	if _, err := c.DecodeDelta(nil, v3); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("v3 frame: err = %v, want a bad-magic refusal", err)
+	}
+}
+
+// TestCodecRejectsNonFinite: a NaN or ±Inf gradient value or bias — one
+// corrupt frame, or the delta of a replica whose training diverged — is
+// refused with an error naming its layer and row or neuron, wherever the
+// value sits in its row, instead of being merged into every replica's
+// weights.
+func TestCodecRejectsNonFinite(t *testing.T) {
+	dims := [][2]int32{{8, 40}, {16, 37}}
+	c := testCodec(dims...)
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		t.Run(fmt.Sprint(bad), func(t *testing.T) {
+			for k := 0; k < 37; k++ {
+				d := randomDelta(rand.New(rand.NewSource(int64(k))), dims)
+				ld := &d.Layers[1]
+				ld.Rows, ld.Vals = []int32{3, 5}, make([]float32, 2*37)
+				for i := range ld.Vals {
+					ld.Vals[i] = float32(i + 1)
+				}
+				ld.Vals[37+k] = bad
+				buf, err := c.AppendDelta(nil, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = c.DecodeDelta(nil, buf)
+				if err == nil || !strings.Contains(err.Error(), "layer 1: row 5:") {
+					t.Fatalf("cell %d: err = %v, want a refusal naming layer 1, row 5", k, err)
+				}
+			}
+			d := randomDelta(rand.New(rand.NewSource(1)), dims)
+			d.Layers[0].Neurons, d.Layers[0].Bias = []int32{2, 6}, []float32{1, bad}
 			buf, err := c.AppendDelta(nil, d)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := c.DecodeDelta(nil, buf); err == nil || !strings.Contains(err.Error(), "layer 0: neuron 6:") {
+				t.Fatalf("bias: err = %v, want a refusal naming layer 0, neuron 6", err)
+			}
+		})
+	}
+}
 
-			if _, err := c.DecodeDelta(nil, nil); err == nil {
-				t.Fatal("decoded empty buffer")
-			}
-			for cut := 1; cut < len(buf); cut++ {
-				if _, err := c.DecodeDelta(nil, buf[:len(buf)-cut]); err == nil {
-					t.Fatalf("decoded %d-byte truncation", cut)
+// TestCodecAcceptsFiniteExtremes: the non-finite check refuses only an
+// all-ones exponent. The largest finite magnitudes, subnormals and -0 in
+// a row, and the same extremes as biases, decode as sent.
+func TestCodecAcceptsFiniteExtremes(t *testing.T) {
+	dims := [][2]int32{{4, 21}}
+	c := testCodec(dims...)
+	for name, v := range map[string]float32{
+		"max":                math.MaxFloat32,
+		"-max":               -math.MaxFloat32,
+		"smallest normal":    math.Float32frombits(0x00800000),
+		"largest subnormal":  math.Float32frombits(0x007fffff),
+		"smallest subnormal": math.SmallestNonzeroFloat32,
+		"-0":                 float32(math.Copysign(0, -1)),
+	} {
+		t.Run(name, func(t *testing.T) {
+			for k := 0; k < 21; k++ {
+				d := &core.SparseDelta{Layers: []core.LayerDelta{{
+					Rows: []int32{1}, Vals: make([]float32, 21),
+					Neurons: []int32{0, 3}, Bias: []float32{v, -v},
+				}}}
+				for i := range d.Layers[0].Vals {
+					d.Layers[0].Vals[i] = float32(i + 1)
 				}
-			}
-			bad := append([]byte(nil), buf...)
-			bad[0] ^= 0xff
-			if _, err := c.DecodeDelta(nil, bad); err == nil {
-				t.Fatal("decoded bad magic")
-			}
-			if _, err := c.DecodeDelta(nil, append(append([]byte(nil), buf...), 0)); err == nil {
-				t.Fatal("decoded trailing garbage")
-			}
-			other := testCodecFmt(f, [2]int32{16, 32}, [2]int32{8, 16})
-			if _, err := other.DecodeDelta(nil, buf); err == nil {
-				t.Fatal("decoded delta with wrong layer count")
-			}
-			// Out-of-range or out-of-order ids and short row blocks on
-			// encode.
-			for name, ld := range map[string]core.LayerDelta{
-				"out-of-range row":         {Rows: []int32{16}, Vals: make([]float32, 32)},
-				"descending rows":          {Rows: []int32{3, 2}, Vals: make([]float32, 64)},
-				"short row block":          {Rows: []int32{1, 2}, Vals: make([]float32, 32)},
-				"out-of-range column":      {Rows: []int32{1}, Cols: []int32{32}, Vals: []float32{1}},
-				"non-ascending column set": {Rows: []int32{1}, Cols: []int32{4, 4}, Vals: []float32{1, 2}},
-				"out-of-range neuron":      {Neurons: []int32{16}, Bias: []float32{1}},
-				"bias count":               {Neurons: []int32{1}, Bias: []float32{1, 2}},
-			} {
-				bad := &core.SparseDelta{Layers: []core.LayerDelta{ld}}
-				if _, err := c.AppendDelta(nil, bad); err == nil {
-					t.Fatalf("encoded a delta with %s", name)
+				d.Layers[0].Vals[k] = v
+				buf, err := c.AppendDelta(nil, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.DecodeDelta(nil, buf)
+				if err != nil {
+					t.Fatalf("cell %d: %v", k, err)
+				}
+				if !deltasEqual(d, got) {
+					t.Fatalf("cell %d: decoded %v, want %v", k, got.Layers[0], d.Layers[0])
 				}
 			}
 		})
 	}
 }
 
-// TestCodecRejectsFormatMismatch: compression is negotiated, not sniffed
-// — a decoder built for one value format must reject frames stamped with
-// another (the formats disagree on value width, so accepting one would
-// merge garbage), and an unknown format byte is rejected outright.
-func TestCodecRejectsFormatMismatch(t *testing.T) {
-	dims := [][2]int32{{16, 32}}
-	d := randomDelta(rand.New(rand.NewSource(5)), dims)
-	for _, enc := range allFormats {
-		buf, err := testCodecFmt(enc, dims...).AppendDelta(nil, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, dec := range allFormats {
-			if enc == dec {
-				continue
+// allFinite reports whether every value and bias of d is finite.
+func allFinite(d *core.SparseDelta) bool {
+	for li := range d.Layers {
+		for _, vs := range [][]float32{d.Layers[li].Vals, d.Layers[li].Bias} {
+			for _, v := range vs {
+				if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+					return false
+				}
 			}
-			if _, err := testCodecFmt(dec, dims...).DecodeDelta(nil, buf); err == nil {
-				t.Fatalf("%v decoder accepted a %v frame", dec, enc)
-			}
-		}
-		// Unknown format byte (the byte after the 4-byte magic).
-		bad := append([]byte(nil), buf...)
-		bad[4] = 0xff
-		if _, err := testCodecFmt(enc, dims...).DecodeDelta(nil, bad); err == nil {
-			t.Fatal("decoded a frame with an unknown format byte")
 		}
 	}
+	return true
 }
 
-// FuzzDecodeDelta drives every format's decoder with arbitrary bytes:
-// none may panic, and anything a decoder accepts must re-encode and
-// re-decode to the same delta (for bf16 that pins Quantize's
-// idempotence — accepted wire values are exactly representable).
+// FuzzDecodeDelta drives the decoder with arbitrary bytes: it may not
+// panic, anything it accepts must be all-finite, and it must re-encode and
+// re-decode to the same delta.
 func FuzzDecodeDelta(f *testing.F) {
 	shapes := []layerShape{{rows: 16, width: 600, neurons: 16}, {rows: 40, width: 11, neurons: 11}, {rows: 64, width: 16, neurons: 64}}
-	codecs := make([]*Codec, len(allFormats))
-	for i, vf := range allFormats {
-		codecs[i] = &Codec{shapes: shapes, format: vf}
-	}
+	c := &Codec{shapes: shapes}
 	r := rand.New(rand.NewSource(11))
-	for i := 0; i < 4; i++ {
+	var seedFrame []byte
+	for i := 0; i < 8; i++ {
 		d := randomRows(r, shapes, map[int]bool{0: i%2 == 0})
-		for _, c := range codecs {
-			seed, err := c.AppendDelta(nil, d)
-			if err != nil {
-				f.Fatal(err)
+		if i >= 4 {
+			// A non-finite value for the fuzzer to move around.
+			if ld := &d.Layers[i%3]; len(ld.Vals) > 0 {
+				ld.Vals[len(ld.Vals)/2] = float32(math.Inf(1 - 2*(i%2)))
 			}
-			f.Add(seed)
 		}
+		seed, err := c.AppendDelta(nil, d)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+		seedFrame = seed
 	}
 	f.Add([]byte{})
-	f.Add([]byte{'S', 'D', 'L', '0' + codecVersion, 0xff, 2})
+	f.Add([]byte{'S', 'D', 'L', '0' + codecVersion, 2})
+	f.Add(append([]byte{'S', 'D', 'L', '3', 0}, seedFrame[len(codecMagic):]...)) // a v3 frame
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, c := range codecs {
-			d, err := c.DecodeDelta(nil, data)
-			if err != nil {
-				continue
-			}
-			buf, err := c.AppendDelta(nil, d)
-			if err != nil {
-				t.Fatalf("%v: accepted delta failed to re-encode: %v", c.Format(), err)
-			}
-			again, err := c.DecodeDelta(nil, buf)
-			if err != nil {
-				t.Fatalf("%v: re-encoded delta failed to decode: %v", c.Format(), err)
-			}
-			if !deltasEqual(d, again) {
-				t.Fatalf("%v: decode/encode/decode not stable", c.Format())
-			}
+		d, err := c.DecodeDelta(nil, data)
+		if err != nil {
+			return
+		}
+		if !allFinite(d) {
+			t.Fatal("accepted a delta with a non-finite value or bias")
+		}
+		buf, err := c.AppendDelta(nil, d)
+		if err != nil {
+			t.Fatalf("accepted delta failed to re-encode: %v", err)
+		}
+		again, err := c.DecodeDelta(nil, buf)
+		if err != nil {
+			t.Fatalf("re-encoded delta failed to decode: %v", err)
+		}
+		if !deltasEqual(d, again) {
+			t.Fatal("decode/encode/decode not stable")
 		}
 	})
 }
 
-// frameHead starts a hand-built one-layer fp32 frame: magic, format and
-// layer count.
+// frameHead starts a hand-built one-layer frame: magic and layer count.
 func frameHead() []byte {
 	buf := append([]byte(nil), codecMagic[:]...)
-	buf = append(buf, byte(ValueFP32))
 	return binary.AppendUvarint(buf, 1)
 }
 
@@ -418,9 +466,11 @@ func TestCodecRejectsBadRows(t *testing.T) {
 		"column set beyond width":  frame([]byte{15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{0x01, 0}, 1),
 		"columns past their range": frame([]byte{3, 11, 1}, []byte{0x03}, 2),
 	} {
-		if _, err := c.DecodeDelta(nil, buf); err == nil {
-			t.Fatalf("decoded a frame with %s", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			if _, err := c.DecodeDelta(nil, buf); err == nil {
+				t.Fatalf("decoded a frame with %s", name)
+			}
+		})
 	}
 }
 
@@ -446,41 +496,35 @@ func TestCodecRejectsOverflowingIDDiff(t *testing.T) {
 
 // TestCodecRoundTripZeroAllocs pins the wire codec's steady state: with
 // a reused encode buffer and a reused decode scratch delta, a full
-// encode+decode round trip allocates nothing in any negotiated format.
-// This is the property that keeps the delta-exchange loop off the GC's
-// books once its buffers have warmed up.
+// encode+decode round trip allocates nothing. This is the property that
+// keeps the delta-exchange loop off the GC's books once its buffers have
+// warmed up.
 func TestCodecRoundTripZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on instrumented paths")
 	}
-	for _, f := range allFormats {
-		t.Run(f.String(), func(t *testing.T) {
-			c := &Codec{shapes: rowKinds, format: f}
-			r := rand.New(rand.NewSource(97))
-			d := randomRows(r, rowKinds, map[int]bool{0: true})
-			c.Quantize(d)
-			var buf []byte
-			var scratch *core.SparseDelta
-			run := func() {
-				var err error
-				buf, err = c.AppendDelta(buf[:0], d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				scratch, err = c.DecodeDelta(scratch, buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			for i := 0; i < 3; i++ {
-				run()
-			}
-			if !deltasEqual(d, scratch) {
-				t.Fatal("round trip diverged")
-			}
-			if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-				t.Fatalf("steady-state round trip made %.1f allocs/op, want 0", allocs)
-			}
-		})
+	c := &Codec{shapes: rowKinds}
+	d := randomRows(rand.New(rand.NewSource(97)), rowKinds, map[int]bool{0: true})
+	var buf []byte
+	var scratch *core.SparseDelta
+	run := func() {
+		var err error
+		buf, err = c.AppendDelta(buf[:0], d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err = c.DecodeDelta(scratch, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	if !deltasEqual(d, scratch) {
+		t.Fatal("round trip diverged")
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("steady-state round trip made %.1f allocs/op, want 0", allocs)
 	}
 }

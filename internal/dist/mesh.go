@@ -125,10 +125,6 @@ func (mr *meshRank) Exchange(step int64, local *core.SparseDelta, stop bool) (*c
 	m := mr.m
 	var localSize int64
 	if m.codec != nil {
-		// Round the deposit through the codec's wire precision (bf16) so
-		// the in-process merge sums exactly what a TCP peer would have
-		// read off the wire; size it after rounding.
-		m.codec.Quantize(local)
 		localSize = int64(m.codec.EncodedSize(local))
 	}
 
@@ -171,13 +167,6 @@ func (mr *meshRank) Exchange(step int64, local *core.SparseDelta, stop bool) (*c
 		}
 		if m.shards > 1 {
 			m.mergeScratch = merged
-		}
-		if m.codec != nil {
-			// The merged sum re-rounds like the TCP hub's broadcast
-			// (2-byte values on the wire): every replica applies the
-			// quantized merge, transport-independently. Idempotent for
-			// the 1-shard loopback, whose deposit is already rounded.
-			m.codec.Quantize(merged)
 		}
 		m.merged = merged
 		m.stopAll = false

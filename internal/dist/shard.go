@@ -109,10 +109,9 @@ func TrainSharded(ctx context.Context, cfg core.Config, train, test []dataset.Ex
 		}
 		nets[r] = net
 	}
-	// The mesh's codec matches the configured compression, so in-process
-	// groups measure the same wire bytes a TCP group would ship — and,
-	// for bf16, apply the same value rounding.
-	mesh := NewMesh(shards, NewCodecFormat(nets[0], FormatFor(tc.Compress)))
+	// The mesh prices every delta with the wire codec, so in-process
+	// groups measure the bytes a TCP group would ship.
+	mesh := NewMesh(shards, NewCodec(nets[0]))
 
 	data := make([][]dataset.Example, shards)
 	for r := range data {

@@ -32,6 +32,8 @@ import (
 // differ would silently diverge — same merged delta, different step
 // arithmetic — so the server refuses them at join time.
 
+// tcpMagic carries the codec version, so a rank built for another wire
+// format is refused at the handshake rather than at its first frame.
 var tcpMagic = [4]byte{'S', 'D', 'X', '0' + codecVersion}
 
 const (
@@ -204,18 +206,15 @@ func (s *TCPServer) handshake(conn net.Conn) (int, error) {
 // ScheduleDigest fingerprints everything the replicas of one group must
 // agree on beyond layer shapes: the full network config (weight-init
 // seed, Adam hyperparameters, table settings), the per-shard batch size,
-// the iteration count, the group's base shuffle seed (before rank
-// striping), and the delta compression mode with its top-k fraction — a
-// replica shipping bf16 or a thinned delta into a group expecting exact
-// gradients would silently diverge every rank's weights. tc is read for
-// BatchSize, Iterations, Compress and TopKFrac only (never rendered
+// the iteration count and the group's base shuffle seed (before rank
+// striping). tc is read for BatchSize and Iterations only (never rendered
 // whole: it carries function values); OverlapExchange is deliberately
 // excluded, since overlapped and synchronous replicas run the same
 // exchange sequence and may share a group. Every hashed field is plain
 // data, so the rendering is deterministic across processes.
 func ScheduleDigest(cfg core.Config, tc core.TrainConfig, baseSeed uint64) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|%d|%d|%d|%d|%g", cfg, tc.BatchSize, tc.Iterations, baseSeed, int(tc.Compress), tc.TopKFrac)
+	fmt.Fprintf(h, "%+v|%d|%d|%d", cfg, tc.BatchSize, tc.Iterations, baseSeed)
 	return h.Sum64()
 }
 
@@ -265,11 +264,8 @@ func (s *TCPServer) Exchange(step int64, local *core.SparseDelta, stop bool) (*c
 		bytesIn += int64(p.read)
 	}
 
-	// The clients' deltas arrived through the codec, already rounded to
-	// its wire precision; round the hub's own part the same way, then
-	// round the merged sum exactly as the broadcast encode would, so the
-	// delta rank 0 applies is bit-identical to what every client decodes.
-	s.codec.Quantize(local)
+	// The wire carries exact fp32, so the merged delta rank 0 applies is
+	// bit-identical to what every client decodes from the broadcast.
 	s.parts[0] = local
 	for r := 1; r < s.shards; r++ {
 		s.parts[r] = s.peers[r].delta
@@ -279,7 +275,6 @@ func (s *TCPServer) Exchange(step int64, local *core.SparseDelta, stop bool) (*c
 		return nil, false, s.failRound(err)
 	}
 	s.mergeScratch = merged
-	s.codec.Quantize(merged)
 
 	s.encodeBuf, err = s.codec.AppendDelta(s.encodeBuf[:0], merged)
 	if err != nil {

@@ -354,13 +354,14 @@ pack_block:
 	MOVQ      DI, n+40(FP)
 	RET
 
-// func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]uint32) (done, n int)
+// func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]uint32) (done, n int, nonFinite bool)
 // unpackGo over up to blocks*8 cells, a block at a time while src holds 32
 // bytes from its current position: VPERMD by perm spreads the next values
 // over the block's lanes, the lanes whose mask bit is clear are zeroed, and
-// src advances past the values used. Returns the blocks done and the bytes
-// of src read.
-TEXT ·unpackAVX2(SB), NOSPLIT, $0-64
+// src advances past the values used. A lane whose exponent is all ones
+// (NaN, ±Inf) sets nonFinite. Returns the blocks done and the bytes of src
+// read.
+TEXT ·unpackAVX2(SB), NOSPLIT, $0-65
 	MOVQ         x+0(FP), DI
 	MOVQ         mask+8(FP), SI
 	MOVQ         src+16(FP), DX
@@ -373,6 +374,10 @@ TEXT ·unpackAVX2(SB), NOSPLIT, $0-64
 	MOVQ         $0x8040201008040201, AX
 	VMOVQ        AX, X14
 	VPMOVZXBD    X14, Y14            // lane t: 1<<t
+	MOVL         $0x7f800000, AX
+	VMOVD        AX, X13
+	VPBROADCASTD X13, Y13            // the exponent field
+	VPXOR        Y12, Y12, Y12       // lanes that held a non-finite value
 
 unpack_block:
 	CMPQ         R11, CX
@@ -390,6 +395,9 @@ unpack_block:
 	VPERMD       (DX), Y2, Y3
 	VPAND        Y1, Y3, Y3
 	VMOVDQU      Y3, (DI)
+	VPAND        Y13, Y3, Y4
+	VPCMPEQD     Y13, Y4, Y4         // exponent all ones
+	VPOR         Y4, Y12, Y12
 	POPCNTL      AX, AX
 	LEAQ         (DX)(AX*4), DX
 	ADDQ         $32, DI
@@ -397,6 +405,8 @@ unpack_block:
 	JMP          unpack_block
 
 unpack_done:
+	VPTEST       Y12, Y12
+	SETNE        nonFinite+64(FP)
 	VZEROUPPER
 	MOVQ         R11, done+48(FP)
 	SUBQ         R9, DX

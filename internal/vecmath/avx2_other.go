@@ -26,7 +26,7 @@ func packAVX2(dst, mask *byte, x *float32, blocks int, perm *[256][8]uint32) (n 
 	panic("vecmath: no AVX2")
 }
 
-func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]uint32) (done, n int) {
+func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]uint32) (done, n int, nonFinite bool) {
 	panic("vecmath: no AVX2")
 }
 

@@ -87,38 +87,48 @@ func packGo(dst, mask []byte, x []float32) int {
 }
 
 // UnpackNonZero is PackNonZero's inverse: x[k] is the next value of src
-// when mask bit k is set, else +0. It returns the number of bytes read;
-// src must hold a value per set bit of the first len(x) mask bits, and may
-// run on past them (the vector kernel loads whole 32-byte blocks while
-// src holds them).
-func UnpackNonZero(x []float32, mask, src []byte) int {
+// when mask bit k is set, else +0. It returns the number of bytes read and
+// whether every value read is finite — the check rides the unpack, so a
+// decoder rejects NaN and ±Inf without a second pass. src must hold a value
+// per set bit of the first len(x) mask bits, and may run on past them (the
+// vector kernel loads whole 32-byte blocks while src holds them).
+func UnpackNonZero(x []float32, mask, src []byte) (n int, finite bool) {
 	if len(mask) < MaskLen(len(x)) {
 		panic("vecmath: UnpackNonZero mask too short")
 	}
-	p, done := 0, 0
+	p, done, bad := 0, 0, false
 	if Unrolled && hasAVX2 {
 		for n8 := len(x) &^ 7; done < n8 && len(src)-p >= 32; {
 			c := min(n8-done, maxCells)
-			blocks, n := unpackAVX2(&x[done], &mask[done/8], &src[p], c/8, len(src)-p, &expandPerm)
+			blocks, n, nonFinite := unpackAVX2(&x[done], &mask[done/8], &src[p], c/8, len(src)-p, &expandPerm)
 			p += n
 			done += 8 * blocks
+			bad = bad || nonFinite
 			if blocks < c/8 {
 				break
 			}
 		}
 	}
-	return p + unpackGo(x[done:], mask[done/8:], src[p:])
+	n, finite = unpackGo(x[done:], mask[done/8:], src[p:])
+	return p + n, finite && !bad
 }
 
+// expBits is a float32's exponent field: all ones on NaN and ±Inf only.
+const expBits = 0x7f800000
+
 // unpackGo is the Go UnpackNonZero.
-func unpackGo(x []float32, mask, src []byte) int {
-	p := 0
+func unpackGo(x []float32, mask, src []byte) (int, bool) {
+	p, finite := 0, true
 	for k := range x {
 		x[k] = 0
 		if mask[k/8]>>(k%8)&1 != 0 {
-			x[k] = math.Float32frombits(binary.LittleEndian.Uint32(src[p:]))
+			u := binary.LittleEndian.Uint32(src[p:])
+			x[k] = math.Float32frombits(u)
+			if u&expBits == expBits {
+				finite = false
+			}
 			p += 4
 		}
 	}
-	return p
+	return p, finite
 }

@@ -120,18 +120,6 @@ type (
 // all-reduce and TCP implementations.
 type DeltaExchanger = core.DeltaExchanger
 
-// DeltaCompression selects how TrainConfig compresses the exchanged
-// per-batch delta: full fp32 values, bf16 values, or top-k magnitude
-// selection with error feedback (TrainConfig.TopKFrac).
-type DeltaCompression = core.DeltaCompression
-
-// Delta compression modes for TrainConfig.Compress.
-const (
-	CompressFP32 = core.CompressFP32
-	CompressBF16 = core.CompressBF16
-	CompressTopK = core.CompressTopK
-)
-
 // MergeDeltas sums deltas row by row in part order into dst (reused when
 // non-nil) — the deterministic merge data-parallel replicas apply.
 func MergeDeltas(dst *SparseDelta, parts []*SparseDelta) (*SparseDelta, error) {
@@ -209,10 +197,3 @@ func ParseStrategy(s string) (StrategyKind, error) { return sampling.ParseKind(s
 // ParsePolicy parses a bucket insertion policy name ("reservoir",
 // "fifo").
 func ParsePolicy(s string) (Policy, error) { return hashtable.ParsePolicy(s) }
-
-// ParseCompression parses a delta compression spec ("fp32", "bf16",
-// "topk:<frac>"); the fraction accompanies CompressTopK as
-// TrainConfig.TopKFrac.
-func ParseCompression(s string) (DeltaCompression, float64, error) {
-	return core.ParseCompression(s)
-}

@@ -123,13 +123,6 @@ func parsed[T any](parse func(string) (T, error)) func(string) (any, error) {
 // accept on their flags parses through the facade to the exported
 // constant of that name, and a misspelling is an error.
 func TestParseNamesMapToConstants(t *testing.T) {
-	parseCompress := func(s string) (any, error) {
-		c, frac, err := slide.ParseCompression(s)
-		if c == slide.CompressTopK && frac != 0.25 {
-			t.Errorf("ParseCompression(%q) fraction = %v, want 0.25", s, frac)
-		}
-		return c, err
-	}
 	for _, tc := range []struct {
 		kind, name string
 		parse      func(string) (any, error)
@@ -145,9 +138,6 @@ func TestParseNamesMapToConstants(t *testing.T) {
 		{"strategy", "random", parsed(slide.ParseStrategy), slide.StrategyRandom},
 		{"policy", "reservoir", parsed(slide.ParsePolicy), slide.PolicyReservoir},
 		{"policy", "fifo", parsed(slide.ParsePolicy), slide.PolicyFIFO},
-		{"compress", "fp32", parseCompress, slide.CompressFP32},
-		{"compress", "bf16", parseCompress, slide.CompressBF16},
-		{"compress", "topk:0.25", parseCompress, slide.CompressTopK},
 	} {
 		t.Run(tc.kind+"/"+tc.name, func(t *testing.T) {
 			got, err := tc.parse(tc.name)
