@@ -76,14 +76,16 @@ func benchStrategy(b *testing.B, kind sampling.Kind) {
 	}
 	r := rng.New(7)
 	vec := make([]float32, dim)
-	codes := make([]uint32, fam.NumFuncs())
+	nf := fam.NumFuncs()
+	rows := make([]uint32, neurons*nf)
 	for id := 0; id < neurons; id++ {
 		for i := range vec {
 			vec[i] = r.NormFloat32()
 		}
-		fam.HashDense(vec, codes)
-		tbl.Insert(uint32(id), codes)
+		fam.HashDense(vec, rows[id*nf:(id+1)*nf])
 	}
+	tbl.BuildParallel(neurons, rows, nf, 1)
+	codes := make([]uint32, nf)
 	strat, err := sampling.New(sampling.Params{Kind: kind, Beta: neurons / 50, MinCount: 2, Seed: 3}, neurons)
 	if err != nil {
 		b.Fatal(err)
@@ -231,7 +233,7 @@ func BenchmarkFig11Theory(b *testing.B) {
 }
 
 // BenchmarkTable3Insertion measures full table construction (hash +
-// insert) for both bucket policies over a neuron population.
+// build) for both bucket policies over a neuron population.
 func BenchmarkTable3Insertion(b *testing.B) {
 	const neurons, dim, k, l = 20544, 128, 6, 20
 	fam, err := lsh.New(lsh.KindSimhash, lsh.Params{Dim: dim, K: k, L: l, Seed: 1})
@@ -249,16 +251,17 @@ func BenchmarkTable3Insertion(b *testing.B) {
 	}
 	for _, policy := range []hashtable.Policy{hashtable.PolicyReservoir, hashtable.PolicyFIFO} {
 		b.Run(policy.String(), func(b *testing.B) {
-			codes := make([]uint32, fam.NumFuncs())
+			nf := fam.NumFuncs()
+			codes := make([]uint32, neurons*nf)
 			for i := 0; i < b.N; i++ {
 				tbl, err := hashtable.New(hashtable.Config{K: k, L: l, CodeBits: 1, Policy: policy, Seed: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
 				for id := 0; id < neurons; id++ {
-					fam.HashDense(weights[id], codes)
-					tbl.Insert(uint32(id), codes)
+					fam.HashDense(weights[id], codes[id*nf:(id+1)*nf])
 				}
+				tbl.BuildParallel(neurons, codes, nf, 1)
 			}
 		})
 	}

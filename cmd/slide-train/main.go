@@ -47,7 +47,7 @@ func main() {
 		hash      = flag.String("hash", "simhash", "LSH family: simhash|wta|dwta|doph")
 		k         = flag.Int("k", 6, "hash codes per table (K)")
 		l         = flag.Int("l", 20, "hash tables (L)")
-		rangePow  = flag.Int("rangepow", 0, "log2 buckets per table (0 = auto)")
+		rangePow  = flag.Int("rangepow", 0, "log2 buckets per table (0 = auto: min(K × code bits, 18); a table costs 4 B per bucket plus 4 B per class)")
 		beta      = flag.Int("beta", 0, "target active neurons (0 = classes/20)")
 		strategy  = flag.String("strategy", "vanilla", "sampling: vanilla|topk|hard-threshold")
 		policy    = flag.String("policy", "reservoir", "bucket policy: reservoir|fifo")

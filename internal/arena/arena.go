@@ -14,8 +14,8 @@ import (
 	"unsafe"
 )
 
-// CacheLineBytes is the alignment granule of AllocAligned and the typed
-// allocations, so buffers owned by different writers never share a cache
+// CacheLineBytes is the alignment granule of AllocAligned and AllocRows,
+// so buffers owned by different writers never share a cache
 // line (the false-sharing opportunity App. D describes).
 const CacheLineBytes = 64
 
@@ -59,9 +59,7 @@ func SetBackend(b Backend) Backend {
 // but every slab falls back to the heap.
 func DefaultBackend() Backend { return Backend(defaultBackend.Load()) }
 
-// Arena allocates float32 slices out of large slabs. A second byte-slab
-// class backs the integer (uint32/int32) allocations, carved with the
-// same cache-line alignment.
+// Arena allocates float32 slices out of large slabs.
 type Arena struct {
 	slabSize int
 	backend  Backend
@@ -69,18 +67,13 @@ type Arena struct {
 	cur      []float32
 	off      int
 
-	bslabs [][]byte
-	bcur   []byte
-	boff   int
-
 	// mapped holds the raw mmap regions backing mmap-backend slabs, for
 	// Release to unmap. Heap slabs are garbage collected instead.
 	mapped [][]byte
-	// freeF/freeB are retired standard-size slabs Reset has zeroed for
-	// reuse, so a rebuild cycle (reload, shard re-init) reuses its
-	// mappings instead of growing the address space.
+	// freeF holds retired standard-size slabs Reset has zeroed for reuse,
+	// so a rebuild cycle (reload, shard re-init) reuses its mappings
+	// instead of growing the address space.
 	freeF [][]float32
-	freeB [][]byte
 }
 
 // New returns an arena whose slabs hold slabFloats float32 values each
@@ -114,22 +107,6 @@ func (a *Arena) newFloatSlab(n int) []float32 {
 	return make([]float32, n)
 }
 
-// newByteSlab is newFloatSlab for the byte-slab class.
-func (a *Arena) newByteSlab(n int) []byte {
-	if n == a.slabSize*4 && len(a.freeB) > 0 {
-		s := a.freeB[len(a.freeB)-1]
-		a.freeB = a.freeB[:len(a.freeB)-1]
-		return s
-	}
-	if a.backend == BackendMmap {
-		if b := mmapSlab(n); b != nil {
-			a.mapped = append(a.mapped, b)
-			return b
-		}
-	}
-	return make([]byte, n)
-}
-
 // Reset retires every slab: standard-size slabs are zeroed onto the
 // free lists for the next build cycle, oversize heap slabs drop to the
 // garbage collector (oversize mmap slabs stay mapped until Release).
@@ -142,15 +119,7 @@ func (a *Arena) Reset() {
 			a.freeF = append(a.freeF, s)
 		}
 	}
-	for _, s := range a.bslabs {
-		if len(s) == a.slabSize*4 {
-			clear(s)
-			a.freeB = append(a.freeB, s)
-		}
-	}
-	a.slabs, a.bslabs = nil, nil
-	a.cur, a.bcur = nil, nil
-	a.off, a.boff = 0, 0
+	a.slabs, a.cur, a.off = nil, nil, 0
 }
 
 // Release unmaps every mmap-backed slab and drops all heap slabs and
@@ -163,11 +132,8 @@ func (a *Arena) Release() {
 	for _, m := range a.mapped {
 		munmapSlab(m)
 	}
-	a.mapped = nil
-	a.slabs, a.bslabs = nil, nil
-	a.freeF, a.freeB = nil, nil
-	a.cur, a.bcur = nil, nil
-	a.off, a.boff = 0, 0
+	a.mapped, a.freeF = nil, nil
+	a.slabs, a.cur, a.off = nil, nil, 0
 }
 
 // MmapSupported reports whether this platform can back slabs with mmap;
@@ -245,60 +211,9 @@ func (a *Arena) AllocRows(rows, rowLen int) [][]float32 {
 	return out
 }
 
-// allocBytes returns a zeroed cache-line-aligned byte slice of length n
-// from the byte-slab class. Byte slabs hold the same byte budget as the
-// float slabs (slabSize*4).
-func (a *Arena) allocBytes(n int) []byte {
-	if n < 0 {
-		panic(fmt.Sprintf("arena: negative allocation %d", n))
-	}
-	if n == 0 {
-		return nil
-	}
-	byteSlab := a.slabSize * 4
-	if n >= byteSlab {
-		s := a.newByteSlab(n)
-		a.bslabs = append(a.bslabs, s)
-		return s
-	}
-	if rem := a.boff % CacheLineBytes; rem != 0 && a.bcur != nil {
-		if pad := CacheLineBytes - rem; a.boff+pad <= len(a.bcur) {
-			a.boff += pad
-		}
-	}
-	if a.bcur == nil || a.boff+n > len(a.bcur) {
-		a.bcur = a.newByteSlab(byteSlab)
-		a.bslabs = append(a.bslabs, a.bcur)
-		a.boff = 0
-	}
-	s := a.bcur[a.boff : a.boff+n : a.boff+n]
-	a.boff += n
-	return s
-}
-
-// AllocUint32 returns a zeroed cache-line-aligned []uint32 of length n —
-// the backing store for flat hash-table id slabs and per-row code memos.
-func (a *Arena) AllocUint32(n int) []uint32 {
-	b := a.allocBytes(n * 4)
-	if b == nil {
-		return nil
-	}
-	return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
-}
-
-// AllocInt32 returns a zeroed cache-line-aligned []int32 of length n — the
-// backing store for flat bucket occupancy counters.
-func (a *Arena) AllocInt32(n int) []int32 {
-	b := a.allocBytes(n * 4)
-	if b == nil {
-		return nil
-	}
-	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-}
-
 // Slabs reports how many distinct heap blocks back the arena — the
 // Table 4 analogue of the hugepage mapping count.
-func (a *Arena) Slabs() int { return len(a.slabs) + len(a.bslabs) }
+func (a *Arena) Slabs() int { return len(a.slabs) }
 
 // Floats reports the total float32 capacity currently owned by the arena.
 func (a *Arena) Floats() int {

@@ -1,9 +1,6 @@
 package arena
 
-import (
-	"testing"
-	"unsafe"
-)
+import "testing"
 
 func TestAllocZeroedAndSized(t *testing.T) {
 	a := New(1 << 16)
@@ -129,63 +126,4 @@ func TestNegativeAllocPanics(t *testing.T) {
 		}
 	}()
 	New(0).Alloc(-1)
-}
-
-func TestAllocUint32ZeroedAligned(t *testing.T) {
-	a := New(1 << 16)
-	a.AllocInt32(3) // misalign the byte cursor
-	s := a.AllocUint32(100)
-	if len(s) != 100 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for i, v := range s {
-		if v != 0 {
-			t.Fatalf("slot %d not zeroed: %v", i, v)
-		}
-	}
-	if addr := uintptr(unsafe.Pointer(&s[0])); addr%CacheLineBytes != 0 {
-		t.Fatalf("uint32 allocation not cache-line aligned: %#x", addr)
-	}
-	if got := a.AllocUint32(0); got != nil {
-		t.Fatalf("AllocUint32(0) = %v", got)
-	}
-}
-
-func TestAllocInt32NoAliasing(t *testing.T) {
-	a := New(1 << 16)
-	x := a.AllocInt32(64)
-	y := a.AllocInt32(64)
-	for i := range x {
-		x[i] = 1
-	}
-	for i, v := range y {
-		if v != 0 {
-			t.Fatalf("int32 allocation aliasing at %d: %v", i, v)
-		}
-	}
-	if addr := uintptr(unsafe.Pointer(&y[0])); addr%CacheLineBytes != 0 {
-		t.Fatalf("int32 allocation not cache-line aligned: %#x", addr)
-	}
-}
-
-func TestByteSlabsCountedInSlabs(t *testing.T) {
-	a := New(1 << 16)
-	before := a.Slabs()
-	a.AllocUint32(10)
-	if a.Slabs() != before+1 {
-		t.Fatalf("byte slab not counted: %d -> %d", before, a.Slabs())
-	}
-	// An allocation past the byte-slab size takes a dedicated byte slab.
-	mid := a.Slabs()
-	s := a.AllocInt32(1 << 18)
-	if len(s) != 1<<18 {
-		t.Fatalf("large int32 alloc len %d", len(s))
-	}
-	if a.Slabs() != mid+1 {
-		t.Fatal("large int32 alloc did not take a dedicated slab")
-	}
-	// Float accounting is unaffected by byte slabs.
-	if a.Floats() != 0 {
-		t.Fatalf("Floats = %d after byte-only allocations", a.Floats())
-	}
 }

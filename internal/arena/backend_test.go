@@ -26,16 +26,6 @@ func carve(a *Arena) []uint32 {
 		touch(row)
 	}
 	touch(a.Alloc(a.slabSize + 1)) // oversize: dedicated slab
-	q := a.AllocUint32(257)
-	for i := range q {
-		q[i] = uint32(r.Intn(1 << 30))
-		out = append(out, q[i])
-	}
-	b := a.AllocInt32(129)
-	for i := range b {
-		b[i] = int32(r.Intn(1<<16) - 1<<15)
-		out = append(out, uint32(b[i]))
-	}
 	return out
 }
 
@@ -89,10 +79,6 @@ func TestMmapAllocationsZeroedAndAligned(t *testing.T) {
 	if addr := uintptr(unsafe.Pointer(&s[0])); addr%CacheLineBytes != 0 {
 		t.Fatalf("aligned alloc at %#x", addr)
 	}
-	q := a.AllocUint32(10)
-	if addr := uintptr(unsafe.Pointer(&q[0])); addr%CacheLineBytes != 0 {
-		t.Fatalf("uint32 alloc at %#x", addr)
-	}
 }
 
 // TestResetRecyclesSlabs: after Reset, the next build cycle reuses the
@@ -105,7 +91,6 @@ func TestResetRecyclesSlabs(t *testing.T) {
 	for i := range s {
 		s[i] = 1
 	}
-	a.AllocUint32(100)
 	mapped := a.MappedBytes()
 	a.Reset()
 	if a.MappedBytes() != mapped {

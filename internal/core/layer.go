@@ -241,10 +241,11 @@ const (
 // restore, RebuildTables, the scheduled inline and background rebuilds —
 // runs the same three steps. (1) Prepare, detached builds only: copy the
 // weight rows into snapBuf at a batch boundary. (2) Build: chunk by
-// chunk, block-hash the rows (lsh.Family.HashDenseRows) and insert the
-// chunk into a detached generation-seeded shadow set, table-parallel.
-// (3) Publish the shadow with one atomic handle store. Only step (1) has
-// to run while training is quiesced; steps (2)-(3) are safe concurrently
+// chunk, block-hash the rows (lsh.Family.HashDenseRows) and write their
+// bucket addresses into a detached generation-seeded shadow set,
+// row-parallel; then place every table's ids, table-parallel. (3)
+// Publish the shadow with one atomic handle store. Only step (1) has to
+// run while training is quiesced; steps (2)-(3) are safe concurrently
 // with training batches (and their boundary weight steps) and with live
 // Predictor traffic, which is what lets Network overlap the expensive
 // build with training.
@@ -281,12 +282,14 @@ func (l *Layer) snapshotRows(workers int) []float32 {
 // background goroutine while training and inference continue on the
 // published set. With snap nil the weights must be quiesced, and each
 // worker stages its share of the chunk's live rows into stageBuf for the
-// block kernel. A row's codes are a pure function of the row and every
-// table receives ids in ascending order, so both sources build the same
-// tables. Hashing parallelizes over neurons and insertion over tables,
-// the two lock-free axes §3.1 identifies.
+// block kernel. A row's codes are a pure function of the row and the
+// build a pure function of the codes, so both sources build the same
+// tables. Hashing and addressing parallelize over neurons, each worker
+// addressing its rows while their codes are still in cache, and placement
+// over tables: the two lock-free axes §3.1 identifies.
 func (l *Layer) buildShadow(gen uint64, snap []float32, workers int) *hashtable.Table {
 	shadow := l.tables.Load().Shadow(gen)
+	shadow.Begin(l.out)
 	nf := l.fam.NumFuncs()
 	chunk := max(1, min(rebuildChunk, rebuildStageFloats/l.in))
 	if len(l.codesBuf) < chunk*nf {
@@ -309,9 +312,10 @@ func (l *Layer) buildShadow(gen uint64, snap []float32, workers int) *hashtable.
 				}
 			}
 			l.fam.HashDenseRows(block, hi-lo, codes[lo*nf:hi*nf])
+			shadow.AddressRows(base+lo, hi-lo, codes[lo*nf:hi*nf], nf)
 		})
-		shadow.InsertRows(uint32(base), n, codes, nf, workers)
 	}
+	shadow.Place(workers)
 	atomic.AddInt64(&l.rowsHashed, int64(l.out))
 	return shadow
 }

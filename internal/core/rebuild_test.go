@@ -13,15 +13,17 @@ import (
 )
 
 // naiveTables builds layer l's generation-gen table set the slow way —
-// one HashDense and one all-table Insert per live row — as the reference
-// the chunked block-hash pipeline must reproduce bucket for bucket.
+// one HashDense per live row into a whole code matrix, then one
+// single-worker BuildParallel — as the reference the chunked block-hash
+// pipeline must reproduce bucket for bucket.
 func naiveTables(l *Layer, gen uint64) *hashtable.Table {
 	ref := l.Tables().Shadow(gen)
-	codes := make([]uint32, l.fam.NumFuncs())
+	nf := l.fam.NumFuncs()
+	codes := make([]uint32, l.out*nf)
 	for j := 0; j < l.out; j++ {
-		l.fam.HashDense(l.w[j], codes)
-		ref.Insert(uint32(j), codes)
+		l.fam.HashDense(l.w[j], codes[j*nf:(j+1)*nf])
 	}
+	ref.BuildParallel(l.out, codes, nf, 1)
 	return ref
 }
 
@@ -348,9 +350,10 @@ func TestRebuildSteadyStateAllocs(t *testing.T) {
 	}
 	n.RebuildTables(1) // warm the rebuild scratch
 	allocs := testing.AllocsPerRun(5, func() { n.RebuildTables(1) })
-	// Budget: the shadow Table (struct, arena, one slab, L insert RNGs)
-	// for the sampled layer, plus small constant overhead. L=16 here, so
-	// anything O(rows)=512 would blow far past the bound.
+	// Budget: the shadow Table (struct, offsets, ids) and the placement
+	// workers' scratch for the sampled layer, plus small constant
+	// overhead. L=16 here, so anything O(rows)=512 or per table would
+	// blow far past the bound.
 	if allocs > 64 {
 		t.Fatalf("steady-state rebuild allocated %.0f objects; want <= 64 (O(L) shadow-table setup only)", allocs)
 	}

@@ -1,6 +1,7 @@
 // Package hashtable implements the (K, L)-parameterized LSH tables at the
 // heart of SLIDE (§2, §3.2): L independent tables, each addressed by a
-// meta-hash of K codes, holding neuron ids in fixed-capacity buckets.
+// meta-hash of K codes, holding neuron ids in capacity-limited buckets
+// stored in CSR layout and built whole in two passes (see Table, build.go).
 //
 // Bucket capacity is limited (the paper: "the number of entries is limited
 // to a fixed bucket size" to bound memory and balance thread load), with
@@ -15,11 +16,8 @@ package hashtable
 
 import (
 	"fmt"
-	"runtime"
+	"slices"
 	"sync/atomic"
-
-	"repro/internal/arena"
-	"repro/internal/rng"
 )
 
 // Policy selects the replacement strategy applied when inserting into a
@@ -78,8 +76,9 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultRangePowCap bounds the automatic RangePow choice so that K tables
-// of wide codes (e.g. DWTA's K*3 bits) do not allocate huge bucket arrays.
+// DefaultRangePowCap bounds the automatic RangePow choice so that tables
+// of wide codes (e.g. DWTA's K*3 bits) do not allocate huge offset arrays:
+// at the cap a table's offsets cost 1 MB.
 const DefaultRangePowCap = 18
 
 // DefaultBucketSize is the paper's fixed bucket size.
@@ -114,34 +113,21 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Table is a set of L LSH tables over uint32 ids. Insertion is safe for
-// concurrent use only when distinct goroutines operate on distinct table
-// indices (see InsertBatch); queries are safe concurrently with each other.
-//
-// Storage is flat: bucket i of table ti is index bi = ti*numBuckets+i,
-// its occupancy is blen[bi], its reservoir counter seen[bi], and its ids
-// occupy the fixed run ids[bi*BucketSize:(bi+1)*BucketSize]. All three
-// arrays carve from one arena slab sized for the whole table set, so a
-// rebuild costs one slab allocation and probes walk densely packed
-// counters instead of 24-byte bucket headers.
+// Table is a set of L LSH tables over the ids 0..rows-1 of one build, in
+// compressed sparse row (CSR) layout: with o = ti*(numBuckets+1), bucket
+// b of table ti holds ids[offs[o+b]:offs[o+b+1]], min(count, BucketSize)
+// ids inside the table's rows-long region ids[ti*rows:]. A set costs
+// 4·L·(numBuckets+1+rows) bytes. It is written only by its build (see
+// build.go) and read-only afterwards; queries are safe concurrently.
 type Table struct {
 	cfg        Config
+	gen        uint64 // reservoir stream family of the build
 	numBuckets int
 	packed     bool // direct code concatenation vs mixed addressing
+	rows       int  // ids of the current build: 0..rows-1
 
-	blen []int32  // occupied entries per bucket, <= BucketSize
-	seen []uint32 // insertions ever attempted (reservoir counter / FIFO cursor)
-	ids  []uint32 // [L*numBuckets*BucketSize], bucket bi at bi*BucketSize
-
-	// ar owns the slab behind blen/seen/ids. A finalizing cleanup releases
-	// it (unmapping mmap-backend slabs) once the Table is unreachable, so
-	// the per-generation rebuild churn does not grow the address space.
-	ar *arena.Arena
-
-	// insertRNG[t] supplies reservoir randomness for table t, keeping
-	// per-table insertion deterministic and lock-free under the
-	// one-goroutine-per-table parallel build.
-	insertRNG []*rng.RNG
+	offs []uint32 // [L*(numBuckets+1)] absolute bucket bounds into ids
+	ids  []uint32 // [L*rows]; table ti's region at ti*rows
 }
 
 // New creates an empty table set at generation zero.
@@ -158,38 +144,27 @@ func New(cfg Config) (*Table, error) {
 // generation repeats another) while staying a pure function of (seed, gen).
 const genSeedMix = 0xd1b54a32d192ed03
 
-// newTable builds an empty table set from an already-validated config.
-// gen selects the reservoir stream family: generation 0 reproduces the
-// historical New seeding exactly.
+// newTable builds an empty table set (every offset zero) from an
+// already-validated config. gen selects the reservoir stream family:
+// generation 0 reproduces New's seeding.
 func newTable(cfg Config, gen uint64) *Table {
-	t := &Table{
+	nb := 1 << cfg.RangePow
+	return &Table{
 		cfg:        cfg,
-		numBuckets: 1 << cfg.RangePow,
+		gen:        gen,
+		numBuckets: nb,
 		packed:     cfg.K*cfg.CodeBits <= cfg.RangePow,
+		offs:       make([]uint32, cfg.L*(nb+1)),
 	}
-	total := cfg.L * t.numBuckets
-	// Size the arena to the exact table-set footprint (+64 words absorb
-	// cache-line alignment padding) so blen, seen and ids all carve from
-	// a single slab.
-	t.ar = arena.New(total*(2+cfg.BucketSize) + 64)
-	t.blen = t.ar.AllocInt32(total)
-	t.seen = t.ar.AllocUint32(total)
-	t.ids = t.ar.AllocUint32(total * cfg.BucketSize)
-	t.insertRNG = make([]*rng.RNG, cfg.L)
-	for i := range t.insertRNG {
-		t.insertRNG[i] = rng.NewStream(cfg.Seed^gen*genSeedMix, uint64(i)+0x7ab1e)
-	}
-	runtime.AddCleanup(t, func(a *arena.Arena) { a.Release() }, t.ar)
-	return t
 }
 
 // Shadow returns a new empty table set with the same configuration whose
 // reservoir streams are derived from gen. A generation-g build is a pure
-// function of (config, gen, insertion sequence): building the same ids in
-// the same order into two generation-g shadows — inline or on a background
-// goroutine — yields bucket-for-bucket identical tables. This is the
-// detached target of the non-blocking rebuild lifecycle: build a shadow
-// off the hot path, then publish it through a Handle.
+// function of (config, gen, codes): building the same rows into two
+// generation-g shadows — inline or on a background goroutine, in one
+// range or several — yields bucket-for-bucket identical tables. This is
+// the detached target of the non-blocking rebuild lifecycle: build a
+// shadow off the hot path, then publish it through a Handle.
 func (t *Table) Shadow(gen uint64) *Table {
 	return newTable(t.cfg, gen)
 }
@@ -225,78 +200,32 @@ func (t *Table) Address(ti int, codes []uint32) uint32 {
 	return uint32(h) & uint32(t.numBuckets-1)
 }
 
-// Insert adds id to every table using its code vector. Not safe for
-// concurrent use with other Inserts on the same table index.
-func (t *Table) Insert(id uint32, codes []uint32) {
-	for ti := 0; ti < t.cfg.L; ti++ {
-		t.InsertInto(ti, id, codes)
-	}
-}
-
-// InsertInto adds id to table ti only. Distinct goroutines may call
-// InsertInto concurrently for distinct ti.
-func (t *Table) InsertInto(ti int, id uint32, codes []uint32) {
-	bi := ti*t.numBuckets + int(t.Address(ti, codes))
-	seen := t.seen[bi] + 1
-	t.seen[bi] = seen
-	start := bi * t.cfg.BucketSize
-	if n := int(t.blen[bi]); n < t.cfg.BucketSize {
-		t.ids[start+n] = id
-		t.blen[bi]++
-		return
-	}
-	switch t.cfg.Policy {
-	case PolicyReservoir:
-		// Vitter algorithm R: replace a uniform slot with probability
-		// BucketSize/seen, keeping the bucket a uniform sample of all
-		// insertions.
-		r := t.insertRNG[ti].Intn(int(seen))
-		if r < t.cfg.BucketSize {
-			t.ids[start+r] = id
-		}
-	case PolicyFIFO:
-		slot := int(seen-1) % t.cfg.BucketSize
-		t.ids[start+slot] = id
-	}
-}
-
 // Bucket returns the ids stored in the bucket of table ti addressed by the
 // code vector. The returned slice aliases internal storage; callers must
-// not mutate it, nor retain it across inserts or past the Table's own
-// lifetime (a dropped Table may release its slab).
+// not mutate it.
 func (t *Table) Bucket(ti int, codes []uint32) []uint32 {
-	bi := ti*t.numBuckets + int(t.Address(ti, codes))
-	start := bi * t.cfg.BucketSize
-	return t.ids[start : start+int(t.blen[bi])]
+	return t.BucketAt(ti, int(t.Address(ti, codes)))
 }
 
 // BucketAt returns the ids stored in bucket bi of table ti, for
 // diagnostics and table comparison. The slice aliases internal storage.
 func (t *Table) BucketAt(ti, bi int) []uint32 {
-	i := ti*t.numBuckets + bi
-	start := i * t.cfg.BucketSize
-	return t.ids[start : start+int(t.blen[i])]
+	i := ti*(t.numBuckets+1) + bi
+	return t.ids[t.offs[i]:t.offs[i+1]]
 }
 
-// Equal reports whether two table sets share the same configuration and
-// bucket-for-bucket identical contents, including entry order and the
-// reservoir insertion counters — the equivalence a detached shadow build
-// must satisfy against a synchronous rebuild from the same snapshot.
+// Equal reports whether two table sets share the same configuration, row
+// count and bucket-for-bucket identical contents, including entry order —
+// the equivalence a detached shadow build must satisfy against a
+// synchronous rebuild from the same snapshot.
 func (t *Table) Equal(o *Table) bool {
-	if o == nil || t.cfg != o.cfg {
+	if o == nil || t.cfg != o.cfg || t.rows != o.rows || !slices.Equal(t.offs, o.offs) {
 		return false
 	}
-	bs := t.cfg.BucketSize
-	for i := range t.blen {
-		n := t.blen[i]
-		if n != o.blen[i] || t.seen[i] != o.seen[i] {
+	for ti := 0; ti < t.cfg.L; ti++ {
+		lo, hi := ti*t.rows, t.offs[(ti+1)*(t.numBuckets+1)-1]
+		if !slices.Equal(t.ids[lo:hi], o.ids[lo:hi]) {
 			return false
-		}
-		start := i * bs
-		for k := 0; k < int(n); k++ {
-			if t.ids[start+k] != o.ids[start+k] {
-				return false
-			}
 		}
 	}
 	return true
@@ -329,23 +258,12 @@ func (h *Handle) Store(t *Table) { h.p.Store(t) }
 // Swap publishes t and returns the superseded table set.
 func (h *Handle) Swap(t *Table) *Table { return h.p.Swap(t) }
 
-// Clear empties all buckets, retaining capacity, without resetting the
-// reservoir streams. Offline builders that reuse one table (BuildParallel)
-// keep their replacement decisions advancing across builds; the training
-// rebuild lifecycle does not use Clear — it builds fresh generation-seeded
-// Shadow sets whose decisions are deliberately reproducible per
-// generation.
-func (t *Table) Clear() {
-	clear(t.blen)
-	clear(t.seen)
-}
-
 // Stats summarizes table occupancy, for diagnostics and tests.
 type Stats struct {
 	Tables       int
 	BucketsPer   int
 	TotalStored  int     // ids currently stored across all tables
-	TotalSeen    int     // insertions ever attempted
+	TotalSeen    int     // insertions the build replayed: rows × L
 	NonEmpty     int     // non-empty buckets across all tables
 	MaxBucketLen int     // largest current bucket occupancy
 	AvgBucketLen float64 // mean occupancy over non-empty buckets
@@ -353,14 +271,14 @@ type Stats struct {
 
 // Stats computes occupancy statistics.
 func (t *Table) Stats() Stats {
-	s := Stats{Tables: t.cfg.L, BucketsPer: t.numBuckets}
-	for i, n := range t.blen {
-		s.TotalStored += int(n)
-		s.TotalSeen += int(t.seen[i])
-		if n > 0 {
-			s.NonEmpty++
-			if int(n) > s.MaxBucketLen {
-				s.MaxBucketLen = int(n)
+	s := Stats{Tables: t.cfg.L, BucketsPer: t.numBuckets, TotalSeen: t.rows * t.cfg.L}
+	for ti := 0; ti < t.cfg.L; ti++ {
+		offs := t.offs[ti*(t.numBuckets+1) : (ti+1)*(t.numBuckets+1)]
+		for b := 0; b < t.numBuckets; b++ {
+			if n := int(offs[b+1] - offs[b]); n > 0 {
+				s.TotalStored += n
+				s.NonEmpty++
+				s.MaxBucketLen = max(s.MaxBucketLen, n)
 			}
 		}
 	}

@@ -2,6 +2,9 @@ package hashtable
 
 import (
 	"math"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -26,20 +29,27 @@ func randCodes(r *rng.RNG, k, l, bits int) []uint32 {
 	return codes
 }
 
-func TestInsertQueryRoundTrip(t *testing.T) {
+// sameCodes is a code matrix of n rows that all carry codes.
+func sameCodes(n int, codes []uint32) []uint32 {
+	m := make([]uint32, 0, n*len(codes))
+	for range n {
+		m = append(m, codes...)
+	}
+	return m
+}
+
+func TestBuildQueryRoundTrip(t *testing.T) {
 	tbl := mkTable(t, Config{K: 3, L: 4, CodeBits: 2, Seed: 1})
 	r := rng.New(7)
-	codes := randCodes(r, 3, 4, 2)
-	tbl.Insert(42, codes)
-	for ti := 0; ti < 4; ti++ {
-		found := false
-		for _, id := range tbl.Bucket(ti, codes) {
-			if id == 42 {
-				found = true
+	const n = 64
+	m := randCodes(r, 3, 4*n, 2) // n rows of K*L codes
+	tbl.BuildParallel(n, m, 3*4, 2)
+	for id := uint32(0); id < n; id++ {
+		codes := m[id*12 : (id+1)*12]
+		for ti := 0; ti < 4; ti++ {
+			if !slices.Contains(tbl.Bucket(ti, codes), id) {
+				t.Fatalf("id %d missing from table %d after the build", id, ti)
 			}
-		}
-		if !found {
-			t.Fatalf("id missing from table %d after Insert", ti)
 		}
 	}
 }
@@ -79,9 +89,7 @@ func TestPackedAddressing(t *testing.T) {
 func TestBucketCapacityLimit(t *testing.T) {
 	tbl := mkTable(t, Config{K: 1, L: 1, CodeBits: 1, BucketSize: 8, Seed: 1})
 	codes := []uint32{1}
-	for id := uint32(0); id < 100; id++ {
-		tbl.Insert(id, codes)
-	}
+	tbl.BuildParallel(100, sameCodes(100, codes), 1, 1)
 	if got := len(tbl.Bucket(0, codes)); got != 8 {
 		t.Fatalf("bucket holds %d ids, capacity is 8", got)
 	}
@@ -94,19 +102,10 @@ func TestBucketCapacityLimit(t *testing.T) {
 func TestFIFOReplacement(t *testing.T) {
 	tbl := mkTable(t, Config{K: 1, L: 1, CodeBits: 1, BucketSize: 4, Policy: PolicyFIFO, Seed: 1})
 	codes := []uint32{0}
-	for id := uint32(0); id < 10; id++ {
-		tbl.Insert(id, codes)
-	}
+	tbl.BuildParallel(10, sameCodes(10, codes), 1, 1)
 	// Ring buffer after 10 inserts with cap 4: slots hold 8, 9, 6, 7.
-	got := tbl.Bucket(0, codes)
-	want := map[uint32]bool{6: true, 7: true, 8: true, 9: true}
-	if len(got) != 4 {
-		t.Fatalf("bucket len %d", len(got))
-	}
-	for _, id := range got {
-		if !want[id] {
-			t.Fatalf("FIFO kept %v, want the 4 most recent {6,7,8,9}", got)
-		}
+	if got := tbl.Bucket(0, codes); !slices.Equal(got, []uint32{8, 9, 6, 7}) {
+		t.Fatalf("FIFO kept %v, want the 4 most recent in ring order [8 9 6 7]", got)
 	}
 }
 
@@ -118,9 +117,7 @@ func TestReservoirUniformity(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		tbl := mkTable(t, Config{K: 1, L: 1, CodeBits: 1, BucketSize: capSize, Policy: PolicyReservoir, Seed: uint64(trial + 1)})
 		codes := []uint32{0}
-		for id := uint32(0); id < n; id++ {
-			tbl.Insert(id, codes)
-		}
+		tbl.BuildParallel(n, sameCodes(n, codes), 1, 1)
 		for _, id := range tbl.Bucket(0, codes) {
 			counts[id]++
 		}
@@ -133,64 +130,144 @@ func TestReservoirUniformity(t *testing.T) {
 	}
 }
 
-func TestClearEmptiesBuckets(t *testing.T) {
-	tbl := mkTable(t, Config{K: 2, L: 3, CodeBits: 2, Seed: 9})
-	r := rng.New(1)
-	for id := uint32(0); id < 50; id++ {
-		tbl.Insert(id, randCodes(r, 2, 3, 2))
+// TestBuildParallelReplacesContents: building a built set again replaces
+// its contents wholesale, as if it were fresh, at any row count.
+func TestBuildParallelReplacesContents(t *testing.T) {
+	cfg := Config{K: 2, L: 3, CodeBits: 2, BucketSize: 4, Seed: 9}
+	tbl := mkTable(t, cfg)
+	buildInto(tbl, 50, 1)
+	buildInto(tbl, 10, 2)
+	fresh := mkTable(t, cfg)
+	buildInto(fresh, 10, 2)
+	if !tbl.Equal(fresh) {
+		t.Fatal("a rebuilt set differs from a fresh build of the same rows")
 	}
-	tbl.Clear()
-	st := tbl.Stats()
-	if st.TotalStored != 0 || st.NonEmpty != 0 || st.TotalSeen != 0 {
-		t.Fatalf("Clear left state: %+v", st)
+	if st := tbl.Stats(); st.TotalSeen != 10*3 || st.TotalStored > st.TotalSeen {
+		t.Fatalf("rebuilt set stats = %+v", st)
 	}
 }
 
-func TestBuildParallelMatchesSerial(t *testing.T) {
-	const n, k, l, bits = 500, 3, 5, 2
-	r := rng.New(3)
-	codes := make([]uint32, n*k*l)
-	for i := range codes {
-		codes[i] = uint32(r.Intn(1 << bits))
-	}
-	serial := mkTable(t, Config{K: k, L: l, CodeBits: bits, Policy: PolicyFIFO, Seed: 5})
-	for id := 0; id < n; id++ {
-		serial.Insert(uint32(id), codes[id*k*l:(id+1)*k*l])
-	}
-	par := mkTable(t, Config{K: k, L: l, CodeBits: bits, Policy: PolicyFIFO, Seed: 5})
-	par.BuildParallel(n, codes, k*l, 4)
-	// Per-table insertion order is identical, so contents must match
-	// bucket for bucket.
-	for id := 0; id < n; id++ {
-		cs := codes[id*k*l : (id+1)*k*l]
-		for ti := 0; ti < l; ti++ {
-			a := serial.Bucket(ti, cs)
-			b := par.Bucket(ti, cs)
-			if len(a) != len(b) {
-				t.Fatalf("table %d bucket sizes differ: %d vs %d", ti, len(a), len(b))
+// TestBuildRejectsBadShapes: a build whose rows × L ids would overflow the
+// uint32 offsets panics in Begin before allocating, and pass 1 refuses a
+// code stride shorter than one row's K*L codes.
+func TestBuildRejectsBadShapes(t *testing.T) {
+	tbl := mkTable(t, Config{K: 3, L: 2, CodeBits: 2, Seed: 1})
+	mustPanic := func(want string, fn func()) {
+		t.Helper()
+		defer func() {
+			if got, _ := recover().(string); !strings.Contains(got, want) {
+				t.Fatalf("panic %q, want one naming %q", got, want)
 			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("table %d bucket contents differ", ti)
+		}()
+		fn()
+	}
+	mustPanic("uint32 offset range", func() { tbl.Begin(math.MaxUint32/2 + 1) })
+	tbl.Begin(4)
+	mustPanic("stride smaller than K*L", func() { tbl.AddressRows(0, 4, make([]uint32, 4*5), 5) })
+}
+
+// referenceBuild is the naive per-bucket builder the two-pass CSR build
+// must reproduce: ids in ascending order are appended to their bucket
+// until it is full, then replaced by Vitter's algorithm R (one draw of the
+// table's generation stream per overflowing id) or FIFO. The buckets are
+// then packed into a Table for Equal.
+func referenceBuild(base *Table, gen uint64, n int, codes []uint32, stride int) *Table {
+	cfg := base.Config()
+	ref := base.Shadow(gen)
+	ref.rows = n
+	ref.ids = make([]uint32, n*cfg.L)
+	for ti := 0; ti < cfg.L; ti++ {
+		res := rng.NewStream(cfg.Seed^gen*genSeedMix, uint64(ti)+0x7ab1e)
+		buckets := make([][]uint32, ref.NumBuckets())
+		seen := make([]int, ref.NumBuckets())
+		for id := 0; id < n; id++ {
+			b := ref.Address(ti, codes[id*stride:(id+1)*stride])
+			seen[b]++
+			switch {
+			case len(buckets[b]) < cfg.BucketSize:
+				buckets[b] = append(buckets[b], uint32(id))
+			case cfg.Policy == PolicyReservoir:
+				if j := res.Intn(seen[b]); j < cfg.BucketSize {
+					buckets[b][j] = uint32(id)
+				}
+			default:
+				buckets[b][(seen[b]-1)%cfg.BucketSize] = uint32(id)
+			}
+		}
+		pos := ti * n
+		offs := ref.offs[ti*(ref.NumBuckets()+1):]
+		for b, ids := range buckets {
+			offs[b] = uint32(pos)
+			pos += copy(ref.ids[pos:], ids)
+		}
+		offs[ref.NumBuckets()] = uint32(pos)
+	}
+	return ref
+}
+
+// TestBuildMatchesReference: the two-pass build equals the naive
+// per-bucket builder, bucket contents and order, for every bucket size
+// (1 and 2 overflow nearly every bucket, 128 almost none), both policies,
+// packed and mixed addressing, several generations, any worker count, and
+// pass 1 split over consecutive row ranges.
+func TestBuildMatchesReference(t *testing.T) {
+	const n = 700
+	shapes := []struct {
+		name          string
+		k, l, bits, r int
+	}{
+		{"packed", 3, 5, 2, 0}, // K*CodeBits = 6 bits, packed
+		{"mixed", 4, 6, 3, 7},  // 12 code bits mixed down to 7
+		{"dwta", 8, 4, 3, 12},  // train_xwide addressing: 24 code bits mixed down to 12
+	}
+	for _, sh := range shapes {
+		r := rng.New(uint64(sh.k*100 + sh.l))
+		stride := sh.k*sh.l + 3 // rows may carry trailing codes
+		codes := randCodes(r, stride, n, sh.bits)
+		for _, bs := range []int{1, 2, 4, 128} {
+			for _, pol := range []Policy{PolicyReservoir, PolicyFIFO} {
+				base := mkTable(t, Config{K: sh.k, L: sh.l, CodeBits: sh.bits, RangePow: sh.r, BucketSize: bs, Policy: pol, Seed: 5})
+				for _, gen := range []uint64{0, 7, 8} {
+					ref := referenceBuild(base, gen, n, codes, stride)
+					for workers := 1; workers <= 4; workers++ {
+						got := base.Shadow(gen)
+						got.BuildParallel(n, codes, stride, workers)
+						if !got.Equal(ref) {
+							t.Fatalf("%s BucketSize %d %v gen %d workers %d: build differs from the reference", sh.name, bs, pol, gen, workers)
+						}
+						split := base.Shadow(gen)
+						split.Begin(n)
+						cut := n * workers / 5
+						split.AddressRows(0, cut, codes, stride)
+						split.AddressRows(cut, n-cut, codes[cut*stride:], stride)
+						split.Place(workers)
+						if !split.Equal(ref) {
+							t.Fatalf("%s BucketSize %d %v gen %d: build split at row %d differs from the reference", sh.name, bs, pol, gen, cut)
+						}
+					}
 				}
 			}
 		}
 	}
+}
 
-	// InsertRows over two consecutive row ranges is the same build as
-	// BuildParallel over the whole, down to the reservoir decisions of
-	// overflowing buckets — what lets a rebuild insert chunk by chunk.
-	rcfg := Config{K: k, L: l, CodeBits: bits, BucketSize: 4, Policy: PolicyReservoir, Seed: 5}
-	whole, split := mkTable(t, rcfg), mkTable(t, rcfg)
-	whole.BuildParallel(n, codes, k*l, 4)
-	const cut = 200
-	split.InsertRows(0, cut, codes, k*l, 2)
-	split.InsertRows(cut, n-cut, codes[cut*k*l:], k*l, 3)
-	if !whole.Equal(split) {
-		t.Fatal("InsertRows over two ranges diverged from BuildParallel over the whole")
+// TestAutoRangePowFootprint: a DWTA-shaped set at the automatic RangePow
+// (K=8 × 3-bit codes → 2^18 buckets) costs its offsets and one id per row
+// per table, not 2^18 × BucketSize slots per table.
+func TestAutoRangePowFootprint(t *testing.T) {
+	const k, l, rows = 8, 4, 10000
+	codes := randCodes(rng.New(1), k*l, rows, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tbl := mkTable(t, Config{K: k, L: l, CodeBits: 3, Seed: 1})
+	tbl.BuildParallel(rows, codes, k*l, 2)
+	runtime.ReadMemStats(&after)
+	if tbl.NumBuckets() != 1<<18 {
+		t.Fatalf("auto RangePow gave %d buckets, want 2^18", tbl.NumBuckets())
 	}
-	if st := whole.Stats(); st.TotalSeen != n*l || st.TotalStored == st.TotalSeen {
-		t.Fatalf("reservoir build saw %d insertions and stored %d; want %d seen with overflow", st.TotalSeen, st.TotalStored, n*l)
+	const limit = 16 << 20
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= limit {
+		t.Fatalf("building %d rows at auto RangePow allocated %d bytes; want < %d", rows, grew, limit)
 	}
 }
 
@@ -248,13 +325,11 @@ func TestMixedAddressingSpreads(t *testing.T) {
 	}
 }
 
-// buildInto inserts n ids with a seed-deterministic code sequence, so the
-// identical sequence can be replayed into another table for comparison.
+// buildInto builds ids 0..n-1 from a seed-deterministic code matrix, so
+// the identical build can be replayed into another table for comparison.
 func buildInto(tbl *Table, n int, seed uint64) {
-	r := rng.New(seed)
-	for id := 0; id < n; id++ {
-		tbl.Insert(uint32(id), randCodes(r, tbl.Config().K, tbl.Config().L, tbl.Config().CodeBits))
-	}
+	cfg := tbl.Config()
+	tbl.BuildParallel(n, randCodes(rng.New(seed), cfg.K*cfg.L, n, cfg.CodeBits), cfg.K*cfg.L, 2)
 }
 
 // TestShadowGenerationDeterministic pins the shadow-build equivalence
@@ -307,10 +382,13 @@ func TestEqualDetectsDifferences(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("identically built tables compare unequal")
 	}
-	r := rng.New(99)
-	b.Insert(1000, randCodes(r, 2, 2, 2))
+	buildInto(b, 32, 2)
 	if a.Equal(b) {
 		t.Fatal("tables with different contents compare equal")
+	}
+	buildInto(b, 33, 1)
+	if a.Equal(b) {
+		t.Fatal("tables over different row counts compare equal")
 	}
 	if a.Equal(mkTable(t, Config{K: 2, L: 2, CodeBits: 2, Seed: 4})) {
 		t.Fatal("tables with different configs compare equal")

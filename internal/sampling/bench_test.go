@@ -4,7 +4,7 @@ import "testing"
 
 // BenchmarkTableSample measures the query-side probe: one Sample call
 // over a populated (K, L) table set per op, per retrieval strategy —
-// the read path that rides on the flat bucket slabs. The table shape
+// the read path that rides on the CSR bucket arrays. The table shape
 // matches the paper's wide sampled output layer at tiny scale.
 func BenchmarkTableSample(b *testing.B) {
 	const universe = 16384

@@ -18,18 +18,35 @@ func buildTable(t testing.TB, n, k, l, bits int, seed uint64) (*hashtable.Table,
 		t.Fatal(err)
 	}
 	r := rng.New(seed)
-	codes := make([]uint32, k*l)
-	for id := 0; id < n; id++ {
-		for i := range codes {
-			codes[i] = uint32(r.Intn(1 << bits))
-		}
-		tbl.Insert(uint32(id), codes)
+	codes := make([]uint32, n*k*l)
+	for i := range codes {
+		codes[i] = uint32(r.Intn(1 << bits))
 	}
+	tbl.BuildParallel(n, codes, k*l, 1)
 	q := make([]uint32, k*l)
 	for i := range q {
 		q[i] = uint32(r.Intn(1 << bits))
 	}
 	return tbl, q
+}
+
+// matchTable builds K=1 tables of 1-bit codes over ids 0..len(match)-1
+// in which id collides with the all-ones query in its first match[id]
+// tables and in no other.
+func matchTable(t testing.TB, match []int, l int, seed uint64) *hashtable.Table {
+	t.Helper()
+	tbl, err := hashtable.New(hashtable.Config{K: 1, L: l, CodeBits: 1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make([]uint32, len(match)*l)
+	for id, m := range match {
+		for ti := 0; ti < m; ti++ {
+			codes[id*l+ti] = 1
+		}
+	}
+	tbl.BuildParallel(len(match), codes, l, 1)
+	return tbl
 }
 
 func mkStrategy(t testing.TB, p Params, universe int) Strategy {
@@ -61,30 +78,16 @@ func TestVanillaRespectsBetaAndUniqueness(t *testing.T) {
 }
 
 func TestTopKReturnsMostFrequent(t *testing.T) {
-	const n, k, l = 64, 1, 6
-	tbl, err := hashtable.New(hashtable.Config{K: k, L: l, CodeBits: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// id 7 collides with the query in every table; id 9 in half; the
-	// rest in one random table.
+	const n, l = 64, 6
+	// id 7 collides with the query in every table; id 9 in half; ids
+	// 10..39 in the first table; the rest nowhere.
 	q := []uint32{1, 1, 1, 1, 1, 1}
-	insert := func(id uint32, match int) {
-		codes := make([]uint32, l)
-		for ti := range codes {
-			if ti < match {
-				codes[ti] = 1
-			} else {
-				codes[ti] = 0
-			}
-		}
-		tbl.Insert(id, codes)
+	match := make([]int, 40)
+	match[7], match[9] = 6, 3
+	for id := 10; id < 40; id++ {
+		match[id] = 1
 	}
-	insert(7, 6)
-	insert(9, 3)
-	for id := uint32(10); id < 40; id++ {
-		insert(id, 1)
-	}
+	tbl := matchTable(t, match, l, 2)
 	s := mkStrategy(t, Params{Kind: KindTopK, Beta: 2, Seed: 1}, n)
 	got := s.Sample(nil, tbl, q)
 	if len(got) != 2 || got[0] != 7 || got[1] != 9 {
@@ -94,21 +97,8 @@ func TestTopKReturnsMostFrequent(t *testing.T) {
 
 func TestHardThresholdCountsOccurrences(t *testing.T) {
 	const n, l = 64, 6
-	tbl, err := hashtable.New(hashtable.Config{K: 1, L: l, CodeBits: 1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := []uint32{1, 1, 1, 1, 1, 1}
-	insert := func(id uint32, match int) {
-		codes := make([]uint32, l)
-		for ti := 0; ti < match; ti++ {
-			codes[ti] = 1
-		}
-		tbl.Insert(id, codes)
-	}
-	insert(5, 6)
-	insert(6, 3)
-	insert(7, 1)
+	tbl := matchTable(t, []int{5: 6, 6: 3, 7: 1}, l, 2)
 	s := mkStrategy(t, Params{Kind: KindHardThreshold, MinCount: 3, Seed: 1}, n)
 	got := s.Sample(nil, tbl, q)
 	want := map[uint32]bool{5: true, 6: true}
@@ -303,25 +293,12 @@ func TestVanillaSelectionProbability(t *testing.T) {
 // view (§2.1): higher per-function collision => higher retrieval rate.
 func TestVanillaFavorsCollidingIDs(t *testing.T) {
 	const l = 10
-	tbl, err := hashtable.New(hashtable.Config{K: 1, L: l, CodeBits: 1, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
 	q := make([]uint32, l)
 	for i := range q {
 		q[i] = 1
 	}
 	// id 1 matches all tables; id 2 matches 3 of 10.
-	full := make([]uint32, l)
-	part := make([]uint32, l)
-	for i := range full {
-		full[i] = 1
-		if i < 3 {
-			part[i] = 1
-		}
-	}
-	tbl.Insert(1, full)
-	tbl.Insert(2, part)
+	tbl := matchTable(t, []int{1: l, 2: 3}, l, 4)
 	s := mkStrategy(t, Params{Kind: KindVanilla, Beta: 1, Seed: 8}, 8)
 	got1, got2 := 0, 0
 	for trial := 0; trial < 1000; trial++ {

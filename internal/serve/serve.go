@@ -129,8 +129,9 @@ type Server struct {
 	eng  atomic.Pointer[engine]
 	opts Options
 
-	// reloadMu serializes /reload so concurrent reloads do not waste
-	// duplicate model loads; prediction traffic never takes it.
+	// reloadMu serializes reloads, so concurrent reloads do not waste
+	// duplicate model loads and each publishes reloads only after storing
+	// its engine; prediction traffic never takes it.
 	reloadMu sync.Mutex
 	reloads  atomic.Int64
 
@@ -726,13 +727,15 @@ func (s *Server) ReloadFrom(path string) (*engine, int64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("loading model: %w", err)
 	}
-	gen := s.reloads.Add(1)
+	// The counter is published only after the engine it counts serves:
+	// a poller that reads reloads = N finds generation >= N in s.eng.
+	gen := s.reloads.Load() + 1
 	eng, err := newEngine(net, path, gen)
 	if err != nil {
-		s.reloads.Add(-1)
 		return nil, 0, fmt.Errorf("building predictor: %w", err)
 	}
 	s.eng.Store(eng)
+	s.reloads.Store(gen)
 	if s.cache != nil {
 		s.cache.purge()
 	}

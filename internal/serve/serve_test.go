@@ -988,6 +988,47 @@ func TestSIGHUPReloadsModel(t *testing.T) {
 	}
 }
 
+// TestReloadCounterTrailsEngine pins the order ReloadFrom publishes in:
+// the engine first, then the reloads counter. A poller — /stats, a
+// SIGHUP test, a concurrent POST /reload — that reads reloads = N must
+// find an engine of generation >= N serving, never generation N-1.
+func TestReloadCounterTrailsEngine(t *testing.T) {
+	dir := t.TempDir()
+	path := modelFile(t, dir, 37)
+	s := serverFromFile(t, path, Options{})
+
+	stop := make(chan struct{})
+	polled := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				polled <- nil
+				return
+			default:
+			}
+			n := s.reloads.Load()
+			if g := s.eng.Load().gen; g < n {
+				polled <- fmt.Errorf("reloads read %d while generation %d served", n, g)
+				return
+			}
+		}
+	}()
+	const reloads = 50
+	for i := 0; i < reloads; i++ {
+		if _, _, err := s.ReloadFrom(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	if n, g := s.reloads.Load(), s.eng.Load().gen; n != reloads || g != reloads {
+		t.Fatalf("after %d reloads: counter %d, generation %d", reloads, n, g)
+	}
+}
+
 // TestSIGHUPWithoutModelPath: a server started without -model logs and
 // survives the signal instead of crashing or swapping in garbage.
 func TestSIGHUPWithoutModelPath(t *testing.T) {
