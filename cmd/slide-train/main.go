@@ -15,9 +15,11 @@
 //	slide-train -shards 2 -dist :7070 -rank 0 &                  # process 0 hosts the exchange
 //	slide-train -shards 2 -dist localhost:7070 -rank 1           # process 1 dials in
 //
-// Each shard trains on a round-robin slice of the data and merges the
-// other shards' sparse gradient deltas at every batch boundary, so all
-// replicas hold identical weights; rank 0 reports and saves the model.
+// Each shard trains on a round-robin slice of the data. At every batch
+// boundary each process sends its sparse gradient delta to every other
+// and merges all shards' deltas itself, in rank order, so all replicas
+// hold identical weights; rank 0 hosts the connections, relays frames
+// between the other ranks, and reports and saves the model.
 package main
 
 import (
@@ -245,13 +247,10 @@ func trainTCPShard(ds *dataset.Dataset, cfg slide.Config, tc slide.TrainConfig, 
 		rank, res.FinalAcc, res.Seconds, res.Iterations, res.Rebuilds)
 	st := ex.Stats()
 	if rank == 0 {
-		// The hub's counters aggregate all shards-1 links and point the
-		// other way (its BytesOut is the merged broadcast the clients
-		// *receive*, its BytesIn their uploads); normalize to per-link
-		// means and swap so every rank prints comparable per-replica
-		// figures: "sent" ≈ one replica's sparse upload, "received" ≈
-		// the merged delta.
-		st.BytesOut, st.BytesIn = st.BytesIn/int64(shards-1), st.BytesOut/int64(shards-1)
+		// Rank 0's counters sum its shards-1 client links; print the
+		// per-link mean. At 2 shards that is exactly one replica's
+		// view; beyond, each link also carries the frames rank 0 relays.
+		st.BytesOut, st.BytesIn = st.BytesOut/int64(shards-1), st.BytesIn/int64(shards-1)
 	}
 	reportExchange(net, res, st)
 	if rank != 0 {

@@ -23,8 +23,9 @@ type Codec = dist.Codec
 // process; rank exchangers come from Mesh.Rank.
 type Mesh = dist.Mesh
 
-// TCPServer and TCPClient are the multi-process hub transport: rank 0
-// listens and merges, other ranks dial in.
+// TCPServer and TCPClient are the multi-process transport: rank 0
+// listens and relays frames between the other ranks, which dial in; every
+// rank sends its own delta to every peer and merges all parts itself.
 type (
 	TCPServer = dist.TCPServer
 	TCPClient = dist.TCPClient

@@ -389,7 +389,10 @@ const mergeSpan = 1 << 16
 // the merged one scatter-adds through its columns' merged positions. The
 // merged rows are listed first and then summed in contiguous spans across
 // workers, each row by one: a replica waits on the merge with its trainer
-// idle.
+// idle. A merged row or bias that is NaN or ±Inf — finite parts can
+// overflow, and a replica's own part is never decoded — fails the merge,
+// so no replica applies it: every replica merges the same parts in the
+// same order and refuses alike.
 func mergeLayerDeltas(dst *LayerDelta, parts []*LayerDelta) error {
 	for _, p := range parts {
 		if len(p.Bias) != len(p.Neurons) {
@@ -408,7 +411,8 @@ func mergeLayerDeltas(dst *LayerDelta, parts []*LayerDelta) error {
 	n := len(dst.Rows)
 	dst.Vals = slices.Grow(dst.Vals, n*width)[:n*width]
 	workers := max(min(defaultThreads(), n*width/mergeSpan), 1)
-	parallelIndexed(workers, n, func(_, lo, hi int) {
+	nonFinite := make([]bool, workers)
+	parallelIndexed(workers, n, func(wk, lo, hi int) {
 		cur := make([]int, len(parts))
 		for k, p := range parts {
 			cur[k], _ = slices.BinarySearch(p.Rows, dst.Rows[lo])
@@ -439,9 +443,15 @@ func mergeLayerDeltas(dst *LayerDelta, parts []*LayerDelta) error {
 				}
 				first = false
 			}
+			if !vecmath.AllFinite(slot) {
+				nonFinite[wk] = true
+			}
 		}
 	})
 	mergeBiases(dst, parts)
+	if slices.Contains(nonFinite, true) || !vecmath.AllFinite(dst.Bias) {
+		return fmt.Errorf("merged gradient is not finite")
+	}
 	return nil
 }
 

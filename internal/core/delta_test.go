@@ -321,6 +321,42 @@ func TestApplyDeltaSkipsZeroSumCells(t *testing.T) {
 	}
 }
 
+// TestMergeDeltasRefusesNonFinite: a merge whose sum overflows to ±Inf —
+// in a full-width row, a row scattered through a column set, or a bias —
+// or that carries a part's NaN through the copy of a row no other part
+// has, fails; opposite extremes that cancel, and extremes that do not
+// meet, merge.
+func TestMergeDeltasRefusesNonFinite(t *testing.T) {
+	const big = math.MaxFloat32
+	nan := float32(math.NaN())
+	full := func(row int32, v0, v1, bias float32) *SparseDelta {
+		return &SparseDelta{Layers: []LayerDelta{{
+			Rows: []int32{row}, Vals: []float32{v0, v1}, Neurons: []int32{0}, Bias: []float32{bias},
+		}}}
+	}
+	cols := func(c int32, v float32) *SparseDelta {
+		return &SparseDelta{Layers: []LayerDelta{{Rows: []int32{2}, Cols: []int32{c}, Vals: []float32{v}}}}
+	}
+	for _, tc := range []struct {
+		name  string
+		parts []*SparseDelta
+		ok    bool
+	}{
+		{"row +Inf", []*SparseDelta{full(1, big, 1, 0), full(1, big, 1, 0)}, false},
+		{"row -Inf", []*SparseDelta{full(1, 1, -big, 0), full(1, 1, -big, 0)}, false},
+		{"bias +Inf", []*SparseDelta{full(1, 1, 1, big), full(3, 1, 1, big)}, false},
+		{"column set", []*SparseDelta{cols(4, big), cols(4, big)}, false},
+		{"three parts", []*SparseDelta{full(1, big/2, 0, 0), full(1, big/2, 0, 0), full(1, big/2, 0, 0)}, false},
+		{"copied NaN", []*SparseDelta{full(1, nan, 0, 0), full(3, 1, 1, 0)}, false},
+		{"cancelling extremes", []*SparseDelta{full(1, big, -big, big), full(1, -big, big, -big)}, true},
+		{"disjoint extremes", []*SparseDelta{full(1, big, -big, 0), full(3, big, -big, 0)}, true},
+	} {
+		if _, err := MergeDeltas(nil, tc.parts); (err == nil) != tc.ok {
+			t.Fatalf("%s: merge error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 // TestDeltaMergeMatchesCombinedBatch is the data-parallel soundness test:
 // two shards each extracting a half-batch delta and merging must produce
 // the same gradient a single process accumulates over the full batch —

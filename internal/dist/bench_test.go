@@ -2,6 +2,7 @@ package dist
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -18,13 +19,14 @@ func (c *captureLast) Exchange(_ int64, local *core.SparseDelta, stop bool) (*co
 	return local, stop, nil
 }
 
-// BenchmarkExchangeRound times one two-rank exchange round's data path at
-// the benchmark's train_2shard shape (Delicious-200K at 0.03: 23.5K
-// features into 128 hidden units into 6.2K classes, batch 64 per rank), on
-// two ranks' real deltas: rank 1 encodes its delta, the hub decodes it,
-// merges it with its own, encodes the merged delta, rank 1 decodes that
-// and applies it. Reports ns and wire bytes per round; sockets and the
-// barrier are not included.
+// BenchmarkExchangeRound times one rank's data path through a two-rank
+// peer round at the benchmark's train_2shard shape (Delicious-200K at
+// 0.03: 23.5K features into 128 hidden units into 6.2K classes, batch 64
+// per rank), on two ranks' real deltas: rank 0 encodes its own delta,
+// decodes rank 1's frame (encoded beforehand, as rank 1 does beside it),
+// merges the two parts in rank order and applies the merge. Reports ns
+// and wire bytes (written plus read) per round and each stage's ns;
+// sockets are not included.
 func BenchmarkExchangeRound(b *testing.B) {
 	ds, err := dataset.Generate(dataset.Delicious200K(0.03, 1))
 	if err != nil {
@@ -63,34 +65,44 @@ func BenchmarkExchangeRound(b *testing.B) {
 	}
 	codec := NewCodec(nets[0])
 	alpha := cfg.Adam.Alpha(nets[0].Step() + 1)
-	var up, down []byte
-	var peer, merged, got *core.SparseDelta
+	peerFrame, err := codec.AppendDelta(nil, parts[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	var own []byte
+	var peer, merged *core.SparseDelta
+	var stages [4]time.Duration // encode, decode, merge, apply
 	round := func() {
-		if up, err = codec.AppendDelta(up[:0], parts[1]); err != nil {
+		t0 := time.Now()
+		if own, err = codec.AppendDelta(own[:0], parts[0]); err != nil {
 			b.Fatal(err)
 		}
-		if peer, err = codec.DecodeDelta(peer, up); err != nil {
+		t1 := time.Now()
+		if peer, err = codec.DecodeDelta(peer, peerFrame); err != nil {
 			b.Fatal(err)
 		}
+		t2 := time.Now()
 		if merged, err = core.MergeDeltas(merged, []*core.SparseDelta{parts[0], peer}); err != nil {
 			b.Fatal(err)
 		}
-		if down, err = codec.AppendDelta(down[:0], merged); err != nil {
+		t3 := time.Now()
+		if _, err = nets[0].ApplyDelta(merged, alpha, 1/float32(batch*shards), 1); err != nil {
 			b.Fatal(err)
 		}
-		if got, err = codec.DecodeDelta(got, down); err != nil {
-			b.Fatal(err)
-		}
-		if _, err = nets[1].ApplyDelta(got, alpha, 1/float32(batch*shards), 1); err != nil {
-			b.Fatal(err)
+		for i, d := range []time.Duration{t1.Sub(t0), t2.Sub(t1), t3.Sub(t2), time.Since(t3)} {
+			stages[i] += d
 		}
 	}
 	round() // warm the reused buffers
+	stages = [4]time.Duration{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		round()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
-	b.ReportMetric(float64(len(up)+len(down)), "bytes/round")
-	b.ReportMetric(float64(parts[1].Cells()+merged.Cells()), "cells/round")
+	b.ReportMetric(float64(len(own)+len(peerFrame)), "bytes/round")
+	b.ReportMetric(float64(merged.Cells()), "cells/round")
+	for i, name := range []string{"encode", "decode", "merge", "apply"} {
+		b.ReportMetric(float64(stages[i].Nanoseconds())/float64(b.N), name+"-ns/round")
+	}
 }

@@ -15,7 +15,8 @@
 //   - Exchangers: core.DeltaExchanger implementations. Mesh is the
 //     in-process all-reduce for N replicas in one process (and, with one
 //     shard, a loopback measurement tap); TCPServer/TCPClient are the
-//     multi-process hub transport over length-prefixed frames.
+//     multi-process peer transport over length-prefixed frames, where
+//     every rank merges all ranks' parts itself.
 //   - TrainSharded: the sharded training driver — N identical replicas,
 //     round-robin data shards, per-batch delta exchange, replicas' weights
 //     in bitwise lockstep.

@@ -486,10 +486,9 @@ func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 	}
 }
 
-// TestTCPExchangerRaceStress hammers the hub with 3 concurrently
+// TestTCPExchangerRaceStress hammers a TCP group of 3 concurrently
 // exchanging ranks over many rounds of random deltas, verifying every
-// rank receives the identical merged payload each round. Run under
-// -race in CI.
+// rank merges the identical payload each round. Run under -race in CI.
 func TestTCPExchangerRaceStress(t *testing.T) {
 	dims := [][2]int32{{64, 256}}
 	codec := testCodec(dims...)
@@ -596,6 +595,18 @@ func TestTCPHandshakeRejects(t *testing.T) {
 		conn.Close()
 		if ack[4] == 0 {
 			t.Fatal("v3 handshake accepted")
+		}
+	})
+	// A rank built for the hub rounds, which shared this codec version but
+	// read rank 0's frame as the merged delta, is refused.
+	t.Run("hub protocol", func(t *testing.T) {
+		conn, ack, err := rawJoin(addr, [4]byte{'S', 'D', 'X', '0' + codecVersion}, 1, 3, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if ack[4] == 0 {
+			t.Fatal("hub-protocol handshake accepted")
 		}
 	})
 	c1, err := DialExchanger(addr, 1, 3, codec, 7)
@@ -813,31 +824,99 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadFrameRejects: a frame cut short in its header or its payload,
-// and a header announcing more than maxFramePayload, fail the read before
-// anything is allocated for the announced length.
-func TestReadFrameRejects(t *testing.T) {
+// badFrames returns a whole six-byte-payload frame and the ways to break
+// it: cut short in its header or its payload, or announcing more than
+// maxFramePayload.
+func badFrames(t testing.TB) ([]byte, map[string][]byte) {
 	var whole bytes.Buffer
 	if _, err := writeFrame(bufio.NewWriter(&whole), 3, false, []byte{1, 2, 3, 4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
 	over := append([]byte(nil), whole.Bytes()[:frameHeaderLen]...)
 	binary.LittleEndian.PutUint32(over[9:13], maxFramePayload+1)
-	for name, wire := range map[string][]byte{
+	return whole.Bytes(), map[string][]byte{
 		"short header":  whole.Bytes()[:frameHeaderLen-1],
 		"short payload": whole.Bytes()[:whole.Len()-1],
 		"over limit":    over,
-	} {
+	}
+}
+
+// TestReadFrameRejects: a frame cut short in its header or its payload,
+// and a header announcing more than maxFramePayload, fail the read before
+// anything is allocated for the announced length.
+func TestReadFrameRejects(t *testing.T) {
+	whole, bad := badFrames(t)
+	for name, wire := range bad {
 		t.Run(name, func(t *testing.T) {
 			_, _, payload, n, err := readFrame(bufio.NewReader(bytes.NewReader(wire)), nil)
 			if err == nil || n != 0 {
 				t.Fatalf("read %d bytes, err %v; want an error", n, err)
 			}
-			if cap(payload) > whole.Len() {
+			if cap(payload) > len(whole) {
 				t.Fatalf("allocated %d bytes for a refused frame", cap(payload))
 			}
 		})
 	}
+}
+
+// TestReadFrameAllocatesAsPayloadArrives: a header announcing the largest
+// allowed payload, followed by far fewer bytes, is refused having
+// allocated in proportion to the bytes that came, not the 1 GiB
+// announced.
+func TestReadFrameAllocatesAsPayloadArrives(t *testing.T) {
+	wire := announcedNotSent()
+	_, _, payload, n, err := readFrame(bufio.NewReader(bytes.NewReader(wire)), nil)
+	if err == nil || n != 0 {
+		t.Fatalf("read %d bytes, err %v; want an error", n, err)
+	}
+	if cap(payload) > 1<<20 {
+		t.Fatalf("allocated %d bytes for %d bytes received", cap(payload), len(wire))
+	}
+}
+
+// announcedNotSent is a frame header announcing maxFramePayload bytes,
+// followed by 100 of them.
+func announcedNotSent() []byte {
+	wire := make([]byte, frameHeaderLen+100)
+	binary.LittleEndian.PutUint32(wire[9:13], maxFramePayload)
+	return wire
+}
+
+// FuzzReadFrame drives readFrame with arbitrary bytes, seeded with
+// TestReadFrameRejects' and TestReadFrameAllocatesAsPayloadArrives' frames: it may not panic, a refused read consumes
+// nothing and allocates in proportion to the bytes it was given, not to
+// the length a header announces, and an accepted frame is the input's
+// prefix — writeFrame of what was read reproduces it, flag bits other
+// than stop aside.
+func FuzzReadFrame(f *testing.F) {
+	whole, bad := badFrames(f)
+	f.Add(whole)
+	for _, wire := range bad {
+		f.Add(wire)
+	}
+	f.Add(append(append([]byte(nil), whole...), whole...)) // two frames back to back
+	f.Add(announcedNotSent())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		step, stop, payload, n, err := readFrame(bufio.NewReader(bytes.NewReader(data)), nil)
+		if err != nil {
+			if n != 0 || cap(payload) > 2*len(data)+64<<10 {
+				t.Fatalf("refused read reports %d bytes, allocated %d of a %d-byte input", n, cap(payload), len(data))
+			}
+			return
+		}
+		if n != frameHeaderLen+len(payload) || n > len(data) {
+			t.Fatalf("read %d bytes for a %d-byte payload from %d bytes", n, len(payload), len(data))
+		}
+		var again bytes.Buffer
+		if _, err := writeFrame(bufio.NewWriter(&again), step, stop, payload); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), data[:n]...)
+		want[8] &= 1
+		if !bytes.Equal(again.Bytes(), want) {
+			t.Fatal("re-written frame differs from the bytes read")
+		}
+	})
 }
 
 // TestExchangeStatsPerRound: the per-round means divide the byte totals

@@ -7,9 +7,11 @@ import (
 	"repro/internal/core"
 )
 
-// ExchangeStats accounts one exchanger's measured communication: encoded
-// bytes submitted (the replica's upload — the §6 sparse payload), encoded
-// bytes of merged deltas received (download), and exchange rounds.
+// ExchangeStats accounts one exchanger's measured communication and
+// exchange rounds. Over TCP, BytesOut and BytesIn are the bytes the rank
+// wrote to and read from its sockets: its own encoded delta (the §6
+// sparse payload) to every peer, and every peer's. Mesh prices its rank's
+// encoded delta as BytesOut and the encoded merged delta as BytesIn.
 type ExchangeStats struct {
 	Rounds   int64
 	BytesOut int64

@@ -7,34 +7,41 @@ import (
 	"hash/fnv"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"repro/internal/core"
 )
 
-// The TCP transport is a hub: rank 0 listens and merges, ranks 1..N-1
-// dial in. Every frame is length-prefixed; each round, every client sends
-// its encoded local delta and receives the encoded merged delta back —
-// one upload and one download of §6's sparse payload per replica per
-// batch, which is exactly what the byte accounting measures.
+// The TCP transport runs peer rounds over one listener (rank 0 listens,
+// ranks 1..N-1 dial in). Each round every rank encodes its delta once,
+// sends that frame to every peer while reading every peer's, decodes
+// theirs and merges all N parts itself in rank order, its own at its own
+// rank. The codec is exact fp32, so every rank applies bit-identical
+// weights, after one encode, one concurrent swap, the decodes and the
+// merge. Rank 0 also forwards each client's frame verbatim, in rank order,
+// to the other clients. ExchangeStats counts the bytes this rank wrote to
+// and read from its sockets.
 //
 // Handshake (client → server): magic[4] | rank u16 | shards u16 |
 // digest u64. Server ack: magic[4] | status u8 (0 = ok).
 // Round frame (both ways): step u64 | flags u8 (bit0 = stop) | len u32 |
-// payload (Codec-encoded delta).
-// All integers little-endian.
+// payload (Codec-encoded delta). All integers little-endian.
 //
 // The digest is an opaque caller-computed fingerprint of everything the
 // replicas must agree on beyond layer shapes (which the codec already
 // validates): network config including the weight-init seed and Adam
 // hyperparameters, batch size, iteration count. Ranks whose digests
-// differ would silently diverge — same merged delta, different step
-// arithmetic — so the server refuses them at join time.
+// differ would silently diverge — same parts, different step arithmetic
+// — so the server refuses them at join time.
 
-// tcpMagic carries the codec version, so a rank built for another wire
-// format is refused at the handshake rather than at its first frame.
-var tcpMagic = [4]byte{'S', 'D', 'X', '0' + codecVersion}
+// tcpProtocol versions the round protocol apart from the codec; the
+// handshake magic carries both, so a rank built for the hub rounds ("SDX"
+// + codec version) or another wire format is refused, not diverged from.
+const tcpProtocol = 2
+
+var tcpMagic = [4]byte{'S', 'D', '0' + tcpProtocol, '0' + codecVersion}
 
 const (
 	frameHeaderLen = 13
@@ -44,18 +51,188 @@ const (
 	maxFramePayload = 1 << 30
 )
 
-// TCPServer is rank 0 of a TCP-sharded group: it accepts the other
-// ranks' connections, and on every Exchange gathers their deltas, merges
-// all shards in rank order, and broadcasts the merged result.
-type TCPServer struct {
+// peerRound is one rank's side of the round protocol, shared by TCPServer
+// and TCPClient: its own frame, the peers' frames by rank, and the merge.
+type peerRound struct {
 	codec  *Codec
-	shards int
+	rank   int
+	own    []byte
+	frames []frame
+	parts  []*core.SparseDelta
+	merged *core.SparseDelta
+	mu     sync.Mutex // guards stats
+	stats  ExchangeStats
+}
+
+// frame is one peer's part of a round: header, raw payload, decoded delta.
+type frame struct {
+	step    int64
+	stop    bool
+	payload []byte
+	n       int   // bytes read; 0 when the read failed
+	err     error // the read's, then the decode's
+	delta   *core.SparseDelta
+	read    chan struct{} // closed once the frame is read
+}
+
+// link is one connection (rank 0 to a client, or a client to rank 0): the
+// ranks whose frames arrive on it, in order, and those it forwards.
+type link struct {
+	conn     net.Conn
+	br       *bufio.Reader
+	bw       *bufio.Writer
+	from     []int
+	forwards []int
+	sent     int
+	err      error
+}
+
+func newLink(conn net.Conn, from, forwards []int) *link {
+	return &link{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn), from: from, forwards: forwards}
+}
+
+// ranks lists the ranks in [lo, shards) other than except, ascending.
+func ranks(lo, shards, except int) []int {
+	var out []int
+	for r := lo; r < shards; r++ {
+		if r != except {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Shards implements core.ShardCounter (the group size the rank joined).
+func (pr *peerRound) Shards() int { return len(pr.frames) }
+
+// round runs one peer round over links. Per link, one goroutine sends the
+// encoded local delta and then forwards beside one that reads and decodes:
+// frames far larger than the socket buffers would block two ranks that
+// both wrote first. A failed read, decode or send closes every link, so
+// the group fails fast and no goroutine outlives the round.
+func (pr *peerRound) round(links []*link, step int64, local *core.SparseDelta, stop bool) (*core.SparseDelta, bool, error) {
+	var err error
+	if pr.own, err = pr.codec.AppendDelta(pr.own[:0], local); err != nil {
+		return nil, false, err
+	}
+	cut := func() {
+		for _, l := range links {
+			l.conn.Close()
+		}
+	}
+	for _, l := range links {
+		l.conn.SetDeadline(time.Now().Add(roundTimeout)) // both directions
+		for _, r := range l.from {
+			pr.frames[r].read = make(chan struct{})
+		}
+	}
+	var wg sync.WaitGroup
+	for _, l := range links {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for _, r := range l.from {
+				f := &pr.frames[r]
+				f.step, f.stop, f.payload, f.n, f.err = readFrame(l.br, f.payload)
+				close(f.read) // forwarding reads no field the decode writes
+				if f.err == nil {
+					f.delta, f.err = pr.codec.DecodeDelta(f.delta, f.payload)
+				}
+				if f.err != nil {
+					cut()
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			if l.sent, l.err = pr.send(l, step, stop); l.err != nil {
+				cut()
+			}
+		}()
+	}
+	wg.Wait()
+	merged, stopAll, err := pr.merge(links, step, local, stop)
+	if err != nil {
+		cut()
+	}
+	return merged, stopAll, err
+}
+
+// send writes this rank's frame on l, then forwards l's frames verbatim,
+// each as soon as it has been read, returning the bytes written.
+func (pr *peerRound) send(l *link, step int64, stop bool) (int, error) {
+	n, err := writeFrame(l.bw, step, stop, pr.own)
+	for _, r := range l.forwards {
+		f := &pr.frames[r]
+		if err != nil {
+			return n, err
+		}
+		if <-f.read; f.n == 0 {
+			return n, fmt.Errorf("rank %d's frame to forward was lost", r)
+		}
+		m, werr := writeFrame(l.bw, f.step, f.stop, f.payload)
+		n, err = n+m, werr
+	}
+	return n, err
+}
+
+// merge ends a round: a failed or out-of-step peer frame, else a failed
+// send, fails it; otherwise the stop flags are ORed, all parts merged in
+// rank order (local at this rank's index) and the bytes counted.
+func (pr *peerRound) merge(links []*link, step int64, local *core.SparseDelta, stop bool) (*core.SparseDelta, bool, error) {
+	stopAll, in := stop, int64(0)
+	for r := range pr.frames {
+		f := &pr.frames[r]
+		switch {
+		case r == pr.rank:
+			pr.parts[r] = local
+			continue
+		case f.err != nil:
+			return nil, false, fmt.Errorf("dist: rank %d: %w", r, f.err)
+		case f.step != step:
+			return nil, false, fmt.Errorf("dist: rank %d at step %d, rank %d at %d", r, f.step, pr.rank, step)
+		}
+		stopAll = stopAll || f.stop
+		pr.parts[r] = f.delta
+		in += int64(f.n)
+	}
+	var out int64
+	for _, l := range links {
+		if l.err != nil {
+			return nil, false, fmt.Errorf("dist: sending delta: %w", l.err)
+		}
+		out += int64(l.sent)
+	}
+	merged, err := core.MergeDeltas(pr.merged, pr.parts)
+	if err != nil {
+		return nil, false, err
+	}
+	pr.merged = merged
+	pr.mu.Lock()
+	pr.stats.Rounds++
+	pr.stats.BytesOut += out
+	pr.stats.BytesIn += in
+	pr.mu.Unlock()
+	return merged, stopAll, nil
+}
+
+// Stats returns the rounds and the bytes this rank wrote and read.
+func (pr *peerRound) Stats() ExchangeStats {
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	return pr.stats
+}
+
+// TCPServer is rank 0 of a TCP-sharded group: it accepts the other ranks
+// and forwards each client's frames to the other clients.
+type TCPServer struct {
+	peerRound
 	digest uint64
 	ln     net.Listener
 
 	ready   chan struct{} // closed once all peers joined (or joining failed)
 	joinErr error
-	peers   []*tcpPeer // by rank; index 0 unused
+	peers   []*link // by rank; index 0 unused
 
 	// joinMu/joining track the connection currently mid-handshake so
 	// Close can cut it loose instead of waiting out its read.
@@ -64,27 +241,6 @@ type TCPServer struct {
 
 	closeOnce sync.Once
 	closed    chan struct{}
-
-	encodeBuf    []byte
-	mergeScratch *core.SparseDelta
-	parts        []*core.SparseDelta
-
-	mu    sync.Mutex
-	stats ExchangeStats
-}
-
-// tcpPeer is one connected client rank, plus its per-round scratch.
-type tcpPeer struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-
-	payload []byte
-	delta   *core.SparseDelta
-	step    int64
-	stop    bool
-	read    int
-	err     error
 }
 
 // ListenExchanger binds addr and starts accepting the group's other
@@ -101,14 +257,12 @@ func ListenExchanger(addr string, shards int, codec *Codec, digest uint64) (*TCP
 		return nil, err
 	}
 	s := &TCPServer{
-		codec:  codec,
-		shards: shards,
-		digest: digest,
-		ln:     ln,
-		ready:  make(chan struct{}),
-		peers:  make([]*tcpPeer, shards),
-		closed: make(chan struct{}),
-		parts:  make([]*core.SparseDelta, shards),
+		peerRound: peerRound{codec: codec, frames: make([]frame, shards), parts: make([]*core.SparseDelta, shards)},
+		digest:    digest,
+		ln:        ln,
+		ready:     make(chan struct{}),
+		peers:     make([]*link, shards),
+		closed:    make(chan struct{}),
 	}
 	go s.acceptPeers()
 	return s, nil
@@ -116,10 +270,6 @@ func ListenExchanger(addr string, shards int, codec *Codec, digest uint64) (*TCP
 
 // Addr returns the bound listen address (useful with ":0").
 func (s *TCPServer) Addr() net.Addr { return s.ln.Addr() }
-
-// Shards implements core.ShardCounter (the group size the server was
-// configured with).
-func (s *TCPServer) Shards() int { return s.shards }
 
 // handshakeTimeout bounds how long one joining connection may sit
 // silent before the join loop moves on: without it a port scanner or
@@ -147,7 +297,7 @@ const joinTimeout = 3 * time.Minute
 func (s *TCPServer) acceptPeers() {
 	defer close(s.ready)
 	joined := 0
-	for joined < s.shards-1 {
+	for joined < s.Shards()-1 {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			s.joinErr = fmt.Errorf("dist: accepting shard: %w", err)
@@ -166,11 +316,7 @@ func (s *TCPServer) acceptPeers() {
 			conn.Close()
 			continue
 		}
-		s.peers[rank] = &tcpPeer{
-			conn: conn,
-			br:   bufio.NewReader(conn),
-			bw:   bufio.NewWriter(conn),
-		}
+		s.peers[rank] = newLink(conn, []int{rank}, ranks(1, s.Shards(), rank))
 		joined++
 	}
 }
@@ -185,9 +331,9 @@ func (s *TCPServer) handshake(conn net.Conn) (int, error) {
 	shards := int(binary.LittleEndian.Uint16(hello[6:8]))
 	digest := binary.LittleEndian.Uint64(hello[8:16])
 	ok := [4]byte(hello[:4]) == tcpMagic &&
-		shards == s.shards &&
+		shards == s.Shards() &&
 		digest == s.digest &&
-		rank >= 1 && rank < s.shards &&
+		rank >= 1 && rank < shards &&
 		s.peers[rank] == nil
 	var ack [5]byte
 	copy(ack[:], tcpMagic[:])
@@ -218,118 +364,20 @@ func ScheduleDigest(cfg core.Config, tc core.TrainConfig, baseSeed uint64) uint6
 	return h.Sum64()
 }
 
-// Exchange implements core.DeltaExchanger for rank 0: gather every
-// client's delta for this step, merge all shards in rank order, and
-// broadcast the merged delta with the coordinated stop flag.
+// Exchange implements core.DeltaExchanger for rank 0: once the group has
+// assembled, one peer round with every client.
 func (s *TCPServer) Exchange(step int64, local *core.SparseDelta, stop bool) (*core.SparseDelta, bool, error) {
-	join := time.NewTimer(joinTimeout)
 	select {
 	case <-s.ready:
 	case <-s.closed:
-		join.Stop()
 		return nil, false, fmt.Errorf("dist: exchanger closed")
-	case <-join.C:
+	case <-time.After(joinTimeout):
 		return nil, false, fmt.Errorf("dist: group did not assemble within %v (a rank crashed before dialing, or was launched with the wrong address?)", joinTimeout)
 	}
-	join.Stop()
 	if s.joinErr != nil {
 		return nil, false, s.joinErr
 	}
-
-	// Gather: one concurrent read per peer so slow links overlap. The
-	// round deadline covers both directions; it is re-armed every round.
-	var wg sync.WaitGroup
-	for _, p := range s.peers[1:] {
-		wg.Add(1)
-		go func(p *tcpPeer) {
-			defer wg.Done()
-			p.conn.SetDeadline(time.Now().Add(roundTimeout))
-			p.step, p.stop, p.payload, p.read, p.err = readFrame(p.br, p.payload)
-			if p.err == nil {
-				p.delta, p.err = s.codec.DecodeDelta(p.delta, p.payload)
-			}
-		}(p)
-	}
-	wg.Wait()
-	var bytesIn int64
-	stopAll := stop
-	for rank, p := range s.peers[1:] {
-		if p.err != nil {
-			return nil, false, s.failRound(fmt.Errorf("dist: rank %d: %w", rank+1, p.err))
-		}
-		if p.step != step {
-			return nil, false, s.failRound(fmt.Errorf("dist: rank %d at step %d, server at %d", rank+1, p.step, step))
-		}
-		stopAll = stopAll || p.stop
-		bytesIn += int64(p.read)
-	}
-
-	// The wire carries exact fp32, so the merged delta rank 0 applies is
-	// bit-identical to what every client decodes from the broadcast.
-	s.parts[0] = local
-	for r := 1; r < s.shards; r++ {
-		s.parts[r] = s.peers[r].delta
-	}
-	merged, err := core.MergeDeltas(s.mergeScratch, s.parts)
-	if err != nil {
-		return nil, false, s.failRound(err)
-	}
-	s.mergeScratch = merged
-
-	s.encodeBuf, err = s.codec.AppendDelta(s.encodeBuf[:0], merged)
-	if err != nil {
-		return nil, false, s.failRound(err)
-	}
-	var bytesOut int64
-	var werr error
-	var wmu sync.Mutex
-	for _, p := range s.peers[1:] {
-		wg.Add(1)
-		go func(p *tcpPeer) {
-			defer wg.Done()
-			n, err := writeFrame(p.bw, step, stopAll, s.encodeBuf)
-			wmu.Lock()
-			bytesOut += int64(n)
-			if err != nil && werr == nil {
-				werr = err
-			}
-			wmu.Unlock()
-		}(p)
-	}
-	wg.Wait()
-	if werr != nil {
-		return nil, false, s.failRound(fmt.Errorf("dist: broadcasting merged delta: %w", werr))
-	}
-
-	s.mu.Lock()
-	s.stats.Rounds++
-	s.stats.BytesIn += bytesIn
-	s.stats.BytesOut += bytesOut
-	s.mu.Unlock()
-	return merged, stopAll, nil
-}
-
-// failRound tears down the peer connections when a round cannot
-// complete — the hub's analog of Mesh.Fail. A rank blocked reading the
-// merged frame (it already uploaded this round) unblocks with a
-// connection error immediately instead of waiting out roundTimeout; the
-// group is dead either way, since the hub's training loop is about to
-// exit on the returned error.
-func (s *TCPServer) failRound(err error) error {
-	for _, p := range s.peers {
-		if p != nil {
-			p.conn.Close()
-		}
-	}
-	return err
-}
-
-// Stats returns the server's transport accounting: BytesIn is the sum of
-// client uploads received, BytesOut the merged broadcasts sent.
-func (s *TCPServer) Stats() ExchangeStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return s.round(s.peers[1:], step, local, stop)
 }
 
 // Close shuts the listener and every peer connection down. In-flight
@@ -358,18 +406,8 @@ func (s *TCPServer) Close() error {
 
 // TCPClient is one non-zero rank of a TCP-sharded group.
 type TCPClient struct {
-	codec  *Codec
-	conn   net.Conn
-	br     *bufio.Reader
-	bw     *bufio.Writer
-	shards int
-
-	encodeBuf []byte
-	payload   []byte
-	scratch   *core.SparseDelta
-
-	mu    sync.Mutex
-	stats ExchangeStats
+	peerRound
+	links []*link // the one connection, to rank 0
 }
 
 // dialRetryWindow is how long DialExchanger keeps retrying a failing
@@ -427,62 +465,21 @@ func DialExchanger(addr string, rank, shards int, codec *Codec, digest uint64) (
 		return nil, fmt.Errorf("dist: server at %s rejected rank %d/%d handshake (duplicate rank, or mismatched -shards/batch/iterations/seed/model settings?)", addr, rank, shards)
 	}
 	return &TCPClient{
-		codec:  codec,
-		conn:   conn,
-		br:     bufio.NewReader(conn),
-		bw:     bufio.NewWriter(conn),
-		shards: shards,
+		peerRound: peerRound{codec: codec, rank: rank, frames: make([]frame, shards), parts: make([]*core.SparseDelta, shards)},
+		// Rank 0's frame arrives first, then the other clients' it forwards.
+		links: []*link{newLink(conn, ranks(0, shards, rank), nil)},
 	}, nil
 }
 
-// Shards implements core.ShardCounter (the group size the client dialed
-// with).
-func (c *TCPClient) Shards() int { return c.shards }
-
-// Exchange implements core.DeltaExchanger: upload the encoded local
-// delta, download and decode the merged one. Each round re-arms the
-// round deadline, so a hung hub surfaces as an error instead of
-// blocking the replica forever.
+// Exchange implements core.DeltaExchanger: one peer round. Each round
+// re-arms the round deadline, so a hung group surfaces as an error instead
+// of blocking the replica forever.
 func (c *TCPClient) Exchange(step int64, local *core.SparseDelta, stop bool) (*core.SparseDelta, bool, error) {
-	var err error
-	c.encodeBuf, err = c.codec.AppendDelta(c.encodeBuf[:0], local)
-	if err != nil {
-		return nil, false, err
-	}
-	c.conn.SetDeadline(time.Now().Add(roundTimeout))
-	sent, err := writeFrame(c.bw, step, stop, c.encodeBuf)
-	if err != nil {
-		return nil, false, fmt.Errorf("dist: sending delta: %w", err)
-	}
-	mstep, stopAll, payload, read, err := readFrame(c.br, c.payload)
-	if err != nil {
-		return nil, false, fmt.Errorf("dist: receiving merged delta: %w", err)
-	}
-	c.payload = payload
-	if mstep != step {
-		return nil, false, fmt.Errorf("dist: merged delta for step %d, expected %d", mstep, step)
-	}
-	c.scratch, err = c.codec.DecodeDelta(c.scratch, payload)
-	if err != nil {
-		return nil, false, err
-	}
-	c.mu.Lock()
-	c.stats.Rounds++
-	c.stats.BytesOut += int64(sent)
-	c.stats.BytesIn += int64(read)
-	c.mu.Unlock()
-	return c.scratch, stopAll, nil
-}
-
-// Stats returns the client's measured upload/download accounting.
-func (c *TCPClient) Stats() ExchangeStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	return c.round(c.links, step, local, stop)
 }
 
 // Close drops the connection.
-func (c *TCPClient) Close() error { return c.conn.Close() }
+func (c *TCPClient) Close() error { return c.links[0].conn.Close() }
 
 // writeFrame emits one length-prefixed round frame and flushes, returning
 // the bytes written. The sender enforces the same payload bound the
@@ -524,12 +521,15 @@ func readFrame(br *bufio.Reader, buf []byte) (step int64, stop bool, payload []b
 	if plen > maxFramePayload {
 		return 0, false, buf, 0, fmt.Errorf("dist: frame payload %d exceeds limit", plen)
 	}
-	if cap(buf) < int(plen) {
-		buf = make([]byte, plen)
-	}
-	buf = buf[:plen]
-	if _, err = io.ReadFull(br, buf); err != nil {
-		return 0, false, buf, 0, err
+	// The buffer grows as the payload arrives: a peer announcing a payload
+	// it never sends costs no more than what it sent.
+	for buf = buf[:0]; len(buf) < int(plen); {
+		m := min(int(plen)-len(buf), max(cap(buf)-len(buf), 64<<10))
+		buf = slices.Grow(buf, m)
+		if _, err = io.ReadFull(br, buf[len(buf):len(buf)+m]); err != nil {
+			return 0, false, buf, 0, err
+		}
+		buf = buf[:len(buf)+m]
 	}
 	return step, stop, buf, frameHeaderLen + int(plen), nil
 }

@@ -57,3 +57,6 @@ func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]u
 
 //go:noescape
 func countAVX2(x *float32, blocks int) (n int)
+
+//go:noescape
+func finiteAVX2(x *float32, blocks int) (ok bool)

@@ -435,3 +435,25 @@ count_block:
 	VZEROUPPER
 	MOVQ      R9, n+16(FP)
 	RET
+
+// func finiteAVX2(x *float32, blocks int) (ok bool)
+// Whether no cell of blocks*8 has an all-ones exponent (NaN, ±Inf).
+TEXT ·finiteAVX2(SB), NOSPLIT, $0-17
+	MOVQ         x+0(FP), DX
+	MOVQ         blocks+8(FP), CX
+	MOVL         $0x7f800000, AX
+	VMOVD        AX, X13
+	VPBROADCASTD X13, Y13      // the exponent field
+	VPXOR        Y12, Y12, Y12 // lanes that held a non-finite value
+
+finite_block:
+	VPAND    (DX), Y13, Y0
+	VPCMPEQD Y13, Y0, Y0 // exponent all ones
+	VPOR     Y0, Y12, Y12
+	ADDQ     $32, DX
+	DECQ     CX
+	JNZ      finite_block
+	VPTEST   Y12, Y12
+	SETEQ    ok+16(FP)
+	VZEROUPPER
+	RET

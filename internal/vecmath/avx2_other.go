@@ -31,3 +31,5 @@ func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]u
 }
 
 func countAVX2(x *float32, blocks int) (n int) { panic("vecmath: no AVX2") }
+
+func finiteAVX2(x *float32, blocks int) (ok bool) { panic("vecmath: no AVX2") }

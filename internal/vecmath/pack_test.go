@@ -172,3 +172,42 @@ func offsetBytes(b []byte, off int) []byte {
 	copy(c[off:], b)
 	return c[off:]
 }
+
+// TestAllFiniteMatchesGo: AllFinite answers as the Go kernel and the
+// reference check do at every shape, and one NaN or ±Inf is found in any
+// lane of a vector block, in a later call's span, and in the Go tail.
+func TestAllFiniteMatchesGo(t *testing.T) {
+	r := rng.New(23)
+	kernelShapes(func(n, off int) {
+		x := offsetCopy(mixedVec(r, n), off)
+		if r.Intn(2) == 0 {
+			for k := range x {
+				if !allFinite(x[k : k+1]) {
+					x[k] = 1
+				}
+			}
+		}
+		if got, want := AllFinite(x), allFinite(x); got != want || finiteGo(x) != want {
+			t.Fatalf("n=%d off=%d: AllFinite %v (Go kernel %v), want %v", n, off, got, finiteGo(x), want)
+		}
+	})
+	for _, n := range []int{77, maxCells + 13} {
+		x := make([]float32, n)
+		for k := range x {
+			x[k] = math.MaxFloat32
+		}
+		for k := range x {
+			for _, bits := range []uint32{0x7f800000, 0xff800000, 0x7fc00000, 0xff800001} {
+				keep := x[k]
+				x[k] = math.Float32frombits(bits)
+				if AllFinite(x) {
+					t.Fatalf("n=%d: %#x at cell %d reported finite", n, bits, k)
+				}
+				x[k] = keep
+			}
+		}
+		if !AllFinite(x) {
+			t.Fatalf("n=%d: ±MaxFloat32 row reported non-finite", n)
+		}
+	}
+}
