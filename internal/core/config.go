@@ -101,9 +101,11 @@ type Config struct {
 
 	// RebuildN0 is the initial hash-table rebuild period in iterations
 	// and RebuildLambda the exponential decay constant (§4.2): the t-th
-	// rebuild happens after a gap of N0*exp(Lambda*(t-1)) iterations.
-	// Zero values select N0=50 (the paper's setting) and Lambda=0.1.
-	// Every rebuild re-hashes every row of every sampled layer.
+	// rebuild is due a gap of N0*exp(Lambda*(t-1)) iterations after the
+	// previous one, and a gap beyond the int64 range means no further
+	// rebuild. Zero values select N0=50 (the paper's setting) and
+	// Lambda=0.1; N0 must not be negative nor Lambda non-finite. Every
+	// rebuild re-hashes every row of every sampled layer.
 	RebuildN0     int
 	RebuildLambda float64
 }
@@ -133,6 +135,9 @@ func (c Config) validate() error {
 	}
 	if len(c.Layers) == 0 {
 		return fmt.Errorf("core: at least one layer required")
+	}
+	if c.RebuildN0 < 0 || math.IsNaN(c.RebuildLambda) || math.IsInf(c.RebuildLambda, 0) {
+		return fmt.Errorf("core: RebuildN0 must not be negative and RebuildLambda must be finite, got %d and %v", c.RebuildN0, c.RebuildLambda)
 	}
 	in := c.InputDim
 	for i, lc := range c.Layers {
@@ -232,15 +237,6 @@ type TrainConfig struct {
 	// weights are bit-identical to rank 0's, so N final evaluations of
 	// the same model would be pure redundant work.
 	SkipFinalEval bool
-
-	// SyncRebuild forces scheduled hash-table rebuilds to run inline,
-	// stopping the training loop for the whole reconstruction (the
-	// pre-async behavior, kept for comparison runs — see
-	// TrainResult.RebuildStallNS). The default is the non-blocking
-	// lifecycle: rebuilds prepare a weight snapshot at a batch boundary,
-	// build a shadow table set on a background goroutine while batches
-	// keep running, and publish it atomically at a later boundary.
-	SyncRebuild bool
 }
 
 // validate rejects negative sizes, which would otherwise panic or train

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -143,7 +144,7 @@ func TestTrainingDeterministicAcrossThreads(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := n.Train(ds.Train[:256], ds.Test, TrainConfig{
-			BatchSize: 32, Iterations: 8, Threads: threads, Seed: 7, EvalEvery: 0, SyncRebuild: true,
+			BatchSize: 32, Iterations: 8, Threads: threads, Seed: 7, EvalEvery: 0,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +209,11 @@ func TestEvalSampledIndependentOfLabels(t *testing.T) {
 	}
 }
 
-// TestRebuildScheduleExponential: rebuild gaps must grow per §4.2.
+// TestRebuildScheduleExponential pins the table lifecycle's steps: a
+// rebuild is kicked when due, the next one is due N0·e^{λ(r+1)} batches
+// later (r rebuilds published so far), and the kicked build publishes
+// max(1, ⌊gap/16⌋) batches after its kick — so gaps grow per §4.2 and
+// both steps are fixed by the config.
 func TestRebuildScheduleExponential(t *testing.T) {
 	cfg := tinyConfig(128)
 	cfg.RebuildN0 = 10
@@ -217,28 +222,25 @@ func TestRebuildScheduleExponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rebuildIters []int64
-	prev := n.Rebuilds()
-	for n.step = 0; n.step < 200; n.step++ {
-		if n.maybeRebuild(1); n.Rebuilds() != prev {
-			rebuildIters = append(rebuildIters, n.step)
-			prev = n.Rebuilds()
+	// Gaps 16, 27, 44, 73, 121; lags 1, 1, 2, 4, 7.
+	wantKicks := []int64{10, 26, 53, 97, 170}
+	wantPublishes := []int64{11, 27, 55, 101, 177}
+	var kicks, publishes []int64
+	gen, rebuilds := n.rebuildGen, n.Rebuilds()
+	for n.step = 1; n.step <= 200; n.step++ {
+		n.rebuildTick(1)
+		if n.Rebuilds() != rebuilds {
+			publishes = append(publishes, n.step)
+			rebuilds = n.Rebuilds()
+		}
+		if n.rebuildGen != gen {
+			kicks = append(kicks, n.step)
+			gen = n.rebuildGen
 		}
 	}
-	if len(rebuildIters) < 3 {
-		t.Fatalf("too few rebuilds: %v", rebuildIters)
-	}
-	gaps := make([]int64, 0, len(rebuildIters)-1)
-	for i := 1; i < len(rebuildIters); i++ {
-		gaps = append(gaps, rebuildIters[i]-rebuildIters[i-1])
-	}
-	for i := 1; i < len(gaps); i++ {
-		if gaps[i] < gaps[i-1] {
-			t.Fatalf("rebuild gaps not non-decreasing: %v", gaps)
-		}
-	}
-	if gaps[len(gaps)-1] <= gaps[0] {
-		t.Fatalf("rebuild gaps did not grow: %v", gaps)
+	n.finishPendingRebuild()
+	if !slices.Equal(kicks, wantKicks) || !slices.Equal(publishes, wantPublishes) {
+		t.Fatalf("kicked at %v and published at %v, want %v and %v", kicks, publishes, wantKicks, wantPublishes)
 	}
 }
 
@@ -361,6 +363,43 @@ func TestConfigValidation(t *testing.T) {
 		{Size: 8, Sampled: true, Hash: lsh.KindWTA, K: 2, L: 2, Beta: 2, BinSize: -1},
 	}}); err == nil {
 		t.Error("negative BinSize accepted")
+	}
+	for _, bad := range []struct {
+		n0     int
+		lambda float64
+	}{{-3, 0.1}, {50, math.NaN()}, {50, math.Inf(1)}, {50, math.Inf(-1)}} {
+		if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{{Size: 4}}, RebuildN0: bad.n0, RebuildLambda: bad.lambda}); err == nil {
+			t.Errorf("rebuild schedule N0=%d λ=%v accepted", bad.n0, bad.lambda)
+		}
+	}
+}
+
+// TestRebuildGapSaturates: a schedule whose next gap passes the int64
+// range (N0 = 2, λ = 1000 makes it +Inf) kicks its first rebuild and no
+// other, and the lag derived from the saturated gap does not overflow.
+func TestRebuildGapSaturates(t *testing.T) {
+	classes := 128
+	ds := tinyDataset(t, classes)
+	cfg := tinyConfig(classes)
+	cfg.RebuildN0 = 2
+	cfg.RebuildLambda = 1000
+	n, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 12, Threads: 1, Seed: 3, EvalEvery: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rebuilds != 1 || n.nextAt != math.MaxInt64 || n.publishAt <= n.step {
+		t.Fatalf("%d rebuilds in 12 batches, next due at %d, last publish step %d; want 1, never, past the run",
+			res.Rebuilds, n.nextAt, n.publishAt)
+	}
+	if g := rebuildGap(1, -10, 1, 100); g != 1 {
+		t.Fatalf("gap N0=1 λ=-10 = %d, want the floor 1", g)
+	}
+	if g := rebuildGap(2, 1000, 1, math.MaxInt64-2); g != math.MaxInt64-2 {
+		t.Fatalf("gap of +Inf saturated to %d, want %d", g, int64(math.MaxInt64-2))
 	}
 }
 

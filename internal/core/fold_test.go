@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/lsh"
@@ -242,14 +243,14 @@ func stateHash(n *Network) uint64 {
 }
 
 // TestTrainingGoldenHash pins training — weights, biases and moments after
-// 40 batches with scheduled rebuilds — to recorded hashes, at 1, 2 and 4
-// threads alike. The TopK hash was recorded at one thread from the commit
-// before the fold/step update phase replaced extract → CSR → apply
-// (c11261e): the update phase may be restructured, its arithmetic may not
-// move, and the thread count may not move it either. The vanilla case adds
-// randomized retrieval, seeded per batch position. The goldens were
-// recorded on amd64; other architectures may fuse multiply-adds and
-// legitimately differ.
+// 40 batches with three scheduled rebuilds — to recorded hashes, at 1, 2
+// and 4 threads alike, and with every background build slowed past its
+// publish step: the loop then waits for it, and the bits may not move.
+// With the publish lag forced to 0, the same run gives 0x42c7d6d0fe0c4d16
+// (TopK) and 0xb528b0e8cd25c660 (vanilla), the hashes of rebuilding inline
+// at the kick. The vanilla case adds randomized retrieval,
+// seeded per batch position. The goldens were recorded on amd64; other
+// architectures may fuse multiply-adds and legitimately differ.
 func TestTrainingGoldenHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64, running on %s", runtime.GOARCH)
@@ -261,18 +262,33 @@ func TestTrainingGoldenHash(t *testing.T) {
 		wantHash    uint64
 		wantTouched int64
 	}{
-		{sampling.KindTopK, 0x42c7d6d0fe0c4d16, 850358},
-		{sampling.KindVanilla, 0xb528b0e8cd25c660, 850787},
+		{sampling.KindTopK, 0xdceb6ba5aee90c0c, 850296},
+		{sampling.KindVanilla, 0xd930a7608b162106, 850811},
 	} {
-		for _, threads := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%v/threads=%d", c.strategy, threads), func(t *testing.T) {
+		for _, run := range []struct {
+			threads int
+			slow    bool
+		}{{1, false}, {2, false}, {4, false}, {2, true}} {
+			name := fmt.Sprintf("%v/threads=%d", c.strategy, run.threads)
+			if run.slow {
+				name += "/slow-build"
+			}
+			t.Run(name, func(t *testing.T) {
+				if run.slow {
+					testSlowBuild = func() { time.Sleep(20 * time.Millisecond) }
+					defer func() { testSlowBuild = nil }()
+				}
 				cfg := deltaTestConfig(classes)
 				cfg.Layers[1].Strategy = c.strategy
 				cfg.RebuildN0 = 10
 				n := mustNet(t, cfg)
-				tc := TrainConfig{BatchSize: 32, Iterations: 40, Threads: threads, Seed: 9, SyncRebuild: true}
-				if _, err := n.Train(ds.Train, ds.Test, tc); err != nil {
+				tc := TrainConfig{BatchSize: 32, Iterations: 40, Threads: run.threads, Seed: 9}
+				res, err := n.Train(ds.Train, ds.Test, tc)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if res.Rebuilds != 3 {
+					t.Fatalf("%d rebuilds, want 3 (kicked after batches 10, 21, 33)", res.Rebuilds)
 				}
 				if got := stateHash(n); got != c.wantHash || n.touchedWeights != c.wantTouched {
 					t.Fatalf("state hash %#x with %d cells stepped, want %#x with %d",

@@ -31,8 +31,9 @@ func v2File(cfgJSON string, layers [][3]uint32) []byte {
 // TestLoadModelValidatesConfig: a model file's config JSON is input like
 // any other. Files of every retired update mode (0, 1, 2) load, with the
 // key ignored; an unknown activation is an error rather than a network
-// that applies no non-linearity, and a shape int32 indices cannot address
-// is an error before any weight memory is sized for it.
+// that applies no non-linearity, a shape int32 indices cannot address is
+// an error before any weight memory is sized for it, and so is a rebuild
+// schedule with a negative N0 or a λ beyond float64.
 func TestLoadModelValidatesConfig(t *testing.T) {
 	file := func(act int, extra string) []byte {
 		cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":4,"Activation":%d},{"Size":3,"Activation":1}]%s}`, act, extra)
@@ -62,6 +63,8 @@ func TestLoadModelValidatesConfig(t *testing.T) {
 		{"layer size 2^50", v2File(`{"InputDim":4,"Layers":[{"Size":1125899906842624,"Activation":1}]}`, nil)},
 		{"layer 70000x70000", v2File(`{"InputDim":70000,"Layers":[{"Size":70000,"Activation":1}]}`, nil)},
 		{"input dim 2^31", v2File(`{"InputDim":2147483648,"Layers":[{"Size":1,"Activation":1}]}`, nil)},
+		{"rebuild N0 -3", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildN0":-3}`, nil)},
+		{"rebuild lambda 1e999", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildLambda":1e999}`, nil)},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
 			if _, err := LoadModel(bytes.NewReader(bad.data)); err == nil {

@@ -19,37 +19,39 @@ type Point = metrics.Point
 // Network is a SLIDE network (Algorithm 1): layers with weights, Adam
 // state and per-layer LSH tables. Construct with NewNetwork; the tables
 // are built once from the initial weights (§3.1 "Initialization") and
-// rebuilt on the exponential-decay schedule during training. Scheduled
-// rebuilds are non-blocking by default: a shadow table set is built on a
-// background goroutine from a batch-boundary weight snapshot and
-// published with an atomic handle swap, so training batches and
-// concurrent inference keep running on the previous set mid-rebuild
-// (TrainConfig.SyncRebuild restores the stop-the-world path).
+// rebuilt on the exponential-decay schedule during training. A scheduled
+// rebuild snapshots the weights at its due batch boundary, builds a
+// shadow table set on a background goroutine, and publishes it with an
+// atomic handle swap a fixed, schedule-derived number of batches later
+// (rebuildLagDiv), so training batches and concurrent inference keep
+// running on the previous set mid-rebuild and the batch a set goes live
+// at depends only on the config, never on timing.
 type Network struct {
 	cfg    Config
 	layers []*Layer
 	ar     *arena.Arena
 	adam   optim.Adam
 
-	step     int64 // completed training iterations (batches)
-	rebuilds int   // completed scheduled table rebuilds: the §4.2 schedule's exponent
-	nextAt   int64 // iteration of the next scheduled rebuild
+	step      int64 // completed training iterations (batches)
+	rebuilds  int   // published scheduled table rebuilds: the §4.2 schedule's exponent
+	nextAt    int64 // iteration the next scheduled rebuild is kicked at
+	publishAt int64 // iteration the pending rebuild is published at
 
 	// rebuildGen numbers table-set generations: every build — the
-	// construction-time build, synchronous rebuilds, background shadow
-	// builds — gets the next generation, which seeds its reservoir
-	// streams. A generation's tables are a pure function of (weights
-	// snapshot, config, generation), so a detached build is bit-identical
-	// to a synchronous one from the same snapshot.
+	// construction-time build, RebuildTables, scheduled shadow builds —
+	// gets the next generation, which seeds its reservoir streams. A
+	// generation's tables are a pure function of (weights snapshot,
+	// config, generation), so a detached build is bit-identical to an
+	// inline one from the same weights.
 	rebuildGen uint64
 	// pending is the in-flight background rebuild, nil when idle. Owned
 	// by the training loop: only rebuildTick creates, publishes and
 	// clears it.
 	pending *pendingRebuild
 	// rebuildStallNS / rebuildBuildNS account the lifecycle's cost since
-	// construction: loop-blocking time (snapshot copies and swap
-	// publication; entire rebuilds in sync mode) vs. background build
-	// time overlapped with training.
+	// construction: loop-blocking time (snapshot copies, and at the
+	// publish step any wait for a build still running) vs. background
+	// build time.
 	rebuildStallNS int64
 	rebuildBuildNS int64
 
@@ -177,27 +179,25 @@ func (n *Network) RebuildTables(workers int) {
 	}
 }
 
-// maybeRebuild applies the §4.2 exponential-decay schedule with a
-// synchronous (stop-the-world) rebuild: the first rebuild happens N0
-// iterations in, and the t-th gap is N0*exp(lambda*t), so rebuilds become
-// rarer as gradients shrink toward convergence.
-func (n *Network) maybeRebuild(workers int) bool {
-	if n.step < n.nextAt {
-		return false
-	}
-	n.RebuildTables(workers)
-	n.rebuilds++
-	n.scheduleNextRebuild()
-	return true
-}
+// rebuildLagDiv sets the publish lag: a rebuild kicked at step t, with
+// the schedule's next gap g, publishes at t + D, D = max(1, ⌊g/rebuildLagDiv⌋)
+// — 3 batches at the paper's N0 = 50. D ≤ g, so at most one build is in
+// flight. Against publishing whenever the build finished, in alternating
+// benchmark pairs on a 2-core Xeon, g/16 left every workload inside its
+// spread: train_converge reached its P@1 target in 2.28 vs 2.33 s (8
+// pairs), and train_xwide, whose single ~0.6 s build is now awaited at
+// batch 53, kept its throughput (+1.0%, 6 pairs). A g/4 lag kept tables
+// 13 batches stale and slowed train_converge's time to target by 22%.
+const rebuildLagDiv = 16
 
-// scheduleNextRebuild advances nextAt by the §4.2 exponential-decay gap.
-func (n *Network) scheduleNextRebuild() {
-	gap := float64(n.cfg.RebuildN0) * math.Exp(n.cfg.RebuildLambda*float64(n.rebuilds))
-	if gap < 1 {
-		gap = 1
+// rebuildGap is the §4.2 exponential-decay gap N0·e^{λ·t} in batches, at
+// least 1 and saturated at limit: a gap beyond it means no further rebuild.
+func rebuildGap(n0 int, lambda float64, t int, limit int64) int64 {
+	gap := float64(n0) * math.Exp(lambda*float64(t))
+	if gap >= float64(limit) {
+		return limit
 	}
-	n.nextAt = n.step + int64(gap)
+	return max(1, int64(gap))
 }
 
 // pendingRebuild is one in-flight background table build: the shadow sets
@@ -208,30 +208,30 @@ type pendingRebuild struct {
 	buildNS int64              // wall-clock spent building, overlapped with training
 }
 
-// rebuildTick drives the non-blocking table lifecycle at a batch
-// boundary. If a background build finished, its shadows are published
-// (one atomic store per layer) and the next rebuild scheduled; otherwise,
-// when the §4.2 schedule is due and nothing is in flight, the synchronous
-// prepare step runs (weight snapshot copies) and the build is kicked onto
-// a background goroutine. The time the training loop is blocked here — by
-// design only the prepare/publish cost, never the build itself —
-// accumulates into n.rebuildStallNS.
+// rebuildTick drives the table lifecycle at a batch boundary: snapshot →
+// background build → publish at a fixed step. A pending build whose
+// publish step has come is awaited and swapped in (one atomic store per
+// layer). Then, when the §4.2 schedule is due, the weights are
+// snapshotted and the build kicked onto a background goroutine: a rebuild
+// due at step t publishes at t + D and the next one is due at t + g, where
+// g = N0·e^{λ(r+1)} for r rebuilds published so far and D derives from g
+// (rebuildLagDiv). Both steps are pure functions of the config, so the
+// trained bits are too. The time the training loop is blocked here — the
+// snapshot copies, the swap, and any wait for a build that overran its
+// lag — accumulates into n.rebuildStallNS.
 func (n *Network) rebuildTick(workers int) {
-	if n.pending != nil {
-		select {
-		case <-n.pending.done:
-			t0 := nowNano()
-			n.publishPending()
-			n.rebuildStallNS += nowNano() - t0
-		default:
-			// Build still running; keep training on the old set.
-		}
-		return
+	if n.pending != nil && n.step >= n.publishAt {
+		t0 := nowNano()
+		n.finishPendingRebuild()
+		n.rebuildStallNS += nowNano() - t0
 	}
 	if n.step < n.nextAt {
 		return
 	}
 	t0 := nowNano()
+	g := rebuildGap(n.cfg.RebuildN0, n.cfg.RebuildLambda, n.rebuilds+1, math.MaxInt64-n.step)
+	n.nextAt = n.step + g
+	n.publishAt = n.step + max(1, g/rebuildLagDiv)
 	n.startBackgroundRebuild(workers)
 	n.rebuildStallNS += nowNano() - t0
 }
@@ -262,34 +262,36 @@ func (n *Network) startBackgroundRebuild(workers int) {
 				p.shadows[li] = l.buildShadow(gen, snaps[li], workers)
 			}
 		}
+		if testSlowBuild != nil {
+			testSlowBuild()
+		}
 		p.buildNS = nowNano() - t0
 		close(p.done)
 	}()
 }
 
-// publishPending swaps every finished shadow in and schedules the next
-// rebuild. Must only be called once pending.done is closed.
-func (n *Network) publishPending() {
-	for li, shadow := range n.pending.shadows {
+// testSlowBuild, when set, runs at the end of every background build.
+// Tests use it to make builds overrun their publish lag.
+var testSlowBuild func()
+
+// finishPendingRebuild waits for an in-flight background build and
+// publishes it. rebuildTick calls it at the publish step; Train calls it
+// at exit, publishing early, so a network is never left with a dangling
+// builder after training returns.
+func (n *Network) finishPendingRebuild() {
+	p := n.pending
+	if p == nil {
+		return
+	}
+	<-p.done
+	for li, shadow := range p.shadows {
 		if shadow != nil {
 			n.layers[li].tables.Store(shadow)
 		}
 	}
-	n.rebuildBuildNS += n.pending.buildNS
+	n.rebuildBuildNS += p.buildNS
 	n.pending = nil
 	n.rebuilds++
-	n.scheduleNextRebuild()
-}
-
-// finishPendingRebuild waits for an in-flight background build and
-// publishes it, so a network is never left with a dangling builder after
-// training returns.
-func (n *Network) finishPendingRebuild() {
-	if n.pending == nil {
-		return
-	}
-	<-n.pending.done
-	n.publishPending()
 }
 
 // Predict runs an exact (all neurons active) forward pass and returns the

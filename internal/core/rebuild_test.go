@@ -27,15 +27,14 @@ func naiveTables(l *Layer, gen uint64) *hashtable.Table {
 	return ref
 }
 
-// TestShadowBuildMatchesSyncRebuild is the async-vs-sync equivalence
+// TestShadowBuildMatchesInlineBuild is the detached-vs-inline equivalence
 // proof: from one weight snapshot and one generation, a shadow built on a
 // background goroutine is bucket-for-bucket identical to one built
 // inline — and both match a build straight from the live rows while the
-// weights are quiesced. This is what makes the background lifecycle a
-// pure scheduling change: the tables training ends up with are the same
-// tables a stop-the-world rebuild of the same snapshot would have
-// produced.
-func TestShadowBuildMatchesSyncRebuild(t *testing.T) {
+// weights are quiesced (RebuildTables' path). So the tables a scheduled
+// rebuild publishes are the tables an inline build of the same weights
+// would have produced.
+func TestShadowBuildMatchesInlineBuild(t *testing.T) {
 	classes := 256
 	ds := tinyDataset(t, classes)
 	n, err := NewNetwork(tinyConfig(classes))
@@ -84,9 +83,8 @@ func TestShadowBuildMatchesSyncRebuild(t *testing.T) {
 }
 
 // TestAsyncRebuildPublishes runs the scheduler end to end: a training run
-// on the default (non-blocking) lifecycle must kick background builds,
-// publish them at batch boundaries, account overlapped build time, and
-// leave the network fully servable.
+// must kick background builds, publish them at batch boundaries, account
+// their build time, and leave the network fully servable.
 func TestAsyncRebuildPublishes(t *testing.T) {
 	classes := 256
 	ds := tinyDataset(t, classes)
@@ -119,24 +117,6 @@ func TestAsyncRebuildPublishes(t *testing.T) {
 	}
 	if _, _, err := n.PredictSampled(ds.Test[0].Features, 3); err != nil {
 		t.Fatal(err)
-	}
-
-	// The sync mode still works and charges whole rebuilds as stall.
-	nSync, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resSync, err := nSync.Train(ds.Train, ds.Test, TrainConfig{
-		Iterations: 40, Seed: 3, EvalEvery: 0, SyncRebuild: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resSync.Rebuilds == 0 || resSync.RebuildStallNS <= 0 {
-		t.Fatalf("sync run: rebuilds=%d stall=%dns", resSync.Rebuilds, resSync.RebuildStallNS)
-	}
-	if resSync.RebuildBuildNS != 0 {
-		t.Fatalf("sync run recorded overlapped build time: %dns", resSync.RebuildBuildNS)
 	}
 }
 
@@ -273,9 +253,10 @@ func TestRestorePathsShareTableGeneration(t *testing.T) {
 		t.Fatal("v1 Load and v2 LoadModel rebuilt different tables from identical weights (generation mismatch)")
 	}
 
-	// Gaps are 8 then int(8·e^0.1) = 8: rebuilds land after batches 8 and
-	// 16 on both networks, unless a restore build shifted the exponent.
-	tc := TrainConfig{BatchSize: 32, Iterations: 18, Threads: 1, Seed: 3, EvalEvery: 0, SyncRebuild: true}
+	// Gaps are 8 then int(8·e^0.1) = 8: rebuilds are kicked after batches 8
+	// and 16 and published a batch later on both networks, unless a
+	// restore build shifted the exponent.
+	tc := TrainConfig{BatchSize: 32, Iterations: 18, Threads: 1, Seed: 3, EvalEvery: 0}
 	for _, m := range []*Network{viaLoad, viaLoadModel} {
 		if _, err := m.Train(ds.Train, ds.Test, tc); err != nil {
 			t.Fatal(err)
@@ -377,8 +358,8 @@ func tableFingerprint(tb *hashtable.Table) uint64 {
 }
 
 // TestTableFingerprintGolden pins the sampled layer's tables — after
-// construction, and after 30 one-thread batches with one background and
-// one SyncRebuild rebuild — to fingerprints recorded at 45e72ec, the last
+// construction, and after 30 one-thread batches with two scheduled
+// rebuilds — to fingerprints recorded at 45e72ec, the last
 // commit that built them through the code-memo path: the build pipeline
 // may be restructured, the tables it produces may not move. BucketSize 4
 // makes every bucket overflow, so insertion order and the generation's
@@ -410,19 +391,20 @@ func TestTableFingerprintGolden(t *testing.T) {
 		}
 		gotInit := tableFingerprint(n.layers[1].Tables())
 		// The schedule fires after batch 10 and again after batch 21: the
-		// first call ends on the kick, so its background build is published
-		// by Train's final join, never mid-run at a timing-dependent batch.
-		bg, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 10, Threads: 1, Seed: 9, EvalEvery: 0})
+		// first call ends on the kick, so its build is published by Train's
+		// final join; the second publishes one batch after its kick. Both
+		// hash the weights at their kick.
+		first, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 10, Threads: 1, Seed: 9, EvalEvery: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		inline, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 20, Threads: 1, Seed: 9, EvalEvery: 0, SyncRebuild: true})
+		second, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 20, Threads: 1, Seed: 9, EvalEvery: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bg.Rebuilds != 1 || bg.RebuildBuildNS == 0 || inline.Rebuilds != 1 || inline.RebuildBuildNS != 0 {
-			t.Fatalf("%v: want one background then one sync rebuild, got %d (build %dns) then %d (build %dns)",
-				tc.hash, bg.Rebuilds, bg.RebuildBuildNS, inline.Rebuilds, inline.RebuildBuildNS)
+		if first.Rebuilds != 1 || first.RebuildBuildNS == 0 || second.Rebuilds != 1 || second.RebuildBuildNS == 0 {
+			t.Fatalf("%v: want one rebuild per call, got %d (build %dns) then %d (build %dns)",
+				tc.hash, first.Rebuilds, first.RebuildBuildNS, second.Rebuilds, second.RebuildBuildNS)
 		}
 		if gotTrain := tableFingerprint(n.layers[1].Tables()); gotInit != tc.wantInit || gotTrain != tc.wantTrain {
 			t.Errorf("%v: table fingerprints %#x after NewNetwork and %#x after training, want %#x and %#x",

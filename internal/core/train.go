@@ -35,15 +35,15 @@ type TrainResult struct {
 	// this run.
 	Rebuilds int
 	// RebuildStallNS is the nanoseconds this run's training loop spent
-	// blocked on table maintenance. In the default asynchronous lifecycle
-	// that is only the batch-boundary snapshot copies (plus the atomic
-	// swap publication); with SyncRebuild it is the entire stop-the-world
-	// rebuild time. The §4.2 "Updating Overhead" analog: paper SLIDE
-	// amortizes rebuilds by scheduling them rarely, this system
-	// additionally takes them off the critical path.
+	// blocked on table maintenance: the batch-boundary snapshot copies,
+	// the atomic swap publication, and any wait at a publish step for a
+	// build that overran its lag. The §4.2 "Updating Overhead" analog:
+	// paper SLIDE amortizes rebuilds by scheduling them rarely, this
+	// system additionally builds them off the critical path.
 	RebuildStallNS int64
-	// RebuildBuildNS is the nanoseconds background shadow builds spent
-	// overlapped with training batches (zero with SyncRebuild).
+	// RebuildBuildNS is the nanoseconds this run's background shadow
+	// builds took, mostly overlapped with training batches; the part
+	// that was not shows in RebuildStallNS.
 	RebuildBuildNS int64
 	// RowsRehashed counts the neuron rows this run's rebuilds hashed:
 	// sampled rows × rebuilds.
@@ -81,10 +81,9 @@ type TrainResult struct {
 // in element order by one owner and stepped (fold.go).
 //
 // Determinism: the trained bits do not depend on Threads — nor, for a
-// sharded run, on the threads per rank or on OverlapExchange — as long as
-// the hash tables are published at the same batches. That holds with
-// SyncRebuild or when no rebuild is due; the default background rebuild
-// publishes whenever its build finishes, which depends on timing.
+// sharded run, on the threads per rank or on OverlapExchange — because a
+// scheduled table rebuild snapshots and publishes at batches the config
+// fixes (Network.rebuildTick), however long its background build takes.
 func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainResult, error) {
 	return n.TrainContext(context.Background(), train, test, tc)
 }
@@ -333,14 +332,7 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 			}
 		}
 		n.step++
-		if tc.SyncRebuild {
-			r0 := nowNano()
-			if n.maybeRebuild(workers) {
-				n.rebuildStallNS += nowNano() - r0
-			}
-		} else {
-			n.rebuildTick(workers)
-		}
+		n.rebuildTick(workers)
 		trainNS += nowNano() - t0
 		if stopAll {
 			break
@@ -392,11 +384,11 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	}
 
 	// A background shadow build may still be in flight when the loop
-	// exits (cancellation, time budget, or the schedule firing near the
-	// end); wait for it and publish so the network's tables always
-	// reflect the last kicked rebuild and no builder goroutine outlives
-	// the run. The wait is not charged to the training clock — the loop
-	// is done competing with it.
+	// exits (cancellation, time budget, or a kick within its lag of the
+	// end); wait for it and publish it early, so the network's tables
+	// always reflect the last kicked rebuild and no builder goroutine
+	// outlives the run. The wait is not charged to the training clock —
+	// the loop is done competing with it.
 	n.finishPendingRebuild()
 
 	// Final evaluation unless the loop ended exactly on an eval. A

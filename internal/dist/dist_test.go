@@ -83,6 +83,17 @@ func requireNetsBitIdentical(t *testing.T, a, b *core.Network, context string) {
 	}
 }
 
+// requireTablesEqual compares two networks' published hash tables bucket
+// for bucket.
+func requireTablesEqual(t *testing.T, a, b *core.Network, context string) {
+	t.Helper()
+	for li := 0; li < a.NumLayers(); li++ {
+		if a.Layer(li).Sampled() && !a.Layer(li).Tables().Equal(b.Layer(li).Tables()) {
+			t.Fatalf("%s: layer %d published different tables", context, li)
+		}
+	}
+}
+
 // TestShardExamples: round-robin partition covers every example exactly
 // once and balances sizes within one.
 func TestShardExamples(t *testing.T) {
@@ -389,7 +400,9 @@ func trainWithExchanger(t *testing.T, net *core.Network, ex core.DeltaExchanger,
 // bit with or without overlap, and both transports leave all replicas in
 // lockstep.
 // The threads per rank must not matter either: the mesh reference runs
-// 1 thread per rank, a second mesh run and the TCP ranks run 2.
+// 1 thread per rank, a second mesh run and the TCP ranks run 2. Table
+// rebuilds are due in the run, and each publishes at the same step on
+// every rank however long its build takes there.
 func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 	const classes = 128
 	const iters = 12
@@ -405,6 +418,7 @@ func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := distConfig(classes)
+			cfg.RebuildN0 = 4 // kicked after batches 4, 8 and 12
 
 			// Mesh reference run, seeds matching trainWithExchanger. A
 			// mesh's Threads is the group's budget (2: one per rank, 4:
@@ -427,6 +441,9 @@ func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 			mesh2, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 2)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if meshRes.Results[0].Rebuilds != 3 {
+				t.Fatalf("mesh run published %d rebuilds, want 3", meshRes.Results[0].Rebuilds)
 			}
 			requireNetsBitIdentical(t, meshRes.Nets[0], mesh2.Nets[0], "mesh at 1 vs 2 threads per rank")
 
@@ -466,6 +483,7 @@ func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
 
 			requireNetsBitIdentical(t, nets[0], nets[1], "TCP replicas")
 			requireNetsBitIdentical(t, meshRes.Nets[0], nets[0], "mesh at 1 thread per rank vs TCP at 2")
+			requireTablesEqual(t, meshRes.Nets[0], nets[1], "mesh rank 0 vs TCP rank 1")
 
 			sst, cst := srv.Stats(), cli.Stats()
 			if sst.Rounds != iters || cst.Rounds != iters {
@@ -652,11 +670,7 @@ func rawJoin(addr string, magic [4]byte, rank, shards int, digest uint64) (net.C
 	if err != nil {
 		return nil, ack, err
 	}
-	hello := append(magic[:], 0, 0, 0, 0)
-	binary.LittleEndian.PutUint16(hello[4:], uint16(rank))
-	binary.LittleEndian.PutUint16(hello[6:], uint16(shards))
-	hello = binary.LittleEndian.AppendUint64(hello, digest)
-	if _, err := conn.Write(hello); err != nil {
+	if _, err := conn.Write(hello(magic, rank, shards, digest)); err != nil {
 		conn.Close()
 		return nil, ack, err
 	}
@@ -919,6 +933,76 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// hello renders a client handshake: magic, rank, shard count, digest.
+func hello(magic [4]byte, rank, shards int, digest uint64) []byte {
+	h := append(magic[:], 0, 0, 0, 0)
+	binary.LittleEndian.PutUint16(h[4:], uint16(rank))
+	binary.LittleEndian.PutUint16(h[6:], uint16(shards))
+	return binary.LittleEndian.AppendUint64(h, digest)
+}
+
+// FuzzHandshake feeds arbitrary hellos to TCPServer.handshake over
+// net.Pipe, seeded with TestTCPHandshakeRejects' hellos, against a
+// 3-shard server whose rank 2 has already joined. It may not panic; a
+// short hello is an error with no ack; a whole one is acked with the
+// group magic, and accepted — returning its rank — only if magic, shard
+// count, digest and rank are all valid.
+func FuzzHandshake(f *testing.F) {
+	const shards, digest = 3, 7
+	f.Add(hello(tcpMagic, 1, shards, digest))
+	f.Add(hello(tcpMagic, 1, 4, digest))
+	f.Add(hello(tcpMagic, 0, shards, digest))
+	f.Add(hello(tcpMagic, 3, shards, digest))
+	f.Add(hello(tcpMagic, 2, shards, digest))
+	f.Add(hello(tcpMagic, 1, shards, digest+1))
+	f.Add(hello([4]byte{'S', 'D', 'X', '3'}, 1, shards, digest))
+	f.Add(hello([4]byte{'S', 'D', 'X', '0' + codecVersion}, 1, shards, digest))
+	f.Add([]byte("GET / HTTP/1.1\r\n"))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := &TCPServer{peerRound: peerRound{frames: make([]frame, shards)}, digest: digest, peers: make([]*link, shards)}
+		s.peers[2] = &link{}
+		srv, cli := net.Pipe()
+		defer cli.Close()
+		type result struct {
+			rank int
+			err  error
+		}
+		done := make(chan result, 1)
+		go func() {
+			rank, err := s.handshake(srv)
+			srv.Close()
+			done <- result{rank, err}
+		}()
+		h := data[:min(len(data), 16)]
+		cli.Write(h) // returns once handshake has read all of h
+		if len(h) < 16 {
+			cli.Close()
+			if r := <-done; r.err == nil {
+				t.Fatalf("%d-byte hello accepted", len(h))
+			}
+			return
+		}
+		var ack [5]byte
+		_, ackErr := io.ReadFull(cli, ack[:])
+		r := <-done
+		if ackErr != nil || [4]byte(ack[:4]) != tcpMagic {
+			t.Fatalf("ack %x, read error %v", ack, ackErr)
+		}
+		rank := int(binary.LittleEndian.Uint16(h[4:6]))
+		valid := [4]byte(h[:4]) == tcpMagic &&
+			binary.LittleEndian.Uint16(h[6:8]) == shards &&
+			binary.LittleEndian.Uint64(h[8:16]) == digest &&
+			rank == 1 // 0 is the server, 2 has joined, 3+ is past the group
+		if (r.err == nil) != valid || (ack[4] == 0) != valid {
+			t.Fatalf("hello %x: handshake err %v, ack status %d; valid %v", h, r.err, ack[4], valid)
+		}
+		if valid && r.rank != rank {
+			t.Fatalf("accepted rank %d, hello says %d", r.rank, rank)
+		}
+	})
+}
+
 // TestExchangeStatsPerRound: the per-round means divide the byte totals
 // by the rounds, and a stats record with no rounds reports zero rather
 // than NaN.
@@ -990,6 +1074,7 @@ func TestOverlapRebuildRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireNetsBitIdentical(t, res.Nets[0], res.Nets[1], "overlap+rebuild replicas")
+	requireTablesEqual(t, res.Nets[0], res.Nets[1], "overlap+rebuild replicas")
 	if res.Results[0].Rebuilds == 0 {
 		t.Fatal("no rebuilds fired; stress is vacuous")
 	}

@@ -48,12 +48,13 @@ import (
 )
 
 // Network is a SLIDE network. Scheduled hash-table rebuilds run off the
-// training hot path by default: a shadow table set is built on a
-// background goroutine from a batch-boundary weight snapshot and
-// published with an atomic swap, so training batches block only for the
-// snapshot copy (TrainResult.RebuildStallNS accounts it;
-// TrainConfig.SyncRebuild restores the stop-the-world path). See
-// core.Network for method documentation.
+// training hot path: a shadow table set is built on a background
+// goroutine from a batch-boundary weight snapshot and published with an
+// atomic swap a fixed, schedule-derived number of batches later, so
+// training batches block only for the snapshot copy (and for a build
+// that overruns its lag; TrainResult.RebuildStallNS accounts both), and
+// the trained bits do not depend on timing. See core.Network for method
+// documentation.
 type Network = core.Network
 
 // Predictor is a reusable, concurrency-safe inference session over a

@@ -57,9 +57,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 }
 
 // TestTrainingBitsIndependentOfThreads is the public determinism contract:
-// with tables published at the same batches (SyncRebuild), a sampled,
-// vanilla-strategy network trained at 1 and at 4 threads saves the same
-// model file, byte for byte.
+// a sampled, vanilla-strategy network trained at 1 and at 4 threads, with
+// scheduled table rebuilds in the run, saves the same model file, byte for
+// byte.
 func TestTrainingBitsIndependentOfThreads(t *testing.T) {
 	ds, err := dataset.Generate(dataset.Delicious200K(0.005, 7))
 	if err != nil {
@@ -83,7 +83,7 @@ func TestTrainingBitsIndependentOfThreads(t *testing.T) {
 			t.Fatal(err)
 		}
 		res, err := net.Train(ds.Train, ds.Test, slide.TrainConfig{
-			BatchSize: 32, Iterations: 12, Threads: threads, Seed: 3, SyncRebuild: true,
+			BatchSize: 32, Iterations: 12, Threads: threads, Seed: 3,
 		})
 		if err != nil {
 			t.Fatal(err)
