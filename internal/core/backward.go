@@ -69,7 +69,7 @@ func (n *Network) backwardElem(st *elemState, rec *elemRecord, labels []int32) f
 		ls, prev := &layers[li], &layers[li-1]
 		acc := st.acc[:len(prev.vals)]
 		clear(acc)
-		backLayerAcc(n.layers[li], ls, prev, acc)
+		backLayerAcc(st, n.layers[li], ls, prev, acc)
 		prev.delta = prev.delta[:len(prev.vals)]
 		reluPrev := n.layers[li-1].cfg.Activation == ActReLU
 		for t, d := range acc {
@@ -84,20 +84,28 @@ func (n *Network) backwardElem(st *elemState, rec *elemRecord, labels []int32) f
 }
 
 // backLayerAcc accumulates the previous layer's activation gradient,
-// acc += δ_j·w_j over the active rows j in active-set order, aligned with
-// the input: one vector axpy per row for a dense input, a gather of the
-// active input ids for a sparse one. l is never the first layer — nothing
-// below it needs an activation gradient — so its rows are neuron rows.
-func backLayerAcc(l *Layer, ls, in *layerState, acc []float32) {
+// acc += δ_j·w_j over the active rows j with a nonzero δ_j in active-set
+// order, aligned with the input: for a dense input one AxpyRows row sum
+// over those rows, for a sparse one a gather of the active input ids per
+// row. l is never the first layer — nothing below it needs an activation
+// gradient — so its rows are neuron rows.
+func backLayerAcc(st *elemState, l *Layer, ls, in *layerState, acc []float32) {
+	if in.full {
+		terms := st.terms[:0]
+		for a, dj := range ls.delta {
+			if dj != 0 {
+				terms = append(terms, vecmath.Term{K: ls.id(a), Coef: dj})
+			}
+		}
+		st.terms = terms
+		vecmath.AxpyRows(acc, l.w, terms)
+		return
+	}
 	for a, dj := range ls.delta {
 		if dj == 0 {
 			continue
 		}
 		w := l.w[ls.id(a)]
-		if in.full {
-			vecmath.Axpy(dj, w[:len(acc)], acc)
-			continue
-		}
 		for t, i := range in.ids {
 			acc[t] += dj * w[i]
 		}

@@ -96,7 +96,8 @@ type Config struct {
 	Seed uint64
 
 	// Adam holds optimizer hyperparameters; a zero LR selects
-	// optim.NewAdam(0.001).
+	// optim.NewAdam(0.001). Otherwise LR must be finite and not negative,
+	// Beta1 and Beta2 in [0, 1), and Eps finite and positive.
 	Adam optim.Adam
 
 	// RebuildN0 is the initial hash-table rebuild period in iterations
@@ -135,6 +136,13 @@ func (c Config) validate() error {
 	}
 	if len(c.Layers) == 0 {
 		return fmt.Errorf("core: at least one layer required")
+	}
+	// A zero LR selects the defaults (withDefaults). Otherwise Beta1 = 1
+	// divides Alpha by zero, Beta2 = 1 makes it zero, a NaN anywhere
+	// poisons every stepped weight and a negative LR ascends.
+	if a := c.Adam; a.LR != 0 && (!(a.LR > 0 && a.LR <= math.MaxFloat32) || !(a.Beta1 >= 0 && a.Beta1 < 1) ||
+		!(a.Beta2 >= 0 && a.Beta2 < 1) || !(a.Eps > 0 && a.Eps <= math.MaxFloat32)) {
+		return fmt.Errorf("core: Adam needs a finite LR ≥ 0, Beta1 and Beta2 in [0, 1) and a finite Eps > 0, got %+v", a)
 	}
 	if c.RebuildN0 < 0 || math.IsNaN(c.RebuildLambda) || math.IsInf(c.RebuildLambda, 0) {
 		return fmt.Errorf("core: RebuildN0 must not be negative and RebuildLambda must be finite, got %d and %v", c.RebuildN0, c.RebuildLambda)

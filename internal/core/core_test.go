@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/lsh"
+	"repro/internal/optim"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
 )
@@ -371,6 +372,30 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{{Size: 4}}, RebuildN0: bad.n0, RebuildLambda: bad.lambda}); err == nil {
 			t.Errorf("rebuild schedule N0=%d λ=%v accepted", bad.n0, bad.lambda)
 		}
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	for _, bad := range []func(a *optim.Adam){
+		func(a *optim.Adam) { a.LR = nan },
+		func(a *optim.Adam) { a.LR = inf },
+		func(a *optim.Adam) { a.LR = -1e-3 },
+		func(a *optim.Adam) { a.Beta1 = 1 },
+		func(a *optim.Adam) { a.Beta1 = -0.1 },
+		func(a *optim.Adam) { a.Beta1 = nan },
+		func(a *optim.Adam) { a.Beta2 = 1 },
+		func(a *optim.Adam) { a.Beta2 = nan },
+		func(a *optim.Adam) { a.Eps = 0 },
+		func(a *optim.Adam) { a.Eps = -1e-8 },
+		func(a *optim.Adam) { a.Eps = nan },
+		func(a *optim.Adam) { a.Eps = inf },
+	} {
+		adam := optim.NewAdam(1e-3)
+		bad(&adam)
+		if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{{Size: 4}}, Adam: adam}); err == nil {
+			t.Errorf("Adam %+v accepted", adam)
+		}
+	}
+	if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{{Size: 4}}, Adam: optim.Adam{LR: 1e-3, Eps: 1e-8}}); err != nil {
+		t.Errorf("Adam with zero betas refused: %v", err)
 	}
 }
 

@@ -294,7 +294,7 @@ func (l *Layer) scanStamps(stamps []uint32, epoch uint32, workers int, dst []int
 // takes the vector row step.
 func (l *Layer) ApplyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32, workers int) int64 {
 	w := ld.width()
-	stepped := l.stepSpans(workers, len(ld.Rows), func(_, lo, hi int) int64 {
+	stepped := l.claimRows(workers, len(ld.Rows), func(_, lo, hi int) int64 {
 		var n int64
 		for r := lo; r < hi; r++ {
 			n += l.stepRow(adam, ld.Rows[r], ld.Cols, ld.Vals[r*w:(r+1)*w], alpha, invB)
@@ -307,15 +307,35 @@ func (l *Layer) ApplyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32,
 	return stepped
 }
 
-// stepSpans calls step(wk, lo, hi) for contiguous spans of [0, n) in
-// parallel across workers and returns the total of the counts step
-// returns. Each row has a single writer.
-func (l *Layer) stepSpans(workers, n int, step func(wk, lo, hi int) int64) int64 {
+// claimChunk is the rows an update-phase worker claims at a time. A row's
+// cost follows its contribution count — an output neuron active in one
+// element of the batch or in forty — so static halves of the ascending
+// rows left one worker idle for a third of the output layer's step. 32
+// rows balance the few hundred to few thousand rows of a batch's layer
+// while a worker touches the shared cursor only once per tens of
+// microseconds of work.
+const claimChunk = 32
+
+// claimRows calls step(wk, lo, hi) for chunks of at most claimChunk rows
+// of [0, n), claimed in turn from the fold's cursor by up to workers
+// goroutines (wk is the claiming worker's index), and returns the total of
+// the counts step returns. Each row has a single writer, and which worker
+// takes a row changes nothing the row computes.
+func (l *Layer) claimRows(workers, n int, step func(wk, lo, hi int) int64) int64 {
 	f := &l.fold
 	f.applied = growTo(f.applied, max(workers, 1))
 	clear(f.applied)
-	parallelIndexed(workers, n, func(wk, lo, hi int) {
-		f.applied[wk] = step(wk, lo, hi)
+	f.next.Store(0)
+	parallelIndexed(workers, (n+claimChunk-1)/claimChunk, func(wk, _, _ int) {
+		var done int64
+		for {
+			lo := int(f.next.Add(claimChunk)) - claimChunk
+			if lo >= n {
+				break
+			}
+			done += step(wk, lo, min(lo+claimChunk, n))
+		}
+		f.applied[wk] = done
 	})
 	var total int64
 	for _, c := range f.applied {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/optim"
 	"repro/internal/vecmath"
@@ -13,26 +14,29 @@ import (
 // A batch's weight gradient is never stored whole. At the quiesced batch
 // boundary each layer indexes the batch's records (backward.go) by touched
 // storage row — a stable counting pass over the records in batch-position
-// order — and stepSpans splits the ascending rows into contiguous spans
-// across workers. The owner of a row replays its contributions, each a
-// coefficient times one element's operand vector, in ascending element
-// order into one row and hands it to a consumer: stepFold runs the Adam
-// step from a worker-owned row scratch (local training); compactFold folds
-// each row into its own slot of a LayerDelta's row block
-// (Network.ExtractDelta: the exchange payload and the public API), which ApplyDelta later steps with the same row step. No
-// worker writes memory another reads.
+// order — and workers claim the ascending rows in chunks of claimChunk
+// from a shared cursor (claimRows). The owner of a row replays its
+// contributions, each a coefficient times one element's operand vector, in
+// ascending element order into one row and hands it to a consumer:
+// stepFold runs the Adam step from a worker-owned row scratch (local
+// training); compactFold folds each row into its own slot of a
+// LayerDelta's row block (Network.ExtractDelta: the exchange payload and
+// the public API), which ApplyDelta later steps with the same row step.
+// No worker writes memory another reads.
 //
 // Rows follow the layer's orientation (see Layer):
 //
 //   - neuron-major: row j sums δ_j·input over the elements with a nonzero
-//     δ_j. The row is full width (l.in floats) for a dense input (Axpy) or
-//     a sparse input of fan-in ≤ colTrackThreshold (SparseAxpy). A sparse
+//     δ_j. The row is full width (l.in floats) for a dense input — the
+//     whole row one AxpyRows row sum over the elements' inputs — or a
+//     sparse input of fan-in ≤ colTrackThreshold (SparseAxpy). A sparse
 //     input of wide fan-in (a sampled first layer, on example features)
 //     replays over the batch's touched input columns, ascending, each
 //     record's ids mapped to their union positions once per batch
 //     (IndexedAxpy), so a row costs O(touched columns), not O(fan-in).
 //   - input-major: row i, one per feature present in the batch, sums
-//     x_i·δ over the elements carrying feature i, one out-wide Axpy each.
+//     x_i·δ over the elements carrying feature i: one AxpyRows row sum
+//     over their out-wide δ.
 //
 // Per cell this is the addition sequence of accumulating the batch's
 // elements one after another on a single thread, whatever the worker
@@ -48,14 +52,6 @@ import (
 // (e.g. the 128-wide hidden input of the output layer) full rows are
 // cheaper.
 const colTrackThreshold = 512
-
-// contrib is one (row, element) term of the replay: coef times the
-// operand of the element at batch position k — its δ_j on a neuron-major
-// row, its feature value on an input-major one.
-type contrib struct {
-	k    int32
-	coef float32
-}
 
 // foldInput is one record's operand vector for the folding layer: its
 // input on a neuron-major layer, its δ on the input-major one.
@@ -82,9 +78,15 @@ type gradFold struct {
 	rows    []int32
 	neurons []int32
 	bias    []float32
-	// ent[rowOff[r]:rowOff[r+1]] is row r's contributions, ascending in k.
+	// ops[k] is record k's operand values: the row table of the replay's
+	// AxpyRows calls.
+	ops [][]float32
+	// ent[rowOff[r]:rowOff[r+1]] is row r's contributions, ascending in
+	// batch position: each one (row, element) term of the replay, Coef
+	// times the operand of the element at batch position K — its δ_j on a
+	// neuron-major row, its feature value on an input-major one.
 	rowOff []int32
-	ent    []contrib
+	ent    []vecmath.Term
 	// cursor counts each row's contributions, then places them, while the
 	// index is built: one slot per neuron, and per input on the input-major
 	// layer.
@@ -100,8 +102,10 @@ type gradFold struct {
 	width int
 	// rowBuf[wk] is worker wk's row scratch (stepFold).
 	rowBuf [][]float32
-	// applied[wk] is worker wk's stepped-cell count (stepSpans).
+	// applied[wk] is worker wk's stepped-cell count, and next the first
+	// row no worker has claimed yet (claimRows).
 	applied []int64
+	next    atomic.Int64
 }
 
 // nextEpoch invalidates the touched row and column stamps in O(1),
@@ -164,7 +168,7 @@ func (l *Layer) beginFold(recs []*elemRecord, workers int) bool {
 			for a, d := range ls.delta {
 				if d != 0 {
 					j := ls.id(a)
-					f.ent[cursor[j]] = contrib{k: int32(k), coef: d}
+					f.ent[cursor[j]] = vecmath.Term{K: int32(k), Coef: d}
 					cursor[j]++
 				}
 			}
@@ -175,6 +179,10 @@ func (l *Layer) beginFold(recs []*elemRecord, workers int) bool {
 			f.cols = l.columnUnion(workers)
 			f.width = len(f.cols)
 		}
+	}
+	f.ops = growTo(f.ops, len(recs))
+	for k := range f.in {
+		f.ops[k] = f.in[k].vals
 	}
 	f.rowBuf = growTo(f.rowBuf, workers)
 	for wk := range f.rowBuf {
@@ -210,7 +218,7 @@ func (l *Layer) indexByInput(recs []*elemRecord, workers int) {
 	for k, rec := range recs {
 		ids, vals, _ := rec.input(l.idx)
 		for t, i := range ids {
-			f.ent[f.cursor[i]] = contrib{k: int32(k), coef: vals[t]}
+			f.ent[f.cursor[i]] = vecmath.Term{K: int32(k), Coef: vals[t]}
 			f.cursor[i]++
 		}
 	}
@@ -271,21 +279,28 @@ func growTo[T any](s []T, n int) []T {
 
 // foldRow replays touched row r's contributions, in element order, into g
 // (f.width values) and returns it: the row's gradient indexed by column, or
-// aligned to f.cols on a column-union layer. Each row is folded by exactly
-// one worker.
+// aligned to f.cols on a column-union layer. A run of full-width operands —
+// every contribution of a dense-input or input-major row — is one AxpyRows
+// row sum over the operand table; sparse operands scatter one at a time.
+// Each row is folded by exactly one worker.
 func (l *Layer) foldRow(r int, g []float32) []float32 {
 	f := &l.fold
 	clear(g)
-	for _, c := range f.ent[f.rowOff[r]:f.rowOff[r+1]] {
-		in := &f.in[c.k]
+	ent := f.ent[f.rowOff[r]:f.rowOff[r+1]]
+	for len(ent) > 0 {
+		c, in, n := ent[0], &f.in[ent[0].K], 1
 		switch {
 		case f.cols != nil:
-			vecmath.IndexedAxpy(c.coef, in.pos, in.vals, g)
+			vecmath.IndexedAxpy(c.Coef, in.pos, in.vals, g)
 		case in.full:
-			vecmath.Axpy(c.coef, in.vals, g[:len(in.vals)])
+			for n < len(ent) && f.in[ent[n].K].full {
+				n++
+			}
+			vecmath.AxpyRows(g[:len(in.vals)], f.ops, ent[:n])
 		default:
-			vecmath.SparseAxpy(c.coef, in.ids, in.vals, g)
+			vecmath.SparseAxpy(c.Coef, in.ids, in.vals, g)
 		}
+		ent = ent[n:]
 	}
 	return g
 }
@@ -297,7 +312,7 @@ func (l *Layer) foldRow(r int, g []float32) []float32 {
 // Returns the number of cells stepped.
 func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int64 {
 	f := &l.fold
-	stepped := l.stepSpans(workers, len(f.rows), func(wk, lo, hi int) int64 {
+	stepped := l.claimRows(workers, len(f.rows), func(wk, lo, hi int) int64 {
 		var n int64
 		for r := lo; r < hi; r++ {
 			n += l.stepRow(adam, f.rows[r], f.cols, l.foldRow(r, f.rowBuf[wk]), alpha, invB)
@@ -329,10 +344,11 @@ func (l *Layer) compactFold(dst *LayerDelta, workers int) {
 	w := f.width
 	// Grown like append: the delta's size creeps up over early batches.
 	dst.Vals = slices.Grow(dst.Vals, len(dst.Rows)*w)[:len(dst.Rows)*w]
-	parallelIndexed(workers, len(dst.Rows), func(_, lo, hi int) {
+	l.claimRows(workers, len(dst.Rows), func(_, lo, hi int) int64 {
 		for r := lo; r < hi; r++ {
 			l.foldRow(r, dst.Vals[r*w:(r+1)*w])
 		}
+		return 0
 	})
 	dst.Neurons = append(dst.Neurons, f.neurons...)
 	for _, j := range f.neurons {

@@ -249,8 +249,12 @@ func stateHash(n *Network) uint64 {
 // With the publish lag forced to 0, the same run gives 0x42c7d6d0fe0c4d16
 // (TopK) and 0xb528b0e8cd25c660 (vanilla), the hashes of rebuilding inline
 // at the kick. The vanilla case adds randomized retrieval,
-// seeded per batch position. The goldens were recorded on amd64; other
-// architectures may fuse multiply-adds and legitimately differ.
+// seeded per batch position. The hidden width is 64 — one 64-cell
+// register block of the row kernels — and two more TopK cases widen it to
+// 72 (a block plus one 8-cell block) and 100 (a block, four 8-cell blocks
+// and a 4-cell tail), so every tail path of the kernels is pinned too.
+// The goldens were recorded on amd64; other architectures may fuse
+// multiply-adds and legitimately differ.
 func TestTrainingGoldenHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64, running on %s", runtime.GOARCH)
@@ -259,17 +263,23 @@ func TestTrainingGoldenHash(t *testing.T) {
 	ds := deltaTestDataset(t, classes)
 	for _, c := range []struct {
 		strategy    sampling.Kind
+		hidden      int
 		wantHash    uint64
 		wantTouched int64
 	}{
-		{sampling.KindTopK, 0xdceb6ba5aee90c0c, 850296},
-		{sampling.KindVanilla, 0xd930a7608b162106, 850811},
+		{sampling.KindTopK, 64, 0xdceb6ba5aee90c0c, 850296},
+		{sampling.KindVanilla, 64, 0xd930a7608b162106, 850811},
+		{sampling.KindTopK, 72, 0xc531fcbd89591c25, 951656},
+		{sampling.KindTopK, 100, 0x09cac07b4f46d72f, 1317430},
 	} {
 		for _, run := range []struct {
 			threads int
 			slow    bool
 		}{{1, false}, {2, false}, {4, false}, {2, true}} {
 			name := fmt.Sprintf("%v/threads=%d", c.strategy, run.threads)
+			if c.hidden != 64 {
+				name = fmt.Sprintf("%v/hidden=%d/threads=%d", c.strategy, c.hidden, run.threads)
+			}
 			if run.slow {
 				name += "/slow-build"
 			}
@@ -279,6 +289,7 @@ func TestTrainingGoldenHash(t *testing.T) {
 					defer func() { testSlowBuild = nil }()
 				}
 				cfg := deltaTestConfig(classes)
+				cfg.Layers[0].Size = c.hidden
 				cfg.Layers[1].Strategy = c.strategy
 				cfg.RebuildN0 = 10
 				n := mustNet(t, cfg)

@@ -32,8 +32,9 @@ func v2File(cfgJSON string, layers [][3]uint32) []byte {
 // any other. Files of every retired update mode (0, 1, 2) load, with the
 // key ignored; an unknown activation is an error rather than a network
 // that applies no non-linearity, a shape int32 indices cannot address is
-// an error before any weight memory is sized for it, and so is a rebuild
-// schedule with a negative N0 or a λ beyond float64.
+// an error before any weight memory is sized for it, and so are a rebuild
+// schedule with a negative N0 or a λ beyond float64 and Adam
+// hyperparameters that cannot train.
 func TestLoadModelValidatesConfig(t *testing.T) {
 	file := func(act int, extra string) []byte {
 		cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":4,"Activation":%d},{"Size":3,"Activation":1}]%s}`, act, extra)
@@ -65,6 +66,9 @@ func TestLoadModelValidatesConfig(t *testing.T) {
 		{"input dim 2^31", v2File(`{"InputDim":2147483648,"Layers":[{"Size":1,"Activation":1}]}`, nil)},
 		{"rebuild N0 -3", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildN0":-3}`, nil)},
 		{"rebuild lambda 1e999", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildLambda":1e999}`, nil)},
+		{"Adam Beta1 1", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":1,"Beta2":0.999,"Eps":1e-8}}`, nil)},
+		{"Adam LR -0.001", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":-0.001,"Beta1":0.9,"Beta2":0.999,"Eps":1e-8}}`, nil)},
+		{"Adam Eps 0", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":0.9,"Beta2":0.999,"Eps":0}}`, nil)},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
 			if _, err := LoadModel(bytes.NewReader(bad.data)); err == nil {

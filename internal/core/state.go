@@ -7,6 +7,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 func nowNano() int64 { return time.Now().UnixNano() }
@@ -84,6 +85,10 @@ type elemState struct {
 	// acc is the backward activation-gradient accumulator, sized once to
 	// the largest fan-in, so steady-state passes allocate nothing.
 	acc []float32
+	// terms lists one backward layer's nonzero δ_j with their rows, the
+	// activation gradient's AxpyRows terms; grown to the largest active
+	// set a training pass has seen.
+	terms []vecmath.Term
 	// passes counts forward passes, for TrainResult.KernelForwards.
 	passes int64
 

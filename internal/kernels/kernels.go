@@ -8,14 +8,16 @@
 //     ascending id order for locality. Every layer but an unsampled first
 //     one runs it: the sampled layers, whose active output fraction is
 //     small, and the layers with a dense input.
-//   - scatter: the input-major formulation — for each input nonzero, one
-//     contiguous Axpy of that input's out-wide weight slice into the dense
-//     output workspace. The first layer runs it when it is not sampled:
-//     every neuron is active and the input is the example's sparse feature
-//     vector, so a gather would issue out×nnz scattered single-float reads
-//     where the scatter streams nnz contiguous out-length slices. That
-//     layer stores its weights input-major (a Mirror over the network
-//     arena), and no other copy exists.
+//   - scatter: the input-major formulation — every input nonzero's
+//     contiguous out-wide weight slice, scaled by its value, summed into
+//     the dense output workspace by one vecmath.AxpyRows row sum, which
+//     holds the output in registers while the slices stream through. The
+//     first layer runs it when it is not sampled: every neuron is active
+//     and the input is the example's sparse feature vector, so a gather
+//     would issue out×nnz scattered single-float reads where the scatter
+//     streams nnz contiguous out-length slices. That layer stores its
+//     weights input-major (a Mirror over the network arena), and no other
+//     copy exists.
 //
 // This is the vectorization/memory-layout work the follow-up paper
 // "Accelerating SLIDE Deep Learning on Modern CPUs" (Daghaghi et al.,
@@ -31,8 +33,8 @@ import (
 )
 
 // Mirror is an input-major weight matrix: Col(i) is the contiguous slice
-// of every neuron's weight for input i — the operand the scatter form
-// Axpys per input nonzero. A network's scatter layer keeps its weights in
+// of every neuron's weight for input i — the row the scatter form adds per
+// input nonzero. A network's scatter layer keeps its weights in
 // one (NewArenaMirror); NewMirror and Rebuild build one from neuron-major
 // rows.
 type Mirror struct {
@@ -121,16 +123,32 @@ func rowDotSparse(b float32, w []float32, inIds []int32, inVals []float32, relu 
 	return b + vecmath.SparseDot(inIds, inVals, w)
 }
 
+// scatterRun is how many input nonzeros ScatterForward sums per AxpyRows
+// call: its column table and terms live on the stack, 2 KB at 64, and
+// longer inputs are fed in runs.
+const scatterRun = 64
+
 // ScatterForward computes the full dense output in the input-major form:
-// dst starts as the bias vector and accumulates one contiguous
-// column-Axpy per input nonzero, then the ReLU clamp runs over the still
-// cache-hot result. dst must have length m.out. Accumulation order is
-// input-major, so results agree with the gather form only to float
-// rounding (the equivalence tests bound the difference, not the bits).
+// dst starts as the bias vector and adds x_i·col_i for each input nonzero
+// i in input order — one AxpyRows row sum per run of scatterRun nonzeros,
+// dst held in registers while the columns stream through — then the ReLU
+// clamp runs over the still cache-hot result. dst must have length m.out.
+// It allocates nothing: serving runs it on every request. Accumulation
+// order is input-major, so results agree with the gather form only to
+// float rounding (the equivalence tests bound the difference, not the
+// bits).
 func ScatterForward(dst []float32, m *Mirror, b []float32, inIds []int32, inVals []float32, relu bool) {
 	copy(dst, b[:len(dst)])
-	for t, i := range inIds {
-		vecmath.Axpy(inVals[t], m.Col(i), dst)
+	var cols [scatterRun][]float32
+	var terms [scatterRun]vecmath.Term
+	for len(inIds) > 0 {
+		n := min(len(inIds), scatterRun)
+		for t, i := range inIds[:n] {
+			cols[t] = m.Col(i)
+			terms[t] = vecmath.Term{K: int32(t), Coef: inVals[t]}
+		}
+		vecmath.AxpyRows(dst, cols[:n], terms[:n])
+		inIds, inVals = inIds[n:], inVals[n:]
 	}
 	if relu {
 		vecmath.ReLU(dst)

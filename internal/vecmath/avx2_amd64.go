@@ -35,6 +35,9 @@ func xgetbv0() (eax, edx uint32)
 func axpyAVX2(alpha float32, x, y *float32, blocks int)
 
 //go:noescape
+func axpyRowsAVX2(dst *float32, rows *[]float32, terms *Term, nterms, col, blocks int)
+
+//go:noescape
 func outerAccAVX2(d float32, x, w, grad, acc *float32, blocks int)
 
 //go:noescape

@@ -50,6 +50,101 @@ axpy_done:
 	VZEROUPPER
 	RET
 
+// func axpyRowsAVX2(dst *float32, rows *[]float32, terms *Term, nterms, col, blocks int)
+// dst[i] += Coef*rows[K][col+i] over blocks*8 cells for the nterms (≥ 1)
+// terms in order. Each 64-cell chunk of dst stays in Y0–Y7 while every
+// term streams through it — one broadcast coefficient, eight separate
+// multiplies and adds — and is stored once; remaining 8-cell blocks take
+// the terms one block at a time. A term is 8 bytes (K int32, Coef
+// float32); a row is a 24-byte slice header whose data pointer is read.
+TEXT ·axpyRowsAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ terms+16(FP), DX
+	MOVQ nterms+24(FP), BX
+	MOVQ col+32(FP), R8
+	SHLQ $2, R8 // byte offset of dst's first cell in a row
+	MOVQ blocks+40(FP), CX
+
+rows_chunk:
+	CMPQ    CX, $8
+	JLT     rows_block
+	VMOVUPS 0(DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+	MOVQ    DX, R9
+	MOVQ    BX, R10
+
+rows_chunk_term:
+	MOVLQSX      0(R9), R11
+	VBROADCASTSS 4(R9), Y8
+	LEAQ         (R11)(R11*2), R11
+	MOVQ         (SI)(R11*8), R12
+	ADDQ         R8, R12
+	VMULPS       0(R12), Y8, Y9
+	VADDPS       Y9, Y0, Y0
+	VMULPS       32(R12), Y8, Y10
+	VADDPS       Y10, Y1, Y1
+	VMULPS       64(R12), Y8, Y11
+	VADDPS       Y11, Y2, Y2
+	VMULPS       96(R12), Y8, Y12
+	VADDPS       Y12, Y3, Y3
+	VMULPS       128(R12), Y8, Y13
+	VADDPS       Y13, Y4, Y4
+	VMULPS       160(R12), Y8, Y14
+	VADDPS       Y14, Y5, Y5
+	VMULPS       192(R12), Y8, Y15
+	VADDPS       Y15, Y6, Y6
+	VMULPS       224(R12), Y8, Y9
+	VADDPS       Y9, Y7, Y7
+	ADDQ         $8, R9
+	DECQ         R10
+	JNZ          rows_chunk_term
+	VMOVUPS      Y0, 0(DI)
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	VMOVUPS      Y3, 96(DI)
+	VMOVUPS      Y4, 128(DI)
+	VMOVUPS      Y5, 160(DI)
+	VMOVUPS      Y6, 192(DI)
+	VMOVUPS      Y7, 224(DI)
+	ADDQ         $256, DI
+	ADDQ         $256, R8
+	SUBQ         $8, CX
+	JMP          rows_chunk
+
+rows_block:
+	TESTQ   CX, CX
+	JZ      rows_done
+	VMOVUPS (DI), Y0
+	MOVQ    DX, R9
+	MOVQ    BX, R10
+
+rows_block_term:
+	MOVLQSX      0(R9), R11
+	VBROADCASTSS 4(R9), Y8
+	LEAQ         (R11)(R11*2), R11
+	MOVQ         (SI)(R11*8), R12
+	VMULPS       (R12)(R8*1), Y8, Y9
+	VADDPS       Y9, Y0, Y0
+	ADDQ         $8, R9
+	DECQ         R10
+	JNZ          rows_block_term
+	VMOVUPS      Y0, (DI)
+	ADDQ         $32, DI
+	ADDQ         $32, R8
+	DECQ         CX
+	JMP          rows_block
+
+rows_done:
+	VZEROUPPER
+	RET
+
 // func outerAccAVX2(d float32, x, w, grad, acc *float32, blocks int)
 // acc[i] += d*w[i]; g[i] += d*x[i] over blocks*8 cells.
 TEXT ·outerAccAVX2(SB), NOSPLIT, $0-48

@@ -8,6 +8,10 @@ var hasAVX2 = false
 
 func axpyAVX2(alpha float32, x, y *float32, blocks int) { panic("vecmath: no AVX2") }
 
+func axpyRowsAVX2(dst *float32, rows *[]float32, terms *Term, nterms, col, blocks int) {
+	panic("vecmath: no AVX2")
+}
+
 func outerAccAVX2(d float32, x, w, grad, acc *float32, blocks int) { panic("vecmath: no AVX2") }
 
 func dot4AVX2(x, r0, r1, r2, r3 *float32, blocks int, out *[4]float32) { panic("vecmath: no AVX2") }

@@ -100,6 +100,66 @@ func TestAxpyMatchesGoBitwise(t *testing.T) {
 	})
 }
 
+// TestAxpyRowsMatchesAxpy: AxpyRows is one Axpy per term in term order,
+// bit for bit, at every width 1–300 (every 64-cell block, 8-cell block and
+// tail combination), over term lists short and past the per-call bound,
+// with a row repeated within a call, rows longer than dst and misaligned
+// operands, and special values in coefficients and rows alike.
+func TestAxpyRowsMatchesAxpy(t *testing.T) {
+	r := rng.New(16)
+	const nRows = 37
+	check := func(n, nTerms int) {
+		rows := make([][]float32, nRows)
+		for j := range rows {
+			rows[j] = offsetCopy(mixedVec(r, n+j%3), j%8)
+		}
+		terms := make([]Term, nTerms)
+		for k := range terms {
+			terms[k] = Term{K: int32(r.Intn(nRows)), Coef: mixedVec(r, 1)[0]}
+		}
+		if nTerms >= 2 {
+			terms[nTerms-1].K = terms[0].K
+		}
+		dst := mixedVec(r, n)
+		want := offsetCopy(dst, 0)
+		for _, tm := range terms {
+			Axpy(tm.Coef, rows[tm.K][:n], want)
+		}
+		got := offsetCopy(dst, (n+5)%8)
+		AxpyRows(got, rows, terms)
+		if i := sameBits(got, want); i >= 0 {
+			t.Fatalf("n=%d terms=%d: cell %d = %x, one Axpy per term %x", n, nTerms, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+	for n := 1; n <= 300; n++ {
+		for _, nTerms := range []int{0, 1, 65, 300} {
+			check(n, nTerms)
+		}
+	}
+	for _, n := range []int{maxCells, maxCells + 13, 2*maxCells + 8} {
+		check(n, 3)
+	}
+}
+
+func TestAxpyRowsPanics(t *testing.T) {
+	rows := [][]float32{make([]float32, 16), make([]float32, 12), make([]float32, 20)}
+	dst := make([]float32, 16)
+	for name, terms := range map[string][]Term{
+		"term past the rows": {{K: 0}, {K: 3}},
+		"negative term":      {{K: -1}},
+		"short row":          {{K: 2}, {K: 1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: no panic", name)
+				}
+			}()
+			AxpyRows(dst, rows, terms)
+		}()
+	}
+}
+
 func TestOuterAccMatchesGoBitwise(t *testing.T) {
 	r := rng.New(12)
 	kernelShapes(func(n, off int) {

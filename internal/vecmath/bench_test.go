@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -160,6 +161,29 @@ func BenchmarkDotRows(b *testing.B) {
 func BenchmarkAxpy(b *testing.B) {
 	x, y := benchVecs(128)
 	benchTiers(b, func() { Axpy(1e-9, x, y) })
+}
+
+// BenchmarkAxpyRows sums 128-wide rows at the hot loops' term counts:
+// a first-layer scatter (8 features), an update-phase replay row (44
+// elements) and a backward activation gradient (318 active neurons).
+// ns/op ÷ terms is ns per term, comparable with BenchmarkAxpy's ns/op.
+func BenchmarkAxpyRows(b *testing.B) {
+	const nRows = 6144
+	r := rng.New(6)
+	rows := make([][]float32, nRows)
+	for j := range rows {
+		rows[j] = randVec(r, 128)
+	}
+	dst := make([]float32, 128)
+	for _, nTerms := range []int{8, 44, 318} {
+		terms := make([]Term, nTerms)
+		for k := range terms {
+			terms[k] = Term{K: int32(r.Intn(nRows)), Coef: 1e-9}
+		}
+		b.Run(fmt.Sprintf("terms=%d", nTerms), func(b *testing.B) {
+			benchTiers(b, func() { AxpyRows(dst, rows, terms) })
+		})
+	}
 }
 
 func BenchmarkOuterAcc(b *testing.B) {

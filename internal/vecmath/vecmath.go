@@ -9,14 +9,16 @@
 //
 //   - plain scalar Go, when Unrolled is false (the Fig. 10 ablation);
 //   - 8-way unrolled Go with independent accumulators (dotUnrolled,
-//     axpyUnrolled, outerAccUnrolled, adamStepGo), and the hash kernels'
-//     Go loops (signedSumsGo, nonZeroArgMaxGo): the only path on
-//     non-amd64 and pre-AVX2 machines, and the reference;
-//   - AVX2 assembly (avx2_amd64.s) for four dense row loops — Dot/DotRows,
-//     Axpy, OuterAcc, AdamStep — and two lane-parallel hash kernels over a
-//     LaneSlab — SignedSums (Simhash) and NonZeroArgMax (DWTA) — when the
-//     CPU and OS support it (hasAVX2, probed once at init by hand-rolled
-//     CPUID/XGETBV). There is one vector tier: no AVX-512, no option.
+//     axpyUnrolled, axpyRowsUnrolled (one axpyUnrolled per term),
+//     outerAccUnrolled, adamStepGo), and the hash kernels' Go loops
+//     (signedSumsGo, nonZeroArgMaxGo): the only path on non-amd64 and
+//     pre-AVX2 machines, and the reference;
+//   - AVX2 assembly (avx2_amd64.s) for five dense row loops — Dot/DotRows,
+//     Axpy, AxpyRows, OuterAcc, AdamStep — and two lane-parallel hash
+//     kernels over a LaneSlab — SignedSums (Simhash) and NonZeroArgMax
+//     (DWTA) — when the CPU and OS support it (hasAVX2, probed once at
+//     init by hand-rolled CPUID/XGETBV). There is one vector tier: no
+//     AVX-512, no option.
 //
 // # Same bits
 //
@@ -29,10 +31,16 @@
 // one YMM accumulator per row) reduced left to right as
 // (((s0+s1)+(s2+s3))+(s4+s5))+(s6+s7), then the n mod 8 tail cells added
 // in order. Axpy, OuterAcc and AdamStep are element-wise, so lane order is
-// irrelevant. The hash kernels put one function in each of the eight lanes
-// and walk that function's coordinates in its Go loop's order: SignedSums
-// gathers, flips the sign bit and adds (a separate add, never FMA) exactly
-// as signedSumsGo does per function, and NonZeroArgMax keeps a value only
+// irrelevant. AxpyRows keeps 64 cells of dst in eight YMM accumulators
+// while its terms stream through them, so dst is loaded and stored once
+// per call instead of once per term; that changes only where the running
+// sum waits between terms, not the operations on it: each cell still takes
+// one rounded multiply and one rounded add per term, in term order, and the
+// result is bitwise one Axpy per term. The hash kernels put one function in
+// each of the eight lanes and walk that function's coordinates in its Go
+// loop's order: SignedSums gathers, flips the sign bit and adds (a separate
+// add, never FMA) exactly as signedSumsGo does per function, and
+// NonZeroArgMax keeps a value only
 // when it is neither ±0 nor NaN and strictly greater than the lane's best,
 // the same rule nonZeroArgMaxGo's ordered keys encode, so positions and
 // ties agree. Two caveats. The equality is with Go compiled at the default
@@ -49,10 +57,12 @@
 // calling it, and run the n mod 8 tail through the Go kernel. Assembly is
 // not asynchronously preemptible, so every call is bounded: at most
 // maxCells cells for the element-wise kernels (longer slices are fed in
-// pieces), four rows of at most maxCells cells for the dot (longer
-// vectors take the Go kernel), and at most maxCells gathered cells for the
-// hash kernels (a row's function groups are fed in runs; a function longer
-// than maxCells/8 coordinates takes the Go kernel) — a 20K-row exact
+// pieces), maxCells cell-operations — terms × cells — for AxpyRows
+// (longer term lists are fed in runs, wider rows in pieces), four rows of
+// at most maxCells cells for the dot (longer vectors take the Go kernel),
+// and at most maxCells gathered cells for the hash kernels (a row's
+// function groups are fed in runs; a function longer than maxCells/8
+// coordinates takes the Go kernel) — a 20K-row exact
 // prediction is thousands of short calls, not one long section in front of
 // a stop-the-world. The hash kernels gather only coordinates a LaneSlab
 // checked against its input length when it was built, so their wrappers
@@ -340,6 +350,65 @@ func axpyUnrolled(alpha float32, x, y []float32) {
 	}
 	for i := n; i < len(x); i++ {
 		y[i] += alpha * x[i]
+	}
+}
+
+// Term is one addend of AxpyRows: Coef times row K of the call's row
+// table.
+type Term struct {
+	K    int32
+	Coef float32
+}
+
+// AxpyRows computes dst += Coef·rows[K][:len(dst)] for each term in order —
+// per cell the same separate multiply and add as one Axpy per term, in
+// term order, so the result is bitwise that loop's. Rows may be longer
+// than dst; it panics on a K outside rows or a row shorter than dst. The
+// vector path keeps 64 cells of dst in registers while the terms stream
+// through them, where a loop of Axpy calls loads and stores dst once per
+// term. It is the row-sum of the update-phase replay, the backward
+// activation gradient and the first layer's scatter forward.
+func AxpyRows(dst []float32, rows [][]float32, terms []Term) {
+	n := len(dst)
+	for _, t := range terms {
+		if uint(t.K) >= uint(len(rows)) {
+			panic("vecmath: AxpyRows term outside the row table")
+		}
+		if len(rows[t.K]) < n {
+			panic("vecmath: AxpyRows row shorter than dst")
+		}
+	}
+	if !Unrolled {
+		for _, t := range terms {
+			axpyScalar(t.Coef, rows[t.K][:n], dst)
+		}
+		return
+	}
+	done := 0
+	if hasAVX2 && len(terms) > 0 {
+		// One call covers at most maxCells cell-operations: a piece of at
+		// most maxCells columns, and as many terms as fit over it.
+		for n8 := n &^ 7; done < n8; {
+			c := min(n8-done, maxCells)
+			run := maxCells / c
+			for lo := 0; lo < len(terms); lo += run {
+				ts := terms[lo:min(lo+run, len(terms))]
+				axpyRowsAVX2(&dst[done], &rows[0], &ts[0], len(ts), done, c/8)
+			}
+			done += c
+		}
+	}
+	axpyRowsUnrolled(dst, rows, terms, done)
+}
+
+// axpyRowsUnrolled is AxpyRows over cells [from, len(dst)): one unrolled
+// axpy per term, in term order.
+func axpyRowsUnrolled(dst []float32, rows [][]float32, terms []Term, from int) {
+	if from == len(dst) {
+		return
+	}
+	for _, t := range terms {
+		axpyUnrolled(t.Coef, rows[t.K][from:len(dst)], dst[from:])
 	}
 }
 
