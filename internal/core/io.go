@@ -6,101 +6,72 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"os"
+	"slices"
 )
 
 // Model serialization: a small custom binary format (the module builds
-// offline, stdlib only). Two versions exist:
-//
-// v1 (Save/Load) persists weights only and requires the caller to have
-// already constructed an identically shaped network:
-//
-//	magic "SLIDEv1\n"
-//	uint32 inputDim, uint32 numLayers
-//	per layer: uint32 in, out, activation
-//	           float32 weights neuron-major, float32 biases
-//
-// v2 (SaveModel/LoadModel) is self-describing — it embeds the network's
-// full Config as JSON so a serving process can reconstruct the network
-// (hash families, K/L, sampling strategy) from the file alone:
+// offline, stdlib only). A model file is self-describing — it embeds the
+// network's full Config as JSON so a serving process can reconstruct the
+// network (hash families, K/L, sampling strategy) from the file alone:
 //
 //	magic "SLIDEv2\n"
 //	uint32 len(configJSON), configJSON
 //	per layer: uint32 in, out, activation
 //	           float32 weights neuron-major, float32 biases
 //
-// "Neuron-major" is neuron 0's in weights, then neuron 1's, and so on,
-// whichever way the layer stores them in memory (see Layer).
+// all little-endian. "Neuron-major" is neuron 0's in weights, then neuron
+// 1's, and so on, whichever way the layer stores them (see Layer).
 //
-// Optimizer moments and hash tables are not persisted in either version:
-// tables are reconstructed from the loaded weights (they are a pure
-// function of them), and moments restart, matching the reference
-// implementation's checkpointing.
+// Loading draws nothing: LoadModel sizes the network from the config
+// without its random initialization and decodes the weights straight into
+// the layers' storage. Optimizer moments and hash tables are not
+// persisted: tables are rebuilt from the loaded weights (a pure function
+// of them), and moments restart, matching the reference implementation's
+// checkpointing. The weights-only v1 format is retired.
 
-var (
-	modelMagic   = [8]byte{'S', 'L', 'I', 'D', 'E', 'v', '1', '\n'}
-	modelMagicV2 = [8]byte{'S', 'L', 'I', 'D', 'E', 'v', '2', '\n'}
-)
+const modelMagic = "SLIDEv2\n"
 
-// Save writes the network's weights to w in the v1 (weights-only) format.
-func (n *Network) Save(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(modelMagic[:]); err != nil {
-		return err
-	}
-	hdr := []uint32{uint32(n.cfg.InputDim), uint32(len(n.layers))}
-	if err := binary.Write(bw, binary.LittleEndian, hdr); err != nil {
-		return err
-	}
-	if err := n.writeWeights(bw); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
+// codecBlock is how many neurons the input-major layer's codec transposes
+// at once: each input's share of a block is one cache line of its row.
+const codecBlock = 16
 
-// SaveModel writes the network in the self-describing v2 format: the full
-// Config as JSON followed by the weights. A file written by SaveModel can
-// be turned back into a working network with LoadModel alone — the
-// handoff format between training (slide-train -save) and serving
-// (slide-serve -model).
+// SaveModel writes the network as a model file: the full Config as JSON
+// followed by the weights. A file written by SaveModel can be turned back
+// into a working network with LoadModel alone — the handoff format
+// between training (slide-train -save) and serving (slide-serve -model).
 func (n *Network) SaveModel(w io.Writer) error {
 	cfgJSON, err := json.Marshal(n.cfg)
 	if err != nil {
 		return fmt.Errorf("core: encoding model config: %w", err)
 	}
+	// Write errors stick in bw, and Flush reports the first.
 	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(modelMagicV2[:]); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(len(cfgJSON))); err != nil {
-		return err
-	}
-	if _, err := bw.Write(cfgJSON); err != nil {
-		return err
-	}
-	if err := n.writeWeights(bw); err != nil {
-		return err
+	bw.Write(binary.LittleEndian.AppendUint32([]byte(modelMagic), uint32(len(cfgJSON))))
+	bw.Write(cfgJSON)
+	var buf []byte
+	for _, l := range n.layers {
+		buf = l.encode(bw, buf)
 	}
 	return bw.Flush()
 }
 
-// LoadModel reads a v2 model: it reconstructs the network from the
-// embedded config, restores the weights, and rebuilds the hash tables.
+// LoadModel reads a model file: it sizes the network from the embedded
+// config, decodes the weights into it and builds the hash tables from
+// them. When r can tell how much of the file is left, a file too short
+// for the weights its validated config declares is refused before any
+// layer is sized.
 func LoadModel(r io.Reader) (*Network, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("core: reading model magic: %w", err)
+	var hdr [12]byte
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		return nil, fmt.Errorf("core: reading model header: %w", err)
 	}
-	if magic != modelMagicV2 {
-		if magic == modelMagic {
-			return nil, fmt.Errorf("core: v1 model file has no embedded config; load it with (*Network).Load into a matching network")
-		}
-		return nil, fmt.Errorf("core: bad model magic %q", magic[:])
+	if string(hdr[:8]) != modelMagic {
+		return nil, fmt.Errorf("core: bad model magic %q", hdr[:8])
 	}
-	var cfgLen uint32
-	if err := binary.Read(br, binary.LittleEndian, &cfgLen); err != nil {
-		return nil, err
-	}
+	cfgLen := binary.LittleEndian.Uint32(hdr[8:])
 	if cfgLen > 1<<20 {
 		return nil, fmt.Errorf("core: unreasonable model config size %d", cfgLen)
 	}
@@ -113,100 +84,139 @@ func LoadModel(r io.Reader) (*Network, error) {
 	if err := json.Unmarshal(cfgJSON, &cfg); err != nil {
 		return nil, fmt.Errorf("core: decoding model config: %w", err)
 	}
-	// Defer the table build until the real weights are in place — the
-	// tables are a pure function of the weights, so hashing the random
-	// initialization would be thrown away.
+	if err := cfg.withDefaults().validate(); err != nil {
+		return nil, fmt.Errorf("core: reconstructing network from model config: %w", err)
+	}
+	if left, ok := unread(r, br); ok && left < weightBytes(cfg) {
+		return nil, fmt.Errorf("core: model config declares %d bytes of weights, the file holds %d", weightBytes(cfg), left)
+	}
 	n, err := newNetwork(cfg, false)
 	if err != nil {
 		return nil, fmt.Errorf("core: reconstructing network from model config: %w", err)
 	}
-	if err := n.readWeights(br, (*Layer).setWeights); err != nil {
-		return nil, err
+	var buf []byte
+	for li, l := range n.layers {
+		if buf, err = l.decode(br, buf); err != nil {
+			return nil, fmt.Errorf("core: reading layer %d: %w", li, err)
+		}
 	}
 	n.RebuildTables(0)
 	return n, nil
 }
 
-// writeWeights streams every layer's shape metadata, weights and biases,
-// the weights neuron by neuron whatever the layer's orientation (Weights).
-func (n *Network) writeWeights(bw *bufio.Writer) error {
-	for _, l := range n.layers {
-		meta := []uint32{uint32(l.in), uint32(l.out), uint32(l.cfg.Activation)}
-		if err := binary.Write(bw, binary.LittleEndian, meta); err != nil {
-			return err
-		}
-		for j := 0; j < l.out; j++ {
-			if err := binary.Write(bw, binary.LittleEndian, l.Weights(j)); err != nil {
-				return err
-			}
-		}
-		if err := binary.Write(bw, binary.LittleEndian, l.b[:l.out]); err != nil {
-			return err
-		}
+// weightBytes is the size of the weight section cfg declares: per layer a
+// 12-byte shape header, in*out weights and out biases.
+func weightBytes(cfg Config) (total int64) {
+	in := int64(cfg.InputDim)
+	for _, lc := range cfg.Layers {
+		total += 12 + 4*(in+1)*int64(lc.Size)
+		in = int64(lc.Size)
 	}
-	return nil
+	return total
 }
 
-// readWeights decodes what writeWeights wrote, validating every layer's
-// shape against the receiver, and hands each layer's block — out
-// neuron-major rows of in weights, then out biases — to store. Rows are
-// decoded one at a time: a single binary.Read of the block would stage
-// four bytes per weight on top of it.
-func (n *Network) readWeights(br *bufio.Reader, store func(l *Layer, block []float32)) error {
-	for li, l := range n.layers {
-		var meta [3]uint32
-		if err := binary.Read(br, binary.LittleEndian, &meta); err != nil {
-			return err
-		}
-		if int(meta[0]) != l.in || int(meta[1]) != l.out || Activation(meta[2]) != l.cfg.Activation {
-			return fmt.Errorf("core: layer %d shape mismatch", li)
-		}
-		block := make([]float32, l.out*l.in+l.out)
-		for j := 0; j < l.out; j++ {
-			if err := binary.Read(br, binary.LittleEndian, block[j*l.in:(j+1)*l.in]); err != nil {
-				return err
+// unread reports how many bytes of the file br has not yet returned, when
+// r can tell: an in-memory reader's Len, or a regular file's size past its
+// offset.
+func unread(r io.Reader, br *bufio.Reader) (int64, bool) {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len() + br.Buffered()), true
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			if off, err := r.Seek(0, io.SeekCurrent); err == nil {
+				return fi.Size() - off + int64(br.Buffered()), true
 			}
 		}
-		if err := binary.Read(br, binary.LittleEndian, block[l.out*l.in:]); err != nil {
-			return err
-		}
-		store(l, block)
 	}
-	return nil
+	return 0, false
 }
 
-// Load restores weights saved by Save into an identically shaped network
-// and rebuilds the hash tables from them. The whole file is decoded before
-// any of it is stored, so a truncated or corrupt file leaves the receiver
-// as it was.
-func (n *Network) Load(r io.Reader) error {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fmt.Errorf("core: reading model magic: %w", err)
+// encode writes the layer's part of a model file, appending straight
+// into bw's buffer; the input-major layer is gathered codecBlock neurons
+// at a time into buf, scratch reused across layers and returned.
+func (l *Layer) encode(bw *bufio.Writer, buf []byte) []byte {
+	binary.Write(bw, binary.LittleEndian, [3]uint32{uint32(l.in), uint32(l.out), uint32(l.cfg.Activation)})
+	if l.inputMajor {
+		for j0 := 0; j0 < l.out; j0 += codecBlock {
+			nb := min(codecBlock, l.out-j0)
+			buf = slices.Grow(buf[:0], 4*nb*l.in)[:4*nb*l.in]
+			for i, row := range l.w {
+				for b, v := range row[j0 : j0+nb] {
+					binary.LittleEndian.PutUint32(buf[4*(b*l.in+i):], math.Float32bits(v))
+				}
+			}
+			bw.Write(buf)
+		}
+	} else {
+		for _, row := range l.w {
+			bw.Write(appendFloats(bw.AvailableBuffer(), row))
+		}
 	}
-	if magic != modelMagic {
-		return fmt.Errorf("core: bad model magic %q", magic[:])
-	}
-	var hdr [2]uint32
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
+	bw.Write(appendFloats(bw.AvailableBuffer(), l.b[:l.out]))
+	return buf
+}
+
+// decode reads what encode wrote straight into the layer's storage after
+// checking its shape, staging through buf as encode does; the input-major
+// layer scatters each block one cache line of each input row at a time.
+// A file that ends early is io.ErrUnexpectedEOF.
+func (l *Layer) decode(br *bufio.Reader, buf []byte) ([]byte, error) {
+	read := func(size int) error {
+		buf = slices.Grow(buf[:0], size)[:size]
+		_, err := io.ReadFull(br, buf)
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF
+		}
 		return err
 	}
-	if int(hdr[0]) != n.cfg.InputDim || int(hdr[1]) != len(n.layers) {
-		return fmt.Errorf("core: model shape %dx%d layers does not match network %dx%d",
-			hdr[0], hdr[1], n.cfg.InputDim, len(n.layers))
+	if err := read(12); err != nil {
+		return buf, err
 	}
-	blocks := make([][]float32, 0, len(n.layers))
-	if err := n.readWeights(br, func(_ *Layer, block []float32) { blocks = append(blocks, block) }); err != nil {
-		return err
+	in, out, act := binary.LittleEndian.Uint32(buf), binary.LittleEndian.Uint32(buf[4:]), Activation(binary.LittleEndian.Uint32(buf[8:]))
+	if int(in) != l.in || int(out) != l.out || act != l.cfg.Activation {
+		return buf, fmt.Errorf("shape %dx%d activation %d, config says %dx%d activation %d", in, out, act, l.in, l.out, l.cfg.Activation)
 	}
-	for li, l := range n.layers {
-		l.setWeights(blocks[li])
+	if l.inputMajor {
+		for j0 := 0; j0 < l.out; j0 += codecBlock {
+			nb := min(codecBlock, l.out-j0)
+			if err := read(4 * nb * l.in); err != nil {
+				return buf, err
+			}
+			for i, row := range l.w {
+				dst := row[j0 : j0+nb]
+				for b := range dst {
+					dst[b] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*(b*l.in+i):]))
+				}
+			}
+		}
+	} else {
+		for _, row := range l.w {
+			if err := read(4 * l.in); err != nil {
+				return buf, err
+			}
+			getFloats(row, buf)
+		}
 	}
-	// Restore to generation 1 exactly like LoadModel, so every restore
-	// path yields identical reservoir streams (replica-to-replica
-	// determinism) no matter how many builds the receiver ran before.
-	n.rebuildGen = 0
-	n.RebuildTables(0)
-	return nil
+	err := read(4 * l.out)
+	if err == nil {
+		getFloats(l.b[:l.out], buf)
+	}
+	return buf, err
+}
+
+// appendFloats appends src to dst little-endian, four bytes a value.
+func appendFloats(dst []byte, src []float32) []byte {
+	for _, v := range src {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
+	}
+	return dst
+}
+
+// getFloats decodes len(dst) little-endian values from src into dst.
+func getFloats(dst []float32, src []byte) {
+	src = src[:4*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }

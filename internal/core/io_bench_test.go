@@ -1,0 +1,72 @@
+package core
+
+import (
+	"bytes"
+	"io"
+	"testing"
+	"time"
+
+	"repro/internal/lsh"
+	"repro/internal/sampling"
+)
+
+// benchModel is a CI-sized serving model: 20K features, an input-major
+// 128-wide hidden layer and a 5K-class Simhash output layer (serve_open's
+// K 6, L 20 and β = classes/20), at a fixed seed.
+func benchModel(b *testing.B) *Network {
+	n, err := NewNetwork(Config{
+		InputDim: 20000,
+		Seed:     23,
+		Layers: []LayerConfig{
+			{Size: 128, Activation: ActReLU},
+			{
+				Size: 5000, Activation: ActSoftmax,
+				Sampled: true, Hash: lsh.KindSimhash, K: 6, L: 20,
+				Strategy: sampling.KindVanilla, Beta: 250,
+			},
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return n
+}
+
+// BenchmarkSaveModel measures SaveModel into a discarding writer: the
+// weight encode, the first layer gathered from its input-major rows.
+func BenchmarkSaveModel(b *testing.B) {
+	n := benchModel(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := n.SaveModel(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadModel measures LoadModel from an in-memory file, and
+// reports as table-share the fraction of it that one table build of the
+// loaded network costs — all that persisting tables could still save.
+func BenchmarkLoadModel(b *testing.B) {
+	var file bytes.Buffer
+	if err := benchModel(b).SaveModel(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(file.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var tables time.Duration
+	for i := 0; i < b.N; i++ {
+		m, err := LoadModel(bytes.NewReader(file.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		t0 := time.Now()
+		m.RebuildTables(0)
+		tables += time.Since(t0)
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(tables)/float64(b.Elapsed()), "table-share")
+}

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/lsh"
@@ -16,7 +21,7 @@ import (
 // v2File assembles a v2 model file from hand-written config JSON and
 // all-zero weights for the given layer shapes (in, out, activation).
 func v2File(cfgJSON string, layers [][3]uint32) []byte {
-	b := append([]byte(nil), modelMagicV2[:]...)
+	b := []byte(modelMagic)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(cfgJSON)))
 	b = append(b, cfgJSON...)
 	for _, l := range layers {
@@ -94,15 +99,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
+	if err := n.SaveModel(&buf); err != nil {
 		t.Fatal(err)
 	}
-
-	m, err := NewNetwork(tinyConfig(classes))
+	m, err := LoadModel(bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	after, err := m.Evaluate(ds.Test, 200, 4)
@@ -112,42 +113,48 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if before.P1 != after.P1 {
 		t.Fatalf("P@1 changed across save/load: %v vs %v", before.P1, after.P1)
 	}
-	// Weights must match exactly.
+	// Weights and biases must match exactly.
 	for li := range n.layers {
 		for j := 0; j < n.layers[li].out; j++ {
-			if !slices.Equal(n.layers[li].Weights(j), m.layers[li].Weights(j)) {
-				t.Fatalf("layer %d neuron %d weights differ after load", li, j)
+			if !slices.Equal(n.layers[li].Weights(j), m.layers[li].Weights(j)) || n.layers[li].Bias(j) != m.layers[li].Bias(j) {
+				t.Fatalf("layer %d neuron %d differs after load", li, j)
 			}
 		}
 	}
 }
 
+// TestLoadRejectsBadInput: garbage is not a model, and weights whose layer
+// shapes disagree with the file's config — a 64-class model's weights
+// behind a 128-class config — are refused.
 func TestLoadRejectsBadInput(t *testing.T) {
-	n, err := NewNetwork(tinyConfig(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Load(bytes.NewReader([]byte("not a model"))); err == nil {
+	if _, err := LoadModel(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// Mismatched shape: save a 64-class model, load into 128.
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
+	save := func(classes int) (file []byte, weightsAt int) {
+		var buf bytes.Buffer
+		if err := mustNet(t, tinyConfig(classes)).SaveModel(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), 12 + int(binary.LittleEndian.Uint32(buf.Bytes()[8:]))
 	}
-	m, err := NewNetwork(tinyConfig(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Load(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("shape mismatch accepted")
+	small, smallAt := save(64)
+	big, bigAt := save(128)
+	// Pad to the big model's size, so only the shape check can refuse it.
+	spliced := append(append([]byte(nil), big[:bigAt]...), small[smallAt:]...)
+	spliced = append(spliced, make([]byte, len(big)-len(spliced))...)
+	_, err := LoadModel(bytes.NewReader(spliced))
+	if err == nil || !strings.Contains(err.Error(), "layer 1: shape") {
+		t.Fatalf("shape mismatch: got %v, want a layer 1 shape error", err)
 	}
 }
 
-// TestLoadFailureLeavesReceiver: Load decodes the whole file before it
-// stores any of it, so a truncated or corrupt file is an error that leaves
-// the receiver's weights, biases and tables exactly as they were.
-func TestLoadFailureLeavesReceiver(t *testing.T) {
+// TestLoadModelRefusesDamagedFile: a truncated or corrupt model file is an
+// error and no network. A file cut short is io.ErrUnexpectedEOF naming
+// the layer it ends in — also from a reader that cannot report its length
+// in advance, and from inside a block of the input-major layer's
+// transposition — and a file whose config declares more weight bytes than
+// it holds is refused before any layer is sized, with both sizes.
+func TestLoadModelRefusesDamagedFile(t *testing.T) {
 	const classes = 64
 	ds := tinyDataset(t, classes)
 	n := mustNet(t, tinyConfig(classes))
@@ -155,29 +162,54 @@ func TestLoadFailureLeavesReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
+	if err := n.SaveModel(&buf); err != nil {
 		t.Fatal(err)
 	}
 	file := buf.Bytes()
-	// The last layer's shape header sits just after the first layer's
-	// weights and biases.
+	// Layer 0 is input-major; its weights start after the config and its
+	// shape header, and the last layer's shape header follows its biases.
 	l0 := n.layers[0]
-	lastMeta := 8 + 8 + 12 + 4*(l0.out*l0.in+l0.out)
+	layer0 := 12 + int(binary.LittleEndian.Uint32(file[8:])) + 12
+	lastMeta := layer0 + 4*(l0.out*l0.in+l0.out)
 	corrupt := append([]byte(nil), file...)
 	binary.LittleEndian.PutUint32(corrupt[lastMeta:], 7)
-	for name, data := range map[string][]byte{
-		"truncated by 100 bytes":   file[:len(file)-100],
-		"truncated in layer 0":     file[:lastMeta-4],
-		"corrupt last layer shape": corrupt,
+	// A hollow 98-byte file: a million inputs and no weights behind them.
+	hollow := v2File(`{"InputDim":1000000,"Layers":[{"Size":128,"Activation":0},{"Size":64,"Activation":1}]}`, nil)
+	if len(hollow) != 98 {
+		t.Fatalf("hollow file is %d bytes", len(hollow))
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want string // in the error
+	}{
+		{"truncated by 100 bytes", file[:len(file)-100], "declares"},
+		{"truncated in layer 0", file[:lastMeta-4], "declares"},
+		{"corrupt last layer shape", corrupt, "layer 1: shape 7x"},
+		{"98-byte header", hollow, "declares 512033560 bytes of weights, the file holds 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := LoadModel(bytes.NewReader(c.data))
+			if err == nil || m != nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("LoadModel = %v, %v; want no network and an error containing %q", m, err, c.want)
+			}
+		})
+	}
+	// A plain io.Reader hides its length, so the short read itself must
+	// report the end: inside a transposition block of layer 0, inside a
+	// neuron row of layer 1, and in layer 1's biases.
+	for name, c := range map[string]struct {
+		cut   int
+		layer string
+	}{
+		"inside layer 0 block 1":  {layer0 + 4*(codecBlock*l0.in+5), "layer 0"},
+		"inside a layer 1 row":    {lastMeta + 12 + 4*(3*l0.out+7), "layer 1"},
+		"inside layer 1's biases": {len(file) - 2, "layer 1"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			m := mustNet(t, tinyConfig(classes))
-			before, tables := stateHash(m), m.layers[1].Tables()
-			if err := m.Load(bytes.NewReader(data)); err == nil {
-				t.Fatal("Load accepted the file")
-			}
-			if stateHash(m) != before || m.layers[1].Tables() != tables {
-				t.Fatal("failed Load changed the receiver")
+			_, err := LoadModel(io.MultiReader(bytes.NewReader(file[:c.cut])))
+			if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), c.layer) {
+				t.Fatalf("LoadModel of a file cut at byte %d: %v, want io.ErrUnexpectedEOF in %s", c.cut, err, c.layer)
 			}
 		})
 	}
@@ -194,7 +226,7 @@ const fuzzMaxWeights = 1 << 20
 // small. A file whose header does not decode to a valid config fits —
 // LoadModel rejects it before sizing anything.
 func fuzzAffordable(data []byte) bool {
-	if len(data) < 12 || [8]byte(data[:8]) != modelMagicV2 {
+	if len(data) < 12 || string(data[:8]) != modelMagic {
 		return true
 	}
 	n := int(binary.LittleEndian.Uint32(data[8:]))
@@ -233,7 +265,9 @@ func fuzzAffordable(data []byte) bool {
 // FuzzLoadModel feeds LoadModel arbitrary bytes, seeded with SaveModel
 // files of every layer orientation plus truncated and hostile ones: it must
 // return an error or a network, never panic, and a network it returns must
-// re-save to bytes that load back to the same network.
+// re-save to bytes that load back to the same network. Each input is also
+// loaded through a reader that hides its length, which skips the up-front
+// size check, so a short file must fail in the decode instead.
 func FuzzLoadModel(f *testing.F) {
 	sampled := func(size int, act Activation, kind lsh.Kind) LayerConfig {
 		return LayerConfig{
@@ -260,14 +294,31 @@ func FuzzLoadModel(f *testing.F) {
 		f.Add(buf.Bytes())
 		f.Add(buf.Bytes()[:buf.Len()-100])
 	}
+	// An input-major layer 40 wide is two full transposition blocks and a
+	// half one: cut the file inside the second and inside the third.
+	n, err := NewNetwork(Config{InputDim: 37, Seed: 4, Layers: []LayerConfig{{Size: 40, Activation: ActReLU}, sampled(24, ActSoftmax, lsh.KindDWTA)}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := n.SaveModel(&buf); err != nil {
+		f.Fatal(err)
+	}
+	layer0 := 12 + int(binary.LittleEndian.Uint32(buf.Bytes()[8:])) + 12
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:layer0+4*(codecBlock*37+100)])
+	f.Add(buf.Bytes()[:layer0+4*(2*codecBlock*37+50)])
 	f.Add(v2File(`{"InputDim":1048576,"Layers":[{"Size":1048576,"Activation":1}]}`, nil))
 	f.Add(v2File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,"Hash":1,"K":2,"L":3,"RangePow":3,"Beta":6,"BinSize":-1}]}`, [][3]uint32{{30, 20, 1}}))
-	f.Add(append(modelMagicV2[:], 0xff, 0xff, 0xff, 0xff))
+	f.Add(append([]byte(modelMagic), 0xff, 0xff, 0xff, 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !fuzzAffordable(data) {
 			t.Skip("declares more than the harness builds")
 		}
 		n, err := LoadModel(bytes.NewReader(data))
+		if _, errStream := LoadModel(io.MultiReader(bytes.NewReader(data))); (err == nil) != (errStream == nil) {
+			t.Fatalf("LoadModel from a sized reader: %v; from a stream: %v", err, errStream)
+		}
 		if err != nil {
 			return
 		}
@@ -286,4 +337,76 @@ func FuzzLoadModel(f *testing.F) {
 			t.Fatal("save/load round trip is not stable")
 		}
 	})
+}
+
+// goldenModel builds a fixed-seed network of one of the pinned model-file
+// shapes with distinct biases, so the file carries every field in order.
+func goldenModel(t *testing.T, cfg Config) *Network {
+	n := mustNet(t, cfg)
+	for li, l := range n.layers {
+		for j := range l.b[:l.out] {
+			l.b[j] = float32(li*1000+j) / 64
+		}
+	}
+	return n
+}
+
+// goldenModelCases are the model-file goldens' shapes: (a) an input-major
+// first layer 100 neurons wide, which is not a multiple of the codec's
+// 16-neuron block, over fan-in 37, and (b) a sampled neuron-major first
+// layer. Both end in a sampled layer, so the table equality has tables to
+// compare.
+var goldenModelCases = []struct {
+	name string
+	cfg  Config
+	want uint64
+}{
+	{"input-major 37x100", Config{InputDim: 37, Seed: 11, Layers: []LayerConfig{
+		{Size: 100, Activation: ActReLU},
+		{Size: 60, Activation: ActSoftmax, Sampled: true, Hash: lsh.KindSimhash, K: 3, L: 4, RangePow: 5, BucketSize: 8, Strategy: sampling.KindVanilla, Beta: 6},
+	}}, 0x4cca88150cb3fa09},
+	{"sampled neuron-major 37x100", Config{InputDim: 37, Seed: 12, Layers: []LayerConfig{
+		{Size: 100, Activation: ActReLU, Sampled: true, Hash: lsh.KindDWTA, K: 2, L: 5, RangePow: 4, BucketSize: 8, Strategy: sampling.KindVanilla, Beta: 6},
+		{Size: 30, Activation: ActSoftmax},
+	}}, 0xdf00b9dfbc2dfc9e},
+}
+
+// TestSaveModelGolden pins the model file's bytes — FNV-64a of SaveModel
+// for the goldenModelCases networks, recorded before the codec that
+// streams weights through block buffers replaced per-neuron
+// binary.Write — and checks that a file re-saves to itself and that
+// loading it rebuilds the source's tables at generation 1. Recorded on
+// amd64 (see TestTrainingGoldenHash).
+func TestSaveModelGolden(t *testing.T) {
+	for _, c := range goldenModelCases {
+		t.Run(c.name, func(t *testing.T) {
+			n := goldenModel(t, c.cfg)
+			var f, again bytes.Buffer
+			if err := n.SaveModel(&f); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(f.Bytes())
+			if got := h.Sum64(); got != c.want && runtime.GOARCH == "amd64" {
+				t.Errorf("SaveModel hash %#x (%d bytes), want %#x", got, f.Len(), c.want)
+			}
+			m, err := LoadModel(bytes.NewReader(f.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.SaveModel(&again); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again.Bytes(), f.Bytes()) {
+				t.Fatal("SaveModel(LoadModel(f)) differs from f")
+			}
+			n.rebuildGen = 0
+			n.RebuildTables(0)
+			for li, l := range n.layers {
+				if l.Sampled() && tableFingerprint(l.Tables()) != tableFingerprint(m.layers[li].Tables()) {
+					t.Errorf("layer %d: loaded tables differ from the source's generation-1 rebuild", li)
+				}
+			}
+		})
+	}
 }

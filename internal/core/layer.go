@@ -96,9 +96,8 @@ type Layer struct {
 	rowsHashed int64
 }
 
-// newLayer builds an initialized layer. Weight initialization is He-style
-// for ReLU layers and Xavier-style otherwise, from the network seed, drawn
-// neuron by neuron whatever the orientation.
+// newLayer builds a layer with zero weights: shapes, storage and, when
+// sampled, the hash family and an empty table set.
 func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Layer, error) {
 	l := &Layer{idx: idx, in: in, out: cfg.Size, cfg: cfg, inputMajor: idx == 0 && !cfg.Sampled}
 	rows, rowLen := l.out, l.in
@@ -120,17 +119,6 @@ func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Laye
 	l.touched = make([]uint32, l.out)
 	l.fold.cursor = make([]int32, max(rows, l.out))
 	l.fold.bias = make([]float32, l.out)
-
-	std := float32(math.Sqrt(2.0 / float64(in))) // He init for ReLU
-	if cfg.Activation != ActReLU {
-		std = float32(math.Sqrt(1.0 / float64(in)))
-	}
-	r := rng.NewStream(seed, uint64(idx)+0x1a7e4)
-	for j := 0; j < l.out; j++ {
-		for i := 0; i < l.in; i++ {
-			*l.cell(l.w, j, i) = std * r.NormFloat32()
-		}
-	}
 
 	if cfg.Sampled {
 		fam, err := lsh.New(cfg.Hash, lsh.Params{
@@ -161,6 +149,22 @@ func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Laye
 		l.tables = hashtable.NewHandle(tables)
 	}
 	return l, nil
+}
+
+// initWeights draws the layer's initial weights from the network seed:
+// He-style for ReLU layers and Xavier-style otherwise, neuron by neuron
+// whatever the orientation.
+func (l *Layer) initWeights(seed uint64) {
+	std := float32(math.Sqrt(2.0 / float64(l.in))) // He init for ReLU
+	if l.cfg.Activation != ActReLU {
+		std = float32(math.Sqrt(1.0 / float64(l.in)))
+	}
+	r := rng.NewStream(seed, uint64(l.idx)+0x1a7e4)
+	for j := 0; j < l.out; j++ {
+		for i := 0; i < l.in; i++ {
+			*l.cell(l.w, j, i) = std * r.NormFloat32()
+		}
+	}
 }
 
 // cell returns neuron j's cell for input i of m — the weights or one of
@@ -204,23 +208,6 @@ func (l *Layer) Weights(j int) []float32 {
 		row[i] = wi[j]
 	}
 	return row
-}
-
-// setWeights stores a model file's weight block for the layer: out
-// neuron-major rows of in weights, then out biases. The input-major layer
-// fills one input row at a time, so the out block rows it reads from stay
-// cache-resident.
-func (l *Layer) setWeights(block []float32) {
-	for r, row := range l.w {
-		if !l.inputMajor {
-			copy(row, block[r*l.in:(r+1)*l.in])
-			continue
-		}
-		for j := range row {
-			row[j] = block[j*l.in+r]
-		}
-	}
-	copy(l.b, block[l.out*l.in:])
 }
 
 // Bias returns neuron j's bias.

@@ -86,10 +86,10 @@ func NewNetwork(cfg Config) (*Network, error) {
 	return newNetwork(cfg, true)
 }
 
-// newNetwork is NewNetwork with the initial table build optional:
-// LoadModel skips it because the tables would be hashed from random
-// weights that the restored weights immediately replace.
-func newNetwork(cfg Config, buildTables bool) (*Network, error) {
+// newNetwork is NewNetwork with the weight draw and the table build
+// optional: LoadModel skips both (fresh false), because the file replaces
+// the weights both would be computed from.
+func newNetwork(cfg Config, fresh bool) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -121,7 +121,10 @@ func newNetwork(cfg Config, buildTables bool) (*Network, error) {
 		}
 		sparseIn = l.Sampled()
 	}
-	if buildTables {
+	if fresh {
+		for _, l := range n.layers {
+			l.initWeights(cfg.Seed)
+		}
 		n.RebuildTables(0)
 	}
 	n.nextAt = int64(cfg.RebuildN0)

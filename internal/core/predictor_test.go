@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -507,14 +508,15 @@ func TestSaveModelLoadModelRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadModelRejectsV1: a retired v1 weights-only file — magic, input
+// dim and layer count, then each layer's shape and weights — is refused,
+// and the error quotes its v1 magic.
 func TestLoadModelRejectsV1(t *testing.T) {
-	n, _, _ := trainedNet(t, 128)
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModel(&buf); err == nil {
-		t.Fatal("LoadModel accepted a v1 weights-only file")
+	v1 := append([]byte("SLIDEv1\n"), 8, 0, 0, 0, 1, 0, 0, 0, 8, 0, 0, 0, 2, 0, 0, 0, 1, 0, 0, 0)
+	v1 = append(v1, make([]byte, 4*(8+1)*2)...)
+	_, err := LoadModel(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("LoadModel of a v1 weights-only file: %v, want a v1 error", err)
 	}
 }
 

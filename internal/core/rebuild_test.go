@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -209,13 +210,13 @@ func TestAsyncRebuildRaceStress(t *testing.T) {
 
 // TestRestorePathsShareTableGeneration pins the replica-to-replica
 // determinism guarantee against the generation and rebuild counters:
-// restoring the same weights via v1 Load (into a freshly constructed
-// network that already consumed generation 1 building its random-init
-// tables) and via v2 LoadModel must produce bucket-for-bucket identical
-// table sets — both paths rebuild at generation 1 — and must leave both
-// networks on the same §4.2 schedule: a restore is not a scheduled
-// rebuild, so training both past their second rebuild keeps tables and
-// Rebuilds() equal.
+// every restore rebuilds at generation 1, whatever generation the saved
+// network had reached, so replicas loaded from one file — through a
+// reader that reports its length and through one that does not — get
+// bucket-for-bucket identical tables, equal to the source's weights built
+// at generation 1, and the same §4.2 schedule: a restore is not a
+// scheduled rebuild, so training both past their second rebuild keeps
+// tables and Rebuilds() equal.
 func TestRestorePathsShareTableGeneration(t *testing.T) {
 	classes := 256
 	ds := tinyDataset(t, classes)
@@ -230,50 +231,48 @@ func TestRestorePathsShareTableGeneration(t *testing.T) {
 	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 20, Seed: 6, EvalEvery: 0}); err != nil {
 		t.Fatal(err)
 	}
-	var v1, v2 bytes.Buffer
-	if err := n.Save(&v1); err != nil {
-		t.Fatal(err)
+	if n.rebuildGen < 3 {
+		t.Fatalf("source network at table generation %d, want a few rebuilds past construction", n.rebuildGen)
 	}
-	if err := n.SaveModel(&v2); err != nil {
+	var file bytes.Buffer
+	if err := n.SaveModel(&file); err != nil {
 		t.Fatal(err)
 	}
 
-	viaLoad, err := NewNetwork(cfg) // construction build consumes a generation
+	sized, err := LoadModel(bytes.NewReader(file.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := viaLoad.Load(&v1); err != nil {
-		t.Fatal(err)
-	}
-	viaLoadModel, err := LoadModel(&v2)
+	streamed, err := LoadModel(io.MultiReader(bytes.NewReader(file.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !viaLoad.layers[1].Tables().Equal(viaLoadModel.layers[1].Tables()) {
-		t.Fatal("v1 Load and v2 LoadModel rebuilt different tables from identical weights (generation mismatch)")
+	for name, m := range map[string]*Network{"sized": sized, "streamed": streamed} {
+		if m.rebuildGen != 1 || !m.layers[1].Tables().Equal(naiveTables(n.layers[1], 1)) {
+			t.Fatalf("%s load: tables at generation %d differ from the source's weights built at generation 1", name, m.rebuildGen)
+		}
 	}
 
 	// Gaps are 8 then int(8·e^0.1) = 8: rebuilds are kicked after batches 8
 	// and 16 and published a batch later on both networks, unless a
 	// restore build shifted the exponent.
 	tc := TrainConfig{BatchSize: 32, Iterations: 18, Threads: 1, Seed: 3, EvalEvery: 0}
-	for _, m := range []*Network{viaLoad, viaLoadModel} {
+	for _, m := range []*Network{sized, streamed} {
 		if _, err := m.Train(ds.Train, ds.Test, tc); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if a, b := viaLoad.Rebuilds(), viaLoadModel.Rebuilds(); a != 2 || b != 2 {
-		t.Fatalf("Rebuilds() after 18 batches: %d via Load, %d via LoadModel, want 2 scheduled rebuilds each", a, b)
+	if a, b := sized.Rebuilds(), streamed.Rebuilds(); a != 2 || b != 2 {
+		t.Fatalf("Rebuilds() after 18 batches: %d and %d, want 2 scheduled rebuilds each", a, b)
 	}
-	if !viaLoad.layers[1].Tables().Equal(viaLoadModel.layers[1].Tables()) {
-		t.Fatal("networks restored by Load and LoadModel trained to different tables (rebuild schedules diverged)")
+	if !sized.layers[1].Tables().Equal(streamed.layers[1].Tables()) {
+		t.Fatal("replicas loaded from one file trained to different tables (rebuild schedules diverged)")
 	}
 }
 
-// TestRebuildAfterRestore: a bulk weight restore — v1 Load into a network
-// whose weights and tables have drifted past the save, v2 LoadModel into a
-// new one — leaves tables equal to a fresh build from the restored
-// weights.
+// TestRebuildAfterRestore: a restore from a file saved before the source
+// trained on leaves tables equal to a fresh build from the restored
+// weights, not to anything the drifted source holds.
 func TestRebuildAfterRestore(t *testing.T) {
 	classes := 256
 	ds := tinyDataset(t, classes)
@@ -286,28 +285,24 @@ func TestRebuildAfterRestore(t *testing.T) {
 	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 10, Seed: 4, EvalEvery: 0}); err != nil {
 		t.Fatal(err)
 	}
-	var v1, v2 bytes.Buffer
-	if err := n.Save(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.SaveModel(&v2); err != nil {
+	var file bytes.Buffer
+	if err := n.SaveModel(&file); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 10, Seed: 5, EvalEvery: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Load(&v1); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadModel(&v2)
+	n.RebuildTables(0)
+	m, err := LoadModel(&file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, r := range map[string]*Network{"Load": n, "LoadModel": m} {
-		l := r.layers[1]
-		if !l.Tables().Equal(naiveTables(l, r.rebuildGen)) {
-			t.Fatalf("tables after %s diverged from a fresh build of the restored weights", name)
-		}
+	l := m.layers[1]
+	if !l.Tables().Equal(naiveTables(l, m.rebuildGen)) {
+		t.Fatal("tables after LoadModel diverged from a fresh build of the restored weights")
+	}
+	if l.Tables().Equal(naiveTables(n.layers[1], m.rebuildGen)) {
+		t.Fatal("tables after LoadModel match the drifted source's weights")
 	}
 }
 

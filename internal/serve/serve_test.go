@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -643,6 +644,30 @@ func TestReloadWithoutModelPath(t *testing.T) {
 	code, rep := postJSON(t, ts.URL+"/reload", ``)
 	if code != http.StatusBadRequest {
 		t.Fatalf("path-less reload: status %d (%v), want 400", code, rep)
+	}
+}
+
+// TestFailedReloadKeepsEngine: a reload from a damaged model file — a
+// 98-byte header declaring a million-input network with no weights behind
+// it — is refused from the file's size before any layer is sized, and the
+// server keeps the engine and reload count it had.
+func TestFailedReloadKeepsEngine(t *testing.T) {
+	dir := t.TempDir()
+	s := serverFromFile(t, modelFile(t, dir, 23), Options{BatchWindow: 0})
+	eng := s.eng.Load()
+	cfg := `{"InputDim":1000000,"Layers":[{"Size":128,"Activation":0},{"Size":64,"Activation":1}]}`
+	hollow := binary.LittleEndian.AppendUint32([]byte("SLIDEv2\n"), uint32(len(cfg)))
+	hollow = append(hollow, cfg...)
+	path := filepath.Join(dir, "hollow.slide")
+	if err := os.WriteFile(path, hollow, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := s.ReloadFrom(path)
+	if err == nil || !strings.Contains(err.Error(), "512033560 bytes") {
+		t.Fatalf("reload of a %d-byte hollow model: %v, want a refusal naming the declared weight bytes", len(hollow), err)
+	}
+	if s.eng.Load() != eng || s.reloads.Load() != 0 {
+		t.Fatal("failed reload replaced the engine or counted a reload")
 	}
 }
 
