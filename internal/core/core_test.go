@@ -12,6 +12,15 @@ import (
 	"repro/internal/sparse"
 )
 
+// cell returns neuron j's cell for input i of m — the weights or one of
+// their Adam moments — in the layer's orientation.
+func (l *Layer) cell(m [][]float32, j, i int) *float32 {
+	if l.inputMajor {
+		return &m[i][j]
+	}
+	return &m[j][i]
+}
+
 // denseNetConfig builds a fully dense (no sampling) two-layer softmax
 // network — the configuration under which SLIDE's sparse machinery must
 // agree exactly with classical dense backprop.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -364,17 +365,19 @@ var goldenModelCases = []struct {
 	{"input-major 37x100", Config{InputDim: 37, Seed: 11, Layers: []LayerConfig{
 		{Size: 100, Activation: ActReLU},
 		{Size: 60, Activation: ActSoftmax, Sampled: true, Hash: lsh.KindSimhash, K: 3, L: 4, RangePow: 5, BucketSize: 8, Strategy: sampling.KindVanilla, Beta: 6},
-	}}, 0x4cca88150cb3fa09},
+	}}, 0xc4b4bd14c17de023},
 	{"sampled neuron-major 37x100", Config{InputDim: 37, Seed: 12, Layers: []LayerConfig{
 		{Size: 100, Activation: ActReLU, Sampled: true, Hash: lsh.KindDWTA, K: 2, L: 5, RangePow: 4, BucketSize: 8, Strategy: sampling.KindVanilla, Beta: 6},
 		{Size: 30, Activation: ActSoftmax},
-	}}, 0xdf00b9dfbc2dfc9e},
+	}}, 0xd7f83c0dffa48e01},
 }
 
 // TestSaveModelGolden pins the model file's bytes — FNV-64a of SaveModel
 // for the goldenModelCases networks, recorded before the codec that
 // streams weights through block buffers replaced per-neuron
-// binary.Write — and checks that a file re-saves to itself and that
+// binary.Write, and re-recorded when the weight init moved to row-keyed
+// streams (TestSaveModelFormulaGolden pins the codec apart from the
+// init) — and checks that a file re-saves to itself and that
 // loading it rebuilds the source's tables at generation 1. Recorded on
 // amd64 (see TestTrainingGoldenHash).
 func TestSaveModelGolden(t *testing.T) {
@@ -406,6 +409,43 @@ func TestSaveModelGolden(t *testing.T) {
 				if l.Sampled() && tableFingerprint(l.Tables()) != tableFingerprint(m.layers[li].Tables()) {
 					t.Errorf("layer %d: loaded tables differ from the source's generation-1 rebuild", li)
 				}
+			}
+		})
+	}
+}
+
+// formulaModel is goldenModel with every weight overwritten by a fixed
+// formula of its storage row r and column c, so the network's weights do
+// not depend on the random init.
+func formulaModel(t *testing.T, cfg Config) *Network {
+	n := goldenModel(t, cfg)
+	for _, l := range n.layers {
+		for r, row := range l.w {
+			for c := range row {
+				row[c] = float32(math.Sin(0.37*float64(r)+0.11*float64(c)) * 0.05)
+			}
+		}
+	}
+	return n
+}
+
+// TestSaveModelFormulaGolden pins the model file's bytes independently of
+// the weight init: FNV-64a of SaveModel for the goldenModelCases shapes
+// with formulaModel's weights, recorded before the init drew each storage
+// row from its own stream. A change to the init may not move these; a
+// change to the codec must.
+func TestSaveModelFormulaGolden(t *testing.T) {
+	want := []uint64{0xb3495786d4ff5975, 0x3346a1256af4ef4c}
+	for i, c := range goldenModelCases {
+		t.Run(c.name, func(t *testing.T) {
+			var f bytes.Buffer
+			if err := formulaModel(t, c.cfg).SaveModel(&f); err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(f.Bytes())
+			if got := h.Sum64(); got != want[i] && runtime.GOARCH == "amd64" {
+				t.Errorf("SaveModel hash %#x (%d bytes), want %#x", got, f.Len(), want[i])
 			}
 		})
 	}

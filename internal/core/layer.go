@@ -152,28 +152,24 @@ func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Laye
 }
 
 // initWeights draws the layer's initial weights from the network seed:
-// He-style for ReLU layers and Xavier-style otherwise, neuron by neuron
-// whatever the orientation.
-func (l *Layer) initWeights(seed uint64) {
+// He-style for ReLU layers and Xavier-style otherwise. It fills each
+// storage row — a neuron's weights, or on the input-major layer one
+// input's weights to every neuron — in order from the row's own stream,
+// keyed by layer and row, with both variates of each polar pair; workers
+// split the rows, and since no row's draw depends on another's, the
+// weights do not depend on the worker count.
+func (l *Layer) initWeights(seed uint64, workers int) {
 	std := float32(math.Sqrt(2.0 / float64(l.in))) // He init for ReLU
 	if l.cfg.Activation != ActReLU {
 		std = float32(math.Sqrt(1.0 / float64(l.in)))
 	}
-	r := rng.NewStream(seed, uint64(l.idx)+0x1a7e4)
-	for j := 0; j < l.out; j++ {
-		for i := 0; i < l.in; i++ {
-			*l.cell(l.w, j, i) = std * r.NormFloat32()
+	parallelIndexed(workers, len(l.w), func(_, lo, hi int) {
+		var r rng.RNG
+		for row := lo; row < hi; row++ {
+			r.ReseedStream(seed, uint64(l.idx)<<40|uint64(row)+0x1a7e4)
+			r.FillNormal32(l.w[row], std)
 		}
-	}
-}
-
-// cell returns neuron j's cell for input i of m — the weights or one of
-// their Adam moments — in the layer's orientation.
-func (l *Layer) cell(m [][]float32, j, i int) *float32 {
-	if l.inputMajor {
-		return &m[i][j]
-	}
-	return &m[j][i]
+	})
 }
 
 // In returns the layer fan-in.

@@ -123,7 +123,7 @@ func newNetwork(cfg Config, fresh bool) (*Network, error) {
 	}
 	if fresh {
 		for _, l := range n.layers {
-			l.initWeights(cfg.Seed)
+			l.initWeights(cfg.Seed, defaultThreads())
 		}
 		n.RebuildTables(0)
 	}

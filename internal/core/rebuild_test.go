@@ -361,8 +361,10 @@ func tableFingerprint(tb *hashtable.Table) uint64 {
 // reservoir stream both show. The simhash after-training value was
 // re-recorded when vanilla retrieval draws became seeded per batch
 // position, which moves the weights the rebuilds hash; the builds
-// themselves did not change. Recorded on amd64 (see
-// TestTrainingGoldenHash).
+// themselves did not change. All four values were re-recorded when the
+// weight init moved to row-keyed streams, which moves the weights every
+// build hashes; TestTableFingerprintFormulaGolden pins the build apart
+// from the init. Recorded on amd64 (see TestTrainingGoldenHash).
 func TestTableFingerprintGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64, running on %s", runtime.GOARCH)
@@ -373,8 +375,8 @@ func TestTableFingerprintGolden(t *testing.T) {
 		hash                lsh.Kind
 		wantInit, wantTrain uint64
 	}{
-		{lsh.KindSimhash, 0xf1d6576da0bb6b6c, 0xa15ec626403828ce},
-		{lsh.KindDWTA, 0xec96237952834d77, 0xf983fa4fc1859e75},
+		{lsh.KindSimhash, 0xf4b00a018b0418b2, 0xfff902a8709a1dd3},
+		{lsh.KindDWTA, 0x0fafad28d69a89b7, 0xeeff4957630adda7},
 	} {
 		cfg := tinyConfig(classes)
 		cfg.Layers[1].Hash = tc.hash
@@ -404,6 +406,36 @@ func TestTableFingerprintGolden(t *testing.T) {
 		if gotTrain := tableFingerprint(n.layers[1].Tables()); gotInit != tc.wantInit || gotTrain != tc.wantTrain {
 			t.Errorf("%v: table fingerprints %#x after NewNetwork and %#x after training, want %#x and %#x",
 				tc.hash, gotInit, gotTrain, tc.wantInit, tc.wantTrain)
+		}
+	}
+}
+
+// TestTableFingerprintFormulaGolden pins the table build independently of
+// the weight init: TestTableFingerprintGolden's sampled layer, with
+// formulaModel's weights, rebuilt at generation 2 on one and on two
+// workers, recorded before the init drew each storage row from its own
+// stream. A change to the init may not move these; a change to the build
+// must.
+func TestTableFingerprintFormulaGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	for _, tc := range []struct {
+		hash lsh.Kind
+		want uint64
+	}{
+		{lsh.KindSimhash, 0xdf1b25f8127038b5},
+		{lsh.KindDWTA, 0x5dc4d26dbd2d7c82},
+	} {
+		cfg := tinyConfig(256)
+		cfg.Layers[1].Hash = tc.hash
+		cfg.Layers[1].BucketSize = 4
+		for _, workers := range []int{1, 2} {
+			n := formulaModel(t, cfg)
+			n.RebuildTables(workers)
+			if got := tableFingerprint(n.layers[1].Tables()); got != tc.want {
+				t.Errorf("%v at %d workers: table fingerprint %#x, want %#x", tc.hash, workers, got, tc.want)
+			}
 		}
 	}
 }

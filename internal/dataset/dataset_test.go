@@ -2,10 +2,15 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/vecmath"
 )
 
 func tinyProfile(seed uint64) Profile {
@@ -212,19 +217,94 @@ func TestXCRoundTrip(t *testing.T) {
 
 func TestReadXCErrors(t *testing.T) {
 	cases := []string{
-		"",                    // empty
-		"1 2",                 // short header
-		"x 2 3\n",             // bad count
-		"1 10 5\n9 0:bad\n",   // bad value
-		"1 10 5\n7 0:1\n",     // label out of range
-		"1 10 5\n1 20:1\n",    // feature out of range
-		"1 10 5\n1 nocolon\n", // bad token
+		"",                                  // empty
+		"1 2",                               // short header
+		"x 2 3\n",                           // bad count
+		"1 10 5\n9 0:bad\n",                 // bad value
+		"1 10 5\n7 0:1\n",                   // label out of range
+		"1 10 5\n1 20:1\n",                  // feature out of range
+		"1 10 5\n1 nocolon\n",               // bad token
+		"-1 10 10\n",                        // negative example count
+		"1 -10 5\n",                         // negative feature count
+		"1 10 -5\n",                         // negative label count
+		"1 10 5\n1 0:nan\n",                 // NaN value
+		"1 10 5\n1 0:1 2:inf\n",             // +Inf value
+		"1 10 5\n1 3:-Inf\n",                // -Inf value
+		"1 10 5\n1 0:3e38 0:3e38\n",         // duplicate index summing past float32
+		"1 10 5\n1 4294967297:1\n",          // index wrapping through int32 to 1
+		"1 4294967298 5\n1 4294967297:1\n",  // feature count above 2^31
+		"1 10 4294967298\n4294967297 0:1\n", // label count above 2^31
+		"1 10 5\n1 -1:1\n",                  // negative index
+		"1 10 5\n1,,2 0:1\n",                // empty label
+		"1 10 5\n,\n",                       // label field of commas only
 	}
 	for i, c := range cases {
 		if _, _, _, err := ReadXC(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d accepted: %q", i, c)
 		}
 	}
+}
+
+// TestReadXCHugeCountDoesNotPreallocate reads a header that declares 2^40
+// examples followed by one: the count may not size the example slice.
+func TestReadXCHugeCountDoesNotPreallocate(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	exs, _, _, err := ReadXC(strings.NewReader("1099511627776 10 5\n1 0:1\n"))
+	runtime.ReadMemStats(&after)
+	if err != nil || len(exs) != 1 {
+		t.Fatalf("got %d examples, err %v; want 1", len(exs), err)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<20 {
+		t.Fatalf("reading one example allocated %d bytes", grown)
+	}
+}
+
+// FuzzReadXC feeds arbitrary bytes to ReadXC: it may refuse them but not
+// panic, and what it accepts must be valid — indices and labels in range,
+// values finite — and survive WriteXC and a second ReadXC unchanged.
+func FuzzReadXC(f *testing.F) {
+	var buf bytes.Buffer
+	ds, err := Generate(tinyProfile(4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteXC(&buf, ds.Train[:3], ds.InputDim, ds.NumClasses); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("2 10 5\n1,3 0:1.5 4:-2\n 9:1e-3\n")
+	f.Add("1 10 5\n4,0,4 2:1 2:3 1:0\n")
+	f.Add("-1 10 10\n")
+	f.Add("1 10 5\n1 0:nan\n")
+	f.Add("1 10 5\n1 4294967297:1\n")
+	f.Add("1 10 5\n,\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		exs, nf, nl, err := ReadXC(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		d := &Dataset{InputDim: nf, NumClasses: nl, Train: exs}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("accepted invalid data: %v", err)
+		}
+		for _, ex := range exs {
+			if !vecmath.AllFinite(ex.Features.Val) {
+				t.Fatalf("accepted a non-finite value: %v", ex.Features.Val)
+			}
+		}
+		var out bytes.Buffer
+		if err := WriteXC(&out, exs, nf, nl); err != nil {
+			t.Fatal(err)
+		}
+		back, nf2, nl2, err := ReadXC(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("WriteXC output does not read back: %v\n%s", err, out.String())
+		}
+		if nf2 != nf || nl2 != nl || !reflect.DeepEqual(back, exs) {
+			t.Fatalf("WriteXC/ReadXC round trip changed the data:\n%q\n%q", in, out.String())
+		}
+	})
 }
 
 func TestReadXCNoLabelLine(t *testing.T) {
@@ -246,5 +326,34 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	ds.Train[0].Labels = []int32{int32(ds.NumClasses)}
 	if err := ds.Validate(); err == nil {
 		t.Fatal("out-of-range label not caught")
+	}
+}
+
+// TestGenerateGoldenHash pins the generator's output — FNV-64a over every
+// example's labels, feature indices and value bits, train then test — for
+// one small profile, recorded before the network's weight init stopped
+// using rng.NormFloat32: the generator's draws may not move with it.
+func TestGenerateGoldenHash(t *testing.T) {
+	ds, err := Generate(tinyProfile(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	put := func(u uint32) { h.Write(binary.LittleEndian.AppendUint32(nil, u)) }
+	for _, split := range [][]Example{ds.Train, ds.Test} {
+		for _, ex := range split {
+			put(uint32(len(ex.Labels)))
+			for _, l := range ex.Labels {
+				put(uint32(l))
+			}
+			put(uint32(len(ex.Features.Idx)))
+			for j, i := range ex.Features.Idx {
+				put(uint32(i))
+				put(math.Float32bits(ex.Features.Val[j]))
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0xe26f5a207d7d02e0); got != want {
+		t.Fatalf("Generate hash %#x, want %#x", got, want)
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 // ReadXC parses the Extreme Classification Repository's SVMLight-style
@@ -40,7 +42,12 @@ func ReadXC(r io.Reader) (examples []Example, numFeatures, numLabels int, err er
 	if numLabels, err = strconv.Atoi(header[2]); err != nil {
 		return nil, 0, 0, fmt.Errorf("dataset: bad label count: %w", err)
 	}
-	examples = make([]Example, 0, numExamples)
+	if min(numExamples, numFeatures, numLabels) < 0 || max(numFeatures, numLabels) > math.MaxInt32 {
+		return nil, 0, 0, fmt.Errorf("dataset: XC header %q: counts must be in [0, 2^31)", sc.Text())
+	}
+	// The declared count only sizes the first allocation; append grows
+	// past the cap for a file that really holds more.
+	examples = make([]Example, 0, min(numExamples, 1<<16))
 	lineNo := 1
 	for sc.Scan() {
 		lineNo++
@@ -69,9 +76,6 @@ func parseXCLine(line string, numFeatures, numLabels int) (Example, error) {
 	if len(fields) > 0 && !strings.Contains(fields[0], ":") {
 		start = 1
 		for _, tok := range strings.Split(fields[0], ",") {
-			if tok == "" {
-				continue
-			}
 			l, err := strconv.Atoi(tok)
 			if err != nil {
 				return ex, fmt.Errorf("bad label %q: %w", tok, err)
@@ -95,6 +99,9 @@ func parseXCLine(line string, numFeatures, numLabels int) (Example, error) {
 		if err != nil {
 			return ex, fmt.Errorf("bad feature index in %q: %w", tok, err)
 		}
+		if i < 0 || i >= numFeatures {
+			return ex, fmt.Errorf("feature %d out of range [0,%d)", i, numFeatures)
+		}
 		v, err := strconv.ParseFloat(tok[colon+1:], 32)
 		if err != nil {
 			return ex, fmt.Errorf("bad feature value in %q: %w", tok, err)
@@ -105,6 +112,9 @@ func parseXCLine(line string, numFeatures, numLabels int) (Example, error) {
 	vec, err := sparse.New(numFeatures, idx, val)
 	if err != nil {
 		return ex, err
+	}
+	if !vecmath.AllFinite(vec.Val) {
+		return ex, fmt.Errorf("feature values (summed per index) must be finite")
 	}
 	ex.Features = vec
 	return ex, nil

@@ -158,6 +158,28 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
+// FillNormal32 fills dst with std·x for standard normal variates x drawn
+// exactly as NormFloat64 draws them, but keeping both variates u·f and v·f
+// of each accepted polar pair where NormFloat64 returns only u·f: half the
+// draws per variate. An odd-length dst drops the last pair's second one.
+func (r *RNG) FillNormal32(dst []float32, std float32) {
+	for i := 0; i < len(dst); {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s >= 1 || s == 0 {
+			continue
+		}
+		f := math.Sqrt(-2 * math.Log(s) / s)
+		dst[i] = std * float32(u*f)
+		if i+1 == len(dst) {
+			return
+		}
+		dst[i+1] = std * float32(v*f)
+		i += 2
+	}
+}
+
 // Perm returns a uniformly random permutation of [0, n) using the
 // Fisher-Yates shuffle.
 func (r *RNG) Perm(n int) []int {

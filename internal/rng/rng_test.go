@@ -141,22 +141,69 @@ func TestFloatRanges(t *testing.T) {
 	}
 }
 
+// TestNormFloat64Moments checks the mean and variance of NormFloat64 and
+// of FillNormal32, which keeps both variates of each polar pair, and that
+// the two variates of a pair are uncorrelated.
 func TestNormFloat64Moments(t *testing.T) {
-	r := New(99)
 	const n = 200000
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
+	single := make([]float64, n)
+	r := New(99)
+	for i := range single {
+		single[i] = r.NormFloat64()
 	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Errorf("normal mean = %v, want ~0", mean)
+	pair := make([]float32, n)
+	New(99).FillNormal32(pair, 1)
+	for _, c := range []struct {
+		name string
+		at   func(i int) float64
+	}{
+		{"NormFloat64", func(i int) float64 { return single[i] }},
+		{"FillNormal32", func(i int) float64 { return float64(pair[i]) }},
+	} {
+		var sum, sumSq float64
+		for i := 0; i < n; i++ {
+			v := c.at(i)
+			sum += v
+			sumSq += v * v
+		}
+		mean := sum / n
+		variance := sumSq/n - mean*mean
+		if math.Abs(mean) > 0.01 {
+			t.Errorf("%s: normal mean = %v, want ~0", c.name, mean)
+		}
+		if math.Abs(variance-1) > 0.02 {
+			t.Errorf("%s: normal variance = %v, want ~1", c.name, variance)
+		}
 	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance = %v, want ~1", variance)
+	// The sample correlation of n/2 independent pairs has standard error
+	// sqrt(2/n) ≈ 0.0032; 0.015 is about 4.7 of them.
+	var uv float64
+	for i := 0; i < n; i += 2 {
+		uv += float64(pair[i]) * float64(pair[i+1])
+	}
+	if rho := uv / (n / 2); math.Abs(rho) > 0.015 {
+		t.Errorf("FillNormal32: correlation of a pair's two variates = %v, want ~0", rho)
+	}
+}
+
+// TestFillNormal32MatchesNormFloat64 pins FillNormal32 to NormFloat64's
+// arithmetic: on equal streams, the first variate of every pair is
+// std·float32(NormFloat64()), an odd length ends on such a first variate,
+// and both consume the same uniforms per pair.
+func TestFillNormal32MatchesNormFloat64(t *testing.T) {
+	for _, size := range []int{0, 1, 2, 7, 1000} {
+		const std = 0.125
+		dst := make([]float32, size)
+		a, b := NewStream(5, 77), NewStream(5, 77)
+		a.FillNormal32(dst, std)
+		for i := 0; i < size; i += 2 {
+			if want := std * float32(b.NormFloat64()); dst[i] != want {
+				t.Fatalf("size %d: dst[%d] = %v, want %v", size, i, dst[i], want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("size %d: FillNormal32 and NormFloat64 consumed different draws", size)
+		}
 	}
 }
 
