@@ -4,7 +4,7 @@
 //
 // It loads a self-describing model written by slide-train -save, builds
 // one shared concurrency-safe Predictor, and micro-batches concurrent
-// requests into Predictor.PredictBatch calls so bursts ride the
+// requests into Predictor.PredictBatchInto calls so bursts ride the
 // multi-core fan-out instead of queuing on single-example passes. For
 // tail-latency engineering it adds a latency budget with admission
 // control (shed with 429 + Retry-After instead of queuing work doomed to
@@ -30,7 +30,7 @@
 //	                     -> {"ids":[...],"scores":[...],"mode":"sampled","ms":...}
 //	POST /predict/batch  {"batch":[{"indices":[...],"values":[...]},...],"k":5,"sampled":true}
 //	                     -> {"results":[{"ids":[...],"scores":[...]},...],"count":N,"ms":...}
-//	                     bulk clients ride one PredictBatch fan-out directly,
+//	                     bulk clients ride one PredictBatchInto fan-out directly,
 //	                     skipping the micro-batch gathering window
 //	POST /reload         {"model":"other.slide"} (empty body reloads -model)
 //	                     atomically swaps in a freshly loaded Network+Predictor

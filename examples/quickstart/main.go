@@ -90,13 +90,13 @@ func main() {
 	for i := 0; i < 64 && i < len(ds.Test); i++ {
 		xs = append(xs, ds.Test[i].Features)
 	}
-	batchIDs, batchScores, err := pred.PredictBatchSampled(context.Background(), xs, 1)
-	if err != nil {
+	var out slide.BatchResults
+	if err := pred.PredictBatchInto(context.Background(), xs, 1, true, &out); err != nil {
 		log.Fatal(err)
 	}
 	var hits float64
-	for i := range batchIDs {
-		hits += metrics.PrecisionAt1(batchScores[i], batchIDs[i], ds.Test[i].Labels)
+	for i := range out.IDs {
+		hits += metrics.PrecisionAt1(out.Scores[i], out.IDs[i], ds.Test[i].Labels)
 	}
 	fmt.Printf("batched sampled inference over %d examples: P@1 = %.3f\n",
 		len(xs), hits/float64(len(xs)))

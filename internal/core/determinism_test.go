@@ -9,10 +9,16 @@ import (
 	"repro/internal/sparse"
 )
 
+// predictSampled is one sampled prediction on p, seeded when opts names
+// a seed.
+func predictSampled(p *Predictor, x sparse.Vector, k int, opts ...PredictOpts) ([]int32, []float32, error) {
+	return p.TopKWithScoresInto(context.Background(), x, k, true, nil, nil, opts...)
+}
+
 // seededPredict is a tiny helper: one seeded sampled prediction.
 func seededPredict(t testing.TB, p *Predictor, x sparse.Vector, k int, seed uint64) ([]int32, []float32) {
 	t.Helper()
-	ids, scores, err := p.PredictSampled(x, k, PredictOpts{Seed: seed})
+	ids, scores, err := predictSampled(p, x, k, PredictOpts{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +44,7 @@ func TestPredictSampledSeededDeterministic(t *testing.T) {
 
 	// Drift the pooled states with unseeded traffic, then replay.
 	for i := 0; i < 50; i++ {
-		if _, _, err := p.PredictSampled(xs[i%len(xs)], k); err != nil {
+		if _, _, err := predictSampled(p, xs[i%len(xs)], k); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,13 +115,13 @@ func TestPredictSampledSeededConcurrent(t *testing.T) {
 				i := (g*13 + it) % nGolden
 				if it%3 == 2 {
 					// Interleave unseeded traffic to drift pool state.
-					if _, _, err := p.PredictSampled(xs[(g+it)%len(xs)], k); err != nil {
+					if _, _, err := predictSampled(p, xs[(g+it)%len(xs)], k); err != nil {
 						t.Errorf("unseeded: %v", err)
 						return
 					}
 					continue
 				}
-				ids, scores, err := p.PredictSampled(xs[i], k, PredictOpts{Seed: uint64(100 + i)})
+				ids, scores, err := predictSampled(p, xs[i], k, PredictOpts{Seed: uint64(100 + i)})
 				if err != nil {
 					t.Errorf("seeded: %v", err)
 					return
@@ -164,7 +170,7 @@ func TestPredictSampledSeededSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Drift one replica's pool with unseeded traffic before comparing.
 	for i := 0; i < 30; i++ {
-		if _, _, err := p1.PredictSampled(xs[i], 5); err != nil {
+		if _, _, err := predictSampled(p1, xs[i], 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,10 +184,10 @@ func TestPredictSampledSeededSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPredictBatchSampledSeeded pins the batch contract: repeated seeded
+// TestPredictBatchIntoSeeded pins the batch contract: repeated seeded
 // batches are identical, a one-element seeded batch matches the seeded
 // single-example path, and unseeded batches are untouched.
-func TestPredictBatchSampledSeeded(t *testing.T) {
+func TestPredictBatchIntoSeeded(t *testing.T) {
 	n, xs, _ := trainedNet(t, 128)
 	p, err := n.NewPredictor()
 	if err != nil {
@@ -191,31 +197,30 @@ func TestPredictBatchSampledSeeded(t *testing.T) {
 	const k, seed = 4, 99
 	batch := xs[:100]
 
-	ids1, scores1, err := p.PredictBatchSampled(ctx, batch, k, PredictOpts{Seed: seed})
-	if err != nil {
+	var first, second BatchResults
+	if err := p.PredictBatchInto(ctx, batch, k, true, &first, PredictOpts{Seed: seed}); err != nil {
 		t.Fatal(err)
 	}
 	// Drift pool state, then rerun.
 	for i := 0; i < 30; i++ {
-		if _, _, err := p.PredictSampled(xs[i], k); err != nil {
+		if _, _, err := predictSampled(p, xs[i], k); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ids2, scores2, err := p.PredictBatchSampled(ctx, batch, k, PredictOpts{Seed: seed})
-	if err != nil {
+	if err := p.PredictBatchInto(ctx, batch, k, true, &second, PredictOpts{Seed: seed}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range batch {
-		if !eqIDs(ids1[i], ids2[i]) || !eqScores(scores1[i], scores2[i]) {
+		if !eqIDs(first.IDs[i], second.IDs[i]) || !eqScores(first.Scores[i], second.Scores[i]) {
 			t.Fatalf("seeded batch not reproducible at element %d", i)
 		}
 	}
 
 	// Element 0 of a seeded batch uses the request seed itself.
 	single, singleScores := seededPredict(t, p, batch[0], k, seed)
-	if !eqIDs(single, ids1[0]) || !eqScores(singleScores, scores1[0]) {
+	if !eqIDs(single, first.IDs[0]) || !eqScores(singleScores, first.Scores[0]) {
 		t.Fatalf("one-element equivalence broke: batch[0] %v/%v, single %v/%v",
-			ids1[0], scores1[0], single, singleScores)
+			first.IDs[0], first.Scores[0], single, singleScores)
 	}
 }
 
@@ -238,7 +243,7 @@ func TestSeededCallsDoNotPerturbUnseededPool(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		seededPredict(t, p, xs[i], k, uint64(i))
 	}
-	gotIDs, gotScores, err := p.PredictSampled(xs[0], k)
+	gotIDs, gotScores, err := predictSampled(p, xs[0], k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,13 +262,13 @@ func BenchmarkPredictSampledSeeded(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := p.PredictSampled(xs[0], 5, PredictOpts{Seed: 1}); err != nil {
+	if _, _, err := predictSampled(p, xs[0], 5, PredictOpts{Seed: 1}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.PredictSampled(xs[i%len(xs)], 5, PredictOpts{Seed: uint64(i)}); err != nil {
+		if _, _, err := predictSampled(p, xs[i%len(xs)], 5, PredictOpts{Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -192,12 +192,11 @@ func TestRejectsOutOfRangeInput(t *testing.T) {
 		{"test feature = InputDim", func() error { return train(4, withFeature(ds.Test[4], int32(dim)), true) },
 			[]string{"test example 4", fmt.Sprint(dim)}},
 		{"Predict", func() error { _, _, err := pred.Predict(bad, 3); return err }, []string{fmt.Sprint(dim)}},
-		{"PredictSampled", func() error { _, _, err := pred.PredictSampled(bad, 3, PredictOpts{Seed: 1}); return err }, []string{fmt.Sprint(dim)}},
+		{"Network.PredictSampled", func() error { _, _, err := n.PredictSampled(bad, 3, PredictOpts{Seed: 1}); return err }, []string{fmt.Sprint(dim)}},
 		{"TopKWithScoresInto", func() error {
 			_, _, err := pred.TopKWithScoresInto(context.Background(), bad, 3, true, nil, nil)
 			return err
 		}, []string{fmt.Sprint(dim)}},
-		{"PredictBatch", func() error { _, _, err := pred.PredictBatch(context.Background(), batch, 3); return err }, []string{"input 2", fmt.Sprint(dim)}},
 		{"PredictBatchInto", func() error {
 			return pred.PredictBatchInto(context.Background(), batch, 3, true, &BatchResults{})
 		}, []string{"input 2", fmt.Sprint(dim)}},
@@ -220,5 +219,72 @@ func TestRejectsOutOfRangeInput(t *testing.T) {
 	}
 	if n.Step() != 0 {
 		t.Fatalf("rejected runs trained %d iterations", n.Step())
+	}
+}
+
+// TestPredictClampsK: every prediction entry point clamps k to
+// [0, OutputDim] before sizing anything, so k ≤ 0 answers empty and a
+// huge k answers every class instead of allocating n·k result cells (or
+// panicking on a negative slice bound).
+func TestPredictClampsK(t *testing.T) {
+	const classes = 64
+	ds := deltaTestDataset(t, classes)
+	n := mustNet(t, deltaTestConfig(classes))
+	pred, err := n.NewPredictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := []sparse.Vector{ds.Test[0].Features, ds.Test[1].Features, ds.Test[2].Features}
+	ctx := context.Background()
+	for _, k := range []int{-1, 0, 1 << 40} {
+		want := min(max(k, 0), classes)
+		for _, c := range []struct {
+			name string
+			run  func() ([][]int32, [][]float32, error)
+		}{
+			{"Predict", func() ([][]int32, [][]float32, error) {
+				ids, scores, err := pred.Predict(xs[0], k)
+				return [][]int32{ids}, [][]float32{scores}, err
+			}},
+			{"TopKWithScoresInto", func() ([][]int32, [][]float32, error) {
+				ids, scores, err := pred.TopKWithScoresInto(ctx, xs[0], k, true, nil, nil, PredictOpts{Seed: 1})
+				return [][]int32{ids}, [][]float32{scores}, err
+			}},
+			{"Network.PredictSampled", func() ([][]int32, [][]float32, error) {
+				ids, scores, err := n.PredictSampled(xs[0], k)
+				return [][]int32{ids}, [][]float32{scores}, err
+			}},
+			{"PredictBatchInto/1", func() ([][]int32, [][]float32, error) {
+				var res BatchResults
+				err := pred.PredictBatchInto(ctx, xs[:1], k, false, &res)
+				if cells := cap(res.idsFlat) + cap(res.scoresFlat); cells > 2*classes {
+					t.Errorf("k=%d: 1-input batch holds %d result cells, want <= %d", k, cells, 2*classes)
+				}
+				return res.IDs, res.Scores, err
+			}},
+			{"PredictBatchInto/3", func() ([][]int32, [][]float32, error) {
+				var res BatchResults
+				err := pred.PredictBatchInto(ctx, xs, k, true, &res)
+				if cells := cap(res.idsFlat) + cap(res.scoresFlat); cells > 2*len(xs)*classes {
+					t.Errorf("k=%d: %d-input batch holds %d result cells, want <= %d", k, len(xs), cells, 2*len(xs)*classes)
+				}
+				return res.IDs, res.Scores, err
+			}},
+		} {
+			ids, scores, err := c.run()
+			if err != nil {
+				t.Fatalf("%s k=%d: %v", c.name, k, err)
+			}
+			for i := range ids {
+				// A sampled answer covers only the active neurons, so
+				// it may be shorter than the clamped k.
+				if len(ids[i]) > want || len(scores[i]) != len(ids[i]) || (k <= 0 && len(ids[i]) != 0) {
+					t.Fatalf("%s k=%d: answer %d has %d ids and %d scores, want <= %d", c.name, k, i, len(ids[i]), len(scores[i]), want)
+				}
+			}
+			if k > classes && c.name == "Predict" && len(ids[0]) != classes {
+				t.Fatalf("Predict k=%d answered %d classes, want all %d", k, len(ids[0]), classes)
+			}
+		}
 	}
 }

@@ -78,7 +78,7 @@ func TestSampledInference(t *testing.T) {
 	t0 := time.Now()
 	for i := 0; i < trials; i++ {
 		ex := &ds.Test[i]
-		top, _ := n.predictInto(st, ex.Features, 1, modeEvalFull)
+		top, _ := n.predictIntoBuf(st, ex.Features, 1, modeEvalFull, nil, nil)
 		if len(top) > 0 && containsSortedLabel(ex.Labels, top[0]) {
 			fullHits++
 		}
@@ -87,7 +87,7 @@ func TestSampledInference(t *testing.T) {
 	t0 = time.Now()
 	for i := 0; i < trials; i++ {
 		ex := &ds.Test[i]
-		top, _ := n.predictInto(st, ex.Features, 1, modeEvalSampled)
+		top, _ := n.predictIntoBuf(st, ex.Features, 1, modeEvalSampled, nil, nil)
 		sampActive += len(st.layers[1].vals)
 		if len(top) > 0 && containsSortedLabel(ex.Labels, top[0]) {
 			sampHits++

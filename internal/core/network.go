@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -301,7 +302,8 @@ func (n *Network) finishPendingRebuild() {
 // top-k class ids with their softmax-layer scores, highest first. It is a
 // thin wrapper over the network's lazily built default Predictor;
 // high-traffic callers should construct a Predictor once via NewPredictor
-// and use it directly (PredictBatch amortizes fan-out across workers).
+// and use its PredictBatchInto, which reuses result storage and fans
+// batches out across workers.
 func (n *Network) Predict(x sparse.Vector, k int) ([]int32, []float32, error) {
 	p, err := n.defaultPredictor()
 	if err != nil {
@@ -319,5 +321,5 @@ func (n *Network) PredictSampled(x sparse.Vector, k int, opts ...PredictOpts) ([
 	if err != nil {
 		return nil, nil, err
 	}
-	return p.PredictSampled(x, k, opts...)
+	return p.TopKWithScoresInto(context.Background(), x, k, true, nil, nil, opts...)
 }

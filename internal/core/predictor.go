@@ -22,8 +22,8 @@ const predictSeed = 0x9ed1c7
 //
 // A single Predictor may be shared by any number of goroutines; each call
 // checks a state out of the pool and returns it when done. Predictions
-// only read the network's weights and hash tables, so concurrent
-// Predict/PredictBatch calls are race-free. Predicting concurrently with
+// only read the network's weights and hash tables, so concurrent calls
+// are race-free. Predicting concurrently with
 // Train reads weights the training loop steps, unsynchronized, at batch
 // boundaries, and inherits the paper's HOGWILD weak-consistency argument:
 // reads may observe partially applied updates
@@ -95,12 +95,12 @@ func (p *Predictor) putState(st *elemState, seeded bool) { p.statePool(seeded).P
 func (p *Predictor) Network() *Network { return p.n }
 
 // PredictOpts requests deterministic sampled inference. Passing one to a
-// sampled Predict* call reseeds the checked-out worker state from Seed
-// before the forward pass, so two calls with the same input and the same
-// Seed return bitwise-identical ids and scores regardless of which pooled
-// state serves them, of concurrent traffic, or of how many predictions
-// came before. Calls without a PredictOpts keep the pooled fast path:
-// each worker state advances its private streams and results are not
+// sampled call reseeds the checked-out worker state before each element's
+// forward pass, so two calls with the same input and the same Seed return
+// bitwise-identical ids and scores regardless of which pooled state
+// serves them, of concurrent traffic, or of how many predictions came
+// before. Calls without a PredictOpts keep the pooled fast path: each
+// worker state advances its private streams and results are not
 // reproducible across calls. Seeded calls draw from a separate state
 // pool, so they never disturb the unseeded workers' stream independence.
 // Seeding only affects the sampled path — exact inference is already
@@ -111,148 +111,24 @@ type PredictOpts struct {
 }
 
 // Predict runs an exact (all neurons active) forward pass and returns the
-// top-k class ids with their softmax-layer scores, highest first.
+// top-k class ids with their softmax-layer scores, highest first, in
+// fresh slices.
 func (p *Predictor) Predict(x sparse.Vector, k int) ([]int32, []float32, error) {
-	return p.TopKWithScores(x, k, false)
+	return p.TopKWithScoresInto(context.Background(), x, k, false, nil, nil)
 }
 
-// PredictSampled runs SLIDE's sub-linear inference: active neurons come
-// from the hash tables, and only their scores are computed. Passing a
-// PredictOpts makes the sampled draw deterministic in its Seed.
-func (p *Predictor) PredictSampled(x sparse.Vector, k int, opts ...PredictOpts) ([]int32, []float32, error) {
-	return p.TopKWithScores(x, k, true, opts...)
-}
-
-// TopKWithScores is the general single-example entry point: it runs one
-// forward pass (sampled or exact) and extracts the top-k class ids and
-// scores in a single selection pass, highest score first. At most one
-// PredictOpts may be passed; it seeds the sampled path per PredictOpts.
-func (p *Predictor) TopKWithScores(x sparse.Vector, k int, sampled bool, opts ...PredictOpts) ([]int32, []float32, error) {
-	if err := p.n.checkFeatures(x); err != nil {
-		return nil, nil, fmt.Errorf("core: %w", err)
-	}
-	seeded := sampled && len(opts) > 0
-	st, err := p.getState(seeded)
-	if err != nil {
-		return nil, nil, err
-	}
-	if seeded {
-		st.reseed(opts[0].Seed)
-	}
-	mode := modeEvalFull
-	if sampled {
-		mode = modeEvalSampled
-	}
-	ids, scores := p.n.predictInto(st, x, k, mode)
-	p.putState(st, seeded)
-	return ids, scores, nil
-}
-
-// TopKWithScoresCtx is TopKWithScores for deadline-bounded serving: work
-// that is already doomed (ctx cancelled or past its deadline) is refused
-// before a worker state is checked out and the forward pass runs, so a
-// server propagating per-request deadlines never spends a full pass on a
-// request whose client has given up. A context that expires mid-pass does
-// not abort the pass — a single example is the unit of cancellation, as
-// in PredictBatch.
-func (p *Predictor) TopKWithScoresCtx(ctx context.Context, x sparse.Vector, k int, sampled bool, opts ...PredictOpts) ([]int32, []float32, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return p.TopKWithScores(x, k, sampled, opts...)
-}
-
-// TopKWithScoresInto is TopKWithScoresCtx appending the result into the
-// caller's ids/scores buffers (reusing their capacity) instead of
-// allocating fresh slices — the allocation-free serving entry point. Once
-// the buffers' capacity covers k, a steady-state call performs zero heap
-// allocations: the worker state comes from the pool, selection scratch
-// lives in the state, and the results land in the caller's memory. The
+// TopKWithScoresInto is a one-element PredictBatchInto that appends the
+// answer into the caller's ids/scores buffers, reusing their capacity.
+// Once that capacity covers k, a steady-state call allocates nothing. The
 // returned slices are the (possibly grown) buffers; the input slices'
 // contents are discarded.
 func (p *Predictor) TopKWithScoresInto(ctx context.Context, x sparse.Vector, k int, sampled bool, ids []int32, scores []float32, opts ...PredictOpts) ([]int32, []float32, error) {
-	if err := ctx.Err(); err != nil {
-		return ids, scores, err
+	xs, idsOut, scoresOut := [1]sparse.Vector{x}, [1][]int32{ids}, [1][]float32{scores}
+	c, err := p.newCall(ctx, xs[:], k, sampled, opts)
+	if err == nil {
+		err = p.runInline(ctx, c, xs[:], idsOut[:], scoresOut[:])
 	}
-	if err := p.n.checkFeatures(x); err != nil {
-		return ids, scores, fmt.Errorf("core: %w", err)
-	}
-	seeded := sampled && len(opts) > 0
-	st, err := p.getState(seeded)
-	if err != nil {
-		return ids, scores, err
-	}
-	if seeded {
-		st.reseed(opts[0].Seed)
-	}
-	mode := modeEvalFull
-	if sampled {
-		mode = modeEvalSampled
-	}
-	ids, scores = p.n.predictIntoBuf(st, x, k, mode, ids, scores)
-	p.putState(st, seeded)
-	return ids, scores, nil
-}
-
-// PredictBatch predicts exact top-k ids and scores for every input,
-// fanning the batch out across GOMAXPROCS pooled workers. Cancellation is
-// checked between elements: on ctx cancellation the partial work is
-// discarded and ctx.Err() returned.
-func (p *Predictor) PredictBatch(ctx context.Context, xs []sparse.Vector, k int) ([][]int32, [][]float32, error) {
-	return p.predictBatch(ctx, xs, k, modeEvalFull)
-}
-
-// PredictBatchSampled is PredictBatch over the sub-linear sampled
-// inference path. Passing a PredictOpts makes every element's draw
-// deterministic: element i is seeded with a per-element seed derived from
-// Seed and i (element 0 uses Seed itself, so a one-element seeded batch
-// matches a seeded PredictSampled), independent of how the batch is
-// partitioned across workers.
-func (p *Predictor) PredictBatchSampled(ctx context.Context, xs []sparse.Vector, k int, opts ...PredictOpts) ([][]int32, [][]float32, error) {
-	return p.predictBatch(ctx, xs, k, modeEvalSampled, opts...)
-}
-
-func (p *Predictor) predictBatch(ctx context.Context, xs []sparse.Vector, k int, mode forwardMode, opts ...PredictOpts) ([][]int32, [][]float32, error) {
-	if len(xs) == 0 {
-		return nil, nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if err := p.n.checkInputs(xs); err != nil {
-		return nil, nil, err
-	}
-	seeded := mode == modeEvalSampled && len(opts) > 0
-	workers := min(defaultThreads(), len(xs))
-	states, err := p.acquireStates(workers, seeded)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer p.releaseStates(states, seeded)
-
-	ids := make([][]int32, len(xs))
-	scores := make([][]float32, len(xs))
-	var cancelled atomic.Bool
-	parallelIndexed(workers, len(xs), func(w, lo, hi int) {
-		st := states[w]
-		for i := lo; i < hi; i++ {
-			if cancelled.Load() {
-				return
-			}
-			if ctx.Err() != nil {
-				cancelled.Store(true)
-				return
-			}
-			if seeded {
-				st.reseed(elemSeed(opts[0].Seed, i))
-			}
-			ids[i], scores[i] = p.n.predictInto(st, xs[i], k, mode)
-		}
-	})
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	return ids, scores, nil
+	return idsOut[0], scoresOut[0], err
 }
 
 // BatchResults is reusable result storage for PredictBatchInto. IDs[i]
@@ -289,74 +165,108 @@ func (r *BatchResults) prepare(n, k int) {
 	}
 }
 
-// PredictBatchInto is PredictBatch/PredictBatchSampled writing into a
-// caller-owned BatchResults instead of allocating per-element result
-// slices — the allocation-free bulk entry point. Semantics match
-// predictBatch exactly: exact or sampled mode, per-element seeding when
-// a PredictOpts is passed with sampled=true, cancellation checked
-// between elements.
+// PredictBatchInto is the predictor's one inference implementation. It
+// runs a forward pass for every input — exact, or with sampled=true
+// SLIDE's sub-linear pass whose active neurons come from the hash
+// tables — and writes each element's top-k class ids and scores, highest
+// first, into the caller-owned res. k is clamped to [0, OutputDim], so
+// res never holds more than len(xs)·OutputDim cells and k ≤ 0 yields
+// empty results. A batch of more than one input fans out across
+// GOMAXPROCS pooled worker states; one input runs inline on one pooled
+// state, and a steady-state call of that shape allocates nothing.
+//
+// At most one PredictOpts may be passed. With sampled=true it seeds
+// element i from a seed derived from Seed and i (element 0 uses Seed
+// itself, so a one-element batch matches a seeded single prediction),
+// whatever the batch's split across workers. Cancellation is checked
+// between elements: an element that has started finishes, and when ctx
+// ends before some element starts, the call returns ctx.Err().
 func (p *Predictor) PredictBatchInto(ctx context.Context, xs []sparse.Vector, k int, sampled bool, res *BatchResults, opts ...PredictOpts) error {
-	if len(xs) == 0 {
-		res.prepare(0, 0)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := p.n.checkInputs(xs); err != nil {
-		return err
-	}
-	mode := modeEvalFull
-	if sampled {
-		mode = modeEvalSampled
-	}
-	seeded := sampled && len(opts) > 0
-	workers := min(defaultThreads(), len(xs))
-	if workers == 1 {
-		// Inline path: one pooled state, no goroutine fan-out, no
-		// closure — zero steady-state allocations.
-		st, err := p.getState(seeded)
-		if err != nil {
-			return err
-		}
-		defer p.putState(st, seeded)
-		res.prepare(len(xs), k)
-		for i := range xs {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if seeded {
-				st.reseed(elemSeed(opts[0].Seed, i))
-			}
-			res.IDs[i], res.Scores[i] = p.n.predictIntoBuf(st, xs[i], k, mode, res.IDs[i], res.Scores[i])
-		}
-		return nil
-	}
-	states, err := p.acquireStates(workers, seeded)
+	c, err := p.newCall(ctx, xs, k, sampled, opts)
 	if err != nil {
 		return err
 	}
-	defer p.releaseStates(states, seeded)
-
-	res.prepare(len(xs), k)
+	res.prepare(len(xs), c.k)
+	workers := min(defaultThreads(), len(xs))
+	if workers <= 1 {
+		return p.runInline(ctx, c, xs, res.IDs, res.Scores)
+	}
+	states, err := p.acquireStates(workers, c.seeded)
+	if err != nil {
+		return err
+	}
+	defer p.releaseStates(states, c.seeded)
 	var cancelled atomic.Bool
 	parallelIndexed(workers, len(xs), func(w, lo, hi int) {
-		st := states[w]
-		for i := lo; i < hi; i++ {
-			if cancelled.Load() {
-				return
-			}
-			if ctx.Err() != nil {
-				cancelled.Store(true)
-				return
-			}
-			if seeded {
-				st.reseed(elemSeed(opts[0].Seed, i))
-			}
-			res.IDs[i], res.Scores[i] = p.n.predictIntoBuf(st, xs[i], k, mode, res.IDs[i], res.Scores[i])
+		if p.predictRange(ctx, states[w], c, xs[lo:hi], lo, res.IDs[lo:hi], res.Scores[lo:hi]) != nil {
+			cancelled.Store(true)
 		}
 	})
-	return ctx.Err()
+	if cancelled.Load() {
+		return ctx.Err()
+	}
+	return nil
+}
+
+// call is one validated prediction request: the clamped k, the forward
+// mode and, for a seeded sampled request, its seed.
+type call struct {
+	k      int
+	mode   forwardMode
+	seeded bool
+	seed   uint64
+}
+
+// newCall validates a request once for every entry point — a live ctx
+// and inputs the network can run — and clamps k to [0, OutputDim].
+func (p *Predictor) newCall(ctx context.Context, xs []sparse.Vector, k int, sampled bool, opts []PredictOpts) (call, error) {
+	if err := ctx.Err(); err != nil {
+		return call{}, err
+	}
+	if err := p.n.checkInputs(xs); err != nil {
+		return call{}, err
+	}
+	c := call{k: min(max(k, 0), p.n.OutputDim()), mode: modeEvalFull}
+	if sampled {
+		c.mode = modeEvalSampled
+		c.seeded = len(opts) > 0
+		if c.seeded {
+			c.seed = opts[0].Seed
+		}
+	}
+	return c, nil
+}
+
+// runInline runs a call on one pooled state, with no goroutine and no
+// closure, so neither xs nor the result slices escape.
+func (p *Predictor) runInline(ctx context.Context, c call, xs []sparse.Vector, ids [][]int32, scores [][]float32) error {
+	if len(xs) == 0 {
+		return nil
+	}
+	st, err := p.getState(c.seeded)
+	if err != nil {
+		return err
+	}
+	defer p.putState(st, c.seeded)
+	return p.predictRange(ctx, st, c, xs, 0, ids, scores)
+}
+
+// predictRange is the element loop every prediction runs, over the call's
+// elements lo, lo+1, ... (xs, ids and scores start at element lo) on one
+// worker state: each element is refused once ctx is done, reseeded from
+// elemSeed(seed, i) on a seeded call, and its top-k appended into
+// ids[i]/scores[i].
+func (p *Predictor) predictRange(ctx context.Context, st *elemState, c call, xs []sparse.Vector, lo int, ids [][]int32, scores [][]float32) error {
+	for i, x := range xs {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if c.seeded {
+			st.reseed(elemSeed(c.seed, lo+i))
+		}
+		ids[i], scores[i] = p.n.predictIntoBuf(st, x, c.k, c.mode, ids[i], scores[i])
+	}
+	return nil
 }
 
 // checkFeatures reports an input the network cannot run: index and value
@@ -413,17 +323,11 @@ func (p *Predictor) releaseStates(states []*elemState, seeded bool) {
 	}
 }
 
-// predictInto runs one forward pass and extracts top-k ids and scores in
-// one selection pass over the output layer's active set, returning fresh
-// result slices.
-func (n *Network) predictInto(st *elemState, x sparse.Vector, k int, mode forwardMode) ([]int32, []float32) {
-	return n.predictIntoBuf(st, x, k, mode, nil, nil)
-}
-
-// predictIntoBuf is predictInto appending into caller buffers: the
-// forward pass runs on pooled state, top-k selection reuses the state's
-// Selector scratch, and ids/scores grow only until their capacity covers
-// k — after which the whole path is allocation-free.
+// predictIntoBuf runs one forward pass and appends the top-k ids and
+// scores, from one selection pass over the output layer's active set,
+// into the given buffers: selection reuses the state's Selector scratch,
+// and ids/scores grow only until their capacity covers k — after which
+// the whole path is allocation-free.
 func (n *Network) predictIntoBuf(st *elemState, x sparse.Vector, k int, mode forwardMode, ids []int32, scores []float32) ([]int32, []float32) {
 	n.forwardElem(st, x, nil, mode)
 	out := &st.layers[len(st.layers)-1]

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -35,13 +39,18 @@ func trainedNet(t testing.TB, classes int) (*Network, []sparse.Vector, [][]int32
 }
 
 // preRedesignPredict replicates the seed's allocate-per-call inference
-// exactly: a fresh worker-0 element state per call, forward pass, then
-// two independent top-k selections for ids and scores.
-func preRedesignPredict(t testing.TB, n *Network, x sparse.Vector, k int, mode forwardMode) ([]int32, []float32) {
+// exactly: a fresh worker-0 element state per call (reseeded when a seed
+// is given), forward pass, then two independent top-k selections for ids
+// and scores. It is the test-side oracle every prediction path is
+// checked against.
+func preRedesignPredict(t testing.TB, n *Network, x sparse.Vector, k int, mode forwardMode, seed ...uint64) ([]int32, []float32) {
 	t.Helper()
 	st, err := newElemState(n, n.cfg.Seed^predictSeed, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(seed) > 0 {
+		st.reseed(seed[0])
 	}
 	n.forwardElem(st, x, nil, mode)
 	out := &st.layers[len(st.layers)-1]
@@ -89,7 +98,7 @@ func eqScores(a, b []float32) bool {
 // TestPredictorParityWithPreRedesign pins the redesign to the seed
 // behavior: for a fixed seed, Predictor.Predict matches the old
 // allocate-per-call exact inference on every example, and the first
-// PredictSampled from a fresh Predictor matches the old sampled inference
+// sampled call on a fresh Predictor matches the old sampled inference
 // (later sampled calls share the pooled state's RNG stream, so only the
 // first call is bitwise-pinned).
 func TestPredictorParityWithPreRedesign(t *testing.T) {
@@ -130,7 +139,7 @@ func TestPredictorParityWithPreRedesign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIDs, gotScores, err := fresh.PredictSampled(xs[0], k)
+	gotIDs, gotScores, err := predictSampled(fresh, xs[0], k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +149,8 @@ func TestPredictorParityWithPreRedesign(t *testing.T) {
 }
 
 // TestPredictBatchMatchesSequential checks exact-mode batch fan-out
-// returns elementwise-identical results to sequential single predictions.
+// returns elementwise-identical results to the sequential
+// allocate-per-call oracle.
 func TestPredictBatchMatchesSequential(t *testing.T) {
 	n, xs, _ := trainedNet(t, 128)
 	p, err := n.NewPredictor()
@@ -149,20 +159,17 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 	}
 	const k = 4
 	batch := xs[:200]
-	ids, scores, err := p.PredictBatch(context.Background(), batch, k)
-	if err != nil {
+	var res BatchResults
+	if err := p.PredictBatchInto(context.Background(), batch, k, false, &res); err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != len(batch) || len(scores) != len(batch) {
-		t.Fatalf("batch returned %d/%d results for %d inputs", len(ids), len(scores), len(batch))
+	if len(res.IDs) != len(batch) || len(res.Scores) != len(batch) {
+		t.Fatalf("batch returned %d/%d results for %d inputs", len(res.IDs), len(res.Scores), len(batch))
 	}
 	for i, x := range batch {
-		wantIDs, wantScores, err := p.Predict(x, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !eqIDs(wantIDs, ids[i]) || !eqScores(wantScores, scores[i]) {
-			t.Fatalf("batch[%d] = %v/%v, sequential = %v/%v", i, ids[i], scores[i], wantIDs, wantScores)
+		wantIDs, wantScores := preRedesignPredict(t, n, x, k, modeEvalFull)
+		if !eqIDs(wantIDs, res.IDs[i]) || !eqScores(wantScores, res.Scores[i]) {
+			t.Fatalf("batch[%d] = %v/%v, sequential = %v/%v", i, res.IDs[i], res.Scores[i], wantIDs, wantScores)
 		}
 	}
 }
@@ -175,15 +182,15 @@ func TestPredictBatchHonorsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := p.PredictBatch(ctx, xs, 3); err != context.Canceled {
+	if err := p.PredictBatchInto(ctx, xs, 3, false, &BatchResults{}); err != context.Canceled {
 		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
 	}
 }
 
-// TestTopKWithScoresCtx: the context-gated single prediction refuses
-// doomed work (spent deadline, cancelled caller) without touching a
-// pooled state, and with a live context matches TopKWithScores exactly.
-func TestTopKWithScoresCtx(t *testing.T) {
+// TestPredictRefusesDoneContext: a single prediction refuses doomed work
+// (spent deadline, cancelled caller) without touching a pooled state, and
+// with a live context matches Predict exactly.
+func TestPredictRefusesDoneContext(t *testing.T) {
 	n, xs, _ := trainedNet(t, 128)
 	p, err := n.NewPredictor()
 	if err != nil {
@@ -191,24 +198,24 @@ func TestTopKWithScoresCtx(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := p.TopKWithScoresCtx(cancelled, xs[0], 3, false); err != context.Canceled {
+	if _, _, err := p.TopKWithScoresInto(cancelled, xs[0], 3, false, nil, nil); err != context.Canceled {
 		t.Fatalf("cancelled predict returned %v, want context.Canceled", err)
 	}
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Unix(0, 0))
 	defer cancel2()
-	if _, _, err := p.TopKWithScoresCtx(expired, xs[0], 3, true); err != context.DeadlineExceeded {
+	if _, _, err := p.TopKWithScoresInto(expired, xs[0], 3, true, nil, nil); err != context.DeadlineExceeded {
 		t.Fatalf("expired predict returned %v, want context.DeadlineExceeded", err)
 	}
-	wantIDs, wantScores, err := p.TopKWithScores(xs[1], 4, false)
+	wantIDs, wantScores, err := p.Predict(xs[1], 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotIDs, gotScores, err := p.TopKWithScoresCtx(context.Background(), xs[1], 4, false)
+	gotIDs, gotScores, err := p.TopKWithScoresInto(context.Background(), xs[1], 4, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !eqIDs(wantIDs, gotIDs) || !eqScores(wantScores, gotScores) {
-		t.Fatalf("ctx path %v/%v diverged from plain path %v/%v", gotIDs, gotScores, wantIDs, wantScores)
+		t.Fatalf("ctx path %v/%v diverged from Predict %v/%v", gotIDs, gotScores, wantIDs, wantScores)
 	}
 }
 
@@ -232,6 +239,7 @@ func TestPredictorConcurrentStress(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			ctx := context.Background()
+			var res BatchResults
 			for i := 0; i < iters; i++ {
 				x := xs[(g*31+i)%len(xs)]
 				switch i % 4 {
@@ -241,19 +249,19 @@ func TestPredictorConcurrentStress(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, _, err := p.PredictSampled(x, 3); err != nil {
-						t.Errorf("PredictSampled: %v", err)
+					if _, _, err := predictSampled(p, x, 3); err != nil {
+						t.Errorf("sampled: %v", err)
 						return
 					}
 				case 2:
-					if _, _, err := p.TopKWithScores(x, 5, g%2 == 0); err != nil {
-						t.Errorf("TopKWithScores: %v", err)
+					if _, _, err := p.TopKWithScoresInto(ctx, x, 5, g%2 == 0, nil, nil, PredictOpts{Seed: uint64(i)}); err != nil {
+						t.Errorf("TopKWithScoresInto: %v", err)
 						return
 					}
 				case 3:
 					lo := (g * 17) % (len(xs) - 8)
-					if _, _, err := p.PredictBatch(ctx, xs[lo:lo+8], 2); err != nil {
-						t.Errorf("PredictBatch: %v", err)
+					if err := p.PredictBatchInto(ctx, xs[lo:lo+8], 2, g%2 == 0, &res); err != nil {
+						t.Errorf("PredictBatchInto: %v", err)
 						return
 					}
 				}
@@ -284,8 +292,7 @@ func TestPredictorSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// predictInto allocates ids+scores, TopK its heap and result — all
-	// O(k). Anything beyond ~8 means element state leaked back into the
+	// Predict allocates its ids+scores results — O(k). Anything beyond ~8 means element state leaked back into the
 	// per-call path.
 	if allocs > 8 {
 		t.Fatalf("steady-state Predict made %.0f allocs/op, want <= 8 (element state must come from the pool)", allocs)
@@ -336,43 +343,36 @@ func TestTopKWithScoresIntoZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestPredictBatchIntoMatchesBatch checks the reusable-storage batch
-// entry point returns elementwise-identical results to PredictBatch, in
-// both exact and seeded-sampled modes, and that a steady-state
-// single-element batch (the inline, no-fan-out path) allocates nothing.
-func TestPredictBatchIntoMatchesBatch(t *testing.T) {
+// TestPredictBatchIntoMatchesOracle checks the batch entry point returns
+// elementwise-identical results to the allocate-per-call oracle, in both
+// exact and seeded-sampled modes, and that a steady-state single-element
+// batch (the inline, no-fan-out path) allocates nothing.
+func TestPredictBatchIntoMatchesOracle(t *testing.T) {
 	n, xs, _ := trainedNet(t, 128)
 	p, err := n.NewPredictor()
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	const k = 4
+	const k, seed = 4, 42
 	batch := xs[:64]
 	var res BatchResults
 	if err := p.PredictBatchInto(ctx, batch, k, false, &res); err != nil {
 		t.Fatal(err)
 	}
-	wantIDs, wantScores, err := p.PredictBatch(ctx, batch, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		if !eqIDs(wantIDs[i], res.IDs[i]) || !eqScores(wantScores[i], res.Scores[i]) {
-			t.Fatalf("exact batch[%d]: Into %v/%v vs alloc %v/%v", i, res.IDs[i], res.Scores[i], wantIDs[i], wantScores[i])
+	for i, x := range batch {
+		wantIDs, wantScores := preRedesignPredict(t, n, x, k, modeEvalFull)
+		if !eqIDs(wantIDs, res.IDs[i]) || !eqScores(wantScores, res.Scores[i]) {
+			t.Fatalf("exact batch[%d]: %v/%v vs oracle %v/%v", i, res.IDs[i], res.Scores[i], wantIDs, wantScores)
 		}
 	}
-	seed := PredictOpts{Seed: 42}
-	if err := p.PredictBatchInto(ctx, batch, k, true, &res, seed); err != nil {
+	if err := p.PredictBatchInto(ctx, batch, k, true, &res, PredictOpts{Seed: seed}); err != nil {
 		t.Fatal(err)
 	}
-	wantIDs, wantScores, err = p.PredictBatchSampled(ctx, batch, k, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		if !eqIDs(wantIDs[i], res.IDs[i]) || !eqScores(wantScores[i], res.Scores[i]) {
-			t.Fatalf("seeded batch[%d]: Into %v/%v vs alloc %v/%v", i, res.IDs[i], res.Scores[i], wantIDs[i], wantScores[i])
+	for i, x := range batch {
+		wantIDs, wantScores := preRedesignPredict(t, n, x, k, modeEvalSampled, elemSeed(seed, i))
+		if !eqIDs(wantIDs, res.IDs[i]) || !eqScores(wantScores, res.Scores[i]) {
+			t.Fatalf("seeded batch[%d]: %v/%v vs oracle %v/%v", i, res.IDs[i], res.Scores[i], wantIDs, wantScores)
 		}
 	}
 	cancelled, cancel := context.WithCancel(ctx)
@@ -397,6 +397,108 @@ func TestPredictBatchIntoMatchesBatch(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state 1-element PredictBatchInto made %.0f allocs/op, want 0", allocs)
+	}
+}
+
+// answerHash is an FNV-64a over a set of answers: each answer's length,
+// then each (id, score bits) pair, little-endian.
+func answerHash(ids [][]int32, scores [][]float32) uint64 {
+	h := fnv.New64a()
+	var b []byte
+	for i := range ids {
+		b = binary.LittleEndian.AppendUint32(b[:0], uint32(len(ids[i])))
+		for j := range ids[i] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(ids[i][j]))
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(scores[i][j]))
+		}
+		h.Write(b)
+	}
+	return h.Sum64()
+}
+
+// TestPredictAnswerGoldens pins the answers of the one inference call to
+// hashes recorded before the single-input and allocating batch entry
+// points were folded into it, on 32 test inputs at k = 5: exact answers,
+// seeded single answers (every input with seed 7), and one seeded batch
+// (seed 99, element i seeded from elemSeed(99, i)). The exact and batch
+// sets reproduce when the inputs run in batches of 1, of 3 and of more
+// than GOMAXPROCS — a batch starting at element lo carries the seed
+// elemSeed(99, lo), which the seed stride makes equivalent — and the
+// single-seeded set is by definition a run of one-element calls. The
+// hashes were recorded on amd64; elsewhere every run must still agree
+// with the batch-of-one run.
+func TestPredictAnswerGoldens(t *testing.T) {
+	const (
+		exactGolden  uint64 = 0x6a0a339089237192
+		seededGolden uint64 = 0x144648e6133e4ae4
+		batchGolden  uint64 = 0xf0582b96e1b42237
+	)
+	n, xs, _ := trainedNet(t, 128)
+	xs = xs[:32]
+	p, err := n.NewPredictor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// answers runs xs through PredictBatchInto in batches of size b,
+	// seeding the batch at lo from seed(lo) when seed is non-nil.
+	answers := func(b int, sampled bool, seed func(lo int) uint64) ([][]int32, [][]float32) {
+		var ids [][]int32
+		var scores [][]float32
+		var res BatchResults
+		for lo := 0; lo < len(xs); lo += b {
+			var opts []PredictOpts
+			if seed != nil {
+				opts = append(opts, PredictOpts{Seed: seed(lo)})
+			}
+			if err := p.PredictBatchInto(ctx, xs[lo:min(lo+b, len(xs))], 5, sampled, &res, opts...); err != nil {
+				t.Fatal(err)
+			}
+			for i := range res.IDs {
+				ids = append(ids, slices.Clone(res.IDs[i]))
+				scores = append(scores, slices.Clone(res.Scores[i]))
+			}
+		}
+		return ids, scores
+	}
+	exactWant, seededWant, batchWant := exactGolden, seededGolden, batchGolden
+	if runtime.GOARCH != "amd64" {
+		exactWant = answerHash(answers(1, false, nil))
+		seededWant = answerHash(answers(1, true, func(int) uint64 { return 7 }))
+		batchWant = answerHash(answers(1, true, func(lo int) uint64 { return elemSeed(99, lo) }))
+	}
+	for _, b := range []int{1, 3, min(len(xs), runtime.GOMAXPROCS(0)+1)} {
+		if got := answerHash(answers(b, false, nil)); got != exactWant {
+			t.Errorf("batches of %d: exact answers hash %#x, want %#x", b, got, exactWant)
+		}
+		if got := answerHash(answers(b, true, func(lo int) uint64 { return elemSeed(99, lo) })); got != batchWant {
+			t.Errorf("batches of %d: seeded batch answers hash %#x, want %#x", b, got, batchWant)
+		}
+	}
+	if got := answerHash(answers(1, true, func(int) uint64 { return 7 })); got != seededWant {
+		t.Errorf("seeded single answers hash %#x, want %#x", got, seededWant)
+	}
+
+	// The wrappers are the same call: Predict and Network.PredictSampled
+	// reproduce the exact and seeded single sets.
+	var exactIDs, seededIDs [][]int32
+	var exactScores, seededScores [][]float32
+	for _, x := range xs {
+		ids, scores, err := p.Predict(x, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exactIDs, exactScores = append(exactIDs, ids), append(exactScores, scores)
+		if ids, scores, err = n.PredictSampled(x, 5, PredictOpts{Seed: 7}); err != nil {
+			t.Fatal(err)
+		}
+		seededIDs, seededScores = append(seededIDs, ids), append(seededScores, scores)
+	}
+	if got := answerHash(exactIDs, exactScores); got != exactWant {
+		t.Errorf("Predict answers hash %#x, want %#x", got, exactWant)
+	}
+	if got := answerHash(seededIDs, seededScores); got != seededWant {
+		t.Errorf("Network.PredictSampled answers hash %#x, want %#x", got, seededWant)
 	}
 }
 
@@ -548,13 +650,13 @@ func BenchmarkPredictSampled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, _, err := p.PredictSampled(xs[0], 5); err != nil {
+	if _, _, err := predictSampled(p, xs[0], 5); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.PredictSampled(xs[i%len(xs)], 5); err != nil {
+		if _, _, err := predictSampled(p, xs[i%len(xs)], 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -571,12 +673,12 @@ func BenchmarkPredictFreshState(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n.predictInto(st, xs[i%len(xs)], 5, modeEvalFull)
+		n.predictIntoBuf(st, xs[i%len(xs)], 5, modeEvalFull, nil, nil)
 	}
 }
 
-// BenchmarkPredictBatch measures the multi-core batch fan-out per
-// example.
+// BenchmarkPredictBatch measures one exact 256-input PredictBatchInto
+// into reused result storage: ns and allocs per batch, and ns per example.
 func BenchmarkPredictBatch(b *testing.B) {
 	n, xs, _ := trainedNet(b, 512)
 	p, err := n.NewPredictor()
@@ -585,13 +687,14 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 	ctx := context.Background()
 	batch := xs[:256]
-	if _, _, err := p.PredictBatch(ctx, batch, 5); err != nil {
+	var res BatchResults
+	if err := p.PredictBatchInto(ctx, batch, 5, false, &res); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.PredictBatch(ctx, batch, 5); err != nil {
+		if err := p.PredictBatchInto(ctx, batch, 5, false, &res); err != nil {
 			b.Fatal(err)
 		}
 	}

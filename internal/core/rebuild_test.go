@@ -182,7 +182,7 @@ func TestAsyncRebuildRaceStress(t *testing.T) {
 					x := ds.Test[(g*37+i)%len(ds.Test)].Features
 					var err error
 					if i%2 == 0 {
-						_, _, err = p.PredictSampled(x, 3)
+						_, _, err = predictSampled(p, x, 3)
 					} else {
 						_, _, err = p.Predict(x, 3)
 					}

@@ -37,7 +37,7 @@ type admission struct {
 
 	mu sync.Mutex
 	// svcNS is the EWMA of per-element service time in nanoseconds,
-	// measured over completed PredictBatch fan-outs (batch wall time /
+	// measured over completed PredictBatchInto runs (batch wall time /
 	// batch size), so it already reflects the fan-out parallelism and
 	// micro-batch amortization the queue drains at.
 	svcNS   float64

@@ -30,6 +30,55 @@ func postBody(t *testing.T, url, body string) (int, http.Header, []byte) {
 	return resp.StatusCode, resp.Header, raw
 }
 
+// predictBodies are /predict bodies at the edges of encoding/json's
+// grammar: accepted oddities (case-folded keys, duplicate keys, nulls,
+// trailing bytes after the value) and refusals (wrong types, overflow,
+// truncation). They also seed FuzzPredictBodies.
+var predictBodies = []string{
+	`{"indices":[1,2,3],"values":[0.5,1,2],"k":7}`,
+	`  { "indices" : [4] , "values" : [1] , "k" : 3 , "sampled" : true } `,
+	`{"indices":[5],"values":[1],"k":null,"sampled":null,"seed":null,"deadline_ms":null}`,
+	`{"indices":[1],"values":[1],"unknown":{"a":[1,{"b":null}]},"k":2}`,
+	`{"indices":[1],"values":[1],"k":1,"k":9}`,
+	`{"indices":[1,2,3,4],"values":[1e-7,2.5e8,-0.0,1.25E+2]}`,
+	`{"indices":[1],"values":[1],"sampled":true,"seed":18446744073709551615}`,
+	`{"indices":[1],"values":[1],"seed":12345,"sampled":true}`,
+	`{"indices":[1],"values":[1],"deadline_ms":5000.5}`,
+	`{"Indices":[1],"VALUES":[1],"K":4,"Sampled":true}`,
+	`{"indices":[0,63],"values":[1,-1],"k":-3}`,
+	`{"indices":[1],"values":[1],"k":500}`,
+	`{"indices":[1],"values":[1],"k":3}trailing garbage`,
+	`{"indices":[1],"values":[1],"sampled":false,"seed":7}`,
+	`{"indices":[1],"values":[1],"k":2.5}`,
+	`{"indices":[1],"values":[1],"k":"3"}`,
+	`{"indices":[1.5],"values":[1]}`,
+	`{"indices":[1],"values":["x"]}`,
+	`{"indices":[2147483648],"values":[1]}`,
+	`{"indices":[1],"values":[3.5e38]}`,
+	`{"indices":[1],"values":[1],"seed":-1}`,
+	`{"indices":}`,
+	`{"indices":[1],}`,
+	`[1,2]`,
+	`null`,
+}
+
+// batchBodies are the same for /predict/batch.
+var batchBodies = []string{
+	`{"batch":[{"indices":[1,2],"values":[1,2]},{"indices":[3],"values":[0.5]}],"k":4}`,
+	`{"batch":[{"indices":[1],"values":[1],"extra":[[]]}],"deadline_ms":5000}`,
+	`{"batch":[{"indices":[1],"values":[1]}],"sampled":true,"seed":9}`,
+	`{"Batch":[{"Indices":[1],"VALUES":[1]}],"K":3}`,
+	`{"batch":[{"indices":[1],"values":[1]}],"k":null,"sampled":null,"seed":null}`,
+	`{"batch":[{"indices":[1],"values":[1]},{"indices":[2],"values":[1]}],"k":2,"k":6}`,
+	`{"batch":[{"indices":[1],"values":[1]}]}trailing`,
+	`{"batch":[{"indices":[1],"values":[1]}]`,
+	`{"batch":{"indices":[1]}}`,
+	`{"batch":[{"indices":[1],"values":[1]}],"k":1.5}`,
+	`{"batch":[{"indices":[1],"values":[1]}],"seed":"9"}`,
+	`{"batch":[{"indices":[1],"values":[true]}]}`,
+	`{"batch":[[1]]}`,
+}
+
 // TestDecodePredictMatchesEncodingJSON checks the /predict handler's
 // decoding against encoding/json over the declared wire struct: a body
 // encoding/json refuses is a 400 from the decode step, and every body it
@@ -40,34 +89,7 @@ func TestDecodePredictMatchesEncodingJSON(t *testing.T) {
 	opts := Options{BatchWindow: 0, CacheSize: 64}
 	ts := startServer(t, opts)
 	opts = opts.withDefaults()
-	bodies := []string{
-		`{"indices":[1,2,3],"values":[0.5,1,2],"k":7}`,
-		`  { "indices" : [4] , "values" : [1] , "k" : 3 , "sampled" : true } `,
-		`{"indices":[5],"values":[1],"k":null,"sampled":null,"seed":null,"deadline_ms":null}`,
-		`{"indices":[1],"values":[1],"unknown":{"a":[1,{"b":null}]},"k":2}`,
-		`{"indices":[1],"values":[1],"k":1,"k":9}`,
-		`{"indices":[1,2,3,4],"values":[1e-7,2.5e8,-0.0,1.25E+2]}`,
-		`{"indices":[1],"values":[1],"sampled":true,"seed":18446744073709551615}`,
-		`{"indices":[1],"values":[1],"seed":12345,"sampled":true}`,
-		`{"indices":[1],"values":[1],"deadline_ms":5000.5}`,
-		`{"Indices":[1],"VALUES":[1],"K":4,"Sampled":true}`,
-		`{"indices":[0,63],"values":[1,-1],"k":-3}`,
-		`{"indices":[1],"values":[1],"k":500}`,
-		`{"indices":[1],"values":[1],"k":3}trailing garbage`,
-		`{"indices":[1],"values":[1],"sampled":false,"seed":7}`,
-		`{"indices":[1],"values":[1],"k":2.5}`,
-		`{"indices":[1],"values":[1],"k":"3"}`,
-		`{"indices":[1.5],"values":[1]}`,
-		`{"indices":[1],"values":["x"]}`,
-		`{"indices":[2147483648],"values":[1]}`,
-		`{"indices":[1],"values":[3.5e38]}`,
-		`{"indices":[1],"values":[1],"seed":-1}`,
-		`{"indices":}`,
-		`{"indices":[1],}`,
-		`[1,2]`,
-		`null`,
-	}
-	for _, body := range bodies {
+	for _, body := range predictBodies {
 		var ref predictRequest
 		refErr := json.NewDecoder(strings.NewReader(body)).Decode(&ref)
 
@@ -166,22 +188,7 @@ func TestDecodeBatchMatchesEncodingJSON(t *testing.T) {
 	opts := Options{BatchWindow: 0}
 	ts := startServer(t, opts)
 	opts = opts.withDefaults()
-	bodies := []string{
-		`{"batch":[{"indices":[1,2],"values":[1,2]},{"indices":[3],"values":[0.5]}],"k":4}`,
-		`{"batch":[{"indices":[1],"values":[1],"extra":[[]]}],"deadline_ms":5000}`,
-		`{"batch":[{"indices":[1],"values":[1]}],"sampled":true,"seed":9}`,
-		`{"Batch":[{"Indices":[1],"VALUES":[1]}],"K":3}`,
-		`{"batch":[{"indices":[1],"values":[1]}],"k":null,"sampled":null,"seed":null}`,
-		`{"batch":[{"indices":[1],"values":[1]},{"indices":[2],"values":[1]}],"k":2,"k":6}`,
-		`{"batch":[{"indices":[1],"values":[1]}]}trailing`,
-		`{"batch":[{"indices":[1],"values":[1]}]`,
-		`{"batch":{"indices":[1]}}`,
-		`{"batch":[{"indices":[1],"values":[1]}],"k":1.5}`,
-		`{"batch":[{"indices":[1],"values":[1]}],"seed":"9"}`,
-		`{"batch":[{"indices":[1],"values":[true]}]}`,
-		`{"batch":[[1]]}`,
-	}
-	for _, body := range bodies {
+	for _, body := range batchBodies {
 		var ref batchPredictRequest
 		refErr := json.NewDecoder(strings.NewReader(body)).Decode(&ref)
 

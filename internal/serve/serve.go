@@ -19,7 +19,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -37,8 +36,8 @@ type Options struct {
 	DefaultK int
 	MaxK     int
 	// BatchWindow is how long the micro-batcher waits to gather
-	// concurrent requests into one PredictBatch call; 0 disables
-	// batching and every request runs its own single-example pass.
+	// concurrent requests into one PredictBatchInto call; 0 disables
+	// batching and every request runs as a batch of its own.
 	// With AdaptiveWindow it is the upper clamp instead of the fixed
 	// wait.
 	BatchWindow time.Duration
@@ -151,14 +150,12 @@ type Server struct {
 
 	// Batcher-owned scratch, touched only from the batchLoop goroutine
 	// (runBatch callers): the gather slice, the reused gather timer, the
-	// per-batch (engine, mode) group partition, the seeded side list,
-	// the group input vectors, and the predictor's reusable batch result
-	// storage. Reusing them keeps the batcher's per-batch bookkeeping
-	// off the heap.
+	// per-batch (engine, mode) group partition, the group input vectors,
+	// and the predictor's reusable batch result storage. Reusing them
+	// keeps the batcher's per-batch bookkeeping off the heap.
 	gather      []*pendingReq
 	gatherTimer *time.Timer
 	groups      []reqGroup
-	seededReqs  []*pendingReq
 	groupXs     []sparse.Vector
 	batchRes    core.BatchResults
 }
@@ -179,22 +176,21 @@ func modeIdx(sampled bool) int {
 	return 0
 }
 
-// pendingReq is one /predict request waiting for a micro-batch slot. It
-// pins the engine that validated it, so a reload mid-queue cannot run the
-// request against a model with a different input dimension.
+// pendingReq is one unseeded /predict request waiting for a micro-batch
+// slot; a seeded request never queues (handlePredict runs it as a batch
+// of its own), so a gathered batch cannot mix seeds into a shared
+// fan-out. It pins the engine that validated it, so a reload mid-queue
+// cannot run the request against a model with a different input
+// dimension.
 type pendingReq struct {
 	eng     *engine
 	x       sparse.Vector
 	k       int
 	sampled bool
-	// seeded marks a request carrying a "seed" field; its sampled
-	// prediction must be a pure function of (x, seed).
-	seeded bool
-	seed   uint64
 	// deadline is the absolute point the request's answer stops being
 	// useful (zero: none). The batcher prunes requests already past it
 	// instead of computing them, and derives the batch context from the
-	// group's deadlines so PredictBatch cancels doomed fan-outs.
+	// group's deadlines so PredictBatchInto cancels doomed fan-outs.
 	deadline time.Time
 	// reply has room for the one answer, so the batcher never blocks on
 	// a handler that abandoned the request.
@@ -370,8 +366,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	p := &pendingReq{eng: eng, x: x, k: k, sampled: req.Sampled, reply: make(chan batchReply, 1)}
+	// A seed only steers the sampled path; exact answers ignore it.
+	var opts []core.PredictOpts
 	if req.Sampled && req.Seed != nil {
-		p.seeded, p.seed = true, *req.Seed
+		opts = []core.PredictOpts{{Seed: *req.Seed}}
 	}
 	ctx := r.Context()
 	if budget > 0 {
@@ -386,10 +384,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// one engine generation their serialized bodies can be replayed
 	// verbatim. Hits bypass the queue and the admission gate — they cost
 	// microseconds, shedding them would protect nothing.
-	cacheable := s.cache != nil && (!p.sampled || p.seeded)
+	cacheable := s.cache != nil && (!p.sampled || len(opts) > 0)
 	var key string
 	if cacheable {
-		key = cacheKey(eng.gen, x, k, p.sampled, p.seeded, p.seed)
+		var seed uint64
+		if len(opts) > 0 {
+			seed = opts[0].Seed
+		}
+		key = cacheKey(eng.gen, x, k, p.sampled, len(opts) > 0, seed)
 		if body, ok := s.cache.get(key); ok {
 			s.stats.cacheHits.Add(1)
 			s.stats.record(float64(time.Since(t0).Microseconds())/1000, 1)
@@ -417,13 +419,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.done(1)
 
 	var rep batchReply
-	if p.seeded {
-		// Seeded requests gain nothing from gathering — they always run
-		// as individual seeded predictions — so skip the micro-batch
-		// queue: no window wait, and a slow seeded pass never
-		// head-of-line-blocks the batcher for unrelated traffic.
-		rep = s.runOne(ctx, p)
-	} else if s.opts.BatchWindow > 0 {
+	if len(opts) == 0 && s.opts.BatchWindow > 0 {
 		// Only queue-bound requests feed their mode's arrival-rate
 		// estimate (they are the population the gather window is sized
 		// for), and only when the adaptive window consumes it — the
@@ -457,7 +453,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	} else {
-		rep = s.runOne(ctx, p)
+		// Seeded requests gain nothing from gathering — a seeded answer
+		// is a pure function of (input, seed), so it runs as a batch of
+		// its own — and skip the micro-batch queue: no window wait, and
+		// a slow seeded pass never head-of-line-blocks the batcher.
+		rep = s.runOne(ctx, p, opts...)
 	}
 	if rep.err != nil {
 		if errors.Is(rep.err, context.DeadlineExceeded) {
@@ -517,9 +517,9 @@ func retryAfterSeconds(wait time.Duration) string {
 // batchPredictRequest is the POST /predict/batch body: a list of sparse
 // feature vectors sharing one k / mode / optional seed / optional
 // deadline. Bulk clients use it to hit the Predictor's multi-core
-// PredictBatch fan-out directly — no micro-batch gathering window, no
+// PredictBatchInto fan-out directly — no micro-batch gathering window, no
 // per-vector HTTP overhead. With a seed, element i is seeded
-// deterministically from seed and i exactly as PredictBatchSampled
+// deterministically from seed and i exactly as PredictBatchInto
 // documents.
 type batchPredictRequest struct {
 	Batch []struct {
@@ -612,10 +612,9 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var res core.BatchResults
-	err = eng.pred.PredictBatchInto(ctx, xs, k, req.Sampled, &res, opts...)
+	err = s.predict(ctx, eng, xs, k, req.Sampled, &res, opts...)
 	dur := time.Since(t0)
 	if err == nil {
-		s.adm.observe(dur, len(xs))
 		s.adm.observeSojourn(dur)
 	}
 	if err != nil {
@@ -815,7 +814,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 // request opens a window — fixed at BatchWindow, or derived per batch
 // from the observed arrival rate with AdaptiveWindow — further requests
 // join until the window closes or the batch fills, then the whole batch
-// runs through one PredictBatch fan-out per mode.
+// runs through one PredictBatchInto fan-out per (engine, mode) group.
 func (s *Server) batchLoop() {
 	defer s.wg.Done()
 	for {
@@ -981,7 +980,7 @@ func (s *Server) drain() {
 }
 
 // batchGroup keys one shared fan-out inside a gathered micro-batch:
-// requests only ride the same PredictBatch call when they agree on both
+// requests only ride the same PredictBatchInto call when they agree on both
 // the inference mode and the engine they were validated against (a
 // /reload landing mid-window splits the batch instead of mixing models).
 type batchGroup struct {
@@ -989,7 +988,7 @@ type batchGroup struct {
 	sampled bool
 }
 
-// groupContext derives the context a group's PredictBatch runs under:
+// groupContext derives the context a group's PredictBatchInto runs under:
 // when every member carries a deadline the fan-out is cancelled at the
 // latest one (members past their own deadline have already been pruned,
 // so cancellation means the entire group is doomed); one open-ended
@@ -1008,33 +1007,22 @@ func groupContext(group []*pendingReq) (context.Context, context.CancelFunc) {
 	return context.WithDeadline(context.Background(), latest)
 }
 
-// runBatch partitions a micro-batch by (engine, inference mode), runs one
-// PredictBatch per group at the largest requested k, and trims each
+// runBatch partitions a micro-batch by (engine, inference mode), runs
+// each group as one batch at its largest requested k, and trims each
 // request's reply down to its own k. Requests already past their
 // deadline are pruned with a DeadlineExceeded reply instead of computed —
 // the doomed-work half of deadline propagation; the group's context
-// (groupContext) is the cancelled-mid-flight half. Seeded sampled
-// requests (normally dispatched straight to runOne by handlePredict, but
-// handled here too so a seeded request can never be mis-batched) leave
-// the shared fan-out: each runs as its own seeded single prediction on a
-// state from its engine's quarantined seeded pool, reseeded from the
-// request seed, so its result is a pure function of (input, seed) and
-// never depends on what else happened to share the micro-batch.
+// (groupContext) is the cancelled-mid-flight half.
 func (s *Server) runBatch(batch []*pendingReq) {
 	now := time.Now()
 	// Partition into the server's reused group scratch: the group count
 	// is tiny (modes × engines live in one window), so a linear key scan
 	// replaces the per-batch map allocation.
 	groups := s.groups[:0]
-	seeded := s.seededReqs[:0]
 nextReq:
 	for _, r := range batch {
 		if !r.deadline.IsZero() && now.After(r.deadline) {
 			r.reply <- batchReply{err: context.DeadlineExceeded}
-			continue
-		}
-		if r.sampled && r.seeded {
-			seeded = append(seeded, r)
 			continue
 		}
 		key := batchGroup{eng: r.eng, sampled: r.sampled}
@@ -1054,26 +1042,6 @@ nextReq:
 			groups = append(groups, reqGroup{key: key, reqs: []*pendingReq{r}})
 		}
 	}
-	// Bounded fan-out: each in-flight seeded prediction holds a pooled
-	// worker state, so cap concurrency at GOMAXPROCS rather than one
-	// goroutine (and state) per request.
-	var wg sync.WaitGroup
-	workers := min(runtime.GOMAXPROCS(0), len(seeded))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(seeded); i += workers {
-				r := seeded[i]
-				t0 := time.Now()
-				ids, scores, err := r.eng.pred.TopKWithScores(r.x, r.k, true, core.PredictOpts{Seed: r.seed})
-				if err == nil {
-					s.adm.observe(time.Since(t0), 1)
-				}
-				r.reply <- batchReply{ids: ids, scores: scores, batchSize: 1, err: err}
-			}
-		}(w)
-	}
 	for gi := range groups {
 		key, group := groups[gi].key, groups[gi].reqs
 		xs := s.groupXs[:0]
@@ -1086,16 +1054,12 @@ nextReq:
 		}
 		s.groupXs = xs
 		ctx, cancel := groupContext(group)
-		t0 := time.Now()
 		// The fan-out writes into the batcher's reusable result storage;
 		// each request is handed a copy of its trimmed slice, so nothing
 		// a request holds aliases scratch the next micro-batch will
 		// overwrite.
-		err := key.eng.pred.PredictBatchInto(ctx, xs, maxK, key.sampled, &s.batchRes)
+		err := s.predict(ctx, key.eng, xs, maxK, key.sampled, &s.batchRes)
 		cancel()
-		if err == nil {
-			s.adm.observe(time.Since(t0), len(group))
-		}
 		for j, r := range group {
 			// batchSize is the fan-out the request actually rode —
 			// its mode group, not the whole gathered micro-batch.
@@ -1111,25 +1075,29 @@ nextReq:
 		// requests (and their engines) until the slot is reused.
 		clear(groups[gi].reqs)
 	}
-	wg.Wait()
-	clear(seeded)
 	s.groups = groups[:0]
-	s.seededReqs = seeded[:0]
 }
 
-// runOne serves a request without micro-batching, on its pinned engine.
-// The request context gates the pass: work whose deadline is already
-// spent is refused before any compute happens.
-func (s *Server) runOne(ctx context.Context, r *pendingReq) batchReply {
+// runOne serves a request as a batch of its own, without the
+// micro-batcher, on its pinned engine; opts seeds a sampled request. The
+// request context gates the pass: work whose deadline is already spent is
+// refused before any compute happens.
+func (s *Server) runOne(ctx context.Context, r *pendingReq, opts ...core.PredictOpts) batchReply {
+	var res core.BatchResults
+	if err := s.predict(ctx, r.eng, []sparse.Vector{r.x}, r.k, r.sampled, &res, opts...); err != nil {
+		return batchReply{err: err, batchSize: 1}
+	}
+	return batchReply{ids: res.IDs[0], scores: res.Scores[0], batchSize: 1}
+}
+
+// predict is the one place serve calls the predictor: it runs xs on eng
+// into res, and a run that completes feeds admission control its wall
+// time as xs's per-element service time.
+func (s *Server) predict(ctx context.Context, eng *engine, xs []sparse.Vector, k int, sampled bool, res *core.BatchResults, opts ...core.PredictOpts) error {
 	t0 := time.Now()
-	rep := batchReply{batchSize: 1}
-	if r.sampled && r.seeded {
-		rep.ids, rep.scores, rep.err = r.eng.pred.TopKWithScoresCtx(ctx, r.x, r.k, true, core.PredictOpts{Seed: r.seed})
-	} else {
-		rep.ids, rep.scores, rep.err = r.eng.pred.TopKWithScoresCtx(ctx, r.x, r.k, r.sampled)
+	err := eng.pred.PredictBatchInto(ctx, xs, k, sampled, res, opts...)
+	if err == nil {
+		s.adm.observe(time.Since(t0), len(xs))
 	}
-	if rep.err == nil {
-		s.adm.observe(time.Since(t0), 1)
-	}
-	return rep
+	return err
 }

@@ -44,7 +44,7 @@ func testConfig(seed uint64) core.Config {
 // testModel builds a small sampled-softmax network, round-trips it
 // through the self-describing model format, and returns the loaded copy —
 // exactly the path slide-serve takes from a slide-train -save file.
-func testModel(t *testing.T) *core.Network {
+func testModel(t testing.TB) *core.Network {
 	t.Helper()
 	net, err := core.NewNetwork(testConfig(11))
 	if err != nil {
@@ -377,9 +377,8 @@ func TestSeededPredictDeterministic(t *testing.T) {
 }
 
 // TestRunBatchReportsGroupSize pins the /stats fan-out accounting: a
-// micro-batch of mixed modes runs as one PredictBatch per mode, so each
-// reply's batchSize is its mode group's size — and a seeded request, which
-// runs alone, always reports 1.
+// micro-batch of mixed modes runs as one PredictBatchInto per mode, so
+// each reply's batchSize is its mode group's size.
 func TestRunBatchReportsGroupSize(t *testing.T) {
 	s, err := New(testModel(t), Options{BatchWindow: time.Millisecond})
 	if err != nil {
@@ -390,15 +389,13 @@ func TestRunBatchReportsGroupSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(sampled, seeded bool) *pendingReq {
-		return &pendingReq{eng: s.eng.Load(), x: x, k: 2, sampled: sampled, seeded: seeded, seed: 5,
-			reply: make(chan batchReply, 1)}
+	mk := func(sampled bool) *pendingReq {
+		return &pendingReq{eng: s.eng.Load(), x: x, k: 2, sampled: sampled, reply: make(chan batchReply, 1)}
 	}
-	// 3 exact + 2 sampled + 1 seeded in one gathered micro-batch.
-	batch := []*pendingReq{mk(false, false), mk(false, false), mk(false, false),
-		mk(true, false), mk(true, false), mk(true, true)}
+	// 3 exact + 2 sampled in one gathered micro-batch.
+	batch := []*pendingReq{mk(false), mk(false), mk(false), mk(true), mk(true)}
 	s.runBatch(batch)
-	wantSizes := []int{3, 3, 3, 2, 2, 1}
+	wantSizes := []int{3, 3, 3, 2, 2}
 	for i, r := range batch {
 		rep := <-r.reply
 		if rep.err != nil {

@@ -63,16 +63,23 @@ type Network = core.Network
 // workers. Hash tables are read through atomically swapped handles, so
 // prediction stays valid in the middle of a background table rebuild.
 // Construct one with Network.NewPredictor and share it between
-// goroutines; see core.Predictor for method documentation (Predict,
-// PredictSampled, PredictBatch, PredictBatchSampled, TopKWithScores,
-// TopKWithScoresCtx — the context-aware variant servers use to honor
-// per-request deadlines).
+// goroutines. Its one inference call is PredictBatchInto(ctx, xs, k,
+// sampled, res, opts...): exact or sampled top-k for every input, written
+// into a reusable BatchResults, with ctx cancellation checked between
+// elements so servers can honor per-request deadlines. Predict and
+// TopKWithScoresInto are one-input wrappers over it; see core.Predictor.
 type Predictor = core.Predictor
 
+// BatchResults is the reusable result storage PredictBatchInto writes:
+// IDs[i] and Scores[i] are element i's top-k, highest first, valid until
+// the next call on the same BatchResults. See core.BatchResults.
+type BatchResults = core.BatchResults
+
 // PredictOpts requests deterministic sampled inference: passing
-// PredictOpts{Seed: s} to PredictSampled, PredictBatchSampled or
-// TopKWithScores reseeds the worker state's sampling streams from s
-// before the forward pass, so identical (input, seed) calls return
+// PredictOpts{Seed: s} to a sampled PredictBatchInto (or to
+// Network.PredictSampled) reseeds the worker state's sampling streams
+// before each element's forward pass — element i from s and i, element 0
+// from s itself — so identical (input, seed) calls return
 // bitwise-identical ids and scores regardless of pool state, concurrency
 // or prior traffic. Calls without a PredictOpts keep the nondeterministic
 // pooled fast path. See core.PredictOpts.
