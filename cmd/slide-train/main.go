@@ -46,7 +46,7 @@ func main() {
 		testPath  = flag.String("test", "", "XC-format test file (optional)")
 		system    = flag.String("system", "slide", "system to train: slide|dense")
 		hidden    = flag.Int("hidden", 128, "hidden layer width")
-		hash      = flag.String("hash", "simhash", "LSH family: simhash|wta|dwta|doph")
+		hash      = flag.String("hash", "simhash", "LSH family: simhash|dwta")
 		k         = flag.Int("k", 6, "hash codes per table (K)")
 		l         = flag.Int("l", 20, "hash tables (L)")
 		rangePow  = flag.Int("rangepow", 0, "log2 buckets per table (0 = auto: min(K × code bits, 18); a table costs 4 B per bucket plus 4 B per class)")

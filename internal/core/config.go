@@ -16,6 +16,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -78,11 +79,13 @@ type LayerConfig struct {
 	Strategy sampling.Kind
 	Beta     int
 	MinCount int
-	// SimhashDensity, BinSize and TopK forward to lsh.Params; zero
-	// selects that package's defaults.
+	// SimhashDensity and BinSize forward to lsh.Params; zero selects
+	// that package's defaults.
 	SimhashDensity float64
 	BinSize        int
-	TopK           int
+	// TopK is unused: no hash family reads it. It exists for
+	// benchmark/probe.go and goes when a benchmark PR stops reading it.
+	TopK int
 }
 
 // Config describes a SLIDE network.
@@ -159,6 +162,12 @@ func (c Config) validate() error {
 			return fmt.Errorf("core: layer %d has unknown activation %d", i, int(lc.Activation))
 		}
 		if lc.Sampled {
+			// Each kind's package decides which of its values run, so a
+			// model file naming a removed or unknown kind is refused here,
+			// before any layer is allocated.
+			if err := errors.Join(lc.Hash.Validate(), lc.Strategy.Validate(), lc.Policy.Validate()); err != nil {
+				return fmt.Errorf("core: sampled layer %d: %w", i, err)
+			}
 			if lc.K <= 0 || lc.L <= 0 {
 				return fmt.Errorf("core: sampled layer %d needs positive K and L, got K=%d L=%d", i, lc.K, lc.L)
 			}

@@ -370,9 +370,20 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("unknown activation accepted")
 	}
 	if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{
-		{Size: 8, Sampled: true, Hash: lsh.KindWTA, K: 2, L: 2, Beta: 2, BinSize: -1},
+		{Size: 8, Sampled: true, Hash: lsh.KindDWTA, K: 2, L: 2, Beta: 2, BinSize: -1},
 	}}); err == nil {
 		t.Error("negative BinSize accepted")
+	}
+	// Kinds that cannot run are refused before anything is allocated: the
+	// removed hash families 1 and 3, and unknown families, strategies and
+	// policies.
+	for _, bad := range []LayerConfig{
+		{Hash: 1}, {Hash: 3}, {Hash: 9}, {Strategy: 9}, {Policy: 9},
+	} {
+		bad.Size, bad.Sampled, bad.K, bad.L, bad.Beta = 8, true, 2, 2, 2
+		if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{bad}}); err == nil {
+			t.Errorf("hash %v, strategy %v, policy %v accepted", bad.Hash, bad.Strategy, bad.Policy)
+		}
 	}
 	for _, bad := range []struct {
 		n0     int
@@ -473,7 +484,7 @@ func TestConfigValidateShapeBound(t *testing.T) {
 func TestAllHashFamiliesTrain(t *testing.T) {
 	classes := 128
 	ds := tinyDataset(t, classes)
-	for _, kind := range []lsh.Kind{lsh.KindSimhash, lsh.KindWTA, lsh.KindDWTA, lsh.KindDOPH} {
+	for _, kind := range []lsh.Kind{lsh.KindSimhash, lsh.KindDWTA} {
 		cfg := tinyConfig(classes)
 		cfg.Layers[1].Hash = kind
 		cfg.Layers[1].RangePow = 5

@@ -82,6 +82,19 @@ func TestLoadModelValidatesConfig(t *testing.T) {
 			}
 		})
 	}
+	// A sampled layer naming a kind that cannot run — a removed hash
+	// family (1 and 3), an unknown one, strategy or policy — is refused by
+	// name from the header alone, before any layer is allocated or any
+	// weight read.
+	for _, tc := range []struct{ field, want string }{
+		{`"Hash":1`, "Kind(1)"}, {`"Hash":3`, "Kind(3)"}, {`"Hash":9`, "Kind(9)"},
+		{`"Strategy":9`, "Kind(9)"}, {`"Policy":9`, "Policy(9)"},
+	} {
+		data := v2File(`{"InputDim":4,"Layers":[{"Size":8,"Activation":1,"Sampled":true,`+tc.field+`,"K":2,"L":2,"Beta":2}]}`, nil)
+		if _, err := LoadModel(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadModel error %v, want one naming %s", tc.field, err, tc.want)
+		}
+	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -280,7 +293,7 @@ func FuzzLoadModel(f *testing.F) {
 		// Input-major first layer, sampled output.
 		{InputDim: 40, Seed: 1, Layers: []LayerConfig{{Size: 16, Activation: ActReLU}, sampled(24, ActSoftmax, lsh.KindSimhash)}},
 		// Sampled, neuron-major first layer.
-		{InputDim: 30, Seed: 2, Layers: []LayerConfig{sampled(20, ActSoftmax, lsh.KindWTA)}},
+		{InputDim: 30, Seed: 2, Layers: []LayerConfig{sampled(20, ActSoftmax, lsh.KindDWTA)}},
 		// Dense throughout.
 		{InputDim: 12, Seed: 3, Layers: []LayerConfig{{Size: 8, Activation: ActLinear}, {Size: 6, Activation: ActReLU}, {Size: 5, Activation: ActSoftmax}}},
 	} {
@@ -310,7 +323,12 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(buf.Bytes()[:layer0+4*(codecBlock*37+100)])
 	f.Add(buf.Bytes()[:layer0+4*(2*codecBlock*37+50)])
 	f.Add(v2File(`{"InputDim":1048576,"Layers":[{"Size":1048576,"Activation":1}]}`, nil))
-	f.Add(v2File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,"Hash":1,"K":2,"L":3,"RangePow":3,"Beta":6,"BinSize":-1}]}`, [][3]uint32{{30, 20, 1}}))
+	f.Add(v2File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,"Hash":2,"K":2,"L":3,"RangePow":3,"Beta":6,"BinSize":-1}]}`, [][3]uint32{{30, 20, 1}}))
+	// Kinds that cannot run: the removed hash families 1 and 3, an unknown
+	// strategy and an unknown policy, each with whole weights.
+	for _, field := range []string{`"Hash":1`, `"Hash":3`, `"Strategy":9`, `"Policy":9`} {
+		f.Add(v2File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,`+field+`,"K":2,"L":3,"RangePow":3,"Beta":6}]}`, [][3]uint32{{30, 20, 1}}))
+	}
 	f.Add(append([]byte(modelMagic), 0xff, 0xff, 0xff, 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !fuzzAffordable(data) {

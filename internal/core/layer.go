@@ -128,7 +128,6 @@ func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Laye
 			Seed:           seed ^ uint64(idx)*0x9e3779b97f4a7c15,
 			SimhashDensity: cfg.SimhashDensity,
 			BinSize:        cfg.BinSize,
-			TopK:           cfg.TopK,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: layer %d: %w", idx, err)

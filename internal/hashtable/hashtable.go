@@ -55,6 +55,14 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("hashtable: unknown policy %q", s)
 }
 
+// Validate returns an error naming p unless it is one of the policies.
+func (p Policy) Validate() error {
+	if p != PolicyReservoir && p != PolicyFIFO {
+		return fmt.Errorf("hashtable: unknown policy %v", p)
+	}
+	return nil
+}
+
 // Config parameterizes a table set.
 type Config struct {
 	// K is the number of hash codes concatenated per table address.
@@ -110,7 +118,7 @@ func (c Config) validate() error {
 	if c.BucketSize < 1 {
 		return fmt.Errorf("hashtable: BucketSize must be positive, got %d", c.BucketSize)
 	}
-	return nil
+	return c.Policy.Validate()
 }
 
 // Table is a set of L LSH tables over the ids 0..rows-1 of one build, in

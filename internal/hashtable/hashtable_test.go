@@ -279,6 +279,7 @@ func TestConfigValidation(t *testing.T) {
 		{K: 1, L: 1, CodeBits: 33},
 		{K: 1, L: 1, CodeBits: 1, RangePow: 29},
 		{K: 1, L: 1, CodeBits: 1, BucketSize: -1},
+		{K: 1, L: 1, CodeBits: 1, Policy: 9},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

@@ -23,7 +23,6 @@ func TestHashDenseRowsMatchesPerRow(t *testing.T) {
 			Seed:           r.Uint64(),
 			SimhashDensity: 0.05 + r.Float64()*0.9,
 			BinSize:        1 + r.Intn(12),
-			TopK:           1 + r.Intn(40),
 		}
 		density := []float64{0, 0.01, 0.1, 0.5, 1}[trial%5]
 		rows := 1 + r.Intn(17)

@@ -8,7 +8,7 @@ import (
 	"repro/internal/vecmath"
 )
 
-// permSet is the shared permutation machinery of WTA and DWTA (App. A).
+// permSet is DWTA's permutation machinery (App. A).
 // Following the paper's memory optimization, only ceil(K*L*m/d) random
 // permutations are generated instead of K*L: each permutation of [0, dim)
 // is split into floor(dim/m) bins of m consecutive permuted coordinates and
@@ -16,11 +16,11 @@ import (
 // permutation f/binsPerPerm; its code is the within-bin position (in
 // [0, m)) of the maximum input coordinate mapped into the bin.
 //
-// The dense paths read each function's bin from a function-transposed slab
+// The dense path reads each function's bin from a function-transposed slab
 // (vecmath.LaneSlab: function f's j-th bin coordinate in lane f%8 of
 // group f/8), which the DWTA argmax kernel walks eight functions at a time;
 // coordinates in a permutation's unused tail are not stored. The sparse
-// DWTA path maps coordinates to bins through the inverse permutations, one
+// path maps coordinates to bins through the inverse permutations, one
 // flat slab (permutation p at [p*dim:(p+1)*dim]).
 type permSet struct {
 	dim         int
@@ -81,79 +81,6 @@ func (ps *permSet) codeBits() int {
 		b++
 	}
 	return b
-}
-
-// wta is winner-take-all hashing (Yagnik et al. 2011) over dense inputs:
-// the code of each function is the position of the maximum among the m
-// coordinates of its bin, with zeros participating like any value.
-// For sparse data prefer DWTA; WTA's sparse path materializes a dense
-// scratch copy, exactly the inefficiency DWTA removes (App. A).
-type wta struct {
-	ps      *permSet
-	scratch sync.Pool
-}
-
-func newWTA(p Params) (*wta, error) {
-	w := &wta{ps: newPermSet(p)}
-	dim := p.Dim
-	w.scratch.New = func() any {
-		s := make([]float32, dim)
-		return &s
-	}
-	return w, nil
-}
-
-func (w *wta) Name() string  { return "wta" }
-func (w *wta) NumFuncs() int { return w.ps.numFuncs }
-func (w *wta) CodeBits() int { return w.ps.codeBits() }
-func (w *wta) Dim() int      { return w.ps.dim }
-
-func (w *wta) HashDense(x []float32, out []uint32) {
-	if len(x) != w.ps.dim {
-		panic("lsh: wta dense input dimension mismatch")
-	}
-	for f := 0; f < w.ps.numFuncs; f++ {
-		out[f] = wtaCode(x, w.ps.bins, f)
-	}
-}
-
-// HashDenseRows hashes rows contiguous dense vectors one row at a time;
-// codes match HashDense bitwise.
-func (w *wta) HashDenseRows(block []float32, rows int, out []uint32) {
-	ps := w.ps
-	checkRowsArgs("wta", ps.dim, ps.numFuncs, block, rows, out)
-	for r := 0; r < rows; r++ {
-		w.HashDense(block[r*ps.dim:(r+1)*ps.dim], out[r*ps.numFuncs:(r+1)*ps.numFuncs])
-	}
-}
-
-// wtaCode is the argmax of x over function f's bin; ties keep the lower
-// position.
-func wtaCode(x []float32, bins *vecmath.LaneSlab, f int) uint32 {
-	best := x[bins.Coord(f, 0)]
-	bestJ := 0
-	for j := 1; j < bins.Steps(); j++ {
-		if v := x[bins.Coord(f, j)]; v > best {
-			best, bestJ = v, j
-		}
-	}
-	return uint32(bestJ)
-}
-
-func (w *wta) HashSparse(x sparse.Vector, out []uint32) {
-	if x.Dim != w.ps.dim {
-		panic("lsh: wta sparse input dimension mismatch")
-	}
-	sp := w.scratch.Get().(*[]float32)
-	d := *sp
-	for j, i := range x.Idx {
-		d[i] = x.Val[j]
-	}
-	w.HashDense(d, out)
-	for _, i := range x.Idx {
-		d[i] = 0
-	}
-	w.scratch.Put(sp)
 }
 
 // dwta is densified winner-take-all hashing (Chen & Shrivastava 2018):
@@ -276,8 +203,8 @@ func (d *dwta) finish(sc *dwtaScratch, out []uint32) {
 	}
 }
 
-// emptyBin marks a function whose bin received nothing in a DWTA or DOPH
-// scratch code array; it is the DWTA kernel's NoArgMax.
+// emptyBin marks a function whose bin received nothing in a DWTA scratch
+// code array; it is the DWTA kernel's NoArgMax.
 const emptyBin = vecmath.NoArgMax
 
 // densify walks the deterministic probe sequence for empty function f and

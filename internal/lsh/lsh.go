@@ -1,8 +1,8 @@
-// Package lsh implements the locality-sensitive hash families used by
-// SLIDE (§3.2 and Appendix A of the paper): Simhash (signed random
-// projection with the sparse-projection optimization), WTA (winner-take-all),
-// DWTA (densified WTA for sparse inputs) and DOPH (densified one-permutation
-// minwise hashing with a top-k binarization front end).
+// Package lsh implements the two locality-sensitive hash families SLIDE
+// evaluates (§3.2 and Appendix A of the paper): Simhash (signed random
+// projection with the sparse-projection optimization), used on
+// Delicious-200K, and DWTA (densified winner-take-all for sparse inputs),
+// used on Amazon-670K.
 //
 // A Family produces NumFuncs() = K*L hash codes per input; the hashtable
 // package groups consecutive runs of K codes into one bucket address per
@@ -10,7 +10,7 @@
 // build time) and sparse vectors (layer inputs at query time) and must
 // produce identical codes for equal inputs in either representation.
 //
-// Simhash and DWTA keep their per-function coordinate lists in one
+// Both families keep their per-function coordinate lists in one
 // function-transposed slab (vecmath.LaneSlab), and their dense paths —
 // every table build and rebuild, and every query on a dense layer input —
 // run vecmath's lane-parallel kernels over it: eight hash functions per
@@ -50,19 +50,16 @@ type Family interface {
 	HashSparse(x sparse.Vector, out []uint32)
 }
 
-// Kind names a hash family for configuration.
+// Kind names a hash family for configuration. Model files store it as
+// an integer, so each kind keeps its value; 1 and 3 named families that
+// have been removed.
 type Kind int
 
 const (
 	// KindSimhash selects signed random projection (cosine similarity).
-	KindSimhash Kind = iota
-	// KindWTA selects winner-take-all hashing (rank correlation).
-	KindWTA
+	KindSimhash Kind = 0
 	// KindDWTA selects densified WTA (rank correlation on sparse data).
-	KindDWTA
-	// KindDOPH selects densified one-permutation minhash (Jaccard on the
-	// top-k binarized input).
-	KindDOPH
+	KindDWTA Kind = 2
 )
 
 // String returns the configuration name of the kind.
@@ -70,12 +67,8 @@ func (k Kind) String() string {
 	switch k {
 	case KindSimhash:
 		return "simhash"
-	case KindWTA:
-		return "wta"
 	case KindDWTA:
 		return "dwta"
-	case KindDOPH:
-		return "doph"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -86,14 +79,18 @@ func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "simhash":
 		return KindSimhash, nil
-	case "wta":
-		return KindWTA, nil
 	case "dwta":
 		return KindDWTA, nil
-	case "doph":
-		return KindDOPH, nil
 	}
 	return 0, fmt.Errorf("lsh: unknown hash family %q", s)
+}
+
+// Validate returns an error naming k unless New can build it.
+func (k Kind) Validate() error {
+	if k != KindSimhash && k != KindDWTA {
+		return fmt.Errorf("lsh: unknown hash family %v", k)
+	}
+	return nil
 }
 
 // Params configures family construction.
@@ -112,13 +109,12 @@ type Params struct {
 	// Zero selects the paper's default of 1/3.
 	SimhashDensity float64
 
-	// BinSize is the WTA/DWTA bin size m (codes are in [0, BinSize)).
+	// BinSize is the DWTA bin size m (codes are in [0, BinSize)).
 	// Zero selects the default of 8.
 	BinSize int
 
-	// TopK is the DOPH binarization threshold: the TopK largest input
-	// components are treated as the input set (App. A). Zero selects a
-	// default of 30.
+	// TopK is unused: no family reads it. It exists for
+	// benchmark/probe.go and goes when a benchmark PR stops setting it.
 	TopK int
 }
 
@@ -128,9 +124,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.BinSize == 0 {
 		p.BinSize = 8
-	}
-	if p.TopK == 0 {
-		p.TopK = 30
 	}
 	return p
 }
@@ -154,14 +147,10 @@ func New(kind Kind, p Params) (Family, error) {
 	switch kind {
 	case KindSimhash:
 		return newSimhash(p)
-	case KindWTA:
-		return newWTA(p)
 	case KindDWTA:
 		return newDWTA(p)
-	case KindDOPH:
-		return newDOPH(p)
 	default:
-		return nil, fmt.Errorf("lsh: unknown kind %v", kind)
+		return nil, kind.Validate() // names the unknown kind
 	}
 }
 
@@ -178,8 +167,8 @@ func checkRowsArgs(name string, dim, nf int, block []float32, rows int, out []ui
 	}
 }
 
-// mix64 is SplitMix64's finalizer; used wherever a family needs a cheap
-// stateless integer hash (densification probes, minhash value hashing).
+// mix64 is SplitMix64's finalizer: the cheap stateless integer hash of
+// DWTA's densification probes.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

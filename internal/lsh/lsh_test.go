@@ -9,7 +9,7 @@ import (
 	"repro/internal/sparse"
 )
 
-func allKinds() []Kind { return []Kind{KindSimhash, KindWTA, KindDWTA, KindDOPH} }
+func allKinds() []Kind { return []Kind{KindSimhash, KindDWTA} }
 
 func mkFamily(t testing.TB, kind Kind, dim, k, l int, seed uint64) Family {
 	t.Helper()
@@ -235,51 +235,8 @@ func TestDWTAMoreSimilarMoreCollisions(t *testing.T) {
 	}
 }
 
-// TestDOPHJaccardSensitivity: overlapping top-k sets collide more than
-// disjoint ones.
-func TestDOPHJaccardSensitivity(t *testing.T) {
-	const dim = 256
-	fam, err := New(KindDOPH, Params{Dim: dim, K: 1, L: 300, Seed: 3, TopK: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(ids []int32) sparse.Vector {
-		val := make([]float32, len(ids))
-		for i := range val {
-			val[i] = 1
-		}
-		return sparse.MustNew(dim, ids, val)
-	}
-	a := make([]int32, 20)
-	b := make([]int32, 20)
-	c := make([]int32, 20)
-	for i := range a {
-		a[i] = int32(i)
-		b[i] = int32(i + 5) // Jaccard(a,b) = 15/25
-		c[i] = int32(i + 100)
-	}
-	ca := make([]uint32, fam.NumFuncs())
-	cb := make([]uint32, fam.NumFuncs())
-	cc := make([]uint32, fam.NumFuncs())
-	fam.HashSparse(mk(a), ca)
-	fam.HashSparse(mk(b), cb)
-	fam.HashSparse(mk(c), cc)
-	rate := func(x, y []uint32) float64 {
-		same := 0
-		for f := range x {
-			if x[f] == y[f] {
-				same++
-			}
-		}
-		return float64(same) / float64(len(x))
-	}
-	if overlap, disjoint := rate(ca, cb), rate(ca, cc); overlap <= disjoint+0.1 {
-		t.Fatalf("DOPH not Jaccard-sensitive: overlap %.3f vs disjoint %.3f", overlap, disjoint)
-	}
-}
-
 // TestDWTASparseSemantics: swapping the values of two coordinates that
-// share a WTA bin must flip that bin's argmax code. With dim=16 and the
+// share a DWTA bin must flip that bin's argmax code. With dim=16 and the
 // default bin size 8, two fixed coordinates share a bin in roughly half
 // of the permutations, so some codes must differ.
 func TestDWTASparseSemantics(t *testing.T) {
@@ -320,8 +277,10 @@ func TestParamValidation(t *testing.T) {
 	if _, err := New(KindSimhash, Params{Dim: 8, K: 0, L: 1}); err == nil {
 		t.Error("zero K accepted")
 	}
-	if _, err := New(Kind(99), Params{Dim: 8, K: 1, L: 1}); err == nil {
-		t.Error("unknown kind accepted")
+	for _, kind := range []Kind{1, 3, 99} {
+		if _, err := New(kind, Params{Dim: 8, K: 1, L: 1}); err == nil {
+			t.Errorf("unknown kind %d accepted", int(kind))
+		}
 	}
 }
 
@@ -332,8 +291,10 @@ func TestParseKindRoundTrip(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v", kind.String(), got, err)
 		}
 	}
-	if _, err := ParseKind("nope"); err == nil {
-		t.Error("ParseKind accepted garbage")
+	for _, name := range []string{"nope", "wta", "doph"} {
+		if _, err := ParseKind(name); err == nil {
+			t.Errorf("ParseKind accepted %q", name)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package metrics provides the evaluation measures and curve recording
-// used throughout the experiments: precision@k (the "accuracy" reported in
-// the paper's figures is P@1), accuracy-vs-time and accuracy-vs-iteration
-// curves, and convergence-time extraction for the scalability plots.
+// Package metrics provides the evaluation measures and curve recording of
+// training runs: precision@k (the "accuracy" reported in the paper's
+// figures is P@1) and accuracy-vs-time curves with the time at which a
+// curve first reaches a target.
 package metrics
 
 import (
@@ -126,35 +126,6 @@ func (c *Curve) TimeToValue(target float64) (float64, bool) {
 		}
 	}
 	return math.Inf(1), false
-}
-
-// IterToValue returns the earliest recorded iteration at which the curve
-// reached target, and whether it ever did.
-func (c *Curve) IterToValue(target float64) (int64, bool) {
-	for _, p := range c.Points {
-		if p.Value >= target {
-			return p.Iter, true
-		}
-	}
-	return math.MaxInt64, false
-}
-
-// ConvergenceTime returns the time of the first point whose value is
-// within frac (e.g. 0.99) of the curve's best value — the "time to
-// convergence" measure of the paper's Fig. 9 scalability study.
-func (c *Curve) ConvergenceTime(frac float64) (float64, bool) {
-	return c.TimeToValue(c.Best() * frac)
-}
-
-// Rescale returns a copy of the curve with every point's Seconds replaced
-// by f(point). Used by the GPU cost model to re-time a measured run.
-func (c *Curve) Rescale(name string, f func(Point) float64) *Curve {
-	out := &Curve{Name: name, Points: make([]Point, len(c.Points))}
-	for i, p := range c.Points {
-		p.Seconds = f(p)
-		out.Points[i] = p
-	}
-	return out
 }
 
 // String renders a compact single-line summary.

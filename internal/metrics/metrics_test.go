@@ -50,12 +50,6 @@ func TestCurveQueries(t *testing.T) {
 	if _, ok := c.TimeToValue(0.9); ok {
 		t.Fatal("unreachable target reported reached")
 	}
-	if it, ok := c.IterToValue(0.25); !ok || it != 20 {
-		t.Fatalf("IterToValue = %v, %v", it, ok)
-	}
-	if s, ok := c.ConvergenceTime(0.99); !ok || s != 2 {
-		t.Fatalf("ConvergenceTime = %v, %v", s, ok)
-	}
 	if c.Last().Iter != 30 {
 		t.Fatalf("Last = %+v", c.Last())
 	}
@@ -68,18 +62,6 @@ func TestCurveEmpty(t *testing.T) {
 	}
 	if _, ok := c.TimeToValue(0.1); ok {
 		t.Fatal("empty curve reached a target")
-	}
-}
-
-func TestRescale(t *testing.T) {
-	c := Curve{Name: "cpu"}
-	c.Add(Point{Iter: 5, Seconds: 50, Value: 0.2})
-	g := c.Rescale("gpu", func(p Point) float64 { return float64(p.Iter) * 0.1 })
-	if g.Name != "gpu" || g.Points[0].Seconds != 0.5 || g.Points[0].Value != 0.2 {
-		t.Fatalf("Rescale = %+v", g.Points[0])
-	}
-	if c.Points[0].Seconds != 50 {
-		t.Fatal("Rescale mutated the source")
 	}
 }
 

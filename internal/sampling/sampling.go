@@ -63,6 +63,14 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("sampling: unknown strategy %q", s)
 }
 
+// Validate returns an error naming k unless New can build it.
+func (k Kind) Validate() error {
+	if k < KindVanilla || k > KindRandom {
+		return fmt.Errorf("sampling: unknown strategy %v", k)
+	}
+	return nil
+}
+
 // Params configures a strategy instance.
 type Params struct {
 	// Kind selects the strategy.
@@ -102,6 +110,9 @@ type Strategy interface {
 // New builds a strategy instance. universeHint sizes the internal
 // deduplication structures and, for KindRandom, defaults Universe.
 func New(p Params, universeHint int) (Strategy, error) {
+	if err := p.Kind.Validate(); err != nil {
+		return nil, err
+	}
 	if p.MinCount == 0 {
 		p.MinCount = 2
 	}
@@ -123,13 +134,11 @@ func New(p Params, universeHint int) (Strategy, error) {
 		return &topK{params: p, marker: base}, nil
 	case KindHardThreshold:
 		return &hardThreshold{params: p, marker: base}, nil
-	case KindRandom:
+	default: // KindRandom
 		if p.Universe <= 0 {
 			return nil, fmt.Errorf("sampling: KindRandom requires a positive Universe")
 		}
 		return &random{params: p, marker: base, rng: r}, nil
-	default:
-		return nil, fmt.Errorf("sampling: unknown kind %v", p.Kind)
 	}
 }
 

@@ -158,8 +158,7 @@ func (v Vector) Clone() Vector {
 
 // TopK returns the indices of the k largest values in the dense vector d
 // (by value, ties broken by lower index), in descending value order.
-// If k >= len(d) all indices are returned. Used by the DOPH binarization
-// front end (App. A) which thresholds the top-k magnitudes to 1.
+// If k >= len(d) all indices are returned.
 func TopK(d []float32, k int) []int32 {
 	var s Selector
 	return s.TopKInto(nil, d, k)
@@ -220,39 +219,6 @@ func descending(a, b heapItem) int {
 		return 1
 	}
 	return 0
-}
-
-// TopKSparse returns the indices of the k largest stored values of a
-// sparse vector given as parallel (idx, val) lists, in descending value
-// order with ties broken by lower index. Used by DOPH to binarize inputs
-// over their non-zero support only.
-func TopKSparse(idx []int32, val []float32, k int) []int32 {
-	if k <= 0 {
-		return nil
-	}
-	if k > len(idx) {
-		k = len(idx)
-	}
-	h := make([]heapItem, 0, k)
-	for j, v := range val {
-		it := heapItem{v, idx[j]}
-		if len(h) < k {
-			h = append(h, it)
-			siftUp(h, len(h)-1)
-			continue
-		}
-		if less(it, h[0]) {
-			continue
-		}
-		h[0] = it
-		siftDown(h, 0)
-	}
-	sort.Slice(h, func(a, b int) bool { return less(h[b], h[a]) })
-	out := make([]int32, len(h))
-	for i, it := range h {
-		out[i] = it.idx
-	}
-	return out
 }
 
 type heapItem struct {

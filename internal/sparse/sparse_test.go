@@ -101,8 +101,8 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestTopKMatchesSort is the property test for the DOPH binarization
-// front end: TopK must agree with a full sort under the same tie rule.
+// TestTopKMatchesSort: TopK must agree with a full sort under the same tie
+// rule.
 func TestTopKMatchesSort(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw, kRaw uint8) bool {
 		n := int(nRaw)%64 + 1

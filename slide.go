@@ -149,12 +149,12 @@ const (
 	ActLinear  = core.ActLinear
 )
 
-// Hash family constants for LayerConfig.Hash (§3.2, App. A of the paper).
+// Hash family constants for LayerConfig.Hash (§3.2, App. A of the paper):
+// the two families the paper evaluates, Simhash on Delicious-200K and DWTA
+// on Amazon-670K.
 const (
 	HashSimhash = lsh.KindSimhash
-	HashWTA     = lsh.KindWTA
 	HashDWTA    = lsh.KindDWTA
-	HashDOPH    = lsh.KindDOPH
 )
 
 // Sampling strategy constants for LayerConfig.Strategy (§4.1).
@@ -195,7 +195,7 @@ func NewVector(dim int, idx []int32, val []float32) (Vector, error) {
 // VectorFromDense returns the sparse form of a dense vector.
 func VectorFromDense(d []float32) Vector { return sparse.FromDense(d) }
 
-// ParseHash parses a hash family name ("simhash", "wta", "dwta", "doph").
+// ParseHash parses a hash family name ("simhash", "dwta").
 func ParseHash(s string) (HashKind, error) { return lsh.ParseKind(s) }
 
 // ParseStrategy parses a sampling strategy name ("vanilla", "topk",

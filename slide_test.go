@@ -121,7 +121,8 @@ func parsed[T any](parse func(string) (T, error)) func(string) (any, error) {
 
 // TestParseNamesMapToConstants: every configuration name the binaries
 // accept on their flags parses through the facade to the exported
-// constant of that name, and a misspelling is an error.
+// constant of that name, and a misspelling or a removed family is an
+// error.
 func TestParseNamesMapToConstants(t *testing.T) {
 	for _, tc := range []struct {
 		kind, name string
@@ -129,9 +130,7 @@ func TestParseNamesMapToConstants(t *testing.T) {
 		want       any
 	}{
 		{"hash", "simhash", parsed(slide.ParseHash), slide.HashSimhash},
-		{"hash", "wta", parsed(slide.ParseHash), slide.HashWTA},
 		{"hash", "dwta", parsed(slide.ParseHash), slide.HashDWTA},
-		{"hash", "doph", parsed(slide.ParseHash), slide.HashDOPH},
 		{"strategy", "vanilla", parsed(slide.ParseStrategy), slide.StrategyVanilla},
 		{"strategy", "topk", parsed(slide.ParseStrategy), slide.StrategyTopK},
 		{"strategy", "hard-threshold", parsed(slide.ParseStrategy), slide.StrategyHardThreshold},
@@ -151,6 +150,13 @@ func TestParseNamesMapToConstants(t *testing.T) {
 				t.Fatalf("%qx accepted", tc.name)
 			}
 		})
+	}
+	// The winner-take-all and minhash families were removed; their
+	// names no longer parse.
+	for _, name := range []string{"wta", "doph"} {
+		if kind, err := slide.ParseHash(name); err == nil {
+			t.Errorf("ParseHash(%q) = %v, want an error", name, kind)
+		}
 	}
 }
 
