@@ -1,10 +1,16 @@
 package arena
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// addr is the address of s's first element.
+func addr(s []float32) uintptr { return uintptr(unsafe.Pointer(&s[0])) }
 
 func TestAllocZeroedAndSized(t *testing.T) {
-	a := New(1 << 16)
-	s := a.Alloc(100)
+	a := New()
+	s := a.AllocAligned(100)
 	if len(s) != 100 {
 		t.Fatalf("len = %d", len(s))
 	}
@@ -13,15 +19,15 @@ func TestAllocZeroedAndSized(t *testing.T) {
 			t.Fatalf("slot %d not zeroed: %v", i, v)
 		}
 	}
-	if got := a.Alloc(0); got != nil {
-		t.Fatalf("Alloc(0) = %v", got)
+	if got := a.AllocAligned(0); got != nil {
+		t.Fatalf("AllocAligned(0) = %v", got)
 	}
 }
 
 func TestAllocNoAliasing(t *testing.T) {
-	a := New(1 << 16)
-	x := a.Alloc(64)
-	y := a.Alloc(64)
+	a := New()
+	x := a.AllocAligned(64)
+	y := a.AllocAligned(64)
 	for i := range x {
 		x[i] = 1
 	}
@@ -33,44 +39,76 @@ func TestAllocNoAliasing(t *testing.T) {
 }
 
 func TestAllocCapacityClamped(t *testing.T) {
-	a := New(1 << 16)
-	x := a.Alloc(10)
+	a := New()
+	x := a.AllocAligned(16)
 	// Appending must not bleed into the next allocation's space.
-	y := a.Alloc(10)
+	y := a.AllocAligned(16)
 	x = append(x, 99)
 	if y[0] != 0 {
 		t.Fatal("append to earlier allocation overwrote later one")
 	}
 }
 
+// TestLargeAllocGetsOwnSlab: an oversize allocation takes a dedicated
+// slab and leaves the current slab's cursor where it was.
 func TestLargeAllocGetsOwnSlab(t *testing.T) {
-	a := New(1 << 16)
-	before := a.Slabs()
-	s := a.Alloc(1 << 20)
-	if len(s) != 1<<20 {
+	a := New()
+	x := a.AllocAligned(floatsPerLine)
+	s := a.AllocAligned(slabFloats + 1)
+	if len(s) != slabFloats+1 {
 		t.Fatalf("large alloc len %d", len(s))
 	}
-	if a.Slabs() != before+1 {
-		t.Fatalf("large alloc did not take a dedicated slab")
+	y := a.AllocAligned(floatsPerLine)
+	if addr(y) != addr(x)+CacheLineBytes {
+		t.Fatalf("allocation after an oversize one moved: %#x, want %#x", addr(y), addr(x)+CacheLineBytes)
 	}
 }
 
+// TestAllocAlignedStartsOnCacheLine checks alignment by address: after a
+// misaligning small allocation, after an oversize allocation, and at the
+// start of every AllocRows chunk.
 func TestAllocAlignedStartsOnCacheLine(t *testing.T) {
-	a := New(1 << 16)
-	a.Alloc(3) // misalign the cursor
-	s := a.AllocAligned(8)
-	// The returned slice must start at a multiple of 16 floats within
-	// the slab; verified indirectly via the arena's offset math by
-	// allocating again and checking no overlap.
-	s2 := a.AllocAligned(8)
-	s[7] = 1
-	if s2[0] != 0 {
-		t.Fatal("aligned allocations overlap")
+	aligned := func(t *testing.T, what string, s []float32) {
+		t.Helper()
+		if p := addr(s); p%CacheLineBytes != 0 {
+			t.Fatalf("%s starts at %#x, not on a %d-byte line", what, p, CacheLineBytes)
+		}
+		for i, v := range s {
+			if v != 0 {
+				t.Fatalf("%s slot %d not zeroed: %v", what, i, v)
+			}
+		}
 	}
+	t.Run("after misaligning allocation", func(t *testing.T) {
+		a := New()
+		a.AllocAligned(3) // misalign the cursor
+		aligned(t, "AllocAligned", a.AllocAligned(8))
+	})
+	t.Run("after oversize allocation", func(t *testing.T) {
+		a := New()
+		a.AllocAligned(5)
+		a.AllocAligned(slabFloats + 3) // oversize: its own slab
+		aligned(t, "AllocAligned", a.AllocAligned(8))
+	})
+	t.Run("every AllocRows chunk", func(t *testing.T) {
+		a := New()
+		// A short call lands mid-slab; a long one spans two chunks.
+		for _, shape := range [][2]int{{10, 33}, {slabFloats/1001 + 7, 1001}} {
+			a.AllocAligned(3)
+			rows, rowLen := shape[0], shape[1]
+			rs := a.AllocRows(rows, rowLen)
+			if len(rs) != rows {
+				t.Fatalf("rows = %d, want %d", len(rs), rows)
+			}
+			for base := 0; base < rows; base += slabFloats / rowLen {
+				aligned(t, "AllocRows chunk", rs[base])
+			}
+		}
+	})
 }
 
 func TestAllocRowsShapeAndIsolation(t *testing.T) {
-	a := New(1 << 16)
+	a := New()
 	rows := a.AllocRows(10, 33)
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
@@ -97,33 +135,30 @@ func TestAllocRowsShapeAndIsolation(t *testing.T) {
 }
 
 func TestAllocRowsChunksLargeLayers(t *testing.T) {
-	a := New(1 << 16) // 64K floats per slab
-	rows := a.AllocRows(100, 2048)
-	if len(rows) != 100 {
+	a := New()
+	rowLen := slabFloats / 2
+	rows := a.AllocRows(3, rowLen) // two rows per slab: 1.5 slabs
+	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	rows[99][2047] = 5
-	if rows[98][2047] != 0 {
+	rows[2][rowLen-1] = 5
+	if rows[1][rowLen-1] != 0 {
 		t.Fatal("chunked rows overlap")
 	}
-	if a.Slabs() < 3 {
-		t.Fatalf("expected multiple slabs for 200K floats in 64K slabs, got %d", a.Slabs())
+	// Rows within a chunk are back to back, each capped at its length.
+	if addr(rows[1]) != addr(rows[0])+uintptr(4*rowLen) {
+		t.Fatal("rows within a chunk are not densely packed")
 	}
-}
-
-func TestFloatsAccounting(t *testing.T) {
-	a := New(1 << 16)
-	a.Alloc(10)
-	if a.Floats() != 1<<16 {
-		t.Fatalf("Floats = %d, want one slab of %d", a.Floats(), 1<<16)
+	if cap(rows[0]) != rowLen {
+		t.Fatalf("row capacity %d, want %d", cap(rows[0]), rowLen)
 	}
 }
 
 func TestNegativeAllocPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Alloc(-1) did not panic")
+			t.Fatal("AllocAligned(-1) did not panic")
 		}
 	}()
-	New(0).Alloc(-1)
+	New().AllocAligned(-1)
 }

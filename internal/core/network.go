@@ -30,7 +30,6 @@ type Point = metrics.Point
 type Network struct {
 	cfg    Config
 	layers []*Layer
-	ar     *arena.Arena
 	adam   optim.Adam
 
 	step      int64 // completed training iterations (batches)
@@ -100,10 +99,11 @@ func newNetwork(cfg Config, fresh bool) (*Network, error) {
 			return nil, fmt.Errorf("core: softmax activation only supported on the output layer (layer %d)", i)
 		}
 	}
-	n := &Network{cfg: cfg, ar: arena.NewDefault(), adam: cfg.Adam}
+	n := &Network{cfg: cfg, adam: cfg.Adam}
+	ar := arena.New()
 	in := cfg.InputDim
 	for i, lc := range cfg.Layers {
-		l, err := newLayer(i, in, lc, n.ar, cfg.Seed)
+		l, err := newLayer(i, in, lc, ar, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -83,7 +83,7 @@ func New(cfg Config) (*Network, error) {
 		return nil, err
 	}
 	n := &Network{cfg: cfg, adam: cfg.Adam}
-	ar := arena.NewDefault()
+	ar := arena.New()
 	sizes := append(append([]int{}, cfg.Hidden...), cfg.Classes)
 	in := cfg.InputDim
 	r := rng.NewStream(cfg.Seed, 0xde45e)

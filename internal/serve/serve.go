@@ -286,11 +286,16 @@ func requestDeadline(bodyMs float64, h http.Header) (time.Duration, error) {
 }
 
 // msDuration converts a finite, non-negative millisecond count to a
-// Duration, or to 0 (no deadline) when it overflows one.
+// Duration, or to 0 (no deadline) when it overflows one. A positive count
+// under a nanosecond rounds up to 1 ns, a deadline already past, never
+// down to 0.
 func msDuration(ms float64) time.Duration {
 	ns := ms * float64(time.Millisecond)
-	if ns >= math.MaxInt64 {
+	switch {
+	case ns >= math.MaxInt64:
 		return 0
+	case ns > 0 && ns < 1:
+		return 1
 	}
 	return time.Duration(ns)
 }

@@ -306,17 +306,21 @@ func TestRequestDeadlineResolution(t *testing.T) {
 		{"huge header is no deadline", 0, "1e300", 0, ""},
 		{"huge body is no deadline", 1e20, "", 0, ""},
 		{"huge body, header 5", 1e20, "5", 5 * time.Millisecond, ""},
+		{"sub-nanosecond body is already expired", 1e-7, "", time.Nanosecond, ""},
+		{"sub-nanosecond header beside body 5", 5, "1e-7", time.Nanosecond, ""},
 	} {
-		got, err := requestDeadline(tc.bodyMs, h(tc.header))
-		if tc.errNames != "" {
-			if err == nil || !strings.Contains(err.Error(), tc.errNames) {
-				t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.errNames)
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := requestDeadline(tc.bodyMs, h(tc.header))
+			if tc.errNames != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.errNames) {
+					t.Errorf("err = %v, want one naming %s", err, tc.errNames)
+				}
+				return
 			}
-			continue
-		}
-		if err != nil || got != tc.want {
-			t.Errorf("%s: deadline = %v, %v; want %v", tc.name, got, err, tc.want)
-		}
+			if err != nil || got != tc.want {
+				t.Errorf("deadline = %v, %v; want %v", got, err, tc.want)
+			}
+		})
 	}
 }
 

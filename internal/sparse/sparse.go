@@ -112,14 +112,6 @@ func (v *Vector) normalizeInPlace() error {
 // NNZ returns the number of stored non-zero components.
 func (v Vector) NNZ() int { return len(v.Idx) }
 
-// Sparsity returns NNZ/Dim, the fraction of non-zero components.
-func (v Vector) Sparsity() float64 {
-	if v.Dim == 0 {
-		return 0
-	}
-	return float64(v.NNZ()) / float64(v.Dim)
-}
-
 // Dense materializes the vector as a dense slice of length Dim.
 func (v Vector) Dense() []float32 {
 	d := make([]float32, v.Dim)

@@ -82,10 +82,10 @@ func TestDotMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSparsityAndNorm(t *testing.T) {
+func TestNNZAndNorm(t *testing.T) {
 	v := MustNew(100, []int32{0, 1}, []float32{3, 4})
-	if v.NNZ() != 2 || v.Sparsity() != 0.02 {
-		t.Fatalf("NNZ/Sparsity wrong: %d %v", v.NNZ(), v.Sparsity())
+	if v.NNZ() != 2 {
+		t.Fatalf("NNZ = %d, want 2", v.NNZ())
 	}
 	if math.Abs(v.Norm2()-5) > 1e-6 {
 		t.Fatalf("Norm2 = %v", v.Norm2())
