@@ -10,16 +10,18 @@
 //
 // Data-parallel training (§6: sparse-gradient exchange between replicas):
 //
-//	slide-train -profile delicious -shards 4                     # 4 in-process replicas
+//	slide-train -profile delicious -shards 4                     # 4 in-process replicas on loopback TCP
 //	slide-train -profile delicious -shards 2 -overlap            # exchange hidden behind the next forward
 //	slide-train -shards 2 -dist :7070 -rank 0 &                  # process 0 hosts the exchange
 //	slide-train -shards 2 -dist localhost:7070 -rank 1           # process 1 dials in
 //
 // Each shard trains on a round-robin slice of the data. At every batch
-// boundary each process sends its sparse gradient delta to every other
+// boundary each replica sends its sparse gradient delta to every other
 // and merges all shards' deltas itself, in rank order, so all replicas
 // hold identical weights; rank 0 hosts the connections, relays frames
-// between the other ranks, and reports and saves the model.
+// between the other ranks, and reports and saves the model. In-process
+// replicas run the same exchange over loopback TCP, so -shards N and N
+// -dist processes with the same flags save the same model.
 package main
 
 import (
@@ -168,10 +170,11 @@ func main() {
 	}
 }
 
-// trainInProcessShards runs N replicas in this process over the mesh
-// all-reduce and returns the trained model (all replicas are identical).
+// trainInProcessShards runs N replicas in this process, connected over
+// loopback TCP as N -dist processes would be, and returns the trained
+// model (all replicas are identical).
 func trainInProcessShards(ds *dataset.Dataset, cfg slide.Config, tc slide.TrainConfig, shards int) *slide.Network {
-	fmt.Printf("sharded training: %d in-process replicas, sparse-delta all-reduce per batch\n", shards)
+	fmt.Printf("sharded training: %d in-process replicas exchanging sparse deltas over loopback TCP\n", shards)
 	res, err := dist.TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, shards)
 	if err != nil {
 		log.Fatal(err)
@@ -179,7 +182,7 @@ func trainInProcessShards(ds *dataset.Dataset, cfg slide.Config, tc slide.TrainC
 	r0 := res.Results[0]
 	fmt.Printf("done: P@1=%.4f in %.1fs (%d iterations, %d rebuilds, %.0f mean active of %d)\n",
 		r0.FinalAcc, r0.Seconds, r0.Iterations, r0.Rebuilds, r0.MeanActive[1], ds.NumClasses)
-	reportExchange(res.Nets[0], r0, res.Stats[0])
+	reportExchange(res.Nets[0], r0, res.Stats[0], 0, shards)
 	return res.Nets[0]
 }
 
@@ -245,25 +248,24 @@ func trainTCPShard(ds *dataset.Dataset, cfg slide.Config, tc slide.TrainConfig, 
 	}
 	fmt.Printf("done (rank %d): P@1=%.4f in %.1fs (%d iterations, %d rebuilds)\n",
 		rank, res.FinalAcc, res.Seconds, res.Iterations, res.Rebuilds)
-	st := ex.Stats()
-	if rank == 0 {
-		// Rank 0's counters sum its shards-1 client links; print the
-		// per-link mean. At 2 shards that is exactly one replica's
-		// view; beyond, each link also carries the frames rank 0 relays.
-		st.BytesOut, st.BytesIn = st.BytesOut/int64(shards-1), st.BytesIn/int64(shards-1)
-	}
-	reportExchange(net, res, st)
+	reportExchange(net, res, ex.Stats(), rank, shards)
 	if rank != 0 {
 		return nil // rank 0 owns reporting artifacts like -save
 	}
 	return net
 }
 
-// reportExchange prints the measured sparse-exchange payload against the
-// dense parameter synchronization it replaces (§6).
-func reportExchange(net *slide.Network, res *slide.TrainResult, st dist.ExchangeStats) {
+// reportExchange prints rank's measured sparse-exchange payload against
+// the dense parameter synchronization it replaces (§6). Rank 0's counters
+// sum its shards-1 client links, so it prints the per-link mean: at 2
+// shards that is exactly one replica's view; beyond, each link also
+// carries the frames rank 0 relays.
+func reportExchange(net *slide.Network, res *slide.TrainResult, st dist.ExchangeStats, rank, shards int) {
 	if st.Rounds == 0 {
 		return
+	}
+	if rank == 0 {
+		st.BytesOut, st.BytesIn = st.BytesOut/int64(shards-1), st.BytesIn/int64(shards-1)
 	}
 	sent, recv := st.BytesOutPerRound(), st.BytesInPerRound()
 	dense := float64(net.NumParams()) * 4

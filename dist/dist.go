@@ -19,19 +19,18 @@ import (
 // exact float32 values, non-finite ones rejected on decode.
 type Codec = dist.Codec
 
-// Mesh is the in-process all-reduce exchanger for N replicas in one
-// process; rank exchangers come from Mesh.Rank.
-type Mesh = dist.Mesh
-
-// TCPServer and TCPClient are the multi-process transport: rank 0
-// listens and relays frames between the other ranks, which dial in; every
-// rank sends its own delta to every peer and merges all parts itself.
+// TCPServer and TCPClient are the one exchange transport, for ranks in
+// separate processes and for TrainSharded's in-process replicas alike:
+// rank 0 listens and relays frames between the other ranks, which dial
+// in; every rank sends its own delta to every peer and merges all parts
+// itself.
 type (
 	TCPServer = dist.TCPServer
 	TCPClient = dist.TCPClient
 )
 
-// ExchangeStats accounts an exchanger's measured bytes per round.
+// ExchangeStats accounts a rank's rounds and the bytes it wrote to and
+// read from its sockets.
 type ExchangeStats = dist.ExchangeStats
 
 // ShardedResult is TrainSharded's outcome: replica networks (bit-identical
@@ -40,10 +39,6 @@ type ShardedResult = dist.ShardedResult
 
 // NewCodec builds a codec for the network's layer shapes.
 func NewCodec(n *slide.Network) *Codec { return dist.NewCodec(n) }
-
-// NewMesh builds an in-process all-reduce for the given shard count;
-// codec (may be nil) prices exchanged deltas for byte accounting.
-func NewMesh(shards int, codec *Codec) *Mesh { return dist.NewMesh(shards, codec) }
 
 // ListenExchanger binds addr as rank 0 of a TCP-sharded group; joining
 // ranks must present the same schedule digest.
@@ -78,8 +73,9 @@ func ShardTrainConfig(tc slide.TrainConfig, trainLen, rank, shards int) slide.Tr
 	return dist.ShardTrainConfig(tc, trainLen, rank, shards)
 }
 
-// TrainSharded trains N in-process data-parallel replicas with per-batch
-// sparse-delta all-reduce; see internal/dist.TrainSharded.
+// TrainSharded trains N >= 2 in-process data-parallel replicas that
+// exchange sparse deltas every batch over loopback TCP, exactly as N
+// -dist processes would; see internal/dist.TrainSharded.
 func TrainSharded(ctx context.Context, cfg slide.Config, train, test []dataset.Example, tc slide.TrainConfig, shards int) (*ShardedResult, error) {
 	return dist.TrainSharded(ctx, cfg, train, test, tc, shards)
 }

@@ -229,8 +229,8 @@ type TrainConfig struct {
 	// All shards must run the same BatchSize and Iterations; early stops
 	// (TargetAcc, MaxSeconds, context cancellation) are coordinated
 	// through the exchange so every replica halts at the same step. See
-	// internal/dist for the in-process and TCP implementations, which
-	// ship the delta as exact fp32.
+	// internal/dist for the TCP implementation, which ships the delta as
+	// exact fp32 between processes and between in-process replicas alike.
 	Exchanger DeltaExchanger
 
 	// OverlapExchange hides the delta exchange behind the next batch's

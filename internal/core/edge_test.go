@@ -204,6 +204,14 @@ func TestRejectsOutOfRangeInput(t *testing.T) {
 			_, err := n.Evaluate(append([]dataset.Example{withFeature(ds.Test[0], int32(dim))}, ds.Test[1:4]...), 0, 2, 1)
 			return err
 		}, []string{"test example 0", fmt.Sprint(dim)}},
+		{"Evaluate k = -1", func() error {
+			_, err := n.Evaluate(ds.Test[:8], 0, 2, 1, -1)
+			return err
+		}, []string{"k = -1"}},
+		{"Evaluate k = 0", func() error {
+			_, err := n.Evaluate(ds.Test[:8], 0, 1, 0)
+			return err
+		}, []string{"k = 0"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			err := c.run()

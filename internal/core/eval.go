@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/dataset"
@@ -47,11 +48,18 @@ func parallelIndexed(workers, n int, f func(w, lo, hi int)) {
 }
 
 // Evaluate computes exact (full forward) precision@1 and precision@k for
-// the requested ks over up to samples examples of test (0 = all),
-// parallelized across threads. Per-worker element states are checked out
-// of the network's default predictor pool and returned afterwards, so
-// repeated evaluations do not re-allocate inference state.
+// the requested ks (each at least 1) over up to samples examples of test
+// (0 = all), parallelized across threads. Per-worker element states are
+// checked out of the network's default predictor pool and returned
+// afterwards, so repeated evaluations do not re-allocate inference state.
 func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...int) (EvalResult, error) {
+	maxK := 1
+	for _, k := range ks {
+		if k < 1 {
+			return EvalResult{}, fmt.Errorf("core: precision@k needs k >= 1, got k = %d", k)
+		}
+		maxK = max(maxK, k)
+	}
 	if err := n.checkSplit("test", test); err != nil {
 		return EvalResult{}, err
 	}
@@ -65,12 +73,6 @@ func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...i
 	}
 	if threads > len(idx) {
 		threads = len(idx)
-	}
-	maxK := 1
-	for _, k := range ks {
-		if k > maxK {
-			maxK = k
-		}
 	}
 	pred, err := n.defaultPredictor()
 	if err != nil {
@@ -102,7 +104,7 @@ func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...i
 						hits++
 					}
 				}
-				pk[kk] += float64(hits) / float64(max(kk, 1))
+				pk[kk] += float64(hits) / float64(kk)
 			}
 		}
 		pks[w] = pk

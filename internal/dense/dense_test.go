@@ -122,6 +122,11 @@ func TestPredictAndEvaluate(t *testing.T) {
 	if math.Abs(ev.PAtK[1]-ev.P1) > 1e-9 {
 		t.Fatalf("P@1 mismatch: %v vs %v", ev.PAtK[1], ev.P1)
 	}
+	// A non-positive k is skipped, on every worker, and reads 0.
+	neg := n.Evaluate(ds.Test, 100, 4, 1, 0, -1)
+	if neg.P1 != ev.P1 || neg.PAtK[1] != ev.PAtK[1] || neg.PAtK[0] != 0 || neg.PAtK[-1] != 0 {
+		t.Fatalf("Evaluate with k 0 and -1 = %+v, want P@1 %v and zeros", neg, ev.P1)
+	}
 }
 
 func TestNumParams(t *testing.T) {

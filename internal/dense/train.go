@@ -305,7 +305,8 @@ func (n *Network) forwardOne(x sparse.Vector, scratch [][]float32) {
 	}
 }
 
-// Evaluate computes P@1 and P@k over up to samples test examples.
+// Evaluate computes P@1 and P@k over up to samples test examples; a
+// non-positive k is skipped and reads 0.
 func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...int) EvalResult {
 	if samples <= 0 {
 		samples = len(test)
@@ -340,19 +341,16 @@ func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...i
 				p1s[w]++
 			}
 			for _, kk := range ks {
-				hits := 0
-				lim := kk
-				if lim > len(top) {
-					lim = len(top)
+				if kk <= 0 {
+					continue // no precision at a non-positive k
 				}
-				for _, c := range top[:lim] {
+				hits := 0
+				for _, c := range top[:min(kk, len(top))] {
 					if containsSorted(ex.Labels, c) {
 						hits++
 					}
 				}
-				if kk > 0 {
-					pk[kk] += float64(hits) / float64(kk)
-				}
+				pk[kk] += float64(hits) / float64(kk)
 			}
 		}
 		pks[w] = pk

@@ -12,14 +12,14 @@
 //     row's columns and the present gradient values as exact fp32 — with
 //     full validation on decode: the network's layer shapes bound every
 //     id, and a NaN or ±Inf value or bias is refused.
-//   - Exchangers: core.DeltaExchanger implementations. Mesh is the
-//     in-process all-reduce for N replicas in one process (and, with one
-//     shard, a loopback measurement tap); TCPServer/TCPClient are the
-//     multi-process peer transport over length-prefixed frames, where
-//     every rank merges all ranks' parts itself.
-//   - TrainSharded: the sharded training driver — N identical replicas,
-//     round-robin data shards, per-batch delta exchange, replicas' weights
-//     in bitwise lockstep.
+//   - Exchangers: TCPServer/TCPClient, the one core.DeltaExchanger
+//     transport: peer rounds over length-prefixed frames, where every
+//     rank sends its own part to every peer and merges all ranks' parts
+//     itself, in rank order.
+//   - TrainSharded: the in-process sharded training driver — N identical
+//     replicas on round-robin data shards, connected over loopback TCP
+//     exactly as N slide-train -dist processes are, with the replicas'
+//     weights in bitwise lockstep.
 package dist
 
 import (
@@ -97,25 +97,6 @@ func (c *Codec) rowWidth(li int, ld *core.LayerDelta) int {
 	return int(c.shapes[li].width)
 }
 
-// EncodedSize returns the exact number of bytes AppendDelta would emit
-// for d — the measured per-batch communication payload, without
-// allocating the buffer. d must be well-formed.
-func (c *Codec) EncodedSize(d *core.SparseDelta) int {
-	size := len(codecMagic) + uvarintLen(uint64(len(d.Layers)))
-	for li := range d.Layers {
-		ld := &d.Layers[li]
-		size += uvarintLen(uint64(len(ld.Rows)))
-		if ld.Cols == nil {
-			size++
-		} else {
-			size += uvarintLen(uint64(len(ld.Cols))+1) + diffsLen(ld.Cols)
-		}
-		size += diffsLen(ld.Rows) + len(ld.Rows)*vecmath.MaskLen(c.rowWidth(li, ld)) + 4*vecmath.CountNonZero(ld.Vals)
-		size += uvarintLen(uint64(len(ld.Neurons))) + diffsLen(ld.Neurons) + 4*len(ld.Bias)
-	}
-	return size
-}
-
 // maxSize bounds the encoded size of d from its lengths alone, for sizing
 // the buffer once: every id at its longest, every value present.
 func (c *Codec) maxSize(d *core.SparseDelta) int {
@@ -126,18 +107,6 @@ func (c *Codec) maxSize(d *core.SparseDelta) int {
 		w := c.rowWidth(li, ld)
 		size += 3*binary.MaxVarintLen64 + id*(len(ld.Cols)+len(ld.Rows)+len(ld.Neurons)) +
 			len(ld.Rows)*(vecmath.MaskLen(w)+4*w) + 4*len(ld.Bias)
-	}
-	return size
-}
-
-// diffsLen returns the encoded size of a strictly ascending id list's
-// diff-1 uvarints.
-func diffsLen(ids []int32) int {
-	size := 0
-	prev := int32(-1)
-	for _, id := range ids {
-		size += uvarintLen(uint64(id - prev - 1))
-		prev = id
 	}
 	return size
 }
@@ -427,14 +396,4 @@ func (r *reader) uvarint() (uint64, error) {
 	}
 	r.buf = r.buf[n:]
 	return v, nil
-}
-
-// uvarintLen returns the encoded length of x.
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
 }

@@ -119,9 +119,8 @@ func deltasEqual(a, b *core.SparseDelta) bool {
 }
 
 // TestCodecRoundTripProperty: for many random deltas of every row kind,
-// encode → decode reproduces the delta exactly (zero cells as zeros),
-// EncodedSize predicts the exact buffer length, and the decoded delta
-// re-encodes to the same bytes.
+// encode → decode reproduces the delta exactly (zero cells as zeros), and
+// the decoded delta re-encodes to the same bytes.
 func TestCodecRoundTripProperty(t *testing.T) {
 	c := &Codec{shapes: rowKinds}
 	r := rand.New(rand.NewSource(41))
@@ -133,9 +132,6 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		buf, err = c.AppendDelta(buf[:0], d)
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
-		}
-		if got := c.EncodedSize(d); got != len(buf) {
-			t.Fatalf("trial %d: EncodedSize %d != encoded length %d", trial, got, len(buf))
 		}
 		scratch, err = c.DecodeDelta(scratch, buf)
 		if err != nil {
@@ -174,7 +170,11 @@ func TestCodecCompactness(t *testing.T) {
 		ld.Bias = append(ld.Bias, float32(r.NormFloat64()))
 	}
 
-	size := c.EncodedSize(d)
+	buf, err := c.AppendDelta(nil, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := len(buf)
 	cells := int(d.Cells())
 	if perCell := float64(size) / float64(cells); perCell > 8 {
 		t.Fatalf("codec spends %.2f bytes/cell, above the 8 B index+value estimate", perCell)

@@ -6,12 +6,15 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
 	"math/rand"
 	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -118,143 +121,6 @@ func TestShardExamples(t *testing.T) {
 	}
 	if got := ShardExamples(ds.Train, 0, 1); len(got) != len(ds.Train) {
 		t.Fatalf("1-shard split returned %d examples", len(got))
-	}
-}
-
-// TestMeshAllReduce: N ranks exchanging concurrently all receive the same
-// merged delta — the rank-ordered cell-wise sum — with stop propagation
-// and byte accounting.
-func TestMeshAllReduce(t *testing.T) {
-	dims := [][2]int32{{32, 64}}
-	codec := testCodec(dims...)
-	const shards = 3
-	mesh := NewMesh(shards, codec)
-	locals := make([]*core.SparseDelta, shards)
-	for i := range locals {
-		locals[i] = randomDelta(rand.New(rand.NewSource(int64(i)+20)), dims)
-	}
-
-	const rounds = 5
-	type got struct {
-		merged  [rounds]uint64 // fnv of encoded merged per round
-		stopAll [rounds]bool
-	}
-	results := make([]got, shards)
-	var wg sync.WaitGroup
-	for rank := 0; rank < shards; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ex := mesh.Rank(rank)
-			for round := 0; round < rounds; round++ {
-				stop := round == rounds-1 && rank == 1 // one rank requests a stop last round
-				merged, stopAll, err := ex.Exchange(int64(round), locals[rank], stop)
-				if err != nil {
-					t.Errorf("rank %d round %d: %v", rank, round, err)
-					return
-				}
-				buf, err := codec.AppendDelta(nil, merged)
-				if err != nil {
-					t.Errorf("rank %d round %d: encode merged: %v", rank, round, err)
-					return
-				}
-				h := fnv.New64a()
-				h.Write(buf)
-				results[rank].merged[round] = h.Sum64()
-				results[rank].stopAll[round] = stopAll
-			}
-		}(rank)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for rank := 1; rank < shards; rank++ {
-		for round := 0; round < rounds; round++ {
-			if results[rank].merged[round] != results[0].merged[round] {
-				t.Fatalf("rank %d round %d merged differs from rank 0", rank, round)
-			}
-			if results[rank].stopAll[round] != (round == rounds-1) {
-				t.Fatalf("rank %d round %d stopAll = %v", rank, round, results[rank].stopAll[round])
-			}
-		}
-	}
-
-	// A 1-shard mesh passes the local delta straight through.
-	mesh2 := NewMesh(1, codec)
-	solo, _, err := mesh2.Rank(0).Exchange(0, locals[0], false)
-	if err != nil || solo != locals[0] {
-		t.Fatalf("1-shard mesh must pass the local delta through, got %p (%v)", solo, err)
-	}
-
-	for rank, st := range mesh.Stats() {
-		if st.Rounds != rounds {
-			t.Fatalf("rank %d rounds = %d, want %d", rank, st.Rounds, rounds)
-		}
-		wantOut := int64(rounds * codec.EncodedSize(locals[rank]))
-		if st.BytesOut != wantOut {
-			t.Fatalf("rank %d BytesOut = %d, want %d", rank, st.BytesOut, wantOut)
-		}
-		if st.BytesIn <= 0 {
-			t.Fatalf("rank %d BytesIn = %d", rank, st.BytesIn)
-		}
-	}
-}
-
-// TestMeshFailUnblocks: poisoning the mesh releases a rank blocked on the
-// barrier with the failure error.
-func TestMeshFailUnblocks(t *testing.T) {
-	dims := [][2]int32{{8, 8}}
-	mesh := NewMesh(2, testCodec(dims...))
-	local := randomDelta(rand.New(rand.NewSource(1)), dims)
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := mesh.Rank(0).Exchange(0, local, false)
-		errc <- err
-	}()
-	boom := errors.New("replica died")
-	mesh.Fail(boom)
-	if err := <-errc; !errors.Is(err, boom) {
-		t.Fatalf("blocked rank returned %v, want %v", err, boom)
-	}
-	if _, _, err := mesh.Rank(1).Exchange(0, local, false); !errors.Is(err, boom) {
-		t.Fatalf("later exchange returned %v, want %v", err, boom)
-	}
-}
-
-// TestTrainShardedLoopbackMatchesPlain: the shards=1 configuration is a
-// pure measurement tap — training is bit-identical to net.Train while
-// every batch's encoded payload is priced.
-func TestTrainShardedLoopbackMatchesPlain(t *testing.T) {
-	const classes = 128
-	ds := distDataset(t, classes, 512)
-	cfg := distConfig(classes)
-	tc := core.TrainConfig{BatchSize: 32, Iterations: 15, Threads: 1, EvalEvery: 0, Seed: 9}
-
-	plain, err := core.NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.Train(ds.Train, ds.Test, tc); err != nil {
-		t.Fatal(err)
-	}
-	res, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireNetsBitIdentical(t, plain, res.Nets[0], "loopback vs plain")
-	st := res.Stats[0]
-	if st.Rounds != 15 || st.BytesOut == 0 || st.BytesOut != st.BytesIn {
-		t.Fatalf("loopback stats = %+v", st)
-	}
-	if res.Results[0].TouchedPerIter <= 0 {
-		t.Fatal("TouchedPerIter not accounted")
-	}
-	// The measured codec payload must undercut the historical 8 B/cell
-	// index+value estimate.
-	estimate := res.Results[0].TouchedPerIter * 8
-	if measured := st.BytesOutPerRound(); measured > estimate {
-		t.Fatalf("measured %0.f B/iter above the 8 B/cell estimate %0.f", measured, estimate)
 	}
 }
 
@@ -394,111 +260,44 @@ func trainWithExchanger(t *testing.T, net *core.Network, ex core.DeltaExchanger,
 	return res
 }
 
-// TestTCPShardedTrainingMatchesMesh trains the same 2-shard workload over
-// the in-process mesh and over the TCP hub transport on localhost: the
-// codec and framing must be lossless, so the final weights agree bit for
-// bit with or without overlap, and both transports leave all replicas in
-// lockstep.
-// The threads per rank must not matter either: the mesh reference runs
-// 1 thread per rank, a second mesh run and the TCP ranks run 2. Table
-// rebuilds are due in the run, and each publishes at the same step on
-// every rank however long its build takes there.
-func TestTCPShardedTrainingMatchesMesh(t *testing.T) {
-	const classes = 128
-	const iters = 12
-	ds := distDataset(t, classes, 512)
-
-	variants := []struct {
-		name   string
-		mutate func(*core.TrainConfig)
-	}{
-		{"fp32", nil},
-		{"fp32-overlap", func(tc *core.TrainConfig) { tc.OverlapExchange = true }},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			cfg := distConfig(classes)
-			cfg.RebuildN0 = 4 // kicked after batches 4, 8 and 12
-
-			// Mesh reference run, seeds matching trainWithExchanger. A
-			// mesh's Threads is the group's budget (2: one per rank, 4:
-			// two); a TCP rank's is its own.
-			withThreads := func(threads int) func(*core.TrainConfig) {
-				return func(tc *core.TrainConfig) {
-					if v.mutate != nil {
-						v.mutate(tc)
-					}
-					tc.Threads = threads
-				}
+// TestTCPShardedTrainingMatchesGolden trains the golden 2-shard workload
+// over a TCP group wired by hand (rank 0 serves, rank 1 dials, both train
+// concurrently at two threads each), with and without overlap: the codec
+// and framing are lossless, so both ranks end on the recorded hash with
+// the same tables. Each rank's measured upload, its own frame per round,
+// undercuts the historical 8 B/cell index+value estimate.
+func TestTCPShardedTrainingMatchesGolden(t *testing.T) {
+	const shards = 2
+	ds := distDataset(t, goldenClasses, 512)
+	for _, g := range shardedGoldens {
+		if g.shards != shards {
+			continue
+		}
+		t.Run(fmt.Sprintf("overlap=%v", g.overlap), func(t *testing.T) {
+			nets, exs, results := trainTCPGroup(t, ds, shards, func(tc *core.TrainConfig) {
+				tc.OverlapExchange = g.overlap
+				tc.Threads = 2
+			})
+			if results[0].Rebuilds != 3 {
+				t.Fatalf("published %d rebuilds, want 3", results[0].Rebuilds)
 			}
-			tc := core.TrainConfig{BatchSize: 16, Iterations: iters, EvalEvery: 0, Seed: 3}
-			withThreads(2)(&tc)
-			meshRes, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			withThreads(4)(&tc)
-			mesh2, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if meshRes.Results[0].Rebuilds != 3 {
-				t.Fatalf("mesh run published %d rebuilds, want 3", meshRes.Results[0].Rebuilds)
-			}
-			requireNetsBitIdentical(t, meshRes.Nets[0], mesh2.Nets[0], "mesh at 1 vs 2 threads per rank")
-
-			// TCP run: rank 0 serves, rank 1 dials, both train concurrently.
-			nets := make([]*core.Network, 2)
-			for r := range nets {
-				if nets[r], err = core.NewNetwork(cfg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			codec := NewCodec(nets[0])
-			srv, err := ListenExchanger("127.0.0.1:0", 2, codec, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			cli, err := DialExchanger(srv.Addr().String(), 1, 2, codec, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
-
-			var wg sync.WaitGroup
-			exs := []core.DeltaExchanger{srv, cli}
-			for rank := 0; rank < 2; rank++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					trainWithExchanger(t, nets[rank], exs[rank],
-						ShardExamples(ds.Train, rank, 2), ds.Test, rank, 2, iters, withThreads(2))
-				}(rank)
-			}
-			wg.Wait()
-			if t.Failed() {
-				t.FailNow()
-			}
-
 			requireNetsBitIdentical(t, nets[0], nets[1], "TCP replicas")
-			requireNetsBitIdentical(t, meshRes.Nets[0], nets[0], "mesh at 1 thread per rank vs TCP at 2")
-			requireTablesEqual(t, meshRes.Nets[0], nets[1], "mesh rank 0 vs TCP rank 1")
+			requireTablesEqual(t, nets[0], nets[1], "TCP replicas")
+			requireGolden(t, nets[0], g.want)
 
-			sst, cst := srv.Stats(), cli.Stats()
-			if sst.Rounds != iters || cst.Rounds != iters {
-				t.Fatalf("rounds: server %d client %d, want %d", sst.Rounds, cst.Rounds, iters)
+			var st [shards]ExchangeStats
+			for rank, ex := range exs {
+				st[rank] = ex.(interface{ Stats() ExchangeStats }).Stats()
+				if st[rank].Rounds != goldenIters {
+					t.Fatalf("rank %d ran %d rounds, want %d", rank, st[rank].Rounds, goldenIters)
+				}
+				estimate := results[rank].TouchedPerIter * 8
+				if measured := st[rank].BytesOutPerRound(); measured <= 0 || measured > estimate {
+					t.Fatalf("rank %d sent %.0f B/round; want (0, %.0f], the 8 B/cell estimate", rank, measured, estimate)
+				}
 			}
-			if cst.BytesOut == 0 || cst.BytesIn == 0 || sst.BytesIn != cst.BytesOut {
-				t.Fatalf("byte accounting mismatch: server %+v client %+v", sst, cst)
-			}
-			// The in-process mesh and the TCP wire must also *price* the
-			// exchange identically — dist-comm's loopback measurements stand
-			// in for real transport bytes (modulo the fixed frame header).
-			meshOut := meshRes.Stats[1].BytesOut
-			if cst.BytesOut-meshOut != int64(iters*frameHeaderLen) {
-				t.Fatalf("mesh prices rank 1's upload at %d B, TCP shipped %d B (want exactly %d header bytes apart)",
-					meshOut, cst.BytesOut, iters*frameHeaderLen)
+			if st[0].BytesIn != st[1].BytesOut || st[1].BytesIn != st[0].BytesOut {
+				t.Fatalf("byte accounting mismatch: %+v", st)
 			}
 		})
 	}
@@ -1129,40 +928,14 @@ func TestTCPSilentConnDoesNotBlockJoin(t *testing.T) {
 	}
 }
 
-// TestMeshDoubleDepositPoisons: misusing one rank from two goroutines
-// must fail the whole group loudly, not deadlock the peers silently.
-func TestMeshDoubleDepositPoisons(t *testing.T) {
-	dims := [][2]int32{{8, 8}}
-	mesh := NewMesh(2, testCodec(dims...))
-	local := randomDelta(rand.New(rand.NewSource(2)), dims)
-	r0 := mesh.Rank(0)
+// fourShards is an exchanger that reports a group of 4 and is never
+// reached: the group-size check refuses it first.
+type fourShards struct{}
 
-	first := make(chan error, 1)
-	go func() {
-		_, _, err := r0.Exchange(0, local, false)
-		first <- err
-	}()
-	// Wait until the first deposit landed, then deposit again on the
-	// same rank.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mesh.mu.Lock()
-		deposited := mesh.deposits[0] != nil
-		mesh.mu.Unlock()
-		if deposited || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, _, err := r0.Exchange(0, local, false); err == nil {
-		t.Fatal("double deposit accepted")
-	}
-	if err := <-first; err == nil {
-		t.Fatal("first deposit survived the poison")
-	}
-	if _, _, err := mesh.Rank(1).Exchange(0, local, false); err == nil {
-		t.Fatal("peer rank not released by the poison")
-	}
+func (fourShards) Shards() int { return 4 }
+
+func (fourShards) Exchange(int64, *core.SparseDelta, bool) (*core.SparseDelta, bool, error) {
+	return nil, false, errors.New("exchange reached past the group-size check")
 }
 
 // TestShardsMismatchDetected: wiring an exchanger whose group size
@@ -1177,9 +950,73 @@ func TestShardsMismatchDetected(t *testing.T) {
 	}
 	tc := core.TrainConfig{
 		BatchSize: 16, Iterations: 2, Threads: 1,
-		Exchanger: NewMesh(4, nil).Rank(0), // group of 4, Shards defaults to 1
+		Exchanger: fourShards{}, // group of 4, Shards defaults to 1
 	}
-	if _, err := net.TrainContext(context.Background(), ds.Train, ds.Test, tc); err == nil {
-		t.Fatal("Shards/exchanger group-size mismatch accepted")
+	_, err = net.TrainContext(context.Background(), ds.Train, ds.Test, tc)
+	if err == nil || !strings.Contains(err.Error(), "has 4") {
+		t.Fatalf("Shards/exchanger group-size mismatch: err %v", err)
 	}
+}
+
+// TestTrainShardedFailedReplicaFailsGroup: a replica that fails — here on
+// an out-of-range label in its shard, before its first exchange — closes
+// its exchanger, so every peer's exchange fails and TrainSharded returns
+// that replica's error within seconds instead of waiting out
+// roundTimeout. The bad example sits once on a client rank and once on
+// rank 0, whose exchanger hosts every connection.
+func TestTrainShardedFailedReplicaFailsGroup(t *testing.T) {
+	const classes, shards = 128, 3
+	ds := distDataset(t, classes, 512)
+	for _, bad := range []int{1, 0} {
+		t.Run(fmt.Sprintf("rank=%d", bad), func(t *testing.T) {
+			train := slices.Clone(ds.Train)
+			train[bad].Labels = []int32{classes} // round-robin: example r is rank r's
+			tc := core.TrainConfig{BatchSize: 16, Iterations: 1 << 20, Threads: shards, Seed: 3}
+			type outcome struct {
+				res *ShardedResult
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				res, err := TrainSharded(context.Background(), distConfig(classes), train, ds.Test, tc, shards)
+				done <- outcome{res, err}
+			}()
+			var o outcome
+			select {
+			case o = <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatalf("group still training 20 s after replica %d failed (roundTimeout is %v)", bad, roundTimeout)
+			}
+			want := fmt.Sprintf("replica %d: core: training example 0: label %d out of range", bad, classes)
+			if o.err == nil || !strings.Contains(o.err.Error(), want) {
+				t.Fatalf("err %v; want it to name %q", o.err, want)
+			}
+			for rank, r := range o.res.Results {
+				if rank == bad && r != nil {
+					t.Fatalf("failed replica %d returned a result", rank)
+				}
+				if r != nil && r.Iterations != 0 {
+					t.Fatalf("rank %d stepped %d batches past a dead peer", rank, r.Iterations)
+				}
+			}
+		})
+	}
+}
+
+// TestTCPStepMismatchFailsRound: ranks offering different steps to one
+// round — a rank driven off the shared schedule — fail that round on every
+// rank instead of merging parts of different steps.
+func TestTCPStepMismatchFailsRound(t *testing.T) {
+	dims := [][2]int32{{8, 8}}
+	codec := testCodec(dims...)
+	exs := tcpGroup(t, 2, codec)
+	local := randomDelta(rand.New(rand.NewSource(2)), dims)
+	errs := make(chan error, 2)
+	for rank, ex := range exs {
+		go func() {
+			_, _, err := ex.Exchange(int64(rank), local, false)
+			errs <- err
+		}()
+	}
+	awaitErrors(t, errs, 2, 10*time.Second, "step mismatch")
 }

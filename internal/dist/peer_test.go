@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/lsh"
 	"repro/internal/optim"
 	"repro/internal/sampling"
@@ -35,6 +35,37 @@ func tcpGroup(t *testing.T, shards int, codec *Codec) []core.DeltaExchanger {
 		exs = append(exs, cli)
 	}
 	return exs
+}
+
+// trainTCPGroup trains goldenConfig's network for goldenIters batches on
+// every rank of a hand-wired TCP group of shards ranks, concurrently, each
+// on its round-robin shard of ds, and returns the networks, exchangers and
+// results by rank.
+func trainTCPGroup(t *testing.T, ds *dataset.Dataset, shards int, mutate func(*core.TrainConfig)) ([]*core.Network, []core.DeltaExchanger, []*core.TrainResult) {
+	t.Helper()
+	nets := make([]*core.Network, shards)
+	for r := range nets {
+		var err error
+		if nets[r], err = core.NewNetwork(goldenConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exs := tcpGroup(t, shards, NewCodec(nets[0]))
+	results := make([]*core.TrainResult, shards)
+	var wg sync.WaitGroup
+	for rank := range shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[rank] = trainWithExchanger(t, nets[rank], exs[rank],
+				ShardExamples(ds.Train, rank, shards), ds.Test, rank, shards, goldenIters, mutate)
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	return nets, exs, results
 }
 
 // roundResult is one rank's outcome of a round.
@@ -71,55 +102,32 @@ func encodedMerge(t *testing.T, codec *Codec, d *core.SparseDelta) string {
 	return string(buf)
 }
 
-// TestTCPThreeShardTrainingMatchesMesh trains one 3-shard workload over
-// the mesh and over TCP, with and without overlap. Three-part float sums
-// depend on their order, so bit-identical weights on every rank pin the
-// rank-order merge through rank 0's forwarding of the clients' frames.
-func TestTCPThreeShardTrainingMatchesMesh(t *testing.T) {
-	const classes, iters, shards = 128, 10, 3
-	ds := distDataset(t, classes, 512)
-	for _, overlap := range []bool{false, true} {
-		t.Run(fmt.Sprintf("overlap=%v", overlap), func(t *testing.T) {
-			cfg := distConfig(classes)
-			mutate := func(tc *core.TrainConfig) { tc.OverlapExchange = overlap }
-			tc := core.TrainConfig{BatchSize: 16, Iterations: iters, Threads: shards, Seed: 3, OverlapExchange: overlap}
-			meshRes, err := TrainSharded(context.Background(), cfg, ds.Train, ds.Test, tc, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			nets := make([]*core.Network, shards)
-			for r := range nets {
-				if nets[r], err = core.NewNetwork(cfg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			exs := tcpGroup(t, shards, NewCodec(nets[0]))
-			var wg sync.WaitGroup
-			for rank := range shards {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					trainWithExchanger(t, nets[rank], exs[rank],
-						ShardExamples(ds.Train, rank, shards), ds.Test, rank, shards, iters, mutate)
-				}()
-			}
-			wg.Wait()
-			if t.Failed() {
-				t.FailNow()
-			}
+// TestTCPThreeShardTrainingMatchesGolden trains the golden 3-shard
+// workload over a TCP group wired by hand, with and without overlap.
+// Three-part float sums depend on their order, so the recorded hash on
+// every rank pins the rank-order merge through rank 0's forwarding of the
+// clients' frames.
+func TestTCPThreeShardTrainingMatchesGolden(t *testing.T) {
+	const shards = 3
+	ds := distDataset(t, goldenClasses, 512)
+	for _, g := range shardedGoldens {
+		if g.shards != shards {
+			continue
+		}
+		t.Run(fmt.Sprintf("overlap=%v", g.overlap), func(t *testing.T) {
+			nets, exs, _ := trainTCPGroup(t, ds, shards, func(tc *core.TrainConfig) { tc.OverlapExchange = g.overlap })
 			for rank := 1; rank < shards; rank++ {
 				requireNetsBitIdentical(t, nets[0], nets[rank], fmt.Sprintf("TCP rank 0 vs rank %d", rank))
 			}
-			requireNetsBitIdentical(t, meshRes.Nets[0], nets[0], "mesh vs TCP")
+			requireGolden(t, nets[0], g.want)
 
 			// Every frame crosses each client link once: a client writes its
 			// own and reads the other two, and rank 0 reads what they write.
 			st := make([]ExchangeStats, shards)
 			for rank, ex := range exs {
 				st[rank] = ex.(interface{ Stats() ExchangeStats }).Stats()
-				if st[rank].Rounds != iters {
-					t.Fatalf("rank %d ran %d rounds, want %d", rank, st[rank].Rounds, iters)
+				if st[rank].Rounds != goldenIters {
+					t.Fatalf("rank %d ran %d rounds, want %d", rank, st[rank].Rounds, goldenIters)
 				}
 			}
 			if st[0].BytesIn != st[1].BytesOut+st[2].BytesOut || st[1].BytesIn+st[2].BytesIn != st[0].BytesOut {
@@ -142,8 +150,8 @@ func TestTCPLargeFramesDoNotDeadlock(t *testing.T) {
 	for i := range local.Layers[0].Vals {
 		local.Layers[0].Vals[i] = float32(i%7 + 1)
 	}
-	if size := codec.EncodedSize(local); size < 16<<20 {
-		t.Fatalf("frame of %d bytes is not large", size)
+	if buf, err := codec.AppendDelta(nil, local); err != nil || len(buf) < 16<<20 {
+		t.Fatalf("frame of %d bytes is not large (%v)", len(buf), err)
 	}
 	for _, shards := range []int{2, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -172,8 +180,8 @@ func TestTCPLargeFramesDoNotDeadlock(t *testing.T) {
 }
 
 // TestMergeOverflowRefusedEverywhere: two finite parts whose sum overflows
-// to ±Inf are refused by every rank — in the mesh, which decodes nothing,
-// and over TCP at 2 and 3 shards, where each rank merges for itself.
+// to ±Inf are refused by every rank at 2 and 3 shards, where each rank
+// merges for itself.
 func TestMergeOverflowRefusedEverywhere(t *testing.T) {
 	dims := [][2]int32{{8, 16}}
 	codec := testCodec(dims...)
@@ -185,24 +193,14 @@ func TestMergeOverflowRefusedEverywhere(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		shards int
-		mesh   bool
 		locals []*core.SparseDelta
 	}{
-		{"mesh +Inf", 2, true, []*core.SparseDelta{part(math.MaxFloat32), part(math.MaxFloat32)}},
-		{"tcp2 +Inf", 2, false, []*core.SparseDelta{part(math.MaxFloat32), part(math.MaxFloat32)}},
-		{"tcp2 -Inf", 2, false, []*core.SparseDelta{part(-math.MaxFloat32), part(-math.MaxFloat32)}},
-		{"tcp3 +Inf", 3, false, []*core.SparseDelta{part(math.MaxFloat32), part(1), part(math.MaxFloat32)}},
+		{"tcp2 +Inf", 2, []*core.SparseDelta{part(math.MaxFloat32), part(math.MaxFloat32)}},
+		{"tcp2 -Inf", 2, []*core.SparseDelta{part(-math.MaxFloat32), part(-math.MaxFloat32)}},
+		{"tcp3 +Inf", 3, []*core.SparseDelta{part(math.MaxFloat32), part(1), part(math.MaxFloat32)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var exs []core.DeltaExchanger
-			if tc.mesh {
-				mesh := NewMesh(tc.shards, codec)
-				for r := range tc.shards {
-					exs = append(exs, mesh.Rank(r))
-				}
-			} else {
-				exs = tcpGroup(t, tc.shards, codec)
-			}
+			exs := tcpGroup(t, tc.shards, codec)
 			for rank, rr := range exchangeAll(exs, 0, tc.locals) {
 				if rr.err == nil || !strings.Contains(rr.err.Error(), "not finite") {
 					t.Fatalf("rank %d: merged %v, err %v; want the non-finite refusal", rank, rr.merged, rr.err)

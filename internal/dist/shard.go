@@ -72,30 +72,39 @@ func ShardTrainConfig(tc core.TrainConfig, trainLen, rank, shards int) core.Trai
 
 // ShardedResult bundles an in-process sharded run's outcome: every
 // replica's network (bit-identical weights on success), the per-replica
-// training results, and the per-rank measured exchange bytes.
+// training results, and each rank's measured socket bytes.
 type ShardedResult struct {
 	Nets    []*core.Network
 	Results []*core.TrainResult
 	Stats   []ExchangeStats
 }
 
+// rankExchanger is what both TCP ranks offer beyond core.DeltaExchanger.
+type rankExchanger interface {
+	core.DeltaExchanger
+	Stats() ExchangeStats
+	Close() error
+}
+
 // TrainSharded runs data-parallel SLIDE training with N in-process
-// replicas over an all-reduce Mesh (§6): every replica builds an
-// identical network from cfg (same seed), trains on its round-robin
-// shard of train, and merges all shards' SparseDeltas at every batch
-// boundary before the Adam step averaged over BatchSize*Shards examples.
-// On success all replicas hold bit-identical weights — the merged delta
-// is shared — so Nets[0] is the trained model.
+// replicas (§6): every replica builds an identical network from cfg (same
+// seed), trains on its round-robin shard of train, and merges all shards'
+// SparseDeltas at every batch boundary before the Adam step averaged over
+// BatchSize*Shards examples. The replicas exchange over loopback TCP,
+// wired as N slide-train -dist processes are — rank 0 listens, the others
+// dial in — so in-process and multi-process groups run the same peer
+// round and train the same bits. On success all replicas hold
+// bit-identical weights, so Nets[0] is the trained model.
 //
 // The per-replica batch size and iteration count are derived once from
-// the smallest shard so every replica runs the same schedule (a replica
-// that fell out of step would deadlock the barrier); tc.Threads of 0
-// selects GOMAXPROCS divided across the replicas. shards == 1 is the
-// loopback measurement configuration: training is bit-identical to a
-// plain net.Train run, with every batch's encoded delta size measured.
+// the smallest shard (ShardTrainConfig), so every replica runs the same
+// schedule; tc.Threads of 0 selects GOMAXPROCS divided across the
+// replicas. A replica that fails closes its exchanger, so its peers fail
+// at their next exchange instead of waiting on it; the first failure is
+// returned.
 func TrainSharded(ctx context.Context, cfg core.Config, train, test []dataset.Example, tc core.TrainConfig, shards int) (*ShardedResult, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("dist: shards must be >= 1, got %d", shards)
+	if shards < 2 {
+		return nil, fmt.Errorf("dist: sharded training needs at least 2 shards, got %d", shards)
 	}
 	if len(train) < shards {
 		return nil, fmt.Errorf("dist: %d examples cannot feed %d shards", len(train), shards)
@@ -109,14 +118,6 @@ func TrainSharded(ctx context.Context, cfg core.Config, train, test []dataset.Ex
 		}
 		nets[r] = net
 	}
-	// The mesh prices every delta with the wire codec, so in-process
-	// groups measure the bytes a TCP group would ship.
-	mesh := NewMesh(shards, NewCodec(nets[0]))
-
-	data := make([][]dataset.Example, shards)
-	for r := range data {
-		data[r] = ShardExamples(train, r, shards)
-	}
 	// The thread budget — explicit or GOMAXPROCS — is split across the
 	// in-process replicas (as the slide-train -threads flag documents):
 	// every replica training concurrently with the full budget would
@@ -125,33 +126,59 @@ func TrainSharded(ctx context.Context, cfg core.Config, train, test []dataset.Ex
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
-	threads = max(1, threads/shards)
+	tcs := make([]core.TrainConfig, shards)
+	for r := range tcs {
+		tcs[r] = ShardTrainConfig(tc, len(train), r, shards)
+		tcs[r].Threads = max(1, threads/shards)
+	}
+
+	digest := ScheduleDigest(cfg, tcs[0], tc.Seed)
+	srv, err := ListenExchanger("127.0.0.1:0", shards, NewCodec(nets[0]), digest)
+	if err != nil {
+		return nil, err
+	}
+	exs := []rankExchanger{srv}
+	defer func() {
+		for _, ex := range exs {
+			ex.Close()
+		}
+	}()
+	for r := 1; r < shards; r++ {
+		cli, err := DialExchanger(srv.Addr().String(), r, shards, NewCodec(nets[r]), digest)
+		if err != nil {
+			return nil, err
+		}
+		exs = append(exs, cli)
+	}
 
 	results := make([]*core.TrainResult, shards)
-	errs := make([]error, shards)
+	var mu sync.Mutex
+	var first error
 	var wg sync.WaitGroup
-	for r := 0; r < shards; r++ {
+	for r := range shards {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			rtc := ShardTrainConfig(tc, len(train), r, shards)
-			rtc.Threads = threads
-			rtc.Exchanger = mesh.Rank(r)
-			res, err := nets[r].TrainContext(ctx, data[r], test, rtc)
+			tcs[r].Exchanger = exs[r]
+			res, err := nets[r].TrainContext(ctx, ShardExamples(train, r, shards), test, tcs[r])
 			results[r] = res
 			if err != nil {
-				errs[r] = err
-				mesh.Fail(fmt.Errorf("dist: replica %d: %w", r, err))
+				// Peers fail only once this exchanger is closed, so the
+				// first failure recorded is the cause.
+				mu.Lock()
+				if first == nil {
+					first = fmt.Errorf("dist: replica %d: %w", r, err)
+				}
+				mu.Unlock()
+				exs[r].Close()
 			}
-		}(r)
+		}()
 	}
 	wg.Wait()
 
-	out := &ShardedResult{Nets: nets, Results: results, Stats: mesh.Stats()}
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
+	out := &ShardedResult{Nets: nets, Results: results, Stats: make([]ExchangeStats, shards)}
+	for r, ex := range exs {
+		out.Stats[r] = ex.Stats()
 	}
-	return out, nil
+	return out, first
 }

@@ -51,6 +51,33 @@ const (
 	maxFramePayload = 1 << 30
 )
 
+// ExchangeStats accounts one rank's exchange rounds and measured
+// communication: BytesOut and BytesIn are the bytes the rank wrote to and
+// read from its sockets — its own encoded delta (the §6 sparse payload)
+// to every peer, and every peer's, frame headers and rank 0's relays
+// included.
+type ExchangeStats struct {
+	Rounds   int64
+	BytesOut int64
+	BytesIn  int64
+}
+
+// BytesOutPerRound returns the mean measured upload per exchange round.
+func (s ExchangeStats) BytesOutPerRound() float64 {
+	if s.Rounds == 0 {
+		return 0
+	}
+	return float64(s.BytesOut) / float64(s.Rounds)
+}
+
+// BytesInPerRound returns the mean measured download per exchange round.
+func (s ExchangeStats) BytesInPerRound() float64 {
+	if s.Rounds == 0 {
+		return 0
+	}
+	return float64(s.BytesIn) / float64(s.Rounds)
+}
+
 // peerRound is one rank's side of the round protocol, shared by TCPServer
 // and TCPClient: its own frame, the peers' frames by rank, and the merge.
 type peerRound struct {
