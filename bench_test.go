@@ -62,9 +62,11 @@ func BenchmarkTable1DatasetGen(b *testing.B) {
 	}
 }
 
-// benchStrategy measures Fig. 4's per-query retrieval cost for one
-// sampling strategy over prebuilt (K, L) tables.
-func benchStrategy(b *testing.B, kind sampling.Kind) {
+// BenchmarkFig4SamplingVanilla regenerates the vanilla curve of Fig. 4 /
+// Fig. 12, the per-query retrieval cost over prebuilt (K, L) tables:
+// O(beta). The TopK and hard-threshold points are the sample_ns column of
+// README's App. C.1 strategy table, measured before both were deleted.
+func BenchmarkFig4SamplingVanilla(b *testing.B) {
 	const neurons, dim, k, l = 20544, 128, 6, 20
 	fam, err := lsh.New(lsh.KindSimhash, lsh.Params{Dim: dim, K: k, L: l, Seed: 1})
 	if err != nil {
@@ -86,7 +88,7 @@ func benchStrategy(b *testing.B, kind sampling.Kind) {
 	}
 	tbl.BuildParallel(neurons, rows, nf, 1)
 	codes := make([]uint32, nf)
-	strat, err := sampling.New(sampling.Params{Kind: kind, Beta: neurons / 50, MinCount: 2, Seed: 3}, neurons)
+	strat, err := sampling.New(sampling.Params{Kind: sampling.KindVanilla, Beta: neurons / 50, Seed: 3}, neurons)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,12 +103,6 @@ func benchStrategy(b *testing.B, kind sampling.Kind) {
 	}
 	_ = dst
 }
-
-// BenchmarkFig4SamplingVanilla etc. regenerate Fig. 4 / Fig. 12: vanilla
-// is O(beta), hard thresholding slightly above, topk pays the sort.
-func BenchmarkFig4SamplingVanilla(b *testing.B)       { benchStrategy(b, sampling.KindVanilla) }
-func BenchmarkFig4SamplingTopK(b *testing.B)          { benchStrategy(b, sampling.KindTopK) }
-func BenchmarkFig4SamplingHardThreshold(b *testing.B) { benchStrategy(b, sampling.KindHardThreshold) }
 
 // BenchmarkFig5SlideIteration measures SLIDE's cost per training
 // iteration — the quantity behind the red curves of Fig. 5.
@@ -218,22 +214,8 @@ func BenchmarkFig9Scalability(b *testing.B) {
 	}
 }
 
-// BenchmarkFig11Theory evaluates the closed-form hard-thresholding
-// selection probabilities plotted in Fig. 11.
-func BenchmarkFig11Theory(b *testing.B) {
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		for m := 1; m <= 9; m += 2 {
-			for p := 0.05; p <= 0.95; p += 0.05 {
-				sink += sampling.SelectionProbability(p, 1, 10, m)
-			}
-		}
-	}
-	_ = sink
-}
-
 // BenchmarkTable3Insertion measures full table construction (hash +
-// build) for both bucket policies over a neuron population.
+// build) over a neuron population.
 func BenchmarkTable3Insertion(b *testing.B) {
 	const neurons, dim, k, l = 20544, 128, 6, 20
 	fam, err := lsh.New(lsh.KindSimhash, lsh.Params{Dim: dim, K: k, L: l, Seed: 1})
@@ -249,21 +231,18 @@ func BenchmarkTable3Insertion(b *testing.B) {
 		}
 		weights[j] = row
 	}
-	for _, policy := range []hashtable.Policy{hashtable.PolicyReservoir, hashtable.PolicyFIFO} {
-		b.Run(policy.String(), func(b *testing.B) {
-			nf := fam.NumFuncs()
-			codes := make([]uint32, neurons*nf)
-			for i := 0; i < b.N; i++ {
-				tbl, err := hashtable.New(hashtable.Config{K: k, L: l, CodeBits: 1, Policy: policy, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for id := 0; id < neurons; id++ {
-					fam.HashDense(weights[id], codes[id*nf:(id+1)*nf])
-				}
-				tbl.BuildParallel(neurons, codes, nf, 1)
-			}
-		})
+	nf := fam.NumFuncs()
+	codes := make([]uint32, neurons*nf)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbl, err := hashtable.New(hashtable.Config{K: k, L: l, CodeBits: 1, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for id := 0; id < neurons; id++ {
+			fam.HashDense(weights[id], codes[id*nf:(id+1)*nf])
+		}
+		tbl.BuildParallel(neurons, codes, nf, 1)
 	}
 }
 

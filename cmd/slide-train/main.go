@@ -8,6 +8,10 @@
 //	slide-train -profile amazon -scale 0.01 -system dense
 //	slide-train -profile delicious -epochs 4 -save model.slide   # then: slide-serve -model model.slide
 //
+// The output layer retrieves its active neurons by vanilla sampling over
+// reservoir-sampled buckets, the strategy and policy that won README's
+// App. C.1 sweep; -hash, -k, -l, -rangepow and -beta shape the tables.
+//
 // Data-parallel training (§6: sparse-gradient exchange between replicas):
 //
 //	slide-train -profile delicious -shards 4                     # 4 in-process replicas on loopback TCP
@@ -53,8 +57,6 @@ func main() {
 		l         = flag.Int("l", 20, "hash tables (L)")
 		rangePow  = flag.Int("rangepow", 0, "log2 buckets per table (0 = auto: min(K × code bits, 18); a table costs 4 B per bucket plus 4 B per class)")
 		beta      = flag.Int("beta", 0, "target active neurons (0 = classes/20)")
-		strategy  = flag.String("strategy", "vanilla", "sampling: vanilla|topk|hard-threshold")
-		policy    = flag.String("policy", "reservoir", "bucket policy: reservoir|fifo")
 		lr        = flag.Float64("lr", 0.001, "Adam learning rate")
 		batch     = flag.Int("batch", 128, "batch size (per shard)")
 		epochs    = flag.Int("epochs", 3, "training epochs")
@@ -107,14 +109,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		sk, err := slide.ParseStrategy(*strategy)
-		if err != nil {
-			log.Fatal(err)
-		}
-		pk, err := slide.ParsePolicy(*policy)
-		if err != nil {
-			log.Fatal(err)
-		}
 		b := *beta
 		if b == 0 {
 			b = ds.NumClasses / 20
@@ -128,7 +122,7 @@ func main() {
 				{
 					Size: ds.NumClasses, Activation: slide.ActSoftmax,
 					Sampled: true, Hash: hk, K: *k, L: *l, RangePow: *rangePow,
-					Policy: pk, Strategy: sk, Beta: b, MinCount: 2,
+					Strategy: slide.StrategyVanilla, Beta: b,
 				},
 			},
 		}

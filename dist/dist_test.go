@@ -33,7 +33,7 @@ func testConfig(classes int) slide.Config {
 			{
 				Size: classes, Activation: slide.ActSoftmax,
 				Sampled: true, Hash: slide.HashSimhash, K: 4, L: 8,
-				Strategy: slide.StrategyTopK, Beta: 32,
+				Strategy: slide.StrategyVanilla, Beta: 32,
 			},
 		},
 	}

@@ -69,15 +69,23 @@ type LayerConfig struct {
 	Hash lsh.Kind
 	// K and L are the meta-hash length and table count (§2).
 	K, L int
-	// RangePow, BucketSize and Policy configure the tables (§3.2, §4.2);
-	// zero values select hashtable defaults.
+	// RangePow and BucketSize configure the tables (§3.2); zero values
+	// select hashtable defaults.
 	RangePow   int
 	BucketSize int
-	Policy     hashtable.Policy
-	// Strategy selects the retrieval strategy (§4.1) and Beta the target
-	// active count β_l; MinCount is hard thresholding's m.
+	// Policy is unused: buckets always replace by reservoir sampling
+	// (§4.2), the zero value and the only one Validate accepts. It exists
+	// for benchmark/probe.go and goes when a benchmark PR stops reading
+	// it.
+	Policy hashtable.Policy
+	// Strategy selects the retrieval strategy (§4.1) — vanilla sampling,
+	// or the uniform draw of the sampled softmax baseline — and Beta the
+	// target active count β_l.
 	Strategy sampling.Kind
 	Beta     int
+	// MinCount is unused: no strategy reads it. It exists because
+	// benchmark/train.go sets it and benchmark/probe.go passes it on, and
+	// goes when a benchmark PR stops doing both.
 	MinCount int
 	// SimhashDensity and BinSize forward to lsh.Params; zero selects
 	// that package's defaults.
@@ -133,6 +141,24 @@ func (c Config) withDefaults() Config {
 // hostile model header before it sizes any allocation.
 const maxShape = math.MaxInt32
 
+// A sampled layer also sizes what a model file does not carry: K·L hash
+// functions, each over the layer's fan-in, a rebuild's K·L codes per
+// staged row, and L·(2^RangePow + 1) table offsets. maxHashFuncs caps K·L
+// and maxTableOffsets caps L·2^RangePow (the automatic RangePow counted
+// at its cap, hashtable.DefaultRangePowCap), so a small hostile model
+// header cannot ask for gigabytes. At the caps the offsets take 512 MiB;
+// the largest configs in use (K = 9, L = 50 at the automatic RangePow 18)
+// stay far below both.
+const (
+	maxHashFuncs    = 1 << 12
+	maxTableOffsets = 1 << 27
+)
+
+// validate refuses, before any layer is sized, a config that cannot run
+// or whose allocations a small model file could inflate: shapes beyond
+// maxShape, and for a sampled layer an unknown kind, K·L beyond
+// maxHashFuncs (4096 hash functions) or L·2^RangePow beyond
+// maxTableOffsets (2^27 offsets).
 func (c Config) validate() error {
 	if c.InputDim <= 0 || c.InputDim > maxShape {
 		return fmt.Errorf("core: InputDim must be in [1, 2^31), got %d", c.InputDim)
@@ -171,11 +197,21 @@ func (c Config) validate() error {
 			if lc.K <= 0 || lc.L <= 0 {
 				return fmt.Errorf("core: sampled layer %d needs positive K and L, got K=%d L=%d", i, lc.K, lc.L)
 			}
-			if lc.Beta <= 0 && lc.Strategy != sampling.KindHardThreshold {
-				return fmt.Errorf("core: sampled layer %d needs positive Beta for strategy %v", i, lc.Strategy)
+			if lc.Beta <= 0 {
+				return fmt.Errorf("core: sampled layer %d needs positive Beta, got %d", i, lc.Beta)
 			}
 			if min(lc.RangePow, lc.BucketSize, lc.MinCount, lc.BinSize, lc.TopK) < 0 {
 				return fmt.Errorf("core: sampled layer %d: RangePow, BucketSize, MinCount, BinSize and TopK must not be negative", i)
+			}
+			if lc.K > maxHashFuncs/lc.L {
+				return fmt.Errorf("core: sampled layer %d: K·L = %d·%d hash functions, beyond %d", i, lc.K, lc.L, maxHashFuncs)
+			}
+			rangePow := lc.RangePow
+			if rangePow == 0 {
+				rangePow = hashtable.DefaultRangePowCap
+			}
+			if lc.L > maxTableOffsets>>rangePow {
+				return fmt.Errorf("core: sampled layer %d: L·2^RangePow = %d·2^%d table offsets, beyond 2^27", i, lc.L, rangePow)
 			}
 		}
 		in = lc.Size

@@ -67,7 +67,7 @@ func TestGradientCheck(t *testing.T) {
 	}
 
 	// Extract the analytic gradient of one element once.
-	trainElem(n, st, 0, x, labels)
+	trainElem(n, st, 0, 0, 0, x, labels)
 	d := n.ExtractDelta(nil, 1)
 	grad := deltaCells(n, d)
 
@@ -375,10 +375,10 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("negative BinSize accepted")
 	}
 	// Kinds that cannot run are refused before anything is allocated: the
-	// removed hash families 1 and 3, and unknown families, strategies and
-	// policies.
+	// removed hash families 1 and 3, the removed strategies 1 (TopK) and 2
+	// (hard thresholding), the removed policy 1 (FIFO), and unknown ones.
 	for _, bad := range []LayerConfig{
-		{Hash: 1}, {Hash: 3}, {Hash: 9}, {Strategy: 9}, {Policy: 9},
+		{Hash: 1}, {Hash: 3}, {Hash: 9}, {Strategy: 1}, {Strategy: 2}, {Strategy: 9}, {Policy: 1}, {Policy: 9},
 	} {
 		bad.Size, bad.Sampled, bad.K, bad.L, bad.Beta = 8, true, 2, 2, 2
 		if _, err := NewNetwork(Config{InputDim: 4, Layers: []LayerConfig{bad}}); err == nil {
@@ -502,14 +502,44 @@ func TestAllHashFamiliesTrain(t *testing.T) {
 	}
 }
 
+// TestValidateSampledLayerCaps pins the edges of the caps on what a
+// sampled layer sizes beyond its weights: K·L ≤ 4096 hash functions and
+// L·2^RangePow ≤ 2^27 table offsets, with the automatic RangePow counted
+// at 18. The largest configs in use, K = 9 and L = 50 at the automatic
+// RangePow, pass. Only validate runs, so nothing is sized.
+func TestValidateSampledLayerCaps(t *testing.T) {
+	for _, tc := range []struct {
+		k, l, rangePow int
+		ok             bool
+	}{
+		{9, 50, 0, true},
+		{8, 512, 0, true},
+		{64, 64, 10, true},
+		{4096, 1, 0, true},
+		{4097, 1, 0, false},
+		{1, 4097, 10, false},
+		{2, 513, 0, false},
+		{2, 1, 27, true},
+		{2, 2, 27, false},
+		{2, 1, 28, false},
+	} {
+		cfg := Config{InputDim: 4, Layers: []LayerConfig{{
+			Size: 8, Activation: ActSoftmax, Sampled: true, Hash: lsh.KindSimhash,
+			K: tc.k, L: tc.l, RangePow: tc.rangePow, Beta: 2,
+		}}}
+		if err := cfg.withDefaults().validate(); (err == nil) != tc.ok {
+			t.Errorf("K=%d L=%d RangePow=%d: validate = %v, want accepted %v", tc.k, tc.l, tc.rangePow, err, tc.ok)
+		}
+	}
+}
+
 // TestStrategiesTrain: all retrieval strategies must drive learning.
 func TestStrategiesTrain(t *testing.T) {
 	classes := 128
 	ds := tinyDataset(t, classes)
-	for _, strat := range []sampling.Kind{sampling.KindVanilla, sampling.KindTopK, sampling.KindHardThreshold, sampling.KindRandom} {
+	for _, strat := range []sampling.Kind{sampling.KindVanilla, sampling.KindRandom} {
 		cfg := tinyConfig(classes)
 		cfg.Layers[1].Strategy = strat
-		cfg.Layers[1].MinCount = 2
 		n, err := NewNetwork(cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
@@ -518,7 +548,7 @@ func TestStrategiesTrain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}
-		if res.FinalAcc == 0 && strat != sampling.KindHardThreshold {
+		if res.FinalAcc == 0 {
 			t.Errorf("%v: zero accuracy", strat)
 		}
 	}

@@ -44,32 +44,33 @@ func deltaTestConfig(classes int) Config {
 			{
 				Size: classes, Activation: ActSoftmax,
 				Sampled: true, Hash: lsh.KindSimhash, K: 5, L: 16,
-				// TopK retrieval is deterministic in (input, tables,
-				// weights), which keeps hand-driven batches comparable
-				// without aligning RNG stream positions.
-				Strategy: sampling.KindTopK, Beta: 48,
+				Strategy: sampling.KindVanilla, Beta: 48,
 			},
 		},
 	}
 }
 
 // trainElem runs one element's forward and backward pass into batch
-// position k's record, as a training worker does, and returns the record.
-func trainElem(n *Network, st *elemState, k int, x sparse.Vector, labels []int32) *elemRecord {
+// position k's record, reseeded as Train's workers reseed position k of
+// step under run seed, and returns the record. Retrieval then draws what
+// it draws in Train, whichever state runs the element.
+func trainElem(n *Network, st *elemState, seed uint64, step int64, k int, x sparse.Vector, labels []int32) *elemRecord {
 	n.ensureRecords(k + 1)
 	rec := n.records[k]
+	st.reseed(trainSeed(seed, step, k))
 	rec.x = x
 	n.forward(st, rec.layers, x, labels, modeTrain)
 	n.backwardElem(st, rec, labels)
 	return rec
 }
 
-// runManualBatch drives one batch's forward/backward sequentially on a
-// single element state — a deterministic miniature of the training loop's
-// element phase, leaving the gradient in the records for an update.
-func runManualBatch(n *Network, st *elemState, batch []dataset.Example) {
+// runManualBatch drives batch positions first.. of step 0 under run seed
+// 0 sequentially on a single element state — a deterministic miniature
+// of the training loop's element phase, leaving the gradient in the
+// records for an update.
+func runManualBatch(n *Network, st *elemState, first int, batch []dataset.Example) {
 	for i := range batch {
-		trainElem(n, st, i, batch[i].Features, batch[i].Labels)
+		trainElem(n, st, 0, 0, first+i, batch[i].Features, batch[i].Labels)
 	}
 }
 
@@ -123,7 +124,7 @@ func TestExtractDeltaDrainsBuffers(t *testing.T) {
 	ds := deltaTestDataset(t, classes)
 	n := mustNet(t, deltaTestConfig(classes))
 	st := mustState(t, n, 5)
-	runManualBatch(n, st, ds.Train[:16])
+	runManualBatch(n, st, 0, ds.Train[:16])
 
 	d := n.ExtractDelta(nil, 2)
 	if d.Cells() == 0 {
@@ -373,11 +374,13 @@ func TestDeltaMergeMatchesCombinedBatch(t *testing.T) {
 	const batchSize = 16
 	batch := ds.Train[:batchSize]
 
-	runManualBatch(full, mustState(t, full, 3), batch)
+	runManualBatch(full, mustState(t, full, 3), 0, batch)
 	dFull := full.ExtractDelta(nil, 3)
-	runManualBatch(shardA, mustState(t, shardA, 3), batch[:batchSize/2])
+	runManualBatch(shardA, mustState(t, shardA, 3), 0, batch[:batchSize/2])
 	dA := shardA.ExtractDelta(nil, 3).Clone()
-	runManualBatch(shardB, mustState(t, shardB, 3), batch[batchSize/2:])
+	// Shard B runs the second half at the positions the full batch ran
+	// it, so its elements retrieve the same active sets.
+	runManualBatch(shardB, mustState(t, shardB, 3), batchSize/2, batch[batchSize/2:])
 	dB := shardB.ExtractDelta(nil, 3)
 
 	merged, err := MergeDeltas(nil, []*SparseDelta{dA, dB})

@@ -63,7 +63,13 @@ func (n *Network) SaveModel(w io.Writer) error {
 // for the weights its validated config declares is refused before any
 // layer is sized.
 func LoadModel(r io.Reader) (*Network, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	// A file that tells its size reads through a buffer no larger than
+	// itself, so refusing a small file allocates next to nothing.
+	bufSize := 1 << 20
+	if left, ok := remaining(r); ok && left < int64(bufSize) {
+		bufSize = int(left) // bufio raises it to its minimum
+	}
+	br := bufio.NewReaderSize(r, bufSize)
 	var hdr [12]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("core: reading model header: %w", err)
@@ -87,8 +93,10 @@ func LoadModel(r io.Reader) (*Network, error) {
 	if err := cfg.withDefaults().validate(); err != nil {
 		return nil, fmt.Errorf("core: reconstructing network from model config: %w", err)
 	}
-	if left, ok := unread(r, br); ok && left < weightBytes(cfg) {
-		return nil, fmt.Errorf("core: model config declares %d bytes of weights, the file holds %d", weightBytes(cfg), left)
+	if left, ok := remaining(r); ok {
+		if left += int64(br.Buffered()); left < weightBytes(cfg) {
+			return nil, fmt.Errorf("core: model config declares %d bytes of weights, the file holds %d", weightBytes(cfg), left)
+		}
 	}
 	n, err := newNetwork(cfg, false)
 	if err != nil {
@@ -115,17 +123,17 @@ func weightBytes(cfg Config) (total int64) {
 	return total
 }
 
-// unread reports how many bytes of the file br has not yet returned, when
-// r can tell: an in-memory reader's Len, or a regular file's size past its
+// remaining reports how many bytes r has left to return, when it can
+// tell: an in-memory reader's Len, or a regular file's size past its
 // offset.
-func unread(r io.Reader, br *bufio.Reader) (int64, bool) {
+func remaining(r io.Reader) (int64, bool) {
 	switch r := r.(type) {
 	case interface{ Len() int }:
-		return int64(r.Len() + br.Buffered()), true
+		return int64(r.Len()), true
 	case *os.File:
 		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
 			if off, err := r.Seek(0, io.SeekCurrent); err == nil {
-				return fi.Size() - off + int64(br.Buffered()), true
+				return fi.Size() - off, true
 			}
 		}
 	}

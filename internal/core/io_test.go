@@ -39,8 +39,10 @@ func v2File(cfgJSON string, layers [][3]uint32) []byte {
 // key ignored; an unknown activation is an error rather than a network
 // that applies no non-linearity, a shape int32 indices cannot address is
 // an error before any weight memory is sized for it, and so are a rebuild
-// schedule with a negative N0 or a λ beyond float64 and Adam
-// hyperparameters that cannot train.
+// schedule with a negative N0 or a λ beyond float64, Adam
+// hyperparameters that cannot train, a kind that cannot run and a
+// sampled layer sizing more hash functions or table offsets than
+// validate allows.
 func TestLoadModelValidatesConfig(t *testing.T) {
 	file := func(act int, extra string) []byte {
 		cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":4,"Activation":%d},{"Size":3,"Activation":1}]%s}`, act, extra)
@@ -83,18 +85,67 @@ func TestLoadModelValidatesConfig(t *testing.T) {
 		})
 	}
 	// A sampled layer naming a kind that cannot run — a removed hash
-	// family (1 and 3), an unknown one, strategy or policy — is refused by
-	// name from the header alone, before any layer is allocated or any
-	// weight read.
+	// family (1 and 3), strategy (1 TopK, 2 hard thresholding) or policy
+	// (1 FIFO), or an unknown one — is refused by name from the header
+	// alone, before any layer is allocated or any weight read.
 	for _, tc := range []struct{ field, want string }{
 		{`"Hash":1`, "Kind(1)"}, {`"Hash":3`, "Kind(3)"}, {`"Hash":9`, "Kind(9)"},
-		{`"Strategy":9`, "Kind(9)"}, {`"Policy":9`, "Policy(9)"},
+		{`"Strategy":1`, "Kind(1)"}, {`"Strategy":2`, "Kind(2)"}, {`"Strategy":9`, "Kind(9)"},
+		{`"Policy":1`, "Policy(1)"}, {`"Policy":9`, "Policy(9)"},
 	} {
-		data := v2File(`{"InputDim":4,"Layers":[{"Size":8,"Activation":1,"Sampled":true,`+tc.field+`,"K":2,"L":2,"Beta":2}]}`, nil)
-		if _, err := LoadModel(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: LoadModel error %v, want one naming %s", tc.field, err, tc.want)
+		t.Run(tc.field, func(t *testing.T) {
+			data := v2File(`{"InputDim":4,"Layers":[{"Size":8,"Activation":1,"Sampled":true,`+tc.field+`,"K":2,"L":2,"Beta":2}]}`, nil)
+			if _, err := LoadModel(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("LoadModel error %v, want one naming %s", err, tc.want)
+			}
+		})
+	}
+	// A file of a few hundred bytes, whole weights included, whose K, L
+	// or RangePow would size gigabytes of hash functions or table offsets
+	// is refused by field, on both families, having allocated almost
+	// nothing.
+	for _, tc := range hostileTableFiles() {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := LoadModel(bytes.NewReader(tc.data))
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("LoadModel error %v, want one naming %s", err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+				t.Errorf("refusing the file allocated %d bytes, want < 1 MiB", grew)
+			}
+		})
+	}
+}
+
+type hostileFile struct {
+	name, want string
+	data       []byte
+}
+
+// hostileTableFiles are 8×8 sampled-layer model files, weights included,
+// whose config asks for more hash functions (K·L) or table offsets
+// (L·2^RangePow) than validate allows — before validate bounded them,
+// each died out of memory — with the field each refusal must name.
+func hostileTableFiles() []hostileFile {
+	var files []hostileFile
+	for _, hash := range []lsh.Kind{lsh.KindSimhash, lsh.KindDWTA} {
+		for _, tc := range []struct{ shape, want string }{
+			{`"K":100000000,"L":1`, "K·L"},
+			{`"K":1000000,"L":1`, "K·L"},
+			{`"K":2,"L":100000000`, "K·L"},
+			{`"K":2,"L":3,"RangePow":26`, "RangePow"},
+			{`"K":2,"L":3,"RangePow":28`, "RangePow"},
+		} {
+			cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":8,"Activation":1,"Sampled":true,"Hash":%d,%s,"Beta":2}]}`, hash, tc.shape)
+			files = append(files, hostileFile{
+				fmt.Sprintf("%v %s", hash, tc.shape), tc.want, v2File(cfg, [][3]uint32{{8, 8, uint32(ActSoftmax)}}),
+			})
 		}
 	}
+	return files
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -324,10 +375,16 @@ func FuzzLoadModel(f *testing.F) {
 	f.Add(buf.Bytes()[:layer0+4*(2*codecBlock*37+50)])
 	f.Add(v2File(`{"InputDim":1048576,"Layers":[{"Size":1048576,"Activation":1}]}`, nil))
 	f.Add(v2File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,"Hash":2,"K":2,"L":3,"RangePow":3,"Beta":6,"BinSize":-1}]}`, [][3]uint32{{30, 20, 1}}))
-	// Kinds that cannot run: the removed hash families 1 and 3, an unknown
-	// strategy and an unknown policy, each with whole weights.
-	for _, field := range []string{`"Hash":1`, `"Hash":3`, `"Strategy":9`, `"Policy":9`} {
+	// Kinds that cannot run: the removed hash families 1 and 3, the
+	// removed strategies 1 and 2 and policy 1, and an unknown strategy and
+	// policy, each with whole weights.
+	for _, field := range []string{`"Hash":1`, `"Hash":3`, `"Strategy":1`, `"Strategy":2`, `"Strategy":9`, `"Policy":1`, `"Policy":9`} {
 		f.Add(v2File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,`+field+`,"K":2,"L":3,"RangePow":3,"Beta":6}]}`, [][3]uint32{{30, 20, 1}}))
+	}
+	// Hash functions or table offsets a small file cannot be allowed to
+	// size.
+	for _, tc := range hostileTableFiles() {
+		f.Add(tc.data)
 	}
 	f.Add(append([]byte(modelMagic), 0xff, 0xff, 0xff, 0xff))
 	f.Fuzz(func(t *testing.T, data []byte) {

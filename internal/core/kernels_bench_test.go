@@ -89,7 +89,7 @@ func BenchmarkForwardLayer0(b *testing.B) {
 func BenchmarkBackwardElemKernel(b *testing.B) {
 	n, st, train := benchKernelNet(b)
 	ex := &train[0]
-	rec := trainElem(n, st, 0, ex.Features, ex.Labels)
+	rec := trainElem(n, st, 0, 0, 0, ex.Features, ex.Labels)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.backwardElem(st, rec, ex.Labels)

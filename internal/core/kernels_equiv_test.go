@@ -171,7 +171,7 @@ func TestKernelBackwardEquivalence(t *testing.T) {
 			ref := newDenseGrad(n)
 			labels := []int32{2, 9}
 			for xi, x := range equivInputs(cfg.InputDim) {
-				ref.addRecord(trainElem(n, st, 0, x, labels))
+				ref.addRecord(trainElem(n, st, 0, 0, 0, x, labels))
 				got := n.ExtractDelta(nil, 1)
 				if got.Cells() == 0 {
 					t.Fatalf("input %d: empty delta", xi)

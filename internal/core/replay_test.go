@@ -154,7 +154,7 @@ func TestReplayMatchesReference(t *testing.T) {
 			for b := 0; b < 3; b++ {
 				batch := ds.Train[b*batchSize : (b+1)*batchSize]
 				for i := range batch {
-					ref.addRecord(trainElem(n, st, i, batch[i].Features, batch[i].Labels))
+					ref.addRecord(trainElem(n, st, 0, int64(b), i, batch[i].Features, batch[i].Labels))
 				}
 				got := n.ExtractDelta(nil, workers)
 				if got.Cells() == 0 {

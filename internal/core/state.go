@@ -150,7 +150,6 @@ func newElemState(n *Network, seed uint64, w int) (*elemState, error) {
 		strat, err := sampling.New(sampling.Params{
 			Kind:     l.cfg.Strategy,
 			Beta:     l.cfg.Beta,
-			MinCount: l.cfg.MinCount,
 			Universe: l.out,
 			Seed:     seed ^ uint64(li)*layerSeedMix ^ uint64(w)*workerSeedMix,
 		}, l.out)

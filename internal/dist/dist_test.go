@@ -57,7 +57,7 @@ func distConfig(classes int) core.Config {
 			{
 				Size: classes, Activation: core.ActSoftmax,
 				Sampled: true, Hash: lsh.KindSimhash, K: 5, L: 16,
-				Strategy: sampling.KindTopK, Beta: 48,
+				Strategy: sampling.KindVanilla, Beta: 48,
 			},
 		},
 	}

@@ -12,17 +12,19 @@ import (
 
 // shardedGoldens are FNV-64a hashes of rank 0's SaveModel after
 // goldenConfig's run, recorded on amd64 (see core's TestTrainingGoldenHash)
-// over the in-process barrier that TrainSharded ran before it moved onto
-// the TCP peer round: the transport may not move a bit.
+// over the TCP peer round. They were first recorded over the in-process
+// barrier TrainSharded ran before it moved onto TCP, with TopK retrieval;
+// when TopK was deleted they were re-recorded with vanilla retrieval on
+// the tree before the deletion.
 var shardedGoldens = []struct {
 	shards  int
 	overlap bool
 	want    uint64
 }{
-	{2, false, 0xd567ca4e1a8e5723},
-	{2, true, 0x9afb3a2af98cad55},
-	{3, false, 0x9feafe46ac77731c},
-	{3, true, 0x00ed669ff0de5e43},
+	{2, false, 0xdfcb76a8fd6f00de},
+	{2, true, 0x38f6a7aa913bd505},
+	{3, false, 0x1dcd16e5e6bab364},
+	{3, true, 0x7a66462e75a0953d},
 }
 
 const goldenClasses, goldenIters = 128, 12

@@ -261,7 +261,7 @@ func TestRawLocalMergeMatchesDecoded(t *testing.T) {
 	wide := core.Config{ // a sampled first layer: column-union rows
 		InputDim: testFeatureDim, Seed: 5, Adam: optim.NewAdam(1e-3),
 		Layers: []core.LayerConfig{
-			{Size: 24, Activation: core.ActReLU, Sampled: true, Hash: lsh.KindSimhash, K: 3, L: 4, Strategy: sampling.KindTopK, Beta: 8},
+			{Size: 24, Activation: core.ActReLU, Sampled: true, Hash: lsh.KindSimhash, K: 3, L: 4, Strategy: sampling.KindVanilla, Beta: 8},
 			{Size: 13, Activation: core.ActSoftmax},
 		},
 	}

@@ -13,9 +13,9 @@ import (
 // table ti will fill. Pass 2 (Place, over tables) counting-sorts each
 // table; an id that overflows its bucket replays the insertion rule
 // exactly (Vitter's algorithm R drawing Intn(seen) from the table's
-// generation stream, only on overflow and in id order; FIFO writing slot
-// (seen-1) % BucketSize). The result depends only on (config, gen,
-// codes), not on the workers or how pass 1 splits its rows.
+// generation stream, only on overflow and in id order). The result
+// depends only on (config, gen, codes), not on the workers or how pass 1
+// splits its rows.
 
 // Begin starts a build of rows ids, sizing the id array for pass 1. The
 // set must not be queried until Place returns.
@@ -83,13 +83,8 @@ func (t *Table) place(ti int, cnt, out []uint32) {
 			out[offs[b]+seen-1] = uint32(id)
 			continue
 		}
-		switch t.cfg.Policy {
-		case PolicyReservoir:
-			if j := res.Intn(int(seen)); j < int(bs) {
-				out[offs[b]+uint32(j)] = uint32(id)
-			}
-		case PolicyFIFO:
-			out[offs[b]+(seen-1)%bs] = uint32(id)
+		if j := res.Intn(int(seen)); j < int(bs) {
+			out[offs[b]+uint32(j)] = uint32(id)
 		}
 	}
 	copy(addr, out[:end])

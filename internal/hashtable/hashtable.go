@@ -4,9 +4,11 @@
 // stored in CSR layout and built whole in two passes (see Table, build.go).
 //
 // Bucket capacity is limited (the paper: "the number of entries is limited
-// to a fixed bucket size" to bound memory and balance thread load), with
-// two full-bucket replacement policies from §4.2: Vitter reservoir sampling
-// (which preserves the adaptive sampling property) and FIFO.
+// to a fixed bucket size" to bound memory and balance thread load), and a
+// full bucket replaces by Vitter reservoir sampling (§4.2), which
+// preserves the adaptive sampling property. FIFO, §4.2's other policy,
+// keeps each overflowing bucket's highest ids when a build inserts in id
+// order, and never beat reservoir in README's App. C.1 sweep.
 //
 // Addressing: when the K codes of a table pack into at most RangePow bits
 // they are concatenated directly (as in the reference C++ implementation);
@@ -21,43 +23,25 @@ import (
 )
 
 // Policy selects the replacement strategy applied when inserting into a
-// full bucket.
+// full bucket. Policies are stored as integers in model files: 1 was FIFO,
+// deleted after the App. C.1 sweep, and Validate refuses it.
 type Policy int
 
-const (
-	// PolicyReservoir keeps a uniform sample of all ids ever inserted
-	// (Vitter's algorithm R), preserving LSH's adaptive sampling property.
-	PolicyReservoir Policy = iota
-	// PolicyFIFO overwrites the oldest entry (ring buffer).
-	PolicyFIFO
-)
+// PolicyReservoir keeps a uniform sample of all ids ever inserted
+// (Vitter's algorithm R), preserving LSH's adaptive sampling property.
+const PolicyReservoir Policy = 0
 
 // String returns the configuration name of the policy.
 func (p Policy) String() string {
-	switch p {
-	case PolicyReservoir:
+	if p == PolicyReservoir {
 		return "reservoir"
-	case PolicyFIFO:
-		return "fifo"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
 	}
+	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// ParsePolicy converts a configuration name into a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "reservoir":
-		return PolicyReservoir, nil
-	case "fifo":
-		return PolicyFIFO, nil
-	}
-	return 0, fmt.Errorf("hashtable: unknown policy %q", s)
-}
-
-// Validate returns an error naming p unless it is one of the policies.
+// Validate returns an error naming p unless it is PolicyReservoir.
 func (p Policy) Validate() error {
-	if p != PolicyReservoir && p != PolicyFIFO {
+	if p != PolicyReservoir {
 		return fmt.Errorf("hashtable: unknown policy %v", p)
 	}
 	return nil
@@ -78,7 +62,8 @@ type Config struct {
 	RangePow int
 	// BucketSize is the fixed bucket capacity. Zero selects 128.
 	BucketSize int
-	// Policy is the full-bucket replacement policy.
+	// Policy is the full-bucket replacement policy; PolicyReservoir is
+	// the only one. It exists because benchmark/probe.go sets it.
 	Policy Policy
 	// Seed drives the mixing hash and reservoir randomness.
 	Seed uint64

@@ -99,16 +99,6 @@ func TestBucketCapacityLimit(t *testing.T) {
 	}
 }
 
-func TestFIFOReplacement(t *testing.T) {
-	tbl := mkTable(t, Config{K: 1, L: 1, CodeBits: 1, BucketSize: 4, Policy: PolicyFIFO, Seed: 1})
-	codes := []uint32{0}
-	tbl.BuildParallel(10, sameCodes(10, codes), 1, 1)
-	// Ring buffer after 10 inserts with cap 4: slots hold 8, 9, 6, 7.
-	if got := tbl.Bucket(0, codes); !slices.Equal(got, []uint32{8, 9, 6, 7}) {
-		t.Fatalf("FIFO kept %v, want the 4 most recent in ring order [8 9 6 7]", got)
-	}
-}
-
 // TestReservoirUniformity: after N ≫ cap insertions, every inserted id
 // should survive with probability cap/N (Vitter's algorithm R invariant).
 func TestReservoirUniformity(t *testing.T) {
@@ -169,8 +159,8 @@ func TestBuildRejectsBadShapes(t *testing.T) {
 // referenceBuild is the naive per-bucket builder the two-pass CSR build
 // must reproduce: ids in ascending order are appended to their bucket
 // until it is full, then replaced by Vitter's algorithm R (one draw of the
-// table's generation stream per overflowing id) or FIFO. The buckets are
-// then packed into a Table for Equal.
+// table's generation stream per overflowing id). The buckets are then
+// packed into a Table for Equal.
 func referenceBuild(base *Table, gen uint64, n int, codes []uint32, stride int) *Table {
 	cfg := base.Config()
 	ref := base.Shadow(gen)
@@ -183,15 +173,10 @@ func referenceBuild(base *Table, gen uint64, n int, codes []uint32, stride int) 
 		for id := 0; id < n; id++ {
 			b := ref.Address(ti, codes[id*stride:(id+1)*stride])
 			seen[b]++
-			switch {
-			case len(buckets[b]) < cfg.BucketSize:
+			if len(buckets[b]) < cfg.BucketSize {
 				buckets[b] = append(buckets[b], uint32(id))
-			case cfg.Policy == PolicyReservoir:
-				if j := res.Intn(seen[b]); j < cfg.BucketSize {
-					buckets[b][j] = uint32(id)
-				}
-			default:
-				buckets[b][(seen[b]-1)%cfg.BucketSize] = uint32(id)
+			} else if j := res.Intn(seen[b]); j < cfg.BucketSize {
+				buckets[b][j] = uint32(id)
 			}
 		}
 		pos := ti * n
@@ -207,8 +192,7 @@ func referenceBuild(base *Table, gen uint64, n int, codes []uint32, stride int) 
 
 // TestBuildMatchesReference: the two-pass build equals the naive
 // per-bucket builder, bucket contents and order, for every bucket size
-// (1 and 2 overflow nearly every bucket, 128 almost none), both policies,
-// packed and mixed addressing, several generations, any worker count, and
+// (1 and 2 overflow nearly every bucket, 128 almost none), packed and mixed addressing, several generations, any worker count, and
 // pass 1 split over consecutive row ranges.
 func TestBuildMatchesReference(t *testing.T) {
 	const n = 700
@@ -225,25 +209,23 @@ func TestBuildMatchesReference(t *testing.T) {
 		stride := sh.k*sh.l + 3 // rows may carry trailing codes
 		codes := randCodes(r, stride, n, sh.bits)
 		for _, bs := range []int{1, 2, 4, 128} {
-			for _, pol := range []Policy{PolicyReservoir, PolicyFIFO} {
-				base := mkTable(t, Config{K: sh.k, L: sh.l, CodeBits: sh.bits, RangePow: sh.r, BucketSize: bs, Policy: pol, Seed: 5})
-				for _, gen := range []uint64{0, 7, 8} {
-					ref := referenceBuild(base, gen, n, codes, stride)
-					for workers := 1; workers <= 4; workers++ {
-						got := base.Shadow(gen)
-						got.BuildParallel(n, codes, stride, workers)
-						if !got.Equal(ref) {
-							t.Fatalf("%s BucketSize %d %v gen %d workers %d: build differs from the reference", sh.name, bs, pol, gen, workers)
-						}
-						split := base.Shadow(gen)
-						split.Begin(n)
-						cut := n * workers / 5
-						split.AddressRows(0, cut, codes, stride)
-						split.AddressRows(cut, n-cut, codes[cut*stride:], stride)
-						split.Place(workers)
-						if !split.Equal(ref) {
-							t.Fatalf("%s BucketSize %d %v gen %d: build split at row %d differs from the reference", sh.name, bs, pol, gen, cut)
-						}
+			base := mkTable(t, Config{K: sh.k, L: sh.l, CodeBits: sh.bits, RangePow: sh.r, BucketSize: bs, Seed: 5})
+			for _, gen := range []uint64{0, 7, 8} {
+				ref := referenceBuild(base, gen, n, codes, stride)
+				for workers := 1; workers <= 4; workers++ {
+					got := base.Shadow(gen)
+					got.BuildParallel(n, codes, stride, workers)
+					if !got.Equal(ref) {
+						t.Fatalf("%s BucketSize %d gen %d workers %d: build differs from the reference", sh.name, bs, gen, workers)
+					}
+					split := base.Shadow(gen)
+					split.Begin(n)
+					cut := n * workers / 5
+					split.AddressRows(0, cut, codes, stride)
+					split.AddressRows(cut, n-cut, codes[cut*stride:], stride)
+					split.Place(workers)
+					if !split.Equal(ref) {
+						t.Fatalf("%s BucketSize %d gen %d: build split at row %d differs from the reference", sh.name, bs, gen, cut)
 					}
 				}
 			}
@@ -279,6 +261,7 @@ func TestConfigValidation(t *testing.T) {
 		{K: 1, L: 1, CodeBits: 33},
 		{K: 1, L: 1, CodeBits: 1, RangePow: 29},
 		{K: 1, L: 1, CodeBits: 1, BucketSize: -1},
+		{K: 1, L: 1, CodeBits: 1, Policy: 1}, // FIFO, deleted
 		{K: 1, L: 1, CodeBits: 1, Policy: 9},
 	}
 	for i, cfg := range bad {
@@ -297,18 +280,6 @@ func TestDefaultRangePow(t *testing.T) {
 	tbl = mkTable(t, Config{K: 8, L: 1, CodeBits: 8, Seed: 1})
 	if tbl.NumBuckets() != 1<<DefaultRangePowCap {
 		t.Fatalf("wide codes should cap at 2^%d buckets, got %d", DefaultRangePowCap, tbl.NumBuckets())
-	}
-}
-
-func TestParsePolicyRoundTrip(t *testing.T) {
-	for _, p := range []Policy{PolicyReservoir, PolicyFIFO} {
-		got, err := ParsePolicy(p.String())
-		if err != nil || got != p {
-			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePolicy("nope"); err == nil {
-		t.Error("ParsePolicy accepted garbage")
 	}
 }
 

@@ -1,35 +1,31 @@
-// Package sampling implements SLIDE's active-neuron retrieval strategies
-// over LSH tables (§4.1, App. B): Vanilla sampling, TopK sampling and Hard
-// Thresholding, plus the static Random strategy that models the sampled
-// softmax baseline (§5.1). It also provides the closed-form selection
-// probability functions behind Fig. 11.
+// Package sampling implements SLIDE's active-neuron retrieval over LSH
+// tables: Vanilla sampling (§4.1, App. B), the paper's recommended
+// default, plus the static Random strategy that models the sampled
+// softmax baseline (§5.1). Vanilla is the only table-driven strategy
+// because it reached the target accuracy first and finished highest in
+// README's App. C.1 sweep ("Sampling strategies and bucket policies"),
+// against TopK and hard thresholding.
 package sampling
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/hashtable"
 	"repro/internal/rng"
 )
 
-// Kind names a retrieval strategy for configuration.
+// Kind names a retrieval strategy for configuration. Kinds are stored as
+// integers in model files, so the values are fixed: 1 and 2 were TopK and
+// hard thresholding, and Validate refuses them.
 type Kind int
 
 const (
 	// KindVanilla probes random tables until the target count is reached
 	// (O(beta) time; the paper's recommended default).
-	KindVanilla Kind = iota
-	// KindTopK aggregates all L buckets and keeps the beta most frequent
-	// ids (highest quality, O(n log n) sorting cost).
-	KindTopK
-	// KindHardThreshold keeps ids that occur in at least MinCount buckets
-	// (TopK quality without the sort).
-	KindHardThreshold
+	KindVanilla Kind = 0
 	// KindRandom ignores the tables and samples ids uniformly — the
 	// static, input-independent sampling of sampled softmax.
-	KindRandom
+	KindRandom Kind = 3
 )
 
 // String returns the configuration name of the kind.
@@ -37,10 +33,6 @@ func (k Kind) String() string {
 	switch k {
 	case KindVanilla:
 		return "vanilla"
-	case KindTopK:
-		return "topk"
-	case KindHardThreshold:
-		return "hard-threshold"
 	case KindRandom:
 		return "random"
 	default:
@@ -48,24 +40,9 @@ func (k Kind) String() string {
 	}
 }
 
-// ParseKind converts a configuration name into a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "vanilla":
-		return KindVanilla, nil
-	case "topk":
-		return KindTopK, nil
-	case "hard-threshold":
-		return KindHardThreshold, nil
-	case "random":
-		return KindRandom, nil
-	}
-	return 0, fmt.Errorf("sampling: unknown strategy %q", s)
-}
-
 // Validate returns an error naming k unless New can build it.
 func (k Kind) Validate() error {
-	if k < KindVanilla || k > KindRandom {
+	if k != KindVanilla && k != KindRandom {
 		return fmt.Errorf("sampling: unknown strategy %v", k)
 	}
 	return nil
@@ -75,12 +52,12 @@ func (k Kind) Validate() error {
 type Params struct {
 	// Kind selects the strategy.
 	Kind Kind
-	// Beta is the target number of retrieved ids (β_l in the paper).
-	// Vanilla stops probing once Beta ids are found; TopK keeps the Beta
-	// most frequent; Random draws Beta ids. Hard thresholding ignores it.
+	// Beta is the target number of retrieved ids (β_l in the paper):
+	// Vanilla stops probing once Beta ids are found, Random draws Beta
+	// ids.
 	Beta int
-	// MinCount is hard thresholding's minimum bucket-occurrence count m.
-	// Zero selects 2.
+	// MinCount is unused: no strategy reads it. It exists for
+	// benchmark/probe.go and goes when a benchmark PR stops setting it.
 	MinCount int
 	// Universe is the id space size [0, Universe) for KindRandom.
 	Universe int
@@ -90,8 +67,8 @@ type Params struct {
 }
 
 // Strategy retrieves candidate active-neuron ids for a hashed query.
-// Implementations are not safe for concurrent use; clone one per worker
-// via NewPool.
+// Implementations are not safe for concurrent use; build one per worker
+// with New.
 type Strategy interface {
 	// Kind reports the strategy kind.
 	Kind() Kind
@@ -102,8 +79,7 @@ type Strategy interface {
 	// Reseed resets the strategy's private randomness to the position it
 	// would have if freshly constructed with Params.Seed = seed, so two
 	// strategies of the same kind and parameters reseeded with equal
-	// seeds produce identical Sample outputs for identical queries. For
-	// deterministic kinds (TopK, hard thresholding) it is a no-op.
+	// seeds produce identical Sample outputs for identical queries.
 	Reseed(seed uint64)
 }
 
@@ -113,33 +89,21 @@ func New(p Params, universeHint int) (Strategy, error) {
 	if err := p.Kind.Validate(); err != nil {
 		return nil, err
 	}
-	if p.MinCount == 0 {
-		p.MinCount = 2
-	}
 	if p.Universe == 0 {
 		p.Universe = universeHint
 	}
-	if p.Beta <= 0 && p.Kind != KindHardThreshold {
+	if p.Beta <= 0 {
 		return nil, fmt.Errorf("sampling: Beta must be positive for %v", p.Kind)
 	}
-	base := marker{
-		stamp: make([]uint32, universeHint),
-		count: make([]uint8, universeHint),
-	}
+	base := marker{stamp: make([]uint32, universeHint)}
 	r := rng.NewStream(p.Seed, strategyStream)
-	switch p.Kind {
-	case KindVanilla:
+	if p.Kind == KindVanilla {
 		return &vanilla{params: p, marker: base, rng: r}, nil
-	case KindTopK:
-		return &topK{params: p, marker: base}, nil
-	case KindHardThreshold:
-		return &hardThreshold{params: p, marker: base}, nil
-	default: // KindRandom
-		if p.Universe <= 0 {
-			return nil, fmt.Errorf("sampling: KindRandom requires a positive Universe")
-		}
-		return &random{params: p, marker: base, rng: r}, nil
 	}
+	if p.Universe <= 0 {
+		return nil, fmt.Errorf("sampling: KindRandom requires a positive Universe")
+	}
+	return &random{params: p, marker: base, rng: r}, nil
 }
 
 // strategyStream is the fixed RNG stream all strategies draw from, so a
@@ -147,12 +111,11 @@ func New(p Params, universeHint int) (Strategy, error) {
 // reproduce the construction-time stream exactly.
 const strategyStream = 0x5a3
 
-// marker is an epoch-stamped visited set with per-id occurrence counts,
-// giving O(1) reset between queries.
+// marker is an epoch-stamped visited set, giving O(1) reset between
+// queries.
 type marker struct {
 	epoch uint32
 	stamp []uint32
-	count []uint8
 }
 
 func (m *marker) reset() {
@@ -165,23 +128,18 @@ func (m *marker) reset() {
 	}
 }
 
-// bump increments id's occurrence count, returning the new count (1 on
-// first sight this epoch).
-func (m *marker) bump(id uint32) int {
-	if m.stamp[id] != m.epoch {
-		m.stamp[id] = m.epoch
-		m.count[id] = 1
-		return 1
+// mark stamps id, reporting whether this is its first sight this epoch.
+func (m *marker) mark(id uint32) bool {
+	if m.stamp[id] == m.epoch {
+		return false
 	}
-	if m.count[id] < math.MaxUint8 {
-		m.count[id]++
-	}
-	return int(m.count[id])
+	m.stamp[id] = m.epoch
+	return true
 }
 
 // vanilla probes tables in random order, taking whole buckets until Beta
 // distinct ids are collected or every table has been visited (App. B:
-// O(beta) work, lowest quality).
+// O(beta) work).
 type vanilla struct {
 	params Params
 	marker
@@ -208,74 +166,11 @@ func (v *vanilla) Sample(dst []uint32, t *hashtable.Table, codes []uint32) []uin
 	v.rng.Shuffle(l, func(a, b int) { order[a], order[b] = order[b], order[a] })
 	for _, ti := range order {
 		for _, id := range t.Bucket(ti, codes) {
-			if v.bump(id) == 1 {
+			if v.mark(id) {
 				dst = append(dst, id)
 				if len(dst) >= v.params.Beta {
 					return dst
 				}
-			}
-		}
-	}
-	return dst
-}
-
-// topK aggregates every table's bucket, counts per-id frequencies, and
-// keeps the Beta ids with the highest counts (App. B: highest quality,
-// pays an O(n log n) sort).
-type topK struct {
-	params Params
-	marker
-	seen []uint32
-}
-
-func (k *topK) Kind() Kind { return KindTopK }
-
-// Reseed is a no-op: TopK aggregation is deterministic (count-desc,
-// id-asc tie break) and draws no randomness.
-func (k *topK) Reseed(uint64) {}
-
-func (k *topK) Sample(dst []uint32, t *hashtable.Table, codes []uint32) []uint32 {
-	k.reset()
-	k.seen = k.seen[:0]
-	for ti := 0; ti < t.L(); ti++ {
-		for _, id := range t.Bucket(ti, codes) {
-			if k.bump(id) == 1 {
-				k.seen = append(k.seen, id)
-			}
-		}
-	}
-	if len(k.seen) > k.params.Beta {
-		sort.Slice(k.seen, func(a, b int) bool {
-			ca, cb := k.count[k.seen[a]], k.count[k.seen[b]]
-			if ca != cb {
-				return ca > cb
-			}
-			return k.seen[a] < k.seen[b]
-		})
-		k.seen = k.seen[:k.params.Beta]
-	}
-	return append(dst, k.seen...)
-}
-
-// hardThreshold keeps every id that appears in at least MinCount buckets,
-// skipping TopK's sort (App. B eqn. 3).
-type hardThreshold struct {
-	params Params
-	marker
-}
-
-func (h *hardThreshold) Kind() Kind { return KindHardThreshold }
-
-// Reseed is a no-op: thresholding scans tables in fixed order and draws
-// no randomness.
-func (h *hardThreshold) Reseed(uint64) {}
-
-func (h *hardThreshold) Sample(dst []uint32, t *hashtable.Table, codes []uint32) []uint32 {
-	h.reset()
-	for ti := 0; ti < t.L(); ti++ {
-		for _, id := range t.Bucket(ti, codes) {
-			if h.bump(id) == h.params.MinCount {
-				dst = append(dst, id)
 			}
 		}
 	}
@@ -304,73 +199,10 @@ func (r *random) Sample(dst []uint32, _ *hashtable.Table, _ []uint32) []uint32 {
 	}
 	for got := 0; got < want; {
 		id := uint32(r.rng.Intn(r.params.Universe))
-		if r.bump(id) == 1 {
+		if r.mark(id) {
 			dst = append(dst, id)
 			got++
 		}
 	}
 	return dst
-}
-
-// SelectionProbability returns the probability that a neuron whose
-// per-function collision probability with the query is p is retrieved by
-// hard thresholding with parameters (K, L, m): the tail
-// sum_{i=m}^{L} C(L,i) (p^K)^i (1-p^K)^{L-i} (paper eqn. 3, Fig. 11).
-func SelectionProbability(p float64, k, l, m int) float64 {
-	pk := math.Pow(p, float64(k))
-	var sum float64
-	for i := m; i <= l; i++ {
-		sum += binomialPMF(l, i, pk)
-	}
-	return clamp01(sum)
-}
-
-// VanillaSelectionProbability returns the paper's eqn. 2: the probability
-// that a neuron is retrieved when vanilla sampling stops after probing tau
-// of L tables, (p^K)^tau (1-p^K)^{L-tau}.
-func VanillaSelectionProbability(p float64, k, l, tau int) float64 {
-	pk := math.Pow(p, float64(k))
-	return math.Pow(pk, float64(tau)) * math.Pow(1-pk, float64(l-tau))
-}
-
-// AnyBucketProbability returns 1-(1-p^K)^L, the classical probability that
-// a (K, L) LSH structure returns the neuron in at least one bucket (§2.1).
-func AnyBucketProbability(p float64, k, l int) float64 {
-	pk := math.Pow(p, float64(k))
-	return clamp01(1 - math.Pow(1-pk, float64(l)))
-}
-
-func binomialPMF(n, i int, p float64) float64 {
-	logC := lgamma(float64(n+1)) - lgamma(float64(i+1)) - lgamma(float64(n-i+1))
-	var logP float64
-	switch {
-	case p == 0:
-		if i == 0 {
-			return 1
-		}
-		return 0
-	case p == 1:
-		if i == n {
-			return 1
-		}
-		return 0
-	default:
-		logP = float64(i)*math.Log(p) + float64(n-i)*math.Log(1-p)
-	}
-	return math.Exp(logC + logP)
-}
-
-func lgamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }

@@ -3,7 +3,6 @@ package sampling
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/hashtable"
 	"repro/internal/rng"
@@ -77,36 +76,6 @@ func TestVanillaRespectsBetaAndUniqueness(t *testing.T) {
 	}
 }
 
-func TestTopKReturnsMostFrequent(t *testing.T) {
-	const n, l = 64, 6
-	// id 7 collides with the query in every table; id 9 in half; ids
-	// 10..39 in the first table; the rest nowhere.
-	q := []uint32{1, 1, 1, 1, 1, 1}
-	match := make([]int, 40)
-	match[7], match[9] = 6, 3
-	for id := 10; id < 40; id++ {
-		match[id] = 1
-	}
-	tbl := matchTable(t, match, l, 2)
-	s := mkStrategy(t, Params{Kind: KindTopK, Beta: 2, Seed: 1}, n)
-	got := s.Sample(nil, tbl, q)
-	if len(got) != 2 || got[0] != 7 || got[1] != 9 {
-		t.Fatalf("topk = %v, want [7 9]", got)
-	}
-}
-
-func TestHardThresholdCountsOccurrences(t *testing.T) {
-	const n, l = 64, 6
-	q := []uint32{1, 1, 1, 1, 1, 1}
-	tbl := matchTable(t, []int{5: 6, 6: 3, 7: 1}, l, 2)
-	s := mkStrategy(t, Params{Kind: KindHardThreshold, MinCount: 3, Seed: 1}, n)
-	got := s.Sample(nil, tbl, q)
-	want := map[uint32]bool{5: true, 6: true}
-	if len(got) != 2 || !want[got[0]] || !want[got[1]] {
-		t.Fatalf("hard-threshold = %v, want {5, 6}", got)
-	}
-}
-
 func TestRandomStrategyUniformUnique(t *testing.T) {
 	s := mkStrategy(t, Params{Kind: KindRandom, Beta: 40, Universe: 100, Seed: 9}, 100)
 	counts := make([]int, 100)
@@ -139,9 +108,9 @@ func TestRandomStrategyUniformUnique(t *testing.T) {
 func TestReseedMatchesFreshStrategy(t *testing.T) {
 	const n = 2000
 	tbl, q := buildTable(t, n, 2, 8, 2, 3)
-	for _, kind := range []Kind{KindVanilla, KindTopK, KindHardThreshold, KindRandom} {
+	for _, kind := range []Kind{KindVanilla, KindRandom} {
 		params := func(seed uint64) Params {
-			return Params{Kind: kind, Beta: 50, MinCount: 2, Universe: n, Seed: seed}
+			return Params{Kind: kind, Beta: 50, Universe: n, Seed: seed}
 		}
 		used := mkStrategy(t, params(1), n)
 		for i := 0; i < 17; i++ { // advance the private stream
@@ -191,11 +160,9 @@ func TestEmptyTablesReturnNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := make([]uint32, 8)
-	for _, kind := range []Kind{KindVanilla, KindTopK, KindHardThreshold} {
-		s := mkStrategy(t, Params{Kind: kind, Beta: 10, MinCount: 2, Seed: 1}, 64)
-		if got := s.Sample(nil, tbl, q); len(got) != 0 {
-			t.Errorf("%v returned %v from empty tables", kind, got)
-		}
+	s := mkStrategy(t, Params{Kind: KindVanilla, Beta: 10, Seed: 1}, 64)
+	if got := s.Sample(nil, tbl, q); len(got) != 0 {
+		t.Errorf("vanilla returned %v from empty tables", got)
 	}
 }
 
@@ -217,80 +184,21 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Params{Kind: KindRandom, Beta: 5}, 0); err == nil {
 		t.Error("random without universe accepted")
 	}
-	if _, err := New(Params{Kind: Kind(42), Beta: 1}, 10); err == nil {
-		t.Error("unknown kind accepted")
+	if _, err := New(Params{Kind: KindRandom, Beta: 0, Universe: 10}, 10); err == nil {
+		t.Error("random with zero beta accepted")
 	}
-	// Hard threshold needs no beta.
-	if _, err := New(Params{Kind: KindHardThreshold}, 10); err != nil {
-		t.Errorf("hard threshold rejected: %v", err)
+	// 1 and 2 were TopK and hard thresholding; a model file may still
+	// name them.
+	for _, kind := range []Kind{1, 2, 42} {
+		if _, err := New(Params{Kind: kind, Beta: 1}, 10); err == nil {
+			t.Errorf("%v accepted", kind)
+		}
 	}
 }
 
-func TestParseKindRoundTrip(t *testing.T) {
-	for _, kind := range []Kind{KindVanilla, KindTopK, KindHardThreshold, KindRandom} {
-		got, err := ParseKind(kind.String())
-		if err != nil || got != kind {
-			t.Errorf("ParseKind(%q) = %v, %v", kind.String(), got, err)
-		}
-	}
-	if _, err := ParseKind("bogus"); err == nil {
-		t.Error("ParseKind accepted garbage")
-	}
-}
-
-// TestSelectionProbabilityProperties checks eqn. 3's invariants: a valid
-// probability, monotone in p, decreasing in m, and degenerate cases.
-func TestSelectionProbabilityProperties(t *testing.T) {
-	if err := quick.Check(func(pRaw uint8, kRaw, mRaw uint8) bool {
-		p := float64(pRaw%99+1) / 100
-		k := int(kRaw)%4 + 1
-		l := 10
-		m := int(mRaw)%l + 1
-		pr := SelectionProbability(p, k, l, m)
-		if pr < 0 || pr > 1 {
-			return false
-		}
-		// Monotone in p.
-		if p < 0.9 && SelectionProbability(p+0.05, k, l, m) < pr-1e-12 {
-			return false
-		}
-		// Decreasing in m.
-		if m < l && SelectionProbability(p, k, l, m+1) > pr+1e-12 {
-			return false
-		}
-		return true
-	}, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-	// m=1 equals the classical 1-(1-p^K)^L.
-	for _, p := range []float64{0.2, 0.5, 0.8} {
-		a := SelectionProbability(p, 2, 10, 1)
-		b := AnyBucketProbability(p, 2, 10)
-		if math.Abs(a-b) > 1e-9 {
-			t.Errorf("m=1 mismatch at p=%v: %v vs %v", p, a, b)
-		}
-	}
-	// Fig. 11 anchor: m=9, L=10, K=1 crosses Pr=0.5 near p≈0.84.
-	if pr := SelectionProbability(0.8, 1, 10, 9); pr > 0.5 {
-		t.Errorf("Pr(p=0.8,m=9) = %v, expected below 0.5", pr)
-	}
-	if pr := SelectionProbability(0.9, 1, 10, 9); pr < 0.5 {
-		t.Errorf("Pr(p=0.9,m=9) = %v, expected above 0.5", pr)
-	}
-}
-
-func TestVanillaSelectionProbability(t *testing.T) {
-	// tau=L means matching every table: p^(K*L).
-	got := VanillaSelectionProbability(0.5, 2, 4, 4)
-	want := math.Pow(0.25, 4)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-// TestVanillaEmpiricalMatchesTheory: retrieval frequency under vanilla
-// sampling from a single bucket per table approximates the LSH sampling
-// view (§2.1): higher per-function collision => higher retrieval rate.
+// TestVanillaFavorsCollidingIDs: retrieval frequency under vanilla
+// sampling from a single bucket per table follows the LSH sampling view
+// (§2.1): higher per-function collision => higher retrieval rate.
 func TestVanillaFavorsCollidingIDs(t *testing.T) {
 	const l = 10
 	q := make([]uint32, l)

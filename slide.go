@@ -157,19 +157,17 @@ const (
 	HashDWTA    = lsh.KindDWTA
 )
 
-// Sampling strategy constants for LayerConfig.Strategy (§4.1).
+// Sampling strategy constants for LayerConfig.Strategy (§4.1): vanilla
+// sampling over the tables, and the uniform draw of the sampled softmax
+// baseline.
 const (
-	StrategyVanilla       = sampling.KindVanilla
-	StrategyTopK          = sampling.KindTopK
-	StrategyHardThreshold = sampling.KindHardThreshold
-	StrategyRandom        = sampling.KindRandom
+	StrategyVanilla = sampling.KindVanilla
+	StrategyRandom  = sampling.KindRandom
 )
 
-// Bucket insertion policies for LayerConfig.Policy (§4.2).
-const (
-	PolicyReservoir = hashtable.PolicyReservoir
-	PolicyFIFO      = hashtable.PolicyFIFO
-)
+// PolicyReservoir is the bucket insertion policy (§4.2), the only value
+// of LayerConfig.Policy.
+const PolicyReservoir = hashtable.PolicyReservoir
 
 // New constructs an initialized SLIDE network: random weights, K×L hash
 // functions per sampled layer, and hash tables populated from the initial
@@ -197,11 +195,3 @@ func VectorFromDense(d []float32) Vector { return sparse.FromDense(d) }
 
 // ParseHash parses a hash family name ("simhash", "dwta").
 func ParseHash(s string) (HashKind, error) { return lsh.ParseKind(s) }
-
-// ParseStrategy parses a sampling strategy name ("vanilla", "topk",
-// "hard-threshold", "random").
-func ParseStrategy(s string) (StrategyKind, error) { return sampling.ParseKind(s) }
-
-// ParsePolicy parses a bucket insertion policy name ("reservoir",
-// "fifo").
-func ParsePolicy(s string) (Policy, error) { return hashtable.ParsePolicy(s) }

@@ -108,45 +108,29 @@ func TestExportedConstantsDistinct(t *testing.T) {
 	if slide.HashSimhash == slide.HashDWTA {
 		t.Fatal("hash constants collide")
 	}
-	if slide.StrategyVanilla == slide.StrategyTopK {
+	if slide.StrategyVanilla == slide.StrategyRandom {
 		t.Fatal("strategy constants collide")
 	}
 }
 
-// parsed adapts a typed facade parser to the table in
-// TestParseNamesMapToConstants.
-func parsed[T any](parse func(string) (T, error)) func(string) (any, error) {
-	return func(s string) (any, error) { return parse(s) }
-}
-
-// TestParseNamesMapToConstants: every configuration name the binaries
-// accept on their flags parses through the facade to the exported
+// TestParseNamesMapToConstants: every hash family name slide-train
+// accepts on its -hash flag parses through the facade to the exported
 // constant of that name, and a misspelling or a removed family is an
 // error.
 func TestParseNamesMapToConstants(t *testing.T) {
 	for _, tc := range []struct {
-		kind, name string
-		parse      func(string) (any, error)
-		want       any
-	}{
-		{"hash", "simhash", parsed(slide.ParseHash), slide.HashSimhash},
-		{"hash", "dwta", parsed(slide.ParseHash), slide.HashDWTA},
-		{"strategy", "vanilla", parsed(slide.ParseStrategy), slide.StrategyVanilla},
-		{"strategy", "topk", parsed(slide.ParseStrategy), slide.StrategyTopK},
-		{"strategy", "hard-threshold", parsed(slide.ParseStrategy), slide.StrategyHardThreshold},
-		{"strategy", "random", parsed(slide.ParseStrategy), slide.StrategyRandom},
-		{"policy", "reservoir", parsed(slide.ParsePolicy), slide.PolicyReservoir},
-		{"policy", "fifo", parsed(slide.ParsePolicy), slide.PolicyFIFO},
-	} {
-		t.Run(tc.kind+"/"+tc.name, func(t *testing.T) {
-			got, err := tc.parse(tc.name)
+		name string
+		want slide.HashKind
+	}{{"simhash", slide.HashSimhash}, {"dwta", slide.HashDWTA}} {
+		t.Run("hash/"+tc.name, func(t *testing.T) {
+			got, err := slide.ParseHash(tc.name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got != tc.want {
 				t.Fatalf("parsed %q as %v, want %v", tc.name, got, tc.want)
 			}
-			if _, err := tc.parse(tc.name + "x"); err == nil {
+			if _, err := slide.ParseHash(tc.name + "x"); err == nil {
 				t.Fatalf("%qx accepted", tc.name)
 			}
 		})
