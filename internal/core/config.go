@@ -229,8 +229,9 @@ type TrainConfig struct {
 	Iterations int64
 	// Epochs is used when Iterations is zero; zero selects 1.
 	Epochs int
-	// Threads is the worker count; zero selects GOMAXPROCS. It changes
-	// only how fast training runs, not what it computes (see Train).
+	// Threads is the worker count; zero selects GOMAXPROCS, and a count
+	// above the batch size is cut to it. It changes only how fast training
+	// runs, not what it computes (see Train).
 	Threads int
 
 	// EvalEvery evaluates P@1 on a held-out subset every this many
@@ -311,13 +312,20 @@ func (tc TrainConfig) validate() error {
 	return nil
 }
 
+// withDefaults fills the zero fields for a training split of trainSize
+// examples, and cuts the batch to the split and the worker count to the
+// batch.
 func (tc TrainConfig) withDefaults(trainSize int) TrainConfig {
 	if tc.BatchSize == 0 {
 		tc.BatchSize = 128
 	}
+	tc.BatchSize = min(tc.BatchSize, trainSize)
 	if tc.Threads == 0 {
 		tc.Threads = runtime.GOMAXPROCS(0)
 	}
+	// A worker past the batch never gets a position, yet would hold an
+	// InputDim accumulator and OutputDim sampler stamps.
+	tc.Threads = min(tc.Threads, tc.BatchSize)
 	if tc.Iterations == 0 {
 		epochs := tc.Epochs
 		if epochs == 0 {

@@ -637,6 +637,29 @@ func TestTrainRejectsNegativeSizes(t *testing.T) {
 	}
 }
 
+// TestTrainConfigClampsThreads: a worker count past the batch is cut to the
+// batch before any worker state is allocated, and the batch to the training
+// split first. It checks withDefaults alone: no worker is started.
+func TestTrainConfigClampsThreads(t *testing.T) {
+	for _, tc := range []struct {
+		cfg                TrainConfig
+		trainSize          int
+		batch, wantThreads int
+	}{
+		{TrainConfig{Threads: 1 << 30}, 1000, 128, 128},
+		{TrainConfig{Threads: 1 << 30, BatchSize: 5000}, 1000, 1000, 1000},
+		{TrainConfig{Threads: 1 << 30, BatchSize: 16}, 1000, 16, 16},
+		{TrainConfig{Threads: 3, BatchSize: 16}, 1000, 16, 3},
+		{TrainConfig{BatchSize: 1}, 1000, 1, 1},
+	} {
+		got := tc.cfg.withDefaults(tc.trainSize)
+		if got.BatchSize != tc.batch || got.Threads != tc.wantThreads {
+			t.Errorf("%+v over %d examples: batch %d, threads %d; want %d, %d",
+				tc.cfg, tc.trainSize, got.BatchSize, got.Threads, tc.batch, tc.wantThreads)
+		}
+	}
+}
+
 // TestNumParams: parameter accounting.
 func TestNumParams(t *testing.T) {
 	n, err := NewNetwork(denseNetConfig(10, 4, 6))

@@ -248,16 +248,9 @@ func ascendingBelow(ids []int32, n int) bool {
 // own (a 128 KiB read, tens of microseconds).
 const scanSpan = 1 << 15
 
-// touchedRows rebuilds the ascending list of rows touched this batch from
-// the neuron stamps.
-func (l *Layer) touchedRows(workers int) []int32 {
-	l.rowList = l.scanStamps(l.touched, l.batchEpoch, workers, l.rowList)
-	return l.rowList
-}
-
 // scanStamps collects the ascending indices whose stamp equals epoch into
-// dst (reused), parallelized across workers — the shared machinery behind
-// the per-batch touched-row and touched-column lists. The per-worker
+// dst (reused), parallelized across workers — the column union's list of
+// touched input columns. The per-worker
 // partial lists live on the layer, so a warm scan allocates nothing; like
 // every caller it runs with training quiesced.
 // A worker gets at least scanSpan stamps: below that a goroutine costs more
@@ -297,6 +290,9 @@ func (l *Layer) ApplyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32,
 	stepped := l.claimRows(workers, len(ld.Rows), func(_, lo, hi int) int64 {
 		var n int64
 		for r := lo; r < hi; r++ {
+			if r+1 < hi {
+				l.prefetchRow(ld.Rows[r], ld.Rows[r+1], ld.Cols)
+			}
 			n += l.stepRow(adam, ld.Rows[r], ld.Cols, ld.Vals[r*w:(r+1)*w], alpha, invB)
 		}
 		return n
@@ -350,6 +346,19 @@ func (l *Layer) claimRows(workers, n int, step func(wk, lo, hi int) int64) int64
 // Returns the number of cells stepped.
 func (l *Layer) stepRow(adam optim.Adam, r int32, cols []int32, g []float32, alpha, invB float32) int64 {
 	return int64(adam.StepCells(l.w[r], l.mW[r], l.vW[r], cols, g, invB, alpha, true))
+}
+
+// prefetchRow hints storage row next's weights and moments into cache while
+// the claimed row before it, cur, is stepped. It skips a next row that
+// follows cur in storage, which the hardware prefetcher already streams,
+// and a column-union step, which touches only scattered cells of a row.
+func (l *Layer) prefetchRow(cur, next int32, cols []int32) {
+	if next == cur+1 || cols != nil {
+		return
+	}
+	vecmath.Prefetch(l.w[next])
+	vecmath.Prefetch(l.mW[next])
+	vecmath.Prefetch(l.vW[next])
 }
 
 // stepBias steps neuron j's bias with raw gradient sum gb averaged by invB,

@@ -20,8 +20,10 @@ type EvalResult struct {
 	N int
 }
 
-// parallelIndexed splits [0, n) into contiguous spans across workers and
-// calls f(w, lo, hi) with a unique worker index per span.
+// parallelIndexed splits [0, n) into min(workers, n) contiguous, non-empty
+// spans and calls f(w, lo, hi) with a unique worker index per span: span 0
+// on the calling goroutine, each other span on a goroutine of its own. It
+// returns when every span is done.
 func parallelIndexed(workers, n int, f func(w, lo, hi int)) {
 	if workers > n {
 		workers = n
@@ -33,17 +35,14 @@ func parallelIndexed(workers, n int, f func(w, lo, hi int)) {
 		return
 	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			f(w, lo, hi)
-		}(w, lo, hi)
+		}(w, w*n/workers, (w+1)*n/workers)
 	}
+	f(0, 0, n/workers)
 	wg.Wait()
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"slices"
 	"sync/atomic"
 
@@ -13,9 +14,13 @@ import (
 //
 // A batch's weight gradient is never stored whole. At the quiesced batch
 // boundary each layer indexes the batch's records (backward.go) by touched
-// storage row — a stable counting pass over the records in batch-position
-// order — and workers claim the ascending rows in chunks of claimChunk
-// from a shared cursor (claimRows). The owner of a row replays its
+// storage row, on every worker at once (beginFold): each index worker owns
+// a range of neurons and, on the input-major layer, a range of inputs; it
+// counts the contributions to its own rows, waits once for every worker's
+// counts, then lists its rows at their global position and places their
+// contributions, so every row keeps them in batch-position order.
+// Workers then claim the ascending rows in chunks of claimChunk from a
+// shared cursor (claimRows). The owner of a row replays its
 // contributions, each a coefficient times one element's operand vector, in
 // ascending element order into one row and hands it to a consumer:
 // stepFold runs the Adam step from a worker-owned row scratch (local
@@ -45,7 +50,12 @@ import (
 // input-major row also adds the ±0 products of elements whose δ_j is 0,
 // which leave a nonzero sum unchanged, and a zero sum is never stepped.
 // Biases are per neuron either way: a neuron's bias gradient sums its
-// nonzero δ in element order while the records are indexed.
+// nonzero δ in element order, by the worker that owns the neuron.
+//
+// Claimed rows are rarely next to each other in memory on the input-major
+// layer (a batch's features are a scattered few of the inputs), so the
+// row walks hint the next claimed row's weights and moments into cache
+// while the current one is stepped (prefetchRow).
 
 // colTrackThreshold is the fan-in above which a neuron-major layer with
 // sparse input replays rows over the batch's touched-column union. Below it
@@ -87,10 +97,17 @@ type gradFold struct {
 	// neuron-major row, its feature value on an input-major one.
 	rowOff []int32
 	ent    []vecmath.Term
-	// cursor counts each row's contributions, then places them, while the
-	// index is built: one slot per neuron, and per input on the input-major
-	// layer.
+	// cursor[row] is the storage row's next free slot of ent while the
+	// index is placed; the input-major layer counts each input's
+	// contributions in it first (a neuron-major layer counts in
+	// Layer.hits).
 	cursor []int32
+	// parts[p] is index worker p's counts, arrived the number of workers
+	// that have published theirs (arrive), and recPos[p] the worker's place
+	// in every record while it places (placeNeurons).
+	parts   []foldPart
+	arrived atomic.Int32
+	recPos  [][]int
 	// cols is the column union, ascending (aliases Layer.colList), nil for
 	// full-width rows; colPos[i] is column i's position in it, and posBuf
 	// backs the inputs' pos slices.
@@ -108,17 +125,29 @@ type gradFold struct {
 	next    atomic.Int64
 }
 
-// nextEpoch invalidates the touched row and column stamps in O(1),
-// clearing them on the rare wrap, where stale stamps could collide with
-// re-issued epoch values.
+// nextEpoch invalidates the touched column stamps in O(1), clearing them
+// on the rare wrap, where stale stamps could collide with re-issued epoch
+// values.
 func (l *Layer) nextEpoch() {
 	l.batchEpoch++
 	if l.batchEpoch == 0 {
-		clear(l.touched)
 		clear(l.colStamp)
 		l.batchEpoch = 1
 	}
 }
+
+// foldPart is one index worker's counts: the neurons with a nonzero δ in
+// its neuron range and those δ, and its storage rows with their
+// contributions (the same two on a neuron-major layer).
+type foldPart struct {
+	neurons, nonzero int
+	rows, cells      int
+}
+
+// placeBlock is the neurons a neuron-major index worker places at a time:
+// their spans of ent (a few KiB at train_converge's density) and their
+// cursors stay in L1 while every record's slice of them is placed.
+const placeBlock = 512
 
 // beginFold indexes the batch's records for the layer: the touched neurons
 // with their bias gradients, each record's operand, the touched storage
@@ -128,57 +157,55 @@ func (l *Layer) nextEpoch() {
 func (l *Layer) beginFold(recs []*elemRecord, workers int) bool {
 	f := &l.fold
 	l.nextEpoch()
-	epoch, cursor := l.batchEpoch, f.cursor
-	// The per-neuron counts index a neuron-major layer's rows; indexByInput
-	// recounts by input.
-	total := 0
-	for _, rec := range recs {
+	// Record k's operand is its layer input on a neuron-major layer, its δ
+	// on the input-major one. Each record's entries bound the index's.
+	f.in = growTo(f.in, len(recs))
+	bound := 0
+	for k, rec := range recs {
 		ls := &rec.layers[l.idx]
-		for a, d := range ls.delta {
-			if d == 0 {
-				continue
-			}
-			j := ls.id(a)
-			if l.touched[j] != epoch {
-				l.touched[j] = epoch
-				cursor[j] = 0
-				f.bias[j] = 0
-			}
-			cursor[j]++
-			f.bias[j] += d
-			total++
+		ids, vals, full := rec.input(l.idx)
+		if l.inputMajor {
+			f.in[k] = foldInput{ids: ls.ids, vals: ls.delta, full: ls.full}
+			bound += len(ids)
+		} else {
+			f.in[k] = foldInput{ids: ids, vals: vals, full: full}
+			bound += len(ls.delta)
 		}
 	}
-	if total == 0 {
+	rows, width := l.StorageShape()
+	f.ent = growTo(f.ent, bound)
+	f.rowOff = growTo(f.rowOff, min(rows, bound)+1)
+	l.rowList = growTo(l.rowList, l.out)
+	if l.inputMajor {
+		l.colList = growTo(l.colList, min(rows, bound))
+	}
+	w := max(1, min(workers, rows))
+	f.parts = growTo(f.parts, w)
+	f.recPos = growTo(f.recPos, w)
+	f.arrived.Store(0)
+	parallelIndexed(w, w, func(p, _, _ int) { l.indexPart(recs, p, w) })
+	var total foldPart
+	for _, part := range f.parts {
+		total.neurons += part.neurons
+		total.nonzero += part.nonzero
+		total.rows += part.rows
+		total.cells += part.cells
+	}
+	if total.nonzero == 0 {
 		return false
 	}
-	f.neurons = l.touchedRows(workers)
-	f.in = growTo(f.in, len(recs))
-	f.cols = nil
-	_, f.width = l.StorageShape()
+	f.neurons = l.rowList[:total.neurons]
+	f.rows = f.neurons
 	if l.inputMajor {
-		l.indexByInput(recs, workers)
-	} else {
-		// Rows are the touched neurons, each contribution (k, δ_j), and
-		// record k's operand is its layer input.
-		f.rows = f.neurons
-		f.layout(total)
-		for k, rec := range recs {
-			ls := &rec.layers[l.idx]
-			for a, d := range ls.delta {
-				if d != 0 {
-					j := ls.id(a)
-					f.ent[cursor[j]] = vecmath.Term{K: int32(k), Coef: d}
-					cursor[j]++
-				}
-			}
-			ids, vals, full := rec.input(l.idx)
-			f.in[k] = foldInput{ids: ids, vals: vals, full: full}
-		}
-		if l.colStamp != nil {
-			f.cols = l.columnUnion(workers)
-			f.width = len(f.cols)
-		}
+		f.rows = l.colList[:total.rows]
+	}
+	f.rowOff = f.rowOff[:total.rows+1]
+	f.rowOff[total.rows] = int32(total.cells)
+	f.ent = f.ent[:total.cells]
+	f.cols, f.width = nil, width
+	if l.colStamp != nil {
+		f.cols = l.columnUnion(workers)
+		f.width = len(f.cols)
 	}
 	f.ops = growTo(f.ops, len(recs))
 	for k := range f.in {
@@ -191,52 +218,184 @@ func (l *Layer) beginFold(recs []*elemRecord, workers int) bool {
 	return true
 }
 
-// indexByInput indexes the batch for the input-major layer: the rows are
-// the features present in the records, ascending, each with its
-// contributions (k, x_k[i]) in record order, and record k's operand is its
-// δ.
-func (l *Layer) indexByInput(recs []*elemRecord, workers int) {
+// indexPart is index worker p's share of beginFold's index, of w workers.
+// The worker owns neurons [p·out/w, (p+1)·out/w) — their nonzero-δ counts
+// and bias sums, and on a neuron-major layer their rows — and on the
+// input-major layer the rows of inputs [p·in/w, (p+1)·in/w). Active ids
+// are ascending, so a binary search finds the worker's slice of every
+// record; features are not, so it filters them. It counts its rows'
+// contributions, waits at the barrier for every worker's counts (arrive),
+// then lists its neurons and rows where the workers before it end, lays
+// out its rows' spans of ent and places their contributions, record by
+// record. No worker reads what another writes, except the counts past the
+// barrier.
+func (l *Layer) indexPart(recs []*elemRecord, p, w int) {
 	f := &l.fold
-	epoch := l.batchEpoch
-	total := 0
-	for k, rec := range recs {
+	nlo, nhi := int32(p*l.out/w), int32((p+1)*l.out/w)
+	hits, bias := l.hits[nlo:nhi], f.bias[nlo:nhi]
+	clear(hits)
+	clear(bias)
+	// A zero δ adds 0 to its neuron's count and ±0 to its bias sum, which
+	// leaves the sum's bits alone (a sum that starts at +0 never becomes
+	// -0), so the count does not branch on the zero pattern of a ReLU
+	// layer's δ.
+	for _, rec := range recs {
+		ls := &rec.layers[l.idx]
+		lo, hi := ls.span(nlo, nhi)
+		if lo == hi {
+			continue
+		}
+		delta := ls.delta[lo:hi]
+		if ls.full {
+			hits, bias := hits[int32(lo)-nlo:], bias[int32(lo)-nlo:]
+			for a, d := range delta {
+				hits[a] += nonZero(d)
+				bias[a] += d
+			}
+			continue
+		}
+		for a, d := range delta {
+			j := ls.ids[lo+a] - nlo
+			hits[j] += nonZero(d)
+			bias[j] += d
+		}
+	}
+	var part foldPart
+	for _, c := range hits {
+		part.neurons += int(nonZero(c))
+		part.nonzero += int(c)
+	}
+	if !l.inputMajor {
+		part.rows, part.cells = part.neurons, part.nonzero
+		at := f.arrive(p, part)
+		neurons := l.rowList[at.neurons : at.neurons+part.neurons]
+		listHit(hits, nlo, neurons)
+		f.layout(neurons, l.hits, at.rows, at.cells)
+		l.placeNeurons(recs, p, nlo, nhi)
+		return
+	}
+
+	ilo, ihi := int32(p*l.in/w), int32((p+1)*l.in/w)
+	counts := f.cursor[ilo:ihi]
+	clear(counts)
+	for _, rec := range recs {
 		ids, _, _ := rec.input(l.idx)
 		for _, i := range ids {
-			if l.colStamp[i] != epoch {
-				l.colStamp[i] = epoch
-				f.cursor[i] = 0
+			if i >= ilo && i < ihi {
+				counts[i-ilo]++
 			}
-			f.cursor[i]++
 		}
-		total += len(ids)
-		ls := &rec.layers[l.idx]
-		f.in[k] = foldInput{ids: ls.ids, vals: ls.delta, full: ls.full}
 	}
-	l.colList = l.scanStamps(l.colStamp, epoch, workers, l.colList)
-	f.rows = l.colList
-	f.layout(total)
+	for _, c := range counts {
+		part.rows += int(nonZero(c))
+		part.cells += int(c)
+	}
+	at := f.arrive(p, part)
+	listHit(hits, nlo, l.rowList[at.neurons:at.neurons+part.neurons])
+	inputs := l.colList[at.rows : at.rows+part.rows]
+	listHit(counts, ilo, inputs)
+	f.layout(inputs, f.cursor, at.rows, at.cells)
 	for k, rec := range recs {
 		ids, vals, _ := rec.input(l.idx)
 		for t, i := range ids {
-			f.ent[f.cursor[i]] = vecmath.Term{K: int32(k), Coef: vals[t]}
-			f.cursor[i]++
+			if i >= ilo && i < ihi {
+				f.ent[f.cursor[i]] = vecmath.Term{K: int32(k), Coef: vals[t]}
+				f.cursor[i]++
+			}
 		}
 	}
 }
 
-// layout turns the per-row counts in cursor into rowOff over rows and sizes
-// ent for total contributions; afterwards cursor[row] is the row's next
-// free slot.
-func (f *gradFold) layout(total int) {
-	f.rowOff = growTo(f.rowOff, len(f.rows)+1)
-	var off int32
-	for r, j := range f.rows {
-		f.rowOff[r] = off
-		off += f.cursor[j]
-		f.cursor[j] = f.rowOff[r]
+// placeNeurons places the contributions to a neuron-major index worker's
+// neurons [nlo, nhi), laid out already, placeBlock neurons at a time: each
+// record's slice of a block, record by record, picking up where the
+// record's slice of the block before ended.
+func (l *Layer) placeNeurons(recs []*elemRecord, p int, nlo, nhi int32) {
+	f := &l.fold
+	pos := growTo(f.recPos[p], len(recs))
+	f.recPos[p] = pos
+	for k, rec := range recs {
+		pos[k], _ = rec.layers[l.idx].span(nlo, nhi)
 	}
-	f.rowOff[len(f.rows)] = off
-	f.ent = growTo(f.ent, total)
+	for blo := nlo; blo < nhi; blo += placeBlock {
+		bhi := min(blo+placeBlock, nhi)
+		for k, rec := range recs {
+			ls := &rec.layers[l.idx]
+			a := pos[k]
+			for ; a < len(ls.delta); a++ {
+				j := ls.id(a)
+				if j >= bhi {
+					break
+				}
+				if d := ls.delta[a]; d != 0 {
+					f.ent[f.cursor[j]] = vecmath.Term{K: int32(k), Coef: d}
+					f.cursor[j]++
+				}
+			}
+			pos[k] = a
+		}
+	}
+}
+
+// nonZero is 1 for a nonzero (or NaN) v and 0 for ±0, which the compiler
+// turns into a flag, not a branch.
+func nonZero[T int32 | float32](v T) int32 {
+	n := int32(0)
+	if v != 0 {
+		n = 1
+	}
+	return n
+}
+
+// listHit fills dst with the indices first+j whose count counts[j] is
+// nonzero, ascending; dst holds exactly that many. An index is written
+// whether or not it is hit — the next one overwrites a miss — so the scan
+// does not branch on the hit pattern, and it stops at the last hit, never
+// writing past dst.
+func listHit(counts []int32, first int32, dst []int32) {
+	for j, n := 0, 0; n < len(dst); j++ {
+		dst[n] = first + int32(j)
+		if counts[j] != 0 {
+			n++
+		}
+	}
+}
+
+// arrive publishes index worker p's counts, waits until every worker has
+// published its own, and returns the sums over the workers before p: where
+// p's neurons, rows and contributions start.
+//
+// A waiter yields rather than sleeps: waking a sleeping thread took ~100
+// µs at the median on a virtualized 2-vCPU Xeon, as long as a layer's
+// whole count, and a yielding waiter lets a worker whose goroutine no idle
+// thread has picked up yet run on the waiter's thread.
+func (f *gradFold) arrive(p int, part foldPart) (at foldPart) {
+	f.parts[p] = part
+	f.arrived.Add(1)
+	for int(f.arrived.Load()) < len(f.parts) {
+		runtime.Gosched()
+	}
+	for _, q := range f.parts[:p] {
+		at.neurons += q.neurons
+		at.rows += q.rows
+		at.cells += q.cells
+	}
+	return at
+}
+
+// layout gives rows, listed from row position r on with their
+// contributions from ent position off on, their spans of ent: it turns
+// their counts into rowOff, after which cursor[row] is the row's next free
+// slot.
+func (f *gradFold) layout(rows, counts []int32, r, off int) {
+	o := int32(off)
+	for _, j := range rows {
+		c := counts[j]
+		f.rowOff[r] = o
+		f.cursor[j] = o
+		o += c
+		r++
+	}
 }
 
 // columnUnion stamps the batch inputs' columns, collects them ascending
@@ -315,6 +474,9 @@ func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int6
 	stepped := l.claimRows(workers, len(f.rows), func(wk, lo, hi int) int64 {
 		var n int64
 		for r := lo; r < hi; r++ {
+			if r+1 < hi {
+				l.prefetchRow(f.rows[r], f.rows[r+1], f.cols)
+			}
 			n += l.stepRow(adam, f.rows[r], f.cols, l.foldRow(r, f.rowBuf[wk]), alpha, invB)
 		}
 		return n

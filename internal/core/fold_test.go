@@ -81,6 +81,7 @@ func foldTestElems(seed int64, in, out, shards int, denseRows bool) []foldElem {
 		for _, j := range r.Perm(out - reserved)[:5] {
 			rows = append(rows, int32(j+reserved))
 		}
+		slices.Sort(rows) // active ids are ascending, as a forward pass leaves them
 		elems = append(elems, foldElem{w: e % shards, rows: rows, delta: randVals(5), inIds: pickCols(k), inVals: randVals(k)})
 	}
 	last := shards - 1
@@ -335,6 +336,249 @@ func twoWorkerBatches(t testing.TB, n *Network, train []dataset.Example, batchSi
 	}
 }
 
+// foldIndex is beginFold's index of one batch for one layer, as the
+// serial reference builds it: the touched neurons ascending with their bias
+// sums, the touched storage rows ascending with each row's contributions in
+// record order, and on a column-union layer the union with every record's
+// positions in it.
+type foldIndex struct {
+	neurons []int32
+	bias    []float32
+	rows    []int32
+	rowOff  []int32
+	ent     []vecmath.Term
+	cols    []int32
+	pos     [][]int32
+}
+
+// serialFoldIndex builds l's index of recs one record after another, on
+// one thread, from the definition: a neuron is touched by a nonzero δ and
+// its bias sums those δ in record order; a neuron-major row is a touched
+// neuron, each contribution (k, δ_j); an input-major row is a feature
+// present in any record, each contribution (k, x_k[i]), one per occurrence.
+func serialFoldIndex(l *Layer, recs []*elemRecord) foldIndex {
+	var ix foldIndex
+	bias := map[int32]float32{}
+	byRow := map[int32][]vecmath.Term{}
+	colSet := map[int32]bool{}
+	for k, rec := range recs {
+		ls := &rec.layers[l.idx]
+		for a, d := range ls.delta {
+			if d == 0 {
+				continue
+			}
+			j := ls.id(a)
+			bias[j] += d
+			if !l.inputMajor {
+				byRow[j] = append(byRow[j], vecmath.Term{K: int32(k), Coef: d})
+			}
+		}
+		ids, vals, _ := rec.input(l.idx)
+		for t, i := range ids {
+			colSet[i] = true
+			if l.inputMajor {
+				byRow[i] = append(byRow[i], vecmath.Term{K: int32(k), Coef: vals[t]})
+			}
+		}
+	}
+	for j := range bias {
+		ix.neurons = append(ix.neurons, j)
+	}
+	slices.Sort(ix.neurons)
+	for _, j := range ix.neurons {
+		ix.bias = append(ix.bias, bias[j])
+	}
+	for r := range byRow {
+		ix.rows = append(ix.rows, r)
+	}
+	slices.Sort(ix.rows)
+	ix.rowOff = []int32{0}
+	for _, r := range ix.rows {
+		ix.ent = append(ix.ent, byRow[r]...)
+		ix.rowOff = append(ix.rowOff, int32(len(ix.ent)))
+	}
+	if l.colStamp != nil && !l.inputMajor {
+		for i := range colSet {
+			ix.cols = append(ix.cols, i)
+		}
+		slices.Sort(ix.cols)
+		for _, rec := range recs {
+			ids, _, _ := rec.input(l.idx)
+			var pos []int32
+			for _, i := range ids {
+				u, _ := slices.BinarySearch(ix.cols, i)
+				pos = append(pos, int32(u))
+			}
+			ix.pos = append(ix.pos, pos)
+		}
+	}
+	return ix
+}
+
+// builtFoldIndex reads beginFold's index off the layer.
+func builtFoldIndex(l *Layer, recs []*elemRecord) foldIndex {
+	f := &l.fold
+	ix := foldIndex{
+		neurons: slices.Clone(f.neurons),
+		rows:    slices.Clone(f.rows),
+		rowOff:  slices.Clone(f.rowOff),
+		ent:     slices.Clone(f.ent),
+		cols:    slices.Clone(f.cols),
+	}
+	for _, j := range f.neurons {
+		ix.bias = append(ix.bias, f.bias[j])
+	}
+	if f.cols != nil {
+		for k := range recs {
+			ix.pos = append(ix.pos, slices.Clone(f.in[k].pos))
+		}
+	}
+	return ix
+}
+
+// foldIndexRecords builds a batch's records for layer li of n: random
+// records plus the cases the index must get right — a record whose δ is
+// all zero, a neuron (the last) with a nonzero δ in every record, and on
+// the first layer a record listing one feature three times. A full layer's
+// records are full; a sampled one's carry ascending random active sets.
+func foldIndexRecords(n *Network, li int, seed int64) []*elemRecord {
+	r := rand.New(rand.NewSource(seed))
+	l := n.layers[li]
+	full := !l.Sampled()
+	var recs []*elemRecord
+	for k := 0; k < 13; k++ {
+		rec := &elemRecord{layers: make([]layerState, len(n.layers))}
+		ls := &rec.layers[li]
+		ls.full = full
+		if full {
+			ls.delta = make([]float32, l.out)
+		} else {
+			for _, j := range r.Perm(l.out - 1)[:1+r.Intn(l.out/3)] {
+				ls.ids = append(ls.ids, int32(j))
+			}
+			ls.ids = append(ls.ids, int32(l.out-1))
+			slices.Sort(ls.ids)
+			ls.delta = make([]float32, len(ls.ids))
+		}
+		if k != 4 { // record 4's δ is all zero
+			for a := range ls.delta {
+				if r.Intn(3) > 0 || ls.id(a) == int32(l.out-1) {
+					ls.delta[a] = r.Float32() - 0.5
+				}
+			}
+		}
+		nin := 1 + r.Intn(min(l.in, 40))
+		var ids []int32
+		for _, i := range r.Perm(l.in)[:nin] {
+			ids = append(ids, int32(i))
+		}
+		vals := make([]float32, len(ids))
+		for t := range vals {
+			vals[t] = r.Float32()
+		}
+		if li == 0 {
+			if k == 7 { // feature ids[0] three times
+				ids = append(ids, ids[0], ids[0])
+				vals = append(vals, 0.25, -0.5)
+			}
+			rec.x = sparse.Vector{Dim: l.in, Idx: ids, Val: vals}
+		} else if n.layers[li-1].Sampled() {
+			slices.Sort(ids)
+			rec.layers[li-1] = layerState{ids: ids, vals: vals}
+		} else {
+			in := make([]float32, l.in)
+			for t, i := range ids {
+				in[i] = vals[t]
+			}
+			rec.layers[li-1] = layerState{full: true, vals: in}
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// TestFoldIndexMatchesSerialReference checks beginFold's index, built on
+// 1, 2, 3 and 7 index workers, against a serial build from the definition,
+// on every orientation: input-major rows (layer 0 of "hidden"), full-width
+// neuron rows over sampled and over full records, column-union rows, and
+// neuron rows placed in several blocks; and right at the stamp epoch's
+// wrap.
+func TestFoldIndexMatchesSerialReference(t *testing.T) {
+	sampledOut := LayerConfig{
+		Size: 40, Activation: ActSoftmax,
+		Sampled: true, Hash: lsh.KindSimhash, K: 4, L: 8,
+		Strategy: sampling.KindVanilla, Beta: 16,
+	}
+	configs := map[string]Config{
+		"hidden":      {InputDim: 300, Seed: 3, Layers: []LayerConfig{{Size: 24, Activation: ActReLU}, sampledOut}},
+		"dense":       {InputDim: 300, Seed: 3, Layers: []LayerConfig{{Size: 24, Activation: ActReLU}, {Size: 40, Activation: ActSoftmax}}},
+		"column-wide": {InputDim: colTrackThreshold + 200, Seed: 3, Layers: []LayerConfig{sampledOut}},
+	}
+	// Output rows over several placeBlock blocks per worker.
+	wideOut := sampledOut
+	wideOut.Size = 3*placeBlock + 100
+	configs["blocks"] = Config{InputDim: 300, Seed: 3, Layers: []LayerConfig{{Size: 24, Activation: ActReLU}, wideOut}}
+	for name, cfg := range configs {
+		n := mustNet(t, cfg)
+		for li, l := range n.layers {
+			for _, wrap := range []bool{false, true} {
+				for _, workers := range []int{1, 2, 3, 7} {
+					recs := foldIndexRecords(n, li, int64(10*li+workers))
+					want := serialFoldIndex(l, recs)
+					if wrap {
+						l.batchEpoch = math.MaxUint32
+					}
+					if !l.beginFold(recs, workers) {
+						t.Fatalf("%s layer %d: beginFold found no gradient", name, li)
+					}
+					got := builtFoldIndex(l, recs)
+					if diff := foldIndexDiff(got, want); diff != "" {
+						t.Fatalf("%s layer %d wrap=%v workers=%d: %s", name, li, wrap, workers, diff)
+					}
+				}
+			}
+			zero := foldIndexRecords(n, li, 1)
+			for _, rec := range zero {
+				clear(rec.layers[li].delta)
+			}
+			if l.beginFold(zero, 3) {
+				t.Fatalf("%s layer %d: beginFold reports gradient for an all-zero batch", name, li)
+			}
+		}
+	}
+}
+
+// foldIndexDiff names the first part of two indexes that differs, bit for
+// bit, or returns "".
+func foldIndexDiff(got, want foldIndex) string {
+	bits := func(v []float32) []uint32 {
+		b := make([]uint32, len(v))
+		for i, x := range v {
+			b[i] = math.Float32bits(x)
+		}
+		return b
+	}
+	switch {
+	case !slices.Equal(got.neurons, want.neurons):
+		return fmt.Sprintf("neurons %v, want %v", got.neurons, want.neurons)
+	case !slices.Equal(bits(got.bias), bits(want.bias)):
+		return fmt.Sprintf("bias %v, want %v", got.bias, want.bias)
+	case !slices.Equal(got.rows, want.rows):
+		return fmt.Sprintf("rows %v, want %v", got.rows, want.rows)
+	case !slices.Equal(got.rowOff, want.rowOff):
+		return fmt.Sprintf("rowOff %v, want %v", got.rowOff, want.rowOff)
+	case !slices.EqualFunc(got.ent, want.ent, func(a, b vecmath.Term) bool {
+		return a.K == b.K && math.Float32bits(a.Coef) == math.Float32bits(b.Coef)
+	}):
+		return fmt.Sprintf("ent %v, want %v", got.ent, want.ent)
+	case !slices.Equal(got.cols, want.cols):
+		return fmt.Sprintf("cols %v, want %v", got.cols, want.cols)
+	case !slices.EqualFunc(got.pos, want.pos, slices.Equal[[]int32]):
+		return fmt.Sprintf("pos %v, want %v", got.pos, want.pos)
+	}
+	return ""
+}
+
 // TestUpdatePhaseSteadyStateAllocs pins the update phase's allocation
 // budget (the CI allocation gate): once the layer-owned scratch is warm —
 // stamp-scan partial lists, the row index, the column union and its
@@ -385,8 +629,10 @@ func TestUpdatePhaseSteadyStateAllocs(t *testing.T) {
 // BenchmarkUpdatePhase times both consumers of the fold on one captured
 // train_converge-shaped batch (Delicious-200K at 0.03: 23.5K features into
 // 128 hidden units into 6.2K classes, batch 128 over two workers, both
-// layers), reporting ns per stepped cell. The fold only reads the records,
-// so re-arming them replays the same batch every iteration.
+// layers), reporting ns per stepped cell, and index-ns/batch: both layers'
+// beginFold, the index build inside each consumer, timed on its own after
+// the consumer's loop. The fold only reads the records, so re-arming them
+// replays the same batch every iteration.
 func BenchmarkUpdatePhase(b *testing.B) {
 	ds, err := dataset.Generate(dataset.Delicious200K(0.03, 1))
 	if err != nil {
@@ -449,6 +695,20 @@ func BenchmarkUpdatePhase(b *testing.B) {
 				cells += c.update(n, alpha, invB)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+			b.StopTimer()
+			var indexNS int64
+			for i := 0; i < b.N; i++ {
+				for _, rec := range n.records {
+					rec.used = true
+				}
+				recs := n.takeRecords()
+				t0 := time.Now()
+				for _, l := range n.layers {
+					l.beginFold(recs, 2)
+				}
+				indexNS += time.Since(t0).Nanoseconds()
+			}
+			b.ReportMetric(float64(indexNS)/float64(b.N), "index-ns/batch")
 		})
 	}
 }

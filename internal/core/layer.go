@@ -50,12 +50,12 @@ type Layer struct {
 	mB []float32
 	vB []float32
 
-	// touched[j] == batchEpoch marks neuron j as having gradient this
-	// batch; colStamp (nil unless the layer is input-major or replays rows
-	// over a column union) marks touched input columns the same way.
-	// Workers never write them: the update phase stamps both at the
-	// quiesced batch boundary, single-threaded.
-	touched    []uint32
+	// hits[j] counts neuron j's nonzero δ in the batch being folded; index
+	// workers write it at the quiesced batch boundary, each entry by the
+	// one worker that owns the neuron. colStamp[i] == batchEpoch (nil
+	// unless the layer replays rows over a column union) marks input
+	// column i as touched by the batch; the fold stamps it single-threaded.
+	hits       []int32
 	colStamp   []uint32
 	colList    []int32   // scratch for the per-batch touched-column list
 	rowList    []int32   // scratch for the per-batch touched-row list
@@ -116,8 +116,8 @@ func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Laye
 	l.b = ar.AllocAligned(l.out)
 	l.mB = ar.AllocAligned(l.out)
 	l.vB = ar.AllocAligned(l.out)
-	l.touched = make([]uint32, l.out)
-	l.fold.cursor = make([]int32, max(rows, l.out))
+	l.hits = make([]int32, l.out)
+	l.fold.cursor = make([]int32, rows)
 	l.fold.bias = make([]float32, l.out)
 
 	if cfg.Sampled {

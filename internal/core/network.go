@@ -110,14 +110,13 @@ func newNetwork(cfg Config, fresh bool) (*Network, error) {
 		n.layers = append(n.layers, l)
 		in = lc.Size
 	}
-	// The update phase stamps the batch's input columns on the input-major
-	// layer, whose rows they are, and on a neuron-major layer whose input
-	// arrives sparse (the example's features, or a preceding sampled
-	// layer's active set) over a wide fan-in, which replays its rows over
-	// their union (fold.go).
+	// The update phase stamps the batch's input columns on a neuron-major
+	// layer whose input arrives sparse (the example's features, or a
+	// preceding sampled layer's active set) over a wide fan-in, which
+	// replays its rows over their union (fold.go).
 	sparseIn := true
 	for _, l := range n.layers {
-		if l.inputMajor || sparseIn && l.in > colTrackThreshold {
+		if !l.inputMajor && sparseIn && l.in > colTrackThreshold {
 			l.colStamp = make([]uint32, l.in)
 		}
 		sparseIn = l.Sampled()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"time"
 
 	"repro/internal/rng"
@@ -36,6 +37,19 @@ func (ls *layerState) id(a int) int32 {
 		return int32(a)
 	}
 	return ls.ids[a]
+}
+
+// span returns the active positions [lo, hi) whose neuron ids fall in
+// [first, end): a search of the ascending ids, or the ids themselves on a
+// full layer.
+func (ls *layerState) span(first, end int32) (lo, hi int) {
+	n := len(ls.delta)
+	if ls.full {
+		return min(int(first), n), min(int(end), n)
+	}
+	lo, _ = slices.BinarySearch(ls.ids, first)
+	hi, _ = slices.BinarySearch(ls.ids, end)
+	return min(lo, n), min(hi, n)
 }
 
 func (ls *layerState) reset(full bool, n int) {

@@ -109,9 +109,6 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 		return nil, err
 	}
 	tc = tc.withDefaults(len(train))
-	if tc.BatchSize > len(train) {
-		tc.BatchSize = len(train)
-	}
 	if sc, ok := tc.Exchanger.(ShardCounter); ok && sc.Shards() != tc.Shards {
 		return nil, fmt.Errorf("core: TrainConfig.Shards = %d but the exchanger's group has %d: the merged Adam step would be mis-averaged", tc.Shards, sc.Shards())
 	}

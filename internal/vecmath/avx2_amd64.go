@@ -28,6 +28,12 @@ func detectAVX2() bool {
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)
 
+// prefetchT0 is Prefetch's hint, on every amd64: PREFETCHT0 is baseline
+// SSE, not AVX2.
+//
+//go:noescape
+func prefetchT0(p *float32, n int)
+
 // The kernels below take whole 8-cell blocks (blocks = cells/8) and do no
 // checking of their own; see avx2_amd64.s.
 

@@ -26,6 +26,22 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
+// func prefetchT0(p *float32, n int)
+// PREFETCHT0 on each 64-byte line of the n > 0 bytes from p: a hint that
+// loads no register and cannot fault. The wrapper bounds n.
+TEXT ·prefetchT0(SB), NOSPLIT, $0-16
+	MOVQ p+0(FP), SI
+	MOVQ n+8(FP), CX
+	LEAQ -1(SI)(CX*1), DX
+	ANDQ $-64, SI
+
+prefetch_loop:
+	PREFETCHT0 (SI)
+	ADDQ $64, SI
+	CMPQ SI, DX
+	JLS  prefetch_loop
+	RET
+
 // func axpyAVX2(alpha float32, x, y *float32, blocks int)
 // y[i] += alpha*x[i] over blocks*8 cells.
 TEXT ·axpyAVX2(SB), NOSPLIT, $0-32

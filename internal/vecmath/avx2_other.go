@@ -6,6 +6,9 @@ package vecmath
 // stubs below exist only so the dispatching wrappers compile.
 var hasAVX2 = false
 
+// prefetchT0 is Prefetch's hint, which has no instruction here.
+func prefetchT0(p *float32, n int) {}
+
 func axpyAVX2(alpha float32, x, y *float32, blocks int) { panic("vecmath: no AVX2") }
 
 func axpyRowsAVX2(dst *float32, rows *[]float32, terms *Term, nterms, col, blocks int) {

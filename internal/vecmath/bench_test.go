@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rng"
@@ -156,6 +157,45 @@ func BenchmarkDotRows(b *testing.B) {
 	}
 	x, dst := randVec(r, 128), make([]float32, active)
 	benchTiers(b, func() { DotRows(dst, w, ids, x) })
+}
+
+// BenchmarkDotRowsGathered is a forward gather over a slab larger than L2:
+// 320 ascending random rows of a 20.5K × 128 layer (serve_open's output
+// layer, 10.5 MB) against 320 sequential rows, each call on another set of
+// rows, so they are not left in L1 or L2 by the call before. ns/op ÷ 320
+// is ns per row.
+func BenchmarkDotRowsGathered(b *testing.B) {
+	const rows, active, sets = 20480, 320, 64
+	r := rng.New(7)
+	slab := make([]float32, rows*128)
+	for i := range slab {
+		slab[i] = r.NormFloat32()
+	}
+	w := make([][]float32, rows)
+	for j := range w {
+		w[j] = slab[j*128 : (j+1)*128]
+	}
+	gathered := make([][]int32, sets)
+	for s := range gathered {
+		ids := make([]int32, 0, active)
+		for _, j := range r.Perm(rows)[:active] {
+			ids = append(ids, int32(j))
+		}
+		slices.Sort(ids)
+		gathered[s] = ids
+	}
+	x, dst := randVec(r, 128), make([]float32, active)
+	b.Run("gathered", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			DotRows(dst, w, gathered[i%sets], x)
+		}
+	})
+	b.Run("sequential", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			first := i * active % (rows - active)
+			DotRows(dst, w[first:first+active], nil, x)
+		}
+	})
 }
 
 func BenchmarkAxpy(b *testing.B) {

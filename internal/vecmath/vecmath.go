@@ -43,12 +43,16 @@
 // NonZeroArgMax keeps a value only
 // when it is neither ±0 nor NaN and strictly greater than the lane's best,
 // the same rule nonZeroArgMaxGo's ordered keys encode, so positions and
-// ties agree. Two caveats. The equality is with Go compiled at the default
-// GOAMD64=v1: at GOAMD64=v3 the Go compiler may itself fuse x*y+z, the Go
-// kernels then differ from the v1 build (and from the assembly) in the last
-// bit, and goldens recorded at v1 do not hold. And which NaN comes out of
-// an operation on two NaNs is promised by neither side: a NaN result is a
-// NaN result, payloads may differ.
+// ties agree. Two caveats. The Go kernels round twice only where the Go
+// compiler does not fuse x*y+z into one FMA: go1.24 fuses on arm64,
+// ppc64le, s390x and riscv64, so there the Go kernels can differ in the
+// last bit and goldens recorded on amd64 do not hold. On amd64 it does not
+// fuse at any GOAMD64 level (it emits FMA only for math.FMA), and the core
+// goldens — training, sharded training, answers, tables, model bytes —
+// hold at GOAMD64=v1 and v3 alike, with this tier on and with it forced
+// off, so they pin the assembly and the Go kernels to the same bits. And
+// which NaN comes out of an operation on two NaNs is promised by neither
+// side: a NaN result is a NaN result, payloads may differ.
 //
 // # Safety and preemption
 //
@@ -69,6 +73,17 @@
 // check just the input's length and pad a partial last group through a
 // full-width buffer. Loads are unaligned; there is no padding or layout
 // requirement. Slices passed to one call must not partially overlap.
+//
+// # Prefetch
+//
+// Prefetch is a hint, not a kernel: one PREFETCHT0 per cache line of at
+// most maxPrefetch bytes (baseline SSE, so every amd64 has it), and nothing
+// off amd64. It loads no register, stores nothing and cannot fault, so no
+// result depends on it; like the kernels it is bounded and not
+// preemptible. Its callers are the walks that know their next row and find
+// it scattered: DotRows over gathered ids, and the update phase's claimed
+// rows (core), each only when the next row is not the one after the
+// current, which the hardware prefetcher already streams.
 package vecmath
 
 import "math"
@@ -110,11 +125,28 @@ func dotTail(s float32, a, b []float32) float32 {
 	return s
 }
 
+// maxPrefetch bounds the bytes one Prefetch hint covers: 16 cache lines, a
+// 256-float row.
+const maxPrefetch = 1024
+
+// Prefetch hints the cache lines of x — at most its first maxPrefetch
+// bytes — into cache ahead of a read the hardware prefetcher cannot
+// predict, such as a row that does not follow the last one read. It reads
+// and writes no value and faults on nothing, so it changes no result; off
+// amd64 it does nothing.
+func Prefetch(x []float32) {
+	if len(x) > 0 {
+		prefetchT0(&x[0], min(4*len(x), maxPrefetch))
+	}
+}
+
 // DotRows sets dst[k] = Dot(rows[j][:len(x)], x) for j = ids[k], or j = k
 // when ids is nil (every row 0..len(dst)) — the gather form's dense-input
 // kernel. Rows may be longer than x; it panics on an id outside rows or a
 // row shorter than x. Each dst[k] is bitwise the single-row Dot; the vector
-// path takes four rows against one load of x per pass.
+// path takes four rows against one load of x per pass. Gathered rows (ids
+// non-nil) are scattered over the slab, so each vector pass prefetches the
+// next four; every-row walks leave that to the hardware prefetcher.
 func DotRows(dst []float32, rows [][]float32, ids []int32, x []float32) {
 	if ids != nil && len(ids) != len(dst) {
 		panic("vecmath: DotRows id/output length mismatch")
@@ -134,6 +166,11 @@ func DotRows(dst []float32, rows [][]float32, ids []int32, x []float32) {
 	}
 	k := 0
 	for ; k+4 <= len(dst); k += 4 {
+		if ids != nil {
+			for _, j := range ids[k+4 : min(k+8, len(ids))] {
+				Prefetch(rows[j][:n])
+			}
+		}
 		r0, r1, r2, r3 := row(k), row(k+1), row(k+2), row(k+3)
 		out := (*[4]float32)(dst[k:])
 		dot4AVX2(&x[0], &r0[0], &r1[0], &r2[0], &r3[0], n/8, out)
