@@ -50,7 +50,8 @@
 // a soft heap limit, GOGC the GC target. Without GOGC the server sets a
 // 25% target once the model is loaded, so request garbage grows the
 // heap by a quarter of the model between collections, not by a whole
-// model.
+// model. The model is its weights, biases and hash tables: a loaded
+// network allocates no optimizer state, which only training reads.
 //
 // The process shuts down gracefully: SIGINT/SIGTERM stops accepting new
 // connections, drains in-flight requests (bounded by -drain), then stops
@@ -82,12 +83,12 @@ func main() {
 		defaultK    = flag.Int("k", 5, "default top-k when a request omits k")
 		maxK        = flag.Int("max-k", 100, "largest top-k a request may ask for")
 		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "maximum micro-batch gathering window (0 disables batching)")
-		batchMax    = flag.Int("batch-max", 64, "maximum requests per micro-batch")
+		batchMax    = flag.Int("batch-max", 64, "maximum requests per micro-batch (at most 4096)")
 		adaptive    = flag.Bool("adaptive-window", true, "derive each gather window from the observed arrival rate (one EWMA per inference mode), clamped to [0, -batch-window]")
 		budget      = flag.Duration("latency-budget", 0, "admission-control latency budget: shed requests whose expected wait exceeds it with 429 + Retry-After (0 disables shedding)")
 		cacheSize   = flag.Int("cache-size", 0, "response-cache capacity in entries for deterministic (exact and seeded-sampled) requests (0 disables the cache)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout for in-flight requests on SIGINT/SIGTERM")
-		maxBody     = flag.Int64("max-body", 0, "request body cap in bytes for /predict; /predict/batch allows 16x, /reload a quarter (0 keeps the 4 MiB default)")
+		maxBody     = flag.Int64("max-body", 0, "request body cap in bytes for /predict; /predict/batch allows 16x, /reload a quarter (0 keeps the 4 MiB default; at most 1 GiB)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on the serving mux for live heap and allocation profiling")
 	)
 	flag.Parse()
@@ -187,12 +188,13 @@ func main() {
 }
 
 // setGCTarget runs once the model is loaded, when the live heap is
-// almost all model: long-lived and pointer-free. At the runtime's
-// default GOGC=100 the heap grows by a whole model's worth of request
-// garbage before the next collection, so the resident set heads for
-// twice the model. A 25% target caps that growth at a quarter of it, and
-// marking pointer-free weights is cheap. A GOGC set in the environment
-// still wins.
+// almost all model — weights, biases and tables, long-lived and
+// pointer-free; a loaded network holds no Adam moments, so the heap is
+// the model once, not three times. At the runtime's default GOGC=100
+// the heap grows by a whole model's worth of request garbage before the
+// next collection, so the resident set heads for twice the model. A 25%
+// target caps that growth at a quarter of it, and marking pointer-free
+// weights is cheap. A GOGC set in the environment still wins.
 func setGCTarget() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(25)

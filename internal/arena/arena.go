@@ -3,8 +3,10 @@
 // It is the repository's analogue of the paper's Transparent Hugepages
 // optimization (§5.4, App. D, Table 4): instead of one small heap object
 // per neuron (many pages, many pointer targets, TLB/GC pressure), an Arena
-// packs a whole layer's weights and optimizer moments into a handful of
-// large contiguous slabs and hands out row views over them.
+// packs a network's weights and biases into a handful of large contiguous
+// slabs and hands out row views over them. A network that trains takes
+// its optimizer moments from a second arena at its first step, so a
+// network that only serves never allocates them.
 //
 // Slabs are ordinary pointer-free Go heap allocations: the garbage
 // collector reclaims them with the last slice carved from them, so an

@@ -21,6 +21,23 @@ func (l *Layer) cell(m [][]float32, j, i int) *float32 {
 	return &m[j][i]
 }
 
+// moment reads cell (j, i) of a weight moment, zero before the layer's
+// first step allocates it, as the step would find it.
+func (l *Layer) moment(m [][]float32, j, i int) float32 {
+	if m == nil {
+		return 0
+	}
+	return *l.cell(m, j, i)
+}
+
+// biasMoment reads neuron j's bias moment the same way.
+func biasMoment(m []float32, j int) float32 {
+	if m == nil {
+		return 0
+	}
+	return m[j]
+}
+
 // denseNetConfig builds a fully dense (no sampling) two-layer softmax
 // network — the configuration under which SLIDE's sparse machinery must
 // agree exactly with classical dense backprop.

@@ -155,6 +155,7 @@ func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 	if workers <= 0 {
 		workers = defaultThreads()
 	}
+	n.allocTrainState()
 	if dst == nil {
 		dst = &SparseDelta{}
 	}
@@ -171,7 +172,8 @@ func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 // v*invB per nonzero cell v of a row and b*invB per nonzero bias b. It
 // returns the number of cells stepped. Shape mismatches — rows, columns or
 // neurons out of range or out of order, a row block of the wrong size —
-// are rejected before any weight moves. workers <= 0 selects GOMAXPROCS.
+// are rejected before any weight moves, and before a network that has
+// not trained yet allocates its moments. workers <= 0 selects GOMAXPROCS.
 func (n *Network) ApplyDelta(d *SparseDelta, alpha, invB float32, workers int) (int64, error) {
 	if workers <= 0 {
 		workers = defaultThreads()
@@ -188,9 +190,10 @@ func (n *Network) ApplyDelta(d *SparseDelta, alpha, invB float32, workers int) (
 			return 0, fmt.Errorf("core: layer %d: %w", li, err)
 		}
 	}
+	n.allocTrainState()
 	var total int64
 	for li, l := range n.layers {
-		total += l.ApplyDelta(n.adam, &d.Layers[li], alpha, invB, workers)
+		total += l.applyDelta(n.adam, &d.Layers[li], alpha, invB, workers)
 	}
 	return total, nil
 }
@@ -280,12 +283,12 @@ func (l *Layer) scanStamps(stamps []uint32, epoch uint32, workers int, dst []int
 	return dst
 }
 
-// ApplyDelta runs one Adam step over the delta's nonzero cells (gradient
+// applyDelta runs one Adam step over the delta's nonzero cells (gradient
 // v*invB) and nonzero biases, returning the number of cells stepped. Each
 // row goes through stepRow exactly as stepFold steps a folded row, so the
 // two update paths cannot drift apart numerically, and a full-width row
 // takes the vector row step.
-func (l *Layer) ApplyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32, workers int) int64 {
+func (l *Layer) applyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32, workers int) int64 {
 	w := ld.width()
 	stepped := l.claimRows(workers, len(ld.Rows), func(_, lo, hi int) int64 {
 		var n int64

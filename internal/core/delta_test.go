@@ -103,14 +103,14 @@ func requireNetsBitIdentical(t *testing.T, a, b *Network, context string) {
 				if wa, wb := *la.cell(la.w, j, i), *lb.cell(lb.w, j, i); math.Float32bits(wa) != math.Float32bits(wb) {
 					t.Fatalf("%s: layer %d w[%d][%d]: %g != %g", context, li, j, i, wa, wb)
 				}
-				if math.Float32bits(*la.cell(la.mW, j, i)) != math.Float32bits(*lb.cell(lb.mW, j, i)) ||
-					math.Float32bits(*la.cell(la.vW, j, i)) != math.Float32bits(*lb.cell(lb.vW, j, i)) {
+				if math.Float32bits(la.moment(la.mW, j, i)) != math.Float32bits(lb.moment(lb.mW, j, i)) ||
+					math.Float32bits(la.moment(la.vW, j, i)) != math.Float32bits(lb.moment(lb.vW, j, i)) {
 					t.Fatalf("%s: layer %d moments[%d][%d] diverged", context, li, j, i)
 				}
 			}
 			if math.Float32bits(la.b[j]) != math.Float32bits(lb.b[j]) ||
-				math.Float32bits(la.mB[j]) != math.Float32bits(lb.mB[j]) ||
-				math.Float32bits(la.vB[j]) != math.Float32bits(lb.vB[j]) {
+				math.Float32bits(biasMoment(la.mB, j)) != math.Float32bits(biasMoment(lb.mB, j)) ||
+				math.Float32bits(biasMoment(la.vB, j)) != math.Float32bits(biasMoment(lb.vB, j)) {
 				t.Fatalf("%s: layer %d bias[%d] diverged", context, li, j)
 			}
 		}

@@ -541,6 +541,7 @@ func (l *Layer) extract(dst *LayerDelta, recs []*elemRecord, workers int) {
 // The stepped-cell count accumulates into n.touchedWeights, surfaced as
 // TrainResult.TouchedPerIter.
 func (n *Network) applyAdamBatch(alpha, invB float32, workers int) {
+	n.allocTrainState()
 	recs := n.takeRecords()
 	for _, l := range n.layers {
 		if l.beginFold(recs, workers) {

@@ -155,7 +155,7 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 					alpha := stepNet.adam.Alpha(int64(round) + 1)
 					const invB = float32(1.0 / 8)
 					for li, l := range stepNet.layers {
-						denseIn := li > 0 && l.colStamp == nil
+						denseIn := li > 0 && !stepNet.layers[li-1].Sampled()
 						elems := foldTestElems(int64(100*round+li), l.in, l.out, shards, denseIn)
 						injectFoldElems(stepNet, li, elems)
 						injectFoldElems(applyNet, li, elems)
@@ -219,7 +219,8 @@ func requireConstructedCases(t *testing.T, l *Layer, ld *LayerDelta, shards int)
 }
 
 // stateHash fingerprints every weight, bias and Adam moment bit, neuron by
-// neuron and input by input whatever the layer's orientation.
+// neuron and input by input whatever the layer's orientation; moments not
+// allocated yet hash as the zeros they start as.
 func stateHash(n *Network) uint64 {
 	h := fnv.New64a()
 	var b [4]byte
@@ -232,12 +233,12 @@ func stateHash(n *Network) uint64 {
 		for j := 0; j < l.out; j++ {
 			for i := 0; i < l.in; i++ {
 				put(*l.cell(l.w, j, i))
-				put(*l.cell(l.mW, j, i))
-				put(*l.cell(l.vW, j, i))
+				put(l.moment(l.mW, j, i))
+				put(l.moment(l.vW, j, i))
 			}
 			put(l.b[j])
-			put(l.mB[j])
-			put(l.vB[j])
+			put(biasMoment(l.mB, j))
+			put(biasMoment(l.vB, j))
 		}
 	}
 	return h.Sum64()
@@ -520,6 +521,7 @@ func TestFoldIndexMatchesSerialReference(t *testing.T) {
 	configs["blocks"] = Config{InputDim: 300, Seed: 3, Layers: []LayerConfig{{Size: 24, Activation: ActReLU}, wideOut}}
 	for name, cfg := range configs {
 		n := mustNet(t, cfg)
+		n.allocTrainState() // beginFold's scratch, which its callers allocate
 		for li, l := range n.layers {
 			for _, wrap := range []bool{false, true} {
 				for _, workers := range []int{1, 2, 3, 7} {

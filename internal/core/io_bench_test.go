@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // benchModel is a CI-sized serving model: 20K features, an input-major
 // 128-wide hidden layer and a 5K-class Simhash output layer (serve_open's
 // K 6, L 20 and β = classes/20), at a fixed seed.
-func benchModel(b *testing.B) *Network {
+func benchModel(tb testing.TB) *Network {
 	n, err := NewNetwork(Config{
 		InputDim: 20000,
 		Seed:     23,
@@ -27,7 +28,7 @@ func benchModel(b *testing.B) *Network {
 		},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return n
 }
@@ -47,19 +48,26 @@ func BenchmarkSaveModel(b *testing.B) {
 
 // BenchmarkLoadModel measures LoadModel from an in-memory file, and
 // reports as table-share the fraction of it that one table build of the
-// loaded network costs — all that persisting tables could still save.
+// loaded network costs — all that persisting tables could still save —
+// and as held-B/param the live heap the last load leaves behind, per
+// parameter: 4 bytes of weights, plus the tables, the table build's
+// scratch and the unused tail of the weights' last arena slab.
 func BenchmarkLoadModel(b *testing.B) {
 	var file bytes.Buffer
 	if err := benchModel(b).SaveModel(&file); err != nil {
 		b.Fatal(err)
 	}
+	var base, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&base)
 	b.SetBytes(int64(file.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var tables time.Duration
+	var m *Network
 	for i := 0; i < b.N; i++ {
-		m, err := LoadModel(bytes.NewReader(file.Bytes()))
-		if err != nil {
+		var err error
+		if m, err = LoadModel(bytes.NewReader(file.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -68,5 +76,10 @@ func BenchmarkLoadModel(b *testing.B) {
 		tables += time.Since(t0)
 		b.StartTimer()
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(tables)/float64(b.Elapsed()), "table-share")
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(base.HeapAlloc))/float64(m.NumParams()), "held-B/param")
+	runtime.KeepAlive(&file)
 }

@@ -12,9 +12,12 @@ import (
 	"repro/internal/rng"
 )
 
-// Layer is one fully connected layer: weights, biases, Adam moments, and —
-// when sampled — the LSH family plus (K, L) hash tables holding neuron ids
-// keyed by their weight vectors (§3.1, Fig. 2).
+// Layer is one fully connected layer: weights, biases and — when sampled —
+// the LSH family plus (K, L) hash tables holding neuron ids keyed by their
+// weight vectors (§3.1, Fig. 2). That is all inference reads, and all a
+// layer holds until its network first folds or steps a batch: the Adam
+// moments and the update phase's per-row scratch arrive then
+// (Network.allocTrainState).
 //
 // A layer stores its weights in one orientation, fixed at construction:
 //
@@ -33,10 +36,11 @@ type Layer struct {
 	out int // neuron count
 	cfg LayerConfig
 
-	// w holds the weights in the layer's orientation and mW/vW the aligned
-	// Adam moments, rows viewing the network arena's contiguous slabs. A
-	// batch's gradient is replayed from the batch records row by row at the
-	// boundary (fold.go), never stored here.
+	// w holds the weights in the layer's orientation, rows viewing the
+	// network arena's contiguous slabs, and mW/vW the Adam moments, rows of
+	// the same shape viewing the training arena's (nil until the first
+	// step). A batch's gradient is replayed from the batch records row by
+	// row at the boundary (fold.go), never stored here.
 	w  [][]float32
 	mW [][]float32
 	vW [][]float32
@@ -45,7 +49,7 @@ type Layer struct {
 	// otherwise.
 	inputMajor bool
 	inputCols  *kernels.Mirror
-	// b, mB, vB are biases and their moments.
+	// b, mB, vB are biases and their moments (nil until the first step).
 	b  []float32
 	mB []float32
 	vB []float32
@@ -55,6 +59,7 @@ type Layer struct {
 	// one worker that owns the neuron. colStamp[i] == batchEpoch (nil
 	// unless the layer replays rows over a column union) marks input
 	// column i as touched by the batch; the fold stamps it single-threaded.
+	// Both are nil until the first step.
 	hits       []int32
 	colStamp   []uint32
 	colList    []int32   // scratch for the per-batch touched-column list
@@ -96,29 +101,20 @@ type Layer struct {
 	rowsHashed int64
 }
 
-// newLayer builds a layer with zero weights: shapes, storage and, when
-// sampled, the hash family and an empty table set.
+// newLayer builds a layer with zero weights: shapes, weight and bias
+// storage and, when sampled, the hash family and an empty table set.
 func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Layer, error) {
 	l := &Layer{idx: idx, in: in, out: cfg.Size, cfg: cfg, inputMajor: idx == 0 && !cfg.Sampled}
-	rows, rowLen := l.out, l.in
 	if l.inputMajor {
-		rows, rowLen = l.in, l.out
 		l.inputCols = kernels.NewArenaMirror(l.in, l.out, ar)
 		l.w = make([][]float32, l.in)
 		for i := range l.w {
 			l.w[i] = l.inputCols.Col(int32(i))
 		}
 	} else {
-		l.w = ar.AllocRows(rows, rowLen)
+		l.w = ar.AllocRows(l.out, l.in)
 	}
-	l.mW = ar.AllocRows(rows, rowLen)
-	l.vW = ar.AllocRows(rows, rowLen)
 	l.b = ar.AllocAligned(l.out)
-	l.mB = ar.AllocAligned(l.out)
-	l.vB = ar.AllocAligned(l.out)
-	l.hits = make([]int32, l.out)
-	l.fold.cursor = make([]int32, rows)
-	l.fold.bias = make([]float32, l.out)
 
 	if cfg.Sampled {
 		fam, err := lsh.New(cfg.Hash, lsh.Params{

@@ -17,16 +17,16 @@ import (
 // Point is an evaluation point on a training curve.
 type Point = metrics.Point
 
-// Network is a SLIDE network (Algorithm 1): layers with weights, Adam
-// state and per-layer LSH tables. Construct with NewNetwork; the tables
-// are built once from the initial weights (§3.1 "Initialization") and
-// rebuilt on the exponential-decay schedule during training. A scheduled
-// rebuild snapshots the weights at its due batch boundary, builds a
-// shadow table set on a background goroutine, and publishes it with an
-// atomic handle swap a fixed, schedule-derived number of batches later
-// (rebuildLagDiv), so training batches and concurrent inference keep
-// running on the previous set mid-rebuild and the batch a set goes live
-// at depends only on the config, never on timing.
+// Network is a SLIDE network (Algorithm 1): layers with weights, biases
+// and per-layer LSH tables, and Adam state once it trains. Construct with
+// NewNetwork; the tables are built once from the initial weights (§3.1
+// "Initialization") and rebuilt on the exponential-decay schedule during
+// training. A scheduled rebuild snapshots the weights at its due batch
+// boundary, builds a shadow table set on a background goroutine, and
+// publishes it with an atomic handle swap a fixed, schedule-derived number
+// of batches later (rebuildLagDiv), so training batches and concurrent
+// inference keep running on the previous set mid-rebuild and the batch a
+// set goes live at depends only on the config, never on timing.
 type Network struct {
 	cfg    Config
 	layers []*Layer
@@ -110,17 +110,6 @@ func newNetwork(cfg Config, fresh bool) (*Network, error) {
 		n.layers = append(n.layers, l)
 		in = lc.Size
 	}
-	// The update phase stamps the batch's input columns on a neuron-major
-	// layer whose input arrives sparse (the example's features, or a
-	// preceding sampled layer's active set) over a wide fan-in, which
-	// replays its rows over their union (fold.go).
-	sparseIn := true
-	for _, l := range n.layers {
-		if !l.inputMajor && sparseIn && l.in > colTrackThreshold {
-			l.colStamp = make([]uint32, l.in)
-		}
-		sparseIn = l.Sampled()
-	}
 	if fresh {
 		for _, l := range n.layers {
 			l.initWeights(cfg.Seed, defaultThreads())
@@ -129,6 +118,46 @@ func newNetwork(cfg Config, fresh bool) (*Network, error) {
 	}
 	n.nextAt = int64(cfg.RebuildN0)
 	return n, nil
+}
+
+// allocTrainState gives every layer what only training reads, once: the
+// Adam moments, from one arena in the layers' storage shapes (each array
+// contiguous, rows cache-line aligned), and the update phase's per-row
+// scratch. Every entry that folds or steps a batch — TrainContext,
+// ExtractDelta, applyAdamBatch, ApplyDelta — calls it single-threaded
+// before any worker starts, so a network that is only loaded and served
+// never holds training state. Moments start at zero whenever they arrive,
+// and the first layer's mark that every layer has its state.
+func (n *Network) allocTrainState() {
+	if n.layers[0].mW != nil {
+		return
+	}
+	ar := arena.New()
+	// The update phase stamps the batch's input columns on a neuron-major
+	// layer whose input arrives sparse (the example's features, or a
+	// preceding sampled layer's active set) over a wide fan-in, which
+	// replays its rows over their union (fold.go).
+	sparseIn := true
+	for _, l := range n.layers {
+		l.allocTrainState(ar, !l.inputMajor && sparseIn && l.in > colTrackThreshold)
+		sparseIn = l.Sampled()
+	}
+}
+
+// allocTrainState gives the layer its Adam moments, from ar, and its fold
+// scratch, with column stamps when stamps is set.
+func (l *Layer) allocTrainState(ar *arena.Arena, stamps bool) {
+	rows, width := l.StorageShape()
+	l.mW = ar.AllocRows(rows, width)
+	l.vW = ar.AllocRows(rows, width)
+	l.mB = ar.AllocAligned(l.out)
+	l.vB = ar.AllocAligned(l.out)
+	l.hits = make([]int32, l.out)
+	l.fold.cursor = make([]int32, rows)
+	l.fold.bias = make([]float32, l.out)
+	if stamps {
+		l.colStamp = make([]uint32, l.in)
+	}
 }
 
 // Config returns the network's (defaulted) configuration.

@@ -115,6 +115,7 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	ex := tc.Exchanger
 	overlap := tc.OverlapExchange && ex != nil
 	workers := tc.Threads
+	n.allocTrainState()
 
 	seed := tc.Seed ^ n.cfg.Seed
 	states := make([]*elemState, workers)

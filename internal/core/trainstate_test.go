@@ -1,0 +1,210 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/lsh"
+	"repro/internal/sampling"
+)
+
+// loadTrainConfig is deltaTestConfig with a rebuild due early, and with
+// columnUnion a sampled first layer, which keeps column stamps over its
+// wide fan-in instead of an input-major first layer.
+func loadTrainConfig(classes int, columnUnion bool) Config {
+	cfg := deltaTestConfig(classes)
+	cfg.RebuildN0 = 10
+	if columnUnion {
+		cfg.Layers[0] = LayerConfig{
+			Size: 64, Activation: ActReLU,
+			Sampled: true, Hash: lsh.KindSimhash, K: 4, L: 8,
+			Strategy: sampling.KindVanilla, Beta: 16,
+		}
+	}
+	return cfg
+}
+
+// reload saves n and loads the file back.
+func reload(t *testing.T, n *Network) *Network {
+	t.Helper()
+	var file bytes.Buffer
+	if err := n.SaveModel(&file); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadModel(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestLoadTrainGoldenHash pins training a loaded network — weights,
+// biases and moments after 24 batches through two scheduled rebuilds — to
+// hashes recorded while every network still allocated its moments and
+// fold scratch at construction, so allocating them at the first step
+// moves no bit. Recorded on amd64.
+func TestLoadTrainGoldenHash(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	const classes = 128
+	ds := deltaTestDataset(t, classes)
+	for _, c := range []struct {
+		name        string
+		columnUnion bool
+		want        uint64
+	}{
+		{"input-major", false, 0x3f5ed9b62c25c198},
+		{"column-union", true, 0xdfe3ac620e5b7938},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := reload(t, mustNet(t, loadTrainConfig(classes, c.columnUnion)))
+			res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 24, Threads: 2, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rebuilds != 2 {
+				t.Fatalf("%d rebuilds, want 2", res.Rebuilds)
+			}
+			if got := stateHash(n); got != c.want {
+				t.Fatalf("state hash %#x, want %#x", got, c.want)
+			}
+		})
+	}
+}
+
+// trainState reports which of layer l's training-only fields are
+// allocated, by name.
+func trainState(l *Layer) map[string]bool {
+	return map[string]bool{
+		"mW": l.mW != nil, "vW": l.vW != nil, "mB": l.mB != nil, "vB": l.vB != nil,
+		"hits": l.hits != nil, "fold.cursor": l.fold.cursor != nil, "fold.bias": l.fold.bias != nil,
+		"colStamp": l.colStamp != nil,
+	}
+}
+
+// requireTrainState fails unless every layer of n holds its training
+// state (want) or none of it (!want). colStampLayer is the layer that
+// keeps column stamps once trained, -1 for none.
+func requireTrainState(t *testing.T, n *Network, want bool, colStampLayer int, when string) {
+	t.Helper()
+	for li, l := range n.layers {
+		for field, held := range trainState(l) {
+			if field == "colStamp" && li != colStampLayer {
+				if held {
+					t.Fatalf("%s: layer %d holds column stamps it never uses", when, li)
+				}
+				continue
+			}
+			if held != want {
+				t.Fatalf("%s: layer %d %s allocated = %v, want %v", when, li, field, held, want)
+			}
+		}
+	}
+}
+
+// TestLoadedNetworkHoldsNoTrainState: a loaded network holds weights,
+// biases and tables only, and its moments and fold scratch arrive with the
+// first entry that folds or steps a batch — Train, ExtractDelta or
+// ApplyDelta — but not with a delta ApplyDelta refuses.
+func TestLoadedNetworkHoldsNoTrainState(t *testing.T) {
+	const classes = 128
+	ds := deltaTestDataset(t, classes)
+	for _, columnUnion := range []bool{false, true} {
+		stampLayer := -1
+		if columnUnion {
+			stampLayer = 0
+		}
+		src := mustNet(t, loadTrainConfig(classes, columnUnion))
+		if _, err := src.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 2, Seed: 9}); err != nil {
+			t.Fatal(err)
+		}
+		requireTrainState(t, src, true, stampLayer, "trained source")
+		fresh := mustNet(t, loadTrainConfig(classes, columnUnion))
+		requireTrainState(t, fresh, false, stampLayer, "NewNetwork")
+
+		entries := []struct {
+			name string
+			run  func(n *Network) error
+		}{
+			{"Train", func(n *Network) error {
+				_, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 1, Seed: 9})
+				return err
+			}},
+			{"ExtractDelta", func(n *Network) error {
+				n.ExtractDelta(nil, 2)
+				return nil
+			}},
+			{"ApplyDelta", func(n *Network) error {
+				_, err := n.ApplyDelta(&SparseDelta{Layers: make([]LayerDelta, n.NumLayers())}, n.adam.Alpha(1), 1, 2)
+				return err
+			}},
+		}
+		for _, e := range entries {
+			t.Run(fmt.Sprintf("columnUnion=%v/%s", columnUnion, e.name), func(t *testing.T) {
+				n := reload(t, src)
+				requireTrainState(t, n, false, stampLayer, "after LoadModel")
+				if err := e.run(n); err != nil {
+					t.Fatal(err)
+				}
+				requireTrainState(t, n, true, stampLayer, "after "+e.name)
+			})
+		}
+		t.Run(fmt.Sprintf("columnUnion=%v/refused ApplyDelta", columnUnion), func(t *testing.T) {
+			n := reload(t, src)
+			before := stateHash(n)
+			bad := &SparseDelta{Layers: make([]LayerDelta, n.NumLayers())}
+			bad.Layers[n.NumLayers()-1] = LayerDelta{Neurons: []int32{classes}, Bias: []float32{1}}
+			if _, err := n.ApplyDelta(bad, n.adam.Alpha(1), 1, 2); err == nil {
+				t.Fatal("ApplyDelta accepted a neuron out of range")
+			}
+			if _, err := n.ApplyDelta(&SparseDelta{}, n.adam.Alpha(1), 1, 2); err == nil {
+				t.Fatal("ApplyDelta accepted a delta without layers")
+			}
+			requireTrainState(t, n, false, stampLayer, "after refused deltas")
+			if stateHash(n) != before {
+				t.Fatal("a refused delta moved the network")
+			}
+		})
+	}
+}
+
+// TestLoadModelHeapHoldsWeightsAndTables: the live heap a load leaves
+// behind is the weights, the tables and little else — not the Adam moments
+// that would triple it (at the serving shape of BenchmarkLoadModel).
+func TestLoadModelHeapHoldsWeightsAndTables(t *testing.T) {
+	var file bytes.Buffer
+	if err := benchModel(t).SaveModel(&file); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := LoadModel(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	weights := 4 * m.NumParams()
+	var tables int64
+	for _, l := range m.layers {
+		if tb := l.Tables(); tb != nil {
+			tables += 4 * int64(tb.L()) * int64(tb.NumBuckets()+1+l.out)
+		}
+	}
+	// At this shape the rest is ~8.6 MB: the unused 4 MB tail of the
+	// weights' 16 MiB arena slab, 0.6 MB of row views, and the 4 MB of
+	// chunk scratch the load's table build keeps for the next build. The
+	// moments alone would be 25.6 MB more.
+	const slack = 10 << 20
+	if limit := weights + tables + slack; held > limit {
+		t.Fatalf("a load holds %d bytes: more than %d of weights + %d of tables + %d", held, weights, tables, slack)
+	}
+	requireTrainState(t, m, false, -1, "after LoadModel")
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(&file)
+}

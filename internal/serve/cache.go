@@ -36,11 +36,15 @@ type cacheEntry struct {
 	body []byte
 }
 
+// cacheSizeHint caps the entry map's initial size: the map grows as
+// entries arrive, so a large capacity costs memory only once it fills.
+const cacheSizeHint = 1 << 10
+
 func newRespCache(capacity int) *respCache {
 	return &respCache{
 		cap:     capacity,
 		ll:      list.New(),
-		entries: make(map[string]*list.Element, capacity),
+		entries: make(map[string]*list.Element, min(capacity, cacheSizeHint)),
 	}
 }
 

@@ -47,7 +47,8 @@ type Options struct {
 	// rate, zero when no second request is expected in time, clamped to
 	// [0, BatchWindow].
 	AdaptiveWindow bool
-	// BatchMax bounds the number of requests per micro-batch.
+	// BatchMax bounds the number of requests per micro-batch; values
+	// past 4096 are cut to it.
 	BatchMax int
 	// BatchBodyMax bounds the number of vectors a single /predict/batch
 	// request may carry.
@@ -70,13 +71,24 @@ type Options struct {
 	// MaxBodyBytes caps the /predict request body; /predict/batch allows
 	// 16x it (bulk bodies carry up to BatchBodyMax vectors) and /reload
 	// a quarter (its body is one path). 0 keeps the 4 MiB default, which
-	// preserves the previous hard-coded 4/64/1 MiB caps.
+	// preserves the previous hard-coded 4/64/1 MiB caps; values past
+	// 1 GiB are cut to it.
 	MaxBodyBytes int64
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ on the
 	// server's own mux (nothing is registered globally), for heap and
 	// allocation profiling against a live server.
 	EnablePprof bool
 }
+
+// maxBatchMax caps BatchMax: the request queue is sized from it up front
+// (4·BatchMax pointers), and a batch far past the workers' count only
+// makes its requests wait longer. maxBodyBytes caps MaxBodyBytes, so the
+// bulk cap 16·MaxBodyBytes cannot overflow into a negative limit that
+// refuses every bulk request.
+const (
+	maxBatchMax  = 1 << 12
+	maxBodyBytes = 1 << 30
+)
 
 func (o Options) withDefaults() Options {
 	if o.DefaultK <= 0 {
@@ -88,12 +100,14 @@ func (o Options) withDefaults() Options {
 	if o.BatchMax <= 0 {
 		o.BatchMax = 64
 	}
+	o.BatchMax = min(o.BatchMax, maxBatchMax)
 	if o.BatchBodyMax <= 0 {
 		o.BatchBodyMax = 1024
 	}
 	if o.MaxBodyBytes <= 0 {
 		o.MaxBodyBytes = 1 << 22
 	}
+	o.MaxBodyBytes = min(o.MaxBodyBytes, maxBodyBytes)
 	return o
 }
 

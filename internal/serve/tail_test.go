@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -512,6 +514,40 @@ func TestRespCacheLRU(t *testing.T) {
 	}
 	if _, ok := c.get("a"); ok {
 		t.Fatal("purged entry still served")
+	}
+}
+
+// TestRespCacheSizesLazily: a large capacity reserves nothing up front —
+// the entry map grows as entries arrive, where a 1M-entry size hint used
+// to allocate 53 MiB before the first request.
+func TestRespCacheSizesLazily(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := newRespCache(1 << 20)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("an empty cache of capacity 1<<20 holds %d bytes, want < 1 MiB", grew)
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestOptionsClampSizes: withDefaults cuts BatchMax, which sizes the
+// request queue up front, and MaxBodyBytes, whose 16x bulk cap would
+// overflow to a negative limit, and leaves values in range alone. No
+// server is built with the huge values.
+func TestOptionsClampSizes(t *testing.T) {
+	o := Options{BatchMax: 1 << 40, MaxBodyBytes: math.MaxInt64}.withDefaults()
+	if o.BatchMax != maxBatchMax || o.MaxBodyBytes != maxBodyBytes {
+		t.Fatalf("BatchMax %d, MaxBodyBytes %d: want the caps %d and %d", o.BatchMax, o.MaxBodyBytes, maxBatchMax, maxBodyBytes)
+	}
+	if bulk := 16 * o.MaxBodyBytes; bulk <= o.MaxBodyBytes {
+		t.Fatalf("bulk body cap %d overflows", bulk)
+	}
+	o = Options{BatchMax: 32, MaxBodyBytes: 1 << 20}.withDefaults()
+	if o.BatchMax != 32 || o.MaxBodyBytes != 1<<20 {
+		t.Fatalf("values in range changed: BatchMax %d, MaxBodyBytes %d", o.BatchMax, o.MaxBodyBytes)
 	}
 }
 
