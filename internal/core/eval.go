@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -83,29 +84,27 @@ func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...i
 	}
 	defer pred.releaseStates(states, false)
 
+	xs := exampleFeatures(test, idx)
 	p1s := make([]float64, threads)
 	pks := make([]map[int]float64, threads)
 	parallelIndexed(threads, len(idx), func(w, lo, hi int) {
-		st := states[w]
 		pk := make(map[int]float64, len(ks))
-		for k := lo; k < hi; k++ {
-			ex := &test[idx[k]]
-			n.forwardElem(st, ex.Features, nil, modeEvalFull)
-			out := &st.layers[len(st.layers)-1]
-			top := sparse.TopK(out.vals, maxK)
-			if len(top) > 0 && containsSortedLabel(ex.Labels, top[0]) {
+		n.exactEach(context.Background(), states[w], xs[lo:hi], func(i int, vals []float32) {
+			labels := test[idx[lo+i]].Labels
+			top := sparse.TopK(vals, maxK)
+			if len(top) > 0 && containsSortedLabel(labels, top[0]) {
 				p1s[w]++
 			}
 			for _, kk := range ks {
 				hits := 0
 				for _, c := range top[:min(kk, len(top))] {
-					if containsSortedLabel(ex.Labels, c) {
+					if containsSortedLabel(labels, c) {
 						hits++
 					}
 				}
 				pk[kk] += float64(hits) / float64(kk)
 			}
-		}
+		})
 		pks[w] = pk
 	})
 	var p1 float64
@@ -124,26 +123,23 @@ func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...i
 }
 
 // evalP1 is the training loop's periodic evaluation: exact forward P@1
-// over a fixed index subset, reusing the provided per-worker states. The
-// exact pass runs the same kernels as training — notably the scatter on
-// the input-major first layer — so periodic evaluation shares the hot
-// path's layout wins.
+// over a fixed index subset, reusing the provided per-worker states. It
+// runs the batch-major exact pass Evaluate and exact prediction run, whose
+// layers under the output run the training kernels — notably the scatter
+// on the input-major first layer.
 func (n *Network) evalP1(test []dataset.Example, idx []int, states []*elemState) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
+	xs := exampleFeatures(test, idx)
 	hits := make([]int64, len(states))
 	parallelIndexed(len(states), len(idx), func(w, lo, hi int) {
-		st := states[w]
 		var h int64
-		for k := lo; k < hi; k++ {
-			ex := &test[idx[k]]
-			n.forwardElem(st, ex.Features, nil, modeEvalFull)
-			out := &st.layers[len(st.layers)-1]
-			if containsSortedLabel(ex.Labels, int32(vecmath.ArgMax(out.vals))) {
+		n.exactEach(context.Background(), states[w], xs[lo:hi], func(i int, vals []float32) {
+			if containsSortedLabel(test[idx[lo+i]].Labels, int32(vecmath.ArgMax(vals))) {
 				h++
 			}
-		}
+		})
 		hits[w] += h
 	})
 	var total int64
@@ -151,6 +147,15 @@ func (n *Network) evalP1(test []dataset.Example, idx []int, states []*elemState)
 		total += h
 	}
 	return float64(total) / float64(len(idx))
+}
+
+// exampleFeatures lists the features of test[idx[0]], test[idx[1]], ...
+func exampleFeatures(test []dataset.Example, idx []int) []sparse.Vector {
+	xs := make([]sparse.Vector, len(idx))
+	for i, j := range idx {
+		xs[i] = test[j].Features
+	}
+	return xs
 }
 
 func orAll(samples, total int) int {

@@ -36,14 +36,15 @@ func (n *Network) forwardElem(st *elemState, x sparse.Vector, labels []int32, mo
 
 // forward is forwardElem into explicit layer states: a training pass writes
 // its batch position's record, which the backward pass and the batch fold
-// read later.
+// read later. It runs as many layers as layers holds, so the batch-major
+// exact pass (exactScores) runs the layers under the output one this way.
 func (n *Network) forward(st *elemState, layers []layerState, x sparse.Vector, labels []int32, mode forwardMode) {
 	st.passes++
 	inIds := x.Idx
 	inVals := x.Val
 	inFull := false
 	last := len(n.layers) - 1
-	for li, l := range n.layers {
+	for li, l := range n.layers[:len(layers)] {
 		ls := &layers[li]
 		useAll := !l.Sampled() || mode == modeEvalFull
 		if useAll {

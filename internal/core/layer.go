@@ -91,7 +91,9 @@ type Layer struct {
 	// stageBuf and codesBuf are the build's per-chunk scratch — the live
 	// rows of one chunk staged contiguously for the block hash kernel
 	// (inline builds only), and that chunk's codes — reused across
-	// generations under the same one-rebuild-in-flight guarantee.
+	// generations under the same one-rebuild-in-flight guarantee. A layer
+	// with no training state (mW nil) drops them after each build: a
+	// loaded, serving network builds its tables once.
 	stageBuf []float32
 	codesBuf []uint32
 
@@ -294,6 +296,9 @@ func (l *Layer) buildShadow(gen uint64, snap []float32, workers int) *hashtable.
 		})
 	}
 	shadow.Place(workers)
+	if l.mW == nil {
+		l.stageBuf, l.codesBuf = nil, nil
+	}
 	atomic.AddInt64(&l.rowsHashed, int64(l.out))
 	return shadow
 }

@@ -35,7 +35,9 @@ const predictSeed = 0x9ed1c7
 //
 // Every pass runs each layer's kernel (internal/kernels) exactly as
 // training does: exact and sampled inference share the training hot path,
-// so serving inherits each layout win without predictor-specific code.
+// so serving inherits each layout win. The one inference-only step is the
+// order of an exact pass's output-layer work: batch-major, a block of rows
+// at a time for every element (exact.go), through the same gather kernel.
 type Predictor struct {
 	n    *Network
 	pool sync.Pool // stores *elemState; empty Get returns nil
@@ -179,8 +181,11 @@ func (r *BatchResults) prepare(n, k int) {
 // element i from a seed derived from Seed and i (element 0 uses Seed
 // itself, so a one-element batch matches a seeded single prediction),
 // whatever the batch's split across workers. Cancellation is checked
-// between elements: an element that has started finishes, and when ctx
-// ends before some element starts, the call returns ctx.Err().
+// between sub-batches: each worker runs its contiguous share of an exact
+// call batch-major, up to exactBatchCap elements per sub-batch, and of a
+// sampled call one element at a time. A sub-batch that has started
+// finishes; when ctx ends before some sub-batch starts, the call returns
+// ctx.Err(), and a ctx done before the call writes nothing.
 func (p *Predictor) PredictBatchInto(ctx context.Context, xs []sparse.Vector, k int, sampled bool, res *BatchResults, opts ...PredictOpts) error {
 	c, err := p.newCall(ctx, xs, k, sampled, opts)
 	if err != nil {
@@ -251,12 +256,18 @@ func (p *Predictor) runInline(ctx context.Context, c call, xs []sparse.Vector, i
 	return p.predictRange(ctx, st, c, xs, 0, ids, scores)
 }
 
-// predictRange is the element loop every prediction runs, over the call's
+// predictRange is the loop every prediction runs, over the call's
 // elements lo, lo+1, ... (xs, ids and scores start at element lo) on one
-// worker state: each element is refused once ctx is done, reseeded from
-// elemSeed(seed, i) on a seeded call, and its top-k appended into
-// ids[i]/scores[i].
+// worker state, appending each element's top-k into ids[i]/scores[i]. An
+// exact call runs batch-major (exactEach), refused between sub-batches
+// once ctx is done; a sampled call runs element by element, each refused
+// once ctx is done and, on a seeded call, reseeded from elemSeed(seed, i).
 func (p *Predictor) predictRange(ctx context.Context, st *elemState, c call, xs []sparse.Vector, lo int, ids [][]int32, scores [][]float32) error {
+	if c.mode == modeEvalFull {
+		return p.n.exactEach(ctx, st, xs, func(i int, vals []float32) {
+			ids[i], scores[i] = st.appendTopK(vals, nil, c.k, ids[i], scores[i])
+		})
+	}
 	for i, x := range xs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -324,22 +335,33 @@ func (p *Predictor) releaseStates(states []*elemState, seeded bool) {
 }
 
 // predictIntoBuf runs one forward pass and appends the top-k ids and
-// scores, from one selection pass over the output layer's active set,
-// into the given buffers: selection reuses the state's Selector scratch,
-// and ids/scores grow only until their capacity covers k — after which
-// the whole path is allocation-free.
+// scores of the output layer's active set into the given buffers
+// (appendTopK).
 func (n *Network) predictIntoBuf(st *elemState, x sparse.Vector, k int, mode forwardMode, ids []int32, scores []float32) ([]int32, []float32) {
 	n.forwardElem(st, x, nil, mode)
 	out := &st.layers[len(st.layers)-1]
-	pos := st.sel.TopKInto(st.topkPos, out.vals, k)
+	var active []int32
+	if !out.full {
+		active = out.ids
+	}
+	return st.appendTopK(out.vals, active, k, ids, scores)
+}
+
+// appendTopK appends the top-k of vals, from one selection pass, as ids
+// and scores into the given buffers: the ids are positions in vals, or
+// active[position] when active is non-nil. Selection reuses the state's
+// Selector scratch, and ids/scores grow only until their capacity covers
+// k — after which the whole path is allocation-free.
+func (st *elemState) appendTopK(vals []float32, active []int32, k int, ids []int32, scores []float32) ([]int32, []float32) {
+	pos := st.sel.TopKInto(st.topkPos, vals, k)
 	st.topkPos = pos
 	ids, scores = ids[:0], scores[:0]
 	for _, p := range pos {
-		scores = append(scores, out.vals[p])
-		if out.full {
+		scores = append(scores, vals[p])
+		if active == nil {
 			ids = append(ids, p)
 		} else {
-			ids = append(ids, out.ids[p])
+			ids = append(ids, active[p])
 		}
 	}
 	return ids, scores

@@ -174,6 +174,11 @@ func TestPredictBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestPredictBatchHonorsCancellation: a ctx done before the call returns
+// ctx.Err() and writes nothing, and an exact pass checks ctx between
+// sub-batches — a ctx cancelled during the first sub-batch lets that
+// sub-batch finish (per element on the input-major one-layer net, which
+// runs element by element) and refuses the rest.
 func TestPredictBatchHonorsCancellation(t *testing.T) {
 	n, xs, _ := trainedNet(t, 128)
 	p, err := n.NewPredictor()
@@ -182,8 +187,33 @@ func TestPredictBatchHonorsCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := p.PredictBatchInto(ctx, xs, 3, false, &BatchResults{}); err != context.Canceled {
+	res := BatchResults{IDs: [][]int32{{7}}, Scores: [][]float32{{0.5}}}
+	if err := p.PredictBatchInto(ctx, xs, 3, false, &res); err != context.Canceled {
 		t.Fatalf("cancelled batch returned %v, want context.Canceled", err)
+	}
+	if len(res.IDs) != 1 || !eqIDs(res.IDs[0], []int32{7}) || !eqScores(res.Scores[0], []float32{0.5}) {
+		t.Fatalf("cancelled batch wrote %v/%v", res.IDs, res.Scores)
+	}
+
+	nets, exs := exactNets(t)
+	for name, n := range nets {
+		st, err := newElemState(n, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		step := n.exactBatchCap()
+		if !n.batchMajor() {
+			step = 1
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		visited := 0
+		err = n.exactEach(ctx, st, cycle(exs, step+1), func(int, []float32) {
+			visited++
+			cancel()
+		})
+		if err != context.Canceled || visited != step {
+			t.Fatalf("%s: cancelled in the first sub-batch of %d: visited %d, returned %v", name, step, visited, err)
+		}
 	}
 }
 

@@ -115,6 +115,13 @@ type elemState struct {
 	sel     sparse.Selector
 	topkPos []int32
 
+	// exactScores and exactHidden are the batch-major exact pass's
+	// scratch (exact.go): one output-wide score row and one last-hidden
+	// vector per sub-batch element, grown on the first exact pass up to
+	// the sub-batch cap and reused after.
+	exactScores []float32
+	exactHidden []float32
+
 	// busyNS accumulates time spent doing useful work, for the Table 2
 	// utilization accounting.
 	busyNS int64

@@ -196,15 +196,20 @@ func TestLoadModelHeapHoldsWeightsAndTables(t *testing.T) {
 			tables += 4 * int64(tb.L()) * int64(tb.NumBuckets()+1+l.out)
 		}
 	}
-	// At this shape the rest is ~8.6 MB: the unused 4 MB tail of the
-	// weights' 16 MiB arena slab, 0.6 MB of row views, and the 4 MB of
-	// chunk scratch the load's table build keeps for the next build. The
-	// moments alone would be 25.6 MB more.
-	const slack = 10 << 20
+	// At this shape the rest is ~4.6 MB: the unused 4 MB tail of the
+	// weights' 16 MiB arena slab and 0.6 MB of row views. The table
+	// build's 4 MB of chunk scratch is dropped after the build (8.6 MB
+	// held while it was kept), and the moments alone would be 25.6 MB more.
+	const slack = 6 << 20
 	if limit := weights + tables + slack; held > limit {
 		t.Fatalf("a load holds %d bytes: more than %d of weights + %d of tables + %d", held, weights, tables, slack)
 	}
 	requireTrainState(t, m, false, -1, "after LoadModel")
+	for li, l := range m.layers {
+		if l.stageBuf != nil || l.codesBuf != nil {
+			t.Fatalf("layer %d kept its table-build scratch after LoadModel", li)
+		}
+	}
 	runtime.KeepAlive(m)
 	runtime.KeepAlive(&file)
 }
