@@ -5,7 +5,6 @@ import (
 	"io"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/lsh"
 	"repro/internal/sampling"
@@ -34,7 +33,8 @@ func benchModel(tb testing.TB) *Network {
 }
 
 // BenchmarkSaveModel measures SaveModel into a discarding writer: the
-// weight encode, the first layer gathered from its input-major rows.
+// weight encode in storage order and the generation-1 table build the
+// file carries.
 func BenchmarkSaveModel(b *testing.B) {
 	n := benchModel(b)
 	b.ReportAllocs()
@@ -46,12 +46,11 @@ func BenchmarkSaveModel(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadModel measures LoadModel from an in-memory file, and
-// reports as table-share the fraction of it that one table build of the
-// loaded network costs — all that persisting tables could still save —
-// and as held-B/param the live heap the last load leaves behind, per
-// parameter: 4 bytes of weights, plus the tables, the table build's
-// scratch and the unused tail of the weights' last arena slab.
+// BenchmarkLoadModel measures LoadModel from an in-memory file — reads of
+// the weights and tables, nothing hashed — and reports as held-B/param
+// the live heap the last load leaves behind, per parameter: 4 bytes of
+// weights, plus the tables and the unused tail of the weights' last
+// arena slab.
 func BenchmarkLoadModel(b *testing.B) {
 	var file bytes.Buffer
 	if err := benchModel(b).SaveModel(&file); err != nil {
@@ -63,21 +62,14 @@ func BenchmarkLoadModel(b *testing.B) {
 	b.SetBytes(int64(file.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
-	var tables time.Duration
 	var m *Network
 	for i := 0; i < b.N; i++ {
 		var err error
 		if m, err = LoadModel(bytes.NewReader(file.Bytes())); err != nil {
 			b.Fatal(err)
 		}
-		b.StopTimer()
-		t0 := time.Now()
-		m.RebuildTables(0)
-		tables += time.Since(t0)
-		b.StartTimer()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(tables)/float64(b.Elapsed()), "table-share")
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(base.HeapAlloc))/float64(m.NumParams()), "held-B/param")

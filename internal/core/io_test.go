@@ -17,11 +17,13 @@ import (
 
 	"repro/internal/lsh"
 	"repro/internal/sampling"
+	"repro/internal/sparse"
 )
 
-// v2File assembles a v2 model file from hand-written config JSON and
-// all-zero weights for the given layer shapes (in, out, activation).
-func v2File(cfgJSON string, layers [][3]uint32) []byte {
+// v3File assembles a model file from hand-written config JSON and
+// all-zero weights for the given layer shapes (in, out, activation). It
+// carries no table sections, so only a file of dense layers can load.
+func v3File(cfgJSON string, layers [][3]uint32) []byte {
 	b := []byte(modelMagic)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(cfgJSON)))
 	b = append(b, cfgJSON...)
@@ -46,7 +48,7 @@ func v2File(cfgJSON string, layers [][3]uint32) []byte {
 func TestLoadModelValidatesConfig(t *testing.T) {
 	file := func(act int, extra string) []byte {
 		cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":4,"Activation":%d},{"Size":3,"Activation":1}]%s}`, act, extra)
-		return v2File(cfg, [][3]uint32{{8, 4, uint32(act)}, {4, 3, uint32(ActSoftmax)}})
+		return v3File(cfg, [][3]uint32{{8, 4, uint32(act)}, {4, 3, uint32(ActSoftmax)}})
 	}
 	want, err := LoadModel(bytes.NewReader(file(int(ActReLU), "")))
 	if err != nil {
@@ -69,14 +71,14 @@ func TestLoadModelValidatesConfig(t *testing.T) {
 	}{
 		{"activation 9", file(9, "")},
 		// Headers only: loading must fail before it reads any weights.
-		{"layer size 2^50", v2File(`{"InputDim":4,"Layers":[{"Size":1125899906842624,"Activation":1}]}`, nil)},
-		{"layer 70000x70000", v2File(`{"InputDim":70000,"Layers":[{"Size":70000,"Activation":1}]}`, nil)},
-		{"input dim 2^31", v2File(`{"InputDim":2147483648,"Layers":[{"Size":1,"Activation":1}]}`, nil)},
-		{"rebuild N0 -3", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildN0":-3}`, nil)},
-		{"rebuild lambda 1e999", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildLambda":1e999}`, nil)},
-		{"Adam Beta1 1", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":1,"Beta2":0.999,"Eps":1e-8}}`, nil)},
-		{"Adam LR -0.001", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":-0.001,"Beta1":0.9,"Beta2":0.999,"Eps":1e-8}}`, nil)},
-		{"Adam Eps 0", v2File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":0.9,"Beta2":0.999,"Eps":0}}`, nil)},
+		{"layer size 2^50", v3File(`{"InputDim":4,"Layers":[{"Size":1125899906842624,"Activation":1}]}`, nil)},
+		{"layer 70000x70000", v3File(`{"InputDim":70000,"Layers":[{"Size":70000,"Activation":1}]}`, nil)},
+		{"input dim 2^31", v3File(`{"InputDim":2147483648,"Layers":[{"Size":1,"Activation":1}]}`, nil)},
+		{"rebuild N0 -3", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildN0":-3}`, nil)},
+		{"rebuild lambda 1e999", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildLambda":1e999}`, nil)},
+		{"Adam Beta1 1", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":1,"Beta2":0.999,"Eps":1e-8}}`, nil)},
+		{"Adam LR -0.001", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":-0.001,"Beta1":0.9,"Beta2":0.999,"Eps":1e-8}}`, nil)},
+		{"Adam Eps 0", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":0.9,"Beta2":0.999,"Eps":0}}`, nil)},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
 			if _, err := LoadModel(bytes.NewReader(bad.data)); err == nil {
@@ -94,7 +96,7 @@ func TestLoadModelValidatesConfig(t *testing.T) {
 		{`"Policy":1`, "Policy(1)"}, {`"Policy":9`, "Policy(9)"},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
-			data := v2File(`{"InputDim":4,"Layers":[{"Size":8,"Activation":1,"Sampled":true,`+tc.field+`,"K":2,"L":2,"Beta":2}]}`, nil)
+			data := v3File(`{"InputDim":4,"Layers":[{"Size":8,"Activation":1,"Sampled":true,`+tc.field+`,"K":2,"L":2,"Beta":2}]}`, nil)
 			if _, err := LoadModel(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("LoadModel error %v, want one naming %s", err, tc.want)
 			}
@@ -141,7 +143,7 @@ func hostileTableFiles() []hostileFile {
 		} {
 			cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":8,"Activation":1,"Sampled":true,"Hash":%d,%s,"Beta":2}]}`, hash, tc.shape)
 			files = append(files, hostileFile{
-				fmt.Sprintf("%v %s", hash, tc.shape), tc.want, v2File(cfg, [][3]uint32{{8, 8, uint32(ActSoftmax)}}),
+				fmt.Sprintf("%v %s", hash, tc.shape), tc.want, v3File(cfg, [][3]uint32{{8, 8, uint32(ActSoftmax)}}),
 			})
 		}
 	}
@@ -188,6 +190,74 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveModelChangesNothing: SaveModel builds the tables it writes
+// into a detached set, so a save between two training runs leaves the
+// second run where it would be without it — weights, moments, published
+// tables and the rows its rebuild hashed (one is due at batch 50, inside
+// the second run) — and the file is the same at GOMAXPROCS 1 and 4 and
+// from two saves in a row.
+func TestSaveModelChangesNothing(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	const classes = 128
+	ds := tinyDataset(t, classes)
+	run := func(save bool) (uint64, uint64, *TrainResult, []byte) {
+		n := mustNet(t, tinyConfig(classes))
+		if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 30, Seed: 5, EvalEvery: 0}); err != nil {
+			t.Fatal(err)
+		}
+		var files [3]bytes.Buffer
+		if save {
+			published, gen, hashed := n.layers[1].Tables(), n.rebuildGen, n.rowsHashed()
+			for i, p := range []int{1, 4, 4} {
+				runtime.GOMAXPROCS(p)
+				if err := n.SaveModel(&files[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GOMAXPROCS(procs)
+			if n.layers[1].Tables() != published || n.rebuildGen != gen || n.rowsHashed() != hashed {
+				t.Fatal("SaveModel moved the published tables, the table generation or the rows hashed")
+			}
+			for i := 1; i < len(files); i++ {
+				if !bytes.Equal(files[i].Bytes(), files[0].Bytes()) {
+					t.Fatalf("save %d differs from the first", i)
+				}
+			}
+		}
+		res, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 30, Seed: 6, EvalEvery: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.Rebuilds() != 1 {
+			t.Fatalf("%d scheduled rebuilds, want the one due at batch 50", n.Rebuilds())
+		}
+		return stateHash(n), tableFingerprint(n.layers[1].Tables()), res, files[0].Bytes()
+	}
+	state, tables, res, _ := run(false)
+	savedState, savedTables, savedRes, file := run(true)
+	if savedState != state || savedTables != tables {
+		t.Errorf("with a save between the runs: state %#x, tables %#x; without: %#x, %#x", savedState, savedTables, state, tables)
+	}
+	if savedRes.RowsRehashed != res.RowsRehashed || res.RowsRehashed != classes {
+		t.Errorf("the second run rehashed %d rows with a save before it and %d without, want %d", savedRes.RowsRehashed, res.RowsRehashed, classes)
+	}
+	// The file holds the generation-1 tables of the weights it was saved
+	// with, not the network's published ones.
+	m, err := LoadModel(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.RebuildTables(0)
+	var rebuilt bytes.Buffer
+	if err := m.SaveModel(&rebuilt); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rebuilt.Bytes(), file) {
+		t.Error("a rebuild of the loaded network's tables changed the file it saves")
+	}
+}
+
 // TestLoadRejectsBadInput: garbage is not a model, and weights whose layer
 // shapes disagree with the file's config — a 64-class model's weights
 // behind a 128-class config — are refused.
@@ -216,9 +286,9 @@ func TestLoadRejectsBadInput(t *testing.T) {
 // TestLoadModelRefusesDamagedFile: a truncated or corrupt model file is an
 // error and no network. A file cut short is io.ErrUnexpectedEOF naming
 // the layer it ends in — also from a reader that cannot report its length
-// in advance, and from inside a block of the input-major layer's
-// transposition — and a file whose config declares more weight bytes than
-// it holds is refused before any layer is sized, with both sizes.
+// in advance, inside a row of the input-major layer and inside the
+// tables — and a file whose config declares more weight and table bytes
+// than it holds is refused before any layer is sized, with both sizes.
 func TestLoadModelRefusesDamagedFile(t *testing.T) {
 	const classes = 64
 	ds := tinyDataset(t, classes)
@@ -233,13 +303,15 @@ func TestLoadModelRefusesDamagedFile(t *testing.T) {
 	file := buf.Bytes()
 	// Layer 0 is input-major; its weights start after the config and its
 	// shape header, and the last layer's shape header follows its biases.
-	l0 := n.layers[0]
+	// The last layer's tables follow its biases.
+	l0, l1 := n.layers[0], n.layers[1]
 	layer0 := 12 + int(binary.LittleEndian.Uint32(file[8:])) + 12
 	lastMeta := layer0 + 4*(l0.out*l0.in+l0.out)
+	tablesAt := lastMeta + 12 + 4*(l1.out*l1.in+l1.out)
 	corrupt := append([]byte(nil), file...)
 	binary.LittleEndian.PutUint32(corrupt[lastMeta:], 7)
 	// A hollow 98-byte file: a million inputs and no weights behind them.
-	hollow := v2File(`{"InputDim":1000000,"Layers":[{"Size":128,"Activation":0},{"Size":64,"Activation":1}]}`, nil)
+	hollow := v3File(`{"InputDim":1000000,"Layers":[{"Size":128,"Activation":0},{"Size":64,"Activation":1}]}`, nil)
 	if len(hollow) != 98 {
 		t.Fatalf("hollow file is %d bytes", len(hollow))
 	}
@@ -251,7 +323,7 @@ func TestLoadModelRefusesDamagedFile(t *testing.T) {
 		{"truncated by 100 bytes", file[:len(file)-100], "declares"},
 		{"truncated in layer 0", file[:lastMeta-4], "declares"},
 		{"corrupt last layer shape", corrupt, "layer 1: shape 7x"},
-		{"98-byte header", hollow, "declares 512033560 bytes of weights, the file holds 0"},
+		{"98-byte header", hollow, "declares 512033560 bytes of weights and tables, the file holds 0"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, err := LoadModel(bytes.NewReader(c.data))
@@ -261,20 +333,85 @@ func TestLoadModelRefusesDamagedFile(t *testing.T) {
 		})
 	}
 	// A plain io.Reader hides its length, so the short read itself must
-	// report the end: inside a transposition block of layer 0, inside a
-	// neuron row of layer 1, and in layer 1's biases.
+	// report the end: inside an input row of layer 0, inside a neuron row
+	// of layer 1, in layer 1's biases and in its tables.
 	for name, c := range map[string]struct {
 		cut   int
 		layer string
 	}{
-		"inside layer 0 block 1":  {layer0 + 4*(codecBlock*l0.in+5), "layer 0"},
+		"inside a layer 0 row":    {layer0 + 4*(3*l0.out+5), "layer 0"},
 		"inside a layer 1 row":    {lastMeta + 12 + 4*(3*l0.out+7), "layer 1"},
-		"inside layer 1's biases": {len(file) - 2, "layer 1"},
+		"inside layer 1's biases": {tablesAt - 2, "layer 1"},
+		"inside layer 1's tables": {len(file) - 2, "layer 1: tables"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, err := LoadModel(io.MultiReader(bytes.NewReader(file[:c.cut])))
 			if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), c.layer) {
 				t.Fatalf("LoadModel of a file cut at byte %d: %v, want io.ErrUnexpectedEOF in %s", c.cut, err, c.layer)
+			}
+		})
+	}
+}
+
+// TestLoadModelRefusesHostileTables: a v3 file whose tables are out of
+// bounds is an error and no network, never a panic: a table that does not
+// start at its region ti·rows, a decreasing offset, an offset past the
+// region, a bucket of BucketSize+1 ids and an id equal to rows. So are a
+// file cut inside the tables, by the early size check before any layer
+// is sized, and a v2 file, by name. The header-sized refusals allocate
+// under 1 MiB.
+func TestLoadModelRefusesHostileTables(t *testing.T) {
+	c := goldenModelCases[0] // the sampled output layer: 60 rows, L 4, 2^5 buckets of 8
+	var f bytes.Buffer
+	if err := goldenModel(t, c.cfg).SaveModel(&f); err != nil {
+		t.Fatal(err)
+	}
+	file := f.Bytes()
+	const rows, l, nb, bs = 60, 4, 32, 8
+	offsAt := len(file) - 4*l*(nb+1+rows)
+	idsAt := offsAt + 4*l*(nb+1)
+	// withTable returns the file with table ti's offsets replaced by offs.
+	withTable := func(ti int, offs ...uint32) []byte {
+		b := slices.Clone(file)
+		for i, o := range offs {
+			binary.LittleEndian.PutUint32(b[offsAt+4*(ti*(nb+1)+i):], o)
+		}
+		return b
+	}
+	flat := func(from int, v uint32) []uint32 { // from copies of v filling a table's offsets
+		return slices.Repeat([]uint32{v}, nb+1-from)
+	}
+	idRows := slices.Clone(file)
+	binary.LittleEndian.PutUint32(idRows[idsAt:], rows)
+	v2 := append([]byte("SLIDEv2\n"), file[8:]...)
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		want  string
+		small bool // refused from the header: must allocate < 1 MiB
+	}{
+		{"table 1 starts at rows+1", withTable(1, flat(0, rows+1)...), "table 1 starts at 61, not at its region 60", false},
+		{"decreasing offset", withTable(0, append([]uint32{0, 5}, flat(2, 4)...)...), "table 0 bucket 1: offsets decrease from 5 to 4", false},
+		{"offset past the region", withTable(0, append(flat(1, 0), rows+1)...), "table 0 ends at 61, past its region's end 60", false},
+		{"bucket of BucketSize+1", withTable(0, append([]uint32{0}, flat(1, bs+1)...)...), "table 0 bucket 0 holds 9 ids, more than BucketSize 8", false},
+		{"id equal to rows", idRows, "table 0 holds id 60, not below rows 60", false},
+		{"cut inside the tables", file[:idsAt+8], "declares", true},
+		{"v2 header", v2, "format v2 and this build reads only v3; re-save", true},
+		{"v2 header alone", v2[:12+int(binary.LittleEndian.Uint32(v2[8:]))], "format v2", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m, err := LoadModel(bytes.NewReader(tc.data))
+			runtime.ReadMemStats(&after)
+			if err == nil || m != nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadModel = %v, %v; want no network and an error containing %q", m, err, tc.want)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; tc.small && grew >= 1<<20 {
+				t.Errorf("refusing the file allocated %d bytes, want < 1 MiB", grew)
+			}
+			if _, err := LoadModel(io.MultiReader(bytes.NewReader(tc.data))); err == nil {
+				t.Error("LoadModel from a stream accepted the file")
 			}
 		})
 	}
@@ -328,9 +465,10 @@ func fuzzAffordable(data []byte) bool {
 }
 
 // FuzzLoadModel feeds LoadModel arbitrary bytes, seeded with SaveModel
-// files of every layer orientation plus truncated and hostile ones: it must
-// return an error or a network, never panic, and a network it returns must
-// re-save to bytes that load back to the same network. Each input is also
+// files of every layer orientation plus truncated, retired and hostile
+// ones: it must return an error or a network, never panic, and a network
+// it returns must answer a sampled prediction and re-save to bytes that
+// load back to the same network. Each input is also
 // loaded through a reader that hides its length, which skips the up-front
 // size check, so a short file must fail in the decode instead.
 func FuzzLoadModel(f *testing.F) {
@@ -357,29 +495,23 @@ func FuzzLoadModel(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
-		f.Add(buf.Bytes()[:buf.Len()-100])
+		// Cut inside the weights and, where the last layer is sampled,
+		// halfway through its tables.
+		f.Add(buf.Bytes()[:buf.Len()/2])
+		if tb := n.layers[len(n.layers)-1].Tables(); tb != nil {
+			f.Add(buf.Bytes()[:buf.Len()-int(tb.Config().EncodedSize(n.OutputDim()))/2])
+		}
 	}
-	// An input-major layer 40 wide is two full transposition blocks and a
-	// half one: cut the file inside the second and inside the third.
-	n, err := NewNetwork(Config{InputDim: 37, Seed: 4, Layers: []LayerConfig{{Size: 40, Activation: ActReLU}, sampled(24, ActSoftmax, lsh.KindDWTA)}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := n.SaveModel(&buf); err != nil {
-		f.Fatal(err)
-	}
-	layer0 := 12 + int(binary.LittleEndian.Uint32(buf.Bytes()[8:])) + 12
-	f.Add(buf.Bytes())
-	f.Add(buf.Bytes()[:layer0+4*(codecBlock*37+100)])
-	f.Add(buf.Bytes()[:layer0+4*(2*codecBlock*37+50)])
-	f.Add(v2File(`{"InputDim":1048576,"Layers":[{"Size":1048576,"Activation":1}]}`, nil))
-	f.Add(v2File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,"Hash":2,"K":2,"L":3,"RangePow":3,"Beta":6,"BinSize":-1}]}`, [][3]uint32{{30, 20, 1}}))
+	// Retired formats: a v2 header over a whole v2-sized file.
+	v2 := v3File(`{"InputDim":12,"Layers":[{"Size":5,"Activation":1}]}`, [][3]uint32{{12, 5, 1}})
+	f.Add(append([]byte("SLIDEv2\n"), v2[8:]...))
+	f.Add(v3File(`{"InputDim":1048576,"Layers":[{"Size":1048576,"Activation":1}]}`, nil))
+	f.Add(v3File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,"Hash":2,"K":2,"L":3,"RangePow":3,"Beta":6,"BinSize":-1}]}`, [][3]uint32{{30, 20, 1}}))
 	// Kinds that cannot run: the removed hash families 1 and 3, the
 	// removed strategies 1 and 2 and policy 1, and an unknown strategy and
 	// policy, each with whole weights.
 	for _, field := range []string{`"Hash":1`, `"Hash":3`, `"Strategy":1`, `"Strategy":2`, `"Strategy":9`, `"Policy":1`, `"Policy":9`} {
-		f.Add(v2File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,`+field+`,"K":2,"L":3,"RangePow":3,"Beta":6}]}`, [][3]uint32{{30, 20, 1}}))
+		f.Add(v3File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,`+field+`,"K":2,"L":3,"RangePow":3,"Beta":6}]}`, [][3]uint32{{30, 20, 1}}))
 	}
 	// Hash functions or table offsets a small file cannot be allowed to
 	// size.
@@ -397,6 +529,12 @@ func FuzzLoadModel(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		// Tables are checked for bounds only, which must be enough for a
+		// sampled pass over them.
+		x := sparse.Vector{Dim: n.cfg.InputDim, Idx: []int32{0}, Val: []float32{1}}
+		if _, _, err := n.PredictSampled(x, 3, PredictOpts{Seed: 1}); err != nil {
+			t.Fatalf("sampled prediction on the loaded network: %v", err)
 		}
 		var a, b bytes.Buffer
 		if err := n.SaveModel(&a); err != nil {
@@ -428,9 +566,8 @@ func goldenModel(t *testing.T, cfg Config) *Network {
 }
 
 // goldenModelCases are the model-file goldens' shapes: (a) an input-major
-// first layer 100 neurons wide, which is not a multiple of the codec's
-// 16-neuron block, over fan-in 37, and (b) a sampled neuron-major first
-// layer. Both end in a sampled layer, so the table equality has tables to
+// first layer 100 neurons wide over fan-in 37, and (b) a sampled
+// neuron-major first layer. Both end in a sampled layer, so the table equality has tables to
 // compare.
 var goldenModelCases = []struct {
 	name string
@@ -440,11 +577,11 @@ var goldenModelCases = []struct {
 	{"input-major 37x100", Config{InputDim: 37, Seed: 11, Layers: []LayerConfig{
 		{Size: 100, Activation: ActReLU},
 		{Size: 60, Activation: ActSoftmax, Sampled: true, Hash: lsh.KindSimhash, K: 3, L: 4, RangePow: 5, BucketSize: 8, Strategy: sampling.KindVanilla, Beta: 6},
-	}}, 0xc4b4bd14c17de023},
+	}}, 0x9461016f740703d2},
 	{"sampled neuron-major 37x100", Config{InputDim: 37, Seed: 12, Layers: []LayerConfig{
 		{Size: 100, Activation: ActReLU, Sampled: true, Hash: lsh.KindDWTA, K: 2, L: 5, RangePow: 4, BucketSize: 8, Strategy: sampling.KindVanilla, Beta: 6},
 		{Size: 30, Activation: ActSoftmax},
-	}}, 0xd7f83c0dffa48e01},
+	}}, 0xb75e0fb70d6460f5},
 }
 
 // TestSaveModelGolden pins the model file's bytes — FNV-64a of SaveModel
@@ -452,9 +589,11 @@ var goldenModelCases = []struct {
 // streams weights through block buffers replaced per-neuron
 // binary.Write, and re-recorded when the weight init moved to row-keyed
 // streams (TestSaveModelFormulaGolden pins the codec apart from the
-// init) — and checks that a file re-saves to itself and that
-// loading it rebuilds the source's tables at generation 1. Recorded on
-// amd64 (see TestTrainingGoldenHash).
+// init), and again when the file became v3, weights in storage order and
+// the generation-1 tables in the file (TestLoadModelGolden shows that the
+// network a file loads to did not move) — and checks that a file re-saves
+// to itself and that loading it gives the source's generation-1 rebuild
+// of the tables. Recorded on amd64 (see TestTrainingGoldenHash).
 func TestSaveModelGolden(t *testing.T) {
 	for _, c := range goldenModelCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -507,10 +646,10 @@ func formulaModel(t *testing.T, cfg Config) *Network {
 // TestSaveModelFormulaGolden pins the model file's bytes independently of
 // the weight init: FNV-64a of SaveModel for the goldenModelCases shapes
 // with formulaModel's weights, recorded before the init drew each storage
-// row from its own stream. A change to the init may not move these; a
-// change to the codec must.
+// row from its own stream and re-recorded when the file became v3. A
+// change to the init may not move these; a change to the codec must.
 func TestSaveModelFormulaGolden(t *testing.T) {
-	want := []uint64{0xb3495786d4ff5975, 0x3346a1256af4ef4c}
+	want := []uint64{0x3ff018a588500881, 0xafc97ce98b1aa5a2}
 	for i, c := range goldenModelCases {
 		t.Run(c.name, func(t *testing.T) {
 			var f bytes.Buffer
@@ -521,6 +660,87 @@ func TestSaveModelFormulaGolden(t *testing.T) {
 			h.Write(f.Bytes())
 			if got := h.Sum64(); got != want[i] && runtime.GOARCH == "amd64" {
 				t.Errorf("SaveModel hash %#x (%d bytes), want %#x", got, f.Len(), want[i])
+			}
+		})
+	}
+}
+
+// TestLoadModelGolden pins the network a model file loads to, not the
+// file's bytes: for each goldenModelCases row, the stateHash of
+// LoadModel(SaveModel(goldenModel)), each sampled layer's
+// tableFingerprint, and the exact and seeded sampled top-5 answers on a
+// few inputs. All were recorded from v2 files, whose load rebuilt the
+// tables at generation 1, so a format that carries the tables must
+// reproduce them. Recorded on amd64 (see TestTrainingGoldenHash).
+func TestLoadModelGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	want := []struct {
+		state          uint64
+		tables         []uint64 // by layer; 0 for a dense one
+		exact, sampled uint64
+	}{
+		{0xe2fe5f638b0b7948, []uint64{0, 0x5a68117e5c1dc83c}, 0x26c55d462c558674, 0x46bab09b325deb89},
+		{0x05f1564e94814913, []uint64{0x6bfac407316e16b6, 0}, 0x4546c592084daee5, 0xcdcb1b1d0eb41679},
+	}
+	var xs []sparse.Vector
+	for _, v := range [][2][]float32{
+		{{0, 5, 36}, {1, 0.5, 2}},
+		{{3}, {1}},
+		{{1, 2, 7, 11, 19, 23, 30}, {0.3, -1, 2, 0.25, 1, -0.5, 4}},
+		{{8, 16, 24, 32}, {1, 1, 1, 1}},
+	} {
+		idx := make([]int32, len(v[0]))
+		for i, f := range v[0] {
+			idx[i] = int32(f)
+		}
+		x, err := sparse.New(37, idx, v[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs = append(xs, x)
+	}
+	for i, c := range goldenModelCases {
+		t.Run(c.name, func(t *testing.T) {
+			var f bytes.Buffer
+			if err := goldenModel(t, c.cfg).SaveModel(&f); err != nil {
+				t.Fatal(err)
+			}
+			m, err := LoadModel(bytes.NewReader(f.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := stateHash(m); got != want[i].state {
+				t.Errorf("loaded state hash %#x, want %#x", got, want[i].state)
+			}
+			for li, l := range m.layers {
+				var got uint64
+				if l.Sampled() {
+					got = tableFingerprint(l.Tables())
+				}
+				if got != want[i].tables[li] {
+					t.Errorf("layer %d: table fingerprint %#x, want %#x", li, got, want[i].tables[li])
+				}
+			}
+			var exactIDs, sampledIDs [][]int32
+			var exactScores, sampledScores [][]float32
+			for xi, x := range xs {
+				ids, scores, err := m.Predict(x, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exactIDs, exactScores = append(exactIDs, ids), append(exactScores, scores)
+				if ids, scores, err = m.PredictSampled(x, 5, PredictOpts{Seed: uint64(xi + 1)}); err != nil {
+					t.Fatal(err)
+				}
+				sampledIDs, sampledScores = append(sampledIDs, ids), append(sampledScores, scores)
+			}
+			if got := answerHash(exactIDs, exactScores); got != want[i].exact {
+				t.Errorf("exact answers hash %#x, want %#x", got, want[i].exact)
+			}
+			if got := answerHash(sampledIDs, sampledScores); got != want[i].sampled {
+				t.Errorf("seeded sampled answers hash %#x, want %#x", got, want[i].sampled)
 			}
 		})
 	}

@@ -92,8 +92,10 @@ type Layer struct {
 	// rows of one chunk staged contiguously for the block hash kernel
 	// (inline builds only), and that chunk's codes — reused across
 	// generations under the same one-rebuild-in-flight guarantee. A layer
-	// with no training state (mW nil) drops them after each build: a
-	// loaded, serving network builds its tables once.
+	// with no training state (mW nil) drops them after each build: outside
+	// training, builds are one-offs (a loaded network builds none; its
+	// tables come from the file, and SaveModel builds over scratch of its
+	// own).
 	stageBuf []float32
 	codesBuf []uint32
 
@@ -268,17 +270,31 @@ func (l *Layer) snapshotRows(workers int) []float32 {
 // addressing its rows while their codes are still in cache, and placement
 // over tables: the two lock-free axes §3.1 identifies.
 func (l *Layer) buildShadow(gen uint64, snap []float32, workers int) *hashtable.Table {
+	var shadow *hashtable.Table
+	shadow, l.codesBuf, l.stageBuf = l.build(gen, snap, workers, l.codesBuf, l.stageBuf)
+	if l.mW == nil {
+		l.stageBuf, l.codesBuf = nil, nil
+	}
+	atomic.AddInt64(&l.rowsHashed, int64(l.out))
+	return shadow
+}
+
+// build is buildShadow's pipeline over caller-owned scratch: codes and,
+// for a build from the live rows (snap nil), stage, each grown to a chunk
+// when shorter and returned for reuse. It counts nothing and touches
+// nothing of the layer but its reads of the weights and the published
+// set's configuration.
+func (l *Layer) build(gen uint64, snap []float32, workers int, codes []uint32, stage []float32) (*hashtable.Table, []uint32, []float32) {
 	shadow := l.tables.Load().Shadow(gen)
 	shadow.Begin(l.out)
 	nf := l.fam.NumFuncs()
 	chunk := max(1, min(rebuildChunk, rebuildStageFloats/l.in))
-	if len(l.codesBuf) < chunk*nf {
-		l.codesBuf = make([]uint32, chunk*nf)
+	if len(codes) < chunk*nf {
+		codes = make([]uint32, chunk*nf)
 	}
-	if snap == nil && l.stageBuf == nil {
-		l.stageBuf = make([]float32, chunk*l.in)
+	if snap == nil && len(stage) < chunk*l.in {
+		stage = make([]float32, chunk*l.in)
 	}
-	codes, stage := l.codesBuf, l.stageBuf
 	for base := 0; base < l.out; base += chunk {
 		n := min(chunk, l.out-base)
 		parallelIndexed(workers, n, func(_, lo, hi int) {
@@ -296,9 +312,5 @@ func (l *Layer) buildShadow(gen uint64, snap []float32, workers int) *hashtable.
 		})
 	}
 	shadow.Place(workers)
-	if l.mW == nil {
-		l.stageBuf, l.codesBuf = nil, nil
-	}
-	atomic.AddInt64(&l.rowsHashed, int64(l.out))
-	return shadow
+	return shadow, codes, stage
 }

@@ -87,8 +87,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 }
 
 // newNetwork is NewNetwork with the weight draw and the table build
-// optional: LoadModel skips both (fresh false), because the file replaces
-// the weights both would be computed from.
+// optional: LoadModel skips both (fresh false), because the file carries
+// the weights and the tables both would compute.
 func newNetwork(cfg Config, fresh bool) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {

@@ -2,16 +2,19 @@ package dist
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/core"
 )
 
-// shardedGoldens are FNV-64a hashes of rank 0's SaveModel after
-// goldenConfig's run, recorded on amd64 (see core's TestTrainingGoldenHash)
+// shardedGoldens are FNV-64a hashes of rank 0's v2 model file (modelHash)
+// after goldenConfig's run, recorded on amd64 (see core's TestTrainingGoldenHash)
 // over the TCP peer round. They were first recorded over the in-process
 // barrier TrainSharded ran before it moved onto TCP, with TopK retrieval;
 // when TopK was deleted they were re-recorded with vanilla retrieval on
@@ -46,13 +49,44 @@ func requireGolden(t *testing.T, net *core.Network, want uint64) {
 	if runtime.GOARCH != "amd64" {
 		return
 	}
-	h := fnv.New64a()
-	if err := net.SaveModel(h); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Sum64(); got != want {
+	if got := modelHash(t, net); got != want {
 		t.Fatalf("model hash %#x, want %#x", got, want)
 	}
+}
+
+// modelHash is FNV-64a of the v2 model file the goldens were recorded
+// from: magic "SLIDEv2\n", the config JSON, then per layer its shape,
+// neuron-major weights and biases, all little-endian. It pins the config
+// and every weight bit, as the v3 file would; the v3 file adds only the
+// tables, which are a function of them, and rank against rank
+// requireTablesEqual compares those.
+func modelHash(t *testing.T, net *core.Network) uint64 {
+	t.Helper()
+	cfg := net.Config()
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	b := binary.LittleEndian.AppendUint32([]byte("SLIDEv2\n"), uint32(len(cfgJSON)))
+	h.Write(append(b, cfgJSON...))
+	for li := 0; li < net.NumLayers(); li++ {
+		l := net.Layer(li)
+		b = b[:0]
+		for _, v := range []int{l.In(), l.Out(), int(cfg.Layers[li].Activation)} {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+		for j := 0; j < l.Out(); j++ {
+			for _, w := range l.Weights(j) {
+				b = binary.LittleEndian.AppendUint32(b, math.Float32bits(w))
+			}
+		}
+		for j := 0; j < l.Out(); j++ {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(l.Bias(j)))
+		}
+		h.Write(b)
+	}
+	return h.Sum64()
 }
 
 // TestTrainShardedGoldenHash pins in-process sharded training to the

@@ -17,7 +17,10 @@
 package hashtable
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
+	"math"
 	"slices"
 	"sync/atomic"
 )
@@ -222,6 +225,122 @@ func (t *Table) Equal(o *Table) bool {
 		}
 	}
 	return true
+}
+
+// EncodedSize is the size of what Encode writes for a set of rows ids
+// under cfg: L·(2^RangePow+1) offsets and L·rows ids, four bytes each,
+// RangePow defaulted as New defaults it.
+func (c Config) EncodedSize(rows int) int64 {
+	c = c.withDefaults()
+	return 4 * int64(c.L) * (int64(1)<<c.RangePow + 1 + int64(rows))
+}
+
+// Encode writes the set as a model file carries it, every value a
+// little-endian uint32: the offsets, then each table's rows-long id
+// region with the slots past its last bucket zero. A set Decode reads
+// back from it is Equal to t.
+func (t *Table) Encode(w io.Writer) error {
+	const chunk = 4096
+	b := make([]byte, 0, 4*chunk)
+	put := func(vals []uint32) error {
+		for len(vals) > 0 {
+			n := min(len(vals), chunk)
+			b = b[:0]
+			for _, v := range vals[:n] {
+				b = binary.LittleEndian.AppendUint32(b, v)
+			}
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			vals = vals[n:]
+		}
+		return nil
+	}
+	var zeros [chunk]uint32
+	if err := put(t.offs); err != nil {
+		return err
+	}
+	for ti := 0; ti < t.cfg.L; ti++ {
+		lo, end := ti*t.rows, int(t.offs[(ti+1)*(t.numBuckets+1)-1])
+		if err := put(t.ids[lo:end]); err != nil {
+			return err
+		}
+		for unused := lo + t.rows - end; unused > 0; unused -= chunk {
+			if err := put(zeros[:min(unused, chunk)]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Decode fills t, an empty set from New or Shadow, with the set over ids
+// 0..rows-1 that Encode wrote to r, keeping t's configuration and
+// generation. It checks the set's bounds, not how it was built: each
+// table starts at its region ti·rows and ends inside it, its offsets do
+// not decrease, no bucket holds more than BucketSize ids, every id is
+// below rows and every unused slot is zero. Anything else is an error and
+// t must be discarded; a short read is io.ErrUnexpectedEOF.
+func (t *Table) Decode(r io.Reader, rows int) error {
+	if rows < 0 || int64(rows)*int64(t.cfg.L) > math.MaxUint32 {
+		return fmt.Errorf("hashtable: %d rows × L %d exceed the uint32 offset range", rows, t.cfg.L)
+	}
+	t.rows, t.ids = rows, make([]uint32, rows*t.cfg.L)
+	buf := make([]byte, 16<<10)
+	get := func(dst []uint32) error {
+		for len(dst) > 0 {
+			n := min(len(dst), len(buf)/4)
+			if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+				if err == io.EOF {
+					err = io.ErrUnexpectedEOF
+				}
+				return err
+			}
+			for i := range dst[:n] {
+				dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
+			}
+			dst = dst[n:]
+		}
+		return nil
+	}
+	if err := get(t.offs); err != nil {
+		return err
+	}
+	nb, bs := t.numBuckets, uint32(t.cfg.BucketSize)
+	for ti := 0; ti < t.cfg.L; ti++ {
+		offs := t.offs[ti*(nb+1) : (ti+1)*(nb+1)]
+		start, end := uint32(ti*rows), uint32((ti+1)*rows)
+		if offs[0] != start {
+			return fmt.Errorf("hashtable: table %d starts at %d, not at its region %d", ti, offs[0], start)
+		}
+		if offs[nb] > end {
+			return fmt.Errorf("hashtable: table %d ends at %d, past its region's end %d", ti, offs[nb], end)
+		}
+		for b := 0; b < nb; b++ {
+			if offs[b+1] < offs[b] {
+				return fmt.Errorf("hashtable: table %d bucket %d: offsets decrease from %d to %d", ti, b, offs[b], offs[b+1])
+			}
+			if n := offs[b+1] - offs[b]; n > bs {
+				return fmt.Errorf("hashtable: table %d bucket %d holds %d ids, more than BucketSize %d", ti, b, n, bs)
+			}
+		}
+	}
+	if err := get(t.ids); err != nil {
+		return err
+	}
+	for ti := 0; ti < t.cfg.L; ti++ {
+		region := t.ids[ti*rows : (ti+1)*rows]
+		used := int(t.offs[(ti+1)*(nb+1)-1]) - ti*rows
+		for i, id := range region {
+			if i < used && id >= uint32(rows) {
+				return fmt.Errorf("hashtable: table %d holds id %d, not below rows %d", ti, id, rows)
+			}
+			if i >= used && id != 0 {
+				return fmt.Errorf("hashtable: table %d has %d in an unused slot", ti, id)
+			}
+		}
+	}
+	return nil
 }
 
 // Handle is an atomically swappable reference to a Table — the published

@@ -74,10 +74,10 @@ func newPermSet(p Params) *permSet {
 	return ps
 }
 
-// codeBits returns the bits needed to express codes in [0, binSize).
-func (ps *permSet) codeBits() int {
+// binBits returns the bits needed to express codes in [0, binSize).
+func binBits(binSize int) int {
 	b := 1
-	for 1<<b < ps.binSize {
+	for 1<<b < binSize {
 		b++
 	}
 	return b
@@ -120,7 +120,7 @@ func newDWTA(p Params) (*dwta, error) {
 
 func (d *dwta) Name() string  { return "dwta" }
 func (d *dwta) NumFuncs() int { return d.ps.numFuncs }
-func (d *dwta) CodeBits() int { return d.ps.codeBits() }
+func (d *dwta) CodeBits() int { return binBits(d.ps.binSize) }
 func (d *dwta) Dim() int      { return d.ps.dim }
 
 func (d *dwta) HashDense(x []float32, out []uint32) {

@@ -93,6 +93,17 @@ func (k Kind) Validate() error {
 	return nil
 }
 
+// CodeBits returns the CodeBits of the family New(k, p) builds, without
+// building it: a DWTA code is a position in a bin of min(BinSize, Dim)
+// coordinates, any other a bit.
+func (k Kind) CodeBits(p Params) int {
+	if k == KindDWTA {
+		p = p.withDefaults()
+		return binBits(min(p.BinSize, p.Dim))
+	}
+	return 1
+}
+
 // Params configures family construction.
 type Params struct {
 	// Dim is the input dimensionality (the fan-in of the hashed layer).

@@ -48,6 +48,26 @@ func TestCodesWithinRange(t *testing.T) {
 	}
 }
 
+// TestKindCodeBitsMatchesFamily: Kind.CodeBits, which sizes a model
+// file's table section before anything is built, reports the code width
+// of the family New builds, including a DWTA bin cut to a narrow Dim.
+func TestKindCodeBitsMatchesFamily(t *testing.T) {
+	for _, kind := range allKinds() {
+		for _, p := range []Params{
+			{Dim: 64, K: 4, L: 8}, {Dim: 3, K: 2, L: 2}, {Dim: 1, K: 1, L: 1},
+			{Dim: 100, K: 3, L: 5, BinSize: 16}, {Dim: 100, K: 3, L: 5, BinSize: 5}, {Dim: 100, K: 2, L: 2, BinSize: 1},
+		} {
+			fam, err := New(kind, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := kind.CodeBits(p); got != fam.CodeBits() {
+				t.Errorf("%v %+v: Kind.CodeBits %d, family's %d", kind, p, got, fam.CodeBits())
+			}
+		}
+	}
+}
+
 // TestDenseSparseConsistency: hashing the same vector through the dense
 // and sparse paths must give identical codes (the network hashes neurons
 // densely at build time and inputs sparsely at query time).

@@ -653,7 +653,7 @@ func TestFailedReloadKeepsEngine(t *testing.T) {
 	s := serverFromFile(t, modelFile(t, dir, 23), Options{BatchWindow: 0})
 	eng := s.eng.Load()
 	cfg := `{"InputDim":1000000,"Layers":[{"Size":128,"Activation":0},{"Size":64,"Activation":1}]}`
-	hollow := binary.LittleEndian.AppendUint32([]byte("SLIDEv2\n"), uint32(len(cfg)))
+	hollow := binary.LittleEndian.AppendUint32([]byte("SLIDEv3\n"), uint32(len(cfg)))
 	hollow = append(hollow, cfg...)
 	path := filepath.Join(dir, "hollow.slide")
 	if err := os.WriteFile(path, hollow, 0o644); err != nil {

@@ -175,9 +175,12 @@ const PolicyReservoir = hashtable.PolicyReservoir
 func New(cfg Config) (*Network, error) { return core.NewNetwork(cfg) }
 
 // LoadModel reads a self-describing model written by Network.SaveModel:
-// the network is reconstructed from the embedded configuration, weights
-// are restored, and hash tables rebuilt. This is the serving entry point
-// — slide-serve loads models exclusively through it.
+// the network is reconstructed from the embedded configuration, and its
+// weights and hash tables are read from the file, nothing recomputed.
+// Tables are checked for bounds, not against the weights: like the
+// weights, they are trusted to be what SaveModel wrote. Files of a
+// retired format are refused by name. This is the serving entry point —
+// slide-serve loads models exclusively through it.
 func LoadModel(r io.Reader) (*Network, error) { return core.LoadModel(r) }
 
 // NewAdam returns Adam hyperparameters at the given learning rate for
