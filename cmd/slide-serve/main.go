@@ -187,14 +187,14 @@ func main() {
 	log.Printf("bye")
 }
 
-// setGCTarget runs once the model is loaded, when the live heap is
-// almost all model — weights, biases and tables, long-lived and
-// pointer-free; a loaded network holds no Adam moments, so the heap is
-// the model once, not three times. At the runtime's default GOGC=100
-// the heap grows by a whole model's worth of request garbage before the
-// next collection, so the resident set heads for twice the model. A 25%
-// target caps that growth at a quarter of it, and marking pointer-free
-// weights is cheap. A GOGC set in the environment still wins.
+// setGCTarget runs once the model is loaded. The weights of a model
+// loaded from a file are its mapped pages, outside the heap, so the live
+// heap is the tables and row views plus what requests hold: ~4 MB after
+// load and ~11 MB under load at serve_open's shape. At the runtime's
+// default GOGC=100 the heap grows by as much again in request garbage
+// before each collection; a 25% target caps that at a quarter, for more
+// and cheaper collections of a small heap. A GOGC set in the environment
+// still wins.
 func setGCTarget() {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(25)

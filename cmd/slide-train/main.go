@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"repro"
 	"repro/baselines"
@@ -63,7 +64,7 @@ func main() {
 		threads   = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS, split across in-process shards)")
 		evalEvery = flag.Int64("eval-every", 50, "evaluate every N iterations")
 		seed      = flag.Uint64("seed", 42, "random seed")
-		savePath  = flag.String("save", "", "write the trained model (self-describing v2 format) to this path")
+		savePath  = flag.String("save", "", "write the trained model (self-describing v4 format) to this path, replacing any file there by rename")
 		shards    = flag.Int("shards", 1, "data-parallel replicas exchanging sparse gradient deltas (exact fp32) per batch")
 		distAddr  = flag.String("dist", "", "TCP exchange address for multi-process sharding (rank 0 listens, others dial)")
 		rank      = flag.Int("rank", 0, "this process's replica rank when -dist is set")
@@ -272,16 +273,27 @@ func reportExchange(net *slide.Network, res *slide.TrainResult, st dist.Exchange
 	}
 }
 
+// saveModel writes the model to a temporary file in path's directory and
+// renames it over path: a model file is replaced, never rewritten in
+// place, so a server that mapped the old file keeps reading the model it
+// loaded until it reloads.
 func saveModel(net *slide.Network, path string) {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := net.SaveModel(f); err != nil {
-		f.Close()
-		log.Fatal(err)
+	err = net.SaveModel(f)
+	if err == nil {
+		err = f.Chmod(0o644)
 	}
-	if err := f.Close(); err != nil {
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		log.Fatal(err)
 	}
 	fmt.Printf("saved model to %s (serve it with: slide-serve -model %s)\n", path, path)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 
 	"repro/internal/optim"
@@ -152,6 +153,7 @@ type ShardCounter interface {
 // Must run at a batch boundary (no concurrent backward). workers <= 0
 // selects GOMAXPROCS.
 func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
+	defer runtime.KeepAlive(n) // the weights may view a mapped file (see mapping)
 	if workers <= 0 {
 		workers = defaultThreads()
 	}
@@ -175,6 +177,7 @@ func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
 // are rejected before any weight moves, and before a network that has
 // not trained yet allocates its moments. workers <= 0 selects GOMAXPROCS.
 func (n *Network) ApplyDelta(d *SparseDelta, alpha, invB float32, workers int) (int64, error) {
+	defer runtime.KeepAlive(n) // the weights may view a mapped file (see mapping)
 	if workers <= 0 {
 		workers = defaultThreads()
 	}

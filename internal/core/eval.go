@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"repro/internal/dataset"
@@ -53,6 +54,7 @@ func parallelIndexed(workers, n int, f func(w, lo, hi int)) {
 // checked out of the network's default predictor pool and returned
 // afterwards, so repeated evaluations do not re-allocate inference state.
 func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...int) (EvalResult, error) {
+	defer runtime.KeepAlive(n) // the weights may view a mapped file (see mapping)
 	maxK := 1
 	for _, k := range ks {
 		if k < 1 {

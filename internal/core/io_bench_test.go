@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -46,32 +48,54 @@ func BenchmarkSaveModel(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadModel measures LoadModel from an in-memory file — reads of
-// the weights and tables, nothing hashed — and reports as held-B/param
-// the live heap the last load leaves behind, per parameter: 4 bytes of
-// weights, plus the tables and the unused tail of the weights' last
-// arena slab.
+// BenchmarkLoadModel measures LoadModel from an in-memory file — one copy
+// into the heap buffer the weights view, the tables decoded, nothing
+// hashed — and from a file on disk, which it maps, and reports as
+// held-B/param the live heap the last load leaves behind, per parameter:
+// from memory, the file's bytes plus the decoded tables and the row
+// views; from disk, the tables and the row views only.
 func BenchmarkLoadModel(b *testing.B) {
 	var file bytes.Buffer
 	if err := benchModel(b).SaveModel(&file); err != nil {
 		b.Fatal(err)
 	}
-	var base, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&base)
-	b.SetBytes(int64(file.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var m *Network
-	for i := 0; i < b.N; i++ {
-		var err error
-		if m, err = LoadModel(bytes.NewReader(file.Bytes())); err != nil {
-			b.Fatal(err)
-		}
+	path := filepath.Join(b.TempDir(), "model.slide")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		b.Fatal(err)
 	}
-	b.StopTimer()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(base.HeapAlloc))/float64(m.NumParams()), "held-B/param")
+	for _, c := range []struct {
+		name string
+		load func() (*Network, error)
+	}{
+		{"memory", func() (*Network, error) { return LoadModel(bytes.NewReader(file.Bytes())) }},
+		{"file", func() (*Network, error) {
+			f, err := os.Open(path)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			return LoadModel(f)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var base, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&base)
+			b.SetBytes(int64(file.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var m *Network
+			for i := 0; i < b.N; i++ {
+				var err error
+				if m, err = c.load(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(int64(after.HeapAlloc)-int64(base.HeapAlloc))/float64(m.NumParams()), "held-B/param")
+		})
+	}
 	runtime.KeepAlive(&file)
 }

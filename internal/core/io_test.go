@@ -9,6 +9,8 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -20,10 +22,11 @@ import (
 	"repro/internal/sparse"
 )
 
-// v3File assembles a model file from hand-written config JSON and
-// all-zero weights for the given layer shapes (in, out, activation). It
-// carries no table sections, so only a file of dense layers can load.
-func v3File(cfgJSON string, layers [][3]uint32) []byte {
+// v4File assembles a model file from hand-written config JSON and
+// all-zero weights for the given layer shapes (in, out, activation), each
+// section at its page-aligned offset. It carries no table sections, so
+// only a file of dense layers can load.
+func v4File(cfgJSON string, layers [][3]uint32) []byte {
 	b := []byte(modelMagic)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(cfgJSON)))
 	b = append(b, cfgJSON...)
@@ -31,9 +34,47 @@ func v3File(cfgJSON string, layers [][3]uint32) []byte {
 		for _, v := range l {
 			b = binary.LittleEndian.AppendUint32(b, v)
 		}
-		b = append(b, make([]byte, 4*(l[0]+1)*l[1])...)
+		b = append(b, make([]byte, alignUp(len(b))-len(b)+4*int(l[0]*l[1]))...)
+		b = append(b, make([]byte, alignUp(len(b))-len(b)+4*int(l[1]))...)
 	}
 	return b
+}
+
+// alignUp rounds off up to a multiple of sectionAlign.
+func alignUp(off int) int { return (off + sectionAlign - 1) &^ (sectionAlign - 1) }
+
+// sectionsOf returns where file's header places its sections.
+func sectionsOf(t testing.TB, file []byte) []layerSections {
+	t.Helper()
+	cfg, at, err := decodeHeader(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, _ := layout(cfg, at)
+	return sections
+}
+
+// withConfig returns file with its config JSON replaced by cfgJSON and
+// every section moved to where the new header places it.
+func withConfig(t testing.TB, file, cfgJSON []byte) []byte {
+	t.Helper()
+	from := sectionsOf(t, file)
+	out := binary.LittleEndian.AppendUint32([]byte(modelMagic), uint32(len(cfgJSON)))
+	out = append(out, cfgJSON...)
+	cfg, at, err := decodeHeader(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	to, size := layout(cfg, at)
+	out = append(out, make([]byte, size-int64(len(out)))...)
+	for li, s := range from {
+		d := to[li]
+		copy(out[d.shape:], file[s.shape:s.shape+12])
+		for _, p := range [][2]span{{d.w, s.w}, {d.b, s.b}, {d.offs, s.offs}, {d.ids, s.ids}} {
+			copy(out[p[0].at:], file[p[1].at:p[1].end])
+		}
+	}
+	return out
 }
 
 // TestLoadModelValidatesConfig: a model file's config JSON is input like
@@ -48,7 +89,7 @@ func v3File(cfgJSON string, layers [][3]uint32) []byte {
 func TestLoadModelValidatesConfig(t *testing.T) {
 	file := func(act int, extra string) []byte {
 		cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":4,"Activation":%d},{"Size":3,"Activation":1}]%s}`, act, extra)
-		return v3File(cfg, [][3]uint32{{8, 4, uint32(act)}, {4, 3, uint32(ActSoftmax)}})
+		return v4File(cfg, [][3]uint32{{8, 4, uint32(act)}, {4, 3, uint32(ActSoftmax)}})
 	}
 	want, err := LoadModel(bytes.NewReader(file(int(ActReLU), "")))
 	if err != nil {
@@ -71,14 +112,14 @@ func TestLoadModelValidatesConfig(t *testing.T) {
 	}{
 		{"activation 9", file(9, "")},
 		// Headers only: loading must fail before it reads any weights.
-		{"layer size 2^50", v3File(`{"InputDim":4,"Layers":[{"Size":1125899906842624,"Activation":1}]}`, nil)},
-		{"layer 70000x70000", v3File(`{"InputDim":70000,"Layers":[{"Size":70000,"Activation":1}]}`, nil)},
-		{"input dim 2^31", v3File(`{"InputDim":2147483648,"Layers":[{"Size":1,"Activation":1}]}`, nil)},
-		{"rebuild N0 -3", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildN0":-3}`, nil)},
-		{"rebuild lambda 1e999", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildLambda":1e999}`, nil)},
-		{"Adam Beta1 1", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":1,"Beta2":0.999,"Eps":1e-8}}`, nil)},
-		{"Adam LR -0.001", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":-0.001,"Beta1":0.9,"Beta2":0.999,"Eps":1e-8}}`, nil)},
-		{"Adam Eps 0", v3File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":0.9,"Beta2":0.999,"Eps":0}}`, nil)},
+		{"layer size 2^50", v4File(`{"InputDim":4,"Layers":[{"Size":1125899906842624,"Activation":1}]}`, nil)},
+		{"layer 70000x70000", v4File(`{"InputDim":70000,"Layers":[{"Size":70000,"Activation":1}]}`, nil)},
+		{"input dim 2^31", v4File(`{"InputDim":2147483648,"Layers":[{"Size":1,"Activation":1}]}`, nil)},
+		{"rebuild N0 -3", v4File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildN0":-3}`, nil)},
+		{"rebuild lambda 1e999", v4File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"RebuildLambda":1e999}`, nil)},
+		{"Adam Beta1 1", v4File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":1,"Beta2":0.999,"Eps":1e-8}}`, nil)},
+		{"Adam LR -0.001", v4File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":-0.001,"Beta1":0.9,"Beta2":0.999,"Eps":1e-8}}`, nil)},
+		{"Adam Eps 0", v4File(`{"InputDim":4,"Layers":[{"Size":1,"Activation":1}],"Adam":{"LR":0.001,"Beta1":0.9,"Beta2":0.999,"Eps":0}}`, nil)},
 	} {
 		t.Run(bad.name, func(t *testing.T) {
 			if _, err := LoadModel(bytes.NewReader(bad.data)); err == nil {
@@ -96,7 +137,7 @@ func TestLoadModelValidatesConfig(t *testing.T) {
 		{`"Policy":1`, "Policy(1)"}, {`"Policy":9`, "Policy(9)"},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
-			data := v3File(`{"InputDim":4,"Layers":[{"Size":8,"Activation":1,"Sampled":true,`+tc.field+`,"K":2,"L":2,"Beta":2}]}`, nil)
+			data := v4File(`{"InputDim":4,"Layers":[{"Size":8,"Activation":1,"Sampled":true,`+tc.field+`,"K":2,"L":2,"Beta":2}]}`, nil)
 			if _, err := LoadModel(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("LoadModel error %v, want one naming %s", err, tc.want)
 			}
@@ -143,7 +184,7 @@ func hostileTableFiles() []hostileFile {
 		} {
 			cfg := fmt.Sprintf(`{"InputDim":8,"Layers":[{"Size":8,"Activation":1,"Sampled":true,"Hash":%d,%s,"Beta":2}]}`, hash, tc.shape)
 			files = append(files, hostileFile{
-				fmt.Sprintf("%v %s", hash, tc.shape), tc.want, v3File(cfg, [][3]uint32{{8, 8, uint32(ActSoftmax)}}),
+				fmt.Sprintf("%v %s", hash, tc.shape), tc.want, v4File(cfg, [][3]uint32{{8, 8, uint32(ActSoftmax)}}),
 			})
 		}
 	}
@@ -265,17 +306,22 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	if _, err := LoadModel(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	save := func(classes int) (file []byte, weightsAt int) {
+	save := func(classes int) []byte {
 		var buf bytes.Buffer
 		if err := mustNet(t, tinyConfig(classes)).SaveModel(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), 12 + int(binary.LittleEndian.Uint32(buf.Bytes()[8:]))
+		return buf.Bytes()
 	}
-	small, smallAt := save(64)
-	big, bigAt := save(128)
-	// Pad to the big model's size, so only the shape check can refuse it.
-	spliced := append(append([]byte(nil), big[:bigAt]...), small[smallAt:]...)
+	small, big := save(64), save(128)
+	// Layer 0 is the same in both and ends at the same offset; behind it,
+	// the small model's layer 1, padded to the big model's size, so only
+	// the shape check can refuse it.
+	end0 := sectionsOf(t, big)[0].end()
+	if sectionsOf(t, small)[0].end() != end0 {
+		t.Fatal("layer 0 ends at different offsets")
+	}
+	spliced := append(slices.Clone(big[:end0]), small[end0:]...)
 	spliced = append(spliced, make([]byte, len(big)-len(spliced))...)
 	_, err := LoadModel(bytes.NewReader(spliced))
 	if err == nil || !strings.Contains(err.Error(), "layer 1: shape") {
@@ -301,17 +347,14 @@ func TestLoadModelRefusesDamagedFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := buf.Bytes()
-	// Layer 0 is input-major; its weights start after the config and its
-	// shape header, and the last layer's shape header follows its biases.
-	// The last layer's tables follow its biases.
+	// Layer 0 is input-major; layer 1 is sampled, and its tables end the
+	// file.
+	sec := sectionsOf(t, file)
 	l0, l1 := n.layers[0], n.layers[1]
-	layer0 := 12 + int(binary.LittleEndian.Uint32(file[8:])) + 12
-	lastMeta := layer0 + 4*(l0.out*l0.in+l0.out)
-	tablesAt := lastMeta + 12 + 4*(l1.out*l1.in+l1.out)
 	corrupt := append([]byte(nil), file...)
-	binary.LittleEndian.PutUint32(corrupt[lastMeta:], 7)
+	binary.LittleEndian.PutUint32(corrupt[sec[1].shape:], 7)
 	// A hollow 98-byte file: a million inputs and no weights behind them.
-	hollow := v3File(`{"InputDim":1000000,"Layers":[{"Size":128,"Activation":0},{"Size":64,"Activation":1}]}`, nil)
+	hollow := v4File(`{"InputDim":1000000,"Layers":[{"Size":128,"Activation":0},{"Size":64,"Activation":1}]}`, nil)
 	if len(hollow) != 98 {
 		t.Fatalf("hollow file is %d bytes", len(hollow))
 	}
@@ -321,9 +364,9 @@ func TestLoadModelRefusesDamagedFile(t *testing.T) {
 		want string // in the error
 	}{
 		{"truncated by 100 bytes", file[:len(file)-100], "declares"},
-		{"truncated in layer 0", file[:lastMeta-4], "declares"},
+		{"truncated in layer 0", file[:sec[1].shape-4], "declares"},
 		{"corrupt last layer shape", corrupt, "layer 1: shape 7x"},
-		{"98-byte header", hollow, "declares 512033560 bytes of weights and tables, the file holds 0"},
+		{"98-byte header", hollow, "declares 512041118 bytes of weights and tables, the file holds 0"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			m, err := LoadModel(bytes.NewReader(c.data))
@@ -333,16 +376,22 @@ func TestLoadModelRefusesDamagedFile(t *testing.T) {
 		})
 	}
 	// A plain io.Reader hides its length, so the short read itself must
-	// report the end: inside an input row of layer 0, inside a neuron row
-	// of layer 1, in layer 1's biases and in its tables.
+	// report the end: inside an input row of layer 0, in the padding
+	// before layer 1's weights, inside a neuron row of layer 1, in layer
+	// 1's biases, in the padding before its table ids and in them.
+	if sec[1].w.at-sec[1].shape-12 < 2 || sec[1].ids.at-sec[1].offs.end < 2 {
+		t.Fatal("no padding to cut inside")
+	}
 	for name, c := range map[string]struct {
-		cut   int
+		cut   int64
 		layer string
 	}{
-		"inside a layer 0 row":    {layer0 + 4*(3*l0.out+5), "layer 0"},
-		"inside a layer 1 row":    {lastMeta + 12 + 4*(3*l0.out+7), "layer 1"},
-		"inside layer 1's biases": {tablesAt - 2, "layer 1"},
-		"inside layer 1's tables": {len(file) - 2, "layer 1: tables"},
+		"inside a layer 0 row":               {sec[0].w.at + 4*int64(3*l0.out+5), "layer 0: weights"},
+		"inside padding before layer 1 rows": {sec[1].w.at - 2, "layer 1: weights"},
+		"inside a layer 1 row":               {sec[1].w.at + 4*int64(3*l1.in+7), "layer 1: weights"},
+		"inside layer 1's biases":            {sec[1].b.end - 2, "layer 1: biases"},
+		"inside padding before table ids":    {sec[1].ids.at - 2, "layer 1: tables"},
+		"inside layer 1's tables":            {int64(len(file)) - 2, "layer 1: tables"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, err := LoadModel(io.MultiReader(bytes.NewReader(file[:c.cut])))
@@ -353,13 +402,15 @@ func TestLoadModelRefusesDamagedFile(t *testing.T) {
 	}
 }
 
-// TestLoadModelRefusesHostileTables: a v3 file whose tables are out of
+// TestLoadModelRefusesHostileTables: a v4 file whose tables are out of
 // bounds is an error and no network, never a panic: a table that does not
 // start at its region ti·rows, a decreasing offset, an offset past the
-// region, a bucket of BucketSize+1 ids and an id equal to rows. So are a
-// file cut inside the tables, by the early size check before any layer
-// is sized, and a v2 file, by name. The header-sized refusals allocate
-// under 1 MiB.
+// region, a bucket of BucketSize+1 ids and an id equal to rows. So are
+// padding that is not zero, a file cut inside the padding, inside the
+// tables or inside the last section, by the early size check before any
+// layer is sized, and a v2 or v3 file, by name. Each is refused from a
+// sized reader, from a stream and mapped from disk, and the header-sized
+// refusals allocate under 1 MiB.
 func TestLoadModelRefusesHostileTables(t *testing.T) {
 	c := goldenModelCases[0] // the sampled output layer: 60 rows, L 4, 2^5 buckets of 8
 	var f bytes.Buffer
@@ -368,23 +419,31 @@ func TestLoadModelRefusesHostileTables(t *testing.T) {
 	}
 	file := f.Bytes()
 	const rows, l, nb, bs = 60, 4, 32, 8
-	offsAt := len(file) - 4*l*(nb+1+rows)
-	idsAt := offsAt + 4*l*(nb+1)
+	sec := sectionsOf(t, file)
+	offsAt, idsAt := sec[1].offs.at, sec[1].ids.at
 	// withTable returns the file with table ti's offsets replaced by offs.
 	withTable := func(ti int, offs ...uint32) []byte {
 		b := slices.Clone(file)
 		for i, o := range offs {
-			binary.LittleEndian.PutUint32(b[offsAt+4*(ti*(nb+1)+i):], o)
+			binary.LittleEndian.PutUint32(b[offsAt+4*int64(ti*(nb+1)+i):], o)
 		}
 		return b
 	}
 	flat := func(from int, v uint32) []uint32 { // from copies of v filling a table's offsets
 		return slices.Repeat([]uint32{v}, nb+1-from)
 	}
+	// withByte returns the file with the byte at off set to 1.
+	withByte := func(off int64) []byte {
+		b := slices.Clone(file)
+		b[off] = 1
+		return b
+	}
 	idRows := slices.Clone(file)
 	binary.LittleEndian.PutUint32(idRows[idsAt:], rows)
 	v2 := append([]byte("SLIDEv2\n"), file[8:]...)
-	for _, tc := range []struct {
+	v3 := append([]byte("SLIDEv3\n"), file[8:]...)
+	dir := t.TempDir()
+	for i, tc := range []struct {
 		name  string
 		data  []byte
 		want  string
@@ -395,9 +454,14 @@ func TestLoadModelRefusesHostileTables(t *testing.T) {
 		{"offset past the region", withTable(0, append(flat(1, 0), rows+1)...), "table 0 ends at 61, past its region's end 60", false},
 		{"bucket of BucketSize+1", withTable(0, append([]uint32{0}, flat(1, bs+1)...)...), "table 0 bucket 0 holds 9 ids, more than BucketSize 8", false},
 		{"id equal to rows", idRows, "table 0 holds id 60, not below rows 60", false},
+		{"non-zero padding before layer 0's weights", withByte(sec[0].w.at - 1), "layer 0: weights: the padding before them is not zero", false},
+		{"non-zero padding before the table ids", withByte(idsAt - 1), "layer 1: tables: the padding before them is not zero", false},
+		{"cut inside the padding", file[:idsAt-1], "declares", true},
 		{"cut inside the tables", file[:idsAt+8], "declares", true},
-		{"v2 header", v2, "format v2 and this build reads only v3; re-save", true},
+		{"cut inside the last section", file[:len(file)-2], "declares", true},
+		{"v2 header", v2, "format v2 and this build reads only v4; re-save", true},
 		{"v2 header alone", v2[:12+int(binary.LittleEndian.Uint32(v2[8:]))], "format v2", true},
+		{"v3 header", v3, "format v3 and this build reads only v4; re-save", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
@@ -413,8 +477,27 @@ func TestLoadModelRefusesHostileTables(t *testing.T) {
 			if _, err := LoadModel(io.MultiReader(bytes.NewReader(tc.data))); err == nil {
 				t.Error("LoadModel from a stream accepted the file")
 			}
+			path := filepath.Join(dir, fmt.Sprint(i))
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if m, err := loadFile(t, path); err == nil || m != nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadModel from disk = %v, %v; want no network and an error containing %q", m, err, tc.want)
+			}
 		})
 	}
+}
+
+// loadFile loads the model file at path through an *os.File, which
+// LoadModel maps where it can.
+func loadFile(t testing.TB, path string) (*Network, error) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	return LoadModel(f)
 }
 
 // fuzzMaxWeights bounds the weights a fuzzed model file may declare: the
@@ -466,11 +549,12 @@ func fuzzAffordable(data []byte) bool {
 
 // FuzzLoadModel feeds LoadModel arbitrary bytes, seeded with SaveModel
 // files of every layer orientation plus truncated, retired and hostile
-// ones: it must return an error or a network, never panic, and a network
-// it returns must answer a sampled prediction and re-save to bytes that
-// load back to the same network. Each input is also
-// loaded through a reader that hides its length, which skips the up-front
-// size check, so a short file must fail in the decode instead.
+// ones and ones with non-zero or cut padding: it must return an error or
+// a network, never panic, and a network it returns must answer a sampled
+// prediction and re-save to bytes that load back to the same network.
+// Each input is also loaded through a reader that hides its length, which
+// skips the up-front size check, so a short file must fail in the decode
+// instead, and from a file, which LoadModel maps; all three must agree.
 func FuzzLoadModel(f *testing.F) {
 	sampled := func(size int, act Activation, kind lsh.Kind) LayerConfig {
 		return LayerConfig{
@@ -499,19 +583,20 @@ func FuzzLoadModel(f *testing.F) {
 		// halfway through its tables.
 		f.Add(buf.Bytes()[:buf.Len()/2])
 		if tb := n.layers[len(n.layers)-1].Tables(); tb != nil {
-			f.Add(buf.Bytes()[:buf.Len()-int(tb.Config().EncodedSize(n.OutputDim()))/2])
+			_, ids := tb.Config().EncodedSizes(n.OutputDim())
+			f.Add(buf.Bytes()[:buf.Len()-int(ids)/2])
 		}
 	}
 	// Retired formats: a v2 header over a whole v2-sized file.
-	v2 := v3File(`{"InputDim":12,"Layers":[{"Size":5,"Activation":1}]}`, [][3]uint32{{12, 5, 1}})
+	v2 := v4File(`{"InputDim":12,"Layers":[{"Size":5,"Activation":1}]}`, [][3]uint32{{12, 5, 1}})
 	f.Add(append([]byte("SLIDEv2\n"), v2[8:]...))
-	f.Add(v3File(`{"InputDim":1048576,"Layers":[{"Size":1048576,"Activation":1}]}`, nil))
-	f.Add(v3File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,"Hash":2,"K":2,"L":3,"RangePow":3,"Beta":6,"BinSize":-1}]}`, [][3]uint32{{30, 20, 1}}))
+	f.Add(v4File(`{"InputDim":1048576,"Layers":[{"Size":1048576,"Activation":1}]}`, nil))
+	f.Add(v4File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,"Hash":2,"K":2,"L":3,"RangePow":3,"Beta":6,"BinSize":-1}]}`, [][3]uint32{{30, 20, 1}}))
 	// Kinds that cannot run: the removed hash families 1 and 3, the
 	// removed strategies 1 and 2 and policy 1, and an unknown strategy and
 	// policy, each with whole weights.
 	for _, field := range []string{`"Hash":1`, `"Hash":3`, `"Strategy":1`, `"Strategy":2`, `"Strategy":9`, `"Policy":1`, `"Policy":9`} {
-		f.Add(v3File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,`+field+`,"K":2,"L":3,"RangePow":3,"Beta":6}]}`, [][3]uint32{{30, 20, 1}}))
+		f.Add(v4File(`{"InputDim":30,"Layers":[{"Size":20,"Activation":1,"Sampled":true,`+field+`,"K":2,"L":3,"RangePow":3,"Beta":6}]}`, [][3]uint32{{30, 20, 1}}))
 	}
 	// Hash functions or table offsets a small file cannot be allowed to
 	// size.
@@ -519,6 +604,15 @@ func FuzzLoadModel(f *testing.F) {
 		f.Add(tc.data)
 	}
 	f.Add(append([]byte(modelMagic), 0xff, 0xff, 0xff, 0xff))
+	// v4 boundaries: a byte of padding set, and a file cut inside the
+	// padding before the last layer's weights.
+	dense := v4File(`{"InputDim":12,"Layers":[{"Size":8,"Activation":0},{"Size":5,"Activation":1}]}`, [][3]uint32{{12, 8, 0}, {8, 5, 1}})
+	last := sectionsOf(f, dense)[1]
+	padded := slices.Clone(dense)
+	padded[last.w.at-1] = 1
+	f.Add(padded)
+	f.Add(dense[:last.w.at-1])
+	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !fuzzAffordable(data) {
 			t.Skip("declares more than the harness builds")
@@ -526,6 +620,22 @@ func FuzzLoadModel(f *testing.F) {
 		n, err := LoadModel(bytes.NewReader(data))
 		if _, errStream := LoadModel(io.MultiReader(bytes.NewReader(data))); (err == nil) != (errStream == nil) {
 			t.Fatalf("LoadModel from a sized reader: %v; from a stream: %v", err, errStream)
+		}
+		// The same bytes in a file, which LoadModel maps where it can.
+		file, errFile := os.CreateTemp(dir, "")
+		if errFile != nil {
+			t.Fatal(errFile)
+		}
+		defer os.Remove(file.Name())
+		defer file.Close()
+		if _, errFile = file.Write(data); errFile != nil {
+			t.Fatal(errFile)
+		}
+		if _, errFile = file.Seek(0, io.SeekStart); errFile != nil {
+			t.Fatal(errFile)
+		}
+		if _, errFile = LoadModel(file); (err == nil) != (errFile == nil) {
+			t.Fatalf("LoadModel from a sized reader: %v; from a file: %v", err, errFile)
 		}
 		if err != nil {
 			return
@@ -577,11 +687,11 @@ var goldenModelCases = []struct {
 	{"input-major 37x100", Config{InputDim: 37, Seed: 11, Layers: []LayerConfig{
 		{Size: 100, Activation: ActReLU},
 		{Size: 60, Activation: ActSoftmax, Sampled: true, Hash: lsh.KindSimhash, K: 3, L: 4, RangePow: 5, BucketSize: 8, Strategy: sampling.KindVanilla, Beta: 6},
-	}}, 0x9461016f740703d2},
+	}}, 0x65d99fe51a6ec4ed},
 	{"sampled neuron-major 37x100", Config{InputDim: 37, Seed: 12, Layers: []LayerConfig{
 		{Size: 100, Activation: ActReLU, Sampled: true, Hash: lsh.KindDWTA, K: 2, L: 5, RangePow: 4, BucketSize: 8, Strategy: sampling.KindVanilla, Beta: 6},
 		{Size: 30, Activation: ActSoftmax},
-	}}, 0xb75e0fb70d6460f5},
+	}}, 0x18639e936021282a},
 }
 
 // TestSaveModelGolden pins the model file's bytes — FNV-64a of SaveModel
@@ -589,9 +699,10 @@ var goldenModelCases = []struct {
 // streams weights through block buffers replaced per-neuron
 // binary.Write, and re-recorded when the weight init moved to row-keyed
 // streams (TestSaveModelFormulaGolden pins the codec apart from the
-// init), and again when the file became v3, weights in storage order and
-// the generation-1 tables in the file (TestLoadModelGolden shows that the
-// network a file loads to did not move) — and checks that a file re-saves
+// init), again when the file became v3, weights in storage order and the
+// generation-1 tables in the file (TestLoadModelGolden shows that the
+// network a file loads to did not move), and again when v4 put every
+// section at a page-aligned offset — and checks that a file re-saves
 // to itself and that loading it gives the source's generation-1 rebuild
 // of the tables. Recorded on amd64 (see TestTrainingGoldenHash).
 func TestSaveModelGolden(t *testing.T) {
@@ -646,10 +757,11 @@ func formulaModel(t *testing.T, cfg Config) *Network {
 // TestSaveModelFormulaGolden pins the model file's bytes independently of
 // the weight init: FNV-64a of SaveModel for the goldenModelCases shapes
 // with formulaModel's weights, recorded before the init drew each storage
-// row from its own stream and re-recorded when the file became v3. A
-// change to the init may not move these; a change to the codec must.
+// row from its own stream and re-recorded when the file became v3 and
+// v4. A change to the init may not move these; a change to the codec
+// must.
 func TestSaveModelFormulaGolden(t *testing.T) {
-	want := []uint64{0x3ff018a588500881, 0xafc97ce98b1aa5a2}
+	want := []uint64{0xe5bd04187f26240a, 0x501c031cff0dd17d}
 	for i, c := range goldenModelCases {
 		t.Run(c.name, func(t *testing.T) {
 			var f bytes.Buffer

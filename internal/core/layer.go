@@ -37,10 +37,11 @@ type Layer struct {
 	cfg LayerConfig
 
 	// w holds the weights in the layer's orientation, rows viewing the
-	// network arena's contiguous slabs, and mW/vW the Adam moments, rows of
-	// the same shape viewing the training arena's (nil until the first
-	// step). A batch's gradient is replayed from the batch records row by
-	// row at the boundary (fold.go), never stored here.
+	// network arena's contiguous slabs — or on a loaded network its model
+	// file's weights section — and mW/vW the Adam moments, rows of the
+	// same shape viewing the training arena's (nil until the first step).
+	// A batch's gradient is replayed from the batch records row by row at
+	// the boundary (fold.go), never stored here.
 	w  [][]float32
 	mW [][]float32
 	vW [][]float32
@@ -53,6 +54,9 @@ type Layer struct {
 	b  []float32
 	mB []float32
 	vB []float32
+	// file is the mapped model file w and b view, nil unless the network
+	// was loaded from one; holding it keeps the file mapped (see mapping).
+	file *mapping
 
 	// hits[j] counts neuron j's nonzero δ in the batch being folded; index
 	// workers write it at the quiesced batch boundary, each entry by the
@@ -105,20 +109,32 @@ type Layer struct {
 	rowsHashed int64
 }
 
-// newLayer builds a layer with zero weights: shapes, weight and bias
-// storage and, when sampled, the hash family and an empty table set.
-func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, seed uint64) (*Layer, error) {
+// newLayer builds a layer: shapes, weight and bias storage and, when
+// sampled, the hash family and an empty table set. The storage is v, a
+// loaded model file's sections, or with v nil zeroed slabs of ar.
+func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, v *layerViews, seed uint64) (*Layer, error) {
 	l := &Layer{idx: idx, in: in, out: cfg.Size, cfg: cfg, inputMajor: idx == 0 && !cfg.Sampled}
-	if l.inputMajor {
-		l.inputCols = kernels.NewArenaMirror(l.in, l.out, ar)
-		l.w = make([][]float32, l.in)
-		for i := range l.w {
-			l.w[i] = l.inputCols.Col(int32(i))
-		}
-	} else {
-		l.w = ar.AllocRows(l.out, l.in)
+	rows, width := l.StorageShape()
+	var flat []float32 // the weights in storage order, when one slice holds them
+	switch {
+	case v != nil:
+		flat, l.b = v.w, v.b
+	case l.inputMajor:
+		flat, l.b = ar.AllocAligned(rows*width), ar.AllocAligned(l.out)
+	default:
+		l.w, l.b = ar.AllocRows(rows, width), ar.AllocAligned(l.out)
 	}
-	l.b = ar.AllocAligned(l.out)
+	if flat != nil {
+		l.w = make([][]float32, rows)
+		for r := range l.w {
+			l.w[r] = flat[r*width : (r+1)*width : (r+1)*width]
+		}
+	}
+	if l.inputMajor {
+		// w's rows are the mirror's columns: one input's weights to every
+		// neuron, contiguous.
+		l.inputCols = kernels.MirrorOver(l.in, l.out, flat)
+	}
 
 	if cfg.Sampled {
 		fam, err := lsh.New(cfg.Hash, lsh.Params{
@@ -192,8 +208,10 @@ func (l *Layer) Tables() *hashtable.Table {
 }
 
 // Weights returns neuron j's weights, one per input. On a neuron-major
-// layer the slice aliases live training state; on the input-major first
-// layer (see Layer) it is a fresh copy, and writing to it changes nothing.
+// layer the slice aliases live training state, valid while the network
+// is reachable (a loaded network's may view its mapped model file); on
+// the input-major first layer (see Layer) it is a fresh copy, and
+// writing to it changes nothing.
 func (l *Layer) Weights(j int) []float32 {
 	if !l.inputMajor {
 		return l.w[j]

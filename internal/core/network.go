@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -83,13 +84,15 @@ type Network struct {
 // functions per sampled layer, and hash tables populated from the initial
 // weight vectors.
 func NewNetwork(cfg Config) (*Network, error) {
-	return newNetwork(cfg, true)
+	return newNetwork(cfg, nil)
 }
 
-// newNetwork is NewNetwork with the weight draw and the table build
-// optional: LoadModel skips both (fresh false), because the file carries
-// the weights and the tables both would compute.
-func newNetwork(cfg Config, fresh bool) (*Network, error) {
+// newNetwork builds the network over views, a loaded model file's
+// sections (LoadModel), which carry the weights, as the file carries the
+// tables built from them. With views nil it builds over zeroed arena
+// slabs, fills them with the random init and builds the tables from it
+// (NewNetwork).
+func newNetwork(cfg Config, views []layerViews) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -103,14 +106,18 @@ func newNetwork(cfg Config, fresh bool) (*Network, error) {
 	ar := arena.New()
 	in := cfg.InputDim
 	for i, lc := range cfg.Layers {
-		l, err := newLayer(i, in, lc, ar, cfg.Seed)
+		var v *layerViews
+		if views != nil {
+			v = &views[i]
+		}
+		l, err := newLayer(i, in, lc, ar, v, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		n.layers = append(n.layers, l)
 		in = lc.Size
 	}
-	if fresh {
+	if views == nil {
 		for _, l := range n.layers {
 			l.initWeights(cfg.Seed, defaultThreads())
 		}
@@ -200,6 +207,7 @@ func (n *Network) NumParams() int64 {
 // and publishes it. It is not a scheduled rebuild — Rebuilds and the §4.2
 // schedule do not move. workers <= 0 selects GOMAXPROCS.
 func (n *Network) RebuildTables(workers int) {
+	defer runtime.KeepAlive(n) // the weights may view a mapped file (see mapping)
 	if workers <= 0 {
 		workers = defaultThreads()
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -125,6 +126,7 @@ func (p *Predictor) Predict(x sparse.Vector, k int) ([]int32, []float32, error) 
 // returned slices are the (possibly grown) buffers; the input slices'
 // contents are discarded.
 func (p *Predictor) TopKWithScoresInto(ctx context.Context, x sparse.Vector, k int, sampled bool, ids []int32, scores []float32, opts ...PredictOpts) ([]int32, []float32, error) {
+	defer runtime.KeepAlive(p) // the weights may view a mapped file (see mapping)
 	xs, idsOut, scoresOut := [1]sparse.Vector{x}, [1][]int32{ids}, [1][]float32{scores}
 	c, err := p.newCall(ctx, xs[:], k, sampled, opts)
 	if err == nil {
@@ -187,6 +189,7 @@ func (r *BatchResults) prepare(n, k int) {
 // finishes; when ctx ends before some sub-batch starts, the call returns
 // ctx.Err(), and a ctx done before the call writes nothing.
 func (p *Predictor) PredictBatchInto(ctx context.Context, xs []sparse.Vector, k int, sampled bool, res *BatchResults, opts ...PredictOpts) error {
+	defer runtime.KeepAlive(p) // the weights may view a mapped file (see mapping)
 	c, err := p.newCall(ctx, xs, k, sampled, opts)
 	if err != nil {
 		return err

@@ -580,7 +580,7 @@ func TestTrainContextCancellation(t *testing.T) {
 	}
 }
 
-// TestSaveModelLoadModelRoundTrip: a v2 file restores a network that
+// TestSaveModelLoadModelRoundTrip: a model file restores a network that
 // predicts identically — as written, and with the retired config keys
 // older files carry (full rebuild, memory layout and row padding, pinned
 // scatter crossover, mirror format, kernel mode, update mode; ignored on
@@ -600,10 +600,7 @@ func TestSaveModelLoadModelRoundTrip(t *testing.T) {
 	// rows, bf16 mirrors, the per-neuron reference kernels, batch-sync
 	// updates.
 	retired := `{"Full` + `Rebuild":true,"Lay` + `out":1,"Pad` + `Rows":true,"Scatter` + `Crossover":0.25,"Mirror` + `Format":1,"Ker` + `nels":1,"Update` + `Mode":2,`
-	oldCfg := append([]byte(retired), file[13:12+cfgLen]...)
-	old := append([]byte(nil), file[:8]...)
-	old = binary.LittleEndian.AppendUint32(old, uint32(len(oldCfg)))
-	old = append(append(old, oldCfg...), file[12+cfgLen:]...)
+	old := withConfig(t, file, append([]byte(retired), file[13:12+cfgLen]...))
 
 	var first *Network
 	for name, data := range map[string][]byte{"current": file, "with retired keys": old} {

@@ -96,6 +96,7 @@ func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainRe
 // callers driving training from a serving control plane can keep the
 // partial *TrainResult.
 func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Example, tc TrainConfig) (*TrainResult, error) {
+	defer runtime.KeepAlive(n) // the weights may view a mapped file (see mapping)
 	if len(train) == 0 {
 		return nil, fmt.Errorf("core: empty training split")
 	}

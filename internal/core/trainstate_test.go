@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 
@@ -44,7 +45,9 @@ func reload(t *testing.T, n *Network) *Network {
 // biases and moments after 24 batches through two scheduled rebuilds — to
 // hashes recorded while every network still allocated its moments and
 // fold scratch at construction, so allocating them at the first step
-// moves no bit. Recorded on amd64.
+// moves no bit. The mapped variant loads the file from disk, trains its
+// weights through the mapping's private pages to the same hashes, and
+// leaves the file's bytes as they were. Recorded on amd64.
 func TestLoadTrainGoldenHash(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden recorded on amd64, running on %s", runtime.GOARCH)
@@ -59,8 +62,7 @@ func TestLoadTrainGoldenHash(t *testing.T) {
 		{"input-major", false, 0x3f5ed9b62c25c198},
 		{"column-union", true, 0xdfe3ac620e5b7938},
 	} {
-		t.Run(c.name, func(t *testing.T) {
-			n := reload(t, mustNet(t, loadTrainConfig(classes, c.columnUnion)))
+		train := func(t *testing.T, n *Network) {
 			res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 24, Threads: 2, Seed: 9})
 			if err != nil {
 				t.Fatal(err)
@@ -70,6 +72,25 @@ func TestLoadTrainGoldenHash(t *testing.T) {
 			}
 			if got := stateHash(n); got != c.want {
 				t.Fatalf("state hash %#x, want %#x", got, c.want)
+			}
+		}
+		t.Run(c.name, func(t *testing.T) {
+			train(t, reload(t, mustNet(t, loadTrainConfig(classes, c.columnUnion))))
+		})
+		t.Run(c.name+"/mapped", func(t *testing.T) {
+			path := saveFile(t, mustNet(t, loadTrainConfig(classes, c.columnUnion)))
+			saved, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := loadFile(t, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireMapped(t, n)
+			train(t, n)
+			if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, saved) {
+				t.Fatalf("training the loaded network changed its file (%v)", err)
 			}
 		})
 	}
@@ -171,9 +192,11 @@ func TestLoadedNetworkHoldsNoTrainState(t *testing.T) {
 	}
 }
 
-// TestLoadModelHeapHoldsWeightsAndTables: the live heap a load leaves
-// behind is the weights, the tables and little else — not the Adam moments
-// that would triple it (at the serving shape of BenchmarkLoadModel).
+// TestLoadModelHeapHoldsWeightsAndTables: the live heap a load from
+// memory leaves behind is the weights, the tables and little else — not
+// the Adam moments that would triple it (at the serving shape of
+// BenchmarkLoadModel). TestMappedLoadHeapHoldsTablesAndViews is its
+// counterpart for a load from a file.
 func TestLoadModelHeapHoldsWeightsAndTables(t *testing.T) {
 	var file bytes.Buffer
 	if err := benchModel(t).SaveModel(&file); err != nil {
@@ -196,11 +219,12 @@ func TestLoadModelHeapHoldsWeightsAndTables(t *testing.T) {
 			tables += 4 * int64(tb.L()) * int64(tb.NumBuckets()+1+l.out)
 		}
 	}
-	// At this shape the rest is 4.57 MB: the unused 4 MB tail of the
-	// weights' 16 MiB arena slab and 0.6 MB of row views. A load reads its
-	// tables from the file, so it never holds the table build's 4 MB of
-	// chunk scratch, and the moments alone would be 25.6 MB more.
-	const slack = 5 << 20
+	// At this shape the rest is 1.03 MB: 0.6 MB of row views, and the
+	// file's encoded tables and padding, which share the heap buffer the
+	// weights view. A load reads its tables from the file, so it never
+	// holds the table build's 4 MB of chunk scratch, and the moments alone
+	// would be 25.6 MB more.
+	const slack = 5 << 18
 	if limit := weights + tables + slack; held > limit {
 		t.Fatalf("a load holds %d bytes: more than %d of weights + %d of tables + %d", held, weights, tables, slack)
 	}

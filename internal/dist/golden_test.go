@@ -57,9 +57,10 @@ func requireGolden(t *testing.T, net *core.Network, want uint64) {
 // modelHash is FNV-64a of the v2 model file the goldens were recorded
 // from: magic "SLIDEv2\n", the config JSON, then per layer its shape,
 // neuron-major weights and biases, all little-endian. It pins the config
-// and every weight bit, as the v3 file would; the v3 file adds only the
-// tables, which are a function of them, and rank against rank
-// requireTablesEqual compares those.
+// and every weight bit, as the model file does; the file adds the
+// tables, which are a function of them — and rank against rank
+// requireTablesEqual compares those — and the zero padding that puts
+// every section at a page-aligned offset.
 func modelHash(t *testing.T, net *core.Network) uint64 {
 	t.Helper()
 	cfg := net.Config()

@@ -227,46 +227,33 @@ func (t *Table) Equal(o *Table) bool {
 	return true
 }
 
-// EncodedSize is the size of what Encode writes for a set of rows ids
-// under cfg: L·(2^RangePow+1) offsets and L·rows ids, four bytes each,
-// RangePow defaulted as New defaults it.
-func (c Config) EncodedSize(rows int) int64 {
+// EncodedSizes are the sizes of the arrays EncodeOffsets and EncodeIDs
+// write for a set of rows ids under cfg: L·(2^RangePow+1) offsets and
+// L·rows ids, four bytes each, RangePow defaulted as New defaults it.
+func (c Config) EncodedSizes(rows int) (offs, ids int64) {
 	c = c.withDefaults()
-	return 4 * int64(c.L) * (int64(1)<<c.RangePow + 1 + int64(rows))
+	return 4 * int64(c.L) * (int64(1)<<c.RangePow + 1), 4 * int64(c.L) * int64(rows)
 }
 
-// Encode writes the set as a model file carries it, every value a
-// little-endian uint32: the offsets, then each table's rows-long id
-// region with the slots past its last bucket zero. A set Decode reads
-// back from it is Equal to t.
-func (t *Table) Encode(w io.Writer) error {
-	const chunk = 4096
-	b := make([]byte, 0, 4*chunk)
-	put := func(vals []uint32) error {
-		for len(vals) > 0 {
-			n := min(len(vals), chunk)
-			b = b[:0]
-			for _, v := range vals[:n] {
-				b = binary.LittleEndian.AppendUint32(b, v)
-			}
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-			vals = vals[n:]
-		}
-		return nil
-	}
-	var zeros [chunk]uint32
-	if err := put(t.offs); err != nil {
-		return err
-	}
+// EncodeOffsets writes the set's offsets as a model file carries them,
+// every value a little-endian uint32.
+func (t *Table) EncodeOffsets(w io.Writer) error {
+	return newUint32Writer(w).put(t.offs)
+}
+
+// EncodeIDs writes the set's ids as a model file carries them: each
+// table's rows-long id region with the slots past its last bucket zero,
+// every value a little-endian uint32. A set Decode reads back from what
+// EncodeOffsets and EncodeIDs wrote is Equal to t.
+func (t *Table) EncodeIDs(w io.Writer) error {
+	e := newUint32Writer(w)
 	for ti := 0; ti < t.cfg.L; ti++ {
 		lo, end := ti*t.rows, int(t.offs[(ti+1)*(t.numBuckets+1)-1])
-		if err := put(t.ids[lo:end]); err != nil {
+		if err := e.put(t.ids[lo:end]); err != nil {
 			return err
 		}
-		for unused := lo + t.rows - end; unused > 0; unused -= chunk {
-			if err := put(zeros[:min(unused, chunk)]); err != nil {
+		for unused := lo + t.rows - end; unused > 0; unused -= len(zeroIDs) {
+			if err := e.put(zeroIDs[:min(unused, len(zeroIDs))]); err != nil {
 				return err
 			}
 		}
@@ -274,37 +261,51 @@ func (t *Table) Encode(w io.Writer) error {
 	return nil
 }
 
+var zeroIDs [4096]uint32
+
+// uint32Writer writes little-endian uint32s through a buffer of its own.
+type uint32Writer struct {
+	w io.Writer
+	b []byte
+}
+
+func newUint32Writer(w io.Writer) *uint32Writer {
+	return &uint32Writer{w: w, b: make([]byte, 0, 4*len(zeroIDs))}
+}
+
+func (e *uint32Writer) put(vals []uint32) error {
+	for len(vals) > 0 {
+		n := min(len(vals), cap(e.b)/4)
+		e.b = e.b[:0]
+		for _, v := range vals[:n] {
+			e.b = binary.LittleEndian.AppendUint32(e.b, v)
+		}
+		if _, err := e.w.Write(e.b); err != nil {
+			return err
+		}
+		vals = vals[n:]
+	}
+	return nil
+}
+
 // Decode fills t, an empty set from New or Shadow, with the set over ids
-// 0..rows-1 that Encode wrote to r, keeping t's configuration and
-// generation. It checks the set's bounds, not how it was built: each
-// table starts at its region ti·rows and ends inside it, its offsets do
-// not decrease, no bucket holds more than BucketSize ids, every id is
-// below rows and every unused slot is zero. Anything else is an error and
-// t must be discarded; a short read is io.ErrUnexpectedEOF.
-func (t *Table) Decode(r io.Reader, rows int) error {
+// 0..rows-1 whose arrays EncodeOffsets and EncodeIDs wrote as offs and
+// ids, keeping t's configuration and generation. It checks the set's
+// bounds, not how it was built: each table starts at its region ti·rows
+// and ends inside it, its offsets do not decrease, no bucket holds more
+// than BucketSize ids, every id is below rows and every unused slot is
+// zero. Anything else is an error and t must be discarded; an array
+// shorter than EncodedSizes says is io.ErrUnexpectedEOF.
+func (t *Table) Decode(offs, ids []byte, rows int) error {
 	if rows < 0 || int64(rows)*int64(t.cfg.L) > math.MaxUint32 {
 		return fmt.Errorf("hashtable: %d rows × L %d exceed the uint32 offset range", rows, t.cfg.L)
 	}
-	t.rows, t.ids = rows, make([]uint32, rows*t.cfg.L)
-	buf := make([]byte, 16<<10)
-	get := func(dst []uint32) error {
-		for len(dst) > 0 {
-			n := min(len(dst), len(buf)/4)
-			if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return err
-			}
-			for i := range dst[:n] {
-				dst[i] = binary.LittleEndian.Uint32(buf[4*i:])
-			}
-			dst = dst[n:]
-		}
-		return nil
+	if len(offs) < 4*len(t.offs) || len(ids) < 4*rows*t.cfg.L {
+		return io.ErrUnexpectedEOF
 	}
-	if err := get(t.offs); err != nil {
-		return err
+	t.rows, t.ids = rows, make([]uint32, rows*t.cfg.L)
+	for i := range t.offs {
+		t.offs[i] = binary.LittleEndian.Uint32(offs[4*i:])
 	}
 	nb, bs := t.numBuckets, uint32(t.cfg.BucketSize)
 	for ti := 0; ti < t.cfg.L; ti++ {
@@ -325,8 +326,8 @@ func (t *Table) Decode(r io.Reader, rows int) error {
 			}
 		}
 	}
-	if err := get(t.ids); err != nil {
-		return err
+	for i := range t.ids {
+		t.ids[i] = binary.LittleEndian.Uint32(ids[4*i:])
 	}
 	for ti := 0; ti < t.cfg.L; ti++ {
 		region := t.ids[ti*rows : (ti+1)*rows]

@@ -370,50 +370,57 @@ func TestEqualDetectsDifferences(t *testing.T) {
 	}
 }
 
-// TestEncodeDecodeRoundTrip: a set Encode wrote decodes to an Equal set
-// that re-encodes to the same bytes, EncodedSize of them, with every
-// unused slot zero; Decode refuses a short read, a nonzero unused slot
-// and a row count whose ids the offsets cannot address. The bounds a
-// model file's tables must keep are exercised end to end in core's
-// TestLoadModelRefusesHostileTables.
+// TestEncodeDecodeRoundTrip: arrays EncodeOffsets and EncodeIDs wrote
+// decode to an Equal set that re-encodes to the same bytes, EncodedSizes
+// of them, with every unused slot zero; Decode refuses a short array, a
+// nonzero unused slot and a row count whose ids the offsets cannot
+// address. The bounds a model file's tables must keep are exercised end
+// to end in core's TestLoadModelRefusesHostileTables.
 func TestEncodeDecodeRoundTrip(t *testing.T) {
+	encode := func(tb *Table) (offs, ids []byte) {
+		var o, i bytes.Buffer
+		if err := tb.EncodeOffsets(&o); err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.EncodeIDs(&i); err != nil {
+			t.Fatal(err)
+		}
+		return o.Bytes(), i.Bytes()
+	}
 	for _, cfg := range []Config{
 		{K: 2, L: 3, CodeBits: 2, BucketSize: 4, Seed: 5},               // overflowing buckets
 		{K: 3, L: 2, CodeBits: 3, RangePow: 4, BucketSize: 16, Seed: 6}, // mixed addressing
 	} {
 		src := mkTable(t, cfg)
 		buildInto(src, 300, 7)
-		var file bytes.Buffer
-		if err := src.Encode(&file); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := int64(file.Len()), cfg.EncodedSize(300); got != want {
-			t.Fatalf("%+v: Encode wrote %d bytes, EncodedSize says %d", cfg, got, want)
+		offs, ids := encode(src)
+		if wantOffs, wantIDs := cfg.EncodedSizes(300); int64(len(offs)) != wantOffs || int64(len(ids)) != wantIDs {
+			t.Fatalf("%+v: encoded %d + %d bytes, EncodedSizes says %d + %d", cfg, len(offs), len(ids), wantOffs, wantIDs)
 		}
 		dst := src.Shadow(1)
-		if err := dst.Decode(bytes.NewReader(file.Bytes()), 300); err != nil {
+		if err := dst.Decode(offs, ids, 300); err != nil {
 			t.Fatal(err)
 		}
-		var again bytes.Buffer
-		if err := dst.Encode(&again); err != nil {
-			t.Fatal(err)
-		}
-		if !dst.Equal(src) || !bytes.Equal(again.Bytes(), file.Bytes()) {
+		againOffs, againIDs := encode(dst)
+		if !dst.Equal(src) || !bytes.Equal(againOffs, offs) || !bytes.Equal(againIDs, ids) {
 			t.Fatalf("%+v: the decoded set differs from the encoded one", cfg)
 		}
-		if err := src.Shadow(1).Decode(bytes.NewReader(file.Bytes()[:file.Len()-3]), 300); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("%+v: a short read gave %v, want io.ErrUnexpectedEOF", cfg, err)
+		if err := src.Shadow(1).Decode(offs, ids[:len(ids)-3], 300); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%+v: short ids gave %v, want io.ErrUnexpectedEOF", cfg, err)
+		}
+		if err := src.Shadow(1).Decode(offs[:len(offs)-3], ids, 300); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%+v: short offsets gave %v, want io.ErrUnexpectedEOF", cfg, err)
 		}
 		// The last slot of the last table's region is unused whenever the
 		// table holds fewer ids than rows, as every one here does.
-		junk := slices.Clone(file.Bytes())
+		junk := slices.Clone(ids)
 		junk[len(junk)-4] = 1
-		if err := src.Shadow(1).Decode(bytes.NewReader(junk), 300); err == nil || !strings.Contains(err.Error(), "unused slot") {
+		if err := src.Shadow(1).Decode(offs, junk, 300); err == nil || !strings.Contains(err.Error(), "unused slot") {
 			t.Errorf("%+v: a nonzero unused slot gave %v", cfg, err)
 		}
 	}
-	if err := mkTable(t, Config{K: 1, L: 4, CodeBits: 1}).Decode(bytes.NewReader(nil), math.MaxUint32/2); err == nil {
-		t.Error("Decode accepted rows × L beyond the uint32 offset range")
+	if err := mkTable(t, Config{K: 1, L: 4, CodeBits: 1}).Decode(nil, nil, math.MaxUint32/2); err == nil || errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("Decode of rows × L beyond the uint32 offset range gave %v", err)
 	}
 }
 

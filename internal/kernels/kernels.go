@@ -16,8 +16,8 @@
 //     and the input is the example's sparse feature vector, so a gather
 //     would issue out×nnz scattered single-float reads where the scatter
 //     streams nnz contiguous out-length slices. That layer stores its
-//     weights input-major (a Mirror over the network arena), and no other
-//     copy exists.
+//     weights input-major (a Mirror over the network arena, or over the
+//     loaded model file), and no other copy exists.
 //
 // This is the vectorization/memory-layout work the follow-up paper
 // "Accelerating SLIDE Deep Learning on Modern CPUs" (Daghaghi et al.,
@@ -28,14 +28,13 @@ package kernels
 import (
 	"fmt"
 
-	"repro/internal/arena"
 	"repro/internal/vecmath"
 )
 
 // Mirror is an input-major weight matrix: Col(i) is the contiguous slice
 // of every neuron's weight for input i — the row the scatter form adds per
 // input nonzero. A network's scatter layer keeps its weights in
-// one (NewArenaMirror); NewMirror and Rebuild build one from neuron-major
+// one (MirrorOver); NewMirror and Rebuild build one from neuron-major
 // rows.
 type Mirror struct {
 	in, out int
@@ -48,10 +47,14 @@ func NewMirror(in, out int) *Mirror {
 	return &Mirror{in: in, out: out, t: make([]float32, in*out)}
 }
 
-// NewArenaMirror is NewMirror with the backing slab carved from ar, cache
-// line aligned — the storage of a network's scatter layer.
-func NewArenaMirror(in, out int, ar *arena.Arena) *Mirror {
-	return &Mirror{in: in, out: out, t: ar.AllocAligned(in * out)}
+// MirrorOver is an in×out mirror over t, which it views rather than
+// copies — the storage of a network's scatter layer: an arena slab, or
+// the weights section of a loaded model file.
+func MirrorOver(in, out int, t []float32) *Mirror {
+	if len(t) != in*out {
+		panic(fmt.Sprintf("kernels: MirrorOver %dx%d over %d floats", in, out, len(t)))
+	}
+	return &Mirror{in: in, out: out, t: t}
 }
 
 // Col returns input column i's contiguous weight slice (length out).

@@ -189,7 +189,7 @@ func TestMirrorRebuildTracksRows(t *testing.T) {
 			rows[j][i] = r.NormFloat32()
 		}
 	}
-	for _, m := range []*Mirror{NewMirror(in, out), NewArenaMirror(in, out, arena.New())} {
+	for _, m := range []*Mirror{NewMirror(in, out), MirrorOver(in, out, arena.New().AllocAligned(in*out))} {
 		m.Rebuild(rows)
 		for i := int32(0); int(i) < in; i++ {
 			col := m.Col(i)

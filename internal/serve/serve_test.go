@@ -653,14 +653,14 @@ func TestFailedReloadKeepsEngine(t *testing.T) {
 	s := serverFromFile(t, modelFile(t, dir, 23), Options{BatchWindow: 0})
 	eng := s.eng.Load()
 	cfg := `{"InputDim":1000000,"Layers":[{"Size":128,"Activation":0},{"Size":64,"Activation":1}]}`
-	hollow := binary.LittleEndian.AppendUint32([]byte("SLIDEv3\n"), uint32(len(cfg)))
+	hollow := binary.LittleEndian.AppendUint32([]byte("SLIDEv4\n"), uint32(len(cfg)))
 	hollow = append(hollow, cfg...)
 	path := filepath.Join(dir, "hollow.slide")
 	if err := os.WriteFile(path, hollow, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := s.ReloadFrom(path)
-	if err == nil || !strings.Contains(err.Error(), "512033560 bytes") {
+	if err == nil || !strings.Contains(err.Error(), "512041118 bytes") {
 		t.Fatalf("reload of a %d-byte hollow model: %v, want a refusal naming the declared weight bytes", len(hollow), err)
 	}
 	if s.eng.Load() != eng || s.reloads.Load() != 0 {

@@ -177,10 +177,17 @@ func New(cfg Config) (*Network, error) { return core.NewNetwork(cfg) }
 // LoadModel reads a self-describing model written by Network.SaveModel:
 // the network is reconstructed from the embedded configuration, and its
 // weights and hash tables are read from the file, nothing recomputed.
+// Given an *os.File on Linux or Darwin it maps the file, and the layers'
+// weights are views of it, so a load copies no weight; the mapping is
+// released once no network loaded from it is reachable. Until then the
+// file must not be truncated or rewritten in place — its pages may still
+// be read, and a truncated page faults the process (SIGBUS) — so replace
+// a model file by renaming a new one over it, as slide-train -save does.
 // Tables are checked for bounds, not against the weights: like the
-// weights, they are trusted to be what SaveModel wrote. Files of a
-// retired format are refused by name. This is the serving entry point —
-// slide-serve loads models exclusively through it.
+// weights, they are trusted to be what SaveModel wrote, and nothing
+// checksums the file. Files of a retired format are refused by name.
+// This is the serving entry point — slide-serve loads models exclusively
+// through it.
 func LoadModel(r io.Reader) (*Network, error) { return core.LoadModel(r) }
 
 // NewAdam returns Adam hyperparameters at the given learning rate for
