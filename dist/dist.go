@@ -1,7 +1,8 @@
 // Package dist is the public surface of SLIDE's data-parallel training
 // over sparse gradient exchange (§6 of the paper): replicas train on data
-// shards and merge their per-batch SparseDeltas — the s²-sparse touched
-// weights — instead of synchronizing dense parameters.
+// shards and merge their per-batch SparseDeltas — each element's
+// sufficient factors, from which every replica folds the s²-sparse touched
+// weights' step itself — instead of synchronizing dense parameters.
 //
 // It re-exports repro/internal/dist so binaries and external consumers
 // never import internal packages directly.
@@ -22,8 +23,8 @@ type Codec = dist.Codec
 // TCPServer and TCPClient are the one exchange transport, for ranks in
 // separate processes and for TrainSharded's in-process replicas alike:
 // rank 0 listens and relays frames between the other ranks, which dial
-// in; every rank sends its own delta to every peer and merges all parts
-// itself.
+// in; every rank sends its own records to every peer and concatenates all
+// parts itself.
 type (
 	TCPServer = dist.TCPServer
 	TCPClient = dist.TCPClient

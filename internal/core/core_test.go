@@ -54,8 +54,8 @@ func denseNetConfig(in, hidden, classes int) Config {
 
 // TestGradientCheck verifies the sparse message-passing backprop against
 // numerical differentiation of the cross-entropy loss on a tiny dense
-// network: the gradient the training path extracts (ExtractDelta's raw
-// sums over one element, so no averaging) must equal dLoss/dw to first
+// network: the gradient the update phase folds from one element's
+// extracted record (raw sums, so no averaging) must equal dLoss/dw to first
 // order. This pins the core algorithmic claim that the sparse update
 // computes true gradients.
 func TestGradientCheck(t *testing.T) {
@@ -86,7 +86,7 @@ func TestGradientCheck(t *testing.T) {
 	// Extract the analytic gradient of one element once.
 	trainElem(n, st, 0, 0, 0, x, labels)
 	d := n.ExtractDelta(nil, 1)
-	grad := deltaCells(n, d)
+	grad := deltaCells(n, d, 1)
 
 	check := func(layer, j, i int) {
 		l := n.layers[layer]

@@ -5,52 +5,53 @@ import (
 	"runtime"
 	"slices"
 
-	"repro/internal/optim"
+	"repro/internal/sparse"
 	"repro/internal/vecmath"
 )
 
-// SparseDelta is one batch's gradient in explicit, first-class form: for
-// every layer, the touched storage rows as a block of dense rows over the
-// layer's columns, and the touched neurons' bias gradients. This is the
-// s²-sparse payload §3.1 argues a batch produces and §6 proposes shipping
-// between data-parallel replicas ("communication costs are minimal due to
-// sparse gradients"): Network.ExtractDelta copies the batch's folded rows
-// into this form at a batch boundary, replicas exchange and merge deltas
-// (internal/dist), and Layer.ApplyDelta performs the Adam step over the
-// delta's nonzero cells.
+// SparseDelta is one batch's gradient in explicit, first-class form: the
+// batch's records, each element's sufficient factors. A layer's batch
+// gradient is a sum of one rank-one product per element — δ ⊗ layer
+// input over the element's active neurons — so an element's input, active
+// ids, activations and δ are the whole of its contribution, and far fewer
+// numbers than the rows they touch. This is the s²-sparse payload §3.1
+// argues a batch produces and §6 proposes shipping between data-parallel
+// replicas ("communication costs are minimal due to sparse gradients"),
+// in the "sufficient factor" form of Xie et al. (2015):
+// Network.ExtractDelta copies the batch's records into this form at a
+// batch boundary, replicas exchange and concatenate deltas
+// (internal/dist, MergeDeltas), and Network.ApplyDelta folds the records
+// into one Adam step exactly as local training folds its own.
 //
-// Values are raw sums, not batch averages: the consumer passes 1/B (or
-// 1/(B*shards) after a data-parallel merge) to ApplyDelta, so merging is a
-// plain cell-wise sum and the merged step equals the step a single process
-// would take on the combined batch. Zero means "no gradient" everywhere: a
-// zero cell or bias is never stepped, whether it was never touched or its
-// contributions cancelled, locally or across shards.
+// Record r of a LayerDelta is the span Off[r]:Off[r+1] of each of its
+// non-empty arrays. Every replica folds the same records in the same
+// order, so the merged step is the step one process takes on the combined
+// batch, bit for bit.
 type SparseDelta struct {
+	// Input is the records' example features, layer 0's input: IDs in
+	// the example's own order and their Vals. Its Delta is empty.
+	Input LayerDelta
 	// Layers holds one LayerDelta per network layer, in layer order.
 	Layers []LayerDelta
 }
 
-// LayerDelta is one layer's slice of a SparseDelta in the layer's storage
-// orientation (see Layer, StorageShape): a block of touched storage rows —
-// inputs on the input-major first layer, neurons on every other layer —
-// each a dense vector over the layer's columns, plus the bias gradients of
-// the touched neurons.
+// LayerDelta is one layer's factors for every record of a SparseDelta,
+// record after record.
 type LayerDelta struct {
-	// Rows lists the touched storage rows, strictly ascending.
-	Rows []int32
-	// Cols is the layer-wide column set every row is aligned to, strictly
-	// ascending within the storage row width; nil when each row spans the
-	// storage row's full width. A layer that folds rows over the batch's
-	// touched input columns (a sampled first layer) carries that union.
-	Cols []int32
-	// Vals holds len(Rows) rows of width values, row-major, where width is
-	// len(Cols), or the storage row width when Cols is nil: row Rows[r] is
-	// Vals[r*width:(r+1)*width]. A zero value carries no gradient.
+	// Off holds records+1 ascending offsets from 0, or none for a delta
+	// without records.
+	Off []int32
+	// IDs lists each record's active neurons, strictly ascending; empty
+	// on a full (unsampled) layer, where every neuron is active.
+	IDs []int32
+	// Delta holds each record's δ (the loss gradient at the
+	// pre-activation), aligned with its active neurons: width values a
+	// record on a full layer. A zero δ carries no gradient.
+	Delta []float32
+	// Vals holds each record's activations, aligned like Delta — the next
+	// layer's input. Empty on the last layer, whose activations no layer
+	// reads.
 	Vals []float32
-	// Neurons lists the touched neurons, strictly ascending, and Bias their
-	// raw bias gradient sums; a zero bias carries no gradient.
-	Neurons []int32
-	Bias    []float32
 }
 
 // reset prepares d for reuse with the given layer count, keeping all
@@ -60,67 +61,116 @@ func (d *SparseDelta) reset(layers int) {
 		d.Layers = make([]LayerDelta, layers)
 	}
 	d.Layers = d.Layers[:layers]
+	d.Input.reset()
 	for i := range d.Layers {
 		d.Layers[i].reset()
 	}
 }
 
 func (ld *LayerDelta) reset() {
-	ld.Rows = ld.Rows[:0]
-	ld.Cols = ld.Cols[:0]
+	ld.Off = ld.Off[:0]
+	ld.IDs = ld.IDs[:0]
+	ld.Delta = ld.Delta[:0]
 	ld.Vals = ld.Vals[:0]
-	ld.Neurons = ld.Neurons[:0]
-	ld.Bias = ld.Bias[:0]
 }
 
-// width returns the number of values per row, or 0 for a delta without
-// rows. A full-width row block takes its width from Vals.
-func (ld *LayerDelta) width() int {
-	switch {
-	case ld.Cols != nil:
-		return len(ld.Cols)
-	case len(ld.Rows) == 0:
-		return 0
-	default:
-		return len(ld.Vals) / len(ld.Rows)
+// add appends one record's factors.
+func (ld *LayerDelta) add(ids []int32, delta, vals []float32) {
+	if len(ld.Off) == 0 {
+		ld.Off = append(ld.Off, 0)
 	}
+	ld.IDs = append(ld.IDs, ids...)
+	ld.Delta = append(ld.Delta, delta...)
+	ld.Vals = append(ld.Vals, vals...)
+	ld.Off = append(ld.Off, ld.Off[len(ld.Off)-1]+int32(max(len(ids), len(delta), len(vals))))
 }
 
-// Cells returns the number of gradient cells the delta carries — nonzero
-// weight cells plus nonzero biases, the cells ApplyDelta steps. This is the
-// TouchedPerIter payload unit; the zero slots of a row block are not cells.
+// span returns the length of record r's factors.
+func (ld *LayerDelta) span(r int) int { return int(ld.Off[r+1] - ld.Off[r]) }
+
+// Records checks the delta's record structure — every LayerDelta split
+// into the same number of records by ascending offsets from 0, each of
+// its arrays empty or spanning exactly its records — and returns the
+// record count. It does not check the factors against a network's
+// shapes: ApplyDelta does.
+func (d *SparseDelta) Records() (int, error) {
+	records := max(len(d.Input.Off)-1, 0)
+	if err := d.Input.checkOffsets(records); err != nil {
+		return 0, fmt.Errorf("core: input: %w", err)
+	}
+	for li := range d.Layers {
+		if err := d.Layers[li].checkOffsets(records); err != nil {
+			return 0, fmt.Errorf("core: layer %d: %w", li, err)
+		}
+	}
+	return records, nil
+}
+
+func (ld *LayerDelta) checkOffsets(records int) error {
+	if len(ld.Off) == 0 && records == 0 {
+		if len(ld.IDs)+len(ld.Delta)+len(ld.Vals) != 0 {
+			return fmt.Errorf("factors without records")
+		}
+		return nil
+	}
+	if len(ld.Off) != records+1 || ld.Off[0] != 0 {
+		return fmt.Errorf("%d offsets for %d records", len(ld.Off), records)
+	}
+	for r := range records {
+		if ld.Off[r+1] < ld.Off[r] {
+			return fmt.Errorf("record %d's offsets descend", r)
+		}
+	}
+	n := int(ld.Off[records])
+	for _, l := range []int{len(ld.IDs), len(ld.Delta), len(ld.Vals)} {
+		if l != 0 && l != n {
+			return fmt.Errorf("%d factors for records spanning %d", l, n)
+		}
+	}
+	return nil
+}
+
+// Cells returns the number of gradient products the delta carries: per
+// record and layer, the layer input's length times the δ count, plus the
+// δ count for the biases. It is the payload unit the codec and merge
+// probes divide by; the cells a fold steps are fewer when records share
+// rows. A delta whose record structure is broken has no cells.
 func (d *SparseDelta) Cells() int64 {
+	records, err := d.Records()
+	if err != nil {
+		return 0
+	}
 	var total int64
-	for i := range d.Layers {
-		ld := &d.Layers[i]
-		total += int64(vecmath.CountNonZero(ld.Vals) + vecmath.CountNonZero(ld.Bias))
+	for r := range records {
+		in := int64(d.Input.span(r))
+		for li := range d.Layers {
+			n := int64(d.Layers[li].span(r))
+			total += in*n + n
+			in = n
+		}
 	}
 	return total
 }
 
 // Clone returns a deep copy, for callers that must retain a delta past
-// the producer's next reuse of its scratch buffers. A nil column set stays
-// nil.
+// the producer's next reuse of its scratch buffers.
 func (d *SparseDelta) Clone() *SparseDelta {
-	out := &SparseDelta{Layers: make([]LayerDelta, len(d.Layers))}
+	out := &SparseDelta{Input: d.Input.clone(), Layers: make([]LayerDelta, len(d.Layers))}
 	for i := range d.Layers {
-		ld := &d.Layers[i]
-		out.Layers[i] = LayerDelta{
-			Rows:    slices.Clone(ld.Rows),
-			Cols:    slices.Clone(ld.Cols),
-			Vals:    slices.Clone(ld.Vals),
-			Neurons: slices.Clone(ld.Neurons),
-			Bias:    slices.Clone(ld.Bias),
-		}
+		out.Layers[i] = d.Layers[i].clone()
 	}
 	return out
+}
+
+func (ld *LayerDelta) clone() LayerDelta {
+	return LayerDelta{Off: slices.Clone(ld.Off), IDs: slices.Clone(ld.IDs), Delta: slices.Clone(ld.Delta), Vals: slices.Clone(ld.Vals)}
 }
 
 // DeltaExchanger merges one replica's batch gradient with its peers'
 // (§6: data-parallel SLIDE with sparse-gradient exchange). Train calls
 // Exchange once per batch with the locally extracted delta; the returned
-// delta — the cell-wise sum over all shards, identical on every replica —
-// is what the Adam step applies with invB = 1/(BatchSize*Shards).
+// delta — every shard's records in rank order, identical on every
+// replica — is what the Adam step folds with invB = 1/(BatchSize*Shards).
 //
 // stop coordinates early termination: a replica that wants to stop
 // (target accuracy reached, deadline, context cancelled) keeps exchanging
@@ -145,97 +195,162 @@ type ShardCounter interface {
 }
 
 // ExtractDelta drains the gradient of the backward passes since the last
-// update into dst (reused when non-nil) and returns it: each layer's
-// touched rows are replayed from the batch's records (compactFold) and the
-// records consumed, so a second extraction in the same batch is empty, and
-// extract-then-ApplyDelta is bit-for-bit the local stepFold path split in
-// two. A network that never ran a backward pass extracts an empty delta.
-// Must run at a batch boundary (no concurrent backward). workers <= 0
-// selects GOMAXPROCS.
+// update into dst (reused when non-nil) and returns it: every record
+// holding gradient is copied, in batch-position order, and consumed, so a
+// second extraction in the same batch is empty, and extract-then-ApplyDelta
+// is bit-for-bit the local update phase split in two. A network that
+// never ran a backward pass extracts an empty delta. Must run at a batch
+// boundary (no concurrent backward). The copy runs on the caller; workers
+// is not used.
 func (n *Network) ExtractDelta(dst *SparseDelta, workers int) *SparseDelta {
-	defer runtime.KeepAlive(n) // the weights may view a mapped file (see mapping)
-	if workers <= 0 {
-		workers = defaultThreads()
-	}
-	n.allocTrainState()
 	if dst == nil {
 		dst = &SparseDelta{}
 	}
 	dst.reset(len(n.layers))
-	recs := n.takeRecords()
-	for li, l := range n.layers {
-		l.extract(&dst.Layers[li], recs, workers)
+	last := len(n.layers) - 1
+	for _, rec := range n.takeRecords() {
+		dst.Input.add(rec.x.Idx, nil, rec.x.Val)
+		for li := range n.layers {
+			ls := &rec.layers[li]
+			var vals []float32
+			if li < last {
+				vals = ls.vals
+			}
+			dst.Layers[li].add(ls.ids, ls.delta, vals)
+		}
 	}
 	return dst
 }
 
-// ApplyDelta performs the Adam step over the delta's nonzero cells,
-// averaging raw sums by invB: w -= alpha*m̂/(sqrt(v̂)+eps) with gradient
-// v*invB per nonzero cell v of a row and b*invB per nonzero bias b. It
-// returns the number of cells stepped. Shape mismatches — rows, columns or
-// neurons out of range or out of order, a row block of the wrong size —
-// are rejected before any weight moves, and before a network that has
-// not trained yet allocates its moments. workers <= 0 selects GOMAXPROCS.
+// ApplyDelta folds the delta's records into one Adam step, as local
+// training folds its own (fold.go), averaging raw sums by invB: every
+// touched weight row is replayed from the records in record order and
+// stepped, w -= alpha*m̂/(sqrt(v̂)+eps), cells whose sum is zero left
+// alone. Any record count is accepted. It returns the number of cells
+// stepped. A malformed delta — a broken record structure, ids out of range
+// or out of order, a full layer's factors not its width, a non-finite
+// factor — is refused before any weight moves, and before a network that
+// has not trained yet allocates its moments. workers <= 0 selects
+// GOMAXPROCS.
 func (n *Network) ApplyDelta(d *SparseDelta, alpha, invB float32, workers int) (int64, error) {
 	defer runtime.KeepAlive(n) // the weights may view a mapped file (see mapping)
 	if workers <= 0 {
 		workers = defaultThreads()
 	}
+	records, err := n.checkDelta(d)
+	if err != nil {
+		return 0, err
+	}
+	n.allocTrainState()
+	return n.stepRecords(n.viewRecords(d, records), alpha, invB, workers), nil
+}
+
+// checkDelta validates d against the network's shapes and returns its
+// record count.
+func (n *Network) checkDelta(d *SparseDelta) (int, error) {
 	if len(d.Layers) != len(n.layers) {
 		return 0, fmt.Errorf("core: delta has %d layers, network has %d", len(d.Layers), len(n.layers))
 	}
-	// Validate every layer before touching any weights: a delta
-	// malformed only in a later layer must not leave the earlier layers
-	// partially stepped (a caller retrying after the error would
-	// double-apply them).
+	records, err := d.Records()
+	if err != nil {
+		return 0, err
+	}
+	in := &d.Input
+	if total := in.Len(); len(in.IDs) != total || len(in.Delta) != 0 {
+		return 0, fmt.Errorf("core: input: %d ids and %d δ for records spanning %d", len(in.IDs), len(in.Delta), total)
+	}
+	if err := n.checkFeatures(sparse.Vector{Idx: in.IDs, Val: in.Vals}); err != nil {
+		return 0, fmt.Errorf("core: input: %w", err)
+	}
+	if !vecmath.AllFinite(in.Vals) {
+		return 0, fmt.Errorf("core: input: non-finite feature value")
+	}
 	for li, l := range n.layers {
-		if err := l.checkDelta(&d.Layers[li]); err != nil {
+		if err := l.checkFactors(&d.Layers[li], records, li == len(n.layers)-1); err != nil {
 			return 0, fmt.Errorf("core: layer %d: %w", li, err)
 		}
 	}
-	n.allocTrainState()
-	var total int64
-	for li, l := range n.layers {
-		total += l.applyDelta(n.adam, &d.Layers[li], alpha, invB, workers)
+	return records, nil
+}
+
+// Len returns the length of the records' factors: the last offset, or 0
+// without records.
+func (ld *LayerDelta) Len() int {
+	if len(ld.Off) == 0 {
+		return 0
 	}
-	return total, nil
+	return int(ld.Off[len(ld.Off)-1])
+}
+
+// checkFactors validates one layer's factors for records records whose
+// offsets Records has checked: a full layer carries no ids and width δ
+// per record, a sampled one strictly ascending in-range ids with one δ
+// each, every layer but the last its activations, and every value is
+// finite.
+func (l *Layer) checkFactors(ld *LayerDelta, records int, last bool) error {
+	full := !l.Sampled()
+	total := ld.Len()
+	ids, vals := total, total
+	if full {
+		ids = 0
+	}
+	if last {
+		vals = 0
+	}
+	if len(ld.IDs) != ids || len(ld.Delta) != total || len(ld.Vals) != vals {
+		return fmt.Errorf("%d ids, %d δ and %d activations for records spanning %d", len(ld.IDs), len(ld.Delta), len(ld.Vals), total)
+	}
+	for r := range records {
+		if full && ld.span(r) != l.out {
+			return fmt.Errorf("record %d: %d δ on a full layer of %d", r, ld.span(r), l.out)
+		}
+		if !full && !ascendingBelow(ld.IDs[ld.Off[r]:ld.Off[r+1]], l.out) {
+			return fmt.Errorf("record %d: ids not strictly ascending in [0,%d)", r, l.out)
+		}
+	}
+	if !vecmath.AllFinite(ld.Delta) || !vecmath.AllFinite(ld.Vals) {
+		return fmt.Errorf("non-finite factor")
+	}
+	return nil
+}
+
+// viewRecords points the network's view records at d's first records
+// records, in order, so the fold reads them as it reads the batch's own.
+func (n *Network) viewRecords(d *SparseDelta, records int) []*elemRecord {
+	for len(n.views) < records {
+		n.views = append(n.views, &elemRecord{layers: make([]layerState, len(n.layers))})
+	}
+	views := n.views[:records]
+	for r, rec := range views {
+		in := &d.Input
+		lo, hi := in.Off[r], in.Off[r+1]
+		rec.x = sparse.Vector{Dim: n.cfg.InputDim, Idx: in.IDs[lo:hi], Val: in.Vals[lo:hi]}
+		for li, l := range n.layers {
+			ld, ls := &d.Layers[li], &rec.layers[li]
+			lo, hi := ld.Off[r], ld.Off[r+1]
+			ls.full = !l.Sampled()
+			ls.ids, ls.vals = nil, nil
+			if !ls.full {
+				ls.ids = ld.IDs[lo:hi]
+			}
+			if len(ld.Vals) != 0 {
+				ls.vals = ld.Vals[lo:hi]
+			}
+			ls.delta = ld.Delta[lo:hi]
+		}
+	}
+	return views
 }
 
 // StorageShape returns the number of storage rows the layer keeps and
-// their width — the rows and full row width of its LayerDelta. The
-// input-major first layer (see Layer) keeps one row of Out() weights per
-// input; every other layer one row of In() weights per neuron.
+// their width. The input-major first layer (see Layer) keeps one row of
+// Out() weights per input; every other layer one row of In() weights per
+// neuron.
 func (l *Layer) StorageShape() (rows, width int) {
 	if l.inputMajor {
 		return l.in, l.out
 	}
 	return l.out, l.in
-}
-
-// checkDelta validates a layer delta against the layer's storage shape:
-// rows, columns and neurons strictly ascending and in range, and a row
-// block of len(Rows) × width values.
-func (l *Layer) checkDelta(ld *LayerDelta) error {
-	rows, width := l.StorageShape()
-	if !ascendingBelow(ld.Rows, rows) {
-		return fmt.Errorf("rows not strictly ascending in [0,%d)", rows)
-	}
-	if ld.Cols != nil {
-		if !ascendingBelow(ld.Cols, width) {
-			return fmt.Errorf("columns not strictly ascending in [0,%d)", width)
-		}
-		width = len(ld.Cols)
-	}
-	if len(ld.Vals) != len(ld.Rows)*width {
-		return fmt.Errorf("%d values for %d rows of %d", len(ld.Vals), len(ld.Rows), width)
-	}
-	if !ascendingBelow(ld.Neurons, l.out) {
-		return fmt.Errorf("neurons not strictly ascending in [0,%d)", l.out)
-	}
-	if len(ld.Bias) != len(ld.Neurons) {
-		return fmt.Errorf("%d biases for %d neurons", len(ld.Bias), len(ld.Neurons))
-	}
-	return nil
 }
 
 // ascendingBelow reports whether ids is strictly ascending within [0, n).
@@ -250,141 +365,15 @@ func ascendingBelow(ids []int32, n int) bool {
 	return int(prev) < n
 }
 
-// scanSpan is the least number of stamps worth a scanStamps worker of its
-// own (a 128 KiB read, tens of microseconds).
-const scanSpan = 1 << 15
-
-// scanStamps collects the ascending indices whose stamp equals epoch into
-// dst (reused), parallelized across workers — the column union's list of
-// touched input columns. The per-worker
-// partial lists live on the layer, so a warm scan allocates nothing; like
-// every caller it runs with training quiesced.
-// A worker gets at least scanSpan stamps: below that a goroutine costs more
-// than the scan it takes over.
-func (l *Layer) scanStamps(stamps []uint32, epoch uint32, workers int, dst []int32) []int32 {
-	workers = max(min(workers, len(stamps)/scanSpan), 1)
-	if len(l.scanParts) < workers {
-		l.scanParts = append(l.scanParts, make([][]int32, workers-len(l.scanParts))...)
-	}
-	parts := l.scanParts[:workers]
-	for w := range parts {
-		parts[w] = parts[w][:0]
-	}
-	parallelIndexed(workers, len(stamps), func(w, lo, hi int) {
-		local := parts[w]
-		for i := lo; i < hi; i++ {
-			if stamps[i] == epoch {
-				local = append(local, int32(i))
-			}
-		}
-		parts[w] = local
-	})
-	dst = dst[:0]
-	for _, p := range parts {
-		dst = append(dst, p...)
-	}
-	return dst
-}
-
-// applyDelta runs one Adam step over the delta's nonzero cells (gradient
-// v*invB) and nonzero biases, returning the number of cells stepped. Each
-// row goes through stepRow exactly as stepFold steps a folded row, so the
-// two update paths cannot drift apart numerically, and a full-width row
-// takes the vector row step.
-func (l *Layer) applyDelta(adam optim.Adam, ld *LayerDelta, alpha, invB float32, workers int) int64 {
-	w := ld.width()
-	stepped := l.claimRows(workers, len(ld.Rows), func(_, lo, hi int) int64 {
-		var n int64
-		for r := lo; r < hi; r++ {
-			if r+1 < hi {
-				l.prefetchRow(ld.Rows[r], ld.Rows[r+1], ld.Cols)
-			}
-			n += l.stepRow(adam, ld.Rows[r], ld.Cols, ld.Vals[r*w:(r+1)*w], alpha, invB)
-		}
-		return n
-	})
-	for k, j := range ld.Neurons {
-		stepped += l.stepBias(adam, j, ld.Bias[k], alpha, invB)
-	}
-	return stepped
-}
-
-// claimChunk is the rows an update-phase worker claims at a time. A row's
-// cost follows its contribution count — an output neuron active in one
-// element of the batch or in forty — so static halves of the ascending
-// rows left one worker idle for a third of the output layer's step. 32
-// rows balance the few hundred to few thousand rows of a batch's layer
-// while a worker touches the shared cursor only once per tens of
-// microseconds of work.
-const claimChunk = 32
-
-// claimRows calls step(wk, lo, hi) for chunks of at most claimChunk rows
-// of [0, n), claimed in turn from the fold's cursor by up to workers
-// goroutines (wk is the claiming worker's index), and returns the total of
-// the counts step returns. Each row has a single writer, and which worker
-// takes a row changes nothing the row computes.
-func (l *Layer) claimRows(workers, n int, step func(wk, lo, hi int) int64) int64 {
-	f := &l.fold
-	f.applied = growTo(f.applied, max(workers, 1))
-	clear(f.applied)
-	f.next.Store(0)
-	parallelIndexed(workers, (n+claimChunk-1)/claimChunk, func(wk, _, _ int) {
-		var done int64
-		for {
-			lo := int(f.next.Add(claimChunk)) - claimChunk
-			if lo >= n {
-				break
-			}
-			done += step(wk, lo, min(lo+claimChunk, n))
-		}
-		f.applied[wk] = done
-	})
-	var total int64
-	for _, c := range f.applied {
-		total += c
-	}
-	return total
-}
-
-// stepRow is the one Adam row step of the update phase: storage row r's
-// cells cols[k] (column k when cols is nil) with raw gradient sums g[k],
-// averaged by invB. Cells whose sum is exactly zero are left unstepped.
-// Returns the number of cells stepped.
-func (l *Layer) stepRow(adam optim.Adam, r int32, cols []int32, g []float32, alpha, invB float32) int64 {
-	return int64(adam.StepCells(l.w[r], l.mW[r], l.vW[r], cols, g, invB, alpha, true))
-}
-
-// prefetchRow hints storage row next's weights and moments into cache while
-// the claimed row before it, cur, is stepped. It skips a next row that
-// follows cur in storage, which the hardware prefetcher already streams,
-// and a column-union step, which touches only scattered cells of a row.
-func (l *Layer) prefetchRow(cur, next int32, cols []int32) {
-	if next == cur+1 || cols != nil {
-		return
-	}
-	vecmath.Prefetch(l.w[next])
-	vecmath.Prefetch(l.mW[next])
-	vecmath.Prefetch(l.vW[next])
-}
-
-// stepBias steps neuron j's bias with raw gradient sum gb averaged by invB,
-// unless gb is zero, and returns the number of cells stepped.
-func (l *Layer) stepBias(adam optim.Adam, j int32, gb, alpha, invB float32) int64 {
-	if gb == 0 {
-		return 0
-	}
-	adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)
-	return 1
-}
-
-// MergeDeltas sums parts cell-wise into dst (reused when non-nil) and
-// returns it: per layer, the union of the parts' rows, each the sum of the
-// parts' rows in part order, and the union of their neurons with biases
-// summed the same way. Every replica merging the same parts in the same
-// order therefore produces bit-identical results — the invariant that
-// keeps data-parallel replicas' weights in lockstep. Rows over different
-// column sets merge over the union of the sets, or at full width when any
-// part's rows are. A single part is returned as-is without copying.
+// MergeDeltas concatenates parts into dst (reused when non-nil) and
+// returns it: every part's records, part after part. Every replica
+// merging the same parts in the same order therefore folds the same
+// records in the same order — the invariant that keeps data-parallel
+// replicas' weights in lockstep. A part with a broken record structure or
+// another layer count fails the merge, and so does a NaN or ±Inf factor:
+// a replica's own part is never decoded, so the merge is where every
+// replica refuses it alike. A single part is returned as-is without
+// copying or checking.
 func MergeDeltas(dst *SparseDelta, parts []*SparseDelta) (*SparseDelta, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("core: merging zero deltas")
@@ -393,202 +382,47 @@ func MergeDeltas(dst *SparseDelta, parts []*SparseDelta) (*SparseDelta, error) {
 		return parts[0], nil
 	}
 	layers := len(parts[0].Layers)
-	for _, p := range parts[1:] {
+	for k, p := range parts {
 		if len(p.Layers) != layers {
 			return nil, fmt.Errorf("core: merging deltas with %d and %d layers", layers, len(p.Layers))
+		}
+		if _, err := p.Records(); err != nil {
+			return nil, fmt.Errorf("core: merging part %d: %w", k, err)
 		}
 	}
 	if dst == nil {
 		dst = &SparseDelta{}
 	}
 	dst.reset(layers)
-	lds := make([]*LayerDelta, len(parts))
-	for li := 0; li < layers; li++ {
-		for k, p := range parts {
-			lds[k] = &p.Layers[li]
+	for _, p := range parts {
+		dst.Input.concat(&p.Input)
+		for li := range dst.Layers {
+			dst.Layers[li].concat(&p.Layers[li])
 		}
-		if err := mergeLayerDeltas(&dst.Layers[li], lds); err != nil {
-			return nil, fmt.Errorf("core: merging layer %d: %w", li, err)
-		}
+	}
+	finite := vecmath.AllFinite(dst.Input.Vals)
+	for li := range dst.Layers {
+		finite = finite && vecmath.AllFinite(dst.Layers[li].Delta) && vecmath.AllFinite(dst.Layers[li].Vals)
+	}
+	if !finite {
+		return nil, fmt.Errorf("core: merged factors are not finite")
 	}
 	return dst, nil
 }
 
-// mergeSpan is the least number of merged values worth a merge worker of
-// its own.
-const mergeSpan = 1 << 16
-
-// mergeLayerDeltas merges one layer's parts row by row: a row present in
-// one part is copied, and each further part's row is added onto it with
-// Axpy(1, ·), which rounds exactly like +. A part whose column set is not
-// the merged one scatter-adds through its columns' merged positions. The
-// merged rows are listed first and then summed in contiguous spans across
-// workers, each row by one: a replica waits on the merge with its trainer
-// idle. A merged row or bias that is NaN or ±Inf — finite parts can
-// overflow, and a replica's own part is never decoded — fails the merge,
-// so no replica applies it: every replica merges the same parts in the
-// same order and refuses alike.
-func mergeLayerDeltas(dst *LayerDelta, parts []*LayerDelta) error {
-	for _, p := range parts {
-		if len(p.Bias) != len(p.Neurons) {
-			return fmt.Errorf("%d biases for %d neurons", len(p.Bias), len(p.Neurons))
-		}
+// concat appends p's records, whose structure Records has checked.
+func (ld *LayerDelta) concat(p *LayerDelta) {
+	if len(p.Off) == 0 {
+		return
 	}
-	width, pos, err := mergeColumns(dst, parts)
-	if err != nil {
-		return err
+	if len(ld.Off) == 0 {
+		ld.Off = append(ld.Off, 0)
 	}
-	lists := make([][]int32, len(parts))
-	for k, p := range parts {
-		lists[k] = p.Rows
+	base := ld.Off[len(ld.Off)-1]
+	for _, o := range p.Off[1:] {
+		ld.Off = append(ld.Off, base+o)
 	}
-	dst.Rows = unionIDs(dst.Rows, lists)
-	n := len(dst.Rows)
-	dst.Vals = slices.Grow(dst.Vals, n*width)[:n*width]
-	workers := max(min(defaultThreads(), n*width/mergeSpan), 1)
-	nonFinite := make([]bool, workers)
-	parallelIndexed(workers, n, func(wk, lo, hi int) {
-		cur := make([]int, len(parts))
-		for k, p := range parts {
-			cur[k], _ = slices.BinarySearch(p.Rows, dst.Rows[lo])
-		}
-		for r := lo; r < hi; r++ {
-			slot := dst.Vals[r*width : (r+1)*width]
-			first := true
-			for k, p := range parts {
-				i := cur[k]
-				if i >= len(p.Rows) || p.Rows[i] != dst.Rows[r] {
-					continue
-				}
-				cur[k]++
-				pw := p.width()
-				src := p.Vals[i*pw : (i+1)*pw]
-				switch {
-				case pos[k] != nil:
-					if first {
-						clear(slot)
-					}
-					for t, at := range pos[k] {
-						slot[at] += src[t]
-					}
-				case first:
-					copy(slot, src)
-				default:
-					vecmath.Axpy(1, src, slot)
-				}
-				first = false
-			}
-			if !vecmath.AllFinite(slot) {
-				nonFinite[wk] = true
-			}
-		}
-	})
-	mergeBiases(dst, parts)
-	if slices.Contains(nonFinite, true) || !vecmath.AllFinite(dst.Bias) {
-		return fmt.Errorf("merged gradient is not finite")
-	}
-	return nil
-}
-
-// unionIDs appends the union of strictly ascending id lists to dst,
-// ascending.
-func unionIDs(dst []int32, lists [][]int32) []int32 {
-	cur := make([]int, len(lists))
-	for {
-		id := int32(-1)
-		for k, l := range lists {
-			if cur[k] < len(l) && (id < 0 || l[cur[k]] < id) {
-				id = l[cur[k]]
-			}
-		}
-		if id < 0 {
-			return dst
-		}
-		for k, l := range lists {
-			if cur[k] < len(l) && l[cur[k]] == id {
-				cur[k]++
-			}
-		}
-		dst = append(dst, id)
-	}
-}
-
-// mergeColumns sets dst's column set for the merge of parts and returns
-// the merged row width and, per part, where its values land in a merged
-// row: nil when its rows already have the merged layout, else the merged
-// position of each of its columns. Parts without rows do not take part.
-func mergeColumns(dst *LayerDelta, parts []*LayerDelta) (int, [][]int32, error) {
-	width, full := 0, false
-	for _, p := range parts {
-		if len(p.Rows) == 0 {
-			continue
-		}
-		pw := p.width()
-		if len(p.Vals) != len(p.Rows)*pw {
-			return 0, nil, fmt.Errorf("%d values for %d rows of %d", len(p.Vals), len(p.Rows), pw)
-		}
-		if p.Cols != nil {
-			continue
-		}
-		if full && pw != width {
-			return 0, nil, fmt.Errorf("full-width rows of %d and %d values", width, pw)
-		}
-		width, full = pw, true
-	}
-	pos := make([][]int32, len(parts))
-	if full {
-		dst.Cols = nil
-		for k, p := range parts {
-			if len(p.Rows) > 0 && p.Cols != nil {
-				if !ascendingBelow(p.Cols, width) {
-					return 0, nil, fmt.Errorf("columns not strictly ascending in [0,%d)", width)
-				}
-				pos[k] = p.Cols
-			}
-		}
-		return width, pos, nil
-	}
-	dst.Cols = dst.Cols[:0]
-	for _, p := range parts {
-		if len(p.Rows) > 0 {
-			dst.Cols = append(dst.Cols, p.Cols...)
-		}
-	}
-	slices.Sort(dst.Cols)
-	dst.Cols = slices.Compact(dst.Cols)
-	if dst.Cols == nil {
-		dst.Cols = []int32{} // an empty column set, not full width
-	}
-	for k, p := range parts {
-		if len(p.Rows) == 0 || slices.Equal(p.Cols, dst.Cols) {
-			continue
-		}
-		pos[k] = make([]int32, len(p.Cols))
-		for t, c := range p.Cols {
-			at, _ := slices.BinarySearch(dst.Cols, c)
-			pos[k][t] = int32(at)
-		}
-	}
-	return len(dst.Cols), pos, nil
-}
-
-// mergeBiases sets dst's neurons to the union of the parts' and sums each
-// neuron's biases in part order.
-func mergeBiases(dst *LayerDelta, parts []*LayerDelta) {
-	lists := make([][]int32, len(parts))
-	for k, p := range parts {
-		lists[k] = p.Neurons
-	}
-	dst.Neurons = unionIDs(dst.Neurons, lists)
-	dst.Bias = slices.Grow(dst.Bias, len(dst.Neurons))[:len(dst.Neurons)]
-	clear(dst.Bias)
-	for _, p := range parts {
-		j := 0
-		for i, id := range p.Neurons {
-			for dst.Neurons[j] != id {
-				j++
-			}
-			dst.Bias[j] += p.Bias[i]
-		}
-	}
+	ld.IDs = append(ld.IDs, p.IDs...)
+	ld.Delta = append(ld.Delta, p.Delta...)
+	ld.Vals = append(ld.Vals, p.Vals...)
 }

@@ -117,8 +117,9 @@ func requireNetsBitIdentical(t *testing.T, a, b *Network, context string) {
 	}
 }
 
-// TestExtractDeltaDrainsBuffers: extraction consumes the gradient — a
-// second extraction in the same batch is empty.
+// TestExtractDeltaDrainsBuffers: extraction copies every record holding
+// gradient and consumes them — a second extraction in the same batch is
+// empty — and what it copies is a delta the network accepts.
 func TestExtractDeltaDrainsBuffers(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
@@ -127,24 +128,20 @@ func TestExtractDeltaDrainsBuffers(t *testing.T) {
 	runManualBatch(n, st, 0, ds.Train[:16])
 
 	d := n.ExtractDelta(nil, 2)
+	if records, err := n.checkDelta(d); err != nil || records != 16 {
+		t.Fatalf("extracted %d records (%v), want 16 the network accepts", records, err)
+	}
 	if d.Cells() == 0 {
 		t.Fatal("extracted an empty delta from a trained batch")
 	}
-	if again := n.ExtractDelta(nil, 2); again.Cells() != 0 {
-		t.Fatalf("second extract carries %d cells, want 0", again.Cells())
+	for k, ex := range ds.Train[:16] {
+		in := &d.Input
+		if !slices.Equal(in.IDs[in.Off[k]:in.Off[k+1]], ex.Features.Idx) || !slices.Equal(in.Vals[in.Off[k]:in.Off[k+1]], ex.Features.Val) {
+			t.Fatalf("record %d: features are not the example's", k)
+		}
 	}
-
-	// Deltas must have ascending rows, full-width row blocks and ascending
-	// neurons — the invariants the codec and merge rely on.
-	for li := range d.Layers {
-		ld := &d.Layers[li]
-		rows, width := n.layers[li].StorageShape()
-		if !ascendingBelow(ld.Rows, rows) || ld.Cols != nil || len(ld.Vals) != len(ld.Rows)*width {
-			t.Fatalf("layer %d: malformed row block (%d rows, %d values, cols %v)", li, len(ld.Rows), len(ld.Vals), ld.Cols)
-		}
-		if !ascendingBelow(ld.Neurons, n.layers[li].out) || len(ld.Bias) != len(ld.Neurons) {
-			t.Fatalf("layer %d: malformed neuron list", li)
-		}
+	if again := n.ExtractDelta(nil, 2); again.Cells() != 0 || len(again.Input.Off) != 0 {
+		t.Fatalf("second extract carries %d cells in %d offsets, want none", again.Cells(), len(again.Input.Off))
 	}
 }
 
@@ -158,14 +155,13 @@ func TestExtractDeltaBeforeBackward(t *testing.T) {
 	if len(d.Layers) != len(n.layers) {
 		t.Fatalf("delta has %d layers, network %d", len(d.Layers), len(n.layers))
 	}
-	for li := range d.Layers {
-		ld := &d.Layers[li]
-		if len(ld.Rows) != 0 || len(ld.Cols) != 0 || len(ld.Vals) != 0 || len(ld.Neurons) != 0 || len(ld.Bias) != 0 {
-			t.Fatalf("layer %d: not an empty delta: %+v", li, *ld)
+	for li, ld := range append([]LayerDelta{d.Input}, d.Layers...) {
+		if len(ld.Off)+len(ld.IDs)+len(ld.Delta)+len(ld.Vals) != 0 {
+			t.Fatalf("factor set %d: not an empty delta: %+v", li, ld)
 		}
 	}
-	if _, err := n.ApplyDelta(d, n.adam.Alpha(1), 1, 2); err != nil {
-		t.Fatalf("ApplyDelta rejected the empty delta: %v", err)
+	if stepped, err := n.ApplyDelta(d, n.adam.Alpha(1), 1, 2); err != nil || stepped != 0 {
+		t.Fatalf("ApplyDelta on the empty delta: %d cells, %v", stepped, err)
 	}
 	n.applyAdamBatch(n.adam.Alpha(1), 1, 2)
 	if n.touchedWeights != 0 || stateHash(n) != before {
@@ -173,87 +169,60 @@ func TestExtractDeltaBeforeBackward(t *testing.T) {
 	}
 }
 
-// deltaAsMap flattens a delta's nonzero cells into (layer,row,col) ->
-// value, in the layer's storage orientation, with neuron j's nonzero bias
-// keyed at (layer,j,-1).
-func deltaAsMap(d *SparseDelta) map[[3]int32]float64 {
-	out := make(map[[3]int32]float64)
-	for li := range d.Layers {
-		ld := &d.Layers[li]
-		w := ld.width()
-		for r, row := range ld.Rows {
-			for u, v := range ld.Vals[r*w : (r+1)*w] {
-				col := int32(u)
-				if ld.Cols != nil {
-					col = ld.Cols[u]
-				}
-				if v != 0 {
-					out[[3]int32{int32(li), row, col}] = float64(v)
-				}
-			}
-		}
-		for k, j := range ld.Neurons {
-			if ld.Bias[k] != 0 {
-				out[[3]int32{int32(li), j, -1}] = float64(ld.Bias[k])
-			}
-		}
-	}
-	return out
+// handRec is one hand-built record for the deltaTestConfig network:
+// features, layer 0's δ and activations (64 wide, full; nil for zeros)
+// and the sampled output layer's active ids and δ.
+type handRec struct {
+	feats         []int32
+	featVals      []float32
+	delta0, vals0 []float32
+	ids1          []int32
+	delta1        []float32
 }
 
-// TestMergeDeltasHandBuilt exercises the row merge on a constructed case:
-// disjoint rows, a shared row, shared and disjoint neurons, and a
-// column-set layer whose parts carry different sets.
-func TestMergeDeltasHandBuilt(t *testing.T) {
-	a := &SparseDelta{Layers: []LayerDelta{{
-		Rows:    []int32{1, 4},
-		Vals:    []float32{1, 0, 0, 2, 0, 0, 3, 0},
-		Neurons: []int32{1},
-		Bias:    []float32{0.5},
-	}, {
-		Rows:    []int32{0},
-		Cols:    []int32{2, 9},
-		Vals:    []float32{1, 2},
-		Neurons: []int32{0},
-		Bias:    []float32{1},
-	}}}
-	b := &SparseDelta{Layers: []LayerDelta{{
-		Rows:    []int32{2, 4},
-		Vals:    []float32{0, 0, 0, 10, 0, 0, 20, 30},
-		Neurons: []int32{2, 4},
-		Bias:    []float32{0.75, 0.25},
-	}, {
-		Rows:    []int32{0, 3},
-		Cols:    []int32{5, 9},
-		Vals:    []float32{4, 8, 16, 0},
-		Neurons: []int32{0, 3},
-		Bias:    []float32{-1, 2},
-	}}}
-	m, err := MergeDeltas(nil, []*SparseDelta{a, b})
+// handDelta builds a delta of recs, in order.
+func handDelta(recs ...handRec) *SparseDelta {
+	d := &SparseDelta{}
+	d.reset(2)
+	for _, r := range recs {
+		d.Input.add(r.feats, nil, r.featVals)
+		d.Layers[0].add(nil, orZeros(r.delta0, 64), orZeros(r.vals0, 64))
+		d.Layers[1].add(r.ids1, r.delta1, nil)
+	}
+	return d
+}
+
+// orZeros returns v, or n zeros for a nil v.
+func orZeros(v []float32, n int) []float32 {
+	if v == nil {
+		return make([]float32, n)
+	}
+	return v
+}
+
+// TestMergeDeltasConcatenates: a merge is every part's records, part
+// after part, with each part's offsets moved past the records before it;
+// a part without records adds nothing, a single part passes through
+// uncopied, and parts of different layer counts or broken structure are
+// refused.
+func TestMergeDeltasConcatenates(t *testing.T) {
+	r1 := handRec{feats: []int32{4, 2}, featVals: []float32{1, 2}, ids1: []int32{1, 5}, delta1: []float32{0.5, -1}}
+	r2 := handRec{feats: []int32{9}, featVals: []float32{3}, ids1: []int32{0}, delta1: []float32{2}}
+	r3 := handRec{ids1: []int32{3, 4, 7}, delta1: []float32{1, 2, 3}}
+	a, b := handDelta(r1, r2), handDelta(r3)
+	m, err := MergeDeltas(nil, []*SparseDelta{a, handDelta(), b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ld := &m.Layers[0]; !slices.Equal(ld.Rows, []int32{1, 2, 4}) || ld.Cols != nil || !slices.Equal(ld.Neurons, []int32{1, 2, 4}) {
-		t.Fatalf("layer 0 merged rows %v cols %v neurons %v", ld.Rows, ld.Cols, ld.Neurons)
-	}
-	if ld := &m.Layers[1]; !slices.Equal(ld.Rows, []int32{0, 3}) || !slices.Equal(ld.Cols, []int32{2, 5, 9}) {
-		t.Fatalf("layer 1 merged rows %v cols %v, want [0 3] over [2 5 9]", ld.Rows, ld.Cols)
-	}
-	got := deltaAsMap(m)
-	want := map[[3]int32]float64{
-		{0, 1, 0}: 1, {0, 1, 3}: 2, {0, 1, -1}: 0.5,
-		{0, 2, 3}: 10, {0, 2, -1}: 0.75,
-		{0, 4, 2}: 23, {0, 4, 3}: 30, {0, 4, -1}: 0.25,
-		{1, 0, 2}: 1, {1, 0, 5}: 4, {1, 0, 9}: 10,
-		{1, 3, 5}: 16, {1, 3, -1}: 2, // neuron 0's biases cancel: no gradient
-	}
-	if len(got) != len(want) {
-		t.Fatalf("merged cells = %v, want %v", got, want)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("cell %v = %g, want %g", k, got[k], v)
+	want := handDelta(r1, r2, r3)
+	for li, pair := range [][2]*LayerDelta{{&m.Input, &want.Input}, {&m.Layers[0], &want.Layers[0]}, {&m.Layers[1], &want.Layers[1]}} {
+		got, w := pair[0], pair[1]
+		if !slices.Equal(got.Off, w.Off) || !slices.Equal(got.IDs, w.IDs) || !slices.Equal(got.Delta, w.Delta) || !slices.Equal(got.Vals, w.Vals) {
+			t.Fatalf("factor set %d: merged %+v, want %+v", li, *got, *w)
 		}
+	}
+	if m.Cells() != a.Cells()+b.Cells() {
+		t.Fatalf("merged Cells() = %d, want %d + %d", m.Cells(), a.Cells(), b.Cells())
 	}
 
 	// Single-part merge passes the delta through untouched.
@@ -261,108 +230,101 @@ func TestMergeDeltasHandBuilt(t *testing.T) {
 	if err != nil || solo != a {
 		t.Fatalf("single-part merge = %p (%v), want passthrough %p", solo, err, a)
 	}
-}
-
-// TestCellsCountsNonzero: Cells counts nonzero weight cells and nonzero
-// biases; the zero slots of a row block, ±0 alike, are not cells.
-func TestCellsCountsNonzero(t *testing.T) {
-	d := &SparseDelta{Layers: []LayerDelta{{
-		Rows:    []int32{0, 3},
-		Vals:    []float32{1, 0, float32(math.Copysign(0, -1)), -2, 0, 0, 0, 0},
-		Neurons: []int32{0, 1, 3},
-		Bias:    []float32{0, 0.5, 0},
-	}}}
-	if got := d.Cells(); got != 3 {
-		t.Fatalf("Cells() = %d, want 3 (two weight cells, one bias)", got)
+	if _, err := MergeDeltas(nil, []*SparseDelta{a, {Layers: make([]LayerDelta, 3)}}); err == nil {
+		t.Fatal("parts of 2 and 3 layers merged")
+	}
+	broken := handDelta(r1, r2)
+	broken.Layers[1].Off[1] = 5 // past the next record's end
+	if _, err := MergeDeltas(nil, []*SparseDelta{a, broken}); err == nil {
+		t.Fatal("a part with descending offsets merged")
 	}
 }
 
-// TestApplyDeltaSkipsZeroSumCells: two parts cancelling exactly on one
-// weight cell and one bias merge to zeros there, and zero means no step:
-// the cell's and the bias's weight and moments stay untouched while their
-// neighbours step.
+// TestCellsCountsProducts: Cells counts, per record and layer, the layer
+// input's length times the δ count plus the δ count; a broken record
+// structure has none.
+func TestCellsCountsProducts(t *testing.T) {
+	d := handDelta(
+		handRec{feats: []int32{1, 2, 3}, featVals: []float32{1, 1, 1}, ids1: []int32{0, 1, 2, 3, 4}, delta1: make([]float32, 5)},
+		handRec{ids1: []int32{6, 9}, delta1: []float32{1, 0}},
+	)
+	want := int64(3*64+64+64*5+5) + int64(0*64+64+64*2+2)
+	if got := d.Cells(); got != want {
+		t.Fatalf("Cells() = %d, want %d", got, want)
+	}
+	d.Layers[0].Off = d.Layers[0].Off[:2]
+	if got := d.Cells(); got != 0 {
+		t.Fatalf("Cells() of a broken delta = %d, want 0", got)
+	}
+}
+
+// TestApplyDeltaSkipsZeroSumCells: two records cancelling exactly on one
+// neuron's weight row and bias sum to zeros there, and zero means no
+// step: that row's and bias's weights and moments stay untouched while a
+// neighbour steps; the stepped count is the neighbour's nonzero cells and
+// bias.
 func TestApplyDeltaSkipsZeroSumCells(t *testing.T) {
 	n := mustNet(t, deltaTestConfig(128))
 	l := n.layers[1]
-	_, width := l.StorageShape()
-	part := func(sign float32) *SparseDelta {
-		vals := make([]float32, width)
-		vals[3], vals[4] = sign*0.5, 0.25
-		return &SparseDelta{Layers: []LayerDelta{{}, {
-			Rows:    []int32{7},
-			Vals:    vals,
-			Neurons: []int32{7, 8},
-			Bias:    []float32{sign * 2, 1},
-		}}}
+	vals := make([]float32, 64)
+	for i := range vals {
+		vals[i] = float32(i%7) - 3 // nine zero inputs
+	}
+	rec := func(sign float32) handRec {
+		return handRec{vals0: vals, ids1: []int32{7, 8}, delta1: []float32{sign * 0.5, 0.25}}
 	}
 	// Warm the moments so a spurious zero-gradient step would move them.
-	if _, err := n.ApplyDelta(part(1), n.adam.Alpha(1), 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := MergeDeltas(nil, []*SparseDelta{part(1), part(-1)})
-	if err != nil {
+	if _, err := n.ApplyDelta(handDelta(rec(1)), n.adam.Alpha(1), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	type cell struct{ w, m, v float32 }
-	weight := func(i int) cell { return cell{l.w[7][i], l.mW[7][i], l.vW[7][i]} }
+	weight := func(j, i int) cell { return cell{l.w[j][i], l.mW[j][i], l.vW[j][i]} }
 	bias := func(j int) cell { return cell{l.b[j], l.mB[j], l.vB[j]} }
-	w3, w4, b7, b8 := weight(3), weight(4), bias(7), bias(8)
-	stepped, err := n.ApplyDelta(merged, n.adam.Alpha(2), 1, 1)
+	w7, w8, b7, b8 := weight(7, 4), weight(8, 4), bias(7), bias(8)
+	stepped, err := n.ApplyDelta(handDelta(rec(1), rec(-1)), n.adam.Alpha(2), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stepped != 2 || stepped != merged.Cells() {
-		t.Fatalf("stepped %d cells, want 2 (= Cells() %d)", stepped, merged.Cells())
+	if stepped != 64-9+1 {
+		t.Fatalf("stepped %d cells, want neuron 8's 55 nonzero inputs and its bias", stepped)
 	}
-	if weight(3) != w3 || bias(7) != b7 {
-		t.Fatalf("zero-sum cells stepped: weight %+v -> %+v, bias %+v -> %+v", w3, weight(3), b7, bias(7))
+	if weight(7, 4) != w7 || bias(7) != b7 {
+		t.Fatalf("zero-sum cells stepped: weight %+v -> %+v, bias %+v -> %+v", w7, weight(7, 4), b7, bias(7))
 	}
-	if weight(4) == w4 || bias(8) == b8 {
+	if weight(8, 4) == w8 || bias(8) == b8 {
 		t.Fatal("nonzero cells did not step")
 	}
 }
 
-// TestMergeDeltasRefusesNonFinite: a merge whose sum overflows to ±Inf —
-// in a full-width row, a row scattered through a column set, or a bias —
-// or that carries a part's NaN through the copy of a row no other part
-// has, fails; opposite extremes that cancel, and extremes that do not
-// meet, merge.
+// TestMergeDeltasRefusesNonFinite: a NaN or ±Inf in any factor of any
+// part — a feature value, a δ, an activation — fails the merge, so no
+// replica applies it; the largest finite values merge.
 func TestMergeDeltasRefusesNonFinite(t *testing.T) {
-	const big = math.MaxFloat32
-	nan := float32(math.NaN())
-	full := func(row int32, v0, v1, bias float32) *SparseDelta {
-		return &SparseDelta{Layers: []LayerDelta{{
-			Rows: []int32{row}, Vals: []float32{v0, v1}, Neurons: []int32{0}, Bias: []float32{bias},
-		}}}
-	}
-	cols := func(c int32, v float32) *SparseDelta {
-		return &SparseDelta{Layers: []LayerDelta{{Rows: []int32{2}, Cols: []int32{c}, Vals: []float32{v}}}}
-	}
-	for _, tc := range []struct {
-		name  string
-		parts []*SparseDelta
-		ok    bool
-	}{
-		{"row +Inf", []*SparseDelta{full(1, big, 1, 0), full(1, big, 1, 0)}, false},
-		{"row -Inf", []*SparseDelta{full(1, 1, -big, 0), full(1, 1, -big, 0)}, false},
-		{"bias +Inf", []*SparseDelta{full(1, 1, 1, big), full(3, 1, 1, big)}, false},
-		{"column set", []*SparseDelta{cols(4, big), cols(4, big)}, false},
-		{"three parts", []*SparseDelta{full(1, big/2, 0, 0), full(1, big/2, 0, 0), full(1, big/2, 0, 0)}, false},
-		{"copied NaN", []*SparseDelta{full(1, nan, 0, 0), full(3, 1, 1, 0)}, false},
-		{"cancelling extremes", []*SparseDelta{full(1, big, -big, big), full(1, -big, big, -big)}, true},
-		{"disjoint extremes", []*SparseDelta{full(1, big, -big, 0), full(3, big, -big, 0)}, true},
-	} {
-		if _, err := MergeDeltas(nil, tc.parts); (err == nil) != tc.ok {
-			t.Fatalf("%s: merge error %v, want ok=%v", tc.name, err, tc.ok)
+	ok := handRec{feats: []int32{1}, featVals: []float32{1}, ids1: []int32{2}, delta1: []float32{1}}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), math.MaxFloat32} {
+		finite := bad == math.MaxFloat32
+		vals := make([]float32, 64)
+		vals[63] = bad
+		for name, r := range map[string]handRec{
+			"feature":    {feats: []int32{1}, featVals: []float32{bad}, ids1: []int32{2}, delta1: []float32{1}},
+			"δ":          {ids1: []int32{2, 3}, delta1: []float32{1, bad}},
+			"hidden δ":   {delta0: vals, ids1: []int32{2}, delta1: []float32{1}},
+			"activation": {vals0: vals, ids1: []int32{2}, delta1: []float32{1}},
+		} {
+			for _, parts := range [][]*SparseDelta{{handDelta(ok), handDelta(r)}, {handDelta(r), handDelta(ok)}} {
+				if _, err := MergeDeltas(nil, parts); (err == nil) != finite {
+					t.Fatalf("%s %g: merge error %v, want ok=%v", name, bad, err, finite)
+				}
+			}
 		}
 	}
 }
 
 // TestDeltaMergeMatchesCombinedBatch is the data-parallel soundness test:
-// two shards each extracting a half-batch delta and merging must produce
-// the same gradient a single process accumulates over the full batch —
-// identical cell structure, values equal up to float re-association (the
-// halves sum their contributions separately before the cross-shard sum).
+// two shards each extracting a half-batch delta and merging must step the
+// network exactly as a single process steps the full batch — the merged
+// records are the combined batch's, in its order, so weights, moments and
+// the stepped count agree bit for bit.
 func TestDeltaMergeMatchesCombinedBatch(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
@@ -387,130 +349,103 @@ func TestDeltaMergeMatchesCombinedBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	got, want := deltaAsMap(merged), deltaAsMap(dFull)
-	checked := 0
-	for k, wv := range want {
-		gv, ok := got[k]
-		if !ok {
-			// Exact cancellation to 0.0 in one accumulation order but not
-			// the other is possible in principle; treat missing as zero.
-			gv = 0
-		}
-		if diff := math.Abs(gv - wv); diff > 1e-5*math.Max(1, math.Abs(wv)) {
-			t.Fatalf("cell %v: merged %g vs combined %g", k, gv, wv)
-		}
-		checked++
+	if merged.Cells() != dFull.Cells() {
+		t.Fatalf("merged delta carries %d cells, combined batch %d", merged.Cells(), dFull.Cells())
 	}
-	for k := range got {
-		if _, ok := want[k]; !ok && got[k] != 0 {
-			t.Fatalf("merged has cell %v = %g missing from combined batch", k, got[k])
-		}
-	}
-	if checked < 100 {
-		t.Fatalf("only %d cells compared; test is too small to be meaningful", checked)
-	}
-
-	// Applying merged vs combined must land the networks at (nearly) the
-	// same weights.
 	invB := float32(1.0 / batchSize)
 	alpha := full.adam.Alpha(1)
-	if _, err := full.ApplyDelta(dFull, alpha, invB, 3); err != nil {
+	want, err := full.ApplyDelta(dFull, alpha, invB, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shardA.ApplyDelta(merged, alpha, invB, 3); err != nil {
+	got, err := shardA.ApplyDelta(merged, alpha, invB, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for li := range full.layers {
-		lf, ls := full.layers[li], shardA.layers[li]
-		for j := 0; j < lf.out; j++ {
-			for i := 0; i < lf.in; i++ {
-				wf, ws := *lf.cell(lf.w, j, i), *ls.cell(ls.w, j, i)
-				if diff := math.Abs(float64(wf - ws)); diff > 1e-5 {
-					t.Fatalf("layer %d w[%d][%d]: combined %g vs merged %g", li, j, i, wf, ws)
-				}
-			}
-		}
+	if got != want || got < 100 {
+		t.Fatalf("merged step moved %d cells, combined batch %d", got, want)
 	}
+	requireNetsBitIdentical(t, full, shardA, "merged vs combined batch")
 }
 
 // TestApplyDeltaValidatesShape rejects malformed or mis-shaped deltas
-// instead of corrupting weights or panicking.
+// instead of corrupting weights or panicking, and moves no weight when
+// only a later layer or record is malformed.
 func TestApplyDeltaValidatesShape(t *testing.T) {
 	const classes = 128
 	n := mustNet(t, deltaTestConfig(classes))
-
 	if _, err := n.ApplyDelta(&SparseDelta{}, 0.001, 1, 2); err == nil {
 		t.Fatal("layer-count mismatch accepted")
 	}
-	_, width := n.layers[1].StorageShape()
-	bad := &SparseDelta{Layers: make([]LayerDelta, 2)}
-	bad.Layers[1] = LayerDelta{
-		Rows: []int32{int32(classes)}, // out of range
-		Vals: make([]float32, width),
+	good := handRec{feats: []int32{7, 3}, featVals: []float32{1, 2}, delta0: make([]float32, 64), ids1: []int32{2, 9}, delta1: []float32{1, -1}}
+	good.delta0[5] = 3
+	for name, mutate := range map[string]func(d *SparseDelta){
+		"feature out of range":   func(d *SparseDelta) { d.Input.IDs[1] = colTrackThreshold + 100 },
+		"negative feature":       func(d *SparseDelta) { d.Input.IDs[0] = -1 },
+		"feature without value":  func(d *SparseDelta) { d.Input.Vals = d.Input.Vals[:1] },
+		"feature with δ":         func(d *SparseDelta) { d.Input.Delta = []float32{1, 1, 1, 1} },
+		"id out of range":        func(d *SparseDelta) { d.Layers[1].IDs[3] = classes },
+		"ids descending":         func(d *SparseDelta) { d.Layers[1].IDs[2], d.Layers[1].IDs[3] = 9, 2 },
+		"ids repeated":           func(d *SparseDelta) { d.Layers[1].IDs[3] = 2 },
+		"δ without id":           func(d *SparseDelta) { d.Layers[1].Delta = append(d.Layers[1].Delta, 1) },
+		"ids without δ":          func(d *SparseDelta) { d.Layers[1].Delta = d.Layers[1].Delta[:2] },
+		"last layer activations": func(d *SparseDelta) { d.Layers[1].Vals = make([]float32, 4) },
+		"full layer ids":         func(d *SparseDelta) { d.Layers[0].IDs = make([]int32, 128) },
+		"full layer short":       func(d *SparseDelta) { d.Layers[0].Off[1], d.Layers[0].Off[2] = 63, 126 },
+		"full layer missing δ":   func(d *SparseDelta) { d.Layers[0].Delta = nil },
+		"missing activations":    func(d *SparseDelta) { d.Layers[0].Vals = nil },
+		"records disagree":       func(d *SparseDelta) { d.Layers[1].Off = d.Layers[1].Off[:2] },
+		"offsets past factors":   func(d *SparseDelta) { d.Layers[1].Off[2] = 5 },
+		"offsets from 1":         func(d *SparseDelta) { d.Input.Off[0] = 1 },
+		"NaN δ":                  func(d *SparseDelta) { d.Layers[1].Delta[3] = float32(math.NaN()) },
+		"Inf activation":         func(d *SparseDelta) { d.Layers[0].Vals[100] = float32(math.Inf(-1)) },
+		"NaN feature":            func(d *SparseDelta) { d.Input.Vals[3] = float32(math.NaN()) },
+	} {
+		d := handDelta(good, good)
+		mutate(d)
+		before := stateHash(n)
+		if _, err := n.ApplyDelta(d, 0.001, 1, 2); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		// The first record and layer are valid: a caller retrying after
+		// the error would otherwise double-apply a valid prefix.
+		if stateHash(n) != before {
+			t.Fatalf("%s: the refused delta moved the network", name)
+		}
 	}
-	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
-		t.Fatal("out-of-range row accepted")
+	if _, err := n.ApplyDelta(handDelta(good, good), 0.001, 1, 2); err != nil {
+		t.Fatalf("the unmutated delta was refused: %v", err)
 	}
-	bad.Layers[1] = LayerDelta{
-		Rows: []int32{3},
-		Cols: []int32{int32(width)}, // out of range
-		Vals: []float32{1},
-	}
-	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
-		t.Fatal("out-of-range column accepted")
-	}
-	bad.Layers[1] = LayerDelta{
-		Rows: []int32{3, 5},
-		Vals: make([]float32, width), // one row's worth for two rows
-	}
-	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
-		t.Fatal("short row block accepted")
-	}
-	bad.Layers[1] = LayerDelta{
-		Rows: []int32{5, 3}, // descending: two writers could share a row
-		Vals: make([]float32, 2*width),
-	}
-	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
-		t.Fatal("descending rows accepted")
-	}
-	bad.Layers[1] = LayerDelta{Neurons: []int32{2}, Bias: []float32{1, 1}}
-	if _, err := n.ApplyDelta(bad, 0.001, 1, 2); err == nil {
-		t.Fatal("bias/neuron count mismatch accepted")
-	}
+}
 
-	// A delta valid in layer 0 but malformed in layer 1 must not touch
-	// layer 0's weights: a caller retrying after the error would
-	// otherwise double-apply the valid prefix.
-	l0 := n.layers[0]
-	_, w0 := l0.StorageShape()
-	mixed := &SparseDelta{Layers: make([]LayerDelta, 2)}
-	mixed.Layers[0] = LayerDelta{
-		Rows:    []int32{7},
-		Vals:    make([]float32, w0),
-		Neurons: []int32{5},
-		Bias:    []float32{1},
+// TestLoopbackTouchedMatchesLocal: a sharded run counts the cells its Adam
+// step moved, as a local run does, so at one shard the loopback reports
+// the local run's TouchedPerIter exactly.
+func TestLoopbackTouchedMatchesLocal(t *testing.T) {
+	const classes = 128
+	ds := deltaTestDataset(t, classes)
+	cfg := deltaTestConfig(classes)
+	tc := TrainConfig{BatchSize: 32, Iterations: 12, Threads: 2, Seed: 9}
+	local, err := mustNet(t, cfg).Train(ds.Train, ds.Test, tc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mixed.Layers[0].Vals[5] = 3
-	mixed.Layers[1] = LayerDelta{
-		Neurons: []int32{int32(classes)}, // out of range
-		Bias:    []float32{1},
+	tc.Shards, tc.Exchanger = 1, loopback{}
+	tapped, err := mustNet(t, cfg).Train(ds.Train, ds.Test, tc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	before := *l0.cell(l0.w, 5, 7)
-	if _, err := n.ApplyDelta(mixed, 0.001, 1, 2); err == nil {
-		t.Fatal("malformed layer 1 accepted")
-	}
-	if *l0.cell(l0.w, 5, 7) != before {
-		t.Fatal("valid layer 0 was applied despite the layer 1 validation error")
+	if local.TouchedPerIter == 0 || tapped.TouchedPerIter != local.TouchedPerIter {
+		t.Fatalf("TouchedPerIter: loopback %g, local %g", tapped.TouchedPerIter, local.TouchedPerIter)
 	}
 }
 
 // TestLoopbackExchangerMatchesLocal: a single-shard exchanger that echoes
 // the local delta back (the dist measurement tap) must leave training
-// bit-identical to the plain single-process path. The plain run steps
-// straight from the folded rows (stepFold) while the tapped run compacts
-// them into a SparseDelta and applies it (compactFold + ApplyDelta), so
-// this compares the fold's two consumers through real training.
+// bit-identical to the plain single-process path. The plain run folds its
+// own records while the tapped run copies them into a SparseDelta and
+// folds views of it (ExtractDelta + ApplyDelta), so this compares the two
+// record sources through real training.
 func TestLoopbackExchangerMatchesLocal(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/optim"
@@ -22,12 +21,12 @@ import (
 // Workers then claim the ascending rows in chunks of claimChunk from a
 // shared cursor (claimRows). The owner of a row replays its
 // contributions, each a coefficient times one element's operand vector, in
-// ascending element order into one row and hands it to a consumer:
-// stepFold runs the Adam step from a worker-owned row scratch (local
-// training); compactFold folds each row into its own slot of a
-// LayerDelta's row block (Network.ExtractDelta: the exchange payload and
-// the public API), which ApplyDelta later steps with the same row step.
-// No worker writes memory another reads.
+// ascending element order into a worker-owned row scratch and runs the
+// Adam step straight from it (stepFold). The records are the batch's own
+// in local training, or views of a SparseDelta's factors in ApplyDelta —
+// one replica's batch, or every replica's in rank order after a
+// data-parallel merge — so the fold is the one code that turns records
+// into a step. No worker writes memory another reads.
 //
 // Rows follow the layer's orientation (see Layer):
 //
@@ -77,7 +76,7 @@ type foldInput struct {
 // gradFold is one layer's view of a batch's gradient at the boundary. All
 // of it is layer-owned and reused across batches under the batch-boundary
 // single-writer rule: only the training loop's goroutine (or the caller of
-// ExtractDelta/ApplyDelta) opens a fold.
+// ApplyDelta) opens a fold.
 type gradFold struct {
 	in []foldInput // per batch position
 	// rows are the touched storage rows, ascending: neurons on a
@@ -117,7 +116,7 @@ type gradFold struct {
 	// width is the length of a folded row: len(cols), or the storage row
 	// width.
 	width int
-	// rowBuf[wk] is worker wk's row scratch (stepFold).
+	// rowBuf[wk] is worker wk's row scratch.
 	rowBuf [][]float32
 	// applied[wk] is worker wk's stepped-cell count, and next the first
 	// row no worker has claimed yet (claimRows).
@@ -464,11 +463,9 @@ func (l *Layer) foldRow(r int, g []float32) []float32 {
 	return g
 }
 
-// stepFold is the fold's local-training consumer: it folds each touched
-// row into its worker's scratch and runs the Adam step straight from it,
-// then steps the touched neurons' biases — cell for cell what compactFold
-// followed by ApplyDelta does, without materializing the delta in between.
-// Returns the number of cells stepped.
+// stepFold is the fold's consumer: it folds each touched row into its
+// worker's scratch and runs the Adam step straight from it, then steps the
+// touched neurons' biases. Returns the number of cells stepped.
 func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int64 {
 	f := &l.fold
 	stepped := l.claimRows(workers, len(f.rows), func(wk, lo, hi int) int64 {
@@ -487,65 +484,133 @@ func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int6
 	return stepped
 }
 
-// compactFold is the fold's delta consumer: it fills a reset dst with the
-// touched storage rows, each folded straight into its own slot of the row
-// block by the worker that owns the row, the column union where the layer
-// keeps one, and the touched neurons with their bias gradients. A
-// column-union layer whose batch touched no column has no cells, and
-// carries its biases only.
-func (l *Layer) compactFold(dst *LayerDelta, workers int) {
-	f := &l.fold
-	switch {
-	case f.cols == nil:
-		dst.Cols = nil
-		dst.Rows = append(dst.Rows, f.rows...)
-	case len(f.cols) > 0:
-		dst.Cols = append(dst.Cols, f.cols...)
-		dst.Rows = append(dst.Rows, f.rows...)
-	}
-	w := f.width
-	// Grown like append: the delta's size creeps up over early batches.
-	dst.Vals = slices.Grow(dst.Vals, len(dst.Rows)*w)[:len(dst.Rows)*w]
-	l.claimRows(workers, len(dst.Rows), func(_, lo, hi int) int64 {
-		for r := lo; r < hi; r++ {
-			l.foldRow(r, dst.Vals[r*w:(r+1)*w])
-		}
-		return 0
-	})
-	dst.Neurons = append(dst.Neurons, f.neurons...)
-	for _, j := range f.neurons {
-		dst.Bias = append(dst.Bias, f.bias[j])
-	}
-}
-
-// extract folds the records' gradient for the layer into dst, an empty
-// delta when none carries any.
-func (l *Layer) extract(dst *LayerDelta, recs []*elemRecord, workers int) {
-	dst.reset()
-	if l.beginFold(recs, workers) {
-		l.compactFold(dst, workers)
-	}
-}
-
 // applyAdamBatch performs a local (no exchange) batch's Adam step over
 // exactly the weights that accumulated gradient: touched neurons' rows
 // restricted to touched input columns (§3.1: "the fraction of weights that
-// needs to be updated is s² only"). Each touched row is folded once and
-// stepped straight from the folded row (stepFold); nothing is materialized
-// in between. A run with a DeltaExchanger needs the batch gradient as an
-// explicit SparseDelta to ship, so it goes ExtractDelta (the same fold,
-// into a row block) → exchange → ApplyDelta instead (exchangeAndApply);
-// both step rows through stepRow and are bit-for-bit interchangeable.
-// Without a backward pass since the last fold there is nothing to step.
+// needs to be updated is s² only"). A run with a DeltaExchanger ships the
+// records instead (ExtractDelta → exchange → ApplyDelta), and ApplyDelta
+// folds them with the same stepRecords. Without a backward pass since the
+// last fold there is nothing to step.
 //
 // The stepped-cell count accumulates into n.touchedWeights, surfaced as
 // TrainResult.TouchedPerIter.
 func (n *Network) applyAdamBatch(alpha, invB float32, workers int) {
 	n.allocTrainState()
-	recs := n.takeRecords()
+	n.touchedWeights += n.stepRecords(n.takeRecords(), alpha, invB, workers)
+}
+
+// stepRecords folds recs layer by layer and steps every touched weight
+// once, returning the number of cells stepped.
+func (n *Network) stepRecords(recs []*elemRecord, alpha, invB float32, workers int) int64 {
+	var stepped int64
 	for _, l := range n.layers {
 		if l.beginFold(recs, workers) {
-			n.touchedWeights += l.stepFold(n.adam, alpha, invB, workers)
+			stepped += l.stepFold(n.adam, alpha, invB, workers)
 		}
 	}
+	return stepped
+}
+
+// scanSpan is the least number of stamps worth a scanStamps worker of its
+// own (a 128 KiB read, tens of microseconds).
+const scanSpan = 1 << 15
+
+// scanStamps collects the ascending indices whose stamp equals epoch into
+// dst (reused), parallelized across workers — the column union's list of
+// touched input columns. The per-worker
+// partial lists live on the layer, so a warm scan allocates nothing; like
+// every caller it runs with training quiesced.
+// A worker gets at least scanSpan stamps: below that a goroutine costs more
+// than the scan it takes over.
+func (l *Layer) scanStamps(stamps []uint32, epoch uint32, workers int, dst []int32) []int32 {
+	workers = max(min(workers, len(stamps)/scanSpan), 1)
+	if len(l.scanParts) < workers {
+		l.scanParts = append(l.scanParts, make([][]int32, workers-len(l.scanParts))...)
+	}
+	parts := l.scanParts[:workers]
+	for w := range parts {
+		parts[w] = parts[w][:0]
+	}
+	parallelIndexed(workers, len(stamps), func(w, lo, hi int) {
+		local := parts[w]
+		for i := lo; i < hi; i++ {
+			if stamps[i] == epoch {
+				local = append(local, int32(i))
+			}
+		}
+		parts[w] = local
+	})
+	dst = dst[:0]
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
+}
+
+// claimChunk is the rows an update-phase worker claims at a time. A row's
+// cost follows its contribution count — an output neuron active in one
+// element of the batch or in forty — so static halves of the ascending
+// rows left one worker idle for a third of the output layer's step. 32
+// rows balance the few hundred to few thousand rows of a batch's layer
+// while a worker touches the shared cursor only once per tens of
+// microseconds of work.
+const claimChunk = 32
+
+// claimRows calls step(wk, lo, hi) for chunks of at most claimChunk rows
+// of [0, n), claimed in turn from the fold's cursor by up to workers
+// goroutines (wk is the claiming worker's index), and returns the total of
+// the counts step returns. Each row has a single writer, and which worker
+// takes a row changes nothing the row computes.
+func (l *Layer) claimRows(workers, n int, step func(wk, lo, hi int) int64) int64 {
+	f := &l.fold
+	f.applied = growTo(f.applied, max(workers, 1))
+	clear(f.applied)
+	f.next.Store(0)
+	parallelIndexed(workers, (n+claimChunk-1)/claimChunk, func(wk, _, _ int) {
+		var done int64
+		for {
+			lo := int(f.next.Add(claimChunk)) - claimChunk
+			if lo >= n {
+				break
+			}
+			done += step(wk, lo, min(lo+claimChunk, n))
+		}
+		f.applied[wk] = done
+	})
+	var total int64
+	for _, c := range f.applied {
+		total += c
+	}
+	return total
+}
+
+// stepRow is the one Adam row step of the update phase: storage row r's
+// cells cols[k] (column k when cols is nil) with raw gradient sums g[k],
+// averaged by invB. Cells whose sum is exactly zero are left unstepped.
+// Returns the number of cells stepped.
+func (l *Layer) stepRow(adam optim.Adam, r int32, cols []int32, g []float32, alpha, invB float32) int64 {
+	return int64(adam.StepCells(l.w[r], l.mW[r], l.vW[r], cols, g, invB, alpha, true))
+}
+
+// prefetchRow hints storage row next's weights and moments into cache while
+// the claimed row before it, cur, is stepped. It skips a next row that
+// follows cur in storage, which the hardware prefetcher already streams,
+// and a column-union step, which touches only scattered cells of a row.
+func (l *Layer) prefetchRow(cur, next int32, cols []int32) {
+	if next == cur+1 || cols != nil {
+		return
+	}
+	vecmath.Prefetch(l.w[next])
+	vecmath.Prefetch(l.mW[next])
+	vecmath.Prefetch(l.vW[next])
+}
+
+// stepBias steps neuron j's bias with raw gradient sum gb averaged by invB,
+// unless gb is zero, and returns the number of cells stepped.
+func (l *Layer) stepBias(adam optim.Adam, j int32, gb, alpha, invB float32) int64 {
+	if gb == 0 {
+		return 0
+	}
+	adam.Step1(&l.b[j], &l.mB[j], &l.vB[j], gb*invB, alpha)
+	return 1
 }

@@ -18,9 +18,9 @@ import (
 	"repro/internal/vecmath"
 )
 
-// Tests for the update phase's seam: one replay per touched row (foldRow)
-// feeding two consumers, stepFold (local training) and compactFold
-// (ExtractDelta, then ApplyDelta).
+// Tests for the update phase: one replay per touched row (foldRow) into
+// one Adam step (stepFold), over the batch's own records (local training)
+// or over views of an extracted delta's (ExtractDelta, then ApplyDelta).
 
 // foldElem is one synthetic backward contribution: a layer receives
 // delta[a]·inVals for every row rows[a], exactly as a batch element's
@@ -36,17 +36,38 @@ type foldElem struct {
 }
 
 // injectFoldElems hands elems to the next update as records, in order,
-// each carrying gradient for layer li alone: rows and δ in layer li's
-// state, the input in the example features (layer 0) or in the previous
-// layer's state.
+// each carrying gradient for layer li alone and shaped as the network's
+// records are, so an extracted delta of them is one the network accepts:
+// rows and δ in layer li's state (spread over every neuron on a full
+// layer), the input in the example features (layer 0) or in the previous
+// layer's activations (spread over its width when it is full), and zero
+// δ everywhere else.
 func injectFoldElems(n *Network, li int, elems []foldElem) {
 	for _, e := range elems {
 		rec := &elemRecord{layers: make([]layerState, len(n.layers)), used: true}
-		rec.layers[li] = layerState{ids: e.rows, delta: e.delta}
-		if li == 0 {
-			rec.x = sparse.Vector{Dim: n.layers[0].in, Idx: e.inIds, Val: e.inVals}
+		for lj, l := range n.layers {
+			if ls := &rec.layers[lj]; !l.Sampled() {
+				ls.full, ls.delta, ls.vals = true, make([]float32, l.out), make([]float32, l.out)
+			}
+		}
+		if ls := &rec.layers[li]; ls.full {
+			for a, j := range e.rows {
+				ls.delta[j] = e.delta[a]
+			}
 		} else {
-			rec.layers[li-1] = layerState{full: e.inFull, ids: e.inIds, vals: e.inVals}
+			ls.ids, ls.delta = e.rows, e.delta
+		}
+		switch prev := &rec.layers[max(li-1, 0)]; {
+		case li == 0:
+			rec.x = sparse.Vector{Dim: n.layers[0].in, Idx: e.inIds, Val: e.inVals}
+		case !prev.full:
+			prev.ids, prev.vals, prev.delta = e.inIds, e.inVals, make([]float32, len(e.inIds))
+		case e.inFull:
+			copy(prev.vals, e.inVals)
+		default:
+			for t, i := range e.inIds {
+				prev.vals[i] = e.inVals[t]
+			}
 		}
 		n.records = append(n.records, rec)
 	}
@@ -125,13 +146,13 @@ func foldTestElems(seed int64, in, out, shards int, denseRows bool) []foldElem {
 	return elems
 }
 
-// TestStepFoldMatchesCompactApply is the seam's equivalence proof: stepping
-// straight from the folded rows (applyAdamBatch → stepFold) and compacting
-// them into a SparseDelta that ApplyDelta then steps must leave weights,
-// moments, biases and the applied-cell count bit-identical — for elements
-// run by 1, 2 and 3 workers, for input-major, full-width and column-union
-// rows, at several update worker counts.
-func TestStepFoldMatchesCompactApply(t *testing.T) {
+// TestStepFoldMatchesExtractApply: stepping from the batch's own records
+// (applyAdamBatch) and from views of their extracted copy (ExtractDelta,
+// then ApplyDelta) must leave weights, moments, biases and the stepped-cell
+// count bit-identical — for elements run by 1, 2 and 3 workers, for
+// input-major, full-width and column-union rows, at several update worker
+// counts — and the fold must show the constructed cases.
+func TestStepFoldMatchesExtractApply(t *testing.T) {
 	const classes = 96
 	sampledOut := LayerConfig{
 		Size: classes, Activation: ActSoftmax,
@@ -166,16 +187,14 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 					stepped := stepNet.touchedWeights - before
 
 					d := applyNet.ExtractDelta(nil, workers)
+					requireConstructedCases(t, deltaCells(applyNet, d, workers), len(applyNet.layers), shards)
 					applied, err := applyNet.ApplyDelta(d, alpha, invB, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if stepped != applied || stepped != d.Cells() || stepped == 0 {
-						t.Fatalf("%s shards=%d workers=%d round %d: stepFold stepped %d cells, ApplyDelta %d, delta carries %d",
-							name, shards, workers, round, stepped, applied, d.Cells())
-					}
-					for li := range d.Layers {
-						requireConstructedCases(t, applyNet.layers[li], &d.Layers[li], shards)
+					if stepped != applied || stepped == 0 {
+						t.Fatalf("%s shards=%d workers=%d round %d: the batch's records stepped %d cells, their delta %d",
+							name, shards, workers, round, stepped, applied)
 					}
 				}
 				requireNetsBitIdentical(t, stepNet, applyNet, name)
@@ -184,37 +203,29 @@ func TestStepFoldMatchesCompactApply(t *testing.T) {
 	}
 }
 
-// requireConstructedCases checks that the compacted delta shows the cases
-// foldTestElems constructs: neuron 1's cancelled cell is zero (one nonzero
-// cell per remaining contribution) and neuron 2 carries its bias and no
-// nonzero cell, whichever orientation the layer stores.
-func requireConstructedCases(t *testing.T, l *Layer, ld *LayerDelta, shards int) {
+// requireConstructedCases checks that the folded gradient of every layer
+// (deltaCells' map) shows the cases foldTestElems constructs: neuron 1's
+// cancelled cell is zero (one nonzero cell per remaining contribution) and
+// neuron 2 carries its bias and no nonzero cell.
+func requireConstructedCases(t *testing.T, cells map[[3]int32]uint32, layers, shards int) {
 	t.Helper()
-	w := ld.width()
-	neuron := func(j int32) (int, float32) {
-		k, ok := slices.BinarySearch(ld.Neurons, j)
-		if !ok {
-			t.Fatalf("neuron %d missing from the compacted delta", j)
-		}
-		var cells []float32
-		if l.inputMajor {
-			for r := range ld.Rows {
-				cells = append(cells, ld.Vals[r*w+int(j)])
-			}
-		} else if r, ok := slices.BinarySearch(ld.Rows, j); ok {
-			cells = ld.Vals[r*w : (r+1)*w]
-		}
-		return vecmath.CountNonZero(cells), ld.Bias[k]
-	}
 	wantCells := 1
 	if shards > 2 {
 		wantCells = 2
 	}
-	if cells, _ := neuron(1); cells != wantCells {
-		t.Fatalf("neuron 1 carries %d cells, want %d (the cancelled cell must be zero)", cells, wantCells)
-	}
-	if cells, bias := neuron(2); cells != 0 || bias != 0.75 {
-		t.Fatalf("bias-only neuron 2 carries %d cells and bias %g, want 0 cells and 0.75", cells, bias)
+	for li := range int32(layers) {
+		count := map[int32]int{}
+		for k := range cells {
+			if k[0] == li && k[2] >= 0 {
+				count[k[1]]++
+			}
+		}
+		if count[1] != wantCells {
+			t.Fatalf("layer %d: neuron 1 carries %d cells, want %d (the cancelled cell must be zero)", li, count[1], wantCells)
+		}
+		if bias, ok := cells[[3]int32{li, 2, -1}]; count[2] != 0 || !ok || math.Float32frombits(bias) != 0.75 {
+			t.Fatalf("layer %d: bias-only neuron 2 carries %d cells and bias %g, want 0 cells and 0.75", li, count[2], math.Float32frombits(bias))
+		}
 	}
 }
 
@@ -594,7 +605,7 @@ func TestUpdatePhaseSteadyStateAllocs(t *testing.T) {
 		"step": func(n *Network, alpha, invB float32) {
 			n.applyAdamBatch(alpha, invB, 2)
 		},
-		"compact+apply": func(n *Network, alpha, invB float32) {
+		"extract+apply": func(n *Network, alpha, invB float32) {
 			n.deltaScratch = n.ExtractDelta(n.deltaScratch, 2)
 			if _, err := n.ApplyDelta(n.deltaScratch, alpha, invB, 2); err != nil {
 				t.Fatal(err)
@@ -661,7 +672,7 @@ func BenchmarkUpdatePhase(b *testing.B) {
 			n.applyAdamBatch(alpha, invB, 2)
 			return n.touchedWeights - before
 		}},
-		{"compact+apply", func(n *Network, alpha, invB float32) int64 {
+		{"extract+apply", func(n *Network, alpha, invB float32) int64 {
 			n.deltaScratch = n.ExtractDelta(n.deltaScratch, 2)
 			cells, err := n.ApplyDelta(n.deltaScratch, alpha, invB, 2)
 			if err != nil {

@@ -58,18 +58,19 @@ type Network struct {
 
 	// records[k] holds batch position k's element from its forward pass to
 	// the fold that consumes it (backward.go); batch is the fold's list of
-	// the records holding gradient. Both are reused across batches and
-	// Train calls.
+	// the records holding gradient; views are the records ApplyDelta folds,
+	// views of a delta's factors. All are reused across batches and Train
+	// calls.
 	records []*elemRecord
 	batch   []*elemRecord
+	views   []*elemRecord
 
-	// touchedWeights counts gradient cells stepped or extracted across all
-	// batches — the sparse-gradient communication payload of a
-	// distributed replica (§6 future work).
+	// touchedWeights counts the gradient cells training stepped across
+	// all batches, locally or from a merged delta.
 	touchedWeights int64
 	// deltaScratch is the reusable SparseDelta a run with an exchanger
-	// drains each batch's gradient into; a local run steps from the fold
-	// and never fills it.
+	// copies each batch's records into; a local run folds its records in
+	// place and never fills it.
 	deltaScratch *SparseDelta
 
 	// pred backs the convenience Predict/PredictSampled/Evaluate

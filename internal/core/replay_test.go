@@ -93,18 +93,28 @@ func (g *denseGrad) cells() map[[3]int32]uint32 {
 	return out
 }
 
-// deltaCells maps an extracted delta to denseGrad.cells' form, whatever
-// orientation each layer stores.
-func deltaCells(n *Network, d *SparseDelta) map[[3]int32]uint32 {
+// deltaCells folds the delta's records as ApplyDelta does, without
+// stepping, and maps the folded gradient to denseGrad.cells' form,
+// whatever orientation each layer stores.
+func deltaCells(n *Network, d *SparseDelta, workers int) map[[3]int32]uint32 {
+	records, err := n.checkDelta(d)
+	if err != nil {
+		panic(err)
+	}
+	n.allocTrainState()
+	views := n.viewRecords(d, records)
 	out := make(map[[3]int32]uint32)
-	for li := range d.Layers {
-		ld, l := &d.Layers[li], n.layers[li]
-		w := ld.width()
-		for r, row := range ld.Rows {
-			for u, v := range ld.Vals[r*w : (r+1)*w] {
+	for li, l := range n.layers {
+		if !l.beginFold(views, workers) {
+			continue
+		}
+		f := &l.fold
+		g := make([]float32, f.width)
+		for r, row := range f.rows {
+			for u, v := range l.foldRow(r, g) {
 				col := int32(u)
-				if ld.Cols != nil {
-					col = ld.Cols[u]
+				if f.cols != nil {
+					col = f.cols[u]
 				}
 				j, i := row, col
 				if l.inputMajor {
@@ -115,8 +125,8 @@ func deltaCells(n *Network, d *SparseDelta) map[[3]int32]uint32 {
 				}
 			}
 		}
-		for k, j := range ld.Neurons {
-			out[[3]int32{int32(li), j, -1}] = math.Float32bits(ld.Bias[k])
+		for _, j := range f.neurons {
+			out[[3]int32{int32(li), j, -1}] = math.Float32bits(f.bias[j])
 		}
 	}
 	return out
@@ -136,8 +146,8 @@ func requireDeltasBitIdentical(t *testing.T, got, want map[[3]int32]uint32, cont
 	}
 }
 
-// TestReplayMatchesReference: the delta replayed from a batch's records
-// must equal the dense reference adding each element's (active rows, δ,
+// TestReplayMatchesReference: the gradient the fold replays from a batch's
+// extracted records must equal the dense reference adding each element's (active rows, δ,
 // layer input) in element order, bit for bit, at any worker count and
 // batch after batch as the weights move. Layer 0 exercises the
 // column-union rows (wide fan-in, sparse input), layer 1 the full-width
@@ -160,7 +170,7 @@ func TestReplayMatchesReference(t *testing.T) {
 				if got.Cells() == 0 {
 					t.Fatal("empty delta; test is vacuous")
 				}
-				requireDeltasBitIdentical(t, deltaCells(n, got), ref.cells(), fmt.Sprintf("batch %d", b))
+				requireDeltasBitIdentical(t, deltaCells(n, got, workers), ref.cells(), fmt.Sprintf("batch %d", b))
 				if _, err := n.ApplyDelta(got, n.adam.Alpha(int64(b)+1), 1.0/batchSize, workers); err != nil {
 					t.Fatal(err)
 				}

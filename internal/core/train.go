@@ -52,9 +52,10 @@ type TrainResult struct {
 	// for benchmark/train.go and goes when a benchmark PR drops
 	// core.rows_reused.
 	RowsReused int64
-	// TouchedPerIter is the mean number of weight cells that received a
-	// gradient per iteration — the sparse payload a distributed replica
-	// would communicate, vs NumParams for a dense synchronization (§6).
+	// TouchedPerIter is the mean number of weight cells and biases the
+	// Adam step moved per iteration (§3.1's s² fraction of NumParams): of
+	// the local batch in a single-process run, of the merged batch in a
+	// sharded one.
 	TouchedPerIter float64
 	// ExchangeNS is the nanoseconds the training loop spent blocked on
 	// DeltaExchanger.Exchange — serialization, transport and the peer
@@ -269,9 +270,11 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 		if r.err != nil {
 			return false, fmt.Errorf("core: delta exchange at step %d: %w", p.step, r.err)
 		}
-		if _, err := n.ApplyDelta(r.merged, p.alpha, invB, workers); err != nil {
+		stepped, err := n.ApplyDelta(r.merged, p.alpha, invB, workers)
+		if err != nil {
 			return false, err
 		}
+		n.touchedWeights += stepped
 		return r.stopAll, nil
 	}
 
@@ -314,7 +317,6 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 			runPhase(phaseBackward, batch)
 			d := n.ExtractDelta(n.deltaScratch, workers)
 			n.deltaScratch = d
-			n.touchedWeights += d.Cells()
 			pend = launch(d, wantStop)
 		} else {
 			alpha := n.adam.Alpha(n.step + 1)
@@ -480,22 +482,24 @@ type exchangeResult struct {
 var testOverlapSyncJoin bool
 
 // exchangeAndApply is one sharded batch's update phase: extract the local
-// SparseDelta, exchange it for the group's merged delta, and apply the
-// merged step averaged over the global batch (BatchSize*Shards). The returned stopAll reports whether any shard
-// requested a coordinated stop this round.
+// records, exchange them for the group's merged delta, and fold the
+// merged step averaged over the global batch (BatchSize*Shards). The
+// returned stopAll reports whether any shard requested a coordinated stop
+// this round.
 func (n *Network) exchangeAndApply(ex DeltaExchanger, wantStop bool, alpha float32, batch int, tc TrainConfig, workers int, res *TrainResult) (bool, error) {
 	d := n.ExtractDelta(n.deltaScratch, workers)
 	n.deltaScratch = d
-	n.touchedWeights += d.Cells()
 	x0 := nowNano()
 	merged, stopAll, err := ex.Exchange(n.step, d, wantStop)
 	res.ExchangeNS += nowNano() - x0
 	if err != nil {
 		return false, fmt.Errorf("core: delta exchange at step %d: %w", n.step, err)
 	}
-	if _, err := n.ApplyDelta(merged, alpha, 1/float32(batch*tc.Shards), workers); err != nil {
+	stepped, err := n.ApplyDelta(merged, alpha, 1/float32(batch*tc.Shards), workers)
+	if err != nil {
 		return false, err
 	}
+	n.touchedWeights += stepped
 	return stopAll, nil
 }
 

@@ -128,8 +128,9 @@ func requireTrainState(t *testing.T, n *Network, want bool, colStampLayer int, w
 
 // TestLoadedNetworkHoldsNoTrainState: a loaded network holds weights,
 // biases and tables only, and its moments and fold scratch arrive with the
-// first entry that folds or steps a batch — Train, ExtractDelta or
-// ApplyDelta — but not with a delta ApplyDelta refuses.
+// first entry that folds or steps a batch — Train or ApplyDelta — but not
+// with ExtractDelta, which only copies records, nor with a delta
+// ApplyDelta refuses.
 func TestLoadedNetworkHoldsNoTrainState(t *testing.T) {
 	const classes = 128
 	ds := deltaTestDataset(t, classes)
@@ -147,21 +148,22 @@ func TestLoadedNetworkHoldsNoTrainState(t *testing.T) {
 		requireTrainState(t, fresh, false, stampLayer, "NewNetwork")
 
 		entries := []struct {
-			name string
-			run  func(n *Network) error
+			name  string
+			run   func(n *Network) error
+			state bool
 		}{
 			{"Train", func(n *Network) error {
 				_, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 1, Seed: 9})
 				return err
-			}},
+			}, true},
 			{"ExtractDelta", func(n *Network) error {
 				n.ExtractDelta(nil, 2)
 				return nil
-			}},
+			}, false},
 			{"ApplyDelta", func(n *Network) error {
 				_, err := n.ApplyDelta(&SparseDelta{Layers: make([]LayerDelta, n.NumLayers())}, n.adam.Alpha(1), 1, 2)
 				return err
-			}},
+			}, true},
 		}
 		for _, e := range entries {
 			t.Run(fmt.Sprintf("columnUnion=%v/%s", columnUnion, e.name), func(t *testing.T) {
@@ -170,16 +172,31 @@ func TestLoadedNetworkHoldsNoTrainState(t *testing.T) {
 				if err := e.run(n); err != nil {
 					t.Fatal(err)
 				}
-				requireTrainState(t, n, true, stampLayer, "after "+e.name)
+				requireTrainState(t, n, e.state, stampLayer, "after "+e.name)
 			})
 		}
 		t.Run(fmt.Sprintf("columnUnion=%v/refused ApplyDelta", columnUnion), func(t *testing.T) {
 			n := reload(t, src)
 			before := stateHash(n)
+			// One record, well-formed but for its feature past the input.
 			bad := &SparseDelta{Layers: make([]LayerDelta, n.NumLayers())}
-			bad.Layers[n.NumLayers()-1] = LayerDelta{Neurons: []int32{classes}, Bias: []float32{1}}
+			bad.Input.add([]int32{int32(n.cfg.InputDim)}, nil, []float32{1})
+			for li, l := range n.layers {
+				var delta, vals []float32
+				if !l.Sampled() {
+					delta = make([]float32, l.out)
+					if li < n.NumLayers()-1 {
+						vals = make([]float32, l.out)
+					}
+				}
+				bad.Layers[li].add(nil, delta, vals)
+			}
 			if _, err := n.ApplyDelta(bad, n.adam.Alpha(1), 1, 2); err == nil {
-				t.Fatal("ApplyDelta accepted a neuron out of range")
+				t.Fatal("ApplyDelta accepted a feature out of range")
+			}
+			bad.Input.IDs[0] = 0
+			if _, err := n.checkDelta(bad); err != nil {
+				t.Fatalf("the delta is malformed beyond its feature: %v", err)
 			}
 			if _, err := n.ApplyDelta(&SparseDelta{}, n.adam.Alpha(1), 1, 2); err == nil {
 				t.Fatal("ApplyDelta accepted a delta without layers")

@@ -22,11 +22,11 @@ func (c *captureLast) Exchange(_ int64, local *core.SparseDelta, stop bool) (*co
 // BenchmarkExchangeRound times one rank's data path through a two-rank
 // peer round at the benchmark's train_2shard shape (Delicious-200K at
 // 0.03: 23.5K features into 128 hidden units into 6.2K classes, batch 64
-// per rank), on two ranks' real deltas: rank 0 encodes its own delta,
-// decodes rank 1's frame (encoded beforehand, as rank 1 does beside it),
-// merges the two parts in rank order and applies the merge. Reports ns
-// and wire bytes (written plus read) per round and each stage's ns;
-// sockets are not included.
+// per rank), on two ranks' real records: rank 0 encodes its own, decodes
+// rank 1's frame (encoded beforehand, as rank 1 does beside it),
+// concatenates the two parts in rank order and folds all 128 records into
+// the Adam step. Reports ns and wire bytes (written plus read) per round
+// and each stage's ns; sockets are not included.
 func BenchmarkExchangeRound(b *testing.B) {
 	ds, err := dataset.Generate(dataset.Delicious200K(0.03, 1))
 	if err != nil {
@@ -71,7 +71,7 @@ func BenchmarkExchangeRound(b *testing.B) {
 	}
 	var own []byte
 	var peer, merged *core.SparseDelta
-	var stages [4]time.Duration // encode, decode, merge, apply
+	var stages [4]time.Duration // encode, decode, concatenate, fold+step
 	round := func() {
 		t0 := time.Now()
 		if own, err = codec.AppendDelta(own[:0], parts[0]); err != nil {
@@ -101,8 +101,7 @@ func BenchmarkExchangeRound(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
 	b.ReportMetric(float64(len(own)+len(peerFrame)), "bytes/round")
-	b.ReportMetric(float64(merged.Cells()), "cells/round")
-	for i, name := range []string{"encode", "decode", "merge", "apply"} {
+	for i, name := range []string{"encode", "decode", "concat", "fold+step"} {
 		b.ReportMetric(float64(stages[i].Nanoseconds())/float64(b.N), name+"-ns/round")
 	}
 }

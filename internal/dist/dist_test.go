@@ -307,8 +307,7 @@ func TestTCPShardedTrainingMatchesGolden(t *testing.T) {
 // exchanging ranks over many rounds of random deltas, verifying every
 // rank merges the identical payload each round. Run under -race in CI.
 func TestTCPExchangerRaceStress(t *testing.T) {
-	dims := [][2]int32{{64, 256}}
-	codec := testCodec(dims...)
+	codec := factorKinds
 	const shards = 3
 	const rounds = 40
 
@@ -336,7 +335,7 @@ func TestTCPExchangerRaceStress(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(rank) * 77))
 			for round := 0; round < rounds; round++ {
-				local := randomDelta(r, dims)
+				local := randomRecords(r, codec, 1+r.Intn(8))
 				merged, stopAll, err := exs[rank].Exchange(int64(round), local, false)
 				if err != nil {
 					t.Errorf("rank %d round %d: %v", rank, round, err)
@@ -373,8 +372,7 @@ func TestTCPExchangerRaceStress(t *testing.T) {
 // TestTCPHandshakeRejects: wrong shard counts, duplicate ranks and junk
 // connections are refused without killing the join phase.
 func TestTCPHandshakeRejects(t *testing.T) {
-	dims := [][2]int32{{8, 8}}
-	codec := testCodec(dims...)
+	codec := factorKinds
 	srv, err := ListenExchanger("127.0.0.1:0", 3, codec, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -414,6 +412,18 @@ func TestTCPHandshakeRejects(t *testing.T) {
 			t.Fatal("v3 handshake accepted")
 		}
 	})
+	// A rank built for codec v4 (row blocks) is refused, and the ack
+	// names the version the group speaks.
+	t.Run("codec v4", func(t *testing.T) {
+		conn, ack, err := rawJoin(addr, [4]byte{'S', 'D', '0' + tcpProtocol, '4'}, 1, 3, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close()
+		if ack[4] == 0 || ack[3] != '0'+codecVersion {
+			t.Fatalf("v4 handshake acked %q", ack)
+		}
+	})
 	// A rank built for the hub rounds, which shared this codec version but
 	// read rank 0's frame as the merged delta, is refused.
 	t.Run("hub protocol", func(t *testing.T) {
@@ -445,7 +455,7 @@ func TestTCPHandshakeRejects(t *testing.T) {
 	// With both valid peers joined, one exchange completes.
 	locals := make([]*core.SparseDelta, 3)
 	for i := range locals {
-		locals[i] = randomDelta(rand.New(rand.NewSource(int64(i))), dims)
+		locals[i] = randomRecords(rand.New(rand.NewSource(int64(i))), factorKinds, 4)
 	}
 	var wg sync.WaitGroup
 	exs := []core.DeltaExchanger{srv, c1, c2}
@@ -459,6 +469,31 @@ func TestTCPHandshakeRejects(t *testing.T) {
 		}(rank)
 	}
 	wg.Wait()
+}
+
+// TestDialNamesCodecVersion: a rank that dials a group speaking another
+// delta codec version is refused with an error naming both versions.
+func TestDialNamesCodecVersion(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var hello [16]byte
+		if _, err := io.ReadFull(conn, hello[:]); err == nil {
+			conn.Write([]byte{'S', 'D', '0' + tcpProtocol, '4', 1}) // a v4 rank 0 refusing
+		}
+	}()
+	_, err = DialExchanger(ln.Addr().String(), 1, 2, factorKinds, 7)
+	if err == nil || !strings.Contains(err.Error(), "codec v4") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", codecVersion)) {
+		t.Fatalf("dialing a v4 group: %v, want a refusal naming v4 and v%d", err, codecVersion)
+	}
 }
 
 // rawJoin dials addr and sends a handshake by hand, returning the open
@@ -517,8 +552,7 @@ func awaitGoroutines(t *testing.T, base int) {
 // group started has exited.
 func TestTCPPeerLossMidRound(t *testing.T) {
 	base := runtime.NumGoroutine()
-	dims := [][2]int32{{16, 64}}
-	codec := testCodec(dims...)
+	codec := factorKinds
 	srv, err := ListenExchanger("127.0.0.1:0", 3, codec, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +567,7 @@ func TestTCPPeerLossMidRound(t *testing.T) {
 		t.Fatalf("rank 2 join: ack %v, err %v", ack, err)
 	}
 
-	local := randomDelta(rand.New(rand.NewSource(4)), dims)
+	local := randomRecords(rand.New(rand.NewSource(4)), factorKinds, 4)
 	errs := make(chan error, 2)
 	go func() {
 		_, _, err := srv.Exchange(0, local, false)
@@ -567,8 +601,7 @@ func TestTCPPeerLossMidRound(t *testing.T) {
 // client's next round; no goroutine outlives the group.
 func TestTCPHubCloseFailsClients(t *testing.T) {
 	base := runtime.NumGoroutine()
-	dims := [][2]int32{{8, 8}}
-	codec := testCodec(dims...)
+	codec := factorKinds
 	srv, err := ListenExchanger("127.0.0.1:0", 2, codec, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -577,7 +610,7 @@ func TestTCPHubCloseFailsClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := randomDelta(rand.New(rand.NewSource(5)), dims)
+	local := randomRecords(rand.New(rand.NewSource(5)), factorKinds, 4)
 	errs := make(chan error, 1)
 	go func() {
 		_, _, err := cli.Exchange(0, local, false)
@@ -902,8 +935,7 @@ func TestShardTrainConfigDegenerate(t *testing.T) {
 // handshake must not stall legitimate ranks forever, and Close must cut
 // an in-flight join loose instead of deadlocking.
 func TestTCPSilentConnDoesNotBlockJoin(t *testing.T) {
-	dims := [][2]int32{{8, 8}}
-	codec := testCodec(dims...)
+	codec := factorKinds
 	srv, err := ListenExchanger("127.0.0.1:0", 2, codec, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -1007,10 +1039,9 @@ func TestTrainShardedFailedReplicaFailsGroup(t *testing.T) {
 // round — a rank driven off the shared schedule — fail that round on every
 // rank instead of merging parts of different steps.
 func TestTCPStepMismatchFailsRound(t *testing.T) {
-	dims := [][2]int32{{8, 8}}
-	codec := testCodec(dims...)
+	codec := factorKinds
 	exs := tcpGroup(t, 2, codec)
-	local := randomDelta(rand.New(rand.NewSource(2)), dims)
+	local := randomRecords(rand.New(rand.NewSource(2)), factorKinds, 4)
 	errs := make(chan error, 2)
 	for rank, ex := range exs {
 		go func() {

@@ -15,19 +15,19 @@ import (
 
 // shardedGoldens are FNV-64a hashes of rank 0's v2 model file (modelHash)
 // after goldenConfig's run, recorded on amd64 (see core's TestTrainingGoldenHash)
-// over the TCP peer round. They were first recorded over the in-process
-// barrier TrainSharded ran before it moved onto TCP, with TopK retrieval;
-// when TopK was deleted they were re-recorded with vanilla retrieval on
-// the tree before the deletion.
+// over the TCP peer round. They were re-recorded when the rounds began to
+// ship records instead of folded rows: every replica now folds all ranks'
+// records in one pass, so each cell's sum is one sequential pass over the
+// ranks' elements instead of a sum of per-rank sums.
 var shardedGoldens = []struct {
 	shards  int
 	overlap bool
 	want    uint64
 }{
-	{2, false, 0xdfcb76a8fd6f00de},
-	{2, true, 0x38f6a7aa913bd505},
-	{3, false, 0x1dcd16e5e6bab364},
-	{3, true, 0x7a66462e75a0953d},
+	{2, false, 0x08e5b91babb1a17e},
+	{2, true, 0xd86322155a7a00ac},
+	{3, false, 0x5df799887b52c7e4},
+	{3, true, 0x82ebc5550cf08295},
 }
 
 const goldenClasses, goldenIters = 128, 12
@@ -92,7 +92,7 @@ func modelHash(t *testing.T, net *core.Network) uint64 {
 
 // TestTrainShardedGoldenHash pins in-process sharded training to the
 // recorded hashes: 2 shards with and without the overlapped exchange, and
-// 3 shards, where three-part float sums pin the rank-order merge through
+// 3 shards, where the fold's order pins the rank-order merge through
 // rank 0's relaying. The thread budget may not move the bits: each case
 // runs at one and at two threads per rank, and every replica ends with
 // rank 0's weights and tables.

@@ -103,8 +103,8 @@ func encodedMerge(t *testing.T, codec *Codec, d *core.SparseDelta) string {
 }
 
 // TestTCPThreeShardTrainingMatchesGolden trains the golden 3-shard
-// workload over a TCP group wired by hand, with and without overlap.
-// Three-part float sums depend on their order, so the recorded hash on
+// workload over a TCP group wired by hand, with and without overlap. The
+// fold's float sums depend on the records' order, so the recorded hash on
 // every rank pins the rank-order merge through rank 0's forwarding of the
 // clients' frames.
 func TestTCPThreeShardTrainingMatchesGolden(t *testing.T) {
@@ -141,14 +141,17 @@ func TestTCPThreeShardTrainingMatchesGolden(t *testing.T) {
 // buffers, sent by every rank at once, complete a round at 2 and 3
 // shards, where a rank that wrote before reading would block forever.
 func TestTCPLargeFramesDoNotDeadlock(t *testing.T) {
-	const rows, width = 4096, 1024 // 16 MiB of nonzero fp32 per frame
-	codec := testCodec([2]int32{rows, width})
-	local := &core.SparseDelta{Layers: []core.LayerDelta{{Rows: make([]int32, rows), Vals: make([]float32, rows*width)}}}
-	for r := range local.Layers[0].Rows {
-		local.Layers[0].Rows[r] = int32(r)
+	const records, width = 2048, 1024 // 16 MiB of δ and activations per frame
+	codec := newCodec(16, []layerShape{{out: width, full: true, vals: true}, {out: 8}})
+	local := &core.SparseDelta{Layers: make([]core.LayerDelta, 2)}
+	vals := make([]float32, width)
+	for i := range vals {
+		vals[i] = float32(i%7 + 1)
 	}
-	for i := range local.Layers[0].Vals {
-		local.Layers[0].Vals[i] = float32(i%7 + 1)
+	for range records {
+		addRecord(&local.Input, nil, nil, nil)
+		addRecord(&local.Layers[0], nil, vals, vals)
+		addRecord(&local.Layers[1], nil, nil, nil)
 	}
 	if buf, err := codec.AppendDelta(nil, local); err != nil || len(buf) < 16<<20 {
 		t.Fatalf("frame of %d bytes is not large (%v)", len(buf), err)
@@ -168,8 +171,8 @@ func TestTCPLargeFramesDoNotDeadlock(t *testing.T) {
 					if rr.err != nil {
 						t.Fatalf("rank %d: %v", rank, rr.err)
 					}
-					if got := rr.merged.Layers[0].Vals[width+1]; got != float32(shards)*local.Layers[0].Vals[width+1] {
-						t.Fatalf("rank %d merged cell %v, want %d parts of %v", rank, got, shards, local.Layers[0].Vals[width+1])
+					if n, _ := rr.merged.Records(); n != shards*records || rr.merged.Layers[0].Vals[len(vals)*records+width-1] != vals[width-1] {
+						t.Fatalf("rank %d merged %d records, want %d copies of %d", rank, n, shards, records)
 					}
 				}
 			case <-time.After(10 * time.Second):
@@ -179,49 +182,59 @@ func TestTCPLargeFramesDoNotDeadlock(t *testing.T) {
 	}
 }
 
-// TestMergeOverflowRefusedEverywhere: two finite parts whose sum overflows
-// to ±Inf are refused by every rank at 2 and 3 shards, where each rank
-// merges for itself.
-func TestMergeOverflowRefusedEverywhere(t *testing.T) {
-	dims := [][2]int32{{8, 16}}
-	codec := testCodec(dims...)
-	part := func(v float32) *core.SparseDelta {
-		vals := make([]float32, 16)
-		vals[3] = v
-		return &core.SparseDelta{Layers: []core.LayerDelta{{Rows: []int32{2}, Vals: vals}}}
-	}
-	for _, tc := range []struct {
-		name   string
-		shards int
-		locals []*core.SparseDelta
-	}{
-		{"tcp2 +Inf", 2, []*core.SparseDelta{part(math.MaxFloat32), part(math.MaxFloat32)}},
-		{"tcp2 -Inf", 2, []*core.SparseDelta{part(-math.MaxFloat32), part(-math.MaxFloat32)}},
-		{"tcp3 +Inf", 3, []*core.SparseDelta{part(math.MaxFloat32), part(1), part(math.MaxFloat32)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			exs := tcpGroup(t, tc.shards, codec)
-			for rank, rr := range exchangeAll(exs, 0, tc.locals) {
-				if rr.err == nil || !strings.Contains(rr.err.Error(), "not finite") {
-					t.Fatalf("rank %d: merged %v, err %v; want the non-finite refusal", rank, rr.merged, rr.err)
-				}
+// TestNonFiniteFactorRefusedEverywhere: a rank whose own records carry a
+// NaN or ±Inf — its training diverged — ships them, and no rank applies
+// them, at 2 and 3 shards, wherever the bad rank sits: its peers'
+// DecodeDelta refuses its frame, and its own MergeDeltas, which takes its
+// part raw, refuses the merge (or it fails on the link its peers cut).
+func TestNonFiniteFactorRefusedEverywhere(t *testing.T) {
+	codec := factorKinds
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		for _, shards := range []int{2, 3} {
+			for badRank := range shards {
+				t.Run(fmt.Sprintf("%v/shards=%d/rank %d", bad, shards, badRank), func(t *testing.T) {
+					exs := tcpGroup(t, shards, codec)
+					locals := make([]*core.SparseDelta, shards)
+					for r := range locals {
+						locals[r] = randomRecords(rand.New(rand.NewSource(int64(r))), codec, 3)
+					}
+					locals[badRank].Layers[1].Delta[5] = bad
+					if _, err := core.MergeDeltas(nil, locals); err == nil || !strings.Contains(err.Error(), "not finite") {
+						t.Fatalf("MergeDeltas on the raw parts: %v, want the non-finite refusal", err)
+					}
+					if _, err := codec.DecodeDelta(nil, []byte(encodedMerge(t, codec, locals[badRank]))); err == nil || !strings.Contains(err.Error(), "layer 1: δ: non-finite") {
+						t.Fatalf("DecodeDelta of the bad part: %v, want the non-finite refusal", err)
+					}
+					res := exchangeAll(exs, 0, locals)
+					for rank, rr := range res {
+						if rr.err == nil {
+							t.Fatalf("rank %d applied a round whose rank %d part carries %v", rank, badRank, bad)
+						}
+					}
+					// With two ranks the peer reads nothing but the bad frame,
+					// so its refusal is the decode's. With three, a rank can
+					// instead fail first on a link the refusing rank has cut.
+					if peer := 1 - badRank; shards == 2 && !strings.Contains(res[peer].err.Error(), "non-finite") {
+						t.Fatalf("rank %d: %v, want the decode's non-finite refusal", peer, res[peer].err)
+					}
+				})
 			}
-		})
+		}
 	}
 }
 
-// TestTCPZeroAndEmptyDeltas: a round of all-empty deltas, and one of rows
-// and biases that are all zero, succeeds on every rank at 2 and 3 shards
-// with identical merges that carry no cell.
+// TestTCPZeroAndEmptyDeltas: a round of deltas without records, and one
+// of records whose δ are all zero, succeeds on every rank at 2 and 3
+// shards with identical merges of every rank's records.
 func TestTCPZeroAndEmptyDeltas(t *testing.T) {
-	dims := [][2]int32{{8, 16}, {4, 8}}
-	codec := testCodec(dims...)
-	empty := func() *core.SparseDelta { return &core.SparseDelta{Layers: make([]core.LayerDelta, 2)} }
+	codec := factorKinds
+	empty := func() *core.SparseDelta { return &core.SparseDelta{Layers: make([]core.LayerDelta, 3)} }
 	zero := func() *core.SparseDelta {
-		return &core.SparseDelta{Layers: []core.LayerDelta{
-			{Rows: []int32{1, 5}, Vals: make([]float32, 32), Neurons: []int32{0, 7}, Bias: []float32{0, float32(math.Copysign(0, -1))}},
-			{Rows: []int32{3}, Vals: make([]float32, 8), Neurons: []int32{2}, Bias: []float32{0}},
-		}}
+		d := randomRecords(rand.New(rand.NewSource(3)), codec, 2)
+		for li := range d.Layers {
+			clear(d.Layers[li].Delta)
+		}
+		return d
 	}
 	for _, shards := range []int{2, 3} {
 		for name, build := range map[string]func() *core.SparseDelta{"empty": empty, "zero": zero} {
@@ -231,14 +244,15 @@ func TestTCPZeroAndEmptyDeltas(t *testing.T) {
 				for r := range locals {
 					locals[r] = build()
 				}
+				want, _ := locals[0].Records()
 				for step := range int64(2) {
 					res := exchangeAll(exs, step, locals)
 					for rank, rr := range res {
 						if rr.err != nil || rr.stopAll {
 							t.Fatalf("step %d rank %d: stopAll %v, err %v", step, rank, rr.stopAll, rr.err)
 						}
-						if cells := rr.merged.Cells(); cells != 0 {
-							t.Fatalf("step %d rank %d: merged %d cells, want 0", step, rank, cells)
+						if n, _ := rr.merged.Records(); n != shards*want {
+							t.Fatalf("step %d rank %d: merged %d records, want %d", step, rank, n, shards*want)
 						}
 						if encodedMerge(t, codec, rr.merged) != encodedMerge(t, codec, res[0].merged) {
 							t.Fatalf("step %d rank %d: merged differs from rank 0's", step, rank)
@@ -251,12 +265,10 @@ func TestTCPZeroAndEmptyDeltas(t *testing.T) {
 }
 
 // TestRawLocalMergeMatchesDecoded: a rank merges its own delta raw and
-// its peers' decoded. For the codec property test's deltas — every row
-// kind, -0 cells, all-zero rows — plus cells where the two parts cancel
-// to zero, applying MergeDeltas(raw local, decoded peer) moves the
-// weights exactly as MergeDeltas(decoded local, decoded peer) does, from
-// either rank's side. The moments are compared through two further
-// steps over every cell, whose weight updates read them.
+// its peers' decoded. For random records of a real network — -0 and
+// zero values included — MergeDeltas(raw local, decoded peer) is
+// MergeDeltas(decoded local, decoded peer) byte for byte, from either
+// rank's side, and applying either moves the weights alike.
 func TestRawLocalMergeMatchesDecoded(t *testing.T) {
 	wide := core.Config{ // a sampled first layer: column-union rows
 		InputDim: testFeatureDim, Seed: 5, Adam: optim.NewAdam(1e-3),
@@ -278,46 +290,22 @@ func TestRawLocalMergeMatchesDecoded(t *testing.T) {
 			codec := NewCodec(base)
 			r := rand.New(rand.NewSource(41))
 			for trial := range 40 {
-				local := randomRows(r, codec.shapes, map[int]bool{0: cfg.Layers[0].Sampled})
-				peer := randomRows(r, codec.shapes, map[int]bool{0: cfg.Layers[0].Sampled})
-				cancelSomeCells(r, local, peer)
+				local, peer := randomRecords(r, codec, 1+r.Intn(6)), randomRecords(r, codec, r.Intn(6))
 				decLocal, decPeer := roundTrip(t, codec, local), roundTrip(t, codec, peer)
 				for side, order := range [][2]int{{0, 1}, {1, 0}} {
 					raw := [2]*core.SparseDelta{local, decPeer}
 					dec := [2]*core.SparseDelta{decLocal, decPeer}
+					mRaw, errRaw := core.MergeDeltas(nil, []*core.SparseDelta{raw[order[0]], raw[order[1]]})
+					mDec, errDec := core.MergeDeltas(nil, []*core.SparseDelta{dec[order[0]], dec[order[1]]})
+					if errRaw != nil || errDec != nil || encodedMerge(t, codec, mRaw) != encodedMerge(t, codec, mDec) {
+						t.Fatalf("trial %d, local at rank %d: raw and decoded merges differ (%v, %v)", trial, side, errRaw, errDec)
+					}
 					got := stepClone(t, cfg, base, []*core.SparseDelta{raw[order[0]], raw[order[1]]})
 					want := stepClone(t, cfg, base, []*core.SparseDelta{dec[order[0]], dec[order[1]]})
 					requireNetsBitIdentical(t, got, want, fmt.Sprintf("trial %d, local at rank %d", trial, side))
 				}
 			}
 		})
-	}
-}
-
-// cancelSomeCells makes some of peer's cells the negation of local's
-// where both carry the same row and column, so the pair sums to zero.
-func cancelSomeCells(r *rand.Rand, local, peer *core.SparseDelta) {
-	for li := range local.Layers {
-		a, b := &local.Layers[li], &peer.Layers[li]
-		if (a.Cols == nil) != (b.Cols == nil) || len(a.Cols) != len(b.Cols) {
-			continue
-		}
-		copy(b.Cols, a.Cols) // same column set, so cells line up
-		w := len(a.Cols)
-		if a.Cols == nil && len(a.Rows) > 0 {
-			w = len(a.Vals) / len(a.Rows)
-		}
-		for i, row := range a.Rows {
-			for k, prow := range b.Rows {
-				if prow == row {
-					for c := range w {
-						if r.Intn(3) == 0 {
-							b.Vals[k*w+c] = -a.Vals[i*w+c]
-						}
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -335,9 +323,8 @@ func roundTrip(t *testing.T, codec *Codec, d *core.SparseDelta) *core.SparseDelt
 	return out
 }
 
-// stepClone copies base's weights into a fresh network of cfg, applies the
-// merge of parts, and then two steps over every cell — whose updates read
-// the moments the merge left — and returns it.
+// stepClone builds a fresh network of cfg, which must match base, applies
+// the merge of parts and returns it.
 func stepClone(t *testing.T, cfg core.Config, base *core.Network, parts []*core.SparseDelta) *core.Network {
 	t.Helper()
 	net, err := core.NewNetwork(cfg)
@@ -349,29 +336,8 @@ func stepClone(t *testing.T, cfg core.Config, base *core.Network, parts []*core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	alpha := cfg.Adam.Alpha(1)
-	if _, err := net.ApplyDelta(merged, alpha, 0.5, 1); err != nil {
+	if _, err := net.ApplyDelta(merged, cfg.Adam.Alpha(1), 0.5, 1); err != nil {
 		t.Fatal(err)
-	}
-	for step, g := range []float32{1, -0.25} {
-		full := &core.SparseDelta{Layers: make([]core.LayerDelta, net.NumLayers())}
-		for li := range full.Layers {
-			rows, width := net.Layer(li).StorageShape()
-			ld := &full.Layers[li]
-			for row := range rows {
-				ld.Rows = append(ld.Rows, int32(row))
-			}
-			for range rows * width {
-				ld.Vals = append(ld.Vals, g)
-			}
-			for j := range net.Layer(li).Out() {
-				ld.Neurons = append(ld.Neurons, int32(j))
-				ld.Bias = append(ld.Bias, g)
-			}
-		}
-		if _, err := net.ApplyDelta(full, cfg.Adam.Alpha(int64(step+2)), 1, 1); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return net
 }

@@ -15,14 +15,14 @@ import (
 )
 
 // The TCP transport runs peer rounds over one listener (rank 0 listens,
-// ranks 1..N-1 dial in). Each round every rank encodes its delta once,
+// ranks 1..N-1 dial in). Each round every rank encodes its records once,
 // sends that frame to every peer while reading every peer's, decodes
-// theirs and merges all N parts itself in rank order, its own at its own
-// rank. The codec is exact fp32, so every rank applies bit-identical
-// weights, after one encode, one concurrent swap, the decodes and the
-// merge. Rank 0 also forwards each client's frame verbatim, in rank order,
-// to the other clients. ExchangeStats counts the bytes this rank wrote to
-// and read from its sockets.
+// theirs and concatenates all N parts itself in rank order, its own at its
+// own rank. The codec is exact fp32, so every rank folds the same records
+// into bit-identical weights, after one encode, one concurrent swap, the
+// decodes and the concatenation. Rank 0 also forwards each client's frame
+// verbatim, in rank order, to the other clients. ExchangeStats counts the
+// bytes this rank wrote to and read from its sockets.
 //
 // Handshake (client → server): magic[4] | rank u16 | shards u16 |
 // digest u64. Server ack: magic[4] | status u8 (0 = ok).
@@ -204,8 +204,9 @@ func (pr *peerRound) send(l *link, step int64, stop bool) (int, error) {
 }
 
 // merge ends a round: a failed or out-of-step peer frame, else a failed
-// send, fails it; otherwise the stop flags are ORed, all parts merged in
-// rank order (local at this rank's index) and the bytes counted.
+// send, fails it; otherwise the stop flags are ORed, all parts
+// concatenated in rank order (local at this rank's index) and the bytes
+// counted.
 func (pr *peerRound) merge(links []*link, step int64, local *core.SparseDelta, stop bool) (*core.SparseDelta, bool, error) {
 	stopAll, in := stop, int64(0)
 	for r := range pr.frames {
@@ -487,6 +488,10 @@ func DialExchanger(addr string, rank, shards int, codec *Codec, digest uint64) (
 		return nil, fmt.Errorf("dist: rank %d handshake got no ack (group already full, or wrong address?): %w", rank, err)
 	}
 	conn.SetDeadline(time.Time{})
+	if ack[3] != tcpMagic[3] {
+		conn.Close()
+		return nil, fmt.Errorf("dist: server at %s speaks delta codec v%c, rank %d speaks v%d", addr, ack[3], rank, codecVersion)
+	}
 	if [4]byte(ack[:4]) != tcpMagic || ack[4] != 0 {
 		conn.Close()
 		return nil, fmt.Errorf("dist: server at %s rejected rank %d/%d handshake (duplicate rank, or mismatched -shards/batch/iterations/seed/model settings?)", addr, rank, shards)

@@ -59,13 +59,4 @@ func signedSumsAVX2(x *float32, ent *uint32, steps, groups int, dst *float32)
 func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32)
 
 //go:noescape
-func packAVX2(dst, mask *byte, x *float32, blocks int, perm *[256][8]uint32) (n int)
-
-//go:noescape
-func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]uint32) (done, n int, nonFinite bool)
-
-//go:noescape
-func countAVX2(x *float32, blocks int) (n int)
-
-//go:noescape
 func finiteAVX2(x *float32, blocks int) (ok bool)

@@ -1,7 +1,7 @@
 // AVX2 kernels. Every kernel works on whole 8-cell blocks (or 8-function
 // lane groups) with unaligned loads and performs, per lane, exactly the
 // float32 operations of its Go reference in vecmath.go / adam.go /
-// lanes.go in the same order — separate multiply and add, never FMA — so
+// lanes.go / finite.go in the same order — separate multiply and add, never FMA — so
 // results are bit-identical. The Go wrappers own argument checks, the
 // n mod 8 tail and the per-call size bound.
 
@@ -425,126 +425,6 @@ argmax_step:
 	DECQ       CX
 	JNZ        argmax_group
 	VZEROUPPER
-	RET
-
-// func packAVX2(dst, mask *byte, x *float32, blocks int, perm *[256][8]uint32) (n int)
-// packGo over blocks*8 cells: per block, the lanes whose bits without the
-// sign are nonzero make the mask byte, VPERMD by perm moves those lanes in
-// order to the front, the whole block is stored at dst, and dst advances
-// past the nonzero lanes only. Returns the bytes of dst advanced over; the
-// last store reaches 32 bytes past its start.
-TEXT ·packAVX2(SB), NOSPLIT, $0-48
-	MOVQ  dst+0(FP), DI
-	MOVQ  mask+8(FP), SI
-	MOVQ  x+16(FP), DX
-	MOVQ  blocks+24(FP), CX
-	MOVQ  perm+32(FP), R8
-	MOVQ  DI, R9
-	VPXOR Y15, Y15, Y15
-
-pack_block:
-	VMOVDQU   (DX), Y0
-	VPSLLD    $1, Y0, Y1
-	VPCMPEQD  Y15, Y1, Y1 // ±0 lanes
-	VMOVMSKPS Y1, AX
-	XORL      $0xff, AX   // nonzero lanes
-	MOVB      AX, (SI)
-	MOVQ      AX, BX
-	SHLQ      $5, BX
-	VMOVDQU   (R8)(BX*1), Y2
-	VPERMD    Y0, Y2, Y3
-	VMOVDQU   Y3, (DI)
-	POPCNTL   AX, AX
-	LEAQ      (DI)(AX*4), DI
-	ADDQ      $32, DX
-	INCQ      SI
-	DECQ      CX
-	JNZ       pack_block
-	VZEROUPPER
-	SUBQ      R9, DI
-	MOVQ      DI, n+40(FP)
-	RET
-
-// func unpackAVX2(x *float32, mask, src *byte, blocks, srcLen int, perm *[256][8]uint32) (done, n int, nonFinite bool)
-// unpackGo over up to blocks*8 cells, a block at a time while src holds 32
-// bytes from its current position: VPERMD by perm spreads the next values
-// over the block's lanes, the lanes whose mask bit is clear are zeroed, and
-// src advances past the values used. A lane whose exponent is all ones
-// (NaN, ±Inf) sets nonFinite. Returns the blocks done and the bytes of src
-// read.
-TEXT ·unpackAVX2(SB), NOSPLIT, $0-65
-	MOVQ         x+0(FP), DI
-	MOVQ         mask+8(FP), SI
-	MOVQ         src+16(FP), DX
-	MOVQ         blocks+24(FP), CX
-	MOVQ         srcLen+32(FP), R10
-	MOVQ         perm+40(FP), R8
-	MOVQ         DX, R9
-	LEAQ         -32(DX)(R10*1), R10 // last start of a whole-block load
-	XORQ         R11, R11
-	MOVQ         $0x8040201008040201, AX
-	VMOVQ        AX, X14
-	VPMOVZXBD    X14, Y14            // lane t: 1<<t
-	MOVL         $0x7f800000, AX
-	VMOVD        AX, X13
-	VPBROADCASTD X13, Y13            // the exponent field
-	VPXOR        Y12, Y12, Y12       // lanes that held a non-finite value
-
-unpack_block:
-	CMPQ         R11, CX
-	JGE          unpack_done
-	CMPQ         DX, R10
-	JGT          unpack_done
-	MOVBLZX      (SI)(R11*1), AX
-	VMOVD        AX, X1
-	VPBROADCASTD X1, Y1
-	VPAND        Y14, Y1, Y1
-	VPCMPEQD     Y14, Y1, Y1         // lanes whose bit is set
-	MOVQ         AX, BX
-	SHLQ         $5, BX
-	VMOVDQU      (R8)(BX*1), Y2
-	VPERMD       (DX), Y2, Y3
-	VPAND        Y1, Y3, Y3
-	VMOVDQU      Y3, (DI)
-	VPAND        Y13, Y3, Y4
-	VPCMPEQD     Y13, Y4, Y4         // exponent all ones
-	VPOR         Y4, Y12, Y12
-	POPCNTL      AX, AX
-	LEAQ         (DX)(AX*4), DX
-	ADDQ         $32, DI
-	INCQ         R11
-	JMP          unpack_block
-
-unpack_done:
-	VPTEST       Y12, Y12
-	SETNE        nonFinite+64(FP)
-	VZEROUPPER
-	MOVQ         R11, done+48(FP)
-	SUBQ         R9, DX
-	MOVQ         DX, n+56(FP)
-	RET
-
-// func countAVX2(x *float32, blocks int) (n int)
-// The number of cells of blocks*8 that are not ±0.
-TEXT ·countAVX2(SB), NOSPLIT, $0-24
-	MOVQ  x+0(FP), DX
-	MOVQ  blocks+8(FP), CX
-	MOVQ  CX, R9
-	SHLQ  $3, R9         // cells, less the zeros found below
-	VPXOR Y15, Y15, Y15
-
-count_block:
-	VMOVDQU   (DX), Y0
-	VPSLLD    $1, Y0, Y0
-	VPCMPEQD  Y15, Y0, Y0 // ±0 lanes
-	VMOVMSKPS Y0, AX
-	POPCNTL   AX, AX
-	SUBQ      AX, R9
-	ADDQ      $32, DX
-	DECQ      CX
-	JNZ       count_block
-	VZEROUPPER
-	MOVQ      R9, n+16(FP)
 	RET
 
 // func finiteAVX2(x *float32, blocks int) (ok bool)

@@ -109,27 +109,27 @@ type (
 type Adam = optim.Adam
 
 // SparseDelta is one batch's gradient in explicit sparse form (§3.1's s²
-// fraction, §6's distributed exchange payload). LayerDelta is one layer's
-// slice of it, in the layer's storage orientation: the touched storage
-// rows — inputs on an unsampled first layer, which stores its weights
-// input-major, neurons elsewhere — each a dense vector of raw gradient sums
-// over the layer's columns, plus the touched neurons' bias gradients. Zero
-// means no gradient: a zero cell or bias is never stepped.
-// Network.ExtractDelta produces it at a batch boundary and
-// Network.ApplyDelta consumes it; repro/dist merges and ships it between
-// data-parallel replicas.
+// fraction, §6's distributed exchange payload): the batch's records, each
+// element's sufficient factors — its features and, per layer, its active
+// ids, δ and activations — from which the weight gradient is a sum of one
+// rank-one product per element. LayerDelta is one layer's factors for
+// every record. Network.ExtractDelta copies a batch's records into it at a
+// batch boundary and Network.ApplyDelta folds them into one Adam step;
+// repro/dist ships and merges it between data-parallel replicas.
 type (
 	SparseDelta = core.SparseDelta
 	LayerDelta  = core.LayerDelta
 )
 
 // DeltaExchanger merges one replica's per-batch SparseDelta with its
-// peers' (TrainConfig.Exchanger); repro/dist provides the in-process
-// all-reduce and TCP implementations.
+// peers' (TrainConfig.Exchanger); repro/dist provides the TCP
+// implementation.
 type DeltaExchanger = core.DeltaExchanger
 
-// MergeDeltas sums deltas row by row in part order into dst (reused when
-// non-nil) — the deterministic merge data-parallel replicas apply.
+// MergeDeltas concatenates deltas' records in part order into dst (reused
+// when non-nil), refusing a non-finite factor — the deterministic merge
+// data-parallel replicas fold, which steps exactly as one process would on
+// the combined batch.
 func MergeDeltas(dst *SparseDelta, parts []*SparseDelta) (*SparseDelta, error) {
 	return core.MergeDeltas(dst, parts)
 }
