@@ -248,11 +248,10 @@ func BenchmarkTable3Insertion(b *testing.B) {
 
 // BenchmarkRebuildStall measures how long the training loop is blocked
 // per hash-table rebuild (§4.2 "Updating Overhead"): each rebuild builds a
-// shadow set on a background goroutine from a batch-boundary snapshot and
-// is published a fixed lag later, so the loop blocks for the snapshot
-// copy, the atomic swap, and whatever of the build outlasts the lag.
-// stall-ns/rebuild is that blocking; build-ns/rebuild is the whole build,
-// most of it overlapped with training batches.
+// shadow set from the live weights at its kick, on the training workers
+// while no batch runs, and is published a fixed lag later by one atomic
+// swap. stall-ns/rebuild is that blocking and build-ns/rebuild the build
+// inside it: the two read the same.
 func BenchmarkRebuildStall(b *testing.B) {
 	ds := getBenchDS(b)
 	var stallNS, buildNS, rebuilds int64

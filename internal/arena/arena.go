@@ -1,12 +1,20 @@
 // Package arena provides a slab allocator for float32 parameter state.
 //
-// It is the repository's analogue of the paper's Transparent Hugepages
-// optimization (§5.4, App. D, Table 4): instead of one small heap object
-// per neuron (many pages, many pointer targets, TLB/GC pressure), an Arena
-// packs a network's weights and biases into a handful of large contiguous
-// slabs and hands out row views over them. A network that trains takes
-// its optimizer moments from a second arena at its first step, so a
-// network that only serves never allocates them.
+// Instead of one small heap object per neuron (many pointer targets, rows
+// scattered over the heap), an Arena packs a network's weights and biases
+// into a handful of large contiguous, cache-line-aligned slabs and hands
+// out row views over them: the GC has few objects to track and none to
+// scan, rows owned by different writers never share a cache line, and a
+// layer's rows sit back to back. A network that trains takes its
+// optimizer moments from a second arena at its first step, so a network
+// that only serves never allocates them.
+//
+// It is not the paper's Transparent Hugepages optimization (§5.4, App. D,
+// Table 4). A slab is ordinary heap memory in 4 KiB pages: nothing here
+// asks the kernel for huge pages, so where THP is set to madvise — the
+// common default — a training process holds no huge pages at all
+// (AnonHugePages 0 kB), and where it is set to always, the kernel may
+// back slabs with them whatever this package does.
 //
 // Slabs are ordinary pointer-free Go heap allocations: the garbage
 // collector reclaims them with the last slice carved from them, so an

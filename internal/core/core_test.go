@@ -265,7 +265,7 @@ func TestRebuildScheduleExponential(t *testing.T) {
 			gen = n.rebuildGen
 		}
 	}
-	n.finishPendingRebuild()
+	n.publishPending()
 	if !slices.Equal(kicks, wantKicks) || !slices.Equal(publishes, wantPublishes) {
 		t.Fatalf("kicked at %v and published at %v, want %v and %v", kicks, publishes, wantKicks, wantPublishes)
 	}

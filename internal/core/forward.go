@@ -79,9 +79,10 @@ func (n *Network) selectActive(st *elemState, ls *layerState, li int, inIds []in
 		// sparse vector as they stand.
 		l.fam.HashSparse(sparse.Vector{Dim: l.in, Idx: inIds, Val: inVals}, codes)
 	}
-	// Load the layer's current table set once per query: a background
-	// rebuild may publish a new generation mid-pass, but this query
-	// completes coherently on whichever set it loaded.
+	// Load the layer's current table set once per query: a rebuild may
+	// publish a new generation mid-pass (a Predictor runs beside
+	// training), but this query completes coherently on whichever set it
+	// loaded.
 	st.sampleBuf = st.strategies[li].Sample(st.sampleBuf[:0], l.tables.Load(), codes)
 	ls.reset(false, len(st.sampleBuf)+len(labels))
 	picked := 0

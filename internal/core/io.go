@@ -74,7 +74,7 @@ var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // SaveModel can be turned back into a working network with LoadModel
 // alone — the handoff format between training (slide-train -save) and
 // serving (slide-serve -model). It leaves the network as it was: its
-// published tables, any pending rebuild and the rebuild bookkeeping.
+// published tables, any held rebuild and the rebuild bookkeeping.
 func (n *Network) SaveModel(w io.Writer) error {
 	cfgJSON, err := json.Marshal(n.cfg)
 	if err != nil {
@@ -382,7 +382,7 @@ func (l *Layer) encode(bw *bufio.Writer, s layerSections) {
 	bw.Write(zeroPad[:s.b.at-s.w.end])
 	writeFloats(bw, l.b[:l.out])
 	if l.Sampled() {
-		tables, _, _ := l.build(1, nil, defaultThreads(), nil, nil)
+		tables, _ := l.build(1, defaultThreads(), nil)
 		bw.Write(zeroPad[:s.offs.at-s.b.end])
 		tables.EncodeOffsets(bw)
 		bw.Write(zeroPad[:s.ids.at-s.offs.end])

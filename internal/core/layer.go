@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/hashtable"
@@ -36,15 +35,17 @@ type Layer struct {
 	out int // neuron count
 	cfg LayerConfig
 
-	// w holds the weights in the layer's orientation, rows viewing the
-	// network arena's contiguous slabs — or on a loaded network its model
-	// file's weights section — and mW/vW the Adam moments, rows of the
-	// same shape viewing the training arena's (nil until the first step).
-	// A batch's gradient is replayed from the batch records row by row at
-	// the boundary (fold.go), never stored here.
-	w  [][]float32
-	mW [][]float32
-	vW [][]float32
+	// flat holds the weights in the layer's orientation and storage order,
+	// one contiguous slice of the network arena — or on a loaded network
+	// its model file's weights section — and w its rows; mW/vW are the
+	// Adam moments, rows of the same shape viewing the training arena's
+	// (nil until the first step). A batch's gradient is replayed from the
+	// batch records row by row at the boundary (fold.go), never stored
+	// here.
+	flat []float32
+	w    [][]float32
+	mW   [][]float32
+	vW   [][]float32
 	// inputMajor selects the orientation; inputCols is then the weights as
 	// the scatter kernel's operand (w's rows are its columns), nil
 	// otherwise.
@@ -83,28 +84,15 @@ type Layer struct {
 	fam    lsh.Family
 	tables *hashtable.Handle
 
-	// snapBuf is the out*in weight snapshot a detached (background)
-	// rebuild hashes from, allocated by the first one and reused: at most
-	// one rebuild is in flight per network (the train loop owns the
-	// pending build), so the buffer is free by the time the next prepare
-	// runs. It trades one resident weight copy per training sampled layer
-	// for not allocating out*in floats of garbage on every rebuild; a
-	// process that only loads and serves never allocates it.
-	snapBuf []float32
-
-	// stageBuf and codesBuf are the build's per-chunk scratch — the live
-	// rows of one chunk staged contiguously for the block hash kernel
-	// (inline builds only), and that chunk's codes — reused across
-	// generations under the same one-rebuild-in-flight guarantee. A layer
-	// with no training state (mW nil) drops them after each build: outside
-	// training, builds are one-offs (a loaded network builds none; its
-	// tables come from the file, and SaveModel builds over scratch of its
-	// own).
-	stageBuf []float32
+	// codesBuf is the build's per-chunk code matrix, reused across
+	// generations: builds run one at a time, on the goroutine that owns the
+	// layer. A layer with no training state (mW nil) drops it after each
+	// build: outside training, builds are one-offs (a loaded network builds
+	// none; its tables come from the file, and SaveModel builds over
+	// scratch of its own).
 	codesBuf []uint32
 
-	// rowsHashed counts the rows this layer's builds hashed, accumulated
-	// atomically because shadow builds run on a background goroutine
+	// rowsHashed counts the rows this layer's builds hashed
 	// (TrainResult.RowsRehashed surfaces it).
 	rowsHashed int64
 }
@@ -115,25 +103,19 @@ type Layer struct {
 func newLayer(idx, in int, cfg LayerConfig, ar *arena.Arena, v *layerViews, seed uint64) (*Layer, error) {
 	l := &Layer{idx: idx, in: in, out: cfg.Size, cfg: cfg, inputMajor: idx == 0 && !cfg.Sampled}
 	rows, width := l.StorageShape()
-	var flat []float32 // the weights in storage order, when one slice holds them
-	switch {
-	case v != nil:
-		flat, l.b = v.w, v.b
-	case l.inputMajor:
-		flat, l.b = ar.AllocAligned(rows*width), ar.AllocAligned(l.out)
-	default:
-		l.w, l.b = ar.AllocRows(rows, width), ar.AllocAligned(l.out)
+	if v != nil {
+		l.flat, l.b = v.w, v.b
+	} else {
+		l.flat, l.b = ar.AllocAligned(rows*width), ar.AllocAligned(l.out)
 	}
-	if flat != nil {
-		l.w = make([][]float32, rows)
-		for r := range l.w {
-			l.w[r] = flat[r*width : (r+1)*width : (r+1)*width]
-		}
+	l.w = make([][]float32, rows)
+	for r := range l.w {
+		l.w[r] = l.flat[r*width : (r+1)*width : (r+1)*width]
 	}
 	if l.inputMajor {
 		// w's rows are the mirror's columns: one input's weights to every
 		// neuron, contiguous.
-		l.inputCols = kernels.MirrorOver(l.in, l.out, flat)
+		l.inputCols = kernels.MirrorOver(l.in, l.out, l.flat)
 	}
 
 	if cfg.Sampled {
@@ -197,9 +179,8 @@ func (l *Layer) Out() int { return l.out }
 func (l *Layer) Sampled() bool { return l.tables != nil }
 
 // Tables exposes the layer's current hash table set (nil for dense
-// layers), for diagnostics and experiments. During a background rebuild
-// the returned set is the last published one; it stays valid after a
-// swap.
+// layers), for diagnostics and experiments: the last published one,
+// which stays valid after a later publish.
 func (l *Layer) Tables() *hashtable.Table {
 	if l.tables == nil {
 		return nil
@@ -227,108 +208,63 @@ func (l *Layer) Weights(j int) []float32 {
 func (l *Layer) Bias(j int) float32 { return l.b[j] }
 
 // rebuildChunk caps the neurons hashed per parallel rebuild chunk, which
-// bounds the chunk's code matrix at rebuildChunk*K*L*4 bytes;
-// rebuildStageFloats caps the chunk's staged weight rows (2 MB: a full
-// chunk at the paper architecture's 128-wide fan-in, fewer rows per chunk
-// on wider layers).
-const (
-	rebuildChunk       = 4096
-	rebuildStageFloats = rebuildChunk * 128
-)
+// bounds the chunk's code matrix at rebuildChunk*K*L*4 bytes.
+const rebuildChunk = 4096
 
-// Table lifecycle (§4.2 "Updating Overhead", made non-blocking): a
-// rebuild never mutates the live table set. Every build — construction,
-// restore, RebuildTables, the scheduled inline and background rebuilds —
-// runs the same three steps. (1) Prepare, detached builds only: copy the
-// weight rows into snapBuf at a batch boundary. (2) Build: chunk by
-// chunk, block-hash the rows (lsh.Family.HashDenseRows) and write their
-// bucket addresses into a detached generation-seeded shadow set,
-// row-parallel; then place every table's ids, table-parallel. (3)
-// Publish the shadow with one atomic handle store. Only step (1) has to
-// run while training is quiesced; steps (2)-(3) are safe concurrently
-// with training batches (and their boundary weight steps) and with live
-// Predictor traffic, which is what lets Network overlap the expensive
-// build with training.
+// Table lifecycle (§4.2 "Updating Overhead"): a rebuild never mutates the
+// live table set. Every build — construction, restore, RebuildTables,
+// SaveModel's, the scheduled rebuilds — runs the same two steps from the
+// live weight rows, on the goroutine that owns the network, while no
+// batch is stepping them. (1) Build: chunk by chunk, block-hash the rows
+// (lsh.Family.HashDenseRows) straight from the contiguous weights and
+// write their bucket addresses into a detached generation-seeded shadow
+// set, row-parallel; then place every table's ids, table-parallel. (2)
+// Publish the shadow with one atomic handle store. Forward passes and
+// Predictor queries stay valid across a publish on whichever set they
+// loaded. A scheduled rebuild builds at its kick and holds the built set
+// until its publish step (Network.rebuildTick), so training keeps running
+// on the previous set for a few batches, as §4.2's schedule assumes.
 //
 // There is no incremental re-hash (§4.2 trick 3): one batch touches about
 // batch×β output rows and rebuilds are at least RebuildN0 batches apart,
 // so every row has drifted by the next rebuild — see README "Hash &
 // retrieval path" for the measurements.
 
-// snapshotRows is the prepare step: it copies every neuron's weight row
-// into the layer's flat out*in snapshot buffer, parallelized across
-// workers. It must run at a batch boundary (training workers quiesced):
-// the copy is then the only part of an asynchronous rebuild that reads
-// live weights, which keeps the detached build race-free against the
-// weight steps by construction — and it is the only synchronous cost the async
-// lifecycle leaves in the training loop, so it is one parallel pass with a
-// single join and no steady-state allocation.
-func (l *Layer) snapshotRows(workers int) []float32 {
-	if l.snapBuf == nil {
-		l.snapBuf = make([]float32, l.out*l.in)
-	}
-	snap := l.snapBuf
-	parallelIndexed(workers, l.out, func(_, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			copy(snap[j*l.in:(j+1)*l.in], l.w[j])
-		}
-	})
-	return snap
-}
-
-// buildShadow constructs the generation-gen shadow table set without
-// publishing it. Rows come from snap (a snapshotRows result) when non-nil:
-// the build then touches no live training state and may run on a
-// background goroutine while training and inference continue on the
-// published set. With snap nil the weights must be quiesced, and each
-// worker stages its share of the chunk's live rows into stageBuf for the
-// block kernel. A row's codes are a pure function of the row and the
-// build a pure function of the codes, so both sources build the same
-// tables. Hashing and addressing parallelize over neurons, each worker
-// addressing its rows while their codes are still in cache, and placement
-// over tables: the two lock-free axes §3.1 identifies.
-func (l *Layer) buildShadow(gen uint64, snap []float32, workers int) *hashtable.Table {
+// buildShadow constructs the generation-gen shadow table set from the
+// live rows without publishing it; the weights must be quiesced. A row's
+// codes are a pure function of the row and the build a pure function of
+// the codes, so the tables do not depend on workers. Hashing and
+// addressing parallelize over neurons, each worker addressing its rows
+// while their codes are still in cache, and placement over tables: the
+// two lock-free axes §3.1 identifies.
+func (l *Layer) buildShadow(gen uint64, workers int) *hashtable.Table {
 	var shadow *hashtable.Table
-	shadow, l.codesBuf, l.stageBuf = l.build(gen, snap, workers, l.codesBuf, l.stageBuf)
+	shadow, l.codesBuf = l.build(gen, workers, l.codesBuf)
 	if l.mW == nil {
-		l.stageBuf, l.codesBuf = nil, nil
+		l.codesBuf = nil
 	}
-	atomic.AddInt64(&l.rowsHashed, int64(l.out))
+	l.rowsHashed += int64(l.out)
 	return shadow
 }
 
-// build is buildShadow's pipeline over caller-owned scratch: codes and,
-// for a build from the live rows (snap nil), stage, each grown to a chunk
-// when shorter and returned for reuse. It counts nothing and touches
-// nothing of the layer but its reads of the weights and the published
-// set's configuration.
-func (l *Layer) build(gen uint64, snap []float32, workers int, codes []uint32, stage []float32) (*hashtable.Table, []uint32, []float32) {
+// build is buildShadow's pipeline over caller-owned code scratch, grown
+// to a chunk when shorter and returned for reuse. It counts nothing and
+// touches nothing of the layer but its reads of the weights and the
+// published set's configuration.
+func (l *Layer) build(gen uint64, workers int, codes []uint32) (*hashtable.Table, []uint32) {
 	shadow := l.tables.Load().Shadow(gen)
 	shadow.Begin(l.out)
 	nf := l.fam.NumFuncs()
-	chunk := max(1, min(rebuildChunk, rebuildStageFloats/l.in))
-	if len(codes) < chunk*nf {
-		codes = make([]uint32, chunk*nf)
+	if len(codes) < rebuildChunk*nf {
+		codes = make([]uint32, rebuildChunk*nf)
 	}
-	if snap == nil && len(stage) < chunk*l.in {
-		stage = make([]float32, chunk*l.in)
-	}
-	for base := 0; base < l.out; base += chunk {
-		n := min(chunk, l.out-base)
+	for base := 0; base < l.out; base += rebuildChunk {
+		n := min(rebuildChunk, l.out-base)
 		parallelIndexed(workers, n, func(_, lo, hi int) {
-			var block []float32
-			if snap != nil {
-				block = snap[(base+lo)*l.in : (base+hi)*l.in]
-			} else {
-				block = stage[lo*l.in : hi*l.in]
-				for r := lo; r < hi; r++ {
-					copy(block[(r-lo)*l.in:], l.w[base+r])
-				}
-			}
-			l.fam.HashDenseRows(block, hi-lo, codes[lo*nf:hi*nf])
+			l.fam.HashDenseRows(l.flat[(base+lo)*l.in:(base+hi)*l.in], hi-lo, codes[lo*nf:hi*nf])
 			shadow.AddressRows(base+lo, hi-lo, codes[lo*nf:hi*nf], nf)
 		})
 	}
 	shadow.Place(workers)
-	return shadow, codes, stage
+	return shadow, codes
 }

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/hashtable"
@@ -22,12 +21,12 @@ type Point = metrics.Point
 // and per-layer LSH tables, and Adam state once it trains. Construct with
 // NewNetwork; the tables are built once from the initial weights (§3.1
 // "Initialization") and rebuilt on the exponential-decay schedule during
-// training. A scheduled rebuild snapshots the weights at its due batch
-// boundary, builds a shadow table set on a background goroutine, and
+// training. A scheduled rebuild builds a shadow table set from the live
+// weights at its due batch boundary, while the workers are quiesced, and
 // publishes it with an atomic handle swap a fixed, schedule-derived number
 // of batches later (rebuildLagDiv), so training batches and concurrent
-// inference keep running on the previous set mid-rebuild and the batch a
-// set goes live at depends only on the config, never on timing.
+// inference run on the previous set until then and the batch a set goes
+// live at depends only on the config.
 type Network struct {
 	cfg    Config
 	layers []*Layer
@@ -41,20 +40,17 @@ type Network struct {
 	// rebuildGen numbers table-set generations: every build — the
 	// construction-time build, RebuildTables, scheduled shadow builds —
 	// gets the next generation, which seeds its reservoir streams. A
-	// generation's tables are a pure function of (weights snapshot,
-	// config, generation), so a detached build is bit-identical to an
-	// inline one from the same weights.
+	// generation's tables are a pure function of (weights, config,
+	// generation).
 	rebuildGen uint64
-	// pending is the in-flight background rebuild, nil when idle. Owned
-	// by the training loop: only rebuildTick creates, publishes and
-	// clears it.
-	pending *pendingRebuild
-	// rebuildStallNS / rebuildBuildNS account the lifecycle's cost since
-	// construction: loop-blocking time (snapshot copies, and at the
-	// publish step any wait for a build still running) vs. background
-	// build time.
-	rebuildStallNS int64
-	rebuildBuildNS int64
+	// pending is the scheduled rebuild built at its kick and not yet
+	// published, by layer index (nil entries for dense layers); nil when
+	// none is held. Owned by the training loop: only rebuildTick builds
+	// it, and publishPending publishes and clears it.
+	pending []*hashtable.Table
+	// rebuildNS accounts the scheduled builds' time since construction,
+	// which the training loop waits out at each kick.
+	rebuildNS int64
 
 	// records[k] holds batch position k's element from its forward pass to
 	// the fold that consumes it (backward.go); batch is the fold's list of
@@ -189,7 +185,7 @@ func (n *Network) Rebuilds() int { return n.rebuilds }
 // rowsHashed sums the rows every table build since construction hashed.
 func (n *Network) rowsHashed() (rows int64) {
 	for _, l := range n.layers {
-		rows += atomic.LoadInt64(&l.rowsHashed)
+		rows += l.rowsHashed
 	}
 	return rows
 }
@@ -215,20 +211,20 @@ func (n *Network) RebuildTables(workers int) {
 	n.rebuildGen++
 	for _, l := range n.layers {
 		if l.Sampled() {
-			l.tables.Store(l.buildShadow(n.rebuildGen, nil, workers))
+			l.tables.Store(l.buildShadow(n.rebuildGen, workers))
 		}
 	}
 }
 
 // rebuildLagDiv sets the publish lag: a rebuild kicked at step t, with
 // the schedule's next gap g, publishes at t + D, D = max(1, ⌊g/rebuildLagDiv⌋)
-// — 3 batches at the paper's N0 = 50. D ≤ g, so at most one build is in
-// flight. Against publishing whenever the build finished, in alternating
-// benchmark pairs on a 2-core Xeon, g/16 left every workload inside its
-// spread: train_converge reached its P@1 target in 2.28 vs 2.33 s (8
-// pairs), and train_xwide, whose single ~0.6 s build is now awaited at
-// batch 53, kept its throughput (+1.0%, 6 pairs). A g/4 lag kept tables
-// 13 batches stale and slowed train_converge's time to target by 22%.
+// — 3 batches at the paper's N0 = 50. D ≤ g, so at most one built set is
+// held. When builds ran on a background goroutine, g/16 against
+// publishing whenever the build finished left every workload inside its
+// spread in alternating benchmark pairs on a 2-core Xeon: train_converge
+// reached its P@1 target in 2.28 vs 2.33 s (8 pairs), and train_xwide
+// kept its throughput (+1.0%, 6 pairs). A g/4 lag kept tables 13 batches
+// stale and slowed train_converge's time to target by 22%.
 const rebuildLagDiv = 16
 
 // rebuildGap is the §4.2 exponential-decay gap N0·e^{λ·t} in batches, at
@@ -241,30 +237,19 @@ func rebuildGap(n0 int, lambda float64, t int, limit int64) int64 {
 	return max(1, int64(gap))
 }
 
-// pendingRebuild is one in-flight background table build: the shadow sets
-// under construction and the completion signal.
-type pendingRebuild struct {
-	done    chan struct{}
-	shadows []*hashtable.Table // by layer index; nil for dense layers
-	buildNS int64              // wall-clock spent building, overlapped with training
-}
-
-// rebuildTick drives the table lifecycle at a batch boundary: snapshot →
-// background build → publish at a fixed step. A pending build whose
-// publish step has come is awaited and swapped in (one atomic store per
-// layer). Then, when the §4.2 schedule is due, the weights are
-// snapshotted and the build kicked onto a background goroutine: a rebuild
-// due at step t publishes at t + D and the next one is due at t + g, where
-// g = N0·e^{λ(r+1)} for r rebuilds published so far and D derives from g
+// rebuildTick drives the table lifecycle at a batch boundary, with the
+// workers quiesced: build at the kick → publish at a fixed step. A held
+// set whose publish step has come is swapped in (one atomic store per
+// layer). Then, when the §4.2 schedule is due, every sampled layer's
+// shadow set is built from the live weights and held: a rebuild due at
+// step t publishes at t + D and the next one is due at t + g, where g =
+// N0·e^{λ(r+1)} for r rebuilds published so far and D derives from g
 // (rebuildLagDiv). Both steps are pure functions of the config, so the
-// trained bits are too. The time the training loop is blocked here — the
-// snapshot copies, the swap, and any wait for a build that overran its
-// lag — accumulates into n.rebuildStallNS.
+// trained bits are too. The build is the loop's only wait here; its time
+// accumulates into n.rebuildNS.
 func (n *Network) rebuildTick(workers int) {
 	if n.pending != nil && n.step >= n.publishAt {
-		t0 := nowNano()
-		n.finishPendingRebuild()
-		n.rebuildStallNS += nowNano() - t0
+		n.publishPending()
 	}
 	if n.step < n.nextAt {
 		return
@@ -273,64 +258,36 @@ func (n *Network) rebuildTick(workers int) {
 	g := rebuildGap(n.cfg.RebuildN0, n.cfg.RebuildLambda, n.rebuilds+1, math.MaxInt64-n.step)
 	n.nextAt = n.step + g
 	n.publishAt = n.step + max(1, g/rebuildLagDiv)
-	n.startBackgroundRebuild(workers)
-	n.rebuildStallNS += nowNano() - t0
+	n.kickRebuild(workers)
+	n.rebuildNS += nowNano() - t0
 }
 
-// startBackgroundRebuild snapshots every sampled layer's weights (the
-// synchronous prepare step), then launches one goroutine that builds all
-// shadow sets from the snapshots. The build touches only the snapshots and
-// its own detached tables, so it is race-free against training workers and
-// live Predictor traffic.
-func (n *Network) startBackgroundRebuild(workers int) {
+// kickRebuild builds every sampled layer's next-generation shadow set
+// from the live weights, which must be quiesced, and holds the sets as
+// the pending rebuild.
+func (n *Network) kickRebuild(workers int) {
 	n.rebuildGen++
-	gen := n.rebuildGen
-	p := &pendingRebuild{
-		done:    make(chan struct{}),
-		shadows: make([]*hashtable.Table, len(n.layers)),
-	}
-	snaps := make([][]float32, len(n.layers))
+	n.pending = make([]*hashtable.Table, len(n.layers))
 	for li, l := range n.layers {
 		if l.Sampled() {
-			snaps[li] = l.snapshotRows(workers)
+			n.pending[li] = l.buildShadow(n.rebuildGen, workers)
 		}
 	}
-	n.pending = p
-	go func() {
-		t0 := nowNano()
-		for li, l := range n.layers {
-			if l.Sampled() {
-				p.shadows[li] = l.buildShadow(gen, snaps[li], workers)
-			}
-		}
-		if testSlowBuild != nil {
-			testSlowBuild()
-		}
-		p.buildNS = nowNano() - t0
-		close(p.done)
-	}()
 }
 
-// testSlowBuild, when set, runs at the end of every background build.
-// Tests use it to make builds overrun their publish lag.
-var testSlowBuild func()
-
-// finishPendingRebuild waits for an in-flight background build and
-// publishes it. rebuildTick calls it at the publish step; Train calls it
-// at exit, publishing early, so a network is never left with a dangling
-// builder after training returns.
-func (n *Network) finishPendingRebuild() {
-	p := n.pending
-	if p == nil {
+// publishPending publishes the held rebuild, if any, and counts it.
+// rebuildTick calls it at the publish step; Train calls it at exit,
+// publishing early, so a network never holds a built set after training
+// returns.
+func (n *Network) publishPending() {
+	if n.pending == nil {
 		return
 	}
-	<-p.done
-	for li, shadow := range p.shadows {
+	for li, shadow := range n.pending {
 		if shadow != nil {
 			n.layers[li].tables.Store(shadow)
 		}
 	}
-	n.rebuildBuildNS += p.buildNS
 	n.pending = nil
 	n.rebuilds++
 }

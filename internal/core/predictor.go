@@ -29,8 +29,8 @@ const predictSeed = 0x9ed1c7
 // boundaries, and inherits the paper's HOGWILD weak-consistency argument:
 // reads may observe partially applied updates
 // but never corrupt state. Hash tables are read through each layer's
-// atomically swapped handle, so inference stays valid in the middle of a
-// background table rebuild: a query runs coherently on whichever table
+// atomically swapped handle, so inference stays valid across a table
+// rebuild's publish: a query runs coherently on whichever table
 // generation it loaded, and the swap to the next generation is invisible
 // to in-flight passes.
 //

@@ -629,9 +629,12 @@ func TestSaveModelLoadModelRoundTrip(t *testing.T) {
 				t.Fatalf("%s: loaded model diverges at example %d", name, i)
 			}
 		}
+		if m.pending != nil {
+			t.Fatalf("%s: LoadModel left a built table set held", name)
+		}
 		for li, l := range m.layers {
-			if l.snapBuf != nil {
-				t.Fatalf("%s: LoadModel left layer %d holding a %d-float weight snapshot", name, li, len(l.snapBuf))
+			if l.codesBuf != nil {
+				t.Fatalf("%s: LoadModel left layer %d holding %d codes of table-build scratch", name, li, len(l.codesBuf))
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/hashtable"
 	"repro/internal/lsh"
@@ -28,13 +29,11 @@ func naiveTables(l *Layer, gen uint64) *hashtable.Table {
 	return ref
 }
 
-// TestShadowBuildMatchesInlineBuild is the detached-vs-inline equivalence
-// proof: from one weight snapshot and one generation, a shadow built on a
-// background goroutine is bucket-for-bucket identical to one built
-// inline — and both match a build straight from the live rows while the
-// weights are quiesced (RebuildTables' path). So the tables a scheduled
-// rebuild publishes are the tables an inline build of the same weights
-// would have produced.
+// TestShadowBuildMatchesInlineBuild: a shadow built from the live rows is
+// bucket-for-bucket the same at 1 and at 3 workers, and equal to a naive
+// row-by-row build at the same generation — so the tables a scheduled
+// rebuild publishes depend on the weights and the generation, not on the
+// worker count.
 func TestShadowBuildMatchesInlineBuild(t *testing.T) {
 	classes := 256
 	ds := tinyDataset(t, classes)
@@ -49,44 +48,27 @@ func TestShadowBuildMatchesInlineBuild(t *testing.T) {
 	l := n.layers[1]
 	const gen = 7
 
-	snap := l.snapshotRows(1)
-	inline := l.buildShadow(gen, snap, 1)
-
-	bgShadow := inline
-	bg := make(chan struct{})
-	go func() {
-		bgShadow = l.buildShadow(gen, snap, 3)
-		close(bg)
-	}()
-	<-bg
-	if !inline.Equal(bgShadow) {
-		t.Fatal("background shadow build diverged from inline build of the same snapshot and generation")
+	one := l.buildShadow(gen, 1)
+	if !one.Equal(l.buildShadow(gen, 3)) {
+		t.Fatal("shadow builds of the same rows and generation differ at 1 and 3 workers")
 	}
-
-	// With the weights quiesced, staging the live rows chunk by chunk
-	// (what RebuildTables does) builds the same tables as the snapshot.
-	live := l.buildShadow(gen, nil, 2)
-	if !inline.Equal(live) {
-		t.Fatal("build from live rows diverged from build from their snapshot")
-	}
-
-	if !inline.Equal(naiveTables(l, gen)) {
+	if !one.Equal(naiveTables(l, gen)) {
 		t.Fatal("pipeline build diverged from a row-by-row HashDense + Insert build at the same generation")
 	}
 
 	// A different generation draws different reservoir streams; it may
 	// only coincide when no bucket ever overflowed, so don't assert
 	// inequality — just that it builds and stores every neuron.
-	other := l.buildShadow(gen+1, snap, 1)
+	other := l.buildShadow(gen+1, 1)
 	if got, want := other.Stats().TotalSeen, l.Tables().L()*l.out; got != want {
 		t.Fatalf("generation %d shadow saw %d insertions, want %d", gen+1, got, want)
 	}
 }
 
-// TestAsyncRebuildPublishes runs the scheduler end to end: a training run
-// must kick background builds, publish them at batch boundaries, account
-// their build time, and leave the network fully servable.
-func TestAsyncRebuildPublishes(t *testing.T) {
+// TestScheduledRebuildPublishes runs the scheduler end to end: a training
+// run must kick builds, publish them at batch boundaries, account their
+// build time, and leave the network fully servable with no set held.
+func TestScheduledRebuildPublishes(t *testing.T) {
 	classes := 256
 	ds := tinyDataset(t, classes)
 	cfg := tinyConfig(classes)
@@ -103,8 +85,8 @@ func TestAsyncRebuildPublishes(t *testing.T) {
 	if res.Rebuilds == 0 {
 		t.Fatal("no rebuilds published in 40 iterations with N0=5")
 	}
-	if res.RebuildBuildNS <= 0 {
-		t.Fatalf("async run recorded no overlapped build time (rebuilds=%d)", res.Rebuilds)
+	if res.RebuildBuildNS <= 0 || res.RebuildStallNS != res.RebuildBuildNS {
+		t.Fatalf("run recorded %dns of builds and a stall of %dns over %d rebuilds, want the same positive time", res.RebuildBuildNS, res.RebuildStallNS, res.Rebuilds)
 	}
 	after := n.layers[1].Tables()
 	if before == after {
@@ -114,28 +96,99 @@ func TestAsyncRebuildPublishes(t *testing.T) {
 		t.Fatal("published tables are empty")
 	}
 	if n.pending != nil {
-		t.Fatal("Train returned with a background build still pending")
+		t.Fatal("Train returned with a built table set still held")
 	}
 	if _, _, err := n.PredictSampled(ds.Test[0].Features, 3); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestAsyncRebuildRaceStress is the -race proof for the non-blocking
-// lifecycle. Each cycle first trains with background rebuilds perpetually
-// in flight (N0=1 re-arms the schedule every batch boundary, so detached
-// builds overlap the batch-boundary weight steps), then — with the weights
-// quiesced — kicks another background build and publishes it while a
-// shared Predictor hammers sampled and exact queries, so the atomic table
-// swap lands in the middle of live traffic.
+// TestScheduledRebuildStartsNoGoroutine: a scheduled rebuild is built on
+// the training loop's goroutine at its kick, so no goroutine outlives the
+// batch boundary that kicks it or waits for its publish step. At one
+// worker the build starts none at all; at three, its helpers are joined
+// before the boundary returns and exit right after.
+func TestScheduledRebuildStartsNoGoroutine(t *testing.T) {
+	classes := 256
+	ds := tinyDataset(t, classes)
+	cfg := tinyConfig(classes)
+	cfg.RebuildN0 = 4
+	cfg.RebuildLambda = 1e-9 // gap 4, publish lag 1
+	n := mustNet(t, cfg)
+	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 2, BatchSize: 32, Seed: 1, EvalEvery: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		before := runtime.NumGoroutine()
+		kicks, publishes := n.rebuildGen, n.Rebuilds()
+		for range 4 {
+			n.step++
+			n.rebuildTick(workers)
+			got := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); workers > 1 && got > before && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if got > before {
+				t.Fatalf("%d workers, step %d: %d goroutines after the batch boundary, %d before the schedule ran", workers, n.step, got, before)
+			}
+		}
+		if n.rebuildGen != kicks+1 || n.Rebuilds() != publishes+1 {
+			t.Fatalf("%d workers: %d kicks and %d publishes in 4 batches of a gap-4 schedule, want 1 each",
+				workers, n.rebuildGen-kicks, n.Rebuilds()-publishes)
+		}
+	}
+}
+
+// TestScheduledRebuildCopiesNoWeights: a Train call over the batch that
+// kicks a rebuild of a wide sampled layer allocates less heap than one
+// out×in float copy of that layer's weights — the build hashes the live
+// rows in place — and the tables it publishes are the naive build's of
+// the weights at the kick. Its rows span several build chunks.
+func TestScheduledRebuildCopiesNoWeights(t *testing.T) {
+	const classes, hidden = 10000, 256
+	ds := tinyDataset(t, classes)
+	cfg := tinyConfig(classes)
+	cfg.Layers[0].Size = hidden
+	cfg.RebuildN0 = 1 << 30
+	n := mustNet(t, cfg)
+	tc := TrainConfig{Iterations: 1, BatchSize: 16, Threads: 2, Seed: 4, EvalEvery: 0, SkipFinalEval: true}
+	if _, err := n.Train(ds.Train, ds.Test, tc); err != nil { // training state and scratch arrive
+		t.Fatal(err)
+	}
+	n.nextAt = n.step + 1 // the next batch's boundary kicks
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := n.Train(ds.Train, ds.Test, tc)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rebuilds != 1 {
+		t.Fatalf("%d rebuilds published by the kick batch, want 1", res.Rebuilds)
+	}
+	l := n.layers[1]
+	if allocated, weights := after.TotalAlloc-before.TotalAlloc, uint64(4*l.out*l.in); allocated >= weights {
+		t.Fatalf("the kick batch allocated %d bytes, not below the %d bytes of one weight copy", allocated, weights)
+	}
+	if !l.Tables().Equal(naiveTables(l, n.rebuildGen)) {
+		t.Fatal("published tables differ from a naive build of the weights at the kick")
+	}
+}
+
+// TestRebuildPublishRaceStress is the -race proof for the concurrency the
+// table lifecycle keeps. Each cycle first trains with a rebuild kicked at
+// every batch boundary (N0 = 1), so every build's workers hash rows the
+// batch workers have just stepped and each publish lands between batches.
+// Then — with the weights quiesced — it builds another set and publishes
+// it while a shared Predictor hammers sampled and exact queries, so the
+// builds' reads and the atomic table swap land in the middle of live
+// traffic.
 //
 // The one overlap deliberately kept out is predictor weight reads
 // concurrent with training weight writes: that is the paper's HOGWILD
 // weak-consistency design, racy on purpose and predating this lifecycle,
-// and the detector would (correctly) report it. Everything this PR adds —
-// snapshot-fed builds racing training, swap publication racing readers —
-// runs concurrently here and must stay silent under -race.
-func TestAsyncRebuildRaceStress(t *testing.T) {
+// and the detector would (correctly) report it.
+func TestRebuildPublishRaceStress(t *testing.T) {
 	classes := 128
 	ds := tinyDataset(t, classes)
 	cfg := tinyConfig(classes)
@@ -156,7 +209,7 @@ func TestAsyncRebuildRaceStress(t *testing.T) {
 	}
 	totalRebuilds := 0
 	for cycle := 0; cycle < cycles; cycle++ {
-		// Phase 1: background builds in flight across training batches.
+		// Phase 1: a build at every batch boundary, published at the next.
 		res, err := n.Train(ds.Train, ds.Test, TrainConfig{
 			Iterations: 12, BatchSize: 32, Seed: uint64(7 + cycle), EvalEvery: 0,
 		})
@@ -165,8 +218,8 @@ func TestAsyncRebuildRaceStress(t *testing.T) {
 		}
 		totalRebuilds += res.Rebuilds
 
-		// Phase 2: weights quiesced; a fresh background build runs and is
-		// published while concurrent predictions are in full flight.
+		// Phase 2: weights quiesced; a fresh set is built and published
+		// while concurrent predictions are in full flight.
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 3; g++ {
@@ -193,8 +246,8 @@ func TestAsyncRebuildRaceStress(t *testing.T) {
 				}
 			}(g)
 		}
-		n.startBackgroundRebuild(2)
-		n.finishPendingRebuild() // publish the swap under live traffic
+		n.kickRebuild(2)
+		n.publishPending() // publish the swap under live traffic
 		totalRebuilds++
 		close(stop)
 		wg.Wait()
@@ -308,7 +361,7 @@ func TestRebuildAfterRestore(t *testing.T) {
 
 // TestRebuildSteadyStateAllocs pins the allocation budget of a
 // steady-state rebuild (the CI allocation gate): once the per-layer chunk
-// scratch (staged rows, code buffer) is warm, each further rebuild
+// code buffer is warm, each further rebuild
 // allocates only the fresh shadow table set itself — O(L) small objects
 // plus its arena slab — never O(rows) code scratch or O(rows*dim)
 // snapshots.

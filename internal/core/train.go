@@ -35,15 +35,14 @@ type TrainResult struct {
 	// this run.
 	Rebuilds int
 	// RebuildStallNS is the nanoseconds this run's training loop spent
-	// blocked on table maintenance: the batch-boundary snapshot copies,
-	// the atomic swap publication, and any wait at a publish step for a
-	// build that overran its lag. The §4.2 "Updating Overhead" analog:
-	// paper SLIDE amortizes rebuilds by scheduling them rarely, this
-	// system additionally builds them off the critical path.
+	// blocked on table maintenance: the scheduled builds, each run at its
+	// kick while the workers wait (a publish is one atomic store per
+	// layer). The §4.2 "Updating Overhead" analog: SLIDE amortizes
+	// rebuilds by scheduling them rarely.
 	RebuildStallNS int64
-	// RebuildBuildNS is the nanoseconds this run's background shadow
-	// builds took, mostly overlapped with training batches; the part
-	// that was not shows in RebuildStallNS.
+	// RebuildBuildNS is the nanoseconds this run's scheduled shadow builds
+	// took. Every build lies inside the stall, so it equals
+	// RebuildStallNS; both are kept for callers that read either.
 	RebuildBuildNS int64
 	// RowsRehashed counts the neuron rows this run's rebuilds hashed:
 	// sampled rows × rebuilds.
@@ -65,8 +64,7 @@ type TrainResult struct {
 	ExchangeNS int64
 	// ExchangeHiddenNS is exchange time that ran concurrently with the
 	// next batch's forward pass under OverlapExchange (zero otherwise) —
-	// the communication the pipeline made invisible, the RebuildBuildNS
-	// analog for the delta exchange.
+	// the communication the pipeline made invisible.
 	ExchangeHiddenNS int64
 	// KernelForwards counts forward kernel executions by form across the
 	// run, one count per (layer, element) pass: "scatter" for the
@@ -83,8 +81,8 @@ type TrainResult struct {
 //
 // Determinism: the trained bits do not depend on Threads — nor, for a
 // sharded run, on the threads per rank or on OverlapExchange — because a
-// scheduled table rebuild snapshots and publishes at batches the config
-// fixes (Network.rebuildTick), however long its background build takes.
+// scheduled table rebuild builds and publishes at batches the config
+// fixes (Network.rebuildTick).
 func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainResult, error) {
 	return n.TrainContext(context.Background(), train, test, tc)
 }
@@ -184,7 +182,7 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	evalIdx := evalSubset(test, tc.EvalSamples, tc.Seed)
 	touchedStart := n.touchedWeights
 	rebuildsStart := n.rebuilds
-	stallStart, buildStart := n.rebuildStallNS, n.rebuildBuildNS
+	rebuildStart := n.rebuildNS
 	rowsHashedStart := n.rowsHashed()
 
 	res := &TrainResult{Curve: metrics.Curve{Name: "p@1"}}
@@ -384,13 +382,10 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 		trainNS += nowNano() - s0
 	}
 
-	// A background shadow build may still be in flight when the loop
-	// exits (cancellation, time budget, or a kick within its lag of the
-	// end); wait for it and publish it early, so the network's tables
-	// always reflect the last kicked rebuild and no builder goroutine
-	// outlives the run. The wait is not charged to the training clock —
-	// the loop is done competing with it.
-	n.finishPendingRebuild()
+	// A built set may still be held when the loop exits (cancellation,
+	// time budget, or a kick within its lag of the end); publish it early,
+	// so the network's tables always reflect the last kicked rebuild.
+	n.publishPending()
 
 	// Final evaluation unless the loop ended exactly on an eval. A
 	// cancelled run skips it (the caller asked to stop, and evaluation
@@ -404,8 +399,8 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 	res.Seconds = float64(trainNS) / 1e9
 	res.FinalAcc = res.Curve.Last().Value
 	res.Rebuilds = n.rebuilds - rebuildsStart
-	res.RebuildStallNS = n.rebuildStallNS - stallStart
-	res.RebuildBuildNS = n.rebuildBuildNS - buildStart
+	res.RebuildStallNS = n.rebuildNS - rebuildStart
+	res.RebuildBuildNS = res.RebuildStallNS
 	res.RowsRehashed = n.rowsHashed() - rowsHashedStart
 	if res.Iterations > 0 {
 		res.TouchedPerIter = float64(n.touchedWeights-touchedStart) / float64(res.Iterations)

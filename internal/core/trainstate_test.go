@@ -247,7 +247,7 @@ func TestLoadModelHeapHoldsWeightsAndTables(t *testing.T) {
 	}
 	requireTrainState(t, m, false, -1, "after LoadModel")
 	for li, l := range m.layers {
-		if l.stageBuf != nil || l.codesBuf != nil {
+		if l.codesBuf != nil {
 			t.Fatalf("layer %d kept its table-build scratch after LoadModel", li)
 		}
 	}

@@ -1,7 +1,10 @@
 package dense
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -158,5 +161,55 @@ func TestEmptyTrainRejected(t *testing.T) {
 	}
 	if _, err := n.Train(nil, nil, TrainConfig{}); err == nil {
 		t.Fatal("empty training split accepted")
+	}
+}
+
+// weightsHash is FNV-64a over every layer's weights and biases, in layer,
+// row and column order.
+func weightsHash(n *Network) uint64 {
+	h := fnv.New64a()
+	for _, l := range n.layers {
+		for _, row := range l.w {
+			for _, v := range row {
+				h.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+			}
+		}
+		for _, v := range l.b {
+			h.Write(binary.LittleEndian.AppendUint32(nil, math.Float32bits(v)))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestTrainReportsLoss: every evaluation point carries the mean training
+// cross-entropy since the previous one, finite and positive, and reading
+// it moves no weight: after 40 batches the weights hash to what they did
+// before the loss was summed (recorded then), at 1 and 2 threads alike.
+func TestTrainReportsLoss(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("weights hash recorded on amd64, running on %s", runtime.GOARCH)
+	}
+	ds := tinyDS(t)
+	const want = 0x204236bd375b2bc1
+	for _, threads := range []int{1, 2} {
+		n, err := New(Config{InputDim: 256, Hidden: []int{32}, Classes: 64, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 40, BatchSize: 32, EvalEvery: 10, Threads: threads, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Curve.Points) != 4 {
+			t.Fatalf("%d threads: %d evaluation points, want 4", threads, len(res.Curve.Points))
+		}
+		for _, p := range res.Curve.Points {
+			if !(p.Loss > 0) || math.IsInf(p.Loss, 0) {
+				t.Fatalf("%d threads: point at iteration %d has loss %v", threads, p.Iter, p.Loss)
+			}
+		}
+		if got := weightsHash(n); got != want {
+			t.Errorf("%d threads: weights hash %#x, want %#x", threads, got, want)
+		}
 	}
 }

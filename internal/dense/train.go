@@ -2,6 +2,7 @@ package dense
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -78,10 +79,11 @@ type trainBuffers struct {
 	acts   [][]float32 // acts[li]: batch*size, row per element
 	deltas [][]float32
 	grads  [][]float32 // per-worker gradient row scratch (max fan-in)
+	loss   []float64   // loss[b]: element b's cross-entropy
 }
 
 func newTrainBuffers(n *Network, batch, threads int) *trainBuffers {
-	tb := &trainBuffers{}
+	tb := &trainBuffers{loss: make([]float64, batch)}
 	maxIn := n.cfg.InputDim
 	for _, l := range n.layers {
 		tb.acts = append(tb.acts, make([]float32, batch*l.out))
@@ -120,11 +122,18 @@ func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainRe
 
 	res := &TrainResult{Curve: metrics.Curve{Name: "p@1"}}
 	var trainNS, busyNS int64
+	// lossSum/lossCount accumulate training cross-entropy between evals.
+	var lossSum float64
+	var lossCount int64
 	pos := 0
 
 	evalNow := func() float64 {
 		p1 := n.evalP1(test, evalIdx, threads)
 		pt := metrics.Point{Iter: n.step, Seconds: float64(trainNS) / 1e9, Value: p1}
+		if lossCount > 0 {
+			pt.Loss = lossSum / float64(lossCount)
+		}
+		lossSum, lossCount = 0, 0
 		res.Curve.Add(pt)
 		if tc.OnEval != nil {
 			tc.OnEval(pt)
@@ -145,6 +154,10 @@ func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainRe
 		t0 := time.Now()
 		busyNS += n.trainBatch(train, batch, tb, threads)
 		n.step++
+		for _, l := range tb.loss[:len(batch)] {
+			lossSum += l
+		}
+		lossCount += int64(len(batch))
 		trainNS += time.Since(t0).Nanoseconds()
 
 		if tc.EvalEvery > 0 && (n.step-start)%tc.EvalEvery == 0 {
@@ -170,8 +183,9 @@ func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainRe
 	return res, nil
 }
 
-// trainBatch executes one iteration and returns summed worker busy
-// nanoseconds for utilization accounting.
+// trainBatch executes one iteration, leaving each element's training
+// cross-entropy in tb.loss, and returns summed worker busy nanoseconds for
+// utilization accounting.
 func (n *Network) trainBatch(train []dataset.Example, batch []int, tb *trainBuffers, threads int) int64 {
 	last := len(n.layers) - 1
 	busy := make([]int64, threads)
@@ -196,10 +210,12 @@ func (n *Network) trainBatch(train []dataset.Example, batch []int, tb *trainBuff
 			vecmath.Softmax(probs)
 			delta := tb.deltas[last][b*l.out : (b+1)*l.out]
 			copy(delta, probs)
+			tb.loss[b] = 0
 			if len(ex.Labels) > 0 {
 				inv := 1 / float32(len(ex.Labels))
 				for _, lab := range ex.Labels {
 					delta[lab] -= inv
+					tb.loss[b] -= float64(inv) * math.Log(float64(max(probs[lab], 1e-30)))
 				}
 			}
 		}

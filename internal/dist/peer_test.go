@@ -139,7 +139,8 @@ func TestTCPThreeShardTrainingMatchesGolden(t *testing.T) {
 
 // TestTCPLargeFramesDoNotDeadlock: frames far larger than the socket
 // buffers, sent by every rank at once, complete a round at 2 and 3
-// shards, where a rank that wrote before reading would block forever.
+// shards, where a rank that wrote before reading would block forever
+// (awaitRound fails a round that stops making progress).
 func TestTCPLargeFramesDoNotDeadlock(t *testing.T) {
 	const records, width = 2048, 1024 // 16 MiB of δ and activations per frame
 	codec := newCodec(16, []layerShape{{out: width, full: true, vals: true}, {out: 8}})
@@ -165,20 +166,49 @@ func TestTCPLargeFramesDoNotDeadlock(t *testing.T) {
 			}
 			done := make(chan []roundResult, 1)
 			go func() { done <- exchangeAll(exs, 0, locals) }()
-			select {
-			case res := <-done:
-				for rank, rr := range res {
-					if rr.err != nil {
-						t.Fatalf("rank %d: %v", rank, rr.err)
-					}
-					if n, _ := rr.merged.Records(); n != shards*records || rr.merged.Layers[0].Vals[len(vals)*records+width-1] != vals[width-1] {
-						t.Fatalf("rank %d merged %d records, want %d copies of %d", rank, n, shards, records)
-					}
+			res := awaitRound(t, done)
+			for rank, rr := range res {
+				if rr.err != nil {
+					t.Fatalf("rank %d: %v", rank, rr.err)
 				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("round with frames larger than the socket buffers still blocked after 10s")
+				if n, _ := rr.merged.Records(); n != shards*records || rr.merged.Layers[0].Vals[len(vals)*records+width-1] != vals[width-1] {
+					t.Fatalf("rank %d merged %d records, want %d copies of %d", rank, n, shards, records)
+				}
 			}
 		})
+	}
+}
+
+// awaitRound waits for a round's results behind a deadlock watchdog that
+// fails on no progress, not on elapsed time. A deadlocked round parks
+// every rank on a full socket buffer, so the process stops using CPU; a
+// round slowed by the race detector or by other load on the machine keeps
+// using it. So the test fails once the process has used less than 50 ms
+// of CPU over 10 s, or after 5 minutes in any case — and after 60 s where
+// the process's CPU time cannot be read.
+func awaitRound(t *testing.T, done <-chan []roundResult) []roundResult {
+	t.Helper()
+	const stall, idle, fixed, giveUp = 10 * time.Second, 50 * time.Millisecond, time.Minute, 5 * time.Minute
+	start := time.Now()
+	lastCPU, clocked := processCPU()
+	lastAt := start
+	tick := time.NewTicker(time.Second)
+	defer tick.Stop()
+	for {
+		select {
+		case res := <-done:
+			return res
+		case now := <-tick.C:
+			if cpu, _ := processCPU(); cpu-lastCPU >= idle {
+				lastCPU, lastAt = cpu, now
+			}
+			switch {
+			case clocked && now.Sub(lastAt) > stall:
+				t.Fatalf("round made no progress for %v (under %v of CPU), %v after it started: deadlocked", stall, idle, now.Sub(start).Round(time.Second))
+			case !clocked && now.Sub(start) > fixed, now.Sub(start) > giveUp:
+				t.Fatalf("round still running after %v", now.Sub(start).Round(time.Second))
+			}
+		}
 	}
 }
 

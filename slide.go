@@ -47,21 +47,19 @@ import (
 	"repro/internal/sparse"
 )
 
-// Network is a SLIDE network. Scheduled hash-table rebuilds run off the
-// training hot path: a shadow table set is built on a background
-// goroutine from a batch-boundary weight snapshot and published with an
-// atomic swap a fixed, schedule-derived number of batches later, so
-// training batches block only for the snapshot copy (and for a build
-// that overruns its lag; TrainResult.RebuildStallNS accounts both), and
-// the trained bits do not depend on timing. See core.Network for method
-// documentation.
+// Network is a SLIDE network. A scheduled hash-table rebuild builds a
+// shadow table set from the live weights at its due batch boundary, on
+// the training workers while no batch runs (TrainResult.RebuildStallNS
+// accounts the wait), and publishes it with an atomic swap a fixed,
+// schedule-derived number of batches later, so the trained bits are a
+// function of the config. See core.Network for method documentation.
 type Network = core.Network
 
 // Predictor is a reusable, concurrency-safe inference session over a
 // Network: it pools per-worker element states so steady-state prediction
 // allocates no per-call inference state, and fans batches out across
 // workers. Hash tables are read through atomically swapped handles, so
-// prediction stays valid in the middle of a background table rebuild.
+// prediction stays valid across a table rebuild's publish.
 // Construct one with Network.NewPredictor and share it between
 // goroutines. Its one inference call is PredictBatchInto(ctx, xs, k,
 // sampled, res, opts...): exact or sampled top-k for every input, written
