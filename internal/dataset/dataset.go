@@ -16,9 +16,11 @@
 package dataset
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/rng"
@@ -220,90 +222,150 @@ func Generate(p Profile) (*Dataset, error) {
 		Train:      make([]Example, p.TrainSize),
 		Test:       make([]Example, p.TestSize),
 	}
-	genSplit(p, protos, d.Train, 0x11a1)
-	genSplit(p, protos, d.Test, 0x7e57)
+	genSplit(p, &protos, d.Train, 0x11a1)
+	genSplit(p, &protos, d.Test, 0x7e57)
 	return d, nil
 }
 
-// prototype is one class's sparse signature.
-type prototype struct {
+// prototypes holds every class's sparse signature in two slabs: class c
+// owns the nnz feature ids and values at [c·nnz, (c+1)·nnz).
+type prototypes struct {
+	nnz int
 	idx []int32
 	val []float32
 }
 
-func makePrototypes(p Profile) []prototype {
-	protos := make([]prototype, p.NumClasses)
-	parallelFor(p.NumClasses, func(c int) {
-		r := rng.NewStream(p.Seed^0x9b0+uint64(c)*0x9e3779b97f4a7c15, 0xb0)
-		n := p.ProtoNNZ
-		idx := r.SampleK(p.FeatureDim, n)
-		pr := prototype{idx: make([]int32, n), val: make([]float32, n)}
-		for j, i := range idx {
-			pr.idx[j] = int32(i)
-			pr.val[j] = 0.5 + absf(r.NormFloat32())
+func (ps *prototypes) class(c int32) ([]int32, []float32) {
+	lo, hi := int(c)*ps.nnz, (int(c)+1)*ps.nnz
+	return ps.idx[lo:hi], ps.val[lo:hi]
+}
+
+func makePrototypes(p Profile) prototypes {
+	n := p.ProtoNNZ
+	ps := prototypes{nnz: n, idx: make([]int32, p.NumClasses*n), val: make([]float32, p.NumClasses*n)}
+	parallelFor(p.NumClasses, func(lo, hi int) {
+		var r rng.RNG
+		var pick []int
+		for c := lo; c < hi; c++ {
+			r.ReseedStream(p.Seed^0x9b0+uint64(c)*0x9e3779b97f4a7c15, 0xb0)
+			pick = r.SampleKInto(pick, p.FeatureDim, n)
+			idx, val := ps.class(int32(c))
+			for j, i := range pick {
+				idx[j] = int32(i)
+			}
+			r.FillNormFloat32(val, 1)
+			for j, x := range val {
+				val[j] = 0.5 + absf(x)
+			}
 		}
-		protos[c] = pr
 	})
-	return protos
+	return ps
 }
 
-func genSplit(p Profile, protos []prototype, out []Example, salt uint64) {
-	parallelFor(len(out), func(n int) {
-		r := rng.NewStream(p.Seed^salt+uint64(n)*0x9e3779b97f4a7c15, salt)
-		out[n] = genExample(p, protos, r)
+func genSplit(p Profile, ps *prototypes, out []Example, salt uint64) {
+	parallelFor(len(out), func(lo, hi int) {
+		var g exampleGen
+		for n := lo; n < hi; n++ {
+			g.r.ReseedStream(p.Seed^salt+uint64(n)*0x9e3779b97f4a7c15, salt)
+			out[n] = g.example(p, ps)
+		}
 	})
 }
 
-func genExample(p Profile, protos []prototype, r *rng.RNG) Example {
-	// Draw the label set: skewed toward head classes, deduplicated.
+// exampleGen is one worker's generator state: the example's stream and
+// scratch that outlives each example, so an example allocates only what
+// it keeps (its labels, feature ids and values).
+type exampleGen struct {
+	r      rng.RNG
+	labels []int32
+	pick   []int
+	feats  []feature
+}
+
+// feature is one drawn (id, value) component before merging.
+type feature struct {
+	idx int32
+	val float32
+}
+
+func byIdx(a, b feature) int { return cmp.Compare(a.idx, b.idx) }
+
+func (g *exampleGen) example(p Profile, ps *prototypes) Example {
+	r := &g.r
+	// Draw the label set: skewed toward head classes, deduplicated, kept
+	// ascending as it is drawn.
 	nLab := 1 + r.Intn(2*p.AvgLabels-1) // mean AvgLabels
 	if nLab > p.NumClasses {
 		nLab = p.NumClasses
 	}
-	labSet := make(map[int32]struct{}, nLab)
-	labels := make([]int32, 0, nLab)
+	labels := g.labels[:0]
 	for len(labels) < nLab {
 		u := r.Float64()
 		c := int32(float64(p.NumClasses) * math.Pow(u, p.LabelSkew))
 		if int(c) >= p.NumClasses {
 			c = int32(p.NumClasses - 1)
 		}
-		if _, dup := labSet[c]; dup {
-			if len(labSet) >= p.NumClasses {
+		at, dup := slices.BinarySearch(labels, c)
+		if dup {
+			if len(labels) >= p.NumClasses {
 				break
 			}
 			continue
 		}
-		labSet[c] = struct{}{}
-		labels = append(labels, c)
+		labels = slices.Insert(labels, at, c)
 	}
-	insertionSort32(labels)
+	g.labels = labels
 
 	// Features: a noisy subset of each label's prototype plus background
 	// noise, L2-normalized (SLIDE's Simhash is a cosine LSH).
 	signal := p.AvgFeatures - int(float64(p.AvgFeatures)*p.NoiseFrac)
 	perLabel := max(2, signal/len(labels))
-	fIdx := make([]int32, 0, p.AvgFeatures+8)
-	fVal := make([]float32, 0, p.AvgFeatures+8)
+	feats := g.feats[:0]
 	for _, c := range labels {
-		pr := protos[c]
+		idx, val := ps.class(c)
 		take := perLabel
-		if take > len(pr.idx) {
-			take = len(pr.idx)
+		if take > len(idx) {
+			take = len(idx)
 		}
-		for _, j := range r.SampleK(len(pr.idx), take) {
-			fIdx = append(fIdx, pr.idx[j])
-			fVal = append(fVal, pr.val[j]*(0.8+0.4*r.Float32()))
+		g.pick = r.SampleKInto(g.pick, len(idx), take)
+		for _, j := range g.pick {
+			feats = append(feats, feature{idx[j], val[j] * (0.8 + 0.4*r.Float32())})
 		}
 	}
 	noise := int(float64(p.AvgFeatures) * p.NoiseFrac)
 	for i := 0; i < noise; i++ {
-		fIdx = append(fIdx, int32(r.Intn(p.FeatureDim)))
-		fVal = append(fVal, 0.1+0.2*r.Float32())
+		id := int32(r.Intn(p.FeatureDim))
+		feats = append(feats, feature{id, 0.1 + 0.2*r.Float32()})
 	}
-	vec, err := sparse.New(p.FeatureDim, fIdx, fVal)
-	if err != nil {
-		panic(err) // indices are generated in range; unreachable
+	g.feats = feats
+	return Example{Features: mergeFeatures(p.FeatureDim, feats), Labels: slices.Clone(labels)}
+}
+
+// mergeFeatures is sparse.New over feats followed by the L2
+// normalization, written straight into exact-size slices: feats are
+// sorted by id unless already ascending, with slices.SortFunc, whose
+// pdqsort is generated from the same template as sort.Slice's and so
+// leaves equal ids in sparse.New's order; duplicate ids are summed in
+// that order.
+func mergeFeatures(dim int, feats []feature) sparse.Vector {
+	if !slices.IsSortedFunc(feats, byIdx) {
+		slices.SortFunc(feats, byIdx)
+	}
+	n := 0
+	for i := range feats {
+		if i == 0 || feats[i].idx != feats[i-1].idx {
+			n++
+		}
+	}
+	vec := sparse.Vector{Dim: dim, Idx: make([]int32, n), Val: make([]float32, n)}
+	out := -1
+	for i, f := range feats {
+		if i > 0 && f.idx == feats[i-1].idx {
+			vec.Val[out] += f.val
+			continue
+		}
+		out++
+		vec.Idx[out], vec.Val[out] = f.idx, f.val
 	}
 	if n := vec.Norm2(); n > 0 {
 		inv := float32(1 / n)
@@ -311,41 +373,29 @@ func genExample(p Profile, protos []prototype, r *rng.RNG) Example {
 			vec.Val[j] *= inv
 		}
 	}
-	return Example{Features: vec, Labels: labels}
+	return vec
 }
 
-// parallelFor runs f(i) for i in [0, n) across GOMAXPROCS workers.
-func parallelFor(n int, f func(i int)) {
+// parallelFor splits [0, n) into one contiguous range per GOMAXPROCS
+// worker and runs f on each.
+func parallelFor(n int, f func(lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
+		f(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(lo, hi)
+			f(lo, hi)
+		}(w*n/workers, (w+1)*n/workers)
 	}
 	wg.Wait()
-}
-
-func insertionSort32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 func absf(x float32) float32 {

@@ -338,8 +338,94 @@ func TestGenerateGoldenHash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got, want := datasetHash(ds), uint64(0xe26f5a207d7d02e0); got != want {
+		t.Fatalf("Generate hash %#x, want %#x", got, want)
+	}
+}
+
+// TestGenerateShapeGoldenHashes pins Generate at the benchmark workloads'
+// shapes, recorded before the generator was rewritten to allocate per
+// example: the tiny profile's examples hold too few features to reach
+// the unstable (pdqsort) path of the feature sort, which starts at 13
+// elements, so the duplicate sums' order is pinned only here.
+func TestGenerateShapeGoldenHashes(t *testing.T) {
+	xwide := Amazon670K(0.2, 1)
+	xwide.TrainSize, xwide.TestSize = 15360, 1024
+	for _, c := range []struct {
+		name  string
+		p     Profile
+		large bool
+		want  uint64
+	}{
+		{"train_converge", Delicious200K(0.03, 1), false, 0xb99d97e2f02462a1},
+		{"train_xwide", xwide, true, 0x0f6f4684fc4eb3ee},
+		{"serve_open", Delicious200K(0.1, 1), true, 0x127320ee58f7d087},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.large && raceEnabled {
+				t.Skip("large shape: seconds under the race detector")
+			}
+			ds, err := Generate(c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := datasetHash(ds); got != c.want {
+				t.Fatalf("Generate hash %#x, want %#x", got, c.want)
+			}
+		})
+	}
+}
+
+// TestGenerateAllocsPerExample gates the generator's heap allocations at
+// train_converge's shape: an example keeps its labels, feature ids and
+// values (three allocations), and everything else is per worker or per
+// dataset. Before the per-worker scratch it was ~29 per example.
+func TestGenerateAllocsPerExample(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	p := Delicious200K(0.03, 1)
+	perExample := testing.AllocsPerRun(2, func() {
+		if _, err := Generate(p); err != nil {
+			t.Fatal(err)
+		}
+	}) / float64(p.TrainSize+p.TestSize)
+	t.Logf("%.2f allocations per example", perExample)
+	if perExample > 4 {
+		t.Fatalf("Generate makes %.2f heap allocations per example, want ≤ 4", perExample)
+	}
+}
+
+// BenchmarkGenerate times Generate at the benchmark workloads' shapes;
+// run with -benchmem for the allocations behind it.
+func BenchmarkGenerate(b *testing.B) {
+	xwide := Amazon670K(0.2, 1)
+	xwide.TrainSize, xwide.TestSize = 15360, 1024
+	for _, c := range []struct {
+		name string
+		p    Profile
+	}{{"train_converge", Delicious200K(0.03, 1)}, {"train_xwide", xwide}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := Generate(c.p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(c.p.TrainSize+c.p.TestSize)), "ns/example")
+		})
+	}
+}
+
+// datasetHash is FNV-64a over every example's labels, feature indices and
+// value bits, train then test.
+func datasetHash(ds *Dataset) uint64 {
 	h := fnv.New64a()
-	put := func(u uint32) { h.Write(binary.LittleEndian.AppendUint32(nil, u)) }
+	var b [4]byte
+	put := func(u uint32) {
+		binary.LittleEndian.PutUint32(b[:], u)
+		h.Write(b[:])
+	}
 	for _, split := range [][]Example{ds.Train, ds.Test} {
 		for _, ex := range split {
 			put(uint32(len(ex.Labels)))
@@ -353,7 +439,5 @@ func TestGenerateGoldenHash(t *testing.T) {
 			}
 		}
 	}
-	if got, want := h.Sum64(), uint64(0xe26f5a207d7d02e0); got != want {
-		t.Fatalf("Generate hash %#x, want %#x", got, want)
-	}
+	return h.Sum64()
 }

@@ -102,11 +102,8 @@ func New(cfg Config) (*Network, error) {
 		if !l.relu {
 			std = float32(math.Sqrt(1.0 / float64(in)))
 		}
-		for j := 0; j < out; j++ {
-			row := l.w[j]
-			for i := range row {
-				row[i] = std * r.NormFloat32()
-			}
+		for _, row := range l.w {
+			r.FillNormFloat32(row, std)
 		}
 		n.layers = append(n.layers, l)
 		in = out

@@ -8,11 +8,19 @@
 // per draw, 32 output bits per step, with an odd stream increment so that
 // independent components can derive non-overlapping streams from a shared
 // base seed via Split.
+//
+// The normal fills (FillNormal32, FillNormFloat32) draw their polar pairs
+// here and hand each batch of up to polarBatch pairs to vecmath's polar
+// transform, whose AVX2 path is bit-identical to NormFloat64's scalar
+// math.Log expression; rng depends on vecmath for that alone, and
+// NormFloat64 stays scalar, the transform's reference.
 package rng
 
 import (
 	"math"
-	"sort"
+	"slices"
+
+	"repro/internal/vecmath"
 )
 
 const (
@@ -158,25 +166,58 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
+// polarBatch is how many accepted polar pairs the normal fills draw before
+// one batched transform.
+const polarBatch = 64
+
 // FillNormal32 fills dst with std·x for standard normal variates x drawn
 // exactly as NormFloat64 draws them, but keeping both variates u·f and v·f
 // of each accepted polar pair where NormFloat64 returns only u·f: half the
 // draws per variate. An odd-length dst drops the last pair's second one.
 func (r *RNG) FillNormal32(dst []float32, std float32) {
-	for i := 0; i < len(dst); {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
-		dst[i] = std * float32(u*f)
-		if i+1 == len(dst) {
+	var u, v, f [polarBatch]float64
+	for len(dst) > 0 {
+		n := min((len(dst)+1)/2, polarBatch)
+		r.polarPairs(u[:n], v[:n], f[:n])
+		vecmath.PolarFactors(f[:n], f[:n])
+		if 2*n > len(dst) {
+			vecmath.PolarPairs(dst[:2*n-2], u[:n-1], v[:n-1], f[:n-1], std)
+			vecmath.PolarFirst(dst[2*n-2:], u[n-1:n], f[n-1:n], std)
 			return
 		}
-		dst[i+1] = std * float32(v*f)
-		i += 2
+		vecmath.PolarPairs(dst[:2*n], u[:n], v[:n], f[:n], std)
+		dst = dst[2*n:]
+	}
+}
+
+// FillNormFloat32 fills dst with std·NormFloat32() draws in order: the
+// first variate of one accepted polar pair per value, the same values and
+// draws as calling NormFloat32 len(dst) times.
+func (r *RNG) FillNormFloat32(dst []float32, std float32) {
+	var u, v, f [polarBatch]float64
+	for len(dst) > 0 {
+		n := min(len(dst), polarBatch)
+		r.polarPairs(u[:n], v[:n], f[:n])
+		vecmath.PolarFactors(f[:n], f[:n])
+		vecmath.PolarFirst(dst[:n], u[:n], f[:n], std)
+		dst = dst[n:]
+	}
+}
+
+// polarPairs sets u[i], v[i] and s[i] = u[i]² + v[i]² to the next len(u)
+// accepted pairs, drawn and tested exactly as NormFloat64 draws them.
+func (r *RNG) polarPairs(u, v, s []float64) {
+	for i := range u {
+		for {
+			a := 2*r.Float64() - 1
+			b := 2*r.Float64() - 1
+			t := a*a + b*b
+			if t >= 1 || t == 0 {
+				continue
+			}
+			u[i], v[i], s[i] = a, b, t
+			break
+		}
 	}
 }
 
@@ -208,30 +249,59 @@ func (r *RNG) Bernoulli(p float64) bool {
 // ascending order. It panics if k > n or either argument is negative.
 // For small k relative to n it uses Floyd's algorithm; otherwise it shuffles.
 func (r *RNG) SampleK(n, k int) []int {
+	return r.SampleKInto(nil, n, k)
+}
+
+// SampleKInto is SampleK writing the sample into buf's storage, which it
+// grows when short (to n for the shuffle, to k for Floyd's algorithm), so
+// a caller that passes the last result back draws without allocating.
+// Floyd's picks are kept sorted as they are drawn, with no set beside
+// them: a pick already taken at step j is replaced by j, which is larger
+// than every earlier pick. Each pick moves up to k earlier ones, so a
+// sample of many thousands would be cheaper with a set; the callers'
+// samples are tens, and 1,024 for the default evaluation subset.
+func (r *RNG) SampleKInto(buf []int, n, k int) []int {
 	if k < 0 || n < 0 || k > n {
 		panic("rng: SampleK requires 0 <= k <= n")
 	}
 	if k == 0 {
-		return nil
+		return buf[:0]
 	}
 	if k*4 >= n {
-		p := r.Perm(n)[:k]
-		sort.Ints(p)
+		p := slices.Grow(buf[:0], n)[:n]
+		for i := range p {
+			p[i] = i
+		}
+		r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+		p = p[:k]
+		slices.Sort(p)
 		return p
 	}
-	chosen := make(map[int]struct{}, k)
+	out := slices.Grow(buf[:0], k)
 	for j := n - k; j < n; j++ {
 		t := r.Intn(j + 1)
-		if _, ok := chosen[t]; ok {
-			chosen[j] = struct{}{}
-		} else {
-			chosen[t] = struct{}{}
+		at := sortedIndex(out, t)
+		if at < len(out) && out[at] == t {
+			t, at = j, len(out)
 		}
+		out = append(out, 0)
+		copy(out[at+1:], out[at:])
+		out[at] = t
 	}
-	out := make([]int, 0, k)
-	for v := range chosen {
-		out = append(out, v)
-	}
-	sort.Ints(out)
 	return out
+}
+
+// sortedIndex returns the first index of ascending s whose value is ≥ t:
+// by a backward scan over a short s, whose exit the branch predictor
+// mostly sees coming, and by a binary search over a longer one.
+func sortedIndex(s []int, t int) int {
+	if len(s) > 32 {
+		at, _ := slices.BinarySearch(s, t)
+		return at
+	}
+	at := len(s)
+	for at > 0 && s[at-1] >= t {
+		at--
+	}
+	return at
 }

@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -189,21 +191,111 @@ func TestNormFloat64Moments(t *testing.T) {
 // TestFillNormal32MatchesNormFloat64 pins FillNormal32 to NormFloat64's
 // arithmetic: on equal streams, the first variate of every pair is
 // std·float32(NormFloat64()), an odd length ends on such a first variate,
-// and both consume the same uniforms per pair.
+// and both consume the same uniforms per pair. Widths 0–130 cover the
+// 64-pair batch, its seam and the transform's quad tails.
 func TestFillNormal32MatchesNormFloat64(t *testing.T) {
-	for _, size := range []int{0, 1, 2, 7, 1000} {
-		const std = 0.125
-		dst := make([]float32, size)
-		a, b := NewStream(5, 77), NewStream(5, 77)
-		a.FillNormal32(dst, std)
-		for i := 0; i < size; i += 2 {
-			if want := std * float32(b.NormFloat64()); dst[i] != want {
-				t.Fatalf("size %d: dst[%d] = %v, want %v", size, i, dst[i], want)
+	for stream := uint64(0); stream < 100; stream++ {
+		for size := 0; size <= 130; size++ {
+			const std = 0.125
+			dst := make([]float32, size)
+			a, b := NewStream(5, 77+stream), NewStream(5, 77+stream)
+			a.FillNormal32(dst, std)
+			for i := 0; i < size; i += 2 {
+				if want := std * float32(b.NormFloat64()); dst[i] != want {
+					t.Fatalf("stream %d size %d: dst[%d] = %v, want %v", stream, size, i, dst[i], want)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("stream %d size %d: FillNormal32 and NormFloat64 consumed different draws", stream, size)
 			}
 		}
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("size %d: FillNormal32 and NormFloat64 consumed different draws", size)
+	}
+	dst := make([]float32, 1000)
+	a, b := NewStream(5, 77), NewStream(5, 77)
+	a.FillNormal32(dst, 0.125)
+	for i := 0; i < len(dst); i += 2 {
+		if want := 0.125 * float32(b.NormFloat64()); dst[i] != want {
+			t.Fatalf("size 1000: dst[%d] = %v, want %v", i, dst[i], want)
 		}
+	}
+}
+
+// fillNormal32Scalar is FillNormal32 one pair at a time, as it was written
+// before the transform was batched: the reference for both variates.
+func fillNormal32Scalar(r *RNG, dst []float32, std float32) {
+	for i := 0; i < len(dst); {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		s := u*u + v*v
+		if s >= 1 || s == 0 {
+			continue
+		}
+		f := math.Sqrt(-2 * math.Log(s) / s)
+		dst[i] = std * float32(u*f)
+		if i+1 == len(dst) {
+			return
+		}
+		dst[i+1] = std * float32(v*f)
+		i += 2
+	}
+}
+
+// TestFillNormal32MatchesScalar pins every variate, both of each pair,
+// bit for bit to the scalar fill, over widths 0–130 on 100 streams and at
+// the row widths the network fills.
+func TestFillNormal32MatchesScalar(t *testing.T) {
+	sizes := []int{255, 256, 1000, 4097}
+	for size := 0; size <= 130; size++ {
+		sizes = append(sizes, size)
+	}
+	for stream := uint64(0); stream < 100; stream++ {
+		for _, size := range sizes {
+			std := float32(math.Sqrt(2.0 / float64(size+1)))
+			got, want := make([]float32, size), make([]float32, size)
+			a, b := NewStream(stream, 0x1a7e4+stream), NewStream(stream, 0x1a7e4+stream)
+			a.FillNormal32(got, std)
+			fillNormal32Scalar(b, want, std)
+			for i := range got {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("stream %d size %d: [%d] = %v, want %v", stream, size, i, got[i], want[i])
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("stream %d size %d: consumed different draws", stream, size)
+			}
+		}
+	}
+}
+
+// TestFillNormFloat32MatchesNormFloat32 pins the first-variate fill to
+// len(dst) calls of std·NormFloat32(), bits and draws.
+func TestFillNormFloat32MatchesNormFloat32(t *testing.T) {
+	for stream := uint64(0); stream < 100; stream++ {
+		for _, size := range []int{0, 1, 2, 3, 4, 5, 63, 64, 65, 127, 128, 130, 1000} {
+			const std = 0.0883883461356163 // √(1/128)
+			got := make([]float32, size)
+			a, b := NewStream(9, stream), NewStream(9, stream)
+			a.FillNormFloat32(got, std)
+			for i := range got {
+				if want := std * b.NormFloat32(); math.Float32bits(got[i]) != math.Float32bits(want) {
+					t.Fatalf("stream %d size %d: [%d] = %v, want %v", stream, size, i, got[i], want)
+				}
+			}
+			if a.Uint64() != b.Uint64() {
+				t.Fatalf("stream %d size %d: consumed different draws", stream, size)
+			}
+		}
+	}
+}
+
+func TestFillNormalAllocatesNothing(t *testing.T) {
+	r := New(1)
+	dst := make([]float32, 300)
+	if n := testing.AllocsPerRun(20, func() {
+		r.FillNormal32(dst, 1)
+		r.FillNormFloat32(dst, 1)
+	}); n != 0 {
+		t.Fatalf("%v allocations per fill", n)
 	}
 }
 
@@ -266,6 +358,70 @@ func TestSampleKUniform(t *testing.T) {
 	}
 }
 
+// sampleKSet is SampleK as it was written before its picks were kept
+// sorted: Floyd's algorithm over a set, then a sort.
+func sampleKSet(r *RNG, n, k int) []int {
+	if k == 0 {
+		return nil
+	}
+	if k*4 >= n {
+		p := r.Perm(n)[:k]
+		sort.Ints(p)
+		return p
+	}
+	chosen := make(map[int]struct{}, k)
+	for j := n - k; j < n; j++ {
+		t := r.Intn(j + 1)
+		if _, ok := chosen[t]; ok {
+			chosen[j] = struct{}{}
+		} else {
+			chosen[t] = struct{}{}
+		}
+	}
+	out := make([]int, 0, k)
+	for v := range chosen {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestSampleKMatchesSet pins SampleK and SampleKInto (with a reused
+// buffer) to the set-based Floyd sample: the same picks from the same
+// draws, on both branches.
+func TestSampleKMatchesSet(t *testing.T) {
+	var buf []int
+	for seed := uint64(0); seed < 20; seed++ {
+		for _, n := range []int{0, 1, 2, 3, 7, 16, 40, 100, 1000, 23477} {
+			for _, k := range []int{0, 1, 2, 3, 5, 10, 17, 24, 60, 250, 999} {
+				if k > n {
+					continue
+				}
+				a, b, c := New(seed), New(seed), New(seed)
+				want := sampleKSet(a, n, k)
+				if got := b.SampleK(n, k); !slices.Equal(got, want) {
+					t.Fatalf("SampleK(%d, %d) = %v, want %v", n, k, got, want)
+				}
+				buf = c.SampleKInto(buf, n, k)
+				if !slices.Equal(buf, want) {
+					t.Fatalf("SampleKInto(%d, %d) = %v, want %v", n, k, buf, want)
+				}
+				if x := a.Uint64(); b.Uint64() != x || c.Uint64() != x {
+					t.Fatalf("n %d k %d: consumed different draws", n, k)
+				}
+			}
+		}
+	}
+	r := New(1)
+	buf = r.SampleKInto(nil, 100, 50)
+	if n := testing.AllocsPerRun(20, func() {
+		buf = r.SampleKInto(buf, 100, 50)
+		buf = r.SampleKInto(buf, 23477, 10)
+	}); n != 0 {
+		t.Fatalf("SampleKInto with a reused buffer: %v allocations", n)
+	}
+}
+
 func TestBernoulli(t *testing.T) {
 	r := New(3)
 	hits := 0
@@ -302,4 +458,18 @@ func TestInt63n(t *testing.T) {
 			t.Fatalf("Int63n out of range: %d", v)
 		}
 	}
+}
+
+// BenchmarkFillNormal32 fills 3.0M weights in 128-wide rows, each from
+// its own reseeded stream, as a layer's weight init does on one worker.
+func BenchmarkFillNormal32(b *testing.B) {
+	row := make([]float32, 128)
+	var r RNG
+	for range b.N {
+		for i := range 3_000_000 / 128 {
+			r.ReseedStream(1, uint64(i)+0x1a7e4)
+			r.FillNormal32(row, 0.125)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*3_000_000), "ns/weight")
 }

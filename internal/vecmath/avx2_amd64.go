@@ -60,3 +60,9 @@ func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32)
 
 //go:noescape
 func finiteAVX2(x *float32, blocks int) (ok bool)
+
+//go:noescape
+func polarFactorsAVX2(f, s *float64, quads int)
+
+//go:noescape
+func polarScaleAVX2(dst *float32, u, v, f *float64, quads int, std float32, pairs bool)

@@ -448,3 +448,139 @@ finite_block:
 	SETEQ    ok+16(FP)
 	VZEROUPPER
 	RET
+
+// The polar transform's constants, each in all four lanes of a 32-byte
+// row so that it can be an instruction's memory operand. The log's are
+// math's log_amd64.s constants, written as there.
+#define POLAR4(off, v) DATA polar<>+(off)(SB)/8, v; DATA polar<>+(off+8)(SB)/8, v; DATA polar<>+(off+16)(SB)/8, v; DATA polar<>+(off+24)(SB)/8, v
+
+POLAR4(0, $0x000FFFFFFFFFFFFF) // mantissa field
+POLAR4(32, $0.5)
+POLAR4(64, $0x4330000000000000) // 2^52
+POLAR4(96, $4503599627371518.0) // 2^52 + 1022
+POLAR4(128, $7.07106781186547524401e-01) // sqrt(2)/2
+POLAR4(160, $1.0)
+POLAR4(192, $2.0)
+POLAR4(224, $1.479819860511658591e-01) // L7
+POLAR4(256, $1.818357216161805012e-01) // L5
+POLAR4(288, $2.857142874366239149e-01) // L3
+POLAR4(320, $6.666666666666735130e-01) // L1
+POLAR4(352, $1.531383769920937332e-01) // L6
+POLAR4(384, $2.222219843214978396e-01) // L4
+POLAR4(416, $3.999999999940941908e-01) // L2
+POLAR4(448, $1.90821492927058770002e-10) // Ln2Lo
+POLAR4(480, $6.93147180369123816490e-01) // Ln2Hi
+POLAR4(512, $-2.0)
+GLOBL polar<>(SB), RODATA|NOPTR, $544
+
+// func polarFactorsAVX2(f, s *float64, quads int)
+// f[i] = sqrt(-2*log(s[i])/s[i]) over quads*4 cells with 0 < s[i] < 1
+// normal, f may be s. The log is math's amd64 archLog in four lanes: the
+// same frexp by bit operations (k from the exponent field exactly, through
+// the 2^52 trick in place of CVTSL2SD; f1 <= sqrt(2)/2 takes k-1 and 2*f1,
+// as archLog's CMPSD NLT does) and the same multiplies, adds and divide in
+// the same order, never FMA, so every lane rounds as archLog rounds; its
+// special cases (0, negative, NaN, Inf) cannot occur here.
+TEXT ·polarFactorsAVX2(SB), NOSPLIT, $0-24
+	MOVQ f+0(FP), DI
+	MOVQ s+8(FP), SI
+	MOVQ quads+16(FP), CX
+
+polar_quad:
+	VMOVUPD (SI), Y2                     // s
+	VANDPD  polar<>+0(SB), Y2, Y3
+	VORPD   polar<>+32(SB), Y3, Y3       // f1 in [0.5, 1)
+	VPSRLQ  $52, Y2, Y4                  // biased exponent (s > 0)
+	VPOR    polar<>+64(SB), Y4, Y4       // 2^52 + exponent
+	VSUBPD  polar<>+96(SB), Y4, Y4       // k = exponent - 1022
+	VCMPPD  $2, polar<>+128(SB), Y3, Y5  // f1 <= sqrt(2)/2 (LE_OS)
+	VANDPD  polar<>+160(SB), Y5, Y6      // 0 or 1
+	VSUBPD  Y6, Y4, Y4                   // k -= 1
+	VADDPD  polar<>+160(SB), Y6, Y6      // 1 or 2
+	VMULPD  Y6, Y3, Y3                   // f1 *= 2
+	VSUBPD  polar<>+160(SB), Y3, Y3      // f = f1 - 1
+	VADDPD  polar<>+192(SB), Y3, Y6
+	VDIVPD  Y6, Y3, Y6                   // s' = f / (2 + f)
+	VMULPD  Y6, Y6, Y7                   // s2
+	VMULPD  Y7, Y7, Y8                   // s4
+	VMULPD  polar<>+224(SB), Y8, Y9
+	VADDPD  polar<>+256(SB), Y9, Y9
+	VMULPD  Y8, Y9, Y9
+	VADDPD  polar<>+288(SB), Y9, Y9
+	VMULPD  Y8, Y9, Y9
+	VADDPD  polar<>+320(SB), Y9, Y9
+	VMULPD  Y9, Y7, Y7                   // t1 = s2*(L1+s4*(L3+s4*(L5+s4*L7)))
+	VMULPD  polar<>+352(SB), Y8, Y9
+	VADDPD  polar<>+384(SB), Y9, Y9
+	VMULPD  Y8, Y9, Y9
+	VADDPD  polar<>+416(SB), Y9, Y9
+	VMULPD  Y9, Y8, Y8                   // t2 = s4*(L2+s4*(L4+s4*L6))
+	VADDPD  Y8, Y7, Y7                   // R = t1 + t2
+	VMULPD  polar<>+32(SB), Y3, Y9
+	VMULPD  Y3, Y9, Y9                   // hfsq = 0.5*f*f
+	VADDPD  Y9, Y7, Y7                   // hfsq + R
+	VMULPD  Y7, Y6, Y6                   // s'*(hfsq+R)
+	VMULPD  polar<>+448(SB), Y4, Y8      // k*Ln2Lo
+	VADDPD  Y8, Y6, Y6
+	VSUBPD  Y6, Y9, Y9                   // hfsq - (s'*(hfsq+R) + k*Ln2Lo)
+	VSUBPD  Y3, Y9, Y9                   // ... - f
+	VMULPD  polar<>+480(SB), Y4, Y4      // k*Ln2Hi
+	VSUBPD  Y9, Y4, Y4                   // log(s)
+	VMULPD  polar<>+512(SB), Y4, Y4      // -2*log(s)
+	VDIVPD  Y2, Y4, Y4                   // / s
+	VSQRTPD Y4, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     polar_quad
+	VZEROUPPER
+	RET
+
+// func polarScaleAVX2(dst *float32, u, v, f *float64, quads int, std float32, pairs bool)
+// Over quads*4 cells i: with pairs, dst[2i] = std*float32(u[i]*f[i]) and
+// dst[2i+1] = std*float32(v[i]*f[i]); without, dst[i] = std*float32(u[i]*f[i])
+// and v is not read. The conversion rounds to nearest as CVTSD2SS does.
+TEXT ·polarScaleAVX2(SB), NOSPLIT, $0-45
+	MOVQ         dst+0(FP), DI
+	MOVQ         u+8(FP), SI
+	MOVQ         v+16(FP), DX
+	MOVQ         f+24(FP), BX
+	MOVQ         quads+32(FP), CX
+	VBROADCASTSS std+40(FP), X15
+	MOVBLZX      pairs+44(FP), R8
+	XORQ         AX, AX
+	TESTQ        R8, R8
+	JZ           scale_first
+
+scale_pair:
+	VMOVUPD    (BX)(AX*1), Y4
+	VMULPD     (SI)(AX*1), Y4, Y0
+	VMULPD     (DX)(AX*1), Y4, Y1
+	VCVTPD2PSY Y0, X0
+	VCVTPD2PSY Y1, X1
+	VMULPS     X15, X0, X0
+	VMULPS     X15, X1, X1
+	VUNPCKLPS  X1, X0, X2                // u0 v0 u1 v1
+	VUNPCKHPS  X1, X0, X3                // u2 v2 u3 v3
+	VMOVUPS    X2, (DI)
+	VMOVUPS    X3, 16(DI)
+	ADDQ       $32, AX
+	ADDQ       $32, DI
+	DECQ       CX
+	JNZ        scale_pair
+	VZEROUPPER
+	RET
+
+scale_first:
+	VMOVUPD    (BX)(AX*1), Y4
+	VMULPD     (SI)(AX*1), Y4, Y0
+	VCVTPD2PSY Y0, X0
+	VMULPS     X15, X0, X0
+	VMOVUPS    X0, (DI)
+	ADDQ       $32, AX
+	ADDQ       $16, DI
+	DECQ       CX
+	JNZ        scale_first
+	VZEROUPPER
+	RET

@@ -30,3 +30,9 @@ func signedSumsAVX2(x *float32, ent *uint32, steps, groups int, dst *float32) {
 func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32) { panic("vecmath: no AVX2") }
 
 func finiteAVX2(x *float32, blocks int) (ok bool) { panic("vecmath: no AVX2") }
+
+func polarFactorsAVX2(f, s *float64, quads int) { panic("vecmath: no AVX2") }
+
+func polarScaleAVX2(dst *float32, u, v, f *float64, quads int, std float32, pairs bool) {
+	panic("vecmath: no AVX2")
+}

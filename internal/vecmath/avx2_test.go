@@ -6,8 +6,6 @@ import (
 	"math"
 	"os"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 // TestMain runs the package's tests twice on an AVX2 machine: as
@@ -35,7 +33,7 @@ var specials = []float32{
 
 // mixedVec draws n values: mostly N(0,1), one in eight a special (±0,
 // subnormal, ±Inf, NaN, MaxFloat32, ...).
-func mixedVec(r *rng.RNG, n int) []float32 {
+func mixedVec(r *pcg, n int) []float32 {
 	v := make([]float32, n)
 	for i := range v {
 		if r.Intn(8) == 0 {
@@ -85,7 +83,7 @@ func kernelShapes(f func(n, off int)) {
 }
 
 func TestAxpyMatchesGoBitwise(t *testing.T) {
-	r := rng.New(11)
+	r := newPCG(11)
 	kernelShapes(func(n, off int) {
 		alpha := mixedVec(r, 1)[0]
 		x := offsetCopy(mixedVec(r, n), off)
@@ -106,7 +104,7 @@ func TestAxpyMatchesGoBitwise(t *testing.T) {
 // with a row repeated within a call, rows longer than dst and misaligned
 // operands, and special values in coefficients and rows alike.
 func TestAxpyRowsMatchesAxpy(t *testing.T) {
-	r := rng.New(16)
+	r := newPCG(16)
 	const nRows = 37
 	check := func(n, nTerms int) {
 		rows := make([][]float32, nRows)
@@ -161,7 +159,7 @@ func TestAxpyRowsPanics(t *testing.T) {
 }
 
 func TestOuterAccMatchesGoBitwise(t *testing.T) {
-	r := rng.New(12)
+	r := newPCG(12)
 	kernelShapes(func(n, off int) {
 		d := mixedVec(r, 1)[0]
 		x, w := offsetCopy(mixedVec(r, n), off), offsetCopy(mixedVec(r, n), (off+1)%8)
@@ -180,11 +178,11 @@ func TestOuterAccMatchesGoBitwise(t *testing.T) {
 }
 
 func TestDotMatchesGoBitwise(t *testing.T) {
-	r := rng.New(13)
+	r := newPCG(13)
 	kernelShapes(func(n, off int) {
 		// Finite data exercises the summation order (any other order
 		// rounds differently); mixed data the special values.
-		for _, gen := range []func(*rng.RNG, int) []float32{randVec, mixedVec} {
+		for _, gen := range []func(*pcg, int) []float32{randVec, mixedVec} {
 			a, b := offsetCopy(gen(r, n), off), offsetCopy(gen(r, n), (off+3)%8)
 			got, want := Dot(a, b), dotUnrolled(a, b)
 			if sameBits([]float32{got}, []float32{want}) >= 0 {
@@ -195,7 +193,7 @@ func TestDotMatchesGoBitwise(t *testing.T) {
 }
 
 func TestDotRowsMatchesGoBitwise(t *testing.T) {
-	r := rng.New(14)
+	r := newPCG(14)
 	const nRows = 23
 	for _, n := range []int{0, 1, 7, 8, 9, 64, 127, 128, 131, 300, maxCells, maxCells + 8} {
 		rows := make([][]float32, nRows)
@@ -257,7 +255,7 @@ func TestDotRowsPanics(t *testing.T) {
 }
 
 func TestAdamStepMatchesGoBitwise(t *testing.T) {
-	r := rng.New(15)
+	r := newPCG(15)
 	kernelShapes(func(n, off int) {
 		w, m := mixedVec(r, n), mixedVec(r, n)
 		v, g := mixedVec(r, n), offsetCopy(mixedVec(r, n), off)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 // Kernel-level half of the Fig. 10 ablation: the unrolled ("SIMD") kernels
@@ -15,7 +13,7 @@ import (
 var benchSink float32
 
 func benchVecs(n int) ([]float32, []float32) {
-	r := rng.New(1)
+	r := newPCG(1)
 	a := make([]float32, n)
 	b := make([]float32, n)
 	for i := range a {
@@ -58,7 +56,7 @@ func BenchmarkAxpyUnrolled128(b *testing.B) {
 }
 
 func BenchmarkSparseDot64of4096(b *testing.B) {
-	r := rng.New(2)
+	r := newPCG(2)
 	w := make([]float32, 4096)
 	for i := range w {
 		w[i] = r.NormFloat32()
@@ -146,7 +144,7 @@ func BenchmarkDot(b *testing.B) {
 // (train_converge's mean active set): ns/op ÷ 320 is ns per row.
 func BenchmarkDotRows(b *testing.B) {
 	const rows, active = 6144, 320
-	r := rng.New(3)
+	r := newPCG(3)
 	w := make([][]float32, rows)
 	for j := range w {
 		w[j] = randVec(r, 128)
@@ -166,7 +164,7 @@ func BenchmarkDotRows(b *testing.B) {
 // is ns per row.
 func BenchmarkDotRowsGathered(b *testing.B) {
 	const rows, active, sets = 20480, 320, 64
-	r := rng.New(7)
+	r := newPCG(7)
 	slab := make([]float32, rows*128)
 	for i := range slab {
 		slab[i] = r.NormFloat32()
@@ -209,7 +207,7 @@ func BenchmarkAxpy(b *testing.B) {
 // ns/op ÷ terms is ns per term, comparable with BenchmarkAxpy's ns/op.
 func BenchmarkAxpyRows(b *testing.B) {
 	const nRows = 6144
-	r := rng.New(6)
+	r := newPCG(6)
 	rows := make([][]float32, nRows)
 	for j := range rows {
 		rows[j] = randVec(r, 128)
@@ -247,14 +245,14 @@ func BenchmarkAdamStep(b *testing.B) {
 // coordinates) and one train_xwide DWTA row (K8·L50 = 400 bins of 8).
 
 func BenchmarkSignedSums(b *testing.B) {
-	r := rng.New(4)
+	r := newPCG(4)
 	slab, _, _ := randLaneSlab(r, 128, 210, 42, true)
 	x, dst := randVec(r, 128), make([]float32, 210)
 	benchTiers(b, func() { slab.SignedSums(dst, x) })
 }
 
 func BenchmarkNonZeroArgMax(b *testing.B) {
-	r := rng.New(5)
+	r := newPCG(5)
 	slab, _, _ := randLaneSlab(r, 128, 400, 8, false)
 	x, dst := randVec(r, 128), make([]uint32, 400)
 	benchTiers(b, func() { slab.NonZeroArgMax(dst, x) })

@@ -3,8 +3,6 @@ package vecmath
 import (
 	"math"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 // allFinite reports whether x holds no NaN or ±Inf.
@@ -21,7 +19,7 @@ func allFinite(x []float32) bool {
 // reference check do at every shape, and one NaN or ±Inf is found in any
 // lane of a vector block, in a later call's span, and in the Go tail.
 func TestAllFiniteMatchesGo(t *testing.T) {
-	r := rng.New(23)
+	r := newPCG(23)
 	kernelShapes(func(n, off int) {
 		x := offsetCopy(mixedVec(r, n), off)
 		if r.Intn(2) == 0 {

@@ -3,13 +3,11 @@ package vecmath
 import (
 	"math"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 // randLaneSlab draws n functions of steps coordinates each over dim inputs,
 // every coordinate negated with probability 1/2 when signed.
-func randLaneSlab(r *rng.RNG, dim, n, steps int, signed bool) (*LaneSlab, []int32, []bool) {
+func randLaneSlab(r *pcg, dim, n, steps int, signed bool) (*LaneSlab, []int32, []bool) {
 	coord := make([]int32, n*steps)
 	var neg []bool
 	if signed {
@@ -26,7 +24,7 @@ func randLaneSlab(r *rng.RNG, dim, n, steps int, signed bool) (*LaneSlab, []int3
 
 // sparseMixedVec is mixedVec with each cell kept with probability density
 // and otherwise ±0.
-func sparseMixedVec(r *rng.RNG, n int, density float64) []float32 {
+func sparseMixedVec(r *pcg, n int, density float64) []float32 {
 	v := mixedVec(r, n)
 	for i := range v {
 		if !r.Bernoulli(density) {
@@ -40,7 +38,7 @@ func sparseMixedVec(r *rng.RNG, n int, density float64) []float32 {
 // counts that are not multiples of 8, bin-sized and simhash-sized step
 // counts, enough functions to split a row over several kernel calls, steps
 // past the per-call bound, and densities 0–1.
-func laneShapes(r *rng.RNG, f func(dim, n, steps int, density float64)) {
+func laneShapes(r *pcg, f func(dim, n, steps int, density float64)) {
 	for trial := 0; trial < 300; trial++ {
 		dim := 1 + r.Intn(300)
 		n := 1 + r.Intn(70)
@@ -57,7 +55,7 @@ func laneShapes(r *rng.RNG, f func(dim, n, steps int, density float64)) {
 }
 
 func TestSignedSumsMatchesGoBitwise(t *testing.T) {
-	r := rng.New(16)
+	r := newPCG(16)
 	laneShapes(r, func(dim, n, steps int, density float64) {
 		slab, coord, neg := randLaneSlab(r, dim, n, steps, true)
 		x := offsetCopy(sparseMixedVec(r, dim, density), r.Intn(8))
@@ -85,7 +83,7 @@ func TestSignedSumsMatchesGoBitwise(t *testing.T) {
 }
 
 func TestNonZeroArgMaxMatchesGo(t *testing.T) {
-	r := rng.New(17)
+	r := newPCG(17)
 	laneShapes(r, func(dim, n, steps int, density float64) {
 		slab, coord, _ := randLaneSlab(r, dim, n, steps, false)
 		x := offsetCopy(sparseMixedVec(r, dim, density), r.Intn(8))

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/rng"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -17,7 +15,7 @@ func almostEq(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*scale
 }
 
-func randVec(r *rng.RNG, n int) []float32 {
+func randVec(r *pcg, n int) []float32 {
 	v := make([]float32, n)
 	for i := range v {
 		v[i] = r.NormFloat32()
@@ -30,7 +28,7 @@ func randVec(r *rng.RNG, n int) []float32 {
 func TestDotVariantsAgree(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw) % 200
-		r := rng.New(seed)
+		r := newPCG(seed)
 		a, b := randVec(r, n), randVec(r, n)
 		return almostEq(float64(dotScalar(a, b)), float64(dotUnrolled(a, b)), 1e-4)
 	}, nil); err != nil {
@@ -40,7 +38,7 @@ func TestDotVariantsAgree(t *testing.T) {
 
 func TestSparseDotVariantsAgree(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		r := rng.New(seed)
+		r := newPCG(seed)
 		w := randVec(r, 256)
 		nnz := int(nRaw) % 64
 		idx := make([]int32, nnz)
@@ -56,7 +54,7 @@ func TestSparseDotVariantsAgree(t *testing.T) {
 }
 
 func TestSparseDotMatchesDenseDot(t *testing.T) {
-	r := rng.New(2)
+	r := newPCG(2)
 	w := randVec(r, 128)
 	dense := make([]float32, 128)
 	var idx []int32
@@ -80,7 +78,7 @@ func TestAxpyVariantsAgree(t *testing.T) {
 			alpha = 1.5
 		}
 		alpha = float32(math.Mod(float64(alpha), 8)) // keep products finite
-		r := rng.New(seed)
+		r := newPCG(seed)
 		x := randVec(r, n)
 		y1 := randVec(r, n)
 		y2 := append([]float32(nil), y1...)
@@ -118,7 +116,7 @@ func TestDotBiasReLUMatchesUnfused(t *testing.T) {
 			b = 0.25
 		}
 		b = float32(math.Mod(float64(b), 4))
-		r := rng.New(seed)
+		r := newPCG(seed)
 		w, x := randVec(r, n), randVec(r, n)
 		want := b + Dot(w, x)
 		if want < 0 {
@@ -132,7 +130,7 @@ func TestDotBiasReLUMatchesUnfused(t *testing.T) {
 
 func TestSparseDotBiasReLUMatchesUnfused(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		r := rng.New(seed)
+		r := newPCG(seed)
 		w := randVec(r, 256)
 		nnz := int(nRaw) % 64
 		idx := make([]int32, nnz)
@@ -163,7 +161,7 @@ func TestOuterAccMatchesScalarLoops(t *testing.T) {
 			d = 0.5
 		}
 		d = float32(math.Mod(float64(d), 8))
-		r := rng.New(seed)
+		r := newPCG(seed)
 		x, w := randVec(r, n), randVec(r, n)
 		g1, acc1 := randVec(r, n), randVec(r, n)
 		g2 := append([]float32(nil), g1...)
@@ -210,7 +208,7 @@ func TestSparseAndIndexedAxpy(t *testing.T) {
 func TestSoftmaxProperties(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%50 + 1
-		r := rng.New(seed)
+		r := newPCG(seed)
 		x := randVec(r, n)
 		big := vecIdxMax(x)
 		Softmax(x)
