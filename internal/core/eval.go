@@ -53,6 +53,8 @@ func parallelIndexed(workers, n int, f func(w, lo, hi int)) {
 // (0 = all), parallelized across threads. Per-worker element states are
 // checked out of the network's default predictor pool and returned
 // afterwards, so repeated evaluations do not re-allocate inference state.
+// Drawing the subset costs O(samples²) moves (rng.SampleKInto), small
+// next to the samples full forward passes.
 func (n *Network) Evaluate(test []dataset.Example, samples, threads int, ks ...int) (EvalResult, error) {
 	defer runtime.KeepAlive(n) // the weights may view a mapped file (see mapping)
 	maxK := 1

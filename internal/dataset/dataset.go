@@ -16,7 +16,6 @@
 package dataset
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
@@ -279,16 +278,9 @@ type exampleGen struct {
 	r      rng.RNG
 	labels []int32
 	pick   []int
-	feats  []feature
+	idx    []int32
+	val    []float32
 }
-
-// feature is one drawn (id, value) component before merging.
-type feature struct {
-	idx int32
-	val float32
-}
-
-func byIdx(a, b feature) int { return cmp.Compare(a.idx, b.idx) }
 
 func (g *exampleGen) example(p Profile, ps *prototypes) Example {
 	r := &g.r
@@ -320,7 +312,7 @@ func (g *exampleGen) example(p Profile, ps *prototypes) Example {
 	// noise, L2-normalized (SLIDE's Simhash is a cosine LSH).
 	signal := p.AvgFeatures - int(float64(p.AvgFeatures)*p.NoiseFrac)
 	perLabel := max(2, signal/len(labels))
-	feats := g.feats[:0]
+	fi, fv := g.idx[:0], g.val[:0]
 	for _, c := range labels {
 		idx, val := ps.class(c)
 		take := perLabel
@@ -329,43 +321,20 @@ func (g *exampleGen) example(p Profile, ps *prototypes) Example {
 		}
 		g.pick = r.SampleKInto(g.pick, len(idx), take)
 		for _, j := range g.pick {
-			feats = append(feats, feature{idx[j], val[j] * (0.8 + 0.4*r.Float32())})
+			fi = append(fi, idx[j])
+			fv = append(fv, val[j]*(0.8+0.4*r.Float32()))
 		}
 	}
 	noise := int(float64(p.AvgFeatures) * p.NoiseFrac)
 	for i := 0; i < noise; i++ {
 		id := int32(r.Intn(p.FeatureDim))
-		feats = append(feats, feature{id, 0.1 + 0.2*r.Float32()})
+		fi = append(fi, id)
+		fv = append(fv, 0.1+0.2*r.Float32())
 	}
-	g.feats = feats
-	return Example{Features: mergeFeatures(p.FeatureDim, feats), Labels: slices.Clone(labels)}
-}
-
-// mergeFeatures is sparse.New over feats followed by the L2
-// normalization, written straight into exact-size slices: feats are
-// sorted by id unless already ascending, with slices.SortFunc, whose
-// pdqsort is generated from the same template as sort.Slice's and so
-// leaves equal ids in sparse.New's order; duplicate ids are summed in
-// that order.
-func mergeFeatures(dim int, feats []feature) sparse.Vector {
-	if !slices.IsSortedFunc(feats, byIdx) {
-		slices.SortFunc(feats, byIdx)
-	}
-	n := 0
-	for i := range feats {
-		if i == 0 || feats[i].idx != feats[i-1].idx {
-			n++
-		}
-	}
-	vec := sparse.Vector{Dim: dim, Idx: make([]int32, n), Val: make([]float32, n)}
-	out := -1
-	for i, f := range feats {
-		if i > 0 && f.idx == feats[i-1].idx {
-			vec.Val[out] += f.val
-			continue
-		}
-		out++
-		vec.Idx[out], vec.Val[out] = f.idx, f.val
+	g.idx, g.val = fi, fv
+	vec, err := sparse.New(p.FeatureDim, fi, fv)
+	if err != nil {
+		panic(err) // indices are generated in range; unreachable
 	}
 	if n := vec.Norm2(); n > 0 {
 		inv := float32(1 / n)
@@ -373,7 +342,7 @@ func mergeFeatures(dim int, feats []feature) sparse.Vector {
 			vec.Val[j] *= inv
 		}
 	}
-	return vec
+	return Example{Features: vec, Labels: slices.Clone(labels)}
 }
 
 // parallelFor splits [0, n) into one contiguous range per GOMAXPROCS

@@ -347,7 +347,9 @@ func TestGenerateGoldenHash(t *testing.T) {
 // shapes, recorded before the generator was rewritten to allocate per
 // example: the tiny profile's examples hold too few features to reach
 // the unstable (pdqsort) path of the feature sort, which starts at 13
-// elements, so the duplicate sums' order is pinned only here.
+// elements. These shapes reach it, but their examples rarely hold three
+// equal ids, so the order of duplicate sums is pinned by sparse's
+// TestNewMatchesPermutationSort, not here.
 func TestGenerateShapeGoldenHashes(t *testing.T) {
 	xwide := Amazon670K(0.2, 1)
 	xwide.TrainSize, xwide.TestSize = 15360, 1024
@@ -378,8 +380,9 @@ func TestGenerateShapeGoldenHashes(t *testing.T) {
 
 // TestGenerateAllocsPerExample gates the generator's heap allocations at
 // train_converge's shape: an example keeps its labels, feature ids and
-// values (three allocations), and everything else is per worker or per
-// dataset. Before the per-worker scratch it was ~29 per example.
+// values (three allocations, sparse.New's sort allocating nothing), and
+// everything else is per worker or per dataset. Before the per-worker
+// scratch it was ~29 per example.
 func TestGenerateAllocsPerExample(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")

@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Vector is a sparse float32 vector of dimension Dim with non-zero entries
@@ -79,18 +80,12 @@ func FromDense(d []float32) Vector {
 }
 
 func (v *Vector) normalizeInPlace() error {
-	if !sort.SliceIsSorted(v.Idx, func(a, b int) bool { return v.Idx[a] < v.Idx[b] }) {
-		ord := make([]int, len(v.Idx))
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(a, b int) bool { return v.Idx[ord[a]] < v.Idx[ord[b]] })
-		ni := make([]int32, len(v.Idx))
-		nv := make([]float32, len(v.Val))
-		for k, o := range ord {
-			ni[k], nv[k] = v.Idx[o], v.Val[o]
-		}
-		v.Idx, v.Val = ni, nv
+	if !slices.IsSorted(v.Idx) {
+		s := sorters.Get().(*byIdx)
+		*s = byIdx{v.Idx, v.Val}
+		sort.Sort(s)
+		*s = byIdx{}
+		sorters.Put(s)
 	}
 	// Merge duplicates and validate the index range.
 	out := 0
@@ -107,6 +102,26 @@ func (v *Vector) normalizeInPlace() error {
 	}
 	v.Idx, v.Val = v.Idx[:out], v.Val[:out]
 	return nil
+}
+
+// byIdx sorts a vector's components by index, swapping ids and values
+// together. sort.Sort runs the same pdqsort as sort.Slice, so equal ids
+// end in the order (and duplicate sums in the rounding) that sorting a
+// permutation with sort.Slice gave. sort.Sort's argument escapes, so
+// sorters are pooled: a sort allocates nothing, and New allocates only
+// the two slices it returns.
+type byIdx struct {
+	idx []int32
+	val []float32
+}
+
+var sorters = sync.Pool{New: func() any { return new(byIdx) }}
+
+func (s byIdx) Len() int           { return len(s.idx) }
+func (s byIdx) Less(a, b int) bool { return s.idx[a] < s.idx[b] }
+func (s byIdx) Swap(a, b int) {
+	s.idx[a], s.idx[b] = s.idx[b], s.idx[a]
+	s.val[a], s.val[b] = s.val[b], s.val[a]
 }
 
 // NNZ returns the number of stored non-zero components.

@@ -219,3 +219,59 @@ func TestTopKEdgeCases(t *testing.T) {
 		t.Fatalf("TopK overshoot = %v", got)
 	}
 }
+
+// TestNewMatchesPermutationSort pins the order in which New sums
+// duplicate ids, bit for bit, against New's earlier form (sort.Slice over
+// a permutation, then gather): with 13 or more components the sort is
+// pdqsort, which is not stable, and three or more equal ids summed in a
+// different order round differently. The dataset generator's output
+// depends on that order.
+func TestNewMatchesPermutationSort(t *testing.T) {
+	r := rng.New(11)
+	check := func(idx []int32, val []float32) {
+		t.Helper()
+		got := MustNew(1<<20, idx, val)
+		want := newByPermutation(1<<20, idx, val)
+		if !sliceEq(got.Idx, want.Idx) {
+			t.Fatalf("ids %v, want %v", got.Idx, want.Idx)
+		}
+		for j := range got.Val {
+			if math.Float32bits(got.Val[j]) != math.Float32bits(want.Val[j]) {
+				t.Fatalf("id %d sums to %g, want %g (input ids %v, values %v)", got.Idx[j], got.Val[j], want.Val[j], idx, val)
+			}
+		}
+	}
+	// Crafted: id 4 three times among 16, as 1e8, 1 and -1e8. pdqsort
+	// sums them to 1; a stable sort, keeping 1e8, 1, -1e8, sums 0.
+	check([]int32{7, 10, 4, 12, 1, 0, 13, 0, 1, 8, 4, 2, 9, 4, 3, 11},
+		[]float32{2, 3, 1e8, 5, 6, 7, 8, 9, 10, 11, 1, 13, 14, -1e8, 16, 17})
+	for range 2000 {
+		n := 13 + r.Intn(200)
+		idx := make([]int32, n)
+		val := make([]float32, n)
+		for j := range idx {
+			idx[j] = int32(r.Intn(n/3 + 1))
+			val[j] = float32(math.Ldexp(r.NormFloat64(), r.Intn(41)-20))
+		}
+		check(idx, val)
+	}
+}
+
+// newByPermutation is New as it was written before it sorted in place.
+func newByPermutation(dim int, idx []int32, val []float32) Vector {
+	ord := make([]int, len(idx))
+	for i := range ord {
+		ord[i] = i
+	}
+	sort.Slice(ord, func(a, b int) bool { return idx[ord[a]] < idx[ord[b]] })
+	v := Vector{Dim: dim}
+	for _, o := range ord {
+		if n := len(v.Idx); n > 0 && v.Idx[n-1] == idx[o] {
+			v.Val[n-1] += val[o]
+			continue
+		}
+		v.Idx = append(v.Idx, idx[o])
+		v.Val = append(v.Val, val[o])
+	}
+	return v
+}

@@ -63,6 +63,3 @@ func finiteAVX2(x *float32, blocks int) (ok bool)
 
 //go:noescape
 func polarFactorsAVX2(f, s *float64, quads int)
-
-//go:noescape
-func polarScaleAVX2(dst *float32, u, v, f *float64, quads int, std float32, pairs bool)

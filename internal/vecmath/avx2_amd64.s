@@ -536,51 +536,3 @@ polar_quad:
 	JNZ     polar_quad
 	VZEROUPPER
 	RET
-
-// func polarScaleAVX2(dst *float32, u, v, f *float64, quads int, std float32, pairs bool)
-// Over quads*4 cells i: with pairs, dst[2i] = std*float32(u[i]*f[i]) and
-// dst[2i+1] = std*float32(v[i]*f[i]); without, dst[i] = std*float32(u[i]*f[i])
-// and v is not read. The conversion rounds to nearest as CVTSD2SS does.
-TEXT ·polarScaleAVX2(SB), NOSPLIT, $0-45
-	MOVQ         dst+0(FP), DI
-	MOVQ         u+8(FP), SI
-	MOVQ         v+16(FP), DX
-	MOVQ         f+24(FP), BX
-	MOVQ         quads+32(FP), CX
-	VBROADCASTSS std+40(FP), X15
-	MOVBLZX      pairs+44(FP), R8
-	XORQ         AX, AX
-	TESTQ        R8, R8
-	JZ           scale_first
-
-scale_pair:
-	VMOVUPD    (BX)(AX*1), Y4
-	VMULPD     (SI)(AX*1), Y4, Y0
-	VMULPD     (DX)(AX*1), Y4, Y1
-	VCVTPD2PSY Y0, X0
-	VCVTPD2PSY Y1, X1
-	VMULPS     X15, X0, X0
-	VMULPS     X15, X1, X1
-	VUNPCKLPS  X1, X0, X2                // u0 v0 u1 v1
-	VUNPCKHPS  X1, X0, X3                // u2 v2 u3 v3
-	VMOVUPS    X2, (DI)
-	VMOVUPS    X3, 16(DI)
-	ADDQ       $32, AX
-	ADDQ       $32, DI
-	DECQ       CX
-	JNZ        scale_pair
-	VZEROUPPER
-	RET
-
-scale_first:
-	VMOVUPD    (BX)(AX*1), Y4
-	VMULPD     (SI)(AX*1), Y4, Y0
-	VCVTPD2PSY Y0, X0
-	VMULPS     X15, X0, X0
-	VMOVUPS    X0, (DI)
-	ADDQ       $32, AX
-	ADDQ       $16, DI
-	DECQ       CX
-	JNZ        scale_first
-	VZEROUPPER
-	RET

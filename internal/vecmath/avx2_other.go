@@ -32,7 +32,3 @@ func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32) { panic
 func finiteAVX2(x *float32, blocks int) (ok bool) { panic("vecmath: no AVX2") }
 
 func polarFactorsAVX2(f, s *float64, quads int) { panic("vecmath: no AVX2") }
-
-func polarScaleAVX2(dst *float32, u, v, f *float64, quads int, std float32, pairs bool) {
-	panic("vecmath: no AVX2")
-}

@@ -3,14 +3,14 @@ package vecmath
 import "math"
 
 // The Marsaglia polar transform, batched: a generator that has drawn n
-// accepted pairs (u, v) with s = u² + v² in (0, 1) turns them into
-// normal variates u·f and v·f, f = √(−2·ln s / s), with one PolarFactors
-// call and one PolarPairs (both variates) or PolarFirst (the first only)
-// call. The Go path is that expression with math.Log; the AVX2 path runs
-// four pairs at a time and is bit-identical to it on amd64, where
-// math.Log is log_amd64.s's archLog: a frexp by bit operations and plain
-// double multiplies, adds and divides, never FMA, which four-lane
-// VMULPD/VADDPD/VDIVPD reproduce lane by lane (see avx2_amd64.s).
+// accepted pairs (u, v) with s = u² + v² in (0, 1) gets the factors
+// f = √(−2·ln s / s) of its normal variates u·f and v·f from one
+// PolarFactors call. The Go path is that expression with math.Log; the
+// AVX2 path runs four pairs at a time and is bit-identical to it on
+// amd64, where math.Log is log_amd64.s's archLog: a frexp by bit
+// operations and plain double multiplies, adds and divides, never FMA,
+// which four-lane VMULPD/VADDPD/VDIVPD reproduce lane by lane (see
+// avx2_amd64.s).
 
 // maxPolar bounds the pairs one assembly call covers (a few µs of
 // non-preemptible work).
@@ -33,48 +33,5 @@ func PolarFactors(f, s []float64) {
 	}
 	for i := done; i < len(s); i++ {
 		f[i] = math.Sqrt(-2 * math.Log(s[i]) / s[i])
-	}
-}
-
-// PolarPairs sets dst[2i] = std·float32(u[i]·f[i]) and dst[2i+1] =
-// std·float32(v[i]·f[i]): both variates of each pair, in order. len(u),
-// len(v) and len(f) must be equal and len(dst) twice that.
-func PolarPairs(dst []float32, u, v, f []float64, std float32) {
-	n := len(f)
-	if len(u) != n || len(v) != n || len(dst) != 2*n {
-		panic("vecmath: PolarPairs length mismatch")
-	}
-	done := 0
-	if Unrolled && hasAVX2 {
-		for n4 := n &^ 3; done < n4; {
-			c := min(n4-done, maxPolar)
-			polarScaleAVX2(&dst[2*done], &u[done], &v[done], &f[done], c/4, std, true)
-			done += c
-		}
-	}
-	for i := done; i < n; i++ {
-		dst[2*i] = std * float32(u[i]*f[i])
-		dst[2*i+1] = std * float32(v[i]*f[i])
-	}
-}
-
-// PolarFirst sets dst[i] = std·float32(u[i]·f[i]): the first variate of
-// each pair, as NormFloat64-style draws keep it. len(dst), len(u) and
-// len(f) must be equal.
-func PolarFirst(dst []float32, u, f []float64, std float32) {
-	n := len(f)
-	if len(u) != n || len(dst) != n {
-		panic("vecmath: PolarFirst length mismatch")
-	}
-	done := 0
-	if Unrolled && hasAVX2 {
-		for n4 := n &^ 3; done < n4; {
-			c := min(n4-done, maxPolar)
-			polarScaleAVX2(&dst[done], &u[done], &u[done], &f[done], c/4, std, false)
-			done += c
-		}
-	}
-	for i := done; i < n; i++ {
-		dst[i] = std * float32(u[i]*f[i])
 	}
 }

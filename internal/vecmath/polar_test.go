@@ -54,55 +54,11 @@ func TestPolarFactorsMatchLog(t *testing.T) {
 	}
 }
 
-func TestPolarPairsAndFirstMatchGo(t *testing.T) {
-	r := newPCG(2)
-	draw := func(n int) (u, v, f []float64) {
-		u, v, f = make([]float64, n), make([]float64, n), make([]float64, n)
-		for i := range u {
-			for {
-				u[i], v[i] = 2*r.Float64()-1, 2*r.Float64()-1
-				if s := u[i]*u[i] + v[i]*v[i]; s < 1 && s != 0 {
-					f[i] = s
-					break
-				}
-			}
-		}
-		PolarFactors(f, f)
-		return u, v, f
-	}
-	for n := 0; n <= 130; n++ {
-		for _, std := range []float32{1, 0.125, float32(math.Sqrt(2.0 / 128)), -3} {
-			u, v, f := draw(n)
-			pairs := make([]float32, 2*n)
-			first := make([]float32, n)
-			PolarPairs(pairs, u, v, f, std)
-			PolarFirst(first, u, f, std)
-			for i := range n {
-				a, b := std*float32(u[i]*f[i]), std*float32(v[i]*f[i])
-				if math.Float32bits(pairs[2*i]) != math.Float32bits(a) || math.Float32bits(pairs[2*i+1]) != math.Float32bits(b) {
-					t.Fatalf("n %d std %v pair %d: got %v %v, want %v %v", n, std, i, pairs[2*i], pairs[2*i+1], a, b)
-				}
-				if math.Float32bits(first[i]) != math.Float32bits(a) {
-					t.Fatalf("n %d std %v first %d: got %v, want %v", n, std, i, first[i], a)
-				}
-			}
-		}
-	}
-}
-
 func TestPolarLengthMismatchPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"factors": func() { PolarFactors(make([]float64, 3), make([]float64, 4)) },
-		"pairs":   func() { PolarPairs(make([]float32, 7), make([]float64, 4), make([]float64, 4), make([]float64, 4), 1) },
-		"first":   func() { PolarFirst(make([]float32, 3), make([]float64, 4), make([]float64, 4), 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic on a length mismatch", name)
-				}
-			}()
-			f()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("no panic on a length mismatch")
+		}
+	}()
+	PolarFactors(make([]float64, 3), make([]float64, 4))
 }

@@ -16,9 +16,9 @@
 //   - AVX2 assembly (avx2_amd64.s) for five dense row loops — Dot/DotRows,
 //     Axpy, AxpyRows, OuterAcc, AdamStep — and two lane-parallel hash
 //     kernels over a LaneSlab — SignedSums (Simhash) and NonZeroArgMax
-//     (DWTA) — and the weight init's polar transform (PolarFactors,
-//     PolarPairs, PolarFirst: polar.go, whose Go path is math.Log's
-//     expression and whose assembly is four lanes of math's amd64 log)
+//     (DWTA) — and the weight init's polar transform (PolarFactors in
+//     polar.go, whose Go path is math.Log's expression and whose
+//     assembly is four lanes of math's amd64 log)
 //     when the CPU and OS support it (hasAVX2, probed once at init by
 //     hand-rolled CPUID/XGETBV). There is one vector tier: no AVX-512, no
 //     option.
