@@ -372,7 +372,7 @@ func remaining(r io.Reader) (int64, bool) {
 // encode writes the layer's part of a model file at its sections s,
 // appending straight into bw's buffer and zero-padding each section to
 // its offset; a sampled layer's tables are built for the file at
-// generation 1 over scratch of their own (Layer.build).
+// generation 1 (Layer.build).
 func (l *Layer) encode(bw *bufio.Writer, s layerSections) {
 	binary.Write(bw, binary.LittleEndian, [3]uint32{uint32(l.in), uint32(l.out), uint32(l.cfg.Activation)})
 	bw.Write(zeroPad[:s.w.at-s.shape-12])
@@ -382,7 +382,7 @@ func (l *Layer) encode(bw *bufio.Writer, s layerSections) {
 	bw.Write(zeroPad[:s.b.at-s.w.end])
 	writeFloats(bw, l.b[:l.out])
 	if l.Sampled() {
-		tables, _ := l.build(1, defaultThreads(), nil)
+		tables := l.build(1, defaultThreads())
 		bw.Write(zeroPad[:s.offs.at-s.b.end])
 		tables.EncodeOffsets(bw)
 		bw.Write(zeroPad[:s.ids.at-s.offs.end])

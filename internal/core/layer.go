@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/lsh"
 	"repro/internal/rng"
+	"repro/internal/vecmath"
 )
 
 // Layer is one fully connected layer: weights, biases and — when sampled —
@@ -83,14 +84,6 @@ type Layer struct {
 	// loaded.
 	fam    lsh.Family
 	tables *hashtable.Handle
-
-	// codesBuf is the build's per-chunk code matrix, reused across
-	// generations: builds run one at a time, on the goroutine that owns the
-	// layer. A layer with no training state (mW nil) drops it after each
-	// build: outside training, builds are one-offs (a loaded network builds
-	// none; its tables come from the file, and SaveModel builds over
-	// scratch of its own).
-	codesBuf []uint32
 
 	// rowsHashed counts the rows this layer's builds hashed
 	// (TrainResult.RowsRehashed surfaces it).
@@ -207,64 +200,51 @@ func (l *Layer) Weights(j int) []float32 {
 // Bias returns neuron j's bias.
 func (l *Layer) Bias(j int) float32 { return l.b[j] }
 
-// rebuildChunk caps the neurons hashed per parallel rebuild chunk, which
-// bounds the chunk's code matrix at rebuildChunk*K*L*4 bytes.
-const rebuildChunk = 4096
-
 // Table lifecycle (§4.2 "Updating Overhead"): a rebuild never mutates the
 // live table set. Every build — construction, restore, RebuildTables,
 // SaveModel's, the scheduled rebuilds — runs the same two steps from the
 // live weight rows, on the goroutine that owns the network, while no
-// batch is stepping them. (1) Build: chunk by chunk, block-hash the rows
-// (lsh.Family.HashDenseRows) straight from the contiguous weights and
-// write their bucket addresses into a detached generation-seeded shadow
-// set, row-parallel; then place every table's ids, table-parallel. (2)
-// Publish the shadow with one atomic handle store. Forward passes and
-// Predictor queries stay valid across a publish on whichever set they
-// loaded. A scheduled rebuild builds at its kick and holds the built set
-// until its publish step (Network.rebuildTick), so training keeps running
-// on the previous set for a few batches, as §4.2's schedule assumes.
+// batch is stepping them. (1) Build: eight rows at a time, transpose the
+// rows straight from the contiguous weights, hash them together
+// (lsh.Family.HashBlock) and write their bucket addresses into a detached
+// generation-seeded shadow set, block-parallel; then place every table's
+// ids, table-parallel. (2) Publish the shadow with one atomic handle
+// store. Forward passes and Predictor queries stay valid across a publish
+// on whichever set they loaded. A scheduled rebuild builds at its kick and
+// holds the built set until its publish step (Network.rebuildTick), so
+// training keeps running on the previous set for a few batches, as §4.2's
+// schedule assumes.
 //
 // There is no incremental re-hash (§4.2 trick 3): one batch touches about
 // batch×β output rows and rebuilds are at least RebuildN0 batches apart,
 // so every row has drifted by the next rebuild — see README "Hash &
 // retrieval path" for the measurements.
 
-// buildShadow constructs the generation-gen shadow table set from the
-// live rows without publishing it; the weights must be quiesced. A row's
-// codes are a pure function of the row and the build a pure function of
-// the codes, so the tables do not depend on workers. Hashing and
-// addressing parallelize over neurons, each worker addressing its rows
-// while their codes are still in cache, and placement over tables: the
-// two lock-free axes §3.1 identifies.
+// buildShadow is build, counted in rowsHashed.
 func (l *Layer) buildShadow(gen uint64, workers int) *hashtable.Table {
-	var shadow *hashtable.Table
-	shadow, l.codesBuf = l.build(gen, workers, l.codesBuf)
-	if l.mW == nil {
-		l.codesBuf = nil
-	}
 	l.rowsHashed += int64(l.out)
-	return shadow
+	return l.build(gen, workers)
 }
 
-// build is buildShadow's pipeline over caller-owned code scratch, grown
-// to a chunk when shorter and returned for reuse. It counts nothing and
-// touches nothing of the layer but its reads of the weights and the
-// published set's configuration.
-func (l *Layer) build(gen uint64, workers int, codes []uint32) (*hashtable.Table, []uint32) {
+// build constructs the generation-gen shadow table set from the live rows
+// without publishing it; the weights must be quiesced. A row's codes are a
+// pure function of the row and the build a pure function of the codes, so
+// the tables do not depend on workers. Workers claim blocks of eight rows
+// — the last padded by repeating its last real row — and hash and address
+// each block while it is in cache, over one block's scratch apiece; then
+// placement runs over tables: the two lock-free axes §3.1 identifies.
+func (l *Layer) build(gen uint64, workers int) *hashtable.Table {
 	shadow := l.tables.Load().Shadow(gen)
 	shadow.Begin(l.out)
-	nf := l.fam.NumFuncs()
-	if len(codes) < rebuildChunk*nf {
-		codes = make([]uint32, rebuildChunk*nf)
-	}
-	for base := 0; base < l.out; base += rebuildChunk {
-		n := min(rebuildChunk, l.out-base)
-		parallelIndexed(workers, n, func(_, lo, hi int) {
-			l.fam.HashDenseRows(l.flat[(base+lo)*l.in:(base+hi)*l.in], hi-lo, codes[lo*nf:hi*nf])
-			shadow.AddressRows(base+lo, hi-lo, codes[lo*nf:hi*nf], nf)
-		})
-	}
+	parallelIndexed(workers, (l.out+7)/8, func(_, lo, hi int) {
+		xt, codes := make([]float32, 8*l.in), make([]uint32, 8*l.fam.NumFuncs())
+		for base := 8 * lo; base < min(8*hi, l.out); base += 8 {
+			n := min(8, l.out-base)
+			vecmath.Transpose8(xt, l.flat[base*l.in:(base+n)*l.in], l.in)
+			l.fam.HashBlock(xt, codes)
+			shadow.AddressBlock(base, n, codes)
+		}
+	})
 	shadow.Place(workers)
-	return shadow, codes
+	return shadow
 }

@@ -16,7 +16,7 @@ import (
 
 // naiveTables builds layer l's generation-gen table set the slow way —
 // one HashDense per live row into a whole code matrix, then one
-// single-worker BuildParallel — as the reference the chunked block-hash
+// single-worker BuildParallel — as the reference the eight-row block
 // pipeline must reproduce bucket for bucket.
 func naiveTables(l *Layer, gen uint64) *hashtable.Table {
 	ref := l.Tables().Shadow(gen)
@@ -62,6 +62,51 @@ func TestShadowBuildMatchesInlineBuild(t *testing.T) {
 	other := l.buildShadow(gen+1, 1)
 	if got, want := other.Stats().TotalSeen, l.Tables().L()*l.out; got != want {
 		t.Fatalf("generation %d shadow saw %d insertions, want %d", gen+1, got, want)
+	}
+}
+
+// TestBlockBuildEdgeRows covers what random weights never reach: layers
+// whose row count is not a multiple of 8 (the padded tail block) over a
+// fan-in that is not one either (the transpose's tail columns), with
+// all-zero rows and rows of one non-zero weight, whose DWTA bins are
+// mostly empty, so densify runs inside a block. For both families, at
+// mixed and packed addressing, the pipeline at 1 and 3 workers must equal
+// the row-by-row HashDense + BuildParallel reference.
+func TestBlockBuildEdgeRows(t *testing.T) {
+	for _, kind := range []lsh.Kind{lsh.KindSimhash, lsh.KindDWTA} {
+		for _, rangePow := range []int{2, 18} { // mixed, packed
+			for _, out := range []int{1, 7, 13, 250} {
+				n := mustNet(t, Config{
+					InputDim: 40,
+					Seed:     uint64(out),
+					Layers: []LayerConfig{
+						{Size: 20, Activation: ActReLU},
+						{
+							Size: out, Activation: ActSoftmax,
+							Sampled: true, Hash: kind, K: 3, L: 7, RangePow: rangePow,
+							BucketSize: 4, Beta: 4,
+						},
+					},
+				})
+				l := n.layers[1]
+				for j, w := range l.w {
+					switch j % 5 {
+					case 1:
+						clear(w)
+					case 3:
+						v := w[j%len(w)]
+						clear(w)
+						w[j%len(w)] = v
+					}
+				}
+				ref := naiveTables(l, 5)
+				for _, workers := range []int{1, 3} {
+					if !l.buildShadow(5, workers).Equal(ref) {
+						t.Fatalf("%v RangePow %d, %d rows, %d workers: block build differs from the row-by-row reference", kind, rangePow, out, workers)
+					}
+				}
+			}
+		}
 	}
 }
 

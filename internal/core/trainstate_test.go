@@ -238,19 +238,13 @@ func TestLoadModelHeapHoldsWeightsAndTables(t *testing.T) {
 	}
 	// At this shape the rest is 1.03 MB: 0.6 MB of row views, and the
 	// file's encoded tables and padding, which share the heap buffer the
-	// weights view. A load reads its tables from the file, so it never
-	// holds the table build's 4 MB of chunk scratch, and the moments alone
-	// would be 25.6 MB more.
+	// weights view. A load reads its tables from the file and builds
+	// none, and the moments alone would be 25.6 MB more.
 	const slack = 5 << 18
 	if limit := weights + tables + slack; held > limit {
 		t.Fatalf("a load holds %d bytes: more than %d of weights + %d of tables + %d", held, weights, tables, slack)
 	}
 	requireTrainState(t, m, false, -1, "after LoadModel")
-	for li, l := range m.layers {
-		if l.codesBuf != nil {
-			t.Fatalf("layer %d kept its table-build scratch after LoadModel", li)
-		}
-	}
 	runtime.KeepAlive(m)
 	runtime.KeepAlive(&file)
 }

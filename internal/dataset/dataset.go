@@ -213,7 +213,6 @@ func Generate(p Profile) (*Dataset, error) {
 	if p.LabelSkew <= 0 {
 		p.LabelSkew = 1
 	}
-	protos := makePrototypes(p)
 	d := &Dataset{
 		Name:       p.Name,
 		InputDim:   p.FeatureDim,
@@ -221,13 +220,29 @@ func Generate(p Profile) (*Dataset, error) {
 		Train:      make([]Example, p.TrainSize),
 		Test:       make([]Example, p.TestSize),
 	}
-	genSplit(p, &protos, d.Train, 0x11a1)
-	genSplit(p, &protos, d.Test, 0x7e57)
+	// Labels are each example's first draws and read no prototype, so a
+	// first pass draws every example's labels, keeping its stream where
+	// the features start, and only the classes they name get a prototype:
+	// each class draws from its own stream, so the rest change nothing.
+	train := genLabels(p, d.Train, 0x11a1)
+	test := genLabels(p, d.Test, 0x7e57)
+	named := make([]bool, p.NumClasses)
+	for _, split := range [][]Example{d.Train, d.Test} {
+		for _, ex := range split {
+			for _, c := range ex.Labels {
+				named[c] = true
+			}
+		}
+	}
+	protos := makePrototypes(p, named)
+	genFeatures(p, &protos, d.Train, train)
+	genFeatures(p, &protos, d.Test, test)
 	return d, nil
 }
 
-// prototypes holds every class's sparse signature in two slabs: class c
-// owns the nnz feature ids and values at [c·nnz, (c+1)·nnz).
+// prototypes holds the named classes' sparse signatures in two slabs:
+// class c owns the nnz feature ids and values at [c·nnz, (c+1)·nnz),
+// which stay zero for a class no example names.
 type prototypes struct {
 	nnz int
 	idx []int32
@@ -239,16 +254,24 @@ func (ps *prototypes) class(c int32) ([]int32, []float32) {
 	return ps.idx[lo:hi], ps.val[lo:hi]
 }
 
-func makePrototypes(p Profile) prototypes {
+// makePrototypes draws the prototype of every class marked in named, each
+// from its own stream.
+func makePrototypes(p Profile, named []bool) prototypes {
 	n := p.ProtoNNZ
 	ps := prototypes{nnz: n, idx: make([]int32, p.NumClasses*n), val: make([]float32, p.NumClasses*n)}
-	parallelFor(p.NumClasses, func(lo, hi int) {
+	var classes []int32
+	for c, ok := range named {
+		if ok {
+			classes = append(classes, int32(c))
+		}
+	}
+	parallelFor(len(classes), func(lo, hi int) {
 		var r rng.RNG
 		var pick []int
-		for c := lo; c < hi; c++ {
+		for _, c := range classes[lo:hi] {
 			r.ReseedStream(p.Seed^0x9b0+uint64(c)*0x9e3779b97f4a7c15, 0xb0)
 			pick = r.SampleKInto(pick, p.FeatureDim, n)
-			idx, val := ps.class(int32(c))
+			idx, val := ps.class(c)
 			for j, i := range pick {
 				idx[j] = int32(i)
 			}
@@ -261,36 +284,29 @@ func makePrototypes(p Profile) prototypes {
 	return ps
 }
 
-func genSplit(p Profile, ps *prototypes, out []Example, salt uint64) {
+// genLabels draws every example's label set into out and returns each
+// example's stream as the label draws leave it.
+func genLabels(p Profile, out []Example, salt uint64) []rng.RNG {
+	streams := make([]rng.RNG, len(out))
 	parallelFor(len(out), func(lo, hi int) {
-		var g exampleGen
+		var labels []int32
 		for n := lo; n < hi; n++ {
-			g.r.ReseedStream(p.Seed^salt+uint64(n)*0x9e3779b97f4a7c15, salt)
-			out[n] = g.example(p, ps)
+			r := &streams[n]
+			r.ReseedStream(p.Seed^salt+uint64(n)*0x9e3779b97f4a7c15, salt)
+			labels = drawLabels(p, r, labels[:0])
+			out[n].Labels = slices.Clone(labels)
 		}
 	})
+	return streams
 }
 
-// exampleGen is one worker's generator state: the example's stream and
-// scratch that outlives each example, so an example allocates only what
-// it keeps (its labels, feature ids and values).
-type exampleGen struct {
-	r      rng.RNG
-	labels []int32
-	pick   []int
-	idx    []int32
-	val    []float32
-}
-
-func (g *exampleGen) example(p Profile, ps *prototypes) Example {
-	r := &g.r
-	// Draw the label set: skewed toward head classes, deduplicated, kept
-	// ascending as it is drawn.
+// drawLabels appends an example's label set to labels: skewed toward head
+// classes, deduplicated, kept ascending as it is drawn.
+func drawLabels(p Profile, r *rng.RNG, labels []int32) []int32 {
 	nLab := 1 + r.Intn(2*p.AvgLabels-1) // mean AvgLabels
 	if nLab > p.NumClasses {
 		nLab = p.NumClasses
 	}
-	labels := g.labels[:0]
 	for len(labels) < nLab {
 		u := r.Float64()
 		c := int32(float64(p.NumClasses) * math.Pow(u, p.LabelSkew))
@@ -306,10 +322,32 @@ func (g *exampleGen) example(p Profile, ps *prototypes) Example {
 		}
 		labels = slices.Insert(labels, at, c)
 	}
-	g.labels = labels
+	return labels
+}
 
-	// Features: a noisy subset of each label's prototype plus background
-	// noise, L2-normalized (SLIDE's Simhash is a cosine LSH).
+// genFeatures draws every example's features, continuing its stream from
+// the label draws.
+func genFeatures(p Profile, ps *prototypes, out []Example, streams []rng.RNG) {
+	parallelFor(len(out), func(lo, hi int) {
+		var g featureGen
+		for n := lo; n < hi; n++ {
+			out[n].Features = g.features(p, ps, &streams[n], out[n].Labels)
+		}
+	})
+}
+
+// featureGen is one worker's feature scratch, which outlives each example,
+// so an example allocates only what it keeps (its feature ids and values).
+type featureGen struct {
+	pick []int
+	idx  []int32
+	val  []float32
+}
+
+// features draws an example's features from its stream r: a noisy subset
+// of each label's prototype plus background noise, L2-normalized (SLIDE's
+// Simhash is a cosine LSH).
+func (g *featureGen) features(p Profile, ps *prototypes, r *rng.RNG, labels []int32) sparse.Vector {
 	signal := p.AvgFeatures - int(float64(p.AvgFeatures)*p.NoiseFrac)
 	perLabel := max(2, signal/len(labels))
 	fi, fv := g.idx[:0], g.val[:0]
@@ -342,7 +380,7 @@ func (g *exampleGen) example(p Profile, ps *prototypes) Example {
 			vec.Val[j] *= inv
 		}
 	}
-	return Example{Features: vec, Labels: slices.Clone(labels)}
+	return vec
 }
 
 // parallelFor splits [0, n) into one contiguous range per GOMAXPROCS

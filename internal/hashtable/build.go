@@ -5,15 +5,17 @@ import (
 	"sync"
 
 	"repro/internal/rng"
+	"repro/internal/vecmath"
 )
 
 // A build fills a set with the ids 0..rows-1 in two passes, parallel
-// along the two lock-free axes of §3.1. Pass 1 (AddressRows, over rows)
-// writes each row's address in table ti to ids[ti*rows+row], the region
-// table ti will fill. Pass 2 (Place, over tables) counting-sorts each
-// table; an id that overflows its bucket replays the insertion rule
-// exactly (Vitter's algorithm R drawing Intn(seen) from the table's
-// generation stream, only on overflow and in id order). The result
+// along the two lock-free axes of §3.1. Pass 1 (AddressBlock, over blocks
+// of eight rows) writes each row's address in table ti to
+// ids[ti*rows+row], the region table ti will fill: eight rows' addresses
+// are one contiguous store per table. Pass 2 (Place, over tables)
+// counting-sorts each table; an id that overflows its bucket replays the
+// insertion rule exactly (Vitter's algorithm R drawing Intn(seen) from the
+// table's generation stream, only on overflow and in id order). The result
 // depends only on (config, gen, codes), not on the workers or how pass 1
 // splits its rows.
 
@@ -26,18 +28,23 @@ func (t *Table) Begin(rows int) {
 	t.rows, t.ids = rows, make([]uint32, rows*t.cfg.L)
 }
 
-// AddressRows is pass 1 for rows base..base+n-1, whose codes are a
-// row-major matrix: row base+r hashes to codes[r*stride : r*stride+K*L].
-// Distinct goroutines may call it concurrently for disjoint row ranges.
-func (t *Table) AddressRows(base, n int, codes []uint32, stride int) {
-	if stride < t.cfg.K*t.cfg.L {
-		panic("hashtable: AddressRows stride smaller than K*L")
+// AddressBlock is pass 1 for the rows base..base+n-1 (1 ≤ n ≤ 8) of one
+// block, whose codes are function-major by row as lsh.Family.HashBlock
+// writes them: row base+r's code f at codes[f*8+r]. Each row's address in
+// table ti is bitwise Address(ti, row's codes); the eight rows of a full
+// block take one vector pass per table (vecmath.PackAddresses or
+// MixAddresses). Distinct goroutines may call it concurrently for disjoint
+// blocks.
+func (t *Table) AddressBlock(base, n int, codes []uint32) {
+	if base < 0 || n < 1 || n > 8 || base+n > t.rows {
+		panic("hashtable: AddressBlock rows outside the build")
 	}
-	for r := 0; r < n; r++ {
-		row := codes[r*stride : r*stride+stride]
-		for ti, at := 0, base+r; ti < t.cfg.L; ti, at = ti+1, at+t.rows {
-			t.ids[at] = t.Address(ti, row)
-		}
+	c := t.cfg
+	dst := t.ids[base:]
+	if t.packed {
+		vecmath.PackAddresses(dst, t.rows, n, codes, c.K, c.L, c.CodeBits)
+	} else {
+		vecmath.MixAddresses(dst, t.rows, n, codes, c.K, c.L, c.Seed, uint32(t.numBuckets-1))
 	}
 }
 
@@ -95,12 +102,27 @@ func (t *Table) place(ti int, cnt, out []uint32) {
 
 // BuildParallel builds the set over ids 0..n-1 from a precomputed
 // row-major code matrix (codes[id*stride : id*stride+K*L]): Begin, then
-// both passes over up to workers goroutines. It rebuilds t in place, so t
-// must not be queried concurrently.
+// both passes over up to workers goroutines, pass 1 transposing each block
+// of eight rows' codes for AddressBlock. It rebuilds t in place, so t must
+// not be queried concurrently.
 func (t *Table) BuildParallel(n int, codes []uint32, stride, workers int) {
+	nf := t.cfg.K * t.cfg.L
+	if stride < nf {
+		panic("hashtable: BuildParallel stride smaller than K*L")
+	}
 	t.Begin(n)
-	parallel(workers, n, func(lo, hi int) {
-		t.AddressRows(lo, hi-lo, codes[lo*stride:], stride)
+	parallel(workers, (n+7)/8, func(lo, hi int) {
+		block := make([]uint32, 8*nf)
+		for b := lo; b < hi; b++ {
+			base := 8 * b
+			rows := min(8, n-base)
+			for r := 0; r < rows; r++ {
+				for f, c := range codes[(base+r)*stride:][:nf] {
+					block[f*8+r] = c
+				}
+			}
+			t.AddressBlock(base, rows, block)
+		}
 	})
 	t.Place(workers)
 }

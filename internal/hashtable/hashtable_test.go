@@ -141,8 +141,9 @@ func TestBuildParallelReplacesContents(t *testing.T) {
 }
 
 // TestBuildRejectsBadShapes: a build whose rows × L ids would overflow the
-// uint32 offsets panics in Begin before allocating, and pass 1 refuses a
-// code stride shorter than one row's K*L codes.
+// uint32 offsets panics in Begin before allocating, BuildParallel refuses
+// a code stride shorter than one row's K*L codes, and pass 1 a block
+// outside the build's rows or of more than eight.
 func TestBuildRejectsBadShapes(t *testing.T) {
 	tbl := mkTable(t, Config{K: 3, L: 2, CodeBits: 2, Seed: 1})
 	mustPanic := func(want string, fn func()) {
@@ -155,8 +156,72 @@ func TestBuildRejectsBadShapes(t *testing.T) {
 		fn()
 	}
 	mustPanic("uint32 offset range", func() { tbl.Begin(math.MaxUint32/2 + 1) })
-	tbl.Begin(4)
-	mustPanic("stride smaller than K*L", func() { tbl.AddressRows(0, 4, make([]uint32, 4*5), 5) })
+	mustPanic("stride smaller than K*L", func() { tbl.BuildParallel(4, make([]uint32, 4*5), 5, 1) })
+	tbl.Begin(12)
+	codes := make([]uint32, 8*6)
+	mustPanic("rows outside the build", func() { tbl.AddressBlock(8, 5, codes) })
+	mustPanic("rows outside the build", func() { tbl.AddressBlock(0, 9, codes) })
+	mustPanic("rows outside the build", func() { tbl.AddressBlock(0, 0, codes) })
+	mustPanic("codes shorter", func() { tbl.AddressBlock(0, 8, codes[:47]) })
+}
+
+// blockCodes transposes rows base..base+n-1 of a row-major code matrix
+// into AddressBlock's layout, code f of row base+r at [f*8+r].
+func blockCodes(codes []uint32, stride, nf, base, n int) []uint32 {
+	block := make([]uint32, 8*nf)
+	for r := 0; r < n; r++ {
+		for f := 0; f < nf; f++ {
+			block[f*8+r] = codes[(base+r)*stride+f]
+		}
+	}
+	return block
+}
+
+// TestAddressBlockMatchesAddress: every address AddressBlock writes is
+// Address on that row's codes, for packed and mixed addressing at several
+// K, CodeBits and RangePow values, full and partial blocks, and it writes
+// nothing outside its rows.
+func TestAddressBlockMatchesAddress(t *testing.T) {
+	r := rng.New(11)
+	for _, c := range []Config{
+		{K: 1, L: 3, CodeBits: 1, RangePow: 1},
+		{K: 4, L: 7, CodeBits: 1, RangePow: 6},  // packed with room to spare
+		{K: 6, L: 30, CodeBits: 1, RangePow: 6}, // train_converge's Simhash shape is packed
+		{K: 3, L: 5, CodeBits: 3, RangePow: 9},
+		{K: 8, L: 50, CodeBits: 3, RangePow: 12}, // train_xwide: mixed
+		{K: 4, L: 6, CodeBits: 3, RangePow: 7},
+		{K: 5, L: 9, CodeBits: 2, RangePow: 3},
+		{K: 2, L: 4, CodeBits: 32, RangePow: 28}, // any code the mix takes
+		{K: 9, L: 11, CodeBits: 3},               // automatic RangePow 18
+	} {
+		c.Seed = r.Uint64()
+		tbl := mkTable(t, c)
+		nf := c.K * c.L
+		const rows = 29
+		codes := randCodes(r, nf, rows, c.CodeBits)
+		tbl.Begin(rows)
+		for i := range tbl.ids {
+			tbl.ids[i] = 0xdead
+		}
+		for _, blk := range [][2]int{{0, 8}, {8, 3}, {11, 8}, {19, 1}, {20, 7}} {
+			base, n := blk[0], blk[1]
+			tbl.AddressBlock(base, n, blockCodes(codes, nf, nf, base, n))
+		}
+		for ti := 0; ti < c.L; ti++ {
+			for id := 0; id < rows; id++ {
+				got := tbl.ids[ti*rows+id]
+				if id == 27 || id == 28 {
+					if got != 0xdead {
+						t.Fatalf("%+v: table %d row %d outside every block was written", c, ti, id)
+					}
+					continue
+				}
+				if want := tbl.Address(ti, codes[id*nf:(id+1)*nf]); got != want {
+					t.Fatalf("%+v (packed %v): table %d row %d address %#x, Address %#x", c, tbl.packed, ti, id, got, want)
+				}
+			}
+		}
+	}
 }
 
 // referenceBuild is the naive per-bucket builder the two-pass CSR build
@@ -195,8 +260,9 @@ func referenceBuild(base *Table, gen uint64, n int, codes []uint32, stride int) 
 
 // TestBuildMatchesReference: the two-pass build equals the naive
 // per-bucket builder, bucket contents and order, for every bucket size
-// (1 and 2 overflow nearly every bucket, 128 almost none), packed and mixed addressing, several generations, any worker count, and
-// pass 1 split over consecutive row ranges.
+// (1 and 2 overflow nearly every bucket, 128 almost none), packed and
+// mixed addressing, several generations, any worker count, and pass 1 fed
+// its blocks in reverse order.
 func TestBuildMatchesReference(t *testing.T) {
 	const n = 700
 	shapes := []struct {
@@ -221,14 +287,15 @@ func TestBuildMatchesReference(t *testing.T) {
 					if !got.Equal(ref) {
 						t.Fatalf("%s BucketSize %d gen %d workers %d: build differs from the reference", sh.name, bs, gen, workers)
 					}
-					split := base.Shadow(gen)
-					split.Begin(n)
-					cut := n * workers / 5
-					split.AddressRows(0, cut, codes, stride)
-					split.AddressRows(cut, n-cut, codes[cut*stride:], stride)
-					split.Place(workers)
-					if !split.Equal(ref) {
-						t.Fatalf("%s BucketSize %d gen %d: build split at row %d differs from the reference", sh.name, bs, gen, cut)
+					rev := base.Shadow(gen)
+					rev.Begin(n)
+					for b := (n - 1) / 8 * 8; b >= 0; b -= 8 {
+						rows := min(8, n-b)
+						rev.AddressBlock(b, rows, blockCodes(codes, stride, sh.k*sh.l, b, rows))
+					}
+					rev.Place(workers)
+					if !rev.Equal(ref) {
+						t.Fatalf("%s BucketSize %d gen %d: build fed in reverse block order differs from the reference", sh.name, bs, gen)
 					}
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 // TestHashDenseRowsMatchesPerRow is the property test for the batched
@@ -50,6 +51,84 @@ func TestHashDenseRowsMatchesPerRow(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestHashBlockMatchesHashDense: HashBlock's codes for vector r of a
+// transposed block are bitwise HashDense's on that vector, for both
+// families, across random shapes, partial blocks (lanes past the last
+// vector repeat it), and blocks holding all-zero vectors and vectors with
+// a single non-zero — whose DWTA bins are mostly empty, so densify runs
+// inside the block.
+func TestHashBlockMatchesHashDense(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 60; trial++ {
+		dim := 1 + r.Intn(200)
+		p := Params{
+			Dim:            dim,
+			K:              1 + r.Intn(6),
+			L:              1 + r.Intn(9),
+			Seed:           r.Uint64(),
+			SimhashDensity: 0.05 + r.Float64()*0.9,
+			BinSize:        1 + r.Intn(12),
+		}
+		n := 1 + r.Intn(8)
+		rows := make([]float32, n*dim)
+		for row := 0; row < n; row++ {
+			x := rows[row*dim : (row+1)*dim]
+			switch (trial + row) % 4 {
+			case 0: // all zero
+			case 1:
+				x[r.Intn(dim)] = float32(r.NormFloat64())
+			default:
+				for i := range x {
+					if r.Intn(2) == 0 {
+						x[i] = float32(r.NormFloat64())
+					}
+				}
+			}
+		}
+		xt := make([]float32, 8*dim)
+		vecmath.Transpose8(xt, rows, dim)
+		for _, kind := range allKinds() {
+			fam, err := New(kind, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nf := fam.NumFuncs()
+			codes := make([]uint32, 8*nf)
+			fam.HashBlock(xt, codes)
+			want := make([]uint32, nf)
+			for lane := 0; lane < 8; lane++ {
+				row := min(lane, n-1)
+				fam.HashDense(rows[row*dim:(row+1)*dim], want)
+				for f, c := range want {
+					if codes[f*8+lane] != c {
+						t.Fatalf("trial %d %v dim=%d K=%d L=%d vectors=%d: lane %d function %d = %#x, HashDense %#x", trial, kind, dim, p.K, p.L, n, lane, f, codes[f*8+lane], c)
+					}
+				}
+			}
+		}
+	}
+	for _, kind := range allKinds() {
+		fam := mkFamily(t, kind, 16, 2, 3, 1)
+		for _, c := range []struct {
+			name  string
+			xt    []float32
+			codes []uint32
+		}{
+			{"short block", make([]float32, 8*15), make([]uint32, 8*6)},
+			{"short codes", make([]float32, 8*16), make([]uint32, 8*6-1)},
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%v HashBlock with a %s: no panic", kind, c.name)
+					}
+				}()
+				fam.HashBlock(c.xt, c.codes)
+			}()
 		}
 	}
 }

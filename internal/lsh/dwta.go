@@ -16,10 +16,11 @@ import (
 // permutation f/binsPerPerm; its code is the within-bin position (in
 // [0, m)) of the maximum input coordinate mapped into the bin.
 //
-// The dense path reads each function's bin from a function-transposed slab
+// The dense paths read each function's bin from a function-transposed slab
 // (vecmath.LaneSlab: function f's j-th bin coordinate in lane f%8 of
-// group f/8), which the DWTA argmax kernel walks eight functions at a time;
-// coordinates in a permutation's unused tail are not stored. The sparse
+// group f/8), which the DWTA argmax kernels walk eight functions at a time
+// (a query) or eight vectors at a time (a block); coordinates in a
+// permutation's unused tail are not stored. The sparse
 // path maps coordinates to bins through the inverse permutations, one
 // flat slab (permutation p at [p*dim:(p+1)*dim]).
 type permSet struct {
@@ -88,8 +89,8 @@ func binBits(binSize int) int {
 // bins filled by borrowing the code of a pseudo-randomly probed non-empty
 // bin (the densification scheme). NaN is skipped like zero, so a bin's code
 // is the position of its largest non-zero, non-NaN value (ties to the lower
-// position) whichever order the coordinates are visited in. The dense path
-// runs the lane-parallel argmax kernel over every bin; the sparse path
+// position) whichever order the coordinates are visited in. The dense paths
+// run the argmax kernels over every bin; the sparse path
 // folds each non-zero into its bins in O(NNZ * K*L*m/dim) updates. Both
 // compute the same codes.
 type dwta struct {
@@ -133,18 +134,30 @@ func (d *dwta) HashDense(x []float32, out []uint32) {
 	d.scratch.Put(sc)
 }
 
-// HashDenseRows hashes rows contiguous dense vectors one row at a time,
-// holding one scratch across the whole block instead of a pool round trip
-// per row. Rows hash independently, so codes match HashDense bitwise.
-func (d *dwta) HashDenseRows(block []float32, rows int, out []uint32) {
+// HashBlock runs the block argmax kernel over every bin and densifies
+// only a block it flags: each vector with an empty bin gets its own codes
+// copied out and finished as HashDense finishes them.
+func (d *dwta) HashBlock(xt []float32, codes []uint32) {
 	ps := d.ps
-	checkRowsArgs("dwta", ps.dim, ps.numFuncs, block, rows, out)
+	if !ps.bins.NonZeroArgMaxBlock(codes, xt) {
+		return
+	}
 	sc := d.scratch.Get().(*dwtaScratch)
-	for r := 0; r < rows; r++ {
-		ps.bins.NonZeroArgMax(sc.code, block[r*ps.dim:(r+1)*ps.dim])
-		d.finish(sc, out[r*ps.numFuncs:(r+1)*ps.numFuncs])
+	for r := 0; r < 8; r++ {
+		for f := range sc.code {
+			sc.code[f] = codes[f*8+r]
+		}
+		for f, c := range sc.code {
+			if c == emptyBin {
+				codes[f*8+r] = densify(d.seed, f, ps.numFuncs, sc.code)
+			}
+		}
 	}
 	d.scratch.Put(sc)
+}
+
+func (d *dwta) HashDenseRows(block []float32, rows int, out []uint32) {
+	hashDenseRows(d, block, rows, out)
 }
 
 func (d *dwta) HashSparse(x sparse.Vector, out []uint32) {

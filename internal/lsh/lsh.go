@@ -11,18 +11,23 @@
 // produce identical codes for equal inputs in either representation.
 //
 // Both families keep their per-function coordinate lists in one
-// function-transposed slab (vecmath.LaneSlab), and their dense paths —
-// every table build and rebuild, and every query on a dense layer input —
-// run vecmath's lane-parallel kernels over it: eight hash functions per
-// vector, each lane walking its function's coordinates in the reference
-// order, so codes are bitwise the Go kernels' on every machine. Their
-// sparse paths walk coordinate-major transposes of the same state.
+// function-transposed slab (vecmath.LaneSlab), and their dense paths run
+// vecmath's kernels over it, in two forms. A query on a dense layer input
+// (HashDense) runs the row kernels: eight hash functions per step, each
+// lane gathering its function's coordinates in the reference order. A
+// table build or rebuild (HashBlock, and HashDenseRows on top of it) runs
+// the block kernels: eight vectors per step, transposed so that each of a
+// function's coordinates is one plain load for all eight. Every lane of
+// either form performs the Go kernels' operations in their order, so codes
+// are bitwise the same on every path and machine. Their sparse paths walk
+// coordinate-major transposes of the same state.
 package lsh
 
 import (
 	"fmt"
 
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 // Family is a collection of K*L LSH functions drawn from one hash family.
@@ -39,11 +44,17 @@ type Family interface {
 	// HashDense writes the NumFuncs codes for the dense vector x into out.
 	// len(x) must equal Dim and len(out) must be at least NumFuncs.
 	HashDense(x []float32, out []uint32)
-	// HashDenseRows hashes a block of rows dense vectors stored back to
-	// back in block (row r at block[r*Dim():(r+1)*Dim()]), writing row r's
-	// codes at out[r*NumFuncs():(r+1)*NumFuncs()]. The result is bitwise
-	// identical to calling HashDense once per row; implementations hold
-	// one scratch across the block. This is the rebuild-side entry point.
+	// HashBlock writes the codes of eight dense vectors held transposed in
+	// xt (vector r's coordinate c at xt[c*8+r], len 8*Dim, as
+	// vecmath.Transpose8 fills it) to codes, function-major by vector:
+	// function f's code for vector r at codes[f*8+r], len at least
+	// 8*NumFuncs. Each vector's codes are bitwise HashDense's. This is the
+	// table build's entry point.
+	HashBlock(xt []float32, codes []uint32)
+	// HashDenseRows hashes rows dense vectors stored back to back in block
+	// (row r at block[r*Dim():(r+1)*Dim()]), writing row r's codes at
+	// out[r*NumFuncs():(r+1)*NumFuncs()], bitwise HashDense per row: it
+	// transposes eight rows at a time and runs HashBlock.
 	HashDenseRows(block []float32, rows int, out []uint32)
 	// HashSparse writes the NumFuncs codes for the sparse vector x into
 	// out. x.Dim must equal Dim and len(out) must be at least NumFuncs.
@@ -165,8 +176,11 @@ func New(kind Kind, p Params) (Family, error) {
 	}
 }
 
-// checkRowsArgs validates a HashDenseRows call's shapes for family name.
-func checkRowsArgs(name string, dim, nf int, block []float32, rows int, out []uint32) {
+// hashDenseRows is both families' HashDenseRows: eight rows at a time,
+// transposed (a partial last block repeats its last row), hashed by
+// HashBlock and copied out row-major.
+func hashDenseRows(fam Family, block []float32, rows int, out []uint32) {
+	name, dim, nf := fam.Name(), fam.Dim(), fam.NumFuncs()
 	if rows < 0 {
 		panic("lsh: " + name + " negative row count")
 	}
@@ -175,6 +189,21 @@ func checkRowsArgs(name string, dim, nf int, block []float32, rows int, out []ui
 	}
 	if len(out) < rows*nf {
 		panic("lsh: " + name + " code output shorter than rows*NumFuncs")
+	}
+	if rows == 0 {
+		return
+	}
+	xt, codes := make([]float32, 8*dim), make([]uint32, 8*nf)
+	for base := 0; base < rows; base += 8 {
+		n := min(8, rows-base)
+		vecmath.Transpose8(xt, block[base*dim:(base+n)*dim], dim)
+		fam.HashBlock(xt, codes)
+		for r := 0; r < n; r++ {
+			row := out[(base+r)*nf:][:nf]
+			for f := range row {
+				row[f] = codes[f*8+r]
+			}
+		}
 	}
 }
 

@@ -17,11 +17,12 @@ import (
 // Every function has the same support length, so the support/sign state
 // is one function-transposed slab (vecmath.LaneSlab): eight functions share
 // each 8-wide entry, function f's j-th support coordinate in lane f%8 with
-// its sign in the entry's top bit. The dense paths run the lane-parallel
-// signed-sum kernel over it — each lane adds its function's coordinates in
-// ascending support order, so a code does not depend on the machine's
-// vector tier. The sparse path walks the CSR transpose (coordOff/coordFn)
-// of the same state.
+// its sign in the entry's top bit. The dense paths run the signed-sum
+// kernels over it (eight functions per step for a query, eight vectors per
+// step for a block) — each lane adds its function's coordinates in
+// ascending support order, so a code does not depend on the path or the
+// machine's vector tier. The sparse path walks the CSR transpose
+// (coordOff/coordFn) of the same state.
 //
 // The collision probability of two vectors x, y under one function is
 // 1 - angle(x,y)/pi, monotone in cosine similarity.
@@ -38,8 +39,9 @@ type simhash struct {
 	// matching the paper's cost analysis.
 	coordOff []int32
 	coordFn  []int32
-	// accPool recycles the projection accumulator of every path (one value
-	// per function) so hashing allocates nothing.
+	// accPool recycles the projection accumulator of every path (eight
+	// values per function, one per vector of a block; the one-vector paths
+	// use the first NumFuncs) so hashing allocates nothing.
 	accPool sync.Pool
 }
 
@@ -86,7 +88,7 @@ func newSimhash(p Params) (*simhash, error) {
 		next[i]++
 	}
 	s.accPool.New = func() any {
-		acc := make([]float32, nf)
+		acc := make([]float32, 8*nf)
 		return &acc
 	}
 	return s, nil
@@ -102,7 +104,7 @@ func (s *simhash) HashDense(x []float32, out []uint32) {
 		panic("lsh: simhash dense input dimension mismatch")
 	}
 	ap := s.accPool.Get().(*[]float32)
-	acc := *ap
+	acc := (*ap)[:s.numFuncs]
 	s.lanes.SignedSums(acc, x)
 	for f, a := range acc {
 		out[f] = signBit(a)
@@ -110,19 +112,19 @@ func (s *simhash) HashDense(x []float32, out []uint32) {
 	s.accPool.Put(ap)
 }
 
-// HashDenseRows hashes rows contiguous dense vectors one row at a time,
-// holding one accumulator across the block; codes match HashDense bitwise.
-func (s *simhash) HashDenseRows(block []float32, rows int, out []uint32) {
-	checkRowsArgs("simhash", s.dim, s.numFuncs, block, rows, out)
+// HashBlock runs the block signed-sum kernel and takes each sum's sign.
+func (s *simhash) HashBlock(xt []float32, codes []uint32) {
 	ap := s.accPool.Get().(*[]float32)
 	acc := *ap
-	for r := 0; r < rows; r++ {
-		s.lanes.SignedSums(acc, block[r*s.dim:(r+1)*s.dim])
-		for f, a := range acc {
-			out[r*s.numFuncs+f] = signBit(a)
-		}
+	s.lanes.SignedSumsBlock(acc, xt)
+	for i, a := range acc {
+		codes[i] = signBit(a)
 	}
 	s.accPool.Put(ap)
+}
+
+func (s *simhash) HashDenseRows(block []float32, rows int, out []uint32) {
+	hashDenseRows(s, block, rows, out)
 }
 
 func (s *simhash) HashSparse(x sparse.Vector, out []uint32) {

@@ -63,3 +63,21 @@ func finiteAVX2(x *float32, blocks int) (ok bool)
 
 //go:noescape
 func polarFactorsAVX2(f, s *float64, quads int)
+
+// The block kernels (block.go) take whole groups of eight functions, or
+// eight lanes of codes, and do no checking of their own.
+
+//go:noescape
+func transpose8AVX2(xt, rows *float32, dim, tiles int)
+
+//go:noescape
+func signedSumsBlockAVX2(xt *float32, ent *uint32, steps, groups int, dst *float32)
+
+//go:noescape
+func argMaxBlockAVX2(xt *float32, ent *uint32, steps, groups int, dst *uint32) (empty bool)
+
+//go:noescape
+func packAddrsAVX2(dst *uint32, stride int, codes *uint32, k, tables, bits int)
+
+//go:noescape
+func mixAddrsAVX2(dst *uint32, stride int, codes *uint32, k, t0, tables int, seed uint64, mask uint32)

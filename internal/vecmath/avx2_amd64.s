@@ -536,3 +536,343 @@ polar_quad:
 	JNZ     polar_quad
 	VZEROUPPER
 	RET
+
+// Block kernels (block.go): eight inputs transposed, xt[c*8+r], so that
+// coordinate c of all eight is the 32 bytes at xt + c*32. A slab entry's
+// byte offset is formed as SHLL $5 on its 32-bit value, which drops the
+// negate flag (the wrapper bounds coordinates below 2^26). Lane r of every
+// kernel performs the row kernel's operations on input r in its order.
+
+// func transpose8AVX2(xt, rows *float32, dim, tiles int)
+// xt[c*8+r] = rows[r*dim+c] for r < 8 and c < tiles*8: one 8×8 tile per
+// pass, as unpack, shuffle and 128-bit permute.
+TEXT ·transpose8AVX2(SB), NOSPLIT, $0-32
+	MOVQ xt+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ dim+16(FP), BX
+	MOVQ tiles+24(FP), CX
+	SHLQ $2, BX          // row stride in bytes
+	LEAQ (BX)(BX*2), DX  // three rows
+
+transpose_tile:
+	LEAQ       (SI)(BX*4), R8
+	VMOVUPS    (SI), Y0
+	VMOVUPS    (SI)(BX*1), Y1
+	VMOVUPS    (SI)(BX*2), Y2
+	VMOVUPS    (SI)(DX*1), Y3
+	VMOVUPS    (R8), Y4
+	VMOVUPS    (R8)(BX*1), Y5
+	VMOVUPS    (R8)(BX*2), Y6
+	VMOVUPS    (R8)(DX*1), Y7
+	VUNPCKLPS  Y1, Y0, Y8         // a0 b0 a1 b1 | a4 b4 a5 b5
+	VUNPCKHPS  Y1, Y0, Y9         // a2 b2 a3 b3 | a6 b6 a7 b7
+	VUNPCKLPS  Y3, Y2, Y10
+	VUNPCKHPS  Y3, Y2, Y11
+	VUNPCKLPS  Y5, Y4, Y12
+	VUNPCKHPS  Y5, Y4, Y13
+	VUNPCKLPS  Y7, Y6, Y14
+	VUNPCKHPS  Y7, Y6, Y15
+	VSHUFPS    $0x44, Y10, Y8, Y0 // a0 b0 c0 d0 | a4 b4 c4 d4
+	VSHUFPS    $0xee, Y10, Y8, Y1 // a1 b1 c1 d1 | a5 b5 c5 d5
+	VSHUFPS    $0x44, Y11, Y9, Y2
+	VSHUFPS    $0xee, Y11, Y9, Y3
+	VSHUFPS    $0x44, Y14, Y12, Y4 // e0 f0 g0 h0 | e4 f4 g4 h4
+	VSHUFPS    $0xee, Y14, Y12, Y5
+	VSHUFPS    $0x44, Y15, Y13, Y6
+	VSHUFPS    $0xee, Y15, Y13, Y7
+	VPERM2F128 $0x20, Y4, Y0, Y8  // column 0
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12 // column 4
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+	VMOVUPS    Y8, (DI)
+	VMOVUPS    Y9, 32(DI)
+	VMOVUPS    Y10, 64(DI)
+	VMOVUPS    Y11, 96(DI)
+	VMOVUPS    Y12, 128(DI)
+	VMOVUPS    Y13, 160(DI)
+	VMOVUPS    Y14, 192(DI)
+	VMOVUPS    Y15, 224(DI)
+	ADDQ       $32, SI
+	ADDQ       $256, DI
+	DECQ       CX
+	JNZ        transpose_tile
+	VZEROUPPER
+	RET
+
+// mixAddrsAVX2's VPERMD index: the low dword of each qword, twice.
+DATA mixperm<>+0(SB)/4, $0
+DATA mixperm<>+4(SB)/4, $2
+DATA mixperm<>+8(SB)/4, $4
+DATA mixperm<>+12(SB)/4, $6
+DATA mixperm<>+16(SB)/4, $0
+DATA mixperm<>+20(SB)/4, $2
+DATA mixperm<>+24(SB)/4, $4
+DATA mixperm<>+28(SB)/4, $6
+GLOBL mixperm<>(SB), RODATA|NOPTR, $32
+
+// SUMS_LANE adds function lane k's next coordinate (entry at off(R10)) of
+// all eight inputs into acc: load, flip by the entry's negate flag, add.
+#define SUMS_LANE(off, acc, v, s) \
+	MOVL         off(R10), R11 \
+	SHLL         $5, R11 \
+	VPBROADCASTD off(R10), s \
+	VPAND        Y15, s, s \
+	VXORPS       (SI)(R11*1), s, v \
+	VADDPS       v, acc, acc
+
+// func signedSumsBlockAVX2(xt *float32, ent *uint32, steps, groups int, dst *float32)
+// SignedSumsBlock over groups*8 functions, four at a time (Y0–Y3, one
+// function's eight inputs each): per input lane, signedSumsGo's adds in its
+// order — flip the sign bit, add, never FMA. Function f's lanes go to
+// dst + f*32.
+TEXT ·signedSumsBlockAVX2(SB), NOSPLIT, $0-40
+	MOVQ         xt+0(FP), SI
+	MOVQ         ent+8(FP), DX
+	MOVQ         steps+16(FP), BX
+	MOVQ         groups+24(FP), CX
+	MOVQ         dst+32(FP), DI
+	MOVL         $0x80000000, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15 // negate flag
+
+sumsblk_group:
+	MOVQ DX, R9
+	MOVQ $2, R12
+
+sumsblk_quad:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   R9, R10
+	MOVQ   BX, R8
+
+sumsblk_step:
+	SUMS_LANE(0, Y0, Y4, Y5)
+	SUMS_LANE(4, Y1, Y6, Y7)
+	SUMS_LANE(8, Y2, Y8, Y9)
+	SUMS_LANE(12, Y3, Y10, Y11)
+	ADDQ $32, R10
+	DECQ R8
+	JNZ  sumsblk_step
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $16, R9
+	DECQ    R12
+	JNZ     sumsblk_quad
+	MOVQ    BX, AX
+	SHLQ    $5, AX
+	ADDQ    AX, DX        // the next group's entries
+	DECQ    CX
+	JNZ     sumsblk_group
+	VZEROUPPER
+	RET
+
+// ARGMAX_LANE folds function lane k's next coordinate (entry at off(R10))
+// of all eight inputs into its best value and position. An empty lane's
+// best is NaN, so one unordered compare is argMaxAVX2's "empty or strictly
+// greater" test: NLE_UQ(v, best) holds when v > best or the lane is empty,
+// and a value that is ±0 or NaN (NEQ_OQ with zero false) is never taken.
+// Ties keep the lower position. Y8 is the position, Y9 zero.
+#define ARGMAX_LANE(off, best, pos) \
+	MOVL      off(R10), R11 \
+	SHLL      $5, R11 \
+	VMOVUPS   (SI)(R11*1), Y11 \
+	VCMPPS    $0x0c, Y9, Y11, Y12 \
+	VCMPPS    $0x16, best, Y11, Y13 \
+	VANDPS    Y12, Y13, Y13 \
+	VBLENDVPS Y13, Y11, best, best \
+	VBLENDVPS Y13, Y8, pos, pos
+
+// ARGMAX_STORE stores a function's positions, NoArgMax where its lanes
+// stayed empty (never taken), and ORs their sign bits — set only by
+// NoArgMax — into R13.
+#define ARGMAX_STORE(pos, off) \
+	VMOVDQU   pos, off(DI) \
+	VMOVMSKPS pos, AX \
+	ORL       AX, R13
+
+// func argMaxBlockAVX2(xt *float32, ent *uint32, steps, groups int, dst *uint32) (empty bool)
+// NonZeroArgMaxBlock over groups*8 functions, four at a time (best values
+// Y0–Y3, NaN while empty; positions Y4–Y7, NoArgMax until a value is
+// taken): per lane argMaxAVX2's rule — take a value neither ±0 nor NaN
+// when the lane is empty or the value is strictly greater than its best.
+// Function f's lanes go to dst + f*32. empty reports whether any lane
+// stayed empty.
+TEXT ·argMaxBlockAVX2(SB), NOSPLIT, $0-41
+	MOVQ         xt+0(FP), SI
+	MOVQ         ent+8(FP), DX
+	MOVQ         steps+16(FP), BX
+	MOVQ         groups+24(FP), CX
+	MOVQ         dst+32(FP), DI
+	XORL         R13, R13
+	VXORPS       Y9, Y9, Y9   // zero
+	MOVL         $1, AX
+	VMOVD        AX, X10
+	VPBROADCASTD X10, Y10     // position step
+
+argblk_group:
+	MOVQ DX, R9
+	MOVQ $2, R12
+
+argblk_quad:
+	VPCMPEQD Y0, Y0, Y0 // NaN: empty
+	VPCMPEQD Y1, Y1, Y1
+	VPCMPEQD Y2, Y2, Y2
+	VPCMPEQD Y3, Y3, Y3
+	VPCMPEQD Y4, Y4, Y4 // NoArgMax
+	VPCMPEQD Y5, Y5, Y5
+	VPCMPEQD Y6, Y6, Y6
+	VPCMPEQD Y7, Y7, Y7
+	VPXOR    Y8, Y8, Y8
+	MOVQ     R9, R10
+	MOVQ     BX, R8
+
+argblk_step:
+	ARGMAX_LANE(0, Y0, Y4)
+	ARGMAX_LANE(4, Y1, Y5)
+	ARGMAX_LANE(8, Y2, Y6)
+	ARGMAX_LANE(12, Y3, Y7)
+	VPADDD Y10, Y8, Y8
+	ADDQ   $32, R10
+	DECQ   R8
+	JNZ    argblk_step
+	ARGMAX_STORE(Y4, 0)
+	ARGMAX_STORE(Y5, 32)
+	ARGMAX_STORE(Y6, 64)
+	ARGMAX_STORE(Y7, 96)
+	ADDQ   $128, DI
+	ADDQ   $16, R9
+	DECQ   R12
+	JNZ    argblk_quad
+	MOVQ   BX, AX
+	SHLQ   $5, AX
+	ADDQ   AX, DX
+	DECQ   CX
+	JNZ    argblk_group
+	VZEROUPPER
+	TESTL  R13, R13
+	SETNE  empty+40(FP)
+	RET
+
+// func packAddrsAVX2(dst *uint32, stride int, codes *uint32, k, tables, bits int)
+// PackAddresses for eight lanes: per table, a = a<<bits | code over its k
+// codes, stored at dst + ti*stride*4.
+TEXT ·packAddrsAVX2(SB), NOSPLIT, $0-48
+	MOVQ  dst+0(FP), DI
+	MOVQ  stride+8(FP), DX
+	MOVQ  codes+16(FP), SI
+	MOVQ  k+24(FP), BX
+	MOVQ  tables+32(FP), CX
+	MOVQ  bits+40(FP), AX
+	VMOVQ AX, X15
+	SHLQ  $2, DX
+
+pack_table:
+	VPXOR Y0, Y0, Y0
+	MOVQ  BX, R8
+
+pack_code:
+	VPSLLD X15, Y0, Y0
+	VPOR   (SI), Y0, Y0
+	ADDQ   $32, SI
+	DECQ   R8
+	JNZ    pack_code
+	VMOVDQU Y0, (DI)
+	ADDQ    DX, DI
+	DECQ    CX
+	JNZ     pack_table
+	VZEROUPPER
+	RET
+
+// MIX_CODE folds one code of four lanes (zero-extended in c) into their
+// 64-bit states h: h ^= c + golden + h<<6 + h>>2 (additions mod 2^64, in
+// any order the same sum).
+#define MIX_CODE(h, c, t, u) \
+	VPSLLQ $6, h, t \
+	VPSRLQ $2, h, u \
+	VPADDQ u, t, t \
+	VPADDQ c, t, t \
+	VPADDQ Y8, t, t \
+	VPXOR  t, h, h
+
+// MIX_FINAL is the finalizer on four lanes: h ^= h>>33; h *= M; h ^= h>>33,
+// the 64-bit multiply as lo·Mlo + ((hi·Mlo + lo·Mhi) << 32).
+#define MIX_FINAL(h, t, u, v) \
+	VPSRLQ   $33, h, t \
+	VPXOR    t, h, h \
+	VPMULUDQ Y9, h, t \
+	VPSRLQ   $32, h, u \
+	VPMULUDQ Y9, u, u \
+	VPMULUDQ Y10, h, v \
+	VPADDQ   v, u, u \
+	VPSLLQ   $32, u, u \
+	VPADDQ   u, t, h \
+	VPSRLQ   $33, h, t \
+	VPXOR    t, h, h
+
+// func mixAddrsAVX2(dst *uint32, stride int, codes *uint32, k, t0, tables int, seed uint64, mask uint32)
+// MixAddresses for eight lanes, tables t0..t0+tables-1: lanes 0–3 in Y0
+// and 4–7 in Y1 as 64-bit states seeded with seed ^ ti*golden; the low
+// dwords are packed back to eight lanes, masked and stored at
+// dst + (ti-t0)*stride*4.
+TEXT ·mixAddrsAVX2(SB), NOSPLIT, $0-60
+	MOVQ         dst+0(FP), DI
+	MOVQ         stride+8(FP), DX
+	MOVQ         codes+16(FP), SI
+	MOVQ         k+24(FP), BX
+	MOVQ         t0+32(FP), R12
+	MOVQ         tables+40(FP), CX
+	MOVQ         seed+48(FP), R13
+	SHLQ         $2, DX
+	MOVQ         $0x9e3779b97f4a7c15, R14
+	VMOVQ        R14, X8
+	VPBROADCASTQ X8, Y8   // golden
+	MOVL         $0xed558ccd, AX
+	VMOVQ        AX, X9
+	VPBROADCASTQ X9, Y9   // M's low half
+	MOVL         $0xff51afd7, AX
+	VMOVQ        AX, X10
+	VPBROADCASTQ X10, Y10 // M's high half
+	VMOVDQU      mixperm<>(SB), Y11
+	MOVL         mask+56(FP), AX
+	VMOVD        AX, X12
+	VPBROADCASTD X12, Y12
+
+mix_table:
+	MOVQ         R12, AX
+	IMULQ        R14, AX
+	XORQ         R13, AX
+	VMOVQ        AX, X0
+	VPBROADCASTQ X0, Y0
+	VMOVDQA      Y0, Y1
+	MOVQ         BX, R8
+
+mix_code:
+	VPMOVZXDQ (SI), Y2
+	VPMOVZXDQ 16(SI), Y3
+	MIX_CODE(Y0, Y2, Y4, Y5)
+	MIX_CODE(Y1, Y3, Y6, Y7)
+	ADDQ      $32, SI
+	DECQ      R8
+	JNZ       mix_code
+	MIX_FINAL(Y0, Y4, Y5, Y6)
+	MIX_FINAL(Y1, Y2, Y3, Y7)
+	VPERMD      Y0, Y11, Y0
+	VPERMD      Y1, Y11, Y1
+	VINSERTI128 $1, X1, Y0, Y0
+	VPAND       Y12, Y0, Y0
+	VMOVDQU     Y0, (DI)
+	ADDQ        DX, DI
+	INCQ        R12
+	DECQ        CX
+	JNZ         mix_table
+	VZEROUPPER
+	RET

@@ -32,3 +32,21 @@ func argMaxAVX2(x *float32, ent *uint32, steps, groups int, dst *uint32) { panic
 func finiteAVX2(x *float32, blocks int) (ok bool) { panic("vecmath: no AVX2") }
 
 func polarFactorsAVX2(f, s *float64, quads int) { panic("vecmath: no AVX2") }
+
+func transpose8AVX2(xt, rows *float32, dim, tiles int) { panic("vecmath: no AVX2") }
+
+func signedSumsBlockAVX2(xt *float32, ent *uint32, steps, groups int, dst *float32) {
+	panic("vecmath: no AVX2")
+}
+
+func argMaxBlockAVX2(xt *float32, ent *uint32, steps, groups int, dst *uint32) (empty bool) {
+	panic("vecmath: no AVX2")
+}
+
+func packAddrsAVX2(dst *uint32, stride int, codes *uint32, k, tables, bits int) {
+	panic("vecmath: no AVX2")
+}
+
+func mixAddrsAVX2(dst *uint32, stride int, codes *uint32, k, t0, tables int, seed uint64, mask uint32) {
+	panic("vecmath: no AVX2")
+}

@@ -257,3 +257,42 @@ func BenchmarkNonZeroArgMax(b *testing.B) {
 	x, dst := randVec(r, 128), make([]uint32, 400)
 	benchTiers(b, func() { slab.NonZeroArgMax(dst, x) })
 }
+
+// The block kernels at the same shapes, per block of eight rows: divide
+// by 8 to compare with the row kernels above per row.
+
+func BenchmarkSignedSumsBlock(b *testing.B) {
+	r := newPCG(4)
+	slab, _, _ := randLaneSlab(r, 128, 210, 42, true)
+	xt, dst := randVec(r, 8*128), make([]float32, 8*210)
+	benchTiers(b, func() { slab.SignedSumsBlock(dst, xt) })
+}
+
+func BenchmarkNonZeroArgMaxBlock(b *testing.B) {
+	r := newPCG(5)
+	slab, _, _ := randLaneSlab(r, 128, 400, 8, false)
+	xt, dst := randVec(r, 8*128), make([]uint32, 8*400)
+	benchTiers(b, func() { slab.NonZeroArgMaxBlock(dst, xt) })
+}
+
+func BenchmarkTranspose8(b *testing.B) {
+	r := newPCG(6)
+	rows, xt := randVec(r, 8*128), make([]float32, 8*128)
+	benchTiers(b, func() { Transpose8(xt, rows, 128) })
+}
+
+// BenchmarkAddresses is a train_xwide-shaped block's addresses: K 8,
+// L 50, mixed (8 × 3-bit codes past RangePow 12) and packed.
+func BenchmarkAddresses(b *testing.B) {
+	r := newPCG(7)
+	codes, dst := make([]uint32, 8*400), make([]uint32, 100*64)
+	for i := range codes {
+		codes[i] = r.Uint32() & 7
+	}
+	b.Run("mixed", func(b *testing.B) {
+		benchTiers(b, func() { MixAddresses(dst, 64, 8, codes, 8, 50, 1, 1<<12-1) })
+	})
+	b.Run("packed", func(b *testing.B) {
+		benchTiers(b, func() { PackAddresses(dst, 64, 8, codes, 4, 100, 3) })
+	})
+}

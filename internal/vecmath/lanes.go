@@ -6,11 +6,15 @@ import "math"
 // hash families' per-function coordinate lists — stored function-transposed
 // for the lane-parallel hash kernels. Functions are taken eight at a time:
 // function f is lane f%8 of group f/8, and its j-th input coordinate is
-// entry (f/8*steps+j)*8 + f%8. One 8-wide load of the slab is then the j-th
-// coordinate of eight functions, which one VGATHERDPS reads from the input.
-// The top bit of an entry is the function's negate flag for that
-// coordinate (SignedSums). The last group is padded with coordinate-0 lanes
-// whose results are dropped.
+// entry (f/8*steps+j)*8 + f%8. The one-input kernels (SignedSums,
+// NonZeroArgMax: queries) load eight entries at once, the j-th coordinate
+// of eight functions, and read them from the input with one VGATHERDPS.
+// The block kernels (SignedSumsBlock, NonZeroArgMaxBlock: table builds)
+// walk the same entries one function at a time, base(f)+8j, each entry
+// naming the row of eight inputs one plain load reads from a transposed
+// block. The top bit of an entry is the function's negate flag for that
+// coordinate (SignedSums). The last group is padded with coordinate-0
+// lanes whose results are dropped.
 //
 // A slab is immutable once built and every coordinate is checked against
 // dim at construction, so a kernel call checks only the input's length.
@@ -144,13 +148,19 @@ func nonZeroArgMaxGo(t *LaneSlab, dst []uint32, x []float32) {
 		ent := t.ent[t.base(f):]
 		var best uint64
 		for j := 0; j < t.steps; j++ {
-			b := math.Float32bits(x[ent[8*j]&^negFlag])
-			// All ones unless v is ±0 (|b| = 0) or NaN (|b| > +Inf's bits).
-			keep := uint64((int64(uint32(b&^negFlag-1)) - 0x7f800000) >> 63)
-			best = max(best, (uint64(orderedKey(b))<<32|uint64(^uint32(j)))&keep)
+			best = max(best, argMaxKey(x[ent[8*j]&^negFlag], j))
 		}
 		dst[f] = ^uint32(best)
 	}
+}
+
+// argMaxKey is value v's key at position j: orderedKey(v)<<32 | ^j, or 0
+// when v is ±0 or NaN.
+func argMaxKey(v float32, j int) uint64 {
+	b := math.Float32bits(v)
+	// All ones unless v is ±0 (|b| = 0) or NaN (|b| > +Inf's bits).
+	keep := uint64((int64(uint32(b&^negFlag-1)) - 0x7f800000) >> 63)
+	return (uint64(orderedKey(b))<<32 | uint64(^uint32(j))) & keep
 }
 
 // orderedKey maps the bits of a non-NaN float32 to a uint32 that orders

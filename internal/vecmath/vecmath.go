@@ -14,11 +14,14 @@
 //     (signedSumsGo, nonZeroArgMaxGo): the only path on non-amd64 and
 //     pre-AVX2 machines, and the reference;
 //   - AVX2 assembly (avx2_amd64.s) for five dense row loops — Dot/DotRows,
-//     Axpy, AxpyRows, OuterAcc, AdamStep — and two lane-parallel hash
+//     Axpy, AxpyRows, OuterAcc, AdamStep — two lane-parallel hash
 //     kernels over a LaneSlab — SignedSums (Simhash) and NonZeroArgMax
-//     (DWTA) — and the weight init's polar transform (PolarFactors in
-//     polar.go, whose Go path is math.Log's expression and whose
-//     assembly is four lanes of math's amd64 log)
+//     (DWTA) — their block forms over eight transposed inputs with the
+//     transpose and the bucket-address kernels of the table build
+//     (block.go: Transpose8, SignedSumsBlock, NonZeroArgMaxBlock,
+//     PackAddresses, MixAddresses), and the weight init's polar
+//     transform (PolarFactors in polar.go, whose Go path is math.Log's
+//     expression and whose assembly is four lanes of math's amd64 log)
 //     when the CPU and OS support it (hasAVX2, probed once at init by
 //     hand-rolled CPUID/XGETBV). There is one vector tier: no AVX-512, no
 //     option.
@@ -46,7 +49,9 @@
 // NonZeroArgMax keeps a value only
 // when it is neither ±0 nor NaN and strictly greater than the lane's best,
 // the same rule nonZeroArgMaxGo's ordered keys encode, so positions and
-// ties agree. Two caveats. The Go kernels round twice only where the Go
+// ties agree. The block kernels run the same per-lane operations with
+// one input per lane instead of one function, and the address kernels
+// are integer arithmetic, exact on every path. Two caveats. The Go kernels round twice only where the Go
 // compiler does not fuse x*y+z into one FMA: go1.24 fuses on arm64,
 // ppc64le, s390x and riscv64, so there the Go kernels can differ in the
 // last bit and goldens recorded on amd64 do not hold. On amd64 it does not
@@ -67,9 +72,11 @@
 // pieces), maxCells cell-operations — terms × cells — for AxpyRows
 // (longer term lists are fed in runs, wider rows in pieces), four rows of
 // at most maxCells cells for the dot (longer vectors take the Go kernel),
-// and at most maxCells gathered cells for the hash kernels (a row's
+// at most maxCells gathered cells for the hash kernels (a row's
 // function groups are fed in runs; a function longer than maxCells/8
-// coordinates takes the Go kernel) — a 20K-row exact
+// coordinates takes the Go kernel), at most maxCells 8-wide loads for
+// their block forms and the address kernels (the same runs and the same
+// Go fallback) and maxCells cells per transpose — a 20K-row exact
 // prediction is thousands of short calls, not one long section in front of
 // a stop-the-world. The hash kernels gather only coordinates a LaneSlab
 // checked against its input length when it was built, so their wrappers
