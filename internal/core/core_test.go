@@ -236,11 +236,10 @@ func TestEvalSampledIndependentOfLabels(t *testing.T) {
 	}
 }
 
-// TestRebuildScheduleExponential pins the table lifecycle's steps: a
-// rebuild is kicked when due, the next one is due N0·e^{λ(r+1)} batches
-// later (r rebuilds published so far), and the kicked build publishes
-// max(1, ⌊gap/16⌋) batches after its kick — so gaps grow per §4.2 and
-// both steps are fixed by the config.
+// TestRebuildScheduleExponential pins the §4.2 schedule step by step: a
+// rebuild is built when due and published at that same boundary, and the
+// next one is due N0·e^{λ(r+1)} batches later (r rebuilds so far) — so
+// gaps grow per §4.2 and every rebuild step is fixed by the config.
 func TestRebuildScheduleExponential(t *testing.T) {
 	cfg := tinyConfig(128)
 	cfg.RebuildN0 = 10
@@ -249,25 +248,24 @@ func TestRebuildScheduleExponential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Gaps 16, 27, 44, 73, 121; lags 1, 1, 2, 4, 7.
+	// Gaps 16, 27, 44, 73, 121.
 	wantKicks := []int64{10, 26, 53, 97, 170}
-	wantPublishes := []int64{11, 27, 55, 101, 177}
-	var kicks, publishes []int64
-	gen, rebuilds := n.rebuildGen, n.Rebuilds()
+	var kicks []int64
+	gen, rebuilds, tables := n.rebuildGen, n.Rebuilds(), n.layers[1].Tables()
 	for n.step = 1; n.step <= 200; n.step++ {
 		n.rebuildTick(1)
-		if n.Rebuilds() != rebuilds {
-			publishes = append(publishes, n.step)
-			rebuilds = n.Rebuilds()
+		if n.rebuildGen == gen {
+			continue
 		}
-		if n.rebuildGen != gen {
-			kicks = append(kicks, n.step)
-			gen = n.rebuildGen
+		kicks = append(kicks, n.step)
+		if n.Rebuilds() != rebuilds+1 || n.layers[1].Tables() == tables {
+			t.Fatalf("step %d: built generation %d, but %d rebuilds counted (was %d) and the set published is the old one: %v",
+				n.step, n.rebuildGen, n.Rebuilds(), rebuilds, n.layers[1].Tables() == tables)
 		}
+		gen, rebuilds, tables = n.rebuildGen, n.Rebuilds(), n.layers[1].Tables()
 	}
-	n.publishPending()
-	if !slices.Equal(kicks, wantKicks) || !slices.Equal(publishes, wantPublishes) {
-		t.Fatalf("kicked at %v and published at %v, want %v and %v", kicks, publishes, wantKicks, wantPublishes)
+	if !slices.Equal(kicks, wantKicks) {
+		t.Fatalf("rebuilt at %v, want %v", kicks, wantKicks)
 	}
 }
 
@@ -437,8 +435,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestRebuildGapSaturates: a schedule whose next gap passes the int64
-// range (N0 = 2, λ = 1000 makes it +Inf) kicks its first rebuild and no
-// other, and the lag derived from the saturated gap does not overflow.
+// range (N0 = 2, λ = 1000 makes it +Inf) runs its first rebuild and no
+// other, and the next due step does not overflow.
 func TestRebuildGapSaturates(t *testing.T) {
 	classes := 128
 	ds := tinyDataset(t, classes)
@@ -453,9 +451,8 @@ func TestRebuildGapSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rebuilds != 1 || n.nextAt != math.MaxInt64 || n.publishAt <= n.step {
-		t.Fatalf("%d rebuilds in 12 batches, next due at %d, last publish step %d; want 1, never, past the run",
-			res.Rebuilds, n.nextAt, n.publishAt)
+	if res.Rebuilds != 1 || n.nextAt != math.MaxInt64 {
+		t.Fatalf("%d rebuilds in 12 batches, next due at %d; want 1, never", res.Rebuilds, n.nextAt)
 	}
 	if g := rebuildGap(1, -10, 1, 100); g != 1 {
 		t.Fatalf("gap N0=1 λ=-10 = %d, want the floor 1", g)

@@ -74,7 +74,7 @@ var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 // SaveModel can be turned back into a working network with LoadModel
 // alone — the handoff format between training (slide-train -save) and
 // serving (slide-serve -model). It leaves the network as it was: its
-// published tables, any held rebuild and the rebuild bookkeeping.
+// published tables and the rebuild bookkeeping.
 func (n *Network) SaveModel(w io.Writer) error {
 	cfgJSON, err := json.Marshal(n.cfg)
 	if err != nil {

@@ -210,10 +210,10 @@ func (l *Layer) Bias(j int) float32 { return l.b[j] }
 // generation-seeded shadow set, block-parallel; then place every table's
 // ids, table-parallel. (2) Publish the shadow with one atomic handle
 // store. Forward passes and Predictor queries stay valid across a publish
-// on whichever set they loaded. A scheduled rebuild builds at its kick and
-// holds the built set until its publish step (Network.rebuildTick), so
-// training keeps running on the previous set for a few batches, as §4.2's
-// schedule assumes.
+// on whichever set they loaded. A scheduled rebuild is RebuildTables at
+// its due batch boundary (Network.rebuildTick), so the next batch trains
+// on the new set; between rebuilds §4.2's schedule lets the tables go
+// stale.
 //
 // There is no incremental re-hash (§4.2 trick 3): one batch touches about
 // batch×β output rows and rebuilds are at least RebuildN0 batches apart,

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/arena"
-	"repro/internal/hashtable"
 	"repro/internal/metrics"
 	"repro/internal/optim"
 	"repro/internal/sparse"
@@ -23,19 +22,16 @@ type Point = metrics.Point
 // "Initialization") and rebuilt on the exponential-decay schedule during
 // training. A scheduled rebuild builds a shadow table set from the live
 // weights at its due batch boundary, while the workers are quiesced, and
-// publishes it with an atomic handle swap a fixed, schedule-derived number
-// of batches later (rebuildLagDiv), so training batches and concurrent
-// inference run on the previous set until then and the batch a set goes
-// live at depends only on the config.
+// publishes it there with an atomic handle swap, so the next batch runs
+// on it; a concurrent query runs on whichever set it loaded.
 type Network struct {
 	cfg    Config
 	layers []*Layer
 	adam   optim.Adam
 
-	step      int64 // completed training iterations (batches)
-	rebuilds  int   // published scheduled table rebuilds: the §4.2 schedule's exponent
-	nextAt    int64 // iteration the next scheduled rebuild is kicked at
-	publishAt int64 // iteration the pending rebuild is published at
+	step     int64 // completed training iterations (batches)
+	rebuilds int   // scheduled table rebuilds: the §4.2 schedule's exponent
+	nextAt   int64 // iteration the next scheduled rebuild is due at
 
 	// rebuildGen numbers table-set generations: every build — the
 	// construction-time build, RebuildTables, scheduled shadow builds —
@@ -43,13 +39,8 @@ type Network struct {
 	// generation's tables are a pure function of (weights, config,
 	// generation).
 	rebuildGen uint64
-	// pending is the scheduled rebuild built at its kick and not yet
-	// published, by layer index (nil entries for dense layers); nil when
-	// none is held. Owned by the training loop: only rebuildTick builds
-	// it, and publishPending publishes and clears it.
-	pending []*hashtable.Table
-	// rebuildNS accounts the scheduled builds' time since construction,
-	// which the training loop waits out at each kick.
+	// rebuildNS accounts the scheduled rebuilds' time since construction,
+	// which the training loop waits out at each due boundary.
 	rebuildNS int64
 
 	// records[k] holds batch position k's element from its forward pass to
@@ -201,8 +192,9 @@ func (n *Network) NumParams() int64 {
 
 // RebuildTables synchronously rebuilds every sampled layer's tables from
 // current weights: each layer builds a next-generation shadow set inline
-// and publishes it. It is not a scheduled rebuild — Rebuilds and the §4.2
-// schedule do not move. workers <= 0 selects GOMAXPROCS.
+// and publishes it. Called directly it is not a scheduled rebuild —
+// Rebuilds and the §4.2 schedule do not move. workers <= 0 selects
+// GOMAXPROCS.
 func (n *Network) RebuildTables(workers int) {
 	defer runtime.KeepAlive(n) // the weights may view a mapped file (see mapping)
 	if workers <= 0 {
@@ -216,17 +208,6 @@ func (n *Network) RebuildTables(workers int) {
 	}
 }
 
-// rebuildLagDiv sets the publish lag: a rebuild kicked at step t, with
-// the schedule's next gap g, publishes at t + D, D = max(1, ⌊g/rebuildLagDiv⌋)
-// — 3 batches at the paper's N0 = 50. D ≤ g, so at most one built set is
-// held. When builds ran on a background goroutine, g/16 against
-// publishing whenever the build finished left every workload inside its
-// spread in alternating benchmark pairs on a 2-core Xeon: train_converge
-// reached its P@1 target in 2.28 vs 2.33 s (8 pairs), and train_xwide
-// kept its throughput (+1.0%, 6 pairs). A g/4 lag kept tables 13 batches
-// stale and slowed train_converge's time to target by 22%.
-const rebuildLagDiv = 16
-
 // rebuildGap is the §4.2 exponential-decay gap N0·e^{λ·t} in batches, at
 // least 1 and saturated at limit: a gap beyond it means no further rebuild.
 func rebuildGap(n0 int, lambda float64, t int, limit int64) int64 {
@@ -237,59 +218,23 @@ func rebuildGap(n0 int, lambda float64, t int, limit int64) int64 {
 	return max(1, int64(gap))
 }
 
-// rebuildTick drives the table lifecycle at a batch boundary, with the
-// workers quiesced: build at the kick → publish at a fixed step. A held
-// set whose publish step has come is swapped in (one atomic store per
-// layer). Then, when the §4.2 schedule is due, every sampled layer's
-// shadow set is built from the live weights and held: a rebuild due at
-// step t publishes at t + D and the next one is due at t + g, where g =
-// N0·e^{λ(r+1)} for r rebuilds published so far and D derives from g
-// (rebuildLagDiv). Both steps are pure functions of the config, so the
-// trained bits are too. The build is the loop's only wait here; its time
-// accumulates into n.rebuildNS.
+// rebuildTick runs the §4.2 schedule at a batch boundary, with the
+// workers quiesced. When a rebuild is due, every sampled layer's tables
+// are rebuilt from the live weights and published (RebuildTables), so a
+// set built at boundary t serves from batch t+1, and the next rebuild is
+// due g = N0·e^{λ(r+1)} batches later, for r rebuilds so far. The due
+// steps are pure functions of the config, so the trained bits are too.
+// The build is the loop's only wait here; its time accumulates into
+// n.rebuildNS.
 func (n *Network) rebuildTick(workers int) {
-	if n.pending != nil && n.step >= n.publishAt {
-		n.publishPending()
-	}
 	if n.step < n.nextAt {
 		return
 	}
 	t0 := nowNano()
-	g := rebuildGap(n.cfg.RebuildN0, n.cfg.RebuildLambda, n.rebuilds+1, math.MaxInt64-n.step)
-	n.nextAt = n.step + g
-	n.publishAt = n.step + max(1, g/rebuildLagDiv)
-	n.kickRebuild(workers)
-	n.rebuildNS += nowNano() - t0
-}
-
-// kickRebuild builds every sampled layer's next-generation shadow set
-// from the live weights, which must be quiesced, and holds the sets as
-// the pending rebuild.
-func (n *Network) kickRebuild(workers int) {
-	n.rebuildGen++
-	n.pending = make([]*hashtable.Table, len(n.layers))
-	for li, l := range n.layers {
-		if l.Sampled() {
-			n.pending[li] = l.buildShadow(n.rebuildGen, workers)
-		}
-	}
-}
-
-// publishPending publishes the held rebuild, if any, and counts it.
-// rebuildTick calls it at the publish step; Train calls it at exit,
-// publishing early, so a network never holds a built set after training
-// returns.
-func (n *Network) publishPending() {
-	if n.pending == nil {
-		return
-	}
-	for li, shadow := range n.pending {
-		if shadow != nil {
-			n.layers[li].tables.Store(shadow)
-		}
-	}
-	n.pending = nil
+	n.nextAt = n.step + rebuildGap(n.cfg.RebuildN0, n.cfg.RebuildLambda, n.rebuilds+1, math.MaxInt64-n.step)
+	n.RebuildTables(workers)
 	n.rebuilds++
+	n.rebuildNS += nowNano() - t0
 }
 
 // Predict runs an exact (all neurons active) forward pass and returns the

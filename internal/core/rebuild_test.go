@@ -111,8 +111,11 @@ func TestBlockBuildEdgeRows(t *testing.T) {
 }
 
 // TestScheduledRebuildPublishes runs the scheduler end to end: a training
-// run must kick builds, publish them at batch boundaries, account their
-// build time, and leave the network fully servable with no set held.
+// run must build and publish rebuilds at batch boundaries, account their
+// build time, and leave the network fully servable. Its last boundary is
+// due, so the tables Train returns with are that boundary's build: every
+// sampled layer's set equals a build of the same generation from the
+// weights Train leaves.
 func TestScheduledRebuildPublishes(t *testing.T) {
 	classes := 256
 	ds := tinyDataset(t, classes)
@@ -123,12 +126,13 @@ func TestScheduledRebuildPublishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := n.layers[1].Tables()
-	res, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 40, Seed: 3, EvalEvery: 0})
+	// Gaps 5, 6, 6, 7, 8: rebuilds after batches 5, 10, 16, 22, 29 and 37.
+	res, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 37, Seed: 3, EvalEvery: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rebuilds == 0 {
-		t.Fatal("no rebuilds published in 40 iterations with N0=5")
+	if res.Rebuilds != 6 {
+		t.Fatalf("%d rebuilds in 37 iterations with N0=5, want 6", res.Rebuilds)
 	}
 	if res.RebuildBuildNS <= 0 || res.RebuildStallNS != res.RebuildBuildNS {
 		t.Fatalf("run recorded %dns of builds and a stall of %dns over %d rebuilds, want the same positive time", res.RebuildBuildNS, res.RebuildStallNS, res.Rebuilds)
@@ -140,32 +144,34 @@ func TestScheduledRebuildPublishes(t *testing.T) {
 	if after.Stats().TotalStored == 0 {
 		t.Fatal("published tables are empty")
 	}
-	if n.pending != nil {
-		t.Fatal("Train returned with a built table set still held")
+	for li, l := range n.layers {
+		if l.Sampled() && !l.Tables().Equal(l.build(n.rebuildGen, 1)) {
+			t.Fatalf("layer %d: tables after a run ending on a rebuild differ from generation %d built from the live weights", li, n.rebuildGen)
+		}
 	}
 	if _, _, err := n.PredictSampled(ds.Test[0].Features, 3); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestScheduledRebuildStartsNoGoroutine: a scheduled rebuild is built on
-// the training loop's goroutine at its kick, so no goroutine outlives the
-// batch boundary that kicks it or waits for its publish step. At one
-// worker the build starts none at all; at three, its helpers are joined
-// before the boundary returns and exit right after.
+// TestScheduledRebuildStartsNoGoroutine: a scheduled rebuild is built and
+// published on the training loop's goroutine at its due boundary, so no
+// goroutine outlives that boundary. At one worker the build starts none
+// at all; at three, its helpers are joined before the boundary returns
+// and exit right after.
 func TestScheduledRebuildStartsNoGoroutine(t *testing.T) {
 	classes := 256
 	ds := tinyDataset(t, classes)
 	cfg := tinyConfig(classes)
 	cfg.RebuildN0 = 4
-	cfg.RebuildLambda = 1e-9 // gap 4, publish lag 1
+	cfg.RebuildLambda = 1e-9 // gap 4
 	n := mustNet(t, cfg)
 	if _, err := n.Train(ds.Train, ds.Test, TrainConfig{Iterations: 2, BatchSize: 32, Seed: 1, EvalEvery: 0}); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3} {
 		before := runtime.NumGoroutine()
-		kicks, publishes := n.rebuildGen, n.Rebuilds()
+		gen, rebuilds := n.rebuildGen, n.Rebuilds()
 		for range 4 {
 			n.step++
 			n.rebuildTick(workers)
@@ -177,9 +183,9 @@ func TestScheduledRebuildStartsNoGoroutine(t *testing.T) {
 				t.Fatalf("%d workers, step %d: %d goroutines after the batch boundary, %d before the schedule ran", workers, n.step, got, before)
 			}
 		}
-		if n.rebuildGen != kicks+1 || n.Rebuilds() != publishes+1 {
-			t.Fatalf("%d workers: %d kicks and %d publishes in 4 batches of a gap-4 schedule, want 1 each",
-				workers, n.rebuildGen-kicks, n.Rebuilds()-publishes)
+		if n.rebuildGen != gen+1 || n.Rebuilds() != rebuilds+1 {
+			t.Fatalf("%d workers: %d builds and %d rebuilds in 4 batches of a gap-4 schedule, want 1 each",
+				workers, n.rebuildGen-gen, n.Rebuilds()-rebuilds)
 		}
 	}
 }
@@ -254,7 +260,7 @@ func TestRebuildPublishRaceStress(t *testing.T) {
 	}
 	totalRebuilds := 0
 	for cycle := 0; cycle < cycles; cycle++ {
-		// Phase 1: a build at every batch boundary, published at the next.
+		// Phase 1: a build published at every batch boundary.
 		res, err := n.Train(ds.Train, ds.Test, TrainConfig{
 			Iterations: 12, BatchSize: 32, Seed: uint64(7 + cycle), EvalEvery: 0,
 		})
@@ -291,8 +297,7 @@ func TestRebuildPublishRaceStress(t *testing.T) {
 				}
 			}(g)
 		}
-		n.kickRebuild(2)
-		n.publishPending() // publish the swap under live traffic
+		n.RebuildTables(2) // publish the swap under live traffic
 		totalRebuilds++
 		close(stop)
 		wg.Wait()
@@ -351,9 +356,8 @@ func TestRestorePathsShareTableGeneration(t *testing.T) {
 		}
 	}
 
-	// Gaps are 8 then int(8·e^0.1) = 8: rebuilds are kicked after batches 8
-	// and 16 and published a batch later on both networks, unless a
-	// restore build shifted the exponent.
+	// Gaps are 8 then int(8·e^0.1) = 8: rebuilds run after batches 8 and
+	// 16 on both networks, unless a restore build shifted the exponent.
 	tc := TrainConfig{BatchSize: 32, Iterations: 18, Threads: 1, Seed: 3, EvalEvery: 0}
 	for _, m := range []*Network{sized, streamed} {
 		if _, err := m.Train(ds.Train, ds.Test, tc); err != nil {
@@ -485,10 +489,9 @@ func TestTableFingerprintGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		gotInit := tableFingerprint(n.layers[1].Tables())
-		// The schedule fires after batch 10 and again after batch 21: the
-		// first call ends on the kick, so its build is published by Train's
-		// final join; the second publishes one batch after its kick. Both
-		// hash the weights at their kick.
+		// The schedule fires after batch 10, the first call's last, and
+		// again after batch 21. Each build hashes the weights at its
+		// boundary and is published there.
 		first, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 10, Threads: 1, Seed: 9, EvalEvery: 0})
 		if err != nil {
 			t.Fatal(err)

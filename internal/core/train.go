@@ -31,18 +31,18 @@ type TrainResult struct {
 	MeanActive []float64
 	// Utilization is the mean worker busy fraction (Table 2 analog).
 	Utilization float64
-	// Rebuilds counts the hash-table reconstructions published during
-	// this run.
+	// Rebuilds counts the scheduled hash-table rebuilds of this run, each
+	// built and published at the batch boundary it was due at.
 	Rebuilds int
 	// RebuildStallNS is the nanoseconds this run's training loop spent
-	// blocked on table maintenance: the scheduled builds, each run at its
-	// kick while the workers wait (a publish is one atomic store per
-	// layer). The §4.2 "Updating Overhead" analog: SLIDE amortizes
+	// blocked on table maintenance: the scheduled rebuilds, each built at
+	// its due boundary while the workers wait (a publish is one atomic
+	// store per layer). The §4.2 "Updating Overhead" analog: SLIDE amortizes
 	// rebuilds by scheduling them rarely.
 	RebuildStallNS int64
-	// RebuildBuildNS is the nanoseconds this run's scheduled shadow builds
-	// took. Every build lies inside the stall, so it equals
-	// RebuildStallNS; both are kept for callers that read either.
+	// RebuildBuildNS is the nanoseconds this run's scheduled builds took.
+	// Every build lies inside the stall, so it equals RebuildStallNS; it
+	// stays for benchmark/train.go, which reads both.
 	RebuildBuildNS int64
 	// RowsRehashed counts the neuron rows this run's rebuilds hashed:
 	// sampled rows × rebuilds.
@@ -81,8 +81,8 @@ type TrainResult struct {
 //
 // Determinism: the trained bits do not depend on Threads — nor, for a
 // sharded run, on the threads per rank or on OverlapExchange — because a
-// scheduled table rebuild builds and publishes at batches the config
-// fixes (Network.rebuildTick).
+// scheduled table rebuild builds and publishes at the batch boundaries
+// the config fixes (Network.rebuildTick).
 func (n *Network) Train(train, test []dataset.Example, tc TrainConfig) (*TrainResult, error) {
 	return n.TrainContext(context.Background(), train, test, tc)
 }
@@ -381,11 +381,6 @@ func (n *Network) TrainContext(ctx context.Context, train, test []dataset.Exampl
 		}
 		trainNS += nowNano() - s0
 	}
-
-	// A built set may still be held when the loop exits (cancellation,
-	// time budget, or a kick within its lag of the end); publish it early,
-	// so the network's tables always reflect the last kicked rebuild.
-	n.publishPending()
 
 	// Final evaluation unless the loop ended exactly on an eval. A
 	// cancelled run skips it (the caller asked to stop, and evaluation

@@ -307,7 +307,7 @@ const handshakeTimeout = 10 * time.Second
 
 // roundTimeout bounds every round's reads and writes. A synchronous
 // exchange legitimately waits out the slowest peer's between-batch work
-// (evaluations, rebuild snapshots) but never minutes of it; a peer that
+// (evaluations, table rebuilds) but never minutes of it; a peer that
 // is SIGSTOPed, partitioned without an RST, or deadlocked would
 // otherwise hang every rank's training loop forever with no error.
 const roundTimeout = 5 * time.Minute

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/sparse"
-	"repro/internal/vecmath"
 )
 
 // Benchmark shapes mirror the paper architecture's rebuild-side hashing:
@@ -121,11 +120,11 @@ var workloadShapes = []struct {
 
 // BenchmarkHashWorkloads times one query (HashDense on one row) and one
 // rebuild block (HashDenseRows, ns/op ÷ benchRows per row) at each workload
-// shape, on the Go kernels (vecmath.Unrolled off) and as dispatched — the
-// AVX2 lane kernels where the CPU has them, the Go kernels elsewhere.
+// shape, as dispatched — the AVX2 lane kernels where the CPU has them, the
+// Go kernels elsewhere. vecmath's SignedSums and NonZeroArgMax benchmarks
+// time the two tiers side by side.
 func BenchmarkHashWorkloads(b *testing.B) {
 	block := benchBlock(benchRows)
-	defer func(u bool) { vecmath.Unrolled = u }(vecmath.Unrolled)
 	for _, ws := range workloadShapes {
 		fam, err := New(ws.kind, Params{Dim: benchDim, K: ws.k, L: ws.l, Seed: 0xbe7c})
 		if err != nil {
@@ -134,19 +133,16 @@ func BenchmarkHashWorkloads(b *testing.B) {
 		nf := fam.NumFuncs()
 		out := make([]uint32, benchRows*nf)
 		for _, op := range []string{"query", "rows"} {
-			for _, tier := range []string{"go", "avx2"} {
-				b.Run(ws.name+"/"+op+"/"+tier, func(b *testing.B) {
-					vecmath.Unrolled = tier == "avx2"
-					for i := 0; i < b.N; i++ {
-						if op == "query" {
-							row := (i % benchRows) * benchDim
-							fam.HashDense(block[row:row+benchDim], out[:nf])
-						} else {
-							fam.HashDenseRows(block, benchRows, out)
-						}
+			b.Run(ws.name+"/"+op, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if op == "query" {
+						row := (i % benchRows) * benchDim
+						fam.HashDense(block[row:row+benchDim], out[:nf])
+					} else {
+						fam.HashDenseRows(block, benchRows, out)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -1,28 +1,11 @@
 package optim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"slices"
 	"testing"
-
-	"repro/internal/vecmath"
 )
-
-// TestMain runs the tests twice: on the dispatched row step (AVX2 where
-// the machine has it), then with vecmath.Unrolled off, which takes the Go
-// row step — the only path on other machines.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if code == 0 {
-		fmt.Println("optim: second pass with vecmath.Unrolled = false")
-		vecmath.Unrolled = false
-		code = m.Run()
-	}
-	os.Exit(code)
-}
 
 // TestStepCellsContiguousMatchesIndexed: a nil column list (the vector
 // kernel's shape) and the identity column list (the scalar loop) are the

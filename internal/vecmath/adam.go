@@ -26,7 +26,7 @@ func AdamStep(w, m, v, g []float32, scale, b1, b2, eps, alpha float32, skipZero 
 	w, m, v = w[:n], m[:n], v[:n]
 	p := adamParams{scale: scale, b1: b1, omb1: 1 - b1, b2: b2, omb2: 1 - b2, eps: eps, alpha: alpha}
 	done, stepped := 0, 0
-	if Unrolled && hasAVX2 {
+	if hasAVX2 {
 		for n8 := n &^ 7; done < n8; {
 			c := min(n8-done, maxCells)
 			stepped += c - adamAVX2(&w[done], &m[done], &v[done], &g[done], c/8, &p, skipZero)

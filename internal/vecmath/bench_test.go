@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// Kernel-level half of the Fig. 10 ablation: the unrolled ("SIMD") kernels
-// against their scalar counterparts on the network's hot shapes (the
-// 128-wide hidden fan-in of the output layer).
+// Kernels on the network's hot shapes (the 128-wide hidden fan-in of the
+// output layer). The row kernels' Go and AVX2 tiers are timed side by
+// side further down (benchTiers).
 
 var benchSink float32
 
@@ -21,38 +21,6 @@ func benchVecs(n int) ([]float32, []float32) {
 		b[i] = r.NormFloat32()
 	}
 	return a, b
-}
-
-func BenchmarkDotScalar128(b *testing.B) {
-	x, y := benchVecs(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += dotScalar(x, y)
-	}
-}
-
-func BenchmarkDotUnrolled128(b *testing.B) {
-	x, y := benchVecs(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchSink += dotUnrolled(x, y)
-	}
-}
-
-func BenchmarkAxpyScalar128(b *testing.B) {
-	x, y := benchVecs(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		axpyScalar(0.5, x, y)
-	}
-}
-
-func BenchmarkAxpyUnrolled128(b *testing.B) {
-	x, y := benchVecs(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		axpyUnrolled(0.5, x, y)
-	}
 }
 
 func BenchmarkSparseDot64of4096(b *testing.B) {
@@ -69,12 +37,12 @@ func BenchmarkSparseDot64of4096(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink += sparseDotUnrolled(idx, val, w)
+		benchSink += SparseDot(idx, val, w)
 	}
 }
 
-// Fused-kernel shapes: one active output neuron's forward step over the
-// 128-wide hidden input (gather form), and one backward row update.
+// Fused-kernel shape: one active output neuron's forward step over the
+// 128-wide hidden input (gather form).
 
 func BenchmarkDotBiasReLU128(b *testing.B) {
 	x, y := benchVecs(128)
@@ -82,26 +50,6 @@ func BenchmarkDotBiasReLU128(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		benchSink += DotBiasReLU(0.1, x, y)
 	}
-}
-
-func BenchmarkOuterAccScalar128(b *testing.B) {
-	x, w := benchVecs(128)
-	g, acc := benchVecs(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		outerAccScalar(0.5, x, w, g, acc)
-	}
-	benchSink += g[0] + acc[0]
-}
-
-func BenchmarkOuterAccUnrolled128(b *testing.B) {
-	x, w := benchVecs(128)
-	g, acc := benchVecs(128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		outerAccUnrolled(0.5, x, w, g, acc)
-	}
-	benchSink += g[0] + acc[0]
 }
 
 func BenchmarkSoftmax1024(b *testing.B) {

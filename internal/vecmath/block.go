@@ -30,7 +30,7 @@ func Transpose8(xt, rows []float32, dim int) {
 	}
 	n := len(rows) / dim
 	done := 0
-	if Unrolled && hasAVX2 && n == 8 {
+	if hasAVX2 && n == 8 {
 		// One call covers at most maxCells/8 columns: maxCells cells.
 		for tiles := dim / 8; done < tiles*8; {
 			c := min(tiles*8-done, maxCells/8)
@@ -56,10 +56,10 @@ func (t *LaneSlab) checkBlock(name string, nxt, ndst int) {
 }
 
 // blockVector reports whether the block kernels' vector path takes this
-// slab: the tier is on, a group of eight functions fits the per-call
+// slab: the machine has AVX2, a group of eight functions fits the per-call
 // bound of maxCells loads, and offsets fit maxBlockDim.
 func (t *LaneSlab) blockVector() bool {
-	return Unrolled && hasAVX2 && 8*t.steps <= maxCells && t.dim <= maxBlockDim
+	return hasAVX2 && 8*t.steps <= maxCells && t.dim <= maxBlockDim
 }
 
 // SignedSumsBlock is SignedSums over the eight transposed inputs of xt
@@ -154,7 +154,7 @@ func nonZeroArgMaxBlockGo(t *LaneSlab, dst []uint32, xt []float32) (empty bool) 
 // per step.
 func PackAddresses(dst []uint32, stride, n int, codes []uint32, k, tables, bits int) {
 	checkAddresses("PackAddresses", len(dst), stride, n, len(codes), k, tables)
-	if !Unrolled || !hasAVX2 || n < 8 || k > maxCells {
+	if !hasAVX2 || n < 8 || k > maxCells {
 		packAddressesGo(dst, stride, n, codes, k, tables, bits)
 		return
 	}
@@ -190,7 +190,7 @@ func packAddressesGo(dst []uint32, stride, n int, codes []uint32, k, tables, bit
 // 64-bit multiply.
 func MixAddresses(dst []uint32, stride, n int, codes []uint32, k, tables int, seed uint64, mask uint32) {
 	checkAddresses("MixAddresses", len(dst), stride, n, len(codes), k, tables)
-	if !Unrolled || !hasAVX2 || n < 8 || k > maxCells {
+	if !hasAVX2 || n < 8 || k > maxCells {
 		mixAddressesGo(dst, stride, n, codes, k, tables, seed, mask)
 		return
 	}

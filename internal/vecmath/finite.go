@@ -8,7 +8,7 @@ const expBits = 0x7f800000
 // AllFinite reports whether no cell of x is NaN or ±Inf.
 func AllFinite(x []float32) bool {
 	done := 0
-	if Unrolled && hasAVX2 {
+	if hasAVX2 {
 		for n8 := len(x) &^ 7; done < n8; {
 			c := min(n8-done, maxCells)
 			if !finiteAVX2(&x[done], c/8) {

@@ -85,7 +85,7 @@ func (t *LaneSlab) check(name string, nx, ndst int) {
 // function.
 func (t *LaneSlab) SignedSums(dst, x []float32) {
 	t.check("SignedSums", len(x), len(dst))
-	if !Unrolled || !hasAVX2 || 8*t.steps > maxCells {
+	if !hasAVX2 || 8*t.steps > maxCells {
 		signedSumsGo(t, dst, x)
 		return
 	}
@@ -107,7 +107,7 @@ func (t *LaneSlab) SignedSums(dst, x []float32) {
 // function.
 func (t *LaneSlab) NonZeroArgMax(dst []uint32, x []float32) {
 	t.check("NonZeroArgMax", len(x), len(dst))
-	if !Unrolled || !hasAVX2 || 8*t.steps > maxCells {
+	if !hasAVX2 || 8*t.steps > maxCells {
 		nonZeroArgMaxGo(t, dst, x)
 		return
 	}

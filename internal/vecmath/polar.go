@@ -24,7 +24,7 @@ func PolarFactors(f, s []float64) {
 		panic("vecmath: PolarFactors length mismatch")
 	}
 	done := 0
-	if Unrolled && hasAVX2 {
+	if hasAVX2 {
 		for n4 := len(s) &^ 3; done < n4; {
 			c := min(n4-done, maxPolar)
 			polarFactorsAVX2(&f[done], &s[done], c/4)

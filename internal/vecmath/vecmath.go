@@ -4,13 +4,12 @@
 //
 // # Tiers
 //
-// A kernel has up to three implementations, chosen in one place — this
-// package's exported entry points — and nowhere else:
+// A kernel has up to two implementations, chosen in one place — this
+// package's exported entry points — by hasAVX2 alone:
 //
-//   - plain scalar Go, when Unrolled is false (the Fig. 10 ablation);
 //   - 8-way unrolled Go with independent accumulators (dotUnrolled,
-//     axpyUnrolled, axpyRowsUnrolled (one axpyUnrolled per term),
-//     outerAccUnrolled, adamStepGo), and the hash kernels' Go loops
+//     axpyUnrolled, which AxpyRows runs once per term, outerAccUnrolled,
+//     adamStepGo), and the hash kernels' Go loops
 //     (signedSumsGo, nonZeroArgMaxGo): the only path on non-amd64 and
 //     pre-AVX2 machines, and the reference;
 //   - AVX2 assembly (avx2_amd64.s) for five dense row loops — Dot/DotRows,
@@ -25,6 +24,9 @@
 //     when the CPU and OS support it (hasAVX2, probed once at init by
 //     hand-rolled CPUID/XGETBV). There is one vector tier: no AVX-512, no
 //     option.
+//
+// The package's TestMain runs every test a second time with hasAVX2
+// forced false, so both tiers are tested on an AVX2 machine.
 //
 // # Same bits
 //
@@ -98,12 +100,6 @@ package vecmath
 
 import "math"
 
-// Unrolled selects the optimized kernels when true (the default): AVX2
-// where available, 8-way unrolled Go otherwise. False selects plain scalar
-// Go. It exists for the Fig. 10 optimization ablation; flip it only in
-// single-threaded setup code, never mid-training.
-var Unrolled = true
-
 // maxCells bounds the cells per row one assembly call covers (~1 µs of
 // non-preemptible work in cache).
 const maxCells = 4096
@@ -113,9 +109,6 @@ const maxCells = 4096
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic("vecmath: Dot length mismatch")
-	}
-	if !Unrolled {
-		return dotScalar(a, b)
 	}
 	if n := len(a); hasAVX2 && n >= 8 && n <= maxCells {
 		var out [4]float32
@@ -168,7 +161,7 @@ func DotRows(dst []float32, rows [][]float32, ids []int32, x []float32) {
 		}
 		return rows[k][:n]
 	}
-	if !Unrolled || !hasAVX2 || n < 8 || n > maxCells {
+	if !hasAVX2 || n < 8 || n > maxCells {
 		for k := range dst {
 			dst[k] = Dot(row(k), x)
 		}
@@ -196,14 +189,6 @@ func DotRows(dst []float32, rows [][]float32, ids []int32, x []float32) {
 	}
 }
 
-func dotScalar(a, b []float32) float32 {
-	var s float32
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
 func dotUnrolled(a, b []float32) float32 {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
 	n := len(a) &^ 7
@@ -228,21 +213,6 @@ func SparseDot(idx []int32, val []float32, w []float32) float32 {
 	if len(idx) != len(val) {
 		panic("vecmath: SparseDot index/value length mismatch")
 	}
-	if Unrolled {
-		return sparseDotUnrolled(idx, val, w)
-	}
-	return sparseDotScalar(idx, val, w)
-}
-
-func sparseDotScalar(idx []int32, val []float32, w []float32) float32 {
-	var s float32
-	for j, i := range idx {
-		s += val[j] * w[i]
-	}
-	return s
-}
-
-func sparseDotUnrolled(idx []int32, val []float32, w []float32) float32 {
 	var s0, s1, s2, s3 float32
 	n := len(idx) &^ 3
 	for j := 0; j < n; j += 4 {
@@ -295,10 +265,6 @@ func OuterAcc(d float32, x, w, g, acc []float32) {
 	if len(x) != len(w) || len(x) != len(g) || len(x) != len(acc) {
 		panic("vecmath: OuterAcc length mismatch")
 	}
-	if !Unrolled {
-		outerAccScalar(d, x, w, g, acc)
-		return
-	}
 	done := 0
 	if hasAVX2 {
 		for n8 := len(x) &^ 7; done < n8; {
@@ -308,13 +274,6 @@ func OuterAcc(d float32, x, w, g, acc []float32) {
 		}
 	}
 	outerAccUnrolled(d, x[done:], w[done:], g[done:], acc[done:])
-}
-
-func outerAccScalar(d float32, x, w, g, acc []float32) {
-	for i := range x {
-		acc[i] += d * w[i]
-		g[i] += d * x[i]
-	}
 }
 
 func outerAccUnrolled(d float32, x, w, g, acc []float32) {
@@ -360,10 +319,6 @@ func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("vecmath: Axpy length mismatch")
 	}
-	if !Unrolled {
-		axpyScalar(alpha, x, y)
-		return
-	}
 	done := 0
 	if hasAVX2 {
 		for n8 := len(x) &^ 7; done < n8; {
@@ -373,12 +328,6 @@ func Axpy(alpha float32, x, y []float32) {
 		}
 	}
 	axpyUnrolled(alpha, x[done:], y[done:])
-}
-
-func axpyScalar(alpha float32, x, y []float32) {
-	for i := range x {
-		y[i] += alpha * x[i]
-	}
 }
 
 func axpyUnrolled(alpha float32, x, y []float32) {
@@ -425,14 +374,8 @@ func AxpyRows(dst []float32, rows [][]float32, terms []Term) {
 			panic("vecmath: AxpyRows row shorter than dst")
 		}
 	}
-	if !Unrolled {
-		for _, t := range terms {
-			axpyScalar(t.Coef, rows[t.K][:n], dst)
-		}
-		return
-	}
 	done := 0
-	if hasAVX2 && len(terms) > 0 {
+	if hasAVX2 {
 		// One call covers at most maxCells cell-operations: a piece of at
 		// most maxCells columns, and as many terms as fit over it.
 		for n8 := n &^ 7; done < n8; {
@@ -445,17 +388,10 @@ func AxpyRows(dst []float32, rows [][]float32, terms []Term) {
 			done += c
 		}
 	}
-	axpyRowsUnrolled(dst, rows, terms, done)
-}
-
-// axpyRowsUnrolled is AxpyRows over cells [from, len(dst)): one unrolled
-// axpy per term, in term order.
-func axpyRowsUnrolled(dst []float32, rows [][]float32, terms []Term, from int) {
-	if from == len(dst) {
-		return
-	}
-	for _, t := range terms {
-		axpyUnrolled(t.Coef, rows[t.K][from:len(dst)], dst[from:])
+	if done < n { // the cells the vector path left: one Go axpy per term
+		for _, t := range terms {
+			axpyUnrolled(t.Coef, rows[t.K][done:n], dst[done:])
+		}
 	}
 }
 

@@ -23,14 +23,18 @@ func randVec(r *pcg, n int) []float32 {
 	return v
 }
 
-// TestDotVariantsAgree is the Fig. 10 correctness invariant: the unrolled
-// "SIMD" kernels must compute the same values as the scalar ones.
+// TestDotVariantsAgree: Dot, on either tier, sums in another order than
+// one running sum, so the two agree to rounding, not bitwise.
 func TestDotVariantsAgree(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw) % 200
 		r := newPCG(seed)
 		a, b := randVec(r, n), randVec(r, n)
-		return almostEq(float64(dotScalar(a, b)), float64(dotUnrolled(a, b)), 1e-4)
+		var want float32
+		for i := range a {
+			want += a[i] * b[i]
+		}
+		return almostEq(float64(Dot(a, b)), float64(want), 1e-4)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +51,11 @@ func TestSparseDotVariantsAgree(t *testing.T) {
 			idx[i] = int32(r.Intn(256))
 			val[i] = r.NormFloat32()
 		}
-		return almostEq(float64(sparseDotScalar(idx, val, w)), float64(sparseDotUnrolled(idx, val, w)), 1e-4)
+		var want float32
+		for j, i := range idx {
+			want += val[j] * w[i]
+		}
+		return almostEq(float64(SparseDot(idx, val, w)), float64(want), 1e-4)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +79,8 @@ func TestSparseDotMatchesDenseDot(t *testing.T) {
 	}
 }
 
+// TestAxpyVariantsAgree: Axpy is element-wise, one rounded multiply and
+// add per cell, so on either tier it is bitwise the plain loop.
 func TestAxpyVariantsAgree(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8, alpha float32) bool {
 		n := int(nRaw) % 100
@@ -82,14 +92,11 @@ func TestAxpyVariantsAgree(t *testing.T) {
 		x := randVec(r, n)
 		y1 := randVec(r, n)
 		y2 := append([]float32(nil), y1...)
-		axpyScalar(alpha, x, y1)
-		axpyUnrolled(alpha, x, y2)
-		for i := range y1 {
-			if !almostEq(float64(y1[i]), float64(y2[i]), 1e-4) {
-				return false
-			}
+		for i := range x {
+			y1[i] += alpha * x[i]
 		}
-		return true
+		Axpy(alpha, x, y2)
+		return slices.Equal(y1, y2)
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +157,10 @@ func TestSparseDotBiasReLUMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestOuterAccMatchesScalarLoops: the fused backward kernel must be
-// bit-identical to the separate acc/gradient loops it replaces — every
-// cell receives exactly one add in both formulations — and the unrolled
-// variant must match the scalar one exactly.
+// TestOuterAccMatchesScalarLoops: the fused backward kernel, as
+// dispatched and as the unrolled Go kernel, must be bit-identical to the
+// separate acc/gradient scalar loops it replaces — every cell receives
+// exactly one add in both formulations.
 func TestOuterAccMatchesScalarLoops(t *testing.T) {
 	if err := quick.Check(func(seed uint64, nRaw uint8, d float32) bool {
 		n := int(nRaw) % 100
@@ -172,7 +179,7 @@ func TestOuterAccMatchesScalarLoops(t *testing.T) {
 			acc1[i] += d * w[i]
 			g1[i] += d * x[i]
 		}
-		outerAccScalar(d, x, w, g2, acc2)
+		OuterAcc(d, x, w, g2, acc2)
 		outerAccUnrolled(d, x, w, g3, acc3)
 		for i := range x {
 			if g1[i] != g2[i] || acc1[i] != acc2[i] || g1[i] != g3[i] || acc1[i] != acc3[i] {
@@ -286,18 +293,5 @@ func TestScale(t *testing.T) {
 func TestNorm2(t *testing.T) {
 	if v := Norm2([]float32{3, 4}); !almostEq(float64(v), 5, 1e-6) {
 		t.Fatalf("Norm2 = %v", v)
-	}
-}
-
-func TestUnrolledFlagDispatch(t *testing.T) {
-	defer func(prev bool) { Unrolled = prev }(Unrolled)
-	a := []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	b := []float32{9, 8, 7, 6, 5, 4, 3, 2, 1}
-	Unrolled = true
-	d1 := Dot(a, b)
-	Unrolled = false
-	d2 := Dot(a, b)
-	if !almostEq(float64(d1), float64(d2), 1e-6) {
-		t.Fatalf("dispatch mismatch: %v vs %v", d1, d2)
 	}
 }

@@ -50,9 +50,9 @@ import (
 // Network is a SLIDE network. A scheduled hash-table rebuild builds a
 // shadow table set from the live weights at its due batch boundary, on
 // the training workers while no batch runs (TrainResult.RebuildStallNS
-// accounts the wait), and publishes it with an atomic swap a fixed,
-// schedule-derived number of batches later, so the trained bits are a
-// function of the config. See core.Network for method documentation.
+// accounts the wait), and publishes it there with an atomic swap, so the
+// next batch trains on it and the trained bits are a function of the
+// config. See core.Network for method documentation.
 type Network = core.Network
 
 // Predictor is a reusable, concurrency-safe inference session over a
