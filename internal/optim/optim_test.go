@@ -151,3 +151,26 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		t.Fatalf("Adam did not converge: w = %v, want 3", w)
 	}
 }
+
+// TestStepLengthMismatchPanics: StepRow panics when a moment or the weight
+// row is not as long as the gradient, and StepCells when its column list
+// and gradient differ in length.
+func TestStepLengthMismatchPanics(t *testing.T) {
+	a := NewAdam(0.01)
+	long, short := make([]float32, 4), make([]float32, 3)
+	for name, step := range map[string]func(){
+		"StepRow_w":     func() { a.StepRow(short, long, long, long, 1) },
+		"StepRow_m":     func() { a.StepRow(long, short, long, long, 1) },
+		"StepRow_v":     func() { a.StepRow(long, long, short, long, 1) },
+		"StepCells_col": func() { a.StepCells(long, long, long, []int32{0, 1}, short, 1, 1, false) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("length mismatch did not panic")
+				}
+			}()
+			step()
+		})
+	}
+}

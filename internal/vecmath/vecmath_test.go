@@ -295,3 +295,41 @@ func TestNorm2(t *testing.T) {
 		t.Fatalf("Norm2 = %v", v)
 	}
 }
+
+// TestMaxIsArgMaxElement: Max is the element ArgMax names, and both panic
+// on an empty slice.
+func TestMaxIsArgMaxElement(t *testing.T) {
+	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
+		x := randVec(newPCG(seed), 1+int(nRaw)%64)
+		return Max(x) == x[ArgMax(x)]
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, f := range map[string]func([]float32){
+		"Max":    func(x []float32) { Max(x) },
+		"ArgMax": func(x []float32) { ArgMax(x) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s of an empty slice did not panic", name)
+				}
+			}()
+			f(nil)
+		}()
+	}
+}
+
+// TestPrefetchChangesNothing: Prefetch reads and writes no value, on an
+// empty slice, a short one and one past maxPrefetch bytes.
+func TestPrefetchChangesNothing(t *testing.T) {
+	r := newPCG(3)
+	for _, n := range []int{0, 1, 7, maxPrefetch/4 + 9} {
+		x := randVec(r, n)
+		want := slices.Clone(x)
+		Prefetch(x)
+		if !slices.Equal(x, want) {
+			t.Fatalf("n=%d: Prefetch changed the slice", n)
+		}
+	}
+}
