@@ -5,9 +5,11 @@
 // into a handful of large contiguous, cache-line-aligned slabs and hands
 // out row views over them: the GC has few objects to track and none to
 // scan, rows owned by different writers never share a cache line, and a
-// layer's rows sit back to back. A network that trains takes its
-// optimizer moments from a second arena at its first step, so a network
-// that only serves never allocates them.
+// layer's rows sit back to back. The sparse trainer's Adam moments are not
+// arena memory: core keeps a weight's moments in bfloat16 slabs of their
+// own, allocated at a network's first step, so a network that only serves
+// never holds them. The dense baseline takes its float32 moments here, as
+// AllocRows rows beside its weights.
 //
 // It is not the paper's Transparent Hugepages optimization (§5.4, App. D,
 // Table 4). A slab is ordinary heap memory in 4 KiB pages: nothing here

@@ -10,6 +10,7 @@ import (
 	"repro/internal/optim"
 	"repro/internal/sampling"
 	"repro/internal/sparse"
+	"repro/internal/vecmath"
 )
 
 // cell returns neuron j's cell for input i of m — the weights or one of
@@ -21,13 +22,17 @@ func (l *Layer) cell(m [][]float32, j, i int) *float32 {
 	return &m[j][i]
 }
 
-// moment reads cell (j, i) of a weight moment, zero before the layer's
-// first step allocates it, as the step would find it.
-func (l *Layer) moment(m [][]float32, j, i int) float32 {
+// moment reads cell (j, i) of a weight moment widened to float32, as the
+// step would find it: zero before the layer's first step allocates it.
+func (l *Layer) moment(m []uint16, j, i int) float32 {
 	if m == nil {
 		return 0
 	}
-	return *l.cell(m, j, i)
+	r, c := j, i
+	if l.inputMajor {
+		r, c = i, j
+	}
+	return vecmath.WidenBF16(l.momentRow(m, int32(r))[c])
 }
 
 // biasMoment reads neuron j's bias moment the same way.

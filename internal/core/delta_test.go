@@ -278,7 +278,7 @@ func TestApplyDeltaSkipsZeroSumCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	type cell struct{ w, m, v float32 }
-	weight := func(j, i int) cell { return cell{l.w[j][i], l.mW[j][i], l.vW[j][i]} }
+	weight := func(j, i int) cell { return cell{l.w[j][i], l.moment(l.mW, j, i), l.moment(l.vW, j, i)} }
 	bias := func(j int) cell { return cell{l.b[j], l.mB[j], l.vB[j]} }
 	w7, w8, b7, b8 := weight(7, 4), weight(8, 4), bias(7), bias(8)
 	stepped, err := n.ApplyDelta(handDelta(rec(1), rec(-1)), n.adam.Alpha(2), 1, 1)

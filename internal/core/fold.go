@@ -465,8 +465,9 @@ func (l *Layer) foldRow(r int, g []float32) []float32 {
 
 // stepFold is the fold's consumer: it folds each touched row into its
 // worker's scratch and runs the Adam step straight from it, then steps the
-// touched neurons' biases. Returns the number of cells stepped.
-func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int64 {
+// touched neurons' biases. seed keys the update's moment rounding
+// (momentKey). Returns the number of cells stepped.
+func (l *Layer) stepFold(adam optim.Adam, seed uint64, alpha, invB float32, workers int) int64 {
 	f := &l.fold
 	stepped := l.claimRows(workers, len(f.rows), func(wk, lo, hi int) int64 {
 		var n int64
@@ -474,7 +475,7 @@ func (l *Layer) stepFold(adam optim.Adam, alpha, invB float32, workers int) int6
 			if r+1 < hi {
 				l.prefetchRow(f.rows[r], f.rows[r+1], f.cols)
 			}
-			n += l.stepRow(adam, f.rows[r], f.cols, l.foldRow(r, f.rowBuf[wk]), alpha, invB)
+			n += l.stepRow(adam, seed, f.rows[r], f.cols, l.foldRow(r, f.rowBuf[wk]), alpha, invB)
 		}
 		return n
 	})
@@ -500,12 +501,15 @@ func (n *Network) applyAdamBatch(alpha, invB float32, workers int) {
 }
 
 // stepRecords folds recs layer by layer and steps every touched weight
-// once, returning the number of cells stepped.
+// once, returning the number of cells stepped. It is one Adam update: it
+// advances n.updates, whose count keys the update's moment rounding in
+// every layer.
 func (n *Network) stepRecords(recs []*elemRecord, alpha, invB float32, workers int) int64 {
+	n.updates++
 	var stepped int64
-	for _, l := range n.layers {
+	for i, l := range n.layers {
 		if l.beginFold(recs, workers) {
-			stepped += l.stepFold(n.adam, alpha, invB, workers)
+			stepped += l.stepFold(n.adam, mix64(n.updates<<8|uint64(i)), alpha, invB, workers)
 		}
 	}
 	return stepped
@@ -584,12 +588,40 @@ func (l *Layer) claimRows(workers, n int, step func(wk, lo, hi int) int64) int64
 	return total
 }
 
-// stepRow is the one Adam row step of the update phase: storage row r's
-// cells cols[k] (column k when cols is nil) with raw gradient sums g[k],
-// averaged by invB. Cells whose sum is exactly zero are left unstepped.
-// Returns the number of cells stepped.
-func (l *Layer) stepRow(adam optim.Adam, r int32, cols []int32, g []float32, alpha, invB float32) int64 {
-	return int64(adam.StepCells(l.w[r], l.mW[r], l.vW[r], cols, g, invB, alpha, true))
+// stepRow is the one Adam row step of the update phase, the local fold's
+// and ApplyDelta's alike: storage row r's cells cols[k] (column k when
+// cols is nil) with raw gradient sums g[k], averaged by invB, over the
+// row's bfloat16 moments (optim.Adam.StepCellsBF16), rounded under
+// momentKey(seed, r). Cells whose sum is exactly zero are
+// left unstepped. Returns the number of cells stepped.
+func (l *Layer) stepRow(adam optim.Adam, seed uint64, r int32, cols []int32, g []float32, alpha, invB float32) int64 {
+	return int64(adam.StepCellsBF16(l.w[r], l.momentRow(l.mW, r), l.momentRow(l.vW, r), cols, g, momentKey(seed, r), invB, alpha))
+}
+
+// momentKey is the dither key (vecmath.Dither) of storage row r's moments
+// in the update and layer that seed names (stepRecords): a hash of both, so
+// every (update, layer, row, column) cell rounds on its own draw, and a
+// pure function of them, so a rank that steps the row from a merged
+// delta rounds it exactly as one that stepped the combined batch.
+func momentKey(seed uint64, r int32) uint32 {
+	return uint32(mix64(seed^uint64(uint32(r))<<32) >> 32)
+}
+
+// mix64 is SplitMix64's finalizer: a bijection of x with every output bit
+// depending on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+// momentRow returns storage row r of the bfloat16 moment slab m.
+func (l *Layer) momentRow(m []uint16, r int32) []uint16 {
+	width := len(l.w[r])
+	lo := int(r) * width
+	return m[lo : lo+width : lo+width]
 }
 
 // prefetchRow hints storage row next's weights and moments into cache while
@@ -601,8 +633,8 @@ func (l *Layer) prefetchRow(cur, next int32, cols []int32) {
 		return
 	}
 	vecmath.Prefetch(l.w[next])
-	vecmath.Prefetch(l.mW[next])
-	vecmath.Prefetch(l.vW[next])
+	vecmath.Prefetch(l.momentRow(l.mW, next))
+	vecmath.Prefetch(l.momentRow(l.vW, next))
 }
 
 // stepBias steps neuron j's bias with raw gradient sum gb averaged by invB,

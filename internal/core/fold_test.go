@@ -230,8 +230,9 @@ func requireConstructedCases(t *testing.T, cells map[[3]int32]uint32, layers, sh
 }
 
 // stateHash fingerprints every weight, bias and Adam moment bit, neuron by
-// neuron and input by input whatever the layer's orientation; moments not
-// allocated yet hash as the zeros they start as.
+// neuron and input by input whatever the layer's orientation; a weight's
+// bfloat16 moments hash widened to float32, and moments not allocated yet
+// hash as the zeros they start as.
 func stateHash(n *Network) uint64 {
 	h := fnv.New64a()
 	var b [4]byte
@@ -262,8 +263,11 @@ func stateHash(n *Network) uint64 {
 // TestTableFingerprintFormulaGolden show that nothing else moved), and
 // again when a scheduled rebuild began publishing at the boundary it is
 // built at instead of a few batches later (the width-64 run gave
-// 0x86d9a7e9ef2b8741 with that publish lag). Retrieval is vanilla sampling, seeded per
-// batch position. The hidden width is 64 — one 64-cell register block of
+// 0x86d9a7e9ef2b8741 with that publish lag), and again when the weights'
+// Adam moments moved to bfloat16, rounded stochastically (on float32
+// moments the width-64 run gave 0x905e3f65b503fcf7 with 858,113 cells
+// stepped; the moments hash widened, 4 bytes each, as before). Retrieval
+// is vanilla sampling, seeded per batch position. The hidden width is 64 — one 64-cell register block of
 // the row kernels — and two more cases widen it to 72 (a block plus one
 // 8-cell block) and 100 (a block, four 8-cell blocks and a 4-cell tail),
 // so every tail path of the kernels is pinned too. Those two ran TopK
@@ -282,9 +286,9 @@ func TestTrainingGoldenHash(t *testing.T) {
 		wantHash    uint64
 		wantTouched int64
 	}{
-		{sampling.KindVanilla, 64, 0x905e3f65b503fcf7, 858113},
-		{sampling.KindVanilla, 72, 0xcfc79c0ab8379d8, 973807},
-		{sampling.KindVanilla, 100, 0xfb630b4249a236e2, 1351399},
+		{sampling.KindVanilla, 64, 0xaaf941622437d17f, 858127},
+		{sampling.KindVanilla, 72, 0xe80991f6ec992268, 973859},
+		{sampling.KindVanilla, 100, 0x88b21a0376b6befc, 1351343},
 	} {
 		for _, threads := range []int{1, 2, 4} {
 			name := fmt.Sprintf("%v/threads=%d", c.strategy, threads)
@@ -628,89 +632,102 @@ func TestUpdatePhaseSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkUpdatePhase times both consumers of the fold on one captured
-// train_converge-shaped batch (Delicious-200K at 0.03: 23.5K features into
-// 128 hidden units into 6.2K classes, batch 128 over two workers, both
-// layers), reporting ns per stepped cell, and index-ns/batch: both layers'
-// beginFold, the index build inside each consumer, timed on its own after
-// the consumer's loop. The fold only reads the records, so re-arming them
-// replays the same batch every iteration.
+// BenchmarkUpdatePhase times the fold's update phase on one captured
+// batch over two workers, both layers, reporting ns per stepped cell, and
+// index-ns/batch: both layers' beginFold, the index build inside each
+// consumer, timed on its own after the consumer's loop. "step" and
+// "extract+apply", its two consumers, run train_converge's shape
+// (Delicious-200K at 0.03: 23.5K features into 128 hidden units into
+// 6.2K classes, batch 128); "xwide" steps train_xwide's (Amazon-670K at
+// 0.2: 27K features into 128 into 134,018 classes, DWTA K 8 L 50 RangePow
+// 12, batch 256), where the moments stream from DRAM. The fold only reads
+// the records, so re-arming them replays the same batch every iteration.
 func BenchmarkUpdatePhase(b *testing.B) {
-	ds, err := dataset.Generate(dataset.Delicious200K(0.03, 1))
+	step := func(n *Network, alpha, invB float32) int64 {
+		before := n.touchedWeights
+		n.applyAdamBatch(alpha, invB, 2)
+		return n.touchedWeights - before
+	}
+	extractApply := func(n *Network, alpha, invB float32) int64 {
+		n.deltaScratch = n.ExtractDelta(n.deltaScratch, 2)
+		cells, err := n.ApplyDelta(n.deltaScratch, alpha, invB, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return cells
+	}
+	converge := func(b *testing.B, update func(n *Network, alpha, invB float32) int64) {
+		ds, err := dataset.Generate(dataset.Delicious200K(0.03, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchUpdatePhase(b, updateConfig(ds, LayerConfig{Hash: lsh.KindSimhash, K: 7, L: 30, Beta: ds.NumClasses / 20}, 1e-3), ds.Train, 128, update)
+	}
+	b.Run("step", func(b *testing.B) { converge(b, step) })
+	b.Run("extract+apply", func(b *testing.B) { converge(b, extractApply) })
+	b.Run("xwide", func(b *testing.B) {
+		p := dataset.Amazon670K(0.2, 1)
+		p.TrainSize, p.TestSize = 5*256, 16 // the batches the benchmark reads
+		ds, err := dataset.Generate(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := LayerConfig{Hash: lsh.KindDWTA, K: 8, L: 50, RangePow: 12, Beta: ds.NumClasses / 200}
+		benchUpdatePhase(b, updateConfig(ds, out, 1e-4), ds.Train, 256, step)
+	})
+}
+
+// updateConfig is the benchmark workloads' network over ds: 128 ReLU
+// hidden units into a sampled softmax layer shaped by out.
+func updateConfig(ds *dataset.Dataset, out LayerConfig, lr float32) Config {
+	out.Size, out.Activation, out.Sampled, out.MinCount = ds.NumClasses, ActSoftmax, true, 2
+	return Config{
+		InputDim: ds.InputDim,
+		Seed:     1,
+		Adam:     optim.NewAdam(lr),
+		Layers:   []LayerConfig{{Size: 128, Activation: ActReLU}, out},
+	}
+}
+
+// benchUpdatePhase times update on one captured batch of batchSize
+// examples of train over two workers (see BenchmarkUpdatePhase).
+func benchUpdatePhase(b *testing.B, cfg Config, train []dataset.Example, batchSize int, update func(n *Network, alpha, invB float32) int64) {
+	n, err := NewNetwork(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{
-		InputDim: ds.InputDim,
-		Seed:     1,
-		Adam:     optim.NewAdam(1e-3),
-		Layers: []LayerConfig{
-			{Size: 128, Activation: ActReLU},
-			{
-				Size: ds.NumClasses, Activation: ActSoftmax, Sampled: true, MinCount: 2,
-				Hash: lsh.KindSimhash, K: 7, L: 30, Beta: ds.NumClasses / 20,
-			},
-		},
+	invB := 1 / float32(batchSize)
+	runBatch := twoWorkerBatches(b, n, train, batchSize)
+	// A few real steps first, through the consumer under test: the
+	// moments and the zero pattern of the captured batch are then a
+	// trained network's, and the consumer's scratch is warm.
+	for s := int64(1); s <= 3; s++ {
+		runBatch()
+		update(n, n.adam.Alpha(s), invB)
 	}
-	consumers := []struct {
-		name   string
-		update func(n *Network, alpha, invB float32) int64
-	}{
-		{"step", func(n *Network, alpha, invB float32) int64 {
-			before := n.touchedWeights
-			n.applyAdamBatch(alpha, invB, 2)
-			return n.touchedWeights - before
-		}},
-		{"extract+apply", func(n *Network, alpha, invB float32) int64 {
-			n.deltaScratch = n.ExtractDelta(n.deltaScratch, 2)
-			cells, err := n.ApplyDelta(n.deltaScratch, alpha, invB, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return cells
-		}},
+	runBatch()
+	alpha := n.adam.Alpha(4)
+	var cells int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, rec := range n.records {
+			rec.used = true
+		}
+		cells += update(n, alpha, invB)
 	}
-	for _, c := range consumers {
-		b.Run(c.name, func(b *testing.B) {
-			n, err := NewNetwork(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			const batchSize = 128
-			const invB = float32(1.0 / batchSize)
-			runBatch := twoWorkerBatches(b, n, ds.Train, batchSize)
-			// A few real steps first, through the consumer under test: the
-			// moments and the zero pattern of the captured batch are then a
-			// trained network's, and the consumer's scratch is warm.
-			for s := int64(1); s <= 3; s++ {
-				runBatch()
-				c.update(n, n.adam.Alpha(s), invB)
-			}
-			runBatch()
-			alpha := n.adam.Alpha(4)
-			var cells int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, rec := range n.records {
-					rec.used = true
-				}
-				cells += c.update(n, alpha, invB)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
-			b.StopTimer()
-			var indexNS int64
-			for i := 0; i < b.N; i++ {
-				for _, rec := range n.records {
-					rec.used = true
-				}
-				recs := n.takeRecords()
-				t0 := time.Now()
-				for _, l := range n.layers {
-					l.beginFold(recs, 2)
-				}
-				indexNS += time.Since(t0).Nanoseconds()
-			}
-			b.ReportMetric(float64(indexNS)/float64(b.N), "index-ns/batch")
-		})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+	b.StopTimer()
+	var indexNS int64
+	for i := 0; i < b.N; i++ {
+		for _, rec := range n.records {
+			rec.used = true
+		}
+		recs := n.takeRecords()
+		t0 := time.Now()
+		for _, l := range n.layers {
+			l.beginFold(recs, 2)
+		}
+		indexNS += time.Since(t0).Nanoseconds()
 	}
+	b.ReportMetric(float64(indexNS)/float64(b.N), "index-ns/batch")
 }

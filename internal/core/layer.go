@@ -16,7 +16,9 @@ import (
 // the LSH family plus (K, L) hash tables holding neuron ids keyed by their
 // weight vectors (§3.1, Fig. 2). That is all inference reads, and all a
 // layer holds until its network first folds or steps a batch: the Adam
-// moments and the update phase's per-row scratch arrive then
+// moments — bfloat16 for the weights, rounded stochastically per update,
+// row and column, float32 for the biases — and the update phase's per-row
+// scratch arrive then
 // (Network.allocTrainState).
 //
 // A layer stores its weights in one orientation, fixed at construction:
@@ -38,21 +40,23 @@ type Layer struct {
 
 	// flat holds the weights in the layer's orientation and storage order,
 	// one contiguous slice of the network arena — or on a loaded network
-	// its model file's weights section — and w its rows; mW/vW are the
-	// Adam moments, rows of the same shape viewing the training arena's
-	// (nil until the first step). A batch's gradient is replayed from the
-	// batch records row by row at the boundary (fold.go), never stored
-	// here.
+	// its model file's weights section — and w its rows. mW/vW are the
+	// weights' Adam moments in bfloat16 (vecmath.WidenBF16/NarrowBF16),
+	// one 16-bit slab each in flat's order, so storage row r is cells
+	// [r·width, (r+1)·width) (momentRow); nil until the first step. A
+	// batch's gradient is replayed from the batch records row by row at
+	// the boundary (fold.go), never stored here.
 	flat []float32
 	w    [][]float32
-	mW   [][]float32
-	vW   [][]float32
+	mW   []uint16
+	vW   []uint16
 	// inputMajor selects the orientation; inputCols is then the weights as
 	// the scatter kernel's operand (w's rows are its columns), nil
 	// otherwise.
 	inputMajor bool
 	inputCols  *kernels.Mirror
-	// b, mB, vB are biases and their moments (nil until the first step).
+	// b, mB, vB are biases and their float32 moments (nil until the first
+	// step).
 	b  []float32
 	mB []float32
 	vB []float32

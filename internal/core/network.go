@@ -55,6 +55,10 @@ type Network struct {
 	// touchedWeights counts the gradient cells training stepped across
 	// all batches, locally or from a merged delta.
 	touchedWeights int64
+	// updates counts the Adam updates applied (stepRecords calls), locally
+	// or from a merged delta: the clock that keys the weights' moments'
+	// stochastic rounding (momentKey), the same on every rank.
+	updates uint64
 	// deltaScratch is the reusable SparseDelta a run with an exchanger
 	// copies each batch's records into; a local run folds its records in
 	// place and never fills it.
@@ -116,37 +120,38 @@ func newNetwork(cfg Config, views []layerViews) (*Network, error) {
 }
 
 // allocTrainState gives every layer what only training reads, once: the
-// Adam moments, from one arena in the layers' storage shapes (each array
-// contiguous, rows cache-line aligned), and the update phase's per-row
-// scratch. Every entry that folds or steps a batch — TrainContext,
-// ExtractDelta, applyAdamBatch, ApplyDelta — calls it single-threaded
-// before any worker starts, so a network that is only loaded and served
-// never holds training state. Moments start at zero whenever they arrive,
-// and the first layer's mark that every layer has its state.
+// Adam moments — the weights' as one bfloat16 slab per moment in the
+// layer's storage order, the biases' as float32 — and the update phase's
+// per-row scratch. Every entry that folds or steps a batch —
+// TrainContext, ExtractDelta, applyAdamBatch, ApplyDelta — calls it
+// single-threaded before any worker starts, so a network that is only
+// loaded and served never holds training state. Moments start at zero
+// whenever they arrive, and the first layer's mark that every layer has
+// its state.
 func (n *Network) allocTrainState() {
 	if n.layers[0].mW != nil {
 		return
 	}
-	ar := arena.New()
 	// The update phase stamps the batch's input columns on a neuron-major
 	// layer whose input arrives sparse (the example's features, or a
 	// preceding sampled layer's active set) over a wide fan-in, which
 	// replays its rows over their union (fold.go).
 	sparseIn := true
 	for _, l := range n.layers {
-		l.allocTrainState(ar, !l.inputMajor && sparseIn && l.in > colTrackThreshold)
+		l.allocTrainState(!l.inputMajor && sparseIn && l.in > colTrackThreshold)
 		sparseIn = l.Sampled()
 	}
 }
 
-// allocTrainState gives the layer its Adam moments, from ar, and its fold
-// scratch, with column stamps when stamps is set.
-func (l *Layer) allocTrainState(ar *arena.Arena, stamps bool) {
+// allocTrainState gives the layer its Adam moments and its fold scratch,
+// with column stamps when stamps is set. A weight's moments take 2 bytes
+// each, a bias's 4.
+func (l *Layer) allocTrainState(stamps bool) {
 	rows, width := l.StorageShape()
-	l.mW = ar.AllocRows(rows, width)
-	l.vW = ar.AllocRows(rows, width)
-	l.mB = ar.AllocAligned(l.out)
-	l.vB = ar.AllocAligned(l.out)
+	l.mW = make([]uint16, rows*width)
+	l.vW = make([]uint16, rows*width)
+	l.mB = make([]float32, l.out)
+	l.vB = make([]float32, l.out)
 	l.hits = make([]int32, l.out)
 	l.fold.cursor = make([]int32, rows)
 	l.fold.bias = make([]float32, l.out)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/lsh"
 	"repro/internal/sampling"
@@ -46,7 +47,9 @@ func reload(t *testing.T, n *Network) *Network {
 // hashes recorded while every network still allocated its moments and
 // fold scratch at construction, so allocating them at the first step
 // moves no bit; they were re-recorded when a scheduled rebuild began
-// publishing at the boundary it is built at. The mapped variant loads the file from disk, trains its
+// publishing at the boundary it is built at, and again when the weights'
+// moments moved to bfloat16 (input-major 0xf3ed36ce3e8daf69 and
+// column-union 0x97cbcafd5b149873 on float32 moments). The mapped variant loads the file from disk, trains its
 // weights through the mapping's private pages to the same hashes, and
 // leaves the file's bytes as they were. Recorded on amd64.
 func TestLoadTrainGoldenHash(t *testing.T) {
@@ -60,8 +63,8 @@ func TestLoadTrainGoldenHash(t *testing.T) {
 		columnUnion bool
 		want        uint64
 	}{
-		{"input-major", false, 0xf3ed36ce3e8daf69},
-		{"column-union", true, 0x97cbcafd5b149873},
+		{"input-major", false, 0x550ede3eafdf1da4},
+		{"column-union", true, 0x6af5835cb470f6c5},
 	} {
 		train := func(t *testing.T, n *Network) {
 			res, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 24, Threads: 2, Seed: 9})
@@ -122,6 +125,33 @@ func requireTrainState(t *testing.T, n *Network, want bool, colStampLayer int, w
 			}
 			if held != want {
 				t.Fatalf("%s: layer %d %s allocated = %v, want %v", when, li, field, held, want)
+			}
+		}
+	}
+}
+
+// TestMomentStorageBytes pins what halves the trainer's optimizer state:
+// after the first step each layer holds its weights' two Adam moments in
+// exactly 2 bytes per weight each, one slab per moment with nothing more
+// reserved, and its biases' two moments in 4 bytes per bias each.
+func TestMomentStorageBytes(t *testing.T) {
+	const classes = 128
+	ds := deltaTestDataset(t, classes)
+	for _, columnUnion := range []bool{false, true} {
+		n := mustNet(t, loadTrainConfig(classes, columnUnion))
+		if _, err := n.Train(ds.Train, ds.Test, TrainConfig{BatchSize: 32, Iterations: 1, Seed: 9}); err != nil {
+			t.Fatal(err)
+		}
+		for li, l := range n.layers {
+			for name, m := range map[string][]uint16{"mW": l.mW, "vW": l.vW} {
+				if got := cap(m) * int(unsafe.Sizeof(m[0])); got != 2*l.in*l.out {
+					t.Errorf("columnUnion=%v layer %d: %s holds %d bytes for %d weights, want 2 per weight", columnUnion, li, name, got, l.in*l.out)
+				}
+			}
+			for name, m := range map[string][]float32{"mB": l.mB, "vB": l.vB} {
+				if got := cap(m) * int(unsafe.Sizeof(m[0])); got != 4*l.out {
+					t.Errorf("columnUnion=%v layer %d: %s holds %d bytes for %d biases, want 4 per bias", columnUnion, li, name, got, l.out)
+				}
 			}
 		}
 	}

@@ -3,6 +3,9 @@
 // SLIDE trains with Adam (§5, "we also use the same optimizer, Adam")
 // applied lazily: only the weights touched by an active neuron's sparse
 // gradient receive a step, with first/second moments stored per weight.
+// The sparse trainer stores a weight's moments as bfloat16, rounded
+// stochastically by a keyed hash (StepCellsBF16); the dense baseline and
+// every bias keep float32 moments (StepRow, Step1). All arithmetic is float32 either way.
 // The steps are plain writes: the trainer runs them once per batch, each
 // weight row stepped by exactly one worker.
 package optim
@@ -50,44 +53,49 @@ func (a Adam) Step1(w, m, v *float32, g, alpha float32) {
 	*w -= alpha * nm / (sqrt32(nv) + a.Eps)
 }
 
-// StepRow applies Adam to a full row with dense gradient g (the dense
-// baseline's path). Plain writes; the caller guarantees exclusive access.
+// StepRow applies Adam to a full row with dense gradient g and float32
+// moments (the dense baseline's path). Plain writes; the caller guarantees
+// exclusive access.
 func (a Adam) StepRow(w, m, v, g []float32, alpha float32) {
 	if len(w) != len(g) || len(m) != len(g) || len(v) != len(g) {
 		panic("optim: StepRow length mismatch")
 	}
-	vecmath.AdamStep(w, m, v, g, 1, a.Beta1, a.Beta2, a.Eps, alpha, false)
+	vecmath.AdamStep(w, m, v, g, a.Beta1, a.Beta2, a.Eps, alpha)
 }
 
-// StepCells applies Adam to the cells of one weight row that a sparse
-// gradient names: cell k is column cols[k] (column k when cols is nil) with
-// gradient g[k]*scale. It is the span form of Step1 — the same expressions
-// in the same order, so stepping a span is bit-identical to calling Step1
-// per cell. With skipZero, cells whose g[k] is exactly zero are left alone
-// (stepping them would decay their moments); without it every cell steps.
-// Returns the number of cells stepped. Plain writes; the caller guarantees
-// exclusive access to the row. A contiguous span (cols nil) is the vector
-// kernel's shape; scattered columns step one cell at a time here.
-func (a Adam) StepCells(w, m, v []float32, cols []int32, g []float32, scale, alpha float32, skipZero bool) int {
+// StepCellsBF16 applies Adam to the cells of one weight row that a sparse
+// gradient names, over bfloat16 moments: cell k is column cols[k] (column
+// k when cols is nil) with gradient g[k]*scale, and cells whose g[k] is
+// exactly zero are left alone (stepping them would decay their moments).
+// Each stepped cell is Step1 on its widened moments — the same
+// expressions in the same order, w stepping with the unrounded moments —
+// and then stores them by vecmath.NarrowBF16 with the halves of
+// vecmath.Dither(key, column), so a cell's bits do not depend on which
+// form stepped it. Returns the number of cells stepped. Plain writes; the
+// caller guarantees exclusive access to the row. A contiguous span (cols
+// nil) is the vector kernel's shape (vecmath.AdamStepBF16); scattered
+// columns step one cell at a time here.
+func (a Adam) StepCellsBF16(w []float32, m, v []uint16, cols []int32, g []float32, key uint32, scale, alpha float32) int {
 	if cols == nil {
-		return vecmath.AdamStep(w, m, v, g, scale, a.Beta1, a.Beta2, a.Eps, alpha, skipZero)
+		return vecmath.AdamStepBF16(w, m, v, g, key, scale, a.Beta1, a.Beta2, a.Eps, alpha)
 	}
 	if len(cols) != len(g) {
-		panic("optim: StepCells column/gradient length mismatch")
+		panic("optim: StepCellsBF16 column/gradient length mismatch")
 	}
 	m, v = m[:len(w)], v[:len(w)]
 	b1, b2, eps := a.Beta1, a.Beta2, a.Eps
 	stepped := 0
 	for k, gk := range g {
-		if gk == 0 && skipZero {
+		if gk == 0 {
 			continue
 		}
 		i := cols[k]
 		gi := gk * scale
-		nm := b1*m[i] + (1-b1)*gi
-		nv := b2*v[i] + (1-b2)*gi*gi
-		m[i] = nm
-		v[i] = nv
+		nm := b1*vecmath.WidenBF16(m[i]) + (1-b1)*gi
+		nv := b2*vecmath.WidenBF16(v[i]) + (1-b2)*gi*gi
+		d := vecmath.Dither(key, int(i))
+		m[i] = vecmath.NarrowBF16(nm, d&0xffff)
+		v[i] = vecmath.NarrowBF16(nv, d>>16)
 		w[i] -= alpha * nm / (sqrt32(nv) + eps)
 		stepped++
 	}

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/vecmath"
 )
 
 func TestAdamAlphaBiasCorrection(t *testing.T) {
@@ -81,59 +83,60 @@ func TestStepRowMatchesStep1(t *testing.T) {
 	}
 }
 
-// TestStepCellsMatchesStep1: the span kernel is Step1 per named cell, bit
-// for bit, for indexed and identity columns, with and without the zero
-// skip — the property that lets the trainer's two update-phase consumers
-// share it.
-func TestStepCellsMatchesStep1(t *testing.T) {
+// TestStepCellsBF16MatchesStep1: the bfloat16 cell step is, per named
+// cell, Step1 on the widened moments followed by narrowing them with the
+// halves of the cell's Dither — bit for bit, for indexed and identity
+// columns — and skips exactly the ±0 gradients: the property that lets
+// the trainer's two update-phase consumers share it.
+func TestStepCellsBF16MatchesStep1(t *testing.T) {
 	a := NewAdam(0.01)
 	const width = 16
-	for _, skipZero := range []bool{false, true} {
-		for _, indexed := range []bool{false, true} {
-			r := rand.New(rand.NewSource(5))
-			w1 := make([]float32, width)
-			m1 := make([]float32, width)
-			v1 := make([]float32, width)
-			for i := range w1 {
-				w1[i], m1[i], v1[i] = r.Float32()-0.5, r.Float32()-0.5, r.Float32()
-			}
-			w2, m2, v2 := slices.Clone(w1), slices.Clone(m1), slices.Clone(v1)
+	for _, indexed := range []bool{false, true} {
+		r := rand.New(rand.NewSource(5))
+		w1 := make([]float32, width)
+		m1, v1 := make([]uint16, width), make([]uint16, width)
+		for i := range w1 {
+			w1[i] = r.Float32() - 0.5
+			m1[i], v1[i] = vecmath.NarrowBF16(r.Float32()-0.5, 0x8000), vecmath.NarrowBF16(r.Float32(), 0x8000)
+		}
+		w2, m2, v2 := slices.Clone(w1), slices.Clone(m1), slices.Clone(v1)
 
-			var cols []int32
-			g := make([]float32, width)
+		var cols []int32
+		g := make([]float32, width)
+		if indexed {
+			cols = []int32{1, 4, 5, 9, 15}
+			g = g[:len(cols)]
+		}
+		for k := range g {
+			if k%3 != 1 { // leave exact zeros for the skip to find
+				g[k] = r.Float32() - 0.5
+			}
+		}
+		const scale = float32(1.0 / 32)
+		const key = 0x0ddba11
+		alpha := a.Alpha(7)
+		want := 0
+		for k, gk := range g {
+			if gk == 0 {
+				continue
+			}
+			i := k
 			if indexed {
-				cols = []int32{1, 4, 5, 9, 15}
-				g = g[:len(cols)]
+				i = int(cols[k])
 			}
-			for k := range g {
-				if k%3 != 1 { // leave exact zeros for the skip to find
-					g[k] = r.Float32() - 0.5
-				}
-			}
-			const scale = float32(1.0 / 32)
-			alpha := a.Alpha(7)
-			want := 0
-			for k, gk := range g {
-				if gk == 0 && skipZero {
-					continue
-				}
-				i := k
-				if indexed {
-					i = int(cols[k])
-				}
-				a.Step1(&w2[i], &m2[i], &v2[i], gk*scale, alpha)
-				want++
-			}
-			got := a.StepCells(w1, m1, v1, cols, g, scale, alpha, skipZero)
-			if got != want {
-				t.Fatalf("skipZero=%v indexed=%v: stepped %d cells, want %d", skipZero, indexed, got, want)
-			}
-			for i := range w1 {
-				if math.Float32bits(w1[i]) != math.Float32bits(w2[i]) ||
-					math.Float32bits(m1[i]) != math.Float32bits(m2[i]) ||
-					math.Float32bits(v1[i]) != math.Float32bits(v2[i]) {
-					t.Fatalf("skipZero=%v indexed=%v: cell %d diverged from Step1", skipZero, indexed, i)
-				}
+			m, v := vecmath.WidenBF16(m2[i]), vecmath.WidenBF16(v2[i])
+			a.Step1(&w2[i], &m, &v, gk*scale, alpha)
+			d := vecmath.Dither(key, i)
+			m2[i], v2[i] = vecmath.NarrowBF16(m, d&0xffff), vecmath.NarrowBF16(v, d>>16)
+			want++
+		}
+		got := a.StepCellsBF16(w1, m1, v1, cols, g, key, scale, alpha)
+		if got != want {
+			t.Fatalf("indexed=%v: stepped %d cells, want %d", indexed, got, want)
+		}
+		for i := range w1 {
+			if math.Float32bits(w1[i]) != math.Float32bits(w2[i]) || m1[i] != m2[i] || v1[i] != v2[i] {
+				t.Fatalf("indexed=%v: cell %d diverged from Step1", indexed, i)
 			}
 		}
 	}
@@ -153,16 +156,18 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 }
 
 // TestStepLengthMismatchPanics: StepRow panics when a moment or the weight
-// row is not as long as the gradient, and StepCells when its column list
-// and gradient differ in length.
+// row is not as long as the gradient, and StepCellsBF16 when its column
+// list and gradient differ in length or a moment row is shorter than the
+// gradient.
 func TestStepLengthMismatchPanics(t *testing.T) {
 	a := NewAdam(0.01)
 	long, short := make([]float32, 4), make([]float32, 3)
 	for name, step := range map[string]func(){
-		"StepRow_w":     func() { a.StepRow(short, long, long, long, 1) },
-		"StepRow_m":     func() { a.StepRow(long, short, long, long, 1) },
-		"StepRow_v":     func() { a.StepRow(long, long, short, long, 1) },
-		"StepCells_col": func() { a.StepCells(long, long, long, []int32{0, 1}, short, 1, 1, false) },
+		"StepRow_w":         func() { a.StepRow(short, long, long, long, 1) },
+		"StepRow_m":         func() { a.StepRow(long, short, long, long, 1) },
+		"StepRow_v":         func() { a.StepRow(long, long, short, long, 1) },
+		"StepCellsBF16_col": func() { a.StepCellsBF16(long, make([]uint16, 4), make([]uint16, 4), []int32{0, 1}, short, 0, 1, 1) },
+		"StepCellsBF16_v":   func() { a.StepCellsBF16(long, make([]uint16, 4), make([]uint16, 3), nil, long, 0, 1, 1) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

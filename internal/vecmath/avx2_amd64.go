@@ -1,7 +1,9 @@
 package vecmath
 
+import "unsafe"
+
 // hasAVX2 reports whether the AVX2 row kernels may run: the CPU has AVX2
-// (and POPCNT, which the Adam kernel's stepped count uses) and the OS
+// (and POPCNT, which the bfloat16 Adam kernel's stepped count uses) and the OS
 // saves YMM state. Set once at init; read only by this package's exported
 // entry points (tests flip it to cover the Go kernels on an AVX2 machine).
 var hasAVX2 = detectAVX2()
@@ -32,7 +34,7 @@ func xgetbv0() (eax, edx uint32)
 // SSE, not AVX2.
 //
 //go:noescape
-func prefetchT0(p *float32, n int)
+func prefetchT0(p unsafe.Pointer, n int)
 
 // The kernels below take whole 8-cell blocks (blocks = cells/8) and do no
 // checking of their own; see avx2_amd64.s.
@@ -50,7 +52,10 @@ func outerAccAVX2(d float32, x, w, grad, acc *float32, blocks int)
 func dot4AVX2(x, r0, r1, r2, r3 *float32, blocks int, out *[4]float32)
 
 //go:noescape
-func adamAVX2(w, m, v, grad *float32, blocks int, p *adamParams, skipZero bool) (skipped int)
+func adamAVX2(w, m, v, grad *float32, blocks int, p *adamParams)
+
+//go:noescape
+func adamBF16AVX2(w *float32, m, v *uint16, grad *float32, blocks int, p *adamParams) (skipped int)
 
 //go:noescape
 func signedSumsAVX2(x *float32, ent *uint32, steps, groups int, dst *float32)

@@ -242,38 +242,30 @@ dot4_reduce:
 	VZEROUPPER
 	RET
 
-// func adamAVX2(w, m, v, grad *float32, blocks int, p *adamParams, skipZero bool) (skipped int)
+// func adamAVX2(w, m, v, grad *float32, blocks int, p *adamParams)
 // One Adam step per cell over blocks*8 cells, lane for lane adamStepGo:
-//   gi = g*scale; nm = b1*m + omb1*gi; nv = b2*v + (omb2*gi)*gi
+//   nm = b1*m + omb1*g; nv = b2*v + (omb2*g)*g
 //   w  = w - (alpha*nm)/(sqrt(nv)+eps)
-// With skipZero, lanes whose g is ±0 keep their old w/m/v and are counted
-// in skipped; a block of eight such lanes is not written at all.
-TEXT ·adamAVX2(SB), NOSPLIT, $0-64
+TEXT ·adamAVX2(SB), NOSPLIT, $0-48
 	MOVQ w+0(FP), DI
 	MOVQ m+8(FP), SI
 	MOVQ v+16(FP), DX
 	MOVQ grad+24(FP), R12
 	MOVQ blocks+32(FP), CX
 	MOVQ p+40(FP), R8
-	VBROADCASTSS 0(R8), Y9   // scale
 	VBROADCASTSS 4(R8), Y10  // b1
 	VBROADCASTSS 8(R8), Y11  // 1-b1
 	VBROADCASTSS 12(R8), Y12 // b2
 	VBROADCASTSS 16(R8), Y13 // 1-b2
 	VBROADCASTSS 20(R8), Y14 // eps
 	VBROADCASTSS 24(R8), Y15 // alpha
-	VXORPS Y8, Y8, Y8
 	SHLQ $5, CX
 	XORQ AX, AX
-	XORQ R9, R9              // skipped lanes
 	CMPQ AX, CX
 	JGE  adam_done
-	MOVBLZX skipZero+48(FP), R10
-	TESTL R10, R10
-	JNZ  adam_skip_loop
 
 adam_loop:
-	VMULPS  (R12)(AX*1), Y9, Y0 // gi
+	VMOVUPS (R12)(AX*1), Y0    // g
 	VMULPS  (SI)(AX*1), Y10, Y1
 	VMULPS  Y0, Y11, Y2
 	VADDPS  Y2, Y1, Y1         // nm
@@ -293,47 +285,149 @@ adam_loop:
 	ADDQ    $32, AX
 	CMPQ    AX, CX
 	JLT     adam_loop
-	JMP     adam_done
 
-adam_skip_loop:
-	VMOVUPS   (R12)(AX*1), Y0
-	VCMPPS    $0, Y8, Y0, Y7   // lanes with g == 0
+adam_done:
+	VZEROUPPER
+	RET
+
+// The bfloat16 kernel's constants, one per 32-bit lane: Dither's column
+// offset k·ditherWeyl of lane k, the step of eight columns, lowbias32's two
+// multipliers, the low half's mask, and the quiet bit of a NaN.
+DATA ditherLanes<>+0(SB)/8, $0x9e3779b900000000
+DATA ditherLanes<>+8(SB)/8, $0xdaa66d2b3c6ef372
+DATA ditherLanes<>+16(SB)/8, $0x1715609d78dde6e4
+DATA ditherLanes<>+24(SB)/8, $0x5384540fb54cda56
+GLOBL ditherLanes<>(SB), RODATA|NOPTR, $32
+DATA ditherStep<>+0(SB)/8, $0xf1bbcdc8f1bbcdc8
+DATA ditherStep<>+8(SB)/8, $0xf1bbcdc8f1bbcdc8
+DATA ditherStep<>+16(SB)/8, $0xf1bbcdc8f1bbcdc8
+DATA ditherStep<>+24(SB)/8, $0xf1bbcdc8f1bbcdc8
+GLOBL ditherStep<>(SB), RODATA|NOPTR, $32
+DATA ditherMul1<>+0(SB)/8, $0x21f0aaad21f0aaad
+DATA ditherMul1<>+8(SB)/8, $0x21f0aaad21f0aaad
+DATA ditherMul1<>+16(SB)/8, $0x21f0aaad21f0aaad
+DATA ditherMul1<>+24(SB)/8, $0x21f0aaad21f0aaad
+GLOBL ditherMul1<>(SB), RODATA|NOPTR, $32
+DATA ditherMul2<>+0(SB)/8, $0x735a2d97735a2d97
+DATA ditherMul2<>+8(SB)/8, $0x735a2d97735a2d97
+DATA ditherMul2<>+16(SB)/8, $0x735a2d97735a2d97
+DATA ditherMul2<>+24(SB)/8, $0x735a2d97735a2d97
+GLOBL ditherMul2<>(SB), RODATA|NOPTR, $32
+DATA bf16low<>+0(SB)/8, $0x0000ffff0000ffff
+DATA bf16low<>+8(SB)/8, $0x0000ffff0000ffff
+DATA bf16low<>+16(SB)/8, $0x0000ffff0000ffff
+DATA bf16low<>+24(SB)/8, $0x0000ffff0000ffff
+GLOBL bf16low<>(SB), RODATA|NOPTR, $32
+DATA bf16quiet<>+0(SB)/8, $0x0040000000400000
+DATA bf16quiet<>+8(SB)/8, $0x0040000000400000
+DATA bf16quiet<>+16(SB)/8, $0x0040000000400000
+DATA bf16quiet<>+24(SB)/8, $0x0040000000400000
+GLOBL bf16quiet<>(SB), RODATA|NOPTR, $32
+
+// func adamBF16AVX2(w *float32, m, v *uint16, grad *float32, blocks int, p *adamParams) (skipped int)
+// One Adam step per cell over blocks*8 cells with bfloat16 moments, lane
+// for lane adamStepBF16Go: adamAVX2's operations on the moments widened by
+// a 16-bit shift, with g scaled, then each new moment stored as
+// NarrowBF16 rounds it — add its half of the lane's Dither, keep the top
+// 16 bits; a NaN gets the quiet bit instead. Y14 carries each lane's
+// Dither input, p.weyl + lane·ditherWeyl, eight columns on per block.
+// Lanes whose g is ±0 keep their old w/m/v bits and are counted in
+// skipped; a block of eight such lanes is not written.
+TEXT ·adamBF16AVX2(SB), NOSPLIT, $0-56
+	MOVQ w+0(FP), DI
+	MOVQ m+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ grad+24(FP), R12
+	MOVQ blocks+32(FP), CX
+	MOVQ p+40(FP), R8
+	VBROADCASTSS 0(R8), Y9   // scale
+	VBROADCASTSS 4(R8), Y10  // b1
+	VBROADCASTSS 8(R8), Y11  // 1-b1
+	VBROADCASTSS 12(R8), Y12 // b2
+	VBROADCASTSS 16(R8), Y13 // 1-b2
+	VBROADCASTSS 24(R8), Y15 // alpha
+	VPBROADCASTD 28(R8), Y14
+	VPADDD ditherLanes<>(SB), Y14, Y14
+	VXORPS Y8, Y8, Y8
+	SHLQ $3, CX              // cells; AX counts cells
+	XORQ AX, AX
+	XORQ R9, R9              // skipped lanes
+	CMPQ AX, CX
+	JGE  bf16_done
+
+bf16_loop:
+	VMOVUPS   (R12)(AX*4), Y0
+	VCMPPS    $0, Y8, Y0, Y7     // lanes with g == 0
 	VMOVMSKPS Y7, R10
 	POPCNTL   R10, R11
 	ADDQ      R11, R9
 	CMPL      R10, $0xFF
-	JEQ       adam_skip_next
-	VMULPS    Y0, Y9, Y0       // gi
-	VMOVUPS   (SI)(AX*1), Y5   // m
-	VMULPS    Y5, Y10, Y1
+	JEQ       bf16_next
+	VMULPS    Y0, Y9, Y0         // gi
+	VPMOVZXWD (SI)(AX*2), Y5     // m's bits
+	VPSLLD    $16, Y5, Y1        // m
+	VMULPS    Y1, Y10, Y1
 	VMULPS    Y0, Y11, Y2
-	VADDPS    Y2, Y1, Y1       // nm
-	VBLENDVPS Y7, Y5, Y1, Y5
-	VMOVUPS   (DX)(AX*1), Y6   // v
-	VMULPS    Y6, Y12, Y2
+	VADDPS    Y2, Y1, Y1         // nm
+	VPMOVZXWD (DX)(AX*2), Y6     // v's bits
+	VPSLLD    $16, Y6, Y2        // v
+	VMULPS    Y2, Y12, Y2
 	VMULPS    Y0, Y13, Y3
 	VMULPS    Y0, Y3, Y3
-	VADDPS    Y3, Y2, Y2       // nv
-	VBLENDVPS Y7, Y6, Y2, Y6
+	VADDPS    Y3, Y2, Y2         // nv
 	VSQRTPS   Y2, Y3
-	VADDPS    Y14, Y3, Y3
+	VBROADCASTSS 20(R8), Y4      // eps
+	VADDPS    Y4, Y3, Y3
 	VMULPS    Y1, Y15, Y4
 	VDIVPS    Y3, Y4, Y4
-	VMOVUPS   (DI)(AX*1), Y2   // w
-	VSUBPS    Y4, Y2, Y3
-	VBLENDVPS Y7, Y2, Y3, Y3
-	VMOVUPS   Y5, (SI)(AX*1)
-	VMOVUPS   Y6, (DX)(AX*1)
-	VMOVUPS   Y3, (DI)(AX*1)
+	VMOVUPS   (DI)(AX*4), Y3     // w
+	VSUBPS    Y4, Y3, Y4
+	VBLENDVPS Y7, Y3, Y4, Y4
+	VMOVUPS   Y4, (DI)(AX*4)
 
-adam_skip_next:
-	ADDQ $32, AX
+	// Y3 = Dither: lowbias32 of Y14.
+	VPSRLD  $16, Y14, Y3
+	VPXOR   Y14, Y3, Y3
+	VPMULLD ditherMul1<>(SB), Y3, Y3
+	VPSRLD  $15, Y3, Y4
+	VPXOR   Y4, Y3, Y3
+	VPMULLD ditherMul2<>(SB), Y3, Y3
+	VPSRLD  $15, Y3, Y4
+	VPXOR   Y4, Y3, Y3
+
+	// m's bits = NarrowBF16(nm, the low half), or the old bits where g == 0.
+	VPAND        bf16low<>(SB), Y3, Y4
+	VPADDD       Y1, Y4, Y4
+	VCMPPS       $3, Y1, Y1, Y0  // NaN lanes
+	VPOR         bf16quiet<>(SB), Y1, Y1
+	VBLENDVPS    Y0, Y1, Y4, Y4
+	VPSRLD       $16, Y4, Y4
+	VBLENDVPS    Y7, Y5, Y4, Y4
+	VEXTRACTI128 $1, Y4, X0
+	VPACKUSDW    X0, X4, X4
+	VMOVDQU      X4, (SI)(AX*2)
+
+	// v's bits = NarrowBF16(nv, the high half), or the old bits where g == 0.
+	VPSRLD       $16, Y3, Y3
+	VPADDD       Y2, Y3, Y3
+	VCMPPS       $3, Y2, Y2, Y0
+	VPOR         bf16quiet<>(SB), Y2, Y2
+	VBLENDVPS    Y0, Y2, Y3, Y3
+	VPSRLD       $16, Y3, Y3
+	VBLENDVPS    Y7, Y6, Y3, Y3
+	VEXTRACTI128 $1, Y3, X4
+	VPACKUSDW    X4, X3, X3
+	VMOVDQU      X3, (DX)(AX*2)
+
+bf16_next:
+	VPADDD ditherStep<>(SB), Y14, Y14
+	ADDQ $8, AX
 	CMPQ AX, CX
-	JLT  adam_skip_loop
+	JLT  bf16_loop
 
-adam_done:
+bf16_done:
 	VZEROUPPER
-	MOVQ R9, skipped+56(FP)
+	MOVQ R9, skipped+48(FP)
 	RET
 
 // func signedSumsAVX2(x *float32, ent *uint32, steps, groups int, dst *float32)

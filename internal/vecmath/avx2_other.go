@@ -2,12 +2,14 @@
 
 package vecmath
 
+import "unsafe"
+
 // No vector kernels off amd64: the Go kernels are the only path, and the
 // stubs below exist only so the dispatching wrappers compile.
 var hasAVX2 = false
 
 // prefetchT0 is Prefetch's hint, which has no instruction here.
-func prefetchT0(p *float32, n int) {}
+func prefetchT0(p unsafe.Pointer, n int) {}
 
 func axpyAVX2(alpha float32, x, y *float32, blocks int) { panic("vecmath: no AVX2") }
 
@@ -19,7 +21,9 @@ func outerAccAVX2(d float32, x, w, grad, acc *float32, blocks int) { panic("vecm
 
 func dot4AVX2(x, r0, r1, r2, r3 *float32, blocks int, out *[4]float32) { panic("vecmath: no AVX2") }
 
-func adamAVX2(w, m, v, grad *float32, blocks int, p *adamParams, skipZero bool) (skipped int) {
+func adamAVX2(w, m, v, grad *float32, blocks int, p *adamParams) { panic("vecmath: no AVX2") }
+
+func adamBF16AVX2(w *float32, m, v *uint16, grad *float32, blocks int, p *adamParams) (skipped int) {
 	panic("vecmath: no AVX2")
 }
 

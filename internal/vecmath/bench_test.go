@@ -181,11 +181,13 @@ func BenchmarkOuterAcc(b *testing.B) {
 func BenchmarkAdamStep(b *testing.B) {
 	w, g := benchVecs(128)
 	m, v := make([]float32, 128), make([]float32, 128)
-	for _, skipZero := range []bool{false, true} {
-		b.Run(map[bool]string{false: "all", true: "skipZero"}[skipZero], func(b *testing.B) {
-			benchTiers(b, func() { AdamStep(w, m, v, g, 1, 0.9, 0.999, 1e-8, 1e-4, skipZero) })
-		})
-	}
+	benchTiers(b, func() { AdamStep(w, m, v, g, 0.9, 0.999, 1e-8, 1e-4) })
+}
+
+func BenchmarkAdamStepBF16(b *testing.B) {
+	w, g := benchVecs(128)
+	m, v := make([]uint16, 128), make([]uint16, 128)
+	benchTiers(b, func() { AdamStepBF16(w, m, v, g, 0x5eed, 1, 0.9, 0.999, 1e-8, 1e-4) })
 }
 
 // The hash kernels at the benchmark workloads' shapes over a 128-wide

@@ -8,12 +8,15 @@
 // package's exported entry points — by hasAVX2 alone:
 //
 //   - 8-way unrolled Go with independent accumulators (dotUnrolled,
-//     axpyUnrolled, which AxpyRows runs once per term, outerAccUnrolled,
-//     adamStepGo), and the hash kernels' Go loops
+//     axpyUnrolled, which AxpyRows runs once per term, outerAccUnrolled),
+//     the Adam steps' Go loops (adamStepGo, adamStepBF16Go), and the hash
+//     kernels' Go loops
 //     (signedSumsGo, nonZeroArgMaxGo): the only path on non-amd64 and
 //     pre-AVX2 machines, and the reference;
-//   - AVX2 assembly (avx2_amd64.s) for five dense row loops — Dot/DotRows,
-//     Axpy, AxpyRows, OuterAcc, AdamStep — two lane-parallel hash
+//   - AVX2 assembly (avx2_amd64.s) for six dense row loops — Dot/DotRows,
+//     Axpy, AxpyRows, OuterAcc, AdamStep (float32 moments, the dense
+//     baseline's) and AdamStepBF16 (bfloat16 moments, the sparse
+//     trainer's) — two lane-parallel hash
 //     kernels over a LaneSlab — SignedSums (Simhash) and NonZeroArgMax
 //     (DWTA) — their block forms over eight transposed inputs with the
 //     transpose and the bucket-address kernels of the table build
@@ -38,8 +41,11 @@
 // same summation order: eight running sums (lane k sums cells ≡ k mod 8,
 // one YMM accumulator per row) reduced left to right as
 // (((s0+s1)+(s2+s3))+(s4+s5))+(s6+s7), then the n mod 8 tail cells added
-// in order. Axpy, OuterAcc and AdamStep are element-wise, so lane order is
-// irrelevant. AxpyRows keeps 64 cells of dst in eight YMM accumulators
+// in order. Axpy, OuterAcc and the Adam steps are element-wise, so lane
+// order is irrelevant; AdamStepBF16 widens a moment by a 16-bit shift and
+// narrows it by NarrowBF16's integer rounding (a half of the lane's
+// lowbias32 Dither added below the kept bits, a NaN quieted), exact on
+// both paths. AxpyRows keeps 64 cells of dst in eight YMM accumulators
 // while its terms stream through them, so dst is loaded and stored once
 // per call instead of once per term; that changes only where the running
 // sum waits between terms, not the operations on it: each cell still takes
@@ -98,7 +104,10 @@
 // current, which the hardware prefetcher already streams.
 package vecmath
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // maxCells bounds the cells per row one assembly call covers (~1 µs of
 // non-preemptible work in cache).
@@ -129,17 +138,17 @@ func dotTail(s float32, a, b []float32) float32 {
 }
 
 // maxPrefetch bounds the bytes one Prefetch hint covers: 16 cache lines, a
-// 256-float row.
+// 256-float row or a 512-cell bfloat16 one.
 const maxPrefetch = 1024
 
 // Prefetch hints the cache lines of x — at most its first maxPrefetch
 // bytes — into cache ahead of a read the hardware prefetcher cannot
 // predict, such as a row that does not follow the last one read. It reads
 // and writes no value and faults on nothing, so it changes no result; off
-// amd64 it does nothing.
-func Prefetch(x []float32) {
+// amd64 it does nothing. x is a float32 row or a bfloat16 moment row.
+func Prefetch[E float32 | uint16](x []E) {
 	if len(x) > 0 {
-		prefetchT0(&x[0], min(4*len(x), maxPrefetch))
+		prefetchT0(unsafe.Pointer(&x[0]), min(int(unsafe.Sizeof(x[0]))*len(x), maxPrefetch))
 	}
 }
 

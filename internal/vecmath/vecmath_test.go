@@ -321,15 +321,25 @@ func TestMaxIsArgMaxElement(t *testing.T) {
 }
 
 // TestPrefetchChangesNothing: Prefetch reads and writes no value, on an
-// empty slice, a short one and one past maxPrefetch bytes.
+// empty slice, a short one and one past maxPrefetch bytes, of float32s
+// and of bfloat16 moments.
 func TestPrefetchChangesNothing(t *testing.T) {
 	r := newPCG(3)
-	for _, n := range []int{0, 1, 7, maxPrefetch/4 + 9} {
+	for _, n := range []int{0, 1, 7, maxPrefetch/4 + 9, maxPrefetch/2 + 9} {
 		x := randVec(r, n)
 		want := slices.Clone(x)
 		Prefetch(x)
 		if !slices.Equal(x, want) {
 			t.Fatalf("n=%d: Prefetch changed the slice", n)
+		}
+		h := make([]uint16, n)
+		for i := range h {
+			h[i] = uint16(r.Uint32())
+		}
+		wantH := slices.Clone(h)
+		Prefetch(h)
+		if !slices.Equal(h, wantH) {
+			t.Fatalf("n=%d: Prefetch changed the bfloat16 slice", n)
 		}
 	}
 }
